@@ -13,7 +13,7 @@
 //!   allreduce beat the linear baseline in measured virtual time.
 
 use hetsim::Cluster;
-use mpisim::{CollectiveAlgo, CollectiveKind, ReduceOp, Universe};
+use mpisim::{CollectiveAlgo, CollectiveKind, PlanCacheReport, ReduceOp, Universe};
 use perfmodel::collective::algos_for;
 use std::sync::Arc;
 
@@ -60,6 +60,9 @@ impl CollPoint {
 pub struct CollectivesBench {
     /// Every (kind, algorithm, size) point, in sweep order.
     pub points: Vec<CollPoint>,
+    /// Plan-cache counters summed over the measuring runs (host side; not
+    /// part of the JSON, whose numbers are all virtual time).
+    pub plans: PlanCacheReport,
 }
 
 impl CollectivesBench {
@@ -98,13 +101,14 @@ fn kind_name(kind: CollectiveKind) -> &'static str {
 }
 
 /// Runs one collective of `elems` f64 elements with a pinned algorithm on
-/// its own universe and returns `(predicted, measured)` virtual seconds.
+/// its own universe and returns `(predicted, measured)` virtual seconds
+/// and the run's plan-cache counters.
 fn measure(
     cluster: &Arc<Cluster>,
     kind: CollectiveKind,
     algo: CollectiveAlgo,
     elems: usize,
-) -> (f64, f64) {
+) -> (f64, f64, PlanCacheReport) {
     let u = Universe::new(cluster.clone());
     let p = cluster.len();
     let report = u.run(move |proc| {
@@ -136,7 +140,7 @@ fn measure(
         }
         predicted
     });
-    (report.results[0], report.makespan.as_secs())
+    (report.results[0], report.makespan.as_secs(), report.plans)
 }
 
 /// The `Auto` selector's pick for a (kind, size) cell.
@@ -158,7 +162,8 @@ fn sweep(bench: &mut CollectivesBench, cluster: &Arc<Cluster>, sizes: &[usize]) 
             let elems = (bytes / 8).max(1);
             let chosen = selected_algo(cluster, kind, elems);
             for algo in algos_for(kind, p) {
-                let (predicted_s, measured_s) = measure(cluster, kind, algo, elems);
+                let (predicted_s, measured_s, plans) = measure(cluster, kind, algo, elems);
+                bench.plans += plans;
                 bench.points.push(CollPoint {
                     kind: kind_name(kind),
                     p,
@@ -181,7 +186,10 @@ pub fn run(quick: bool) -> CollectivesBench {
     } else {
         &[8, 8_192, 65_536, 524_288]
     };
-    let mut bench = CollectivesBench { points: Vec::new() };
+    let mut bench = CollectivesBench {
+        points: Vec::new(),
+        plans: PlanCacheReport::default(),
+    };
     let nine = Arc::new(Cluster::paper_lan_em3d());
     sweep(&mut bench, &nine, sizes);
     // Power-of-two communicator: recursive doubling joins the pool.
@@ -232,6 +240,7 @@ pub fn render(b: &CollectivesBench) -> String {
     }
     let _ = writeln!(out);
     let _ = writeln!(out, "max prediction error: {:.3}%", b.max_error_pct());
+    let _ = writeln!(out, "plan cache: {}", b.plans);
     out
 }
 

@@ -15,7 +15,9 @@
 //! summed measured virtual time with a ±10% band.
 
 use hetsim::{ContentionModel, Link, Protocol, Topology, TopologyBuilder};
-use mpisim::{CollectiveKind, CollectivePolicy, ReduceOp, Universe, UniverseConfig};
+use mpisim::{
+    CollectiveKind, CollectivePolicy, PlanCacheReport, ReduceOp, Universe, UniverseConfig,
+};
 
 /// Minimum speedup of the hierarchy-aware selector over the flat-only
 /// selector, required on at least one collective kind at ≥64 KiB.
@@ -65,6 +67,9 @@ impl HierarchyPoint {
 pub struct HierarchyBench {
     /// Every (kind, size) point, in sweep order.
     pub points: Vec<HierarchyPoint>,
+    /// Plan-cache counters summed over the measuring runs (host side; not
+    /// part of the JSON, whose numbers are all virtual time).
+    pub plans: PlanCacheReport,
 }
 
 impl HierarchyBench {
@@ -126,13 +131,14 @@ pub fn multi_site_testbed() -> Topology {
 }
 
 /// Runs one collective of `elems` f64 elements under the given policy and
-/// returns `(picked algorithm, predicted, measured)` virtual seconds.
+/// returns `(picked algorithm, predicted, measured)` virtual seconds and
+/// the run's plan-cache counters.
 fn measure(
     topology: &Topology,
     policy: CollectivePolicy,
     kind: CollectiveKind,
     elems: usize,
-) -> (&'static str, f64, f64) {
+) -> (&'static str, f64, f64, PlanCacheReport) {
     let u = Universe::from_topology(
         topology.clone(),
         UniverseConfig::new().collective_policy(policy),
@@ -174,7 +180,12 @@ fn measure(
         (algo, predicted)
     });
     let (algo, predicted) = report.results[0];
-    (algo.name(), predicted, report.makespan.as_secs())
+    (
+        algo.name(),
+        predicted,
+        report.makespan.as_secs(),
+        report.plans,
+    )
 }
 
 /// Runs the benchmark: every collective kind across the size sweep, once
@@ -187,7 +198,10 @@ pub fn run(quick: bool) -> HierarchyBench {
     };
     let topology = multi_site_testbed();
     let p = topology.ranks();
-    let mut bench = HierarchyBench { points: Vec::new() };
+    let mut bench = HierarchyBench {
+        points: Vec::new(),
+        plans: PlanCacheReport::default(),
+    };
     for kind in [
         CollectiveKind::Bcast,
         CollectiveKind::Reduce,
@@ -196,10 +210,12 @@ pub fn run(quick: bool) -> HierarchyBench {
     ] {
         for &bytes in sizes {
             let elems = (bytes / 8).max(p);
-            let (hier_algo, hier_predicted_s, hier_measured_s) =
+            let (hier_algo, hier_predicted_s, hier_measured_s, hier_plans) =
                 measure(&topology, CollectivePolicy::Auto, kind, elems);
-            let (flat_algo, _, flat_measured_s) =
+            let (flat_algo, _, flat_measured_s, flat_plans) =
                 measure(&topology, CollectivePolicy::FlatAuto, kind, elems);
+            bench.plans += hier_plans;
+            bench.plans += flat_plans;
             bench.points.push(HierarchyPoint {
                 kind: kind.name(),
                 p,
@@ -255,6 +271,7 @@ pub fn render(b: &HierarchyBench) -> String {
     );
     let _ = writeln!(out, "worst speedup anywhere: {:.3}x", b.min_speedup());
     let _ = writeln!(out, "total measured virtual time: {:.6}s", b.total_measured_s());
+    let _ = writeln!(out, "plan cache: {}", b.plans);
     out
 }
 

@@ -29,10 +29,14 @@
 //!   §10 and §14).
 //!
 //! Selection ([`CollectivePolicy::Auto`], the default) prices every eligible
-//! algorithm per call from the message size, communicator size and the
-//! hetsim link table, and runs the predicted-cheapest. All selection inputs
-//! are rank-independent, so every member picks the same algorithm without
-//! any agreement traffic.
+//! algorithm from the message size, communicator size and the hetsim link
+//! table, and runs the predicted-cheapest. All selection inputs are
+//! rank-independent, so every member arrives at the same [`Plan`] without
+//! any agreement traffic — and only one of them computes it: each public
+//! entry point validates its arguments once and takes the call's plan from
+//! the universe's plan cache ([`crate::plan`]), which builds it on first
+//! use and hands every other rank, and every later identical call, the
+//! same `Arc`.
 //!
 //! Reduction collectives preserve a **fixed deterministic fold order**
 //! regardless of algorithm: the result element `i` is always the
@@ -45,14 +49,13 @@ use crate::comm::Comm;
 use crate::datatype::{decode, decode_into, encode, MpiType};
 use crate::error::{MpiError, MpiResult};
 use crate::op::ReduceOp;
-use std::cell::Cell;
+use crate::plan::{ineligible, Plan, PlanKey};
 use hetsim::trace::{TraceEvent, TraceKind};
-use hetsim::{ContentionModel, NodeId, PairTable, SimTime};
-use perfmodel::collective::{
-    chunk_bounds, eligible, price, schedule, select, CollectiveAlgo, CollectiveKind, LinkSharing,
-    Xfer,
-};
-use perfmodel::{hier_plan, GatherXfer, HierPlan, PairCost, RankTopology};
+use hetsim::SimTime;
+use perfmodel::collective::{chunk_bounds, CollectiveAlgo, CollectiveKind, Xfer};
+use perfmodel::{GatherXfer, HierPlan};
+use std::cell::Cell;
+use std::sync::Arc;
 
 /// Tag used by every engine-scheduled transfer. A single tag suffices:
 /// transfers ride the communicator's collective plane, where the per-pair
@@ -82,7 +85,7 @@ fn fault_blame(e: &MpiError) -> Option<usize> {
 }
 
 /// How the engine picks an algorithm for each collective call.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum CollectivePolicy {
     /// Price every eligible flat algorithm *and* the hierarchical plan for
     /// the communicator's topology (declared on the cluster, or inferred
@@ -101,164 +104,59 @@ pub enum CollectivePolicy {
     Fixed(CollectiveAlgo),
 }
 
-/// How one collective call will execute: a flat schedule of the given
-/// algorithm, or a hierarchical multi-level plan.
-enum Execution {
-    Flat(CollectiveAlgo),
-    Hier(Box<HierPlan>),
-}
-
-/// The engine's [`PairCost`] view of a communicator: pairwise link costs by
-/// communicator rank, uniform unit speeds (collective pricing involves no
-/// computation).
-struct CostView {
-    table: PairTable,
-    /// `nodes[comm_rank]` = hosting cluster node, so the pricer's per-node
-    /// contention resources (NIC, memory bus) group co-located ranks.
-    nodes: Vec<NodeId>,
-}
-
-impl PairCost for CostView {
-    fn speed(&self, _proc: usize) -> f64 {
-        1.0
-    }
-    fn latency(&self, src: usize, dst: usize) -> f64 {
-        self.table.latency(src, dst)
-    }
-    fn bandwidth(&self, src: usize, dst: usize) -> f64 {
-        self.table.bandwidth(src, dst)
-    }
-    fn node_of(&self, proc: usize) -> usize {
-        self.nodes[proc].index()
-    }
-}
-
-fn sharing_of(c: ContentionModel) -> LinkSharing {
-    match c {
-        ContentionModel::ParallelLinks => LinkSharing::Parallel,
-        ContentionModel::SerializedNic => LinkSharing::PerEndpoint,
-        ContentionModel::SharedBus => LinkSharing::Shared,
-    }
-}
-
 impl Comm {
-    /// The link-cost view the engine selects against: healthy base latency
-    /// and bandwidth for every pair of member ranks, plus the cluster's
-    /// contention model.
-    fn coll_cost(&self) -> (CostView, LinkSharing) {
-        let nodes: Vec<NodeId> = (0..self.size()).map(|r| self.node_of(r)).collect();
-        (
-            CostView {
-                table: self.shared.cluster.pair_table(&nodes),
-                nodes,
-            },
-            sharing_of(self.shared.cluster.contention()),
-        )
-    }
-
-    /// The communicator's per-rank hierarchy coordinates: read off the
-    /// cluster's declared [`hetsim::TopologyInfo`] when one exists,
-    /// otherwise inferred from the pair table's latency scale
-    /// ([`RankTopology::infer`]). A flat cluster yields flat coordinates
-    /// either way, and [`hier_plan`] then declines to plan.
-    fn rank_topology(&self, cost: &CostView) -> RankTopology {
-        match self.shared.cluster.topology() {
-            Some(info) => RankTopology::new(
-                cost.nodes.iter().map(|&n| info.site_of(n)).collect(),
-                cost.nodes.iter().map(|&n| info.switch_of(n)).collect(),
-                cost.nodes.iter().map(|n| n.index()).collect(),
-            ),
-            None => RankTopology::infer(self.size(), cost),
-        }
-    }
-
-    /// The hierarchical candidate for one call, with its predicted time —
-    /// `None` when the topology offers nothing over a flat schedule.
-    fn hier_candidate(
+    fn plan_key(
         &self,
         kind: CollectiveKind,
+        request: CollectivePolicy,
         root: usize,
         elems: usize,
         elem_bytes: usize,
-        cost: &CostView,
-        sharing: LinkSharing,
-    ) -> Option<(Box<HierPlan>, f64)> {
-        let topo = self.rank_topology(cost);
-        let plan = hier_plan(
-            kind,
-            self.size(),
-            root,
-            elems,
-            elem_bytes as f64,
-            &topo,
-            cost,
-            sharing,
-        )?;
-        let t = price(
-            self.size(),
-            &plan.xfer_rounds(elems),
-            elem_bytes as f64,
-            cost,
-            sharing,
-        );
-        Some((Box::new(plan), t))
+    ) -> MpiResult<PlanKey> {
+        let nodes = (0..self.size()).map(|r| self.node_of(r)).collect();
+        PlanKey::new(kind, request, nodes, root, elems, elem_bytes)
     }
 
-    /// Resolves how a call executes: an explicit request or the universe's
-    /// [`CollectivePolicy`], with eligibility checking. Under
-    /// [`CollectivePolicy::Auto`] the flat winner competes against the
-    /// hierarchical plan; hierarchy is adopted only when *strictly*
-    /// cheaper, so flat topologies (where no plan exists) and ties keep the
-    /// pre-hierarchy choice bit-for-bit.
-    fn resolve_exec(
+    /// The [`Plan`] for one collective call on this communicator, from the
+    /// universe's plan cache: the algorithm `request` resolves to, its
+    /// predicted virtual time and its transfer rounds. Every member (and
+    /// every later call with the same arguments) shares one plan; see
+    /// [`crate::plan`]. For allgather `elems` is the total output length.
+    ///
+    /// # Errors
+    /// [`MpiError::InvalidRank`] if `root` is outside the communicator;
+    /// [`MpiError::InvalidCounts`] if a pinned algorithm is not eligible
+    /// here, or the hierarchical plan is pinned on a flat topology.
+    pub fn collective_plan(
+        &self,
+        kind: CollectiveKind,
+        request: CollectivePolicy,
+        root: usize,
+        elems: usize,
+        elem_bytes: usize,
+    ) -> MpiResult<Arc<Plan>> {
+        let key = self.plan_key(kind, request, root, elems, elem_bytes)?;
+        self.shared.plans.get(&key, &self.shared.cluster)
+    }
+
+    /// The plan a call executes: an explicit algorithm or the universe's
+    /// [`CollectivePolicy`]. The hierarchical plan is reached through
+    /// [`CollectivePolicy::Auto`] only — it can be priced by name
+    /// ([`Comm::predict_collective_with`]) but not pinned.
+    fn exec_plan(
         &self,
         kind: CollectiveKind,
         explicit: Option<CollectiveAlgo>,
         root: usize,
         elems: usize,
         elem_bytes: usize,
-    ) -> MpiResult<Execution> {
-        let p = self.size();
-        if root >= p {
-            // Validated before Auto pricing: perfmodel::collective::select
-            // has no schedule for an out-of-range root.
-            return Err(MpiError::InvalidRank {
-                rank: root as isize,
-                comm_size: p,
-            });
+    ) -> MpiResult<Arc<Plan>> {
+        let request = explicit.map_or(self.shared.coll_policy, CollectivePolicy::Fixed);
+        let key = self.plan_key(kind, request, root, elems, elem_bytes)?;
+        if request == CollectivePolicy::Fixed(CollectiveAlgo::Hierarchical) {
+            return Err(ineligible(kind, CollectiveAlgo::Hierarchical, self.size()));
         }
-        let requested = explicit.or(match self.shared.coll_policy {
-            CollectivePolicy::Auto | CollectivePolicy::FlatAuto => None,
-            CollectivePolicy::Fixed(a) => Some(a),
-        });
-        match requested {
-            Some(a) => {
-                if eligible(kind, a, p) {
-                    Ok(Execution::Flat(a))
-                } else {
-                    Err(MpiError::InvalidCounts(format!(
-                        "algorithm {} is not eligible for {} over {p} rank(s)",
-                        a.name(),
-                        kind.name(),
-                    )))
-                }
-            }
-            None => {
-                let (cost, sharing) = self.coll_cost();
-                let (flat, flat_t) =
-                    select(kind, p, root, elems, elem_bytes as f64, &cost, sharing);
-                if self.shared.coll_policy != CollectivePolicy::FlatAuto {
-                    if let Some((plan, t)) =
-                        self.hier_candidate(kind, root, elems, elem_bytes, &cost, sharing)
-                    {
-                        if t < flat_t {
-                            return Ok(Execution::Hier(plan));
-                        }
-                    }
-                }
-                Ok(Execution::Flat(flat))
-            }
-        }
+        self.shared.plans.get(&key, &self.shared.cluster)
     }
 
     /// Predicts the cheapest algorithm (and its virtual time in seconds) for
@@ -279,25 +177,12 @@ impl Comm {
         elems: usize,
         elem_bytes: usize,
     ) -> MpiResult<(CollectiveAlgo, f64)> {
-        let p = self.size();
-        if root >= p {
-            return Err(MpiError::InvalidRank {
-                rank: root as isize,
-                comm_size: p,
-            });
-        }
-        let (cost, sharing) = self.coll_cost();
-        let (flat, flat_t) = select(kind, p, root, elems, elem_bytes as f64, &cost, sharing);
-        if self.shared.coll_policy != CollectivePolicy::FlatAuto {
-            if let Some((_, t)) =
-                self.hier_candidate(kind, root, elems, elem_bytes, &cost, sharing)
-            {
-                if t < flat_t {
-                    return Ok((CollectiveAlgo::Hierarchical, t));
-                }
-            }
-        }
-        Ok((flat, flat_t))
+        let request = match self.shared.coll_policy {
+            CollectivePolicy::FlatAuto => CollectivePolicy::FlatAuto,
+            _ => CollectivePolicy::Auto,
+        };
+        let plan = self.collective_plan(kind, request, root, elems, elem_bytes)?;
+        Ok((plan.algo, plan.seconds))
     }
 
     /// Predicts the virtual time of one specific algorithm for a collective.
@@ -316,35 +201,10 @@ impl Comm {
         elems: usize,
         elem_bytes: usize,
     ) -> MpiResult<f64> {
-        let p = self.size();
-        if root >= p {
-            return Err(MpiError::InvalidRank {
-                rank: root as isize,
-                comm_size: p,
-            });
-        }
-        if algo == CollectiveAlgo::Hierarchical {
-            let (cost, sharing) = self.coll_cost();
-            return self
-                .hier_candidate(kind, root, elems, elem_bytes, &cost, sharing)
-                .map(|(_, t)| t)
-                .ok_or_else(|| {
-                    MpiError::InvalidCounts(format!(
-                        "no hierarchical plan exists for {} over {p} rank(s) \
-                         (flat topology?)",
-                        kind.name(),
-                    ))
-                });
-        }
-        let rounds = schedule(kind, algo, p, root, elems).ok_or_else(|| {
-            MpiError::InvalidCounts(format!(
-                "algorithm {} is not eligible for {} over {p} rank(s)",
-                algo.name(),
-                kind.name(),
-            ))
-        })?;
-        let (cost, sharing) = self.coll_cost();
-        Ok(price(p, &rounds, elem_bytes as f64, &cost, sharing))
+        let request = CollectivePolicy::Fixed(algo);
+        Ok(self
+            .collective_plan(kind, request, root, elems, elem_bytes)?
+            .seconds)
     }
 
     /// Records a [`TraceKind::Collective`] span covering one engine call.
@@ -489,8 +349,8 @@ impl Comm {
     /// Engine broadcast: replaces every rank's `buf` with the root's. All
     /// ranks must pass equal-length buffers (unlike the legacy
     /// [`Comm::bcast`], non-roots size their buffer up front, which is what
-    /// lets every rank price and select the algorithm locally). The
-    /// algorithm is chosen by the universe's [`CollectivePolicy`].
+    /// lets every rank arrive at the same plan locally). The algorithm is
+    /// chosen by the universe's [`CollectivePolicy`].
     ///
     /// # Errors
     /// [`MpiError::InvalidRank`] for a bad root; [`MpiError::InvalidCounts`]
@@ -499,25 +359,7 @@ impl Comm {
     /// fail-stopped member — the fault contract guarantees every survivor
     /// returns the complete result or this error, never a torn buffer.
     pub fn bcast_into<T: MpiType>(&self, buf: &mut [T], root: usize) -> MpiResult<()> {
-        match self.resolve_exec(CollectiveKind::Bcast, None, root, buf.len(), T::WIRE_SIZE)? {
-            Execution::Flat(algo) => self.bcast_into_with(algo, buf, root),
-            Execution::Hier(plan) => {
-                // A bcast plan is pure movement; its transfer view is the
-                // executed schedule, the pricer's replay and the poison
-                // reference all at once.
-                let rounds = plan.xfer_rounds(buf.len());
-                let start = self.clock.now();
-                self.with_fault_contract(&rounds, |sent| self.run_movement(&rounds, buf, sent))?;
-                self.trace_collective(
-                    CollectiveKind::Bcast,
-                    CollectiveAlgo::Hierarchical,
-                    buf.len(),
-                    T::WIRE_SIZE,
-                    start,
-                );
-                Ok(())
-            }
-        }
+        self.bcast_planned(None, buf, root)
     }
 
     /// [`Comm::bcast_into`] with an explicit algorithm.
@@ -531,25 +373,25 @@ impl Comm {
         buf: &mut [T],
         root: usize,
     ) -> MpiResult<()> {
-        if root >= self.size() {
-            return Err(MpiError::InvalidRank {
-                rank: root as isize,
-                comm_size: self.size(),
-            });
-        }
-        let rounds =
-            schedule(CollectiveKind::Bcast, algo, self.size(), root, buf.len()).ok_or_else(
-                || {
-                    MpiError::InvalidCounts(format!(
-                        "algorithm {} is not eligible for bcast over {} rank(s)",
-                        algo.name(),
-                        self.size()
-                    ))
-                },
-            )?;
+        self.bcast_planned(Some(algo), buf, root)
+    }
+
+    /// A bcast plan — flat or hierarchical — is pure movement: its rounds
+    /// are the executed schedule, the pricer's replay and the poison
+    /// reference all at once.
+    fn bcast_planned<T: MpiType>(
+        &self,
+        explicit: Option<CollectiveAlgo>,
+        buf: &mut [T],
+        root: usize,
+    ) -> MpiResult<()> {
+        let kind = CollectiveKind::Bcast;
+        let plan = self.exec_plan(kind, explicit, root, buf.len(), T::WIRE_SIZE)?;
         let start = self.clock.now();
-        self.with_fault_contract(&rounds, |sent| self.run_movement(&rounds, buf, sent))?;
-        self.trace_collective(CollectiveKind::Bcast, algo, buf.len(), T::WIRE_SIZE, start);
+        self.with_fault_contract(&plan.rounds, |sent| {
+            self.run_movement(&plan.rounds, buf, sent)
+        })?;
+        self.trace_collective(kind, plan.algo, buf.len(), T::WIRE_SIZE, start);
         Ok(())
     }
 
@@ -564,32 +406,7 @@ impl Comm {
     /// data path depends on a fail-stopped member (every survivor returns
     /// the complete result or that error, never a torn buffer).
     pub fn allgather_eq<T: MpiType + Copy + Default>(&self, contrib: &[T]) -> MpiResult<Vec<T>> {
-        let p = self.size();
-        let total = contrib.len() * p;
-        match self.resolve_exec(CollectiveKind::Allgather, None, 0, total, T::WIRE_SIZE)? {
-            Execution::Flat(algo) => self.allgather_eq_with(algo, contrib),
-            Execution::Hier(plan) => {
-                // An allgather plan is pure chunk movement over the output
-                // buffer: runs gather leaders-up, leaders exchange, full
-                // buffer broadcasts back down.
-                let rounds = plan.xfer_rounds(total);
-                let mut buf = vec![T::default(); total];
-                let (lo, hi) = chunk_bounds(total, p, self.rank());
-                buf[lo..hi].copy_from_slice(contrib);
-                let start = self.clock.now();
-                self.with_fault_contract(&rounds, |sent| {
-                    self.run_movement(&rounds, &mut buf, sent)
-                })?;
-                self.trace_collective(
-                    CollectiveKind::Allgather,
-                    CollectiveAlgo::Hierarchical,
-                    total,
-                    T::WIRE_SIZE,
-                    start,
-                );
-                Ok(buf)
-            }
-        }
+        self.allgather_planned(None, contrib)
     }
 
     /// [`Comm::allgather_eq`] with an explicit algorithm.
@@ -602,20 +419,29 @@ impl Comm {
         algo: CollectiveAlgo,
         contrib: &[T],
     ) -> MpiResult<Vec<T>> {
+        self.allgather_planned(Some(algo), contrib)
+    }
+
+    /// An allgather plan is pure chunk movement over the output buffer
+    /// (hierarchically: runs gather leaders-up, leaders exchange, the full
+    /// buffer broadcasts back down).
+    fn allgather_planned<T: MpiType + Copy + Default>(
+        &self,
+        explicit: Option<CollectiveAlgo>,
+        contrib: &[T],
+    ) -> MpiResult<Vec<T>> {
+        let kind = CollectiveKind::Allgather;
         let p = self.size();
         let total = contrib.len() * p;
-        let rounds = schedule(CollectiveKind::Allgather, algo, p, 0, total).ok_or_else(|| {
-            MpiError::InvalidCounts(format!(
-                "algorithm {} is not eligible for allgather over {p} rank(s)",
-                algo.name()
-            ))
-        })?;
+        let plan = self.exec_plan(kind, explicit, 0, total, T::WIRE_SIZE)?;
         let mut buf = vec![T::default(); total];
         let (lo, hi) = chunk_bounds(total, p, self.rank());
         buf[lo..hi].copy_from_slice(contrib);
         let start = self.clock.now();
-        self.with_fault_contract(&rounds, |sent| self.run_movement(&rounds, &mut buf, sent))?;
-        self.trace_collective(CollectiveKind::Allgather, algo, total, T::WIRE_SIZE, start);
+        self.with_fault_contract(&plan.rounds, |sent| {
+            self.run_movement(&plan.rounds, &mut buf, sent)
+        })?;
+        self.trace_collective(kind, plan.algo, total, T::WIRE_SIZE, start);
         Ok(buf)
     }
 }
@@ -626,7 +452,8 @@ macro_rules! impl_engine_reductions {
      $recv_contribs:ident, $linear_reduce:ident, $binomial_reduce:ident,
      $hier_gather:ident,
      $ring_allreduce:ident, $rd_allreduce:ident, $sag_allreduce:ident,
-     $reduce:ident, $reduce_with:ident, $allreduce:ident, $allreduce_with:ident,
+     $reduce:ident, $reduce_with:ident, $reduce_planned:ident,
+     $allreduce:ident, $allreduce_with:ident, $allreduce_planned:ident,
      $reduce_doc:expr, $allreduce_doc:expr) => {
         impl Comm {
             /// Receives one scheduled reduction payload and checks its
@@ -986,30 +813,7 @@ macro_rules! impl_engine_reductions {
                 op: ReduceOp,
                 root: usize,
             ) -> MpiResult<Option<Vec<$t>>> {
-                match self.resolve_exec(
-                    CollectiveKind::Reduce,
-                    None,
-                    root,
-                    contrib.len(),
-                    std::mem::size_of::<$t>(),
-                )? {
-                    Execution::Flat(algo) => self.$reduce_with(algo, contrib, op, root),
-                    Execution::Hier(plan) => {
-                        let rounds = plan.xfer_rounds(contrib.len());
-                        let start = self.clock.now();
-                        let out = self.with_fault_contract(&rounds, |sent| {
-                            self.$hier_gather(&plan, contrib, op, root, sent)
-                        })?;
-                        self.trace_collective(
-                            CollectiveKind::Reduce,
-                            CollectiveAlgo::Hierarchical,
-                            contrib.len(),
-                            std::mem::size_of::<$t>(),
-                            start,
-                        );
-                        Ok(out)
-                    }
-                }
+                self.$reduce_planned(None, contrib, op, root)
             }
 
             #[doc = concat!("[`Comm::", stringify!($reduce), "`] with an explicit algorithm.")]
@@ -1023,45 +827,32 @@ macro_rules! impl_engine_reductions {
                 op: ReduceOp,
                 root: usize,
             ) -> MpiResult<Option<Vec<$t>>> {
-                let p = self.size();
-                if root >= p {
-                    return Err(MpiError::InvalidRank {
-                        rank: root as isize,
-                        comm_size: p,
-                    });
-                }
-                if !eligible(CollectiveKind::Reduce, algo, p) {
-                    return Err(MpiError::InvalidCounts(format!(
-                        "algorithm {} is not eligible for reduce over {p} rank(s)",
-                        algo.name()
-                    )));
-                }
+                self.$reduce_planned(Some(algo), contrib, op, root)
+            }
+
+            fn $reduce_planned(
+                &self,
+                explicit: Option<CollectiveAlgo>,
+                contrib: &[$t],
+                op: ReduceOp,
+                root: usize,
+            ) -> MpiResult<Option<Vec<$t>>> {
+                let kind = CollectiveKind::Reduce;
+                let (n, elem_bytes) = (contrib.len(), std::mem::size_of::<$t>());
+                let plan = self.exec_plan(kind, explicit, root, n, elem_bytes)?;
                 let start = self.clock.now();
-                let out = if p == 1 {
-                    let mut acc = vec![op.$identity(); contrib.len()];
-                    op.$fold(&mut acc, contrib);
-                    Some(acc)
-                } else {
-                    let rounds =
-                        schedule(CollectiveKind::Reduce, algo, p, root, contrib.len())
-                            .expect("eligibility checked above");
-                    self.with_fault_contract(&rounds, |sent| match algo {
-                        CollectiveAlgo::Linear => {
+                let out =
+                    self.with_fault_contract(&plan.rounds, |sent| match (&plan.hier, plan.algo) {
+                        (Some(hier), _) => self.$hier_gather(hier, contrib, op, root, sent),
+                        (None, CollectiveAlgo::Linear) => {
                             self.$linear_reduce(contrib, op, root, sent)
                         }
-                        CollectiveAlgo::Binomial => {
+                        (None, CollectiveAlgo::Binomial) => {
                             self.$binomial_reduce(contrib, op, root, sent)
                         }
-                        _ => unreachable!("eligibility checked above"),
-                    })?
-                };
-                self.trace_collective(
-                    CollectiveKind::Reduce,
-                    algo,
-                    contrib.len(),
-                    std::mem::size_of::<$t>(),
-                    start,
-                );
+                        (None, algo) => unreachable!("no {} reduce plan exists", algo.name()),
+                    })?;
+                self.trace_collective(kind, plan.algo, n, elem_bytes, start);
                 Ok(out)
             }
 
@@ -1078,38 +869,7 @@ macro_rules! impl_engine_reductions {
             /// a fail-stopped member (every survivor returns the complete
             /// result or that error, never a torn result).
             pub fn $allreduce(&self, contrib: &[$t], op: ReduceOp) -> MpiResult<Vec<$t>> {
-                match self.resolve_exec(
-                    CollectiveKind::Allreduce,
-                    None,
-                    0,
-                    contrib.len(),
-                    std::mem::size_of::<$t>(),
-                )? {
-                    Execution::Flat(algo) => self.$allreduce_with(algo, contrib, op),
-                    Execution::Hier(plan) => {
-                        // Gather to rank 0 then broadcast the fold back out
-                        // through the leader chain; one fault contract spans
-                        // both phases (the transfer view concatenates them).
-                        let n = contrib.len();
-                        let rounds = plan.xfer_rounds(n);
-                        let start = self.clock.now();
-                        let out = self.with_fault_contract(&rounds, |sent| {
-                            let red = self.$hier_gather(&plan, contrib, op, 0, sent)?;
-                            let mut buf =
-                                red.unwrap_or_else(|| vec![<$t>::default(); n]);
-                            self.run_movement(&plan.movement, &mut buf, sent)?;
-                            Ok(buf)
-                        })?;
-                        self.trace_collective(
-                            CollectiveKind::Allreduce,
-                            CollectiveAlgo::Hierarchical,
-                            n,
-                            std::mem::size_of::<$t>(),
-                            start,
-                        );
-                        Ok(out)
-                    }
-                }
+                self.$allreduce_planned(None, contrib, op)
             }
 
             #[doc = concat!("[`Comm::", stringify!($allreduce), "`] with an explicit algorithm.")]
@@ -1122,68 +882,51 @@ macro_rules! impl_engine_reductions {
                 contrib: &[$t],
                 op: ReduceOp,
             ) -> MpiResult<Vec<$t>> {
-                let p = self.size();
-                if !eligible(CollectiveKind::Allreduce, algo, p) {
-                    return Err(MpiError::InvalidCounts(format!(
-                        "algorithm {} is not eligible for allreduce over {p} rank(s)",
-                        algo.name()
-                    )));
-                }
+                self.$allreduce_planned(Some(algo), contrib, op)
+            }
+
+            fn $allreduce_planned(
+                &self,
+                explicit: Option<CollectiveAlgo>,
+                contrib: &[$t],
+                op: ReduceOp,
+            ) -> MpiResult<Vec<$t>> {
+                let kind = CollectiveKind::Allreduce;
+                let (n, elem_bytes) = (contrib.len(), std::mem::size_of::<$t>());
+                let plan = self.exec_plan(kind, explicit, 0, n, elem_bytes)?;
                 let start = self.clock.now();
-                let out = if p == 1 {
-                    let mut acc = vec![op.$identity(); contrib.len()];
-                    op.$fold(&mut acc, contrib);
-                    acc
-                } else {
-                    // The allreduce schedule (reduce rounds then bcast
-                    // rounds for linear/binomial) is the poison reference:
-                    // the send counter runs through both phases.
-                    let all_rounds =
-                        schedule(CollectiveKind::Allreduce, algo, p, 0, contrib.len())
-                            .expect("eligibility checked above");
-                    self.with_fault_contract(&all_rounds, |sent| match algo {
-                        CollectiveAlgo::Linear | CollectiveAlgo::Binomial => {
-                            // reduce-to-0 then bcast-from-0, both with the
-                            // same algorithm, mirroring the schedule
-                            // generator's concatenated rounds.
-                            let red = match algo {
-                                CollectiveAlgo::Linear => {
-                                    self.$linear_reduce(contrib, op, 0, sent)?
-                                }
-                                _ => self.$binomial_reduce(contrib, op, 0, sent)?,
-                            };
-                            let mut buf = red
-                                .unwrap_or_else(|| vec![<$t>::default(); contrib.len()]);
-                            let rounds = schedule(
-                                CollectiveKind::Bcast,
-                                algo,
-                                p,
-                                0,
-                                contrib.len(),
-                            )
-                            .expect("linear/binomial bcast is always eligible");
-                            self.run_movement(&rounds, &mut buf, sent)?;
-                            Ok(buf)
+                // One fault contract spans every phase: the send counter
+                // runs through the plan's concatenated rounds.
+                let out = self.with_fault_contract(&plan.rounds, |sent| {
+                    let red = match (&plan.hier, plan.algo) {
+                        (None, CollectiveAlgo::Ring) => {
+                            return self.$ring_allreduce(contrib, op, sent)
                         }
-                        CollectiveAlgo::Ring => self.$ring_allreduce(contrib, op, sent),
-                        CollectiveAlgo::RecursiveDoubling => {
-                            self.$rd_allreduce(contrib, op, sent)
+                        (None, CollectiveAlgo::RecursiveDoubling) => {
+                            return self.$rd_allreduce(contrib, op, sent)
                         }
-                        CollectiveAlgo::ScatterAllgather => {
-                            self.$sag_allreduce(contrib, op, sent)
+                        (None, CollectiveAlgo::ScatterAllgather) => {
+                            return self.$sag_allreduce(contrib, op, sent)
                         }
-                        CollectiveAlgo::Hierarchical => {
-                            unreachable!("eligibility checked above")
+                        // The composed shapes: reduce to rank 0, then
+                        // broadcast the fold back out over the plan's
+                        // movement rounds.
+                        (Some(hier), _) => self.$hier_gather(hier, contrib, op, 0, sent)?,
+                        (None, CollectiveAlgo::Linear) => {
+                            self.$linear_reduce(contrib, op, 0, sent)?
                         }
-                    })?
-                };
-                self.trace_collective(
-                    CollectiveKind::Allreduce,
-                    algo,
-                    contrib.len(),
-                    std::mem::size_of::<$t>(),
-                    start,
-                );
+                        (None, CollectiveAlgo::Binomial) => {
+                            self.$binomial_reduce(contrib, op, 0, sent)?
+                        }
+                        (None, CollectiveAlgo::Hierarchical) => {
+                            unreachable!("a hierarchical plan carries its HierPlan")
+                        }
+                    };
+                    let mut buf = red.unwrap_or_else(|| vec![<$t>::default(); n]);
+                    self.run_movement(&plan.rounds[plan.movement_from..], &mut buf, sent)?;
+                    Ok(buf)
+                })?;
+                self.trace_collective(kind, plan.algo, n, elem_bytes, start);
                 Ok(out)
             }
         }
@@ -1203,8 +946,10 @@ impl_engine_reductions!(
     sag_allreduce_f64,
     reduce_eq_f64,
     reduce_eq_f64_with,
+    reduce_f64_planned,
     allreduce_eq_f64,
     allreduce_eq_f64_with,
+    allreduce_f64_planned,
     "Engine reduce over equal-length `f64` contributions; the root receives the result.",
     "Engine allreduce over equal-length `f64` contributions."
 );
@@ -1222,8 +967,10 @@ impl_engine_reductions!(
     sag_allreduce_i64,
     reduce_eq_i64,
     reduce_eq_i64_with,
+    reduce_i64_planned,
     allreduce_eq_i64,
     allreduce_eq_i64_with,
+    allreduce_i64_planned,
     "Engine reduce over equal-length `i64` contributions; the root receives the result.",
     "Engine allreduce over equal-length `i64` contributions."
 );

@@ -46,6 +46,7 @@ pub mod group;
 mod lane;
 pub mod op;
 pub mod p2p;
+pub mod plan;
 pub mod pool;
 mod quiesce;
 pub mod runtime;
@@ -61,6 +62,7 @@ pub use perfmodel::collective::{CollectiveAlgo, CollectiveKind};
 pub use group::{Group, GroupCompare};
 pub use op::ReduceOp;
 pub use p2p::{Msg, Payload, Status, ANY_SOURCE, ANY_TAG, DEADLOCK_TIMEOUT, DEFAULT_EAGER_LIMIT};
+pub use plan::{Plan, PlanCacheReport, PlanKey};
 pub use pool::{BufferPool, PoolReport};
 pub use runtime::{Process, RunReport, Universe, UniverseConfig};
 pub use vtime::LocalClock;

@@ -5,6 +5,7 @@ use crate::comm::Comm;
 use crate::engine::CollectivePolicy;
 use crate::error::{MpiError, MpiResult};
 use crate::p2p::{Mailbox, DEADLOCK_TIMEOUT, DEFAULT_EAGER_LIMIT, INLINE_CAP};
+use crate::plan::{PlanCache, PlanCacheReport};
 use crate::pool::{BufferPool, PoolReport};
 use crate::quiesce::Registry;
 use crate::vtime::LocalClock;
@@ -52,6 +53,9 @@ pub(crate) struct SharedState {
     /// How the collective engine picks an algorithm per call (see
     /// [`UniverseConfig::collective_policy`]).
     pub(crate) coll_policy: CollectivePolicy,
+    /// One plan per distinct collective call, shared by all ranks (see
+    /// [`crate::plan`]).
+    pub(crate) plans: PlanCache,
     /// The virtual-time quiescence detector (see [`crate::quiesce`]).
     pub(crate) quiesce: Arc<Registry>,
     /// Agreement rounds ([`Comm::agree`] / [`Comm::shrink`]).
@@ -481,6 +485,7 @@ impl Universe {
             local_dups: Mutex::new(std::collections::HashMap::new()),
             tracer: self.tracer.clone(),
             coll_policy: self.coll_policy,
+            plans: PlanCache::new(),
             agreements,
             watchdog,
             pool: BufferPool::new(),
@@ -548,6 +553,7 @@ impl Universe {
             trace: self.tracer.as_ref().map(|t| t.drain()),
             predicted: None,
             pool: shared.pool.report(),
+            plans: shared.plans.report(),
         }
     }
 }
@@ -573,6 +579,10 @@ pub struct RunReport<R> {
     /// [`PoolReport::outstanding`] must be zero (simcheck's leak
     /// invariant), and the reuse counters feed the throughput bench.
     pub pool: PoolReport,
+    /// The collective plan cache's counters: how many plans the engine
+    /// handed out, how many of those were shared rather than built.
+    /// Host-side only — never part of the virtual-time trace.
+    pub plans: PlanCacheReport,
 }
 
 impl<R> RunReport<R> {

@@ -34,7 +34,13 @@
 //!   leaves finite, positive speeds for available nodes;
 //! * **arena hygiene** — after every run, all rendezvous buffer leases
 //!   have returned to the universe's pool (`report.pool.outstanding == 0`);
-//!   a leak means a payload escaped the envelope lifecycle.
+//!   a leak means a payload escaped the envelope lifecycle;
+//! * **plan-cache coherence** — after every collective run the universe's
+//!   plan cache accounts for itself (`hits + built == lookups`) and planned
+//!   no more than the distinct calls issued (plus re-builds of evicted
+//!   plans); a storm replayed in a fresh universe — different hit/miss
+//!   interleaving, same keys — reproduces results, makespan and the whole
+//!   trace bit for bit, so nothing host-ordered leaks out of the cache.
 
 use crate::scenario::{AppKind, Scenario, Workload};
 use hetsim::{
@@ -42,7 +48,10 @@ use hetsim::{
     TopologyInfo, Trace,
 };
 use hmpi::{select_mapping, select_mapping_naive, HmpiRuntime, MappingAlgorithm, SelectionCtx};
-use mpisim::{CollectiveAlgo, CollectiveKind, MpiError, PoolReport, ReduceOp, Universe, UniverseConfig};
+use mpisim::{
+    CollectiveAlgo, CollectiveKind, Comm, MpiError, PlanCacheReport, PoolReport, ReduceOp,
+    Universe, UniverseConfig,
+};
 use perfmodel::collective::algos_for;
 use perfmodel::ModelBuilder;
 use rand::{Rng, SeedableRng, StdRng};
@@ -178,6 +187,12 @@ fn run_workload(sc: &Scenario) -> Result<(), Violation> {
             max_elems,
         } => check_rand(sc, pattern_seed, msgs, max_elems),
         Workload::Collective { kind, elems, root } => check_collective(sc, kind, elems, root),
+        Workload::CollStorm {
+            kind,
+            elems,
+            calls,
+            colors,
+        } => check_storm(sc, kind, elems, calls, colors),
         Workload::GroupCycle { model_seed, cycles } => check_group_cycle(sc, model_seed, cycles),
         Workload::ReconRounds { units, rounds } => check_recon(sc, units, rounds),
         Workload::Selection {
@@ -202,6 +217,21 @@ fn judge_pool(tag: &str, pool: &PoolReport) -> Result<(), Violation> {
                  (high water {})",
                 pool.outstanding, pool.leased, pool.high_water
             ),
+        ));
+    }
+    Ok(())
+}
+
+/// Plan-cache coherence: every plan handed out was either shared or built
+/// on the spot, and the cache built no more plans than the run issued
+/// `distinct_calls` distinct calls — except to re-build what it evicted.
+fn judge_plans(tag: &str, plans: &PlanCacheReport, distinct_calls: usize) -> Result<(), Violation> {
+    if plans.hits + plans.built != plans.lookups
+        || plans.built > distinct_calls as u64 + plans.evicted
+    {
+        return Err(viol(
+            "plan-cache-coherence",
+            format!("{tag}: {distinct_calls} distinct call(s) issued, cache reports {plans:?}"),
         ));
     }
     Ok(())
@@ -395,17 +425,50 @@ fn check_rand(
     validate_trace(report.trace.as_ref().expect("tracing enabled"), n)
 }
 
-/// Serial ascending-rank left fold — the reduction reference every
-/// algorithm must match bit-for-bit.
-fn serial_fold(n: usize, elems: usize) -> Vec<f64> {
-    let mut acc = f64_payload(0, elems);
-    for r in 1..n {
-        let p = f64_payload(r, elems);
-        for (a, b) in acc.iter_mut().zip(&p) {
-            *a += b;
+/// Serial left fold of the given ranks' payloads, in the order given
+/// (ascending communicator rank) — the reduction reference every algorithm
+/// must match bit-for-bit.
+fn serial_fold(ranks: impl IntoIterator<Item = usize>, elems: usize) -> Vec<f64> {
+    ranks
+        .into_iter()
+        .map(|r| f64_payload(r, elems))
+        .reduce(|mut acc, p| {
+            acc.iter_mut().zip(&p).for_each(|(a, b)| *a += b);
+            acc
+        })
+        .unwrap_or_default()
+}
+
+/// Runs one engine collective of `kind` on `comm`: `algo` pinned, or the
+/// universe's policy when `None`. Returns this rank's output (`None` off
+/// the root of a reduce).
+fn run_kind(
+    comm: &Comm,
+    kind: CollectiveKind,
+    algo: Option<CollectiveAlgo>,
+    contrib: Vec<f64>,
+    root: usize,
+) -> Result<Option<Vec<f64>>, MpiError> {
+    Ok(match (kind, algo) {
+        (CollectiveKind::Bcast, algo) => {
+            let mut buf = contrib;
+            match algo {
+                Some(a) => comm.bcast_into_with(a, &mut buf, root)?,
+                None => comm.bcast_into(&mut buf, root)?,
+            }
+            Some(buf)
         }
-    }
-    acc
+        (CollectiveKind::Reduce, Some(a)) => {
+            comm.reduce_eq_f64_with(a, &contrib, ReduceOp::Sum, root)?
+        }
+        (CollectiveKind::Reduce, None) => comm.reduce_eq_f64(&contrib, ReduceOp::Sum, root)?,
+        (CollectiveKind::Allreduce, Some(a)) => {
+            Some(comm.allreduce_eq_f64_with(a, &contrib, ReduceOp::Sum)?)
+        }
+        (CollectiveKind::Allreduce, None) => Some(comm.allreduce_eq_f64(&contrib, ReduceOp::Sum)?),
+        (CollectiveKind::Allgather, Some(a)) => Some(comm.allgather_eq_with(a, &contrib)?),
+        (CollectiveKind::Allgather, None) => Some(comm.allgather_eq(&contrib)?),
+    })
 }
 
 /// One rank's record of a collective run: the algorithm's price, the
@@ -446,7 +509,7 @@ fn check_collective(
     };
     let expected: Vec<f64> = match kind {
         CollectiveKind::Bcast => f64_payload(root, contrib_len),
-        CollectiveKind::Reduce | CollectiveKind::Allreduce => serial_fold(n, contrib_len),
+        CollectiveKind::Reduce | CollectiveKind::Allreduce => serial_fold(0..n, contrib_len),
         CollectiveKind::Allgather => (0..n).flat_map(|r| f64_payload(r, contrib_len)).collect(),
     };
 
@@ -470,29 +533,7 @@ fn check_collective(
                 let predicted = world
                     .predict_collective_with(kind, algo, root, pred_elems, 8)
                     .map_err(typed)?;
-                let out: Result<Option<Vec<f64>>, MpiError> = (|| {
-                    Ok(match kind {
-                        CollectiveKind::Bcast => {
-                            let mut buf = f64_payload(me, contrib_len);
-                            world.bcast_into_with(algo, &mut buf, root)?;
-                            Some(buf)
-                        }
-                        CollectiveKind::Reduce => world.reduce_eq_f64_with(
-                            algo,
-                            &f64_payload(me, contrib_len),
-                            ReduceOp::Sum,
-                            root,
-                        )?,
-                        CollectiveKind::Allreduce => Some(world.allreduce_eq_f64_with(
-                            algo,
-                            &f64_payload(me, contrib_len),
-                            ReduceOp::Sum,
-                        )?),
-                        CollectiveKind::Allgather => Some(
-                            world.allgather_eq_with(algo, &f64_payload(me, contrib_len))?,
-                        ),
-                    })
-                })();
+                let out = run_kind(&world, kind, Some(algo), f64_payload(me, contrib_len), root);
                 let coll_err = match out {
                     Ok(v) => {
                         // Survivor value integrity: a rank that reports
@@ -538,6 +579,8 @@ fn check_collective(
         };
         let report = run_once();
         judge_pool(kind.name(), &report.pool)?;
+        // Pricing and running the pinned algorithm are one call, one key.
+        judge_plans(kind.name(), &report.plans, 1)?;
         let judged: Vec<Result<(), RankFail>> = report
             .results
             .iter()
@@ -561,6 +604,7 @@ fn check_collective(
         if has_faults {
             let replay = run_once();
             judge_pool(kind.name(), &replay.pool)?;
+            judge_plans(kind.name(), &replay.plans, 1)?;
             if replay.results != report.results || replay.makespan != report.makespan {
                 let first_diff = (0..n)
                     .find(|&r| replay.results[r] != report.results[r])
@@ -627,6 +671,7 @@ fn check_collective(
                 .map_err(typed)
         });
         judge_pool("auto-selection", &report.pool)?;
+        judge_plans("auto-selection", &report.plans, 1)?;
         match &report.results[0] {
             Ok((CollectiveAlgo::Hierarchical, t)) => {
                 // The hierarchy-aware selector may leave the flat family
@@ -701,25 +746,11 @@ fn check_hier_execution(
     let report = u.run(move |proc| -> Result<Option<Vec<u64>>, RankFail> {
         let world = proc.world();
         let contrib = f64_payload(world.rank(), contrib_len);
-        let out = match kind {
-            CollectiveKind::Bcast => {
-                let mut buf = contrib;
-                world.bcast_into(&mut buf, root).map_err(typed)?;
-                Some(buf)
-            }
-            CollectiveKind::Reduce => world
-                .reduce_eq_f64(&contrib, ReduceOp::Sum, root)
-                .map_err(typed)?,
-            CollectiveKind::Allreduce => Some(
-                world
-                    .allreduce_eq_f64(&contrib, ReduceOp::Sum)
-                    .map_err(typed)?,
-            ),
-            CollectiveKind::Allgather => Some(world.allgather_eq(&contrib).map_err(typed)?),
-        };
+        let out = run_kind(&world, kind, None, contrib, root).map_err(typed)?;
         Ok(out.map(|v| bits(&v)))
     });
     judge_pool("auto-selection", &report.pool)?;
+    judge_plans("auto-selection", &report.plans, 1)?;
     for (rank, r) in report.results.iter().enumerate() {
         match r {
             Ok(Some(got)) if *got != exp_bits => {
@@ -748,6 +779,134 @@ fn check_hier_execution(
                 "hierarchical {}: predicted {predicted:.6e}s, measured {measured:.6e}s",
                 kind.name()
             ),
+        ));
+    }
+    Ok(())
+}
+
+/// One storm rank's outcome: `Ok` after every call value-checked, or the
+/// typed error that stopped it.
+type StormRecord = Result<(), RankFail>;
+
+/// A collective storm inside one universe (see [`Workload::CollStorm`]):
+/// many distinct plan keys over split sub-communicators, values checked per
+/// call, the plan cache held to its accounting, and the whole run replayed
+/// to show that who hit and who built cannot be seen from inside.
+fn check_storm(
+    sc: &Scenario,
+    kind: CollectiveKind,
+    elems: usize,
+    calls: usize,
+    colors: usize,
+) -> Result<(), Violation> {
+    let n = sc.ranks();
+    let colors = colors.clamp(1, n);
+    let has_faults = !sc.faults.is_empty();
+    let cluster = build_cluster(sc);
+    let rank_placement = placement(sc);
+    let run_once = || {
+        let u = Universe::with_config(
+            cluster.clone(),
+            UniverseConfig::new()
+                .placement(rank_placement.clone())
+                .tracing(true),
+        );
+        u.run(move |proc| -> StormRecord {
+            let world = proc.world();
+            let color = world.rank() % colors;
+            let comm = world
+                .split(Some(color as i32), world.rank() as i32)
+                .map_err(typed)?
+                .expect("every rank has a colour");
+            // World ranks of the members, in communicator-rank order.
+            let members: Vec<usize> = (color..n).step_by(colors).collect();
+            let p = comm.size();
+            let mut choices = vec![None];
+            choices.extend(algos_for(kind, p).into_iter().map(Some));
+            for i in 0..calls {
+                let (len, root, algo) = (elems + i, i % p, choices[i % choices.len()]);
+                // Price every way of making the call, then make it one
+                // way — the `timeof` sweep idiom, and several keys planned
+                // per call executed.
+                let total = if kind == CollectiveKind::Allgather {
+                    len * p
+                } else {
+                    len
+                };
+                for &choice in &choices {
+                    match choice {
+                        Some(a) => comm
+                            .predict_collective_with(kind, a, root, total, 8)
+                            .map(drop),
+                        None => comm.predict_collective(kind, root, total, 8).map(drop),
+                    }
+                    .map_err(typed)?;
+                }
+                let mine = f64_payload(world.rank(), len);
+                let out = run_kind(&comm, kind, algo, mine, root).map_err(typed)?;
+                let expected: Option<Vec<f64>> = match kind {
+                    CollectiveKind::Bcast => Some(f64_payload(members[root], len)),
+                    CollectiveKind::Reduce if comm.rank() != root => None,
+                    CollectiveKind::Reduce | CollectiveKind::Allreduce => {
+                        Some(serial_fold(members.iter().copied(), len))
+                    }
+                    CollectiveKind::Allgather => {
+                        Some(members.iter().flat_map(|&w| f64_payload(w, len)).collect())
+                    }
+                };
+                if out.as_deref().map(bits) != expected.as_deref().map(bits) {
+                    return Err(value_bug(format!(
+                        "storm call {i}: {} on colour {color} diverges from the serial reference",
+                        kind.name()
+                    )));
+                }
+            }
+            Ok(())
+        })
+    };
+    let report = run_once();
+    let tag = format!("storm/{}", kind.name());
+    judge_pool(&tag, &report.pool)?;
+    // Every call has its own size, so each sub-communicator issues one
+    // distinct key per call and choice (fewer when two colours cover the
+    // same node vector and share entries).
+    let distinct = calls * colors * (1 + CollectiveAlgo::ALL.len());
+    judge_plans(&tag, &report.plans, distinct)?;
+    judge_ranks(sc, &report.results)?;
+    if has_faults {
+        for (rank, r) in report.results.iter().enumerate() {
+            if let Err((false, msg)) = r {
+                if !fault_shaped(msg) {
+                    return Err(viol(
+                        "fault-error-surface",
+                        format!(
+                            "{tag}: rank {rank} surfaced a non-fault error under faults: {msg}"
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+    // The replay meets the same keys in a fresh cache under a different
+    // thread interleaving: other ranks build, other ranks hit, evictions
+    // fall elsewhere. Nothing observable may move.
+    let replay = run_once();
+    judge_pool(&tag, &replay.pool)?;
+    judge_plans(&tag, &replay.plans, distinct)?;
+    if replay.results != report.results || replay.makespan != report.makespan {
+        return Err(viol(
+            "fault-determinism",
+            format!(
+                "{tag}: two runs diverged (makespan {} then {})",
+                report.makespan.as_secs(),
+                replay.makespan.as_secs()
+            ),
+        ));
+    }
+    if replay.trace != report.trace {
+        return Err(viol(
+            "trace-determinism",
+            format!("{tag}: two runs of one scenario recorded different traces"),
         ));
     }
     Ok(())

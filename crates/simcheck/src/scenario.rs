@@ -80,6 +80,24 @@ pub enum Workload {
         /// Root rank (ignored by the rootless kinds).
         root: usize,
     },
+    /// A storm of `calls` engine collectives issued inside *one* universe,
+    /// on the sub-communicators `split(rank % colors)`: call `i` moves
+    /// `elems + i` elements (every call its own plan keys) from root
+    /// `i % p'`; it is first priced under `Auto` and under each eligible
+    /// algorithm pinned, then run under one of them in turn. Checks values
+    /// against the serial fold over each sub-communicator, plan-cache
+    /// coherence, and — by replaying the run — that results, makespan and
+    /// trace are bit-identical however the cache's hits and misses fell.
+    CollStorm {
+        /// Which collective.
+        kind: CollectiveKind,
+        /// Payload elements of the first call.
+        elems: usize,
+        /// Calls per sub-communicator.
+        calls: usize,
+        /// Sub-communicators the world is split into (`1` = the world).
+        colors: usize,
+    },
     /// `cycles` rounds of recon → `group_create` on a random model →
     /// member validation → `group_free`.
     GroupCycle {
@@ -126,7 +144,7 @@ impl Workload {
         match self {
             Workload::P2pRing { .. } => "ring",
             Workload::P2pRandom { .. } => "rand",
-            Workload::Collective { .. } => "coll",
+            Workload::Collective { .. } | Workload::CollStorm { .. } => "coll",
             Workload::GroupCycle { .. } => "group",
             Workload::ReconRounds { .. } => "recon",
             Workload::Selection { .. } => "select",
@@ -316,6 +334,12 @@ impl fmt::Display for Scenario {
             Workload::Collective { kind, elems, root } => {
                 write!(f, " w=coll:{}:{elems}:{root}", kind_name(*kind))
             }
+            Workload::CollStorm {
+                kind,
+                elems,
+                calls,
+                colors,
+            } => write!(f, " w=storm:{}:{elems}:{calls}:{colors}", kind.name()),
             Workload::GroupCycle { model_seed, cycles } => {
                 write!(f, " w=group:{model_seed:#x}:{cycles}")
             }
@@ -458,6 +482,18 @@ fn parse_workload(body: &str) -> Result<Workload, ParseError> {
             elems: parse_usize(elems)?,
             root: parse_usize(root)?,
         }),
+        ["storm", kind, elems, calls, colors] => {
+            let colors = parse_usize(colors)?;
+            if colors == 0 {
+                return Err(bad("a storm needs at least one colour"));
+            }
+            Ok(Workload::CollStorm {
+                kind: parse_kind(kind)?,
+                elems: parse_usize(elems)?,
+                calls: parse_usize(calls)?,
+                colors,
+            })
+        }
         ["group", mseed, cycles] => Ok(Workload::GroupCycle {
             model_seed: parse_u64(mseed)?,
             cycles: parse_usize(cycles)?,
@@ -672,6 +708,24 @@ mod tests {
     }
 
     #[test]
+    fn storm_lines_round_trip() {
+        let line = "v1 seed=0x5 sp=10,20,30,40 lat=0.0001 bw=100000000 cont=nic rpn=2 \
+                    w=storm:allreduce:64:12:2";
+        let sc = parse(line).unwrap();
+        assert_eq!(
+            sc.workload,
+            Workload::CollStorm {
+                kind: CollectiveKind::Allreduce,
+                elems: 64,
+                calls: 12,
+                colors: 2
+            }
+        );
+        assert_eq!(sc.workload.label(), "coll");
+        assert_eq!(parse(&sc.to_string()).unwrap(), sc);
+    }
+
+    #[test]
     fn malformed_lines_are_typed_errors() {
         for bad_line in [
             "",
@@ -681,6 +735,7 @@ mod tests {
             "v1 seed=1 sp=1 lat=1 bw=1 cont=quantum w=ring:1:1",
             "v1 seed=1 sp=nan lat=1 bw=1 cont=par w=ring:1:1",
             "v1 seed=1 sp=1 lat=1 bw=1 cont=par w=coll:scan:8:0",
+            "v1 seed=1 sp=1 lat=1 bw=1 cont=par w=storm:bcast:8:4:0",
             "v1 seed=1 sp=1 lat=1 bw=1 cont=par w=ring:1:1 f=melt:0:1",
             "v1 seed=1 sp=1 lat=1 bw=1 cont=par rpn=0 w=ring:1:1",
             "v1 seed=1 sp=1 lat=1 bw=1 cont=par mem=0.001 w=ring:1:1",

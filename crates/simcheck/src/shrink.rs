@@ -135,7 +135,9 @@ fn workload_shrinks(sc: &Scenario) -> Vec<Scenario> {
                 push(Workload::ShrinkRecovery { rounds: r, units });
             }
         }
-        Workload::Selection { .. } | Workload::AppKernel { .. } => {}
+        // Storms are corpus-only (no generator draws one), so nothing
+        // ever asks for a smaller one.
+        Workload::CollStorm { .. } | Workload::Selection { .. } | Workload::AppKernel { .. } => {}
     }
     out
 }
