@@ -584,13 +584,9 @@ mod tests {
         assert_matches(ft.c.as_ref().unwrap(), &reference(n, r));
     }
 
-    #[test]
-    fn ft_driver_recovers_onto_a_smaller_grid() {
-        // Node 7 (speed 106) fail-stops at t=1.5 — mid-multiplication (the
-        // fault-free kernel spans roughly t=0.12..3.1). Eight survivors
-        // cannot fill a 3 x 3 grid, so recovery drops to 2 x 2 — and the
-        // product is still the exact full-problem result, because the
-        // problem never shrinks, only the grid does.
+    /// Node 7 (speed 106) fail-stops at t=1.5 — mid-multiplication (the
+    /// fault-free kernel spans roughly t=0.12..3.1).
+    fn run_with_node_7_crashing(n: usize, r: usize) -> MatmulFtRun {
         use hetsim::{FaultEvent, FaultPlan, NodeId, SimTime};
         let plan = FaultPlan::none().with(FaultEvent::NodeCrash {
             node: NodeId(7),
@@ -598,9 +594,17 @@ mod tests {
         });
         let speeds = [46.0, 46.0, 46.0, 46.0, 46.0, 46.0, 176.0, 106.0, 9.0];
         let cluster = Arc::new(Cluster::paper_lan_with_faults(&speeds, plan));
+        run_hmpi_ft(cluster, 3, n, r, Some(9)).expect("survivors complete")
+    }
+
+    #[test]
+    fn ft_driver_recovers_onto_a_smaller_grid() {
+        // Eight survivors cannot fill a 3 x 3 grid, so recovery drops to
+        // 2 x 2 — and the product is still the exact full-problem result,
+        // because the problem never shrinks, only the grid does.
         let n = 9;
         let r = 4;
-        let ft = run_hmpi_ft(cluster, 3, n, r, Some(9)).expect("survivors complete");
+        let ft = run_with_node_7_crashing(n, r);
 
         assert!(ft.rebuilds >= 1, "the crash must force a rebuild");
         assert_eq!(ft.initial_members.len(), 9, "everyone starts on the grid");
@@ -615,6 +619,24 @@ mod tests {
         assert_matches(ft.c.as_ref().unwrap(), &reference(n, r));
         // The makespan pays for the aborted attempt and the recovery.
         assert!(ft.makespan > ft.time);
+    }
+
+    #[test]
+    fn ft_recovery_replays_bit_for_bit() {
+        // The recovery used to follow host scheduling (which agreement
+        // waiter saw the round complete, who reached the barrier first):
+        // the same plan ended on [0, 6, 4, 2], [0, 6, 2, 1] or [0] at
+        // three different makespans. Fifty whole runs in release, where
+        // the race was widest (CI runs that); a handful otherwise.
+        let runs = if cfg!(debug_assertions) { 8 } else { 50 };
+        let observe = |ft: MatmulFtRun| {
+            let bits = [ft.final_predicted, ft.time, ft.makespan].map(f64::to_bits);
+            (ft.final_members, ft.rebuilds, bits)
+        };
+        let first = observe(run_with_node_7_crashing(9, 4));
+        for run in 1..runs {
+            assert_eq!(observe(run_with_node_7_crashing(9, 4)), first, "run {run}");
+        }
     }
 
     #[test]

@@ -328,6 +328,23 @@ mod tests {
     }
 
     #[test]
+    fn decodes_multi_byte_scalars_in_strings_and_keys() {
+        // 2-, 3- and 4-byte UTF-8, next to an escape and as an object key.
+        let doc = parse("{\"é→𝄞\": [\"µs\\t→ 𝄞!\", \"\\u00e9\"], \"k\": \"é\"}").unwrap();
+        let items = doc.get("é→𝄞").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(items[0].as_str(), Some("µs\t→ 𝄞!"));
+        assert_eq!(items[1], *doc.get("k").unwrap());
+        // Offsets stay byte offsets: the stray quote sits after 2 + 3 + 4 bytes.
+        let e = parse("\"é→𝄞\" \"").unwrap_err();
+        assert_eq!(
+            (e.at, e.msg.as_str()),
+            (12, "trailing content after document")
+        );
+        // A scalar outside a string is rejected where it starts.
+        assert_eq!(parse("[1, é]").unwrap_err().at, 4);
+    }
+
+    #[test]
     fn roundtrips_exporter_style_documents() {
         let doc = parse(
             r#"{"traceEvents":[{"name":"compute","cat":"x","ph":"X","pid":0,"tid":3,"ts":1.25,"dur":0.5,"args":{"bytes":1024}}],"displayTimeUnit":"ms"}"#,

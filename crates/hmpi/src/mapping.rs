@@ -586,6 +586,10 @@ fn make_bound(ev: &Evaluator, ctx: &SelectionCtx<'_>, p: usize) -> Option<Bound>
     })
 }
 
+/// Relative rounding slack between the bound's arithmetic and the
+/// evaluator's (a few ulps in practice): pruning must lose to it.
+const BOUND_SLACK: f64 = 1e-9;
+
 /// Lock-free shared incumbent: monotonically decreasing f64 behind an
 /// `AtomicU64` of its bits.
 fn atomic_min_f64(best: &AtomicU64, v: f64) {
@@ -622,7 +626,13 @@ fn bb_rec(
         } else {
             0.0
         };
-        if lb_partial.max(tail) > f64::from_bits(shared.load(Ordering::Relaxed)) {
+        // The bound divides a processor's *summed* units by its speed; the
+        // evaluator sums the quotients. The two can differ in the last
+        // bits, so a bare `>` may cut a subtree whose leaves tie with the
+        // incumbent — and whether the incumbent was posted yet is thread
+        // timing. The slack keeps every such subtree.
+        let incumbent = f64::from_bits(shared.load(Ordering::Relaxed));
+        if lb_partial.max(tail) > incumbent * (1.0 + BOUND_SLACK) {
             return;
         }
     }
@@ -754,8 +764,9 @@ fn bb_search_prefix(
 
 /// Exact enumeration with branch-and-bound pruning and a deterministic
 /// multi-threaded split of the search tree's first levels. Returns exactly
-/// the mapping [`exhaustive_seq`] would: pruning is strict (`lb > best`),
-/// so equal-valued leaves survive to the same first-improver tie-break,
+/// the mapping [`exhaustive_seq`] would: pruning is strict (`lb > best`,
+/// beyond [`BOUND_SLACK`]), so equal-valued leaves survive to the same
+/// first-improver tie-break whichever thread posts an incumbent first,
 /// and per-prefix results are merged in sequential prefix order.
 fn exhaustive_bb(
     model: &dyn PerformanceModel,
@@ -979,6 +990,46 @@ mod tests {
         assert_eq!(m.assignment[1], 2);
         assert_eq!(m.assignment[2], 3);
         assert!(m.assignment[0] == 0 || m.assignment[0] == 1);
+    }
+
+    #[test]
+    fn a_posted_incumbent_never_cuts_a_subtree_that_ties_with_it() {
+        // simcheck seed 0x13f: three optimal leaves tie bit for bit, and the
+        // bound's (Σ units) / speed sits an ulp above the evaluator's
+        // Σ (units / speed). With a bare `lb > incumbent` the first subtree
+        // survived only if its thread priced a leaf before another thread
+        // posted the tie — 1 run in 3000 it did not, and the search
+        // returned [0, 4, 1] where the sequential enumeration returns
+        // [0, 1, 2]. Post the optimum first, as the unlucky schedule does.
+        let speeds = [
+            268.08261426349793,
+            98.28463767259001,
+            255.85659325473588,
+            125.27652761611463,
+            201.5308272201636,
+        ];
+        let mut b = ClusterBuilder::new().contention(hetsim::ContentionModel::SerializedNic);
+        for (i, s) in speeds.iter().enumerate() {
+            b = b.node(format!("n{i}"), *s);
+        }
+        let link = Link::new(0.00006586649752459147, 11538322.81903161, Protocol::Tcp);
+        let c = b.all_to_all(link).build();
+        let placement: Vec<NodeId> = c.node_ids().collect();
+        let mut rng = StdRng::seed_from_u64(0x99b11669cdcf97b5);
+        let est = SpeedEstimates::from_speeds((0..5).map(|_| rng.random_range(1.0..300.0)).collect());
+        let mut ctx = paper_like_ctx(&c, &placement, &est);
+        ctx.pinned_parent = None;
+        let model = ModelBuilder::random(0x901f807d0395de7a, 4);
+        let naive = select_mapping_naive(MappingAlgorithm::Exhaustive, &model, &ctx).unwrap();
+        assert_eq!(naive.assignment, vec![0, 1, 2]);
+
+        let mut ev = Evaluator::new(&model, &ctx);
+        let bound = make_bound(&ev, &ctx, 3).expect("positive speeds");
+        let posted = AtomicU64::new(naive.predicted.to_bits());
+        let under = bb_search_prefix(&[0, 1], 3, model.parent(), &ctx, &mut ev, Some(&bound), &posted)
+            .expect("the subtree holding the first optimum survives");
+        assert_eq!(under.assignment, naive.assignment);
+        assert_eq!(under.predicted.to_bits(), naive.predicted.to_bits());
     }
 
     #[test]

@@ -154,12 +154,13 @@ impl RecoveryPolicy {
             // learn here that a peer did not.
             let verdict = match comm.agree(out.is_ok()) {
                 Ok(a) => a.flag && a.failed.is_empty(),
-                // A Deadlock verdict on an agreement waiter means the round
-                // wedged on live members still stuck inside the failed
-                // attempt. The quiescence classifier unsticks them in the
-                // same terminal round, so they are about to fail and deposit
-                // `false` — the round's outcome is a foregone failure, and
-                // treating it as one keeps every member on the rebuild path.
+                // Members still stuck inside the failed attempt are unstuck
+                // by the quiescence classifier and then deposit `false`; the
+                // waiters read that completed round like everyone else. A
+                // Deadlock verdict *here* means the round itself can never
+                // complete (a live member is wedged behind this very round):
+                // a foregone failure, and treating it as one keeps every
+                // member on the rebuild path.
                 Err(MpiError::Deadlock { .. }) => false,
                 Err(e) => {
                     // Own death mid-round, or the watchdog backstop.

@@ -525,14 +525,14 @@ fn traced_run_records_recon_and_selection_events() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_builders_forward_to_the_consolidated_config() {
-    // The pre-RuntimeConfig builder pile must keep working verbatim for
-    // one deprecation cycle: same estimates, same groups, same policies.
-    let rt = HmpiRuntime::new(small_cluster())
-        .with_algorithm(MappingAlgorithm::Exhaustive)
-        .with_collective_policy(hmpi::CollectivePolicy::Auto)
-        .with_tracing();
+fn one_runtime_config_sets_algorithm_policy_and_tracing() {
+    let rt = HmpiRuntime::with_config(
+        small_cluster(),
+        RuntimeConfig::new()
+            .mapping_algorithm(MappingAlgorithm::Exhaustive)
+            .collective_policy(hmpi::CollectivePolicy::Auto)
+            .tracing(true),
+    );
     let report = rt.run(|h| {
         h.recon_opts(hmpi::Recon::new(10.0).fault_tolerant(true))
             .unwrap();
@@ -550,7 +550,7 @@ fn deprecated_builders_forward_to_the_consolidated_config() {
         }
         members
     });
-    assert!(report.trace.is_some(), "with_tracing still records a trace");
+    assert!(report.trace.is_some(), "tracing(true) records a trace");
     let members = &report.results[0];
     assert_eq!(members[0], 0, "parent stays pinned to the host");
     let snap = rt.estimates().snapshot();

@@ -191,6 +191,10 @@ impl Comm {
     /// as soon as *any* member has fail-stopped — one dead participant makes
     /// the collective impossible to complete, and aborting everywhere is
     /// what propagates the failure to ranks not directly blocked on it.
+    /// (A member already dead by the caller's own clock never gets this
+    /// far: [`Comm::recv_bytes_opts`] refuses the wait up front, from the
+    /// fault plan, so that common case does not depend on when the dead
+    /// rank's thread got to publish its death.)
     fn peer_abort(&self, src_world: Option<usize>, collective: bool) -> Option<MpiError> {
         let me = self.my_world_rank();
         if collective {
@@ -422,7 +426,9 @@ impl Comm {
     ///   (it was sent before the sender died).
     /// * Blocked with the awaited peer dead → [`MpiError::NodeFailed`] /
     ///   [`MpiError::PeerTerminated`]; with `collective_abort` any dead
-    ///   group member aborts the wait (see [`Comm::peer_abort`]).
+    ///   group member aborts the wait (see [`Comm::peer_abort`]), and a
+    ///   member whose node has crashed by the caller's clock fails the
+    ///   call before it looks at the mailbox at all.
     /// * `deadline` exceeded → [`MpiError::Timeout`], with the clock advanced
     ///   to the deadline and any late message left queued. The miss is
     ///   concluded *exactly*: either a provably-late message is queued
@@ -456,6 +462,20 @@ impl Comm {
     ) -> MpiResult<(Msg, Status)> {
         self.check_self_alive()?;
         let my_world = self.my_world_rank();
+        if collective_abort {
+            // A member whose node has crashed by this rank's own clock is
+            // dead in its virtual present: the collective cannot complete,
+            // whether or not a message from some live member happens to be
+            // queued already. Judged from the fault plan, like a send to a
+            // crashed destination, so the outcome never follows host order.
+            let now = self.clock.now();
+            let crashed = |w: &&usize| {
+                **w != my_world && self.shared.doom[**w].is_some_and(|tc| tc <= now)
+            };
+            if let Some(&world_rank) = self.group.world_ranks().iter().find(crashed) {
+                return Err(MpiError::NodeFailed { world_rank });
+            }
+        }
         let pat = Pattern {
             ctx: plane,
             src_world: src.map(|r| self.world_rank_of(r)),

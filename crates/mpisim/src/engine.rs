@@ -4,8 +4,11 @@
 //! Every collective here executes a [`perfmodel::collective`] *schedule* —
 //! an ordered list of rounds of point-to-point transfers — through the same
 //! eager transport ([`Comm::post_bytes`] / [`Comm::recv_bytes`]) the rest of
-//! mpisim uses, on the communicator's collective plane. That buys three
-//! properties for free:
+//! mpisim uses, on the communicator's collective plane. Each transfer says
+//! what it carries ([`Payload`]), so one interpreter (`Comm::interpret`)
+//! runs them all — flat or hierarchical, movement or reduction — and no
+//! algorithm is written down a second time here. That buys three properties
+//! for free:
 //!
 //! * **a fault contract** — under fail-stop faults every surviving member
 //!   returns either the *complete, correct* result or a typed
@@ -43,7 +46,10 @@
 //! identity-seeded left fold of contribution element `i` over ranks in
 //! ascending communicator-rank order. Schedules therefore move raw
 //! contributions (or ascending-prefix partial folds), never tree-shaped
-//! partials, and switching algorithms never changes a single result bit.
+//! partials; the interpreter folds a range only once every rank's
+//! contribution to it is present, always in that order, so an algorithm
+//! decides where the values meet and never how they combine — switching
+//! algorithms never changes a single result bit.
 
 use crate::comm::Comm;
 use crate::datatype::{decode, decode_into, encode, MpiType};
@@ -52,9 +58,7 @@ use crate::op::ReduceOp;
 use crate::plan::{ineligible, Plan, PlanKey};
 use hetsim::trace::{TraceEvent, TraceKind};
 use hetsim::SimTime;
-use perfmodel::collective::{chunk_bounds, CollectiveAlgo, CollectiveKind, Xfer};
-use perfmodel::{GatherXfer, HierPlan};
-use std::cell::Cell;
+use perfmodel::collective::{chunk_bounds, CollectiveAlgo, CollectiveKind, Payload, Xfer};
 use std::sync::Arc;
 
 /// Tag used by every engine-scheduled transfer. A single tag suffices:
@@ -231,14 +235,6 @@ impl Comm {
         }
     }
 
-    /// Posts one scheduled data transfer and counts it, so an abort knows
-    /// exactly which scheduled sends remain to be poisoned.
-    fn post_sched(&self, bytes: Vec<u8>, dst: usize, sent: &Cell<usize>) -> MpiResult<()> {
-        self.post_bytes(self.coll_plane(), bytes, dst, TAG_COLL)?;
-        sent.set(sent.get() + 1);
-        Ok(())
-    }
-
     /// Completes one scheduled receive from comm rank `src`: the data
     /// payload, or the failure the sender propagated in its place.
     ///
@@ -267,83 +263,72 @@ impl Comm {
         }
     }
 
-    /// Posts a poison message for every scheduled send of this rank that was
-    /// never issued (`sent` were). Posts to already-dead destinations fail
-    /// and are dropped — those ranks need no notification.
-    fn poison_rest(&self, rounds: &[Vec<Xfer>], sent: usize, blame: usize) {
-        let me = self.rank();
-        for (i, x) in rounds
-            .iter()
-            .flatten()
-            .filter(|x| x.src == me)
-            .enumerate()
-        {
-            if i >= sent {
-                let _ = self.post_bytes(
-                    self.coll_plane(),
-                    encode(&[blame as i64]),
-                    x.dst,
-                    TAG_POISON,
-                );
-            }
-        }
-    }
-
-    /// Runs one engine collective under the fault contract: `body` threads
-    /// the issued-send counter through the algorithm, and on a fail-stop
-    /// error the un-issued remainder of this rank's schedule is poisoned so
-    /// every downstream rank aborts with the same blamed world rank.
-    fn with_fault_contract<R>(
-        &self,
-        rounds: &[Vec<Xfer>],
-        body: impl FnOnce(&Cell<usize>) -> MpiResult<R>,
-    ) -> MpiResult<R> {
-        let sent = Cell::new(0usize);
-        let out = body(&sent);
-        if let Err(e) = &out {
-            if let Some(blame) = fault_blame(e) {
-                self.poison_rest(rounds, sent.get(), blame);
-            }
-        }
-        out
-    }
-
-    /// Executes a data-movement schedule over `buf`: within each round, this
-    /// rank issues all its sends in schedule order, then completes all its
-    /// receives. A received payload whose size disagrees with the scheduled
-    /// range is [`MpiError::InvalidCounts`] — the hallmark of ranks calling
-    /// the collective with different buffer lengths.
+    /// Runs `plan` on this rank: the one schedule interpreter behind every
+    /// engine collective, flat or hierarchical, movement or reduction.
     ///
-    /// All receives land in a scratch copy that is committed to `buf` only
-    /// when the whole schedule has run: an abort part-way through leaves
-    /// `buf` exactly as the caller passed it (no torn results).
-    fn run_movement<T: MpiType>(
+    /// `out` is the call's result buffer, holding what this rank starts with
+    /// finished (a bcast root's data, an allgather contribution in its
+    /// slot); `own` is its raw contribution to a reduction (empty otherwise)
+    /// and `fold(acc, x)` folds `x` onto `acc` — onto the operation's
+    /// identity when there is none. The rank walks its own transfers in
+    /// round order, each round's sends before its receives, and every
+    /// transfer says what it carries ([`Payload`]), so nothing here knows an
+    /// algorithm.
+    ///
+    /// `out` is scratch: it comes back only when the whole schedule has run,
+    /// so an abort leaves no torn result. On a fail-stop error every send
+    /// this rank has not issued is replaced by a [`TAG_POISON`] message
+    /// naming the blamed world rank (posts to dead destinations fail and are
+    /// dropped — they need no notification), so downstream ranks abort with
+    /// the same root cause.
+    fn interpret<T: MpiType>(
         &self,
-        rounds: &[Vec<Xfer>],
-        buf: &mut [T],
-        sent: &Cell<usize>,
-    ) -> MpiResult<()> {
+        plan: &Plan,
+        out: Vec<T>,
+        own: &[T],
+        fold: &Fold<T>,
+    ) -> MpiResult<Vec<T>> {
         let me = self.rank();
-        let mut scratch: Vec<T> = buf.to_vec();
-        for round in rounds {
-            for x in round.iter().filter(|x| x.src == me) {
-                self.post_sched(encode(&scratch[x.lo..x.hi]), x.dst, sent)?;
-            }
-            for x in round.iter().filter(|x| x.dst == me) {
-                let bytes = self.recv_sched(x.src)?;
-                let want = x.elems() * T::WIRE_SIZE;
-                if bytes.len() != want {
-                    return Err(MpiError::InvalidCounts(format!(
-                        "scheduled transfer carried {} bytes, expected {want} \
-                         (mismatched buffer lengths across ranks?)",
-                        bytes.len()
-                    )));
+        let mut holds = Holdings::new(self.size(), me, out, own, fold);
+        let mut program = plan.program(me);
+        while let Some(x) = program.next() {
+            let step = if x.src == me {
+                self.post_bytes(self.coll_plane(), holds.payload(x), x.dst, TAG_COLL)
+            } else {
+                self.recv_sched(x.src)
+                    .and_then(|bytes| holds.accept(x, &bytes))
+            };
+            if let Err(e) = step {
+                if let Some(blame) = fault_blame(&e) {
+                    let unsent = std::iter::once(x).chain(program).filter(|x| x.src == me);
+                    for x in unsent {
+                        let poison = encode(&[blame as i64]);
+                        let _ = self.post_bytes(self.coll_plane(), poison, x.dst, TAG_POISON);
+                    }
                 }
-                decode_into(&bytes, &mut scratch[x.lo..x.hi])?;
+                return Err(e);
             }
         }
-        buf.copy_from_slice(&scratch);
-        Ok(())
+        Ok(holds.out)
+    }
+
+    /// One engine call: plan (from the cache), interpret, trace.
+    #[allow(clippy::too_many_arguments)]
+    fn run_planned<T: MpiType>(
+        &self,
+        kind: CollectiveKind,
+        explicit: Option<CollectiveAlgo>,
+        root: usize,
+        elems: usize,
+        out: Vec<T>,
+        own: &[T],
+        fold: &Fold<T>,
+    ) -> MpiResult<Vec<T>> {
+        let plan = self.exec_plan(kind, explicit, root, elems, T::WIRE_SIZE)?;
+        let start = self.clock.now();
+        let out = self.interpret(&plan, out, own, fold)?;
+        self.trace_collective(kind, plan.algo, elems, T::WIRE_SIZE, start);
+        Ok(out)
     }
 
     /// Engine broadcast: replaces every rank's `buf` with the root's. All
@@ -376,22 +361,16 @@ impl Comm {
         self.bcast_planned(Some(algo), buf, root)
     }
 
-    /// A bcast plan — flat or hierarchical — is pure movement: its rounds
-    /// are the executed schedule, the pricer's replay and the poison
-    /// reference all at once.
+    /// The plan runs on a copy: `buf` is written only once all of it has.
     fn bcast_planned<T: MpiType>(
         &self,
         explicit: Option<CollectiveAlgo>,
         buf: &mut [T],
         root: usize,
     ) -> MpiResult<()> {
-        let kind = CollectiveKind::Bcast;
-        let plan = self.exec_plan(kind, explicit, root, buf.len(), T::WIRE_SIZE)?;
-        let start = self.clock.now();
-        self.with_fault_contract(&plan.rounds, |sent| {
-            self.run_movement(&plan.rounds, buf, sent)
-        })?;
-        self.trace_collective(kind, plan.algo, buf.len(), T::WIRE_SIZE, start);
+        let (kind, n) = (CollectiveKind::Bcast, buf.len());
+        let done = self.run_planned(kind, explicit, root, n, buf.to_vec(), &[], &no_fold)?;
+        buf.copy_from_slice(&done);
         Ok(())
     }
 
@@ -422,555 +401,348 @@ impl Comm {
         self.allgather_planned(Some(algo), contrib)
     }
 
-    /// An allgather plan is pure chunk movement over the output buffer
-    /// (hierarchically: runs gather leaders-up, leaders exchange, the full
-    /// buffer broadcasts back down).
+    /// The output buffer starts with this rank's chunk in its slot.
     fn allgather_planned<T: MpiType + Copy + Default>(
         &self,
         explicit: Option<CollectiveAlgo>,
         contrib: &[T],
     ) -> MpiResult<Vec<T>> {
-        let kind = CollectiveKind::Allgather;
         let p = self.size();
         let total = contrib.len() * p;
-        let plan = self.exec_plan(kind, explicit, 0, total, T::WIRE_SIZE)?;
         let mut buf = vec![T::default(); total];
         let (lo, hi) = chunk_bounds(total, p, self.rank());
         buf[lo..hi].copy_from_slice(contrib);
-        let start = self.clock.now();
-        self.with_fault_contract(&plan.rounds, |sent| {
-            self.run_movement(&plan.rounds, &mut buf, sent)
-        })?;
-        self.trace_collective(kind, plan.algo, total, T::WIRE_SIZE, start);
-        Ok(buf)
+        self.run_planned(
+            CollectiveKind::Allgather,
+            explicit,
+            0,
+            total,
+            buf,
+            &[],
+            &no_fold,
+        )
+    }
+
+    /// A reduce plan finishes ranges on the root alone, so only the root
+    /// brings a result buffer.
+    fn reduce_planned<T: Reducible>(
+        &self,
+        explicit: Option<CollectiveAlgo>,
+        contrib: &[T],
+        op: ReduceOp,
+        root: usize,
+    ) -> MpiResult<Option<Vec<T>>> {
+        let (kind, n) = (CollectiveKind::Reduce, contrib.len());
+        let is_root = self.rank() == root;
+        let out = vec![T::default(); if is_root { n } else { 0 }];
+        let out = self.run_planned(kind, explicit, root, n, out, contrib, &folding(op))?;
+        Ok(is_root.then_some(out))
+    }
+
+    fn allreduce_planned<T: Reducible>(
+        &self,
+        explicit: Option<CollectiveAlgo>,
+        contrib: &[T],
+        op: ReduceOp,
+    ) -> MpiResult<Vec<T>> {
+        let (kind, n) = (CollectiveKind::Allreduce, contrib.len());
+        let out = vec![T::default(); n];
+        self.run_planned(kind, explicit, 0, n, out, contrib, &folding(op))
+    }
+
+    /// Engine reduce over equal-length `f64` contributions; the root
+    /// receives the result: always the identity-seeded fold of the
+    /// contributions in ascending communicator-rank order, bit-identical
+    /// across every algorithm.
+    ///
+    /// # Errors
+    /// [`MpiError::InvalidRank`] for a bad root; [`MpiError::InvalidCounts`]
+    /// for mismatched contribution lengths or an ineligible pinned
+    /// algorithm; [`MpiError::NodeFailed`] if this rank's data path depends
+    /// on a fail-stopped member (every survivor returns the complete result
+    /// or that error, never a torn result).
+    pub fn reduce_eq_f64(
+        &self,
+        contrib: &[f64],
+        op: ReduceOp,
+        root: usize,
+    ) -> MpiResult<Option<Vec<f64>>> {
+        self.reduce_planned(None, contrib, op, root)
+    }
+
+    /// [`Comm::reduce_eq_f64`] with an explicit algorithm.
+    ///
+    /// # Errors
+    /// As [`Comm::reduce_eq_f64`].
+    pub fn reduce_eq_f64_with(
+        &self,
+        algo: CollectiveAlgo,
+        contrib: &[f64],
+        op: ReduceOp,
+        root: usize,
+    ) -> MpiResult<Option<Vec<f64>>> {
+        self.reduce_planned(Some(algo), contrib, op, root)
+    }
+
+    /// [`Comm::reduce_eq_f64`] over `i64` contributions.
+    ///
+    /// # Errors
+    /// As [`Comm::reduce_eq_f64`].
+    pub fn reduce_eq_i64(
+        &self,
+        contrib: &[i64],
+        op: ReduceOp,
+        root: usize,
+    ) -> MpiResult<Option<Vec<i64>>> {
+        self.reduce_planned(None, contrib, op, root)
+    }
+
+    /// [`Comm::reduce_eq_i64`] with an explicit algorithm.
+    ///
+    /// # Errors
+    /// As [`Comm::reduce_eq_f64`].
+    pub fn reduce_eq_i64_with(
+        &self,
+        algo: CollectiveAlgo,
+        contrib: &[i64],
+        op: ReduceOp,
+        root: usize,
+    ) -> MpiResult<Option<Vec<i64>>> {
+        self.reduce_planned(Some(algo), contrib, op, root)
+    }
+
+    /// Engine allreduce over equal-length `f64` contributions: every rank
+    /// receives the identity-seeded fold of the contributions in ascending
+    /// communicator-rank order, bit-identical across every algorithm.
+    ///
+    /// # Errors
+    /// [`MpiError::InvalidCounts`] for mismatched contribution lengths or an
+    /// ineligible pinned algorithm; [`MpiError::NodeFailed`] if this rank's
+    /// data path depends on a fail-stopped member (every survivor returns
+    /// the complete result or that error, never a torn result).
+    pub fn allreduce_eq_f64(&self, contrib: &[f64], op: ReduceOp) -> MpiResult<Vec<f64>> {
+        self.allreduce_planned(None, contrib, op)
+    }
+
+    /// [`Comm::allreduce_eq_f64`] with an explicit algorithm.
+    ///
+    /// # Errors
+    /// As [`Comm::allreduce_eq_f64`].
+    pub fn allreduce_eq_f64_with(
+        &self,
+        algo: CollectiveAlgo,
+        contrib: &[f64],
+        op: ReduceOp,
+    ) -> MpiResult<Vec<f64>> {
+        self.allreduce_planned(Some(algo), contrib, op)
+    }
+
+    /// [`Comm::allreduce_eq_f64`] over `i64` contributions.
+    ///
+    /// # Errors
+    /// As [`Comm::allreduce_eq_f64`].
+    pub fn allreduce_eq_i64(&self, contrib: &[i64], op: ReduceOp) -> MpiResult<Vec<i64>> {
+        self.allreduce_planned(None, contrib, op)
+    }
+
+    /// [`Comm::allreduce_eq_i64`] with an explicit algorithm.
+    ///
+    /// # Errors
+    /// As [`Comm::allreduce_eq_f64`].
+    pub fn allreduce_eq_i64_with(
+        &self,
+        algo: CollectiveAlgo,
+        contrib: &[i64],
+        op: ReduceOp,
+    ) -> MpiResult<Vec<i64>> {
+        self.allreduce_planned(Some(algo), contrib, op)
     }
 }
 
-/// Generates the typed engine reductions for one element type.
-macro_rules! impl_engine_reductions {
-    ($t:ty, $identity:ident, $fold:ident,
-     $recv_contribs:ident, $linear_reduce:ident, $binomial_reduce:ident,
-     $hier_gather:ident,
-     $ring_allreduce:ident, $rd_allreduce:ident, $sag_allreduce:ident,
-     $reduce:ident, $reduce_with:ident, $reduce_planned:ident,
-     $allreduce:ident, $allreduce_with:ident, $allreduce_planned:ident,
-     $reduce_doc:expr, $allreduce_doc:expr) => {
-        impl Comm {
-            /// Receives one scheduled reduction payload and checks its
-            /// element count.
-            fn $recv_contribs(&self, src: usize, want: usize) -> MpiResult<Vec<$t>> {
-                let bytes = self.recv_sched(src)?;
-                let v: Vec<$t> = decode(&bytes)?;
-                if v.len() != want {
-                    return Err(MpiError::InvalidCounts(format!(
-                        "scheduled reduction transfer carried {} elements, expected {want} \
-                         (mismatched contribution lengths across ranks?)",
-                        v.len()
-                    )));
-                }
-                Ok(v)
-            }
+/// Folds a contribution range onto an accumulator — onto the operation's
+/// identity when there is none yet.
+type Fold<T> = dyn Fn(Option<Vec<T>>, &[T]) -> Vec<T>;
 
-            /// Flat reduce: every rank sends its raw contribution to the
-            /// root, which folds in ascending rank order.
-            fn $linear_reduce(
-                &self,
-                contrib: &[$t],
-                op: ReduceOp,
-                root: usize,
-                sent: &Cell<usize>,
-            ) -> MpiResult<Option<Vec<$t>>> {
-                let p = self.size();
-                let me = self.rank();
-                let n = contrib.len();
-                if me != root {
-                    // An empty contribution is not scheduled (and the root
-                    // never receives it) — posting one would leak a stray
-                    // envelope onto the collective plane.
-                    if n > 0 {
-                        self.post_sched(encode(contrib), root, sent)?;
-                    }
-                    return Ok(None);
-                }
-                let mut raw: Vec<Option<Vec<$t>>> = vec![None; p];
-                for src in 0..p {
-                    if src != root && n > 0 {
-                        raw[src] = Some(self.$recv_contribs(src, n)?);
-                    }
-                }
-                let mut acc = vec![op.$identity(); n];
-                for origin in 0..p {
-                    match &raw[origin] {
-                        Some(v) => op.$fold(&mut acc, v),
-                        None => op.$fold(&mut acc, contrib),
-                    }
-                }
-                Ok(Some(acc))
-            }
-
-            /// Binomial raw-contribution gather: each sender forwards every
-            /// contribution its subtree holds (concatenated in ascending
-            /// relative-rank order), and only the root folds — in ascending
-            /// absolute rank order, so the result is bit-identical to
-            /// the linear variant.
-            fn $binomial_reduce(
-                &self,
-                contrib: &[$t],
-                op: ReduceOp,
-                root: usize,
-                sent: &Cell<usize>,
-            ) -> MpiResult<Option<Vec<$t>>> {
-                let p = self.size();
-                let n = contrib.len();
-                let rel = (self.rank() + p - root) % p;
-                let abs = |r: usize| (r + root) % p;
-                let mut held: Vec<Option<Vec<$t>>> = vec![None; p];
-                held[rel] = Some(contrib.to_vec());
-                let mut span = 1;
-                while span < p {
-                    if rel >= span && (rel - span) % (2 * span) == 0 {
-                        let cnt = span.min(p - rel);
-                        let mut payload = Vec::with_capacity(cnt * n);
-                        for o in rel..rel + cnt {
-                            payload.extend_from_slice(held[o].as_ref().expect("subtree held"));
-                        }
-                        if !payload.is_empty() {
-                            self.post_sched(encode(&payload), abs(rel - span), sent)?;
-                        }
-                        return Ok(None); // a sender's part in the gather is over
-                    }
-                    if rel % (2 * span) == 0 && rel + span < p {
-                        let src_rel = rel + span;
-                        let cnt = span.min(p - src_rel);
-                        if cnt * n > 0 {
-                            let v = self.$recv_contribs(abs(src_rel), cnt * n)?;
-                            for i in 0..cnt {
-                                held[src_rel + i] = Some(v[i * n..(i + 1) * n].to_vec());
-                            }
-                        } else {
-                            for i in 0..cnt {
-                                held[src_rel + i] = Some(Vec::new());
-                            }
-                        }
-                    }
-                    span <<= 1;
-                }
-                if rel != 0 {
-                    return Ok(None);
-                }
-                let mut acc = vec![op.$identity(); n];
-                for abs_rank in 0..p {
-                    let r = (abs_rank + p - root) % p;
-                    op.$fold(&mut acc, held[r].as_ref().expect("root gathered everything"));
-                }
-                Ok(Some(acc))
-            }
-
-            /// Hierarchical raw-contribution gather: each transfer of the
-            /// plan forwards exactly the contributions its sender holds
-            /// (ascending origins), so only the root folds — in ascending
-            /// absolute rank order, bit-identical to every flat algorithm.
-            /// The send/skip filter mirrors [`HierPlan::xfer_rounds`]
-            /// exactly, so the fault contract's poison counting and the
-            /// pricer's replay both see the executed transfer sequence.
-            fn $hier_gather(
-                &self,
-                plan: &HierPlan,
-                contrib: &[$t],
-                op: ReduceOp,
-                root: usize,
-                sent: &Cell<usize>,
-            ) -> MpiResult<Option<Vec<$t>>> {
-                let p = self.size();
-                let me = self.rank();
-                let n = contrib.len();
-                let live = |g: &&GatherXfer| !g.origins.is_empty() && n > 0 && g.src != g.dst;
-                let mut held: Vec<Option<Vec<$t>>> = vec![None; p];
-                held[me] = Some(contrib.to_vec());
-                for round in &plan.gather {
-                    for g in round.iter().filter(|g| g.src == me).filter(live) {
-                        let mut payload = Vec::with_capacity(g.origins.len() * n);
-                        for &o in &g.origins {
-                            payload.extend_from_slice(
-                                held[o].as_ref().expect("plan sends only held origins"),
-                            );
-                        }
-                        self.post_sched(encode(&payload), g.dst, sent)?;
-                    }
-                    for g in round.iter().filter(|g| g.dst == me).filter(live) {
-                        let v = self.$recv_contribs(g.src, g.origins.len() * n)?;
-                        for (i, &o) in g.origins.iter().enumerate() {
-                            held[o] = Some(v[i * n..(i + 1) * n].to_vec());
-                        }
-                    }
-                }
-                if me != root {
-                    return Ok(None);
-                }
-                let mut acc = vec![op.$identity(); n];
-                for origin in 0..p {
-                    op.$fold(
-                        &mut acc,
-                        held[origin]
-                            .as_ref()
-                            .expect("plan funnels every contribution to the root"),
-                    );
-                }
-                Ok(Some(acc))
-            }
-
-            /// Pipelined ring allreduce: ascending-prefix partial folds
-            /// travel the chain forward chunk by chunk, finished chunks
-            /// travel it backward, both directions pipelined through shared
-            /// global rounds (mirroring the schedule generator exactly).
-            fn $ring_allreduce(
-                &self,
-                contrib: &[$t],
-                op: ReduceOp,
-                sent: &Cell<usize>,
-            ) -> MpiResult<Vec<$t>> {
-                let p = self.size();
-                let r = self.rank();
-                let n = contrib.len();
-                let nchunks = p;
-                let mut result = contrib.to_vec();
-                let mut partial: Vec<Option<Vec<$t>>> = vec![None; nchunks];
-                for g in 0..nchunks + 2 * p - 3 {
-                    if r < p - 1 {
-                        if let Some(c) = g.checked_sub(r) {
-                            if c < nchunks {
-                                let (lo, hi) = chunk_bounds(n, nchunks, c);
-                                if hi > lo {
-                                    let payload = if r == 0 {
-                                        let mut acc = vec![op.$identity(); hi - lo];
-                                        op.$fold(&mut acc, &contrib[lo..hi]);
-                                        acc
-                                    } else {
-                                        partial[c].take().expect("folded last round")
-                                    };
-                                    self.post_sched(encode(&payload), r + 1, sent)?;
-                                }
-                            }
-                        }
-                    }
-                    if r > 0 {
-                        if let Some(c) = (g + r).checked_sub(2 * (p - 1)) {
-                            if c < nchunks {
-                                let (lo, hi) = chunk_bounds(n, nchunks, c);
-                                if hi > lo {
-                                    self.post_sched(encode(&result[lo..hi]), r - 1, sent)?;
-                                }
-                            }
-                        }
-                    }
-                    if r > 0 {
-                        if let Some(c) = g.checked_sub(r - 1) {
-                            if c < nchunks {
-                                let (lo, hi) = chunk_bounds(n, nchunks, c);
-                                if hi > lo {
-                                    let mut v = self.$recv_contribs(r - 1, hi - lo)?;
-                                    op.$fold(&mut v, &contrib[lo..hi]);
-                                    if r == p - 1 {
-                                        result[lo..hi].copy_from_slice(&v);
-                                    } else {
-                                        partial[c] = Some(v);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if r < p - 1 {
-                        if let Some(c) = (g + r + 1).checked_sub(2 * (p - 1)) {
-                            if c < nchunks {
-                                let (lo, hi) = chunk_bounds(n, nchunks, c);
-                                if hi > lo {
-                                    let v = self.$recv_contribs(r + 1, hi - lo)?;
-                                    result[lo..hi].copy_from_slice(&v);
-                                }
-                            }
-                        }
-                    }
-                }
-                Ok(result)
-            }
-
-            /// Recursive-doubling allreduce as a doubling raw-contribution
-            /// gather: round `k` exchanges the `2^k` contributions each
-            /// partner holds (aligned blocks), and every rank folds all `p`
-            /// contributions locally in ascending rank order. Requires a
-            /// power-of-two communicator.
-            fn $rd_allreduce(
-                &self,
-                contrib: &[$t],
-                op: ReduceOp,
-                sent: &Cell<usize>,
-            ) -> MpiResult<Vec<$t>> {
-                let p = self.size();
-                let r = self.rank();
-                let n = contrib.len();
-                let mut held: Vec<Option<Vec<$t>>> = vec![None; p];
-                held[r] = Some(contrib.to_vec());
-                let mut span = 1;
-                while span < p {
-                    let partner = r ^ span;
-                    let base = r & !(span - 1);
-                    if span * n > 0 {
-                        let mut payload = Vec::with_capacity(span * n);
-                        for o in base..base + span {
-                            payload.extend_from_slice(held[o].as_ref().expect("aligned block"));
-                        }
-                        self.post_sched(encode(&payload), partner, sent)?;
-                        let pbase = partner & !(span - 1);
-                        let v = self.$recv_contribs(partner, span * n)?;
-                        for i in 0..span {
-                            held[pbase + i] = Some(v[i * n..(i + 1) * n].to_vec());
-                        }
-                    } else {
-                        let pbase = partner & !(span - 1);
-                        for i in 0..span {
-                            held[pbase + i] = Some(Vec::new());
-                        }
-                    }
-                    span <<= 1;
-                }
-                let mut acc = vec![op.$identity(); n];
-                for o in 0..p {
-                    op.$fold(&mut acc, held[o].as_ref().expect("gathered all blocks"));
-                }
-                Ok(acc)
-            }
-
-            /// Rabenseifner-style allreduce: a direct reduce-scatter of raw
-            /// chunks (rank `j` folds every rank's copy of chunk `j`, in
-            /// ascending rank order) followed by a direct allgather of the
-            /// reduced chunks.
-            fn $sag_allreduce(
-                &self,
-                contrib: &[$t],
-                op: ReduceOp,
-                sent: &Cell<usize>,
-            ) -> MpiResult<Vec<$t>> {
-                let p = self.size();
-                let me = self.rank();
-                let n = contrib.len();
-                for dst in 0..p {
-                    if dst != me {
-                        let (lo, hi) = chunk_bounds(n, p, dst);
-                        if hi > lo {
-                            self.post_sched(encode(&contrib[lo..hi]), dst, sent)?;
-                        }
-                    }
-                }
-                let (mlo, mhi) = chunk_bounds(n, p, me);
-                let mut raw: Vec<Option<Vec<$t>>> = vec![None; p];
-                for src in 0..p {
-                    if src != me && mhi > mlo {
-                        raw[src] = Some(self.$recv_contribs(src, mhi - mlo)?);
-                    }
-                }
-                let mut acc = vec![op.$identity(); mhi - mlo];
-                for origin in 0..p {
-                    match &raw[origin] {
-                        Some(v) => op.$fold(&mut acc, v),
-                        None => op.$fold(&mut acc, &contrib[mlo..mhi]),
-                    }
-                }
-                let mut result = contrib.to_vec();
-                result[mlo..mhi].copy_from_slice(&acc);
-                for dst in 0..p {
-                    if dst != me && mhi > mlo {
-                        self.post_sched(encode(&acc), dst, sent)?;
-                    }
-                }
-                for src in 0..p {
-                    if src != me {
-                        let (lo, hi) = chunk_bounds(n, p, src);
-                        if hi > lo {
-                            let v = self.$recv_contribs(src, hi - lo)?;
-                            result[lo..hi].copy_from_slice(&v);
-                        }
-                    }
-                }
-                Ok(result)
-            }
-
-            #[doc = $reduce_doc]
-            ///
-            /// The result is always the identity-seeded fold of the
-            /// contributions in ascending communicator-rank order,
-            /// bit-identical across every algorithm.
-            ///
-            /// # Errors
-            /// [`MpiError::InvalidRank`] for a bad root;
-            /// [`MpiError::InvalidCounts`] for mismatched contribution
-            /// lengths or an ineligible pinned algorithm;
-            /// [`MpiError::NodeFailed`] if this rank's data path depends on
-            /// a fail-stopped member (every survivor returns the complete
-            /// result or that error, never a torn result).
-            pub fn $reduce(
-                &self,
-                contrib: &[$t],
-                op: ReduceOp,
-                root: usize,
-            ) -> MpiResult<Option<Vec<$t>>> {
-                self.$reduce_planned(None, contrib, op, root)
-            }
-
-            #[doc = concat!("[`Comm::", stringify!($reduce), "`] with an explicit algorithm.")]
-            ///
-            /// # Errors
-            #[doc = concat!("As [`Comm::", stringify!($reduce), "`].")]
-            pub fn $reduce_with(
-                &self,
-                algo: CollectiveAlgo,
-                contrib: &[$t],
-                op: ReduceOp,
-                root: usize,
-            ) -> MpiResult<Option<Vec<$t>>> {
-                self.$reduce_planned(Some(algo), contrib, op, root)
-            }
-
-            fn $reduce_planned(
-                &self,
-                explicit: Option<CollectiveAlgo>,
-                contrib: &[$t],
-                op: ReduceOp,
-                root: usize,
-            ) -> MpiResult<Option<Vec<$t>>> {
-                let kind = CollectiveKind::Reduce;
-                let (n, elem_bytes) = (contrib.len(), std::mem::size_of::<$t>());
-                let plan = self.exec_plan(kind, explicit, root, n, elem_bytes)?;
-                let start = self.clock.now();
-                let out =
-                    self.with_fault_contract(&plan.rounds, |sent| match (&plan.hier, plan.algo) {
-                        (Some(hier), _) => self.$hier_gather(hier, contrib, op, root, sent),
-                        (None, CollectiveAlgo::Linear) => {
-                            self.$linear_reduce(contrib, op, root, sent)
-                        }
-                        (None, CollectiveAlgo::Binomial) => {
-                            self.$binomial_reduce(contrib, op, root, sent)
-                        }
-                        (None, algo) => unreachable!("no {} reduce plan exists", algo.name()),
-                    })?;
-                self.trace_collective(kind, plan.algo, n, elem_bytes, start);
-                Ok(out)
-            }
-
-            #[doc = $allreduce_doc]
-            ///
-            /// The result is always the identity-seeded fold of the
-            /// contributions in ascending communicator-rank order,
-            /// bit-identical across every algorithm.
-            ///
-            /// # Errors
-            /// [`MpiError::InvalidCounts`] for mismatched contribution
-            /// lengths or an ineligible pinned algorithm;
-            /// [`MpiError::NodeFailed`] if this rank's data path depends on
-            /// a fail-stopped member (every survivor returns the complete
-            /// result or that error, never a torn result).
-            pub fn $allreduce(&self, contrib: &[$t], op: ReduceOp) -> MpiResult<Vec<$t>> {
-                self.$allreduce_planned(None, contrib, op)
-            }
-
-            #[doc = concat!("[`Comm::", stringify!($allreduce), "`] with an explicit algorithm.")]
-            ///
-            /// # Errors
-            #[doc = concat!("As [`Comm::", stringify!($allreduce), "`].")]
-            pub fn $allreduce_with(
-                &self,
-                algo: CollectiveAlgo,
-                contrib: &[$t],
-                op: ReduceOp,
-            ) -> MpiResult<Vec<$t>> {
-                self.$allreduce_planned(Some(algo), contrib, op)
-            }
-
-            fn $allreduce_planned(
-                &self,
-                explicit: Option<CollectiveAlgo>,
-                contrib: &[$t],
-                op: ReduceOp,
-            ) -> MpiResult<Vec<$t>> {
-                let kind = CollectiveKind::Allreduce;
-                let (n, elem_bytes) = (contrib.len(), std::mem::size_of::<$t>());
-                let plan = self.exec_plan(kind, explicit, 0, n, elem_bytes)?;
-                let start = self.clock.now();
-                // One fault contract spans every phase: the send counter
-                // runs through the plan's concatenated rounds.
-                let out = self.with_fault_contract(&plan.rounds, |sent| {
-                    let red = match (&plan.hier, plan.algo) {
-                        (None, CollectiveAlgo::Ring) => {
-                            return self.$ring_allreduce(contrib, op, sent)
-                        }
-                        (None, CollectiveAlgo::RecursiveDoubling) => {
-                            return self.$rd_allreduce(contrib, op, sent)
-                        }
-                        (None, CollectiveAlgo::ScatterAllgather) => {
-                            return self.$sag_allreduce(contrib, op, sent)
-                        }
-                        // The composed shapes: reduce to rank 0, then
-                        // broadcast the fold back out over the plan's
-                        // movement rounds.
-                        (Some(hier), _) => self.$hier_gather(hier, contrib, op, 0, sent)?,
-                        (None, CollectiveAlgo::Linear) => {
-                            self.$linear_reduce(contrib, op, 0, sent)?
-                        }
-                        (None, CollectiveAlgo::Binomial) => {
-                            self.$binomial_reduce(contrib, op, 0, sent)?
-                        }
-                        (None, CollectiveAlgo::Hierarchical) => {
-                            unreachable!("a hierarchical plan carries its HierPlan")
-                        }
-                    };
-                    let mut buf = red.unwrap_or_else(|| vec![<$t>::default(); n]);
-                    self.run_movement(&plan.rounds[plan.movement_from..], &mut buf, sent)?;
-                    Ok(buf)
-                })?;
-                self.trace_collective(kind, plan.algo, n, elem_bytes, start);
-                Ok(out)
-            }
-        }
-    };
+/// The movement kinds' [`Fold`]: their plans carry finished data only, so
+/// it never runs.
+fn no_fold<T: MpiType>(_acc: Option<Vec<T>>, x: &[T]) -> Vec<T> {
+    x.to_vec()
 }
 
-impl_engine_reductions!(
-    f64,
-    identity_f64,
-    fold_f64,
-    recv_contribs_f64,
-    linear_reduce_f64,
-    binomial_reduce_f64,
-    hier_gather_f64,
-    ring_allreduce_f64,
-    rd_allreduce_f64,
-    sag_allreduce_f64,
-    reduce_eq_f64,
-    reduce_eq_f64_with,
-    reduce_f64_planned,
-    allreduce_eq_f64,
-    allreduce_eq_f64_with,
-    allreduce_f64_planned,
-    "Engine reduce over equal-length `f64` contributions; the root receives the result.",
-    "Engine allreduce over equal-length `f64` contributions."
-);
+/// An element type the engine reduces: the wire codec of [`MpiType`] plus
+/// each [`ReduceOp`]'s identity and fold.
+trait Reducible: MpiType + Default {
+    fn identity(op: ReduceOp) -> Self;
+    fn fold(op: ReduceOp, acc: &mut [Self], x: &[Self]);
+}
 
-impl_engine_reductions!(
-    i64,
-    identity_i64,
-    fold_i64,
-    recv_contribs_i64,
-    linear_reduce_i64,
-    binomial_reduce_i64,
-    hier_gather_i64,
-    ring_allreduce_i64,
-    rd_allreduce_i64,
-    sag_allreduce_i64,
-    reduce_eq_i64,
-    reduce_eq_i64_with,
-    reduce_i64_planned,
-    allreduce_eq_i64,
-    allreduce_eq_i64_with,
-    allreduce_i64_planned,
-    "Engine reduce over equal-length `i64` contributions; the root receives the result.",
-    "Engine allreduce over equal-length `i64` contributions."
-);
+impl Reducible for f64 {
+    fn identity(op: ReduceOp) -> f64 {
+        op.identity_f64()
+    }
+    fn fold(op: ReduceOp, acc: &mut [f64], x: &[f64]) {
+        op.fold_f64(acc, x);
+    }
+}
+
+impl Reducible for i64 {
+    fn identity(op: ReduceOp) -> i64 {
+        op.identity_i64()
+    }
+    fn fold(op: ReduceOp, acc: &mut [i64], x: &[i64]) {
+        op.fold_i64(acc, x);
+    }
+}
+
+/// The [`Fold`] of `op` over `T`.
+fn folding<T: Reducible>(op: ReduceOp) -> impl Fn(Option<Vec<T>>, &[T]) -> Vec<T> {
+    move |acc, x| {
+        let mut acc = acc.unwrap_or_else(|| vec![T::identity(op); x.len()]);
+        T::fold(op, &mut acc, x);
+        acc
+    }
+}
+
+/// What one rank holds while it interprets a plan.
+struct Holdings<'a, T> {
+    p: usize,
+    me: usize,
+    /// The result buffer: ranges received finished, or folded here.
+    out: Vec<T>,
+    /// This rank's own raw contribution, over `[0, own.len())`.
+    own: &'a [T],
+    /// The raw payloads received, each kept as it arrived, …
+    raw: Vec<Vec<T>>,
+    /// … and where each origin's contribution sits, as `(payload, offset in
+    /// it, lo, hi)`. Sized on the first arrival; a plan delivers no origin to
+    /// a rank twice.
+    at: Vec<Option<(usize, usize, usize, usize)>>,
+    /// Origins held, this rank's own included.
+    held: usize,
+    /// Ascending-prefix partial folds through this rank, by first element,
+    /// each waiting for the round that forwards it.
+    partial: Vec<(usize, Vec<T>)>,
+    fold: &'a Fold<T>,
+}
+
+impl<'a, T: MpiType> Holdings<'a, T> {
+    fn new(p: usize, me: usize, out: Vec<T>, own: &'a [T], fold: &'a Fold<T>) -> Self {
+        let (raw, at, partial) = (Vec::new(), Vec::new(), Vec::new());
+        let mut holds = Holdings {
+            p,
+            me,
+            out,
+            own,
+            raw,
+            at,
+            held: 0,
+            partial,
+            fold,
+        };
+        if !own.is_empty() {
+            holds.now_holding(1, 0, own.len());
+        }
+        holds
+    }
+
+    /// Elements `[lo, hi)` of `origin`'s raw contribution.
+    fn raw_of(&self, origin: usize, lo: usize, hi: usize) -> &[T] {
+        if origin == self.me {
+            return &self.own[lo..hi];
+        }
+        let (payload, offset, first, last) =
+            self.at[origin].expect("plans move and fold held origins only");
+        debug_assert!(first <= lo && hi <= last);
+        &self.raw[payload][offset + lo - first..offset + hi - first]
+    }
+
+    /// Counts `origins` more raw contributions, held over `[lo, hi)`. The
+    /// moment all `p` are present that range is finished: folded onto the
+    /// identity in ascending rank order, whatever order they arrived in.
+    fn now_holding(&mut self, origins: usize, lo: usize, hi: usize) {
+        self.held += origins;
+        if self.held == self.p {
+            let through_0 = (self.fold)(None, self.raw_of(0, lo, hi));
+            let folded = (1..self.p).fold(through_0, |acc, origin| {
+                (self.fold)(Some(acc), self.raw_of(origin, lo, hi))
+            });
+            self.out[lo..hi].copy_from_slice(&folded);
+        }
+    }
+
+    /// The wire bytes of `x`, a transfer this rank sends.
+    fn payload(&mut self, x: &Xfer) -> Vec<u8> {
+        match &x.carries {
+            Payload::Slice => encode(&self.out[x.lo..x.hi]),
+            Payload::Raw(origins) => {
+                let mut bytes = Vec::with_capacity(x.elems() * T::WIRE_SIZE);
+                for v in origins.iter().flat_map(|&o| self.raw_of(o, x.lo, x.hi)) {
+                    v.write_to(&mut bytes);
+                }
+                bytes
+            }
+            // Rank 0 starts each chain; the others forward what they folded
+            // their own contribution onto when it arrived.
+            Payload::Prefix if self.me == 0 => encode(&(self.fold)(None, &self.own[x.lo..x.hi])),
+            Payload::Prefix => {
+                let waiting = self.partial.iter().position(|(lo, _)| *lo == x.lo);
+                let through_me = self
+                    .partial
+                    .swap_remove(waiting.expect("the prefix arrived"));
+                encode(&through_me.1)
+            }
+        }
+    }
+
+    /// Files `x`, a transfer this rank received as `bytes`. A payload whose
+    /// size disagrees with the schedule is [`MpiError::InvalidCounts`] — the
+    /// hallmark of ranks calling the collective with different lengths.
+    fn accept(&mut self, x: &Xfer, bytes: &[u8]) -> MpiResult<()> {
+        let (lo, hi) = (x.lo, x.hi);
+        match &x.carries {
+            Payload::Slice => {
+                let want = x.elems() * T::WIRE_SIZE;
+                if bytes.len() != want {
+                    return Err(MpiError::InvalidCounts(format!(
+                        "scheduled transfer carried {} bytes, expected {want} \
+                         (mismatched buffer lengths across ranks?)",
+                        bytes.len()
+                    )));
+                }
+                decode_into(bytes, &mut self.out[lo..hi])?;
+            }
+            Payload::Raw(origins) => {
+                let arrived = contributions(x, bytes)?;
+                self.at.resize(self.p, None);
+                for (i, &origin) in origins.iter().enumerate() {
+                    self.at[origin] = Some((self.raw.len(), i * (hi - lo), lo, hi));
+                }
+                self.raw.push(arrived);
+                self.now_holding(origins.len(), lo, hi);
+            }
+            Payload::Prefix => {
+                let through_me = (self.fold)(Some(contributions(x, bytes)?), &self.own[lo..hi]);
+                if self.me + 1 == self.p {
+                    self.out[lo..hi].copy_from_slice(&through_me);
+                } else {
+                    self.partial.push((lo, through_me));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Decodes a received reduction payload and checks its element count.
+fn contributions<T: MpiType>(x: &Xfer, bytes: &[u8]) -> MpiResult<Vec<T>> {
+    let v: Vec<T> = decode(bytes)?;
+    if v.len() != x.elems() {
+        return Err(MpiError::InvalidCounts(format!(
+            "scheduled reduction transfer carried {} elements, expected {} \
+             (mismatched contribution lengths across ranks?)",
+            v.len(),
+            x.elems()
+        )));
+    }
+    Ok(v)
+}

@@ -30,13 +30,14 @@ use parking_lot::{Mutex, RwLock};
 use perfmodel::collective::{
     algos_for, eligible, price, schedule, CollectiveAlgo, CollectiveKind, LinkSharing, Xfer,
 };
-use perfmodel::{hier_plan, HierPlan, PairCost, RankTopology};
+use perfmodel::{hier_plan, PairCost, RankTopology};
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Resident-plan bound, in scheduled transfers (32 bytes each): past it the
+/// Resident-plan bound, in scheduled transfers (72 bytes each with their
+/// two [`Plan::program`] slots, plus 8 per raw origin carried): past it the
 /// longest-resident plans are dropped. Ranks mid-collective keep the
 /// [`Arc`] they hold, and a dropped plan is rebuilt — identically — the next
 /// time its key is asked for.
@@ -129,23 +130,45 @@ pub struct Plan {
     /// Predicted virtual seconds from a synchronised start:
     /// [`price`] over [`Plan::rounds`].
     pub seconds: f64,
-    /// The transfer rounds — executed by the movement collectives, counted
-    /// against by the fault contract's poisoning, replayed by the pricer.
+    /// The transfer rounds: interpreted by the engine, poisoned from on an
+    /// abort, replayed by the pricer.
     pub rounds: Vec<Vec<Xfer>>,
-    /// The multi-level plan behind `rounds` when hierarchical: its gather
-    /// rounds say whose contributions each reduction transfer carries.
-    pub hier: Option<HierPlan>,
-    /// Index of the first pure data-movement round: reductions that end in
-    /// a broadcast (linear, binomial and hierarchical allreduce) fold over
-    /// `rounds[..movement_from]` and move the result over the rest. Zero
-    /// for the all-movement kinds.
-    pub movement_from: usize,
+    /// `own[r]`: where rank `r`'s transfers sit in `rounds`, as
+    /// `(round, index)` in the order `r` runs them — each round's sends,
+    /// then its receives — so no rank scans the other ranks' transfers.
+    own: Vec<Vec<(u32, u32)>>,
 }
 
 impl Plan {
+    fn new(algo: CollectiveAlgo, seconds: f64, rounds: Vec<Vec<Xfer>>, p: usize) -> Plan {
+        let mut own = vec![Vec::new(); p];
+        for (r, round) in rounds.iter().enumerate() {
+            let at = |i: usize| (r as u32, i as u32);
+            for (i, x) in round.iter().enumerate() {
+                own[x.src].push(at(i));
+            }
+            for (i, x) in round.iter().enumerate() {
+                own[x.dst].push(at(i));
+            }
+        }
+        Plan {
+            algo,
+            seconds,
+            rounds,
+            own,
+        }
+    }
+
     /// Scheduled transfers, the unit the cache's bound counts.
     pub fn xfers(&self) -> usize {
         self.rounds.iter().map(Vec::len).sum()
+    }
+
+    /// The transfers `rank` sends or receives, in the order it runs them.
+    pub fn program(&self, rank: usize) -> impl Iterator<Item = &Xfer> {
+        self.own[rank]
+            .iter()
+            .map(|&(r, i)| &self.rounds[r as usize][i as usize])
     }
 }
 
@@ -248,56 +271,40 @@ fn build_on(key: &PlanKey, view: &View, cluster: &Cluster) -> MpiResult<Plan> {
     let flat = |algo: CollectiveAlgo| {
         let rounds =
             schedule(kind, algo, p, root, elems).expect("PlanKey::new checked eligibility");
-        // Linear and binomial allreduce are a reduce then a bcast of equal
-        // round counts; everything else is one phase.
-        let composed = kind == CollectiveKind::Allreduce
-            && matches!(algo, CollectiveAlgo::Linear | CollectiveAlgo::Binomial);
-        Plan {
-            algo,
-            seconds: price(p, &rounds, bytes, &view.cost, sharing),
-            movement_from: if composed { rounds.len() / 2 } else { 0 },
-            rounds,
-            hier: None,
-        }
+        (algo, price(p, &rounds, bytes, &view.cost, sharing), rounds)
     };
     let hier = || {
         let topo = view.topo(cluster);
-        let plan = hier_plan(kind, p, root, elems, bytes, topo, &view.cost, sharing)?;
-        let rounds = plan.xfer_rounds(elems);
-        Some(Plan {
-            algo: CollectiveAlgo::Hierarchical,
-            seconds: price(p, &rounds, bytes, &view.cost, sharing),
-            movement_from: plan.gather.len(),
-            rounds,
-            hier: Some(plan),
-        })
+        let rounds = hier_plan(kind, p, root, elems, bytes, topo, &view.cost, sharing)?.rounds;
+        let seconds = price(p, &rounds, bytes, &view.cost, sharing);
+        Some((CollectiveAlgo::Hierarchical, seconds, rounds))
     };
-    match key.request {
+    let (algo, seconds, rounds) = match key.request {
         CollectivePolicy::Fixed(CollectiveAlgo::Hierarchical) => hier().ok_or_else(|| {
             MpiError::InvalidCounts(format!(
                 "no hierarchical plan exists for {} over {p} rank(s) \
                  (flat topology?)",
                 kind.name(),
             ))
-        }),
-        CollectivePolicy::Fixed(algo) => Ok(flat(algo)),
+        })?,
+        CollectivePolicy::Fixed(algo) => flat(algo),
         auto => {
-            let mut best: Option<Plan> = None;
-            for algo in algos_for(kind, p) {
-                let cand = flat(algo);
-                if best.as_ref().is_none_or(|b| cand.seconds < b.seconds) {
+            let mut best = None;
+            for cand in algos_for(kind, p).into_iter().map(flat) {
+                if best.as_ref().is_none_or(|b: &(_, f64, _)| cand.1 < b.1) {
                     best = Some(cand);
                 }
             }
             let best = best.expect("Linear is always eligible");
-            if auto == CollectivePolicy::Auto {
-                if let Some(h) = hier().filter(|h| h.seconds < best.seconds) {
-                    return Ok(h);
-                }
-            }
-            Ok(best)
+            let hier = if auto == CollectivePolicy::Auto {
+                hier()
+            } else {
+                None
+            };
+            hier.filter(|h| h.1 < best.1).unwrap_or(best)
         }
-    }
+    };
+    Ok(Plan::new(algo, seconds, rounds, p))
 }
 
 /// A once-cell whose build may fail or panic and leave it empty: readers

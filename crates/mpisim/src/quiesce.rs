@@ -34,7 +34,12 @@
 //!    dead rank is a *fault-induced orphan* and gets
 //!    [`MpiError::NodeFailed`] naming the dead root cause; a rank stuck in
 //!    a cycle of live ranks is *truly deadlocked* and gets
-//!    [`MpiError::Deadlock`] carrying the wait graph.
+//!    [`MpiError::Deadlock`] carrying the wait graph. One kind of wait is
+//!    spared: an agreement round pending on a rank judged in this very
+//!    round. That rank is about to wake and deposit (or die), so its
+//!    waiters are not stuck, and judging them too would make each one's
+//!    outcome — the completed round or its own verdict — a race against
+//!    the deposit.
 //!
 //! Detection is exact (no false verdicts: a verdict is only issued when no
 //! message is queued and no rank is running) and fast (classification runs
@@ -359,10 +364,34 @@ impl Registry {
                 break;
             }
         }
+        // An agreement round pending on a rank that is handed a verdict
+        // here is not stuck: that rank wakes, and deposits or dies. Judging
+        // its waiters in the same round would race the deposit — whether a
+        // waiter sees the completed round or its verdict first is host
+        // scheduling — so they keep waiting, for the round or for the next
+        // quiescence.
+        let on_mailbox = |r: usize| match &inner.phase[r] {
+            Phase::Blocked(rec) => matches!(rec.kind, WaitKind::Mailbox { .. }),
+            _ => false,
+        };
+        let mut spared = vec![false; n];
+        loop {
+            let mut changed = false;
+            for (r, on) in &edges {
+                let pending_on_judged = on.iter().any(|&w| on_mailbox(w) || spared[w]);
+                if !on_mailbox(*r) && !spared[*r] && pending_on_judged {
+                    spared[*r] = true;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
         let graph = WaitGraph {
             edges: edges.clone(),
         };
-        for (r, on) in edges {
+        for (r, on) in edges.into_iter().filter(|(r, _)| !spared[*r]) {
             let v = match cause[r] {
                 Some(w) => MpiError::NodeFailed { world_rank: w },
                 None => MpiError::Deadlock {

@@ -57,9 +57,18 @@ fn op_strategy() -> BoxedStrategy<ReduceOp> {
 }
 
 // Mixed magnitudes: any re-association or tree-shaped partial fold inside
-// an algorithm shifts the low bits for these ranges.
+// an algorithm shifts the low bits for these ranges. Zeros of both signs:
+// a fold that skips the identity seed (`0.0 + -0.0` is `0.0`, a lone `-0.0`
+// is not) or visits ranks out of order (`max(0.0, -0.0)` keeps whichever
+// came first) shows in the sign bit.
 fn value_strategy() -> BoxedStrategy<f64> {
-    prop_oneof![-1e3..1e3f64, 1e9..1e12f64, -1e-6..1e-6f64]
+    prop_oneof![
+        -1e3..1e3f64,
+        1e9..1e12f64,
+        -1e-6..1e-6f64,
+        Just(-0.0f64),
+        Just(0.0f64)
+    ]
 }
 
 proptest! {
@@ -474,13 +483,16 @@ fn single_rank_and_empty_payload_edge_cases() {
         let ag = world.allgather_eq(&buf).unwrap();
         let red = world.reduce_eq_f64(&buf, ReduceOp::Sum, 0).unwrap();
         let ar = world.allreduce_eq_f64(&buf, ReduceOp::Max).unwrap();
-        (buf, ag, red, ar)
+        let zero = world.allreduce_eq_f64(&[-0.0], ReduceOp::Sum).unwrap();
+        (buf, ag, red, ar, zero)
     });
-    let (buf, ag, red, ar) = &report.results[0];
+    let (buf, ag, red, ar, zero) = &report.results[0];
     assert_eq!(buf, &vec![7.0; 3]);
     assert_eq!(ag, &vec![7.0; 3]);
     assert_eq!(red.as_ref().unwrap(), &vec![7.0; 3]);
     assert_eq!(ar, &vec![7.0; 3]);
+    // Even alone, a rank folds onto the identity: 0.0 + -0.0.
+    assert_eq!(bits(zero), bits(&[0.0]));
 
     // Empty payloads complete instantly on every algorithm.
     for algo in algos_for(CollectiveKind::Allreduce, 4) {

@@ -346,6 +346,60 @@ fn same_seed_same_fault_plan_same_makespan() {
     assert_ne!(plan_a, plan_c, "different seed should differ");
 }
 
+#[test]
+fn a_member_dead_by_my_clock_aborts_the_collective_whatever_is_queued() {
+    // Node 2 is gone at t=0.5. Rank 0 enters the barrier at t=1, rank 1 at
+    // t=3 — so whether rank 1's message is already queued when rank 0 looks
+    // is host scheduling. It must not matter: a member is dead in rank 0's
+    // virtual present, so rank 0 aborts where it stands, every run.
+    for _ in 0..40 {
+        let plan = FaultPlan::none().with(FaultEvent::NodeCrash {
+            node: NodeId(2),
+            at: t(0.5),
+        });
+        let report = cluster_with(3, plan).pipe(Universe::new).run(|p| {
+            let units = [100.0, 300.0, 100.0][p.world_rank()];
+            p.try_compute(units)?;
+            p.world().barrier()
+        });
+        for rank in 0..2 {
+            let blamed = MpiError::NodeFailed { world_rank: 2 };
+            assert_eq!(report.results[rank], Err(blamed), "rank {rank}");
+        }
+        assert_eq!(report.rank_times[0], t(1.0), "rank 0 waited for nobody");
+    }
+}
+
+#[test]
+fn agreement_waiters_all_read_the_round_a_wedged_member_completes() {
+    // Rank 1 is wedged on a message nobody sends while the others wait for
+    // it in an agreement round. Quiescence hands rank 1 its Deadlock; the
+    // waiters are not stuck — rank 1 is about to deposit — so every member
+    // must read the one completed round (same flag, same completion time),
+    // never a verdict of its own that raced the deposit.
+    for _ in 0..40 {
+        let report = cluster_with(4, FaultPlan::none())
+            .pipe(Universe::new)
+            .run(|p| {
+                let world = p.world();
+                p.compute(100.0 * (1 + p.world_rank()) as f64);
+                if p.world_rank() == 1 {
+                    let wedged = world.recv::<i64>(0, 5).unwrap_err();
+                    assert!(matches!(wedged, MpiError::Deadlock { .. }), "{wedged:?}");
+                    return world.agree(false);
+                }
+                world.agree(true)
+            });
+        let first = report.results[0].clone().expect("the round completes");
+        assert!(!first.flag && first.failed.is_empty());
+        assert_eq!(first.at, t(4.0), "the latest deposit");
+        for (rank, outcome) in report.results.iter().enumerate() {
+            assert_eq!(outcome.as_ref(), Ok(&first), "rank {rank}");
+        }
+        assert!(report.rank_times.iter().all(|&at| at == t(4.0)));
+    }
+}
+
 /// `Arc<Cluster> -> Universe` plumbing helper so tests read top-down.
 trait Pipe: Sized {
     fn pipe<T>(self, f: impl FnOnce(Self) -> T) -> T {

@@ -23,10 +23,14 @@
 //! which *is* each rank's program order; the prediction is therefore
 //! bit-exact under every contention model, not just parallel links.
 //!
-//! Reduction schedules move **raw contributions** (or ascending partial
-//! folds), never tree-shaped partial sums, so that every algorithm yields
-//! the identical identity-seeded rank-ascending left fold — selection can
-//! switch algorithms per call without perturbing floating-point results.
+//! A transfer says what it carries ([`Payload`]), so the schedule is the
+//! whole algorithm: the executor interprets it, and has no per-algorithm
+//! code to keep in step. Reduction schedules move **raw contributions** (or
+//! ascending-prefix partial folds), never tree-shaped partial sums, so that
+//! every algorithm yields the identical identity-seeded rank-ascending left
+//! fold — selection can switch algorithms per call without perturbing
+//! floating-point results. The pricer and [`fault_impact`] read only a
+//! transfer's endpoints and size.
 
 use crate::compile::PairCost;
 
@@ -106,30 +110,49 @@ impl CollectiveAlgo {
     }
 }
 
+/// What a scheduled transfer's payload is, for the `n`-element call it
+/// belongs to.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Payload {
+    /// Elements `[lo, hi)` of the result buffer, finished: the broadcast
+    /// data, an allgather chunk, or a completed fold.
+    Slice,
+    /// Elements `[lo, hi)` of the raw contribution of each listed origin
+    /// rank, concatenated in the listed order. The sender holds every one of
+    /// them (its own, or received earlier); no origin reaches a rank twice.
+    Raw(Vec<usize>),
+    /// The identity-seeded left fold of elements `[lo, hi)` of the
+    /// contributions of ranks `0..=src`, in ascending rank order. Always
+    /// sent to rank `src + 1`, which folds its own contribution on.
+    Prefix,
+}
+
 /// One scheduled point-to-point transfer: `elems()` payload elements from
-/// communicator rank `src` to rank `dst`.
-///
-/// For data-movement collectives `[lo, hi)` is the element range of the
-/// logical payload buffer the transfer carries. Reduction schedules reuse
-/// the range purely as an element *count* (`lo == 0`) where the payload is
-/// a set of raw contributions rather than a buffer slice.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// communicator rank `src` to rank `dst`, about elements `[lo, hi)` of the
+/// call's buffer.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Xfer {
     /// Sending communicator rank.
     pub src: usize,
     /// Receiving communicator rank.
     pub dst: usize,
-    /// First payload element (inclusive).
+    /// First buffer element concerned (inclusive).
     pub lo: usize,
-    /// Last payload element (exclusive).
+    /// Last buffer element concerned (exclusive).
     pub hi: usize,
+    /// What the payload is.
+    pub carries: Payload,
 }
 
 impl Xfer {
-    /// Payload size in elements.
+    /// Payload size in elements: the range once, or once per raw origin.
     #[inline]
     pub fn elems(&self) -> usize {
-        self.hi - self.lo
+        let copies = match &self.carries {
+            Payload::Raw(origins) => origins.len(),
+            Payload::Slice | Payload::Prefix => 1,
+        };
+        copies * (self.hi - self.lo)
     }
 }
 
@@ -185,10 +208,36 @@ pub fn algos_for(kind: CollectiveKind, p: usize) -> Vec<CollectiveAlgo> {
         .collect()
 }
 
-fn push(round: &mut Vec<Xfer>, src: usize, dst: usize, lo: usize, hi: usize) {
+/// Schedules a transfer unless it would be empty or a self-send.
+fn push_as(carries: Payload, round: &mut Vec<Xfer>, src: usize, dst: usize, lo: usize, hi: usize) {
     if hi > lo && src != dst {
-        round.push(Xfer { src, dst, lo, hi });
+        round.push(Xfer {
+            src,
+            dst,
+            lo,
+            hi,
+            carries,
+        });
     }
+}
+
+/// Schedules the finished range `[lo, hi)` from `src` to `dst`.
+pub(crate) fn push(round: &mut Vec<Xfer>, src: usize, dst: usize, lo: usize, hi: usize) {
+    push_as(Payload::Slice, round, src, dst, lo, hi);
+}
+
+/// Every rank ships its own chunk of the `n`-element buffer to every other
+/// rank: the direct allgather, and the closing round of both
+/// scatter-allgather shapes.
+fn chunk_exchange(p: usize, n: usize) -> Vec<Xfer> {
+    let mut round = Vec::new();
+    for src in 0..p {
+        let (lo, hi) = chunk_bounds(n, p, src);
+        for dst in 0..p {
+            push(&mut round, src, dst, lo, hi);
+        }
+    }
+    round
 }
 
 /// The schedule of `algo` running `kind` over `p` ranks rooted at `root`
@@ -218,6 +267,12 @@ pub fn schedule(
     })
 }
 
+/// The doubling spans `1, 2, 4, …` below `p`: one per round of a binomial
+/// tree or a recursive-doubling exchange.
+pub(crate) fn spans(p: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(1usize), |s| Some(s << 1)).take_while(move |&s| s < p)
+}
+
 fn bcast_rounds(algo: CollectiveAlgo, p: usize, root: usize, n: usize) -> Vec<Vec<Xfer>> {
     let abs = |rel: usize| (rel + root) % p;
     let mut rounds = Vec::new();
@@ -225,37 +280,27 @@ fn bcast_rounds(algo: CollectiveAlgo, p: usize, root: usize, n: usize) -> Vec<Ve
         CollectiveAlgo::Linear => {
             let mut r0 = Vec::new();
             for dst in 0..p {
-                if dst != root {
-                    push(&mut r0, root, dst, 0, n);
-                }
+                push(&mut r0, root, dst, 0, n);
             }
             rounds.push(r0);
         }
         CollectiveAlgo::Binomial => {
-            let mut span = 1;
-            while span < p {
+            for span in spans(p) {
                 let mut round = Vec::new();
-                for rel_src in 0..span {
-                    let rel_dst = rel_src + span;
-                    if rel_dst < p {
-                        push(&mut round, abs(rel_src), abs(rel_dst), 0, n);
-                    }
+                for rel_src in 0..span.min(p - span) {
+                    push(&mut round, abs(rel_src), abs(rel_src + span), 0, n);
                 }
                 rounds.push(round);
-                span <<= 1;
             }
         }
         CollectiveAlgo::Ring => {
             // Pipelined chain: chunk c leaves chain position r in round c+r.
-            let nchunks = p;
-            for t in 0..nchunks + p - 2 {
+            for t in 0..2 * p - 2 {
                 let mut round = Vec::new();
                 for rel in 0..p - 1 {
-                    if let Some(c) = t.checked_sub(rel) {
-                        if c < nchunks {
-                            let (lo, hi) = chunk_bounds(n, nchunks, c);
-                            push(&mut round, abs(rel), abs(rel + 1), lo, hi);
-                        }
+                    if let Some(c) = t.checked_sub(rel).filter(|&c| c < p) {
+                        let (lo, hi) = chunk_bounds(n, p, c);
+                        push(&mut round, abs(rel), abs(rel + 1), lo, hi);
                     }
                 }
                 rounds.push(round);
@@ -266,22 +311,11 @@ fn bcast_rounds(algo: CollectiveAlgo, p: usize, root: usize, n: usize) -> Vec<Ve
             // all-to-all allgather of the chunks.
             let mut r0 = Vec::new();
             for i in 0..p {
-                if i != root {
-                    let (lo, hi) = chunk_bounds(n, p, i);
-                    push(&mut r0, root, i, lo, hi);
-                }
+                let (lo, hi) = chunk_bounds(n, p, i);
+                push(&mut r0, root, i, lo, hi);
             }
             rounds.push(r0);
-            let mut r1 = Vec::new();
-            for src in 0..p {
-                let (lo, hi) = chunk_bounds(n, p, src);
-                for dst in 0..p {
-                    if dst != src {
-                        push(&mut r1, src, dst, lo, hi);
-                    }
-                }
-            }
-            rounds.push(r1);
+            rounds.push(chunk_exchange(p, n));
         }
         CollectiveAlgo::RecursiveDoubling | CollectiveAlgo::Hierarchical => {
             unreachable!("ineligible")
@@ -297,9 +331,7 @@ fn reduce_rounds(algo: CollectiveAlgo, p: usize, root: usize, n: usize) -> Vec<V
         CollectiveAlgo::Linear => {
             let mut r0 = Vec::new();
             for src in 0..p {
-                if src != root {
-                    push(&mut r0, src, root, 0, n);
-                }
+                push_as(Payload::Raw(vec![src]), &mut r0, src, root, 0, n);
             }
             rounds.push(r0);
         }
@@ -307,17 +339,20 @@ fn reduce_rounds(algo: CollectiveAlgo, p: usize, root: usize, n: usize) -> Vec<V
             // Raw-contribution gather up the binomial tree: the sender at
             // distance `span` forwards every contribution its subtree holds,
             // so the root can fold in ascending rank order.
-            let mut span = 1;
-            while span < p {
+            for span in spans(p) {
                 let mut round = Vec::new();
-                let mut rel = span;
-                while rel < p {
-                    let held = span.min(p - rel);
-                    push(&mut round, abs(rel), abs(rel - span), 0, held * n);
-                    rel += span * 2;
+                for rel in (span..p).step_by(span * 2) {
+                    let subtree = (rel..p.min(rel + span)).map(abs).collect();
+                    push_as(
+                        Payload::Raw(subtree),
+                        &mut round,
+                        abs(rel),
+                        abs(rel - span),
+                        0,
+                        n,
+                    );
                 }
                 rounds.push(round);
-                span <<= 1;
             }
         }
         _ => unreachable!("ineligible"),
@@ -328,18 +363,7 @@ fn reduce_rounds(algo: CollectiveAlgo, p: usize, root: usize, n: usize) -> Vec<V
 fn allgather_rounds(algo: CollectiveAlgo, p: usize, n: usize) -> Vec<Vec<Xfer>> {
     let mut rounds = Vec::new();
     match algo {
-        CollectiveAlgo::Linear => {
-            let mut r0 = Vec::new();
-            for src in 0..p {
-                let (lo, hi) = chunk_bounds(n, p, src);
-                for dst in 0..p {
-                    if dst != src {
-                        push(&mut r0, src, dst, lo, hi);
-                    }
-                }
-            }
-            rounds.push(r0);
-        }
+        CollectiveAlgo::Linear => rounds.push(chunk_exchange(p, n)),
         CollectiveAlgo::Ring => {
             for t in 0..p - 1 {
                 let mut round = Vec::new();
@@ -352,18 +376,15 @@ fn allgather_rounds(algo: CollectiveAlgo, p: usize, n: usize) -> Vec<Vec<Xfer>> 
             }
         }
         CollectiveAlgo::RecursiveDoubling => {
-            let mut span = 1;
-            while span < p {
+            for span in spans(p) {
                 let mut round = Vec::new();
                 for r in 0..p {
-                    let partner = r ^ span;
                     let start = r & !(span - 1);
                     let lo = chunk_bounds(n, p, start).0;
                     let hi = chunk_bounds(n, p, start + span - 1).1;
-                    push(&mut round, r, partner, lo, hi);
+                    push(&mut round, r, r ^ span, lo, hi);
                 }
                 rounds.push(round);
-                span <<= 1;
             }
         }
         _ => unreachable!("ineligible"),
@@ -372,11 +393,13 @@ fn allgather_rounds(algo: CollectiveAlgo, p: usize, n: usize) -> Vec<Vec<Xfer>> 
 }
 
 fn allreduce_rounds(algo: CollectiveAlgo, p: usize, n: usize) -> Vec<Vec<Xfer>> {
+    let mut rounds = Vec::new();
     match algo {
         CollectiveAlgo::Linear | CollectiveAlgo::Binomial => {
-            let mut rounds = reduce_rounds(algo, p, 0, n);
+            // Rank 0 finishes the fold when the last contribution arrives,
+            // and broadcasts the finished buffer.
+            rounds = reduce_rounds(algo, p, 0, n);
             rounds.extend(bcast_rounds(algo, p, 0, n));
-            rounds
         }
         CollectiveAlgo::Ring => {
             // Forward: partial folds travel the ascending chain chunk by
@@ -384,45 +407,37 @@ fn allreduce_rounds(algo: CollectiveAlgo, p: usize, n: usize) -> Vec<Vec<Xfer>> 
             // Both directions pipeline through shared global rounds so that
             // the tail rank turns each chunk around one round after it
             // completes it.
-            let nchunks = p;
-            let mut rounds = Vec::new();
-            for g in 0..nchunks + 2 * p - 3 {
+            for g in 0..3 * p - 3 {
                 let mut round = Vec::new();
                 for r in 0..p - 1 {
-                    if let Some(c) = g.checked_sub(r) {
-                        if c < nchunks {
-                            let (lo, hi) = chunk_bounds(n, nchunks, c);
-                            push(&mut round, r, r + 1, lo, hi);
-                        }
+                    if let Some(c) = g.checked_sub(r).filter(|&c| c < p) {
+                        let (lo, hi) = chunk_bounds(n, p, c);
+                        push_as(Payload::Prefix, &mut round, r, r + 1, lo, hi);
                     }
                 }
                 for r in 1..p {
-                    if let Some(c) = (g + r).checked_sub(2 * (p - 1)) {
-                        if c < nchunks {
-                            let (lo, hi) = chunk_bounds(n, nchunks, c);
-                            push(&mut round, r, r - 1, lo, hi);
-                        }
+                    if let Some(c) = (g + r).checked_sub(2 * (p - 1)).filter(|&c| c < p) {
+                        let (lo, hi) = chunk_bounds(n, p, c);
+                        push(&mut round, r, r - 1, lo, hi);
                     }
                 }
                 rounds.push(round);
             }
-            rounds
         }
         CollectiveAlgo::RecursiveDoubling => {
             // Doubling gather of raw contributions: round k exchanges the
-            // 2^k contributions each partner holds, so the payload doubles
-            // every round and each rank folds all p contributions locally.
-            let mut rounds = Vec::new();
-            let mut span = 1;
-            while span < p {
+            // aligned block of 2^k contributions each partner holds, so the
+            // payload doubles every round and each rank folds all p
+            // contributions locally.
+            for span in spans(p) {
                 let mut round = Vec::new();
                 for r in 0..p {
-                    push(&mut round, r, r ^ span, 0, span * n);
+                    let base = r & !(span - 1);
+                    let block = (base..base + span).collect();
+                    push_as(Payload::Raw(block), &mut round, r, r ^ span, 0, n);
                 }
                 rounds.push(round);
-                span <<= 1;
             }
-            rounds
         }
         CollectiveAlgo::ScatterAllgather => {
             // Direct reduce-scatter of raw chunks (rank j owns chunk j and
@@ -431,25 +446,16 @@ fn allreduce_rounds(algo: CollectiveAlgo, p: usize, n: usize) -> Vec<Vec<Xfer>> 
             let mut r0 = Vec::new();
             for src in 0..p {
                 for dst in 0..p {
-                    if dst != src {
-                        let (lo, hi) = chunk_bounds(n, p, dst);
-                        push(&mut r0, src, dst, lo, hi);
-                    }
+                    let (lo, hi) = chunk_bounds(n, p, dst);
+                    push_as(Payload::Raw(vec![src]), &mut r0, src, dst, lo, hi);
                 }
             }
-            let mut r1 = Vec::new();
-            for src in 0..p {
-                let (lo, hi) = chunk_bounds(n, p, src);
-                for dst in 0..p {
-                    if dst != src {
-                        push(&mut r1, src, dst, lo, hi);
-                    }
-                }
-            }
-            vec![r0, r1]
+            rounds.push(r0);
+            rounds.push(chunk_exchange(p, n));
         }
         CollectiveAlgo::Hierarchical => unreachable!("ineligible"),
     }
+    rounds
 }
 
 /// Predicts the engine's fault surface for a schedule: which ranks complete
@@ -771,27 +777,6 @@ mod tests {
                     .map(|r| vec![chunk_bounds(n, p, r)])
                     .collect();
                 check_coverage(n, &rounds, init);
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_schedules_carry_every_contribution_to_root() {
-        // Raw-gather reduces: the total element count entering the root must
-        // be exactly (p - 1) * n — one full contribution per non-root rank.
-        for p in [2, 3, 5, 8, 9] {
-            for root in [0, p - 1] {
-                for algo in algos_for(CollectiveKind::Reduce, p) {
-                    let n = 7;
-                    let rounds = schedule(CollectiveKind::Reduce, algo, p, root, n).unwrap();
-                    let into_root: usize = rounds
-                        .iter()
-                        .flatten()
-                        .filter(|x| x.dst == root)
-                        .map(Xfer::elems)
-                        .sum();
-                    assert_eq!(into_root, (p - 1) * n, "{} p={p} root={root}", algo.name());
-                }
             }
         }
     }

@@ -8,12 +8,11 @@
 //! → site), run a per-group algorithm at each level, and cross each
 //! expensive boundary exactly once per group.
 //!
-//! The output is a [`HierPlan`]: gather rounds (raw-contribution
-//! [`GatherXfer`]s flowing leaders-up) plus movement rounds (ordinary
-//! [`Xfer`]s flowing leaders-down or chunks-up). Both phases are priced by
-//! the same grant/settle replay as flat schedules ([`price`] over
-//! [`HierPlan::xfer_rounds`]), so the contended `timeof` prediction stays
-//! bit-exact against the executor.
+//! The output is a [`HierPlan`]: rounds of the same annotated [`Xfer`]s the
+//! flat generators emit — raw contributions flowing leaders-up, finished
+//! ranges flowing leaders-down or chunks-up — priced by the same grant/settle
+//! replay ([`price`]) and run by the same interpreter, so the contended
+//! `timeof` prediction stays bit-exact against the executor.
 //!
 //! Rank coordinates come from a declared cluster topology when one exists;
 //! otherwise [`RankTopology::infer`] recovers sites and switches from the
@@ -22,7 +21,8 @@
 //! orders of magnitude, not percentages.
 
 use crate::collective::{
-    algos_for, chunk_bounds, price, schedule, CollectiveAlgo, CollectiveKind, LinkSharing, Xfer,
+    algos_for, chunk_bounds, price, push, schedule, spans, CollectiveAlgo, CollectiveKind,
+    LinkSharing, Payload, Xfer,
 };
 use crate::compile::PairCost;
 use std::collections::BTreeMap;
@@ -167,64 +167,45 @@ fn gap_split(
     groups.into_values().collect()
 }
 
-/// One scheduled gather transfer: `src` forwards every raw contribution it
-/// holds for the ranks in `origins` (ascending) to `dst`. The wire payload
-/// is `origins.len() × n` elements; the receiver slots each contribution
-/// back under its origin rank so the root can fold in ascending order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GatherXfer {
-    /// Sending communicator rank.
-    pub src: usize,
-    /// Receiving communicator rank.
-    pub dst: usize,
-    /// Whose contributions the payload carries, ascending.
-    pub origins: Vec<usize>,
-}
-
-/// A hierarchical collective plan: contribution-gather rounds (leaders-up)
-/// followed by movement rounds (chunk exchange and/or leaders-down
-/// broadcast). Either phase may be empty — a hierarchical bcast is all
-/// movement, a hierarchical reduce all gather.
+/// A hierarchical collective plan: transfer rounds in the flat schedules'
+/// own vocabulary ([`Xfer`] with its [`Payload`]), so [`price`],
+/// [`crate::collective::fault_impact`] and the executor treat it exactly like
+/// a flat schedule. Reductions gather raw contributions leaders-up,
+/// innermost level first; finished data then moves leaders-down.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HierPlan {
-    /// Raw-contribution gather rounds, innermost level first.
-    pub gather: Vec<Vec<GatherXfer>>,
-    /// Ordinary data-movement rounds, run after the gather phase.
-    pub movement: Vec<Vec<Xfer>>,
+    /// The rounds, in execution order.
+    pub rounds: Vec<Vec<Xfer>>,
 }
 
-impl HierPlan {
-    /// The plan as plain transfer rounds over an `n`-element payload — the
-    /// view the pricer replays and the executor's fault contract counts
-    /// sends against. Gather transfers appear as `origins.len() × n`
-    /// element payloads; empty transfers are dropped, mirroring the flat
-    /// schedule builders.
-    pub fn xfer_rounds(&self, n: usize) -> Vec<Vec<Xfer>> {
-        let mut rounds: Vec<Vec<Xfer>> = self
-            .gather
-            .iter()
-            .map(|round| {
-                round
-                    .iter()
-                    .filter(|g| !g.origins.is_empty() && n > 0 && g.src != g.dst)
-                    .map(|g| Xfer {
-                        src: g.src,
-                        dst: g.dst,
-                        lo: 0,
-                        hi: g.origins.len() * n,
-                    })
-                    .collect()
-            })
-            .collect();
-        rounds.extend(self.movement.iter().cloned());
-        rounds
-    }
+/// What every stage prices its candidates against.
+struct Pricer<'a, C: PairCost> {
+    p: usize,
+    n: usize,
+    elem_bytes: f64,
+    cost: &'a C,
+    sharing: LinkSharing,
+}
 
-    /// Total transfer count, both phases.
-    pub fn transfers(&self) -> usize {
-        self.gather.iter().map(Vec::len).sum::<usize>()
-            + self.movement.iter().map(Vec::len).sum::<usize>()
+impl<C: PairCost> Pricer<'_, C> {
+    fn time(&self, rounds: &[Vec<Xfer>]) -> f64 {
+        price(self.p, rounds, self.elem_bytes, self.cost, self.sharing)
     }
+}
+
+/// The strictly cheapest candidate under `time`, ties to the earliest.
+fn cheapest(
+    candidates: impl Iterator<Item = Vec<Vec<Xfer>>>,
+    time: impl Fn(&[Vec<Xfer>]) -> f64,
+) -> Vec<Vec<Xfer>> {
+    let mut best: Option<(f64, Vec<Vec<Xfer>>)> = None;
+    for rounds in candidates {
+        let t = time(&rounds);
+        if best.as_ref().is_none_or(|(bt, _)| t < *bt) {
+            best = Some((t, rounds));
+        }
+    }
+    best.expect("at least one candidate").1
 }
 
 /// Partitions `participants` (ascending) by `key`, groups ordered by
@@ -248,6 +229,15 @@ fn leader(group: &[usize], root: usize) -> usize {
     } else {
         group[0]
     }
+}
+
+/// A group's members in per-group schedule order: the leader, then the rest
+/// ascending.
+fn leader_first(group: &[usize], root: usize) -> Vec<usize> {
+    let lead = leader(group, root);
+    let mut pos = vec![lead];
+    pos.extend(group.iter().copied().filter(|&r| r != lead));
+    pos
 }
 
 /// The nested level partitions, innermost first: node groups over all
@@ -276,103 +266,72 @@ fn advance(groups: &[Vec<usize>], root: usize) -> Vec<usize> {
     leaders
 }
 
+/// Whose raw contributions a gather transfer carries.
+fn origins(x: &Xfer) -> &[usize] {
+    match &x.carries {
+        Payload::Raw(origins) => origins,
+        Payload::Slice | Payload::Prefix => &[],
+    }
+}
+
 /// Gather rounds for one group under `algo` (Linear or Binomial), starting
-/// from the members' current holdings. Linear: every member forwards to the
-/// leader in one round. Binomial: the reduce-tree pattern over relative
-/// positions `[leader, rest ascending]`, each sender forwarding everything
-/// it holds at that point.
+/// from the members' current holdings: each transfer forwards the raw
+/// `n`-element contributions its sender holds at that point, origins
+/// ascending. Linear: every member forwards to the leader in one round.
+/// Binomial: the reduce-tree pattern over [`leader_first`] positions.
 fn gather_group(
     algo: CollectiveAlgo,
     group: &[usize],
     root: usize,
     held: &[Vec<usize>],
-) -> Vec<Vec<GatherXfer>> {
-    let lead = leader(group, root);
-    let mut pos: Vec<usize> = Vec::with_capacity(group.len());
-    pos.push(lead);
-    pos.extend(group.iter().copied().filter(|&r| r != lead));
+    n: usize,
+) -> Vec<Vec<Xfer>> {
+    let pos = leader_first(group, root);
     let m = pos.len();
     let mut local: Vec<Vec<usize>> = pos.iter().map(|&r| held[r].clone()).collect();
+    let raw = |rel: usize, to: usize, origins: Vec<usize>| Xfer {
+        src: pos[rel],
+        dst: pos[to],
+        lo: 0,
+        hi: n,
+        carries: Payload::Raw(origins),
+    };
+    if algo == CollectiveAlgo::Linear {
+        return vec![(1..m).map(|rel| raw(rel, 0, std::mem::take(&mut local[rel]))).collect()];
+    }
     let mut rounds = Vec::new();
-    match algo {
-        CollectiveAlgo::Linear => {
-            let mut r0 = Vec::new();
-            for rel in 1..m {
-                r0.push(GatherXfer {
-                    src: pos[rel],
-                    dst: lead,
-                    origins: local[rel].clone(),
-                });
-            }
-            rounds.push(r0);
+    for span in spans(m) {
+        let mut round = Vec::new();
+        for rel in (span..m).step_by(span * 2) {
+            // A sender's part in the gather is over once it has sent.
+            let carried = std::mem::take(&mut local[rel]);
+            local[rel - span].extend_from_slice(&carried);
+            local[rel - span].sort_unstable();
+            round.push(raw(rel, rel - span, carried));
         }
-        CollectiveAlgo::Binomial => {
-            let mut span = 1;
-            while span < m {
-                let mut round = Vec::new();
-                let mut moves: Vec<(usize, usize)> = Vec::new();
-                let mut rel = span;
-                while rel < m {
-                    round.push(GatherXfer {
-                        src: pos[rel],
-                        dst: pos[rel - span],
-                        origins: local[rel].clone(),
-                    });
-                    moves.push((rel, rel - span));
-                    rel += span * 2;
-                }
-                for (from, to) in moves {
-                    let mut add = local[from].clone();
-                    local[to].append(&mut add);
-                    local[to].sort_unstable();
-                }
-                rounds.push(round);
-                span <<= 1;
-            }
-        }
-        _ => unreachable!("gather groups run Linear or Binomial only"),
+        rounds.push(round);
     }
     rounds
 }
 
-/// The gather rounds as contribution-count transfer rounds (for pricing a
-/// candidate in isolation).
-fn contrib_xfers(rounds: &[Vec<GatherXfer>], n: usize) -> Vec<Vec<Xfer>> {
-    rounds
-        .iter()
-        .map(|round| {
-            round
-                .iter()
-                .filter(|g| !g.origins.is_empty() && n > 0 && g.src != g.dst)
-                .map(|g| Xfer {
-                    src: g.src,
-                    dst: g.dst,
-                    lo: 0,
-                    hi: g.origins.len() * n,
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// The gather rounds as allgather chunk movements: each transfer carries
-/// the maximal runs of consecutive origin chunks its sender holds, with
-/// real `[lo, hi)` ranges of the `n`-element output buffer.
-fn chunk_run_xfers(rounds: &[Vec<GatherXfer>], n: usize, p: usize) -> Vec<Vec<Xfer>> {
+/// Gather rounds as allgather chunk movements: each transfer carries the
+/// maximal runs of consecutive origin chunks its sender holds, as finished
+/// `[lo, hi)` ranges of the `n`-element output buffer.
+fn chunk_run_xfers(rounds: &[Vec<Xfer>], n: usize, p: usize) -> Vec<Vec<Xfer>> {
     rounds
         .iter()
         .map(|round| {
             let mut out = Vec::new();
-            for g in round {
-                for (first, last) in consecutive_runs(&g.origins) {
+            for x in round {
+                for (first, last) in consecutive_runs(origins(x)) {
                     let lo = chunk_bounds(n, p, first).0;
                     let hi = chunk_bounds(n, p, last).1;
-                    if hi > lo && g.src != g.dst {
+                    if hi > lo {
                         out.push(Xfer {
-                            src: g.src,
-                            dst: g.dst,
                             lo,
                             hi,
+                            carries: Payload::Slice,
+                            ..*x
                         });
                     }
                 }
@@ -404,60 +363,55 @@ fn consecutive_runs(sorted: &[usize]) -> Vec<(usize, usize)> {
     runs
 }
 
+/// Appends the per-group rounds of one stage to `out`, merged positionally
+/// so sibling groups overlap.
+fn overlap(groups: &[Vec<Vec<Xfer>>], out: &mut Vec<Vec<Xfer>>) {
+    let depth = groups.iter().map(Vec::len).max().unwrap_or(0);
+    for k in 0..depth {
+        let round: Vec<Xfer> = groups
+            .iter()
+            .filter_map(|g| g.get(k))
+            .flatten()
+            .cloned()
+            .collect();
+        if !round.is_empty() {
+            out.push(round);
+        }
+    }
+}
+
 /// Builds one gather stage across `groups`: chooses Linear vs Binomial per
-/// group by pricing the candidate in isolation (deterministic; ties break
-/// to Linear), merges the chosen per-group rounds positionally so sibling
-/// groups overlap, appends to `out`, and folds the transfers into `held`.
-#[allow(clippy::too_many_arguments)]
+/// group by pricing the candidate in isolation — as the chunk runs it will
+/// become when `chunked` (allgather), as raw contributions otherwise —
+/// appends the chosen rounds to `out`, and files what they deliver in `held`.
 fn gather_stage(
     groups: &[Vec<usize>],
     root: usize,
     held: &mut [Vec<usize>],
-    out: &mut Vec<Vec<GatherXfer>>,
-    p: usize,
-    n: usize,
-    elem_bytes: f64,
-    cost: &impl PairCost,
-    sharing: LinkSharing,
+    out: &mut Vec<Vec<Xfer>>,
+    pricer: &Pricer<'_, impl PairCost>,
     chunked: bool,
 ) {
-    let mut chosen: Vec<Vec<Vec<GatherXfer>>> = Vec::new();
-    for g in groups {
-        if g.len() < 2 {
-            continue;
+    let (p, n) = (pricer.p, pricer.n);
+    let time = |rounds: &[Vec<Xfer>]| {
+        if chunked {
+            pricer.time(&chunk_run_xfers(rounds, n, p))
+        } else {
+            pricer.time(rounds)
         }
-        let mut best: Option<(f64, Vec<Vec<GatherXfer>>)> = None;
-        for algo in [CollectiveAlgo::Linear, CollectiveAlgo::Binomial] {
-            let rounds = gather_group(algo, g, root, held);
-            let view = if chunked {
-                chunk_run_xfers(&rounds, n, p)
-            } else {
-                contrib_xfers(&rounds, n)
-            };
-            let t = price(p, &view, elem_bytes, cost, sharing);
-            if best.as_ref().is_none_or(|(bt, _)| t < *bt) {
-                best = Some((t, rounds));
-            }
-        }
-        chosen.push(best.expect("two candidates priced").1);
+    };
+    let mut best: Vec<Vec<Vec<Xfer>>> = Vec::new();
+    for g in groups.iter().filter(|g| g.len() >= 2) {
+        let candidates = [CollectiveAlgo::Linear, CollectiveAlgo::Binomial]
+            .into_iter()
+            .map(|algo| gather_group(algo, g, root, held, n));
+        best.push(cheapest(candidates, time));
     }
-    let depth = chosen.iter().map(Vec::len).max().unwrap_or(0);
-    for k in 0..depth {
-        let mut round: Vec<GatherXfer> = Vec::new();
-        for gr in &chosen {
-            if let Some(r) = gr.get(k) {
-                round.extend(r.iter().cloned());
-            }
-        }
-        if round.is_empty() {
-            continue;
-        }
-        for g in &round {
-            let mut add = g.origins.clone();
-            held[g.dst].append(&mut add);
-            held[g.dst].sort_unstable();
-        }
-        out.push(round);
+    let from = out.len();
+    overlap(&best, out);
+    for x in out[from..].iter().flatten() {
+        held[x.dst].extend_from_slice(origins(x));
+        held[x.dst].sort_unstable();
     }
 }
 
@@ -465,63 +419,28 @@ fn gather_stage(
 /// `n`-element payload out to its group, per-group algorithm chosen by
 /// pricing every eligible flat bcast schedule remapped onto the group's
 /// ranks (ties break in [`CollectiveAlgo::ALL`] order).
-#[allow(clippy::too_many_arguments)]
 fn bcast_stage(
     groups: &[Vec<usize>],
     root: usize,
     out: &mut Vec<Vec<Xfer>>,
-    p: usize,
-    n: usize,
-    elem_bytes: f64,
-    cost: &impl PairCost,
-    sharing: LinkSharing,
+    pricer: &Pricer<'_, impl PairCost>,
 ) {
-    let mut chosen: Vec<Vec<Vec<Xfer>>> = Vec::new();
-    for g in groups {
-        if g.len() < 2 {
-            continue;
-        }
-        let lead = leader(g, root);
-        let mut pos: Vec<usize> = Vec::with_capacity(g.len());
-        pos.push(lead);
-        pos.extend(g.iter().copied().filter(|&r| r != lead));
-        let m = pos.len();
-        let mut best: Option<(f64, Vec<Vec<Xfer>>)> = None;
-        for algo in algos_for(CollectiveKind::Bcast, m) {
-            let rounds: Vec<Vec<Xfer>> = schedule(CollectiveKind::Bcast, algo, m, 0, n)
-                .expect("eligible algorithm")
-                .iter()
-                .map(|round| {
-                    round
-                        .iter()
-                        .map(|x| Xfer {
-                            src: pos[x.src],
-                            dst: pos[x.dst],
-                            lo: x.lo,
-                            hi: x.hi,
-                        })
-                        .collect()
-                })
-                .collect();
-            let t = price(p, &rounds, elem_bytes, cost, sharing);
-            if best.as_ref().is_none_or(|(bt, _)| t < *bt) {
-                best = Some((t, rounds));
-            }
-        }
-        chosen.push(best.expect("Linear is always eligible").1);
+    let mut best: Vec<Vec<Vec<Xfer>>> = Vec::new();
+    for g in groups.iter().filter(|g| g.len() >= 2) {
+        let pos = leader_first(g, root);
+        let candidates = algos_for(CollectiveKind::Bcast, pos.len())
+            .into_iter()
+            .map(|algo| {
+                let mut rounds = schedule(CollectiveKind::Bcast, algo, pos.len(), 0, pricer.n)
+                    .expect("eligible algorithm");
+                for x in rounds.iter_mut().flatten() {
+                    (x.src, x.dst) = (pos[x.src], pos[x.dst]);
+                }
+                rounds
+            });
+        best.push(cheapest(candidates, |rounds| pricer.time(rounds)));
     }
-    let depth = chosen.iter().map(Vec::len).max().unwrap_or(0);
-    for k in 0..depth {
-        let mut round: Vec<Xfer> = Vec::new();
-        for gr in &chosen {
-            if let Some(r) = gr.get(k) {
-                round.extend(r.iter().cloned());
-            }
-        }
-        if !round.is_empty() {
-            out.push(round);
-        }
-    }
+    overlap(&best, out);
 }
 
 /// Plans a hierarchical schedule for `kind` over `p` ranks with hierarchy
@@ -580,74 +499,55 @@ pub fn plan(
         // schedule the selector already prices.
         return None;
     }
-    let mut gather: Vec<Vec<GatherXfer>> = Vec::new();
-    let mut movement: Vec<Vec<Xfer>> = Vec::new();
-    match kind {
-        CollectiveKind::Bcast => {
-            for groups in parts.iter().rev() {
-                bcast_stage(groups, root, &mut movement, p, n, elem_bytes, cost, sharing);
-            }
-        }
-        CollectiveKind::Reduce => {
-            let mut held: Vec<Vec<usize>> = (0..p).map(|r| vec![r]).collect();
-            for groups in &parts {
-                gather_stage(
-                    groups, root, &mut held, &mut gather, p, n, elem_bytes, cost, sharing, false,
-                );
-            }
-        }
-        CollectiveKind::Allreduce => {
-            let mut held: Vec<Vec<usize>> = (0..p).map(|r| vec![r]).collect();
-            for groups in &parts {
-                gather_stage(
-                    groups, root, &mut held, &mut gather, p, n, elem_bytes, cost, sharing, false,
-                );
-            }
-            for groups in parts.iter().rev() {
-                bcast_stage(groups, root, &mut movement, p, n, elem_bytes, cost, sharing);
-            }
-        }
-        CollectiveKind::Allgather => {
-            let mut held: Vec<Vec<usize>> = (0..p).map(|r| vec![r]).collect();
-            let inner = &parts[..parts.len() - 1];
-            let mut up: Vec<Vec<GatherXfer>> = Vec::new();
-            for groups in inner {
-                gather_stage(
-                    groups, root, &mut held, &mut up, p, n, elem_bytes, cost, sharing, true,
-                );
-            }
-            movement.extend(chunk_run_xfers(&up, n, p));
-            // Direct exchange among the site leaders: every leader ships
-            // the runs it accumulated to every other leader.
-            let leaders = &parts[parts.len() - 1][0];
-            if leaders.len() >= 2 {
-                let mut round = Vec::new();
-                for &src in leaders {
-                    for (first, last) in consecutive_runs(&held[src]) {
-                        let lo = chunk_bounds(n, p, first).0;
-                        let hi = chunk_bounds(n, p, last).1;
-                        if hi > lo {
-                            for &dst in leaders {
-                                if dst != src {
-                                    round.push(Xfer { src, dst, lo, hi });
-                                }
-                            }
-                        }
-                    }
-                }
-                if !round.is_empty() {
-                    movement.push(round);
+    let pricer = Pricer {
+        p,
+        n,
+        elem_bytes,
+        cost,
+        sharing,
+    };
+    let mut held: Vec<Vec<usize>> = (0..p).map(|r| vec![r]).collect();
+    let mut rounds: Vec<Vec<Xfer>> = Vec::new();
+    // Up: everything but a bcast gathers; allgather's site leaders exchange
+    // directly instead of funnelling through one of them.
+    let up = match kind {
+        CollectiveKind::Bcast => &parts[..0],
+        CollectiveKind::Reduce | CollectiveKind::Allreduce => &parts[..],
+        CollectiveKind::Allgather => &parts[..parts.len() - 1],
+    };
+    let chunked = kind == CollectiveKind::Allgather;
+    for groups in up {
+        gather_stage(groups, root, &mut held, &mut rounds, &pricer, chunked);
+    }
+    if chunked {
+        rounds = chunk_run_xfers(&rounds, n, p);
+        let leaders = &parts[parts.len() - 1][0];
+        let mut round = Vec::new();
+        for &src in leaders {
+            for (first, last) in consecutive_runs(&held[src]) {
+                let lo = chunk_bounds(n, p, first).0;
+                let hi = chunk_bounds(n, p, last).1;
+                for &dst in leaders {
+                    push(&mut round, src, dst, lo, hi);
                 }
             }
-            for groups in inner.iter().rev() {
-                bcast_stage(groups, root, &mut movement, p, n, elem_bytes, cost, sharing);
-            }
+        }
+        if !round.is_empty() {
+            rounds.push(round);
         }
     }
-    if gather.is_empty() && movement.is_empty() {
+    // Down: everything but a reduce broadcasts, over the levels it gathered
+    // through (all of them for a bcast).
+    if kind != CollectiveKind::Reduce {
+        let down = if chunked { up } else { &parts[..] };
+        for groups in down.iter().rev() {
+            bcast_stage(groups, root, &mut rounds, &pricer);
+        }
+    }
+    if rounds.is_empty() {
         return None;
     }
-    Some(HierPlan { gather, movement })
+    Some(HierPlan { rounds })
 }
 
 #[cfg(test)]
@@ -757,9 +657,13 @@ mod tests {
             LinkSharing::Parallel,
         )
         .expect("two emitting levels");
-        assert!(hp.gather.is_empty());
+        assert!(hp
+            .rounds
+            .iter()
+            .flatten()
+            .all(|x| x.carries == Payload::Slice));
         let cross: Vec<&Xfer> = hp
-            .movement
+            .rounds
             .iter()
             .flatten()
             .filter(|x| NET.site_of(x.src) != NET.site_of(x.dst))
@@ -787,7 +691,7 @@ mod tests {
         .unwrap();
         let mut owned: Vec<Vec<(usize, usize)>> = vec![Vec::new(); p];
         owned[3].push((0, n));
-        for round in &hp.movement {
+        for round in &hp.rounds {
             let snapshot = owned.clone();
             for x in round {
                 assert!(
@@ -833,25 +737,24 @@ mod tests {
                 LinkSharing::Parallel,
             )
             .unwrap();
-            assert!(hp.movement.is_empty());
             // Replay holdings: the root must end holding all p origins.
             let mut held: Vec<Vec<usize>> = (0..p).map(|r| vec![r]).collect();
-            for round in &hp.gather {
+            for round in &hp.rounds {
                 for g in round {
+                    assert_eq!((g.lo, g.hi), (0, n), "raw contributions travel whole");
                     assert_eq!(
-                        g.origins,
+                        origins(g),
                         held[g.src],
                         "transfer must carry exactly the sender's holdings"
                     );
-                    let mut add = g.origins.clone();
-                    held[g.dst].append(&mut add);
+                    held[g.dst].extend_from_slice(origins(g));
                     held[g.dst].sort_unstable();
                 }
             }
             assert_eq!(held[root], (0..p).collect::<Vec<_>>(), "root {root}");
             // One WAN crossing only.
             let cross = hp
-                .gather
+                .rounds
                 .iter()
                 .flatten()
                 .filter(|g| NET.site_of(g.src) != NET.site_of(g.dst))
@@ -876,11 +779,17 @@ mod tests {
             LinkSharing::Parallel,
         )
         .unwrap();
-        assert!(hp.gather.is_empty(), "allgather plans are pure movement");
+        assert!(
+            hp.rounds
+                .iter()
+                .flatten()
+                .all(|x| x.carries == Payload::Slice),
+            "allgather plans are pure movement"
+        );
         let mut owned: Vec<Vec<(usize, usize)>> = (0..p)
             .map(|r| vec![chunk_bounds(n, p, r)])
             .collect();
-        for round in &hp.movement {
+        for round in &hp.rounds {
             let snapshot = owned.clone();
             for x in round {
                 assert!(
@@ -927,7 +836,7 @@ mod tests {
             LinkSharing::PerEndpoint,
         )
         .unwrap();
-        let hier = price(p, &hp.xfer_rounds(n), 8.0, &NET, LinkSharing::PerEndpoint);
+        let hier = price(p, &hp.rounds, 8.0, &NET, LinkSharing::PerEndpoint);
         let (flat_algo, flat) = crate::collective::select(
             CollectiveKind::Bcast,
             p,
@@ -976,23 +885,23 @@ mod tests {
             LinkSharing::Parallel,
         )
         .unwrap();
-        assert!(!hp.gather.is_empty() && !hp.movement.is_empty());
-        // Gather funnels to rank 0; every movement range is the full buffer
-        // fan-out of the folded result.
+        // Raw rounds funnel to rank 0, then nothing but finished data moves;
+        // every range is the full buffer.
+        let gathers = hp
+            .rounds
+            .iter()
+            .take_while(|round| round.iter().all(|x| x.carries != Payload::Slice))
+            .count();
+        assert!(0 < gathers && gathers < hp.rounds.len());
         let mut held: Vec<Vec<usize>> = (0..p).map(|r| vec![r]).collect();
-        for round in &hp.gather {
-            for g in round {
-                let mut add = g.origins.clone();
-                held[g.dst].append(&mut add);
-                held[g.dst].sort_unstable();
-            }
+        for g in hp.rounds[..gathers].iter().flatten() {
+            held[g.dst].extend_from_slice(origins(g));
+            held[g.dst].sort_unstable();
         }
         assert_eq!(held[0], (0..p).collect::<Vec<_>>());
-        assert!(hp
-            .movement
-            .iter()
-            .flatten()
-            .all(|x| x.lo == 0 && x.hi == n));
+        let fan_out = hp.rounds[gathers..].iter().flatten();
+        assert!(fan_out.clone().all(|x| x.carries == Payload::Slice));
+        assert!(hp.rounds.iter().flatten().all(|x| x.lo == 0 && x.hi == n));
     }
 
     #[test]
@@ -1037,7 +946,7 @@ mod tests {
         .expect("node + top levels emit");
         // Stage 1: within-node gathers (1→0, 3→2); stage 2: node leaders.
         let flat: Vec<(usize, usize)> = hp
-            .gather
+            .rounds
             .iter()
             .flatten()
             .map(|g| (g.src, g.dst))

@@ -65,11 +65,11 @@ pub mod value;
 pub use analysis::{analyze, CoverageSink, Finding, ModelReport};
 pub use collective::{
     algos_for, chunk_bounds, eligible, price, schedule, select, CollectiveAlgo, CollectiveKind,
-    LinkSharing, Xfer,
+    LinkSharing, Payload, Xfer,
 };
 pub use builder::{BuiltModel, ModelBuilder};
 pub use compile::{CostProgram, DeltaBaseline, PairCost, PriceScratch};
-pub use hier::{plan as hier_plan, GatherXfer, HierPlan, RankTopology};
+pub use hier::{plan as hier_plan, HierPlan, RankTopology};
 pub use error::{EvalError, ParseError};
 pub use model::{CompiledModel, ModelInstance, ParamValue, PerformanceModel};
 pub use parser::parse_program;
