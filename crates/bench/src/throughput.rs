@@ -316,7 +316,7 @@ fn run_new(
 ) -> f64 {
     let mb = Mailbox::for_world(k);
     let template = vec![0xA5u8; size];
-    let eager = size <= mpisim::DEFAULT_EAGER_LIMIT;
+    let eager = size <= mpisim::EAGER_LIMIT;
     let total = k * per_sender;
     let mut sink = 0u64;
     // Park the same unexpected backlog (untimed): it sits in its own

@@ -22,7 +22,6 @@ use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Tag used on the control communicator for group-creation messages.
 const TAG_GROUP_CREATE: i32 = 1_000_001;
@@ -178,13 +177,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Watchdog patience for the deadlock detector (see
-    /// [`UniverseConfig::deadlock_timeout`]).
-    pub fn deadlock_timeout(mut self, timeout: Duration) -> Self {
-        self.universe = self.universe.deadlock_timeout(timeout);
-        self
-    }
-
     /// Collective-algorithm policy of the underlying universe (see
     /// [`UniverseConfig::collective_policy`]).
     pub fn collective_policy(mut self, policy: CollectivePolicy) -> Self {
@@ -195,13 +187,6 @@ impl RuntimeConfig {
     /// Per-rank OS thread stack size (see [`UniverseConfig::stack_size`]).
     pub fn stack_size(mut self, bytes: usize) -> Self {
         self.universe = self.universe.stack_size(bytes);
-        self
-    }
-
-    /// Eager/rendezvous protocol switchover (see
-    /// [`UniverseConfig::eager_limit`]).
-    pub fn eager_limit(mut self, bytes: usize) -> Self {
-        self.universe = self.universe.eager_limit(bytes);
         self
     }
 

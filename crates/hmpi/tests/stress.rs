@@ -141,3 +141,28 @@ fn recon_ft_survives_five_hundred_seeded_clusters() {
         }
     }
 }
+
+/// Stress for the counted doorbell under `Comm::agree`. Seven ranks deposit
+/// at once and go to sleep on their doorbells; the eighth — a different rank
+/// every round — deposits a little later in real time, while the others are
+/// somewhere between their last check and their sleep. A deposit whose ring
+/// is lost there costs its waiter a whole 250 ms backstop, so 200 rounds
+/// would take whole multiples of that longer; none may be lost.
+#[test]
+fn two_hundred_staggered_agreements_lose_no_wakeup() {
+    let rt = HmpiRuntime::new(Arc::new(Cluster::random(7, 8)));
+    let start = std::time::Instant::now();
+    let report = rt.run(|h| {
+        let world = h.world();
+        for round in 0..200 {
+            if round % world.size() == world.rank() {
+                std::thread::sleep(std::time::Duration::from_micros(100));
+            }
+            let agreed = world.agree(true).unwrap();
+            assert!(agreed.flag && agreed.failed.is_empty(), "round {round}");
+        }
+    });
+    assert_eq!(report.wakeups.missed, 0, "{:?}", report.wakeups);
+    assert!(report.wakeups.slept > 0, "the waiters did sleep");
+    assert!(start.elapsed() < std::time::Duration::from_secs(2));
+}

@@ -3,7 +3,7 @@
 //! small thread stacks.
 
 use hetsim::{Cluster, ClusterBuilder, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime};
-use mpisim::{MpiError, Universe, UniverseConfig, DEFAULT_EAGER_LIMIT};
+use mpisim::{MpiError, Universe, UniverseConfig, EAGER_LIMIT};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -141,7 +141,7 @@ proptest! {
     /// protocol each one rode.
     #[test]
     fn non_overtaking_across_protocol_boundary(
-        sizes in proptest::collection::vec(0usize..4 * DEFAULT_EAGER_LIMIT, 1..16)
+        sizes in proptest::collection::vec(0usize..4 * EAGER_LIMIT, 1..16)
     ) {
         let u = Universe::new(uniform_cluster(2));
         let szs = sizes.clone();
@@ -168,7 +168,7 @@ proptest! {
     #[test]
     fn wildcard_fan_in_across_protocol_boundary(
         msgs in proptest::collection::vec(
-            (1usize..3, 1usize..4 * DEFAULT_EAGER_LIMIT, 0i32..4),
+            (1usize..3, 1usize..4 * EAGER_LIMIT, 0i32..4),
             1..20,
         )
     ) {

@@ -41,8 +41,8 @@ impl Comm {
     /// Like every collective here, a fault surfacing anywhere in the tree
     /// (dead parent, dead child, dropped link) propagates as an `Err` on
     /// every participant instead of deadlocking: ranks blocked on the dead
-    /// member abort directly, and the collective-plane abort check (see
-    /// `Comm::peer_abort`) aborts everyone else.
+    /// member abort directly, and the collective-plane abort rule (see
+    /// `WaitRecord::abort`) aborts everyone else.
     fn bcast_bytes(&self, mut bytes: Vec<u8>, root: usize, tag: i32) -> MpiResult<Vec<u8>> {
         let size = self.size();
         let rank = self.rank();

@@ -10,7 +10,7 @@ use crate::agree::Agreement;
 use crate::datatype::{decode, decode_into, encode_payload, MpiType};
 use crate::error::{MpiError, MpiResult, WaitGraph};
 use crate::group::Group;
-use crate::p2p::{Claim, Envelope, Msg, Pattern, Payload, Status, WAKE_BACKSTOP};
+use crate::p2p::{Claim, Envelope, Msg, Pattern, Payload, Status};
 use crate::quiesce::{WaitKind, WaitRecord};
 use crate::runtime::{RankState, SharedState};
 use crate::vtime::{LocalClock, NetFrontier};
@@ -18,8 +18,20 @@ use hetsim::trace::{TraceEvent, TraceKind};
 use hetsim::{NodeId, SimTime};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Sleep slice of the guarded wait ([`Comm::wait`]). Everything a wait can
+/// be looking at rings the counted doorbell after it is published, and the
+/// wait reads the doorbell before it looks, so no sleep should ever run this
+/// out while resolvable; `RunReport::wakeups.missed` counts the times one did.
+const WAKE_BACKSTOP: Duration = Duration::from_millis(250);
+
+/// Wall-clock patience of the guarded wait. The quiescence detector
+/// classifies every stuck state in milliseconds; this only catches programs
+/// that defeat it (a rank busy-polling outside the runtime forever).
+const WATCHDOG: Duration = Duration::from_secs(60);
 
 /// A communicator: an isolated communication context over a group of ranks.
 ///
@@ -171,66 +183,22 @@ impl Comm {
     /// rank's node has fail-stopped by its current virtual time, publishing
     /// the failure as a side effect.
     fn check_self_alive(&self) -> MpiResult<()> {
-        let me = self.my_world_rank();
-        let node = self.shared.placement[me];
-        if let Some(tc) = self.shared.cluster.crash_time(node) {
-            if self.clock.now() >= tc {
-                self.shared.mark_failed(me, tc);
-                return Err(MpiError::NodeFailed { world_rank: me });
-            }
-        }
-        Ok(())
+        self.outlive(self.clock.now())
     }
 
-    /// The abort condition a blocked receive re-checks: is the peer (or, for
-    /// a collective, any group member) known to be dead?
-    ///
-    /// Point-to-point receives abort only when the awaited sender itself is
-    /// dead (`ANY_SOURCE`: when *every* other member is), so p2p between
-    /// live ranks keeps working during recovery. Collective receives abort
-    /// as soon as *any* member has fail-stopped — one dead participant makes
-    /// the collective impossible to complete, and aborting everywhere is
-    /// what propagates the failure to ranks not directly blocked on it.
-    /// (A member already dead by the caller's own clock never gets this
-    /// far: [`Comm::recv_bytes_opts`] refuses the wait up front, from the
-    /// fault plan, so that common case does not depend on when the dead
-    /// rank's thread got to publish its death.)
-    fn peer_abort(&self, src_world: Option<usize>, collective: bool) -> Option<MpiError> {
-        let me = self.my_world_rank();
-        if collective {
-            for &w in self.group.world_ranks() {
-                if w != me {
-                    if let RankState::Failed(_) = self.shared.rank_state(w) {
-                        return Some(MpiError::NodeFailed { world_rank: w });
-                    }
-                }
+    /// A doomed rank does not live to see virtual time `at` if its node
+    /// crashes at or before it: the rank dies first — clock clamped to the
+    /// crash time, failure published, [`MpiError::NodeFailed`] (own world
+    /// rank).
+    fn outlive(&self, at: SimTime) -> MpiResult<()> {
+        let world_rank = self.my_world_rank();
+        match self.shared.doom[world_rank] {
+            Some(tc) if at >= tc => {
+                self.clock.merge(tc);
+                self.shared.mark_failed(world_rank, tc);
+                Err(MpiError::NodeFailed { world_rank })
             }
-        }
-        match src_world {
-            Some(s) => match self.shared.rank_state(s) {
-                RankState::Alive => None,
-                RankState::Failed(_) => Some(MpiError::NodeFailed { world_rank: s }),
-                RankState::Terminated => Some(MpiError::PeerTerminated { world_rank: s }),
-            },
-            None => {
-                let mut verdict = None;
-                for &w in self.group.world_ranks() {
-                    if w == me {
-                        continue;
-                    }
-                    match self.shared.rank_state(w) {
-                        RankState::Alive => return None,
-                        RankState::Failed(_) => {
-                            verdict = Some(MpiError::NodeFailed { world_rank: w });
-                        }
-                        RankState::Terminated => {
-                            verdict = verdict
-                                .or(Some(MpiError::PeerTerminated { world_rank: w }));
-                        }
-                    }
-                }
-                verdict
-            }
+            _ => Ok(()),
         }
     }
 
@@ -256,7 +224,7 @@ impl Comm {
         dest: usize,
         tag: i32,
     ) -> MpiResult<()> {
-        let payload = Payload::from_vec(bytes, self.shared.eager_limit);
+        let payload = Payload::from_vec(bytes);
         self.post_payload(plane, payload, dest, tag)
     }
 
@@ -270,7 +238,7 @@ impl Comm {
         dest: usize,
         tag: i32,
     ) -> MpiResult<()> {
-        let payload = encode_payload(data, self.shared.eager_limit, &self.shared.pool);
+        let payload = encode_payload(data, &self.shared.pool);
         self.post_payload(plane, payload, dest, tag)
     }
 
@@ -354,16 +322,37 @@ impl Comm {
         Ok(())
     }
 
-    /// Settles a matched envelope's contended-wire reservation against this
-    /// rank's frontier (the receiver-side arbitration step), returning the
-    /// final arrival time. Runs on the receiving rank's own thread at the
-    /// moment the envelope is consumed; uncontended envelopes pass their
-    /// stamped arrival through unchanged.
-    fn settle_arrival(&self, env: &Envelope) -> SimTime {
-        match env.xfer {
+    /// The delivery epilogue of every receive: settles the matched
+    /// envelope's contended-wire reservation against this rank's frontier
+    /// (the receiver-side arbitration step — uncontended envelopes pass
+    /// their stamped arrival through), lets the rank die first if its node
+    /// crashes before the message is in, merges the clock, and records the
+    /// `recv` span. Runs on the receiving rank's own thread at the moment
+    /// the envelope is consumed.
+    fn deliver(&self, env: Envelope) -> MpiResult<(Msg, Status)> {
+        let my_world = self.my_world_rank();
+        let arrival = match env.xfer {
             Some(x) => self.frontier.borrow_mut().settle(x),
             None => env.arrival,
+        };
+        self.outlive(arrival)?;
+        let before = self.clock.now();
+        self.clock.merge(arrival);
+        if let Some(tracer) = &self.shared.tracer {
+            let dur = arrival.max(before) - before;
+            let mut ev = TraceEvent::new(my_world, TraceKind::Recv, "recv", before);
+            ev.dur = dur;
+            // The idle part of the span: time spent blocked before the
+            // sender had even reached its send.
+            ev.wait = (env.sent_at.max(before) - before).min(dur);
+            ev.bytes = env.len() as u64;
+            ev.protocol = Some(env.payload.protocol());
+            ev.peer = Some(env.src_world);
+            ev.collective = env.ctx & 1 == 1;
+            tracer.record(ev);
         }
+        let status = self.status(env.src_world, env.tag, env.len());
+        Ok((env.into_msg(), status))
     }
 
     /// Internal transport: blocking matched receive on a context plane.
@@ -379,11 +368,11 @@ impl Comm {
 
     /// [`Comm::recv_bytes`] with *point-to-point* abort semantics even on
     /// the collective plane: the wait aborts only when the awaited sender
-    /// itself is dead, not when any group member is. The schedule engine
-    /// uses this so a fault propagates along schedule edges — a rank whose
-    /// data path does not touch the dead rank finishes its receives and
-    /// learns of the failure deterministically, at its next dependence on
-    /// the failure, rather than via a real-time race.
+    /// itself is dead, not when any group member has failed. The schedule
+    /// engine uses this so a fault propagates along schedule edges — a rank
+    /// whose data path does not touch the dead rank finishes its receives
+    /// and learns of the failure deterministically, at its next dependence
+    /// on the failure, rather than via a real-time race.
     pub(crate) fn recv_bytes_from(
         &self,
         plane: u64,
@@ -419,39 +408,143 @@ impl Comm {
         }
     }
 
+    /// The one guarded wait: blocks until `attempt` — the caller's "try to
+    /// finish" step, given the effective virtual deadline — resolves, or
+    /// until something proves it never will. Every blocking operation
+    /// (receive, probe, agreement, `wait_any`) is a thin caller.
+    ///
+    /// * **Fast path.** `attempt` already resolves: no record is built, no
+    ///   registry lock taken, nothing allocated.
+    /// * **Dead peer.** What is awaited — `collective` and `kind`, built
+    ///   only now — becomes one [`WaitRecord`]; if its
+    ///   [`abort`](WaitRecord::abort) rule fires the wait ends with that
+    ///   error, unless one more `attempt` succeeds: a sender may have
+    ///   posted and *then* died, and the queued match wins.
+    /// * **Blocked.** The record is registered with the quiescence detector
+    ///   ([`crate::quiesce`]), which reads the same record — including the
+    ///   same abort rule — and, if the whole universe is stuck, delivers a
+    ///   typed verdict ([`MpiError::Timeout`], [`MpiError::NodeFailed`], or
+    ///   [`MpiError::Deadlock`] with the wait graph) in milliseconds. After
+    ///   every wake-up `attempt` re-runs atomically with the registry, so
+    ///   the classifier never sees a rank blocked *after* it consumed its
+    ///   message.
+    /// * **Deadlines.** `deadline` bounds the wait in virtual time, and a
+    ///   doomed rank's own crash time is an implicit deadline on every wait
+    ///   (a fail-stopped machine cannot sit in `MPI_Recv` forever). A miss
+    ///   is concluded *exactly* — `attempt` proves it, or the detector
+    ///   proves nothing qualifying can be sent any more — and resolves as
+    ///   the rank's own death when the crash time was binding.
+    ///
+    /// No sleep starts after the event it waits for: the doorbell ticket is
+    /// read before each round of checks and everything that can end the
+    /// wait rings the doorbell after publishing itself
+    /// ([`crate::p2p::Mailbox::sleep`]). `WAKE_BACKSTOP` and `WATCHDOG`
+    /// remain as safety nets.
+    fn wait<T>(
+        &self,
+        deadline: Option<SimTime>,
+        collective: bool,
+        mut attempt: impl FnMut(Option<SimTime>) -> Claim<T>,
+        kind: impl FnOnce() -> WaitKind,
+    ) -> MpiResult<T> {
+        let my_world = self.my_world_rank();
+        let own_tc = self.shared.doom[my_world];
+        let death_binding = own_tc.is_some_and(|tc| deadline.is_none_or(|d| tc <= d));
+        let deadline_eff = if death_binding { own_tc } else { deadline };
+        // Every exit is one `MpiResult`; until the very end `Timeout` stands
+        // for "the deadline is provably missed", however that was learnt.
+        let outcome = |c: Claim<T>| match c {
+            Claim::Matched(t) => Some(Ok(t)),
+            Claim::DeadlineMissed => Some(Err(MpiError::Timeout)),
+            Claim::Nothing => None,
+        };
+        let resolve = |err: MpiError| match err {
+            MpiError::Timeout => self.resolve_timeout(death_binding, own_tc, deadline),
+            other => other,
+        };
+        let mb = &self.shared.mailboxes[my_world];
+        let reg = &self.shared.quiesce;
+
+        let mut ticket = mb.ticket();
+        if let Some(done) = outcome(attempt(deadline_eff)) {
+            return done.map_err(resolve);
+        }
+        let rec = WaitRecord {
+            group: self.group.clone(),
+            collective,
+            deadline: deadline_eff,
+            kind: kind(),
+        };
+        let start = Instant::now();
+        let mut registered = false;
+        let mut expired = false;
+        let done = loop {
+            if let Some(err) = rec.abort(my_world, |w| self.shared.rank_state(w)) {
+                let late = outcome(reg.attempt(my_world, || attempt(deadline_eff)));
+                break late.unwrap_or_else(|| {
+                    reg.unblock(my_world);
+                    Err(err)
+                });
+            }
+            if start.elapsed() >= WATCHDOG {
+                // Belt and braces: the detector should have classified
+                // this state long ago.
+                let on = reg.give_up(my_world);
+                break Err(match deadline_eff {
+                    Some(_) => MpiError::Timeout,
+                    None => MpiError::Deadlock {
+                        waiting: my_world,
+                        on: on.clone(),
+                        graph: WaitGraph {
+                            edges: vec![(my_world, on)],
+                        },
+                    },
+                });
+            }
+            if !registered {
+                // Classification triggered by our own block may verdict us
+                // immediately (taking the verdict resets us to Active).
+                if let Some(verdict) = reg.block(my_world, rec.clone()) {
+                    break Err(verdict);
+                }
+                registered = true;
+            }
+            expired = !mb.sleep(ticket, WAKE_BACKSTOP);
+            ticket = mb.ticket();
+            if let Some(done) = outcome(reg.attempt(my_world, || attempt(deadline_eff))) {
+                break done;
+            }
+            if let Some(verdict) = reg.check(my_world) {
+                break Err(verdict);
+            }
+        };
+        if expired {
+            // The last sleep ran out its backstop and yet the wait was
+            // resolvable right after: whatever resolved it should have
+            // rung the doorbell, and the ring was lost.
+            mb.wakes.missed.fetch_add(1, Ordering::Relaxed);
+        }
+        done.map_err(resolve)
+    }
+
     /// Internal transport: matched receive with failure detection and an
-    /// optional virtual-time deadline.
+    /// optional virtual-time deadline, on top of [`Comm::wait`].
     ///
     /// * A message already queued from a now-dead sender is still delivered
     ///   (it was sent before the sender died).
     /// * Blocked with the awaited peer dead → [`MpiError::NodeFailed`] /
-    ///   [`MpiError::PeerTerminated`]; with `collective_abort` any dead
-    ///   group member aborts the wait (see [`Comm::peer_abort`]), and a
+    ///   [`MpiError::PeerTerminated`]; with `collective_abort` any *failed*
+    ///   group member aborts the wait (see [`WaitRecord::abort`]), and a
     ///   member whose node has crashed by the caller's clock fails the
     ///   call before it looks at the mailbox at all.
     /// * `deadline` exceeded → [`MpiError::Timeout`], with the clock advanced
-    ///   to the deadline and any late message left queued. The miss is
-    ///   concluded *exactly*: either a provably-late message is queued
-    ///   (specific source, non-overtaking), or the quiescence detector
-    ///   proves no qualifying message can be sent any more. The deadline
+    ///   to the deadline and any late message left queued. The deadline
     ///   bounds the *wire* arrival stamped by the sender; a message on the
     ///   wire in time is delivered even if receiver-side contention
     ///   settlement pushes its final arrival past the deadline.
     /// * If the matched message would arrive after this rank's own node
     ///   crashes, the rank dies first: clock clamps to the crash time and
     ///   [`MpiError::NodeFailed`] (own rank) is returned.
-    /// * A rank whose own node is doomed never waits past its death: the
-    ///   crash time acts as an implicit deadline on every blocking receive
-    ///   (a fail-stopped machine cannot sit in `MPI_Recv` forever), so a
-    ///   message that will never come resolves as the rank's own failure
-    ///   rather than a deadlock.
-    ///
-    /// While blocked, the rank is registered with the quiescence detector
-    /// ([`crate::quiesce`]); if the whole universe is stuck, classification
-    /// delivers a typed verdict ([`MpiError::Timeout`],
-    /// [`MpiError::NodeFailed`], or [`MpiError::Deadlock`] with the wait
-    /// graph) in milliseconds. The universe's wall-clock watchdog remains as
-    /// a backstop.
     pub(crate) fn recv_bytes_opts(
         &self,
         plane: u64,
@@ -467,7 +560,9 @@ impl Comm {
             // dead in its virtual present: the collective cannot complete,
             // whether or not a message from some live member happens to be
             // queued already. Judged from the fault plan, like a send to a
-            // crashed destination, so the outcome never follows host order.
+            // crashed destination, so the outcome never follows host order
+            // (and does not depend on when the dead rank's thread got to
+            // publish its death).
             let now = self.clock.now();
             let crashed = |w: &&usize| {
                 **w != my_world && self.shared.doom[**w].is_some_and(|tc| tc <= now)
@@ -476,158 +571,37 @@ impl Comm {
                 return Err(MpiError::NodeFailed { world_rank });
             }
         }
-        let pat = Pattern {
+        let pat = self.pattern(plane, src, tag);
+        let mb = &self.shared.mailboxes[my_world];
+        let env = self.wait(
+            deadline,
+            collective_abort,
+            |deadline| mb.claim(pat, deadline),
+            || WaitKind::Mailbox { pats: vec![pat] },
+        )?;
+        self.deliver(env)
+    }
+
+    /// The matching pattern of a receive or probe on `plane` (`src` a
+    /// communicator rank).
+    fn pattern(&self, plane: u64, src: Option<usize>, tag: Option<i32>) -> Pattern {
+        Pattern {
             ctx: plane,
             src_world: src.map(|r| self.world_rank_of(r)),
             tag,
-        };
-        let own_tc = self.shared.doom[my_world];
-        let death_binding = own_tc.is_some_and(|tc| deadline.is_none_or(|d| tc <= d));
-        let eff_deadline = if death_binding { own_tc } else { deadline };
-        let mb = &self.shared.mailboxes[my_world];
-        let reg = &self.shared.quiesce;
-
-        // The registry record: who could unblock us, and whether one death
-        // among them (or only all of them) aborts the wait. Must mirror
-        // `peer_abort` exactly, or the quiescence stability check diverges
-        // from what this loop actually does.
-        let others = || -> Vec<usize> {
-            self.group
-                .world_ranks()
-                .iter()
-                .copied()
-                .filter(|&w| w != my_world)
-                .collect()
-        };
-        let (waiting_on, abort_any) = if collective_abort {
-            (others(), true)
-        } else {
-            match pat.src_world {
-                Some(s) => (vec![s], true),
-                None => (others(), false),
-            }
-        };
-
-        let env = 'matched: {
-            // Fast path: deliverable (or provably late) message already queued.
-            match mb.claim(pat, eff_deadline) {
-                Claim::Matched(env) => break 'matched env,
-                Claim::DeadlineMissed => {
-                    return Err(self.resolve_timeout(death_binding, own_tc, deadline))
-                }
-                Claim::Nothing => {}
-            }
-            if let Some(err) = self.peer_abort(pat.src_world, collective_abort) {
-                // A sender may have posted its message and *then* died;
-                // the queued match wins over the abort.
-                match mb.claim(pat, eff_deadline) {
-                    Claim::Matched(env) => break 'matched env,
-                    Claim::DeadlineMissed => {
-                        return Err(self.resolve_timeout(death_binding, own_tc, deadline))
-                    }
-                    Claim::Nothing => return Err(err),
-                }
-            }
-            let rec = WaitRecord {
-                waiting_on: waiting_on.clone(),
-                abort_any,
-                deadline: eff_deadline,
-                kind: WaitKind::Mailbox { pats: vec![pat] },
-            };
-            let start = Instant::now();
-            // Classification triggered by our own block may verdict us
-            // immediately (taking the verdict resets us to Active).
-            if let Some(v) = reg.block(my_world, rec) {
-                return Err(match v {
-                    MpiError::Timeout => self.resolve_timeout(death_binding, own_tc, deadline),
-                    other => other,
-                });
-            }
-            loop {
-                mb.wait_deliverable(std::slice::from_ref(&pat), eff_deadline, WAKE_BACKSTOP);
-                // Claim atomically with the registry so the classifier can
-                // never see us blocked *after* we consumed our message.
-                match reg.claim_for(my_world, pat, eff_deadline) {
-                    Claim::Matched(env) => break 'matched env,
-                    Claim::DeadlineMissed => {
-                        return Err(self.resolve_timeout(death_binding, own_tc, deadline));
-                    }
-                    Claim::Nothing => {}
-                }
-                if let Some(v) = reg.check(my_world) {
-                    return Err(match v {
-                        MpiError::Timeout => {
-                            self.resolve_timeout(death_binding, own_tc, deadline)
-                        }
-                        other => other,
-                    });
-                }
-                if let Some(err) = self.peer_abort(pat.src_world, collective_abort) {
-                    // A sender may have posted its message and *then* died;
-                    // the queued match wins over the abort.
-                    match reg.claim_for(my_world, pat, eff_deadline) {
-                        Claim::Matched(env) => break 'matched env,
-                        Claim::DeadlineMissed => {
-                            return Err(self.resolve_timeout(death_binding, own_tc, deadline));
-                        }
-                        Claim::Nothing => {
-                            reg.unblock(my_world);
-                            return Err(err);
-                        }
-                    }
-                }
-                if start.elapsed() >= self.shared.watchdog {
-                    // Belt-and-braces backstop: the quiescence detector
-                    // should have classified this state long ago.
-                    reg.unblock(my_world);
-                    return Err(match eff_deadline {
-                        Some(_) => self.resolve_timeout(death_binding, own_tc, deadline),
-                        None => MpiError::Deadlock {
-                            waiting: my_world,
-                            on: waiting_on.clone(),
-                            graph: WaitGraph {
-                                edges: vec![(my_world, waiting_on)],
-                            },
-                        },
-                    });
-                }
-            }
-        };
-        let arrival = self.settle_arrival(&env);
-        if let Some(tc) = own_tc {
-            if arrival >= tc {
-                self.clock.merge(tc);
-                self.shared.mark_failed(my_world, tc);
-                return Err(MpiError::NodeFailed {
-                    world_rank: my_world,
-                });
-            }
         }
-        let before = self.clock.now();
-        self.clock.merge(arrival);
-        if let Some(tracer) = &self.shared.tracer {
-            let dur = arrival.max(before) - before;
-            let mut ev = TraceEvent::new(my_world, TraceKind::Recv, "recv", before);
-            ev.dur = dur;
-            // The idle part of the span: time spent blocked before the
-            // sender had even reached its send.
-            ev.wait = (env.sent_at.max(before) - before).min(dur);
-            ev.bytes = env.len() as u64;
-            ev.protocol = Some(env.payload.protocol());
-            ev.peer = Some(env.src_world);
-            ev.collective = plane & 1 == 1;
-            tracer.record(ev);
+    }
+
+    /// The completion status of a message from world rank `src_world`.
+    fn status(&self, src_world: usize, tag: i32, bytes: usize) -> Status {
+        Status {
+            source: self
+                .group
+                .rank_of_world(src_world)
+                .expect("sender is in this communicator by construction"),
+            tag,
+            bytes,
         }
-        let source = self
-            .group
-            .rank_of_world(env.src_world)
-            .expect("sender is in this communicator by construction");
-        let status = Status {
-            source,
-            tag: env.tag,
-            bytes: env.len(),
-        };
-        Ok((env.into_msg(), status))
     }
 
     /// Standard-mode send (`MPI_Send`; eager/buffered, never blocks).
@@ -787,95 +761,18 @@ impl Comm {
         }
         self.check_self_alive()?;
         let my_world = self.my_world_rank();
-        let pat = Pattern {
-            ctx: self.ctx,
-            src_world: src.map(|r| self.world_rank_of(r)),
-            tag,
-        };
-        let own_tc = self.shared.doom[my_world];
+        let pat = self.pattern(self.ctx, src, tag);
         let mb = &self.shared.mailboxes[my_world];
-        let reg = &self.shared.quiesce;
-        let (waiting_on, abort_any) = match pat.src_world {
-            Some(s) => (vec![s], true),
-            None => (
-                self.group
-                    .world_ranks()
-                    .iter()
-                    .copied()
-                    .filter(|&w| w != my_world)
-                    .collect(),
-                false,
-            ),
-        };
-        let hit = 'found: {
-            if let Some(hit) = mb.try_probe(pat) {
-                break 'found hit;
-            }
-            if let Some(err) = self.peer_abort(pat.src_world, false) {
-                match mb.try_probe(pat) {
-                    Some(hit) => break 'found hit,
-                    None => return Err(err),
-                }
-            }
-            let rec = WaitRecord {
-                waiting_on: waiting_on.clone(),
-                abort_any,
-                deadline: own_tc,
-                kind: WaitKind::Mailbox { pats: vec![pat] },
-            };
-            let start = Instant::now();
-            let mut verdict = reg.block(my_world, rec);
-            loop {
-                if let Some(v) = verdict.take() {
-                    return Err(match v {
-                        MpiError::Timeout => self.resolve_timeout(true, own_tc, None),
-                        other => other,
-                    });
-                }
-                if let Some(hit) = mb.wait_or_peek(pat, WAKE_BACKSTOP) {
-                    reg.unblock(my_world);
-                    break 'found hit;
-                }
-                if let Some(err) = self.peer_abort(pat.src_world, false) {
-                    let late = mb.try_probe(pat);
-                    reg.unblock(my_world);
-                    match late {
-                        Some(hit) => break 'found hit,
-                        None => return Err(err),
-                    }
-                }
-                if start.elapsed() >= self.shared.watchdog {
-                    reg.unblock(my_world);
-                    return Err(MpiError::Deadlock {
-                        waiting: my_world,
-                        on: waiting_on.clone(),
-                        graph: WaitGraph {
-                            edges: vec![(my_world, waiting_on)],
-                        },
-                    });
-                }
-                verdict = reg.check(my_world);
-            }
-        };
+        let hit = self.wait(
+            None,
+            false,
+            |_| mb.try_probe(pat).map_or(Claim::Nothing, Claim::Matched),
+            || WaitKind::Mailbox { pats: vec![pat] },
+        )?;
         let (src_world, tag, bytes, arrival) = hit;
-        if let Some(tc) = own_tc {
-            if arrival >= tc {
-                self.clock.merge(tc);
-                self.shared.mark_failed(my_world, tc);
-                return Err(MpiError::NodeFailed {
-                    world_rank: my_world,
-                });
-            }
-        }
+        self.outlive(arrival)?;
         self.clock.merge(arrival);
-        Ok(Status {
-            source: self
-                .group
-                .rank_of_world(src_world)
-                .expect("sender is a member"),
-            tag,
-            bytes,
-        })
+        Ok(self.status(src_world, tag, bytes))
     }
 
     /// Nonblocking probe (`MPI_Iprobe`).
@@ -883,22 +780,9 @@ impl Comm {
         if let Some(s) = src {
             self.check_rank(s)?;
         }
-        let my_world = self.my_world_rank();
-        let pat = Pattern {
-            ctx: self.ctx,
-            src_world: src.map(|r| self.world_rank_of(r)),
-            tag,
-        };
-        Ok(self.shared.mailboxes[my_world].try_probe(pat).map(
-            |(src_world, tag, bytes, _)| Status {
-                source: self
-                    .group
-                    .rank_of_world(src_world)
-                    .expect("sender is a member"),
-                tag,
-                bytes,
-            },
-        ))
+        let pat = self.pattern(self.ctx, src, tag);
+        let hit = self.shared.mailboxes[self.my_world_rank()].try_probe(pat);
+        Ok(hit.map(|(src_world, tag, bytes, _)| self.status(src_world, tag, bytes)))
     }
 
     // ----- communicator constructors ---------------------------------------
@@ -1133,71 +1017,23 @@ impl Comm {
         let key = (self.coll_plane(), seq);
         let members = self.group.world_ranks();
         let table = &self.shared.agreements;
-        let reg = &self.shared.quiesce;
-        let mb = &self.shared.mailboxes[my_world];
-        let own_tc = self.shared.doom[my_world];
         table.deposit(key, members, my_world, flag, self.clock.now(), || {
             self.shared.alloc_ctx_pair()
         });
-        // Members blocked in their own poll sleep on their mailboxes.
+        // Members blocked on this round sleep on their own doorbells.
         for &w in members {
             self.shared.mailboxes[w].wake_all();
         }
-        let is_dead =
-            |w: usize| w != my_world && self.shared.rank_state(w) != RankState::Alive;
-        let finish = |a: Agreement, ctx: u64| -> MpiResult<(Agreement, u64)> {
-            if let Some(tc) = own_tc {
-                if a.at >= tc {
-                    // The round completed after this rank's own death.
-                    self.clock.merge(tc);
-                    self.shared.mark_failed(my_world, tc);
-                    return Err(MpiError::NodeFailed {
-                        world_rank: my_world,
-                    });
-                }
-            }
-            self.clock.merge(a.at);
-            Ok((a, ctx))
+        let is_dead = |w: usize| w != my_world && self.shared.rank_state(w) != RankState::Alive;
+        let outcome = |_| match table.try_outcome(key, is_dead) {
+            Some(agreed) => Claim::Matched(agreed),
+            None => Claim::Nothing,
         };
-        if let Some((a, ctx)) = table.try_outcome(key, is_dead) {
-            return finish(a, ctx);
-        }
-        let start = Instant::now();
-        let mut verdict = None;
-        loop {
-            let rec = WaitRecord {
-                waiting_on: table.pending_live(key, is_dead),
-                abort_any: false,
-                deadline: own_tc,
-                kind: WaitKind::Agreement { key },
-            };
-            if verdict.is_none() {
-                verdict = reg.block(my_world, rec);
-            }
-            if let Some(v) = verdict.take() {
-                return Err(match v {
-                    MpiError::Timeout => self.resolve_timeout(true, own_tc, None),
-                    other => other,
-                });
-            }
-            mb.wait_deliverable(&[], None, WAKE_BACKSTOP);
-            verdict = reg.check(my_world);
-            if let Some((a, ctx)) = table.try_outcome(key, is_dead) {
-                reg.unblock(my_world);
-                return finish(a, ctx);
-            }
-            if start.elapsed() >= self.shared.watchdog {
-                let on = table.pending_live(key, is_dead);
-                reg.unblock(my_world);
-                return Err(MpiError::Deadlock {
-                    waiting: my_world,
-                    on: on.clone(),
-                    graph: WaitGraph {
-                        edges: vec![(my_world, on)],
-                    },
-                });
-            }
-        }
+        let (a, ctx) = self.wait(None, false, outcome, || WaitKind::Agreement { key })?;
+        // The round may complete only after this rank's own death.
+        self.outlive(a.at)?;
+        self.clock.merge(a.at);
+        Ok((a, ctx))
     }
 
     /// Shrinks the communicator to its survivors (`MPIX_Comm_shrink`): runs
@@ -1266,144 +1102,37 @@ pub fn wait_any<T: MpiType>(
     comm: &Comm,
 ) -> MpiResult<(usize, Vec<T>, Status, Vec<RecvRequest>)> {
     assert!(!reqs.is_empty(), "wait_any needs at least one request");
-    let my_world = comm.my_world_rank();
-    let mb = &comm.shared.mailboxes[my_world];
-    let reg = &comm.shared.quiesce;
-    let own_tc = comm.shared.doom[my_world];
+    comm.check_self_alive()?;
+    let mb = &comm.shared.mailboxes[comm.my_world_rank()];
     let pats: Vec<Pattern> = reqs
         .iter()
-        .map(|r| Pattern {
-            ctx: comm.ctx,
-            src_world: r.src.map(|s| comm.world_rank_of(s)),
-            tag: r.tag,
-        })
+        .map(|r| comm.pattern(comm.ctx, r.src, r.tag))
         .collect();
-    // Union of every request's awaited set; the wait dead-ends only when
-    // all of them are gone, so `abort_any` is false.
-    let mut waiting_on: Vec<usize> = Vec::new();
-    for p in &pats {
-        match p.src_world {
-            Some(s) => {
-                if s != my_world && !waiting_on.contains(&s) {
-                    waiting_on.push(s);
-                }
+    // One sweep over the requests, in order: an already-completed one, or
+    // the first whose message can be claimed.
+    let sweep = |deadline| {
+        for (i, req) in reqs.iter().enumerate() {
+            if req.done.is_some() {
+                return Claim::Matched((i, None));
             }
-            None => {
-                for &w in comm.group.world_ranks() {
-                    if w != my_world && !waiting_on.contains(&w) {
-                        waiting_on.push(w);
-                    }
-                }
-            }
-        }
-    }
-    waiting_on.sort_unstable();
-    let start = Instant::now();
-    loop {
-        // The sweep runs while registered Active, so the classifier never
-        // misreads a consumed message as a stuck wait.
-        comm.check_self_alive()?;
-        for i in 0..reqs.len() {
-            if reqs[i].done.is_some() {
-                let req = reqs.remove(i);
-                let (data, status) = req.wait(comm)?;
-                return Ok((i, data, status, reqs));
-            }
-            match mb.claim(pats[i], own_tc) {
-                Claim::Matched(env) => {
-                    let arrival = comm.settle_arrival(&env);
-                    if let Some(tc) = own_tc {
-                        if arrival >= tc {
-                            comm.clock.merge(tc);
-                            comm.shared.mark_failed(my_world, tc);
-                            return Err(MpiError::NodeFailed {
-                                world_rank: my_world,
-                            });
-                        }
-                    }
-                    let before = comm.clock.now();
-                    comm.clock.merge(arrival);
-                    if let Some(tracer) = &comm.shared.tracer {
-                        let dur = arrival.max(before) - before;
-                        let mut ev =
-                            TraceEvent::new(my_world, TraceKind::Recv, "recv", before);
-                        ev.dur = dur;
-                        ev.wait = (env.sent_at.max(before) - before).min(dur);
-                        ev.bytes = env.len() as u64;
-                        ev.protocol = Some(env.payload.protocol());
-                        ev.peer = Some(env.src_world);
-                        tracer.record(ev);
-                    }
-                    let source = comm
-                        .group
-                        .rank_of_world(env.src_world)
-                        .expect("sender is a member");
-                    let status = Status {
-                        source,
-                        tag: env.tag,
-                        bytes: env.len(),
-                    };
-                    reqs.remove(i);
-                    return Ok((i, decode(&env.into_msg())?, status, reqs));
-                }
-                Claim::DeadlineMissed => {
-                    // The awaited message arrives only after our own node's
-                    // crash: the rank dies first.
-                    return Err(comm.resolve_timeout(true, own_tc, None));
-                }
+            match mb.claim(pats[i], deadline) {
+                Claim::Matched(env) => return Claim::Matched((i, Some(env))),
+                // The awaited message arrives only after our own node's
+                // crash: the rank dies first.
+                Claim::DeadlineMissed => return Claim::DeadlineMissed,
                 Claim::Nothing => {}
             }
         }
-        // Dead-ended: every request's awaited sender (or, for ANY_SOURCE,
-        // every other member) is dead with nothing queued.
-        let mut dead_end = None;
-        let mut all_dead = true;
-        for r in &reqs {
-            let src_world = r.src.map(|s| comm.world_rank_of(s));
-            match comm.peer_abort(src_world, false) {
-                Some(err) => dead_end = dead_end.or(Some(err)),
-                None => {
-                    all_dead = false;
-                    break;
-                }
-            }
-        }
-        if all_dead {
-            if let Some(err) = dead_end {
-                return Err(err);
-            }
-        }
-        let rec = WaitRecord {
-            waiting_on: waiting_on.clone(),
-            abort_any: false,
-            deadline: own_tc,
-            kind: WaitKind::Mailbox { pats: pats.clone() },
-        };
-        if let Some(v) = reg.block(my_world, rec) {
-            return Err(match v {
-                MpiError::Timeout => comm.resolve_timeout(true, own_tc, None),
-                other => other,
-            });
-        }
-        mb.wait_deliverable(&pats, own_tc, WAKE_BACKSTOP);
-        if let Some(v) = reg.check(my_world) {
-            return Err(match v {
-                MpiError::Timeout => comm.resolve_timeout(true, own_tc, None),
-                other => other,
-            });
-        }
-        // Back to Active for the next sweep.
-        reg.unblock(my_world);
-        if start.elapsed() >= comm.shared.watchdog {
-            return Err(MpiError::Deadlock {
-                waiting: my_world,
-                on: waiting_on.clone(),
-                graph: WaitGraph {
-                    edges: vec![(my_world, waiting_on)],
-                },
-            });
-        }
-    }
+        Claim::Nothing
+    };
+    let kind = || WaitKind::Mailbox { pats: pats.clone() };
+    let (i, env) = comm.wait(None, false, sweep, kind)?;
+    let req = reqs.remove(i);
+    let (msg, status) = match env {
+        Some(env) => comm.deliver(env)?,
+        None => req.done.expect("swept as completed"),
+    };
+    Ok((i, decode(&msg)?, status, reqs))
 }
 
 /// Completed-at-creation send request (eager model). Exists for API parity
@@ -1448,9 +1177,11 @@ impl RecvRequest {
     /// `wait` returns instantly.
     ///
     /// A doomed rank never completes a receive whose message arrives at or
-    /// after its own node's crash time — such a message is left queued (or
-    /// dropped) and `test` stays false; the blocking paths then report the
-    /// rank's own failure.
+    /// after its own node's crash time: a message on the wire too late is
+    /// left queued, one that only settles too late is the rank's death, as
+    /// in a blocking receive (clock clamped to the crash time, failure
+    /// published). `test` stays false either way; the blocking paths then
+    /// report the rank's own failure.
     pub fn test(&mut self, comm: &Comm) -> bool {
         if self.done.is_some() {
             return true;
@@ -1460,44 +1191,10 @@ impl RecvRequest {
         if own_tc.is_some_and(|tc| comm.clock.now() >= tc) {
             return false;
         }
-        let pat = Pattern {
-            ctx: comm.ctx,
-            src_world: self.src.map(|r| comm.world_rank_of(r)),
-            tag: self.tag,
-        };
-        let claimed = match comm.shared.mailboxes[my_world].claim(pat, own_tc) {
-            Claim::Matched(env) => {
-                let arrival = comm.settle_arrival(&env);
-                own_tc.is_none_or(|tc| arrival < tc).then_some((env, arrival))
-            }
-            _ => None,
-        };
-        if let Some((env, arrival)) = claimed {
-            let before = comm.clock.now();
-            comm.clock.merge(arrival);
-            if let Some(tracer) = &comm.shared.tracer {
-                let dur = arrival.max(before) - before;
-                let mut ev = TraceEvent::new(my_world, TraceKind::Recv, "recv", before);
-                ev.dur = dur;
-                ev.wait = (env.sent_at.max(before) - before).min(dur);
-                ev.bytes = env.len() as u64;
-                ev.protocol = Some(env.payload.protocol());
-                ev.peer = Some(env.src_world);
-                tracer.record(ev);
-            }
-            let source = comm
-                .group
-                .rank_of_world(env.src_world)
-                .expect("sender is a member");
-            let status = Status {
-                source,
-                tag: env.tag,
-                bytes: env.len(),
-            };
-            self.done = Some((env.into_msg(), status));
-            true
-        } else {
-            false
+        let pat = comm.pattern(comm.ctx, self.src, self.tag);
+        if let Claim::Matched(env) = comm.shared.mailboxes[my_world].claim(pat, own_tc) {
+            self.done = comm.deliver(env).ok();
         }
+        self.done.is_some()
     }
 }

@@ -7,7 +7,7 @@
 //! observe anyway).
 
 use crate::error::{MpiError, MpiResult};
-use crate::p2p::Payload;
+use crate::p2p::{Payload, EAGER_LIMIT};
 use crate::pool::BufferPool;
 use std::sync::Arc;
 
@@ -89,14 +89,10 @@ thread_local! {
 
 /// Encodes a slice directly into its protocol representation: inline
 /// (eager, zero-allocation via a thread-local scratch) at or under
-/// `eager_limit` wire bytes, an arena lease (rendezvous) above it.
-pub(crate) fn encode_payload<T: MpiType>(
-    data: &[T],
-    eager_limit: usize,
-    pool: &Arc<BufferPool>,
-) -> Payload {
+/// [`EAGER_LIMIT`] wire bytes, an arena lease (rendezvous) above it.
+pub(crate) fn encode_payload<T: MpiType>(data: &[T], pool: &Arc<BufferPool>) -> Payload {
     let wire = data.len() * T::WIRE_SIZE;
-    if wire <= eager_limit {
+    if wire <= EAGER_LIMIT {
         EAGER_SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
             scratch.clear();

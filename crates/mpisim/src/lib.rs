@@ -61,8 +61,8 @@ pub use error::{MpiError, MpiResult, WaitGraph};
 pub use perfmodel::collective::{CollectiveAlgo, CollectiveKind};
 pub use group::{Group, GroupCompare};
 pub use op::ReduceOp;
-pub use p2p::{Msg, Payload, Status, ANY_SOURCE, ANY_TAG, DEADLOCK_TIMEOUT, DEFAULT_EAGER_LIMIT};
+pub use p2p::{Msg, Payload, Status, ANY_SOURCE, ANY_TAG, EAGER_LIMIT};
 pub use plan::{Plan, PlanCacheReport, PlanKey};
 pub use pool::{BufferPool, PoolReport};
-pub use runtime::{Process, RunReport, Universe, UniverseConfig};
+pub use runtime::{Process, RunReport, Universe, UniverseConfig, WakeupReport};
 pub use vtime::LocalClock;

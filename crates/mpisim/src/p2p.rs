@@ -2,8 +2,8 @@
 //! payloads, and an indexed matcher.
 //!
 //! Each rank owns one [`Mailbox`]. The substrate splits traffic into two
-//! protocols at a configurable eager limit (default
-//! [`DEFAULT_EAGER_LIMIT`], after jeffhammond/hmpi's `EAGER_LIMIT`):
+//! protocols at [`EAGER_LIMIT`] (a compile-time constant, like
+//! jeffhammond/hmpi's `EAGER_LIMIT`):
 //!
 //! * **eager** — payloads at or under the limit are packed *inline* into
 //!   the envelope ([`Payload::Inline`]) and travel through per-(sender,
@@ -26,19 +26,22 @@
 //! mailbox rescanned the whole queue per receive — O(queue) per match,
 //! O(n²) to drain a burst; the index makes both O(1)-ish.
 //!
-//! Blocking receives sleep on a doorbell: a waiter registers itself
-//! (atomic counter) before its final match check, and producers ring the
-//! condvar only when a waiter is registered — so the hot path posts
-//! without ever touching the receiver's lock, and idle receivers wake
-//! event-driven rather than by the old 25 ms poll slice.
+//! Blocked ranks sleep on one *counted doorbell* ([`Mailbox::ticket`] /
+//! [`Mailbox::sleep`]): every ring bumps a counter under the store lock, a
+//! waiter reads the counter *before* it evaluates what it waits for and
+//! sleeps only while the counter still holds that value — so no sleep can
+//! begin after the event it waits for was published, whatever the event
+//! (a message, a peer's death, a verdict, an agreement deposit). Producers
+//! ring only when a waiter is registered, so the hot path posts without
+//! ever touching the receiver's lock.
 
 use crate::lane::LaneSet;
 use crate::pool::Lease;
 use crate::vtime::{quantum_of, WireXfer};
 use hetsim::SimTime;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Wildcard source (`MPI_ANY_SOURCE`).
@@ -46,41 +49,15 @@ pub const ANY_SOURCE: isize = -1;
 /// Wildcard tag (`MPI_ANY_TAG`).
 pub const ANY_TAG: i32 = -1;
 
-/// Default wall-clock watchdog: how long a blocked receive waits in real
-/// time before giving up. Since the virtual-time quiescence detector
-/// ([`crate::quiesce`]) classifies stuck states in milliseconds, this is a
-/// belt-and-braces backstop that should never fire in practice — it only
-/// catches programs that defeat the detector (e.g. a rank busy-polling
-/// outside the runtime forever). Configurable per universe with
-/// [`crate::UniverseConfig::deadlock_timeout`] or the
-/// `MPISIM_DEADLOCK_TIMEOUT` environment variable (seconds); the raw
-/// panicking [`Mailbox::recv_match`] always uses this default.
-pub const DEADLOCK_TIMEOUT: Duration = Duration::from_secs(60);
+/// Patience of the raw, panicking [`Mailbox::recv_match`]: how long it
+/// sleeps with no ring before declaring the surrounding program deadlocked.
+/// (Communicator-level waits are classified in milliseconds by
+/// [`crate::quiesce`] and keep their own private backstops.)
+const DEADLOCK_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Spacing of internal retry heuristics (re-issued guarded receives after
-/// a transient verdict): the successor of the removed `TIMEOUT_GRACE`
-/// constant's internal role, kept private so callers can't couple to it.
-/// (Deadline receives are exact since the quiescence detector landed: they
-/// time out when the detector proves no qualifying message can arrive, not
-/// after a fixed real-time wait.)
-#[allow(dead_code)]
-pub(crate) const RETRY_GRACE: Duration = Duration::from_millis(500);
-
-/// Backstop sleep slice for doorbell-guarded waits. Every transition a
-/// guarded receive cares about (message arrival, peer death, quiescence
-/// verdict, agreement deposit) rings the mailbox doorbell, so this bound
-/// exists only to catch wakeups lost to bugs; it replaced the 25 ms
-/// `GUARD_POLL` slice that guarded receives used to *rely* on.
-pub(crate) const WAKE_BACKSTOP: Duration = Duration::from_millis(250);
-
-/// Capacity of an inline (eager) payload slot, bytes.
-pub const INLINE_CAP: usize = 256;
-
-/// Default eager/rendezvous protocol split, bytes (the hmpi snippet's
-/// `EAGER_LIMIT`). Configurable per universe with
-/// [`crate::UniverseConfig::eager_limit`] / `MPISIM_EAGER_LIMIT`, clamped
-/// to [`INLINE_CAP`].
-pub const DEFAULT_EAGER_LIMIT: usize = 256;
+/// The eager/rendezvous protocol split and the capacity of an envelope's
+/// inline payload slot, bytes (the hmpi snippet's `EAGER_LIMIT`).
+pub const EAGER_LIMIT: usize = 256;
 
 /// Copy-out slab size for rendezvous payloads, bytes (the hmpi snippet's
 /// `BLOCK_SIZE`): [`Msg::into_vec`] copies pooled payloads out in blocks
@@ -100,7 +77,7 @@ pub enum Payload {
         /// Number of valid bytes in `buf`.
         len: u16,
         /// Inline storage; only `buf[..len]` is meaningful.
-        buf: [u8; INLINE_CAP],
+        buf: [u8; EAGER_LIMIT],
     },
     /// Rendezvous: a buffer leased from the universe's arena; returns to
     /// its size class on drop.
@@ -111,10 +88,10 @@ pub enum Payload {
 }
 
 impl Payload {
-    /// Packs `bytes` inline. Panics if `bytes.len() > INLINE_CAP`.
+    /// Packs `bytes` inline. Panics if `bytes.len() > EAGER_LIMIT`.
     pub fn inline_from(bytes: &[u8]) -> Payload {
-        assert!(bytes.len() <= INLINE_CAP, "inline payload over capacity");
-        let mut buf = [0u8; INLINE_CAP];
+        assert!(bytes.len() <= EAGER_LIMIT, "inline payload over capacity");
+        let mut buf = [0u8; EAGER_LIMIT];
         buf[..bytes.len()].copy_from_slice(bytes);
         Payload::Inline {
             len: bytes.len() as u16,
@@ -122,9 +99,9 @@ impl Payload {
         }
     }
 
-    /// Wraps an owned vector, inlining it when it fits under `eager_limit`.
-    pub fn from_vec(v: Vec<u8>, eager_limit: usize) -> Payload {
-        if v.len() <= eager_limit.min(INLINE_CAP) {
+    /// Wraps an owned vector, inlining it when it fits under [`EAGER_LIMIT`].
+    pub fn from_vec(v: Vec<u8>) -> Payload {
+        if v.len() <= EAGER_LIMIT {
             Payload::inline_from(&v)
         } else {
             Payload::Heap(v)
@@ -316,16 +293,18 @@ impl Pattern {
     }
 }
 
-/// What one atomic match attempt concluded for a (possibly
-/// deadline-bounded) receive.
+/// What one attempt to finish a (possibly deadline-bounded) wait concluded:
+/// a mailbox claim, and more generally the "try to finish" step of every
+/// guarded wait.
 #[derive(Debug)]
 // `Matched` carries the envelope (and its inline payload) by value so a
 // claim stays allocation-free; the enum lives only on the stack between
 // the match and the caller.
 #[allow(clippy::large_enum_variant)]
-pub(crate) enum Claim {
-    /// A qualifying envelope was removed from the queue.
-    Matched(Envelope),
+pub(crate) enum Claim<T = Envelope> {
+    /// The wait is over: a qualifying envelope was removed from the queue
+    /// (or peeked, or the awaited outcome read).
+    Matched(T),
     /// A matching envelope from the *specific* awaited source is queued
     /// with `arrival > deadline`: non-overtaking means nothing earlier can
     /// follow, so the deadline is provably missed.
@@ -359,16 +338,6 @@ struct Store {
 }
 
 impl Store {
-    /// Pulls every message parked in the eager lanes into the index.
-    /// Must run before any match/peek/count so lane traffic is visible to
-    /// the same-lock observers (receive loops *and* the quiescence
-    /// classifier).
-    fn sync(&mut self, lanes: &LaneSet<Envelope>) {
-        if lanes.any_dirty() {
-            lanes.drain_into(|_, env| self.ingest(env));
-        }
-    }
-
     fn ingest(&mut self, env: Envelope) {
         let ticket = self.next_ticket;
         self.next_ticket += 1;
@@ -483,26 +452,6 @@ impl Store {
         }
     }
 
-    /// The quiescence-relevant progress predicate for one pattern: a
-    /// deliverable match is queued (`arrival <= deadline` when bounded),
-    /// or a provably-late specific-source match lets the receive resolve
-    /// as a missed deadline.
-    fn progressable(&self, pat: &Pattern, deadline: Option<SimTime>) -> bool {
-        match pat.src_world {
-            Some(src) => {
-                let Some(q) = self.queues.get(&(pat.ctx, src)) else {
-                    return false;
-                };
-                Self::hit_in(q, pat, deadline).is_some()
-                    || (deadline.is_some() && Self::any_match_in(q, pat))
-            }
-            None => self
-                .queues
-                .iter()
-                .any(|(key, q)| key.0 == pat.ctx && Self::hit_in(q, pat, deadline).is_some()),
-        }
-    }
-
     /// (ctx, src, tag, len) of every queued message, for diagnostics.
     fn dump(&self) -> Vec<(u64, usize, i32, usize)> {
         let mut all: Vec<(u64, &Queued)> = self
@@ -525,16 +474,34 @@ impl Store {
     }
 }
 
+/// How one mailbox's sleeps ended. One relaxed increment per *sleep*,
+/// none per message; summed over the mailboxes into
+/// [`WakeupReport`](crate::runtime::WakeupReport) after a run.
+#[derive(Debug, Default)]
+pub(crate) struct WakeCounts {
+    /// Sleeps ended by a ring.
+    pub(crate) rung: AtomicU64,
+    /// Sleeps that ran their whole timeout.
+    pub(crate) expired: AtomicU64,
+    /// Expired sleeps after which the wait turned out to be resolvable: a
+    /// ring was lost. Counted by the guarded wait, not by the mailbox.
+    pub(crate) missed: AtomicU64,
+}
+
 /// One rank's incoming-message endpoint: per-sender eager lanes feeding
-/// an indexed store, with a doorbell for blocked receivers.
+/// an indexed store, with a counted doorbell for the rank's blocked waits.
 #[derive(Debug)]
 pub struct Mailbox {
     state: Mutex<Store>,
     cond: Condvar,
     lanes: LaneSet<Envelope>,
-    /// Receivers registered for a doorbell ring; producers skip the
-    /// notify (and its lock) when zero.
+    /// Sleepers registered for a doorbell ring; producers skip the ring
+    /// (and its lock) when zero.
     waiters: AtomicUsize,
+    /// The doorbell's ring count. Written only under the store lock; read
+    /// lock-free by [`Mailbox::ticket`].
+    rings: AtomicU64,
+    pub(crate) wakes: WakeCounts,
 }
 
 impl Default for Mailbox {
@@ -557,7 +524,33 @@ impl Mailbox {
             cond: Condvar::new(),
             lanes: LaneSet::new(n),
             waiters: AtomicUsize::new(0),
+            rings: AtomicU64::new(0),
+            wakes: WakeCounts::default(),
         }
+    }
+
+    /// Rings the doorbell: bumps the counter and wakes every sleeper, both
+    /// under the store lock (which the caller holds, witnessed by `_st`) —
+    /// so a ring either precedes a sleeper's under-lock counter comparison
+    /// and is seen by it, or follows the start of its wait and wakes it.
+    fn ring(&self, _st: &mut Store) {
+        self.rings.fetch_add(1, Ordering::SeqCst);
+        self.cond.notify_all();
+    }
+
+    /// Locks the store with every message parked in the eager lanes pulled
+    /// into the index, so lane traffic is visible to whoever looks — this
+    /// rank's own attempts *and* the quiescence classifier, on another
+    /// thread. Ingesting is publishing (from here on a claim can match the
+    /// message), so it rings: a sleeper-to-be whose lane post was drained
+    /// from under it by the classifier finds the ring counted.
+    fn store(&self) -> MutexGuard<'_, Store> {
+        let mut st = self.state.lock();
+        if self.lanes.any_dirty() {
+            self.lanes.drain_into(|_, env| st.ingest(env));
+            self.ring(&mut st);
+        }
+        st
     }
 
     /// Posts a message straight into the indexed store (sender thread).
@@ -566,15 +559,16 @@ impl Mailbox {
     /// so mixing [`Mailbox::post`] and [`Mailbox::post_lane`] from one
     /// thread preserves that sender's FIFO order.
     pub fn post(&self, env: Envelope) {
-        let mut st = self.state.lock();
-        st.sync(&self.lanes);
+        let mut st = self.store();
         st.ingest(env);
-        self.cond.notify_all();
+        self.ring(&mut st);
     }
 
     /// Posts a message through the sender's eager lane — the hot path.
-    /// Never touches the store lock unless a receiver is registered on
-    /// the doorbell (or the mailbox was built without lanes).
+    /// Never touches the store lock unless a sleeper is registered on
+    /// the doorbell (or the mailbox was built without lanes). A post that
+    /// finds no sleeper rings nothing; its message is counted when it is
+    /// ingested, which [`Mailbox::sleep`] does after registering.
     pub fn post_lane(&self, env: Envelope) {
         if self.lanes.senders() == 0 {
             return self.post(env);
@@ -582,46 +576,63 @@ impl Mailbox {
         debug_assert!(env.src_world < self.lanes.senders());
         self.lanes.push(env.src_world, env);
         if self.waiters.load(Ordering::SeqCst) > 0 {
-            // Ring the doorbell under the store lock: a receiver between
-            // its final check and its `wait` holds the lock, so the
-            // notify can't slip into that window and get lost.
-            let _guard = self.state.lock();
-            self.cond.notify_all();
+            self.ring(&mut self.state.lock());
         }
     }
 
-    /// Wakes every thread blocked on this mailbox so it re-checks its match
-    /// and abort conditions. Called when rank liveness changes.
+    /// Rings the doorbell so a rank blocked on this mailbox re-evaluates
+    /// its wait. Called *after* publishing what the wait may be looking
+    /// at: a liveness change, a quiescence verdict, an agreement deposit.
     pub fn wake_all(&self) {
-        // Taking the lock orders the ring after the state change the
-        // caller made and prevents the notify landing in a waiter's
-        // check-to-sleep window (see post_lane).
-        let _guard = self.state.lock();
-        self.cond.notify_all();
+        self.ring(&mut self.state.lock());
+    }
+
+    /// The doorbell's current ring count. A waiter reads it *before*
+    /// evaluating the conditions it waits on and hands it to
+    /// [`Mailbox::sleep`]: anything published before the read is visible
+    /// to those evaluations, anything rung after it cancels the sleep.
+    pub(crate) fn ticket(&self) -> u64 {
+        self.rings.load(Ordering::SeqCst)
+    }
+
+    /// The one sleep: blocks until the doorbell is rung or `timeout`
+    /// elapses — unless it was already rung since `ticket` was read, in
+    /// which case it returns at once. Returns false only when a sleep ran
+    /// its whole timeout.
+    pub(crate) fn sleep(&self, ticket: u64, timeout: Duration) -> bool {
+        // Register *before* looking at the lanes: a producer that misses
+        // the registration pushed before it, so `store` ingests its message
+        // and counts that as a ring; one that sees it rings under the lock
+        // we are about to hold until the wait begins.
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let mut st = self.store();
+        let mut rung = true;
+        if self.rings.load(Ordering::SeqCst) == ticket {
+            rung = !self.cond.wait_for(&mut st, timeout).timed_out();
+            let ended = match rung {
+                true => &self.wakes.rung,
+                false => &self.wakes.expired,
+            };
+            ended.fetch_add(1, Ordering::Relaxed);
+        }
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        rung
     }
 
     /// Removes and returns the first queued envelope matching `pat`,
     /// blocking until one arrives.
     ///
     /// # Panics
-    /// Panics after [`DEADLOCK_TIMEOUT`] of real time with no match — the
+    /// Panics after [`DEADLOCK_TIMEOUT`] of real time without a ring — the
     /// surrounding SPMD program has deadlocked.
     pub fn recv_match(&self, pat: Pattern) -> Envelope {
-        let mut st = self.state.lock();
         loop {
-            // Register on the doorbell *before* the final check so a
-            // producer that misses our registration is provably ordered
-            // before the check (and its message visible to it).
-            self.waiters.fetch_add(1, Ordering::SeqCst);
-            st.sync(&self.lanes);
-            if let Claim::Matched(env) = st.claim(pat, None) {
-                self.waiters.fetch_sub(1, Ordering::SeqCst);
+            let ticket = self.ticket();
+            if let Claim::Matched(env) = self.claim(pat, None) {
                 return env;
             }
-            let timed_out = self.cond.wait_for(&mut st, DEADLOCK_TIMEOUT).timed_out();
-            self.waiters.fetch_sub(1, Ordering::SeqCst);
-            if timed_out {
-                st.sync(&self.lanes);
+            if !self.sleep(ticket, DEADLOCK_TIMEOUT) {
+                let st = self.store();
                 panic!(
                     "mpisim deadlock: receive {pat:?} matched nothing for {DEADLOCK_TIMEOUT:?}; \
                      {} unmatched message(s) queued: {:?}",
@@ -635,119 +646,33 @@ impl Mailbox {
     /// One atomic match-and-remove attempt for a (possibly
     /// deadline-bounded) receive.
     pub(crate) fn claim(&self, pat: Pattern, deadline: Option<SimTime>) -> Claim {
-        let mut st = self.state.lock();
-        st.sync(&self.lanes);
-        st.claim(pat, deadline)
+        self.store().claim(pat, deadline)
     }
 
-    /// Like a claiming receive's wait but leaves the message queued
-    /// (probe). Returns the matched envelope's metadata, or `None` after
-    /// the bounded wait.
-    pub(crate) fn wait_or_peek(
-        &self,
-        pat: Pattern,
-        timeout: Duration,
-    ) -> Option<(usize, i32, usize, SimTime)> {
-        let mut st = self.state.lock();
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        st.sync(&self.lanes);
-        let hit = match st.peek(pat) {
-            Some(hit) => Some(hit),
-            None => {
-                self.cond.wait_for(&mut st, timeout);
-                st.sync(&self.lanes);
-                st.peek(pat)
-            }
-        };
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-        hit
-    }
-
-    /// Bounded wait until some pattern in `pats` could make progress under
-    /// `deadline` (per [`Store::progressable`]), a wakeup arrives, or
-    /// `timeout` elapses — the sleep primitive of every guarded wait loop.
-    /// With empty `pats` this is a pure interruptible sleep (used by
-    /// agreement polls). Returns true if progress is possible.
-    pub(crate) fn wait_deliverable(
-        &self,
-        pats: &[Pattern],
-        deadline: Option<SimTime>,
-        timeout: Duration,
-    ) -> bool {
-        let mut st = self.state.lock();
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        st.sync(&self.lanes);
-        let check = |st: &Store| pats.iter().any(|p| st.progressable(p, deadline));
-        let ok = if check(&st) {
-            true
-        } else {
-            self.cond.wait_for(&mut st, timeout);
-            st.sync(&self.lanes);
-            check(&st)
-        };
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-        ok
-    }
-
-    /// True if a blocked receive over `pats` could make progress on its
-    /// own: a deliverable match is queued, or (deadline-bounded,
-    /// specific-source) a provably-late match lets it return `Timeout`.
-    /// Used by the quiescence classifier, which must observe the exact
-    /// conditions the receive loop itself checks.
+    /// True if [`Mailbox::claim`] over some pattern in `pats` would resolve
+    /// (match, or prove the deadline missed) — the quiescence classifier's
+    /// view of a blocked receive, read off the same [`Store::locate`] the
+    /// claim itself runs.
     pub(crate) fn can_progress(&self, pats: &[Pattern], deadline: Option<SimTime>) -> bool {
-        let mut st = self.state.lock();
-        st.sync(&self.lanes);
-        pats.iter().any(|p| st.progressable(p, deadline))
-    }
-
-    /// Like [`Mailbox::recv_match`] but leaves the message queued
-    /// (`MPI_Probe`). Returns the matched envelope's metadata.
-    pub fn probe_match(&self, pat: Pattern) -> (usize, i32, usize, SimTime) {
-        let mut st = self.state.lock();
-        loop {
-            self.waiters.fetch_add(1, Ordering::SeqCst);
-            st.sync(&self.lanes);
-            if let Some(hit) = st.peek(pat) {
-                self.waiters.fetch_sub(1, Ordering::SeqCst);
-                return hit;
-            }
-            let timed_out = self.cond.wait_for(&mut st, DEADLOCK_TIMEOUT).timed_out();
-            self.waiters.fetch_sub(1, Ordering::SeqCst);
-            if timed_out {
-                panic!("mpisim deadlock: probe {pat:?} matched nothing for {DEADLOCK_TIMEOUT:?}");
-            }
-        }
+        let st = self.store();
+        pats.iter()
+            .any(|&p| !matches!(st.locate(p, deadline), Locate::Nothing))
     }
 
     /// Non-blocking probe (`MPI_Iprobe`): metadata of the first match, if any.
     pub fn try_probe(&self, pat: Pattern) -> Option<(usize, i32, usize, SimTime)> {
-        let mut st = self.state.lock();
-        st.sync(&self.lanes);
-        st.peek(pat)
-    }
-
-    /// Non-blocking matched receive (`MPI_Irecv` + immediate test).
-    pub fn try_recv_match(&self, pat: Pattern) -> Option<Envelope> {
-        let mut st = self.state.lock();
-        st.sync(&self.lanes);
-        match st.claim(pat, None) {
-            Claim::Matched(env) => Some(env),
-            _ => None,
-        }
+        self.store().peek(pat)
     }
 
     /// Number of queued (unmatched) messages — used by shutdown diagnostics.
     pub fn pending(&self) -> usize {
-        let mut st = self.state.lock();
-        st.sync(&self.lanes);
-        st.total
+        self.store().total
     }
 
     /// Removes and returns every queued message (end-of-run drain, so
     /// pooled payloads return to the arena before leak accounting).
     pub(crate) fn drain_all(&self) -> usize {
-        let mut st = self.state.lock();
-        st.sync(&self.lanes);
+        let mut st = self.store();
         let n = st.total;
         st.queues.clear();
         st.total = 0;
@@ -765,7 +690,7 @@ mod tests {
             ctx,
             src_world: src,
             tag,
-            payload: Payload::from_vec(data.to_vec(), DEFAULT_EAGER_LIMIT),
+            payload: Payload::from_vec(data.to_vec()),
             sent_at: SimTime::ZERO,
             arrival: SimTime::from_secs(1.0),
             seq: 0,
@@ -974,11 +899,13 @@ mod tests {
     fn probe_leaves_message_queued() {
         let mb = Mailbox::new();
         mb.post(env(1, 4, 5, b"abc"));
-        let (src, tag, len, _) = mb.probe_match(Pattern {
-            ctx: 1,
-            src_world: None,
-            tag: None,
-        });
+        let (src, tag, len, _) = mb
+            .try_probe(Pattern {
+                ctx: 1,
+                src_world: None,
+                tag: None,
+            })
+            .expect("posted message is visible to a probe");
         assert_eq!((src, tag, len), (4, 5, 3));
         assert_eq!(mb.pending(), 1);
     }
@@ -1013,13 +940,53 @@ mod tests {
     }
 
     #[test]
-    fn payload_protocol_split_at_inline_cap() {
-        let small = Payload::from_vec(vec![7u8; INLINE_CAP], DEFAULT_EAGER_LIMIT);
-        let big = Payload::from_vec(vec![7u8; INLINE_CAP + 1], DEFAULT_EAGER_LIMIT);
+    fn payload_protocol_split_at_eager_limit() {
+        let small = Payload::from_vec(vec![7u8; EAGER_LIMIT]);
+        let big = Payload::from_vec(vec![7u8; EAGER_LIMIT + 1]);
         assert_eq!(small.protocol(), "eager");
         assert_eq!(big.protocol(), "heap");
-        assert_eq!(small.len(), INLINE_CAP);
-        assert_eq!(big.len(), INLINE_CAP + 1);
+        assert_eq!(small.len(), EAGER_LIMIT);
+        assert_eq!(big.len(), EAGER_LIMIT + 1);
+    }
+
+    #[test]
+    fn ring_after_ticket_cancels_the_sleep() {
+        // The lost-wake-up window, made deterministic on one thread: the
+        // ring lands between reading the ticket and going to sleep.
+        let mb = Mailbox::for_world(2);
+        let ticket = mb.ticket();
+        mb.wake_all();
+        let start = std::time::Instant::now();
+        assert!(mb.sleep(ticket, Duration::from_secs(10)));
+        assert!(start.elapsed() < Duration::from_millis(100));
+        // An unrung lane post in the same window cancels it too — also
+        // when somebody else (the classifier) ingests it first.
+        for foreign_drain in [false, true] {
+            let ticket = mb.ticket();
+            mb.post_lane(env(1, 0, 0, b"x"));
+            assert_eq!(mb.ticket(), ticket, "no sleeper registered: no ring");
+            if foreign_drain {
+                assert_eq!(mb.pending(), 2);
+            }
+            assert!(mb.sleep(ticket, Duration::from_secs(10)));
+            assert!(start.elapsed() < Duration::from_millis(100));
+        }
+        let slept =
+            mb.wakes.rung.load(Ordering::Relaxed) + mb.wakes.expired.load(Ordering::Relaxed);
+        assert_eq!(slept, 0, "neither call entered the condvar");
+    }
+
+    #[test]
+    fn ring_before_ticket_does_not_cancel_the_sleep() {
+        // A ring the waiter has already accounted for must not keep it
+        // awake: the counter is a ticket, not a sticky flag.
+        let mb = Mailbox::for_world(2);
+        mb.wake_all();
+        let ticket = mb.ticket();
+        let start = std::time::Instant::now();
+        assert!(!mb.sleep(ticket, Duration::from_millis(50)));
+        assert!(start.elapsed() >= Duration::from_millis(50));
+        assert_eq!(mb.wakes.expired.load(Ordering::Relaxed), 1);
     }
 
     #[test]

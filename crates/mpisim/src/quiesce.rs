@@ -16,7 +16,8 @@
 //!    — a matching message is queued for it, its awaited peer is already
 //!    dead (so its failure-detector abort will fire), or its agreement
 //!    round is completable — the system is *not* quiescent: no verdict is
-//!    issued, and that rank resolves organically within one poll interval.
+//!    issued, and that rank resolves organically at its next wake-up (the
+//!    change that made it resolvable rang its doorbell).
 //!    Fault chains therefore unravel link-by-link in virtual-time order,
 //!    which keeps the error surface deterministic.
 //! 2. **Timeout round.** Otherwise, if any stuck rank has a virtual-time
@@ -43,13 +44,21 @@
 //!
 //! Detection is exact (no false verdicts: a verdict is only issued when no
 //! message is queued and no rank is running) and fast (classification runs
-//! at the moment of quiescence, so wall time is milliseconds). The
-//! wall-clock watchdog survives only as a configurable belt-and-braces
-//! backstop behind this detector.
+//! at the moment of quiescence, so wall time is milliseconds). A
+//! wall-clock watchdog survives only as a private belt-and-braces constant
+//! of the one guarded wait (`Comm::wait`) behind this detector.
+//!
+//! The waiter and the classifier read *one* description of a wait, the
+//! [`WaitRecord`]: the same [`WaitRecord::abort`] decides "a dead peer ends
+//! this wait" in the wait loop and in the stability check, and the same
+//! [`WaitRecord::awaited`] gives the wait's edge to the terminal round and
+//! to the watchdog.
 
 use crate::agree::{AgreeKey, AgreeTable};
 use crate::error::{MpiError, WaitGraph};
+use crate::group::Group;
 use crate::p2p::{Claim, Mailbox, Pattern};
+use crate::runtime::RankState;
 use hetsim::SimTime;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -70,21 +79,92 @@ pub(crate) enum WaitKind {
     },
 }
 
-/// A blocked rank's registration: exactly what could unblock it.
+/// A blocked rank's registration: exactly what could unblock it, and what
+/// ends the wait when nothing can.
 #[derive(Debug, Clone)]
 pub(crate) struct WaitRecord {
-    /// World ranks whose action could unblock this rank.
-    pub waiting_on: Vec<usize>,
-    /// `true`: any one dead member of `waiting_on` aborts the wait via the
-    /// failure detector (specific-source receive, collective-plane
-    /// receive). `false`: the wait aborts only once *all* of `waiting_on`
-    /// are dead (`ANY_SOURCE`, `wait_any`, agreement).
-    pub abort_any: bool,
+    /// The communicator waited on. Its other members are who an
+    /// `ANY_SOURCE` pattern waits for.
+    pub group: Arc<Group>,
+    /// A legacy collective-plane wait: one *failed* member makes the
+    /// collective impossible to complete and aborts the wait everywhere,
+    /// which is what propagates the failure to ranks not blocked on the
+    /// dead rank itself. (The schedule engine waits point-to-point and
+    /// propagates along schedule edges with poison instead.)
+    pub collective: bool,
     /// Virtual-time deadline bounding the wait, if any. A doomed rank's own
     /// crash time is registered here, making death an implicit deadline.
     pub deadline: Option<SimTime>,
     /// The unblocking condition proper.
     pub kind: WaitKind,
+}
+
+impl WaitRecord {
+    fn peers(&self, me: usize) -> impl Iterator<Item = usize> + '_ {
+        self.group.world_ranks().iter().copied().filter(move |&w| w != me)
+    }
+
+    /// Who could send `me` a match for `pat`: the named source, or for
+    /// `ANY_SOURCE` every other member.
+    fn senders(&self, me: usize, pat: &Pattern) -> impl Iterator<Item = usize> + '_ {
+        let others = if pat.src_world.is_none() { usize::MAX } else { 0 };
+        pat.src_world.into_iter().chain(self.peers(me).take(others))
+    }
+
+    /// The dead-peer rule: the error that ends `me`'s wait because nobody
+    /// who could satisfy it is left, given each rank's liveness.
+    ///
+    /// A mailbox wait dead-ends when *every* pattern does — a specific
+    /// source when that sender is dead, `ANY_SOURCE` when every other
+    /// member is — and reports the first pattern's error, so p2p between
+    /// live ranks keeps working during recovery. A [`Self::collective`]
+    /// wait also aborts on any *failed* member; a member that merely
+    /// returned has done its part and neither aborts the wait nor makes it
+    /// look resolvable. Agreement waits never abort: dead members are
+    /// excluded from the round instead.
+    pub(crate) fn abort(&self, me: usize, state: impl Fn(usize) -> RankState) -> Option<MpiError> {
+        let WaitKind::Mailbox { pats } = &self.kind else {
+            return None;
+        };
+        let failed = |w: &usize| matches!(state(*w), RankState::Failed(_));
+        if self.collective {
+            if let Some(world_rank) = self.peers(me).find(failed) {
+                return Some(MpiError::NodeFailed { world_rank });
+            }
+        }
+        let mut first = None;
+        for pat in pats {
+            let mut verdict = None;
+            for w in self.senders(me, pat) {
+                match state(w) {
+                    RankState::Alive => return None,
+                    RankState::Failed(_) => verdict = Some(MpiError::NodeFailed { world_rank: w }),
+                    RankState::Terminated => {
+                        verdict = verdict.or(Some(MpiError::PeerTerminated { world_rank: w }));
+                    }
+                }
+            }
+            first = first.or(Some(verdict?));
+        }
+        first
+    }
+
+    /// The ranks `me` waits on — its edge in the wait graph: the awaited
+    /// senders of a mailbox wait (every other member for `ANY_SOURCE`).
+    /// Agreement edges depend on who has deposited; see [`Registry::edge`].
+    fn awaited(&self, me: usize) -> Vec<usize> {
+        let mut on = Vec::new();
+        if let WaitKind::Mailbox { pats } = &self.kind {
+            for pat in pats {
+                for w in self.senders(me, pat) {
+                    if !on.contains(&w) {
+                        on.push(w);
+                    }
+                }
+            }
+        }
+        on
+    }
 }
 
 #[derive(Debug)]
@@ -97,9 +177,10 @@ enum Phase {
 #[derive(Debug)]
 struct Inner {
     phase: Vec<Phase>,
-    /// World ranks observed fail-stopped *or* terminated — either way they
-    /// will never send again.
-    dead: Vec<bool>,
+    /// Each world rank's liveness as last published by its own thread. A
+    /// rank that is not `Alive` — fail-stopped *or* terminated — will never
+    /// send again.
+    state: Vec<RankState>,
     /// Per-rank wait epoch, bumped on every transition to `Blocked`. A
     /// verdict is stamped with the epoch it was issued for and is never
     /// delivered across epochs: a verdict that outlives the wait it judged
@@ -109,6 +190,12 @@ struct Inner {
     /// Verdicts issued by classification — `(wait epoch, error)` — consumed
     /// once by their rank after epoch and re-validation checks.
     verdicts: Vec<Option<(u64, MpiError)>>,
+}
+
+impl Inner {
+    fn dead(&self, w: usize) -> bool {
+        self.state[w] != RankState::Alive
+    }
 }
 
 /// The universe-wide quiescence registry.
@@ -127,19 +214,19 @@ impl Registry {
             agreements,
             inner: Mutex::new(Inner {
                 phase: (0..n).map(|_| Phase::Active).collect(),
-                dead: vec![false; n],
+                state: vec![RankState::Alive; n],
                 epoch: vec![0; n],
                 verdicts: vec![None; n],
             }),
         }
     }
 
-    /// Marks `world_rank` as dead (fail-stopped or terminated): it will
-    /// never send again. Classification is *not* triggered here — the rank's
-    /// own thread is still unwinding (it counts as active until
-    /// [`Registry::done`]).
-    pub(crate) fn mark_dead(&self, world_rank: usize) {
-        self.inner.lock().dead[world_rank] = true;
+    /// Records that `world_rank` is dead (`state`: fail-stopped or
+    /// terminated): it will never send again. Classification is *not*
+    /// triggered here — the rank's own thread is still unwinding (it counts
+    /// as active until [`Registry::done`]).
+    pub(crate) fn mark_dead(&self, world_rank: usize, state: RankState) {
+        self.inner.lock().state[world_rank] = state;
     }
 
     /// Registers `me` as blocked. May trigger classification (if `me` was
@@ -214,25 +301,33 @@ impl Registry {
         inner.verdicts[me] = None;
     }
 
-    /// Atomic claim-and-unblock: removes a qualifying envelope from `me`'s
-    /// mailbox and, if the scan resolves the wait (match or provably-missed
-    /// deadline), flips `me` back to `Active` — all under the registry
-    /// lock, so the classifier can never observe a rank that has consumed
-    /// its message but still looks blocked (which would fabricate deadlock
-    /// verdicts for its peers).
-    pub(crate) fn claim_for(
-        &self,
-        me: usize,
-        pat: Pattern,
-        deadline: Option<SimTime>,
-    ) -> Claim {
+    /// Atomic try-and-unblock: runs `me`'s "try to finish" step (claim an
+    /// envelope, read an outcome) and, if it resolves the wait, flips `me`
+    /// back to `Active` — all under the registry lock, so the classifier
+    /// can never observe a rank that has consumed its message but still
+    /// looks blocked (which would fabricate deadlock verdicts for its
+    /// peers).
+    pub(crate) fn attempt<T>(&self, me: usize, f: impl FnOnce() -> Claim<T>) -> Claim<T> {
         let mut inner = self.inner.lock();
-        let c = self.mailboxes[me].claim(pat, deadline);
+        let c = f();
         if !matches!(c, Claim::Nothing) {
             inner.phase[me] = Phase::Active;
             inner.verdicts[me] = None;
         }
         c
+    }
+
+    /// Deregisters `me` because its wall-clock watchdog ran out, returning
+    /// the edge its wait had at that moment.
+    pub(crate) fn give_up(&self, me: usize) -> Vec<usize> {
+        let mut inner = self.inner.lock();
+        let on = match &inner.phase[me] {
+            Phase::Blocked(rec) => self.edge(&inner, me, rec),
+            _ => Vec::new(),
+        };
+        inner.phase[me] = Phase::Active;
+        inner.verdicts[me] = None;
+        on
     }
 
     /// Records that `me`'s thread exited; may trigger classification.
@@ -244,16 +339,10 @@ impl Registry {
     }
 
     /// True if the blocked rank `r` can resolve without anyone else acting:
-    /// a deliverable (or provably-late) envelope is queued, its
-    /// failure-detector abort would fire, or its agreement round is
-    /// completable.
+    /// a deliverable (or provably-late) envelope is queued, its dead-peer
+    /// abort would fire, or its agreement round is completable.
     fn can_resolve(&self, inner: &Inner, r: usize, rec: &WaitRecord) -> bool {
-        let aborts = if rec.abort_any {
-            rec.waiting_on.iter().any(|&w| inner.dead[w])
-        } else {
-            !rec.waiting_on.is_empty() && rec.waiting_on.iter().all(|&w| inner.dead[w])
-        };
-        aborts || self.can_deliver(inner, r, rec)
+        rec.abort(r, |w| inner.state[w]).is_some() || self.can_deliver(inner, r, rec)
     }
 
     /// True if the blocked rank `r` can resolve *productively*: a
@@ -266,8 +355,18 @@ impl Registry {
             WaitKind::Mailbox { pats } => self.mailboxes[r].can_progress(pats, rec.deadline),
             WaitKind::Agreement { key } => self
                 .agreements
-                .try_outcome(*key, |w| inner.dead[w])
+                .try_outcome(*key, |w| inner.dead(w))
                 .is_some(),
+        }
+    }
+
+    /// `r`'s edge in the wait graph: the senders a mailbox wait awaits;
+    /// for an agreement wait, re-derived fresh, the live members that have
+    /// not deposited — only they actually block the round.
+    fn edge(&self, inner: &Inner, r: usize, rec: &WaitRecord) -> Vec<usize> {
+        match &rec.kind {
+            WaitKind::Mailbox { .. } => rec.awaited(r),
+            WaitKind::Agreement { key } => self.agreements.pending_live(*key, |w| inner.dead(w)),
         }
     }
 
@@ -325,16 +424,7 @@ impl Registry {
                 let Phase::Blocked(rec) = &inner.phase[r] else {
                     unreachable!()
                 };
-                let on = match &rec.kind {
-                    WaitKind::Mailbox { .. } => rec.waiting_on.clone(),
-                    // Agreement waits are re-derived fresh: only live
-                    // members that have not deposited actually block the
-                    // round.
-                    WaitKind::Agreement { key } => {
-                        self.agreements.pending_live(*key, |w| inner.dead[w])
-                    }
-                };
-                (r, on)
+                (r, self.edge(inner, r, rec))
             })
             .collect();
         // Fault-orphan fixpoint: a rank waiting (transitively) on a dead
@@ -348,7 +438,7 @@ impl Registry {
                 let blame = on
                     .iter()
                     .filter_map(|&w| {
-                        if inner.dead[w] {
+                        if inner.dead(w) {
                             Some(w)
                         } else {
                             cause[w]

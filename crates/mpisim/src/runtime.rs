@@ -4,7 +4,7 @@ use crate::agree::AgreeTable;
 use crate::comm::Comm;
 use crate::engine::CollectivePolicy;
 use crate::error::{MpiError, MpiResult};
-use crate::p2p::{Mailbox, DEADLOCK_TIMEOUT, DEFAULT_EAGER_LIMIT, INLINE_CAP};
+use crate::p2p::Mailbox;
 use crate::plan::{PlanCache, PlanCacheReport};
 use crate::pool::{BufferPool, PoolReport};
 use crate::quiesce::Registry;
@@ -14,7 +14,6 @@ use hetsim::{Cluster, NodeId, SimTime, Topology};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// What the failure detector knows about one world rank.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -60,17 +59,12 @@ pub(crate) struct SharedState {
     pub(crate) quiesce: Arc<Registry>,
     /// Agreement rounds ([`Comm::agree`] / [`Comm::shrink`]).
     pub(crate) agreements: Arc<AgreeTable>,
-    /// Wall-clock backstop behind the quiescence detector: how long a
-    /// blocked receive waits in real time before giving up anyway.
-    pub(crate) watchdog: Duration,
     /// `doom[world_rank]` = that rank's node's crash time under the fault
     /// plan, if it is doomed. Resolved once at launch so receive paths do
     /// not hit the cluster model on every call.
     pub(crate) doom: Vec<Option<SimTime>>,
     /// The rendezvous payload arena (see [`crate::pool`]).
     pub(crate) pool: Arc<BufferPool>,
-    /// Eager/rendezvous protocol split, bytes (≤ [`INLINE_CAP`]).
-    pub(crate) eager_limit: usize,
 }
 
 impl SharedState {
@@ -94,30 +88,27 @@ impl SharedState {
     /// Records that `world_rank`'s node fail-stopped at virtual time `at`
     /// (idempotent) and wakes every blocked receive so it re-checks.
     pub(crate) fn mark_failed(&self, world_rank: usize, at: SimTime) {
-        {
-            let mut l = self.liveness.lock();
-            if !matches!(l[world_rank], RankState::Failed(_)) {
-                l[world_rank] = RankState::Failed(at);
-            }
-        }
-        self.quiesce.mark_dead(world_rank);
-        self.wake_all();
+        self.mark_dead(world_rank, RankState::Failed(at), |s| !matches!(s, RankState::Failed(_)));
     }
 
     /// Records that `world_rank`'s thread exited. Does not overwrite a
     /// `Failed` mark (the crash is the more precise cause of death).
     pub(crate) fn mark_terminated(&self, world_rank: usize) {
-        {
-            let mut l = self.liveness.lock();
-            if l[world_rank] == RankState::Alive {
-                l[world_rank] = RankState::Terminated;
-            }
-        }
-        self.quiesce.mark_dead(world_rank);
-        self.wake_all();
+        self.mark_dead(world_rank, RankState::Terminated, |s| s == RankState::Alive);
     }
 
-    fn wake_all(&self) {
+    /// Publishes `state` for `world_rank` if its current state `yields` to
+    /// it — to the failure detector, then to the quiescence registry — and
+    /// only then rings every doorbell, so a woken waiter sees the death.
+    fn mark_dead(&self, world_rank: usize, state: RankState, yields: impl Fn(RankState) -> bool) {
+        let state = {
+            let mut l = self.liveness.lock();
+            if yields(l[world_rank]) {
+                l[world_rank] = state;
+            }
+            l[world_rank]
+        };
+        self.quiesce.mark_dead(world_rank, state);
         for mb in &self.mailboxes {
             mb.wake_all();
         }
@@ -142,8 +133,8 @@ impl Drop for TerminationGuard {
 }
 
 /// Typed, consolidated configuration for a [`Universe`]: one value covering
-/// what used to be six separately-chained `with_*` builders (placement,
-/// deadlock timeout, collective policy, stack size, eager limit, tracing).
+/// what used to be separately-chained `with_*` builders (placement,
+/// collective policy, stack size, tracing).
 /// Build one with the fluent setters and hand it to
 /// [`Universe::with_config`] or [`Universe::from_topology`]; the default
 /// value reproduces `Universe::new` exactly.
@@ -152,13 +143,11 @@ impl Drop for TerminationGuard {
 /// use hetsim::Cluster;
 /// use mpisim::{CollectivePolicy, Universe, UniverseConfig};
 /// use std::sync::Arc;
-/// use std::time::Duration;
 ///
 /// let u = Universe::with_config(
 ///     Arc::new(Cluster::paper_lan_em3d()),
 ///     UniverseConfig::new()
 ///         .collective_policy(CollectivePolicy::Auto)
-///         .deadlock_timeout(Duration::from_secs(5))
 ///         .tracing(true),
 /// );
 /// assert_eq!(u.size(), 9);
@@ -166,16 +155,14 @@ impl Drop for TerminationGuard {
 #[derive(Clone, Debug, Default)]
 pub struct UniverseConfig {
     placement: Option<Vec<NodeId>>,
-    deadlock_timeout: Option<Duration>,
     collective_policy: CollectivePolicy,
     stack_size: Option<usize>,
-    eager_limit: Option<usize>,
     tracing: bool,
 }
 
 impl UniverseConfig {
     /// The default configuration: one rank per cluster node, default
-    /// watchdog/stack/eager limits, [`CollectivePolicy::Auto`], no tracing.
+    /// stack size, [`CollectivePolicy::Auto`], no tracing.
     pub fn new() -> Self {
         Self::default()
     }
@@ -185,19 +172,6 @@ impl UniverseConfig {
     /// node `i` — the paper's "one process per processor" configuration.
     pub fn placement(mut self, placement: Vec<NodeId>) -> Self {
         self.placement = Some(placement);
-        self
-    }
-
-    /// The wall-clock watchdog: the real-time backstop a blocked operation
-    /// waits before giving up with a typed error. The virtual-time
-    /// quiescence detector classifies stuck states in milliseconds, so the
-    /// watchdog should never fire in practice — shorten it in tests that
-    /// deliberately defeat the detector, or lengthen it for heavily
-    /// oversubscribed hosts. Defaults to the `MPISIM_DEADLOCK_TIMEOUT`
-    /// environment variable (seconds, fractional allowed) when set, else
-    /// [`DEADLOCK_TIMEOUT`].
-    pub fn deadlock_timeout(mut self, timeout: Duration) -> Self {
-        self.deadlock_timeout = Some(timeout);
         self
     }
 
@@ -220,16 +194,6 @@ impl UniverseConfig {
     /// when set, else the platform default.
     pub fn stack_size(mut self, bytes: usize) -> Self {
         self.stack_size = Some(bytes);
-        self
-    }
-
-    /// The eager/rendezvous protocol split: payloads of at most `bytes`
-    /// travel inline through the eager lanes, larger ones lease an arena
-    /// buffer. Clamped to [`INLINE_CAP`] (the envelope's inline slot
-    /// capacity). Defaults to the `MPISIM_EAGER_LIMIT` environment
-    /// variable (bytes) when set, else [`DEFAULT_EAGER_LIMIT`].
-    pub fn eager_limit(mut self, bytes: usize) -> Self {
-        self.eager_limit = Some(bytes.min(INLINE_CAP));
         self
     }
 
@@ -271,9 +235,7 @@ pub struct Universe {
     placement: Vec<NodeId>,
     tracer: Option<Arc<Tracer>>,
     coll_policy: CollectivePolicy,
-    watchdog: Option<Duration>,
     stack_size: Option<usize>,
-    eager_limit: Option<usize>,
 }
 
 impl Universe {
@@ -316,9 +278,7 @@ impl Universe {
             placement,
             tracer: config.tracing.then(|| Arc::new(Tracer::new())),
             coll_policy: config.collective_policy,
-            watchdog: config.deadlock_timeout,
             stack_size: config.stack_size,
-            eager_limit: config.eager_limit,
         }
     }
 
@@ -372,29 +332,12 @@ impl Universe {
         let n = self.size();
         let mailboxes: Vec<Arc<Mailbox>> = (0..n).map(|_| Arc::new(Mailbox::for_world(n))).collect();
         let agreements = Arc::new(AgreeTable::new());
-        let watchdog = self.watchdog.unwrap_or_else(|| {
-            std::env::var("MPISIM_DEADLOCK_TIMEOUT")
-                .ok()
-                .and_then(|s| s.trim().parse::<f64>().ok())
-                .filter(|s| *s > 0.0)
-                .map(Duration::from_secs_f64)
-                .unwrap_or(DEADLOCK_TIMEOUT)
-        });
         let stack_size = self.stack_size.or_else(|| {
             std::env::var("MPISIM_STACK_SIZE")
                 .ok()
                 .and_then(|s| s.trim().parse::<usize>().ok())
                 .filter(|s| *s > 0)
         });
-        let eager_limit = self
-            .eager_limit
-            .or_else(|| {
-                std::env::var("MPISIM_EAGER_LIMIT")
-                    .ok()
-                    .and_then(|s| s.trim().parse::<usize>().ok())
-            })
-            .unwrap_or(DEFAULT_EAGER_LIMIT)
-            .min(INLINE_CAP);
         let shared = Arc::new(SharedState {
             cluster: self.cluster.clone(),
             placement: self.placement.clone(),
@@ -414,9 +357,7 @@ impl Universe {
             coll_policy: self.coll_policy,
             plans: PlanCache::new(),
             agreements,
-            watchdog,
             pool: BufferPool::new(),
-            eager_limit,
         });
 
         let mut slots: Vec<Option<(R, SimTime)>> = Vec::with_capacity(n);
@@ -481,6 +422,7 @@ impl Universe {
             predicted: None,
             pool: shared.pool.report(),
             plans: shared.plans.report(),
+            wakeups: WakeupReport::sum(&shared.mailboxes),
         }
     }
 }
@@ -510,6 +452,39 @@ pub struct RunReport<R> {
     /// handed out, how many of those were shared rather than built.
     /// Host-side only — never part of the virtual-time trace.
     pub plans: PlanCacheReport,
+    /// What the doorbells did: how the run's sleeps ended. Host-side only.
+    pub wakeups: WakeupReport,
+}
+
+/// How the blocked waits of one run slept, summed over every rank's
+/// mailbox doorbell. One counter bump per *sleep*; a receive that finds
+/// its message queued never shows up here.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WakeupReport {
+    /// Sleeps entered (`rung + backstop`).
+    pub slept: u64,
+    /// Sleeps ended by a doorbell ring.
+    pub rung: u64,
+    /// Sleeps that ran their whole wake-up backstop. Legitimate when the
+    /// awaited peer is genuinely busy that long in real time.
+    pub backstop: u64,
+    /// Backstop expiries after which the wait *did* resolve — a message, a
+    /// verdict, a dead peer or an agreement outcome was already there, so a
+    /// ring was lost. Must be zero (simcheck's `no-missed-wakeup`).
+    pub missed: u64,
+}
+
+impl WakeupReport {
+    fn sum(mailboxes: &[Arc<Mailbox>]) -> Self {
+        let mut sum = WakeupReport::default();
+        for mb in mailboxes {
+            sum.rung += mb.wakes.rung.load(Ordering::Relaxed);
+            sum.backstop += mb.wakes.expired.load(Ordering::Relaxed);
+            sum.missed += mb.wakes.missed.load(Ordering::Relaxed);
+        }
+        sum.slept = sum.rung + sum.backstop;
+        sum
+    }
 }
 
 impl<R> RunReport<R> {

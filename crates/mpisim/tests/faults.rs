@@ -400,6 +400,48 @@ fn agreement_waiters_all_read_the_round_a_wedged_member_completes() {
     }
 }
 
+#[test]
+fn terminated_bystander_does_not_stall_classification() {
+    // Rank 2 returns at once. Rank 0 waits in a collective for rank 1, rank
+    // 1 waits point-to-point for rank 0: a two-rank cycle. The bystander's
+    // exit neither aborts rank 0's collective wait (it did not fail) nor
+    // may it make that wait look resolvable to the classifier — which used
+    // to happen, and left the run to the wall-clock watchdog.
+    let run = || {
+        cluster_with(3, FaultPlan::none())
+            .pipe(Universe::new)
+            .run(|p| {
+                let world = p.world();
+                match p.world_rank() {
+                    0 => world.bcast(&mut vec![0i64], 1).err(),
+                    1 => world.recv::<i64>(0, 5).err(),
+                    _ => None,
+                }
+            })
+    };
+    let start = std::time::Instant::now();
+    let first = run();
+    assert!(start.elapsed() < std::time::Duration::from_secs(1));
+    for rank in 0..2 {
+        // The classifier's verdict carries the whole cycle; the watchdog
+        // could only have named the caller's own edge.
+        match &first.results[rank] {
+            Some(MpiError::Deadlock { waiting, on, graph }) => {
+                assert_eq!((*waiting, on), (rank, &vec![1 - rank]));
+                assert_eq!(graph.edges, vec![(0, vec![1]), (1, vec![0])]);
+            }
+            other => panic!("rank {rank}: expected Deadlock, got {other:?}"),
+        }
+    }
+    assert_eq!(first.results[2], None);
+    assert_eq!(first.wakeups.missed, 0);
+    for _ in 1..50 {
+        let again = run();
+        assert_eq!(again.results, first.results);
+        assert_eq!(again.wakeups.missed, 0);
+    }
+}
+
 /// `Arc<Cluster> -> Universe` plumbing helper so tests read top-down.
 trait Pipe: Sized {
     fn pipe<T>(self, f: impl FnOnce(Self) -> T) -> T {

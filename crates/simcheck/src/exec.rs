@@ -35,6 +35,10 @@
 //! * **arena hygiene** — after every run, all rendezvous buffer leases
 //!   have returned to the universe's pool (`report.pool.outstanding == 0`);
 //!   a leak means a payload escaped the envelope lifecycle;
+//! * **no missed wake-up** — after every run, no blocked wait slept out
+//!   its wake-up backstop while it was resolvable
+//!   (`report.wakeups.missed == 0`): every message, death, verdict and
+//!   agreement deposit reached its waiter by a doorbell ring;
 //! * **plan-cache coherence** — after every collective run the universe's
 //!   plan cache accounts for itself (`hits + built == lookups`) and planned
 //!   no more than the distinct calls issued (plus re-builds of evicted
@@ -49,7 +53,7 @@ use hetsim::{
 };
 use hmpi::{select_mapping, select_mapping_naive, HmpiRuntime, MappingAlgorithm, SelectionCtx};
 use mpisim::{
-    CollectiveAlgo, CollectiveKind, Comm, MpiError, PlanCacheReport, PoolReport, ReduceOp,
+    CollectiveAlgo, CollectiveKind, Comm, MpiError, PlanCacheReport, ReduceOp, RunReport,
     Universe, UniverseConfig,
 };
 use perfmodel::collective::algos_for;
@@ -204,11 +208,14 @@ fn run_workload(sc: &Scenario) -> Result<(), Violation> {
     }
 }
 
-/// Arena hygiene: after a run every rendezvous lease must be back in the
-/// pool — the universe drains all mailboxes (including messages stranded
-/// by faults) before snapshotting the report, so an outstanding lease is
-/// a payload that escaped the envelope lifecycle.
-fn judge_pool(tag: &str, pool: &PoolReport) -> Result<(), Violation> {
+/// Host-side hygiene of a finished run. Arena: every rendezvous lease must
+/// be back in the pool — the universe drains all mailboxes (including
+/// messages stranded by faults) before snapshotting the report, so an
+/// outstanding lease is a payload that escaped the envelope lifecycle.
+/// Doorbell: no blocked wait may have slept out its backstop while it was
+/// resolvable — whatever resolved it should have rung.
+fn judge_host<R>(tag: &str, report: &RunReport<R>) -> Result<(), Violation> {
+    let (pool, wakeups) = (&report.pool, &report.wakeups);
     if pool.outstanding != 0 {
         return Err(viol(
             "pool-leak",
@@ -217,6 +224,12 @@ fn judge_pool(tag: &str, pool: &PoolReport) -> Result<(), Violation> {
                  (high water {})",
                 pool.outstanding, pool.leased, pool.high_water
             ),
+        ));
+    }
+    if wakeups.missed != 0 {
+        return Err(viol(
+            "no-missed-wakeup",
+            format!("{tag}: a lost doorbell ring cost a backstop sleep: {wakeups:?}"),
         ));
     }
     Ok(())
@@ -367,7 +380,7 @@ fn check_ring(sc: &Scenario, elems: usize, rounds: usize) -> Result<(), Violatio
         }
         Ok(())
     });
-    judge_pool("p2p-ring", &report.pool)?;
+    judge_host("p2p-ring", &report)?;
     judge_ranks(sc, &report.results)?;
     validate_trace(report.trace.as_ref().expect("tracing enabled"), n)
 }
@@ -420,7 +433,7 @@ fn check_rand(
         }
         Ok(())
     });
-    judge_pool("p2p-random", &report.pool)?;
+    judge_host("p2p-random", &report)?;
     judge_ranks(sc, &report.results)?;
     validate_trace(report.trace.as_ref().expect("tracing enabled"), n)
 }
@@ -578,7 +591,7 @@ fn check_collective(
             })
         };
         let report = run_once();
-        judge_pool(kind.name(), &report.pool)?;
+        judge_host(kind.name(), &report)?;
         // Pricing and running the pinned algorithm are one call, one key.
         judge_plans(kind.name(), &report.plans, 1)?;
         let judged: Vec<Result<(), RankFail>> = report
@@ -603,7 +616,7 @@ fn check_collective(
         // boundary.
         if has_faults {
             let replay = run_once();
-            judge_pool(kind.name(), &replay.pool)?;
+            judge_host(kind.name(), &replay)?;
             judge_plans(kind.name(), &replay.plans, 1)?;
             if replay.results != report.results || replay.makespan != report.makespan {
                 let first_diff = (0..n)
@@ -670,7 +683,7 @@ fn check_collective(
                 .predict_collective(kind, root, pred_elems, 8)
                 .map_err(typed)
         });
-        judge_pool("auto-selection", &report.pool)?;
+        judge_host("auto-selection", &report)?;
         judge_plans("auto-selection", &report.plans, 1)?;
         match &report.results[0] {
             Ok((CollectiveAlgo::Hierarchical, t)) => {
@@ -749,7 +762,7 @@ fn check_hier_execution(
         let out = run_kind(&world, kind, None, contrib, root).map_err(typed)?;
         Ok(out.map(|v| bits(&v)))
     });
-    judge_pool("auto-selection", &report.pool)?;
+    judge_host("auto-selection", &report)?;
     judge_plans("auto-selection", &report.plans, 1)?;
     for (rank, r) in report.results.iter().enumerate() {
         match r {
@@ -866,7 +879,7 @@ fn check_storm(
     };
     let report = run_once();
     let tag = format!("storm/{}", kind.name());
-    judge_pool(&tag, &report.pool)?;
+    judge_host(&tag, &report)?;
     // Every call has its own size, so each sub-communicator issues one
     // distinct key per call and choice (fewer when two colours cover the
     // same node vector and share entries).
@@ -891,7 +904,7 @@ fn check_storm(
     // thread interleaving: other ranks build, other ranks hit, evictions
     // fall elsewhere. Nothing observable may move.
     let replay = run_once();
-    judge_pool(&tag, &replay.pool)?;
+    judge_host(&tag, &replay)?;
     judge_plans(&tag, &replay.plans, distinct)?;
     if replay.results != report.results || replay.makespan != report.makespan {
         return Err(viol(
@@ -1028,7 +1041,7 @@ fn check_group_cycle(sc: &Scenario, model_seed: u64, cycles: usize) -> Result<()
         }
         Ok(())
     });
-    judge_pool("group-cycle", &report.pool)?;
+    judge_host("group-cycle", &report)?;
     judge_ranks(sc, &report.results)
 }
 
@@ -1090,7 +1103,7 @@ fn check_recon(sc: &Scenario, units: f64, rounds: usize) -> Result<(), Violation
             Ok(())
         }
     });
-    judge_pool("recon-rounds", &report.pool)?;
+    judge_host("recon-rounds", &report)?;
     judge_ranks(sc, &report.results)
 }
 
@@ -1202,7 +1215,7 @@ fn check_shrink(sc: &Scenario, rounds: usize, units: f64) -> Result<(), Violatio
             Err(e) => Err(typed(e)),
         }
     });
-    judge_pool("shrink-recovery", &report.pool)?;
+    judge_host("shrink-recovery", &report)?;
     judge_ranks(sc, &report.results)
 }
 
