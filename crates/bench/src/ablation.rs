@@ -10,6 +10,7 @@
 //!   with fresh recon vs estimates measured before an external load
 //!   appeared.
 
+use crate::paper_lan_with;
 use hetsim::{Cluster, ClusterBuilder, ContentionModel, Link, LoadModel, Processor, Protocol,
              SimTime};
 use hmpi::MappingAlgorithm;
@@ -64,19 +65,6 @@ pub struct ContentionPoint {
     pub model: &'static str,
     /// MM execution time (HMPI, fixed l), virtual seconds.
     pub hmpi: f64,
-}
-
-fn paper_lan_with(contention: ContentionModel) -> Arc<Cluster> {
-    let speeds = [46.0, 46.0, 46.0, 46.0, 46.0, 46.0, 176.0, 106.0, 9.0];
-    let mut b = ClusterBuilder::new();
-    for (i, &s) in speeds.iter().enumerate() {
-        b = b.node(format!("ws{i:02}"), s);
-    }
-    Arc::new(
-        b.all_to_all(Link::with_defaults(Protocol::Tcp))
-            .contention(contention)
-            .build(),
-    )
 }
 
 /// Runs the MM experiment under each network contention model.

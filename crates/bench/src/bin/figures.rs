@@ -1,4 +1,5 @@
-//! Regenerates the paper's evaluation figures as text tables (or CSV).
+//! Regenerates the paper's evaluation figures as text tables (or CSV) and
+//! runs the benches beyond the paper.
 //!
 //! ```text
 //! cargo run --release -p hmpi-bench --bin figures -- all
@@ -6,43 +7,35 @@
 //! cargo run --release -p hmpi-bench --bin figures -- --csv fig10
 //! cargo run --release -p hmpi-bench --bin figures -- --quick all
 //! ```
+//!
+//! A bench ([`BENCHES`]) prints its report, writes `BENCH_<name>.json` (and
+//! any other file the report carries) unless `--quick`, and makes the
+//! process exit 1 if any of its gates failed.
 
 use hmpi_bench::{
-    ablation, collectives, contention, deadlock, extension, faults, fig10, fig11, fig9,
-    hierarchy, render_csv, render_table, selection, throughput, trace, ComparisonPoint,
+    ablation, extension, faults, fig10, fig11, fig9, render_csv, render_table, ComparisonPoint,
+    BENCHES,
 };
 
-/// Conservative checked-in eager-throughput baseline for the regression
-/// gate (compiled-in path, so the gate works from any working directory).
-const THROUGHPUT_BASELINE: &str =
-    concat!(env!("CARGO_MANIFEST_DIR"), "/baselines/throughput_baseline.json");
+/// The paper's figures and the print-only studies, in `all` order; the
+/// [`BENCHES`] follow them.
+const FIGURES: [&str; 8] = [
+    "fig9a",
+    "fig9b",
+    "fig10",
+    "fig11a",
+    "fig11b",
+    "ablations",
+    "ext-nbody",
+    "faults",
+];
 
-/// Checked-in contended virtual-time baseline: arbitration is
-/// deterministic, so the summed measured virtual time only drifts when
-/// the contention semantics change.
-const CONTENTION_BASELINE: &str =
-    concat!(env!("CARGO_MANIFEST_DIR"), "/baselines/contention_baseline.json");
-
-/// Checked-in hierarchical-collective baseline: pins the multi-site
-/// testbed's summed virtual time across both selectors.
-const HIERARCHY_BASELINE: &str =
-    concat!(env!("CARGO_MANIFEST_DIR"), "/baselines/hierarchy_baseline.json");
-
-/// Pulls `"<key>": <number>` out of a baseline JSON (the workspace's
-/// serde shim has no deserializer, so this is by hand).
-fn baseline_number(path: &str, key: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn baseline_eager_msgs_s() -> Option<f64> {
-    baseline_number(THROUGHPUT_BASELINE, "eager_msgs_per_s")
+/// Every name `figures` accepts besides `all`.
+fn names() -> Vec<&'static str> {
+    FIGURES
+        .into_iter()
+        .chain(BENCHES.map(|(name, _)| name))
+        .collect()
 }
 
 struct Options {
@@ -59,24 +52,26 @@ fn emit(opts: &Options, title: &str, x_label: &str, pts: &[ComparisonPoint]) {
     println!();
 }
 
-fn fig9_points(opts: &Options) -> Vec<ComparisonPoint> {
-    let sizes: &[usize] = if opts.quick { &[60, 150] } else { fig9::DEFAULT_SIZES };
-    fig9::series(sizes)
-}
-
-fn fig10_points(opts: &Options) -> (Vec<ComparisonPoint>, usize, usize) {
-    let n = if opts.quick { 9 } else { fig10::N };
-    let ls: Vec<usize> = if opts.quick {
-        vec![3, 4, 6, 9]
+/// The (b) half of a comparison figure: the speedup column alone.
+fn emit_speedup(opts: &Options, title: &str, x_label: &str, pts: &[ComparisonPoint]) {
+    if opts.csv {
+        println!("{},speedup", x_label.replace(' ', "_"));
+        for p in pts {
+            println!("{},{}", p.x, p.speedup());
+        }
     } else {
-        fig10::DEFAULT_LS.to_vec()
-    };
-    (fig10::series(&ls, n), fig10::timeof_choice(n), n)
+        println!("# {title}");
+        println!("{x_label:>12}  {:>8}", "speedup");
+        for p in pts {
+            println!("{:>12}  {:>8.2}", p.x, p.speedup());
+        }
+    }
+    println!();
 }
 
-fn fig11_points(opts: &Options) -> Vec<ComparisonPoint> {
-    let ns: &[usize] = if opts.quick { &[9, 12] } else { fig11::DEFAULT_NS };
-    fig11::series(ns)
+fn write(path: &str, text: &str) {
+    std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
 }
 
 fn main() {
@@ -91,91 +86,91 @@ fn main() {
         .map(String::as_str)
         .collect();
     if wanted.is_empty() || wanted.contains(&"all") {
-        wanted = vec![
-            "fig9a", "fig9b", "fig10", "fig11a", "fig11b", "ablations", "ext-nbody", "faults",
-            "selection", "trace", "collectives", "contention", "deadlock", "throughput",
-            "hierarchy",
-        ];
+        wanted = names();
+    }
+    if let Some(other) = wanted.iter().find(|w| !names().contains(w)) {
+        eprintln!("unknown figure `{other}`; known: {} all", names().join(" "));
+        std::process::exit(2);
     }
 
-    let fig9_cache = if wanted.iter().any(|w| w.starts_with("fig9")) {
-        Some(fig9_points(&opts))
+    // Figures 9 and 11 each print as an (a) and a (b) half of one series.
+    let wants = |prefix: &str| wanted.iter().any(|w| w.starts_with(prefix));
+    let sizes: &[usize] = if opts.quick {
+        &[60, 150]
     } else {
-        None
+        fig9::DEFAULT_SIZES
     };
-    let fig11_cache = if wanted.iter().any(|w| w.starts_with("fig11")) {
-        Some(fig11_points(&opts))
+    let fig9_pts = if wants("fig9") {
+        fig9::series(sizes)
     } else {
-        None
+        Vec::new()
+    };
+    let sizes: &[usize] = if opts.quick {
+        &[9, 12]
+    } else {
+        fig11::DEFAULT_NS
+    };
+    let fig11_pts = if wants("fig11") {
+        fig11::series(sizes)
+    } else {
+        Vec::new()
     };
 
+    let mut gate_failed = false;
     for w in wanted {
+        if let Some((name, run)) = BENCHES.iter().find(|(name, _)| *name == w) {
+            let report = run(opts.quick);
+            println!("{}", report.render());
+            if !opts.quick {
+                write(&format!("BENCH_{name}.json"), &report.to_json());
+                for (path, text) in &report.files {
+                    write(path, text);
+                }
+                println!();
+            }
+            if let Err(failure) = report.enforce() {
+                eprintln!("{failure}");
+                gate_failed = true;
+            }
+            continue;
+        }
         match w {
-            "fig9a" => {
-                let pts = fig9_cache.as_ref().expect("cached");
-                emit(
-                    &opts,
-                    "Figure 9(a): EM3D execution time, HMPI vs MPI (9-machine paper LAN)",
-                    "total nodes",
-                    pts,
-                );
-            }
-            "fig9b" => {
-                let pts = fig9_cache.as_ref().expect("cached");
-                if opts.csv {
-                    println!("total_nodes,speedup");
-                    for p in pts {
-                        println!("{},{}", p.x, p.speedup());
-                    }
-                } else {
-                    println!("# Figure 9(b): EM3D speedup of HMPI over MPI");
-                    println!("{:>12}  {:>8}", "total nodes", "speedup");
-                    for p in pts {
-                        println!("{:>12}  {:>8.2}", p.x, p.speedup());
-                    }
-                }
-                println!();
-            }
+            "fig9a" => emit(
+                &opts,
+                "Figure 9(a): EM3D execution time, HMPI vs MPI (9-machine paper LAN)",
+                "total nodes",
+                &fig9_pts,
+            ),
+            "fig9b" => emit_speedup(
+                &opts,
+                "Figure 9(b): EM3D speedup of HMPI over MPI",
+                "total nodes",
+                &fig9_pts,
+            ),
             "fig10" => {
-                let (pts, choice, n) = fig10_points(&opts);
-                emit(
-                    &opts,
-                    &format!(
-                        "Figure 10: MM execution time vs generalised block size l (r = {}, n = {n} blocks)",
-                        fig10::R
-                    ),
-                    "l",
-                    &pts,
+                let n = if opts.quick { 9 } else { fig10::N };
+                let ls: &[usize] = if opts.quick { &[3, 4, 6, 9] } else { fig10::DEFAULT_LS };
+                let title = format!(
+                    "Figure 10: MM execution time vs generalised block size l (r = {}, n = {n} blocks)",
+                    fig10::R
                 );
+                emit(&opts, &title, "l", &fig10::series(ls, n));
                 if !opts.csv {
-                    println!("HMPI_Timeof would choose l = {choice}\n");
+                    println!("HMPI_Timeof would choose l = {}\n", fig10::timeof_choice(n));
                 }
             }
-            "fig11a" => {
-                let pts = fig11_cache.as_ref().expect("cached");
-                emit(
-                    &opts,
-                    "Figure 11(a): MM execution time, HMPI (hetero dist, Timeof l) vs MPI (homogeneous)",
-                    "matrix size",
-                    pts,
-                );
-            }
-            "fig11b" => {
-                let pts = fig11_cache.as_ref().expect("cached");
-                if opts.csv {
-                    println!("matrix_size,speedup");
-                    for p in pts {
-                        println!("{},{}", p.x, p.speedup());
-                    }
-                } else {
-                    println!("# Figure 11(b): MM speedup of HMPI over MPI");
-                    println!("{:>12}  {:>8}", "matrix size", "speedup");
-                    for p in pts {
-                        println!("{:>12}  {:>8.2}", p.x, p.speedup());
-                    }
-                }
-                println!();
-            }
+            "fig11a" => emit(
+                &opts,
+                "Figure 11(a): MM execution time, HMPI (hetero dist, Timeof l) vs MPI (homogeneous)",
+                "matrix size",
+                &fig11_pts,
+            ),
+            "fig11b" => emit_speedup(
+                &opts,
+                "Figure 11(b): MM speedup of HMPI over MPI",
+                "matrix size",
+                &fig11_pts,
+            ),
             "ablations" => {
                 println!("# Ablation: selection algorithm (EM3D, paper LAN)");
                 println!("{:>12}  {:>14}  {:>14}", "algorithm", "measured [s]", "predicted [s]");
@@ -198,45 +193,36 @@ fn main() {
             }
             "ext-nbody" => {
                 let sizes: &[usize] = if opts.quick { &[10] } else { extension::DEFAULT_SIZES };
-                let pts = extension::series(sizes);
                 emit(
                     &opts,
                     "Extension: N-body execution time, HMPI vs MPI (beyond the paper)",
                     "total bodies",
-                    &pts,
+                    &extension::series(sizes),
                 );
             }
             "faults" => {
-                let rates: &[f64] = if opts.quick {
-                    &[0.0, 0.3]
-                } else {
-                    faults::DEFAULT_RATES
-                };
+                let rates: &[f64] = if opts.quick { &[0.0, 0.3] } else { faults::DEFAULT_RATES };
                 let trials = if opts.quick { 2 } else { faults::TRIALS };
                 let pts = faults::series(rates, trials);
                 if opts.csv {
                     println!("rate,completed,trials,mean_makespan,mean_survivors,mean_rebuilds");
-                    for p in &pts {
-                        println!(
-                            "{},{},{},{},{},{}",
-                            p.rate,
-                            p.completed,
-                            p.trials,
-                            p.mean_makespan,
-                            p.mean_survivors,
-                            p.mean_rebuilds
-                        );
-                    }
                 } else {
                     println!(
-                        "# Degradation: FT EM3D vs injected per-node crash rate ({} seeds/rate, host exempt)",
-                        trials
+                        "# Degradation: FT EM3D vs injected per-node crash rate ({trials} seeds/rate, host exempt)"
                     );
                     println!(
                         "{:>6}  {:>9}  {:>14}  {:>10}  {:>9}",
                         "rate", "completed", "makespan [s]", "survivors", "rebuilds"
                     );
-                    for p in &pts {
+                }
+                for p in &pts {
+                    if opts.csv {
+                        println!(
+                            "{},{},{},{},{},{}",
+                            p.rate, p.completed, p.trials, p.mean_makespan, p.mean_survivors,
+                            p.mean_rebuilds
+                        );
+                    } else {
                         println!(
                             "{:>6.2}  {:>6}/{:<2}  {:>14.4}  {:>10.2}  {:>9.2}",
                             p.rate, p.completed, p.trials, p.mean_makespan, p.mean_survivors,
@@ -246,211 +232,55 @@ fn main() {
                 }
                 println!();
             }
-            "selection" => {
-                let b = selection::run(opts.quick);
-                print!("{}", selection::render(&b));
-                println!();
-                if !opts.quick {
-                    let path = "BENCH_selection.json";
-                    std::fs::write(path, selection::to_json(&b)).expect("write bench JSON");
-                    println!("wrote {path}\n");
+            other => unreachable!("`{other}` passed the name check"),
+        }
+    }
+    if gate_failed {
+        std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The names following every `figures -- ` in `text`, flags skipped; a
+    /// closing backtick or other punctuation ends the command.
+    fn invoked(text: &str) -> Vec<&str> {
+        let mut found = Vec::new();
+        for command in text.split("figures -- ").skip(1) {
+            for token in command.lines().next().unwrap_or("").split_whitespace() {
+                let name = token.trim_end_matches(|c: char| !c.is_ascii_alphanumeric());
+                if name.is_empty() {
+                    break;
+                }
+                if !name.starts_with("--") {
+                    found.push(name);
+                }
+                if name.len() != token.len() {
+                    break;
                 }
             }
-            "trace" => {
-                let b = trace::run(opts.quick);
-                print!("{}", trace::render(&b));
-                println!();
-                if !opts.quick {
-                    let path = "BENCH_trace.json";
-                    std::fs::write(path, trace::to_json(&b)).expect("write bench JSON");
-                    let tpath = "TRACE_em3d.json";
-                    std::fs::write(tpath, trace::em3d_chrome_trace(false))
-                        .expect("write Chrome trace");
-                    println!("wrote {path} and {tpath}\n");
-                }
-            }
-            "collectives" => {
-                let b = collectives::run(opts.quick);
-                print!("{}", collectives::render(&b));
-                println!();
-                if !opts.quick {
-                    let path = "BENCH_collectives.json";
-                    std::fs::write(path, collectives::to_json(&b)).expect("write bench JSON");
-                    println!("wrote {path}\n");
-                }
-                let err = b.max_error_pct();
-                if err > 5.0 {
-                    eprintln!(
-                        "collective timeof prediction error {err:.3}% exceeds the 5% gate"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            "contention" => {
-                let b = contention::run(opts.quick);
-                print!("{}", contention::render(&b));
-                println!();
-                if !opts.quick {
-                    let path = "BENCH_contention.json";
-                    std::fs::write(path, contention::to_json(&b)).expect("write bench JSON");
-                    println!("wrote {path}\n");
-                }
-                let err = b.max_error_pct();
-                if err > 5.0 {
-                    eprintln!(
-                        "contended timeof prediction error {err:.3}% exceeds the 5% gate"
-                    );
-                    std::process::exit(1);
-                }
-                // The drift band only applies to the full sweep — quick
-                // mode measures a subset, so its total is incomparable.
-                if !opts.quick {
-                    match baseline_number(CONTENTION_BASELINE, "total_measured_s") {
-                        Some(base) => {
-                            let now = b.total_measured_s();
-                            if (now - base).abs() > base * 0.1 {
-                                eprintln!(
-                                    "contended virtual time {now:.6}s drifted more than 10% \
-                                     from the checked-in baseline {base:.6}s"
-                                );
-                                std::process::exit(1);
-                            }
-                        }
-                        None => {
-                            eprintln!("missing or unreadable baseline {CONTENTION_BASELINE}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
-            }
-            "hierarchy" => {
-                let b = hierarchy::run(opts.quick);
-                print!("{}", hierarchy::render(&b));
-                println!();
-                if !opts.quick {
-                    let path = "BENCH_hierarchy.json";
-                    std::fs::write(path, hierarchy::to_json(&b)).expect("write bench JSON");
-                    println!("wrote {path}\n");
-                }
-                let err = b.max_error_pct();
-                if err > 5.0 {
-                    eprintln!(
-                        "hierarchical timeof prediction error {err:.3}% exceeds the 5% gate"
-                    );
-                    std::process::exit(1);
-                }
-                let speedup = b.best_large_speedup();
-                if speedup < hierarchy::HIER_SPEEDUP_GATE {
-                    eprintln!(
-                        "hierarchical selector speedup {speedup:.2}x at >=64 KiB breaches the \
-                         {:.1}x gate over the flat selector",
-                        hierarchy::HIER_SPEEDUP_GATE
-                    );
-                    std::process::exit(1);
-                }
-                if b.min_speedup() < 1.0 - 1e-9 {
-                    eprintln!(
-                        "hierarchy-aware selector lost to the flat selector ({:.3}x) somewhere \
-                         in the sweep",
-                        b.min_speedup()
-                    );
-                    std::process::exit(1);
-                }
-                if !opts.quick {
-                    match baseline_number(HIERARCHY_BASELINE, "total_measured_s") {
-                        Some(base) => {
-                            let now = b.total_measured_s();
-                            if (now - base).abs() > base * 0.1 {
-                                eprintln!(
-                                    "hierarchical virtual time {now:.6}s drifted more than 10% \
-                                     from the checked-in baseline {base:.6}s"
-                                );
-                                std::process::exit(1);
-                            }
-                        }
-                        None => {
-                            eprintln!("missing or unreadable baseline {HIERARCHY_BASELINE}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
-            }
-            "deadlock" => {
-                let b = deadlock::run(opts.quick);
-                print!("{}", deadlock::render(&b));
-                println!();
-                if !opts.quick {
-                    let path = "BENCH_deadlock.json";
-                    std::fs::write(path, deadlock::to_json(&b)).expect("write bench JSON");
-                    println!("wrote {path}\n");
-                }
-                if !b.all_typed() {
-                    eprintln!("a seeded wedge surfaced the wrong error type");
-                    std::process::exit(1);
-                }
-                let wall = b.max_wall_s();
-                if wall >= 1.0 {
-                    eprintln!(
-                        "slowest deadlock detection {wall:.3}s breaches the 1s wall-clock gate"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            "throughput" => {
-                let b = throughput::run(opts.quick);
-                print!("{}", throughput::render(&b));
-                println!();
-                if !opts.quick {
-                    let path = "BENCH_throughput.json";
-                    std::fs::write(path, throughput::to_json(&b)).expect("write bench JSON");
-                    println!("wrote {path}\n");
-                }
-                if b.pool_outstanding != 0 {
-                    eprintln!(
-                        "throughput bench leaked {} rendezvous leases",
-                        b.pool_outstanding
-                    );
-                    std::process::exit(1);
-                }
-                let eager = b.min_eager_speedup();
-                if eager < throughput::EAGER_SPEEDUP_GATE {
-                    eprintln!(
-                        "eager msgs/sec speedup {eager:.2}x breaches the {:.0}x gate vs the \
-                         legacy mailbox",
-                        throughput::EAGER_SPEEDUP_GATE
-                    );
-                    std::process::exit(1);
-                }
-                let rdv = b.min_rendezvous_speedup();
-                if rdv < throughput::RENDEZVOUS_SPEEDUP_GATE {
-                    eprintln!(
-                        "rendezvous bytes/sec speedup {rdv:.2}x breaches the {:.0}x gate vs \
-                         the legacy mailbox",
-                        throughput::RENDEZVOUS_SPEEDUP_GATE
-                    );
-                    std::process::exit(1);
-                }
-                match baseline_eager_msgs_s() {
-                    Some(base) => {
-                        let now = b.eager_msgs_s();
-                        if now < base * 0.9 {
-                            eprintln!(
-                                "eager throughput {now:.0} msgs/s regressed more than 10% below \
-                                 the checked-in baseline {base:.0} msgs/s"
-                            );
-                            std::process::exit(1);
-                        }
-                    }
-                    None => {
-                        eprintln!("missing or unreadable baseline {THROUGHPUT_BASELINE}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            other => {
-                eprintln!("unknown figure `{other}`; known: fig9a fig9b fig10 fig11a fig11b ablations ext-nbody faults selection trace collectives contention deadlock throughput hierarchy all");
-                std::process::exit(2);
-            }
+        }
+        found
+    }
+
+    #[test]
+    fn every_name_ci_and_the_readme_invoke_is_in_the_table() {
+        let ci = include_str!("../../../../.github/workflows/ci.yml");
+        let readme = include_str!("../../../../README.md");
+        let invoked: Vec<&str> = [ci, readme].into_iter().flat_map(invoked).collect();
+        for bench in BENCHES.map(|(name, _)| name) {
+            assert!(
+                invoked.contains(&bench),
+                "neither CI nor the README runs `{bench}`"
+            );
+        }
+        for name in invoked {
+            assert!(
+                name == "all" || names().contains(&name),
+                "`figures -- {name}` is not a figure"
+            );
         }
     }
 }

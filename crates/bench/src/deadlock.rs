@@ -16,45 +16,26 @@
 //!   `Deadlock` carrying a wait graph that names the waiting ranks, the
 //!   orphan as `NodeFailed` naming the dead peer.
 
+use crate::report::{Report, Value};
 use hetsim::{ClusterBuilder, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime};
 use mpisim::{MpiError, Universe};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// One seeded-wedge measurement.
-#[derive(Debug, Clone)]
-pub struct DeadlockPoint {
+struct Wedge {
     /// Wedge shape: "cycle" (ring of receives, nobody sends) or "orphan"
     /// (every survivor receives from a rank that crashed before sending).
-    pub scenario: &'static str,
+    scenario: &'static str,
     /// Cluster size.
-    pub p: usize,
+    p: usize,
     /// Wall-clock seconds from launch to every rank returning.
-    pub wall_s: f64,
+    wall_s: f64,
     /// The error type the scenario must surface ("deadlock"/"node-failed").
-    pub expect: &'static str,
+    expect: &'static str,
     /// Whether every rank returned the expected typed error (and, for the
     /// cycle, a wait graph covering the whole ring).
-    pub all_typed: bool,
-}
-
-/// The whole benchmark.
-#[derive(Debug, Clone)]
-pub struct DeadlockBench {
-    /// Every (scenario, size) point, in sweep order.
-    pub points: Vec<DeadlockPoint>,
-}
-
-impl DeadlockBench {
-    /// Slowest detection over all points, wall-clock seconds — the CI gate.
-    pub fn max_wall_s(&self) -> f64 {
-        self.points.iter().map(|p| p.wall_s).fold(0.0, f64::max)
-    }
-
-    /// Whether every point surfaced the expected typed error on every rank.
-    pub fn all_typed(&self) -> bool {
-        self.points.iter().all(|p| p.all_typed)
-    }
+    all_typed: bool,
 }
 
 /// Homogeneous `n`-node cluster (1 ms / 10 MB/s links).
@@ -73,7 +54,7 @@ fn cluster(n: usize, faults: FaultPlan) -> Arc<hetsim::Cluster> {
 /// Seeds a receive ring with no senders: rank `r` blocks on `r+1 mod p`.
 /// Every rank must come back with [`MpiError::Deadlock`] whose wait graph
 /// has one edge per rank.
-fn measure_cycle(p: usize) -> DeadlockPoint {
+fn measure_cycle(p: usize) -> Wedge {
     let u = Universe::new(cluster(p, FaultPlan::none()));
     let started = Instant::now();
     let report = u.run(move |proc| {
@@ -88,7 +69,7 @@ fn measure_cycle(p: usize) -> DeadlockPoint {
         }
         _ => false,
     });
-    DeadlockPoint {
+    Wedge {
         scenario: "cycle",
         p,
         wall_s,
@@ -101,7 +82,7 @@ fn measure_cycle(p: usize) -> DeadlockPoint {
 /// receiving from it. The quiescence terminal round must hand every
 /// survivor [`MpiError::NodeFailed`] naming the dead rank — this is a
 /// fault orphan, not a deadlock.
-fn measure_orphan(p: usize) -> DeadlockPoint {
+fn measure_orphan(p: usize) -> Wedge {
     let dead = p - 1;
     let plan = FaultPlan::none().with(FaultEvent::NodeCrash {
         node: NodeId(dead),
@@ -122,7 +103,7 @@ fn measure_orphan(p: usize) -> DeadlockPoint {
         .results
         .iter()
         .all(|e| matches!(e, Some(MpiError::NodeFailed { world_rank }) if *world_rank == dead));
-    DeadlockPoint {
+    Wedge {
         scenario: "orphan",
         p,
         wall_s,
@@ -132,70 +113,37 @@ fn measure_orphan(p: usize) -> DeadlockPoint {
 }
 
 /// Runs the benchmark over both wedge shapes at several cluster sizes.
-pub fn run(quick: bool) -> DeadlockBench {
+pub fn run(quick: bool) -> Report {
     let sizes: &[usize] = if quick { &[2, 4] } else { &[2, 4, 9, 16] };
-    let mut points = Vec::new();
-    for &p in sizes {
-        points.push(measure_cycle(p));
-        points.push(measure_orphan(p));
-    }
-    DeadlockBench { points }
-}
+    let wedges: Vec<Wedge> = (sizes.iter())
+        .flat_map(|&p| [measure_cycle(p), measure_orphan(p)])
+        .collect();
+    let max_wall_s = wedges.iter().map(|w| w.wall_s).fold(0.0, f64::max);
+    let all_typed = wedges.iter().all(|w| w.all_typed);
 
-/// Text-table rendering.
-pub fn render(b: &DeadlockBench) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# Deadlock detection latency: seeded wedge -> typed verdict (wall clock)"
+    let mut r = Report::new(
+        "deadlock",
+        "Deadlock detection latency: seeded wedge -> typed verdict (wall clock)",
     );
-    let _ = writeln!(
-        out,
-        "{:>9} {:>3} {:>12} {:>12} {:>6}",
-        "scenario", "p", "expect", "wall [s]", "typed"
-    );
-    for p in &b.points {
-        let _ = writeln!(
-            out,
-            "{:>9} {:>3} {:>12} {:>12.4} {:>6}",
-            p.scenario,
-            p.p,
-            p.expect,
-            p.wall_s,
-            if p.all_typed { "yes" } else { "NO" }
-        );
-    }
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "slowest detection: {:.4}s wall (gate: < 1s; legacy watchdog: 60s)",
-        b.max_wall_s()
-    );
-    out
-}
-
-/// Serialises the benchmark to JSON (hand-formatted; the workspace's serde
-/// shim has no serializer).
-pub fn to_json(b: &DeadlockBench) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"max_wall_s\": {:.6},", b.max_wall_s());
-    let _ = writeln!(out, "  \"all_typed\": {},", b.all_typed());
-    let _ = writeln!(out, "  \"points\": [");
-    let n = b.points.len();
-    for (i, p) in b.points.iter().enumerate() {
-        let comma = if i + 1 == n { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"scenario\": \"{}\", \"p\": {}, \"expect\": \"{}\", \"wall_s\": {:.6}, \"all_typed\": {}}}{comma}",
-            p.scenario, p.p, p.expect, p.wall_s, p.all_typed
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+    r.summary = vec![
+        ("max_wall_s", Value::Fixed(max_wall_s, 6)),
+        ("all_typed", all_typed.into()),
+    ];
+    let row = |w: &Wedge| {
+        vec![
+            ("scenario", w.scenario.into()),
+            ("p", w.p.into()),
+            ("expect", w.expect.into()),
+            ("wall_s", Value::Fixed(w.wall_s, 6)),
+            ("all_typed", w.all_typed.into()),
+        ]
+    };
+    r.tables.push(("points", wedges.iter().map(row).collect()));
+    let claim = "every seeded wedge surfaces its expected typed error on every rank";
+    r.gate(all_typed, claim);
+    let claim = format!("slowest detection {max_wall_s:.4}s wall under 1s (legacy watchdog: 60s)");
+    r.gate(max_wall_s < 1.0, claim);
+    r
 }
 
 #[cfg(test)]
@@ -204,28 +152,9 @@ mod tests {
 
     #[test]
     fn every_wedge_is_detected_typed_and_fast() {
-        let b = run(true);
-        assert_eq!(b.points.len(), 4);
-        for p in &b.points {
-            assert!(
-                p.all_typed,
-                "{} p={}: wrong error type surfaced",
-                p.scenario, p.p
-            );
-        }
-        assert!(
-            b.max_wall_s() < 1.0,
-            "slowest detection {:.3}s breaches the 1s gate",
-            b.max_wall_s()
-        );
-    }
-
-    #[test]
-    fn json_names_every_point() {
-        let b = run(true);
-        let j = to_json(&b);
-        assert!(j.contains("\"cycle\""));
-        assert!(j.contains("\"orphan\""));
-        assert!(j.contains("\"max_wall_s\""));
+        let r = run(true);
+        assert_eq!(r.tables[0].1.len(), 4);
+        r.enforce()
+            .unwrap_or_else(|e| panic!("{e}\n{}", r.render()));
     }
 }

@@ -18,27 +18,35 @@
 //!   group size versus the injected per-node failure rate;
 //! * [`selection`] — the selection-engine microbenchmark (beyond the
 //!   paper): compiled-evaluator and incremental-probe throughput vs the
-//!   naive objective path, and end-to-end `select_mapping` wall times,
-//!   written to `BENCH_selection.json`;
+//!   naive objective path, and end-to-end `select_mapping` wall times, gated
+//!   on both paths returning bit-identical mappings (`BENCH_selection.json`);
 //! * [`deadlock`] — the robustness benchmark (beyond the paper): seeded
 //!   wedges (receive cycles, crash-orphaned waits) measured from launch to
 //!   every rank holding its typed verdict, gating the quiescence detector's
-//!   sub-second wall-clock detection, written to `BENCH_deadlock.json`;
-//! * [`throughput`] — the substrate benchmark (beyond the paper): the new
+//!   sub-second wall-clock detection (`BENCH_deadlock.json`);
+//! * [`throughput`] — the substrate benchmark (beyond the paper): the
 //!   eager/rendezvous mailbox (per-sender lanes, indexed matcher,
-//!   pool-leased payloads) raced against a faithful replica of the legacy
-//!   scan-and-remove mailbox over burst and steady traffic, gating the
-//!   ≥5× eager msgs/sec and ≥2× rendezvous bytes/sec claims, written to
-//!   `BENCH_throughput.json`;
+//!   pool-leased payloads) over burst, backlog and steady traffic, gated on
+//!   conservative absolute msgs/sec and bytes/sec floors
+//!   (`BENCH_throughput.json`);
 //! * [`trace`] — the observability benchmark (beyond the paper): tracing
 //!   overhead (disabled vs enabled) on the EM3D selection workload, and
 //!   `HMPI_Timeof` prediction error with per-phase compute/comm/wait
-//!   breakdowns for EM3D and MM, written to `BENCH_trace.json` alongside
-//!   the Chrome trace `TRACE_em3d.json`.
+//!   breakdowns for EM3D and MM, gated on the model error staying under
+//!   0.1 % (`BENCH_trace.json`, alongside the Chrome trace
+//!   `TRACE_em3d.json`);
+//! * [`parity`] — predicted vs measured virtual time of the engine
+//!   collectives over three testbed lists: the paper LAN (`collectives`),
+//!   the contended network models (`contention`) and a three-site WAN under
+//!   the hierarchy-aware and flat-only selectors (`hierarchy`).
 //!
-//! Each module returns plain series structs; `src/bin/figures.rs` prints
-//! them as aligned tables/CSV, and `benches/` wraps representative points in
-//! Criterion.
+//! The figure modules return plain [`ComparisonPoint`] series that
+//! `src/bin/figures.rs` prints as aligned tables or CSV. Every bench beyond
+//! the paper is a `fn(quick) -> `[`Report`] listed in [`BENCHES`];
+//! [`report`] owns the one text renderer, the one JSON writer and the one
+//! gate check they share. The deterministic files (virtual time only:
+//! collectives, contention, hierarchy) are their own baseline — CI
+//! regenerates them and fails on any difference.
 //!
 //! Times are *virtual seconds* over the paper's 9-workstation LAN model
 //! (speeds 46×6, 176, 106, 9; switched 100 Mbit Ethernet). Absolute values
@@ -49,21 +57,36 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod collectives;
-pub mod contention;
 pub mod deadlock;
 pub mod extension;
 pub mod faults;
 pub mod fig10;
 pub mod fig11;
 pub mod fig9;
-pub mod hierarchy;
+pub mod parity;
+pub mod report;
 pub mod selection;
 pub mod throughput;
 pub mod trace;
 
-use hetsim::Cluster;
+use hetsim::{Cluster, ClusterBuilder, ContentionModel, Link, Protocol, PAPER_EM3D_SPEEDS};
+pub use report::Report;
 use std::sync::Arc;
+
+/// A bench beyond the paper: `quick` shrinks it to a CI smoke run.
+pub type Bench = fn(quick: bool) -> Report;
+
+/// Every bench beyond the paper, by `figures` name, in `figures -- all`
+/// order.
+pub const BENCHES: [(&str, Bench); 7] = [
+    ("selection", selection::run),
+    ("trace", trace::run),
+    ("collectives", parity::collectives),
+    ("contention", parity::contention),
+    ("deadlock", deadlock::run),
+    ("throughput", throughput::run),
+    ("hierarchy", parity::hierarchy),
+];
 
 /// The paper's 9-workstation LAN for EM3D experiments.
 pub fn em3d_cluster() -> Arc<Cluster> {
@@ -73,6 +96,20 @@ pub fn em3d_cluster() -> Arc<Cluster> {
 /// The paper's 9-workstation LAN for MM experiments.
 pub fn matmul_cluster() -> Arc<Cluster> {
     Arc::new(Cluster::paper_lan_matmul())
+}
+
+/// The paper's 9-workstation speeds over 100 Mbit Ethernet, with the
+/// link-sharing mode under test.
+pub fn paper_lan_with(contention: ContentionModel) -> Arc<Cluster> {
+    let mut b = ClusterBuilder::new();
+    for (i, &s) in PAPER_EM3D_SPEEDS.iter().enumerate() {
+        b = b.node(format!("ws{i:02}"), s);
+    }
+    Arc::new(
+        b.all_to_all(Link::with_defaults(Protocol::Tcp))
+            .contention(contention)
+            .build(),
+    )
 }
 
 /// One (x, MPI time, HMPI time) row of a comparison figure.

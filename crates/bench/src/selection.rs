@@ -16,6 +16,7 @@
 //! `figures -- selection` renders the table; the non-`--quick` run also
 //! writes `BENCH_selection.json`.
 
+use crate::report::{Report, Value};
 use hetsim::{NodeId, SpeedEstimates};
 use hmpi::{
     predicted_time, select_mapping, select_mapping_naive, Evaluator, MappingAlgorithm,
@@ -103,78 +104,6 @@ pub fn pairs_model(p: usize, n: i64) -> ModelInstance {
     instantiate(PAIRS_MODEL_SOURCE, "pairs", p, n)
 }
 
-/// Objective-throughput measurements (full evals and incremental probes).
-#[derive(Debug, Clone, Copy)]
-pub struct ObjectiveRates {
-    /// Ring model: naive-path full evaluations per second.
-    pub naive_evals_per_sec: f64,
-    /// Ring model: engine full evaluations per second.
-    pub engine_evals_per_sec: f64,
-    /// Ring model: engine incremental (swap-move) probes per second. The
-    /// ring's `par` blocks touch every processor, so delta evaluation
-    /// degenerates to a full re-price here — this is the probe *floor*.
-    pub engine_probes_per_sec: f64,
-    /// Pairs model: naive-path full evaluations per second.
-    pub pairs_naive_evals_per_sec: f64,
-    /// Pairs model: engine incremental probes per second — the sparse
-    /// per-processor segment structure delta evaluation exploits.
-    pub pairs_probes_per_sec: f64,
-}
-
-impl ObjectiveRates {
-    /// Engine full-evaluation speedup over the naive path (ring model).
-    pub fn eval_speedup(&self) -> f64 {
-        self.engine_evals_per_sec / self.naive_evals_per_sec
-    }
-    /// Incremental-probe speedup over the naive path (ring model).
-    pub fn probe_speedup(&self) -> f64 {
-        self.engine_probes_per_sec / self.naive_evals_per_sec
-    }
-    /// Incremental-probe speedup over the naive path (pairs model).
-    pub fn pairs_probe_speedup(&self) -> f64 {
-        self.pairs_probes_per_sec / self.pairs_naive_evals_per_sec
-    }
-}
-
-/// One end-to-end search comparison.
-#[derive(Debug, Clone)]
-pub struct AlgoPoint {
-    /// Algorithm label.
-    pub algo: String,
-    /// Abstract processors in the model searched.
-    pub processors: usize,
-    /// `select_mapping_naive` wall time, milliseconds.
-    pub naive_ms: f64,
-    /// `select_mapping` (engine) wall time, milliseconds.
-    pub engine_ms: f64,
-    /// Whether both paths returned bit-identical mappings.
-    pub identical: bool,
-}
-
-impl AlgoPoint {
-    /// Wall-time speedup of the engine search over the naive search.
-    pub fn speedup(&self) -> f64 {
-        self.naive_ms / self.engine_ms
-    }
-}
-
-/// The full selection benchmark result.
-#[derive(Debug, Clone)]
-pub struct SelectionBench {
-    /// Cluster size (nodes).
-    pub nodes: usize,
-    /// World ranks (selection candidates).
-    pub world_ranks: usize,
-    /// Abstract processors of the throughput model.
-    pub processors: usize,
-    /// Flat cost ops in the recorded program.
-    pub ops: usize,
-    /// Objective throughput numbers.
-    pub rates: ObjectiveRates,
-    /// Per-algorithm end-to-end comparisons.
-    pub algos: Vec<AlgoPoint>,
-}
-
 /// Deterministic xorshift for assignment shuffles (no RNG dependency).
 struct XorShift(u64);
 impl XorShift {
@@ -216,7 +145,7 @@ fn time_per_call(mut f: impl FnMut(), calls: usize) -> f64 {
 
 /// Runs the benchmark. `quick` shrinks iteration counts for CI smoke runs;
 /// the reported speedups remain meaningful, just noisier.
-pub fn run(quick: bool) -> SelectionBench {
+pub fn run(quick: bool) -> Report {
     let cluster = hetsim::Cluster::paper_lan_matmul();
     let nodes = cluster.len();
     let world = 16;
@@ -308,25 +237,18 @@ pub fn run(quick: bool) -> SelectionBench {
     );
     assert!(sink.is_finite(), "all benched evaluations must be finite");
 
-    let rates = ObjectiveRates {
-        naive_evals_per_sec: 1.0 / naive_s,
-        engine_evals_per_sec: 1.0 / engine_s,
-        engine_probes_per_sec: 1.0 / probe_s,
-        pairs_naive_evals_per_sec: 1.0 / pairs_naive_s,
-        pairs_probes_per_sec: 1.0 / pairs_probe_s,
-    };
-
     // --- end-to-end searches ----------------------------------------------
-    let mut algos = Vec::new();
+    let mut searches = Vec::new();
+    let mut all_identical = true;
     let anneal_iters = if quick { 300 } else { 4_000 };
     for (label, algo, model_p) in [
         (
-            "GreedyRefined".to_string(),
+            "GreedyRefined",
             MappingAlgorithm::GreedyRefined { max_rounds: 64 },
             p,
         ),
         (
-            "Annealing".to_string(),
+            "Annealing",
             MappingAlgorithm::Annealing {
                 seed: 42,
                 iters: anneal_iters,
@@ -337,7 +259,7 @@ pub fn run(quick: bool) -> SelectionBench {
         // 5 processors over 16 candidates is 524 160 leaves sequentially;
         // the engine prunes with branch and bound and splits over threads.
         (
-            "Exhaustive".to_string(),
+            "Exhaustive",
             MappingAlgorithm::Exhaustive,
             if quick { 4 } else { 5 },
         ),
@@ -357,149 +279,59 @@ pub fn run(quick: bool) -> SelectionBench {
         let t0 = Instant::now();
         let naive = select_mapping_naive(algo, model_ref, &ctx).expect("naive search");
         let naive_ms = t0.elapsed().as_secs_f64() * 1e3;
-        algos.push(AlgoPoint {
-            algo: label,
-            processors: model_p,
-            naive_ms,
-            engine_ms,
-            identical: fast.assignment == naive.assignment
-                && fast.predicted.to_bits() == naive.predicted.to_bits(),
-        });
+        // Both paths must return bit-identical mappings: same assignment,
+        // same predicted-time bits.
+        let identical = fast.assignment == naive.assignment
+            && fast.predicted.to_bits() == naive.predicted.to_bits();
+        all_identical &= identical;
+        searches.push(vec![
+            ("algo", label.into()),
+            ("processors", model_p.into()),
+            ("naive_ms", Value::Fixed(naive_ms, 3)),
+            ("engine_ms", Value::Fixed(engine_ms, 3)),
+            ("speedup", Value::Fixed(naive_ms / engine_ms, 2)),
+            ("identical", identical.into()),
+        ]);
     }
 
-    SelectionBench {
-        nodes,
-        world_ranks: world,
-        processors: p,
-        ops,
-        rates,
-        algos,
-    }
-}
-
-/// Renders the benchmark as an aligned text table.
-pub fn render(b: &SelectionBench) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# Selection engine: {}-node paper LAN, {} world ranks, {}-processor ring model ({} cost ops)",
-        b.nodes, b.world_ranks, b.processors, b.ops
+    // Rates are evaluations per second; every speedup is over the naive
+    // (interpreter) path on the same model. The ring's `par` blocks touch
+    // every processor, so its probes are the delta-evaluation *floor*; the
+    // pairs model's sparse segments are what delta evaluation exploits.
+    let rate = |s: f64| Value::Fixed(1.0 / s, 1);
+    let speedup = |naive_s: f64, s: f64| Value::Fixed(naive_s / s, 2);
+    let mut r = Report::new(
+        "selection",
+        format!(
+            "Selection engine: {nodes}-node paper LAN, {world} world ranks, \
+             {p}-processor ring model ({ops} cost ops)"
+        ),
     );
-    let _ = writeln!(out, "{:>22}  {:>14}  {:>9}", "objective path", "evals/sec", "speedup");
-    let _ = writeln!(
-        out,
-        "{:>22}  {:>14.0}  {:>9.2}",
-        "naive (interpreter)", b.rates.naive_evals_per_sec, 1.0
+    r.summary = vec![
+        (
+            "instance",
+            Value::Obj(vec![
+                ("nodes", nodes.into()),
+                ("world_ranks", world.into()),
+                ("processors", p.into()),
+                ("cost_ops", ops.into()),
+            ]),
+        ),
+        ("naive_evals_per_sec", rate(naive_s)),
+        ("engine_evals_per_sec", rate(engine_s)),
+        ("engine_probes_per_sec", rate(probe_s)),
+        ("eval_speedup", speedup(naive_s, engine_s)),
+        ("probe_speedup", speedup(naive_s, probe_s)),
+        ("pairs_naive_evals_per_sec", rate(pairs_naive_s)),
+        ("pairs_probes_per_sec", rate(pairs_probe_s)),
+        ("pairs_probe_speedup", speedup(pairs_naive_s, pairs_probe_s)),
+    ];
+    r.tables.push(("searches", searches));
+    r.gate(
+        all_identical,
+        "engine and naive selection return bit-identical mappings",
     );
-    let _ = writeln!(
-        out,
-        "{:>22}  {:>14.0}  {:>9.2}",
-        "engine (full eval)",
-        b.rates.engine_evals_per_sec,
-        b.rates.eval_speedup()
-    );
-    let _ = writeln!(
-        out,
-        "{:>22}  {:>14.0}  {:>9.2}",
-        "engine (delta probe)",
-        b.rates.engine_probes_per_sec,
-        b.rates.probe_speedup()
-    );
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "# Pairs model (sparse segments: the delta-evaluation fast path)"
-    );
-    let _ = writeln!(out, "{:>22}  {:>14}  {:>9}", "objective path", "evals/sec", "speedup");
-    let _ = writeln!(
-        out,
-        "{:>22}  {:>14.0}  {:>9.2}",
-        "naive (interpreter)", b.rates.pairs_naive_evals_per_sec, 1.0
-    );
-    let _ = writeln!(
-        out,
-        "{:>22}  {:>14.0}  {:>9.2}",
-        "engine (delta probe)",
-        b.rates.pairs_probes_per_sec,
-        b.rates.pairs_probe_speedup()
-    );
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "{:>14}  {:>4}  {:>12}  {:>12}  {:>9}  {:>9}",
-        "algorithm", "p", "naive [ms]", "engine [ms]", "speedup", "identical"
-    );
-    for a in &b.algos {
-        let _ = writeln!(
-            out,
-            "{:>14}  {:>4}  {:>12.3}  {:>12.3}  {:>9.2}  {:>9}",
-            a.algo,
-            a.processors,
-            a.naive_ms,
-            a.engine_ms,
-            a.speedup(),
-            a.identical
-        );
-    }
-    out
-}
-
-/// Serialises the benchmark to JSON (hand-formatted; the workspace's serde
-/// shim has no serializer).
-pub fn to_json(b: &SelectionBench) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(
-        out,
-        "  \"instance\": {{\"nodes\": {}, \"world_ranks\": {}, \"processors\": {}, \"cost_ops\": {}}},",
-        b.nodes, b.world_ranks, b.processors, b.ops
-    );
-    let _ = writeln!(
-        out,
-        "  \"naive_evals_per_sec\": {:.1},",
-        b.rates.naive_evals_per_sec
-    );
-    let _ = writeln!(
-        out,
-        "  \"engine_evals_per_sec\": {:.1},",
-        b.rates.engine_evals_per_sec
-    );
-    let _ = writeln!(
-        out,
-        "  \"engine_probes_per_sec\": {:.1},",
-        b.rates.engine_probes_per_sec
-    );
-    let _ = writeln!(out, "  \"eval_speedup\": {:.2},", b.rates.eval_speedup());
-    let _ = writeln!(out, "  \"probe_speedup\": {:.2},", b.rates.probe_speedup());
-    let _ = writeln!(
-        out,
-        "  \"pairs_naive_evals_per_sec\": {:.1},",
-        b.rates.pairs_naive_evals_per_sec
-    );
-    let _ = writeln!(
-        out,
-        "  \"pairs_probes_per_sec\": {:.1},",
-        b.rates.pairs_probes_per_sec
-    );
-    let _ = writeln!(
-        out,
-        "  \"pairs_probe_speedup\": {:.2},",
-        b.rates.pairs_probe_speedup()
-    );
-    let _ = writeln!(out, "  \"searches\": [");
-    for (i, a) in b.algos.iter().enumerate() {
-        let comma = if i + 1 == b.algos.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"algo\": \"{}\", \"processors\": {}, \"naive_ms\": {:.3}, \"engine_ms\": {:.3}, \"speedup\": {:.2}, \"identical\": {}}}{comma}",
-            a.algo, a.processors, a.naive_ms, a.engine_ms, a.speedup(), a.identical
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+    r
 }
 
 #[cfg(test)]
@@ -508,34 +340,29 @@ mod tests {
 
     #[test]
     fn quick_bench_runs_and_paths_agree() {
-        let b = run(true);
-        assert_eq!(b.processors, 16);
-        assert!(b.ops > 0, "the ring model must record a non-empty program");
-        for a in &b.algos {
-            assert!(a.identical, "{} paths diverged", a.algo);
-        }
+        let r = run(true);
+        r.enforce()
+            .unwrap_or_else(|e| panic!("{e}\n{}", r.render()));
+        let doc = hetsim::json::parse(&r.to_json()).expect("valid JSON");
+        let number = |key: &str| doc.get(key).and_then(|v| v.as_f64()).expect(key);
+        assert!(
+            doc.get("instance")
+                .and_then(|i| i.get("cost_ops"))
+                .and_then(|v| v.as_f64())
+                > Some(0.0),
+            "the ring model must record a non-empty program"
+        );
         // The acceptance bar is 10x in the release-mode JSON; in (possibly
         // debug-mode) tests assert a conservative floor.
+        assert!(number("eval_speedup") > 3.0, "engine eval speedup too low");
         assert!(
-            b.rates.eval_speedup() > 3.0,
-            "engine eval speedup {:.2} too low",
-            b.rates.eval_speedup()
+            number("probe_speedup") > 1.0,
+            "probes must still beat the naive path"
         );
         assert!(
-            b.rates.probe_speedup() > 1.0,
-            "probes {:.2} must still beat the naive path",
-            b.rates.probe_speedup()
+            number("pairs_probe_speedup") > 3.0,
+            "sparse-segment delta probes too slow"
         );
-        assert!(
-            b.rates.pairs_probe_speedup() > 3.0,
-            "sparse-segment delta probes speedup {:.2} too low",
-            b.rates.pairs_probe_speedup()
-        );
-
-        let j = to_json(&b);
-        assert!(j.starts_with("{\n"));
-        assert!(j.trim_end().ends_with('}'));
-        assert_eq!(j.matches("\"algo\"").count(), b.algos.len());
     }
 
     #[test]

@@ -13,12 +13,14 @@
 //!   what actually recording every span costs.
 //! * **how good are the `HMPI_Timeof` predictions?** EM3D and MM run once
 //!   with tracing enabled; the [`hetsim::PredictionReport`] gives the signed
-//!   model error and the per-phase compute/comm/wait breakdown.
+//!   model error and the per-phase compute/comm/wait breakdown. The
+//!   full-size run gates the error under 0.1 % for both applications.
 //!
 //! `figures -- trace` renders the table; the non-`--quick` run also writes
 //! `BENCH_trace.json` and the EM3D Chrome trace `TRACE_em3d.json` (loadable
 //! in `about:tracing` / Perfetto).
 
+use crate::report::{Fields, Report, Value};
 use crate::{em3d_cluster, matmul_cluster};
 use hmpi_apps::em3d::{run_hmpi, run_hmpi_traced, Em3dConfig};
 use hmpi_apps::matmul;
@@ -31,30 +33,16 @@ pub const NITER: usize = 5;
 /// Recon benchmark size.
 pub const K: usize = 10;
 
-/// Prediction accuracy of one traced application run.
-#[derive(Debug, Clone)]
-pub struct ModelErrorPoint {
-    /// Application label.
-    pub app: String,
-    /// `HMPI_Timeof` prediction, virtual seconds.
-    pub predicted_s: f64,
-    /// Measured virtual time, seconds.
-    pub measured_s: f64,
-    /// Signed model error, percent of measured (positive: over-predicted).
-    pub error_pct: f64,
-    /// Total compute time across ranks, virtual seconds.
-    pub compute_s: f64,
-    /// Total communication time across ranks, virtual seconds.
-    pub comm_s: f64,
-    /// Total receive-wait (idle) time across ranks, virtual seconds.
-    pub wait_s: f64,
-    /// Messages recorded (sends).
-    pub messages: usize,
-    /// Payload bytes recorded (sends).
-    pub bytes: u64,
-}
-
-fn model_error_point(app: &str, report: &hetsim::PredictionReport, trace: &hetsim::Trace, n_ranks: usize) -> ModelErrorPoint {
+/// Prediction accuracy of one traced application run, as a `model_error`
+/// row: prediction, measurement, signed error (percent of measured;
+/// positive: over-predicted), compute / communication / receive-wait totals
+/// across ranks (virtual seconds), and messages and payload bytes sent.
+fn model_error_row(
+    app: &str,
+    report: &hetsim::PredictionReport,
+    trace: &hetsim::Trace,
+    n_ranks: usize,
+) -> Fields {
     let (mut compute, mut comm, mut wait) = (0.0, 0.0, 0.0);
     for ph in &report.phases {
         compute += ph.compute.as_secs();
@@ -62,52 +50,20 @@ fn model_error_point(app: &str, report: &hetsim::PredictionReport, trace: &hetsi
         wait += ph.wait.as_secs();
     }
     let stats = trace.message_stats(n_ranks);
-    ModelErrorPoint {
-        app: app.to_string(),
-        predicted_s: report.predicted,
-        measured_s: report.measured,
-        error_pct: report.error_pct(),
-        compute_s: compute,
-        comm_s: comm,
-        wait_s: wait,
-        messages: stats.iter().map(|s| s.sent).sum(),
-        bytes: stats.iter().map(|s| s.bytes_sent).sum(),
-    }
-}
-
-/// The full trace benchmark result.
-#[derive(Debug, Clone)]
-pub struct TraceBench {
-    /// Min-of-N wall time of the workload, tracing disabled, first batch
-    /// (milliseconds).
-    pub disabled_a_ms: f64,
-    /// Same workload and batch size, tracing disabled, second batch —
-    /// interleaved with the first so the spread bounds the disabled-mode
-    /// overhead plus timer noise.
-    pub disabled_b_ms: f64,
-    /// Min-of-N wall time with tracing enabled (milliseconds).
-    pub enabled_ms: f64,
-    /// Events the enabled run recorded.
-    pub events: usize,
-    /// Prediction accuracy, EM3D.
-    pub em3d: ModelErrorPoint,
-    /// Prediction accuracy, MM.
-    pub matmul: ModelErrorPoint,
-}
-
-impl TraceBench {
-    /// Empirical bound on the disabled-mode overhead: the relative spread
-    /// between the two interleaved disabled batches, percent.
-    pub fn disabled_overhead_pct(&self) -> f64 {
-        let lo = self.disabled_a_ms.min(self.disabled_b_ms);
-        (self.disabled_a_ms - self.disabled_b_ms).abs() / lo * 100.0
-    }
-    /// Cost of actually recording every span: enabled vs the faster
-    /// disabled batch, percent.
-    pub fn enabled_overhead_pct(&self) -> f64 {
-        let lo = self.disabled_a_ms.min(self.disabled_b_ms);
-        (self.enabled_ms - lo) / lo * 100.0
-    }
+    let (sent, bytes) = stats
+        .iter()
+        .fold((0, 0), |(n, b), s| (n + s.sent, b + s.bytes_sent));
+    vec![
+        ("app", app.into()),
+        ("predicted_s", Value::Fixed(report.predicted, 6)),
+        ("measured_s", Value::Fixed(report.measured, 6)),
+        ("error_pct", Value::Fixed(report.error_pct(), 2)),
+        ("compute_s", Value::Fixed(compute, 6)),
+        ("comm_s", Value::Fixed(comm, 6)),
+        ("wait_s", Value::Fixed(wait, 6)),
+        ("messages", sent.into()),
+        ("bytes", Value::Int(bytes as i64)),
+    ]
 }
 
 fn min_ms(samples: &[f64]) -> f64 {
@@ -116,9 +72,11 @@ fn min_ms(samples: &[f64]) -> f64 {
 
 /// Runs the benchmark. `quick` shrinks the workload and repetition counts
 /// for CI smoke runs.
-pub fn run(quick: bool) -> TraceBench {
+pub fn run(quick: bool) -> Report {
     let base = if quick { 60 } else { 150 };
-    let reps = if quick { 3 } else { 5 };
+    // The quick workload is a few milliseconds, so it takes more samples
+    // for the two disabled batches' minima to settle on the same floor.
+    let reps = if quick { 9 } else { 5 };
     let cfg = Em3dConfig::ramp(P, base, 1.6, 0x7AACE);
 
     // --- overhead: interleaved disabled / enabled / disabled batches ------
@@ -142,110 +100,58 @@ pub fn run(quick: bool) -> TraceBench {
     let em3d_ranks = em3d_cl.len();
     let traced = run_hmpi_traced(em3d_cl, &cfg, NITER, K);
     let events = traced.trace.events.len();
-    let em3d = model_error_point("EM3D", &traced.report, &traced.trace, em3d_ranks);
+    let em3d = model_error_row("EM3D", &traced.report, &traced.trace, em3d_ranks);
 
     let mm_cl = matmul_cluster();
     let mm_ranks = mm_cl.len();
     let n = if quick { 9 } else { 12 };
     let mm = matmul::run_hmpi_traced(mm_cl, 3, n, 9, None);
-    let matmul = model_error_point("MM", &mm.report, &mm.trace, mm_ranks);
+    let matmul = model_error_row("MM", &mm.report, &mm.trace, mm_ranks);
+    let worst_error_pct = f64::max(traced.report.error_pct().abs(), mm.report.error_pct().abs());
 
-    TraceBench {
-        disabled_a_ms: min_ms(&dis_a),
-        disabled_b_ms: min_ms(&dis_b),
-        enabled_ms: min_ms(&ena),
-        events,
-        em3d,
-        matmul,
-    }
-}
-
-/// Renders the benchmark as an aligned text table.
-pub fn render(b: &TraceBench) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# Tracing overhead: EM3D selection workload, {P}-node paper LAN ({} events when enabled)",
-        b.events
+    // The two disabled batches are interleaved with the enabled one, so
+    // their relative spread is the empirical bound on the disabled-mode
+    // overhead (plus timer noise); the enabled figure is what recording
+    // every span costs over the faster disabled batch.
+    let (disabled_a_ms, disabled_b_ms, enabled_ms) = (min_ms(&dis_a), min_ms(&dis_b), min_ms(&ena));
+    let lo = disabled_a_ms.min(disabled_b_ms);
+    let mut r = Report::new(
+        "trace",
+        format!(
+            "Tracing overhead and prediction accuracy: EM3D selection workload, {P}-node paper LAN"
+        ),
     );
-    let _ = writeln!(out, "{:>22}  {:>12}  {:>10}", "mode", "min [ms]", "overhead");
-    let _ = writeln!(out, "{:>22}  {:>12.3}  {:>10}", "disabled (batch A)", b.disabled_a_ms, "-");
-    let _ = writeln!(
-        out,
-        "{:>22}  {:>12.3}  {:>9.2}%",
-        "disabled (batch B)",
-        b.disabled_b_ms,
-        b.disabled_overhead_pct()
-    );
-    let _ = writeln!(
-        out,
-        "{:>22}  {:>12.3}  {:>9.2}%",
-        "enabled",
-        b.enabled_ms,
-        b.enabled_overhead_pct()
-    );
-    let _ = writeln!(out);
-    let _ = writeln!(out, "# Prediction vs actual (virtual seconds, totals across ranks)");
-    let _ = writeln!(
-        out,
-        "{:>6}  {:>12}  {:>12}  {:>8}  {:>10}  {:>10}  {:>10}  {:>8}  {:>12}",
-        "app", "predicted", "measured", "error", "compute", "comm", "wait", "msgs", "bytes"
-    );
-    for p in [&b.em3d, &b.matmul] {
-        let _ = writeln!(
-            out,
-            "{:>6}  {:>12.4}  {:>12.4}  {:>7.1}%  {:>10.4}  {:>10.4}  {:>10.4}  {:>8}  {:>12}",
-            p.app, p.predicted_s, p.measured_s, p.error_pct, p.compute_s, p.comm_s, p.wait_s,
-            p.messages, p.bytes
+    r.summary = vec![
+        (
+            "workload",
+            format!("em3d p={P} niter={NITER}").as_str().into(),
+        ),
+        ("events_enabled", events.into()),
+        ("disabled_a_ms", Value::Fixed(disabled_a_ms, 3)),
+        ("disabled_b_ms", Value::Fixed(disabled_b_ms, 3)),
+        ("enabled_ms", Value::Fixed(enabled_ms, 3)),
+        (
+            "disabled_overhead_pct",
+            Value::Fixed((disabled_a_ms - disabled_b_ms).abs() / lo * 100.0, 2),
+        ),
+        (
+            "enabled_overhead_pct",
+            Value::Fixed((enabled_ms - lo) / lo * 100.0, 2),
+        ),
+    ];
+    r.tables.push(("model_error", vec![em3d, matmul]));
+    // The traced EM3D run above, loadable in `about:tracing` / Perfetto.
+    r.files
+        .push(("TRACE_em3d.json", traced.trace.to_chrome_json()));
+    // Virtual time, so deterministic; the quick sizes are smaller than the
+    // ones the < 0.1 % claim is made for (MM at n = 9 sits at -0.103 %).
+    if !quick {
+        r.gate(
+            worst_error_pct < 0.1,
+            format!("HMPI_Timeof model error {worst_error_pct:.3}% under 0.1% for EM3D and MM"),
         );
     }
-    out
-}
-
-/// Serialises the benchmark to JSON (hand-formatted; the workspace's serde
-/// shim has no serializer).
-pub fn to_json(b: &TraceBench) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"workload\": \"em3d p={P} niter={NITER}\",");
-    let _ = writeln!(out, "  \"events_enabled\": {},", b.events);
-    let _ = writeln!(out, "  \"disabled_a_ms\": {:.3},", b.disabled_a_ms);
-    let _ = writeln!(out, "  \"disabled_b_ms\": {:.3},", b.disabled_b_ms);
-    let _ = writeln!(out, "  \"enabled_ms\": {:.3},", b.enabled_ms);
-    let _ = writeln!(
-        out,
-        "  \"disabled_overhead_pct\": {:.2},",
-        b.disabled_overhead_pct()
-    );
-    let _ = writeln!(
-        out,
-        "  \"enabled_overhead_pct\": {:.2},",
-        b.enabled_overhead_pct()
-    );
-    let _ = writeln!(out, "  \"model_error\": [");
-    for (i, p) in [&b.em3d, &b.matmul].into_iter().enumerate() {
-        let comma = if i == 1 { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"app\": \"{}\", \"predicted_s\": {:.6}, \"measured_s\": {:.6}, \"error_pct\": {:.2}, \"compute_s\": {:.6}, \"comm_s\": {:.6}, \"wait_s\": {:.6}, \"messages\": {}, \"bytes\": {}}}{comma}",
-            p.app, p.predicted_s, p.measured_s, p.error_pct, p.compute_s, p.comm_s, p.wait_s,
-            p.messages, p.bytes
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
-/// The EM3D Chrome trace the non-`--quick` run writes to `TRACE_em3d.json`.
-pub fn em3d_chrome_trace(quick: bool) -> String {
-    let base = if quick { 60 } else { 150 };
-    let cfg = Em3dConfig::ramp(P, base, 1.6, 0x7AACE);
-    run_hmpi_traced(em3d_cluster(), &cfg, NITER, K)
-        .trace
-        .to_chrome_json()
+    r
 }
 
 #[cfg(test)]
@@ -254,37 +160,55 @@ mod tests {
 
     #[test]
     fn quick_bench_runs_and_reports_are_sane() {
-        let b = run(true);
-        assert!(b.events > 0, "enabled run must record events");
-        assert!(b.disabled_a_ms > 0.0 && b.enabled_ms > 0.0);
-        // Wall-clock noise bound kept loose for shared CI machines; the
-        // release-mode JSON is where the < 5% acceptance figure lives.
+        let r = run(true);
+        let (file, chrome) = &r.files[0];
+        assert_eq!(*file, "TRACE_em3d.json");
+        assert!(chrome.contains("\"traceEvents\"") && chrome.contains("\"ph\":\"X\""));
+        let doc = hetsim::json::parse(&r.to_json()).expect("valid JSON");
+        let number = |v: &hetsim::json::JsonValue, key: &str| {
+            v.get(key).and_then(|x| x.as_f64()).expect(key)
+        };
         assert!(
-            b.disabled_overhead_pct() < 30.0,
-            "disabled-batch spread {:.2}% implausibly high",
-            b.disabled_overhead_pct()
+            number(&doc, "events_enabled") > 0.0,
+            "enabled run must record events"
         );
-        for p in [&b.em3d, &b.matmul] {
-            assert!(p.predicted_s > 0.0 && p.measured_s > 0.0, "{}", p.app);
-            assert!(p.compute_s > 0.0, "{} must record compute time", p.app);
-            assert!(p.comm_s > 0.0, "{} must record comm time", p.app);
-            assert!(p.messages > 0 && p.bytes > 0, "{}", p.app);
+        assert!(number(&doc, "disabled_a_ms") > 0.0 && number(&doc, "enabled_ms") > 0.0);
+        // The spread is a wall-clock ratio of a ~5 ms workload on cores this
+        // test shares with its neighbours, so the bound is kept loose and a
+        // noisy attempt is retried (best of three). The release-mode JSON is
+        // where the < 5% acceptance figure lives.
+        let mut spread = number(&doc, "disabled_overhead_pct");
+        for _ in 0..2 {
+            if spread < 30.0 {
+                break;
+            }
+            let again = hetsim::json::parse(&run(true).to_json()).expect("valid JSON");
+            spread = spread.min(number(&again, "disabled_overhead_pct"));
+        }
+        assert!(
+            spread < 30.0,
+            "disabled-batch spread {spread:.2}% implausibly high"
+        );
+        let rows = doc
+            .get("model_error")
+            .and_then(|v| v.as_array())
+            .expect("model_error");
+        assert_eq!(rows.len(), 2);
+        for row in rows {
+            for key in [
+                "predicted_s",
+                "measured_s",
+                "compute_s",
+                "comm_s",
+                "messages",
+                "bytes",
+            ] {
+                assert!(number(row, key) > 0.0, "{key} must be recorded: {row:?}");
+            }
             assert!(
-                p.error_pct.abs() < 200.0,
-                "{} model error {:.1}% out of band",
-                p.app,
-                p.error_pct
+                number(row, "error_pct").abs() < 200.0,
+                "model error out of band: {row:?}"
             );
         }
-        let j = to_json(&b);
-        assert!(j.starts_with("{\n") && j.trim_end().ends_with('}'));
-        assert_eq!(j.matches("\"app\"").count(), 2);
-    }
-
-    #[test]
-    fn chrome_trace_is_loadable_shape() {
-        let j = em3d_chrome_trace(true);
-        assert!(j.contains("\"traceEvents\""));
-        assert!(j.contains("\"ph\":\"X\""));
     }
 }

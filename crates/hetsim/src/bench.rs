@@ -3,9 +3,9 @@
 //! The HMPI runtime never plans with the *true* speeds (on real hardware it
 //! could not know them); it plans with **estimates** obtained by running a
 //! benchmark code on every processor and timing it — that is what
-//! `HMPI_Recon` does. [`SpeedEstimates`] stores the estimates and
-//! [`ReconRunner`] refreshes them against the simulated cluster: running a
-//! benchmark of `v` units on node `i` at virtual time `t` takes
+//! `HMPI_Recon` does. [`SpeedEstimates`] stores the estimates; a recon
+//! (`hmpi::Hmpi::recon`) refreshes them against the simulated cluster:
+//! running a benchmark of `v` units on node `i` at virtual time `t` takes
 //! `v / true_speed_i(t)` seconds, so the derived estimate is exactly the
 //! speed delivered at `t`. If the external load later changes, the estimate
 //! goes stale until the next recon — reproducing the dynamics the paper's
@@ -194,58 +194,6 @@ fn valid_speed(s: f64) -> bool {
     s.is_finite() && s > 0.0
 }
 
-/// Runs recon benchmarks against a simulated cluster.
-#[derive(Debug, Clone)]
-pub struct ReconRunner {
-    cluster: Arc<Cluster>,
-}
-
-/// The result of benchmarking one node.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReconSample {
-    /// The node measured.
-    pub node: NodeId,
-    /// Virtual time the benchmark took on that node.
-    pub elapsed: SimTime,
-    /// Derived speed estimate: `units / elapsed`.
-    pub speed: f64,
-}
-
-impl ReconRunner {
-    /// A runner measuring the given cluster.
-    pub fn new(cluster: Arc<Cluster>) -> Self {
-        ReconRunner { cluster }
-    }
-
-    /// Benchmarks a single node: executes `units` benchmark units starting at
-    /// virtual time `now` and derives the speed estimate.
-    pub fn measure_node(&self, node: NodeId, units: f64, now: SimTime) -> ReconSample {
-        assert!(units > 0.0, "benchmark volume must be positive");
-        let elapsed = self.cluster.compute_time(node, units, now);
-        ReconSample {
-            node,
-            elapsed,
-            speed: units / elapsed.as_secs(),
-        }
-    }
-
-    /// Benchmarks every node "in parallel" (all start at `now`, as
-    /// `HMPI_Recon` runs the benchmark function on all processors at once)
-    /// and refreshes the estimates. Returns the per-node samples.
-    pub fn recon_all(
-        &self,
-        estimates: &SpeedEstimates,
-        units: f64,
-        now: SimTime,
-    ) -> Vec<ReconSample> {
-        let samples: Vec<ReconSample> = (0..self.cluster.len())
-            .map(|i| self.measure_node(NodeId(i), units, now))
-            .collect();
-        estimates.refresh(samples.iter().map(|s| s.speed).collect(), now);
-        samples
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,28 +222,36 @@ mod tests {
         assert_eq!(e.generation(), 0);
     }
 
+    /// What a recon does: every node runs `units` of benchmark starting at
+    /// `now`, and the estimates are refreshed with `units / elapsed`.
+    fn recon(c: &Cluster, e: &SpeedEstimates, units: f64, now: SimTime) {
+        let speeds = c
+            .node_ids()
+            .map(|n| units / c.compute_time(n, units, now).as_secs())
+            .collect();
+        e.refresh(speeds, now);
+    }
+
     #[test]
-    fn measure_node_matches_true_speed_when_idle() {
+    fn a_benchmark_measures_the_true_speed_when_idle() {
         let c = loaded_cluster();
-        let r = ReconRunner::new(c);
-        let s = r.measure_node(NodeId(0), 50.0, SimTime::ZERO);
-        assert!((s.speed - 100.0).abs() < 1e-9);
-        assert!((s.elapsed.as_secs() - 0.5).abs() < 1e-12);
+        let elapsed = c.compute_time(NodeId(0), 50.0, SimTime::ZERO);
+        assert!((elapsed.as_secs() - 0.5).abs() < 1e-12);
+        assert!((50.0 / elapsed.as_secs() - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn recon_sees_load_when_it_is_active() {
         let c = loaded_cluster();
-        let r = ReconRunner::new(c.clone());
         let e = SpeedEstimates::from_base_speeds(&c);
 
         // Before the external job: both nodes look like 100.
-        r.recon_all(&e, 10.0, SimTime::ZERO);
+        recon(&c, &e, 10.0, SimTime::ZERO);
         assert_eq!(e.snapshot(), vec![100.0, 100.0]);
         assert_eq!(e.generation(), 1);
 
         // During the external job: the busy node looks like 50.
-        r.recon_all(&e, 10.0, SimTime::from_secs(15.0));
+        recon(&c, &e, 10.0, SimTime::from_secs(15.0));
         let snap = e.snapshot();
         assert!((snap[0] - 100.0).abs() < 1e-9);
         assert!((snap[1] - 50.0).abs() < 1e-9);
@@ -306,9 +262,8 @@ mod tests {
     #[test]
     fn stale_estimates_do_not_track_load() {
         let c = loaded_cluster();
-        let r = ReconRunner::new(c.clone());
         let e = SpeedEstimates::from_base_speeds(&c);
-        r.recon_all(&e, 10.0, SimTime::ZERO);
+        recon(&c, &e, 10.0, SimTime::ZERO);
         // The load turns on at t=10, but without a new recon the estimate
         // still claims 100 — exactly the staleness HMPI_Recon fights.
         assert_eq!(e.speed(NodeId(1)), 100.0);

@@ -6,7 +6,6 @@
 //! the link traversal cost. [`SimTime`] is a thin wrapper over `f64` seconds
 //! that keeps the two kinds of time from being mixed up.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
@@ -15,7 +14,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 ///
 /// `SimTime` is totally ordered (NaN is rejected at construction in debug
 /// builds) and supports the arithmetic needed by the timing model.
-#[derive(Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimTime(f64);
 
 impl SimTime {

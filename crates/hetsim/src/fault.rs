@@ -21,10 +21,9 @@
 
 use crate::clock::SimTime;
 use crate::node::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// One scheduled fault, in virtual time.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum FaultEvent {
     /// The node fail-stops at `at`: it performs no computation and sends no
     /// messages from that instant on. Crashes are permanent.
@@ -103,7 +102,7 @@ impl FaultEvent {
 ///
 /// The default plan is empty (a fault-free run); all queries then report
 /// full availability, so attaching an empty plan changes nothing.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }

@@ -18,9 +18,12 @@
 //!   with builders and presets that encode the paper's testbed;
 //! * [`SimTime`] — virtual time, the unit in which every reproduced
 //!   experiment reports results;
-//! * [`mod@bench`] — `HMPI_Recon`-style measurement of processor speeds against
-//!   the model, producing the *estimated* speeds the HMPI runtime plans with
-//!   (distinct from the true, possibly time-varying speeds);
+//! * [`mod@bench`] — the *estimated* speeds an `HMPI_Recon`-style benchmark
+//!   produces and the HMPI runtime plans with (distinct from the true,
+//!   possibly time-varying speeds);
+//! * [`mod@frontier`] — the deterministic grant / settle arbitration by which
+//!   transfers share a contended resource, called by both the transport and
+//!   the collective pricer;
 //! * [`mod@trace`] — opt-in virtual-time span recording ([`Tracer`]) with a
 //!   Chrome-trace exporter and per-rank compute/comm/wait breakdowns, the
 //!   substrate of the prediction-accuracy observability layer.
@@ -35,8 +38,8 @@
 
 pub mod bench;
 pub mod clock;
-pub mod config;
 pub mod fault;
+pub mod frontier;
 pub mod json;
 pub mod link;
 pub mod load;
@@ -45,10 +48,10 @@ pub mod protocol;
 pub mod topology;
 pub mod trace;
 
-pub use bench::{ReconRunner, SpeedEstimates};
-pub use config::{parse_cluster, render_cluster, ConfigError};
+pub use bench::SpeedEstimates;
 pub use clock::SimTime;
 pub use fault::{FaultEvent, FaultPlan};
+pub use frontier::{NetFrontier, WireRes, WireXfer};
 pub use link::Link;
 pub use load::LoadModel;
 pub use node::{NodeId, Processor};

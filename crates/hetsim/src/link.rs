@@ -8,10 +8,9 @@
 
 use crate::clock::SimTime;
 use crate::protocol::Protocol;
-use serde::{Deserialize, Serialize};
 
 /// A directed point-to-point communication link.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Link {
     /// One-way latency in seconds.
     pub latency: f64,

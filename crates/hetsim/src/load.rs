@@ -9,13 +9,12 @@
 //! changes.
 
 use crate::clock::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A deterministic model of external (non-application) load on a processor,
 /// expressed as the *fraction of the processor stolen* at a given virtual
 /// time. `0.0` means the processor is fully available, `0.9` means only 10 %
 /// of its base speed is delivered to the application.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub enum LoadModel {
     /// No external load: the processor always delivers its base speed.
     #[default]

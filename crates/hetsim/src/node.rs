@@ -10,11 +10,10 @@
 
 use crate::clock::SimTime;
 use crate::load::LoadModel;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a processor (computer) within a [`crate::Cluster`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 impl NodeId {
@@ -38,7 +37,7 @@ impl fmt::Display for NodeId {
 }
 
 /// One computer of the heterogeneous network.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Processor {
     /// Human-readable host name (e.g. `"csultra01"`).
     pub name: String,

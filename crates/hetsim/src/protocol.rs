@@ -9,12 +9,11 @@
 //! executing network then sees different costs for different pairs, which is
 //! all the selection algorithm needs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The protocol a link uses, with typical early-2000s characteristics used
 /// as defaults by [`Protocol::default_latency`] / [`Protocol::default_bandwidth`].
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// Intra-process / loopback communication (a rank talking to itself).
     Loopback,
@@ -81,18 +80,5 @@ mod tests {
         assert_eq!(Protocol::Tcp.to_string(), "tcp");
         assert_eq!(Protocol::SharedMemory.to_string(), "shm");
         assert_eq!(Protocol::Custom("myrinet".into()).to_string(), "myrinet");
-    }
-
-    #[test]
-    fn custom_protocol_round_trips_through_serde() {
-        let p = Protocol::Custom("myrinet".into());
-        let json = serde_json_like(&p);
-        assert!(json.contains("myrinet"));
-    }
-
-    // serde_json is not an approved dependency; a Debug round-trip stands in
-    // for a serialisation smoke test.
-    fn serde_json_like(p: &Protocol) -> String {
-        format!("{p:?}")
     }
 }

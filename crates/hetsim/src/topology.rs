@@ -12,10 +12,9 @@ use crate::fault::FaultPlan;
 use crate::link::Link;
 use crate::node::{NodeId, Processor};
 use crate::protocol::Protocol;
-use serde::{Deserialize, Serialize};
 
 /// How concurrent transfers share the network.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum ContentionModel {
     /// Every pair of computers can communicate at full link speed
     /// simultaneously (a non-blocking switch, as in the paper's testbed).
@@ -70,7 +69,7 @@ impl PairTable {
 /// topology-aware collective engine plans against. Produced by
 /// [`TopologyBuilder`]; absent (`None` on [`Cluster::topology`]) for flat
 /// clusters, where every node implicitly shares switch 0 of site 0.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TopologyInfo {
     /// `site_of[node]` = the site index hosting that node.
     site_of: Vec<usize>,
@@ -141,7 +140,7 @@ impl TopologyInfo {
 }
 
 /// The model of a heterogeneous network of computers.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Cluster {
     nodes: Vec<Processor>,
     /// `links[i][j]` is the link used when node `i` sends to node `j`.
@@ -153,11 +152,9 @@ pub struct Cluster {
     /// ranks* placed on the same node travel this link and serialise per
     /// node (many ranks fighting one memory bus). `None` keeps the
     /// historical free loopback for co-located ranks.
-    #[serde(default)]
     mem_bus: Option<Link>,
     /// Declared switch/site structure over the nodes; `None` for flat
-    /// clusters (pre-topology serialisations deserialise to `None`).
-    #[serde(default)]
+    /// clusters.
     topology: Option<TopologyInfo>,
 }
 

@@ -13,7 +13,7 @@ use crate::group::Group;
 use crate::p2p::{Claim, Envelope, Msg, Pattern, Payload, Status};
 use crate::quiesce::{WaitKind, WaitRecord};
 use crate::runtime::{RankState, SharedState};
-use crate::vtime::{LocalClock, NetFrontier};
+use crate::vtime::{LocalClock, NetFrontier, RankNet};
 use hetsim::trace::{TraceEvent, TraceKind};
 use hetsim::{NodeId, SimTime};
 use std::cell::{Cell, RefCell};
@@ -47,10 +47,11 @@ pub struct Comm {
     rank: usize,
     pub(crate) clock: LocalClock,
     /// This rank's deterministic view of the shared network resources
-    /// ([`NetFrontier`]): sender-side grants and receiver-side settlements
-    /// both run against it, in the rank's own program order. Like the
-    /// clock, shared by every communicator handle of one rank.
-    pub(crate) frontier: Rc<RefCell<NetFrontier>>,
+    /// ([`NetFrontier`]) and its send sequence: sender-side grants and
+    /// receiver-side settlements both run against it, in the rank's own
+    /// program order. Like the clock, shared by every communicator handle
+    /// of one rank.
+    pub(crate) frontier: Rc<RefCell<RankNet>>,
     /// Rank-local count of [`Comm::agree`] rounds issued on this
     /// communicator; every member counts its own calls, so the `n`-th call
     /// on each member lands in the same shared agreement slot. Shared
@@ -69,7 +70,7 @@ impl Comm {
             ctx: 0,
             rank: world_rank,
             clock,
-            frontier: Rc::new(RefCell::new(frontier)),
+            frontier: Rc::new(RefCell::new(RankNet::new(frontier))),
             agree_seq: Rc::new(Cell::new(0)),
         }
     }
@@ -294,7 +295,7 @@ impl Comm {
         // `crate::vtime` — the two steps make contention deterministic).
         let (arrival, xfer, seq) = {
             let mut f = self.frontier.borrow_mut();
-            let (arrival, xfer) = f.grant(src_node, dst_node, now, cost);
+            let (arrival, xfer) = f.net.grant(src_node, dst_node, now, cost);
             (arrival, xfer, f.take_seq())
         };
         self.clock.advance(overhead);
@@ -332,7 +333,7 @@ impl Comm {
     fn deliver(&self, env: Envelope) -> MpiResult<(Msg, Status)> {
         let my_world = self.my_world_rank();
         let arrival = match env.xfer {
-            Some(x) => self.frontier.borrow_mut().settle(x),
+            Some(x) => self.frontier.borrow_mut().net.settle(x),
             None => env.arrival,
         };
         self.outlive(arrival)?;

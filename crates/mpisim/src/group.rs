@@ -10,7 +10,6 @@
 //! `compare`.
 
 use crate::error::{MpiError, MpiResult};
-use serde::{Deserialize, Serialize};
 
 /// Result of [`Group::compare`], mirroring `MPI_Group_compare`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,7 +27,7 @@ pub enum GroupCompare {
 pub const UNDEFINED: isize = -1;
 
 /// An ordered set of world ranks.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Group {
     members: Vec<usize>,
 }

@@ -18,9 +18,9 @@
 //! the shared resource (NIC pair, bus, or intra-node memory bus) and the
 //! receiver settles the stamped reservation against its own view at match
 //! time — so each rank's state evolves only through its own program-order
-//! actions. The replay keeps one clock and one resource frontier per rank
-//! and performs the identical grant/settle arithmetic in schedule order,
-//! which *is* each rank's program order; the prediction is therefore
+//! actions. The replay keeps one clock and one [`hetsim::NetFrontier`] per
+//! rank and calls the transport's own grant / settle functions in schedule
+//! order, which *is* each rank's program order; the prediction is therefore
 //! bit-exact under every contention model, not just parallel links.
 //!
 //! A transfer says what it carries ([`Payload`]), so the schedule is the
@@ -33,6 +33,7 @@
 //! transfer's endpoints and size.
 
 use crate::compile::PairCost;
+use hetsim::{ContentionModel, NetFrontier, NodeId, SimTime, WireXfer};
 
 /// Which collective a schedule implements.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -156,8 +157,8 @@ impl Xfer {
     }
 }
 
-/// How concurrent transfers share the network, mirroring hetsim's
-/// `ContentionModel` without depending on it.
+/// How concurrent transfers share the network: the pricing API's name for
+/// hetsim's [`ContentionModel`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum LinkSharing {
     /// Every pair has a private link; transfers never contend.
@@ -167,6 +168,16 @@ pub enum LinkSharing {
     PerEndpoint,
     /// One shared medium: every transfer serialises globally.
     Shared,
+}
+
+impl From<LinkSharing> for ContentionModel {
+    fn from(sharing: LinkSharing) -> Self {
+        match sharing {
+            LinkSharing::Parallel => ContentionModel::ParallelLinks,
+            LinkSharing::PerEndpoint => ContentionModel::SerializedNic,
+            LinkSharing::Shared => ContentionModel::SharedBus,
+        }
+    }
 }
 
 /// The balanced chunk decomposition every chunked schedule uses: chunk `i`
@@ -518,61 +529,15 @@ pub fn fault_impact(rounds: &[Vec<Xfer>], p: usize, failed: &[usize]) -> Vec<Opt
     blame
 }
 
-/// A shared resource a stamped reservation occupies, by node index.
-#[derive(Clone, Copy, Debug)]
-enum PriceRes {
-    Nic { src: usize, dst: usize },
-    Bus,
-    Mem { node: usize },
-}
-
-/// One rank's private view of the shared resources — the pricer's mirror
-/// of the transport's per-rank `NetFrontier`.
-#[derive(Clone, Debug)]
-struct PriceFrontier {
-    nic: Vec<f64>,
-    bus: f64,
-    mem: Vec<f64>,
-}
-
-impl PriceFrontier {
-    fn new(n_nodes: usize) -> Self {
-        PriceFrontier {
-            nic: vec![0.0; n_nodes],
-            bus: 0.0,
-            mem: vec![0.0; n_nodes],
-        }
-    }
-
-    fn occupy(&mut self, res: PriceRes, until: f64) {
-        match res {
-            PriceRes::Nic { src, dst } => {
-                self.nic[src] = until;
-                self.nic[dst] = until;
-            }
-            PriceRes::Bus => self.bus = until,
-            PriceRes::Mem { node } => self.mem[node] = until,
-        }
-    }
-}
-
-/// A transfer granted by its sender, awaiting receiver-side settlement:
-/// either an uncontended arrival or a stamped reservation.
-#[derive(Clone, Copy, Debug)]
-enum Pending {
-    Plain(f64),
-    Stamp { start: f64, total: f64, res: PriceRes },
-}
-
 /// Replays a schedule against a [`PairCost`] table and returns the predicted
 /// completion time (seconds): the maximum rank clock after the last round.
 ///
-/// `elem_bytes` converts element counts to wire bytes. The replay performs
-/// the transport's exact endpoint-causal arbitration: each send charges the
-/// link latency on the sender's clock (eager injection) and *grants* the
-/// transfer against the sender's own resource frontier; each receive
-/// *settles* the stamped reservation against the receiver's own frontier
-/// and merges the settled arrival. Within a round every rank's sends run
+/// `elem_bytes` converts element counts to wire bytes. The replay runs the
+/// transport's own endpoint-causal arbitration ([`NetFrontier`]): each send
+/// charges the link latency on the sender's clock (eager injection) and
+/// *grants* the transfer against the sender's frontier; each receive
+/// *settles* the stamped reservation against the receiver's frontier and
+/// merges the settled arrival. Within a round every rank's sends run
 /// before its receives, matching the executor's program order, so the
 /// prediction is bit-exact under every contention model. Ranks sharing a
 /// host ([`PairCost::node_of`]) contend for that node's NIC and, when the
@@ -584,11 +549,11 @@ pub fn price(
     cost: &impl PairCost,
     sharing: LinkSharing,
 ) -> f64 {
-    let nodes: Vec<usize> = (0..p).map(|r| cost.node_of(r)).collect();
-    let n_nodes = nodes.iter().max().map_or(0, |m| m + 1);
-    let mut clocks = vec![0.0f64; p];
-    let mut frontiers: Vec<PriceFrontier> = vec![PriceFrontier::new(n_nodes); p];
-    let mut pending: Vec<(usize, Pending)> = Vec::new();
+    let nodes: Vec<NodeId> = (0..p).map(|r| NodeId(cost.node_of(r))).collect();
+    let n_nodes = nodes.iter().max().map_or(0, |m| m.index() + 1);
+    let mut clocks = vec![SimTime::ZERO; p];
+    let mut frontiers = vec![NetFrontier::new(sharing.into(), n_nodes); p];
+    let mut pending: Vec<(usize, SimTime, Option<WireXfer>)> = Vec::new();
     for round in rounds {
         pending.clear();
         for x in round {
@@ -603,58 +568,21 @@ pub fn price(
                 lat
             };
             let now = clocks[x.src];
-            let (ns, nd) = (nodes[x.src], nodes[x.dst]);
-            let f = &mut frontiers[x.src];
-            let sent = if total <= 0.0 {
-                Pending::Plain(now)
-            } else if ns == nd {
-                // Same host: the intra-node memory bus, under any sharing
-                // model (a positive same-host cost means one is priced).
-                let start = now.max(f.mem[ns]);
-                let res = PriceRes::Mem { node: ns };
-                f.occupy(res, start + total);
-                Pending::Stamp { start, total, res }
-            } else {
-                match sharing {
-                    LinkSharing::Parallel => Pending::Plain(now + total),
-                    LinkSharing::PerEndpoint => {
-                        let start = now.max(f.nic[ns]).max(f.nic[nd]);
-                        let res = PriceRes::Nic { src: ns, dst: nd };
-                        f.occupy(res, start + total);
-                        Pending::Stamp { start, total, res }
-                    }
-                    LinkSharing::Shared => {
-                        let start = now.max(f.bus);
-                        let res = PriceRes::Bus;
-                        f.occupy(res, start + total);
-                        Pending::Stamp { start, total, res }
-                    }
-                }
-            };
-            clocks[x.src] = now + lat;
-            pending.push((x.dst, sent));
+            let (arrival, stamp) = frontiers[x.src].grant(
+                nodes[x.src],
+                nodes[x.dst],
+                now,
+                SimTime::from_secs(total),
+            );
+            clocks[x.src] = now + SimTime::from_secs(lat);
+            pending.push((x.dst, arrival, stamp));
         }
-        for &(dst, sent) in &pending {
-            let arrival = match sent {
-                Pending::Plain(a) => a,
-                Pending::Stamp { start, total, res } => {
-                    let f = &mut frontiers[dst];
-                    let floor = match res {
-                        PriceRes::Nic { src, dst } => f.nic[src].max(f.nic[dst]),
-                        PriceRes::Bus => f.bus,
-                        PriceRes::Mem { node } => f.mem[node],
-                    };
-                    let a = start.max(floor) + total;
-                    f.occupy(res, a);
-                    a
-                }
-            };
-            if arrival > clocks[dst] {
-                clocks[dst] = arrival;
-            }
+        for &(dst, arrival, stamp) in &pending {
+            let arrival = stamp.map_or(arrival, |w| frontiers[dst].settle(w));
+            clocks[dst] = clocks[dst].max(arrival);
         }
     }
-    clocks.iter().copied().fold(0.0, f64::max)
+    clocks.into_iter().max().map_or(0.0, SimTime::as_secs)
 }
 
 /// Prices every eligible algorithm and returns the predicted-cheapest one
