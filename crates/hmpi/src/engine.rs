@@ -20,48 +20,44 @@
 //! assignment with per-segment clock checkpoints, and [`Evaluator::probe`]
 //! prices an assignment differing on a few processors by re-executing only
 //! the affected segments (see [`perfmodel::compile`]). Delta pricing is
-//! exact (bit-identical to a full evaluation); a periodic full
-//! re-evaluation every [`FULL_REEVAL_PERIOD`] probes additionally bounds
-//! any drift that future, inexact delta rules might introduce.
+//! exact by construction — the same floating-point operations on the same
+//! values as a full evaluation — so a probe is never re-priced in full:
+//! `tests/engine_equiv.rs` holds every probe of a random walk to the bits
+//! of the interpreter ([`crate::predicted_time`]), and a periodic full
+//! re-price could only hide a wrong delta rule on the probes between two
+//! of them.
 //!
 //! A model whose scheme fails to evaluate at record time yields an
-//! evaluator pricing every assignment at `+inf` — matching the naive
-//! objective's `unwrap_or(INFINITY)`; `select_mapping` then surfaces the
-//! typed [`crate::SelectError::Eval`] through its final feasibility check.
+//! evaluator pricing every assignment at `+inf` — what
+//! `predicted_time(..).unwrap_or(INFINITY)` reads; `select_mapping` then
+//! surfaces the typed [`crate::SelectError::Eval`] through its final
+//! feasibility check.
 
 use crate::mapping::SelectionCtx;
 use hetsim::NodeId;
 use perfmodel::{CostProgram, DeltaBaseline, PairCost, PerformanceModel, PriceScratch};
-use std::sync::Arc;
 
-/// Delta probes allowed per baseline before the next probe pays for a full
-/// re-evaluation.
-pub const FULL_REEVAL_PERIOD: u32 = 64;
-
-/// A reusable objective evaluator for one (model, selection context) pair.
-///
-/// Cloning is cheap and shares the recorded program and cost tables; each
-/// clone owns its own scratch, so clones can price assignments from
-/// different threads (the branch-and-bound search does exactly that).
-#[derive(Debug, Clone)]
+/// A reusable objective evaluator for one (model, selection context) pair:
+/// the recorded program and cost tables, plus the scratch one search
+/// prices with.
+#[derive(Debug)]
 pub struct Evaluator {
     /// `None` when recording failed: every evaluation prices at `+inf`.
-    program: Option<Arc<CostProgram>>,
+    program: Option<CostProgram>,
     p: usize,
     n_nodes: usize,
-    lat: Arc<Vec<f64>>,
-    bw: Arc<Vec<f64>>,
-    node_of_world: Arc<Vec<u32>>,
-    speed_of_world: Arc<Vec<f64>>,
+    lat: Vec<f64>,
+    bw: Vec<f64>,
+    node_of_world: Vec<u32>,
+    speed_of_world: Vec<f64>,
     links_monotone: bool,
     proc_node: Vec<u32>,
     proc_speed: Vec<f64>,
     scratch: PriceScratch,
     baseline: DeltaBaseline,
     base_assignment: Vec<usize>,
-    probes: u32,
     evals: u64,
-    probe_total: u64,
+    probes: u64,
 }
 
 /// Table-backed [`PairCost`] view over the evaluator's scratch arrays.
@@ -105,7 +101,7 @@ impl Evaluator {
     /// cluster's node-pair cost tables and the current speed estimates.
     pub fn new(model: &dyn PerformanceModel, ctx: &SelectionCtx<'_>) -> Self {
         let p = model.num_processors();
-        let program = CostProgram::record(model).ok().map(Arc::new);
+        let program = CostProgram::record(model).ok();
         let n_nodes = ctx.cluster.len();
         let mut lat = vec![0.0f64; n_nodes * n_nodes];
         let mut bw = vec![f64::INFINITY; n_nodes * n_nodes];
@@ -117,8 +113,7 @@ impl Evaluator {
             }
         }
         // The admissible bound needs every op to only *advance* clocks.
-        let links_monotone =
-            lat.iter().all(|&l| l >= 0.0) && bw.iter().all(|&b| b > 0.0);
+        let links_monotone = lat.iter().all(|&l| l >= 0.0) && bw.iter().all(|&b| b > 0.0);
         let node_of_world: Vec<u32> = ctx.placement.iter().map(|n| n.index() as u32).collect();
         let speed_of_world: Vec<f64> = ctx
             .placement
@@ -129,43 +124,31 @@ impl Evaluator {
             program,
             p,
             n_nodes,
-            lat: Arc::new(lat),
-            bw: Arc::new(bw),
-            node_of_world: Arc::new(node_of_world),
-            speed_of_world: Arc::new(speed_of_world),
+            lat,
+            bw,
+            node_of_world,
+            speed_of_world,
             links_monotone,
             proc_node: vec![0; p],
             proc_speed: vec![0.0; p],
             scratch: PriceScratch::new(p),
             baseline: DeltaBaseline::default(),
             base_assignment: Vec::new(),
-            probes: 0,
             evals: 0,
-            probe_total: 0,
+            probes: 0,
         }
+    }
+
+    /// Points abstract processor `i` at world rank `w`'s node and speed.
+    fn place(&mut self, i: usize, w: usize) {
+        self.proc_node[i] = self.node_of_world[w];
+        self.proc_speed[i] = self.speed_of_world[w];
     }
 
     fn load(&mut self, assignment: &[usize]) {
         debug_assert_eq!(assignment.len(), self.p);
         for (i, &w) in assignment.iter().enumerate() {
-            self.proc_node[i] = self.node_of_world[w];
-            self.proc_speed[i] = self.speed_of_world[w];
-        }
-    }
-
-    fn load_from_base(&mut self, changed: &[usize]) {
-        for &i in changed {
-            let w = self.base_assignment[i];
-            self.proc_node[i] = self.node_of_world[w];
-            self.proc_speed[i] = self.speed_of_world[w];
-        }
-    }
-
-    fn load_all_from_base(&mut self) {
-        for i in 0..self.p {
-            let w = self.base_assignment[i];
-            self.proc_node[i] = self.node_of_world[w];
-            self.proc_speed[i] = self.speed_of_world[w];
+            self.place(i, w);
         }
     }
 
@@ -174,10 +157,10 @@ impl Evaluator {
     /// estimates.
     pub fn eval(&mut self, assignment: &[usize]) -> f64 {
         self.evals += 1;
-        let Some(program) = self.program.clone() else {
+        self.load(assignment);
+        let Some(program) = &self.program else {
             return f64::INFINITY;
         };
-        self.load(assignment);
         program.price(&assign_cost!(self), &mut self.scratch)
     }
 
@@ -185,54 +168,44 @@ impl Evaluator {
     /// subsequent [`Evaluator::probe`] calls.
     pub fn rebase(&mut self, assignment: &[usize]) -> f64 {
         self.evals += 1;
-        let Some(program) = self.program.clone() else {
-            return f64::INFINITY;
-        };
         self.load(assignment);
         self.base_assignment.clear();
         self.base_assignment.extend_from_slice(assignment);
-        self.probes = 0;
+        let Some(program) = &self.program else {
+            return f64::INFINITY;
+        };
         program.price_baseline(&assign_cost!(self), &mut self.scratch, &mut self.baseline)
     }
 
     /// Prices `assignment`, which differs from the current baseline exactly
-    /// at the abstract processors in `changed`. Exact — the delta path
+    /// at the abstract processors in `changed`. Exact: the delta path
     /// performs the same floating-point operations on the same values as a
-    /// full evaluation — with a periodic full re-evaluation as a belt-and-
-    /// braces drift bound. Leaves the baseline untouched.
+    /// full evaluation. Leaves the baseline untouched.
     ///
     /// # Panics
     /// Panics if no baseline was set with [`Evaluator::rebase`].
     pub fn probe(&mut self, assignment: &[usize], changed: &[usize]) -> f64 {
-        self.probe_total += 1;
-        let Some(program) = self.program.clone() else {
-            return f64::INFINITY;
-        };
+        self.probes += 1;
         assert_eq!(
             self.base_assignment.len(),
             assignment.len(),
             "probe needs a baseline of the same shape (call rebase first)"
         );
-        self.probes += 1;
-        if self.probes >= FULL_REEVAL_PERIOD {
-            self.probes = 0;
-            self.load(assignment);
-            let t = program.price(&assign_cost!(self), &mut self.scratch);
-            self.load_all_from_base();
-            return t;
-        }
         for &i in changed {
-            let w = assignment[i];
-            self.proc_node[i] = self.node_of_world[w];
-            self.proc_speed[i] = self.speed_of_world[w];
+            self.place(i, assignment[i]);
         }
-        let t = program.price_delta(
-            &assign_cost!(self),
-            &self.baseline,
-            changed,
-            &mut self.scratch,
-        );
-        self.load_from_base(changed);
+        let t = match &self.program {
+            Some(program) => program.price_delta(
+                &assign_cost!(self),
+                &self.baseline,
+                changed,
+                &mut self.scratch,
+            ),
+            None => f64::INFINITY,
+        };
+        for &i in changed {
+            self.place(i, self.base_assignment[i]);
+        }
         t
     }
 
@@ -240,7 +213,7 @@ impl Evaluator {
     /// branch-and-bound lower bound `max_p U_p / speed_p`, or `None` when
     /// the bound is unusable (recording failed, negative units, or link
     /// costs that could move clocks backwards).
-    pub fn compute_units(&self) -> Option<&[f64]> {
+    pub(crate) fn compute_units(&self) -> Option<&[f64]> {
         if !self.links_monotone {
             return None;
         }
@@ -248,7 +221,7 @@ impl Evaluator {
     }
 
     /// The snapshotted speed estimate for a world rank.
-    pub fn world_speed(&self, world: usize) -> f64 {
+    pub(crate) fn world_speed(&self, world: usize) -> f64 {
         self.speed_of_world[world]
     }
 
@@ -260,12 +233,12 @@ impl Evaluator {
 
     /// Full objective evaluations performed so far ([`Evaluator::eval`]
     /// plus [`Evaluator::rebase`]) — selection-search observability.
-    pub fn eval_count(&self) -> u64 {
+    pub(crate) fn eval_count(&self) -> u64 {
         self.evals
     }
 
     /// Incremental delta probes performed so far.
-    pub fn probe_count(&self) -> u64 {
-        self.probe_total
+    pub(crate) fn probe_count(&self) -> u64 {
+        self.probes
     }
 }

@@ -39,11 +39,13 @@
 //! load-balancing plus pairwise-swap local search in general, optional
 //! simulated annealing), against the cost model assembled in [`estimate`]
 //! from the current speed estimates (refreshed by `HMPI_Recon`) and the
-//! cluster's link parameters. The searches are priced by the selection
-//! [`engine`] — a compiled, allocation-free, incrementally-updatable
-//! objective evaluator ([`engine::Evaluator`]); the pre-engine
-//! interpreter path survives as [`mapping::select_mapping_naive`] for
-//! verification and benchmarking.
+//! cluster's link parameters. There is one selection path: every search
+//! prices assignments through the selection [`engine`] — a compiled,
+//! allocation-free, incrementally-updatable objective evaluator
+//! ([`engine::Evaluator`]) — and the reference that evaluator is verified
+//! against is the objective itself, [`estimate::predicted_time`] (the
+//! scheme interpreter over a freshly built cost model), not a second copy
+//! of the searches.
 
 #![warn(missing_docs)]
 
@@ -59,8 +61,7 @@ pub use engine::Evaluator;
 pub use estimate::{build_cost_model, predicted_time, EstimateError};
 pub use group::HmpiGroup;
 pub use mapping::{
-    select_mapping, select_mapping_naive, Mapping, MappingAlgorithm, SearchStats, SelectError,
-    SelectionCtx,
+    select_mapping, Mapping, MappingAlgorithm, SearchStats, SelectError, SelectionCtx,
 };
 pub use mpisim::{CollectiveAlgo, CollectiveKind, CollectivePolicy};
 pub use recovery::{Recovered, RecoveryError, RecoveryPolicy};

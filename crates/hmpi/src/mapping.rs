@@ -3,15 +3,14 @@
 //! "During the creation of this group of processes, HMPI runtime system
 //! solves the problem of selection of the optimal set of processes running
 //! on different computers of the heterogeneous network." The objective is
-//! the predicted execution time ([`crate::estimate::predicted_time`]); this
-//! module provides the search strategies:
+//! the predicted execution time; this module provides the search
+//! strategies:
 //!
 //! * [`MappingAlgorithm::Exhaustive`] — enumerate every injective mapping
-//!   (exact, for small instances; falls back to the refined greedy beyond a
-//!   work cap). The default path prunes with an admissible computation-only
-//!   lower bound (branch and bound) and splits the first levels of the
-//!   search tree across threads, returning the *same* mapping as the
-//!   sequential enumeration (first strict improver in lexicographic order);
+//!   depth first, candidates in list order, pruning with an admissible
+//!   computation-only lower bound (branch and bound). Exact: the first
+//!   strict improver in lexicographic candidate order wins, with or
+//!   without the bound. Falls back to the refined greedy beyond a work cap;
 //! * [`MappingAlgorithm::Greedy`] — sort abstract processors by volume and
 //!   candidates by estimated speed and pair them off (the optimal pairing
 //!   for pure computation by the rearrangement inequality), no search;
@@ -26,12 +25,15 @@
 //! groups ... the connecting link, through which results of computations are
 //! passed").
 //!
-//! Two objective implementations drive the searches: the **engine** path
-//! ([`crate::engine::Evaluator`]) prices mappings against a compiled cost
-//! program with incremental delta evaluation of swap/replace moves, and the
-//! **naive** path re-derives a fresh cost model per evaluation
-//! ([`select_mapping_naive`], kept as the reference the engine is verified
-//! against). Both produce bit-identical mappings.
+//! There is one selection path. Every search prices assignments through one
+//! [`Evaluator`] built once per call: the model's scheme recorded as a flat
+//! cost program, full evaluations for leaves and baselines, exact
+//! incremental probes for swap / replace moves. The reference it is held to
+//! is [`crate::estimate::predicted_time`] — the scheme interpreter over a
+//! freshly built cost model — whose bits every evaluation and every
+//! [`Mapping::predicted`] reproduce (`tests/engine_equiv.rs`). The search
+//! is sequential, so a [`Mapping`], its [`SearchStats`] included, is a pure
+//! function of `select_mapping`'s arguments.
 
 use crate::engine::Evaluator;
 use crate::estimate::predicted_time;
@@ -40,7 +42,6 @@ use perfmodel::PerformanceModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Everything the search needs to price a candidate mapping.
 #[derive(Debug, Clone)]
@@ -52,7 +53,8 @@ pub struct SelectionCtx<'a> {
     /// Current speed estimates (from the latest `HMPI_Recon`).
     pub estimates: &'a SpeedEstimates,
     /// World ranks eligible for membership (the parent plus all free
-    /// processes).
+    /// processes): distinct indices into `placement`, which
+    /// [`select_mapping`] checks.
     pub candidates: Vec<usize>,
     /// World rank that must host the model's parent processor.
     pub pinned_parent: Option<usize>,
@@ -82,8 +84,8 @@ pub struct Mapping {
 /// Search strategy for [`select_mapping`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MappingAlgorithm {
-    /// Exact enumeration (small instances; falls back to `GreedyRefined`
-    /// above [`EXHAUSTIVE_CAP`] candidate mappings).
+    /// Exact enumeration with branch-and-bound pruning (small instances;
+    /// falls back to `GreedyRefined` above 5×10⁷ candidate mappings).
     Exhaustive,
     /// Volume/speed sorted pairing only.
     Greedy,
@@ -109,9 +111,9 @@ impl Default for MappingAlgorithm {
 
 /// Work cap for exhaustive enumeration (number of mappings). Branch and
 /// bound prunes most of the tree on computation-dominated instances and
-/// the compiled evaluator prices leaves orders of magnitude faster than
-/// the interpreter did, so the cap sits far above the pre-engine 2×10⁶.
-pub const EXHAUSTIVE_CAP: u64 = 50_000_000;
+/// the compiled evaluator prices a leaf in well under a microsecond per
+/// cost op, so the cap sits far above what an interpreter could afford.
+pub(crate) const EXHAUSTIVE_CAP: u64 = 50_000_000;
 
 /// Errors from the selection search.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,6 +127,13 @@ pub enum SelectError {
     },
     /// The pinned parent is not among the candidates.
     ParentNotCandidate {
+        /// The offending world rank.
+        world_rank: usize,
+    },
+    /// A candidate is not a rank of the placement, or is listed twice (a
+    /// search over such a list would index out of bounds or place two
+    /// abstract processors on one process).
+    InvalidCandidate {
         /// The offending world rank.
         world_rank: usize,
     },
@@ -149,6 +158,10 @@ impl fmt::Display for SelectError {
             SelectError::ParentNotCandidate { world_rank } => {
                 write!(f, "pinned parent rank {world_rank} is not a candidate")
             }
+            SelectError::InvalidCandidate { world_rank } => write!(
+                f,
+                "candidate rank {world_rank} is outside the placement or listed twice"
+            ),
             SelectError::Eval(msg) => {
                 write!(f, "the model's scheme failed to evaluate: {msg}")
             }
@@ -158,202 +171,53 @@ impl fmt::Display for SelectError {
 
 impl std::error::Error for SelectError {}
 
-/// The search-facing objective: full evaluations that set the delta
-/// baseline, and probes of small perturbations of that baseline.
-trait Objective {
-    /// Fully evaluates `a` and makes it the baseline for probes.
-    fn rebase(&mut self, a: &[usize]) -> f64;
-    /// Evaluates `a`, which differs from the baseline exactly at the
-    /// abstract processors in `changed`.
-    fn probe(&mut self, a: &[usize], changed: &[usize]) -> f64;
-}
-
-/// The pre-engine reference objective: every evaluation rebuilds the cost
-/// model and re-interprets the scheme.
-struct NaiveObjective<'a> {
-    model: &'a dyn PerformanceModel,
-    ctx: &'a SelectionCtx<'a>,
-    evals: u64,
-    probes: u64,
-}
-
-impl<'a> NaiveObjective<'a> {
-    fn new(model: &'a dyn PerformanceModel, ctx: &'a SelectionCtx<'a>) -> Self {
-        NaiveObjective {
-            model,
-            ctx,
-            evals: 0,
-            probes: 0,
-        }
-    }
-
-    fn price(&self, a: &[usize]) -> f64 {
-        predicted_time(
-            self.model,
-            a,
-            self.ctx.cluster,
-            self.ctx.placement,
-            self.ctx.estimates,
-        )
-        .unwrap_or(f64::INFINITY)
-    }
-
-    fn stats(&self) -> SearchStats {
-        SearchStats {
-            evals: self.evals,
-            probes: self.probes,
-        }
-    }
-}
-
-impl Objective for NaiveObjective<'_> {
-    fn rebase(&mut self, a: &[usize]) -> f64 {
-        self.evals += 1;
-        self.price(a)
-    }
-    fn probe(&mut self, a: &[usize], _changed: &[usize]) -> f64 {
-        self.probes += 1;
-        self.price(a)
-    }
-}
-
-/// The engine objective: compiled program, table lookups, delta probes.
-struct EngineObjective<'a> {
-    ev: &'a mut Evaluator,
-}
-
-impl Objective for EngineObjective<'_> {
-    fn rebase(&mut self, a: &[usize]) -> f64 {
-        self.ev.rebase(a)
-    }
-    fn probe(&mut self, a: &[usize], changed: &[usize]) -> f64 {
-        self.ev.probe(a, changed)
-    }
-}
-
-/// Selects the mapping minimising predicted execution time, using the
-/// compiled selection engine (see [`crate::engine`]).
+/// Selects the mapping minimising predicted execution time.
 ///
 /// # Errors
-/// [`SelectError`] on infeasible instances.
+/// [`SelectError`] on infeasible instances and on a candidate list that is
+/// not a set of placement ranks.
 pub fn select_mapping(
     algo: MappingAlgorithm,
     model: &dyn PerformanceModel,
     ctx: &SelectionCtx<'_>,
 ) -> Result<Mapping, SelectError> {
-    select_mapping_impl(algo, model, ctx, true)
-}
-
-/// The pre-engine reference path: every objective evaluation rebuilds the
-/// cost model and re-interprets the scheme, and `Exhaustive` enumerates
-/// sequentially without pruning. Kept public as the baseline the engine is
-/// benchmarked and property-tested against; it selects bit-identical
-/// mappings to [`select_mapping`].
-///
-/// # Errors
-/// As [`select_mapping`].
-pub fn select_mapping_naive(
-    algo: MappingAlgorithm,
-    model: &dyn PerformanceModel,
-    ctx: &SelectionCtx<'_>,
-) -> Result<Mapping, SelectError> {
-    select_mapping_impl(algo, model, ctx, false)
-}
-
-fn select_mapping_impl(
-    algo: MappingAlgorithm,
-    model: &dyn PerformanceModel,
-    ctx: &SelectionCtx<'_>,
-    engine: bool,
-) -> Result<Mapping, SelectError> {
     let p = model.num_processors();
-    if p > ctx.candidates.len() {
-        return Err(SelectError::NotEnoughProcesses {
-            required: p,
-            available: ctx.candidates.len(),
-        });
-    }
-    if let Some(parent) = ctx.pinned_parent {
-        if !ctx.candidates.contains(&parent) {
-            return Err(SelectError::ParentNotCandidate { world_rank: parent });
+    validate(ctx, p)?;
+    let algo = match algo {
+        MappingAlgorithm::Exhaustive
+            if exhaustive_count(ctx.candidates.len(), p) > EXHAUSTIVE_CAP =>
+        {
+            MappingAlgorithm::default()
         }
-    }
+        other => other,
+    };
     // Evaluation failures price an assignment as infeasible rather than
     // aborting the search; if the *chosen* assignment also fails, the typed
     // error surfaces below.
-    let mapping = match algo {
+    let mut ev = Evaluator::new(model, ctx);
+    let (assignment, predicted) = match algo {
         MappingAlgorithm::Greedy => {
             let a = greedy(model, ctx);
-            let (predicted, stats) = if engine {
-                let mut ev = Evaluator::new(model, ctx);
-                let t = ev.eval(&a);
-                (t, search_stats(&ev))
-            } else {
-                let mut obj = NaiveObjective::new(model, ctx);
-                let t = obj.rebase(&a);
-                (t, obj.stats())
-            };
-            Mapping {
-                predicted,
-                assignment: a,
-                stats,
-            }
+            let t = ev.eval(&a);
+            (a, t)
         }
         MappingAlgorithm::GreedyRefined { max_rounds } => {
-            let a = greedy(model, ctx);
-            let (assignment, predicted, stats) = if engine {
-                let mut ev = Evaluator::new(model, ctx);
-                let (a, t) =
-                    local_search(a, model, ctx, &mut EngineObjective { ev: &mut ev }, max_rounds);
-                (a, t, search_stats(&ev))
-            } else {
-                let mut obj = NaiveObjective::new(model, ctx);
-                let (a, t) = local_search(a, model, ctx, &mut obj, max_rounds);
-                (a, t, obj.stats())
-            };
-            Mapping {
-                assignment,
-                predicted,
-                stats,
-            }
+            local_search(greedy(model, ctx), model, ctx, &mut ev, max_rounds)
         }
         MappingAlgorithm::Exhaustive => {
-            if exhaustive_count(ctx.candidates.len(), p) > EXHAUSTIVE_CAP {
-                return select_mapping_impl(
-                    MappingAlgorithm::GreedyRefined { max_rounds: 64 },
-                    model,
-                    ctx,
-                    engine,
-                );
-            }
-            if engine {
-                exhaustive_bb(model, ctx, &Evaluator::new(model, ctx))
-            } else {
-                exhaustive_seq(model, ctx)
-            }
+            let bound = Bound::new(&ev, ctx);
+            exhaustive(model, ctx, &mut ev, bound.as_ref())
         }
         MappingAlgorithm::Annealing { seed, iters } => {
-            let start = greedy(model, ctx);
-            if engine {
-                let mut ev = Evaluator::new(model, ctx);
-                let mut m =
-                    anneal(start, model, ctx, &mut EngineObjective { ev: &mut ev }, seed, iters);
-                m.stats = search_stats(&ev);
-                m
-            } else {
-                let mut obj = NaiveObjective::new(model, ctx);
-                let mut m = anneal(start, model, ctx, &mut obj, seed, iters);
-                m.stats = obj.stats();
-                m
-            }
+            anneal(greedy(model, ctx), model, ctx, &mut ev, seed, iters)
         }
     };
-    if !mapping.predicted.is_finite() {
+    if !predicted.is_finite() {
         // Distinguish a genuine eval failure from a legitimately infinite
         // prediction (e.g. an estimated speed of zero).
         if let Err(e) = predicted_time(
             model,
-            &mapping.assignment,
+            &assignment,
             ctx.cluster,
             ctx.placement,
             ctx.estimates,
@@ -361,14 +225,37 @@ fn select_mapping_impl(
             return Err(SelectError::Eval(e.to_string()));
         }
     }
-    Ok(mapping)
+    Ok(Mapping {
+        assignment,
+        predicted,
+        stats: SearchStats {
+            evals: ev.eval_count(),
+            probes: ev.probe_count(),
+        },
+    })
 }
 
-/// Reads an engine evaluator's counters into [`SearchStats`].
-fn search_stats(ev: &Evaluator) -> SearchStats {
-    SearchStats {
-        evals: ev.eval_count(),
-        probes: ev.probe_count(),
+/// `SelectionCtx` has public fields, so what the searches rely on is
+/// checked here, once: enough candidates, every candidate a distinct rank
+/// of the placement, the pinned parent among them.
+fn validate(ctx: &SelectionCtx<'_>, p: usize) -> Result<(), SelectError> {
+    if p > ctx.candidates.len() {
+        return Err(SelectError::NotEnoughProcesses {
+            required: p,
+            available: ctx.candidates.len(),
+        });
+    }
+    let mut listed = vec![false; ctx.placement.len()];
+    for &w in &ctx.candidates {
+        if w >= listed.len() || std::mem::replace(&mut listed[w], true) {
+            return Err(SelectError::InvalidCandidate { world_rank: w });
+        }
+    }
+    match ctx.pinned_parent {
+        Some(parent) if !listed.get(parent).is_some_and(|&l| l) => {
+            Err(SelectError::ParentNotCandidate { world_rank: parent })
+        }
+        _ => Ok(()),
     }
 }
 
@@ -427,12 +314,12 @@ fn local_search(
     mut assignment: Vec<usize>,
     model: &dyn PerformanceModel,
     ctx: &SelectionCtx<'_>,
-    obj: &mut dyn Objective,
+    ev: &mut Evaluator,
     max_rounds: usize,
 ) -> (Vec<usize>, f64) {
     let p = model.num_processors();
     let parent_abs = model.parent();
-    let mut best = obj.rebase(&assignment);
+    let mut best = ev.rebase(&assignment);
     for _ in 0..max_rounds {
         let mut improved = false;
 
@@ -444,9 +331,9 @@ fn local_search(
                     .pinned_parent
                     .is_none_or(|w| assignment[parent_abs] == w);
                 if pin_ok {
-                    let t = obj.probe(&assignment, &[i, j]);
+                    let t = ev.probe(&assignment, &[i, j]);
                     if t < best {
-                        best = obj.rebase(&assignment);
+                        best = ev.rebase(&assignment);
                         improved = true;
                         continue 'swap;
                     }
@@ -469,9 +356,9 @@ fn local_search(
                 }
                 let old = assignment[i];
                 assignment[i] = w;
-                let t = obj.probe(&assignment, &[i]);
+                let t = ev.probe(&assignment, &[i]);
                 if t < best {
-                    best = obj.rebase(&assignment);
+                    best = ev.rebase(&assignment);
                     improved = true;
                 } else {
                     assignment[i] = old;
@@ -486,73 +373,6 @@ fn local_search(
     (assignment, best)
 }
 
-/// Sequential exact enumeration (the naive path): first strict improver in
-/// lexicographic candidate order wins.
-fn exhaustive_seq(model: &dyn PerformanceModel, ctx: &SelectionCtx<'_>) -> Mapping {
-    let p = model.num_processors();
-    let parent_abs = model.parent();
-    let mut obj = NaiveObjective::new(model, ctx);
-    let mut assignment = vec![usize::MAX; p];
-    let mut used = vec![false; ctx.candidates.len()];
-    let mut best: Option<Mapping> = None;
-
-    #[allow(clippy::too_many_arguments)]
-    fn rec(
-        abs: usize,
-        p: usize,
-        parent_abs: usize,
-        ctx: &SelectionCtx<'_>,
-        assignment: &mut Vec<usize>,
-        used: &mut Vec<bool>,
-        obj: &mut NaiveObjective<'_>,
-        best: &mut Option<Mapping>,
-    ) {
-        if abs == p {
-            let t = obj.rebase(assignment);
-            if best.as_ref().is_none_or(|b| t < b.predicted) {
-                *best = Some(Mapping {
-                    assignment: assignment.clone(),
-                    predicted: t,
-                    stats: SearchStats::default(),
-                });
-            }
-            return;
-        }
-        for ci in 0..ctx.candidates.len() {
-            if used[ci] {
-                continue;
-            }
-            let w = ctx.candidates[ci];
-            if abs == parent_abs {
-                if let Some(pin) = ctx.pinned_parent {
-                    if w != pin {
-                        continue;
-                    }
-                }
-            }
-            used[ci] = true;
-            assignment[abs] = w;
-            rec(abs + 1, p, parent_abs, ctx, assignment, used, obj, best);
-            used[ci] = false;
-        }
-        assignment[abs] = usize::MAX;
-    }
-
-    rec(
-        0,
-        p,
-        parent_abs,
-        ctx,
-        &mut assignment,
-        &mut used,
-        &mut obj,
-        &mut best,
-    );
-    let mut best = best.expect("feasibility checked by caller");
-    best.stats = obj.stats();
-    best
-}
-
 /// The admissible lower-bound data for branch and bound: per-processor
 /// computation totals `U_p` (any feasible completion costs processor `p`
 /// at least `U_p / speed`), the suffix maxima over the still-unassigned
@@ -563,314 +383,133 @@ struct Bound {
     max_speed: f64,
 }
 
-fn make_bound(ev: &Evaluator, ctx: &SelectionCtx<'_>, p: usize) -> Option<Bound> {
-    let units = ev.compute_units()?.to_vec();
-    let mut max_speed = 0.0f64;
-    for &w in &ctx.candidates {
-        let s = ev.world_speed(w);
-        if s.is_nan() || s <= 0.0 {
-            // A non-positive speed can poison clocks with NaN; disable
-            // pruning rather than risk cutting the true argmin.
-            return None;
+impl Bound {
+    /// `None` when no admissible bound exists for this instance; the
+    /// search then enumerates without pruning.
+    fn new(ev: &Evaluator, ctx: &SelectionCtx<'_>) -> Option<Bound> {
+        let units = ev.compute_units()?.to_vec();
+        let p = units.len();
+        let mut max_speed = 0.0f64;
+        for &w in &ctx.candidates {
+            let s = ev.world_speed(w);
+            if s.is_nan() || s <= 0.0 {
+                // A non-positive speed can poison clocks with NaN; disable
+                // pruning rather than risk cutting the true argmin.
+                return None;
+            }
+            max_speed = max_speed.max(s);
         }
-        max_speed = max_speed.max(s);
+        let mut suffix_max = vec![0.0f64; p + 1];
+        for d in (0..p).rev() {
+            suffix_max[d] = suffix_max[d + 1].max(units[d]);
+        }
+        Some(Bound {
+            units,
+            suffix_max,
+            max_speed,
+        })
     }
-    let mut suffix_max = vec![0.0f64; p + 1];
-    for d in (0..p).rev() {
-        suffix_max[d] = suffix_max[d + 1].max(units[d]);
-    }
-    Some(Bound {
-        units,
-        suffix_max,
-        max_speed,
-    })
 }
 
 /// Relative rounding slack between the bound's arithmetic and the
-/// evaluator's (a few ulps in practice): pruning must lose to it.
+/// evaluator's: the bound divides a processor's *summed* units by its
+/// speed, the evaluator sums the quotients, and the two can differ in the
+/// last bits. A bare `lb > incumbent` could therefore cut a leaf that
+/// improves on the incumbent by less than that rounding, and the pruned
+/// search would stop agreeing with the plain enumeration. Pruning must
+/// lose to it.
 const BOUND_SLACK: f64 = 1e-9;
 
-/// Lock-free shared incumbent: monotonically decreasing f64 behind an
-/// `AtomicU64` of its bits.
-fn atomic_min_f64(best: &AtomicU64, v: f64) {
-    let mut cur = best.load(Ordering::Relaxed);
-    while v < f64::from_bits(cur) {
-        match best.compare_exchange_weak(cur, v.to_bits(), Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(c) => cur = c,
-        }
-    }
+/// The state of one exhaustive search.
+struct BranchAndBound<'a> {
+    ctx: &'a SelectionCtx<'a>,
+    ev: &'a mut Evaluator,
+    bound: Option<&'a Bound>,
+    parent_abs: usize,
+    assignment: Vec<usize>,
+    used: Vec<bool>,
+    /// The incumbent: the best leaf priced so far.
+    best: Option<(Vec<usize>, f64)>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn bb_rec(
-    abs: usize,
-    p: usize,
-    parent_abs: usize,
-    ctx: &SelectionCtx<'_>,
-    assignment: &mut Vec<usize>,
-    used: &mut Vec<bool>,
-    ev: &mut Evaluator,
-    bound: Option<&Bound>,
-    lb_partial: f64,
-    shared: &AtomicU64,
-    best: &mut Option<Mapping>,
-) {
-    if let Some(b) = bound {
-        // Prune only on a *strict* bound violation: equal-valued subtrees
-        // survive, so the first-improver tie-break matches the sequential
-        // enumeration exactly. The incumbent only ever comes from real
-        // leaves, so nothing is pruned before the first leaf is priced.
-        let tail = if abs < p {
-            b.suffix_max[abs] / b.max_speed
-        } else {
-            0.0
-        };
-        // The bound divides a processor's *summed* units by its speed; the
-        // evaluator sums the quotients. The two can differ in the last
-        // bits, so a bare `>` may cut a subtree whose leaves tie with the
-        // incumbent — and whether the incumbent was posted yet is thread
-        // timing. The slack keeps every such subtree.
-        let incumbent = f64::from_bits(shared.load(Ordering::Relaxed));
-        if lb_partial.max(tail) > incumbent * (1.0 + BOUND_SLACK) {
+impl BranchAndBound<'_> {
+    /// Places abstract processors `abs..` depth first, candidates in list
+    /// order. `lb` is the bound of the partial assignment above.
+    fn bb_rec(&mut self, abs: usize, lb: f64) {
+        if let (Some(b), Some((_, incumbent))) = (self.bound, &self.best) {
+            // Prune only on a *strict* bound violation, beyond the slack:
+            // subtrees that tie with the incumbent survive, so what the
+            // search returns does not depend on the bound.
+            let tail = b.suffix_max[abs] / b.max_speed;
+            if lb.max(tail) > incumbent * (1.0 + BOUND_SLACK) {
+                return;
+            }
+        }
+        if abs == self.assignment.len() {
+            let t = self.ev.eval(&self.assignment);
+            if self.best.as_ref().is_none_or(|(_, best)| t < *best) {
+                self.best = Some((self.assignment.clone(), t));
+            }
             return;
         }
-    }
-    if abs == p {
-        let t = ev.eval(assignment);
-        if best.as_ref().is_none_or(|b| t < b.predicted) {
-            *best = Some(Mapping {
-                assignment: assignment.clone(),
-                predicted: t,
-                stats: SearchStats::default(),
-            });
-            atomic_min_f64(shared, t);
-        }
-        return;
-    }
-    for ci in 0..ctx.candidates.len() {
-        if used[ci] {
-            continue;
-        }
-        let w = ctx.candidates[ci];
-        if abs == parent_abs {
-            if let Some(pin) = ctx.pinned_parent {
-                if w != pin {
-                    continue;
-                }
+        let pin = self.ctx.pinned_parent.filter(|_| abs == self.parent_abs);
+        for ci in 0..self.ctx.candidates.len() {
+            let w = self.ctx.candidates[ci];
+            if self.used[ci] || pin.is_some_and(|pin| pin != w) {
+                continue;
             }
+            let child_lb = match self.bound {
+                Some(b) => lb.max(b.units[abs] / self.ev.world_speed(w)),
+                None => lb,
+            };
+            self.used[ci] = true;
+            self.assignment[abs] = w;
+            self.bb_rec(abs + 1, child_lb);
+            self.used[ci] = false;
         }
-        let child_lb = match bound {
-            Some(b) => lb_partial.max(b.units[abs] / ev.world_speed(w)),
-            None => lb_partial,
-        };
-        used[ci] = true;
-        assignment[abs] = w;
-        bb_rec(
-            abs + 1,
-            p,
-            parent_abs,
-            ctx,
-            assignment,
-            used,
-            ev,
-            bound,
-            child_lb,
-            shared,
-            best,
-        );
-        used[ci] = false;
-    }
-    assignment[abs] = usize::MAX;
-}
-
-/// Enumerates the feasible prefixes of the first `depth` abstract
-/// processors in exactly the sequential DFS candidate order.
-fn gen_prefixes(
-    abs: usize,
-    depth: usize,
-    parent_abs: usize,
-    ctx: &SelectionCtx<'_>,
-    prefix: &mut Vec<usize>,
-    used: &mut [bool],
-    out: &mut Vec<Vec<usize>>,
-) {
-    if abs == depth {
-        out.push(prefix.clone());
-        return;
-    }
-    for ci in 0..ctx.candidates.len() {
-        if used[ci] {
-            continue;
-        }
-        let w = ctx.candidates[ci];
-        if abs == parent_abs {
-            if let Some(pin) = ctx.pinned_parent {
-                if w != pin {
-                    continue;
-                }
-            }
-        }
-        used[ci] = true;
-        prefix.push(w);
-        gen_prefixes(abs + 1, depth, parent_abs, ctx, prefix, used, out);
-        prefix.pop();
-        used[ci] = false;
     }
 }
 
-/// Searches the subtree under one prefix; returns its best mapping (or
-/// `None` if the subtree was entirely pruned).
-fn bb_search_prefix(
-    prefix: &[usize],
-    p: usize,
-    parent_abs: usize,
+/// Exact search. Leaves are visited in lexicographic candidate order and
+/// only a strictly better leaf replaces the incumbent, so the first optimum
+/// in that order is returned — by construction, whatever `bound` cuts.
+/// `bound: None` is the plain enumeration of every injective mapping, which
+/// makes it the pruning's own oracle (`tests::pruning_never_changes_the_answer`).
+fn exhaustive(
+    model: &dyn PerformanceModel,
     ctx: &SelectionCtx<'_>,
     ev: &mut Evaluator,
     bound: Option<&Bound>,
-    shared: &AtomicU64,
-) -> Option<Mapping> {
-    let mut assignment = vec![usize::MAX; p];
-    let mut used = vec![false; ctx.candidates.len()];
-    let mut lb = 0.0f64;
-    for (abs, &w) in prefix.iter().enumerate() {
-        assignment[abs] = w;
-        let ci = ctx
-            .candidates
-            .iter()
-            .position(|&c| c == w)
-            .expect("prefix drawn from candidates");
-        used[ci] = true;
-        if let Some(b) = bound {
-            lb = lb.max(b.units[abs] / ev.world_speed(w));
-        }
-    }
-    let mut best: Option<Mapping> = None;
-    bb_rec(
-        prefix.len(),
-        p,
-        parent_abs,
+) -> (Vec<usize>, f64) {
+    let mut search = BranchAndBound {
         ctx,
-        &mut assignment,
-        &mut used,
         ev,
         bound,
-        lb,
-        shared,
-        &mut best,
-    );
-    best
+        parent_abs: model.parent(),
+        assignment: vec![usize::MAX; model.num_processors()],
+        used: vec![false; ctx.candidates.len()],
+        best: None,
+    };
+    search.bb_rec(0, 0.0);
+    search.best.expect("feasibility checked by caller")
 }
 
-/// Exact enumeration with branch-and-bound pruning and a deterministic
-/// multi-threaded split of the search tree's first levels. Returns exactly
-/// the mapping [`exhaustive_seq`] would: pruning is strict (`lb > best`,
-/// beyond [`BOUND_SLACK`]), so equal-valued leaves survive to the same
-/// first-improver tie-break whichever thread posts an incumbent first,
-/// and per-prefix results are merged in sequential prefix order.
-fn exhaustive_bb(
-    model: &dyn PerformanceModel,
-    ctx: &SelectionCtx<'_>,
-    proto: &Evaluator,
-) -> Mapping {
-    let p = model.num_processors();
-    let parent_abs = model.parent();
-    let bound = make_bound(proto, ctx, p);
-
-    let depth = p.min(2);
-    let mut prefixes: Vec<Vec<usize>> = Vec::new();
-    {
-        let mut used = vec![false; ctx.candidates.len()];
-        let mut prefix = Vec::with_capacity(depth);
-        gen_prefixes(0, depth, parent_abs, ctx, &mut prefix, &mut used, &mut prefixes);
-    }
-
-    let shared = AtomicU64::new(f64::INFINITY.to_bits());
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
-        .min(prefixes.len().max(1));
-
-    let mut results: Vec<Option<Mapping>> = vec![None; prefixes.len()];
-    let mut total = SearchStats::default();
-    if threads <= 1 {
-        let mut ev = proto.clone();
-        for (slot, prefix) in results.iter_mut().zip(&prefixes) {
-            *slot = bb_search_prefix(prefix, p, parent_abs, ctx, &mut ev, bound.as_ref(), &shared);
-        }
-        total = search_stats(&ev);
-    } else {
-        let prefixes = &prefixes;
-        let shared = &shared;
-        let bound = bound.as_ref();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|tid| {
-                    let mut ev = proto.clone();
-                    scope.spawn(move || {
-                        let mut out: Vec<(usize, Option<Mapping>)> = Vec::new();
-                        let mut i = tid;
-                        while i < prefixes.len() {
-                            out.push((
-                                i,
-                                bb_search_prefix(
-                                    &prefixes[i],
-                                    p,
-                                    parent_abs,
-                                    ctx,
-                                    &mut ev,
-                                    bound,
-                                    shared,
-                                ),
-                            ));
-                            i += threads;
-                        }
-                        (out, search_stats(&ev))
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (out, stats) = h.join().expect("search thread panicked");
-                total.evals += stats.evals;
-                total.probes += stats.probes;
-                for (i, r) in out {
-                    results[i] = r;
-                }
-            }
-        });
-    }
-
-    let mut best: Option<Mapping> = None;
-    for r in results.into_iter().flatten() {
-        if best.as_ref().is_none_or(|b| r.predicted < b.predicted) {
-            best = Some(r);
-        }
-    }
-    let mut best = best.expect("feasibility checked by caller");
-    best.stats = total;
-    best
-}
-
-/// Simulated annealing from a greedy start.
+/// Simulated annealing from a greedy start. Returns the best assignment
+/// visited and its predicted time.
 fn anneal(
     start: Vec<usize>,
     model: &dyn PerformanceModel,
     ctx: &SelectionCtx<'_>,
-    obj: &mut dyn Objective,
+    ev: &mut Evaluator,
     seed: u64,
     iters: usize,
-) -> Mapping {
+) -> (Vec<usize>, f64) {
     let p = model.num_processors();
     let parent_abs = model.parent();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut current = start;
-    let mut current_t = obj.rebase(&current);
-    let mut best = Mapping {
-        assignment: current.clone(),
-        predicted: current_t,
-        stats: SearchStats::default(),
-    };
+    let mut current_t = ev.rebase(&current);
+    let mut best = (current.clone(), current_t);
 
     let t0 = (current_t * 0.25).max(1e-9);
     for step in 0..iters {
@@ -921,20 +560,16 @@ fn anneal(
             &changed[..2]
         };
 
-        let t = obj.probe(&proposal, changed);
+        let t = ev.probe(&proposal, changed);
         let accept = t < current_t || {
             let delta = t - current_t;
             rng.random_range(0.0..1.0) < (-delta / temp).exp()
         };
         if accept {
             current = proposal;
-            current_t = obj.rebase(&current);
-            if current_t < best.predicted {
-                best = Mapping {
-                    assignment: current.clone(),
-                    predicted: current_t,
-                    stats: SearchStats::default(),
-                };
+            current_t = ev.rebase(&current);
+            if current_t < best.1 {
+                best = (current.clone(), current_t);
             }
         }
     }
@@ -994,13 +629,12 @@ mod tests {
 
     #[test]
     fn a_posted_incumbent_never_cuts_a_subtree_that_ties_with_it() {
-        // simcheck seed 0x13f: three optimal leaves tie bit for bit, and the
-        // bound's (Σ units) / speed sits an ulp above the evaluator's
-        // Σ (units / speed). With a bare `lb > incumbent` the first subtree
-        // survived only if its thread priced a leaf before another thread
-        // posted the tie — 1 run in 3000 it did not, and the search
-        // returned [0, 4, 1] where the sequential enumeration returns
-        // [0, 1, 2]. Post the optimum first, as the unlucky schedule does.
+        // simcheck seed 0x13f, the rounding regression: three optimal
+        // leaves tie bit for bit, and at the first of them the bound's
+        // (Σ units) / speed sits an ulp *above* the evaluator's
+        // Σ (units / speed) — in floating point the bound is admissible
+        // only up to `BOUND_SLACK`. (When the search was threaded, a bare
+        // `lb > incumbent` returned [0, 4, 1] one run in 3000.)
         let speeds = [
             268.08261426349793,
             98.28463767259001,
@@ -1016,20 +650,31 @@ mod tests {
         let c = b.all_to_all(link).build();
         let placement: Vec<NodeId> = c.node_ids().collect();
         let mut rng = StdRng::seed_from_u64(0x99b11669cdcf97b5);
-        let est = SpeedEstimates::from_speeds((0..5).map(|_| rng.random_range(1.0..300.0)).collect());
+        let est =
+            SpeedEstimates::from_speeds((0..5).map(|_| rng.random_range(1.0..300.0)).collect());
         let mut ctx = paper_like_ctx(&c, &placement, &est);
         ctx.pinned_parent = None;
         let model = ModelBuilder::random(0x901f807d0395de7a, 4);
-        let naive = select_mapping_naive(MappingAlgorithm::Exhaustive, &model, &ctx).unwrap();
-        assert_eq!(naive.assignment, vec![0, 1, 2]);
 
+        let pruned = select_mapping(MappingAlgorithm::Exhaustive, &model, &ctx).unwrap();
+        let (plain, plain_t, _) = unpruned(&model, &ctx);
+        assert_eq!(pruned.assignment, vec![0, 1, 2]);
+        assert_eq!(plain, vec![0, 1, 2]);
+        assert_eq!(pruned.predicted.to_bits(), plain_t.to_bits());
+
+        // The bound at the optimum itself: above the leaf's price, inside
+        // the slack. With `BOUND_SLACK = 0.0` the second assertion fails.
         let mut ev = Evaluator::new(&model, &ctx);
-        let bound = make_bound(&ev, &ctx, 3).expect("positive speeds");
-        let posted = AtomicU64::new(naive.predicted.to_bits());
-        let under = bb_search_prefix(&[0, 1], 3, model.parent(), &ctx, &mut ev, Some(&bound), &posted)
-            .expect("the subtree holding the first optimum survives");
-        assert_eq!(under.assignment, naive.assignment);
-        assert_eq!(under.predicted.to_bits(), naive.predicted.to_bits());
+        let bound = Bound::new(&ev, &ctx).expect("positive speeds");
+        let lb = (0..3)
+            .map(|abs| bound.units[abs] / ev.world_speed(plain[abs]))
+            .fold(0.0, f64::max);
+        let t = ev.eval(&plain);
+        assert!(
+            lb > t,
+            "the instance no longer shows the rounding: {lb} vs {t}"
+        );
+        assert!(lb <= t * (1.0 + BOUND_SLACK), "{lb} vs {t}");
     }
 
     #[test]
@@ -1216,12 +861,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn engine_and_naive_paths_select_bit_identical_mappings() {
-        let c = hetero_cluster();
-        let placement: Vec<NodeId> = c.node_ids().collect();
-        let est = SpeedEstimates::from_base_speeds(&c);
-        let models = [
+    fn search_models() -> [perfmodel::BuiltModel; 2] {
+        [
             ModelBuilder::new("compute")
                 .processors(3)
                 .volumes(vec![50.0, 500.0, 200.0])
@@ -1234,11 +875,19 @@ mod tests {
                 .comm_fn(|s, d| if s.abs_diff(d) == 1 { 5e6 } else { 0.0 })
                 .build()
                 .unwrap(),
-        ];
-        for model in &models {
+        ]
+    }
+
+    #[test]
+    fn every_algorithm_reports_the_interpreters_bits() {
+        let c = hetero_cluster();
+        let placement: Vec<NodeId> = c.node_ids().collect();
+        let est = SpeedEstimates::from_base_speeds(&c);
+        for model in &search_models() {
             for pinned in [Some(0), None] {
                 let mut ctx = paper_like_ctx(&c, &placement, &est);
                 ctx.pinned_parent = pinned;
+                let exact = select_mapping(MappingAlgorithm::Exhaustive, model, &ctx).unwrap();
                 for algo in [
                     MappingAlgorithm::Greedy,
                     MappingAlgorithm::default(),
@@ -1248,16 +897,102 @@ mod tests {
                         iters: 400,
                     },
                 ] {
-                    let fast = select_mapping(algo, model, &ctx).unwrap();
-                    let naive = select_mapping_naive(algo, model, &ctx).unwrap();
-                    assert_eq!(fast.assignment, naive.assignment, "{algo:?} pinned={pinned:?}");
+                    let m = select_mapping(algo, model, &ctx).unwrap();
+                    let reference =
+                        predicted_time(model, &m.assignment, &c, &placement, &est).unwrap();
                     assert_eq!(
-                        fast.predicted.to_bits(),
-                        naive.predicted.to_bits(),
+                        m.predicted.to_bits(),
+                        reference.to_bits(),
                         "{algo:?} pinned={pinned:?}"
                     );
+                    assert!(exact.predicted <= m.predicted, "{algo:?} pinned={pinned:?}");
                 }
             }
+        }
+    }
+
+    /// The exhaustive search with the bound off: every injective mapping
+    /// is priced. Returns the winner, its time and the leaves priced.
+    fn unpruned(model: &dyn PerformanceModel, ctx: &SelectionCtx<'_>) -> (Vec<usize>, f64, u64) {
+        let mut ev = Evaluator::new(model, ctx);
+        let (a, t) = exhaustive(model, ctx, &mut ev, None);
+        (a, t, ev.eval_count())
+    }
+
+    #[test]
+    fn pruning_never_changes_the_answer() {
+        let c = hetero_cluster();
+        let placement: Vec<NodeId> = c.node_ids().collect();
+        let est = SpeedEstimates::from_base_speeds(&c);
+        let (mut priced, mut leaves) = (0, 0);
+        for model in &search_models() {
+            for pinned in [Some(0), None] {
+                let mut ctx = paper_like_ctx(&c, &placement, &est);
+                ctx.pinned_parent = pinned;
+                let pruned = select_mapping(MappingAlgorithm::Exhaustive, model, &ctx).unwrap();
+                let (a, t, n) = unpruned(model, &ctx);
+                assert_eq!(pruned.assignment, a, "pinned={pinned:?}");
+                assert_eq!(pruned.predicted.to_bits(), t.to_bits(), "pinned={pinned:?}");
+                priced += pruned.stats.evals;
+                leaves += n;
+            }
+        }
+        assert!(
+            priced < leaves,
+            "the bound cut nothing: {priced} of {leaves}"
+        );
+
+        // A later leaf half a percent better than the incumbent, priced by
+        // computation alone so the bound equals the leaf: a bound inflated
+        // by as little as that cuts the optimum.
+        let near = ClusterBuilder::new()
+            .node("slower", 100.0)
+            .node("faster", 100.5)
+            .all_to_all(Link::new(150e-6, 11e6, Protocol::Tcp))
+            .build();
+        let placement: Vec<NodeId> = near.node_ids().collect();
+        let est = SpeedEstimates::from_base_speeds(&near);
+        let mut ctx = paper_like_ctx(&near, &placement, &est);
+        ctx.pinned_parent = None;
+        let one = ModelBuilder::new("one")
+            .processors(1)
+            .volumes(vec![1000.0])
+            .build()
+            .unwrap();
+        let pruned = select_mapping(MappingAlgorithm::Exhaustive, &one, &ctx).unwrap();
+        assert_eq!(pruned.assignment, vec![1]);
+        assert_eq!(pruned.assignment, unpruned(&one, &ctx).0);
+    }
+
+    #[test]
+    fn a_candidate_outside_the_placement_is_a_typed_error() {
+        let c = hetero_cluster();
+        let placement: Vec<NodeId> = c.node_ids().collect();
+        let est = SpeedEstimates::from_base_speeds(&c);
+        let mut ctx = paper_like_ctx(&c, &placement, &est);
+        ctx.candidates = vec![0, 1, 99];
+        let model = ModelBuilder::new("t").processors(2).build().unwrap();
+        for algo in [MappingAlgorithm::Greedy, MappingAlgorithm::Exhaustive] {
+            assert_eq!(
+                select_mapping(algo, &model, &ctx),
+                Err(SelectError::InvalidCandidate { world_rank: 99 })
+            );
+        }
+    }
+
+    #[test]
+    fn a_candidate_listed_twice_is_a_typed_error() {
+        let c = hetero_cluster();
+        let placement: Vec<NodeId> = c.node_ids().collect();
+        let est = SpeedEstimates::from_base_speeds(&c);
+        let mut ctx = paper_like_ctx(&c, &placement, &est);
+        ctx.candidates = vec![0, 1, 1, 2];
+        let model = ModelBuilder::new("t").processors(4).build().unwrap();
+        for algo in [MappingAlgorithm::Greedy, MappingAlgorithm::Exhaustive] {
+            assert_eq!(
+                select_mapping(algo, &model, &ctx),
+                Err(SelectError::InvalidCandidate { world_rank: 1 })
+            );
         }
     }
 

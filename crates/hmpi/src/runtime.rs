@@ -140,6 +140,17 @@ fn decode_group_abort(payload: &[i64]) -> HmpiError {
     }
 }
 
+/// Which collective operation is running the group-formation protocol.
+/// `group_create` and `rebuild_group` share it and differ in three places:
+/// the `Selection` trace span, whether the payload header carries the
+/// model's parent (3 words vs 4), and whether an unreachable participant
+/// fails the call.
+#[derive(Clone, Copy, PartialEq)]
+enum Formation {
+    Create,
+    Rebuild,
+}
+
 /// Typed configuration for an [`HmpiRuntime`], consolidating the former
 /// `HmpiRuntime::with_*` builder pile (and, through the wrapped
 /// [`UniverseConfig`], the `Universe::with_*` pile) into one value that is
@@ -490,26 +501,6 @@ impl Hmpi<'_> {
         }
     }
 
-    /// Fault-tolerant `HMPI_Recon`, doubling as the failure detector.
-    ///
-    /// Instead of an allgather (which a single dead rank would abort), every
-    /// process reports its measured speed to the host point-to-point; the
-    /// host collects the reports with virtual-time deadlines, retrying up to
-    /// `RECON_ATTEMPTS` (3) times with exponential backoff so a transiently
-    /// slowed node (`FaultEvent::NodeSlowdown`) gets time to answer. A rank
-    /// that stays silent — or whose death the failure detector has already
-    /// observed — has its node marked unavailable in the [`SpeedEstimates`],
-    /// excluding it from all future group selections. Speeds of live nodes
-    /// are refreshed; dead nodes keep their last estimate but are never
-    /// planned with again.
-    ///
-    /// Collective over the host and every *live* process. The host is
-    /// assumed to survive (the paper's host process is the anchor of the
-    /// whole runtime; its failure is unrecoverable).
-    ///
-    /// Reached via [`Hmpi::recon_opts`] with [`Recon::fault_tolerant`]
-    /// (or automatically on clusters with a non-empty fault plan).
-    ///
     /// The fault-tolerant point-to-point recon protocol (see
     /// [`Hmpi::recon_opts`]). `work_units` sizes the host's per-rank
     /// deadlines; `bench` performs the actual benchmark on the calling
@@ -683,10 +674,8 @@ impl Hmpi<'_> {
         }
     }
 
-    fn selection_ctx(&self) -> SelectionCtx<'_> {
-        self.selection_ctx_for(0)
-    }
-
+    /// The selection problem a parent at `parent_world` may solve now: over
+    /// itself plus every free rank believed alive.
     fn selection_ctx_for(&self, parent_world: usize) -> SelectionCtx<'_> {
         let free = self.shared.free.read();
         let mut candidates: Vec<usize> = vec![parent_world];
@@ -700,19 +689,20 @@ impl Hmpi<'_> {
                 && !self.proc.rank_failed(r)
                 && self.estimates.is_available(self.proc.node_of(r))
         }));
+        self.selection_ctx_over(candidates, parent_world)
+    }
+
+    /// The one place a [`SelectionCtx`] is built: `candidates` (distinct
+    /// world ranks, the parent among them) under the runtime's current
+    /// view of the network.
+    fn selection_ctx_over(&self, candidates: Vec<usize>, parent_world: usize) -> SelectionCtx<'_> {
         SelectionCtx {
             cluster: self.proc.cluster(),
-            placement: self.placement(),
+            placement: self.proc.placement(),
             estimates: &self.estimates,
             candidates,
             pinned_parent: Some(parent_world),
         }
-    }
-
-    fn placement(&self) -> &[NodeId] {
-        // Reconstruct placement from the process: node_of is O(1) per rank.
-        // The universe placement is immutable, so caching is unnecessary.
-        self.proc.placement()
     }
 
     /// `HMPI_Timeof`: predicts the execution time of the algorithm described
@@ -735,7 +725,7 @@ impl Hmpi<'_> {
         &self,
         model: &dyn perfmodel::PerformanceModel,
     ) -> HmpiResult<Mapping> {
-        let ctx = self.selection_ctx();
+        let ctx = self.selection_ctx_for(0);
         Ok(select_mapping(self.default_algo, model, &ctx)?)
     }
 
@@ -840,115 +830,137 @@ impl Hmpi<'_> {
     /// outside the world; [`HmpiError::Select`] on infeasible models;
     /// transport errors otherwise.
     pub fn group_create<'m>(&self, spec: impl Into<GroupSpec<'m>>) -> HmpiResult<HmpiGroup> {
-        self.group_create_spec(spec.into())
-    }
-
-    /// The one group-creation implementation every public entry point
-    /// forwards to.
-    fn group_create_spec(&self, spec: GroupSpec<'_>) -> HmpiResult<HmpiGroup> {
         let GroupSpec {
             model,
             algorithm,
             parent_world,
-        } = spec;
+        } = spec.into();
         if parent_world >= self.size() {
             return Err(HmpiError::InvalidArgument(format!(
                 "group parent rank {parent_world} outside world 0..{}",
                 self.size()
             )));
         }
-        let algo = algorithm.unwrap_or(self.default_algo);
-        let me = self.rank();
-        let i_am_parent = me == parent_world;
-        // Eligibility is judged from rank-local state: the coordinator may
-        // already have flipped this rank's shared flag for the in-flight
-        // creation before the rank reaches this call.
-        if !i_am_parent && self.memberships.get() > 0 {
-            return Err(HmpiError::NotEligible);
+        if self.rank() != parent_world {
+            // Eligibility is judged from rank-local state: the coordinator
+            // may already have flipped this rank's shared flag for the
+            // in-flight creation before the rank reaches this call.
+            if self.memberships.get() > 0 {
+                return Err(HmpiError::NotEligible);
+            }
+            return self.join_group(parent_world, Some(model.parent()));
         }
+        let algo = algorithm.unwrap_or(self.default_algo);
+        let ctx = self.selection_ctx_for(parent_world);
+        self.form_group(Formation::Create, algo, model, &ctx)
+    }
 
-        let (group_id, members, predicted, ctx_id) = if i_am_parent {
-            let sel_ctx = self.selection_ctx_for(parent_world);
-            let sel_start = self.now();
-            let participants = sel_ctx.candidates.clone();
-            let mapping = match select_mapping(algo, model, &sel_ctx) {
-                Ok(m) => m,
-                Err(e) => {
-                    // An infeasible selection aborts the whole collective:
-                    // tell the waiting participants before failing, or they
-                    // would block on a payload that never comes.
-                    let err: HmpiError = e.into();
-                    let sentinel = encode_group_abort(&err);
-                    for &r in &participants {
-                        if r != me {
-                            let _ = self.control.send(&sentinel, r, TAG_GROUP_CREATE);
-                        }
-                    }
-                    return Err(err);
-                }
-            };
-            self.trace_span(
-                TraceKind::Selection,
-                "group_create",
-                sel_start,
-                Some(format!(
-                    "algo={:?} candidates={} evals={} probes={} predicted={:.6e}",
-                    algo,
-                    participants.len(),
-                    mapping.stats.evals,
-                    mapping.stats.probes,
-                    mapping.predicted
-                )),
-            );
-            // The host marks the selected members busy immediately, so a
-            // subsequent group_create on the host cannot re-select a member
-            // that has not yet processed its payload.
-            {
-                let mut free = self.shared.free.write();
-                for &w in &mapping.assignment {
-                    free[w] = false;
-                }
-            }
-            let group_id = self.shared.next_group_id.fetch_add(1, Ordering::Relaxed);
-            let ctx_id = self.control.alloc_ctx();
-
-            let mut payload: Vec<i64> = Vec::with_capacity(3 + mapping.assignment.len());
-            payload.push(group_id as i64);
-            payload.push(ctx_id as i64);
-            payload.push(mapping.predicted.to_bits() as i64);
-            payload.extend(mapping.assignment.iter().map(|&w| w as i64));
-            for &r in &participants {
-                if r != me {
-                    self.control.send(&payload, r, TAG_GROUP_CREATE)?;
-                }
-            }
-            (group_id, mapping.assignment, mapping.predicted, ctx_id)
-        } else {
-            let (payload, _) = self.control.recv::<i64>(parent_world, TAG_GROUP_CREATE)?;
-            if payload[0] == 0 {
-                return Err(decode_group_abort(&payload));
-            }
-            let group_id = payload[0] as u64;
-            let ctx_id = payload[1] as u64;
-            let predicted = f64::from_bits(payload[2] as u64);
-            let members: Vec<usize> = payload[3..].iter().map(|&w| w as usize).collect();
-            (group_id, members, predicted, ctx_id)
+    /// Parent side of the group-formation protocol `group_create` and
+    /// `rebuild_group` share: solve the selection problem over `ctx`, mark
+    /// the chosen members busy, allocate the group's id and communication
+    /// context, and send `[id, context, predicted bits, members..]` to every
+    /// other candidate — or the abort sentinel when the selection is
+    /// infeasible.
+    fn form_group(
+        &self,
+        how: Formation,
+        algo: MappingAlgorithm,
+        model: &dyn perfmodel::PerformanceModel,
+        ctx: &SelectionCtx<'_>,
+    ) -> HmpiResult<HmpiGroup> {
+        let start = self.now();
+        let mapping = match select_mapping(algo, model, ctx) {
+            Ok(m) => m,
+            Err(e) => return Err(self.abort_formation(&ctx.candidates, e.into())),
         };
+        let n = ctx.candidates.len();
+        let (span, scope) = match how {
+            Formation::Create => ("group_create", format!("algo={algo:?} candidates={n}")),
+            Formation::Rebuild => ("rebuild_group", format!("survivors={n}")),
+        };
+        self.trace_span(
+            TraceKind::Selection,
+            span,
+            start,
+            Some(format!(
+                "{scope} evals={} probes={} predicted={:.6e}",
+                mapping.stats.evals, mapping.stats.probes, mapping.predicted
+            )),
+        );
+        // The parent marks the selected members busy immediately, so a
+        // subsequent group_create on it cannot re-select a member that has
+        // not yet processed its payload.
+        self.set_free(&mapping.assignment, false);
+        let id = self.shared.next_group_id.fetch_add(1, Ordering::Relaxed);
+        let ctx_id = self.control.alloc_ctx();
+        // A rebuild's joiners never see the model the host selected
+        // against, so there the header carries its parent.
+        let known_parent = (how == Formation::Create).then(|| model.parent());
+        let mut payload = vec![id as i64, ctx_id as i64, mapping.predicted.to_bits() as i64];
+        if known_parent.is_none() {
+            payload.push(model.parent() as i64);
+        }
+        payload.extend(mapping.assignment.iter().map(|&w| w as i64));
+        for &r in ctx.candidates.iter().filter(|&&r| r != self.rank()) {
+            let sent = self.control.send(&payload, r, TAG_GROUP_CREATE);
+            // A survivor that dies here misses a rebuild's payload; the
+            // next rebuild round catches it.
+            if how == Formation::Create {
+                sent?;
+            }
+        }
+        self.adopt_group(&payload, known_parent)
+    }
 
+    /// Flips the shared free flags of `ranks`.
+    fn set_free(&self, ranks: &[usize], free: bool) {
+        let mut flags = self.shared.free.write();
+        for &w in ranks {
+            flags[w] = free;
+        }
+    }
+
+    /// Tells every waiting participant that a group formation is off — or
+    /// it would block on a payload that never comes — and hands `e` back.
+    fn abort_formation(&self, participants: &[usize], e: HmpiError) -> HmpiError {
+        let sentinel = encode_group_abort(&e);
+        for &r in participants.iter().filter(|&&r| r != self.rank()) {
+            let _ = self.control.send(&sentinel, r, TAG_GROUP_CREATE);
+        }
+        e
+    }
+
+    /// Joiner side of the group-formation protocol: wait for the parent's
+    /// outcome. `parent_abs` is `None` when the payload header carries it
+    /// (a rebuild).
+    fn join_group(&self, parent_world: usize, parent_abs: Option<usize>) -> HmpiResult<HmpiGroup> {
+        let (payload, _) = self.control.recv::<i64>(parent_world, TAG_GROUP_CREATE)?;
+        self.adopt_group(&payload, parent_abs)
+    }
+
+    /// Last step on both sides, the parent reading the payload it sent:
+    /// selected processes construct the group's communicator and count the
+    /// membership, the others get a non-member handle and stay free.
+    fn adopt_group(&self, payload: &[i64], parent_abs: Option<usize>) -> HmpiResult<HmpiGroup> {
+        if payload[0] == 0 {
+            return Err(decode_group_abort(payload));
+        }
+        let (parent_abs, members) = match parent_abs {
+            Some(abs) => (abs, &payload[3..]),
+            None => (payload[3] as usize, &payload[4..]),
+        };
+        let members: Vec<usize> = members.iter().map(|&w| w as usize).collect();
         let group = mpisim::Group::from_world_ranks(members.clone())?;
-        let comm = self.control.subset_with_ctx(&group, ctx_id)?;
-
+        let comm = self.control.subset_with_ctx(&group, payload[1] as u64)?;
         if comm.is_some() {
             self.memberships.set(self.memberships.get() + 1);
         }
-        let _ = me;
-
         Ok(HmpiGroup {
-            id: group_id,
+            id: payload[0] as u64,
             members,
             comm,
-            parent_abs: model.parent(),
-            predicted,
+            parent_abs,
+            predicted: f64::from_bits(payload[2] as u64),
         })
     }
 
@@ -1000,135 +1012,45 @@ impl Hmpi<'_> {
         self.memberships.set(self.memberships.get() - 1);
         drop(group);
 
-        let (group_id, members, predicted, ctx_id, parent_abs) = if self.is_host() {
-            let now = self.now();
-            let cluster = self.proc.cluster().clone();
-            // No live survivor can lag the host by more than the span of the
-            // algorithm the group was executing.
-            let window = SimTime::from_secs(2.0 * old_predicted.max(0.0) + 1.0);
-            let mut survivors = vec![me];
-            for &w in &old_members {
-                if w == me {
-                    continue;
-                }
-                let node = self.proc.node_of(w);
-                let known_dead =
-                    !self.proc.rank_alive(w) || cluster.speed_at(node, now) <= 0.0;
-                let announced = !known_dead
-                    && self.control.recv_timeout::<i64>(w, TAG_REBUILD, window).is_ok_and(
-                        |(ready, _)| ready.first() == Some(&(old_id as i64)),
-                    );
-                if announced {
-                    survivors.push(w);
-                } else {
-                    self.estimates.mark_unavailable(node);
-                }
-            }
-            // Every old member's slot is released before re-selection; the
-            // survivors the new mapping picks are re-marked busy below, dead
-            // ones are fenced off by their unavailable nodes.
-            {
-                let mut free = self.shared.free.write();
-                for &w in &old_members {
-                    free[w] = true;
-                }
-            }
-            // With the roll call complete, build the model for the shrunk
-            // problem and re-run the selection on the survivors.
-            let abort = |e: HmpiError| {
-                // Tell the waiting survivors the rebuild is off before
-                // failing, or they would block forever.
-                let sentinel = encode_group_abort(&e);
-                for &w in &survivors {
-                    if w != me {
-                        let _ = self.control.send(&sentinel, w, TAG_GROUP_CREATE);
-                    }
-                }
-                Err(e)
-            };
-            let model = match model_for(&survivors) {
-                Ok(m) => m,
-                Err(e) => return abort(e),
-            };
-            let sel_ctx = SelectionCtx {
-                cluster: self.proc.cluster(),
-                placement: self.placement(),
-                estimates: &self.estimates,
-                candidates: survivors.clone(),
-                pinned_parent: Some(me),
-            };
-            let sel_start = self.now();
-            let mapping = match select_mapping(self.default_algo, &model, &sel_ctx) {
-                Ok(m) => m,
-                Err(e) => return abort(e.into()),
-            };
-            self.trace_span(
-                TraceKind::Selection,
-                "rebuild_group",
-                sel_start,
-                Some(format!(
-                    "survivors={} evals={} probes={} predicted={:.6e}",
-                    survivors.len(),
-                    mapping.stats.evals,
-                    mapping.stats.probes,
-                    mapping.predicted
-                )),
-            );
-            {
-                let mut free = self.shared.free.write();
-                for &w in &mapping.assignment {
-                    free[w] = false;
-                }
-            }
-            let group_id = self.shared.next_group_id.fetch_add(1, Ordering::Relaxed);
-            let ctx_id = self.control.alloc_ctx();
-            let mut payload: Vec<i64> = Vec::with_capacity(4 + mapping.assignment.len());
-            payload.push(group_id as i64);
-            payload.push(ctx_id as i64);
-            payload.push(mapping.predicted.to_bits() as i64);
-            payload.push(model.parent() as i64);
-            payload.extend(mapping.assignment.iter().map(|&w| w as i64));
-            for &w in &survivors {
-                if w != me {
-                    // A survivor that dies here misses the payload; it will
-                    // be caught by the next rebuild round.
-                    let _ = self.control.send(&payload, w, TAG_GROUP_CREATE);
-                }
-            }
-            (
-                group_id,
-                mapping.assignment,
-                mapping.predicted,
-                ctx_id,
-                model.parent(),
-            )
-        } else {
+        if !self.is_host() {
             self.control.send(&[old_id as i64], 0, TAG_REBUILD)?;
-            let (payload, _) = self.control.recv::<i64>(0, TAG_GROUP_CREATE)?;
-            if payload[0] == 0 {
-                // The host could not fit a model on the survivors.
-                return Err(decode_group_abort(&payload));
-            }
-            let group_id = payload[0] as u64;
-            let ctx_id = payload[1] as u64;
-            let predicted = f64::from_bits(payload[2] as u64);
-            let parent_abs = payload[3] as usize;
-            let members: Vec<usize> = payload[4..].iter().map(|&w| w as usize).collect();
-            (group_id, members, predicted, ctx_id, parent_abs)
-        };
-
-        let mpi_group = mpisim::Group::from_world_ranks(members.clone())?;
-        let comm = self.control.subset_with_ctx(&mpi_group, ctx_id)?;
-        if comm.is_some() {
-            self.memberships.set(self.memberships.get() + 1);
+            return self.join_group(0, None);
         }
-        Ok(HmpiGroup {
-            id: group_id,
-            members,
-            comm,
-            parent_abs,
-            predicted,
-        })
+        let now = self.now();
+        let cluster = self.proc.cluster().clone();
+        // No live survivor can lag the host by more than the span of the
+        // algorithm the group was executing.
+        let window = SimTime::from_secs(2.0 * old_predicted.max(0.0) + 1.0);
+        let mut survivors = vec![me];
+        for &w in &old_members {
+            if w == me {
+                continue;
+            }
+            let node = self.proc.node_of(w);
+            let known_dead = !self.proc.rank_alive(w) || cluster.speed_at(node, now) <= 0.0;
+            let announced = !known_dead
+                && self
+                    .control
+                    .recv_timeout::<i64>(w, TAG_REBUILD, window)
+                    .is_ok_and(|(ready, _)| ready.first() == Some(&(old_id as i64)));
+            if announced {
+                survivors.push(w);
+            } else {
+                self.estimates.mark_unavailable(node);
+            }
+        }
+        // Every old member's slot is released before re-selection; the
+        // survivors the new mapping picks are re-marked busy by the shared
+        // step, dead ones are fenced off by their unavailable nodes.
+        self.set_free(&old_members, true);
+        // With the roll call complete, build the model for the shrunk
+        // problem and re-run the selection on the survivors.
+        let model = match model_for(&survivors) {
+            Ok(m) => m,
+            Err(e) => return Err(self.abort_formation(&survivors, e)),
+        };
+        let ctx = self.selection_ctx_over(survivors, me);
+        self.form_group(Formation::Rebuild, self.default_algo, &model, &ctx)
     }
 
     /// `HMPI_Group_free`: collectively releases a group. Must be called by
@@ -1158,7 +1080,7 @@ impl Hmpi<'_> {
         // when anyone exits the second barrier all flags are set.
         comm.barrier()?;
         self.memberships.set(self.memberships.get() - 1);
-        self.shared.free.write()[self.rank()] = true;
+        self.set_free(&[self.rank()], true);
         comm.barrier()?;
         Ok(())
     }

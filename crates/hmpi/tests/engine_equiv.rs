@@ -3,14 +3,13 @@
 //! interpreter path (`predicted_time` over a freshly built `CostModel`)
 //! on random models, clusters, and assignments — including pinned-parent
 //! instances and placements with several world ranks per node (loopback
-//! pairs) — and the branch-and-bound exhaustive search returns the exact
-//! mapping of the sequential enumeration.
+//! pairs) — and every search is held to that interpreter: each algorithm
+//! reports its bits, the branch-and-bound exhaustive search returns the
+//! exact mapping of a brute-force enumeration over it, a converged local
+//! search sits in a local optimum of it.
 
 use hetsim::{Cluster, ClusterBuilder, Link, NodeId, Protocol, SpeedEstimates};
-use hmpi::{
-    predicted_time, select_mapping, select_mapping_naive, Evaluator, MappingAlgorithm,
-    SelectionCtx,
-};
+use hmpi::{predicted_time, select_mapping, Evaluator, MappingAlgorithm, SelectionCtx};
 use perfmodel::{ModelBuilder, PerformanceModel, SchemeSink};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -113,9 +112,8 @@ fn gen_instance(rng: &mut StdRng) -> Instance {
     let ranks_per_node = rng.random_range(1..4);
     let world = n_nodes * ranks_per_node;
     let placement: Vec<NodeId> = (0..world).map(|r| NodeId(r % n_nodes)).collect();
-    let estimates = SpeedEstimates::from_speeds(
-        (0..n_nodes).map(|_| rng.random_range(1.0..300.0)).collect(),
-    );
+    let estimates =
+        SpeedEstimates::from_speeds((0..n_nodes).map(|_| rng.random_range(1.0..300.0)).collect());
 
     let p = rng.random_range(1..world.min(5) + 1);
     let volumes: Vec<f64> = (0..p).map(|_| rng.random_range(0.0..1000.0)).collect();
@@ -153,8 +151,51 @@ fn gen_instance(rng: &mut StdRng) -> Instance {
     }
 }
 
+/// The reference objective: the scheme interpreter over a freshly built
+/// cost model, failures priced as infeasible.
+fn interpreter(model: &dyn PerformanceModel, a: &[usize], ctx: &SelectionCtx<'_>) -> f64 {
+    predicted_time(model, a, ctx.cluster, ctx.placement, ctx.estimates).unwrap_or(f64::INFINITY)
+}
+
+/// Brute force over the interpreter: every injective mapping (parent
+/// pinned) in lexicographic candidate order, first strict improver wins.
+fn brute_force(model: &dyn PerformanceModel, ctx: &SelectionCtx<'_>) -> (Vec<usize>, f64) {
+    fn rec(
+        model: &dyn PerformanceModel,
+        ctx: &SelectionCtx<'_>,
+        a: &mut Vec<usize>,
+        best: &mut Option<(Vec<usize>, f64)>,
+    ) {
+        if a.len() == model.num_processors() {
+            let t = interpreter(model, a, ctx);
+            if best.as_ref().is_none_or(|(_, b)| t < *b) {
+                *best = Some((a.clone(), t));
+            }
+            return;
+        }
+        for &w in &ctx.candidates {
+            let pinned_elsewhere =
+                a.len() == model.parent() && ctx.pinned_parent.is_some_and(|pin| pin != w);
+            if a.contains(&w) || pinned_elsewhere {
+                continue;
+            }
+            a.push(w);
+            rec(model, ctx, a, best);
+            a.pop();
+        }
+    }
+    let mut best = None;
+    rec(model, ctx, &mut Vec::new(), &mut best);
+    best.expect("at least one feasible mapping")
+}
+
 /// Draws a random injective assignment of `p` processors to candidates.
-fn gen_assignment(rng: &mut StdRng, candidates: &[usize], p: usize, pin: Option<(usize, usize)>) -> Vec<usize> {
+fn gen_assignment(
+    rng: &mut StdRng,
+    candidates: &[usize],
+    p: usize,
+    pin: Option<(usize, usize)>,
+) -> Vec<usize> {
     let mut pool: Vec<usize> = candidates.to_vec();
     // Fisher-Yates prefix shuffle.
     for i in 0..p {
@@ -210,8 +251,8 @@ proptest! {
 
     /// Incremental probes: a random walk of swap/replace moves over a
     /// rebased baseline prices every proposal bit-identically to the naive
-    /// path, including occasional accepted moves (rebase) and the periodic
-    /// full re-evaluation.
+    /// path, including occasional accepted moves (rebase). No probe is
+    /// re-priced in full, so every one of the 70 checks the delta rule.
     #[test]
     fn engine_probe_matches_naive(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -263,10 +304,14 @@ proptest! {
         }
     }
 
-    /// End-to-end: the engine-backed `select_mapping` and the naive
-    /// reference path select bit-identical mappings for every algorithm.
+    /// End-to-end, every algorithm against the interpreter: the reported
+    /// time is the interpreter's price of the reported assignment, bit for
+    /// bit; `Exhaustive` is the brute-force enumeration's answer and no
+    /// other algorithm beats it; a converged local search admits no
+    /// improving swap or replacement; annealing repeats itself per seed
+    /// and never ends above its greedy start.
     #[test]
-    fn select_paths_bit_identical(seed in any::<u64>()) {
+    fn every_algorithm_is_held_to_the_interpreter(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let inst = gen_instance(&mut rng);
         let candidates: Vec<usize> = (0..inst.placement.len()).collect();
@@ -282,26 +327,70 @@ proptest! {
             candidates,
             pinned_parent: pinned,
         };
+        let select = |algo| select_mapping(algo, &inst.model, &ctx).expect("feasible instance");
+        let annealing = MappingAlgorithm::Annealing { seed, iters: 120 };
+        // Rounds to spare: each one strictly improves, on at most 5
+        // processors. (Not `usize::MAX`: under a wrong delta rule a probe
+        // can promise an improvement its rebase never delivers.)
+        let converged = MappingAlgorithm::GreedyRefined { max_rounds: 1_000 };
+        let greedy = select(MappingAlgorithm::Greedy);
+        let exact = select(MappingAlgorithm::Exhaustive);
         for algo in [
             MappingAlgorithm::Greedy,
             MappingAlgorithm::GreedyRefined { max_rounds: 8 },
+            converged,
             MappingAlgorithm::Exhaustive,
-            MappingAlgorithm::Annealing { seed, iters: 120 },
+            annealing,
         ] {
-            let fast = select_mapping(algo, &inst.model, &ctx).expect("engine path");
-            let naive = select_mapping_naive(algo, &inst.model, &ctx).expect("naive path");
-            prop_assert_eq!(&fast.assignment, &naive.assignment, "algo {:?}", algo);
+            let m = select(algo);
             prop_assert_eq!(
-                fast.predicted.to_bits(), naive.predicted.to_bits(), "algo {:?}", algo
+                m.predicted.to_bits(),
+                interpreter(&inst.model, &m.assignment, &ctx).to_bits(),
+                "algo {:?}", algo
             );
+            prop_assert!(exact.predicted <= m.predicted, "algo {:?} beats Exhaustive", algo);
         }
+
+        let (brute, brute_t) = brute_force(&inst.model, &ctx);
+        prop_assert_eq!(&exact.assignment, &brute);
+        prop_assert_eq!(exact.predicted.to_bits(), brute_t.to_bits());
+
+        let local = select(converged);
+        let parent_abs = inst.model.parent();
+        for i in 0..inst.p {
+            for j in (i + 1)..inst.p {
+                let mut swapped = local.assignment.clone();
+                swapped.swap(i, j);
+                if pinned.is_none_or(|w| swapped[parent_abs] == w) {
+                    prop_assert!(
+                        interpreter(&inst.model, &swapped, &ctx) >= local.predicted,
+                        "swap {} <-> {} improves a converged search", i, j
+                    );
+                }
+            }
+            if pinned.is_some() && i == parent_abs {
+                continue;
+            }
+            for &w in ctx.candidates.iter().filter(|w| !local.assignment.contains(w)) {
+                let mut replaced = local.assignment.clone();
+                replaced[i] = w;
+                prop_assert!(
+                    interpreter(&inst.model, &replaced, &ctx) >= local.predicted,
+                    "replacing {} with rank {} improves a converged search", i, w
+                );
+            }
+        }
+
+        let annealed = select(annealing);
+        prop_assert_eq!(&select(annealing), &annealed);
+        prop_assert!(annealed.predicted <= greedy.predicted);
     }
 }
 
-/// Deterministic regression: a *parsed* model (the paper's modelling
-/// language, EM3D-like dependence pattern) selects bit-identical mappings
-/// through the branch-and-bound exhaustive and the sequential naive
-/// enumeration, on a cluster with several ranks per node.
+/// Deterministic regression: on a *parsed* model (the paper's modelling
+/// language, EM3D-like dependence pattern) the branch-and-bound exhaustive
+/// search returns the mapping of the sequential enumeration over the
+/// interpreter, bit for bit, on a cluster with several ranks per node.
 #[test]
 fn parsed_model_exhaustive_bb_matches_sequential() {
     let src = r"
@@ -351,12 +440,21 @@ fn parsed_model_exhaustive_bb_matches_sequential() {
             pinned_parent: pinned,
         };
         let fast = select_mapping(MappingAlgorithm::Exhaustive, &model, &ctx).unwrap();
-        let naive = select_mapping_naive(MappingAlgorithm::Exhaustive, &model, &ctx).unwrap();
-        assert_eq!(fast.assignment, naive.assignment, "pinned={pinned:?}");
+        let (brute, brute_t) = brute_force(&model, &ctx);
+        assert_eq!(fast.assignment, brute, "pinned={pinned:?}");
         assert_eq!(
             fast.predicted.to_bits(),
-            naive.predicted.to_bits(),
+            brute_t.to_bits(),
             "pinned={pinned:?}"
+        );
+        let leaves = if pinned.is_some() {
+            5 * 4 * 3
+        } else {
+            6 * 5 * 4 * 3
+        };
+        assert!(
+            fast.stats.evals < leaves,
+            "pinned={pinned:?}: nothing was pruned"
         );
     }
 }

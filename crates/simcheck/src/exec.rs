@@ -25,8 +25,11 @@
 //!   replays the identical error surface and virtual makespan under
 //!   every contention model — contended transfers are granted in
 //!   endpoint-causal order, never host-schedule order;
-//! * **engine/naive equivalence** — the compiled selection engine picks
-//!   exactly the mapping of the naive interpreter path;
+//! * **selection consistency** — every algorithm's mapping is injective,
+//!   inside the candidates and keeps the parent pinned; the interpreter
+//!   (`hmpi::predicted_time`) prices it to the bits the search reported;
+//!   no algorithm beats `Exhaustive`; typed errors match across
+//!   algorithms;
 //! * **trace well-formedness** — Chrome exports parse, timestamps are
 //!   monotone and spans nest (container-first at start ties);
 //! * **estimate discipline** — recon advances the estimate generation
@@ -51,13 +54,13 @@ use hetsim::{
     Cluster, ClusterBuilder, FaultEvent, FaultPlan, Link, NodeId, Protocol, SpeedEstimates,
     TopologyInfo, Trace,
 };
-use hmpi::{select_mapping, select_mapping_naive, HmpiRuntime, MappingAlgorithm, SelectionCtx};
+use hmpi::{predicted_time, select_mapping, HmpiRuntime, MappingAlgorithm, SelectionCtx};
 use mpisim::{
     CollectiveAlgo, CollectiveKind, Comm, MpiError, PlanCacheReport, ReduceOp, RunReport,
     Universe, UniverseConfig,
 };
 use perfmodel::collective::algos_for;
-use perfmodel::ModelBuilder;
+use perfmodel::{ModelBuilder, PerformanceModel};
 use rand::{Rng, SeedableRng, StdRng};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -1012,13 +1015,10 @@ fn check_group_cycle(sc: &Scenario, model_seed: u64, cycles: usize) -> Result<()
             match h.group_create(&model) {
                 Ok(g) => {
                     let members = g.members().to_vec();
-                    let mut seen = std::collections::HashSet::new();
-                    for &m in &members {
-                        if m >= n || !seen.insert(m) {
-                            return Err(value_bug(format!(
-                                "cycle {c}: bad member list {members:?} (world size {n})"
-                            )));
-                        }
+                    if !distinct_below(&members, n) {
+                        return Err(value_bug(format!(
+                            "cycle {c}: bad member list {members:?} (world size {n})"
+                        )));
                     }
                     if !g.predicted_time().is_finite() || g.predicted_time() < 0.0 {
                         return Err(value_bug(format!(
@@ -1122,7 +1122,9 @@ fn check_selection(sc: &Scenario, model_seed: u64, est_seed: u64) -> Result<(), 
         pinned_parent: est_seed.is_multiple_of(2).then_some(0),
     };
     let model = ModelBuilder::random(model_seed, n.min(4));
-    let mut algos = vec![
+    // Exhaustive first, so every other pick is held against the optimum.
+    let exhaustive = (n <= 6).then_some(MappingAlgorithm::Exhaustive);
+    let heuristics = [
         MappingAlgorithm::Greedy,
         MappingAlgorithm::GreedyRefined { max_rounds: 2 },
         MappingAlgorithm::Annealing {
@@ -1130,24 +1132,26 @@ fn check_selection(sc: &Scenario, model_seed: u64, est_seed: u64) -> Result<(), 
             iters: 30,
         },
     ];
-    if n <= 6 {
-        algos.push(MappingAlgorithm::Exhaustive);
-    }
-    for algo in algos {
-        let fast = select_mapping(algo, &model, &ctx);
-        let naive = select_mapping_naive(algo, &model, &ctx);
-        let agree = match (&fast, &naive) {
-            (Ok(a), Ok(b)) => {
-                a.assignment == b.assignment && a.predicted.to_bits() == b.predicted.to_bits()
-            }
-            (Err(a), Err(b)) => format!("{a:?}") == format!("{b:?}"),
-            _ => false,
-        };
-        if !agree {
-            return Err(viol(
-                "engine-naive-equivalence",
-                format!("{algo:?}: engine {fast:?} vs naive {naive:?}"),
-            ));
+    let mut optimum = f64::NEG_INFINITY;
+    let mut first_error = None;
+    for algo in exhaustive.into_iter().chain(heuristics) {
+        let picked = select_mapping(algo, &model, &ctx);
+        let error = picked.as_ref().err().cloned();
+        let consistent = *first_error.get_or_insert_with(|| error.clone()) == error
+            && picked.as_ref().map_or(true, |m| {
+                let a = &m.assignment;
+                predicted_time(&model, a, &cluster, &placement, &estimates)
+                    .is_ok_and(|t| t.to_bits() == m.predicted.to_bits())
+                    && distinct_below(a, n)
+                    && ctx.pinned_parent.is_none_or(|w| a[model.parent()] == w)
+                    && m.predicted >= optimum
+            });
+        if !consistent {
+            let detail = format!("{algo:?}: {picked:?}; exact {optimum:e}, first {first_error:?}");
+            return Err(viol("selection-consistency", detail));
+        }
+        if algo == MappingAlgorithm::Exhaustive {
+            optimum = picked.map_or(optimum, |m| m.predicted);
         }
     }
     Ok(())
@@ -1268,17 +1272,19 @@ fn check_app(sc: &Scenario, app: AppKind) -> Result<(), Violation> {
     }
 }
 
+/// What every member list and assignment must be: distinct world ranks.
+fn distinct_below(ranks: &[usize], n: usize) -> bool {
+    (0..ranks.len()).all(|i| ranks[i] < n && !ranks[..i].contains(&ranks[i]))
+}
+
 fn check_members(app: &str, members: &[usize], n: usize) -> Result<(), Violation> {
-    let mut seen = std::collections::HashSet::new();
-    for &m in members {
-        if m >= n || !seen.insert(m) {
-            return Err(viol(
-                "value-integrity",
-                format!("{app}: HMPI member list {members:?} invalid for world size {n}"),
-            ));
-        }
+    if distinct_below(members, n) {
+        return Ok(());
     }
-    Ok(())
+    Err(viol(
+        "value-integrity",
+        format!("{app}: HMPI member list {members:?} invalid for world size {n}"),
+    ))
 }
 
 fn check_app_times(app: &str, times: &[f64]) -> Result<(), Violation> {

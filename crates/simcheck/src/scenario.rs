@@ -114,8 +114,9 @@ pub enum Workload {
         /// Recon rounds.
         rounds: usize,
     },
-    /// Pure (no simulation) check: the compiled selection engine and the
-    /// naive interpreter must pick identical mappings on a random model.
+    /// Pure (no simulation) check: on a random model every selection
+    /// algorithm returns a valid mapping priced to the interpreter's bits,
+    /// and none beats `Exhaustive`.
     Selection {
         /// Seed for the random performance model.
         model_seed: u64,
