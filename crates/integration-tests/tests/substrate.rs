@@ -3,17 +3,21 @@
 //! small thread stacks.
 
 use hetsim::{Cluster, ClusterBuilder, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime};
-use mpisim::{MpiError, Universe, UniverseConfig, EAGER_LIMIT};
+use mpisim::{CollectiveAlgo, MpiError, Universe, UniverseConfig, EAGER_LIMIT};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn uniform_cluster(n: usize) -> Arc<Cluster> {
+fn uniform_builder(n: usize) -> ClusterBuilder {
     let mut b = ClusterBuilder::new();
     for i in 0..n {
         b = b.node(format!("n{i}"), 100.0);
     }
-    Arc::new(b.all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp)).build())
+    b.all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp))
+}
+
+fn uniform_cluster(n: usize) -> Arc<Cluster> {
+    Arc::new(uniform_builder(n).build())
 }
 
 /// Deterministic fill for a message: sender/sequence-tagged bytes, so a
@@ -92,8 +96,9 @@ fn guarded_receive_notices_terminated_peer_before_backstop() {
 }
 
 /// Same for a fail-stop crash mid-run: the dying rank's `mark_failed`
-/// rings every mailbox, so the blocked receiver resolves immediately with
-/// the typed error instead of sleeping toward the backstop.
+/// rings the mailbox of every rank blocked on it, so the blocked receiver
+/// resolves immediately with the typed error instead of sleeping toward
+/// the backstop.
 #[test]
 fn guarded_receive_notices_crashed_peer_before_backstop() {
     let cluster = Arc::new(
@@ -130,6 +135,117 @@ fn guarded_receive_notices_crashed_peer_before_backstop() {
         elapsed < Duration::from_millis(200),
         "receiver took {elapsed:?}; the crash doorbell did not wake it"
     );
+}
+
+// ---------- the death window: a death rings who it concerns ---------------
+
+/// 300 universes of 8 ranks. In each, one rank dies — returns, or fail-stops
+/// under the fault plan — after a 0–200 µs real-time stagger, while the
+/// other seven enter a wait that only its death can end. The stagger sweeps
+/// the death across the waiters' window between "checked the failure
+/// detector" and "registered as blocked": a death rings only registered
+/// waiters, so a waiter in that window must be turned back by the death
+/// epoch. One lost ring is one 250 ms backstop expiry.
+fn death_window(crash: bool) {
+    use MpiError::{NodeFailed, PeerTerminated};
+    const P: usize = 8;
+    let clusters: Vec<Arc<Cluster>> = (0..P)
+        .map(|victim| {
+            let crashes = vec![FaultEvent::NodeCrash { node: NodeId(victim), at: SimTime::from_secs(0.5) }];
+            let plan = FaultPlan::new(if crash { crashes } else { Vec::new() });
+            Arc::new(uniform_builder(P).faults(plan).build())
+        })
+        .collect();
+    let start = Instant::now();
+    for round in 0..300 {
+        let (wait, victim) = (round % 4, (round / 4) % P);
+        let stagger = Duration::from_micros((round * 37 % 201) as u64);
+        let report = Universe::new(clusters[victim].clone()).run(|proc| {
+            let world = proc.world();
+            if world.rank() == victim {
+                let until = Instant::now() + stagger;
+                while Instant::now() < until {
+                    std::hint::spin_loop();
+                }
+                if crash {
+                    let died = proc.try_compute(1_000_000.0);
+                    assert_eq!(died, Err(MpiError::NodeFailed { world_rank: victim }));
+                }
+                return None;
+            }
+            // The agreed `(flag, failed set)`; nothing was sent, so the
+            // receives and the barrier can only end in an error.
+            Some(match wait {
+                0 => world.recv::<u8>(victim, 0).map(|_| None),
+                1 => world.recv_any::<u8>(None, None).map(|_| None),
+                2 => world.barrier().map(|()| None),
+                _ => world.agree(true).map(|a| Some((a.flag, a.failed))),
+            })
+        });
+        for (rank, got) in report.results.iter().enumerate() {
+            let Some(got) = got else { continue };
+            let ok = match (wait, got) {
+                // Waiting on the dead rank itself: its kind of death.
+                (0, Err(NodeFailed { world_rank })) => crash && *world_rank == victim,
+                (0, Err(PeerTerminated { world_rank })) => !crash && *world_rank == victim,
+                // Seven live `ANY_SOURCE` waiters are stuck for good once
+                // the eighth is gone: the classifier blames a dead rank —
+                // the victim, or a waiter that took its verdict and left.
+                (1, Err(NodeFailed { .. } | PeerTerminated { .. })) => true,
+                // A failed member aborts the legacy collective everywhere,
+                // a returned one unravels it link by link — and a waiter
+                // descheduled between its two looks at the failure detector
+                // can see the unravelling before the failure behind it.
+                (2, Err(NodeFailed { world_rank })) => crash && *world_rank == victim,
+                (2, Err(PeerTerminated { .. })) => true,
+                // Agreement excludes the dead member instead of failing.
+                (3, Ok(Some((true, failed)))) => *failed == [victim],
+                _ => false,
+            };
+            assert!(ok, "round {round} wait {wait} victim {victim}: rank {rank} got {got:?}");
+        }
+        let w = report.wakeups;
+        assert_eq!((w.backstop, w.missed), (0, 0), "round {round} wait {wait}: lost ring, {w:?}");
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_secs(2), "300 rounds took {elapsed:?}");
+}
+
+#[test]
+fn three_hundred_staggered_exits_lose_no_ring() {
+    death_window(false);
+}
+
+#[test]
+fn three_hundred_staggered_crashes_lose_no_ring() {
+    death_window(true);
+}
+
+// ---------- the herd bound: a run sleeps O(p) times, not O(p^2) -----------
+
+/// A pinned binomial broadcast at p = 256 is 255 messages, and with the
+/// root spawned last every other rank is asleep when its message comes:
+/// 255 sleeps. When every rank exit rang every mailbox, each still-blocked
+/// rank also woke once per exit it was scheduled between — several times
+/// this bound here, 50 000 sleeps at p = 1024. A closing barrier adds two
+/// more waves of p - 1 messages.
+#[test]
+fn a_broadcast_sleeps_a_bounded_number_of_times_per_rank() {
+    let p = 256;
+    let u = Universe::with_config(uniform_cluster(p), UniverseConfig::new().stack_size(256 * 1024));
+    for (barrier, bound) in [(false, 2 * p as u64), (true, 4 * p as u64)] {
+        let report = u.run(|proc| {
+            let world = proc.world();
+            let mut buf = if world.rank() == p - 1 { vec![7u64; 1024] } else { vec![0; 1024] };
+            world.bcast_into_with(CollectiveAlgo::Binomial, &mut buf, p - 1).expect("bcast");
+            assert_eq!(buf, vec![7u64; 1024]);
+            if barrier {
+                world.barrier().expect("barrier");
+            }
+        });
+        let w = report.wakeups;
+        assert!(w.slept <= bound, "barrier {barrier}: a herd woke, {w:?}");
+    }
 }
 
 // ---------- satellite: ordering across the protocol boundary --------------

@@ -62,11 +62,10 @@ pub struct Comm {
 
 impl Comm {
     pub(crate) fn world(world_rank: usize, shared: Arc<SharedState>, clock: LocalClock) -> Comm {
-        let n = shared.placement.len();
         let frontier = NetFrontier::new(shared.cluster.contention(), shared.cluster.len());
         Comm {
+            group: shared.world.clone(),
             shared,
-            group: Arc::new(Group::world(n)),
             ctx: 0,
             rank: world_rank,
             clock,
@@ -155,13 +154,13 @@ impl Comm {
         let now = self.clock.now();
         if let Some(tc) = self.shared.cluster.crash_time(node) {
             if now >= tc {
-                self.shared.mark_failed(me, tc);
+                self.shared.mark_failed(me);
                 return Err(MpiError::NodeFailed { world_rank: me });
             }
             let dt = self.shared.cluster.compute_time(node, units, now);
             if now + dt >= tc {
                 self.clock.set(tc);
-                self.shared.mark_failed(me, tc);
+                self.shared.mark_failed(me);
                 return Err(MpiError::NodeFailed { world_rank: me });
             }
             self.clock.advance(dt);
@@ -177,7 +176,7 @@ impl Comm {
     /// alive to itself.
     pub fn rank_alive(&self, rank: usize) -> bool {
         let w = self.world_rank_of(rank);
-        w == self.my_world_rank() || self.shared.rank_state(w) == RankState::Alive
+        w == self.my_world_rank() || self.shared.liveness.of(w) == RankState::Alive
     }
 
     /// Errors with [`MpiError::NodeFailed`] (own world rank) if the calling
@@ -196,7 +195,7 @@ impl Comm {
         match self.shared.doom[world_rank] {
             Some(tc) if at >= tc => {
                 self.clock.merge(tc);
-                self.shared.mark_failed(world_rank, tc);
+                self.shared.mark_failed(world_rank);
                 Err(MpiError::NodeFailed { world_rank })
             }
             _ => Ok(()),
@@ -397,7 +396,7 @@ impl Comm {
             // Nothing can reach this rank before its node dies.
             let tc = own_tc.expect("death_binding implies a crash time");
             self.clock.merge(tc);
-            self.shared.mark_failed(my_world, tc);
+            self.shared.mark_failed(my_world);
             MpiError::NodeFailed {
                 world_rank: my_world,
             }
@@ -439,8 +438,12 @@ impl Comm {
     /// No sleep starts after the event it waits for: the doorbell ticket is
     /// read before each round of checks and everything that can end the
     /// wait rings the doorbell after publishing itself
-    /// ([`crate::p2p::Mailbox::sleep`]). `WAKE_BACKSTOP` and `WATCHDOG`
-    /// remain as safety nets.
+    /// ([`crate::p2p::Mailbox::sleep`]). A death rings only the ranks
+    /// already registered as blocked on something it can end, so the death
+    /// epoch is read before each round of checks too, and
+    /// [`Registry::block`](crate::quiesce::Registry::block) refuses to
+    /// register — no sleep, one more round — when a death was published
+    /// since. `WAKE_BACKSTOP` and `WATCHDOG` remain as safety nets.
     fn wait<T>(
         &self,
         deadline: Option<SimTime>,
@@ -466,6 +469,7 @@ impl Comm {
         let mb = &self.shared.mailboxes[my_world];
         let reg = &self.shared.quiesce;
 
+        let mut seen = reg.deaths();
         let mut ticket = mb.ticket();
         if let Some(done) = outcome(attempt(deadline_eff)) {
             return done.map_err(resolve);
@@ -480,7 +484,7 @@ impl Comm {
         let mut registered = false;
         let mut expired = false;
         let done = loop {
-            if let Some(err) = rec.abort(my_world, |w| self.shared.rank_state(w)) {
+            if let Some(err) = rec.abort(my_world, &self.shared.liveness) {
                 let late = outcome(reg.attempt(my_world, || attempt(deadline_eff)));
                 break late.unwrap_or_else(|| {
                     reg.unblock(my_world);
@@ -505,12 +509,15 @@ impl Comm {
             if !registered {
                 // Classification triggered by our own block may verdict us
                 // immediately (taking the verdict resets us to Active).
-                if let Some(verdict) = reg.block(my_world, rec.clone()) {
-                    break Err(verdict);
+                match reg.block(my_world, &rec, seen) {
+                    Ok(now) => registered = now,
+                    Err(verdict) => break Err(verdict),
                 }
-                registered = true;
             }
-            expired = !mb.sleep(ticket, WAKE_BACKSTOP);
+            if registered {
+                expired = !mb.sleep(ticket, WAKE_BACKSTOP);
+            }
+            seen = reg.deaths();
             ticket = mb.ticket();
             if let Some(done) = outcome(reg.attempt(my_world, || attempt(deadline_eff))) {
                 break done;
@@ -1025,7 +1032,7 @@ impl Comm {
         for &w in members {
             self.shared.mailboxes[w].wake_all();
         }
-        let is_dead = |w: usize| w != my_world && self.shared.rank_state(w) != RankState::Alive;
+        let is_dead = |w: usize| w != my_world && self.shared.liveness.of(w) != RankState::Alive;
         let outcome = |_| match table.try_outcome(key, is_dead) {
             Some(agreed) => Claim::Matched(agreed),
             None => Claim::Nothing,

@@ -15,7 +15,8 @@
 //!
 //! * producer: lock lane → push → unlock → `queued.swap(true)`; if the
 //!   swap returned `false`, push the lane index onto the dirty stack
-//!   (and ring the owner's doorbell);
+//!   (the mailbox then rings the owner's doorbell only if a sleeper is
+//!   registered — one that registers later ingests the lane itself);
 //! * consumer: pop the whole dirty stack; for each lane **clear `queued`
 //!   first**, then drain the lane. A producer racing in after the clear
 //!   re-flags the lane, so its item is seen by this drain or the next —

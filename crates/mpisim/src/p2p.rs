@@ -495,10 +495,13 @@ pub struct Mailbox {
     state: Mutex<Store>,
     cond: Condvar,
     lanes: LaneSet<Envelope>,
-    /// Sleepers registered for a doorbell ring; producers skip the ring
-    /// (and its lock) when zero.
+    /// Sleepers registered for a doorbell ring, each *before* it takes the
+    /// store lock. Lane producers skip the ring (and its lock) when zero;
+    /// a ring skips the condvar when zero.
     waiters: AtomicUsize,
-    /// The doorbell's ring count. Written only under the store lock; read
+    /// The doorbell's ring count. Written only under the store lock — so a
+    /// ring that finds no registered sleeper may skip the notify: that
+    /// sleeper's under-lock comparison comes later and sees the bump. Read
     /// lock-free by [`Mailbox::ticket`].
     rings: AtomicU64,
     pub(crate) wakes: WakeCounts,
@@ -529,13 +532,19 @@ impl Mailbox {
         }
     }
 
-    /// Rings the doorbell: bumps the counter and wakes every sleeper, both
-    /// under the store lock (which the caller holds, witnessed by `_st`) —
-    /// so a ring either precedes a sleeper's under-lock counter comparison
-    /// and is seen by it, or follows the start of its wait and wakes it.
+    /// Rings the doorbell: bumps the counter and wakes every registered
+    /// sleeper, both under the store lock (which the caller holds,
+    /// witnessed by `_st`) — so a ring either precedes a sleeper's
+    /// under-lock counter comparison and is seen by it, or follows the
+    /// start of its wait and wakes it. A sleeper registers in `waiters`
+    /// before it takes the lock, so reading 0 here, under the lock, proves
+    /// every sleeper-to-be is of the first kind and nobody is in the
+    /// condvar: the notify (a futex syscall) is skipped.
     fn ring(&self, _st: &mut Store) {
         self.rings.fetch_add(1, Ordering::SeqCst);
-        self.cond.notify_all();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.cond.notify_all();
+        }
     }
 
     /// Locks the store with every message parked in the eager lanes pulled
@@ -974,6 +983,22 @@ mod tests {
         let slept =
             mb.wakes.rung.load(Ordering::Relaxed) + mb.wakes.expired.load(Ordering::Relaxed);
         assert_eq!(slept, 0, "neither call entered the condvar");
+    }
+
+    #[test]
+    fn ring_with_no_sleeper_is_counted_though_nothing_is_notified() {
+        // `ring` skips the condvar when `waiters` is 0. The bump alone must
+        // carry the ring to a sleeper that registers afterwards: it compares
+        // under the lock the ringer held, and does not sleep.
+        let mb = Mailbox::for_world(2);
+        let ticket = mb.ticket();
+        assert_eq!(mb.waiters.load(Ordering::SeqCst), 0);
+        mb.wake_all();
+        assert_eq!(mb.ticket(), ticket + 1);
+        let start = std::time::Instant::now();
+        assert!(mb.sleep(ticket, Duration::from_secs(5)));
+        assert!(start.elapsed() < Duration::from_millis(100));
+        assert_eq!(mb.wakes.rung.load(Ordering::Relaxed), 0, "never entered the condvar");
     }
 
     #[test]

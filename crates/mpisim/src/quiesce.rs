@@ -58,9 +58,10 @@ use crate::agree::{AgreeKey, AgreeTable};
 use crate::error::{MpiError, WaitGraph};
 use crate::group::Group;
 use crate::p2p::{Claim, Mailbox, Pattern};
-use crate::runtime::RankState;
+use crate::runtime::{Liveness, RankState};
 use hetsim::SimTime;
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What a blocked rank is waiting for.
@@ -112,7 +113,9 @@ impl WaitRecord {
     }
 
     /// The dead-peer rule: the error that ends `me`'s wait because nobody
-    /// who could satisfy it is left, given each rank's liveness.
+    /// who could satisfy it is left, given each rank's liveness. Runs on
+    /// every wake-up of every blocked rank, so it reads no lock and scans
+    /// the members for a failed one only once some rank has failed.
     ///
     /// A mailbox wait dead-ends when *every* pattern does — a specific
     /// source when that sender is dead, `ANY_SOURCE` when every other
@@ -122,12 +125,12 @@ impl WaitRecord {
     /// returned has done its part and neither aborts the wait nor makes it
     /// look resolvable. Agreement waits never abort: dead members are
     /// excluded from the round instead.
-    pub(crate) fn abort(&self, me: usize, state: impl Fn(usize) -> RankState) -> Option<MpiError> {
+    pub(crate) fn abort(&self, me: usize, live: &Liveness) -> Option<MpiError> {
         let WaitKind::Mailbox { pats } = &self.kind else {
             return None;
         };
-        let failed = |w: &usize| matches!(state(*w), RankState::Failed(_));
-        if self.collective {
+        if self.collective && live.any_failed() {
+            let failed = |w: &usize| live.of(*w) == RankState::Failed;
             if let Some(world_rank) = self.peers(me).find(failed) {
                 return Some(MpiError::NodeFailed { world_rank });
             }
@@ -136,9 +139,9 @@ impl WaitRecord {
         for pat in pats {
             let mut verdict = None;
             for w in self.senders(me, pat) {
-                match state(w) {
+                match live.of(w) {
                     RankState::Alive => return None,
-                    RankState::Failed(_) => verdict = Some(MpiError::NodeFailed { world_rank: w }),
+                    RankState::Failed => verdict = Some(MpiError::NodeFailed { world_rank: w }),
                     RankState::Terminated => {
                         verdict = verdict.or(Some(MpiError::PeerTerminated { world_rank: w }));
                     }
@@ -147,6 +150,25 @@ impl WaitRecord {
             first = first.or(Some(verdict?));
         }
         first
+    }
+
+    /// True if the death of world rank `dead` (now in `state`) can end this
+    /// wait — change what [`Self::abort`] or an agreement's outcome says:
+    /// a pattern names it, or it is one of the members an `ANY_SOURCE`
+    /// pattern, a collective wait (failures only) or an agreement round
+    /// looks at. Patterns first: membership is a linear scan.
+    fn concerns(&self, dead: usize, state: RankState) -> bool {
+        let any_member = match &self.kind {
+            WaitKind::Mailbox { pats } => {
+                if pats.iter().any(|p| p.src_world == Some(dead)) {
+                    return true;
+                }
+                (self.collective && state == RankState::Failed)
+                    || pats.iter().any(|p| p.src_world.is_none())
+            }
+            WaitKind::Agreement { .. } => true,
+        };
+        any_member && self.group.contains_world(dead)
     }
 
     /// The ranks `me` waits on — its edge in the wait graph: the awaited
@@ -177,10 +199,9 @@ enum Phase {
 #[derive(Debug)]
 struct Inner {
     phase: Vec<Phase>,
-    /// Each world rank's liveness as last published by its own thread. A
-    /// rank that is not `Alive` — fail-stopped *or* terminated — will never
-    /// send again.
-    state: Vec<RankState>,
+    /// How many ranks are `Active`, so the classifier need not scan for
+    /// one. Kept by [`Inner::set_phase`], the only writer of `phase`.
+    active: usize,
     /// Per-rank wait epoch, bumped on every transition to `Blocked`. A
     /// verdict is stamped with the epoch it was issued for and is never
     /// delivered across epochs: a verdict that outlives the wait it judged
@@ -193,8 +214,10 @@ struct Inner {
 }
 
 impl Inner {
-    fn dead(&self, w: usize) -> bool {
-        self.state[w] != RankState::Alive
+    fn set_phase(&mut self, r: usize, phase: Phase) {
+        self.active -= matches!(self.phase[r], Phase::Active) as usize;
+        self.active += matches!(phase, Phase::Active) as usize;
+        self.phase[r] = phase;
     }
 }
 
@@ -203,48 +226,85 @@ impl Inner {
 pub(crate) struct Registry {
     mailboxes: Vec<Arc<Mailbox>>,
     agreements: Arc<AgreeTable>,
+    /// Each world rank's liveness as last published by its own thread. A
+    /// rank that is not `Alive` — fail-stopped *or* terminated — will never
+    /// send again.
+    live: Arc<Liveness>,
+    /// The death epoch: bumped under the registry lock by every
+    /// [`Registry::mark_dead`], after the death reached `live`. A waiter
+    /// reads it before it looks at what it waits for; [`Registry::block`]
+    /// refuses to register against an epoch that has moved since.
+    deaths: AtomicU64,
     inner: Mutex<Inner>,
 }
 
 impl Registry {
-    pub(crate) fn new(mailboxes: Vec<Arc<Mailbox>>, agreements: Arc<AgreeTable>) -> Self {
+    pub(crate) fn new(
+        mailboxes: Vec<Arc<Mailbox>>,
+        agreements: Arc<AgreeTable>,
+        live: Arc<Liveness>,
+    ) -> Self {
         let n = mailboxes.len();
         Registry {
             mailboxes,
             agreements,
+            live,
+            deaths: AtomicU64::new(0),
             inner: Mutex::new(Inner {
                 phase: (0..n).map(|_| Phase::Active).collect(),
-                state: vec![RankState::Alive; n],
+                active: n,
                 epoch: vec![0; n],
                 verdicts: vec![None; n],
             }),
         }
     }
 
-    /// Records that `world_rank` is dead (`state`: fail-stopped or
-    /// terminated): it will never send again. Classification is *not*
-    /// triggered here — the rank's own thread is still unwinding (it counts
-    /// as active until [`Registry::done`]).
-    pub(crate) fn mark_dead(&self, world_rank: usize, state: RankState) {
-        self.inner.lock().state[world_rank] = state;
+    /// The current death epoch (see [`Registry::block`]).
+    pub(crate) fn deaths(&self) -> u64 {
+        self.deaths.load(Ordering::SeqCst)
     }
 
-    /// Registers `me` as blocked. May trigger classification (if `me` was
-    /// the last active rank); returns a verdict immediately if one lands on
-    /// `me`, in which case `me` is back to `Active` and must not wait.
+    /// Records that `world_rank` is dead (`state`: fail-stopped or
+    /// terminated, already published to the failure detector): it will
+    /// never send again. Moves the death epoch and returns the blocked
+    /// ranks whose wait this death can end, for the caller to ring.
+    /// Classification is *not* triggered here — the rank's own thread is
+    /// still unwinding (it counts as active until [`Registry::done`]).
+    pub(crate) fn mark_dead(&self, world_rank: usize, state: RankState) -> Vec<usize> {
+        let inner = self.inner.lock();
+        self.deaths.fetch_add(1, Ordering::SeqCst);
+        let concerned = |(r, p): (usize, &Phase)| match p {
+            Phase::Blocked(rec) if r != world_rank && rec.concerns(world_rank, state) => Some(r),
+            _ => None,
+        };
+        inner.phase.iter().enumerate().filter_map(concerned).collect()
+    }
+
+    /// Registers `me` as blocked — unless a death was published since `me`
+    /// read the epoch `seen`, before the checks it has just run: that death
+    /// found `me` unregistered and rang nothing, so `Ok(false)` sends `me`
+    /// round its checks again. Under the one registry lock a waiter is
+    /// either `Blocked` when a death scans (and stays so across wake-ups)
+    /// or registers against the epoch the death moved. Registering may
+    /// trigger classification (if `me` was the last active rank); a verdict
+    /// landing on `me` is returned at once, in which case `me` is back to
+    /// `Active` and must not wait.
     ///
     /// Must be called while holding **no** mailbox lock: classification
     /// takes mailbox locks under the registry lock.
-    pub(crate) fn block(&self, me: usize, rec: WaitRecord) -> Option<MpiError> {
+    pub(crate) fn block(&self, me: usize, rec: &WaitRecord, seen: u64) -> Result<bool, MpiError> {
         let mut inner = self.inner.lock();
+        if self.deaths() != seen {
+            return Ok(false);
+        }
         // Every transition to Blocked opens a new wait epoch, fencing off
         // any verdict issued for an earlier wait of this rank.
         inner.epoch[me] = inner.epoch[me].wrapping_add(1);
-        inner.phase[me] = Phase::Blocked(rec);
+        inner.set_phase(me, Phase::Blocked(rec.clone()));
         if inner.verdicts[me].is_none() {
             self.classify(&mut inner);
         }
-        self.take_verdict(&mut inner, me)
+        self.take_verdict(&mut inner, me).map_or(Ok(true), Err)
     }
 
     /// Takes a pending verdict for `me`, if classification issued one while
@@ -274,15 +334,14 @@ impl Registry {
             let Some((epoch, _)) = &inner.verdicts[me] else {
                 return None;
             };
-            let shared: &Inner = inner;
-            let valid = *epoch == shared.epoch[me]
-                && match &shared.phase[me] {
-                    Phase::Blocked(rec) => !self.can_deliver(shared, me, rec),
+            let valid = *epoch == inner.epoch[me]
+                && match &inner.phase[me] {
+                    Phase::Blocked(rec) => !self.can_deliver(me, rec),
                     _ => false,
                 };
             if valid {
                 let (_, v) = inner.verdicts[me].take().expect("checked above");
-                inner.phase[me] = Phase::Active;
+                inner.set_phase(me, Phase::Active);
                 return Some(v);
             }
             inner.verdicts[me] = None;
@@ -297,7 +356,7 @@ impl Registry {
     /// only issues verdicts consistent with organic outcomes.
     pub(crate) fn unblock(&self, me: usize) {
         let mut inner = self.inner.lock();
-        inner.phase[me] = Phase::Active;
+        inner.set_phase(me, Phase::Active);
         inner.verdicts[me] = None;
     }
 
@@ -311,7 +370,7 @@ impl Registry {
         let mut inner = self.inner.lock();
         let c = f();
         if !matches!(c, Claim::Nothing) {
-            inner.phase[me] = Phase::Active;
+            inner.set_phase(me, Phase::Active);
             inner.verdicts[me] = None;
         }
         c
@@ -322,10 +381,10 @@ impl Registry {
     pub(crate) fn give_up(&self, me: usize) -> Vec<usize> {
         let mut inner = self.inner.lock();
         let on = match &inner.phase[me] {
-            Phase::Blocked(rec) => self.edge(&inner, me, rec),
+            Phase::Blocked(rec) => self.edge(me, rec),
             _ => Vec::new(),
         };
-        inner.phase[me] = Phase::Active;
+        inner.set_phase(me, Phase::Active);
         inner.verdicts[me] = None;
         on
     }
@@ -333,7 +392,7 @@ impl Registry {
     /// Records that `me`'s thread exited; may trigger classification.
     pub(crate) fn done(&self, me: usize) {
         let mut inner = self.inner.lock();
-        inner.phase[me] = Phase::Done;
+        inner.set_phase(me, Phase::Done);
         inner.verdicts[me] = None;
         self.classify(&mut inner);
     }
@@ -341,8 +400,8 @@ impl Registry {
     /// True if the blocked rank `r` can resolve without anyone else acting:
     /// a deliverable (or provably-late) envelope is queued, its dead-peer
     /// abort would fire, or its agreement round is completable.
-    fn can_resolve(&self, inner: &Inner, r: usize, rec: &WaitRecord) -> bool {
-        rec.abort(r, |w| inner.state[w]).is_some() || self.can_deliver(inner, r, rec)
+    fn can_resolve(&self, r: usize, rec: &WaitRecord) -> bool {
+        rec.abort(r, &self.live).is_some() || self.can_deliver(r, rec)
     }
 
     /// True if the blocked rank `r` can resolve *productively*: a
@@ -350,30 +409,35 @@ impl Registry {
     /// round is completable. Excludes the dead-peer abort path — used by
     /// [`Registry::take_verdict`], where a peer death after verdict issue
     /// must not invalidate the verdict.
-    fn can_deliver(&self, inner: &Inner, r: usize, rec: &WaitRecord) -> bool {
+    fn can_deliver(&self, r: usize, rec: &WaitRecord) -> bool {
         match &rec.kind {
             WaitKind::Mailbox { pats } => self.mailboxes[r].can_progress(pats, rec.deadline),
-            WaitKind::Agreement { key } => self
-                .agreements
-                .try_outcome(*key, |w| inner.dead(w))
-                .is_some(),
+            WaitKind::Agreement { key } => {
+                self.agreements.try_outcome(*key, |w| self.dead(w)).is_some()
+            }
         }
+    }
+
+    fn dead(&self, w: usize) -> bool {
+        self.live.of(w) != RankState::Alive
     }
 
     /// `r`'s edge in the wait graph: the senders a mailbox wait awaits;
     /// for an agreement wait, re-derived fresh, the live members that have
     /// not deposited — only they actually block the round.
-    fn edge(&self, inner: &Inner, r: usize, rec: &WaitRecord) -> Vec<usize> {
+    fn edge(&self, r: usize, rec: &WaitRecord) -> Vec<usize> {
         match &rec.kind {
             WaitKind::Mailbox { .. } => rec.awaited(r),
-            WaitKind::Agreement { key } => self.agreements.pending_live(*key, |w| inner.dead(w)),
+            WaitKind::Agreement { key } => self.agreements.pending_live(*key, |w| self.dead(w)),
         }
     }
 
     /// The classifier. Runs under the registry lock whenever the system
     /// *may* have quiesced; issues verdicts only when it provably has.
     fn classify(&self, inner: &mut Inner) {
-        if inner.phase.iter().any(|p| matches!(p, Phase::Active)) {
+        let is_active = |p: &&Phase| matches!(p, Phase::Active);
+        debug_assert_eq!(inner.active, inner.phase.iter().filter(is_active).count());
+        if inner.active > 0 {
             return;
         }
         let blocked: Vec<usize> = inner
@@ -391,7 +455,7 @@ impl Registry {
             let Phase::Blocked(rec) = &inner.phase[r] else {
                 unreachable!()
             };
-            if self.can_resolve(inner, r, rec) {
+            if self.can_resolve(r, rec) {
                 return;
             }
         }
@@ -424,7 +488,7 @@ impl Registry {
                 let Phase::Blocked(rec) = &inner.phase[r] else {
                     unreachable!()
                 };
-                (r, self.edge(inner, r, rec))
+                (r, self.edge(r, rec))
             })
             .collect();
         // Fault-orphan fixpoint: a rank waiting (transitively) on a dead
@@ -438,7 +502,7 @@ impl Registry {
                 let blame = on
                     .iter()
                     .filter_map(|&w| {
-                        if inner.dead(w) {
+                        if self.dead(w) {
                             Some(w)
                         } else {
                             cause[w]
@@ -492,6 +556,108 @@ impl Registry {
             };
             inner.verdicts[r] = Some((inner.epoch[r], v));
             self.mailboxes[r].wake_all();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn registry(n: usize) -> (Registry, Arc<Liveness>) {
+        let live = Arc::new(Liveness::new(n));
+        let mailboxes = (0..n).map(|_| Arc::new(Mailbox::for_world(n))).collect();
+        (Registry::new(mailboxes, Arc::new(AgreeTable::new()), live.clone()), live)
+    }
+
+    fn mailbox_wait(group: &Arc<Group>, src_world: Option<usize>, collective: bool) -> WaitRecord {
+        let pat = Pattern { ctx: 0, src_world, tag: None };
+        WaitRecord {
+            group: group.clone(),
+            collective,
+            deadline: None,
+            kind: WaitKind::Mailbox { pats: vec![pat] },
+        }
+    }
+
+    fn agreement_wait(group: &Arc<Group>) -> WaitRecord {
+        WaitRecord { kind: WaitKind::Agreement { key: (1, 0) }, ..mailbox_wait(group, None, false) }
+    }
+
+    /// A death rings exactly the blocked ranks whose wait it can end.
+    #[test]
+    fn mark_dead_returns_exactly_the_concerned_ranks() {
+        // Members 0..=4 of a 6-rank world; world rank 5 is an outsider.
+        let (reg, live) = registry(6);
+        let group = Arc::new(Group::from_world_ranks((0..5).collect()).unwrap());
+        let waits = [
+            mailbox_wait(&group, Some(4), false), // rank 0: named source 4
+            mailbox_wait(&group, None, false),    // rank 1: ANY_SOURCE
+            mailbox_wait(&group, Some(1), true),  // rank 2: collective, from 1
+            agreement_wait(&group),               // rank 3: agreement
+        ];
+        for (r, rec) in waits.iter().enumerate() {
+            assert_eq!(reg.block(r, rec, reg.deaths()), Ok(true));
+        }
+        let dies = |w, state| {
+            let before = reg.deaths();
+            live.publish(w, state);
+            let rung = reg.mark_dead(w, state);
+            assert_eq!(reg.deaths(), before + 1, "every death moves the epoch");
+            rung
+        };
+        // An outsider concerns nobody, not even `ANY_SOURCE` or an
+        // agreement; a collective wait ignores a member that merely
+        // returned, and hears of one that failed.
+        assert_eq!(dies(5, RankState::Failed), Vec::<usize>::new());
+        assert_eq!(dies(4, RankState::Terminated), vec![0, 1, 3]);
+        assert_eq!(dies(4, RankState::Failed), vec![0, 1, 2, 3]);
+        // A rank that is not blocked is never rung.
+        reg.unblock(1);
+        assert_eq!(dies(4, RankState::Failed), vec![0, 2, 3]);
+    }
+
+    /// A death published between a waiter's checks and its `block` finds it
+    /// unregistered and rings nothing: the moved epoch must refuse the
+    /// registration.
+    #[test]
+    fn block_refuses_an_epoch_a_death_has_moved() {
+        let (reg, live) = registry(3);
+        let rec = mailbox_wait(&Arc::new(Group::world(3)), Some(1), false);
+        let seen = reg.deaths();
+        live.publish(2, RankState::Terminated);
+        assert!(reg.mark_dead(2, RankState::Terminated).is_empty());
+        assert_eq!(reg.block(0, &rec, seen), Ok(false));
+        assert_eq!(reg.inner.lock().active, 3, "a refused rank stays Active");
+        assert_eq!(reg.block(0, &rec, reg.deaths()), Ok(true));
+        assert_eq!(reg.inner.lock().active, 2);
+    }
+
+    proptest! {
+        /// `Inner::active` is the number of `Active` phases after any
+        /// sequence of registry calls — including the verdicts the
+        /// classifier hands out when the last active rank blocks or exits.
+        #[test]
+        fn active_count_equals_the_phase_scan(
+            ops in proptest::collection::vec((0usize..7, 0usize..4, 0usize..4), 1..60)
+        ) {
+            let (reg, _) = registry(4);
+            let group = Arc::new(Group::world(4));
+            for (op, me, other) in ops {
+                match op {
+                    0 => drop(reg.block(me, &mailbox_wait(&group, Some(other), false), reg.deaths())),
+                    1 => drop(reg.block(me, &agreement_wait(&group), reg.deaths())),
+                    2 => drop(reg.attempt(me, || if other < 2 { Claim::Matched(()) } else { Claim::Nothing })),
+                    3 => reg.unblock(me),
+                    4 => drop(reg.check(me)),
+                    5 => drop(reg.give_up(me)),
+                    _ => reg.done(me),
+                }
+                let inner = reg.inner.lock();
+                let scan = inner.phase.iter().filter(|p| matches!(p, Phase::Active)).count();
+                prop_assert_eq!(inner.active, scan);
+            }
         }
     }
 }

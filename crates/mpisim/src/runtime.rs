@@ -4,6 +4,7 @@ use crate::agree::AgreeTable;
 use crate::comm::Comm;
 use crate::engine::CollectivePolicy;
 use crate::error::{MpiError, MpiResult};
+use crate::group::Group;
 use crate::p2p::Mailbox;
 use crate::plan::{PlanCache, PlanCacheReport};
 use crate::pool::{BufferPool, PoolReport};
@@ -12,19 +13,67 @@ use crate::vtime::LocalClock;
 use hetsim::trace::{Trace, TraceEvent, TraceKind, Tracer};
 use hetsim::{Cluster, NodeId, SimTime, Topology};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// What the failure detector knows about one world rank.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum RankState {
     /// Still running (as far as anyone can tell).
-    Alive,
-    /// The rank's node fail-stopped at the given virtual time and the rank
-    /// observed it. Sticky: a later thread exit does not overwrite this.
-    Failed(SimTime),
+    Alive = 0,
+    /// The rank's node fail-stopped and the rank observed it. Sticky: a
+    /// later thread exit does not overwrite this.
+    Failed = 1,
     /// The rank's closure returned (or panicked) without a node crash.
-    Terminated,
+    Terminated = 2,
+}
+
+/// The failure detector: per-world-rank liveness, read without a lock —
+/// every blocked wait consults it on every wake-up. Each rank's state is
+/// written by that rank's own thread only.
+#[derive(Debug)]
+pub(crate) struct Liveness {
+    state: Vec<AtomicU8>,
+    /// How many ranks are `Failed`. Published *before* the rank's state, so
+    /// a reader that finds 0 here may skip looking for a failed rank: any
+    /// `Failed` state it could have seen had already been counted.
+    failed: AtomicUsize,
+}
+
+impl Liveness {
+    pub(crate) fn new(n: usize) -> Self {
+        Liveness {
+            state: (0..n).map(|_| AtomicU8::new(RankState::Alive as u8)).collect(),
+            failed: AtomicUsize::new(0),
+        }
+    }
+
+    /// The current view of a world rank.
+    pub(crate) fn of(&self, world_rank: usize) -> RankState {
+        const BY_CODE: [RankState; 3] = [RankState::Alive, RankState::Failed, RankState::Terminated];
+        BY_CODE[self.state[world_rank].load(Ordering::SeqCst) as usize]
+    }
+
+    /// True once any rank has been seen to fail-stop.
+    pub(crate) fn any_failed(&self) -> bool {
+        self.failed.load(Ordering::SeqCst) > 0
+    }
+
+    /// Publishes `state` — `Failed` or `Terminated` — for `world_rank`,
+    /// from its own thread. False if there was nothing new to publish:
+    /// the state is already in force, or `Failed` is (it is sticky — the
+    /// crash is the more precise cause of death).
+    pub(crate) fn publish(&self, world_rank: usize, state: RankState) -> bool {
+        let now = self.of(world_rank);
+        if now == RankState::Failed || now == state {
+            return false;
+        }
+        if state == RankState::Failed {
+            self.failed.fetch_add(1, Ordering::SeqCst);
+        }
+        self.state[world_rank].store(state as u8, Ordering::SeqCst);
+        true
+    }
 }
 
 /// State shared by every rank of a running universe.
@@ -34,9 +83,11 @@ pub(crate) struct SharedState {
     /// `placement[world_rank]` = the cluster node hosting that rank.
     pub(crate) placement: Vec<NodeId>,
     pub(crate) mailboxes: Vec<Arc<Mailbox>>,
+    /// The world group, built once and shared by every [`Process::world`].
+    pub(crate) world: Arc<Group>,
     /// Per-world-rank liveness, the substrate of failure detection: blocked
     /// receives consult it to avoid waiting forever on a dead peer.
-    liveness: Mutex<Vec<RankState>>,
+    pub(crate) liveness: Arc<Liveness>,
     /// Allocator for communicator context ids. Each communicator takes two
     /// consecutive ids (point-to-point plane and collective plane); the world
     /// communicator owns ids 0 and 1.
@@ -80,37 +131,27 @@ impl SharedState {
         *m.entry((parent_ctx, seq)).or_insert_with(|| self.alloc_ctx_pair())
     }
 
-    /// The failure detector's current view of a world rank.
-    pub(crate) fn rank_state(&self, world_rank: usize) -> RankState {
-        self.liveness.lock()[world_rank]
-    }
-
-    /// Records that `world_rank`'s node fail-stopped at virtual time `at`
-    /// (idempotent) and wakes every blocked receive so it re-checks.
-    pub(crate) fn mark_failed(&self, world_rank: usize, at: SimTime) {
-        self.mark_dead(world_rank, RankState::Failed(at), |s| !matches!(s, RankState::Failed(_)));
+    /// Records that `world_rank`'s node fail-stopped (idempotent).
+    pub(crate) fn mark_failed(&self, world_rank: usize) {
+        self.mark_dead(world_rank, RankState::Failed);
     }
 
     /// Records that `world_rank`'s thread exited. Does not overwrite a
-    /// `Failed` mark (the crash is the more precise cause of death).
+    /// `Failed` mark.
     pub(crate) fn mark_terminated(&self, world_rank: usize) {
-        self.mark_dead(world_rank, RankState::Terminated, |s| s == RankState::Alive);
+        self.mark_dead(world_rank, RankState::Terminated);
     }
 
-    /// Publishes `state` for `world_rank` if its current state `yields` to
-    /// it — to the failure detector, then to the quiescence registry — and
-    /// only then rings every doorbell, so a woken waiter sees the death.
-    fn mark_dead(&self, world_rank: usize, state: RankState, yields: impl Fn(RankState) -> bool) {
-        let state = {
-            let mut l = self.liveness.lock();
-            if yields(l[world_rank]) {
-                l[world_rank] = state;
+    /// Publishes a death, if it is news — to the failure detector, then to
+    /// the quiescence registry — and only then rings the doorbells of the
+    /// blocked ranks whose wait it can end (see [`Registry::mark_dead`]),
+    /// so a woken waiter sees the death. A rank not yet blocked is not
+    /// rung: its `block` is refused by the death epoch and it looks again.
+    fn mark_dead(&self, world_rank: usize, state: RankState) {
+        if self.liveness.publish(world_rank, state) {
+            for r in self.quiesce.mark_dead(world_rank, state) {
+                self.mailboxes[r].wake_all();
             }
-            l[world_rank]
-        };
-        self.quiesce.mark_dead(world_rank, state);
-        for mb in &self.mailboxes {
-            mb.wake_all();
         }
     }
 }
@@ -332,6 +373,7 @@ impl Universe {
         let n = self.size();
         let mailboxes: Vec<Arc<Mailbox>> = (0..n).map(|_| Arc::new(Mailbox::for_world(n))).collect();
         let agreements = Arc::new(AgreeTable::new());
+        let liveness = Arc::new(Liveness::new(n));
         let stack_size = self.stack_size.or_else(|| {
             std::env::var("MPISIM_STACK_SIZE")
                 .ok()
@@ -341,7 +383,7 @@ impl Universe {
         let shared = Arc::new(SharedState {
             cluster: self.cluster.clone(),
             placement: self.placement.clone(),
-            quiesce: Arc::new(Registry::new(mailboxes.clone(), agreements.clone())),
+            quiesce: Arc::new(Registry::new(mailboxes.clone(), agreements.clone(), liveness.clone())),
             doom: {
                 let times = self.cluster.crash_times();
                 self.placement
@@ -350,7 +392,8 @@ impl Universe {
                     .collect()
             },
             mailboxes,
-            liveness: Mutex::new(vec![RankState::Alive; n]),
+            world: Arc::new(Group::world(n)),
+            liveness,
             next_ctx: AtomicU64::new(2),
             local_dups: Mutex::new(std::collections::HashMap::new()),
             tracer: self.tracer.clone(),
@@ -598,7 +641,7 @@ impl Process {
         let now = self.clock.now();
         if let Some(tc) = self.shared.cluster.crash_time(node) {
             if now >= tc {
-                self.shared.mark_failed(self.world_rank, tc);
+                self.shared.mark_failed(self.world_rank);
                 return Err(MpiError::NodeFailed {
                     world_rank: self.world_rank,
                 });
@@ -606,7 +649,7 @@ impl Process {
             let dt = self.shared.cluster.compute_time(node, units, now);
             if now + dt >= tc {
                 self.clock.set(tc);
-                self.shared.mark_failed(self.world_rank, tc);
+                self.shared.mark_failed(self.world_rank);
                 return Err(MpiError::NodeFailed {
                     world_rank: self.world_rank,
                 });
@@ -626,23 +669,18 @@ impl Process {
     /// True if the failure detector still considers `world_rank` alive —
     /// neither fail-stopped nor exited. A rank is trivially alive to itself.
     pub fn rank_alive(&self, world_rank: usize) -> bool {
-        world_rank == self.world_rank
-            || self.shared.rank_state(world_rank) == RankState::Alive
+        world_rank == self.world_rank || self.shared.liveness.of(world_rank) == RankState::Alive
     }
 
     /// True if the failure detector has seen `world_rank` fail-stop. A rank
     /// that merely exited its SPMD closure is *not* failed.
     pub fn rank_failed(&self, world_rank: usize) -> bool {
-        matches!(self.shared.rank_state(world_rank), RankState::Failed(_))
+        self.shared.liveness.of(world_rank) == RankState::Failed
     }
 
     /// World ranks the failure detector has seen fail-stop, in rank order.
     pub fn failed_ranks(&self) -> Vec<usize> {
-        let l = self.shared.liveness.lock();
-        l.iter()
-            .enumerate()
-            .filter_map(|(w, s)| matches!(s, RankState::Failed(_)).then_some(w))
-            .collect()
+        (0..self.world_size()).filter(|&w| self.rank_failed(w)).collect()
     }
 
     /// The world communicator (`MPI_COMM_WORLD`). Context ids 0/1.

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Code lines per crate, per dependency shim, for the collective engine's four
-# files, for the four files of mpisim's transport (wait loop, mailbox,
-# quiescence, runtime) and for hmpi's selection search, compiled objective
-# and runtime:
+# files, for the five files of mpisim's transport (wait loop, mailbox,
+# quiescence, runtime, lanes) and for hmpi's selection search, compiled
+# objective and runtime:
 # lines that are neither blank nor `//` comments, up to each file's
 # `#[cfg(test)]`.
 # ROADMAP aim 2 ("net line count goes down") as a number in every CI log.
@@ -19,6 +19,7 @@ for path in crates/*/src crates/compat/*/src crates/mpisim/src/engine.rs crates/
             crates/perfmodel/src/collective.rs crates/perfmodel/src/hier.rs \
             crates/mpisim/src/comm.rs crates/mpisim/src/p2p.rs \
             crates/mpisim/src/quiesce.rs crates/mpisim/src/runtime.rs \
+            crates/mpisim/src/lane.rs \
             crates/hmpi/src/mapping.rs crates/hmpi/src/engine.rs \
             crates/hmpi/src/runtime.rs; do
     printf '%-36s %6d\n' "$path" "$(count "$path")"
