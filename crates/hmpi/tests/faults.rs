@@ -148,7 +148,7 @@ fn rebuild_group_shrinks_to_the_survivors() {
         assert!(rebuilt.is_member());
         assert!(rebuilt.predicted_time() > 0.0);
         let comm = rebuilt.comm().unwrap().clone();
-        let survivors = comm.allreduce_one_i64(1, ReduceOp::Sum).unwrap();
+        let survivors = comm.allreduce_eq_i64(&[1], ReduceOp::Sum).unwrap()[0];
         assert!(!h.estimates().is_available(NodeId(3)));
         h.group_free(rebuilt).unwrap();
         Ok((round, survivors))

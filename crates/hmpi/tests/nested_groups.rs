@@ -46,9 +46,7 @@ fn non_host_parent_creates_a_subgroup() {
             sub_members = Some(g2.members().to_vec());
             if let Some(comm) = g2.comm() {
                 // The subgroup is a live communicator.
-                let s = comm
-                    .allreduce_one_i64(1, mpisim::ReduceOp::Sum)
-                    .unwrap();
+                let s = comm.allreduce_eq_i64(&[1], mpisim::ReduceOp::Sum).unwrap()[0];
                 assert_eq!(s, 3);
             }
             if g2.is_member() {

@@ -78,8 +78,8 @@ fn group_members_communicate_over_group_comm() {
         let group = h.group_create(&model).unwrap();
         let out = if let Some(comm) = group.comm() {
             let sum = comm
-                .allreduce_one_i64(h.rank() as i64, mpisim::ReduceOp::Sum)
-                .unwrap();
+                .allreduce_eq_i64(&[h.rank() as i64], mpisim::ReduceOp::Sum)
+                .unwrap()[0];
             Some((comm.rank(), comm.size(), sum))
         } else {
             None

@@ -28,7 +28,7 @@ fn fifty_create_free_cycles() {
             last_id = g.id();
             if let Some(comm) = g.comm() {
                 memberships += 1;
-                let s = comm.allreduce_one_i64(1, ReduceOp::Sum).unwrap();
+                let s = comm.allreduce_eq_i64(&[1], ReduceOp::Sum).unwrap()[0];
                 assert_eq!(s, 5);
             }
             if g.is_member() {

@@ -126,17 +126,13 @@ fn smaller_models_leave_processes_free_for_second_group() {
         let g1 = h.group_create(&model).unwrap();
         let mut sums = Vec::new();
         if let Some(comm) = g1.comm() {
-            sums.push(
-                comm.allreduce_one_i64(1, mpisim::ReduceOp::Sum).unwrap(),
-            );
+            sums.push(comm.allreduce_eq_i64(&[1], mpisim::ReduceOp::Sum).unwrap()[0]);
         }
         // Second group from the remaining free processes (plus host).
         if h.is_host() || h.is_free() {
             let g2 = h.group_create(&model).unwrap();
             if let Some(comm) = g2.comm() {
-                sums.push(
-                    comm.allreduce_one_i64(10, mpisim::ReduceOp::Sum).unwrap(),
-                );
+                sums.push(comm.allreduce_eq_i64(&[10], mpisim::ReduceOp::Sum).unwrap()[0]);
             }
             if g2.is_member() {
                 h.group_free(g2).unwrap();

@@ -61,22 +61,6 @@ proptest! {
         // Union keeps A as a prefix.
         prop_assert_eq!(&union.world_ranks()[..a.size()], a.world_ranks());
     }
-
-    #[test]
-    fn group_translate_is_consistent_with_membership(
-        a in group_strategy(10),
-        b in group_strategy(10),
-    ) {
-        let ranks: Vec<usize> = (0..a.size()).collect();
-        let images = a.translate_ranks(&ranks, &b);
-        for (r, img) in ranks.iter().zip(&images) {
-            let w = a.world_rank_of(*r);
-            match b.rank_of_world(w) {
-                Some(rb) => prop_assert_eq!(*img, rb as isize),
-                None => prop_assert_eq!(*img, -1),
-            }
-        }
-    }
 }
 
 // ---------- hetsim: link and load invariants ------------------------------

@@ -44,9 +44,6 @@ struct AgreeSlot {
     members: Vec<usize>,
     /// Per-member deposit `(flag, deposit virtual time)`, by comm rank.
     deposits: Vec<Option<(bool, SimTime)>>,
-    /// Context-id pair reserved for a communicator built on this round's
-    /// verdict ([`crate::Comm::shrink`]); allocated by the first depositor.
-    ctx: u64,
 }
 
 /// The universe-wide agreement registry: `(ctx, seq)` → slot.
@@ -61,9 +58,8 @@ impl AgreeTable {
     }
 
     /// Records `me`'s contribution for round `key`, creating the slot on
-    /// first touch. `alloc_ctx` is invoked exactly once per round, by the
-    /// first depositor, to reserve the shrink context. Idempotent per member
-    /// (a re-deposit keeps the first value).
+    /// first touch. Idempotent per member (a re-deposit keeps the first
+    /// value).
     pub(crate) fn deposit(
         &self,
         key: AgreeKey,
@@ -71,13 +67,11 @@ impl AgreeTable {
         me: usize,
         flag: bool,
         now: SimTime,
-        alloc_ctx: impl FnOnce() -> u64,
     ) {
         let mut t = self.inner.lock();
         let slot = t.entry(key).or_insert_with(|| AgreeSlot {
             members: members.to_vec(),
             deposits: vec![None; members.len()],
-            ctx: alloc_ctx(),
         });
         let rank = slot
             .members
@@ -89,14 +83,13 @@ impl AgreeTable {
         }
     }
 
-    /// The round's outcome (plus the reserved shrink context), if every
-    /// member has deposited or is dead per `is_dead`. `None` while some
-    /// live member has yet to arrive.
+    /// The round's outcome, if every member has deposited or is dead per
+    /// `is_dead`. `None` while some live member has yet to arrive.
     pub(crate) fn try_outcome(
         &self,
         key: AgreeKey,
         is_dead: impl Fn(usize) -> bool,
-    ) -> Option<(Agreement, u64)> {
+    ) -> Option<Agreement> {
         let t = self.inner.lock();
         let slot = t.get(&key)?;
         let mut flag = true;
@@ -112,7 +105,7 @@ impl AgreeTable {
                 None => return None,
             }
         }
-        Some((Agreement { flag, failed, at }, slot.ctx))
+        Some(Agreement { flag, failed, at })
     }
 
     /// World ranks of *live* members still missing from round `key` — the
@@ -146,12 +139,11 @@ mod tests {
         let t = AgreeTable::new();
         let members = [3usize, 5, 7];
         let key = (11, 0);
-        t.deposit(key, &members, 5, true, SimTime::from_secs(1.0), || 100);
+        t.deposit(key, &members, 5, true, SimTime::from_secs(1.0));
         assert!(t.try_outcome(key, |_| false).is_none());
-        t.deposit(key, &members, 3, true, SimTime::from_secs(2.0), || 999);
-        t.deposit(key, &members, 7, false, SimTime::from_secs(1.5), || 999);
-        let (a, ctx) = t.try_outcome(key, |_| false).unwrap();
-        assert_eq!(ctx, 100, "first depositor's allocation wins");
+        t.deposit(key, &members, 3, true, SimTime::from_secs(2.0));
+        t.deposit(key, &members, 7, false, SimTime::from_secs(1.5));
+        let a = t.try_outcome(key, |_| false).unwrap();
         assert!(!a.flag, "AND-fold over contributions");
         assert!(a.failed.is_empty());
         assert_eq!(a.at, SimTime::from_secs(2.0));
@@ -162,11 +154,11 @@ mod tests {
         let t = AgreeTable::new();
         let members = [0usize, 1, 2];
         let key = (13, 4);
-        t.deposit(key, &members, 0, true, SimTime::from_secs(1.0), || 10);
-        t.deposit(key, &members, 2, true, SimTime::from_secs(3.0), || 10);
+        t.deposit(key, &members, 0, true, SimTime::from_secs(1.0));
+        t.deposit(key, &members, 2, true, SimTime::from_secs(3.0));
         assert!(t.try_outcome(key, |_| false).is_none());
         assert_eq!(t.pending_live(key, |w| w == 1), Vec::<usize>::new());
-        let (a, _) = t.try_outcome(key, |w| w == 1).unwrap();
+        let a = t.try_outcome(key, |w| w == 1).unwrap();
         assert!(a.flag);
         assert_eq!(a.failed, vec![1]);
         assert_eq!(a.at, SimTime::from_secs(3.0));
@@ -177,10 +169,10 @@ mod tests {
         let t = AgreeTable::new();
         let members = [0usize, 1];
         let key = (2, 0);
-        t.deposit(key, &members, 0, false, SimTime::from_secs(1.0), || 4);
-        t.deposit(key, &members, 1, true, SimTime::from_secs(2.0), || 4);
+        t.deposit(key, &members, 0, false, SimTime::from_secs(1.0));
+        t.deposit(key, &members, 1, true, SimTime::from_secs(2.0));
         // Member 1 deposited, then died: its contribution stands.
-        let (a, _) = t.try_outcome(key, |w| w == 1).unwrap();
+        let a = t.try_outcome(key, |w| w == 1).unwrap();
         assert!(!a.flag);
         assert!(a.failed.is_empty());
     }

@@ -171,14 +171,6 @@ impl Comm {
         Ok(())
     }
 
-    /// True if the failure detector still considers the communicator rank
-    /// `rank` alive — neither fail-stopped nor exited. A rank is trivially
-    /// alive to itself.
-    pub fn rank_alive(&self, rank: usize) -> bool {
-        let w = self.world_rank_of(rank);
-        w == self.my_world_rank() || self.shared.liveness.of(w) == RankState::Alive
-    }
-
     /// Errors with [`MpiError::NodeFailed`] (own world rank) if the calling
     /// rank's node has fail-stopped by its current virtual time, publishing
     /// the failure as a side effect.
@@ -411,7 +403,7 @@ impl Comm {
     /// The one guarded wait: blocks until `attempt` — the caller's "try to
     /// finish" step, given the effective virtual deadline — resolves, or
     /// until something proves it never will. Every blocking operation
-    /// (receive, probe, agreement, `wait_any`) is a thin caller.
+    /// (receive, probe, agreement) is a thin caller.
     ///
     /// * **Fast path.** `attempt` already resolves: no record is built, no
     ///   registry lock taken, nothing allocated.
@@ -585,7 +577,7 @@ impl Comm {
             deadline,
             collective_abort,
             |deadline| mb.claim(pat, deadline),
-            || WaitKind::Mailbox { pats: vec![pat] },
+            || WaitKind::Mailbox { pat },
         )?;
         self.deliver(env)
     }
@@ -727,32 +719,6 @@ impl Comm {
         self.recv(src, recv_tag)
     }
 
-    /// Nonblocking send (`MPI_Isend`). Under the eager model the send is
-    /// already complete when this returns; the request exists for API parity.
-    ///
-    /// # Errors
-    /// As [`Comm::send`].
-    pub fn isend<T: MpiType>(&self, data: &[T], dest: usize, tag: i32) -> MpiResult<SendRequest> {
-        self.send(data, dest, tag)?;
-        Ok(SendRequest { _priv: () })
-    }
-
-    /// Nonblocking receive (`MPI_Irecv`): returns a request to be completed
-    /// with [`RecvRequest::wait`] or polled with [`RecvRequest::test`].
-    ///
-    /// # Errors
-    /// [`MpiError::InvalidRank`] for a bad explicit source.
-    pub fn irecv(&self, src: Option<usize>, tag: Option<i32>) -> MpiResult<RecvRequest> {
-        if let Some(s) = src {
-            self.check_rank(s)?;
-        }
-        Ok(RecvRequest {
-            src,
-            tag,
-            done: None,
-        })
-    }
-
     /// Blocking probe (`MPI_Probe`): metadata of the next matching message
     /// without receiving it. Advances the clock to the message's *wire*
     /// arrival; receiver-side contention settlement is charged only when
@@ -775,7 +741,7 @@ impl Comm {
             None,
             false,
             |_| mb.try_probe(pat).map_or(Claim::Nothing, Claim::Matched),
-            || WaitKind::Mailbox { pats: vec![pat] },
+            || WaitKind::Mailbox { pat },
         )?;
         let (src_world, tag, bytes, arrival) = hit;
         self.outlive(arrival)?;
@@ -964,7 +930,7 @@ impl Comm {
             }
         }
 
-        let mine = self.scatter(if self.rank == 0 { Some(&parts) } else { None }, 0)?;
+        let mine = self.scatter(&parts)?;
         if mine.is_empty() {
             return Ok(None);
         }
@@ -1014,10 +980,6 @@ impl Comm {
     /// [`MpiError::NodeFailed`] (own rank) if the caller's node crashes
     /// before the round completes.
     pub fn agree(&self, flag: bool) -> MpiResult<Agreement> {
-        self.agree_inner(flag).map(|(a, _)| a)
-    }
-
-    fn agree_inner(&self, flag: bool) -> MpiResult<(Agreement, u64)> {
         self.check_self_alive()?;
         let my_world = self.my_world_rank();
         let seq = self.agree_seq.get();
@@ -1025,9 +987,7 @@ impl Comm {
         let key = (self.coll_plane(), seq);
         let members = self.group.world_ranks();
         let table = &self.shared.agreements;
-        table.deposit(key, members, my_world, flag, self.clock.now(), || {
-            self.shared.alloc_ctx_pair()
-        });
+        table.deposit(key, members, my_world, flag, self.clock.now());
         // Members blocked on this round sleep on their own doorbells.
         for &w in members {
             self.shared.mailboxes[w].wake_all();
@@ -1037,172 +997,10 @@ impl Comm {
             Some(agreed) => Claim::Matched(agreed),
             None => Claim::Nothing,
         };
-        let (a, ctx) = self.wait(None, false, outcome, || WaitKind::Agreement { key })?;
+        let a = self.wait(None, false, outcome, || WaitKind::Agreement { key })?;
         // The round may complete only after this rank's own death.
         self.outlive(a.at)?;
         self.clock.merge(a.at);
-        Ok((a, ctx))
-    }
-
-    /// Shrinks the communicator to its survivors (`MPIX_Comm_shrink`): runs
-    /// an agreement round and builds a new communicator over exactly the
-    /// members that completed it. Every survivor gets a handle over the
-    /// *same* group with the *same* (pre-reserved) context, so the result
-    /// is immediately usable for collectives — the recovery step after a
-    /// failed collective.
-    ///
-    /// # Errors
-    /// [`MpiError::NodeFailed`] (own rank) if the caller dies during the
-    /// round.
-    pub fn shrink(&self) -> MpiResult<Comm> {
-        let (agreement, ctx) = self.agree_inner(true)?;
-        let survivors: Vec<usize> = self
-            .group
-            .world_ranks()
-            .iter()
-            .copied()
-            .filter(|w| !agreement.failed.contains(w))
-            .collect();
-        let group = Group::from_world_ranks(survivors)?;
-        let rank = group
-            .rank_of_world(self.my_world_rank())
-            .expect("a completed agreement includes the caller among survivors");
-        Ok(Comm {
-            shared: self.shared.clone(),
-            group: Arc::new(group),
-            ctx,
-            rank,
-            clock: self.clock.clone(),
-            frontier: self.frontier.clone(),
-            agree_seq: Rc::new(Cell::new(0)),
-        })
-    }
-}
-
-/// Completes a set of outstanding receives in order (`MPI_Waitall`).
-///
-/// # Errors
-/// Propagates the first decode error.
-pub fn wait_all<T: MpiType>(
-    reqs: Vec<RecvRequest>,
-    comm: &Comm,
-) -> MpiResult<Vec<(Vec<T>, Status)>> {
-    reqs.into_iter().map(|r| r.wait(comm)).collect()
-}
-
-/// Completes exactly one of the outstanding receives (`MPI_Waitany`),
-/// returning its index, payload and status plus the still-pending requests.
-/// Polls fairly across the requests.
-///
-/// Failure-aware: if *every* request is dead-ended (its awaited sender —
-/// or, for `ANY_SOURCE`, every other member — is dead with nothing queued),
-/// the first request's abort error is returned instead of spinning forever.
-/// While blocked, the rank is registered with the quiescence detector, so a
-/// universe-wide stuck state resolves with a typed verdict in milliseconds.
-///
-/// # Errors
-/// Propagates decode errors and failure-detector errors.
-///
-/// # Panics
-/// Panics if `reqs` is empty.
-pub fn wait_any<T: MpiType>(
-    mut reqs: Vec<RecvRequest>,
-    comm: &Comm,
-) -> MpiResult<(usize, Vec<T>, Status, Vec<RecvRequest>)> {
-    assert!(!reqs.is_empty(), "wait_any needs at least one request");
-    comm.check_self_alive()?;
-    let mb = &comm.shared.mailboxes[comm.my_world_rank()];
-    let pats: Vec<Pattern> = reqs
-        .iter()
-        .map(|r| comm.pattern(comm.ctx, r.src, r.tag))
-        .collect();
-    // One sweep over the requests, in order: an already-completed one, or
-    // the first whose message can be claimed.
-    let sweep = |deadline| {
-        for (i, req) in reqs.iter().enumerate() {
-            if req.done.is_some() {
-                return Claim::Matched((i, None));
-            }
-            match mb.claim(pats[i], deadline) {
-                Claim::Matched(env) => return Claim::Matched((i, Some(env))),
-                // The awaited message arrives only after our own node's
-                // crash: the rank dies first.
-                Claim::DeadlineMissed => return Claim::DeadlineMissed,
-                Claim::Nothing => {}
-            }
-        }
-        Claim::Nothing
-    };
-    let kind = || WaitKind::Mailbox { pats: pats.clone() };
-    let (i, env) = comm.wait(None, false, sweep, kind)?;
-    let req = reqs.remove(i);
-    let (msg, status) = match env {
-        Some(env) => comm.deliver(env)?,
-        None => req.done.expect("swept as completed"),
-    };
-    Ok((i, decode(&msg)?, status, reqs))
-}
-
-/// Completed-at-creation send request (eager model). Exists for API parity
-/// with `MPI_Isend`.
-#[derive(Debug)]
-pub struct SendRequest {
-    _priv: (),
-}
-
-impl SendRequest {
-    /// Completes immediately.
-    pub fn wait(self) {}
-
-    /// Always true.
-    pub fn test(&self) -> bool {
-        true
-    }
-}
-
-/// An outstanding nonblocking receive.
-#[derive(Debug)]
-pub struct RecvRequest {
-    src: Option<usize>,
-    tag: Option<i32>,
-    done: Option<(Msg, Status)>,
-}
-
-impl RecvRequest {
-    /// Completes the receive, blocking if necessary.
-    ///
-    /// # Errors
-    /// [`MpiError::TypeMismatch`] if the payload is not whole elements of `T`.
-    pub fn wait<T: MpiType>(mut self, comm: &Comm) -> MpiResult<(Vec<T>, Status)> {
-        if let Some((msg, status)) = self.done.take() {
-            return Ok((decode(&msg)?, status));
-        }
-        let (msg, status) = comm.recv_bytes(comm.ctx, self.src, self.tag)?;
-        Ok((decode(&msg)?, status))
-    }
-
-    /// Polls for completion without blocking; after `test` returns true,
-    /// `wait` returns instantly.
-    ///
-    /// A doomed rank never completes a receive whose message arrives at or
-    /// after its own node's crash time: a message on the wire too late is
-    /// left queued, one that only settles too late is the rank's death, as
-    /// in a blocking receive (clock clamped to the crash time, failure
-    /// published). `test` stays false either way; the blocking paths then
-    /// report the rank's own failure.
-    pub fn test(&mut self, comm: &Comm) -> bool {
-        if self.done.is_some() {
-            return true;
-        }
-        let my_world = comm.my_world_rank();
-        let own_tc = comm.shared.doom[my_world];
-        if own_tc.is_some_and(|tc| comm.clock.now() >= tc) {
-            return false;
-        }
-        let pat = comm.pattern(comm.ctx, self.src, self.tag);
-        if let Claim::Matched(env) = comm.shared.mailboxes[my_world].claim(pat, own_tc) {
-            self.done = comm.deliver(env).ok();
-        }
-        self.done.is_some()
+        Ok(a)
     }
 }

@@ -132,7 +132,7 @@ pub fn decode<T: MpiType>(bytes: &[u8]) -> MpiResult<Vec<T>> {
 /// [`MpiError::Truncated`] if the buffer is too small,
 /// [`MpiError::TypeMismatch`] if the byte length is not a whole number of
 /// elements. Returns the number of elements written.
-pub fn decode_into<T: MpiType>(bytes: &[u8], buf: &mut [T]) -> MpiResult<usize> {
+pub(crate) fn decode_into<T: MpiType>(bytes: &[u8], buf: &mut [T]) -> MpiResult<usize> {
     if !bytes.len().is_multiple_of(T::WIRE_SIZE) {
         return Err(MpiError::TypeMismatch {
             message_bytes: bytes.len(),

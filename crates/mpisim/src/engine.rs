@@ -3,7 +3,7 @@
 //!
 //! Every collective here executes a [`perfmodel::collective`] *schedule* —
 //! an ordered list of rounds of point-to-point transfers — through the same
-//! eager transport ([`Comm::post_bytes`] / [`Comm::recv_bytes`]) the rest of
+//! eager transport (`Comm::post_bytes` / `Comm::recv_bytes`) the rest of
 //! mpisim uses, on the communicator's collective plane. Each transfer says
 //! what it carries ([`Payload`]), so one interpreter (`Comm::interpret`)
 //! runs them all — flat or hierarchical, movement or reduction — and no
@@ -14,9 +14,9 @@
 //!   returns either the *complete, correct* result or a typed
 //!   [`MpiError::NodeFailed`]; never a torn buffer and never a hang.
 //!   Faults propagate *along schedule edges*: a receive aborts when its
-//!   specific scheduled sender is dead ([`Comm::recv_bytes_from`]), and a
+//!   specific scheduled sender is dead (`Comm::recv_bytes_from`), and a
 //!   rank that aborts mid-schedule first *poisons* every scheduled transfer
-//!   it has not yet sent (a [`TAG_POISON`] message naming the failed world
+//!   it has not yet sent (a `TAG_POISON` message naming the failed world
 //!   rank), so downstream ranks fail fast with the same root cause instead
 //!   of blocking on a live-but-aborted peer. The whole error surface is a
 //!   deterministic function of the fault plan — same seed, same survivor
@@ -377,7 +377,7 @@ impl Comm {
     /// Engine allgather for equal contributions: every rank contributes
     /// `contrib` and receives the concatenation in rank order. All ranks
     /// must contribute the same number of elements (use the legacy
-    /// [`Comm::allgatherv`] for ragged contributions).
+    /// [`Comm::allgather`] for ragged contributions).
     ///
     /// # Errors
     /// [`MpiError::InvalidCounts`] for mismatched contribution lengths or an
@@ -495,20 +495,6 @@ impl Comm {
         root: usize,
     ) -> MpiResult<Option<Vec<i64>>> {
         self.reduce_planned(None, contrib, op, root)
-    }
-
-    /// [`Comm::reduce_eq_i64`] with an explicit algorithm.
-    ///
-    /// # Errors
-    /// As [`Comm::reduce_eq_f64`].
-    pub fn reduce_eq_i64_with(
-        &self,
-        algo: CollectiveAlgo,
-        contrib: &[i64],
-        op: ReduceOp,
-        root: usize,
-    ) -> MpiResult<Option<Vec<i64>>> {
-        self.reduce_planned(Some(algo), contrib, op, root)
     }
 
     /// Engine allreduce over equal-length `f64` contributions: every rank

@@ -7,18 +7,23 @@
 //!
 //! * **ranks as threads** — [`Universe::run`] spawns one OS thread per rank,
 //!   each executing the same SPMD closure with its own [`Process`] handle;
-//! * **groups** ([`Group`]) with the full set/range constructor family
-//!   (`union`, `intersection`, `difference`, `incl`, `excl`, `range_incl`,
-//!   `range_excl`, `translate_ranks`, `compare`);
+//! * **groups** ([`Group`]): ordered world-rank lists with membership, rank
+//!   translation and `union` / `intersection` / `difference`;
 //! * **communicators** ([`Comm`]) with `dup`, `split` and `create`, each with
 //!   its own context id so messages never cross communicators;
-//! * **point-to-point** typed `send`/`recv`/`sendrecv`/`isend`/`irecv`/
-//!   `probe` with `ANY_SOURCE`/`ANY_TAG` wildcards and MPI's per-pair
-//!   non-overtaking guarantee;
-//! * **collectives** built *on top of* point-to-point (binomial-tree
-//!   broadcast and reduce; gather(v), scatter(v), allgather(v), alltoall,
-//!   allreduce, scan, barrier, reduce_scatter_block) so their cost model
-//!   emerges from the link model rather than being postulated;
+//! * **point-to-point** typed blocking `send` / `recv` / `sendrecv` / `probe`
+//!   (plus `iprobe`) with `None` as the `MPI_ANY_SOURCE` / `MPI_ANY_TAG`
+//!   wildcard and MPI's per-pair non-overtaking guarantee;
+//! * **collectives** built *on top of* point-to-point, so their cost model
+//!   emerges from the link model rather than being postulated: the schedule
+//!   engine's `bcast_into` / `allgather_eq` / `reduce_eq_*` /
+//!   `allreduce_eq_*`, priced and selected per call ([`CollectivePolicy`]),
+//!   and the legacy binomial-tree `barrier` / `bcast`, linear `gather` and
+//!   gather-then-broadcast `allgather` (ragged contributions) the
+//!   applications call;
+//! * **fault tolerance**: typed errors instead of hangs, ULFM-style
+//!   `agree`, and a quiescence detector that turns a wedged program into a
+//!   typed verdict;
 //! * **virtual time** — every rank carries a logical clock
 //!   ([`LocalClock`]); [`Process::compute`] advances it by
 //!   `volume / speed(node, now)` against the [`hetsim::Cluster`] the ranks
@@ -35,33 +40,31 @@
 
 #![warn(missing_docs)]
 
-pub mod agree;
-pub mod cart;
-pub mod collective;
-pub mod comm;
+mod agree;
+mod collective;
+mod comm;
 pub mod datatype;
 pub mod engine;
-pub mod error;
-pub mod group;
+mod error;
+mod group;
 mod lane;
-pub mod op;
+mod op;
 pub mod p2p;
 pub mod plan;
 pub mod pool;
 mod quiesce;
-pub mod runtime;
-pub mod vtime;
+mod runtime;
+mod vtime;
 
 pub use agree::Agreement;
-pub use cart::{dims_create, CartComm};
-pub use comm::{wait_all, wait_any, Comm, RecvRequest, SendRequest};
+pub use comm::Comm;
 pub use datatype::MpiType;
 pub use engine::CollectivePolicy;
 pub use error::{MpiError, MpiResult, WaitGraph};
 pub use perfmodel::collective::{CollectiveAlgo, CollectiveKind};
-pub use group::{Group, GroupCompare};
+pub use group::Group;
 pub use op::ReduceOp;
-pub use p2p::{Msg, Payload, Status, ANY_SOURCE, ANY_TAG, EAGER_LIMIT};
+pub use p2p::{Msg, Payload, Status, EAGER_LIMIT};
 pub use plan::{Plan, PlanCacheReport, PlanKey};
 pub use pool::{BufferPool, PoolReport};
 pub use runtime::{Process, RunReport, Universe, UniverseConfig, WakeupReport};

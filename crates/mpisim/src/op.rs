@@ -17,7 +17,7 @@ pub enum ReduceOp {
 impl ReduceOp {
     /// Applies the operation to two `f64` operands.
     #[inline]
-    pub fn apply_f64(self, a: f64, b: f64) -> f64 {
+    pub(crate) fn apply_f64(self, a: f64, b: f64) -> f64 {
         match self {
             ReduceOp::Sum => a + b,
             ReduceOp::Prod => a * b,
@@ -28,7 +28,7 @@ impl ReduceOp {
 
     /// Applies the operation to two `i64` operands.
     #[inline]
-    pub fn apply_i64(self, a: i64, b: i64) -> i64 {
+    pub(crate) fn apply_i64(self, a: i64, b: i64) -> i64 {
         match self {
             ReduceOp::Sum => a + b,
             ReduceOp::Prod => a * b,
@@ -54,7 +54,7 @@ impl ReduceOp {
     ///
     /// # Panics
     /// Panics if lengths differ.
-    pub fn fold_i64(self, acc: &mut [i64], rhs: &[i64]) {
+    pub(crate) fn fold_i64(self, acc: &mut [i64], rhs: &[i64]) {
         assert_eq!(acc.len(), rhs.len(), "reduction operands must match");
         for (a, b) in acc.iter_mut().zip(rhs) {
             *a = self.apply_i64(*a, *b);
@@ -72,7 +72,7 @@ impl ReduceOp {
     }
 
     /// The identity element for `i64`.
-    pub fn identity_i64(self) -> i64 {
+    pub(crate) fn identity_i64(self) -> i64 {
         match self {
             ReduceOp::Sum => 0,
             ReduceOp::Prod => 1,

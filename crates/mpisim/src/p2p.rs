@@ -7,13 +7,13 @@
 //!
 //! * **eager** — payloads at or under the limit are packed *inline* into
 //!   the envelope ([`Payload::Inline`]) and travel through per-(sender,
-//!   receiver) SPSC lanes ([`crate::lane`]); no per-message heap
+//!   receiver) SPSC lanes (`crate::lane`); no per-message heap
 //!   allocation, no shared lock between senders;
 //! * **rendezvous** — larger payloads ride in zero-copy buffers leased
 //!   from the universe's [`BufferPool`](crate::pool::BufferPool)
 //!   ([`Payload::Pooled`]); the buffer returns to its size class when the
 //!   receiver drops the [`Msg`], and copy-out happens in
-//!   [`RENDEZVOUS_BLOCK`]-sized slabs.
+//!   `RENDEZVOUS_BLOCK`-sized slabs.
 //!
 //! Matching is indexed instead of scanned: the mailbox keeps one FIFO
 //! queue per `(context, sender)`. A specific-source receive looks at
@@ -26,8 +26,8 @@
 //! mailbox rescanned the whole queue per receive — O(queue) per match,
 //! O(n²) to drain a burst; the index makes both O(1)-ish.
 //!
-//! Blocked ranks sleep on one *counted doorbell* ([`Mailbox::ticket`] /
-//! [`Mailbox::sleep`]): every ring bumps a counter under the store lock, a
+//! Blocked ranks sleep on one *counted doorbell* (`Mailbox::ticket` /
+//! `Mailbox::sleep`): every ring bumps a counter under the store lock, a
 //! waiter reads the counter *before* it evaluates what it waits for and
 //! sleeps only while the counter still holds that value — so no sleep can
 //! begin after the event it waits for was published, whatever the event
@@ -44,11 +44,6 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
-/// Wildcard source (`MPI_ANY_SOURCE`).
-pub const ANY_SOURCE: isize = -1;
-/// Wildcard tag (`MPI_ANY_TAG`).
-pub const ANY_TAG: i32 = -1;
-
 /// Patience of the raw, panicking [`Mailbox::recv_match`]: how long it
 /// sleeps with no ring before declaring the surrounding program deadlocked.
 /// (Communicator-level waits are classified in milliseconds by
@@ -63,7 +58,7 @@ pub const EAGER_LIMIT: usize = 256;
 /// `BLOCK_SIZE`): [`Msg::into_vec`] copies pooled payloads out in blocks
 /// of this size so the lease returns to the pool as one pipelined pass
 /// completes, rather than lingering element-by-element.
-pub const RENDEZVOUS_BLOCK: usize = 8192;
+const RENDEZVOUS_BLOCK: usize = 8192;
 
 /// A message payload in one of the two protocol representations (plus a
 /// plain heap escape hatch for callers that already own a `Vec<u8>`).
@@ -100,7 +95,7 @@ impl Payload {
     }
 
     /// Wraps an owned vector, inlining it when it fits under [`EAGER_LIMIT`].
-    pub fn from_vec(v: Vec<u8>) -> Payload {
+    pub(crate) fn from_vec(v: Vec<u8>) -> Payload {
         if v.len() <= EAGER_LIMIT {
             Payload::inline_from(&v)
         } else {
@@ -109,7 +104,7 @@ impl Payload {
     }
 
     /// The payload bytes.
-    pub fn bytes(&self) -> &[u8] {
+    pub(crate) fn bytes(&self) -> &[u8] {
         match self {
             Payload::Inline { len, buf } => &buf[..*len as usize],
             Payload::Pooled(lease) => lease.bytes(),
@@ -118,7 +113,7 @@ impl Payload {
     }
 
     /// Payload size in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Payload::Inline { len, .. } => *len as usize,
             Payload::Pooled(lease) => lease.bytes().len(),
@@ -126,13 +121,8 @@ impl Payload {
         }
     }
 
-    /// True when the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Protocol label for traces/diagnostics.
-    pub fn protocol(&self) -> &'static str {
+    pub(crate) fn protocol(&self) -> &'static str {
         match self {
             Payload::Inline { .. } => "eager",
             Payload::Pooled(_) => "rendezvous",
@@ -163,17 +153,12 @@ impl Msg {
     }
 
     /// Payload size in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.payload.len()
     }
 
-    /// True when the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
-    }
-
     /// Which protocol carried the message ("eager"/"rendezvous"/"heap").
-    pub fn protocol(&self) -> &'static str {
+    pub(crate) fn protocol(&self) -> &'static str {
         self.payload.protocol()
     }
 
@@ -182,7 +167,7 @@ impl Msg {
     /// Heap payloads move without copying. Pooled payloads copy out in
     /// [`RENDEZVOUS_BLOCK`]-sized slabs (the block-pipelined copy of the
     /// rendezvous protocol) and the lease returns to the pool on return.
-    pub fn into_vec(self) -> Vec<u8> {
+    pub(crate) fn into_vec(self) -> Vec<u8> {
         match self.payload {
             Payload::Heap(v) => v,
             Payload::Inline { len, buf } => buf[..len as usize].to_vec(),
@@ -245,18 +230,8 @@ pub struct Envelope {
 
 impl Envelope {
     /// Payload size in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.payload.len()
-    }
-
-    /// True when the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
-    }
-
-    /// Borrow of the payload bytes.
-    pub fn bytes(&self) -> &[u8] {
-        self.payload.bytes()
     }
 
     /// Consumes the envelope into its received payload.
@@ -507,20 +482,9 @@ pub struct Mailbox {
     pub(crate) wakes: WakeCounts,
 }
 
-impl Default for Mailbox {
-    fn default() -> Self {
-        Mailbox::for_world(0)
-    }
-}
-
 impl Mailbox {
-    /// An empty mailbox with no eager lanes (posts go straight to the
-    /// store) — convenient for tests and single-producer uses.
-    pub fn new() -> Self {
-        Mailbox::default()
-    }
-
-    /// A mailbox with one eager lane per sender in an `n`-rank world.
+    /// A mailbox with one eager lane per sender in an `n`-rank world (with
+    /// `n = 0`, no lanes: posts go straight to the store).
     pub fn for_world(n: usize) -> Self {
         Mailbox {
             state: Mutex::new(Store::default()),
@@ -567,7 +531,7 @@ impl Mailbox {
     /// Lane traffic already queued by the same sender is drained first,
     /// so mixing [`Mailbox::post`] and [`Mailbox::post_lane`] from one
     /// thread preserves that sender's FIFO order.
-    pub fn post(&self, env: Envelope) {
+    pub(crate) fn post(&self, env: Envelope) {
         let mut st = self.store();
         st.ingest(env);
         self.ring(&mut st);
@@ -577,7 +541,7 @@ impl Mailbox {
     /// Never touches the store lock unless a sleeper is registered on
     /// the doorbell (or the mailbox was built without lanes). A post that
     /// finds no sleeper rings nothing; its message is counted when it is
-    /// ingested, which [`Mailbox::sleep`] does after registering.
+    /// ingested, which `Mailbox::sleep` does after registering.
     pub fn post_lane(&self, env: Envelope) {
         if self.lanes.senders() == 0 {
             return self.post(env);
@@ -592,7 +556,7 @@ impl Mailbox {
     /// Rings the doorbell so a rank blocked on this mailbox re-evaluates
     /// its wait. Called *after* publishing what the wait may be looking
     /// at: a liveness change, a quiescence verdict, an agreement deposit.
-    pub fn wake_all(&self) {
+    pub(crate) fn wake_all(&self) {
         self.ring(&mut self.state.lock());
     }
 
@@ -632,7 +596,7 @@ impl Mailbox {
     /// blocking until one arrives.
     ///
     /// # Panics
-    /// Panics after [`DEADLOCK_TIMEOUT`] of real time without a ring — the
+    /// Panics after `DEADLOCK_TIMEOUT` of real time without a ring — the
     /// surrounding SPMD program has deadlocked.
     pub fn recv_match(&self, pat: Pattern) -> Envelope {
         loop {
@@ -658,24 +622,16 @@ impl Mailbox {
         self.store().claim(pat, deadline)
     }
 
-    /// True if [`Mailbox::claim`] over some pattern in `pats` would resolve
-    /// (match, or prove the deadline missed) — the quiescence classifier's
-    /// view of a blocked receive, read off the same [`Store::locate`] the
-    /// claim itself runs.
-    pub(crate) fn can_progress(&self, pats: &[Pattern], deadline: Option<SimTime>) -> bool {
-        let st = self.store();
-        pats.iter()
-            .any(|&p| !matches!(st.locate(p, deadline), Locate::Nothing))
+    /// True if [`Mailbox::claim`] over `pat` would resolve (match, or prove
+    /// the deadline missed) — the quiescence classifier's view of a blocked
+    /// receive, read off the same [`Store::locate`] the claim itself runs.
+    pub(crate) fn can_progress(&self, pat: Pattern, deadline: Option<SimTime>) -> bool {
+        !matches!(self.store().locate(pat, deadline), Locate::Nothing)
     }
 
     /// Non-blocking probe (`MPI_Iprobe`): metadata of the first match, if any.
     pub fn try_probe(&self, pat: Pattern) -> Option<(usize, i32, usize, SimTime)> {
         self.store().peek(pat)
-    }
-
-    /// Number of queued (unmatched) messages — used by shutdown diagnostics.
-    pub fn pending(&self) -> usize {
-        self.store().total
     }
 
     /// Removes and returns every queued message (end-of-run drain, so
@@ -716,20 +672,20 @@ mod tests {
 
     #[test]
     fn exact_match_removes_message() {
-        let mb = Mailbox::new();
+        let mb = Mailbox::for_world(0);
         mb.post(env(1, 0, 7, b"hi"));
         let got = mb.recv_match(Pattern {
             ctx: 1,
             src_world: Some(0),
             tag: Some(7),
         });
-        assert_eq!(got.bytes(), b"hi");
-        assert_eq!(mb.pending(), 0);
+        assert_eq!(got.payload.bytes(), b"hi");
+        assert_eq!(mb.store().total, 0);
     }
 
     #[test]
     fn wildcards_match_anything_in_context() {
-        let mb = Mailbox::new();
+        let mb = Mailbox::for_world(0);
         mb.post(env(1, 3, 9, b"x"));
         let got = mb.recv_match(Pattern {
             ctx: 1,
@@ -742,7 +698,7 @@ mod tests {
 
     #[test]
     fn context_isolates_messages() {
-        let mb = Mailbox::new();
+        let mb = Mailbox::for_world(0);
         mb.post(env(1, 0, 7, b"ctx1"));
         mb.post(env(2, 0, 7, b"ctx2"));
         let got = mb.recv_match(Pattern {
@@ -750,13 +706,13 @@ mod tests {
             src_world: Some(0),
             tag: Some(7),
         });
-        assert_eq!(got.bytes(), b"ctx2");
-        assert_eq!(mb.pending(), 1);
+        assert_eq!(got.payload.bytes(), b"ctx2");
+        assert_eq!(mb.store().total, 1);
     }
 
     #[test]
     fn non_overtaking_same_source_same_tag() {
-        let mb = Mailbox::new();
+        let mb = Mailbox::for_world(0);
         mb.post(env(1, 0, 7, b"first"));
         mb.post(env(1, 0, 7, b"second"));
         let a = mb.recv_match(Pattern {
@@ -769,13 +725,13 @@ mod tests {
             src_world: Some(0),
             tag: Some(7),
         });
-        assert_eq!(a.bytes(), b"first");
-        assert_eq!(b.bytes(), b"second");
+        assert_eq!(a.payload.bytes(), b"first");
+        assert_eq!(b.payload.bytes(), b"second");
     }
 
     #[test]
     fn selective_tag_skips_earlier_nonmatching() {
-        let mb = Mailbox::new();
+        let mb = Mailbox::for_world(0);
         mb.post(env(1, 0, 1, b"tag1"));
         mb.post(env(1, 0, 2, b"tag2"));
         let got = mb.recv_match(Pattern {
@@ -783,8 +739,8 @@ mod tests {
             src_world: Some(0),
             tag: Some(2),
         });
-        assert_eq!(got.bytes(), b"tag2");
-        assert_eq!(mb.pending(), 1);
+        assert_eq!(got.payload.bytes(), b"tag2");
+        assert_eq!(mb.store().total, 1);
     }
 
     #[test]
@@ -792,7 +748,7 @@ mod tests {
         // Posted in the "wrong" wall-clock order: the earlier *virtual*
         // arrival wins regardless of which sender reached the mailbox
         // first.
-        let mb = Mailbox::new();
+        let mb = Mailbox::for_world(0);
         mb.post(env_at(1, 2, 7, 2.0));
         mb.post(env_at(1, 5, 7, 1.0));
         let pat = Pattern {
@@ -810,7 +766,7 @@ mod tests {
     fn wildcard_ties_in_one_quantum_resolve_by_rank() {
         // Identical virtual arrivals (same arbitration quantum): the lower
         // sender rank wins, independent of post order.
-        let mb = Mailbox::new();
+        let mb = Mailbox::for_world(0);
         mb.post(env_at(1, 7, 4, 1.0));
         mb.post(env_at(1, 3, 4, 1.0));
         let pat = Pattern {
@@ -831,7 +787,7 @@ mod tests {
     fn wildcard_same_rank_ties_resolve_by_send_seq() {
         // Same quantum, same sender: the per-rank send sequence (FIFO
         // within the sender's queue) orders the matches.
-        let mb = Mailbox::new();
+        let mb = Mailbox::for_world(0);
         let mut first = env_at(1, 2, 4, 1.0);
         first.seq = 10;
         let mut second = env_at(1, 2, 4, 1.0);
@@ -853,14 +809,14 @@ mod tests {
         mb.post_lane(env(1, 2, 7, b"a"));
         mb.post_lane(env(1, 2, 7, b"b"));
         mb.post_lane(env(1, 3, 7, b"c"));
-        assert_eq!(mb.pending(), 3);
+        assert_eq!(mb.store().total, 3);
         let pat = Pattern {
             ctx: 1,
             src_world: Some(2),
             tag: Some(7),
         };
-        assert_eq!(mb.recv_match(pat).bytes(), b"a");
-        assert_eq!(mb.recv_match(pat).bytes(), b"b");
+        assert_eq!(mb.recv_match(pat).payload.bytes(), b"a");
+        assert_eq!(mb.recv_match(pat).payload.bytes(), b"b");
         assert_eq!(mb.try_probe(Pattern {
             ctx: 1,
             src_world: None,
@@ -870,7 +826,7 @@ mod tests {
 
     #[test]
     fn deadline_missed_is_proved_for_specific_source_only() {
-        let mb = Mailbox::new();
+        let mb = Mailbox::for_world(0);
         mb.post(env_at(1, 0, 7, 10.0));
         let d = Some(SimTime::from_secs(5.0));
         let specific = Pattern {
@@ -889,7 +845,7 @@ mod tests {
 
     #[test]
     fn deadline_claim_skips_late_and_takes_on_time() {
-        let mb = Mailbox::new();
+        let mb = Mailbox::for_world(0);
         mb.post(env_at(1, 0, 7, 10.0));
         mb.post(env_at(1, 0, 7, 2.0));
         let d = Some(SimTime::from_secs(5.0));
@@ -906,7 +862,7 @@ mod tests {
 
     #[test]
     fn probe_leaves_message_queued() {
-        let mb = Mailbox::new();
+        let mb = Mailbox::for_world(0);
         mb.post(env(1, 4, 5, b"abc"));
         let (src, tag, len, _) = mb
             .try_probe(Pattern {
@@ -916,12 +872,12 @@ mod tests {
             })
             .expect("posted message is visible to a probe");
         assert_eq!((src, tag, len), (4, 5, 3));
-        assert_eq!(mb.pending(), 1);
+        assert_eq!(mb.store().total, 1);
     }
 
     #[test]
     fn try_probe_returns_none_when_empty() {
-        let mb = Mailbox::new();
+        let mb = Mailbox::for_world(0);
         assert!(mb
             .try_probe(Pattern {
                 ctx: 1,
@@ -945,7 +901,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         mb.post_lane(env(1, 0, 0, b"late"));
         let got = h.join().unwrap();
-        assert_eq!(got.bytes(), b"late");
+        assert_eq!(got.payload.bytes(), b"late");
     }
 
     #[test]
@@ -975,7 +931,7 @@ mod tests {
             mb.post_lane(env(1, 0, 0, b"x"));
             assert_eq!(mb.ticket(), ticket, "no sleeper registered: no ring");
             if foreign_drain {
-                assert_eq!(mb.pending(), 2);
+                assert_eq!(mb.store().total, 2);
             }
             assert!(mb.sleep(ticket, Duration::from_secs(10)));
             assert!(start.elapsed() < Duration::from_millis(100));

@@ -5,7 +5,7 @@
 //! time, and the transfer rounds that are executed, poisoned on abort and
 //! priced by `timeof`. Plans are a *pure function* of their [`PlanKey`]
 //! ([`build`]), so instead of every rank re-deriving the same plan on every
-//! call, the universe keeps them in a [`PlanCache`]: the first rank to
+//! call, the universe keeps them in a `PlanCache`: the first rank to
 //! arrive at a call plans it, the other `p − 1` ranks — and every later
 //! call with the same key — take an [`Arc`] clone.
 //!
@@ -160,12 +160,12 @@ impl Plan {
     }
 
     /// Scheduled transfers, the unit the cache's bound counts.
-    pub fn xfers(&self) -> usize {
+    pub(crate) fn xfers(&self) -> usize {
         self.rounds.iter().map(Vec::len).sum()
     }
 
     /// The transfers `rank` sends or receives, in the order it runs them.
-    pub fn program(&self, rank: usize) -> impl Iterator<Item = &Xfer> {
+    pub(crate) fn program(&self, rank: usize) -> impl Iterator<Item = &Xfer> {
         self.own[rank]
             .iter()
             .map(|&(r, i)| &self.rounds[r as usize][i as usize])

@@ -130,7 +130,7 @@ impl BufferPool {
     }
 
     /// Snapshot of the pool's counters.
-    pub fn report(&self) -> PoolReport {
+    pub(crate) fn report(&self) -> PoolReport {
         PoolReport {
             leased: self.leased.load(Ordering::Relaxed),
             reused: self.reused.load(Ordering::Relaxed),
@@ -167,7 +167,7 @@ pub struct Lease {
 
 impl Lease {
     /// The filled payload bytes.
-    pub fn bytes(&self) -> &[u8] {
+    pub(crate) fn bytes(&self) -> &[u8] {
         &self.buf
     }
 

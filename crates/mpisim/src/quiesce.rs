@@ -51,8 +51,8 @@
 //! The waiter and the classifier read *one* description of a wait, the
 //! [`WaitRecord`]: the same [`WaitRecord::abort`] decides "a dead peer ends
 //! this wait" in the wait loop and in the stability check, and the same
-//! [`WaitRecord::awaited`] gives the wait's edge to the terminal round and
-//! to the watchdog.
+//! `Registry::edge` gives the wait's edge to the terminal round and to the
+//! watchdog.
 
 use crate::agree::{AgreeKey, AgreeTable};
 use crate::error::{MpiError, WaitGraph};
@@ -68,10 +68,10 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub(crate) enum WaitKind {
     /// Blocked in a mailbox receive/probe: unblocked by a deliverable
-    /// envelope matching one of the patterns.
+    /// envelope matching the pattern.
     Mailbox {
-        /// Acceptable matches (several for `wait_any`).
-        pats: Vec<Pattern>,
+        /// The receive's or probe's match.
+        pat: Pattern,
     },
     /// Blocked in an agreement round: unblocked by slot completion.
     Agreement {
@@ -117,16 +117,16 @@ impl WaitRecord {
     /// every wake-up of every blocked rank, so it reads no lock and scans
     /// the members for a failed one only once some rank has failed.
     ///
-    /// A mailbox wait dead-ends when *every* pattern does — a specific
-    /// source when that sender is dead, `ANY_SOURCE` when every other
-    /// member is — and reports the first pattern's error, so p2p between
-    /// live ranks keeps working during recovery. A [`Self::collective`]
+    /// A mailbox wait dead-ends when nobody who could send its match is
+    /// alive — a specific source when that sender is dead, `ANY_SOURCE`
+    /// when every other member is — so p2p between live ranks keeps
+    /// working during recovery. A [`Self::collective`]
     /// wait also aborts on any *failed* member; a member that merely
     /// returned has done its part and neither aborts the wait nor makes it
     /// look resolvable. Agreement waits never abort: dead members are
     /// excluded from the round instead.
     pub(crate) fn abort(&self, me: usize, live: &Liveness) -> Option<MpiError> {
-        let WaitKind::Mailbox { pats } = &self.kind else {
+        let WaitKind::Mailbox { pat } = &self.kind else {
             return None;
         };
         if self.collective && live.any_failed() {
@@ -135,57 +135,35 @@ impl WaitRecord {
                 return Some(MpiError::NodeFailed { world_rank });
             }
         }
-        let mut first = None;
-        for pat in pats {
-            let mut verdict = None;
-            for w in self.senders(me, pat) {
-                match live.of(w) {
-                    RankState::Alive => return None,
-                    RankState::Failed => verdict = Some(MpiError::NodeFailed { world_rank: w }),
-                    RankState::Terminated => {
-                        verdict = verdict.or(Some(MpiError::PeerTerminated { world_rank: w }));
-                    }
+        let mut verdict = None;
+        for w in self.senders(me, pat) {
+            match live.of(w) {
+                RankState::Alive => return None,
+                RankState::Failed => verdict = Some(MpiError::NodeFailed { world_rank: w }),
+                RankState::Terminated => {
+                    verdict = verdict.or(Some(MpiError::PeerTerminated { world_rank: w }));
                 }
             }
-            first = first.or(Some(verdict?));
         }
-        first
+        verdict
     }
 
     /// True if the death of world rank `dead` (now in `state`) can end this
     /// wait — change what [`Self::abort`] or an agreement's outcome says:
-    /// a pattern names it, or it is one of the members an `ANY_SOURCE`
+    /// the pattern names it, or it is one of the members an `ANY_SOURCE`
     /// pattern, a collective wait (failures only) or an agreement round
-    /// looks at. Patterns first: membership is a linear scan.
+    /// looks at. The pattern first: membership is a linear scan.
     fn concerns(&self, dead: usize, state: RankState) -> bool {
         let any_member = match &self.kind {
-            WaitKind::Mailbox { pats } => {
-                if pats.iter().any(|p| p.src_world == Some(dead)) {
+            WaitKind::Mailbox { pat } => {
+                if pat.src_world == Some(dead) {
                     return true;
                 }
-                (self.collective && state == RankState::Failed)
-                    || pats.iter().any(|p| p.src_world.is_none())
+                (self.collective && state == RankState::Failed) || pat.src_world.is_none()
             }
             WaitKind::Agreement { .. } => true,
         };
         any_member && self.group.contains_world(dead)
-    }
-
-    /// The ranks `me` waits on — its edge in the wait graph: the awaited
-    /// senders of a mailbox wait (every other member for `ANY_SOURCE`).
-    /// Agreement edges depend on who has deposited; see [`Registry::edge`].
-    fn awaited(&self, me: usize) -> Vec<usize> {
-        let mut on = Vec::new();
-        if let WaitKind::Mailbox { pats } = &self.kind {
-            for pat in pats {
-                for w in self.senders(me, pat) {
-                    if !on.contains(&w) {
-                        on.push(w);
-                    }
-                }
-            }
-        }
-        on
     }
 }
 
@@ -411,7 +389,7 @@ impl Registry {
     /// must not invalidate the verdict.
     fn can_deliver(&self, r: usize, rec: &WaitRecord) -> bool {
         match &rec.kind {
-            WaitKind::Mailbox { pats } => self.mailboxes[r].can_progress(pats, rec.deadline),
+            WaitKind::Mailbox { pat } => self.mailboxes[r].can_progress(*pat, rec.deadline),
             WaitKind::Agreement { key } => {
                 self.agreements.try_outcome(*key, |w| self.dead(w)).is_some()
             }
@@ -422,12 +400,13 @@ impl Registry {
         self.live.of(w) != RankState::Alive
     }
 
-    /// `r`'s edge in the wait graph: the senders a mailbox wait awaits;
-    /// for an agreement wait, re-derived fresh, the live members that have
-    /// not deposited — only they actually block the round.
+    /// `r`'s edge in the wait graph: the senders a mailbox wait awaits
+    /// (every other member for `ANY_SOURCE`); for an agreement wait,
+    /// re-derived fresh, the live members that have not deposited — only
+    /// they actually block the round.
     fn edge(&self, r: usize, rec: &WaitRecord) -> Vec<usize> {
         match &rec.kind {
-            WaitKind::Mailbox { .. } => rec.awaited(r),
+            WaitKind::Mailbox { pat } => rec.senders(r, pat).collect(),
             WaitKind::Agreement { key } => self.agreements.pending_live(*key, |w| self.dead(w)),
         }
     }
@@ -572,12 +551,11 @@ mod tests {
     }
 
     fn mailbox_wait(group: &Arc<Group>, src_world: Option<usize>, collective: bool) -> WaitRecord {
-        let pat = Pattern { ctx: 0, src_world, tag: None };
         WaitRecord {
             group: group.clone(),
             collective,
             deadline: None,
-            kind: WaitKind::Mailbox { pats: vec![pat] },
+            kind: WaitKind::Mailbox { pat: Pattern { ctx: 0, src_world, tag: None } },
         }
     }
 

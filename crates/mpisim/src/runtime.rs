@@ -265,7 +265,7 @@ impl UniverseConfig {
 /// let report = Universe::new(cluster).run(|proc| {
 ///     let world = proc.world();
 ///     proc.compute(100.0); // 1 s on "a", 2 s on "b" (virtual time)
-///     world.allreduce_one_i64(world.rank() as i64, ReduceOp::Sum).unwrap()
+///     world.allreduce_eq_i64(&[world.rank() as i64], ReduceOp::Sum).unwrap()[0]
 /// });
 /// assert_eq!(report.results, vec![1, 1]);
 /// assert!(report.makespan.as_secs() >= 2.0);
@@ -339,11 +339,6 @@ impl Universe {
         Universe::with_config(Arc::new(cluster), config)
     }
 
-    /// The installed tracer, if tracing is enabled.
-    pub fn tracer(&self) -> Option<&Arc<Tracer>> {
-        self.tracer.as_ref()
-    }
-
     /// Number of ranks.
     pub fn size(&self) -> usize {
         self.placement.len()
@@ -352,11 +347,6 @@ impl Universe {
     /// The cluster the ranks run on.
     pub fn cluster(&self) -> &Arc<Cluster> {
         &self.cluster
-    }
-
-    /// The placement vector.
-    pub fn placement(&self) -> &[NodeId] {
-        &self.placement
     }
 
     /// Runs `f` on every rank concurrently (one OS thread per rank) and
@@ -462,7 +452,6 @@ impl Universe {
             rank_times: clocks,
             makespan,
             trace: self.tracer.as_ref().map(|t| t.drain()),
-            predicted: None,
             pool: shared.pool.report(),
             plans: shared.plans.report(),
             wakeups: WakeupReport::sum(&shared.mailboxes),
@@ -482,11 +471,6 @@ pub struct RunReport<R> {
     /// The run's virtual-time trace, when the universe was built with
     /// [`UniverseConfig::tracing`].
     pub trace: Option<Trace>,
-    /// The `HMPI_Timeof` prediction for this run in virtual seconds, when
-    /// the driver obtained one. Filled in by callers (the simulator cannot
-    /// know what the planner predicted); compared against [`Self::makespan`]
-    /// by [`RunReport::prediction_report`].
-    pub predicted: Option<f64>,
     /// Snapshot of the rendezvous buffer arena after the run drained:
     /// [`PoolReport::outstanding`] must be zero (simcheck's leak
     /// invariant), and the reuse counters feed the throughput bench.
@@ -530,22 +514,6 @@ impl WakeupReport {
     }
 }
 
-impl<R> RunReport<R> {
-    /// Prediction-vs-actual accuracy report: the `timeof` prediction next
-    /// to the measured makespan, with the per-rank compute/comm/wait
-    /// breakdown. `None` unless both a prediction and a trace are present.
-    pub fn prediction_report(&self) -> Option<hetsim::PredictionReport> {
-        let predicted = self.predicted?;
-        let trace = self.trace.as_ref()?;
-        Some(hetsim::PredictionReport::new(
-            predicted,
-            self.makespan,
-            trace,
-            self.rank_times.len(),
-        ))
-    }
-}
-
 /// A rank's handle to the running universe. Not `Send`: it lives on its
 /// rank's thread.
 #[derive(Debug)]
@@ -568,12 +536,6 @@ impl Process {
     #[inline]
     pub fn world_rank(&self) -> usize {
         self.world_rank
-    }
-
-    /// Total number of ranks in the universe.
-    #[inline]
-    pub fn world_size(&self) -> usize {
-        self.shared.placement.len()
     }
 
     /// The cluster node hosting this rank.
@@ -678,11 +640,6 @@ impl Process {
         self.shared.liveness.of(world_rank) == RankState::Failed
     }
 
-    /// World ranks the failure detector has seen fail-stop, in rank order.
-    pub fn failed_ranks(&self) -> Vec<usize> {
-        (0..self.world_size()).filter(|&w| self.rank_failed(w)).collect()
-    }
-
     /// The world communicator (`MPI_COMM_WORLD`). Context ids 0/1.
     pub fn world(&self) -> Comm {
         Comm::world(self.world_rank, self.shared.clone(), self.clock.clone())
@@ -707,7 +664,7 @@ mod tests {
     #[test]
     fn ranks_see_their_identity() {
         let u = Universe::new(tiny_cluster());
-        let report = u.run(|p| (p.world_rank(), p.world_size(), p.node().index()));
+        let report = u.run(|p| (p.world_rank(), p.world().size(), p.node().index()));
         assert_eq!(report.results, vec![(0, 3, 0), (1, 3, 1), (2, 3, 2)]);
     }
 
@@ -755,8 +712,6 @@ mod tests {
         let u = Universe::new(tiny_cluster());
         let report = u.run(|p| p.compute(10.0));
         assert!(report.trace.is_none());
-        assert!(report.predicted.is_none());
-        assert!(report.prediction_report().is_none());
     }
 
     #[test]
@@ -787,16 +742,6 @@ mod tests {
         let json = trace.to_chrome_json();
         assert!(json.contains("\"cat\":\"send\""));
         assert!(json.contains("\"cat\":\"recv\""));
-    }
-
-    #[test]
-    fn prediction_report_compares_against_makespan() {
-        let u = Universe::with_config(tiny_cluster(), UniverseConfig::new().tracing(true));
-        let mut report = u.run(|p| p.compute(100.0));
-        report.predicted = Some(report.makespan.as_secs() * 1.1);
-        let pr = report.prediction_report().expect("trace and prediction");
-        assert!((pr.error_pct() - 10.0).abs() < 1e-9);
-        assert_eq!(pr.phases.len(), 3);
     }
 
     #[test]

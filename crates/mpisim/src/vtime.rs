@@ -29,7 +29,7 @@
 //! latency/bandwidth/speed abstraction the HMPI runtime itself plans with,
 //! which is the fidelity level the paper's experiments exercise.
 
-pub use hetsim::{NetFrontier, WireRes, WireXfer};
+pub(crate) use hetsim::{NetFrontier, WireXfer};
 use hetsim::SimTime;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -37,11 +37,11 @@ use std::rc::Rc;
 /// Width of one arbitration quantum in seconds: virtual instants within the
 /// same nanosecond count as simultaneous, and simultaneous grants are
 /// ordered by `(world_rank, seq)` instead of sub-quantum noise.
-pub const GRANT_QUANTUM: f64 = 1e-9;
+const GRANT_QUANTUM: f64 = 1e-9;
 
 /// The arbitration quantum containing virtual time `t`.
 #[inline]
-pub fn quantum_of(t: SimTime) -> u64 {
+pub(crate) fn quantum_of(t: SimTime) -> u64 {
     (t.as_secs() / GRANT_QUANTUM).round() as u64
 }
 
@@ -56,7 +56,7 @@ pub struct LocalClock {
 
 impl LocalClock {
     /// A clock starting at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LocalClock {
             now: Rc::new(Cell::new(SimTime::ZERO)),
         }
@@ -77,7 +77,7 @@ impl LocalClock {
     /// Moves the clock forward to `t` if `t` is later (receiving a message
     /// stamped with its arrival time).
     #[inline]
-    pub fn merge(&self, t: SimTime) {
+    pub(crate) fn merge(&self, t: SimTime) {
         if t > self.now.get() {
             self.now.set(t);
         }
@@ -88,12 +88,6 @@ impl LocalClock {
     #[inline]
     pub fn set(&self, t: SimTime) {
         self.now.set(t);
-    }
-}
-
-impl Default for LocalClock {
-    fn default() -> Self {
-        LocalClock::new()
     }
 }
 

@@ -35,16 +35,6 @@ fn bcast_from_every_root() {
 }
 
 #[test]
-fn bcast_one_scalar() {
-    let u = Universe::new(cluster(4));
-    let report = u.run(|p| {
-        let world = p.world();
-        world.bcast_one(world.rank() as i64 + 100, 2).unwrap()
-    });
-    assert_eq!(report.results, vec![102; 4]);
-}
-
-#[test]
 fn gather_collects_in_rank_order_with_ragged_sizes() {
     let u = Universe::new(cluster(4));
     let report = u.run(|p| {
@@ -59,37 +49,6 @@ fn gather_collects_in_rank_order_with_ragged_sizes() {
     for (r, part) in at_root.iter().enumerate() {
         assert_eq!(part, &(0..=r as i64).collect::<Vec<_>>());
     }
-}
-
-#[test]
-fn gather_flat_requires_equal_counts() {
-    let u = Universe::new(cluster(3));
-    let report = u.run(|p| {
-        let world = p.world();
-        let contrib = [world.rank() as f64; 2];
-        world.gather_flat(&contrib, 0).unwrap()
-    });
-    assert_eq!(
-        report.results[0].as_ref().unwrap(),
-        &vec![0.0, 0.0, 1.0, 1.0, 2.0, 2.0]
-    );
-}
-
-#[test]
-fn scatter_distributes_parts() {
-    let u = Universe::new(cluster(3));
-    let report = u.run(|p| {
-        let world = p.world();
-        let parts: Option<Vec<Vec<i64>>> = if world.rank() == 0 {
-            Some(vec![vec![0], vec![10, 11], vec![20, 21, 22]])
-        } else {
-            None
-        };
-        world.scatter(parts.as_deref(), 0).unwrap()
-    });
-    assert_eq!(report.results[0], vec![0]);
-    assert_eq!(report.results[1], vec![10, 11]);
-    assert_eq!(report.results[2], vec![20, 21, 22]);
 }
 
 #[test]
@@ -108,74 +67,18 @@ fn allgather_everyone_sees_everything() {
 }
 
 #[test]
-fn alltoall_transposes() {
-    let n = 4;
-    let u = Universe::new(cluster(n));
-    let report = u.run(move |p| {
-        let world = p.world();
-        let me = world.rank() as i64;
-        let sends: Vec<Vec<i64>> = (0..n as i64).map(|dst| vec![me * 100 + dst]).collect();
-        world.alltoall(&sends).unwrap()
-    });
-    for (me, recvd) in report.results.iter().enumerate() {
-        for (src, part) in recvd.iter().enumerate() {
-            assert_eq!(part, &vec![(src * 100 + me) as i64]);
-        }
-    }
-}
-
-#[test]
-fn reduce_sum_and_max_at_root() {
-    let n = 7;
-    let u = Universe::new(cluster(n));
-    let report = u.run(move |p| {
-        let world = p.world();
-        let me = world.rank() as f64;
-        let sum = world.reduce_f64(&[me, 1.0], ReduceOp::Sum, 3).unwrap();
-        let max = world.reduce_one_f64(me, ReduceOp::Max, 3).unwrap();
-        (sum, max)
-    });
-    for (r, (sum, max)) in report.results.iter().enumerate() {
-        if r == 3 {
-            let expect: f64 = (0..n as i64).map(|x| x as f64).sum();
-            assert_eq!(sum.as_ref().unwrap(), &vec![expect, n as f64]);
-            assert_eq!(max.unwrap(), (n - 1) as f64);
-        } else {
-            assert!(sum.is_none());
-            assert!(max.is_none());
-        }
-    }
-}
-
-#[test]
 fn allreduce_min_prod() {
     let u = Universe::new(cluster(5));
     let report = u.run(|p| {
         let world = p.world();
         let me = world.rank() as i64 + 1;
-        let min = world.allreduce_one_i64(me, ReduceOp::Min).unwrap();
-        let prod = world.allreduce_one_i64(me, ReduceOp::Prod).unwrap();
+        let min = world.allreduce_eq_i64(&[me], ReduceOp::Min).unwrap()[0];
+        let prod = world.allreduce_eq_i64(&[me], ReduceOp::Prod).unwrap()[0];
         (min, prod)
     });
     for (min, prod) in report.results {
         assert_eq!(min, 1);
         assert_eq!(prod, 120); // 5!
-    }
-}
-
-#[test]
-fn scan_inclusive_prefix() {
-    let n = 6;
-    let u = Universe::new(cluster(n));
-    let report = u.run(|p| {
-        let world = p.world();
-        let me = world.rank() as i64;
-        world.scan_i64(&[me], ReduceOp::Sum).unwrap()[0]
-    });
-    let mut prefix = 0;
-    for (r, got) in report.results.iter().enumerate() {
-        prefix += r as i64;
-        assert_eq!(*got, prefix);
     }
 }
 
@@ -208,8 +111,8 @@ fn collectives_compose_back_to_back() {
     let u = Universe::new(cluster(4));
     let report = u.run(|p| {
         let world = p.world();
-        let a = world.allreduce_one_i64(1, ReduceOp::Sum).unwrap();
-        let b = world.allreduce_one_i64(10, ReduceOp::Sum).unwrap();
+        let a = world.allreduce_eq_i64(&[1], ReduceOp::Sum).unwrap()[0];
+        let b = world.allreduce_eq_i64(&[10], ReduceOp::Sum).unwrap()[0];
         let mut v = vec![world.rank() as i64];
         world.bcast(&mut v, 0).unwrap();
         (a, b, v[0])
@@ -228,70 +131,8 @@ fn single_rank_collectives_are_identity() {
         let mut v = vec![1.5f64];
         world.bcast(&mut v, 0).unwrap();
         let g = world.gather(&v, 0).unwrap().unwrap();
-        let ar = world.allreduce_one_f64(2.0, ReduceOp::Sum).unwrap();
+        let ar = world.allreduce_eq_f64(&[2.0], ReduceOp::Sum).unwrap()[0];
         (v[0], g.len(), ar)
     });
     assert_eq!(report.results[0], (1.5, 1, 2.0));
-}
-
-#[test]
-fn exscan_exclusive_prefix() {
-    let n = 5;
-    let u = Universe::new(cluster(n));
-    let report = u.run(|p| {
-        let world = p.world();
-        let me = world.rank() as i64;
-        world.exscan_i64(&[me + 1], ReduceOp::Sum).unwrap()[0]
-    });
-    // Rank i gets sum of (1..=i) (exclusive of its own i+1).
-    let mut acc = 0;
-    for (r, got) in report.results.iter().enumerate() {
-        assert_eq!(*got, acc, "rank {r}");
-        acc += r as i64 + 1;
-    }
-}
-
-#[test]
-fn exscan_rank_zero_gets_identity() {
-    let u = Universe::new(cluster(3));
-    let report = u.run(|p| {
-        let world = p.world();
-        let prod = world.exscan_f64(&[2.0], ReduceOp::Prod).unwrap()[0];
-        let min = world.exscan_f64(&[world.rank() as f64], ReduceOp::Min).unwrap()[0];
-        (prod, min)
-    });
-    assert_eq!(report.results[0].0, 1.0); // Prod identity
-    assert_eq!(report.results[0].1, f64::INFINITY); // Min identity
-    assert_eq!(report.results[2].0, 4.0); // 2*2 from ranks 0,1
-}
-
-#[test]
-fn reduce_scatter_block_distributes_reduction() {
-    let n = 4;
-    let block = 2;
-    let u = Universe::new(cluster(n));
-    let report = u.run(move |p| {
-        let world = p.world();
-        // Every rank contributes [rank; 8]; the sum is [0+1+2+3; 8] = [6; 8];
-        // rank i receives elements [2i, 2i+1].
-        let contrib = vec![world.rank() as i64; n * block];
-        world
-            .reduce_scatter_block_i64(&contrib, block, ReduceOp::Sum)
-            .unwrap()
-    });
-    for r in report.results {
-        assert_eq!(r, vec![6, 6]);
-    }
-}
-
-#[test]
-fn reduce_scatter_block_rejects_wrong_length() {
-    let u = Universe::new(cluster(2));
-    u.run(|p| {
-        let world = p.world();
-        let err = world
-            .reduce_scatter_block_f64(&[1.0; 3], 2, ReduceOp::Sum)
-            .unwrap_err();
-        assert!(matches!(err, mpisim::MpiError::InvalidCounts(_)));
-    });
 }

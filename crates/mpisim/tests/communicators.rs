@@ -42,9 +42,7 @@ fn split_by_parity() {
         let color = (me % 2) as i32;
         let sub = world.split(Some(color), 0).unwrap().unwrap();
         // Sum the world ranks within each parity class.
-        let sum = sub
-            .allreduce_one_i64(me as i64, ReduceOp::Sum)
-            .unwrap();
+        let sum = sub.allreduce_eq_i64(&[me as i64], ReduceOp::Sum).unwrap()[0];
         (sub.rank(), sub.size(), sum)
     });
     // Evens: 0,2,4,6 (4 ranks, sum 12); odds: 1,3,5 (3 ranks, sum 9).
@@ -114,13 +112,13 @@ fn create_from_group_subset() {
     let u = Universe::new(cluster(n));
     let report = u.run(move |p| {
         let world = p.world();
-        let group = world.group().incl(&[1, 3, 5]).unwrap();
+        let group = Group::from_world_ranks(vec![1, 3, 5]).unwrap();
         let sub = world.create(&group).unwrap();
         match sub {
             Some(c) => {
                 let sum = c
-                    .allreduce_one_i64(world.rank() as i64, ReduceOp::Sum)
-                    .unwrap();
+                    .allreduce_eq_i64(&[world.rank() as i64], ReduceOp::Sum)
+                    .unwrap()[0];
                 Some((c.rank(), c.size(), sum))
             }
             None => None,
@@ -159,8 +157,8 @@ fn nested_splits() {
         let me = world.rank();
         let row = world.split(Some((me / 2) as i32), 0).unwrap().unwrap();
         let col = world.split(Some((me % 2) as i32), 0).unwrap().unwrap();
-        let row_sum = row.allreduce_one_i64(me as i64, ReduceOp::Sum).unwrap();
-        let col_sum = col.allreduce_one_i64(me as i64, ReduceOp::Sum).unwrap();
+        let row_sum = row.allreduce_eq_i64(&[me as i64], ReduceOp::Sum).unwrap()[0];
+        let col_sum = col.allreduce_eq_i64(&[me as i64], ReduceOp::Sum).unwrap()[0];
         (row_sum, col_sum)
     });
     assert_eq!(report.results[0], (1, 2)); // row {0,1}, col {0,2}

@@ -6,7 +6,8 @@
 //! and it never silently succeeds.
 
 use hetsim::{ClusterBuilder, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime};
-use mpisim::{MpiError, ReduceOp, Universe};
+use mpisim::{CollectiveKind, CollectivePolicy, MpiError, ReduceOp, Universe};
+use perfmodel::collective::fault_impact;
 use std::sync::Arc;
 
 fn t(s: f64) -> SimTime {
@@ -216,30 +217,38 @@ fn deadline_recv_on_dead_peer_reports_the_death_not_the_timeout() {
 #[test]
 fn collective_propagates_failure_to_all_participants() {
     // 4 ranks allreduce in a loop; node 2 dies at t=2.5. Every survivor's
-    // collective must surface an error — nobody hangs.
+    // collective must surface exactly the error the schedule's offline
+    // fault replay predicts — nobody hangs, nobody guesses.
     let plan = FaultPlan::none().with(FaultEvent::NodeCrash {
         node: NodeId(2),
         at: t(2.5),
     });
     let report = cluster_with(4, plan).pipe(Universe::new).run(|p| {
         let world = p.world();
+        let sched = world
+            .collective_plan(CollectiveKind::Allreduce, CollectivePolicy::Auto, 0, 1, 8)
+            .unwrap();
         for round in 0..4 {
-            if p.try_compute(100.0).is_err() {
-                return Err(round);
+            if let Err(e) = p.try_compute(100.0) {
+                return (Err((round, e)), sched);
             }
-            if world.allreduce_one_i64(1, ReduceOp::Sum).is_err() {
-                return Err(round);
+            if let Err(e) = world.allreduce_eq_i64(&[1], ReduceOp::Sum) {
+                return (Err((round, e)), sched);
             }
         }
-        Ok(())
+        (Ok(()), sched)
     });
-    // Rank 2 dies during round 2's compute (t goes 2 -> 3 across 2.5);
-    // everyone else errors out of a collective that round or the next.
-    for (rank, res) in report.results.iter().enumerate() {
-        assert!(
-            res.is_err(),
-            "rank {rank} should have observed the failure, got {res:?}"
-        );
+    // Rank 2 dies during round 2's compute (t goes 2 -> 3 across 2.5), so
+    // round 2's allreduce starts after the crash on every survivor.
+    let sched = &report.results[0].1;
+    let blame = fault_impact(&sched.rounds, 4, &[2]);
+    assert_eq!(blame[2], Some(2));
+    for (rank, (res, _)) in report.results.iter().enumerate() {
+        let expect = match blame[rank] {
+            Some(b) => Err((2, MpiError::NodeFailed { world_rank: b })),
+            None => Ok(()),
+        };
+        assert_eq!(res, &expect, "rank {rank} under {:?}", sched.algo);
     }
 }
 

@@ -183,27 +183,6 @@ fn iprobe_nonblocking() {
 }
 
 #[test]
-fn irecv_wait_and_test() {
-    let u = Universe::new(cluster(2));
-    u.run(|p| {
-        let world = p.world();
-        if world.rank() == 0 {
-            world.send(&[5i64], 1, 3).unwrap();
-        } else {
-            let mut req = world.irecv(Some(0), Some(3)).unwrap();
-            // Spin on test until it completes (the send is eager so this
-            // terminates promptly).
-            while !req.test(&world) {
-                std::thread::yield_now();
-            }
-            let (v, st) = req.wait::<i64>(&world).unwrap();
-            assert_eq!(v, vec![5]);
-            assert_eq!(st.source, 0);
-        }
-    });
-}
-
-#[test]
 fn virtual_time_message_costs_propagate() {
     // 1 ms latency, 1 MB/s: an 8000-byte message (1000 f64) costs
     // 1e-3 + 8e-3 = 9 ms on the wire.
@@ -253,47 +232,4 @@ fn self_send_is_free_and_matches() {
     });
     assert_eq!(report.results[0].0, 7);
     assert_eq!(report.results[0].1, 0.0);
-}
-
-#[test]
-fn wait_all_completes_in_request_order() {
-    let u = Universe::new(cluster(3));
-    u.run(|p| {
-        let world = p.world();
-        if world.rank() == 0 {
-            let reqs = vec![
-                world.irecv(Some(1), Some(0)).unwrap(),
-                world.irecv(Some(2), Some(0)).unwrap(),
-            ];
-            let done = mpisim::wait_all::<i64>(reqs, &world).unwrap();
-            assert_eq!(done[0].0, vec![10]);
-            assert_eq!(done[1].0, vec![20]);
-        } else {
-            let v = world.rank() as i64 * 10;
-            world.send(&[v], 0, 0).unwrap();
-        }
-    });
-}
-
-#[test]
-fn wait_any_returns_a_completed_request() {
-    let u = Universe::new(cluster(3));
-    u.run(|p| {
-        let world = p.world();
-        if world.rank() == 0 {
-            let reqs = vec![
-                world.irecv(Some(1), Some(7)).unwrap(),
-                world.irecv(Some(2), Some(7)).unwrap(),
-            ];
-            let (idx, data, st, rest) = mpisim::wait_any::<i64>(reqs, &world).unwrap();
-            assert_eq!(rest.len(), 1);
-            assert_eq!(data[0] as usize, st.source * 100);
-            // Drain the remaining request too.
-            let done = mpisim::wait_all::<i64>(rest, &world).unwrap();
-            assert_eq!(done.len(), 1);
-            let _ = idx;
-        } else {
-            world.send(&[world.rank() as i64 * 100], 0, 7).unwrap();
-        }
-    });
 }

@@ -74,7 +74,7 @@ impl RankTopology {
     /// Recovers hierarchy coordinates from the pair table alone: ranks
     /// sharing a [`PairCost::node_of`] host share a node; sites are the
     /// components left after cutting every pair whose round-trip-symmetric
-    /// latency sits above the largest multiplicative gap (≥ [`GAP`]×) in
+    /// latency sits above the largest multiplicative gap (≥ `GAP`×) in
     /// the sorted latency scale; switches repeat the cut once within each
     /// site. With no such gap every rank shares site 0 / switch 0 — a flat
     /// network stays flat.

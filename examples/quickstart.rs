@@ -82,8 +82,8 @@ fn main() {
         let sum = if let Some(comm) = group.comm() {
             // Control is handed over to MPI: a normal collective.
             let s = comm
-                .allreduce_one_i64(h.rank() as i64, ReduceOp::Sum)
-                .expect("allreduce");
+                .allreduce_eq_i64(&[h.rank() as i64], ReduceOp::Sum)
+                .expect("allreduce")[0];
             Some(s)
         } else {
             None

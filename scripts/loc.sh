@@ -1,6 +1,7 @@
 #!/bin/sh
 # Code lines per crate, per dependency shim, for the collective engine's four
-# files, for the five files of mpisim's transport (wait loop, mailbox,
+# files, for mpisim's legacy collective plane (which the engine port drives to
+# zero), for the five files of mpisim's transport (wait loop, mailbox,
 # quiescence, runtime, lanes) and for hmpi's selection search, compiled
 # objective and runtime:
 # lines that are neither blank nor `//` comments, up to each file's
@@ -17,7 +18,7 @@ count() {
 }
 for path in crates/*/src crates/compat/*/src crates/mpisim/src/engine.rs crates/mpisim/src/plan.rs \
             crates/perfmodel/src/collective.rs crates/perfmodel/src/hier.rs \
-            crates/mpisim/src/comm.rs crates/mpisim/src/p2p.rs \
+            crates/mpisim/src/collective.rs crates/mpisim/src/comm.rs crates/mpisim/src/p2p.rs \
             crates/mpisim/src/quiesce.rs crates/mpisim/src/runtime.rs \
             crates/mpisim/src/lane.rs \
             crates/hmpi/src/mapping.rs crates/hmpi/src/engine.rs \
