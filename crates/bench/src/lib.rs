@@ -17,11 +17,11 @@
 //!   EM3D under seeded random fail-stop crashes, virtual time and surviving
 //!   group size versus the injected per-node failure rate;
 //! * [`selection`] — the selection-engine microbenchmark (beyond the
-//!   paper): compiled-evaluator and incremental-probe throughput vs the
-//!   interpreter (`predicted_time`), and end-to-end `select_mapping` wall
-//!   times and evaluation counts, gated on the interpreter pricing every
-//!   chosen mapping to the reported bits and on `Exhaustive` never being
-//!   beaten (`BENCH_selection.json`);
+//!   paper): reused-evaluator and incremental-probe throughput vs a cold
+//!   evaluator per call, and end-to-end `select_mapping` wall times and
+//!   evaluation counts, gated on a cold evaluator pricing every chosen
+//!   mapping to the reported bits and on `Exhaustive` never being beaten
+//!   (`BENCH_selection.json`);
 //! * [`deadlock`] — the robustness benchmark (beyond the paper): seeded
 //!   wedges (receive cycles, crash-orphaned waits) measured from launch to
 //!   every rank holding its typed verdict, gating the quiescence detector's

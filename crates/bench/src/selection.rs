@@ -1,17 +1,18 @@
-//! Selection-engine benchmark: compiled evaluator vs the interpreter.
+//! Selection-engine benchmark: a reused evaluator vs a cold one per call.
 //!
 //! Measures, on the paper's 9-workstation LAN with a 16-abstract-processor
 //! ring model written in the modelling language:
 //!
-//! * **objective throughput** — full evaluations per second through the
-//!   interpreter ([`hmpi::predicted_time`]: `build_cost_model` plus scheme
-//!   AST re-interpretation per call) vs the engine
+//! * **objective throughput** — full evaluations per second through a cold
+//!   evaluator per call (the "naive" rate: [`hmpi::Evaluator::new`]
+//!   re-records the scheme and rebuilds the node tables, then one
+//!   [`hmpi::Evaluator::eval`]) vs one reused evaluator
 //!   ([`hmpi::Evaluator::eval`], recorded cost program and table lookups)
 //!   vs incremental probes ([`hmpi::Evaluator::probe`], re-pricing only
 //!   segments touched by the move);
 //! * **end-to-end search wall time** — `select_mapping` per
-//!   [`MappingAlgorithm`], with its evaluation counts, gated on the
-//!   interpreter pricing the chosen assignment to the same bits and on
+//!   [`MappingAlgorithm`], with its evaluation counts, gated on a cold
+//!   evaluator pricing the chosen assignment to the same bits and on
 //!   `Exhaustive` being no worse than any other algorithm's pick.
 //!
 //! `figures -- selection` renders the table; the non-`--quick` run also
@@ -19,7 +20,7 @@
 
 use crate::report::{Report, Value};
 use hetsim::{NodeId, SpeedEstimates};
-use hmpi::{predicted_time, select_mapping, Evaluator, MappingAlgorithm, SelectionCtx};
+use hmpi::{select_mapping, Evaluator, MappingAlgorithm, SelectionCtx};
 use perfmodel::{CompiledModel, ModelInstance, ParamValue};
 use std::time::Instant;
 
@@ -169,8 +170,7 @@ pub fn run(quick: bool) -> Report {
         || {
             let a = &assignments[k % assignments.len()];
             k += 1;
-            sink += predicted_time(&model, a, &cluster, &placement, &estimates)
-                .unwrap_or(f64::INFINITY);
+            sink += Evaluator::new(&model, &ctx).eval(a);
         },
         naive_calls,
     );
@@ -213,8 +213,7 @@ pub fn run(quick: bool) -> Report {
         || {
             let a = &assignments[k % assignments.len()];
             k += 1;
-            sink += predicted_time(&pairs, a, &cluster, &placement, &estimates)
-                .unwrap_or(f64::INFINITY);
+            sink += Evaluator::new(&pairs, &ctx).eval(a);
         },
         naive_calls,
     );
@@ -258,16 +257,9 @@ pub fn run(quick: bool) -> Report {
         let t0 = Instant::now();
         let chosen = select_mapping(algo, model_ref, &ctx).expect("feasible search");
         let engine_ms = t0.elapsed().as_secs_f64() * 1e3;
-        // The interpreter must price the chosen assignment to the bits the
+        // A cold evaluator must price the chosen assignment to the bits the
         // search reported, and no algorithm may beat the exact search.
-        let reference = predicted_time(
-            model_ref,
-            &chosen.assignment,
-            &cluster,
-            &placement,
-            &estimates,
-        )
-        .unwrap_or(f64::INFINITY);
+        let reference = Evaluator::new(model_ref, &ctx).eval(&chosen.assignment);
         let mut identical = chosen.predicted.to_bits() == reference.to_bits();
         if algo == MappingAlgorithm::Exhaustive {
             identical &= [MappingAlgorithm::Greedy, refined, annealing]
@@ -288,8 +280,8 @@ pub fn run(quick: bool) -> Report {
         ]);
     }
 
-    // Rates are evaluations per second; every speedup is over the
-    // interpreter on the same model. The ring's `par` blocks touch
+    // Rates are evaluations per second; every speedup is over a cold
+    // evaluator per call on the same model. The ring's `par` blocks touch
     // every processor, so its probes are the delta-evaluation *floor*; the
     // pairs model's sparse segments are what delta evaluation exploits.
     let rate = |s: f64| Value::Fixed(1.0 / s, 1);
@@ -323,7 +315,7 @@ pub fn run(quick: bool) -> Report {
     r.tables.push(("searches", searches));
     r.gate(
         all_identical,
-        "the interpreter prices every chosen mapping to the reported bits and Exhaustive is never beaten",
+        "a cold evaluator prices every chosen mapping to the reported bits and Exhaustive is never beaten",
     );
     r
 }
@@ -351,7 +343,7 @@ mod tests {
         assert!(number("eval_speedup") > 3.0, "engine eval speedup too low");
         assert!(
             number("probe_speedup") > 1.0,
-            "probes must still beat the interpreter"
+            "probes must still beat a cold evaluator"
         );
         assert!(
             number("pairs_probe_speedup") > 3.0,

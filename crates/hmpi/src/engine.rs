@@ -19,31 +19,32 @@
 //! *incremental* pricing: [`Evaluator::rebase`] records a baseline
 //! assignment with per-segment clock checkpoints, and [`Evaluator::probe`]
 //! prices an assignment differing on a few processors by re-executing only
-//! the affected segments (see [`perfmodel::compile`]). Delta pricing is
+//! the affected segments ([`CostProgram::price_delta`]). Delta pricing is
 //! exact by construction — the same floating-point operations on the same
 //! values as a full evaluation — so a probe is never re-priced in full:
 //! `tests/engine_equiv.rs` holds every probe of a random walk to the bits
-//! of the interpreter ([`crate::predicted_time`]), and a periodic full
-//! re-price could only hide a wrong delta rule on the probes between two
-//! of them.
+//! of a reference [`perfmodel::PerformanceModel::predict_time`] over a p×p
+//! cost model built from the cluster, and a periodic full re-price could
+//! only hide a wrong delta rule on the probes between two of them.
 //!
 //! A model whose scheme fails to evaluate at record time yields an
-//! evaluator pricing every assignment at `+inf` — what
-//! `predicted_time(..).unwrap_or(INFINITY)` reads; `select_mapping` then
-//! surfaces the typed [`crate::SelectError::Eval`] through its final
-//! feasibility check.
+//! evaluator pricing every assignment at `+inf`. The scheme never sees
+//! costs, so it fails on every assignment or on none: `select_mapping`
+//! reads the one recording's error and returns the typed
+//! [`crate::SelectError::Eval`] before searching.
 
 use crate::mapping::SelectionCtx;
 use hetsim::NodeId;
-use perfmodel::{CostProgram, DeltaBaseline, PairCost, PerformanceModel, PriceScratch};
+use perfmodel::{CostProgram, DeltaBaseline, EvalError, PairCost, PerformanceModel, PriceScratch};
 
 /// A reusable objective evaluator for one (model, selection context) pair:
 /// the recorded program and cost tables, plus the scratch one search
 /// prices with.
 #[derive(Debug)]
 pub struct Evaluator {
-    /// `None` when recording failed: every evaluation prices at `+inf`.
-    program: Option<CostProgram>,
+    /// The one recording of the model's scheme; when it failed, every
+    /// evaluation prices at `+inf`.
+    program: Result<CostProgram, EvalError>,
     p: usize,
     n_nodes: usize,
     lat: Vec<f64>,
@@ -101,7 +102,7 @@ impl Evaluator {
     /// cluster's node-pair cost tables and the current speed estimates.
     pub fn new(model: &dyn PerformanceModel, ctx: &SelectionCtx<'_>) -> Self {
         let p = model.num_processors();
-        let program = CostProgram::record(model).ok();
+        let program = CostProgram::record(model);
         let n_nodes = ctx.cluster.len();
         let mut lat = vec![0.0f64; n_nodes * n_nodes];
         let mut bw = vec![f64::INFINITY; n_nodes * n_nodes];
@@ -152,13 +153,12 @@ impl Evaluator {
         }
     }
 
-    /// Full evaluation of `assignment[abstract] = world rank`. Bit-identical
-    /// to [`crate::predicted_time`]`.unwrap_or(INFINITY)` under the same
-    /// estimates.
+    /// Full evaluation of `assignment[abstract] = world rank` under the
+    /// snapshotted estimates: the predicted execution time in seconds.
     pub fn eval(&mut self, assignment: &[usize]) -> f64 {
         self.evals += 1;
         self.load(assignment);
-        let Some(program) = &self.program else {
+        let Ok(program) = &self.program else {
             return f64::INFINITY;
         };
         program.price(&assign_cost!(self), &mut self.scratch)
@@ -171,7 +171,7 @@ impl Evaluator {
         self.load(assignment);
         self.base_assignment.clear();
         self.base_assignment.extend_from_slice(assignment);
-        let Some(program) = &self.program else {
+        let Ok(program) = &self.program else {
             return f64::INFINITY;
         };
         program.price_baseline(&assign_cost!(self), &mut self.scratch, &mut self.baseline)
@@ -195,13 +195,13 @@ impl Evaluator {
             self.place(i, assignment[i]);
         }
         let t = match &self.program {
-            Some(program) => program.price_delta(
+            Ok(program) => program.price_delta(
                 &assign_cost!(self),
                 &self.baseline,
                 changed,
                 &mut self.scratch,
             ),
-            None => f64::INFINITY,
+            Err(_) => f64::INFINITY,
         };
         for &i in changed {
             self.place(i, self.base_assignment[i]);
@@ -217,7 +217,12 @@ impl Evaluator {
         if !self.links_monotone {
             return None;
         }
-        self.program.as_ref()?.compute_units()
+        self.program.as_ref().ok()?.compute_units()
+    }
+
+    /// Why the scheme could not be recorded, if it could not.
+    pub(crate) fn recording_error(&self) -> Option<&EvalError> {
+        self.program.as_ref().err()
     }
 
     /// The snapshotted speed estimate for a world rank.
@@ -228,7 +233,7 @@ impl Evaluator {
     /// Number of flat cost ops in the recorded program (0 if recording
     /// failed) — diagnostics for the bench harness.
     pub fn num_ops(&self) -> usize {
-        self.program.as_ref().map_or(0, |p| p.num_ops())
+        self.program.as_ref().map_or(0, CostProgram::num_ops)
     }
 
     /// Full objective evaluations performed so far ([`Evaluator::eval`]
@@ -240,5 +245,106 @@ impl Evaluator {
     /// Incremental delta probes performed so far.
     pub(crate) fn probe_count(&self) -> u64 {
         self.probes
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hetsim::{Cluster, ClusterBuilder, Link, Protocol, SpeedEstimates};
+    use perfmodel::ModelBuilder;
+
+    fn cluster() -> Cluster {
+        ClusterBuilder::new()
+            .node("fast", 100.0)
+            .node("slow", 10.0)
+            .node("mid", 50.0)
+            .all_to_all(Link::new(1e-3, 1e6, Protocol::Tcp))
+            .build()
+    }
+
+    /// Prices `assignment` with a fresh evaluator over every world rank.
+    fn eval(
+        model: &dyn PerformanceModel,
+        assignment: &[usize],
+        cluster: &Cluster,
+        placement: &[NodeId],
+        estimates: &SpeedEstimates,
+    ) -> f64 {
+        let ctx = SelectionCtx {
+            cluster,
+            placement,
+            estimates,
+            candidates: (0..placement.len()).collect(),
+            pinned_parent: None,
+        };
+        Evaluator::new(model, &ctx).eval(assignment)
+    }
+
+    #[test]
+    fn eval_reflects_the_mapping() {
+        // One 1 MB transfer 0 -> 1, then 100 units on each processor: the
+        // speeds follow the assignment, the link costs 1 ms + 1 s.
+        let c = cluster();
+        let placement: Vec<NodeId> = c.node_ids().collect();
+        let est = SpeedEstimates::from_base_speeds(&c);
+        let model = ModelBuilder::new("t")
+            .processors(2)
+            .volumes(vec![100.0, 100.0])
+            .comm_fn(|s, _| if s == 0 { 1e6 } else { 0.0 })
+            .build()
+            .unwrap();
+        let slow_first = eval(&model, &[1, 0], &c, &placement, &est);
+        assert!((slow_first - (1e-3 + 10.0)).abs() < 1e-9, "{slow_first}");
+        let fast_first = eval(&model, &[0, 1], &c, &placement, &est);
+        assert!(
+            (fast_first - (1e-3 + 1.0 + 10.0)).abs() < 1e-9,
+            "{fast_first}"
+        );
+    }
+
+    #[test]
+    fn same_node_pairs_price_as_loopback() {
+        // Two ranks on one node: a gigabyte between them costs nothing.
+        let c = ClusterBuilder::new()
+            .processor(hetsim::Processor::new("smp", 50.0).with_slots(2))
+            .build();
+        let placement = vec![NodeId(0), NodeId(0)];
+        let est = SpeedEstimates::from_base_speeds(&c);
+        let model = ModelBuilder::new("t")
+            .processors(2)
+            .volumes(vec![50.0, 50.0])
+            .comm_fn(|_, _| 1e9)
+            .build()
+            .unwrap();
+        assert_eq!(eval(&model, &[0, 1], &c, &placement, &est), 1.0);
+    }
+
+    #[test]
+    fn eval_prefers_faster_nodes() {
+        let c = cluster();
+        let placement: Vec<NodeId> = c.node_ids().collect();
+        let est = SpeedEstimates::from_base_speeds(&c);
+        let model = ModelBuilder::new("t")
+            .processors(1)
+            .volumes(vec![100.0])
+            .build()
+            .unwrap();
+        assert_eq!(eval(&model, &[0], &c, &placement, &est), 1.0);
+        assert_eq!(eval(&model, &[1], &c, &placement, &est), 10.0);
+    }
+
+    #[test]
+    fn eval_uses_estimates_not_truth() {
+        let c = cluster();
+        let placement: Vec<NodeId> = c.node_ids().collect();
+        let est = SpeedEstimates::from_speeds(vec![1.0, 1000.0, 1.0]);
+        let model = ModelBuilder::new("t")
+            .processors(1)
+            .volumes(vec![100.0])
+            .build()
+            .unwrap();
+        // Under (wrong) estimates the "slow" node looks fastest.
+        assert_eq!(eval(&model, &[1], &c, &placement, &est), 0.1);
     }
 }

@@ -66,11 +66,6 @@ impl HmpiGroup {
         self.parent_abs
     }
 
-    /// World rank of the parent process.
-    pub fn parent_world_rank(&self) -> usize {
-        self.members[self.parent_abs]
-    }
-
     /// The predicted execution time the selection was optimised for.
     pub fn predicted_time(&self) -> f64 {
         self.predicted

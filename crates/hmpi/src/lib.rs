@@ -35,30 +35,26 @@
 //!
 //! The group-selection problem — map each *abstract processor* of the model
 //! onto a physical process so the predicted execution time is minimal — is
-//! solved in [`mapping`] (exhaustive search for small models, greedy
+//! solved by [`select_mapping`] (exhaustive search for small models, greedy
 //! load-balancing plus pairwise-swap local search in general, optional
-//! simulated annealing), against the cost model assembled in [`estimate`]
-//! from the current speed estimates (refreshed by `HMPI_Recon`) and the
-//! cluster's link parameters. There is one selection path: every search
-//! prices assignments through the selection [`engine`] — a compiled,
-//! allocation-free, incrementally-updatable objective evaluator
-//! ([`engine::Evaluator`]) — and the reference that evaluator is verified
-//! against is the objective itself, [`estimate::predicted_time`] (the
-//! scheme interpreter over a freshly built cost model), not a second copy
-//! of the searches.
+//! simulated annealing; see [`MappingAlgorithm`]). There is one selection
+//! path and one pricer: every search prices assignments through one
+//! [`Evaluator`], which records the model's scheme once as a
+//! [`perfmodel::CostProgram`] and prices it against the current speed
+//! estimates (refreshed by `HMPI_Recon`) and the cluster's link
+//! parameters — allocation-free, with exact incremental re-pricing for
+//! local-search moves.
 
 #![warn(missing_docs)]
 
-pub mod engine;
-pub mod estimate;
-pub mod group;
-pub mod mapping;
-pub mod recovery;
-pub mod runtime;
-pub mod spec;
+mod engine;
+mod group;
+mod mapping;
+mod recovery;
+mod runtime;
+mod spec;
 
 pub use engine::Evaluator;
-pub use estimate::{build_cost_model, predicted_time, EstimateError};
 pub use group::HmpiGroup;
 pub use mapping::{
     select_mapping, Mapping, MappingAlgorithm, SearchStats, SelectError, SelectionCtx,

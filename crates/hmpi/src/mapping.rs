@@ -28,15 +28,14 @@
 //! There is one selection path. Every search prices assignments through one
 //! [`Evaluator`] built once per call: the model's scheme recorded as a flat
 //! cost program, full evaluations for leaves and baselines, exact
-//! incremental probes for swap / replace moves. The reference it is held to
-//! is [`crate::estimate::predicted_time`] — the scheme interpreter over a
-//! freshly built cost model — whose bits every evaluation and every
-//! [`Mapping::predicted`] reproduce (`tests/engine_equiv.rs`). The search
-//! is sequential, so a [`Mapping`], its [`SearchStats`] included, is a pure
-//! function of `select_mapping`'s arguments.
+//! incremental probes for swap / replace moves. Every evaluation and every
+//! [`Mapping::predicted`] reproduce the bits of a reference price — the
+//! model pricer over a freshly built p×p cost model
+//! (`tests/engine_equiv.rs`). The search is sequential, so a [`Mapping`],
+//! its [`SearchStats`] included, is a pure function of `select_mapping`'s
+//! arguments.
 
 use crate::engine::Evaluator;
-use crate::estimate::predicted_time;
 use hetsim::{Cluster, NodeId, SpeedEstimates};
 use perfmodel::PerformanceModel;
 use rand::rngs::StdRng;
@@ -137,8 +136,8 @@ pub enum SelectError {
         /// The offending world rank.
         world_rank: usize,
     },
-    /// The model's scheme program failed to evaluate on every assignment
-    /// the search tried.
+    /// The model's scheme program failed to evaluate. The scheme never
+    /// sees costs, so it fails on every assignment or on none.
     Eval(
         /// The evaluation error, rendered.
         String,
@@ -174,8 +173,8 @@ impl std::error::Error for SelectError {}
 /// Selects the mapping minimising predicted execution time.
 ///
 /// # Errors
-/// [`SelectError`] on infeasible instances and on a candidate list that is
-/// not a set of placement ranks.
+/// [`SelectError`] on infeasible instances, on a candidate list that is
+/// not a set of placement ranks, and on a scheme that fails to evaluate.
 pub fn select_mapping(
     algo: MappingAlgorithm,
     model: &dyn PerformanceModel,
@@ -191,10 +190,10 @@ pub fn select_mapping(
         }
         other => other,
     };
-    // Evaluation failures price an assignment as infeasible rather than
-    // aborting the search; if the *chosen* assignment also fails, the typed
-    // error surfaces below.
     let mut ev = Evaluator::new(model, ctx);
+    if let Some(e) = ev.recording_error() {
+        return Err(SelectError::Eval(e.to_string()));
+    }
     let (assignment, predicted) = match algo {
         MappingAlgorithm::Greedy => {
             let a = greedy(model, ctx);
@@ -212,19 +211,6 @@ pub fn select_mapping(
             anneal(greedy(model, ctx), model, ctx, &mut ev, seed, iters)
         }
     };
-    if !predicted.is_finite() {
-        // Distinguish a genuine eval failure from a legitimately infinite
-        // prediction (e.g. an estimated speed of zero).
-        if let Err(e) = predicted_time(
-            model,
-            &assignment,
-            ctx.cluster,
-            ctx.placement,
-            ctx.estimates,
-        ) {
-            return Err(SelectError::Eval(e.to_string()));
-        }
-    }
     Ok(Mapping {
         assignment,
         predicted,
@@ -855,10 +841,37 @@ mod tests {
             MappingAlgorithm::Greedy,
             MappingAlgorithm::Exhaustive,
             MappingAlgorithm::default(),
+            MappingAlgorithm::Annealing { seed: 1, iters: 10 },
         ] {
-            let e = select_mapping(algo, &model, &ctx).unwrap_err();
-            assert!(matches!(e, SelectError::Eval(_)), "{algo:?}: {e}");
+            assert_eq!(
+                select_mapping(algo, &model, &ctx),
+                Err(SelectError::Eval("undefined name `boom`".into())),
+                "{algo:?}"
+            );
         }
+    }
+
+    #[test]
+    fn a_scheme_that_overflows_is_a_typed_error() {
+        // `x *= p` leaves i64 inside the scheme: a typed error from the
+        // recording, not a panic on the selecting rank.
+        let model = perfmodel::CompiledModel::compile(
+            "algorithm O(int p) { coord I=2; node {I>=0: bench*(1);}; parent[0];
+               scheme { int x; x = p; x *= p; }; }",
+        )
+        .unwrap()
+        .instantiate(&[perfmodel::ParamValue::Int(i64::MAX)])
+        .unwrap();
+        let c = hetero_cluster();
+        let placement: Vec<NodeId> = c.node_ids().collect();
+        let est = SpeedEstimates::from_base_speeds(&c);
+        let ctx = paper_like_ctx(&c, &placement, &est);
+        assert_eq!(
+            select_mapping(MappingAlgorithm::default(), &model, &ctx),
+            Err(SelectError::Eval(
+                "integer arithmetic overflowed 64 bits".into()
+            ))
+        );
     }
 
     fn search_models() -> [perfmodel::BuiltModel; 2] {
@@ -878,8 +891,10 @@ mod tests {
         ]
     }
 
+    /// Every search reports the bits a cold evaluator's full price gives
+    /// its assignment, whatever mix of probes and rebases found it.
     #[test]
-    fn every_algorithm_reports_the_interpreters_bits() {
+    fn every_algorithm_reports_the_references_bits() {
         let c = hetero_cluster();
         let placement: Vec<NodeId> = c.node_ids().collect();
         let est = SpeedEstimates::from_base_speeds(&c);
@@ -898,8 +913,7 @@ mod tests {
                     },
                 ] {
                     let m = select_mapping(algo, model, &ctx).unwrap();
-                    let reference =
-                        predicted_time(model, &m.assignment, &c, &placement, &est).unwrap();
+                    let reference = Evaluator::new(model, &ctx).eval(&m.assignment);
                     assert_eq!(
                         m.predicted.to_bits(),
                         reference.to_bits(),

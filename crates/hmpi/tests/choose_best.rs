@@ -20,7 +20,7 @@ fn cluster(speeds: &[f64], latency: f64, bandwidth: f64) -> Arc<hetsim::Cluster>
 /// communication, or sequential on one machine with none. On a fast
 /// network the parallel variant wins; on a slow network the sequential one
 /// does — `choose_best` must flip with the network.
-fn variants(total_work: f64, comm_bytes: f64, p: usize) -> Vec<perfmodel::builder::BuiltModel> {
+fn variants(total_work: f64, comm_bytes: f64, p: usize) -> Vec<perfmodel::BuiltModel> {
     let parallel = ModelBuilder::new("parallel")
         .processors(p)
         .volumes(vec![total_work / p as f64; p])

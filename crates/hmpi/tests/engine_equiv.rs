@@ -1,16 +1,16 @@
 //! Property tests: the selection engine (compiled program, table-backed
-//! pair costs, incremental delta probes) agrees with the naive
-//! interpreter path (`predicted_time` over a freshly built `CostModel`)
+//! pair costs, incremental delta probes) agrees with a reference price
+//! (`predict_time` over a p×p `CostModel` built straight from the cluster)
 //! on random models, clusters, and assignments — including pinned-parent
 //! instances and placements with several world ranks per node (loopback
-//! pairs) — and every search is held to that interpreter: each algorithm
+//! pairs) — and every search is held to that reference: each algorithm
 //! reports its bits, the branch-and-bound exhaustive search returns the
 //! exact mapping of a brute-force enumeration over it, a converged local
 //! search sits in a local optimum of it.
 
 use hetsim::{Cluster, ClusterBuilder, Link, NodeId, Protocol, SpeedEstimates};
-use hmpi::{predicted_time, select_mapping, Evaluator, MappingAlgorithm, SelectionCtx};
-use perfmodel::{ModelBuilder, PerformanceModel, SchemeSink};
+use hmpi::{select_mapping, Evaluator, MappingAlgorithm, SelectionCtx};
+use perfmodel::{CostModel, ModelBuilder, PerformanceModel, SchemeSink};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -151,13 +151,25 @@ fn gen_instance(rng: &mut StdRng) -> Instance {
     }
 }
 
-/// The reference objective: the scheme interpreter over a freshly built
-/// cost model, failures priced as infeasible.
-fn interpreter(model: &dyn PerformanceModel, a: &[usize], ctx: &SelectionCtx<'_>) -> f64 {
-    predicted_time(model, a, ctx.cluster, ctx.placement, ctx.estimates).unwrap_or(f64::INFINITY)
+/// The reference objective: `predict_time` over a p×p cost model built
+/// from the cluster's links and the speed estimates of the assigned nodes —
+/// independent of the evaluator's node tables, its loopback pairs and its
+/// delta rule. Failures price as infeasible.
+fn reference(model: &dyn PerformanceModel, a: &[usize], ctx: &SelectionCtx<'_>) -> f64 {
+    let nodes: Vec<NodeId> = a.iter().map(|&w| ctx.placement[w]).collect();
+    let pairs = |f: fn(&Link) -> f64| -> Vec<Vec<f64>> {
+        let row = |i| nodes.iter().map(|&j| f(ctx.cluster.link(i, j))).collect();
+        nodes.iter().map(|&i| row(i)).collect()
+    };
+    let cost = CostModel {
+        speeds: nodes.iter().map(|&n| ctx.estimates.speed(n)).collect(),
+        latency: pairs(|l| l.latency),
+        bandwidth: pairs(|l| l.bandwidth),
+    };
+    model.predict_time(&cost).unwrap_or(f64::INFINITY)
 }
 
-/// Brute force over the interpreter: every injective mapping (parent
+/// Brute force over the reference: every injective mapping (parent
 /// pinned) in lexicographic candidate order, first strict improver wins.
 fn brute_force(model: &dyn PerformanceModel, ctx: &SelectionCtx<'_>) -> (Vec<usize>, f64) {
     fn rec(
@@ -167,7 +179,7 @@ fn brute_force(model: &dyn PerformanceModel, ctx: &SelectionCtx<'_>) -> (Vec<usi
         best: &mut Option<(Vec<usize>, f64)>,
     ) {
         if a.len() == model.num_processors() {
-            let t = interpreter(model, a, ctx);
+            let t = reference(model, a, ctx);
             if best.as_ref().is_none_or(|(_, b)| t < *b) {
                 *best = Some((a.clone(), t));
             }
@@ -216,11 +228,11 @@ fn gen_assignment(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Full evaluation: `Evaluator::eval` is bit-identical to
-    /// `predicted_time(...).unwrap_or(INFINITY)` (well within the 1e-9
-    /// agreement the spec asks for) on random instances.
+    /// Full evaluation: `Evaluator::eval` is bit-identical to the reference
+    /// (well within the 1e-9 agreement the spec asks for) on random
+    /// instances.
     #[test]
-    fn engine_eval_matches_naive(seed in any::<u64>()) {
+    fn engine_eval_matches_reference(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let inst = gen_instance(&mut rng);
         let candidates: Vec<usize> = (0..inst.placement.len()).collect();
@@ -241,20 +253,18 @@ proptest! {
             let pin = pinned.map(|w| (inst.model.parent(), w));
             let a = gen_assignment(&mut rng, &candidates, inst.p, pin);
             let fast = ev.eval(&a);
-            let naive = predicted_time(
-                &inst.model, &a, &inst.cluster, &inst.placement, &inst.estimates,
-            ).unwrap_or(f64::INFINITY);
-            prop_assert_eq!(fast.to_bits(), naive.to_bits(), "assignment {:?}", a);
-            prop_assert!((fast - naive).abs() <= 1e-9 * naive.abs().max(1.0) || fast == naive);
+            let slow = reference(&inst.model, &a, &ctx);
+            prop_assert_eq!(fast.to_bits(), slow.to_bits(), "assignment {:?}", a);
+            prop_assert!((fast - slow).abs() <= 1e-9 * slow.abs().max(1.0) || fast == slow);
         }
     }
 
     /// Incremental probes: a random walk of swap/replace moves over a
-    /// rebased baseline prices every proposal bit-identically to the naive
-    /// path, including occasional accepted moves (rebase). No probe is
+    /// rebased baseline prices every proposal bit-identically to the
+    /// reference, including occasional accepted moves (rebase). No probe is
     /// re-priced in full, so every one of the 70 checks the delta rule.
     #[test]
-    fn engine_probe_matches_naive(seed in any::<u64>()) {
+    fn engine_probe_matches_reference(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let inst = gen_instance(&mut rng);
         let candidates: Vec<usize> = (0..inst.placement.len()).collect();
@@ -268,10 +278,7 @@ proptest! {
         let mut ev = Evaluator::new(&inst.model, &ctx);
         let mut current = gen_assignment(&mut rng, &candidates, inst.p, None);
         let mut base_t = ev.rebase(&current);
-        let naive_base = predicted_time(
-            &inst.model, &current, &inst.cluster, &inst.placement, &inst.estimates,
-        ).unwrap_or(f64::INFINITY);
-        prop_assert_eq!(base_t.to_bits(), naive_base.to_bits());
+        prop_assert_eq!(base_t.to_bits(), reference(&inst.model, &current, &ctx).to_bits());
 
         for _ in 0..70 {
             let mut proposal = current.clone();
@@ -292,26 +299,24 @@ proptest! {
                 continue;
             }
             let probed = ev.probe(&proposal, &changed);
-            let naive = predicted_time(
-                &inst.model, &proposal, &inst.cluster, &inst.placement, &inst.estimates,
-            ).unwrap_or(f64::INFINITY);
-            prop_assert_eq!(probed.to_bits(), naive.to_bits(), "changed {:?}", changed);
+            let slow = reference(&inst.model, &proposal, &ctx);
+            prop_assert_eq!(probed.to_bits(), slow.to_bits(), "changed {:?}", changed);
             if probed < base_t || rng.random_range(0..8) == 0 {
                 current = proposal;
                 base_t = ev.rebase(&current);
-                prop_assert_eq!(base_t.to_bits(), naive.to_bits());
+                prop_assert_eq!(base_t.to_bits(), slow.to_bits());
             }
         }
     }
 
-    /// End-to-end, every algorithm against the interpreter: the reported
-    /// time is the interpreter's price of the reported assignment, bit for
+    /// End-to-end, every algorithm against the reference: the reported
+    /// time is the reference price of the reported assignment, bit for
     /// bit; `Exhaustive` is the brute-force enumeration's answer and no
     /// other algorithm beats it; a converged local search admits no
     /// improving swap or replacement; annealing repeats itself per seed
     /// and never ends above its greedy start.
     #[test]
-    fn every_algorithm_is_held_to_the_interpreter(seed in any::<u64>()) {
+    fn every_algorithm_is_held_to_the_reference(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let inst = gen_instance(&mut rng);
         let candidates: Vec<usize> = (0..inst.placement.len()).collect();
@@ -345,7 +350,7 @@ proptest! {
             let m = select(algo);
             prop_assert_eq!(
                 m.predicted.to_bits(),
-                interpreter(&inst.model, &m.assignment, &ctx).to_bits(),
+                reference(&inst.model, &m.assignment, &ctx).to_bits(),
                 "algo {:?}", algo
             );
             prop_assert!(exact.predicted <= m.predicted, "algo {:?} beats Exhaustive", algo);
@@ -363,7 +368,7 @@ proptest! {
                 swapped.swap(i, j);
                 if pinned.is_none_or(|w| swapped[parent_abs] == w) {
                     prop_assert!(
-                        interpreter(&inst.model, &swapped, &ctx) >= local.predicted,
+                        reference(&inst.model, &swapped, &ctx) >= local.predicted,
                         "swap {} <-> {} improves a converged search", i, j
                     );
                 }
@@ -375,7 +380,7 @@ proptest! {
                 let mut replaced = local.assignment.clone();
                 replaced[i] = w;
                 prop_assert!(
-                    interpreter(&inst.model, &replaced, &ctx) >= local.predicted,
+                    reference(&inst.model, &replaced, &ctx) >= local.predicted,
                     "replacing {} with rank {} improves a converged search", i, w
                 );
             }
@@ -390,7 +395,7 @@ proptest! {
 /// Deterministic regression: on a *parsed* model (the paper's modelling
 /// language, EM3D-like dependence pattern) the branch-and-bound exhaustive
 /// search returns the mapping of the sequential enumeration over the
-/// interpreter, bit for bit, on a cluster with several ranks per node.
+/// reference, bit for bit, on a cluster with several ranks per node.
 #[test]
 fn parsed_model_exhaustive_bb_matches_sequential() {
     let src = r"

@@ -336,7 +336,8 @@ impl PerformanceModel for BuiltModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{CostModel, RecordingSink, SchemeEvent};
+    use crate::compile::CostModel;
+    use crate::scheme::{RecordingSink, SchemeEvent};
 
     #[test]
     fn builder_defaults() {

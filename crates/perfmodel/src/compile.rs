@@ -1,22 +1,26 @@
-//! Scheme compilation: lowering a model's event stream to a flat cost
-//! program.
+//! The model pricer: a model's event stream lowered once to a flat cost
+//! program, then priced per assignment.
 //!
-//! Every objective evaluation of the group-selection search used to re-walk
-//! the scheme AST through [`crate::scheme::run_scheme`]. But the event
-//! stream a model emits is *assignment-independent*: the scheme sees only
-//! the model's own parameters (volumes, communication volumes, coordinate
-//! space), never the speeds or link costs of the mapping being priced. So
-//! the stream can be recorded **once** per model and re-priced per mapping:
+//! The event stream a model emits is *assignment-independent*: the scheme
+//! sees only the model's own parameters (volumes, communication volumes,
+//! coordinate space), never the speeds or link costs of the mapping being
+//! priced. So the stream is recorded **once** per model and re-priced per
+//! mapping. This is the only code that turns a scheme into seconds:
+//! [`PerformanceModel::predict_time`], `HMPI_Timeof` and the
+//! group-selection search all price through it.
 //!
 //! * [`CostProgram::record`] replays the scheme into a recording sink that
 //!   prescales each activity by the model's volumes (`units = vol·pct/100`,
-//!   `bytes = comm·pct/100`) and drops the transfers [`TimelineSink`] would
-//!   ignore (`src == dst` or non-positive bytes), producing a flat op list;
+//!   `bytes = comm·pct/100`) and drops the transfers that cost nothing
+//!   (`src == dst` or non-positive bytes), producing a flat op list;
 //! * [`CostProgram::price`] replays the op list against a [`PairCost`]
-//!   (per-processor speeds, pairwise latency/bandwidth) with exactly the
-//!   [`TimelineSink`] clock arithmetic — the same floating-point operations
-//!   in the same order, so the result is bit-identical to interpreting the
-//!   scheme into a `TimelineSink`;
+//!   (per-processor speeds, pairwise latency/bandwidth). A computation
+//!   advances its processor's clock by `units / speed`. A transfer charges
+//!   the sender its latency and makes the receiver wait for arrival at
+//!   `start + latency + bytes / bandwidth` (mpisim's eager-send timing).
+//!   Every branch of a `par` block starts from the clocks at the block's
+//!   entry, and the block ends at their elementwise maximum. The makespan
+//!   is the largest clock;
 //! * [`CostProgram::price_baseline`] + [`CostProgram::price_delta`] support
 //!   incremental re-pricing: the program is split into top-level *segments*
 //!   (a single activity, or one complete top-level `par` block), each with
@@ -36,12 +40,10 @@
 //! non-negative latencies), `max_p U_p / speed_p` is an admissible lower
 //! bound on the makespan — the bound behind the branch-and-bound
 //! exhaustive search in `hmpi`.
-//!
-//! [`TimelineSink`]: crate::scheme::TimelineSink
 
 use crate::error::EvalError;
 use crate::model::PerformanceModel;
-use crate::scheme::{CostModel, SchemeSink};
+use crate::scheme::SchemeSink;
 
 /// Per-assignment costs a [`CostProgram`] is priced against: estimated
 /// speed of each abstract processor's host plus pairwise link costs.
@@ -65,6 +67,32 @@ pub trait PairCost {
     /// prices; executors with multi-rank nodes override it.
     fn node_of(&self, proc: usize) -> usize {
         proc
+    }
+}
+
+/// The plain p×p [`PairCost`]: per-processor speeds plus pairwise link
+/// costs, indexed by *abstract* processor (the caller maps them to
+/// physical machines before building it).
+#[derive(Debug, Clone)]
+pub struct CostModel {
+    /// Estimated speed of each abstract processor's host, in benchmark units
+    /// per second.
+    pub speeds: Vec<f64>,
+    /// One-way latency between hosts of each pair, seconds.
+    pub latency: Vec<Vec<f64>>,
+    /// Bandwidth between hosts of each pair, bytes/second.
+    pub bandwidth: Vec<Vec<f64>>,
+}
+
+impl CostModel {
+    /// A homogeneous cost model (testing convenience): `n` processors of
+    /// equal `speed`, all pairs with the same `latency`/`bandwidth`.
+    pub fn homogeneous(n: usize, speed: f64, latency: f64, bandwidth: f64) -> Self {
+        CostModel {
+            speeds: vec![speed; n],
+            latency: vec![vec![latency; n]; n],
+            bandwidth: vec![vec![bandwidth; n]; n],
+        }
     }
 }
 
@@ -125,8 +153,8 @@ pub struct CostProgram {
     units: Option<Vec<f64>>,
 }
 
-/// Recording sink: prescales activities and drops the transfers
-/// [`crate::scheme::TimelineSink`] would skip.
+/// Recording sink: prescales activities and drops the transfers that cost
+/// nothing.
 struct Recorder<'a> {
     volumes: &'a [f64],
     comm: &'a [Vec<f64>],
@@ -228,7 +256,7 @@ impl CostProgram {
     /// Propagates scheme evaluation errors from
     /// [`PerformanceModel::run_scheme`]; a program cannot be recorded for a
     /// model whose scheme does not evaluate.
-    pub fn record(model: &dyn PerformanceModel) -> Result<CostProgram, EvalError> {
+    pub fn record<M: PerformanceModel + ?Sized>(model: &M) -> Result<CostProgram, EvalError> {
         let n = model.num_processors();
         let mut rec = Recorder {
             volumes: model.volumes(),
@@ -245,8 +273,8 @@ impl CostProgram {
             segment_ops(&ops, blocks)
         } else {
             // Degenerate structure: a single segment touching everyone, so
-            // delta pricing falls back to full re-execution (and replays
-            // whatever panic TimelineSink itself would produce).
+            // delta pricing falls back to full re-execution (and panics
+            // where a full price does).
             vec![Segment {
                 start: 0,
                 end: ops.len(),
@@ -286,8 +314,10 @@ impl CostProgram {
     }
 
     /// Full evaluation: the makespan of the program under `cost`.
-    /// Bit-identical to interpreting the scheme into a
-    /// [`crate::scheme::TimelineSink`] built from the same costs.
+    ///
+    /// # Panics
+    /// Panics if `scratch` was sized for another processor count, or if the
+    /// recorded `par` structure is unbalanced.
     pub fn price<C: PairCost + ?Sized>(&self, cost: &C, scratch: &mut PriceScratch) -> f64 {
         assert_eq!(scratch.clocks.len(), self.n, "scratch sized for this program");
         let PriceScratch {
@@ -395,8 +425,8 @@ impl CostProgram {
     }
 }
 
-/// The core replay loop — exactly [`crate::scheme::TimelineSink`]'s clock
-/// arithmetic over prescaled ops, with the frame pool reused across calls.
+/// The core replay loop: the module's clock rules over prescaled ops, with
+/// the frame pool reused across calls.
 fn run_ops<C: PairCost + ?Sized>(
     ops: &[CostOp],
     cost: &C,
@@ -548,10 +578,6 @@ mod tests {
             .unwrap()
     }
 
-    fn naive_time(model: &dyn PerformanceModel, cost: &CostModel) -> f64 {
-        model.predict_time(cost).unwrap()
-    }
-
     fn hetero_cost(n: usize, seed: u64) -> CostModel {
         // Deterministic pseudo-random but fully reproducible costs.
         let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -576,15 +602,29 @@ mod tests {
     }
 
     #[test]
-    fn price_is_bit_identical_to_timeline_sink() {
+    fn price_matches_closed_form_em3d_makespans() {
+        // Volumes d/k = [10, 20, 30, 15]; the exchange par receives
+        // max(40, 24) B at 0, max(40, 56) at 1, max(56, 16) at 2 and
+        // max(24, 16) at 3, every transfer starting from zero. At 8 B/s
+        // and 0.5 s latency the exchange ends at [5.5, 7.5, 7.5, 3.5], and
+        // the compute par adds volume / speed on top.
         let inst = em3d_instance();
         let prog = CostProgram::record(&inst).unwrap();
         let mut scratch = PriceScratch::new(4);
-        for seed in 0..16 {
-            let cost = hetero_cost(4, seed);
-            let fast = prog.price(&cost, &mut scratch);
-            assert_eq!(fast.to_bits(), naive_time(&inst, &cost).to_bits());
-        }
+        let mut price = |cost: &CostModel| prog.price(cost, &mut scratch);
+
+        // Uniform speed 10: processor 2 ends at 7.5 + 30 / 10.
+        let uniform = CostModel::homogeneous(4, 10.0, 0.5, 8.0);
+        assert_eq!(price(&uniform), 10.5);
+        // Speeds matching the volumes: one second of compute each.
+        let mut matched = uniform.clone();
+        matched.speeds = vec![10.0, 20.0, 30.0, 15.0];
+        assert_eq!(price(&matched), 8.5);
+        // Latency alone: senders and receivers both finish the exchange at
+        // the latency, so the slowest compute follows it.
+        let latency = CostModel::homogeneous(4, 10.0, 100.0, f64::INFINITY);
+        assert_eq!(price(&latency), 103.0);
+        assert_eq!(inst.predict_time(&uniform).unwrap(), 10.5);
     }
 
     #[test]
@@ -645,9 +685,10 @@ mod tests {
         let inst = em3d_instance();
         let prog = CostProgram::record(&inst).unwrap();
         let units = prog.compute_units().unwrap().to_vec();
+        let mut scratch = PriceScratch::new(4);
         for seed in 0..8 {
             let cost = hetero_cost(4, seed);
-            let t = naive_time(&inst, &cost);
+            let t = prog.price(&cost, &mut scratch);
             let lb = units
                 .iter()
                 .zip(&cost.speeds)

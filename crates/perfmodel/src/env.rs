@@ -73,11 +73,6 @@ impl Env {
         *self.get_mut(name)? = value;
         Ok(())
     }
-
-    /// True if the name is bound in any scope.
-    pub fn is_bound(&self, name: &str) -> bool {
-        self.scopes.iter().rev().any(|s| s.contains_key(name))
-    }
 }
 
 #[cfg(test)]

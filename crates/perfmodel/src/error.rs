@@ -53,6 +53,9 @@ pub enum EvalError {
     },
     /// Division or modulo by zero in an integer context.
     DivisionByZero,
+    /// Integer arithmetic left the 64-bit range (`i64::MIN / -1`, a
+    /// product or sum too large, ...).
+    Overflow,
     /// Wrong number or shape of model parameters at instantiation.
     BadParameters(String),
     /// An extern function rejected its arguments.
@@ -80,6 +83,7 @@ impl fmt::Display for EvalError {
                 extent,
             } => write!(f, "index {index} out of bounds for `{name}` (extent {extent})"),
             EvalError::DivisionByZero => write!(f, "integer division by zero"),
+            EvalError::Overflow => write!(f, "integer arithmetic overflowed 64 bits"),
             EvalError::BadParameters(m) => write!(f, "bad model parameters: {m}"),
             EvalError::ExternError { name, message } => {
                 write!(f, "extern function `{name}`: {message}")

@@ -172,8 +172,9 @@ pub fn eval_value(env: &Env, externs: &Externs, e: &Expr) -> Result<Value, EvalE
 /// zero/nonzero.
 ///
 /// # Errors
-/// [`EvalError::DivisionByZero`], [`EvalError::Undefined`],
-/// [`EvalError::TypeError`], [`EvalError::IndexOutOfBounds`].
+/// [`EvalError::DivisionByZero`], [`EvalError::Overflow`],
+/// [`EvalError::Undefined`], [`EvalError::TypeError`],
+/// [`EvalError::IndexOutOfBounds`].
 pub fn eval_int(env: &Env, externs: &Externs, e: &Expr) -> Result<i64, EvalError> {
     match e {
         Expr::Int(n) => Ok(*n),
@@ -192,7 +193,9 @@ pub fn eval_int(env: &Env, externs: &Externs, e: &Expr) -> Result<i64, EvalError
             let arr = env.get(&name)?.as_array()?.clone();
             arr.get(&name, &idx)
         }
-        Expr::Unary(UnOp::Neg, x) => Ok(-eval_int(env, externs, x)?),
+        Expr::Unary(UnOp::Neg, x) => eval_int(env, externs, x)?
+            .checked_neg()
+            .ok_or(EvalError::Overflow),
         Expr::Unary(UnOp::Not, x) => Ok(i64::from(eval_int(env, externs, x)? == 0)),
         Expr::Binary(op, a, b) => {
             match op {
@@ -214,30 +217,24 @@ pub fn eval_int(env: &Env, externs: &Externs, e: &Expr) -> Result<i64, EvalError
             }
             let x = eval_int(env, externs, a)?;
             let y = eval_int(env, externs, b)?;
-            Ok(match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                BinOp::Div => {
-                    if y == 0 {
-                        return Err(EvalError::DivisionByZero);
-                    }
-                    x / y
-                }
-                BinOp::Rem => {
-                    if y == 0 {
-                        return Err(EvalError::DivisionByZero);
-                    }
-                    x % y
-                }
-                BinOp::Eq => i64::from(x == y),
-                BinOp::Ne => i64::from(x != y),
-                BinOp::Lt => i64::from(x < y),
-                BinOp::Gt => i64::from(x > y),
-                BinOp::Le => i64::from(x <= y),
-                BinOp::Ge => i64::from(x >= y),
+            if y == 0 && matches!(op, BinOp::Div | BinOp::Rem) {
+                return Err(EvalError::DivisionByZero);
+            }
+            match op {
+                BinOp::Add => x.checked_add(y),
+                BinOp::Sub => x.checked_sub(y),
+                BinOp::Mul => x.checked_mul(y),
+                BinOp::Div => x.checked_div(y),
+                BinOp::Rem => x.checked_rem(y),
+                BinOp::Eq => Some(i64::from(x == y)),
+                BinOp::Ne => Some(i64::from(x != y)),
+                BinOp::Lt => Some(i64::from(x < y)),
+                BinOp::Gt => Some(i64::from(x > y)),
+                BinOp::Le => Some(i64::from(x <= y)),
+                BinOp::Ge => Some(i64::from(x >= y)),
                 BinOp::And | BinOp::Or => unreachable!("handled above"),
-            })
+            }
+            .ok_or(EvalError::Overflow)
         }
         Expr::Call(name, args) => {
             let f = externs.get(name)?;
@@ -420,6 +417,21 @@ mod tests {
             eval_num(&env, &ex, &expr("1/z")),
             Err(EvalError::DivisionByZero)
         );
+    }
+
+    #[test]
+    fn integer_overflow_reported() {
+        let env = env_with(&[("lo", i64::MIN), ("hi", i64::MAX)]);
+        let ex = Externs::new();
+        for src in ["lo/(0-1)", "lo%(0-1)", "-lo", "hi*hi", "hi+1", "lo-1"] {
+            let got = eval_int(&env, &ex, &expr(src));
+            assert_eq!(got, Err(EvalError::Overflow), "{src}");
+        }
+        // Division by zero keeps its own error; in-range edges still work.
+        let by_zero = eval_int(&env, &ex, &expr("lo/0"));
+        assert_eq!(by_zero, Err(EvalError::DivisionByZero));
+        assert_eq!(eval_int(&env, &ex, &expr("lo/1")).unwrap(), i64::MIN);
+        assert_eq!(eval_int(&env, &ex, &expr("-hi")).unwrap(), -i64::MAX);
     }
 
     #[test]

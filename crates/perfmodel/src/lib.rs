@@ -9,27 +9,27 @@
 //!
 //! This crate is that pipeline, reimplemented in Rust:
 //!
-//! * [`lexer`] / [`parser`] — turn model source (the paper's Figures 4 and 7
-//!   parse verbatim) into an AST;
-//! * [`model::CompiledModel`] — the "set of functions": bind parameters with
-//!   [`model::CompiledModel::instantiate`] to obtain a
-//!   [`model::ModelInstance`] exposing per-processor computation volumes
-//!   ([`model::PerformanceModel::volumes`]), pairwise communication volumes
-//!   ([`model::PerformanceModel::comm_bytes`]), the parent, and a replayable
-//!   interaction pattern ([`model::PerformanceModel::run_scheme`]);
-//! * [`scheme`] — the `scheme { ... }` interpreter. Activities
+//! * [`parse_program`] — turns model source (the paper's Figures 4 and 7
+//!   parse verbatim) into an [`ast`];
+//! * [`CompiledModel`] — the "set of functions": bind parameters with
+//!   [`CompiledModel::instantiate`] to obtain a [`ModelInstance`] exposing
+//!   per-processor computation volumes ([`PerformanceModel::volumes`]),
+//!   pairwise communication volumes ([`PerformanceModel::comm_bytes`]), the
+//!   parent, and a replayable interaction pattern
+//!   ([`PerformanceModel::run_scheme`]);
+//! * the `scheme { ... }` interpreter behind `run_scheme`. Activities
 //!   (`e %% [i]` computations and `e %% [i] -> [j]` transfers) are emitted to
-//!   a [`scheme::SchemeSink`]; `par` algorithmic patterns fork virtual time.
-//!   [`scheme::TimelineSink`] turns the pattern into a predicted execution
-//!   time against per-processor speeds and link costs — the engine behind
-//!   `HMPI_Timeof` and `HMPI_Group_create`;
-//! * [`builder`] — a typed Rust front-end ([`builder::ModelBuilder`])
-//!   producing the same [`model::PerformanceModel`] interface without going
-//!   through source text;
-//! * [`compile`] — the selection engine's fast path: a model's
-//!   (assignment-independent) event stream recorded once into a flat
-//!   [`compile::CostProgram`] that is re-priced per mapping, with
+//!   a [`SchemeSink`]; `par` algorithmic patterns fork virtual time;
+//! * [`ModelBuilder`] — a typed Rust front-end producing the same
+//!   [`PerformanceModel`] interface without going through source text;
+//! * [`CostProgram`] — the model pricer, the engine behind `HMPI_Timeof`
+//!   and `HMPI_Group_create`: a model's (assignment-independent) event
+//!   stream recorded once into a flat program and priced per mapping
+//!   against per-processor speeds and link costs ([`PairCost`]), with
 //!   incremental delta re-pricing for local-search moves.
+//!   [`PerformanceModel::predict_time`] is its one-shot form;
+//! * [`collective`] — collective schedules and their contention-aware
+//!   pricer.
 //!
 //! ## Language semantics notes
 //!
@@ -46,20 +46,20 @@
 
 #![warn(missing_docs)]
 
-pub mod analysis;
+mod analysis;
 pub mod ast;
-pub mod builder;
+mod builder;
 pub mod collective;
-pub mod compile;
+mod compile;
 pub mod env;
-pub mod error;
+mod error;
 pub mod eval;
-pub mod hier;
-pub mod lexer;
-pub mod model;
-pub mod parser;
+mod hier;
+mod lexer;
+mod model;
+mod parser;
 pub mod pretty;
-pub mod scheme;
+mod scheme;
 pub mod value;
 
 pub use analysis::{analyze, CoverageSink, Finding, ModelReport};
@@ -68,10 +68,10 @@ pub use collective::{
     LinkSharing, Payload, Xfer,
 };
 pub use builder::{BuiltModel, ModelBuilder};
-pub use compile::{CostProgram, DeltaBaseline, PairCost, PriceScratch};
+pub use compile::{CostModel, CostProgram, DeltaBaseline, PairCost, PriceScratch};
 pub use hier::{plan as hier_plan, HierPlan, RankTopology};
 pub use error::{EvalError, ParseError};
 pub use model::{CompiledModel, ModelInstance, ParamValue, PerformanceModel};
 pub use parser::parse_program;
-pub use scheme::{CostModel, RecordingSink, SchemeEvent, SchemeSink, TimelineSink};
+pub use scheme::{RecordingSink, SchemeEvent, SchemeSink};
 pub use value::Value;

@@ -10,11 +10,12 @@
 //! parent, and the replayable interaction scheme.
 
 use crate::ast::{AlgorithmDef, Program};
+use crate::compile::{CostModel, CostProgram, PriceScratch};
 use crate::env::Env;
 use crate::error::{EvalError, ParseError};
 use crate::eval::{eval_int, eval_num, Externs};
 use crate::parser::parse_program;
-use crate::scheme::{run_scheme, CostModel, SchemeSink, TimelineSink};
+use crate::scheme::{run_scheme, SchemeSink};
 use crate::value::{ArrayVal, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -63,19 +64,19 @@ pub trait PerformanceModel: Send + Sync {
     /// Propagates evaluation errors from the scheme body.
     fn run_scheme(&self, sink: &mut dyn SchemeSink) -> Result<(), EvalError>;
 
-    /// Predicted execution time against a cost model: builds a
-    /// [`TimelineSink`], replays the scheme, returns the makespan in seconds.
+    /// Predicted execution time against a cost model: records the scheme
+    /// into a [`CostProgram`] and prices it, returning the makespan in
+    /// seconds.
     ///
     /// # Errors
     /// As [`PerformanceModel::run_scheme`].
+    ///
+    /// # Panics
+    /// Panics if `cost` does not give a speed for every processor.
     fn predict_time(&self, cost: &CostModel) -> Result<f64, EvalError> {
-        let mut sink = TimelineSink::new(
-            cost.clone(),
-            self.volumes().to_vec(),
-            self.comm_bytes().to_vec(),
-        );
-        self.run_scheme(&mut sink)?;
-        Ok(sink.total_time())
+        let n = self.num_processors();
+        assert_eq!(cost.speeds.len(), n, "cost model covers every processor");
+        Ok(CostProgram::record(self)?.price(cost, &mut PriceScratch::new(n)))
     }
 }
 
@@ -162,13 +163,6 @@ impl CompiledModel {
     /// Formal parameter names, in order.
     pub fn param_names(&self) -> Vec<&str> {
         self.algorithm.params.iter().map(|p| p.name.as_str()).collect()
-    }
-
-    /// Replaces the extern-function registry (to provide custom functions to
-    /// schemes).
-    pub fn with_externs(mut self, externs: Externs) -> Self {
-        self.externs = externs;
-        self
     }
 
     /// Binds actual parameters, evaluates the `coord`, `node`, `link` and
@@ -618,6 +612,26 @@ mod tests {
         assert_eq!(inst.volumes(), &[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(inst.coords_of(2), vec![1, 0]);
         assert_eq!(inst.linear_of(&[1, 1]), 3);
+    }
+
+    #[test]
+    fn integer_overflow_in_instantiation_is_a_typed_error() {
+        // A coordinate extent and a node guard that leave i64: both used to
+        // panic (or wrap, in release) inside `instantiate`.
+        let extent = CompiledModel::compile(
+            "algorithm E(int p) { coord I=p*p; node {I>=0: bench*(1);}; parent[0]; scheme {;}; }",
+        )
+        .unwrap();
+        let huge = [ParamValue::Int(i64::MAX)];
+        assert_eq!(extent.instantiate(&huge).unwrap_err(), EvalError::Overflow);
+        let guard = CompiledModel::compile(
+            "algorithm G(int p) { coord I=1; node {p/(0-1) != 0: bench*(1);}; parent[0]; scheme {;}; }",
+        )
+        .unwrap();
+        let err = guard.instantiate(&[ParamValue::Int(i64::MIN)]).unwrap_err();
+        assert_eq!(err, EvalError::Overflow);
+        assert_eq!(err.to_string(), "integer arithmetic overflowed 64 bits");
+        assert!(guard.instantiate(&[ParamValue::Int(7)]).is_ok());
     }
 
     #[test]

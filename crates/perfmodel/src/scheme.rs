@@ -4,19 +4,16 @@
 //! execution of the algorithm". Interpreting it produces a stream of
 //! *activities* — `e %% [i]` computations and `e %% [i] -> [j]` transfers —
 //! structured by `par` blocks whose activities overlap in time. The stream
-//! is delivered to a [`SchemeSink`]:
-//!
-//! * [`TimelineSink`] turns it into a predicted execution time against a
-//!   [`CostModel`] (per-processor speeds plus pairwise link costs). This is
-//!   the core of `HMPI_Timeof` and of the group-selection search.
-//! * [`RecordingSink`] captures the raw event stream for tests and tools.
+//! is delivered to a [`SchemeSink`]: the model pricer's recorder
+//! ([`crate::CostProgram::record`], which turns it into seconds) or a
+//! [`RecordingSink`] capturing the raw event stream for tests and tools.
 //!
 //! `par` semantics: variable bindings evolve *sequentially* across the
 //! iterations (Figure 7 even increments its loop variable inside the body),
-//! but every iteration's activities start from the clock state at the `par`
-//! entry, and the block completes at the elementwise maximum over
-//! iterations — "data transfer between different pairs of processors is
-//! carried out in parallel".
+//! but the pricer starts every iteration's activities from the clock state
+//! at the `par` entry, and the block completes at the elementwise maximum
+//! over iterations — "data transfer between different pairs of processors
+//! is carried out in parallel".
 
 use crate::ast::{AssignOp, CallArg, Expr, LValue, Stmt};
 use crate::env::Env;
@@ -93,125 +90,6 @@ impl SchemeSink for RecordingSink {
     }
     fn par_end(&mut self) {
         self.events.push(SchemeEvent::ParEnd);
-    }
-}
-
-/// Per-pair and per-processor costs the timeline is computed against.
-///
-/// Index space: *abstract* processors (the model's linear indices); the
-/// caller maps them to physical machines before building the `CostModel`.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    /// Estimated speed of each abstract processor's host, in benchmark units
-    /// per second.
-    pub speeds: Vec<f64>,
-    /// One-way latency between hosts of each pair, seconds.
-    pub latency: Vec<Vec<f64>>,
-    /// Bandwidth between hosts of each pair, bytes/second.
-    pub bandwidth: Vec<Vec<f64>>,
-}
-
-impl CostModel {
-    /// A homogeneous cost model (testing convenience): `n` processors of
-    /// equal `speed`, all pairs with the same `latency`/`bandwidth`.
-    pub fn homogeneous(n: usize, speed: f64, latency: f64, bandwidth: f64) -> Self {
-        CostModel {
-            speeds: vec![speed; n],
-            latency: vec![vec![latency; n]; n],
-            bandwidth: vec![vec![bandwidth; n]; n],
-        }
-    }
-}
-
-/// Sink computing the predicted execution timeline.
-#[derive(Debug, Clone)]
-pub struct TimelineSink {
-    cost: CostModel,
-    /// Total computation volume of each abstract processor (benchmark units).
-    volumes: Vec<f64>,
-    /// Total bytes between each pair.
-    comm: Vec<Vec<f64>>,
-    clocks: Vec<f64>,
-    stack: Vec<ParFrame>,
-}
-
-#[derive(Debug, Clone)]
-struct ParFrame {
-    snapshot: Vec<f64>,
-    merged: Vec<f64>,
-}
-
-impl TimelineSink {
-    /// A sink over the given cost model, per-processor volumes and pairwise
-    /// communication volumes.
-    ///
-    /// # Panics
-    /// Panics if shapes disagree.
-    pub fn new(cost: CostModel, volumes: Vec<f64>, comm: Vec<Vec<f64>>) -> Self {
-        let n = volumes.len();
-        assert_eq!(cost.speeds.len(), n, "cost model covers every processor");
-        assert_eq!(comm.len(), n, "comm matrix is n x n");
-        TimelineSink {
-            cost,
-            volumes,
-            comm,
-            clocks: vec![0.0; n],
-            stack: Vec::new(),
-        }
-    }
-
-    /// The predicted execution time so far: the maximum processor clock.
-    pub fn total_time(&self) -> f64 {
-        self.clocks.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Per-processor clocks.
-    pub fn clocks(&self) -> &[f64] {
-        &self.clocks
-    }
-}
-
-impl SchemeSink for TimelineSink {
-    fn compute(&mut self, proc: usize, percent: f64) {
-        let units = self.volumes[proc] * percent / 100.0;
-        self.clocks[proc] += units / self.cost.speeds[proc];
-    }
-
-    fn transfer(&mut self, src: usize, dst: usize, percent: f64) {
-        if src == dst {
-            return;
-        }
-        let bytes = self.comm[src][dst] * percent / 100.0;
-        if bytes <= 0.0 {
-            return;
-        }
-        let lat = self.cost.latency[src][dst];
-        let cost = lat + bytes / self.cost.bandwidth[src][dst];
-        let start = self.clocks[src];
-        // Sender pays the injection overhead; receiver waits for arrival
-        // (mirrors mpisim's eager-send timing model).
-        self.clocks[src] = start + lat;
-        self.clocks[dst] = self.clocks[dst].max(start + cost);
-    }
-
-    fn par_begin(&mut self) {
-        self.stack.push(ParFrame {
-            snapshot: self.clocks.clone(),
-            merged: self.clocks.clone(),
-        });
-    }
-
-    fn par_branch(&mut self) {
-        let frame = self.stack.last_mut().expect("par_branch inside par_begin");
-        for (m, c) in frame.merged.iter_mut().zip(&self.clocks) {
-            *m = m.max(*c);
-        }
-        self.clocks.clone_from(&frame.snapshot);
-    }
-
-    fn par_end(&mut self) {
-        let frame = self.stack.pop().expect("par_end matches par_begin");
-        self.clocks = frame.merged;
     }
 }
 
@@ -361,12 +239,13 @@ impl Interp<'_> {
                     AssignOp::Add | AssignOp::Sub | AssignOp::Mul => {
                         let old = self.read_lvalue(env, lv)?.as_int()?;
                         let r = eval_int(env, self.externs, rhs)?;
-                        Value::Int(match op {
-                            AssignOp::Add => old + r,
-                            AssignOp::Sub => old - r,
-                            AssignOp::Mul => old * r,
+                        let new = match op {
+                            AssignOp::Add => old.checked_add(r),
+                            AssignOp::Sub => old.checked_sub(r),
+                            AssignOp::Mul => old.checked_mul(r),
                             AssignOp::Set => unreachable!(),
-                        })
+                        };
+                        Value::Int(new.ok_or(EvalError::Overflow)?)
                     }
                 };
                 self.write_lvalue(env, lv, new)
@@ -689,38 +568,77 @@ mod tests {
         );
     }
 
+    /// The model pricer's makespan for `scheme` over processors of the
+    /// given `volumes` and pairwise byte counts `comm`, at unit speed with
+    /// `latency` and `bandwidth` between every pair.
+    fn makespan(
+        volumes: Vec<f64>,
+        comm: Vec<Vec<f64>>,
+        latency: f64,
+        bandwidth: f64,
+        scheme: impl Fn(&mut dyn SchemeSink) + Send + Sync + 'static,
+    ) -> f64 {
+        let n = volumes.len();
+        let model = crate::ModelBuilder::new("t")
+            .processors(n)
+            .volumes(volumes)
+            .comm(comm)
+            .scheme(scheme)
+            .build()
+            .unwrap();
+        let cost = crate::CostModel::homogeneous(n, 1.0, latency, bandwidth);
+        crate::CostProgram::record(&model)
+            .unwrap()
+            .price(&cost, &mut crate::PriceScratch::new(n))
+    }
+
     #[test]
     fn timeline_par_overlaps_and_seq_chains() {
         // Two computations in a par overlap; in sequence they chain.
-        let cost = CostModel::homogeneous(2, 1.0, 0.0, 1e9);
-        let volumes = vec![10.0, 20.0];
-        let comm = vec![vec![0.0; 2]; 2];
-
-        let mut sink = TimelineSink::new(cost.clone(), volumes.clone(), comm.clone());
-        sink.par_begin();
-        sink.compute(0, 100.0);
-        sink.par_branch();
-        sink.compute(1, 100.0);
-        sink.par_branch();
-        sink.par_end();
-        assert_eq!(sink.total_time(), 20.0);
-
-        let mut sink = TimelineSink::new(cost, volumes, comm);
-        sink.compute(0, 100.0);
-        sink.compute(0, 100.0);
-        assert_eq!(sink.total_time(), 20.0); // same proc twice: serial
+        let overlapped = makespan(vec![10.0, 20.0], vec![vec![0.0; 2]; 2], 0.0, 1e9, |sink| {
+            sink.par_begin();
+            sink.compute(0, 100.0);
+            sink.par_branch();
+            sink.compute(1, 100.0);
+            sink.par_branch();
+            sink.par_end();
+        });
+        assert_eq!(overlapped, 20.0);
+        let chained = makespan(vec![10.0, 20.0], vec![vec![0.0; 2]; 2], 0.0, 1e9, |sink| {
+            sink.compute(0, 100.0);
+            sink.compute(0, 100.0);
+        });
+        assert_eq!(chained, 20.0); // same proc twice: serial
     }
 
     #[test]
     fn timeline_transfer_couples_clocks() {
-        let cost = CostModel::homogeneous(2, 1.0, 0.5, 100.0);
-        let volumes = vec![0.0, 0.0];
-        let mut comm = vec![vec![0.0; 2]; 2];
-        comm[0][1] = 200.0; // bytes
-        let mut sink = TimelineSink::new(cost, volumes, comm);
-        sink.transfer(0, 1, 50.0); // 100 bytes: 0.5 + 1.0 = 1.5 s
-        assert!((sink.clocks()[1] - 1.5).abs() < 1e-12);
-        assert!((sink.clocks()[0] - 0.5).abs() < 1e-12); // sender overhead
+        // 100 of 200 bytes at 100 B/s and 0.5 s latency: the receiver
+        // finishes at 0.5 + 1.0 = 1.5 s, the sender pays the 0.5 s latency
+        // only, so its 2 s computation afterwards ends at 2.5 s.
+        let comm = vec![vec![0.0, 200.0], vec![0.0, 0.0]];
+        let received = makespan(vec![2.0, 0.0], comm.clone(), 0.5, 100.0, |sink| {
+            sink.transfer(0, 1, 50.0);
+        });
+        assert_eq!(received, 1.5);
+        let sender = makespan(vec![2.0, 0.0], comm, 0.5, 100.0, |sink| {
+            sink.transfer(0, 1, 50.0);
+            sink.compute(0, 100.0);
+        });
+        assert_eq!(sender, 0.5 + 2.0);
+    }
+
+    #[test]
+    fn compound_assignment_overflow_is_a_typed_error() {
+        for (op, start) in [("+=", i64::MAX), ("-=", i64::MIN), ("*=", i64::MAX)] {
+            let src = format!(
+                "algorithm T(int p) {{ coord I=1; node {{I>=0: bench*(1);}}; parent[0];
+                   scheme {{ int x; x = p; x {op} 2; }}; }}"
+            );
+            let err = run(&src, &[("p", start)], vec![1]).unwrap_err();
+            assert_eq!(err, EvalError::Overflow, "x = {start}; x {op} 2");
+            assert!(run(&src, &[("p", 3)], vec![1]).is_ok());
+        }
     }
 
     #[test]
@@ -746,23 +664,20 @@ mod tests {
     fn nested_par_timeline() {
         // Outer par of two branches; each branch computes on a different
         // processor; inner activities overlap globally.
-        let cost = CostModel::homogeneous(3, 1.0, 0.0, 1e9);
         let volumes = vec![5.0, 7.0, 9.0];
-        let comm = vec![vec![0.0; 3]; 3];
-        let mut sink = TimelineSink::new(cost, volumes, comm);
-        sink.par_begin();
-        {
+        let t = makespan(volumes, vec![vec![0.0; 3]; 3], 0.0, 1e9, |sink| {
+            sink.par_begin();
             sink.par_begin();
             sink.compute(0, 100.0);
             sink.par_branch();
             sink.compute(1, 100.0);
             sink.par_branch();
             sink.par_end();
-        }
-        sink.par_branch();
-        sink.compute(2, 100.0);
-        sink.par_branch();
-        sink.par_end();
-        assert_eq!(sink.total_time(), 9.0);
+            sink.par_branch();
+            sink.compute(2, 100.0);
+            sink.par_branch();
+            sink.par_end();
+        });
+        assert_eq!(t, 9.0);
     }
 }

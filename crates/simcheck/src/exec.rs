@@ -26,9 +26,10 @@
 //!   every contention model — contended transfers are granted in
 //!   endpoint-causal order, never host-schedule order;
 //! * **selection consistency** — every algorithm's mapping is injective,
-//!   inside the candidates and keeps the parent pinned; the interpreter
-//!   (`hmpi::predicted_time`) prices it to the bits the search reported;
-//!   no algorithm beats `Exhaustive`; typed errors match across
+//!   inside the candidates and keeps the parent pinned; a fresh
+//!   `hmpi::Evaluator`'s full price of it equals the bits the search
+//!   reported, so every probe, delta and rebase is held to a cold full
+//!   price; no algorithm beats `Exhaustive`; typed errors match across
 //!   algorithms;
 //! * **trace well-formedness** — Chrome exports parse, timestamps are
 //!   monotone and spans nest (container-first at start ties);
@@ -54,7 +55,7 @@ use hetsim::{
     Cluster, ClusterBuilder, FaultEvent, FaultPlan, Link, NodeId, Protocol, SpeedEstimates,
     TopologyInfo, Trace,
 };
-use hmpi::{predicted_time, select_mapping, HmpiRuntime, MappingAlgorithm, SelectionCtx};
+use hmpi::{select_mapping, Evaluator, HmpiRuntime, MappingAlgorithm, SelectionCtx};
 use mpisim::{
     CollectiveAlgo, CollectiveKind, Comm, MpiError, PlanCacheReport, ReduceOp, RunReport,
     Universe, UniverseConfig,
@@ -1122,6 +1123,7 @@ fn check_selection(sc: &Scenario, model_seed: u64, est_seed: u64) -> Result<(), 
         pinned_parent: est_seed.is_multiple_of(2).then_some(0),
     };
     let model = ModelBuilder::random(model_seed, n.min(4));
+    let mut cold = Evaluator::new(&model, &ctx);
     // Exhaustive first, so every other pick is held against the optimum.
     let exhaustive = (n <= 6).then_some(MappingAlgorithm::Exhaustive);
     let heuristics = [
@@ -1140,8 +1142,7 @@ fn check_selection(sc: &Scenario, model_seed: u64, est_seed: u64) -> Result<(), 
         let consistent = *first_error.get_or_insert_with(|| error.clone()) == error
             && picked.as_ref().map_or(true, |m| {
                 let a = &m.assignment;
-                predicted_time(&model, a, &cluster, &placement, &estimates)
-                    .is_ok_and(|t| t.to_bits() == m.predicted.to_bits())
+                cold.eval(a).to_bits() == m.predicted.to_bits()
                     && distinct_below(a, n)
                     && ctx.pinned_parent.is_none_or(|w| a[model.parent()] == w)
                     && m.predicted >= optimum

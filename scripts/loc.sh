@@ -2,8 +2,9 @@
 # Code lines per crate, per dependency shim, for the collective engine's four
 # files, for mpisim's legacy collective plane (which the engine port drives to
 # zero), for the five files of mpisim's transport (wait loop, mailbox,
-# quiescence, runtime, lanes) and for hmpi's selection search, compiled
-# objective and runtime:
+# quiescence, runtime, lanes), for perfmodel's model pricer and scheme
+# interpreter (which the one pricing kernel merges with collective.rs) and
+# for hmpi's selection search, compiled objective and runtime:
 # lines that are neither blank nor `//` comments, up to each file's
 # `#[cfg(test)]`.
 # ROADMAP aim 2 ("net line count goes down") as a number in every CI log.
@@ -21,6 +22,7 @@ for path in crates/*/src crates/compat/*/src crates/mpisim/src/engine.rs crates/
             crates/mpisim/src/collective.rs crates/mpisim/src/comm.rs crates/mpisim/src/p2p.rs \
             crates/mpisim/src/quiesce.rs crates/mpisim/src/runtime.rs \
             crates/mpisim/src/lane.rs \
+            crates/perfmodel/src/compile.rs crates/perfmodel/src/scheme.rs \
             crates/hmpi/src/mapping.rs crates/hmpi/src/engine.rs \
             crates/hmpi/src/runtime.rs; do
     printf '%-36s %6d\n' "$path" "$(count "$path")"
