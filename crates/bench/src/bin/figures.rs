@@ -1,72 +1,21 @@
-//! Regenerates the paper's evaluation figures as text tables (or CSV) and
-//! runs the benches beyond the paper.
+//! Runs the benches ([`BENCHES`]): the paper's evaluation, its ablations
+//! and the benches beyond the paper.
 //!
 //! ```text
 //! cargo run --release -p hmpi-bench --bin figures -- all
-//! cargo run --release -p hmpi-bench --bin figures -- fig9a fig9b
-//! cargo run --release -p hmpi-bench --bin figures -- --csv fig10
+//! cargo run --release -p hmpi-bench --bin figures -- paper ablation
 //! cargo run --release -p hmpi-bench --bin figures -- --quick all
 //! ```
 //!
-//! A bench ([`BENCHES`]) prints its report, writes `BENCH_<name>.json` (and
-//! any other file the report carries) unless `--quick`, and makes the
-//! process exit 1 if any of its gates failed.
+//! Each bench prints its report, writes `BENCH_<name>.json` (and any other
+//! file the report carries) unless `--quick`, and makes the process exit 1
+//! if any of its gates failed. An unknown name or flag exits 2.
 
-use hmpi_bench::{
-    ablation, extension, faults, fig10, fig11, fig9, render_csv, render_table, ComparisonPoint,
-    BENCHES,
-};
-
-/// The paper's figures and the print-only studies, in `all` order; the
-/// [`BENCHES`] follow them.
-const FIGURES: [&str; 8] = [
-    "fig9a",
-    "fig9b",
-    "fig10",
-    "fig11a",
-    "fig11b",
-    "ablations",
-    "ext-nbody",
-    "faults",
-];
+use hmpi_bench::BENCHES;
 
 /// Every name `figures` accepts besides `all`.
 fn names() -> Vec<&'static str> {
-    FIGURES
-        .into_iter()
-        .chain(BENCHES.map(|(name, _)| name))
-        .collect()
-}
-
-struct Options {
-    csv: bool,
-    quick: bool,
-}
-
-fn emit(opts: &Options, title: &str, x_label: &str, pts: &[ComparisonPoint]) {
-    if opts.csv {
-        print!("{}", render_csv(x_label, pts));
-    } else {
-        print!("{}", render_table(title, x_label, pts));
-    }
-    println!();
-}
-
-/// The (b) half of a comparison figure: the speedup column alone.
-fn emit_speedup(opts: &Options, title: &str, x_label: &str, pts: &[ComparisonPoint]) {
-    if opts.csv {
-        println!("{},speedup", x_label.replace(' ', "_"));
-        for p in pts {
-            println!("{},{}", p.x, p.speedup());
-        }
-    } else {
-        println!("# {title}");
-        println!("{x_label:>12}  {:>8}", "speedup");
-        for p in pts {
-            println!("{:>12}  {:>8.2}", p.x, p.speedup());
-        }
-    }
-    println!();
+    BENCHES.map(|(name, _)| name).to_vec()
 }
 
 fn write(path: &str, text: &str) {
@@ -76,163 +25,38 @@ fn write(path: &str, text: &str) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = Options {
-        csv: args.iter().any(|a| a == "--csv"),
-        quick: args.iter().any(|a| a == "--quick"),
-    };
-    let mut wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
+    let quick = args.iter().any(|a| a == "--quick");
+    let mut wanted: Vec<&str> = (args.iter().map(String::as_str))
+        .filter(|a| *a != "--quick")
         .collect();
     if wanted.is_empty() || wanted.contains(&"all") {
         wanted = names();
     }
     if let Some(other) = wanted.iter().find(|w| !names().contains(w)) {
-        eprintln!("unknown figure `{other}`; known: {} all", names().join(" "));
+        eprintln!(
+            "unknown bench `{other}`; usage: figures [--quick] [all | {}]",
+            names().join(" | ")
+        );
         std::process::exit(2);
     }
 
-    // Figures 9 and 11 each print as an (a) and a (b) half of one series.
-    let wants = |prefix: &str| wanted.iter().any(|w| w.starts_with(prefix));
-    let sizes: &[usize] = if opts.quick {
-        &[60, 150]
-    } else {
-        fig9::DEFAULT_SIZES
-    };
-    let fig9_pts = if wants("fig9") {
-        fig9::series(sizes)
-    } else {
-        Vec::new()
-    };
-    let sizes: &[usize] = if opts.quick {
-        &[9, 12]
-    } else {
-        fig11::DEFAULT_NS
-    };
-    let fig11_pts = if wants("fig11") {
-        fig11::series(sizes)
-    } else {
-        Vec::new()
-    };
-
     let mut gate_failed = false;
-    for w in wanted {
-        if let Some((name, run)) = BENCHES.iter().find(|(name, _)| *name == w) {
-            let report = run(opts.quick);
-            println!("{}", report.render());
-            if !opts.quick {
-                write(&format!("BENCH_{name}.json"), &report.to_json());
-                for (path, text) in &report.files {
-                    write(path, text);
-                }
-                println!();
+    for (name, run) in wanted
+        .iter()
+        .filter_map(|w| BENCHES.iter().find(|(n, _)| n == w))
+    {
+        let report = run(quick);
+        println!("{}", report.render());
+        if !quick {
+            write(&format!("BENCH_{name}.json"), &report.to_json());
+            for (path, text) in &report.files {
+                write(path, text);
             }
-            if let Err(failure) = report.enforce() {
-                eprintln!("{failure}");
-                gate_failed = true;
-            }
-            continue;
+            println!();
         }
-        match w {
-            "fig9a" => emit(
-                &opts,
-                "Figure 9(a): EM3D execution time, HMPI vs MPI (9-machine paper LAN)",
-                "total nodes",
-                &fig9_pts,
-            ),
-            "fig9b" => emit_speedup(
-                &opts,
-                "Figure 9(b): EM3D speedup of HMPI over MPI",
-                "total nodes",
-                &fig9_pts,
-            ),
-            "fig10" => {
-                let n = if opts.quick { 9 } else { fig10::N };
-                let ls: &[usize] = if opts.quick { &[3, 4, 6, 9] } else { fig10::DEFAULT_LS };
-                let title = format!(
-                    "Figure 10: MM execution time vs generalised block size l (r = {}, n = {n} blocks)",
-                    fig10::R
-                );
-                emit(&opts, &title, "l", &fig10::series(ls, n));
-                if !opts.csv {
-                    println!("HMPI_Timeof would choose l = {}\n", fig10::timeof_choice(n));
-                }
-            }
-            "fig11a" => emit(
-                &opts,
-                "Figure 11(a): MM execution time, HMPI (hetero dist, Timeof l) vs MPI (homogeneous)",
-                "matrix size",
-                &fig11_pts,
-            ),
-            "fig11b" => emit_speedup(
-                &opts,
-                "Figure 11(b): MM speedup of HMPI over MPI",
-                "matrix size",
-                &fig11_pts,
-            ),
-            "ablations" => {
-                println!("# Ablation: selection algorithm (EM3D, paper LAN)");
-                println!("{:>12}  {:>14}  {:>14}", "algorithm", "measured [s]", "predicted [s]");
-                for p in ablation::mapping_algorithms(if opts.quick { 60 } else { 150 }) {
-                    println!("{:>12}  {:>14.4}  {:>14.4}", p.algo, p.time, p.predicted);
-                }
-                println!();
-                println!("# Ablation: network contention model (MM, l = 9)");
-                println!("{:>16}  {:>14}", "model", "HMPI [s]");
-                for p in ablation::contention_models(9) {
-                    println!("{:>16}  {:>14.4}", p.model, p.hmpi);
-                }
-                println!();
-                println!("# Ablation: recon freshness (EM3D, loaded cluster)");
-                println!("{:>18}  {:>14}", "scenario", "time [s]");
-                for p in ablation::recon_staleness(if opts.quick { 60 } else { 120 }) {
-                    println!("{:>18}  {:>14.4}", p.scenario, p.time);
-                }
-                println!();
-            }
-            "ext-nbody" => {
-                let sizes: &[usize] = if opts.quick { &[10] } else { extension::DEFAULT_SIZES };
-                emit(
-                    &opts,
-                    "Extension: N-body execution time, HMPI vs MPI (beyond the paper)",
-                    "total bodies",
-                    &extension::series(sizes),
-                );
-            }
-            "faults" => {
-                let rates: &[f64] = if opts.quick { &[0.0, 0.3] } else { faults::DEFAULT_RATES };
-                let trials = if opts.quick { 2 } else { faults::TRIALS };
-                let pts = faults::series(rates, trials);
-                if opts.csv {
-                    println!("rate,completed,trials,mean_makespan,mean_survivors,mean_rebuilds");
-                } else {
-                    println!(
-                        "# Degradation: FT EM3D vs injected per-node crash rate ({trials} seeds/rate, host exempt)"
-                    );
-                    println!(
-                        "{:>6}  {:>9}  {:>14}  {:>10}  {:>9}",
-                        "rate", "completed", "makespan [s]", "survivors", "rebuilds"
-                    );
-                }
-                for p in &pts {
-                    if opts.csv {
-                        println!(
-                            "{},{},{},{},{},{}",
-                            p.rate, p.completed, p.trials, p.mean_makespan, p.mean_survivors,
-                            p.mean_rebuilds
-                        );
-                    } else {
-                        println!(
-                            "{:>6.2}  {:>6}/{:<2}  {:>14.4}  {:>10.2}  {:>9.2}",
-                            p.rate, p.completed, p.trials, p.mean_makespan, p.mean_survivors,
-                            p.mean_rebuilds
-                        );
-                    }
-                }
-                println!();
-            }
-            other => unreachable!("`{other}` passed the name check"),
+        if let Err(failure) = report.enforce() {
+            eprintln!("{failure}");
+            gate_failed = true;
         }
     }
     if gate_failed {

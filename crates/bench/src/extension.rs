@@ -1,43 +1,30 @@
-//! Extension experiment beyond the paper: the N-body application.
-//!
-//! Demonstrates that the selection machinery generalises to a third
-//! communication shape (all-to-all via allgather) the paper never
-//! evaluated. See EXPERIMENTS.md §Extension.
+//! Beyond the paper: the N-body application, an allgather-per-step workload
+//! that shows the selection machinery generalises to a collective-heavy
+//! shape — the `nbody` table of the `paper` bench.
 
-use crate::{em3d_cluster, ComparisonPoint};
+use crate::em3d_cluster;
+use crate::paper::{Point, K, P};
 use hmpi_apps::nbody::{run_hmpi, run_mpi, NbodyConfig};
 
-/// Number of body groups (one per machine of the paper LAN).
-pub const P: usize = 9;
+/// Bodies in the smallest group.
+pub(crate) const SIZES: [usize; 3] = [10, 20, 40];
 
 /// Group-size spread (largest / smallest).
-pub const SPREAD: f64 = 3.0;
+const SPREAD: f64 = 3.0;
 
-/// Integration steps per run.
-pub const NITER: usize = 3;
+/// Integration steps per run. The model covers one.
+const NITER: usize = 3;
 
-/// Recon benchmark size in body-body interactions.
-pub const K: usize = 10;
-
-/// Default x-axis: bodies in the smallest group.
-pub const DEFAULT_SIZES: &[usize] = &[10, 20, 40];
-
-/// Runs one problem size.
-pub fn point(base: usize) -> ComparisonPoint {
+/// Runs one problem size; `base` is the smallest group's body count.
+pub(crate) fn point(base: usize) -> Point {
     let cfg = NbodyConfig::ramp(P, base, SPREAD, 0xB0D1 + base as u64);
-    let total = cfg.total();
-    let mpi = run_mpi(em3d_cluster(), &cfg, NITER, K);
     let hmpi = run_hmpi(em3d_cluster(), &cfg, NITER, K);
-    ComparisonPoint {
-        x: total,
-        mpi: mpi.time,
+    Point {
+        x: cfg.total(),
+        mpi: run_mpi(em3d_cluster(), &cfg, NITER, K).time,
         hmpi: hmpi.time,
+        predicted: hmpi.predicted.expect("HMPI runs predict") * NITER as f64,
     }
-}
-
-/// The full extension series.
-pub fn series(sizes: &[usize]) -> Vec<ComparisonPoint> {
-    sizes.iter().map(|&b| point(b)).collect()
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Degradation curve: fault-tolerant EM3D under injected fail-stop faults.
+//! Degradation curve: fault-tolerant EM3D under injected fail-stop faults,
+//! the `faults` table of the `ablation` bench.
 //!
 //! Beyond the paper's evaluation: we sweep the per-node crash probability,
 //! inject seeded random fail-stop faults into the paper's 9-workstation
@@ -14,66 +15,54 @@
 //! only dilute every point with runs that cannot complete. All other eight
 //! machines crash independently with the given probability somewhere in the
 //! injection window.
-//!
-//! The injected plans replay deterministically per seed; the recovery path,
-//! however, aborts collectives as soon as a failure is *observed* in real
-//! time, so the round an attempt dies in — and with it the aggregate
-//! makespan — can shift slightly between reruns, like a real network.
 
+use crate::report::{Report, Value};
 use hetsim::{Cluster, FaultPlan, NodeId, SimTime, PAPER_EM3D_SPEEDS};
 use hmpi_apps::em3d::{run_hmpi_ft, Em3dConfig};
 use std::sync::Arc;
 
-/// Default x-axis: per-node crash probability within the window.
-pub const DEFAULT_RATES: &[f64] = &[0.0, 0.1, 0.2, 0.3, 0.5];
+/// Per-node crash probabilities within the window.
+const RATES: [f64; 5] = [0.0, 0.1, 0.2, 0.3, 0.5];
 
 /// Trials (seeds) per rate.
-pub const TRIALS: usize = 8;
+const TRIALS: usize = 8;
 
 /// Sub-body count — the paper's 9-machine experiment.
-pub const P: usize = 9;
+const P: usize = 9;
 
-/// Base nodes of the smallest sub-body (fig9's mid-size problem).
-pub const BASE: usize = 100;
-
-/// Size spread of the irregular decomposition (as fig9).
-pub const SPREAD: f64 = 1.6;
+/// Base nodes of the smallest sub-body (Figure 9's mid-size problem), and
+/// the size spread of the irregular decomposition (as Figure 9).
+const BASE: usize = 100;
+const SPREAD: f64 = 1.6;
 
 /// Iterations per run.
-pub const NITER: usize = 5;
+const NITER: usize = 5;
 
 /// Recon benchmark size (the model's `k`).
-pub const K: usize = 10;
+const K: usize = 10;
 
 /// Crashes are injected uniformly in `[0, HORIZON_SECS)` of virtual time —
 /// sized to span recon, selection and most of the main loop.
-pub const HORIZON_SECS: f64 = 40.0;
+const HORIZON_SECS: f64 = 40.0;
 
 /// One rate's worth of seeded trials.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultPoint {
-    /// Per-node crash probability within the injection window.
-    pub rate: f64,
-    /// Trials attempted.
-    pub trials: usize,
+#[derive(Debug, PartialEq)]
+struct FaultPoint {
+    rate: f64,
     /// Trials that completed (a feasible group survived to the end).
-    pub completed: usize,
+    completed: usize,
     /// Mean virtual makespan of the completed trials, seconds — this pays
     /// for aborted attempts and recovery, not just the final run.
-    pub mean_makespan: f64,
+    mean_makespan: f64,
     /// Mean size of the group that finished the computation.
-    pub mean_survivors: f64,
+    mean_survivors: f64,
     /// Mean number of `rebuild_group` shrinks per completed trial.
-    pub mean_rebuilds: f64,
-}
-
-fn config() -> Em3dConfig {
-    Em3dConfig::ramp(P, BASE, SPREAD, 0xFA17)
+    mean_rebuilds: f64,
 }
 
 /// Runs `trials` seeded trials at one crash rate.
-pub fn point(rate: f64, trials: usize) -> FaultPoint {
-    let cfg = config();
+fn point(rate: f64, trials: usize) -> FaultPoint {
+    let cfg = Em3dConfig::ramp(P, BASE, SPREAD, 0xFA17);
     let mut completed = 0usize;
     let (mut makespan, mut survivors, mut rebuilds) = (0.0f64, 0.0f64, 0.0f64);
     for seed in 0..trials as u64 {
@@ -94,7 +83,6 @@ pub fn point(rate: f64, trials: usize) -> FaultPoint {
     let n = completed.max(1) as f64;
     FaultPoint {
         rate,
-        trials,
         completed,
         mean_makespan: makespan / n,
         mean_survivors: survivors / n,
@@ -102,9 +90,34 @@ pub fn point(rate: f64, trials: usize) -> FaultPoint {
     }
 }
 
-/// The full degradation series.
-pub fn series(rates: &[f64], trials: usize) -> Vec<FaultPoint> {
-    rates.iter().map(|&r| point(r, trials)).collect()
+/// Adds the `faults` table and its gates: the fault-free rate completes
+/// every trial whole, and every crashy rate shrinks the group, rebuilds and
+/// pays for it in makespan.
+pub(crate) fn curve(r: &mut Report) {
+    let points: Vec<FaultPoint> = RATES.iter().map(|&rate| point(rate, TRIALS)).collect();
+    let (base, crashy) = points.split_first().expect("rate 0 comes first");
+    let whole = base.completed == TRIALS && base.mean_survivors == P as f64;
+    let claim =
+        format!("faults: rate 0 completes {TRIALS}/{TRIALS} with {P} survivors, 0 rebuilds");
+    r.gate(whole && base.mean_rebuilds == 0.0, claim);
+    let hurt = crashy.iter().all(|p| {
+        p.mean_survivors < P as f64 && p.mean_rebuilds > 0.0 && p.mean_makespan > base.mean_makespan
+    });
+    let claim = "faults: every rate > 0 has fewer survivors, some rebuilds and a longer makespan";
+    r.gate(hurt, claim);
+    let rows = (points.iter())
+        .map(|p| {
+            vec![
+                ("rate", Value::Fixed(p.rate, 2)),
+                ("trials", TRIALS.into()),
+                ("completed", p.completed.into()),
+                ("mean_makespan_s", Value::Fixed(p.mean_makespan, 4)),
+                ("mean_survivors", Value::Fixed(p.mean_survivors, 2)),
+                ("mean_rebuilds", Value::Fixed(p.mean_rebuilds, 2)),
+            ]
+        })
+        .collect();
+    r.tables.push(("faults", rows));
 }
 
 #[cfg(test)]
@@ -143,14 +156,6 @@ mod tests {
 
     #[test]
     fn the_fault_free_point_is_exactly_reproducible() {
-        // The injected plans replay deterministically (the hmpi seed-replay
-        // proptest pins that down), and a fault-free run is pure virtual
-        // time. A *crashy* run's recovery reacts to failures in real time —
-        // which round an attempt aborts in can vary by one between reruns,
-        // exactly like rerunning the experiment on a real network — so only
-        // the fault-free point is bit-for-bit repeatable.
-        let a = point(0.0, 2);
-        let b = point(0.0, 2);
-        assert_eq!(a, b);
+        assert_eq!(point(0.0, 2), point(0.0, 2));
     }
 }

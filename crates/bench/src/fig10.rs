@@ -1,48 +1,41 @@
-//! Figure 10: MM execution time against the generalised block size `l`,
-//! for `r = 8`.
-//!
-//! The paper shows the HMPI execution time across generalised block sizes
-//! (its optimum appeared at `r = l = 9`), against the flat MPI baseline.
-//! Small `l` limits how finely areas can track speeds (integer rectangle
-//! sides); large `l` makes the distribution coarse across the matrix. The
-//! `HMPI_Timeof` sweep of the Figure 8 program automates exactly this
-//! choice.
+//! Figure 10: MM (r = 8) against the generalised block size `l` — the
+//! `fig10` table of the `paper` bench. Small `l` limits how finely areas can
+//! track speeds; large `l` makes the distribution coarse. The `HMPI_Timeof`
+//! sweep of the Figure 8 program automates the choice.
 
-use crate::{matmul_cluster, ComparisonPoint};
+use crate::matmul_cluster;
+use crate::paper::{Point, M};
 use hmpi_apps::matmul::{run_hmpi, run_mpi};
 
-/// Grid side (3 × 3 over the 9-machine LAN).
-pub const M: usize = 3;
+/// Block size in elements and matrix size in blocks.
+const R: usize = 8;
+pub(crate) const N: usize = 18;
 
-/// Block size in elements (the paper's Figure 10 uses r = 8).
-pub const R: usize = 8;
+/// The homogeneous MPI baseline for an `n`-block matrix; it does not depend
+/// on `l`.
+fn mpi(n: usize) -> f64 {
+    run_mpi(matmul_cluster(), M, n, R, Some(M)).time
+}
 
-/// Default matrix size in blocks.
-pub const N: usize = 18;
-
-/// Default `l` sweep.
-pub const DEFAULT_LS: &[usize] = &[3, 4, 6, 9, 12, 18];
-
-/// Runs one block-size point: HMPI with the given `l` vs the homogeneous
-/// MPI baseline (which does not depend on `l`; its time is recomputed per
-/// point for a self-contained row).
-pub fn point(l: usize, n: usize) -> ComparisonPoint {
-    let mpi = run_mpi(matmul_cluster(), M, n, R, Some(M));
+/// HMPI with generalised block size `l` against the MPI time `mpi`.
+fn point(l: usize, n: usize, mpi: f64) -> Point {
     let hmpi = run_hmpi(matmul_cluster(), M, n, R, Some(l));
-    ComparisonPoint {
+    Point {
         x: l,
-        mpi: mpi.time,
+        mpi,
         hmpi: hmpi.time,
+        predicted: hmpi.predicted.expect("HMPI runs predict"),
     }
 }
 
-/// The full Figure 10 series.
-pub fn series(ls: &[usize], n: usize) -> Vec<ComparisonPoint> {
-    ls.iter().map(|&l| point(l, n)).collect()
+/// Every `l` in `m..=n` against one MPI baseline.
+pub(crate) fn series(n: usize) -> Vec<Point> {
+    let mpi = mpi(n);
+    (M..=n).map(|l| point(l, n, mpi)).collect()
 }
 
-/// The `l` the `HMPI_Timeof` sweep would choose for this configuration.
-pub fn timeof_choice(n: usize) -> usize {
+/// The `l` the `HMPI_Timeof` sweep chooses for an `n`-block matrix.
+pub(crate) fn timeof_choice(n: usize) -> usize {
     run_hmpi(matmul_cluster(), M, n, R, None).l
 }
 
@@ -52,7 +45,8 @@ mod tests {
 
     #[test]
     fn hmpi_beats_mpi_across_block_sizes() {
-        for p in series(&[3, 9], 9) {
+        let mpi = mpi(9);
+        for p in [3, 9].map(|l| point(l, 9, mpi)) {
             assert!(p.speedup() > 1.0, "l = {}: speedup {:.2}", p.x, p.speedup());
         }
     }
@@ -66,8 +60,8 @@ mod tests {
     #[test]
     fn timeof_choice_is_near_the_measured_optimum() {
         let n = 9;
-        let ls = [3usize, 4, 6, 9];
-        let series = series(&ls, n);
+        let mpi = mpi(n);
+        let series = [3, 4, 6, 9].map(|l| point(l, n, mpi));
         let measured_best = series
             .iter()
             .min_by(|a, b| a.hmpi.total_cmp(&b.hmpi))

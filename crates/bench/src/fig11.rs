@@ -1,40 +1,27 @@
-//! Figure 11: MM execution times (a) and speedup (b) across matrix sizes,
-//! HMPI (heterogeneous distribution) vs MPI (homogeneous 2D block-cyclic).
-//!
-//! The paper reports the HMPI application "almost 3 times faster" on the
-//! 9-machine LAN: the homogeneous distribution gives every processor 1/9 of
-//! the matrix, so the speed-9 machine paces the whole grid, while the
-//! heterogeneous distribution sizes each rectangle to its processor.
+//! Figure 11: MM across matrix sizes, HMPI (heterogeneous distribution,
+//! Timeof-chosen `l`) vs MPI (homogeneous 2D block-cyclic) — the `fig11`
+//! table of the `paper` bench. Paper: HMPI is "almost 3 times faster".
 
-use crate::{matmul_cluster, ComparisonPoint};
+use crate::matmul_cluster;
+use crate::paper::{Point, M};
 use hmpi_apps::matmul::{run_hmpi, run_mpi};
 
-/// Grid side.
-pub const M: usize = 3;
+/// Block size in elements (the paper's r = 9).
+const R: usize = 9;
 
-/// Block size in elements (the paper's headline runs use r = 9; r = 8 keeps
-/// the real dgemm cheap while preserving every ratio, since both sides scale
-/// by r³ identically — we keep the paper's 9).
-pub const R: usize = 9;
+/// Matrix sizes in blocks.
+pub(crate) const NS: [usize; 4] = [9, 12, 18, 24];
 
-/// Default matrix-size sweep (in r-blocks).
-pub const DEFAULT_NS: &[usize] = &[9, 12, 18, 24];
-
-/// Runs one matrix-size point. HMPI picks `l` by the `HMPI_Timeof` sweep,
-/// exactly like the Figure 8 program.
-pub fn point(n: usize) -> ComparisonPoint {
-    let mpi = run_mpi(matmul_cluster(), M, n, R, Some(M));
+/// Runs one matrix size; HMPI picks `l` by the `HMPI_Timeof` sweep, as the
+/// Figure 8 program does.
+pub(crate) fn point(n: usize) -> Point {
     let hmpi = run_hmpi(matmul_cluster(), M, n, R, None);
-    ComparisonPoint {
+    Point {
         x: n * R,
-        mpi: mpi.time,
+        mpi: run_mpi(matmul_cluster(), M, n, R, Some(M)).time,
         hmpi: hmpi.time,
+        predicted: hmpi.predicted.expect("HMPI runs predict"),
     }
-}
-
-/// The full Figure 11 series.
-pub fn series(ns: &[usize]) -> Vec<ComparisonPoint> {
-    ns.iter().map(|&n| point(n)).collect()
 }
 
 #[cfg(test)]
@@ -43,7 +30,7 @@ mod tests {
 
     #[test]
     fn hmpi_wins_at_every_size() {
-        for p in series(&[9, 12]) {
+        for p in [9, 12].map(point) {
             assert!(p.speedup() > 1.5, "n = {}: speedup {:.2}", p.x, p.speedup());
         }
     }

@@ -1,51 +1,32 @@
-//! Figure 9: EM3D execution times (a) and speedup (b), HMPI vs MPI.
-//!
-//! The paper plots execution time against problem size on the 9-workstation
-//! LAN and reports HMPI "almost 1.5 times faster" than the standard MPI
-//! program. We sweep the total node count of the decomposed object, keeping
-//! the paper's 9 sub-bodies with an irregular size ramp.
+//! Figure 9: EM3D across problem sizes, HMPI vs MPI — the `fig9` table of
+//! the `paper` bench. Paper: HMPI is "almost 1.5 times faster".
 
-use crate::{em3d_cluster, ComparisonPoint};
+use crate::em3d_cluster;
+use crate::paper::{Point, K, P};
 use hmpi_apps::em3d::{run_hmpi, run_mpi, Em3dConfig};
 
-/// Default x-axis: base nodes per sub-body.
-pub const DEFAULT_SIZES: &[usize] = &[50, 100, 200, 400, 800];
-
-/// Sub-body count — the paper's 9-machine experiment.
-pub const P: usize = 9;
+/// Base nodes of the smallest sub-body.
+pub(crate) const SIZES: [usize; 5] = [50, 100, 200, 400, 800];
 
 /// Size spread of the irregular decomposition (largest / smallest body).
-///
-/// The paper does not publish its decomposition's size distribution; the
-/// speedup of HMPI over rank-order MPI is governed by this spread (the MPI
-/// worst case is the biggest body landing on the slowest machine, the HMPI
-/// floor is the smallest body on the slowest machine). A spread of 1.6
-/// lands in the paper's reported ≈1.5× band; crank it up to see the gap
-/// widen.
-pub const SPREAD: f64 = 1.6;
+/// The paper does not publish its decomposition; this spread sets the
+/// attainable speedup (MPI's worst case is the biggest body on the slowest
+/// machine), and 1.6 lands in the paper's ≈1.5× band.
+const SPREAD: f64 = 1.6;
 
-/// Iterations per run.
-pub const NITER: usize = 5;
-
-/// Recon benchmark size (the model's `k`).
-pub const K: usize = 10;
+/// EM3D iterations per run. The Figure 4 model covers one.
+const NITER: usize = 5;
 
 /// Runs one problem size; `base` is the smallest sub-body's node count.
-pub fn point(base: usize) -> ComparisonPoint {
+pub(crate) fn point(base: usize) -> Point {
     let cfg = Em3dConfig::ramp(P, base, SPREAD, 0xE3D + base as u64);
-    let total_nodes = cfg.nodes_per_body.iter().sum();
-    let mpi = run_mpi(em3d_cluster(), &cfg, NITER);
     let hmpi = run_hmpi(em3d_cluster(), &cfg, NITER, K);
-    ComparisonPoint {
-        x: total_nodes,
-        mpi: mpi.time,
+    Point {
+        x: cfg.nodes_per_body.iter().sum(),
+        mpi: run_mpi(em3d_cluster(), &cfg, NITER).time,
         hmpi: hmpi.time,
+        predicted: hmpi.predicted.expect("HMPI runs predict") * NITER as f64,
     }
-}
-
-/// The full Figure 9 series.
-pub fn series(sizes: &[usize]) -> Vec<ComparisonPoint> {
-    sizes.iter().map(|&b| point(b)).collect()
 }
 
 #[cfg(test)]
@@ -54,7 +35,7 @@ mod tests {
 
     #[test]
     fn hmpi_wins_at_every_size() {
-        for p in series(&[60, 150]) {
+        for p in [60, 150].map(point) {
             assert!(
                 p.speedup() > 1.1,
                 "size {}: speedup {:.2}",

@@ -1,21 +1,15 @@
-//! Benchmark harnesses regenerating the HMPI paper's evaluation (Section 5).
+//! Every bench of the HMPI reproduction: the paper's evaluation (Section 5),
+//! its ablations, and the benches beyond the paper.
 //!
-//! The evaluation contains no tables; its results are Figures 9–11:
-//!
-//! * [`fig9`] — EM3D execution time, HMPI vs MPI, across problem sizes
-//!   (Figure 9a), and the derived speedup (Figure 9b; paper: ≈1.5×);
-//! * [`fig10`] — MM execution time vs the generalised block size `l` for
-//!   `r = 8` (Figure 10), showing the interior optimum `HMPI_Timeof` finds;
-//! * [`fig11`] — MM execution time, HMPI (heterogeneous distribution,
-//!   Timeof-chosen `l`) vs MPI (homogeneous), across matrix sizes
-//!   (Figure 11a) and the derived speedup (Figure 11b; paper: ≈3×);
-//! * [`ablation`] — design-choice studies DESIGN.md calls out: selection
-//!   algorithm, network contention model, and recon staleness;
-//! * [`extension`] — the N-body workload (beyond the paper), showing the
-//!   selection machinery generalises to a collective-heavy shape;
-//! * [`faults`] — the degradation curve (beyond the paper): fault-tolerant
-//!   EM3D under seeded random fail-stop crashes, virtual time and surviving
-//!   group size versus the injected per-node failure rate;
+//! * [`paper`] — Figures 9–11 and the n-body extension (`BENCH_paper.json`):
+//!   EM3D (paper: HMPI ≈1.5× faster), MM against the generalised block size
+//!   `l` with the `l` `HMPI_Timeof` chooses, and MM across matrix sizes
+//!   (paper: ≈3×), each row with its `HMPI_Timeof` prediction, gated on the
+//!   paper's own sentences;
+//! * [`ablation`] — the design-choice studies DESIGN.md calls out
+//!   (`BENCH_ablation.json`): selection algorithm, network contention model,
+//!   recon staleness, and the degradation curve of fault-tolerant EM3D under
+//!   seeded random fail-stop crashes;
 //! * [`selection`] — the selection-engine microbenchmark (beyond the
 //!   paper): reused-evaluator and incremental-probe throughput vs a cold
 //!   evaluator per call, and end-to-end `select_mapping` wall times and
@@ -42,13 +36,12 @@
 //!   the contended network models (`contention`) and a three-site WAN under
 //!   the hierarchy-aware and flat-only selectors (`hierarchy`).
 //!
-//! The figure modules return plain [`ComparisonPoint`] series that
-//! `src/bin/figures.rs` prints as aligned tables or CSV. Every bench beyond
-//! the paper is a `fn(quick) -> `[`Report`] listed in [`BENCHES`];
+//! Every bench is a `fn(quick) -> `[`Report`] listed in [`BENCHES`];
 //! [`report`] owns the one text renderer, the one JSON writer and the one
-//! gate check they share. The deterministic files (virtual time only:
-//! collectives, contention, hierarchy) are their own baseline — CI
-//! regenerates them and fails on any difference.
+//! gate check, and `src/bin/figures.rs` is one loop over them. The files
+//! that hold virtual time only (paper, ablation, collectives, contention,
+//! hierarchy) are their own baseline — CI regenerates them and fails on any
+//! difference.
 //!
 //! Times are *virtual seconds* over the paper's 9-workstation LAN model
 //! (speeds 46×6, 176, 106, 9; switched 100 Mbit Ethernet). Absolute values
@@ -60,11 +53,12 @@
 
 pub mod ablation;
 pub mod deadlock;
-pub mod extension;
-pub mod faults;
-pub mod fig10;
-pub mod fig11;
-pub mod fig9;
+mod extension;
+mod faults;
+mod fig10;
+mod fig11;
+mod fig9;
+pub mod paper;
 pub mod parity;
 pub mod report;
 pub mod selection;
@@ -75,12 +69,14 @@ use hetsim::{Cluster, ClusterBuilder, ContentionModel, Link, Protocol, PAPER_EM3
 pub use report::Report;
 use std::sync::Arc;
 
-/// A bench beyond the paper: `quick` shrinks it to a CI smoke run.
+/// A bench: `quick` shrinks it to a CI smoke run (the virtual-time-only
+/// `paper` and `ablation` have one size and ignore it).
 pub type Bench = fn(quick: bool) -> Report;
 
-/// Every bench beyond the paper, by `figures` name, in `figures -- all`
-/// order.
-pub const BENCHES: [(&str, Bench); 7] = [
+/// Every bench, by `figures` name, in `figures -- all` order.
+pub const BENCHES: [(&str, Bench); 9] = [
+    ("paper", paper::run),
+    ("ablation", ablation::run),
     ("selection", selection::run),
     ("trace", trace::run),
     ("collectives", parity::collectives),
@@ -114,94 +110,23 @@ pub fn paper_lan_with(contention: ContentionModel) -> Arc<Cluster> {
     )
 }
 
-/// One (x, MPI time, HMPI time) row of a comparison figure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ComparisonPoint {
-    /// The x-axis value (problem size, block size, ...).
-    pub x: usize,
-    /// Plain-MPI execution time, virtual seconds.
-    pub mpi: f64,
-    /// HMPI execution time, virtual seconds.
-    pub hmpi: f64,
-}
-
-impl ComparisonPoint {
-    /// Speedup of HMPI over MPI.
-    pub fn speedup(&self) -> f64 {
-        self.mpi / self.hmpi
-    }
-}
-
-/// Renders comparison points as an aligned text table.
-pub fn render_table(title: &str, x_label: &str, points: &[ComparisonPoint]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "# {title}");
-    let _ = writeln!(
-        out,
-        "{x_label:>12}  {:>14}  {:>14}  {:>8}",
-        "MPI [s]", "HMPI [s]", "speedup"
-    );
-    for p in points {
-        let _ = writeln!(
-            out,
-            "{:>12}  {:>14.4}  {:>14.4}  {:>8.2}",
-            p.x,
-            p.mpi,
-            p.hmpi,
-            p.speedup()
-        );
-    }
-    out
-}
-
-/// Renders comparison points as CSV.
-pub fn render_csv(x_label: &str, points: &[ComparisonPoint]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{x_label},mpi_s,hmpi_s,speedup");
-    for p in points {
-        let _ = writeln!(out, "{},{},{},{}", p.x, p.mpi, p.hmpi, p.speedup());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The virtual-time-only studies have one size: a run is the checked-in
+    /// file, byte for byte, and every gate holds.
     #[test]
-    fn speedup_is_ratio() {
-        let p = ComparisonPoint {
-            x: 1,
-            mpi: 3.0,
-            hmpi: 1.5,
-        };
-        assert_eq!(p.speedup(), 2.0);
-    }
-
-    #[test]
-    fn render_table_contains_rows() {
-        let pts = [ComparisonPoint {
-            x: 100,
-            mpi: 2.0,
-            hmpi: 1.0,
-        }];
-        let t = render_table("Fig X", "size", &pts);
-        assert!(t.contains("Fig X"));
-        assert!(t.contains("100"));
-        assert!(t.contains("2.00"));
-    }
-
-    #[test]
-    fn render_csv_has_header_and_rows() {
-        let pts = [ComparisonPoint {
-            x: 5,
-            mpi: 1.0,
-            hmpi: 0.5,
-        }];
-        let c = render_csv("l", &pts);
-        assert!(c.starts_with("l,mpi_s,hmpi_s,speedup\n"));
-        assert!(c.contains("5,1,0.5,2"));
+    fn the_paper_studies_regenerate_their_checked_in_json_and_hold_their_gates() {
+        for run in [paper::run, ablation::run] {
+            let report = run(true);
+            let dir = env!("CARGO_MANIFEST_DIR");
+            let path = format!("{dir}/../../BENCH_{}.json", report.name);
+            let checked_in = std::fs::read_to_string(&path).expect(&path);
+            assert_eq!(report.to_json(), checked_in, "{path}");
+            report
+                .enforce()
+                .unwrap_or_else(|e| panic!("{e}\n{}", report.render()));
+        }
     }
 }

@@ -4,7 +4,8 @@
 # zero), for the five files of mpisim's transport (wait loop, mailbox,
 # quiescence, runtime, lanes), for perfmodel's model pricer and scheme
 # interpreter (which the one pricing kernel merges with collective.rs) and
-# for hmpi's selection search, compiled objective and runtime:
+# for hmpi's selection search, compiled objective and runtime, and for the
+# bench runner (one loop over the benches):
 # lines that are neither blank nor `//` comments, up to each file's
 # `#[cfg(test)]`.
 # ROADMAP aim 2 ("net line count goes down") as a number in every CI log.
@@ -24,6 +25,6 @@ for path in crates/*/src crates/compat/*/src crates/mpisim/src/engine.rs crates/
             crates/mpisim/src/lane.rs \
             crates/perfmodel/src/compile.rs crates/perfmodel/src/scheme.rs \
             crates/hmpi/src/mapping.rs crates/hmpi/src/engine.rs \
-            crates/hmpi/src/runtime.rs; do
+            crates/hmpi/src/runtime.rs crates/bench/src/bin/figures.rs; do
     printf '%-36s %6d\n' "$path" "$(count "$path")"
 done
