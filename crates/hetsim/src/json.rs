@@ -4,9 +4,10 @@
 //! [`crate::trace`], the benchmark reports) and has no external JSON
 //! dependency, so nothing ever *read back* those documents to prove they
 //! parse. This module is that reader: a small, strict, recursive-descent
-//! parser producing a [`JsonValue`] tree, used by the trace-exporter tests
-//! and the `simcheck` trace-well-formedness invariant. It is a validator,
-//! not a performance-oriented deserialiser.
+//! parser producing a [`JsonValue`] tree, used by the trace-exporter tests,
+//! the bench reports' tests and the host-time ledger. It is a validator,
+//! not a deserialiser, but it reads each byte of its input once, so a
+//! document's parse time grows linearly with its size.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -83,21 +84,18 @@ impl std::error::Error for JsonError {}
 /// whitespace) is an error, as are duplicate object keys, unescaped control
 /// characters, and non-finite numbers (which JSON cannot represent).
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.err("trailing content after document"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -110,7 +108,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -129,7 +127,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -233,9 +231,8 @@ impl Parser<'_> {
                         b't' => out.push('\t'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
@@ -253,13 +250,15 @@ impl Parser<'_> {
                     return Err(self.err("unescaped control character in string"))
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing on
-                    // char boundaries is safe to find).
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // A run of plain characters up to the next quote,
+                    // backslash or control byte. Those stop bytes are ASCII,
+                    // so both ends of the run are char boundaries, and each
+                    // byte is looked at once.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -288,7 +287,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         let n: f64 = text
             .parse()
             .map_err(|_| self.err(format!("bad number {text:?}")))?;
@@ -342,6 +341,18 @@ mod tests {
         );
         // A scalar outside a string is rejected where it starts.
         assert_eq!(parse("[1, é]").unwrap_err().at, 4);
+    }
+
+    #[test]
+    fn parse_time_is_linear_in_string_length() {
+        // One 1.25 MiB string of 1- to 4-byte scalars. A reader that
+        // re-scans the rest of the input per character needs half a minute
+        // for this; a linear one needs milliseconds, even unoptimised.
+        let body = "é→𝄞 ".repeat(1 << 17);
+        let t0 = std::time::Instant::now();
+        let doc = parse(&format!("[\"{body}\"]")).unwrap();
+        assert_eq!(doc.as_array().unwrap()[0].as_str(), Some(body.as_str()));
+        assert!(t0.elapsed().as_secs_f64() < 5.0, "took {:?}", t0.elapsed());
     }
 
     #[test]

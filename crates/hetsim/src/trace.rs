@@ -275,6 +275,53 @@ impl Trace {
         out
     }
 
+    /// Checks what every drained trace of an `n_ranks`-rank run must hold:
+    /// events sorted by (start, rank), every rank below `n_ranks`, finite
+    /// non-negative times, and per-rank spans that nest rather than
+    /// partially overlap. The drain does not order start ties, so a
+    /// container and its first child may tie with the child first; ties
+    /// are read container-first (longer span first).
+    ///
+    /// # Errors
+    /// A description of the first defect found.
+    pub fn check_well_formed(&self, n_ranks: usize) -> Result<(), String> {
+        let mut spans: Vec<Vec<(f64, f64)>> = vec![Vec::new(); n_ranks];
+        for (i, ev) in self.events.iter().enumerate() {
+            let (start, dur) = (ev.start.as_secs(), ev.dur.as_secs());
+            if !(start.is_finite() && dur.is_finite() && start >= 0.0 && dur >= 0.0) {
+                return Err(format!("event {i}: start {start} / dur {dur}"));
+            }
+            let Some(rank_spans) = spans.get_mut(ev.rank) else {
+                return Err(format!("event {i}: rank {} of {n_ranks}", ev.rank));
+            };
+            if let Some(prev) = i.checked_sub(1).map(|j| &self.events[j]) {
+                if (prev.start, prev.rank) > (ev.start, ev.rank) {
+                    return Err(format!("event {i}: out of (start, rank) order"));
+                }
+            }
+            rank_spans.push((start, (ev.start + ev.dur).as_secs()));
+        }
+        let eps = 1e-9;
+        for (rank, spans) in spans.iter_mut().enumerate() {
+            spans.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.total_cmp(&a.1)));
+            let mut open: Vec<f64> = Vec::new();
+            for &(s, e) in spans.iter() {
+                while open.last().is_some_and(|&oe| s >= oe - eps) {
+                    open.pop();
+                }
+                if let Some(&oe) = open.last() {
+                    if e > oe + eps {
+                        return Err(format!(
+                            "rank {rank}: span [{s}, {e}] partially overlaps [.., {oe}]"
+                        ));
+                    }
+                }
+                open.push(e);
+            }
+        }
+        Ok(())
+    }
+
     /// Serialises the trace in Chrome's `trace_event` JSON format
     /// (complete `"X"` events; `ts`/`dur` in microseconds of virtual
     /// time, `tid` = rank). The output loads directly in
@@ -509,6 +556,57 @@ mod tests {
             "unbalanced braces"
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn well_formed_traces_nest_and_defects_are_named() {
+        // A container with its first child tied on start and drained
+        // child-first, then a disjoint span on another rank.
+        let good = Trace {
+            events: vec![
+                ev(0, TraceKind::Send, 1.0, 0.5),
+                ev(0, TraceKind::Collective, 1.0, 2.0),
+                ev(1, TraceKind::Compute, 1.0, 4.0),
+                ev(0, TraceKind::Recv, 2.0, 1.0),
+            ],
+        };
+        assert_eq!(good.check_well_formed(2), Ok(()));
+        assert_eq!(Trace::default().check_well_formed(0), Ok(()));
+
+        let defect = |events: Vec<TraceEvent>, ranks: usize| {
+            Trace { events }.check_well_formed(ranks).unwrap_err()
+        };
+        let overlap = defect(
+            vec![
+                ev(0, TraceKind::Collective, 0.0, 2.0),
+                ev(0, TraceKind::Send, 1.0, 2.0),
+            ],
+            1,
+        );
+        assert!(overlap.contains("partially overlaps"), "{overlap}");
+        let unsorted = defect(
+            vec![
+                ev(0, TraceKind::Compute, 2.0, 1.0),
+                ev(0, TraceKind::Compute, 1.0, 1.0),
+            ],
+            1,
+        );
+        assert!(unsorted.contains("order"), "{unsorted}");
+        let rank_ties = defect(
+            vec![
+                ev(1, TraceKind::Compute, 1.0, 1.0),
+                ev(0, TraceKind::Compute, 1.0, 1.0),
+            ],
+            2,
+        );
+        assert!(rank_ties.contains("order"), "{rank_ties}");
+        assert!(defect(vec![ev(2, TraceKind::Compute, 0.0, 1.0)], 2).contains("rank 2 of 2"));
+        // `SimTime` refuses NaN and negative values in debug builds, so
+        // only the infinite ones can be built here.
+        for (start, dur) in [(f64::INFINITY, 1.0), (0.0, f64::INFINITY)] {
+            let bad = defect(vec![ev(0, TraceKind::Compute, start, dur)], 1);
+            assert!(bad.contains("start"), "{bad}");
+        }
     }
 
     #[test]

@@ -189,9 +189,10 @@ fn death_window(crash: bool) {
                 (0, Err(NodeFailed { world_rank })) => crash && *world_rank == victim,
                 (0, Err(PeerTerminated { world_rank })) => !crash && *world_rank == victim,
                 // Seven live `ANY_SOURCE` waiters are stuck for good once
-                // the eighth is gone: the classifier blames a dead rank —
-                // the victim, or a waiter that took its verdict and left.
-                (1, Err(NodeFailed { .. } | PeerTerminated { .. })) => true,
+                // the eighth is gone: one classification round blames the
+                // victim for all seven, and no later round re-judges a
+                // waiter before it has taken its verdict.
+                (1, Err(NodeFailed { world_rank })) => *world_rank == victim,
                 // A failed member aborts the legacy collective everywhere,
                 // a returned one unravels it link by link — and a waiter
                 // descheduled between its two looks at the failure detector

@@ -280,9 +280,9 @@ pub(crate) enum Claim<T = Envelope> {
     /// The wait is over: a qualifying envelope was removed from the queue
     /// (or peeked, or the awaited outcome read).
     Matched(T),
-    /// A matching envelope from the *specific* awaited source is queued
-    /// with `arrival > deadline`: non-overtaking means nothing earlier can
-    /// follow, so the deadline is provably missed.
+    /// The first matching envelope from the *specific* awaited source is
+    /// queued with `arrival > deadline`: non-overtaking means it must be
+    /// received first, so the deadline is provably missed.
     DeadlineMissed,
     /// Nothing qualifying is queued (yet).
     Nothing,
@@ -323,18 +323,23 @@ impl Store {
             .push_back(Queued { ticket, env });
     }
 
-    /// First deliverable entry in one queue: tag match, and on-time when a
-    /// deadline bounds the receive. Returns (position, ticket).
+    /// The first entry in one queue whose tag matches, if it is deliverable:
+    /// on time when a deadline bounds the receive. No later match overtakes
+    /// it (MPI's non-overtaking rule), however early that one arrives — a
+    /// small message posted after a large one can have the earlier arrival
+    /// stamp. Returns (position, ticket).
     fn hit_in(
         q: &VecDeque<Queued>,
         pat: &Pattern,
         deadline: Option<SimTime>,
     ) -> Option<(usize, u64)> {
-        q.iter().enumerate().find_map(|(i, item)| {
-            let ok = pat.tag_matches(item.env.tag)
-                && deadline.is_none_or(|d| item.env.arrival <= d);
-            ok.then_some((i, item.ticket))
-        })
+        let (i, item) = q
+            .iter()
+            .enumerate()
+            .find(|(_, item)| pat.tag_matches(item.env.tag))?;
+        deadline
+            .is_none_or(|d| item.env.arrival <= d)
+            .then_some((i, item.ticket))
     }
 
     /// Whether any entry in `q` matches `pat` ignoring arrival times.
@@ -353,10 +358,9 @@ impl Store {
                     return Locate::Hit { key, pos };
                 }
                 if deadline.is_some() && Self::any_match_in(q, &pat) {
-                    // The queued match must have arrival > deadline; for a
-                    // specific source, non-overtaking means no earlier
-                    // arrival can follow it: the deadline is already
-                    // missed.
+                    // The first match arrives after the deadline, and
+                    // nothing from this source may be received before it:
+                    // the deadline is already missed.
                     return Locate::Missed;
                 }
                 Locate::Nothing
@@ -843,20 +847,32 @@ mod tests {
         assert!(matches!(mb.claim(wildcard, d), Claim::Nothing));
     }
 
+    /// A late match is not overtaken by a later, earlier-arriving one from
+    /// the same source (a large message, then a small one): the deadline is
+    /// missed whether or not the second has been posted yet, so the verdict
+    /// never depends on when the sender's thread got to post it. A
+    /// non-matching tag does not block.
     #[test]
-    fn deadline_claim_skips_late_and_takes_on_time() {
+    fn deadline_claim_never_overtakes_a_late_match() {
         let mb = Mailbox::for_world(0);
+        mb.post(env_at(1, 0, 8, 10.0));
         mb.post(env_at(1, 0, 7, 10.0));
         mb.post(env_at(1, 0, 7, 2.0));
         let d = Some(SimTime::from_secs(5.0));
-        let pat = Pattern {
+        let pat = |src_world| Pattern {
             ctx: 1,
-            src_world: Some(0),
+            src_world,
             tag: Some(7),
         };
-        match mb.claim(pat, d) {
+        assert!(matches!(mb.claim(pat(Some(0)), d), Claim::DeadlineMissed));
+        assert!(matches!(mb.claim(pat(None), d), Claim::Nothing));
+        match mb.claim(pat(Some(0)), None) {
+            Claim::Matched(env) => assert_eq!(env.arrival, SimTime::from_secs(10.0)),
+            other => panic!("expected the first tag-7 match, got {other:?}"),
+        }
+        match mb.claim(pat(Some(0)), d) {
             Claim::Matched(env) => assert_eq!(env.arrival, SimTime::from_secs(2.0)),
-            other => panic!("expected on-time match, got {other:?}"),
+            other => panic!("expected the on-time match, got {other:?}"),
         }
     }
 

@@ -17,7 +17,9 @@
 //!    dead (so its failure-detector abort will fire), or its agreement
 //!    round is completable — the system is *not* quiescent: no verdict is
 //!    issued, and that rank resolves organically at its next wake-up (the
-//!    change that made it resolvable rang its doorbell).
+//!    change that made it resolvable rang its doorbell). Nor is it while
+//!    any rank holds a verdict it has not taken yet: that rank is about to
+//!    act, and a new round would re-judge a state its waking changes.
 //!    Fault chains therefore unravel link-by-link in virtual-time order,
 //!    which keeps the error surface deterministic.
 //! 2. **Timeout round.** Otherwise, if any stuck rank has a virtual-time
@@ -279,9 +281,7 @@ impl Registry {
         // any verdict issued for an earlier wait of this rank.
         inner.epoch[me] = inner.epoch[me].wrapping_add(1);
         inner.set_phase(me, Phase::Blocked(rec.clone()));
-        if inner.verdicts[me].is_none() {
-            self.classify(&mut inner);
-        }
+        self.classify(&mut inner);
         self.take_verdict(&mut inner, me).map_or(Ok(true), Err)
     }
 
@@ -416,7 +416,11 @@ impl Registry {
     fn classify(&self, inner: &mut Inner) {
         let is_active = |p: &&Phase| matches!(p, Phase::Active);
         debug_assert_eq!(inner.active, inner.phase.iter().filter(is_active).count());
-        if inner.active > 0 {
+        // A rank holding a verdict it has not taken yet is about to act
+        // (die, deposit, send poison). Judging the others before it has
+        // would overwrite verdicts, or judge a state that only lasts until
+        // it wakes — and which of the two happens is host scheduling.
+        if inner.active > 0 || inner.verdicts.iter().any(Option::is_some) {
             return;
         }
         let blocked: Vec<usize> = inner

@@ -1,9 +1,10 @@
 //! The Chrome `trace_event` exporter, validated by actually reading the
 //! JSON back (via `hetsim::json`): the document parses, every event
-//! carries the `ph`/`pid`/`tid`/`ts`/`dur` fields Perfetto expects,
-//! timestamps are monotone per rank, and spans nest rather than partially
-//! overlap. Exercised over a real traced run mixing compute, p2p and
-//! engine collectives.
+//! carries the `ph`/`pid`/`tid`/`ts`/`dur` fields Perfetto expects and
+//! timestamps are monotone per rank. This is the one export → parse round
+//! trip; simcheck checks every scenario's trace in memory
+//! (`Trace::check_well_formed`), which this file also runs. Exercised over
+//! a real traced run mixing compute, p2p and engine collectives.
 
 use hetsim::json::{parse, JsonValue};
 use hetsim::trace::{Trace, TraceEvent, TraceKind};
@@ -87,39 +88,13 @@ fn spans_nest_per_rank() {
     // Within a rank, two spans either touch disjointly or nest (a
     // collective span contains its inner transfers); partial overlap
     // would render as garbage in Perfetto and signals a broken clock.
-    // The exporter drains by (start, rank) only, so a container and its
-    // first child can tie on start with the child emitted first —
-    // canonicalise ties to container-first before checking nesting.
-    let eps = 1e-9;
     for rank in 0..p {
-        let mut spans: Vec<(f64, f64)> = trace
-            .events
-            .iter()
-            .filter(|e| e.rank == rank)
-            .map(|e| (e.start.as_secs(), (e.start + e.dur).as_secs()))
-            .collect();
-        assert!(!spans.is_empty(), "rank {rank} traced nothing");
-        spans.sort_by(|a, b| {
-            a.0.total_cmp(&b.0).then(b.1.total_cmp(&a.1))
-        });
-        let mut open: Vec<(f64, f64)> = Vec::new();
-        for &(s, e) in &spans {
-            while let Some(&(_, oe)) = open.last() {
-                if s >= oe - eps {
-                    open.pop();
-                } else {
-                    break;
-                }
-            }
-            if let Some(&(_, oe)) = open.last() {
-                assert!(
-                    e <= oe + eps,
-                    "rank {rank}: span [{s}, {e}] partially overlaps [.., {oe}]"
-                );
-            }
-            open.push((s, e));
-        }
+        assert!(
+            trace.events.iter().any(|e| e.rank == rank),
+            "rank {rank} traced nothing"
+        );
     }
+    assert_eq!(trace.check_well_formed(p), Ok(()));
 }
 
 #[test]

@@ -31,8 +31,10 @@
 //!   reported, so every probe, delta and rebase is held to a cold full
 //!   price; no algorithm beats `Exhaustive`; typed errors match across
 //!   algorithms;
-//! * **trace well-formedness** — Chrome exports parse, timestamps are
-//!   monotone and spans nest (container-first at start ties);
+//! * **trace well-formedness** — every run's trace, checked in memory, is
+//!   sorted by (start, rank), names only its ranks, has finite
+//!   non-negative times, and its spans nest per rank (container-first at
+//!   start ties);
 //! * **estimate discipline** — recon advances the estimate generation
 //!   (exactly +1 fault-free; more when deaths are also recorded) and
 //!   leaves finite, positive speeds for available nodes;
@@ -275,77 +277,11 @@ fn judge_ranks(sc: &Scenario, results: &[Result<(), RankFail>]) -> Result<(), Vi
     Ok(())
 }
 
-/// Chrome-trace well-formedness: the export parses, carries the complete
-/// per-event field set, timestamps are monotone, and per-rank spans nest
-/// once start ties are canonicalised container-first.
+/// Trace well-formedness ([`Trace::check_well_formed`]) as a violation.
 fn validate_trace(trace: &Trace, ranks: usize) -> Result<(), Violation> {
-    use hetsim::json::{parse, JsonValue};
-    let doc = parse(&trace.to_chrome_json())
-        .map_err(|e| viol("trace-export", format!("export does not parse: {e}")))?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| viol("trace-export", "missing traceEvents array"))?;
-    if events.len() != trace.events.len() {
-        return Err(viol(
-            "trace-export",
-            format!(
-                "exported {} events, trace holds {}",
-                events.len(),
-                trace.events.len()
-            ),
-        ));
-    }
-    let mut global_last = 0.0f64;
-    for ev in events {
-        let field = |k: &str| {
-            ev.get(k)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| viol("trace-export", format!("event missing numeric {k:?}")))
-        };
-        if ev.get("ph").and_then(JsonValue::as_str) != Some("X") {
-            return Err(viol("trace-export", "event is not a complete-span (ph X)"));
-        }
-        let tid = field("tid")?;
-        let (ts, dur) = (field("ts")?, field("dur")?);
-        if tid.fract() != 0.0 || (tid as usize) >= ranks {
-            return Err(viol("trace-export", format!("bad tid {tid}")));
-        }
-        if ts < 0.0 || dur < 0.0 {
-            return Err(viol("trace-export", format!("negative ts/dur: {ts}/{dur}")));
-        }
-        if ts < global_last {
-            return Err(viol("trace-export", format!("ts {ts} not monotone")));
-        }
-        global_last = ts;
-    }
-    // Span nesting per rank, on the raw trace (exact virtual times).
-    let eps = 1e-9;
-    for rank in 0..ranks {
-        let mut spans: Vec<(f64, f64)> = trace
-            .events
-            .iter()
-            .filter(|e| e.rank == rank)
-            .map(|e| (e.start.as_secs(), (e.start + e.dur).as_secs()))
-            .collect();
-        spans.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.total_cmp(&a.1)));
-        let mut open: Vec<f64> = Vec::new();
-        for &(s, e) in &spans {
-            while open.last().is_some_and(|&oe| s >= oe - eps) {
-                open.pop();
-            }
-            if let Some(&oe) = open.last() {
-                if e > oe + eps {
-                    return Err(viol(
-                        "trace-nesting",
-                        format!("rank {rank}: span [{s}, {e}] partially overlaps [.., {oe}]"),
-                    ));
-                }
-            }
-            open.push(e);
-        }
-    }
-    Ok(())
+    trace
+        .check_well_formed(ranks)
+        .map_err(|defect| viol("trace-well-formed", defect))
 }
 
 fn ring_payload(rank: usize, elems: usize) -> Vec<i64> {

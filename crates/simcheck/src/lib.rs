@@ -11,11 +11,11 @@
 //! Everything is reproducible from the seed:
 //!
 //! ```text
-//! cargo run -p simcheck -- --seeds 500          # fuzz a seed range
-//! cargo run -p simcheck -- --seed 0x1f2e        # re-run one seed
-//! cargo run -p simcheck -- --replay corpus/     # replay saved repros
-//! cargo run -p simcheck -- --seeds 500 --crashy # crashy-collective batch
-//! cargo run -p simcheck -- --seeds 500 --hierarchy # multi-site batch
+//! cargo run -p simcheck -- --seeds 5000          # fuzz a seed range
+//! cargo run -p simcheck -- --seed 0x1f2e         # re-run one seed
+//! cargo run -p simcheck -- --replay corpus/      # replay saved repros
+//! cargo run -p simcheck -- --seeds 5000 --crashy # crashy-collective batch
+//! cargo run -p simcheck -- --seeds 5000 --hierarchy # multi-site batch
 //! ```
 //!
 //! A failing seed is auto-shrunk (drop nodes → drop fault events → drop
