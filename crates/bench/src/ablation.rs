@@ -151,8 +151,8 @@ fn recon(r: &mut Report) {
     r.tables.push(("recon", rows));
 }
 
-/// The `ablation` bench. Virtual time only, so `quick` changes nothing.
-pub fn run(_quick: bool) -> Report {
+/// The `ablation` bench.
+pub fn run() -> Report {
     let mut r = Report::new(
         "ablation",
         "Ablations: selection algorithm (EM3D), contention model (MM), \

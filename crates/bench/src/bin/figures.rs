@@ -4,12 +4,11 @@
 //! ```text
 //! cargo run --release -p hmpi-bench --bin figures -- all
 //! cargo run --release -p hmpi-bench --bin figures -- paper ablation
-//! cargo run --release -p hmpi-bench --bin figures -- --quick all
 //! ```
 //!
 //! Each bench prints its report, writes `BENCH_<name>.json` (and any other
-//! file the report carries) unless `--quick`, and makes the process exit 1
-//! if any of its gates failed. An unknown name or flag exits 2.
+//! file the report carries), and makes the process exit 1 if any of its
+//! gates failed. An unknown name exits 2.
 
 use hmpi_bench::BENCHES;
 
@@ -25,16 +24,13 @@ fn write(path: &str, text: &str) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut wanted: Vec<&str> = (args.iter().map(String::as_str))
-        .filter(|a| *a != "--quick")
-        .collect();
+    let mut wanted: Vec<&str> = args.iter().map(String::as_str).collect();
     if wanted.is_empty() || wanted.contains(&"all") {
         wanted = names();
     }
     if let Some(other) = wanted.iter().find(|w| !names().contains(w)) {
         eprintln!(
-            "unknown bench `{other}`; usage: figures [--quick] [all | {}]",
+            "unknown bench `{other}`; usage: figures [all | {}]",
             names().join(" | ")
         );
         std::process::exit(2);
@@ -45,15 +41,13 @@ fn main() {
         .iter()
         .filter_map(|w| BENCHES.iter().find(|(n, _)| n == w))
     {
-        let report = run(quick);
+        let report = run();
         println!("{}", report.render());
-        if !quick {
-            write(&format!("BENCH_{name}.json"), &report.to_json());
-            for (path, text) in &report.files {
-                write(path, text);
-            }
-            println!();
+        write(&format!("BENCH_{name}.json"), &report.to_json());
+        for (path, text) in &report.files {
+            write(path, text);
         }
+        println!();
         if let Err(failure) = report.enforce() {
             eprintln!("{failure}");
             gate_failed = true;
@@ -68,8 +62,8 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// The names following every `figures -- ` in `text`, flags skipped; a
-    /// closing backtick or other punctuation ends the command.
+    /// The names following every `figures -- ` in `text`; a closing
+    /// backtick or other punctuation ends the command.
     fn invoked(text: &str) -> Vec<&str> {
         let mut found = Vec::new();
         for command in text.split("figures -- ").skip(1) {
@@ -78,9 +72,7 @@ mod tests {
                 if name.is_empty() {
                     break;
                 }
-                if !name.starts_with("--") {
-                    found.push(name);
-                }
+                found.push(name);
                 if name.len() != token.len() {
                     break;
                 }

@@ -77,8 +77,8 @@ fn worst_error<'a>(points: impl IntoIterator<Item = &'a Point>) -> f64 {
     (points.into_iter()).fold(0.0, |worst, p| f64::max(worst, p.error_pct().abs()))
 }
 
-/// The `paper` bench. Virtual time only, so `quick` changes nothing.
-pub fn run(_quick: bool) -> Report {
+/// The `paper` bench.
+pub fn run() -> Report {
     let mut r = Report::new(
         "paper",
         "The paper's evaluation: Figures 9-11 and the n-body extension, \

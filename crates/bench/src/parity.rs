@@ -213,7 +213,7 @@ impl Sweep {
 
 const HEADLINE_KINDS: [CollectiveKind; 2] = [CollectiveKind::Bcast, CollectiveKind::Allreduce];
 const SIZES: [usize; 4] = [8, 8_192, LARGE, 524_288];
-const QUICK_SIZES: [usize; 2] = [8, LARGE];
+const WAN_SIZES: [usize; 4] = [1_024, 8_192, LARGE, 262_144];
 
 /// Every eligible algorithm pinned in turn.
 fn every_algo(kind: CollectiveKind, p: usize) -> Vec<CollectivePolicy> {
@@ -236,8 +236,7 @@ fn pinned_row(c: &Point) -> Fields {
     ]
 }
 
-fn lan_sweep(quick: bool) -> Sweep {
-    let sizes: &[usize] = if quick { &QUICK_SIZES } else { &SIZES };
+fn lan_sweep(sizes: &[usize]) -> Sweep {
     let auto_then_every_algo = |kind, p| {
         let mut requests = vec![CollectivePolicy::Auto];
         requests.extend(every_algo(kind, p));
@@ -251,14 +250,16 @@ fn lan_sweep(quick: bool) -> Sweep {
         "lan8",
         Arc::new(Cluster::paper_lan(&PAPER_EM3D_SPEEDS[..8])),
     );
-    let sizes: &[usize] = if quick { &[LARGE] } else { sizes };
     sweep.run(&eight, &HEADLINE_KINDS, sizes, auto_then_every_algo);
     sweep
 }
 
 /// The `collectives` bench.
-pub fn collectives(quick: bool) -> Report {
-    let sweep = lan_sweep(quick);
+pub fn collectives() -> Report {
+    collectives_report(&lan_sweep(&SIZES))
+}
+
+fn collectives_report(sweep: &Sweep) -> Report {
     let mut r = sweep.report(
         "collectives",
         "Collective engine: measured virtual time vs timeof prediction (paper LAN)",
@@ -311,8 +312,7 @@ fn mem_bus_testbed() -> Testbed {
     }
 }
 
-fn contended_sweep(quick: bool) -> Sweep {
-    let sizes: &[usize] = if quick { &QUICK_SIZES } else { &SIZES };
+fn contended_sweep(sizes: &[usize]) -> Sweep {
     let mut sweep = Sweep::default();
     for testbed in [
         Testbed::flat("nic", paper_lan_with(ContentionModel::SerializedNic)),
@@ -325,8 +325,11 @@ fn contended_sweep(quick: bool) -> Sweep {
 }
 
 /// The `contention` bench.
-pub fn contention(quick: bool) -> Report {
-    let sweep = contended_sweep(quick);
+pub fn contention() -> Report {
+    contention_report(&contended_sweep(&SIZES))
+}
+
+fn contention_report(sweep: &Sweep) -> Report {
     let mut r = sweep.report(
         "contention",
         "Contended timeof: measured virtual time vs prediction (NIC / bus / memory bus)",
@@ -365,12 +368,7 @@ fn multi_site_testbed() -> Testbed {
     }
 }
 
-fn wan_sweep(quick: bool) -> Sweep {
-    let sizes: &[usize] = if quick {
-        &[LARGE]
-    } else {
-        &[1_024, 8_192, LARGE, 262_144]
-    };
+fn wan_sweep(sizes: &[usize]) -> Sweep {
     let kinds = [
         CollectiveKind::Bcast,
         CollectiveKind::Reduce,
@@ -385,8 +383,11 @@ fn wan_sweep(quick: bool) -> Sweep {
 }
 
 /// The `hierarchy` bench.
-pub fn hierarchy(quick: bool) -> Report {
-    let sweep = wan_sweep(quick);
+pub fn hierarchy() -> Report {
+    hierarchy_report(&wan_sweep(&WAN_SIZES))
+}
+
+fn hierarchy_report(sweep: &Sweep) -> Report {
     let mut r = sweep.report(
         "hierarchy",
         "Hierarchical collectives: topology-aware Auto vs flat-only selector \
@@ -437,10 +438,15 @@ pub fn hierarchy(quick: bool) -> Report {
 mod tests {
     use super::*;
 
+    /// The benches' gates over the 64 KiB column alone, where every claim
+    /// is made (the full sizes are the checked-in files' test).
     #[test]
     fn every_gate_holds_on_every_testbed_list() {
-        for bench in [collectives, contention, hierarchy] {
-            let r = bench(true);
+        for r in [
+            collectives_report(&lan_sweep(&[LARGE])),
+            contention_report(&contended_sweep(&[LARGE])),
+            hierarchy_report(&wan_sweep(&[LARGE])),
+        ] {
             assert!(!r.tables[0].1.is_empty());
             r.enforce()
                 .unwrap_or_else(|e| panic!("{e}\n{}", r.render()));
@@ -450,7 +456,7 @@ mod tests {
     #[test]
     fn the_sweep_is_deterministic() {
         for sweep in [lan_sweep, contended_sweep, wan_sweep] {
-            let (a, b) = (sweep(true), sweep(true));
+            let (a, b) = (sweep(&[8, LARGE]), sweep(&[8, LARGE]));
             assert_eq!(a.points.len(), b.points.len());
             for (x, y) in a.points.iter().zip(&b.points) {
                 assert_eq!(x.measured_s.to_bits(), y.measured_s.to_bits(), "{x:?}");
@@ -462,7 +468,7 @@ mod tests {
 
     #[test]
     fn the_lists_cover_what_they_claim() {
-        let lan = lan_sweep(true);
+        let lan = lan_sweep(&[LARGE]);
         let ran = |p: usize, algo| lan.points.iter().any(|c| c.p == p && c.algo == algo);
         assert!(
             ran(8, CollectiveAlgo::RecursiveDoubling),
@@ -481,14 +487,14 @@ mod tests {
                 kind.name()
             );
         }
-        let contended = contended_sweep(true);
+        let contended = contended_sweep(&[LARGE]);
         for want in ["nic", "bus", "mem"] {
             assert!(
                 contended.points.iter().any(|c| c.testbed == want),
                 "missing {want} slice"
             );
         }
-        let wan = wan_sweep(true);
+        let wan = wan_sweep(&[LARGE]);
         assert!(
             wan.points
                 .iter()

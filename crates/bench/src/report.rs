@@ -1,21 +1,20 @@
 //! What every bench returns: one plain-data [`Report`].
 //!
-//! A bench is `fn(quick: bool) -> Report`. The report names its scalar
-//! summary, its row tables, free-form notes (host-side figures that do not
-//! belong in the JSON), the [`Gate`]s CI enforces and any other file the
-//! run produced; this module owns the
-//! only text renderer, the only JSON writer and the only gate check, and
-//! `bin/figures.rs` is one loop over them. Adding a point is one more row,
-//! adding a claim one more `gate` line.
+//! A bench is `fn() -> Report`. The report names its scalar summary, its
+//! row tables, free-form notes (host-side figures that do not belong in the
+//! JSON), the [`Gate`]s CI enforces and any other file the run produced;
+//! this module owns the only text renderer, the only JSON writer and the
+//! only gate check, and `bin/figures.rs` is one loop over them. Adding a
+//! point is one more row, adding a claim one more `gate` line.
 //!
 //! The JSON layout is fixed — summary members first, then each table as an
-//! array of one-line row objects — because five of the checked-in
-//! `BENCH_*.json` files hold virtual time only and must regenerate
-//! byte-identical (they are their own baseline). The shape is as small as
-//! those files allow: a report has a *list* of tables because
-//! `BENCH_collectives.json` and `BENCH_paper.json` have several, a value can be a nested object
-//! because `BENCH_selection.json` has one (`instance`), and a row names its
-//! columns itself so no column list can fall out of step with it.
+//! array of one-line row objects — because every checked-in `BENCH_*.json`
+//! holds virtual time only and must regenerate byte-identical (it is its
+//! own baseline). The shape is as small as those files allow: a report has
+//! a *list* of tables because `BENCH_collectives.json` and
+//! `BENCH_paper.json` have several, a value can be a nested object because
+//! `BENCH_selection.json` has one (`instance`), and a row names its columns
+//! itself so no column list can fall out of step with it.
 
 use std::fmt::Write as _;
 
@@ -289,11 +288,11 @@ mod tests {
     #[test]
     fn every_bench_writes_valid_json_with_the_checked_in_keys_in_order() {
         for (name, run) in crate::BENCHES {
-            let quick = run(true).to_json();
-            hetsim::json::parse(&quick).unwrap_or_else(|e| panic!("{name}: {e:?}\n{quick}"));
+            let json = run().to_json();
+            hetsim::json::parse(&json).unwrap_or_else(|e| panic!("{name}: {e:?}\n{json}"));
             let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
             let checked_in = std::fs::read_to_string(&path).expect(&path);
-            assert_eq!(schema(&quick), schema(&checked_in), "{name} vs {path}");
+            assert_eq!(schema(&json), schema(&checked_in), "{name} vs {path}");
         }
     }
 }

@@ -11,7 +11,6 @@
 //! goes stale until the next recon — reproducing the dynamics the paper's
 //! `HMPI_Recon` is designed for.
 
-use crate::clock::SimTime;
 use crate::node::NodeId;
 use crate::topology::Cluster;
 use parking_lot::RwLock;
@@ -29,9 +28,8 @@ struct Inner {
     speeds: Vec<f64>,
     /// `false` for nodes the failure detector has declared dead. Speeds of
     /// unavailable nodes are retained (last known value) but must not be
-    /// planned with — see [`SpeedEstimates::available_nodes`].
+    /// planned with — see [`SpeedEstimates::is_available`].
     available: Vec<bool>,
-    measured_at: SimTime,
     generation: u64,
 }
 
@@ -45,7 +43,6 @@ impl SpeedEstimates {
             inner: Arc::new(RwLock::new(Inner {
                 speeds,
                 available,
-                measured_at: SimTime::ZERO,
                 generation: 0,
             })),
         }
@@ -65,7 +62,6 @@ impl SpeedEstimates {
             inner: Arc::new(RwLock::new(Inner {
                 speeds,
                 available,
-                measured_at: SimTime::ZERO,
                 generation: 0,
             })),
         }
@@ -91,11 +87,6 @@ impl SpeedEstimates {
         self.len() == 0
     }
 
-    /// Virtual time of the most recent refresh.
-    pub fn measured_at(&self) -> SimTime {
-        self.inner.read().measured_at
-    }
-
     /// Monotonically increasing refresh counter (0 before any recon).
     pub fn generation(&self) -> u64 {
         self.inner.read().generation
@@ -115,17 +106,6 @@ impl SpeedEstimates {
         g.generation += 1;
     }
 
-    /// Ids of all nodes still considered alive, in node order.
-    pub fn available_nodes(&self) -> Vec<NodeId> {
-        self.inner
-            .read()
-            .available
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &ok)| ok.then_some(NodeId(i)))
-            .collect()
-    }
-
     /// Number of nodes still considered alive.
     pub fn available_len(&self) -> usize {
         self.inner.read().available.iter().filter(|&&ok| ok).count()
@@ -140,7 +120,7 @@ impl SpeedEstimates {
     /// subsequent selection, so non-finite speeds are rejected here as the
     /// last line of defence (callers validate first and keep the previous
     /// estimate instead).
-    pub fn refresh(&self, speeds: Vec<f64>, measured_at: SimTime) {
+    pub fn refresh(&self, speeds: Vec<f64>) {
         let mut g = self.inner.write();
         assert_eq!(
             speeds.len(),
@@ -152,7 +132,6 @@ impl SpeedEstimates {
             "estimated speeds must be positive and finite"
         );
         g.speeds = speeds;
-        g.measured_at = measured_at;
         g.generation += 1;
     }
 
@@ -165,7 +144,7 @@ impl SpeedEstimates {
     /// Panics if the length differs from the current estimate vector or any
     /// speed for an *available* node is not positive and finite (see
     /// [`SpeedEstimates::refresh`] on why infinities are rejected).
-    pub fn refresh_available(&self, speeds: Vec<f64>, measured_at: SimTime) {
+    pub fn refresh_available(&self, speeds: Vec<f64>) {
         let mut g = self.inner.write();
         assert_eq!(
             speeds.len(),
@@ -181,7 +160,6 @@ impl SpeedEstimates {
                 g.speeds[i] = s;
             }
         }
-        g.measured_at = measured_at;
         g.generation += 1;
     }
 }
@@ -198,6 +176,7 @@ fn valid_speed(s: f64) -> bool {
 mod tests {
     use super::*;
     use crate::load::LoadModel;
+    use crate::clock::SimTime;
     use crate::node::Processor;
     use crate::topology::ClusterBuilder;
 
@@ -229,7 +208,7 @@ mod tests {
             .node_ids()
             .map(|n| units / c.compute_time(n, units, now).as_secs())
             .collect();
-        e.refresh(speeds, now);
+        e.refresh(speeds);
     }
 
     #[test]
@@ -256,7 +235,6 @@ mod tests {
         assert!((snap[0] - 100.0).abs() < 1e-9);
         assert!((snap[1] - 50.0).abs() < 1e-9);
         assert_eq!(e.generation(), 2);
-        assert_eq!(e.measured_at(), SimTime::from_secs(15.0));
     }
 
     #[test]
@@ -275,7 +253,7 @@ mod tests {
     fn refresh_with_wrong_length_panics() {
         let c = Cluster::paper_lan_em3d();
         let e = SpeedEstimates::from_base_speeds(&c);
-        e.refresh(vec![1.0], SimTime::ZERO);
+        e.refresh(vec![1.0]);
     }
 
     #[test]
@@ -287,7 +265,7 @@ mod tests {
         let e = SpeedEstimates::from_base_speeds(&c);
         let mut speeds = e.snapshot();
         speeds[3] = f64::INFINITY;
-        e.refresh(speeds, SimTime::from_secs(1.0));
+        e.refresh(speeds);
     }
 
     #[test]
@@ -297,7 +275,7 @@ mod tests {
         let e = SpeedEstimates::from_base_speeds(&c);
         let mut speeds = e.snapshot();
         speeds[2] = f64::INFINITY;
-        e.refresh_available(speeds, SimTime::from_secs(1.0));
+        e.refresh_available(speeds);
     }
 
     #[test]
@@ -308,7 +286,7 @@ mod tests {
         e.mark_unavailable(NodeId(4));
         let mut speeds = e.snapshot();
         speeds[4] = 1.0; // placeholder, must be ignored
-        e.refresh_available(speeds, SimTime::from_secs(1.0));
+        e.refresh_available(speeds);
         assert_eq!(e.speed(NodeId(4)), before);
     }
 
@@ -317,7 +295,7 @@ mod tests {
         let c = Cluster::paper_lan_em3d();
         let e = SpeedEstimates::from_base_speeds(&c);
         let e2 = e.clone();
-        e.refresh(vec![1.0; 9], SimTime::from_secs(1.0));
+        e.refresh(vec![1.0; 9]);
         assert_eq!(e2.speed(NodeId(0)), 1.0);
         assert_eq!(e2.generation(), 1);
     }

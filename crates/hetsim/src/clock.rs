@@ -60,7 +60,7 @@ impl SimTime {
 
     /// True if this time is exactly zero.
     #[inline]
-    pub fn is_zero(self) -> bool {
+    pub(crate) fn is_zero(self) -> bool {
         self.0 == 0.0
     }
 }

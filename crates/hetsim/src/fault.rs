@@ -275,7 +275,7 @@ impl FaultPlan {
     }
 
     /// True if `node` has not crashed strictly before or at `t`.
-    pub fn node_available(&self, node: NodeId, t: SimTime) -> bool {
+    pub(crate) fn node_available(&self, node: NodeId, t: SimTime) -> bool {
         match self.crash_time(node) {
             Some(at) => t < at,
             None => true,
@@ -284,7 +284,7 @@ impl FaultPlan {
 
     /// Combined speed multiplier for `node` at time `t` (product of all
     /// active slowdowns; `1.0` when none are active).
-    pub fn slowdown_factor(&self, node: NodeId, t: SimTime) -> f64 {
+    pub(crate) fn slowdown_factor(&self, node: NodeId, t: SimTime) -> f64 {
         self.events
             .iter()
             .filter_map(|e| match *e {
@@ -300,14 +300,14 @@ impl FaultPlan {
     }
 
     /// True if the directed link `from -> to` has not been dropped at `t`.
-    pub fn link_available(&self, from: NodeId, to: NodeId, t: SimTime) -> bool {
+    pub(crate) fn link_available(&self, from: NodeId, to: NodeId, t: SimTime) -> bool {
         !self.events.iter().any(|e| matches!(*e,
             FaultEvent::LinkDrop { from: f, to: d, at } if f == from && d == to && at <= t))
     }
 
     /// Combined bandwidth multiplier for the directed link `from -> to` at
     /// time `t` (product of all degradations in force; `1.0` when none).
-    pub fn link_bandwidth_factor(&self, from: NodeId, to: NodeId, t: SimTime) -> f64 {
+    pub(crate) fn link_bandwidth_factor(&self, from: NodeId, to: NodeId, t: SimTime) -> f64 {
         self.events
             .iter()
             .filter_map(|e| match *e {
@@ -322,18 +322,6 @@ impl FaultPlan {
             .product()
     }
 
-    /// Node ids with a scheduled crash, in event order (duplicates removed).
-    pub fn crashing_nodes(&self) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = Vec::new();
-        for e in &self.events {
-            if let FaultEvent::NodeCrash { node, .. } = *e {
-                if !out.contains(&node) {
-                    out.push(node);
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -369,7 +357,6 @@ mod tests {
         assert!(!p.node_available(NodeId(3), SimTime::from_secs(2.0)));
         assert!(!p.node_available(NodeId(3), SimTime::from_secs(100.0)));
         assert!(p.node_available(NodeId(4), SimTime::from_secs(100.0)));
-        assert_eq!(p.crashing_nodes(), vec![NodeId(3)]);
     }
 
     #[test]
@@ -467,8 +454,8 @@ mod tests {
             assert_eq!(a, b, "seed {seed} not reproducible");
             // Validation ran in FaultPlan::new; additionally check times and
             // that at least one node survives every plan.
-            let crashed: Vec<NodeId> = a.crashing_nodes();
-            assert!(crashed.len() < 6, "seed {seed} crashed every node");
+            let crashed = a.crash_times(6).iter().flatten().count();
+            assert!(crashed < 6, "seed {seed} crashed every node");
             for e in a.events() {
                 match *e {
                     FaultEvent::NodeCrash { node, at } => {
@@ -490,7 +477,7 @@ mod tests {
     fn random_mixed_single_node_draws_no_link_events() {
         for seed in 0..20u64 {
             let p = FaultPlan::random_mixed(seed, 1, 8, SimTime::from_secs(2.0));
-            assert!(p.crashing_nodes().is_empty(), "sole node must survive");
+            assert_eq!(p.crash_time(NodeId(0)), None, "sole node must survive");
             for e in p.events() {
                 assert!(
                     matches!(e, FaultEvent::NodeSlowdown { .. }),

@@ -1,7 +1,7 @@
 //! A minimal JSON reader for validating hand-rolled exports.
 //!
 //! The workspace writes JSON by hand (the Chrome `trace_event` exporter in
-//! [`crate::trace`], the benchmark reports) and has no external JSON
+//! [`crate::Trace`], the benchmark reports) and has no external JSON
 //! dependency, so nothing ever *read back* those documents to prove they
 //! parse. This module is that reader: a small, strict, recursive-descent
 //! parser producing a [`JsonValue`] tree, used by the trace-exporter tests,

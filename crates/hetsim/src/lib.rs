@@ -18,15 +18,17 @@
 //!   with builders and presets that encode the paper's testbed;
 //! * [`SimTime`] — virtual time, the unit in which every reproduced
 //!   experiment reports results;
-//! * [`mod@bench`] — the *estimated* speeds an `HMPI_Recon`-style benchmark
-//!   produces and the HMPI runtime plans with (distinct from the true,
-//!   possibly time-varying speeds);
-//! * [`mod@frontier`] — the deterministic grant / settle arbitration by which
+//! * [`SpeedEstimates`] — the *estimated* speeds an `HMPI_Recon`-style
+//!   benchmark produces and the HMPI runtime plans with (distinct from the
+//!   true, possibly time-varying speeds);
+//! * [`NetFrontier`] — the deterministic grant / settle arbitration by which
 //!   transfers share a contended resource, called by both the transport and
 //!   the collective pricer;
-//! * [`mod@trace`] — opt-in virtual-time span recording ([`Tracer`]) with a
+//! * [`Tracer`] / [`Trace`] — opt-in virtual-time span recording with a
 //!   Chrome-trace exporter and per-rank compute/comm/wait breakdowns, the
-//!   substrate of the prediction-accuracy observability layer.
+//!   substrate of the prediction-accuracy observability layer;
+//! * [`json`] — the dependency-free JSON reader that tests and the ledger
+//!   parse exports with.
 //!
 //! The separation between **true speed** (what the simulated hardware
 //! delivers) and **estimated speed** (what a benchmark observed at some point
@@ -36,17 +38,17 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
-pub mod clock;
-pub mod fault;
-pub mod frontier;
+mod bench;
+mod clock;
+mod fault;
+mod frontier;
 pub mod json;
-pub mod link;
-pub mod load;
-pub mod node;
-pub mod protocol;
-pub mod topology;
-pub mod trace;
+mod link;
+mod load;
+mod node;
+mod protocol;
+mod topology;
+mod trace;
 
 pub use bench::SpeedEstimates;
 pub use clock::SimTime;
@@ -60,4 +62,6 @@ pub use topology::{
     Cluster, ClusterBuilder, ContentionModel, PairTable, Topology, TopologyBuilder, TopologyInfo,
     PAPER_EM3D_SPEEDS,
 };
-pub use trace::{PredictionReport, RankPhases, Trace, TraceEvent, TraceKind, Tracer};
+pub use trace::{
+    MessageStats, PredictionReport, RankPhases, Trace, TraceEvent, TraceKind, Tracer,
+};

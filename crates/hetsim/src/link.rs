@@ -60,7 +60,7 @@ impl Link {
     /// a link degradation (see
     /// [`crate::fault::FaultPlan::link_bandwidth_factor`]).
     #[inline]
-    pub fn transfer_time_degraded(&self, bytes: usize, bandwidth_factor: f64) -> SimTime {
+    pub(crate) fn transfer_time_degraded(&self, bytes: usize, bandwidth_factor: f64) -> SimTime {
         debug_assert!(
             bandwidth_factor > 0.0 && bandwidth_factor <= 1.0,
             "bandwidth factor must be in (0, 1], got {bandwidth_factor}"
@@ -69,19 +69,6 @@ impl Link {
             return SimTime::from_secs(self.latency);
         }
         SimTime::from_secs(self.latency + bytes as f64 / (self.bandwidth * bandwidth_factor))
-    }
-
-    /// Effective throughput for a message of `bytes` bytes (bytes/second),
-    /// i.e. the size divided by the full transfer time. Approaches the raw
-    /// bandwidth for large messages and collapses for tiny ones — the usual
-    /// reason heterogeneous-network schedulers must model latency at all.
-    pub fn effective_throughput(&self, bytes: usize) -> f64 {
-        let t = self.transfer_time(bytes).as_secs();
-        if t == 0.0 {
-            f64::INFINITY
-        } else {
-            bytes as f64 / t
-        }
     }
 }
 
@@ -117,8 +104,10 @@ mod tests {
     #[test]
     fn effective_throughput_approaches_bandwidth_for_large_messages() {
         let l = Link::new(150e-6, 11e6, Protocol::Tcp);
-        let small = l.effective_throughput(100);
-        let large = l.effective_throughput(100_000_000);
+        // Size over the whole transfer time: latency dominates tiny
+        // messages, which is why heterogeneous schedulers model it at all.
+        let throughput = |bytes: usize| bytes as f64 / l.transfer_time(bytes).as_secs();
+        let (small, large) = (throughput(100), throughput(100_000_000));
         assert!(small < 0.1 * 11e6, "latency should dominate small messages");
         assert!(large > 0.99 * 11e6, "bandwidth should dominate large ones");
     }

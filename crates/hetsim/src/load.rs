@@ -81,12 +81,12 @@ fn splitmix64(mut x: u64) -> u64 {
 /// The largest stealable fraction; the application always retains at least
 /// 1 % of the processor so speeds never reach zero (which would make
 /// completion times infinite).
-pub const MAX_STOLEN: f64 = 0.99;
+pub(crate) const MAX_STOLEN: f64 = 0.99;
 
 impl LoadModel {
     /// The fraction of the processor stolen by external load at time `t`,
     /// clamped to `[0, MAX_STOLEN]`.
-    pub fn stolen_at(&self, t: SimTime) -> f64 {
+    pub(crate) fn stolen_at(&self, t: SimTime) -> f64 {
         let raw = match self {
             LoadModel::None => 0.0,
             LoadModel::Constant { fraction } => *fraction,
@@ -148,7 +148,7 @@ impl LoadModel {
     }
 
     /// The fraction of the processor *available* to the application at `t`.
-    pub fn available_at(&self, t: SimTime) -> f64 {
+    pub(crate) fn available_at(&self, t: SimTime) -> f64 {
         1.0 - self.stolen_at(t)
     }
 

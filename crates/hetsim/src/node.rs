@@ -101,7 +101,7 @@ impl Processor {
     /// multiplied by `speed_factor` — how the fault layer applies a transient
     /// slowdown (see [`crate::fault::FaultPlan::slowdown_factor`]).
     #[inline]
-    pub fn compute_time_scaled(&self, units: f64, start: SimTime, speed_factor: f64) -> SimTime {
+    pub(crate) fn compute_time_scaled(&self, units: f64, start: SimTime, speed_factor: f64) -> SimTime {
         debug_assert!(units >= 0.0, "computation volume cannot be negative");
         debug_assert!(
             speed_factor > 0.0,

@@ -12,7 +12,7 @@
 use std::fmt;
 
 /// The protocol a link uses, with typical early-2000s characteristics used
-/// as defaults by [`Protocol::default_latency`] / [`Protocol::default_bandwidth`].
+/// as the defaults of [`Link::with_defaults`](crate::Link::with_defaults).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// Intra-process / loopback communication (a rank talking to itself).
@@ -27,7 +27,7 @@ pub enum Protocol {
 
 impl Protocol {
     /// Typical one-way latency in seconds.
-    pub fn default_latency(&self) -> f64 {
+    pub(crate) fn default_latency(&self) -> f64 {
         match self {
             Protocol::Loopback => 0.0,
             Protocol::SharedMemory => 2e-6,
@@ -37,7 +37,7 @@ impl Protocol {
     }
 
     /// Typical sustained bandwidth in bytes per second.
-    pub fn default_bandwidth(&self) -> f64 {
+    pub(crate) fn default_bandwidth(&self) -> f64 {
         match self {
             Protocol::Loopback => f64::INFINITY,
             Protocol::SharedMemory => 400e6,

@@ -132,11 +132,6 @@ impl TopologyInfo {
         s.len()
     }
 
-    /// True when the declaration carries no usable structure: every node on
-    /// the one switch of the one site.
-    pub fn is_flat(&self) -> bool {
-        self.sites() <= 1 && self.switches() <= 1
-    }
 }
 
 /// The model of a heterogeneous network of computers.
@@ -163,7 +158,7 @@ impl Cluster {
     ///
     /// # Panics
     /// Panics if the link matrix is not `n × n` for `n` nodes.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         nodes: Vec<Processor>,
         links: Vec<Vec<Link>>,
         contention: ContentionModel,
@@ -221,14 +216,6 @@ impl Cluster {
         self.topology.as_ref().map_or(0, |t| t.switch_of(id))
     }
 
-    /// Attaches an intra-node memory bus (builder style): transfers between
-    /// distinct ranks placed on the same node travel this link and
-    /// serialise per node instead of riding the free loopback.
-    pub fn with_mem_bus(mut self, link: Link) -> Self {
-        self.mem_bus = Some(link);
-        self
-    }
-
     /// The intra-node memory-bus link, if one is modelled.
     #[inline]
     pub fn mem_bus(&self) -> Option<&Link> {
@@ -237,7 +224,7 @@ impl Cluster {
 
     /// Attaches a fault-injection plan (builder style). Replaces any
     /// previously attached plan.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
+    pub(crate) fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
     }
@@ -299,7 +286,8 @@ impl Cluster {
     /// Fault-honouring transfer time between distinct ranks placed on
     /// `from` and `to`: same-node pairs ride the memory bus (which network
     /// link faults cannot sever) when one is modelled, otherwise the
-    /// plain [`Cluster::transfer_time_at`].
+    /// network link: `None` once it has been dropped, else its cost at the
+    /// degraded bandwidth in force at `t`.
     pub fn rank_transfer_time_at(
         &self,
         from: NodeId,
@@ -351,7 +339,7 @@ impl Cluster {
 
     /// True speed of node `id` at virtual time `t` (benchmark units/second),
     /// including any transient fault slowdown in force at `t`. A crashed
-    /// node's speed is reported as `0.0`; check [`Cluster::node_available`]
+    /// node's speed is reported as `0.0`; check [`Cluster::crash_time`]
     /// before dividing by this.
     #[inline]
     pub fn speed_at(&self, id: NodeId, t: SimTime) -> f64 {
@@ -366,20 +354,14 @@ impl Cluster {
     ///
     /// # Panics
     /// Panics if the node has crashed at `t` (its speed is zero); callers
-    /// must check [`Cluster::node_available`] first.
+    /// must check [`Cluster::crash_time`] first.
     #[inline]
     pub fn compute_time(&self, id: NodeId, units: f64, start: SimTime) -> SimTime {
         assert!(
             self.faults.node_available(id, start),
-            "node {id:?} has crashed by t={start:?}; check node_available first"
+            "node {id:?} has crashed by t={start:?}; check crash_time first"
         );
         self.nodes[id.0].compute_time_scaled(units, start, self.faults.slowdown_factor(id, start))
-    }
-
-    /// True if node `id` has not fail-stopped at virtual time `t`.
-    #[inline]
-    pub fn node_available(&self, id: NodeId, t: SimTime) -> bool {
-        self.faults.node_available(id, t)
     }
 
     /// The virtual time at which node `id` fail-stops, if it ever does.
@@ -394,16 +376,10 @@ impl Cluster {
         self.faults.crash_times(self.nodes.len())
     }
 
-    /// True if the directed link `from -> to` is carrying traffic at `t`.
-    #[inline]
-    pub fn link_available(&self, from: NodeId, to: NodeId, t: SimTime) -> bool {
-        self.faults.link_available(from, to, t)
-    }
-
     /// Time to move `bytes` from `from` to `to` (ignoring contention, which
     /// is the message-passing layer's concern), at the link's healthy
     /// bandwidth. For the fault-adjusted cost use
-    /// [`Cluster::transfer_time_at`].
+    /// [`Cluster::rank_transfer_time_at`].
     #[inline]
     pub fn transfer_time(&self, from: NodeId, to: NodeId, bytes: usize) -> SimTime {
         self.link(from, to).transfer_time(bytes)
@@ -413,7 +389,7 @@ impl Cluster {
     /// virtual time `t`, honouring the fault plan: `None` if the link has
     /// been dropped by `t`, otherwise the cost at the degraded bandwidth in
     /// force at `t`.
-    pub fn transfer_time_at(
+    pub(crate) fn transfer_time_at(
         &self,
         from: NodeId,
         to: NodeId,
@@ -425,24 +401,6 @@ impl Cluster {
         }
         let factor = self.faults.link_bandwidth_factor(from, to, t);
         Some(self.link(from, to).transfer_time_degraded(bytes, factor))
-    }
-
-    /// Total base speed of all processors — the upper bound on aggregate
-    /// throughput a perfectly balanced distribution could reach.
-    pub fn total_base_speed(&self) -> f64 {
-        self.nodes.iter().map(|n| n.base_speed).sum()
-    }
-
-    /// The fastest processor's id (ties broken by lowest id).
-    pub fn fastest_node(&self) -> NodeId {
-        let idx = self
-            .nodes
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| a.base_speed.total_cmp(&b.base_speed))
-            .map(|(i, _)| i)
-            .expect("cluster is non-empty by construction");
-        NodeId(idx)
     }
 
     /// The paper's 9-workstation heterogeneous LAN with the speeds measured
@@ -486,8 +444,7 @@ impl Cluster {
     /// Draws an arbitrary heterogeneous cluster: `1..=max_nodes` processors
     /// with base speeds spanning two orders of magnitude, a random default
     /// link, a handful of per-pair link overrides, and a random
-    /// [`ContentionModel`]. No fault plan is attached (compose with
-    /// [`FaultPlan::random_mixed`] via [`Cluster::with_faults`]).
+    /// [`ContentionModel`]. No fault plan is attached.
     ///
     /// The same `(seed, max_nodes)` always produces the identical cluster —
     /// this is the arbitrary-instance generator backing the scenario fuzzer.
@@ -912,8 +869,6 @@ mod tests {
             vec![46.0, 46.0, 46.0, 46.0, 46.0, 46.0, 176.0, 106.0, 9.0]
         );
         assert_eq!(c.contention(), ContentionModel::ParallelLinks);
-        assert_eq!(c.fastest_node(), NodeId(6));
-        assert_eq!(c.total_base_speed(), 46.0 * 6.0 + 176.0 + 106.0 + 9.0);
     }
 
     #[test]
@@ -1112,7 +1067,6 @@ mod tests {
         let info = c.topology().expect("two sites declare structure");
         assert_eq!(info.sites(), 2);
         assert_eq!(info.switches(), 3);
-        assert!(!info.is_flat());
         assert_eq!(c.site_of(NodeId(0)), 0);
         assert_eq!(c.site_of(NodeId(3)), 1);
         assert_eq!(c.switch_of(NodeId(2)), 1);

@@ -11,8 +11,7 @@
 use crate::group::HmpiGroup;
 use crate::mapping::{select_mapping, Mapping, MappingAlgorithm, SelectError, SelectionCtx};
 use crate::spec::{GroupSpec, Recon};
-use hetsim::trace::{TraceEvent, TraceKind};
-use hetsim::{Cluster, NodeId, SimTime, SpeedEstimates, Topology};
+use hetsim::{Cluster, NodeId, SimTime, SpeedEstimates, Topology, TraceEvent, TraceKind};
 use mpisim::{
     CollectiveAlgo, CollectiveKind, CollectivePolicy, Comm, MpiError, Process, RunReport, Universe,
     UniverseConfig,
@@ -594,7 +593,7 @@ impl Hmpi<'_> {
                 self.estimates.mark_unavailable(node);
             }
         }
-        self.estimates.refresh_available(speeds, self.now());
+        self.estimates.refresh_available(speeds);
         let generation = self.estimates.generation() as i64;
         for (r, &ok) in responded.iter().enumerate() {
             if ok {
@@ -632,7 +631,7 @@ impl Hmpi<'_> {
                     per_node[self.proc.node_of(rank).index()] = speeds[0];
                 }
             }
-            self.estimates.refresh(per_node, self.now());
+            self.estimates.refresh(per_node);
         }
         self.world.barrier()?;
         self.trace_span(

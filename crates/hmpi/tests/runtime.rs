@@ -487,7 +487,7 @@ fn overflowing_speed_cannot_poison_estimates() {
 
 #[test]
 fn traced_run_records_recon_and_selection_events() {
-    use hetsim::trace::TraceKind;
+    use hetsim::TraceKind;
 
     let rt = HmpiRuntime::with_config(small_cluster(), RuntimeConfig::new().tracing(true));
     let report = rt.run(|h| {

@@ -1,6 +1,6 @@
 //! Property-based tests over the core data structures and invariants.
 
-use hetsim::{Cluster, ClusterBuilder, Link, NodeId, Protocol, SimTime, SpeedEstimates};
+use hetsim::{Cluster, ClusterBuilder, Link, NodeId, Protocol, SpeedEstimates};
 use hmpi::{select_mapping, MappingAlgorithm, SelectionCtx};
 use hmpi_apps::matmul::dist::{proportional_partition, GeneralizedBlockDist};
 use mpisim::{datatype, Group};
@@ -86,8 +86,8 @@ proptest! {
         s2 in proptest::collection::vec(0.1..1e4f64, 4),
     ) {
         let est = SpeedEstimates::from_speeds(vec![1.0; 4]);
-        est.refresh(s1, SimTime::from_secs(1.0));
-        est.refresh(s2.clone(), SimTime::from_secs(2.0));
+        est.refresh(s1);
+        est.refresh(s2.clone());
         prop_assert_eq!(est.snapshot(), s2);
         prop_assert_eq!(est.generation(), 2);
     }

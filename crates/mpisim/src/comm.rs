@@ -14,8 +14,7 @@ use crate::p2p::{Claim, Envelope, Msg, Pattern, Payload, Status};
 use crate::quiesce::{WaitKind, WaitRecord};
 use crate::runtime::{RankState, SharedState};
 use crate::vtime::{LocalClock, NetFrontier, RankNet};
-use hetsim::trace::{TraceEvent, TraceKind};
-use hetsim::{NodeId, SimTime};
+use hetsim::{NodeId, SimTime, TraceEvent, TraceKind};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::Ordering;

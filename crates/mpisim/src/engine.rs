@@ -56,8 +56,7 @@ use crate::datatype::{decode, decode_into, encode, MpiType};
 use crate::error::{MpiError, MpiResult};
 use crate::op::ReduceOp;
 use crate::plan::{ineligible, Plan, PlanKey};
-use hetsim::trace::{TraceEvent, TraceKind};
-use hetsim::SimTime;
+use hetsim::{SimTime, TraceEvent, TraceKind};
 use perfmodel::collective::{chunk_bounds, CollectiveAlgo, CollectiveKind, Payload, Xfer};
 use std::sync::Arc;
 

@@ -49,9 +49,9 @@ mod error;
 mod group;
 mod lane;
 mod op;
-pub mod p2p;
+mod p2p;
 pub mod plan;
-pub mod pool;
+mod pool;
 mod quiesce;
 mod runtime;
 mod vtime;
@@ -64,8 +64,8 @@ pub use error::{MpiError, MpiResult, WaitGraph};
 pub use perfmodel::collective::{CollectiveAlgo, CollectiveKind};
 pub use group::Group;
 pub use op::ReduceOp;
-pub use p2p::{Msg, Payload, Status, EAGER_LIMIT};
+pub use p2p::{Status, EAGER_LIMIT};
 pub use plan::{Plan, PlanCacheReport, PlanKey};
-pub use pool::{BufferPool, PoolReport};
+pub use pool::PoolReport;
 pub use runtime::{Process, RunReport, Universe, UniverseConfig, WakeupReport};
 pub use vtime::LocalClock;

@@ -44,12 +44,6 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
-/// Patience of the raw, panicking [`Mailbox::recv_match`]: how long it
-/// sleeps with no ring before declaring the surrounding program deadlocked.
-/// (Communicator-level waits are classified in milliseconds by
-/// [`crate::quiesce`] and keep their own private backstops.)
-const DEADLOCK_TIMEOUT: Duration = Duration::from_secs(60);
-
 /// The eager/rendezvous protocol split and the capacity of an envelope's
 /// inline payload slot, bytes (the hmpi snippet's `EAGER_LIMIT`).
 pub const EAGER_LIMIT: usize = 256;
@@ -288,13 +282,6 @@ pub(crate) enum Claim<T = Envelope> {
     Nothing,
 }
 
-/// One queued message plus its ingest-order ticket.
-#[derive(Debug)]
-struct Queued {
-    ticket: u64,
-    env: Envelope,
-}
-
 /// Where a located match lives in the index.
 enum Locate {
     Hit { key: (u64, usize), pos: usize },
@@ -302,49 +289,37 @@ enum Locate {
     Nothing,
 }
 
-/// The indexed message store: one FIFO per `(ctx, sender)`. An ingest
-/// ticket is kept for diagnostics (`dump`); wildcard matches order across
-/// senders by the deterministic `(arrival quantum, rank, seq)` key.
+/// The indexed message store: one FIFO per `(ctx, sender)`. Wildcard
+/// matches order across senders by the deterministic `(arrival quantum,
+/// rank, seq)` key.
 #[derive(Debug, Default)]
 struct Store {
-    queues: HashMap<(u64, usize), VecDeque<Queued>>,
-    next_ticket: u64,
+    queues: HashMap<(u64, usize), VecDeque<Envelope>>,
     total: usize,
 }
 
 impl Store {
     fn ingest(&mut self, env: Envelope) {
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
         self.total += 1;
         self.queues
             .entry((env.ctx, env.src_world))
             .or_default()
-            .push_back(Queued { ticket, env });
+            .push_back(env);
     }
 
     /// The first entry in one queue whose tag matches, if it is deliverable:
     /// on time when a deadline bounds the receive. No later match overtakes
     /// it (MPI's non-overtaking rule), however early that one arrives — a
     /// small message posted after a large one can have the earlier arrival
-    /// stamp. Returns (position, ticket).
-    fn hit_in(
-        q: &VecDeque<Queued>,
-        pat: &Pattern,
-        deadline: Option<SimTime>,
-    ) -> Option<(usize, u64)> {
-        let (i, item) = q
-            .iter()
-            .enumerate()
-            .find(|(_, item)| pat.tag_matches(item.env.tag))?;
-        deadline
-            .is_none_or(|d| item.env.arrival <= d)
-            .then_some((i, item.ticket))
+    /// stamp. Returns its position.
+    fn hit_in(q: &VecDeque<Envelope>, pat: &Pattern, deadline: Option<SimTime>) -> Option<usize> {
+        let i = q.iter().position(|env| pat.tag_matches(env.tag))?;
+        deadline.is_none_or(|d| q[i].arrival <= d).then_some(i)
     }
 
     /// Whether any entry in `q` matches `pat` ignoring arrival times.
-    fn any_match_in(q: &VecDeque<Queued>, pat: &Pattern) -> bool {
-        q.iter().any(|item| pat.tag_matches(item.env.tag))
+    fn any_match_in(q: &VecDeque<Envelope>, pat: &Pattern) -> bool {
+        q.iter().any(|env| pat.tag_matches(env.tag))
     }
 
     fn locate(&self, pat: Pattern, deadline: Option<SimTime>) -> Locate {
@@ -354,7 +329,7 @@ impl Store {
                 let Some(q) = self.queues.get(&key) else {
                     return Locate::Nothing;
                 };
-                if let Some((pos, _)) = Self::hit_in(q, &pat, deadline) {
+                if let Some(pos) = Self::hit_in(q, &pat, deadline) {
                     return Locate::Hit { key, pos };
                 }
                 if deadline.is_some() && Self::any_match_in(q, &pat) {
@@ -379,13 +354,9 @@ impl Store {
                     if key.0 != pat.ctx {
                         continue;
                     }
-                    if let Some((pos, _)) = Self::hit_in(q, &pat, deadline) {
-                        let item = &q[pos];
-                        let k = (
-                            quantum_of(item.env.arrival),
-                            item.env.src_world,
-                            item.env.seq,
-                        );
+                    if let Some(pos) = Self::hit_in(q, &pat, deadline) {
+                        let env = &q[pos];
+                        let k = (quantum_of(env.arrival), env.src_world, env.seq);
                         if best.as_ref().is_none_or(|&(_, _, b)| k < b) {
                             best = Some((*key, pos, k));
                         }
@@ -403,53 +374,27 @@ impl Store {
         match self.locate(pat, deadline) {
             Locate::Hit { key, pos } => {
                 let q = self.queues.get_mut(&key).expect("located queue exists");
-                let item = q.remove(pos).expect("located position exists");
+                let env = q.remove(pos).expect("located position exists");
                 if q.is_empty() {
                     self.queues.remove(&key);
                 }
                 self.total -= 1;
-                Claim::Matched(item.env)
+                Claim::Matched(env)
             }
             Locate::Missed => Claim::DeadlineMissed,
             Locate::Nothing => Claim::Nothing,
         }
     }
 
-    /// Metadata of the first (oldest-ticket) match, without removal.
+    /// Metadata of the match a claim would take, without removal.
     fn peek(&self, pat: Pattern) -> Option<(usize, i32, usize, SimTime)> {
         match self.locate(pat, None) {
             Locate::Hit { key, pos } => {
-                let item = &self.queues[&key][pos];
-                Some((
-                    item.env.src_world,
-                    item.env.tag,
-                    item.env.len(),
-                    item.env.arrival,
-                ))
+                let env = &self.queues[&key][pos];
+                Some((env.src_world, env.tag, env.len(), env.arrival))
             }
             _ => None,
         }
-    }
-
-    /// (ctx, src, tag, len) of every queued message, for diagnostics.
-    fn dump(&self) -> Vec<(u64, usize, i32, usize)> {
-        let mut all: Vec<(u64, &Queued)> = self
-            .queues
-            .values()
-            .flatten()
-            .map(|item| (item.ticket, item))
-            .collect();
-        all.sort_by_key(|(t, _)| *t);
-        all.iter()
-            .map(|(_, item)| {
-                (
-                    item.env.ctx,
-                    item.env.src_world,
-                    item.env.tag,
-                    item.env.len(),
-                )
-            })
-            .collect()
     }
 }
 
@@ -596,30 +541,6 @@ impl Mailbox {
         rung
     }
 
-    /// Removes and returns the first queued envelope matching `pat`,
-    /// blocking until one arrives.
-    ///
-    /// # Panics
-    /// Panics after `DEADLOCK_TIMEOUT` of real time without a ring — the
-    /// surrounding SPMD program has deadlocked.
-    pub fn recv_match(&self, pat: Pattern) -> Envelope {
-        loop {
-            let ticket = self.ticket();
-            if let Claim::Matched(env) = self.claim(pat, None) {
-                return env;
-            }
-            if !self.sleep(ticket, DEADLOCK_TIMEOUT) {
-                let st = self.store();
-                panic!(
-                    "mpisim deadlock: receive {pat:?} matched nothing for {DEADLOCK_TIMEOUT:?}; \
-                     {} unmatched message(s) queued: {:?}",
-                    st.total,
-                    st.dump()
-                );
-            }
-        }
-    }
-
     /// One atomic match-and-remove attempt for a (possibly
     /// deadline-bounded) receive.
     pub(crate) fn claim(&self, pat: Pattern, deadline: Option<SimTime>) -> Claim {
@@ -667,6 +588,19 @@ mod tests {
         }
     }
 
+    /// A blocking receive: the ticket / claim / sleep loop `Comm::wait`
+    /// runs, without its classifier or backstops.
+    fn recv(mb: &Mailbox, pat: Pattern) -> Envelope {
+        loop {
+            let ticket = mb.ticket();
+            if let Claim::Matched(env) = mb.claim(pat, None) {
+                return env;
+            }
+            let rung = mb.sleep(ticket, Duration::from_secs(10));
+            assert!(rung, "nothing matched {pat:?}");
+        }
+    }
+
     fn env_at(ctx: u64, src: usize, tag: i32, arrival: f64) -> Envelope {
         Envelope {
             arrival: SimTime::from_secs(arrival),
@@ -678,7 +612,7 @@ mod tests {
     fn exact_match_removes_message() {
         let mb = Mailbox::for_world(0);
         mb.post(env(1, 0, 7, b"hi"));
-        let got = mb.recv_match(Pattern {
+        let got = recv(&mb, Pattern {
             ctx: 1,
             src_world: Some(0),
             tag: Some(7),
@@ -691,7 +625,7 @@ mod tests {
     fn wildcards_match_anything_in_context() {
         let mb = Mailbox::for_world(0);
         mb.post(env(1, 3, 9, b"x"));
-        let got = mb.recv_match(Pattern {
+        let got = recv(&mb, Pattern {
             ctx: 1,
             src_world: None,
             tag: None,
@@ -705,7 +639,7 @@ mod tests {
         let mb = Mailbox::for_world(0);
         mb.post(env(1, 0, 7, b"ctx1"));
         mb.post(env(2, 0, 7, b"ctx2"));
-        let got = mb.recv_match(Pattern {
+        let got = recv(&mb, Pattern {
             ctx: 2,
             src_world: Some(0),
             tag: Some(7),
@@ -719,12 +653,12 @@ mod tests {
         let mb = Mailbox::for_world(0);
         mb.post(env(1, 0, 7, b"first"));
         mb.post(env(1, 0, 7, b"second"));
-        let a = mb.recv_match(Pattern {
+        let a = recv(&mb, Pattern {
             ctx: 1,
             src_world: Some(0),
             tag: Some(7),
         });
-        let b = mb.recv_match(Pattern {
+        let b = recv(&mb, Pattern {
             ctx: 1,
             src_world: Some(0),
             tag: Some(7),
@@ -738,7 +672,7 @@ mod tests {
         let mb = Mailbox::for_world(0);
         mb.post(env(1, 0, 1, b"tag1"));
         mb.post(env(1, 0, 2, b"tag2"));
-        let got = mb.recv_match(Pattern {
+        let got = recv(&mb, Pattern {
             ctx: 1,
             src_world: Some(0),
             tag: Some(2),
@@ -760,8 +694,8 @@ mod tests {
             src_world: None,
             tag: None,
         };
-        let a = mb.recv_match(pat);
-        let b = mb.recv_match(pat);
+        let a = recv(&mb, pat);
+        let b = recv(&mb, pat);
         assert_eq!(a.src_world, 5);
         assert_eq!(b.src_world, 2);
     }
@@ -778,13 +712,13 @@ mod tests {
             src_world: None,
             tag: Some(4),
         };
-        assert_eq!(mb.recv_match(pat).src_world, 3);
-        assert_eq!(mb.recv_match(pat).src_world, 7);
+        assert_eq!(recv(&mb, pat).src_world, 3);
+        assert_eq!(recv(&mb, pat).src_world, 7);
         // Sub-quantum noise does not reorder the tie-break.
         mb.post(env_at(1, 9, 4, 1.0 + 2e-10));
         mb.post(env_at(1, 4, 4, 1.0));
-        assert_eq!(mb.recv_match(pat).src_world, 4);
-        assert_eq!(mb.recv_match(pat).src_world, 9);
+        assert_eq!(recv(&mb, pat).src_world, 4);
+        assert_eq!(recv(&mb, pat).src_world, 9);
     }
 
     #[test]
@@ -803,8 +737,8 @@ mod tests {
             src_world: None,
             tag: Some(4),
         };
-        assert_eq!(mb.recv_match(pat).seq, 10);
-        assert_eq!(mb.recv_match(pat).seq, 11);
+        assert_eq!(recv(&mb, pat).seq, 10);
+        assert_eq!(recv(&mb, pat).seq, 11);
     }
 
     #[test]
@@ -819,8 +753,8 @@ mod tests {
             src_world: Some(2),
             tag: Some(7),
         };
-        assert_eq!(mb.recv_match(pat).payload.bytes(), b"a");
-        assert_eq!(mb.recv_match(pat).payload.bytes(), b"b");
+        assert_eq!(recv(&mb, pat).payload.bytes(), b"a");
+        assert_eq!(recv(&mb, pat).payload.bytes(), b"b");
         assert_eq!(mb.try_probe(Pattern {
             ctx: 1,
             src_world: None,
@@ -908,7 +842,7 @@ mod tests {
         let mb = Arc::new(Mailbox::for_world(2));
         let mb2 = mb.clone();
         let h = std::thread::spawn(move || {
-            mb2.recv_match(Pattern {
+            recv(&mb2, Pattern {
                 ctx: 1,
                 src_world: Some(0),
                 tag: Some(0),
@@ -999,6 +933,6 @@ mod tests {
         let pooled = Msg::new(Payload::Pooled(lease));
         assert_eq!(&*pooled, &data[..]);
         assert_eq!(pooled.into_vec(), data);
-        assert_eq!(pool.outstanding(), 0, "lease returned after copy-out");
+        assert_eq!(pool.report().outstanding, 0, "lease returned after copy-out");
     }
 }

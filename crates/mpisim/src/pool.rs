@@ -9,7 +9,7 @@
 //! allocations after warm-up, and repeated leases reuse already-faulted
 //! pages (the dominant cost of fresh multi-megabyte allocations).
 //!
-//! The pool also doubles as a leak detector: [`BufferPool::outstanding`]
+//! The pool also doubles as a leak detector: `PoolReport::outstanding`
 //! counts live leases, and a finished [`Universe::run`](crate::Universe)
 //! drains every mailbox before snapshotting [`PoolReport`] into the run
 //! report, so `outstanding != 0` after a run means a payload escaped the
@@ -124,11 +124,6 @@ impl BufferPool {
         }
     }
 
-    /// Number of leases currently live (not yet returned).
-    pub fn outstanding(&self) -> usize {
-        self.outstanding.load(Ordering::Relaxed)
-    }
-
     /// Snapshot of the pool's counters.
     pub(crate) fn report(&self) -> PoolReport {
         PoolReport {
@@ -141,9 +136,9 @@ impl BufferPool {
     }
 }
 
-/// Counter snapshot of a [`BufferPool`], carried in
+/// Counter snapshot of the universe's rendezvous buffer pool, carried in
 /// [`RunReport`](crate::RunReport) so harnesses (simcheck's leak
-/// invariant, the throughput bench) can assert on arena behaviour.
+/// invariant, the ledger's pool metrics) can assert on arena behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolReport {
     /// Total leases over the pool's lifetime.
@@ -212,7 +207,7 @@ mod tests {
             let mut l = pool.lease(600);
             l.buf_mut().extend_from_slice(&[1, 2, 3]);
         }
-        assert_eq!(pool.outstanding(), 0);
+        assert_eq!(pool.report().outstanding, 0);
         let l2 = pool.lease(600);
         let r = pool.report();
         assert_eq!(r.leased, 2);
@@ -224,7 +219,7 @@ mod tests {
     fn oversized_leases_are_served_but_not_cached() {
         let pool = BufferPool::new();
         drop(pool.lease(MAX_CACHED_CLASS * 2));
-        assert_eq!(pool.outstanding(), 0);
+        assert_eq!(pool.report().outstanding, 0);
         let r = pool.report();
         assert_eq!(r.reused, 0);
         drop(pool.lease(MAX_CACHED_CLASS * 2));

@@ -10,8 +10,7 @@ use crate::plan::{PlanCache, PlanCacheReport};
 use crate::pool::{BufferPool, PoolReport};
 use crate::quiesce::Registry;
 use crate::vtime::LocalClock;
-use hetsim::trace::{Trace, TraceEvent, TraceKind, Tracer};
-use hetsim::{Cluster, NodeId, SimTime, Topology};
+use hetsim::{Cluster, NodeId, SimTime, Topology, Trace, TraceEvent, TraceKind, Tracer};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;

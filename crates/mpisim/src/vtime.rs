@@ -12,7 +12,7 @@
 //!   stamped with its **arrival time** `start + cost`. The *receiver's*
 //!   clock becomes `max(own clock, arrival)` when the message is matched.
 //! * Contention ([`hetsim::ContentionModel`]) and the optional intra-node
-//!   memory bus are arbitrated by [`hetsim::frontier`]'s endpoint-causal
+//!   memory bus are arbitrated by [`hetsim::NetFrontier`]'s endpoint-causal
 //!   grant / settle rule: each rank owns one [`NetFrontier`] (inside its
 //!   `RankNet`) mutated only by that rank's own sends and matched
 //!   receives, in program order, so identical seeds produce bit-identical

@@ -13,8 +13,9 @@
 //! * mismatched buffer lengths across ranks surface as
 //!   [`MpiError::InvalidCounts`], not a panic or a hang.
 
-use hetsim::trace::TraceKind;
-use hetsim::{Cluster, ClusterBuilder, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime};
+use hetsim::{
+    Cluster, ClusterBuilder, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime, TraceKind,
+};
 use mpisim::{
     CollectiveAlgo, CollectiveKind, CollectivePolicy, MpiError, ReduceOp, Universe,
     UniverseConfig,

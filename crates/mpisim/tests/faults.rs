@@ -458,3 +458,63 @@ trait Pipe: Sized {
     }
 }
 impl Pipe for Arc<hetsim::Cluster> {}
+
+#[test]
+fn every_seeded_wedge_gets_its_typed_verdict_in_under_a_second() {
+    // Two wedges at several sizes. The receive cycle — rank r waits on
+    // r+1 mod p, nobody sends — is a `Deadlock` whose wait graph names every
+    // rank. The crash orphan — every survivor waits on rank p-1, which dies
+    // before it sends — is `NodeFailed` naming the dead rank, not a
+    // deadlock. The quiescence detector decides both the moment the last
+    // rank blocks, so each run takes milliseconds; no timer is involved.
+    for p in [2, 4, 9, 16] {
+        let start = std::time::Instant::now();
+        let cycle = cluster_with(p, FaultPlan::none())
+            .pipe(Universe::new)
+            .run(move |proc| {
+                let world = proc.world();
+                world.recv::<i64>((world.rank() + 1) % p, 7).err()
+            });
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(1),
+            "cycle p={p}"
+        );
+        for (r, verdict) in cycle.results.iter().enumerate() {
+            match verdict {
+                Some(MpiError::Deadlock { waiting, on, graph }) => {
+                    assert_eq!(*waiting, r, "p={p}");
+                    assert!(on.contains(&((r + 1) % p)), "p={p} rank {r}: {on:?}");
+                    assert_eq!(graph.edges.len(), p, "p={p}");
+                }
+                other => panic!("p={p} rank {r}: expected Deadlock, got {other:?}"),
+            }
+        }
+
+        let dead = p - 1;
+        let plan = FaultPlan::none().with(FaultEvent::NodeCrash {
+            node: NodeId(dead),
+            at: t(1e-6),
+        });
+        let start = std::time::Instant::now();
+        let orphan = cluster_with(p, plan).pipe(Universe::new).run(move |proc| {
+            let world = proc.world();
+            if world.rank() == dead {
+                // Dies discovering its own crash; never sends.
+                return proc.try_compute(1.0).err();
+            }
+            world.recv::<i64>(dead, 7).err()
+        });
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(1),
+            "orphan p={p}"
+        );
+        for (r, verdict) in orphan.results.iter().enumerate() {
+            let named =
+                matches!(verdict, Some(MpiError::NodeFailed { world_rank }) if *world_rank == dead);
+            assert!(
+                named,
+                "p={p} rank {r}: expected NodeFailed({dead}), got {verdict:?}"
+            );
+        }
+    }
+}

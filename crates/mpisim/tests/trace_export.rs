@@ -7,8 +7,7 @@
 //! a real traced run mixing compute, p2p and engine collectives.
 
 use hetsim::json::{parse, JsonValue};
-use hetsim::trace::{Trace, TraceEvent, TraceKind};
-use hetsim::{ClusterBuilder, Link, Protocol, SimTime};
+use hetsim::{ClusterBuilder, Link, Protocol, SimTime, Trace, TraceEvent, TraceKind};
 use mpisim::{ReduceOp, Universe, UniverseConfig};
 use std::sync::Arc;
 
