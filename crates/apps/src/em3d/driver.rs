@@ -13,7 +13,7 @@ use crate::em3d::body::{Em3dConfig, Em3dSystem};
 use crate::em3d::model::em3d_model;
 use crate::em3d::parallel::ParallelBody;
 use hetsim::{Cluster, SimTime};
-use hmpi::{HmpiError, HmpiGroup, HmpiRuntime, MappingAlgorithm, Recon, RecoveryPolicy, RuntimeConfig};
+use hmpi::{HmpiError, HmpiGroup, HmpiRuntime, MappingAlgorithm, Recon, RuntimeConfig};
 use mpisim::{MpiResult, Universe};
 use std::sync::Arc;
 
@@ -256,7 +256,7 @@ fn shrunk(cfg: &Em3dConfig, p: usize) -> Em3dConfig {
 }
 
 /// The fault-tolerant HMPI program: FT recon, `group_create`, then the
-/// computation under a [`RecoveryPolicy`] — every attempt ends in an
+/// computation under [`hmpi::Hmpi::recover`] — every attempt ends in an
 /// agreement round, and a failure verdict answers with `rebuild_group`
 /// over the survivors and a restart of the (shrunk) computation from
 /// scratch.
@@ -290,8 +290,7 @@ pub fn run_hmpi_ft(
     let report = runtime.run(|h| -> (RankOutcome, Option<FtMeta>) {
         // On a faulty cluster this takes the fault-tolerant path (doubling
         // as the failure detector); fault-free it is the classic collective
-        // recon — the options struct dispatches exactly like the old
-        // hand-written if/else did.
+        // recon.
         if h.recon_opts(Recon::new(1.0).work_units(k as f64)).is_err() {
             return (None, None); // this rank's own node died during recon
         }
@@ -317,11 +316,9 @@ pub fn run_hmpi_ft(
             return (None, meta); // never selected; free processes stand by
         }
 
-        // One attempt = the whole (shrunk) computation from scratch; the
-        // policy answers each failure verdict with agree + backoff +
-        // rebuild + retry. The group cannot shrink more times than there
-        // are processes.
-        let policy = RecoveryPolicy::new().with_max_rebuilds(h.size());
+        // One attempt = the whole (shrunk) computation from scratch;
+        // `recover` answers each failure verdict with agree + backoff +
+        // rebuild + retry.
         let attempt = |group: &HmpiGroup, _round: usize| -> MpiResult<_> {
             let comm = group.comm().expect("member has a comm");
             let sys = Em3dSystem::generate(&shrunk(cfg, group.size()));
@@ -342,7 +339,7 @@ pub fn run_hmpi_ft(
             let sys2 = Em3dSystem::generate(&shrunk(cfg, survivors.len()));
             em3d_model(&sys2, k).map_err(|_| HmpiError::Aborted)
         };
-        match policy.run(h, group, model_for, attempt) {
+        match h.recover(group, model_for, attempt) {
             Ok(rec) => {
                 if let Some(m) = meta.as_mut() {
                     m.fin = Some((rec.group.members().to_vec(), rec.group.predicted_time()));

@@ -20,4 +20,4 @@ pub use driver::{
 };
 pub use model::{em3d_model, em3d_params, EM3D_MODEL_SOURCE};
 pub use parallel::ParallelBody;
-pub use serial::{serial_bench_units, serial_run, serial_step};
+pub use serial::{serial_run, serial_step};

@@ -11,7 +11,7 @@
 //! processor performs the same volume of computations".
 
 use crate::em3d::body::Em3dSystem;
-use perfmodel::{CompiledModel, EvalError, ModelInstance, ParamValue, ParseError};
+use perfmodel::{CompiledModel, EvalError, ModelInstance, ParamValue};
 
 /// Figure 4 of the paper, character-for-character up to whitespace.
 pub const EM3D_MODEL_SOURCE: &str = r"
@@ -33,15 +33,6 @@ algorithm Em3d(int p, int k, int d[p], int dep[p][p]) {
   };
 }
 ";
-
-/// Compiles the Figure 4 model.
-///
-/// # Errors
-/// Never fails in practice (the source is a compile-time constant, covered
-/// by tests); the `Result` mirrors the general pipeline.
-pub fn em3d_compiled() -> Result<CompiledModel, ParseError> {
-    CompiledModel::compile(EM3D_MODEL_SOURCE)
-}
 
 /// Packs the model parameters from a generated system — the paper's
 /// `HMPI_Pack_model_parameters(p, k, d, dep, ...)`.
@@ -68,8 +59,9 @@ pub fn em3d_params(system: &Em3dSystem, k: usize) -> Vec<ParamValue> {
 /// [`EvalError`] on parameter mismatch (shapes are derived from the system,
 /// so this indicates an internal inconsistency).
 pub fn em3d_model(system: &Em3dSystem, k: usize) -> Result<ModelInstance, EvalError> {
-    let compiled = em3d_compiled().expect("Figure 4 source is valid");
-    compiled.instantiate(&em3d_params(system, k))
+    CompiledModel::compile(EM3D_MODEL_SOURCE)
+        .expect("Figure 4 source is valid")
+        .instantiate(&em3d_params(system, k))
 }
 
 #[cfg(test)]
@@ -84,7 +76,7 @@ mod tests {
 
     #[test]
     fn figure4_source_parses() {
-        let m = em3d_compiled().unwrap();
+        let m = CompiledModel::compile(EM3D_MODEL_SOURCE).unwrap();
         assert_eq!(m.name(), "Em3d");
         assert_eq!(m.param_names(), vec!["p", "k", "d", "dep"]);
     }

@@ -77,12 +77,6 @@ pub fn serial_run(mut system: Em3dSystem, niter: usize) -> Vec<(Vec<f64>, Vec<f6
         .collect()
 }
 
-/// The virtual-computation volume (in node updates) of one serial benchmark
-/// run over `k` nodes — the `HMPI_Recon` nominal volume.
-pub fn serial_bench_units(k: usize) -> f64 {
-    k as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,6 +150,19 @@ mod tests {
 
     #[test]
     fn bench_units_scale_with_k() {
-        assert_eq!(serial_bench_units(50), 50.0);
+        // The Figure 5 recon benchmark performs `k` node updates and records
+        // speeds in benchmarks per second, the unit of the model's `d/k`
+        // volumes: doubling `k` halves every recorded speed.
+        use hetsim::Cluster;
+        use hmpi::{HmpiRuntime, Recon};
+        use std::sync::Arc;
+        let speeds = |k: f64| {
+            let rt = HmpiRuntime::new(Arc::new(Cluster::paper_lan_em3d()));
+            rt.run(|h| h.recon_opts(Recon::new(1.0).work_units(k)).unwrap());
+            (0..9).map(|n| rt.estimates().speed(hetsim::NodeId(n))).collect::<Vec<_>>()
+        };
+        for (s50, s100) in speeds(50.0).into_iter().zip(speeds(100.0)) {
+            assert!((s50 / s100 - 2.0).abs() < 1e-12, "{s50} vs {s100}");
+        }
     }
 }

@@ -13,7 +13,7 @@ use crate::matmul::dist::GeneralizedBlockDist;
 use crate::matmul::model::matmul_model;
 use crate::matmul::parallel::DistributedMatmul;
 use hetsim::Cluster;
-use hmpi::{HmpiError, HmpiGroup, HmpiRuntime, MappingAlgorithm, Recon, RecoveryPolicy, RuntimeConfig};
+use hmpi::{HmpiError, HmpiGroup, HmpiRuntime, Recon, RuntimeConfig};
 use mpisim::{MpiResult, Universe};
 use std::sync::Arc;
 
@@ -100,22 +100,7 @@ pub fn run_hmpi(
     r: usize,
     l: Option<usize>,
 ) -> MatmulRun {
-    run_hmpi_with(cluster, m, n, r, l, MappingAlgorithm::default())
-}
-
-/// [`run_hmpi`] with an explicit selection algorithm (for ablations).
-///
-/// # Panics
-/// As [`run_hmpi`].
-pub fn run_hmpi_with(
-    cluster: Arc<Cluster>,
-    m: usize,
-    n: usize,
-    r: usize,
-    l: Option<usize>,
-    algo: MappingAlgorithm,
-) -> MatmulRun {
-    run_hmpi_inner(cluster, m, n, r, l, algo, false).0
+    run_hmpi_inner(cluster, m, n, r, l, false).0
 }
 
 /// A traced HMPI run: the run itself, the full virtual-time trace, and the
@@ -144,7 +129,7 @@ pub fn run_hmpi_traced(
     l: Option<usize>,
 ) -> MatmulTracedRun {
     let n_ranks = cluster.len();
-    let (run, trace) = run_hmpi_inner(cluster, m, n, r, l, MappingAlgorithm::default(), true);
+    let (run, trace) = run_hmpi_inner(cluster, m, n, r, l, true);
     let trace = trace.expect("tracing was enabled");
     // The Figure 7 model describes the whole multiplication.
     let predicted = run.predicted.expect("HMPI runs carry a prediction");
@@ -163,13 +148,9 @@ fn run_hmpi_inner(
     n: usize,
     r: usize,
     l: Option<usize>,
-    algo: MappingAlgorithm,
     traced: bool,
 ) -> (MatmulRun, Option<hetsim::Trace>) {
-    let runtime = HmpiRuntime::with_config(
-        cluster,
-        RuntimeConfig::new().mapping_algorithm(algo).tracing(traced),
-    );
+    let runtime = HmpiRuntime::with_config(cluster, RuntimeConfig::new().tracing(traced));
     assert!(m * m <= runtime.universe().size());
 
     type Out = (Option<(f64, Option<BlockMatrix>)>, Option<(Vec<usize>, f64, usize)>);
@@ -337,7 +318,7 @@ fn grid_side(procs: usize) -> usize {
 }
 
 /// The fault-tolerant HMPI matmul: FT recon, `group_create`, then the
-/// multiplication under a [`RecoveryPolicy`] — every attempt ends in an
+/// multiplication under [`hmpi::Hmpi::recover`] — every attempt ends in an
 /// agreement round, and a failure verdict answers with `rebuild_group`
 /// and a restart on a smaller grid.
 ///
@@ -418,7 +399,6 @@ pub fn run_hmpi_ft(
             return (None, meta); // never selected; free processes stand by
         }
 
-        let policy = RecoveryPolicy::new().with_max_rebuilds(h.size());
         let attempt = |group: &HmpiGroup, _round: usize| -> MpiResult<_> {
             let comm = group.comm().expect("member has a comm");
             let m_eff = grid_side(group.size());
@@ -439,7 +419,7 @@ pub fn run_hmpi_ft(
             let c = mm.gather_c(comm)?;
             Ok((dur, c))
         };
-        match policy.run(h, group, &mut model_for, attempt) {
+        match h.recover(group, &mut model_for, attempt) {
             Ok(rec) => {
                 if let Some(meta) = meta.as_mut() {
                     meta.fin = Some((rec.group.members().to_vec(), rec.group.predicted_time()));

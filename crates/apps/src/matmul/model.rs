@@ -14,7 +14,7 @@
 //! assigned to `P_IJ` — so `w[J]` is used here.
 
 use crate::matmul::dist::GeneralizedBlockDist;
-use perfmodel::{CompiledModel, EvalError, ModelInstance, ParamValue, ParseError};
+use perfmodel::{CompiledModel, EvalError, ModelInstance, ParamValue};
 
 /// Figure 7 of the paper (with the `w[I]`→`w[J]` fix described in the
 /// module docs).
@@ -73,14 +73,6 @@ algorithm ParallelAxB(int m, int r, int n, int l, int w[m],
 };
 ";
 
-/// Compiles the Figure 7 model.
-///
-/// # Errors
-/// Never fails in practice (compile-time constant source, covered by tests).
-pub fn matmul_compiled() -> Result<CompiledModel, ParseError> {
-    CompiledModel::compile(MATMUL_MODEL_SOURCE)
-}
-
 /// Packs the model parameters for a distribution — the Figure 8 program's
 /// `model_params` with `param_count = 4 + m + m*m*m*m`.
 pub fn matmul_params(
@@ -108,8 +100,9 @@ pub fn matmul_model(
     r: usize,
     n: usize,
 ) -> Result<ModelInstance, EvalError> {
-    let compiled = matmul_compiled().expect("Figure 7 source is valid");
-    compiled.instantiate(&matmul_params(dist, r, n))
+    CompiledModel::compile(MATMUL_MODEL_SOURCE)
+        .expect("Figure 7 source is valid")
+        .instantiate(&matmul_params(dist, r, n))
 }
 
 #[cfg(test)]
@@ -124,7 +117,7 @@ mod tests {
 
     #[test]
     fn figure7_source_parses() {
-        let m = matmul_compiled().unwrap();
+        let m = CompiledModel::compile(MATMUL_MODEL_SOURCE).unwrap();
         assert_eq!(m.name(), "ParallelAxB");
         assert_eq!(m.param_names(), vec!["m", "r", "n", "l", "w", "h"]);
     }

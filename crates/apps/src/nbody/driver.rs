@@ -4,7 +4,7 @@ use crate::nbody::body::{Bodies, NbodyConfig};
 use crate::nbody::model::nbody_model;
 use crate::nbody::parallel::ParallelGroup;
 use hetsim::Cluster;
-use hmpi::{HmpiRuntime, MappingAlgorithm, RuntimeConfig};
+use hmpi::HmpiRuntime;
 use mpisim::Universe;
 use std::sync::Arc;
 
@@ -65,22 +65,8 @@ pub fn run_mpi(cluster: Arc<Cluster>, cfg: &NbodyConfig, niter: usize, k: usize)
 /// # Panics
 /// Panics if the cluster hosts fewer processes than groups.
 pub fn run_hmpi(cluster: Arc<Cluster>, cfg: &NbodyConfig, niter: usize, k: usize) -> NbodyRun {
-    run_hmpi_with(cluster, cfg, niter, k, MappingAlgorithm::default())
-}
-
-/// [`run_hmpi`] with an explicit selection algorithm.
-///
-/// # Panics
-/// As [`run_hmpi`].
-pub fn run_hmpi_with(
-    cluster: Arc<Cluster>,
-    cfg: &NbodyConfig,
-    niter: usize,
-    k: usize,
-    algo: MappingAlgorithm,
-) -> NbodyRun {
     let p = cfg.p();
-    let runtime = HmpiRuntime::with_config(cluster, RuntimeConfig::new().mapping_algorithm(algo));
+    let runtime = HmpiRuntime::new(cluster);
     assert!(p <= runtime.universe().size());
     let report = runtime.run(|h| -> (RankOutcome, Option<(Vec<usize>, f64)>) {
         // Recon benchmark: k body-body interactions.

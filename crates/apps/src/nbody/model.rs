@@ -9,7 +9,7 @@
 //! neighbour exchange.
 
 use crate::nbody::body::NbodyConfig;
-use perfmodel::{CompiledModel, EvalError, ModelInstance, ParamValue, ParseError};
+use perfmodel::{CompiledModel, EvalError, ModelInstance, ParamValue};
 
 /// The model source.
 pub const NBODY_MODEL_SOURCE: &str = r"
@@ -31,14 +31,6 @@ algorithm Nbody(int p, int k, int d[p], int total) {
 }
 ";
 
-/// Compiles the N-body model.
-///
-/// # Errors
-/// Never fails in practice (compile-time constant source).
-pub fn nbody_compiled() -> Result<CompiledModel, ParseError> {
-    CompiledModel::compile(NBODY_MODEL_SOURCE)
-}
-
 /// Packs the model parameters for a configuration.
 pub fn nbody_params(cfg: &NbodyConfig, k: usize) -> Vec<ParamValue> {
     vec![
@@ -59,7 +51,7 @@ pub fn nbody_params(cfg: &NbodyConfig, k: usize) -> Vec<ParamValue> {
 /// # Errors
 /// [`EvalError`] on inconsistent parameters.
 pub fn nbody_model(cfg: &NbodyConfig, k: usize) -> Result<ModelInstance, EvalError> {
-    nbody_compiled()
+    CompiledModel::compile(NBODY_MODEL_SOURCE)
         .expect("N-body model source is valid")
         .instantiate(&nbody_params(cfg, k))
 }

@@ -167,74 +167,6 @@ impl FaultPlan {
         FaultPlan { events }
     }
 
-    /// Draws an arbitrary mixed-event plan over `nodes` nodes: every event
-    /// kind ([`FaultEvent::NodeCrash`], [`FaultEvent::NodeSlowdown`],
-    /// [`FaultEvent::LinkDegrade`], [`FaultEvent::LinkDrop`]) may appear,
-    /// with times in `(0, horizon)` and factors in `(0, 1]`. At most
-    /// `max_events` events are drawn, and at least one node never crashes
-    /// (a plan that kills everything exercises nothing). The same
-    /// `(seed, nodes, max_events, horizon)` always produces the identical
-    /// plan.
-    ///
-    /// This is the arbitrary-instance generator for fuzzing; for the
-    /// crash-only experiments use [`FaultPlan::random_crashes`].
-    ///
-    /// # Panics
-    /// Panics if `nodes == 0` or `horizon` is not positive.
-    pub fn random_mixed(seed: u64, nodes: usize, max_events: usize, horizon: SimTime) -> Self {
-        use rand::{Rng, SeedableRng, StdRng};
-        assert!(nodes > 0, "need at least one node");
-        assert!(horizon > SimTime::ZERO, "horizon must be positive");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let h = horizon.as_secs();
-        // The survivor is exempt from crashes (but not transient faults).
-        let survivor = NodeId(rng.random_range(0..nodes));
-        let n_events = if max_events == 0 {
-            0
-        } else {
-            rng.random_range(0..max_events + 1)
-        };
-        let mut events = Vec::with_capacity(n_events);
-        let mut crashed = std::collections::HashSet::new();
-        for _ in 0..n_events {
-            let at = SimTime::from_secs(rng.random_range(0.0..h).max(f64::MIN_POSITIVE));
-            let node = NodeId(rng.random_range(0..nodes));
-            match rng.random_range(0u32..4) {
-                0 if node != survivor && crashed.insert(node) => {
-                    events.push(FaultEvent::NodeCrash { node, at });
-                }
-                1 => {
-                    let until =
-                        SimTime::from_secs(at.as_secs() + rng.random_range(0.0..h).max(1e-9));
-                    events.push(FaultEvent::NodeSlowdown {
-                        node,
-                        from: at,
-                        until,
-                        factor: rng.random_range(0.05..1.0),
-                    });
-                }
-                2 | 3 if nodes >= 2 => {
-                    let mut to = NodeId(rng.random_range(0..nodes));
-                    while to == node {
-                        to = NodeId(rng.random_range(0..nodes));
-                    }
-                    if rng.random_range(0u32..2) == 0 {
-                        events.push(FaultEvent::LinkDegrade {
-                            from: node,
-                            to,
-                            at,
-                            bandwidth_factor: rng.random_range(0.05..1.0),
-                        });
-                    } else {
-                        events.push(FaultEvent::LinkDrop { from: node, to, at });
-                    }
-                }
-                _ => {}
-            }
-        }
-        FaultPlan::new(events)
-    }
-
     /// All scheduled events, in insertion order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
@@ -441,48 +373,6 @@ mod tests {
         for e in p.events() {
             if let FaultEvent::NodeCrash { at, .. } = e {
                 assert!(*at > SimTime::ZERO && *at < SimTime::from_secs(10.0));
-            }
-        }
-    }
-
-    #[test]
-    fn random_mixed_is_deterministic_and_well_formed() {
-        let horizon = SimTime::from_secs(5.0);
-        for seed in 0..50u64 {
-            let a = FaultPlan::random_mixed(seed, 6, 12, horizon);
-            let b = FaultPlan::random_mixed(seed, 6, 12, horizon);
-            assert_eq!(a, b, "seed {seed} not reproducible");
-            // Validation ran in FaultPlan::new; additionally check times and
-            // that at least one node survives every plan.
-            let crashed = a.crash_times(6).iter().flatten().count();
-            assert!(crashed < 6, "seed {seed} crashed every node");
-            for e in a.events() {
-                match *e {
-                    FaultEvent::NodeCrash { node, at } => {
-                        assert!(node.0 < 6 && at > SimTime::ZERO && at < horizon);
-                    }
-                    FaultEvent::NodeSlowdown { node, from, .. } => {
-                        assert!(node.0 < 6 && from < horizon);
-                    }
-                    FaultEvent::LinkDegrade { from, to, at, .. }
-                    | FaultEvent::LinkDrop { from, to, at } => {
-                        assert!(from.0 < 6 && to.0 < 6 && from != to && at < horizon);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn random_mixed_single_node_draws_no_link_events() {
-        for seed in 0..20u64 {
-            let p = FaultPlan::random_mixed(seed, 1, 8, SimTime::from_secs(2.0));
-            assert_eq!(p.crash_time(NodeId(0)), None, "sole node must survive");
-            for e in p.events() {
-                assert!(
-                    matches!(e, FaultEvent::NodeSlowdown { .. }),
-                    "unexpected {e:?} on a 1-node cluster"
-                );
             }
         }
     }

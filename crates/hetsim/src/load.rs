@@ -151,18 +151,6 @@ impl LoadModel {
     pub(crate) fn available_at(&self, t: SimTime) -> f64 {
         1.0 - self.stolen_at(t)
     }
-
-    /// True if this model never changes over time (so a single `Recon` stays
-    /// accurate forever).
-    pub fn is_static(&self) -> bool {
-        match self {
-            LoadModel::None | LoadModel::Constant { .. } => true,
-            LoadModel::Trace { points } => points.is_empty(),
-            LoadModel::Step { .. } | LoadModel::Sinusoid { .. } | LoadModel::RandomWalk { .. } => {
-                false
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -229,18 +217,6 @@ mod tests {
         assert_eq!(m.stolen_at(t(4.9)), 0.2);
         assert_eq!(m.stolen_at(t(5.0)), 0.7);
         assert_eq!(m.stolen_at(t(100.0)), 0.7);
-    }
-
-    #[test]
-    fn static_detection() {
-        assert!(LoadModel::None.is_static());
-        assert!(LoadModel::Constant { fraction: 0.1 }.is_static());
-        assert!(!LoadModel::Step {
-            start: t(0.0),
-            end: t(1.0),
-            fraction: 0.5
-        }
-        .is_static());
     }
 
     #[test]

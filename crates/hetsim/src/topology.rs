@@ -504,7 +504,6 @@ pub struct ClusterBuilder {
     nodes: Vec<Processor>,
     default_link: Option<Link>,
     overrides: Vec<(usize, usize, Link)>,
-    symmetric_overrides: bool,
     contention: ContentionModel,
     faults: FaultPlan,
     mem_bus: Option<Link>,
@@ -513,10 +512,7 @@ pub struct ClusterBuilder {
 impl ClusterBuilder {
     /// An empty builder.
     pub fn new() -> Self {
-        ClusterBuilder {
-            symmetric_overrides: true,
-            ..Default::default()
-        }
+        ClusterBuilder::default()
     }
 
     /// Adds a processor with the given name and base speed.
@@ -537,17 +533,9 @@ impl ClusterBuilder {
         self
     }
 
-    /// Overrides the link between a specific pair. By default the override
-    /// applies in both directions; call [`ClusterBuilder::asymmetric`] first
-    /// to make overrides directional.
+    /// Overrides the link between a specific pair, in both directions.
     pub fn link_between(mut self, a: usize, b: usize, link: Link) -> Self {
         self.overrides.push((a, b, link));
-        self
-    }
-
-    /// Makes subsequent [`ClusterBuilder::link_between`] calls directional.
-    pub fn asymmetric(mut self) -> Self {
-        self.symmetric_overrides = false;
         self
     }
 
@@ -589,9 +577,7 @@ impl ClusterBuilder {
         for (a, b, link) in self.overrides {
             assert!(a < n && b < n, "link override ({a},{b}) out of range 0..{n}");
             links[a][b] = link.clone();
-            if self.symmetric_overrides {
-                links[b][a] = link;
-            }
+            links[b][a] = link;
         }
         let mut c = Cluster::from_parts(self.nodes, links, self.contention).with_faults(self.faults);
         c.mem_bus = self.mem_bus;
@@ -670,10 +656,8 @@ pub struct TopologyBuilder {
     /// Number of switches opened so far, globally numbered.
     switches: usize,
     intra_switch: Option<Link>,
-    inter_switch: Option<Link>,
     inter_site: Option<Link>,
     overrides: Vec<(usize, usize, Link)>,
-    symmetric_overrides: bool,
     contention: ContentionModel,
     faults: FaultPlan,
     mem_bus: Option<Link>,
@@ -683,10 +667,7 @@ impl TopologyBuilder {
     /// An empty builder. The first node added before any explicit
     /// [`TopologyBuilder::site`] call opens site 0 / switch 0 implicitly.
     pub fn new() -> Self {
-        TopologyBuilder {
-            symmetric_overrides: true,
-            ..Default::default()
-        }
+        TopologyBuilder::default()
     }
 
     /// Opens a new site (and its first switch); subsequent nodes land here.
@@ -749,37 +730,24 @@ impl TopologyBuilder {
         self.node_ranks.push(1);
     }
 
-    /// Default link between nodes sharing a switch (the LAN class).
+    /// Default link between nodes of one site, whether or not they share a
+    /// switch (the LAN class).
     pub fn intra_switch(mut self, link: Link) -> Self {
         self.intra_switch = Some(link);
         self
     }
 
-    /// Default link between switches of the same site (the backbone class).
-    /// Falls back to the intra-switch link when unset.
-    pub fn inter_switch(mut self, link: Link) -> Self {
-        self.inter_switch = Some(link);
-        self
-    }
-
     /// Default link between sites (the WAN class). Falls back to the
-    /// inter-switch link, then the intra-switch link, when unset.
+    /// intra-switch link when unset.
     pub fn inter_site(mut self, link: Link) -> Self {
         self.inter_site = Some(link);
         self
     }
 
-    /// Overrides the link between a specific node pair (both directions
-    /// unless [`TopologyBuilder::asymmetric`] was called), on top of the
-    /// level defaults.
+    /// Overrides the link between a specific node pair, in both
+    /// directions, on top of the level defaults.
     pub fn link_between(mut self, a: usize, b: usize, link: Link) -> Self {
         self.overrides.push((a, b, link));
-        self
-    }
-
-    /// Makes subsequent [`TopologyBuilder::link_between`] calls directional.
-    pub fn asymmetric(mut self) -> Self {
-        self.symmetric_overrides = false;
         self
     }
 
@@ -803,8 +771,8 @@ impl TopologyBuilder {
     }
 
     /// Finishes construction: resolves each pair's link class from the
-    /// hierarchy (same switch → intra, same site → inter-switch, otherwise
-    /// inter-site), applies overrides, and lays ranks out in node order.
+    /// hierarchy (same site → intra-switch, otherwise inter-site), applies
+    /// overrides, and lays ranks out in node order.
     ///
     /// # Panics
     /// Panics if no nodes were added or an override references an unknown
@@ -815,8 +783,7 @@ impl TopologyBuilder {
         let intra = self
             .intra_switch
             .unwrap_or_else(|| Link::with_defaults(Protocol::Tcp));
-        let backbone = self.inter_switch.unwrap_or_else(|| intra.clone());
-        let wan = self.inter_site.unwrap_or_else(|| backbone.clone());
+        let wan = self.inter_site.unwrap_or_else(|| intra.clone());
         let mut links = vec![vec![intra.clone(); n]; n];
         for (i, row) in links.iter_mut().enumerate() {
             for (j, slot) in row.iter_mut().enumerate() {
@@ -824,17 +791,13 @@ impl TopologyBuilder {
                     *slot = Link::loopback();
                 } else if self.node_site[i] != self.node_site[j] {
                     *slot = wan.clone();
-                } else if self.node_switch[i] != self.node_switch[j] {
-                    *slot = backbone.clone();
                 }
             }
         }
         for (a, b, link) in self.overrides {
             assert!(a < n && b < n, "link override ({a},{b}) out of range 0..{n}");
             links[a][b] = link.clone();
-            if self.symmetric_overrides {
-                links[b][a] = link;
-            }
+            links[b][a] = link;
         }
         let placement: Vec<NodeId> = self
             .node_ranks
@@ -903,19 +866,6 @@ mod tests {
         assert_eq!(c.link(NodeId(0), NodeId(1)), &fast);
         assert_eq!(c.link(NodeId(1), NodeId(0)), &fast);
         assert_eq!(c.link(NodeId(0), NodeId(2)).protocol, Protocol::Tcp);
-    }
-
-    #[test]
-    fn builder_asymmetric_overrides_are_directional() {
-        let fast = Link::new(1e-6, 1e9, Protocol::Custom("fiber".into()));
-        let c = ClusterBuilder::new()
-            .node("a", 10.0)
-            .node("b", 20.0)
-            .asymmetric()
-            .link_between(0, 1, fast.clone())
-            .build();
-        assert_eq!(c.link(NodeId(0), NodeId(1)), &fast);
-        assert_eq!(c.link(NodeId(1), NodeId(0)).protocol, Protocol::Tcp);
     }
 
     #[test]
@@ -1053,7 +1003,6 @@ mod tests {
     fn hierarchical_build_routes_link_classes_by_level() {
         let topo = TopologyBuilder::new()
             .intra_switch(Link::new(1e-4, 1e8, Protocol::Tcp))
-            .inter_switch(Link::new(5e-4, 5e7, Protocol::Tcp))
             .inter_site(Link::new(5e-3, 1e6, Protocol::Tcp))
             .site()
             .node("a0", 10.0)
@@ -1070,9 +1019,9 @@ mod tests {
         assert_eq!(c.site_of(NodeId(0)), 0);
         assert_eq!(c.site_of(NodeId(3)), 1);
         assert_eq!(c.switch_of(NodeId(2)), 1);
-        // Same switch → intra; same site, other switch → backbone; cross-site → WAN.
+        // Same site, on either switch → intra; cross-site → WAN.
         assert_eq!(c.link(NodeId(0), NodeId(1)).latency, 1e-4);
-        assert_eq!(c.link(NodeId(0), NodeId(2)).latency, 5e-4);
+        assert_eq!(c.link(NodeId(0), NodeId(2)).latency, 1e-4);
         assert_eq!(c.link(NodeId(0), NodeId(3)).latency, 5e-3);
         assert_eq!(c.link(NodeId(3), NodeId(2)).latency, 5e-3);
     }

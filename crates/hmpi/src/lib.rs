@@ -17,7 +17,7 @@
 //! | `HMPI_Is_free`              | [`Hmpi::is_free`]                            |
 //! | `HMPI_Is_member`            | [`HmpiGroup::is_member`]                     |
 //! | `HMPI_Recon`                | [`Hmpi::recon`] / [`Hmpi::recon_opts`] (options in [`Recon`]) |
-//! | `HMPI_Timeof`               | [`Hmpi::timeof`] / [`Hmpi::timeof_mapping`] / [`Hmpi::timeof_collective`] |
+//! | `HMPI_Timeof`               | [`Hmpi::timeof`] / [`Hmpi::timeof_sweep`]     |
 //! | `HMPI_Group_create`         | [`Hmpi::group_create`] (options in [`GroupSpec`]) |
 //! | `HMPI_Group_free`           | [`Hmpi::group_free`]                         |
 //! | `HMPI_Group_rank` / `_size` | [`HmpiGroup::rank`] / [`HmpiGroup::size`]    |
@@ -30,8 +30,8 @@
 //! | Recon as failure detector   | [`Hmpi::recon_opts`] with [`Recon::fault_tolerant`] (what [`Hmpi::recon`] dispatches to on a faulty cluster) |
 //! | Group shrink recovery       | [`Hmpi::rebuild_group`]                      |
 //! | Liveness helpers            | [`Hmpi::try_compute`], [`Hmpi::alive_world_ranks`] |
-//! | Collective-engine timing    | [`Hmpi::timeof_collective`], [`RuntimeConfig::collective_policy`] |
-//! | Recover-and-retry loop      | [`RecoveryPolicy::run`] (agreement + bounded rebuilds, DESIGN.md §12) |
+//! | Collective-engine timing    | [`mpisim::Comm::predict_collective`] on [`Hmpi::world`], [`RuntimeConfig::collective_policy`] |
+//! | Recover-and-retry loop      | [`Hmpi::recover`] (agreement + bounded rebuilds, DESIGN.md §12) |
 //!
 //! The group-selection problem — map each *abstract processor* of the model
 //! onto a physical process so the predicted execution time is minimal — is
@@ -59,7 +59,7 @@ pub use group::HmpiGroup;
 pub use mapping::{
     select_mapping, Mapping, MappingAlgorithm, SearchStats, SelectError, SelectionCtx,
 };
-pub use mpisim::{CollectiveAlgo, CollectiveKind, CollectivePolicy};
-pub use recovery::{Recovered, RecoveryError, RecoveryPolicy};
+pub use mpisim::CollectivePolicy;
+pub use recovery::{Recovered, RecoveryError};
 pub use runtime::{Hmpi, HmpiError, HmpiResult, HmpiRuntime, RuntimeConfig};
 pub use spec::{DefaultBench, GroupSpec, Recon};

@@ -1,8 +1,8 @@
-//! Recover-and-retry policies over HMPI groups (DESIGN.md §12).
+//! Recover-and-retry over HMPI groups (DESIGN.md §12).
 //!
-//! A [`RecoveryPolicy`] turns the raw fault-tolerance primitives — the
+//! [`Hmpi::recover`] turns the raw fault-tolerance primitives — the
 //! engine's survivor contract, [`mpisim::Comm::agree`] and
-//! [`crate::Hmpi::rebuild_group`] — into a one-call loop:
+//! [`Hmpi::rebuild_group`] — into a one-call loop:
 //!
 //! 1. run one *attempt* of the application kernel on the current group;
 //! 2. hold a ULFM-style agreement round so every member reaches the **same**
@@ -10,7 +10,7 @@
 //!    as a virtual-time synchronisation point among the survivors);
 //! 3. on a failure verdict, advance every survivor's clock by a
 //!    deterministic backoff, shrink the group over the survivors with
-//!    `rebuild_group`, and retry — up to a bounded number of rebuilds.
+//!    `rebuild_group`, and retry — at most once per world rank.
 //!
 //! Determinism: the verdict of each round is a pure function of the fault
 //! plan (agreement unanimity is structural, see [`mpisim::Agreement`]), the
@@ -23,75 +23,21 @@ use crate::runtime::{Hmpi, HmpiError, HmpiResult};
 use hetsim::SimTime;
 use mpisim::{MpiError, MpiResult};
 
-/// Bounded-retry recovery schedule: how many times a failed attempt may be
-/// answered with a shrink-and-retry, and how much virtual time the
-/// survivors wait before each rebuild.
-///
-/// The backoff grows geometrically: rebuild *i* (0-based) is preceded by an
-/// advance of `backoff * backoff_factor^i`. Because the agreement round
-/// that precedes it has already merged every survivor's clock to the same
-/// instant, a uniform advance keeps the survivors aligned for the rebuild
-/// roll call — backoff never widens the clock skew the roll-call window
-/// has to absorb.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryPolicy {
-    max_rebuilds: usize,
-    backoff: SimTime,
-    backoff_factor: f64,
+/// The virtual-time pause before the first rebuild, in seconds.
+const BACKOFF_S: f64 = 0.1;
+/// The geometric growth of the pause from one rebuild to the next.
+const BACKOFF_FACTOR: f64 = 2.0;
+
+/// The virtual-time pause before rebuild number `rebuild` (0-based):
+/// `0.1 s × 2^rebuild`. The agreement round that precedes a rebuild has
+/// already merged every survivor's clock to the same instant, so a uniform
+/// advance keeps the survivors aligned for the rebuild roll call — backoff
+/// never widens the clock skew the roll-call window has to absorb.
+fn pause_before(rebuild: usize) -> SimTime {
+    SimTime::from_secs(BACKOFF_S * BACKOFF_FACTOR.powi(rebuild as i32))
 }
 
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy::new()
-    }
-}
-
-impl RecoveryPolicy {
-    /// The default policy: up to 3 rebuilds, 0.1 s initial backoff,
-    /// doubling before each further rebuild.
-    pub fn new() -> Self {
-        RecoveryPolicy {
-            max_rebuilds: 3,
-            backoff: SimTime::from_secs(0.1),
-            backoff_factor: 2.0,
-        }
-    }
-
-    /// Caps the number of shrink-and-retry rounds (0 = fail on the first
-    /// bad verdict).
-    pub fn with_max_rebuilds(mut self, n: usize) -> Self {
-        self.max_rebuilds = n;
-        self
-    }
-
-    /// Sets the virtual-time backoff before the first rebuild.
-    pub fn with_backoff(mut self, d: SimTime) -> Self {
-        self.backoff = d;
-        self
-    }
-
-    /// Sets the geometric growth factor of the backoff schedule.
-    ///
-    /// # Panics
-    /// Panics unless `f` is finite and `>= 1.0` (a shrinking backoff would
-    /// let retries race the failure detector).
-    pub fn with_backoff_factor(mut self, f: f64) -> Self {
-        assert!(f.is_finite() && f >= 1.0, "backoff factor must be >= 1");
-        self.backoff_factor = f;
-        self
-    }
-
-    /// The retry cap.
-    pub fn max_rebuilds(&self) -> usize {
-        self.max_rebuilds
-    }
-
-    /// The virtual-time pause before rebuild number `rebuild` (0-based):
-    /// `backoff * factor^rebuild`.
-    pub fn backoff_before(&self, rebuild: usize) -> SimTime {
-        SimTime::from_secs(self.backoff.as_secs() * self.backoff_factor.powi(rebuild as i32))
-    }
-
+impl Hmpi<'_> {
     /// The recover-and-retry loop. Collective over the *members* of
     /// `group`; processes the selection left out stand by exactly as they
     /// would for a plain run (callers keep their `is_member()` guard).
@@ -112,12 +58,12 @@ impl RecoveryPolicy {
     /// [`RecoveryError`] — the underlying cause plus how many rebuilds were
     /// performed before giving up. Unrecoverable causes: the caller's own
     /// node fail-stopped ([`MpiError::NodeFailed`] with its own rank), the
-    /// rebuild found no feasible shrunk group, the retry budget ran out, or
+    /// rebuild found no feasible shrunk group, the retry budget (one rebuild
+    /// per world rank) ran out, or
     /// the rebuilt selection dropped the caller ([`HmpiError::NotMember`];
     /// the caller's process is free again and may stand by).
-    pub fn run<T, M, FM, FA>(
+    pub fn recover<T, M, FM, FA>(
         &self,
-        h: &Hmpi,
         mut group: HmpiGroup,
         mut model_for: FM,
         mut attempt: FA,
@@ -127,7 +73,7 @@ impl RecoveryPolicy {
         FM: FnMut(&[usize]) -> HmpiResult<M>,
         FA: FnMut(&HmpiGroup, usize) -> MpiResult<T>,
     {
-        let me = h.rank();
+        let me = self.rank();
         let mut rebuilds = 0usize;
         if !group.is_member() {
             return Err(RecoveryError {
@@ -178,7 +124,7 @@ impl RecoveryPolicy {
                     rebuilds,
                 });
             }
-            if rebuilds >= self.max_rebuilds {
+            if rebuilds >= self.size() {
                 return Err(RecoveryError {
                     cause: match out {
                         Ok(_) => HmpiError::Aborted, // a peer failed, not us
@@ -190,9 +136,9 @@ impl RecoveryPolicy {
             // Deterministic virtual-time backoff. The agreement above merged
             // every survivor's clock to the round's completion time, so this
             // uniform advance keeps them aligned for the roll call.
-            h.process().clock().advance(self.backoff_before(rebuilds));
+            self.process().clock().advance(pause_before(rebuilds));
             rebuilds += 1;
-            group = match h.rebuild_group(group, &mut model_for) {
+            group = match self.rebuild_group(group, &mut model_for) {
                 Ok(g) => g,
                 Err(cause) => return Err(RecoveryError { cause, rebuilds }),
             };
@@ -247,24 +193,8 @@ mod tests {
 
     #[test]
     fn backoff_schedule_is_geometric() {
-        let p = RecoveryPolicy::new()
-            .with_backoff(SimTime::from_secs(0.5))
-            .with_backoff_factor(3.0);
-        assert_eq!(p.backoff_before(0), SimTime::from_secs(0.5));
-        assert_eq!(p.backoff_before(1), SimTime::from_secs(1.5));
-        assert_eq!(p.backoff_before(2), SimTime::from_secs(4.5));
-    }
-
-    #[test]
-    fn default_policy_is_bounded() {
-        let p = RecoveryPolicy::default();
-        assert_eq!(p.max_rebuilds(), 3);
-        assert!(p.backoff_before(0) > SimTime::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "backoff factor")]
-    fn shrinking_backoff_is_rejected() {
-        let _ = RecoveryPolicy::new().with_backoff_factor(0.5);
+        assert_eq!(pause_before(0), SimTime::from_secs(0.1));
+        assert_eq!(pause_before(1), SimTime::from_secs(0.2));
+        assert_eq!(pause_before(2), SimTime::from_secs(0.4));
     }
 }

@@ -9,13 +9,10 @@
 //! process solves the selection problem and distributes the result.
 
 use crate::group::HmpiGroup;
-use crate::mapping::{select_mapping, Mapping, MappingAlgorithm, SelectError, SelectionCtx};
+use crate::mapping::{select_mapping, MappingAlgorithm, SelectError, SelectionCtx};
 use crate::spec::{GroupSpec, Recon};
 use hetsim::{Cluster, NodeId, SimTime, SpeedEstimates, Topology, TraceEvent, TraceKind};
-use mpisim::{
-    CollectiveAlgo, CollectiveKind, CollectivePolicy, Comm, MpiError, Process, RunReport, Universe,
-    UniverseConfig,
-};
+use mpisim::{CollectivePolicy, Comm, MpiError, Process, RunReport, Universe, UniverseConfig};
 use parking_lot::RwLock;
 use std::cell::Cell;
 use std::fmt;
@@ -150,10 +147,10 @@ enum Formation {
     Rebuild,
 }
 
-/// Typed configuration for an [`HmpiRuntime`], consolidating the former
-/// `HmpiRuntime::with_*` builder pile (and, through the wrapped
-/// [`UniverseConfig`], the `Universe::with_*` pile) into one value that is
-/// handed to [`HmpiRuntime::with_config`] or [`HmpiRuntime::from_topology`].
+/// Typed configuration for an [`HmpiRuntime`]: the wrapped
+/// [`UniverseConfig`] plus the group-selection algorithm, in one value that
+/// is handed to [`HmpiRuntime::with_config`] or
+/// [`HmpiRuntime::from_topology`].
 ///
 /// ```
 /// use hmpi::{HmpiRuntime, MappingAlgorithm, RuntimeConfig};
@@ -206,8 +203,8 @@ impl RuntimeConfig {
         self
     }
 
-    /// Default group-selection algorithm for [`Hmpi::group_create`] calls
-    /// that do not pin one via [`crate::GroupSpec::algorithm`].
+    /// The group-selection algorithm of every [`Hmpi::group_create`],
+    /// [`Hmpi::rebuild_group`] and [`Hmpi::timeof`] on this runtime.
     pub fn mapping_algorithm(mut self, algo: MappingAlgorithm) -> Self {
         self.mapping_algorithm = algo;
         self
@@ -712,42 +709,8 @@ impl Hmpi<'_> {
     /// [`HmpiError::Select`] if the model needs more processes than are
     /// available.
     pub fn timeof(&self, model: &dyn perfmodel::PerformanceModel) -> HmpiResult<f64> {
-        Ok(self.timeof_mapping(model)?.predicted)
-    }
-
-    /// Like [`Hmpi::timeof`] but also reports the mapping the prediction is
-    /// for.
-    ///
-    /// # Errors
-    /// As [`Hmpi::timeof`].
-    pub fn timeof_mapping(
-        &self,
-        model: &dyn perfmodel::PerformanceModel,
-    ) -> HmpiResult<Mapping> {
         let ctx = self.selection_ctx_for(0);
-        Ok(select_mapping(self.default_algo, model, &ctx)?)
-    }
-
-    /// `HMPI_Timeof` for the collective engine: the algorithm the engine
-    /// would select for a `kind` collective of `elems` elements of
-    /// `elem_bytes` bytes over `HMPI_COMM_WORLD`, plus its predicted
-    /// virtual time — without executing anything. Local operation.
-    ///
-    /// The prediction replays the exact communication schedule the engine
-    /// would run against the cluster's link table, so it carries the same
-    /// accuracy contract as the engine itself (see `mpisim::engine`).
-    ///
-    /// # Errors
-    /// [`HmpiError::Mpi`] wrapping `MpiError::InvalidRank` if `root` is
-    /// outside `HMPI_COMM_WORLD`.
-    pub fn timeof_collective(
-        &self,
-        kind: CollectiveKind,
-        root: usize,
-        elems: usize,
-        elem_bytes: usize,
-    ) -> HmpiResult<(CollectiveAlgo, f64)> {
-        Ok(self.world.predict_collective(kind, root, elems, elem_bytes)?)
+        Ok(select_mapping(self.default_algo, model, &ctx)?.predicted)
     }
 
     /// Chooses among algorithm variants by predicted execution time — the
@@ -756,20 +719,11 @@ impl Hmpi<'_> {
     /// the same problem, making choice at runtime depending on the
     /// particular executing network and its actual performance."
     ///
-    /// Returns `(index, predicted_time)` of the fastest variant, or `None`
-    /// if the iterator is empty or no variant is feasible. Local operation.
-    pub fn choose_best<'m>(
-        &self,
-        variants: impl IntoIterator<Item = &'m dyn perfmodel::PerformanceModel>,
-    ) -> Option<(usize, f64)> {
-        self.timeof_sweep(variants).unwrap_or(None)
-    }
-
-    /// Like [`Hmpi::choose_best`] but does not swallow failures: infeasible
-    /// or broken variants are still skipped while any variant succeeds, but
-    /// if *every* variant fails the first error is returned instead of a
-    /// silent `None` — an always-failing model can't masquerade as an empty
-    /// sweep. `Ok(None)` means the iterator was empty.
+    /// Returns `(index, predicted_time)` of the fastest variant. Infeasible
+    /// or broken variants are skipped while any variant succeeds; if *every*
+    /// variant fails, the first error is returned instead of a silent
+    /// `None` — an always-failing model can't masquerade as an empty sweep.
+    /// `Ok(None)` means the iterator was empty. Local operation.
     ///
     /// # Errors
     /// The first `timeof` error, when no variant evaluates successfully.
@@ -808,8 +762,10 @@ impl Hmpi<'_> {
     ///
     /// Takes anything convertible into a [`GroupSpec`]: a plain model
     /// reference for the all-defaults case (`h.group_create(&model)`), or a
-    /// builder chain for the selection algorithm and parent placement
-    /// (`h.group_create(GroupSpec::new(&model).algorithm(a).placement(p))`).
+    /// builder for the parent placement
+    /// (`h.group_create(GroupSpec::new(&model).placement(p))`). The
+    /// selection algorithm is the runtime's
+    /// ([`RuntimeConfig::mapping_algorithm`]).
     /// A non-host parent pins the model's `parent` processor to that rank —
     /// the paper's general form where "every newly created group has
     /// exactly one process shared with already existing groups".
@@ -831,7 +787,6 @@ impl Hmpi<'_> {
     pub fn group_create<'m>(&self, spec: impl Into<GroupSpec<'m>>) -> HmpiResult<HmpiGroup> {
         let GroupSpec {
             model,
-            algorithm,
             parent_world,
         } = spec.into();
         if parent_world >= self.size() {
@@ -849,9 +804,8 @@ impl Hmpi<'_> {
             }
             return self.join_group(parent_world, Some(model.parent()));
         }
-        let algo = algorithm.unwrap_or(self.default_algo);
         let ctx = self.selection_ctx_for(parent_world);
-        self.form_group(Formation::Create, algo, model, &ctx)
+        self.form_group(Formation::Create, model, &ctx)
     }
 
     /// Parent side of the group-formation protocol `group_create` and
@@ -863,11 +817,11 @@ impl Hmpi<'_> {
     fn form_group(
         &self,
         how: Formation,
-        algo: MappingAlgorithm,
         model: &dyn perfmodel::PerformanceModel,
         ctx: &SelectionCtx<'_>,
     ) -> HmpiResult<HmpiGroup> {
         let start = self.now();
+        let algo = self.default_algo;
         let mapping = match select_mapping(algo, model, ctx) {
             Ok(m) => m,
             Err(e) => return Err(self.abort_formation(&ctx.candidates, e.into())),
@@ -1049,7 +1003,7 @@ impl Hmpi<'_> {
             Err(e) => return Err(self.abort_formation(&survivors, e)),
         };
         let ctx = self.selection_ctx_over(survivors, me);
-        self.form_group(Formation::Rebuild, self.default_algo, &model, &ctx)
+        self.form_group(Formation::Rebuild, &model, &ctx)
     }
 
     /// `HMPI_Group_free`: collectively releases a group. Must be called by

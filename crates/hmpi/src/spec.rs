@@ -1,59 +1,41 @@
 //! Option builders for the consolidated HMPI surface.
 //!
-//! The group-creation family (once `group_create` / `group_create_with` /
-//! `group_create_as`) and the recon family (once `recon` / `recon_ft` /
-//! `recon_ft_scaled` / `recon_with`) each grew one positional parameter at a
-//! time; this module collapses each family behind a single options builder
-//! so the one-parameter common case stays one call while every knob remains
-//! reachable:
+//! `HMPI_Group_create` and `HMPI_Recon` each take one value: a bare model
+//! or unit count for the common case, or a builder for the rest.
 //!
 //! ```text
-//! h.group_create(&model)?;                                   // unchanged
-//! h.group_create(GroupSpec::new(&model)
-//!     .algorithm(MappingAlgorithm::Exhaustive)
-//!     .placement(parent_world))?;
+//! h.group_create(&model)?;
+//! h.group_create(GroupSpec::new(&model).placement(parent_world))?;
 //!
-//! h.recon(10.0)?;                                            // unchanged
-//! h.recon_opts(Recon::new(10.0).work_units(640.0).fault_tolerant(true))?;
+//! h.recon(10.0)?;
+//! h.recon_opts(Recon::new(10.0).work_units(640.0))?;
 //! h.recon_opts(Recon::new(10.0).bench(|h| h.compute(10.0)))?;
 //! ```
 //!
-//! The old multi-entry functions lived on as `#[deprecated]` forwarding
-//! shims on [`crate::Hmpi`] for one release cycle and have since been
-//! removed.
+//! The selection algorithm is the runtime's, set once in
+//! [`crate::RuntimeConfig::mapping_algorithm`].
 
-use crate::mapping::MappingAlgorithm;
 use crate::runtime::Hmpi;
 use std::fmt;
 
 /// Everything `HMPI_Group_create` can be asked to do, in one value.
 ///
-/// Construct with [`GroupSpec::new`] (or let the `From<&M>` conversion build
-/// the all-defaults spec for you — `h.group_create(&model)` still compiles),
-/// then chain the optional knobs.
+/// Construct with [`GroupSpec::new`] and set the parent placement, or pass
+/// a bare model reference: the `From<&M>` conversion builds the
+/// all-defaults spec (`h.group_create(&model)`).
 #[derive(Clone, Copy)]
 pub struct GroupSpec<'m> {
     pub(crate) model: &'m dyn perfmodel::PerformanceModel,
-    pub(crate) algorithm: Option<MappingAlgorithm>,
     pub(crate) parent_world: usize,
 }
 
 impl<'m> GroupSpec<'m> {
-    /// A spec with the runtime's default selection algorithm and the host
-    /// (world rank 0) as the parent.
+    /// A spec with the host (world rank 0) as the parent.
     pub fn new(model: &'m dyn perfmodel::PerformanceModel) -> Self {
         GroupSpec {
             model,
-            algorithm: None,
             parent_world: 0,
         }
-    }
-
-    /// Overrides the runtime's default group-selection algorithm for this
-    /// creation only.
-    pub fn algorithm(mut self, algo: MappingAlgorithm) -> Self {
-        self.algorithm = Some(algo);
-        self
     }
 
     /// Anchors the group at an arbitrary *parent* process (the paper's
@@ -69,7 +51,6 @@ impl<'m> GroupSpec<'m> {
 impl fmt::Debug for GroupSpec<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("GroupSpec")
-            .field("algorithm", &self.algorithm)
             .field("parent_world", &self.parent_world)
             .finish_non_exhaustive()
     }

@@ -1,4 +1,4 @@
-//! `Hmpi::choose_best` — runtime algorithm selection via `HMPI_Timeof`.
+//! `Hmpi::timeof_sweep` — runtime algorithm selection via `HMPI_Timeof`.
 
 use hetsim::{ClusterBuilder, Link, Protocol};
 use hmpi::HmpiRuntime;
@@ -19,7 +19,7 @@ fn cluster(speeds: &[f64], latency: f64, bandwidth: f64) -> Arc<hetsim::Cluster>
 /// Two formulations of the same job: fully parallel with heavy
 /// communication, or sequential on one machine with none. On a fast
 /// network the parallel variant wins; on a slow network the sequential one
-/// does — `choose_best` must flip with the network.
+/// does — the sweep must flip with the network.
 fn variants(total_work: f64, comm_bytes: f64, p: usize) -> Vec<perfmodel::BuiltModel> {
     let parallel = ModelBuilder::new("parallel")
         .processors(p)
@@ -42,7 +42,7 @@ fn fast_network_prefers_the_parallel_variant() {
         let vs = variants(4000.0, 1e6, 4);
         let refs: Vec<&dyn PerformanceModel> =
             vs.iter().map(|m| m as &dyn PerformanceModel).collect();
-        h.choose_best(refs)
+        h.timeof_sweep(refs).unwrap()
     });
     let (idx, t) = report.results[0].unwrap();
     assert_eq!(idx, 0, "parallel wins on a fast network");
@@ -57,7 +57,7 @@ fn slow_network_prefers_the_sequential_variant() {
         let vs = variants(4000.0, 1e6, 4);
         let refs: Vec<&dyn PerformanceModel> =
             vs.iter().map(|m| m as &dyn PerformanceModel).collect();
-        h.choose_best(refs)
+        h.timeof_sweep(refs).unwrap()
     });
     let (idx, _) = report.results[0].unwrap();
     assert_eq!(idx, 1, "sequential wins when the network is terrible");
@@ -65,14 +65,14 @@ fn slow_network_prefers_the_sequential_variant() {
 
 #[test]
 fn infeasible_variants_are_skipped() {
-    // The 8-processor variant cannot run on 3 machines; choose_best must
+    // The 8-processor variant cannot run on 3 machines; the sweep must
     // fall through to the feasible one.
     let rt = HmpiRuntime::new(cluster(&[100.0; 3], 1e-4, 1e7));
     let report = rt.run(|h| {
         let big = ModelBuilder::new("too-big").processors(8).build().unwrap();
         let ok = ModelBuilder::new("fits").processors(2).build().unwrap();
         let vs: Vec<&dyn PerformanceModel> = vec![&big, &ok];
-        h.choose_best(vs)
+        h.timeof_sweep(vs).unwrap()
     });
     let (idx, _) = report.results[0].unwrap();
     assert_eq!(idx, 1);
@@ -81,6 +81,6 @@ fn infeasible_variants_are_skipped() {
 #[test]
 fn empty_iterator_yields_none() {
     let rt = HmpiRuntime::new(cluster(&[100.0; 2], 1e-4, 1e7));
-    let report = rt.run(|h| h.choose_best(Vec::<&dyn PerformanceModel>::new()));
+    let report = rt.run(|h| h.timeof_sweep(Vec::<&dyn PerformanceModel>::new()).unwrap());
     assert!(report.results[0].is_none());
 }

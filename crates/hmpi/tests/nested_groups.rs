@@ -3,7 +3,7 @@
 //! process shared with already existing groups".
 
 use hetsim::{ClusterBuilder, Link, Protocol};
-use hmpi::{GroupSpec, HmpiError, HmpiRuntime, MappingAlgorithm};
+use hmpi::{GroupSpec, HmpiError, HmpiRuntime};
 use perfmodel::ModelBuilder;
 use std::sync::Arc;
 
@@ -112,11 +112,7 @@ fn parent_pinning_overrides_speed_ordering() {
                 .build()
                 .unwrap();
             let g = h
-                .group_create(
-                    GroupSpec::new(&model)
-                        .algorithm(MappingAlgorithm::default())
-                        .placement(slow_parent),
-                )
+                .group_create(GroupSpec::new(&model).placement(slow_parent))
                 .unwrap();
             let members = g.members().to_vec();
             if g.is_member() {

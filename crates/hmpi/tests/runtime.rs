@@ -2,6 +2,7 @@
 
 use hetsim::{Cluster, ClusterBuilder, Link, LoadModel, Processor, Protocol, SimTime};
 use hmpi::{GroupSpec, HmpiError, HmpiRuntime, MappingAlgorithm, Recon, RuntimeConfig};
+use mpisim::{CollectiveAlgo, CollectiveKind, MpiError};
 use perfmodel::ModelBuilder;
 use std::sync::Arc;
 
@@ -385,7 +386,9 @@ fn smp_nodes_host_multiple_ranks() {
     );
     let rt = HmpiRuntime::with_config(
         cluster,
-        RuntimeConfig::new().placement(vec![NodeId(0), NodeId(0), NodeId(1)]),
+        RuntimeConfig::new()
+            .placement(vec![NodeId(0), NodeId(0), NodeId(1)])
+            .mapping_algorithm(MappingAlgorithm::Exhaustive),
     );
     let report = rt.run(|h| {
         h.recon(12.0).unwrap();
@@ -401,9 +404,7 @@ fn smp_nodes_host_multiple_ranks() {
             .comm_fn(|_, _| 50e6)
             .build()
             .unwrap();
-        let g = h
-            .group_create(GroupSpec::new(&model).algorithm(MappingAlgorithm::Exhaustive))
-            .unwrap();
+        let g = h.group_create(&model).unwrap();
         let members = g.members().to_vec();
         if g.is_member() {
             h.group_free(g).unwrap();
@@ -485,6 +486,41 @@ fn overflowing_speed_cannot_poison_estimates() {
     assert_eq!(rt.estimates().generation(), 1);
 }
 
+/// The recon protocol follows the fault plan: a cluster without one takes
+/// the collective path, a cluster with one — even a plan that changes no
+/// speed — the fault-tolerant point-to-point path, and both measure the
+/// same speeds.
+#[test]
+fn recon_protocol_follows_the_fault_plan() {
+    use hetsim::{FaultEvent, FaultPlan, NodeId, TraceKind, PAPER_EM3D_SPEEDS};
+    use std::collections::BTreeSet;
+
+    let recon = |cluster: Cluster| {
+        let rt = HmpiRuntime::with_config(Arc::new(cluster), RuntimeConfig::new().tracing(true));
+        let report = rt.run(|h| h.recon(10.0).unwrap());
+        let trace = report.trace.expect("tracing was enabled");
+        let spans: BTreeSet<&str> = trace
+            .events
+            .iter()
+            .filter(|e| e.kind == TraceKind::Recon)
+            .map(|e| e.name)
+            .collect();
+        let bits: Vec<u64> = rt.estimates().snapshot().iter().map(|s| s.to_bits()).collect();
+        (spans, bits)
+    };
+    let plan = FaultPlan::new(vec![FaultEvent::NodeSlowdown {
+        node: NodeId(8),
+        from: SimTime::ZERO,
+        until: SimTime::from_secs(1.0),
+        factor: 1.0,
+    }]);
+    let (plain, plain_bits) = recon(Cluster::paper_lan_em3d());
+    let (ft, ft_bits) = recon(Cluster::paper_lan_with_faults(&PAPER_EM3D_SPEEDS, plan));
+    assert_eq!(plain, BTreeSet::from(["recon"]));
+    assert_eq!(ft, BTreeSet::from(["recon_ft"]));
+    assert_eq!(plain_bits, ft_bits, "both protocols measure the same speeds");
+}
+
 #[test]
 fn traced_run_records_recon_and_selection_events() {
     use hetsim::TraceKind;
@@ -563,11 +599,13 @@ fn timeof_collective_selects_and_prices() {
     let report = rt.run(|h| {
         // Small payload: latency-dominated, a tree beats the linear star.
         let (small_algo, small_t) = h
-            .timeof_collective(hmpi::CollectiveKind::Bcast, 0, 1, 8)
+            .world()
+            .predict_collective(CollectiveKind::Bcast, 0, 1, 8)
             .unwrap();
         // Large payload on four ranks.
         let (large_algo, large_t) = h
-            .timeof_collective(hmpi::CollectiveKind::Allreduce, 0, 1 << 16, 8)
+            .world()
+            .predict_collective(CollectiveKind::Allreduce, 0, 1 << 16, 8)
             .unwrap();
         (small_algo, small_t, large_algo, large_t)
     });
@@ -579,21 +617,21 @@ fn timeof_collective_selects_and_prices() {
         assert_eq!(r, &report.results[0]);
     }
     // The selector returns eligible algorithms for a 4-rank world.
-    use hmpi::CollectiveAlgo;
-    assert!(hmpi::CollectiveAlgo::ALL.contains(&small_algo));
+    assert!(CollectiveAlgo::ALL.contains(&small_algo));
     assert!(CollectiveAlgo::ALL.contains(&large_algo));
 }
 
-/// An out-of-range root in `timeof_collective` is a typed error (it used to
+/// An out-of-range root in `predict_collective` is a typed error (it used to
 /// reach the selector's schedule generator and panic).
 #[test]
 fn timeof_collective_bad_root_is_typed_error() {
     let rt = HmpiRuntime::new(small_cluster());
     let report = rt.run(|h| {
         let err = h
-            .timeof_collective(hmpi::CollectiveKind::Bcast, h.world().size(), 1, 8)
+            .world()
+            .predict_collective(CollectiveKind::Bcast, h.world().size(), 1, 8)
             .unwrap_err();
-        matches!(err, HmpiError::Mpi(mpisim::MpiError::InvalidRank { .. }))
+        matches!(err, MpiError::InvalidRank { .. })
     });
     assert!(report.results.iter().all(|ok| *ok));
 }

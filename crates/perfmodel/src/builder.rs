@@ -20,7 +20,7 @@ type SchemeFn = Arc<dyn Fn(&mut dyn SchemeSink) + Send + Sync>;
 ///
 /// let model = ModelBuilder::new("ring")
 ///     .processors(4)
-///     .volumes_fn(|i| 10.0 * (i + 1) as f64)
+///     .volumes(vec![10.0, 20.0, 30.0, 40.0])
 ///     .comm_fn(|s, d| if (s + 1) % 4 == d { 1024.0 } else { 0.0 })
 ///     .parent(0)
 ///     .build()
@@ -76,13 +76,6 @@ impl ModelBuilder {
     /// Per-processor computation volumes in benchmark units, by vector.
     pub fn volumes(mut self, v: Vec<f64>) -> Self {
         self.volumes = Some(v);
-        self
-    }
-
-    /// Per-processor volumes by function of the linear index.
-    pub fn volumes_fn(mut self, f: impl Fn(usize) -> f64) -> Self {
-        let n: usize = self.extents.iter().product();
-        self.volumes = Some((0..n).map(f).collect());
         self
     }
 

@@ -9,8 +9,6 @@ use crate::ast::{BinOp, Expr, UnOp};
 use crate::env::Env;
 use crate::error::EvalError;
 use crate::value::{StructVal, Value};
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// What an extern function produced.
 #[derive(Debug, Clone)]
@@ -24,49 +22,17 @@ pub struct ExternResult {
 /// An extern function: receives the evaluated values of *all* arguments
 /// (out-parameters contribute their current value) and returns the values to
 /// write back.
-pub type ExternFn = Arc<dyn Fn(&[Value]) -> Result<ExternResult, EvalError> + Send + Sync>;
+pub(crate) type Builtin = fn(&[Value]) -> Result<ExternResult, EvalError>;
 
-/// Registry of extern functions callable from model source.
-#[derive(Clone, Default)]
-pub struct Externs {
-    fns: HashMap<String, ExternFn>,
-}
-
-impl std::fmt::Debug for Externs {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Externs")
-            .field("names", &self.fns.keys().collect::<Vec<_>>())
-            .finish()
-    }
-}
-
-impl Externs {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Externs::default()
-    }
-
-    /// The default registry: currently the Figure 7 builtin
-    /// [`get_processor`] under the name `GetProcessor`.
-    pub fn with_builtins() -> Self {
-        let mut e = Externs::new();
-        e.register("GetProcessor", Arc::new(get_processor));
-        e
-    }
-
-    /// Registers (or replaces) a function.
-    pub fn register(&mut self, name: impl Into<String>, f: ExternFn) {
-        self.fns.insert(name.into(), f);
-    }
-
-    /// Looks a function up.
-    ///
-    /// # Errors
-    /// [`EvalError::Undefined`] if absent.
-    pub fn get(&self, name: &str) -> Result<&ExternFn, EvalError> {
-        self.fns
-            .get(name)
-            .ok_or_else(|| EvalError::Undefined(format!("extern function {name}")))
+/// Looks up the extern function `name`. The only one is Figure 7's
+/// `GetProcessor` ([`get_processor`]).
+///
+/// # Errors
+/// [`EvalError::Undefined`] for any other name.
+pub(crate) fn extern_fn(name: &str) -> Result<Builtin, EvalError> {
+    match name {
+        "GetProcessor" => Ok(get_processor),
+        _ => Err(EvalError::Undefined(format!("extern function {name}"))),
     }
 }
 
@@ -150,11 +116,11 @@ pub fn sizeof(ty: &str) -> Result<i64, EvalError> {
 ///
 /// # Errors
 /// Any [`EvalError`] raised by sub-evaluation.
-pub fn eval_value(env: &Env, externs: &Externs, e: &Expr) -> Result<Value, EvalError> {
+pub fn eval_value(env: &Env, e: &Expr) -> Result<Value, EvalError> {
     match e {
         Expr::Var(name) => Ok(env.get(name)?.clone()),
         Expr::Member(base, field) => {
-            let base = eval_value(env, externs, base)?;
+            let base = eval_value(env, base)?;
             let s = base.as_struct()?;
             s.fields
                 .get(field)
@@ -162,8 +128,8 @@ pub fn eval_value(env: &Env, externs: &Externs, e: &Expr) -> Result<Value, EvalE
                 .map(Value::Int)
                 .ok_or_else(|| EvalError::Undefined(format!("field {field}")))
         }
-        Expr::Index(..) => Ok(Value::Int(eval_int(env, externs, e)?)),
-        _ => Ok(Value::Int(eval_int(env, externs, e)?)),
+        Expr::Index(..) => Ok(Value::Int(eval_int(env, e)?)),
+        _ => Ok(Value::Int(eval_int(env, e)?)),
     }
 }
 
@@ -175,13 +141,13 @@ pub fn eval_value(env: &Env, externs: &Externs, e: &Expr) -> Result<Value, EvalE
 /// [`EvalError::DivisionByZero`], [`EvalError::Overflow`],
 /// [`EvalError::Undefined`], [`EvalError::TypeError`],
 /// [`EvalError::IndexOutOfBounds`].
-pub fn eval_int(env: &Env, externs: &Externs, e: &Expr) -> Result<i64, EvalError> {
+pub fn eval_int(env: &Env, e: &Expr) -> Result<i64, EvalError> {
     match e {
         Expr::Int(n) => Ok(*n),
         Expr::Var(name) => env.get(name)?.as_int(),
         Expr::SizeOf(ty) => sizeof(ty),
         Expr::Member(base, field) => {
-            let v = eval_value(env, externs, base)?;
+            let v = eval_value(env, base)?;
             let s = v.as_struct()?;
             s.fields
                 .get(field)
@@ -189,34 +155,32 @@ pub fn eval_int(env: &Env, externs: &Externs, e: &Expr) -> Result<i64, EvalError
                 .ok_or_else(|| EvalError::Undefined(format!("field {field}")))
         }
         Expr::Index(..) => {
-            let (name, idx) = collect_index_chain(env, externs, e)?;
+            let (name, idx) = collect_index_chain(env, e)?;
             let arr = env.get(&name)?.as_array()?.clone();
             arr.get(&name, &idx)
         }
-        Expr::Unary(UnOp::Neg, x) => eval_int(env, externs, x)?
-            .checked_neg()
-            .ok_or(EvalError::Overflow),
-        Expr::Unary(UnOp::Not, x) => Ok(i64::from(eval_int(env, externs, x)? == 0)),
+        Expr::Unary(UnOp::Neg, x) => eval_int(env, x)?.checked_neg().ok_or(EvalError::Overflow),
+        Expr::Unary(UnOp::Not, x) => Ok(i64::from(eval_int(env, x)? == 0)),
         Expr::Binary(op, a, b) => {
             match op {
                 BinOp::And => {
-                    return Ok(if eval_int(env, externs, a)? != 0 {
-                        i64::from(eval_int(env, externs, b)? != 0)
+                    return Ok(if eval_int(env, a)? != 0 {
+                        i64::from(eval_int(env, b)? != 0)
                     } else {
                         0
                     })
                 }
                 BinOp::Or => {
-                    return Ok(if eval_int(env, externs, a)? != 0 {
+                    return Ok(if eval_int(env, a)? != 0 {
                         1
                     } else {
-                        i64::from(eval_int(env, externs, b)? != 0)
+                        i64::from(eval_int(env, b)? != 0)
                     })
                 }
                 _ => {}
             }
-            let x = eval_int(env, externs, a)?;
-            let y = eval_int(env, externs, b)?;
+            let x = eval_int(env, a)?;
+            let y = eval_int(env, b)?;
             if y == 0 && matches!(op, BinOp::Div | BinOp::Rem) {
                 return Err(EvalError::DivisionByZero);
             }
@@ -237,10 +201,10 @@ pub fn eval_int(env: &Env, externs: &Externs, e: &Expr) -> Result<i64, EvalError
             .ok_or(EvalError::Overflow)
         }
         Expr::Call(name, args) => {
-            let f = externs.get(name)?;
+            let f = extern_fn(name)?;
             let vals: Vec<Value> = args
                 .iter()
-                .map(|a| eval_value(env, externs, a))
+                .map(|a| eval_value(env, a))
                 .collect::<Result<_, _>>()?;
             let res = f(&vals)?;
             res.ret
@@ -259,17 +223,17 @@ pub fn eval_int(env: &Env, externs: &Externs, e: &Expr) -> Result<i64, EvalError
 /// # Errors
 /// As [`eval_int`]; division by (exact) zero is reported rather than
 /// producing infinity.
-pub fn eval_num(env: &Env, externs: &Externs, e: &Expr) -> Result<f64, EvalError> {
+pub fn eval_num(env: &Env, e: &Expr) -> Result<f64, EvalError> {
     match e {
         Expr::Int(n) => Ok(*n as f64),
         Expr::Var(_) | Expr::Member(..) | Expr::Index(..) | Expr::SizeOf(_) | Expr::Call(..) => {
-            Ok(eval_int(env, externs, e)? as f64)
+            Ok(eval_int(env, e)? as f64)
         }
-        Expr::Unary(UnOp::Neg, x) => Ok(-eval_num(env, externs, x)?),
-        Expr::Unary(UnOp::Not, x) => Ok(f64::from(eval_num(env, externs, x)? == 0.0)),
+        Expr::Unary(UnOp::Neg, x) => Ok(-eval_num(env, x)?),
+        Expr::Unary(UnOp::Not, x) => Ok(f64::from(eval_num(env, x)? == 0.0)),
         Expr::Binary(op, a, b) => {
-            let x = eval_num(env, externs, a)?;
-            let y = eval_num(env, externs, b)?;
+            let x = eval_num(env, a)?;
+            let y = eval_num(env, b)?;
             Ok(match op {
                 BinOp::Add => x + y,
                 BinOp::Sub => x - y,
@@ -300,28 +264,20 @@ pub fn eval_num(env: &Env, externs: &Externs, e: &Expr) -> Result<f64, EvalError
 }
 
 /// Peels an `Expr::Index` chain down to `(array name, index vector)`.
-fn collect_index_chain(
-    env: &Env,
-    externs: &Externs,
-    e: &Expr,
-) -> Result<(String, Vec<i64>), EvalError> {
+fn collect_index_chain(env: &Env, e: &Expr) -> Result<(String, Vec<i64>), EvalError> {
     let mut indices = Vec::new();
     let mut cur = e;
     loop {
         match cur {
             Expr::Index(base, idx) => {
-                indices.push(eval_int(env, externs, idx)?);
+                indices.push(eval_int(env, idx)?);
                 cur = base;
             }
             Expr::Var(name) => {
                 indices.reverse();
                 return Ok((name.clone(), indices));
             }
-            other => {
-                return Err(EvalError::TypeError(format!(
-                    "cannot index into {other:?}"
-                )))
-            }
+            other => return Err(EvalError::TypeError(format!("cannot index into {other:?}"))),
         }
     }
 }
@@ -352,30 +308,27 @@ mod tests {
     #[test]
     fn int_arithmetic_is_c_like() {
         let env = env_with(&[("k", 7), ("l", 3)]);
-        let ex = Externs::new();
-        assert_eq!(eval_int(&env, &ex, &expr("k/l")).unwrap(), 2);
-        assert_eq!(eval_int(&env, &ex, &expr("k%l")).unwrap(), 1);
-        assert_eq!(eval_int(&env, &ex, &expr("-k+1")).unwrap(), -6);
+        assert_eq!(eval_int(&env, &expr("k/l")).unwrap(), 2);
+        assert_eq!(eval_int(&env, &expr("k%l")).unwrap(), 1);
+        assert_eq!(eval_int(&env, &expr("-k+1")).unwrap(), -6);
     }
 
     #[test]
     fn num_division_is_true_division() {
         let env = env_with(&[("n", 200)]);
-        let ex = Externs::new();
-        let v = eval_num(&env, &ex, &expr("100/n")).unwrap();
+        let v = eval_num(&env, &expr("100/n")).unwrap();
         assert!((v - 0.5).abs() < 1e-12);
         // The same expression in int context is zero: the exact trap the
         // crate-level semantics note documents.
-        assert_eq!(eval_int(&env, &ex, &expr("100/n")).unwrap(), 0);
+        assert_eq!(eval_int(&env, &expr("100/n")).unwrap(), 0);
     }
 
     #[test]
     fn comparisons_and_logic() {
         let env = env_with(&[("I", 2), ("L", 2)]);
-        let ex = Externs::new();
-        assert_eq!(eval_int(&env, &ex, &expr("I>=0 && I!=L")).unwrap(), 0);
-        assert_eq!(eval_int(&env, &ex, &expr("I>=0 || I!=L")).unwrap(), 1);
-        assert_eq!(eval_int(&env, &ex, &expr("!(I==L)")).unwrap(), 0);
+        assert_eq!(eval_int(&env, &expr("I>=0 && I!=L")).unwrap(), 0);
+        assert_eq!(eval_int(&env, &expr("I>=0 || I!=L")).unwrap(), 1);
+        assert_eq!(eval_int(&env, &expr("!(I==L)")).unwrap(), 0);
     }
 
     #[test]
@@ -386,8 +339,7 @@ mod tests {
             "d",
             Value::Array(ArrayVal::new(vec![2], vec![5, 6]).unwrap()),
         );
-        let ex = Externs::new();
-        assert_eq!(eval_int(&env, &ex, &expr("I>=0 && d[I]>0")).unwrap(), 0);
+        assert_eq!(eval_int(&env, &expr("I>=0 && d[I]>0")).unwrap(), 0);
     }
 
     #[test]
@@ -397,10 +349,9 @@ mod tests {
             "dep",
             Value::Array(ArrayVal::new(vec![2, 2], vec![0, 1, 2, 3]).unwrap()),
         );
-        let ex = Externs::new();
-        assert_eq!(eval_int(&env, &ex, &expr("dep[I][L]")).unwrap(), 2);
+        assert_eq!(eval_int(&env, &expr("dep[I][L]")).unwrap(), 2);
         assert_eq!(
-            eval_num(&env, &ex, &expr("dep[I][L]*sizeof(double)")).unwrap(),
+            eval_num(&env, &expr("dep[I][L]*sizeof(double)")).unwrap(),
             16.0
         );
     }
@@ -408,30 +359,22 @@ mod tests {
     #[test]
     fn division_by_zero_reported() {
         let env = env_with(&[("z", 0)]);
-        let ex = Externs::new();
-        assert_eq!(
-            eval_int(&env, &ex, &expr("1/z")),
-            Err(EvalError::DivisionByZero)
-        );
-        assert_eq!(
-            eval_num(&env, &ex, &expr("1/z")),
-            Err(EvalError::DivisionByZero)
-        );
+        assert_eq!(eval_int(&env, &expr("1/z")), Err(EvalError::DivisionByZero));
+        assert_eq!(eval_num(&env, &expr("1/z")), Err(EvalError::DivisionByZero));
     }
 
     #[test]
     fn integer_overflow_reported() {
         let env = env_with(&[("lo", i64::MIN), ("hi", i64::MAX)]);
-        let ex = Externs::new();
         for src in ["lo/(0-1)", "lo%(0-1)", "-lo", "hi*hi", "hi+1", "lo-1"] {
-            let got = eval_int(&env, &ex, &expr(src));
+            let got = eval_int(&env, &expr(src));
             assert_eq!(got, Err(EvalError::Overflow), "{src}");
         }
         // Division by zero keeps its own error; in-range edges still work.
-        let by_zero = eval_int(&env, &ex, &expr("lo/0"));
+        let by_zero = eval_int(&env, &expr("lo/0"));
         assert_eq!(by_zero, Err(EvalError::DivisionByZero));
-        assert_eq!(eval_int(&env, &ex, &expr("lo/1")).unwrap(), i64::MIN);
-        assert_eq!(eval_int(&env, &ex, &expr("-hi")).unwrap(), -i64::MAX);
+        assert_eq!(eval_int(&env, &expr("lo/1")).unwrap(), i64::MIN);
+        assert_eq!(eval_int(&env, &expr("-hi")).unwrap(), -i64::MAX);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::ast::{AlgorithmDef, Program};
 use crate::compile::{CostModel, CostProgram, PriceScratch};
 use crate::env::Env;
 use crate::error::{EvalError, ParseError};
-use crate::eval::{eval_int, eval_num, Externs};
+use crate::eval::{eval_int, eval_num};
 use crate::parser::parse_program;
 use crate::scheme::{run_scheme, SchemeSink};
 use crate::value::{ArrayVal, Value};
@@ -111,12 +111,11 @@ pub trait PerformanceModel: Send + Sync {
 pub struct CompiledModel {
     algorithm: Arc<AlgorithmDef>,
     structs: Arc<HashMap<String, Vec<String>>>,
-    externs: Externs,
 }
 
 impl CompiledModel {
-    /// Compiles the first `algorithm` in `src`, with the builtin externs
-    /// (`GetProcessor`) available.
+    /// Compiles the first `algorithm` in `src`. Its one extern function is
+    /// Figure 7's `GetProcessor`.
     ///
     /// # Errors
     /// [`ParseError`] on syntax errors or if no algorithm is present.
@@ -151,7 +150,6 @@ impl CompiledModel {
         Ok(CompiledModel {
             algorithm: Arc::new(algorithm),
             structs: Arc::new(structs),
-            externs: Externs::with_builtins(),
         })
     }
 
@@ -192,7 +190,7 @@ impl CompiledModel {
                 (false, ParamValue::Array(data)) => {
                     let mut dims = Vec::with_capacity(decl.dims.len());
                     for d in &decl.dims {
-                        let extent = eval_int(&env, &self.externs, d)?;
+                        let extent = eval_int(&env, d)?;
                         if extent <= 0 {
                             return Err(EvalError::BadParameters(format!(
                                 "dimension of `{}` evaluated to {extent}",
@@ -223,7 +221,7 @@ impl CompiledModel {
         // Coordinate space.
         let mut extents = Vec::with_capacity(alg.coords.len());
         for (cname, e) in &alg.coords {
-            let extent = eval_int(&env, &self.externs, e)?;
+            let extent = eval_int(&env, e)?;
             if extent <= 0 {
                 return Err(EvalError::BadParameters(format!(
                     "coordinate `{cname}` has non-positive extent {extent}"
@@ -239,8 +237,8 @@ impl CompiledModel {
             env.push();
             bind_coords(&mut env, &alg.coords, &extents, linear);
             for rule in &alg.node_rules {
-                if eval_int(&env, &self.externs, &rule.guard)? != 0 {
-                    *vol = eval_num(&env, &self.externs, &rule.volume)?;
+                if eval_int(&env, &rule.guard)? != 0 {
+                    *vol = eval_num(&env, &rule.volume)?;
                     break;
                 }
             }
@@ -252,7 +250,7 @@ impl CompiledModel {
         let binder_extents: Vec<usize> = {
             let mut v = Vec::with_capacity(alg.link_binders.len());
             for (bname, e) in &alg.link_binders {
-                let extent = eval_int(&env, &self.externs, e)?;
+                let extent = eval_int(&env, e)?;
                 if extent <= 0 {
                     return Err(EvalError::BadParameters(format!(
                         "link binder `{bname}` has non-positive extent {extent}"
@@ -275,10 +273,10 @@ impl CompiledModel {
                     rem /= extent;
                 }
                 for rule in &alg.link_rules {
-                    if eval_int(&env, &self.externs, &rule.guard)? != 0 {
-                        let src = linearise(&env, &self.externs, &rule.src, &extents)?;
-                        let dst = linearise(&env, &self.externs, &rule.dst, &extents)?;
-                        let vol = eval_num(&env, &self.externs, &rule.volume)?;
+                    if eval_int(&env, &rule.guard)? != 0 {
+                        let src = linearise(&env, &rule.src, &extents)?;
+                        let dst = linearise(&env, &rule.dst, &extents)?;
+                        let vol = eval_num(&env, &rule.volume)?;
                         // Link rules *define* pair volumes (a rule not
                         // mentioning some binder matches once per binding of
                         // it); assignment rather than accumulation keeps
@@ -294,14 +292,13 @@ impl CompiledModel {
         let parent = if alg.parent.is_empty() {
             0
         } else {
-            linearise(&env, &self.externs, &alg.parent, &extents)?
+            linearise(&env, &alg.parent, &extents)?
         };
 
         Ok(ModelInstance {
             name: alg.name.clone(),
             algorithm: self.algorithm.clone(),
             structs: self.structs.clone(),
-            externs: self.externs.clone(),
             bindings,
             extents,
             volumes,
@@ -325,7 +322,6 @@ fn bind_coords(env: &mut Env, coords: &[(String, crate::ast::Expr)], extents: &[
 
 fn linearise(
     env: &Env,
-    externs: &Externs,
     coords: &[crate::ast::Expr],
     extents: &[usize],
 ) -> Result<usize, EvalError> {
@@ -338,7 +334,7 @@ fn linearise(
     }
     let mut linear = 0usize;
     for (e, &extent) in coords.iter().zip(extents) {
-        let c = eval_int(env, externs, e)?;
+        let c = eval_int(env, e)?;
         if c < 0 || c as usize >= extent {
             return Err(EvalError::BadProcessor(format!(
                 "coordinate {c} outside 0..{extent}"
@@ -356,7 +352,6 @@ pub struct ModelInstance {
     name: String,
     algorithm: Arc<AlgorithmDef>,
     structs: Arc<HashMap<String, Vec<String>>>,
-    externs: Externs,
     bindings: Vec<(String, Value)>,
     extents: Vec<usize>,
     volumes: Vec<f64>,
@@ -368,32 +363,6 @@ impl ModelInstance {
     /// The coordinate extents (e.g. `[p]` or `[m, m]`).
     pub fn extents(&self) -> &[usize] {
         &self.extents
-    }
-
-    /// Converts a linear index to coordinates.
-    pub fn coords_of(&self, linear: usize) -> Vec<usize> {
-        let mut rem = linear;
-        let mut out = vec![0usize; self.extents.len()];
-        for i in (0..self.extents.len()).rev() {
-            out[i] = rem % self.extents[i];
-            rem /= self.extents[i];
-        }
-        out
-    }
-
-    /// Converts coordinates to a linear index.
-    ///
-    /// # Panics
-    /// Panics on out-of-range coordinates.
-    pub fn linear_of(&self, coords: &[usize]) -> usize {
-        assert_eq!(coords.len(), self.extents.len());
-        coords
-            .iter()
-            .zip(&self.extents)
-            .fold(0, |acc, (&c, &e)| {
-                assert!(c < e, "coordinate {c} outside 0..{e}");
-                acc * e + c
-            })
     }
 }
 
@@ -453,7 +422,6 @@ impl PerformanceModel for ModelInstance {
         run_scheme(
             &self.algorithm.scheme,
             &mut env,
-            &self.externs,
             &self.structs,
             &self.extents,
             sink,
@@ -610,8 +578,6 @@ mod tests {
             .unwrap();
         assert_eq!(inst.num_processors(), 4);
         assert_eq!(inst.volumes(), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(inst.coords_of(2), vec![1, 0]);
-        assert_eq!(inst.linear_of(&[1, 1]), 3);
     }
 
     #[test]

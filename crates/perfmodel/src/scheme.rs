@@ -18,7 +18,7 @@
 use crate::ast::{AssignOp, CallArg, Expr, LValue, Stmt};
 use crate::env::Env;
 use crate::error::EvalError;
-use crate::eval::{eval_int, eval_num, eval_value, Externs};
+use crate::eval::{eval_int, eval_num, eval_value, extern_fn};
 use crate::value::{StructVal, Value};
 use std::collections::HashMap;
 
@@ -105,13 +105,11 @@ impl SchemeSink for RecordingSink {
 pub fn run_scheme(
     stmts: &[Stmt],
     env: &mut Env,
-    externs: &Externs,
     structs: &HashMap<String, Vec<String>>,
     extents: &[usize],
     sink: &mut dyn SchemeSink,
 ) -> Result<(), EvalError> {
     let mut interp = Interp {
-        externs,
         structs,
         extents,
         iterations: 0,
@@ -123,7 +121,6 @@ pub fn run_scheme(
 }
 
 struct Interp<'a> {
-    externs: &'a Externs,
     structs: &'a HashMap<String, Vec<String>>,
     extents: &'a [usize],
     iterations: u64,
@@ -148,7 +145,7 @@ impl Interp<'_> {
         }
         let mut linear = 0usize;
         for (e, &extent) in coords.iter().zip(self.extents) {
-            let c = eval_int(env, self.externs, e)?;
+            let c = eval_int(env, e)?;
             if c < 0 || c as usize >= extent {
                 return Err(EvalError::BadProcessor(format!(
                     "coordinate {c} outside 0..{extent}"
@@ -212,7 +209,7 @@ impl Interp<'_> {
                 for (name, init) in vars {
                     let value = if ty == "int" {
                         match init {
-                            Some(e) => Value::Int(eval_int(env, self.externs, e)?),
+                            Some(e) => Value::Int(eval_int(env, e)?),
                             None => Value::Int(0),
                         }
                     } else {
@@ -235,10 +232,10 @@ impl Interp<'_> {
             }
             Stmt::Assign { lv, op, rhs } => {
                 let new = match op {
-                    AssignOp::Set => eval_value(env, self.externs, rhs)?,
+                    AssignOp::Set => eval_value(env, rhs)?,
                     AssignOp::Add | AssignOp::Sub | AssignOp::Mul => {
                         let old = self.read_lvalue(env, lv)?.as_int()?;
-                        let r = eval_int(env, self.externs, rhs)?;
+                        let r = eval_int(env, rhs)?;
                         let new = match op {
                             AssignOp::Add => old.checked_add(r),
                             AssignOp::Sub => old.checked_sub(r),
@@ -251,7 +248,7 @@ impl Interp<'_> {
                 self.write_lvalue(env, lv, new)
             }
             Stmt::If { cond, then, els } => {
-                if eval_int(env, self.externs, cond)? != 0 {
+                if eval_int(env, cond)? != 0 {
                     self.exec(env, then, sink)
                 } else if let Some(e) = els {
                     self.exec(env, e, sink)
@@ -270,7 +267,7 @@ impl Interp<'_> {
                 }
                 loop {
                     match cond {
-                        Some(c) if eval_int(env, self.externs, c)? == 0 => break,
+                        Some(c) if eval_int(env, c)? == 0 => break,
                         None => {
                             return Err(EvalError::TypeError(
                                 "for loop without a condition never terminates".into(),
@@ -299,7 +296,7 @@ impl Interp<'_> {
                 let result = (|| -> Result<(), EvalError> {
                     loop {
                         match cond {
-                            Some(c) if eval_int(env, self.externs, c)? == 0 => break,
+                            Some(c) if eval_int(env, c)? == 0 => break,
                             None => {
                                 return Err(EvalError::TypeError(
                                     "par loop without a condition never terminates".into(),
@@ -320,24 +317,24 @@ impl Interp<'_> {
                 result
             }
             Stmt::Compute { percent, proc } => {
-                let pct = eval_num(env, self.externs, percent)?;
+                let pct = eval_num(env, percent)?;
                 let p = self.linearise(env, proc)?;
                 sink.compute(p, pct);
                 Ok(())
             }
             Stmt::Transfer { percent, src, dst } => {
-                let pct = eval_num(env, self.externs, percent)?;
+                let pct = eval_num(env, percent)?;
                 let s = self.linearise(env, src)?;
                 let d = self.linearise(env, dst)?;
                 sink.transfer(s, d, pct);
                 Ok(())
             }
             Stmt::CallStmt { name, args } => {
-                let f = self.externs.get(name)?.clone();
+                let f = extern_fn(name)?;
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
                     vals.push(match a {
-                        CallArg::Value(e) => eval_value(env, self.externs, e)?,
+                        CallArg::Value(e) => eval_value(env, e)?,
                         CallArg::OutRef(lv) => self.read_lvalue(env, lv)?,
                     });
                 }
@@ -395,9 +392,8 @@ mod tests {
         for (n, v) in params {
             env.declare(*n, Value::Int(*v));
         }
-        let externs = Externs::with_builtins();
         let mut sink = RecordingSink::default();
-        run_scheme(&stmts, &mut env, &externs, &structs, &extents, &mut sink)?;
+        run_scheme(&stmts, &mut env, &structs, &extents, &mut sink)?;
         Ok(sink)
     }
 
@@ -555,9 +551,8 @@ mod tests {
             "h",
             Value::Array(crate::value::ArrayVal::new(vec![2, 2, 2, 2], h).unwrap()),
         );
-        let externs = Externs::with_builtins();
         let mut sink = RecordingSink::default();
-        run_scheme(&stmts, &mut env, &externs, &structs, &[2, 2], &mut sink).unwrap();
+        run_scheme(&stmts, &mut env, &structs, &[2, 2], &mut sink).unwrap();
         // Block (0,1) belongs to grid processor (0,1) -> linear index 1.
         assert_eq!(
             sink.events,

@@ -4,7 +4,7 @@
 
 use perfmodel::ast::{BinOp, Expr, UnOp};
 use perfmodel::env::Env;
-use perfmodel::eval::{eval_int, eval_num, Externs};
+use perfmodel::eval::{eval_int, eval_num};
 use perfmodel::value::{ArrayVal, Value};
 use perfmodel::{parse_program, pretty};
 use proptest::prelude::*;
@@ -87,14 +87,13 @@ proptest! {
         let printed = pretty::print_expr(&e);
         let back = reparse(&printed);
         let env = env();
-        let ex = Externs::new();
         // Integer context.
-        let v1 = eval_int(&env, &ex, &e);
-        let v2 = eval_int(&env, &ex, &back);
+        let v1 = eval_int(&env, &e);
+        let v2 = eval_int(&env, &back);
         prop_assert_eq!(&v1, &v2, "int eval of `{}`", printed);
         // Numeric context.
-        let n1 = eval_num(&env, &ex, &e);
-        let n2 = eval_num(&env, &ex, &back);
+        let n1 = eval_num(&env, &e);
+        let n2 = eval_num(&env, &back);
         match (n1, n2) {
             (Ok(x), Ok(y)) => prop_assert!(
                 (x - y).abs() < 1e-9 || (x.is_nan() && y.is_nan()),
@@ -125,8 +124,7 @@ proptest! {
         // Without division/modulo, the int and float evaluators must agree
         // exactly (all values stay integral).
         let env = env();
-        let ex = Externs::new();
-        if let (Ok(i), Ok(n)) = (eval_int(&env, &ex, &e), eval_num(&env, &ex, &e)) {
+        if let (Ok(i), Ok(n)) = (eval_int(&env, &e), eval_num(&env, &e)) {
             prop_assert_eq!(i as f64, n);
         }
     }

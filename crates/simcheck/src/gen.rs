@@ -82,7 +82,7 @@ fn faultable(w: &Workload) -> bool {
 
 /// Materialises 1..=`max_events` random fault events. Node 0 is exempt
 /// from crashes (it hosts HMPI's parent rank; a run where the host dies at
-/// t=0 exercises nothing), mirroring `FaultPlan::random_mixed`'s survivor.
+/// t=0 exercises nothing).
 fn draw_faults(rng: &mut StdRng, n: usize, horizon: f64) -> Vec<FaultEvent> {
     let mut events = Vec::new();
     let mut crashed = vec![false; n];
