@@ -5,8 +5,9 @@
 //! are unavailable/unsuitable here, so this crate implements the subset of
 //! MPI that HMPI and the paper's two applications rest on, from scratch:
 //!
-//! * **ranks as threads** — [`Universe::run`] spawns one OS thread per rank,
-//!   each executing the same SPMD closure with its own [`Process`] handle;
+//! * **ranks as threads** — [`Universe::run`] lends one pooled OS thread per
+//!   rank, each executing the same SPMD closure with its own [`Process`]
+//!   handle;
 //! * **groups** ([`Group`]): ordered world-rank lists with membership, rank
 //!   translation and `union` / `intersection` / `difference`;
 //! * **communicators** ([`Comm`]) with `dup`, `split` and `create`, each with

@@ -8,7 +8,7 @@
 //! This module replaces it with a *quiescence detector*. Every rank
 //! registers its state with a shared [`Registry`]: `Active` while running,
 //! `Blocked` (with a [`WaitRecord`] describing exactly what could unblock
-//! it) while waiting, `Done` when its thread exits. Whenever the last
+//! it) while waiting, `Done` when its closure ends. Whenever the last
 //! active rank blocks or exits, the registry classifies the global state
 //! under one lock:
 //!
@@ -367,7 +367,7 @@ impl Registry {
         on
     }
 
-    /// Records that `me`'s thread exited; may trigger classification.
+    /// Records that `me`'s closure ended; may trigger classification.
     pub(crate) fn done(&self, me: usize) {
         let mut inner = self.inner.lock();
         inner.set_phase(me, Phase::Done);

@@ -1,4 +1,5 @@
-//! The SPMD runtime: launching ranks as threads over a simulated cluster.
+//! The SPMD runtime: running ranks on pooled worker threads over a simulated
+//! cluster.
 
 use crate::agree::AgreeTable;
 use crate::comm::Comm;
@@ -12,8 +13,11 @@ use crate::quiesce::Registry;
 use crate::vtime::LocalClock;
 use hetsim::{Cluster, NodeId, SimTime, Topology, Trace, TraceEvent, TraceKind, Tracer};
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
+use std::convert::Infallible;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 /// What the failure detector knows about one world rank.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -21,7 +25,7 @@ pub(crate) enum RankState {
     /// Still running (as far as anyone can tell).
     Alive = 0,
     /// The rank's node fail-stopped and the rank observed it. Sticky: a
-    /// later thread exit does not overwrite this.
+    /// later closure exit does not overwrite this.
     Failed = 1,
     /// The rank's closure returned (or panicked) without a node crash.
     Terminated = 2,
@@ -135,7 +139,7 @@ impl SharedState {
         self.mark_dead(world_rank, RankState::Failed);
     }
 
-    /// Records that `world_rank`'s thread exited. Does not overwrite a
+    /// Records that `world_rank`'s closure ended. Does not overwrite a
     /// `Failed` mark.
     pub(crate) fn mark_terminated(&self, world_rank: usize) {
         self.mark_dead(world_rank, RankState::Terminated);
@@ -155,7 +159,7 @@ impl SharedState {
     }
 }
 
-/// Marks a rank `Terminated` when its thread unwinds — normally or by panic —
+/// Marks a rank `Terminated` when its closure ends — normally or by panic —
 /// so peers blocked on it observe [`MpiError::PeerTerminated`] instead of
 /// deadlocking.
 struct TerminationGuard {
@@ -166,9 +170,56 @@ struct TerminationGuard {
 impl Drop for TerminationGuard {
     fn drop(&mut self) {
         self.shared.mark_terminated(self.world_rank);
-        // The thread no longer counts as active: if it was the last one
+        // The rank no longer counts as active: if it was the last one
         // running, its exit may be the moment of quiescence.
         self.shared.quiesce.done(self.world_rank);
+    }
+}
+
+/// One rank's whole life on a lent worker thread (see `lend_workers`).
+type Job = Box<dyn FnOnce() + Send>;
+
+/// The process's parked rank workers, keyed by stack size (`None`: the
+/// `std::thread` default). Each entry is the job queue of one idle OS thread.
+static IDLE: Mutex<BTreeMap<Option<usize>, Vec<mpsc::Sender<Job>>>> = Mutex::new(BTreeMap::new());
+
+/// Takes `n` idle workers with `stack_size` from the pool and spawns the
+/// shortfall, so the pool grows to the high-water rank count. It never waits
+/// for a busy worker: nested and concurrent runs each get their own. A worker
+/// runs jobs until its queue's sender is dropped; workers are never joined,
+/// since they serve the whole process and a job never unwinds into one.
+fn lend_workers(n: usize, stack_size: Option<usize>) -> Vec<mpsc::Sender<Job>> {
+    let mut workers = {
+        let mut idle = IDLE.lock();
+        let idle = idle.entry(stack_size).or_default();
+        idle.split_off(idle.len().saturating_sub(n))
+    };
+    while workers.len() < n {
+        let (tx, rx) = mpsc::channel::<Job>();
+        let mut builder = std::thread::Builder::new().name("mpisim-rank".into());
+        if let Some(bytes) = stack_size {
+            builder = builder.stack_size(bytes);
+        }
+        builder
+            .spawn(move || rx.into_iter().for_each(|job| job()))
+            .expect("failed to spawn rank thread");
+        workers.push(tx);
+    }
+    workers
+}
+
+/// The completion latch of one run: dropping it (on return or unwind) blocks
+/// until every job has dropped its clone of `done`.
+struct AllJobsEnded {
+    done: Option<mpsc::Sender<Infallible>>,
+    all_done: mpsc::Receiver<Infallible>,
+}
+
+impl Drop for AllJobsEnded {
+    fn drop(&mut self) {
+        self.done = None;
+        // Nothing is ever sent: `recv` returns once the last clone is gone.
+        let _ = self.all_done.recv();
     }
 }
 
@@ -226,12 +277,11 @@ impl UniverseConfig {
         self
     }
 
-    /// The stack size (bytes) of the per-rank OS threads spawned by
-    /// [`Universe::run`]. Large worlds (1k+ ranks) exhaust address space
-    /// quickly at the platform-default 8 MiB per thread; the rank closures
-    /// used by the benches and tests run comfortably in a few hundred KiB.
-    /// Defaults to the `MPISIM_STACK_SIZE` environment variable (bytes)
-    /// when set, else the platform default.
+    /// The stack size (bytes) of the rank worker threads that
+    /// [`Universe::run`] lends; workers are pooled per stack size. Unset,
+    /// it is the `std::thread` default: 2 MiB, or `RUST_MIN_STACK`. Large
+    /// worlds (1k+ ranks) want less; the rank closures used by the benches
+    /// and tests run comfortably in a few hundred KiB.
     pub fn stack_size(mut self, bytes: usize) -> Self {
         self.stack_size = Some(bytes);
         self
@@ -348,12 +398,15 @@ impl Universe {
         &self.cluster
     }
 
-    /// Runs `f` on every rank concurrently (one OS thread per rank) and
-    /// collects the per-rank results and final virtual clocks.
+    /// Runs `f` on every rank concurrently and collects the per-rank
+    /// results and final virtual clocks. Each rank runs on its own OS
+    /// thread, a parked worker lent from a process-wide pool (spawned only
+    /// when too few with this universe's stack size are idle) and returned
+    /// once every rank has finished.
     ///
     /// # Panics
-    /// Propagates the first rank panic (with its rank number) after all
-    /// other ranks have been joined or abandoned.
+    /// Propagates the lowest-numbered panicking rank's panic (with its rank
+    /// number) after every rank has finished.
     pub fn run<R, F>(&self, f: F) -> RunReport<R>
     where
         R: Send,
@@ -363,12 +416,6 @@ impl Universe {
         let mailboxes: Vec<Arc<Mailbox>> = (0..n).map(|_| Arc::new(Mailbox::for_world(n))).collect();
         let agreements = Arc::new(AgreeTable::new());
         let liveness = Arc::new(Liveness::new(n));
-        let stack_size = self.stack_size.or_else(|| {
-            std::env::var("MPISIM_STACK_SIZE")
-                .ok()
-                .and_then(|s| s.trim().parse::<usize>().ok())
-                .filter(|s| *s > 0)
-        });
         let shared = Arc::new(SharedState {
             cluster: self.cluster.clone(),
             placement: self.placement.clone(),
@@ -392,52 +439,60 @@ impl Universe {
             pool: BufferPool::new(),
         });
 
-        let mut slots: Vec<Option<(R, SimTime)>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .map(|rank| {
-                    let shared = shared.clone();
-                    let f = &f;
-                    let mut builder = std::thread::Builder::new().name(format!("rank{rank}"));
-                    if let Some(bytes) = stack_size {
-                        builder = builder.stack_size(bytes);
-                    }
-                    builder
-                        .spawn_scoped(scope, move || {
-                            let _guard = TerminationGuard {
-                                world_rank: rank,
-                                shared: shared.clone(),
-                            };
-                            let proc = Process::new(rank, shared);
-                            let out = f(&proc);
-                            (out, proc.clock().now())
-                        })
-                        .expect("failed to spawn rank thread")
-                })
-                .collect();
-            for (rank, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(pair) => slots[rank] = Some(pair),
-                    Err(payload) => {
-                        let msg = payload
-                            .downcast_ref::<String>()
-                            .map(String::as_str)
-                            .or_else(|| payload.downcast_ref::<&str>().copied())
-                            .unwrap_or("<non-string panic>");
-                        panic!("rank {rank} panicked: {msg}");
-                    }
-                }
-            }
-        });
+        let workers = lend_workers(n, self.stack_size);
+        let slots: Vec<_> = (0..n).map(|_| Mutex::new(None)).collect();
+        let (done, all_done) = mpsc::channel();
+        let wait = AllJobsEnded {
+            done: Some(done),
+            all_done,
+        };
+        for (rank, worker) in workers.iter().enumerate() {
+            let (shared, f, slot) = (shared.clone(), &f, &slots[rank]);
+            let done = wait.done.clone();
+            let job = move || {
+                let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    let _guard = TerminationGuard {
+                        world_rank: rank,
+                        shared: shared.clone(),
+                    };
+                    let proc = Process::new(rank, shared);
+                    let out = f(&proc);
+                    (out, proc.clock().now())
+                }));
+                *slot.lock() = Some(out);
+                drop(done);
+            };
+            // SAFETY: the job borrows `f` and `slots`, which outlive `wait`.
+            // Dropping `wait`, on return or unwind, blocks until every job
+            // has dropped its clone of `done`, its last act (or the job was
+            // dropped unrun). So no job touches a borrow after `run` leaves.
+            let job =
+                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(Box::new(job)) };
+            worker.send(job).expect("rank worker exited");
+        }
+        drop(wait);
+        IDLE.lock()
+            .entry(self.stack_size)
+            .or_default()
+            .extend(workers);
 
         let mut results = Vec::with_capacity(n);
         let mut clocks = Vec::with_capacity(n);
-        for s in slots {
-            let (r, c) = s.expect("all ranks joined successfully");
-            results.push(r);
-            clocks.push(c);
+        for (rank, slot) in slots.into_iter().enumerate() {
+            match slot.into_inner().expect("every job ended") {
+                Ok((r, c)) => {
+                    results.push(r);
+                    clocks.push(c);
+                }
+                Err(payload) => {
+                    let msg = payload
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .or_else(|| payload.downcast_ref::<&str>().copied())
+                        .unwrap_or("<non-string panic>");
+                    panic!("rank {rank} panicked: {msg}");
+                }
+            }
         }
         let makespan = clocks.iter().copied().fold(SimTime::ZERO, SimTime::max);
         // Drain undelivered messages (fault scenarios leave some behind) so
@@ -648,6 +703,7 @@ impl Process {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReduceOp;
     use hetsim::ClusterBuilder;
 
     fn tiny_cluster() -> Arc<Cluster> {
@@ -741,6 +797,96 @@ mod tests {
         let json = trace.to_chrome_json();
         assert!(json.contains("\"cat\":\"send\""));
         assert!(json.contains("\"cat\":\"recv\""));
+    }
+
+    /// A universe of `n` ranks on one node with `n` slots.
+    fn smp(n: usize, config: UniverseConfig) -> Universe {
+        let cluster = Arc::new(
+            ClusterBuilder::new()
+                .processor(hetsim::Processor::new("smp", 100.0).with_slots(n))
+                .build(),
+        );
+        Universe::with_config(cluster, config.placement(vec![NodeId(0); n]))
+    }
+
+    /// The set of worker threads one run of `u` was lent.
+    fn worker_ids(u: &Universe) -> std::collections::HashSet<std::thread::ThreadId> {
+        u.run(|_| std::thread::current().id())
+            .results
+            .into_iter()
+            .collect()
+    }
+
+    #[test]
+    fn runs_reuse_parked_workers_of_their_stack_size() {
+        // Stack sizes no other test uses, so no parallel test can take
+        // these workers between the two runs.
+        let u = smp(4, UniverseConfig::new().stack_size(417 * 1024));
+        let first = worker_ids(&u);
+        assert_eq!(first.len(), 4);
+        assert_eq!(worker_ids(&u), first);
+        let other = smp(4, UniverseConfig::new().stack_size(419 * 1024));
+        assert!(worker_ids(&other).is_disjoint(&first));
+    }
+
+    #[test]
+    fn a_panicking_rank_terminates_its_peers_and_leaves_the_pool_usable() {
+        let u = smp(3, UniverseConfig::new().stack_size(421 * 1024));
+        let seen = Mutex::new(None);
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            u.run(|p| match p.world_rank() {
+                1 => panic!("boom"),
+                0 => *seen.lock() = Some(p.world().recv::<f64>(1, 7).map(|_| ())),
+                _ => {}
+            })
+        }));
+        let payload = outcome.expect_err("rank 1's panic propagates");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert_eq!(msg, "rank 1 panicked: boom");
+        let peer_terminated = Err(MpiError::PeerTerminated { world_rank: 1 });
+        assert_eq!(seen.into_inner(), Some(peer_terminated));
+        let sums = u.run(|p| {
+            let world = p.world();
+            world
+                .allreduce_eq_i64(&[world.rank() as i64 + 1], ReduceOp::Sum)
+                .unwrap()[0]
+        });
+        assert_eq!(sums.results, vec![6; 3]);
+    }
+
+    #[test]
+    fn a_rank_may_run_a_nested_universe() {
+        let outer = Universe::new(tiny_cluster());
+        let report = outer.run(|p| {
+            let (inner, me) = (smp(2, UniverseConfig::new()), p.world_rank());
+            let r = inner.run(|q| q.world_rank() + 10 * me);
+            r.results.iter().sum::<usize>()
+        });
+        assert_eq!(report.results, vec![1, 21, 41]);
+    }
+
+    #[test]
+    fn concurrent_universes_each_get_exact_results() {
+        let run_fifty = |ranks: usize| {
+            move || {
+                for i in 0..50i64 {
+                    let u = smp(ranks, UniverseConfig::new());
+                    let report = u.run(|p| {
+                        let world = p.world();
+                        let mine = [world.rank() as i64 * i];
+                        world.allreduce_eq_i64(&mine, ReduceOp::Sum).unwrap()[0]
+                    });
+                    let expect = i * (ranks * (ranks - 1) / 2) as i64;
+                    assert_eq!(report.results, vec![expect; ranks]);
+                }
+            }
+        };
+        let a = std::thread::spawn(run_fifty(3));
+        let b = std::thread::spawn(run_fifty(5));
+        a.join().unwrap();
+        b.join().unwrap();
     }
 
     #[test]
