@@ -252,7 +252,13 @@ impl Evaluator {
 mod tests {
     use super::*;
     use hetsim::{Cluster, ClusterBuilder, Link, Protocol, SpeedEstimates};
-    use perfmodel::ModelBuilder;
+
+    fn model(src: &str) -> perfmodel::ModelInstance {
+        perfmodel::CompiledModel::compile(src)
+            .unwrap()
+            .instantiate(&[])
+            .unwrap()
+    }
 
     fn cluster() -> Cluster {
         ClusterBuilder::new()
@@ -288,12 +294,10 @@ mod tests {
         let c = cluster();
         let placement: Vec<NodeId> = c.node_ids().collect();
         let est = SpeedEstimates::from_base_speeds(&c);
-        let model = ModelBuilder::new("t")
-            .processors(2)
-            .volumes(vec![100.0, 100.0])
-            .comm_fn(|s, _| if s == 0 { 1e6 } else { 0.0 })
-            .build()
-            .unwrap();
+        let model = model(
+            "algorithm T() { coord I=2; node {I>=0: bench*(100);};
+               link {I==0: length*(1000000) [0]->[1];}; parent[0]; }",
+        );
         let slow_first = eval(&model, &[1, 0], &c, &placement, &est);
         assert!((slow_first - (1e-3 + 10.0)).abs() < 1e-9, "{slow_first}");
         let fast_first = eval(&model, &[0, 1], &c, &placement, &est);
@@ -311,12 +315,10 @@ mod tests {
             .build();
         let placement = vec![NodeId(0), NodeId(0)];
         let est = SpeedEstimates::from_base_speeds(&c);
-        let model = ModelBuilder::new("t")
-            .processors(2)
-            .volumes(vec![50.0, 50.0])
-            .comm_fn(|_, _| 1e9)
-            .build()
-            .unwrap();
+        let model = model(
+            "algorithm T() { coord I=2; node {I>=0: bench*(50);};
+               link (L=2) {I!=L: length*(1000000000) [I]->[L];}; parent[0]; }",
+        );
         assert_eq!(eval(&model, &[0, 1], &c, &placement, &est), 1.0);
     }
 
@@ -325,11 +327,7 @@ mod tests {
         let c = cluster();
         let placement: Vec<NodeId> = c.node_ids().collect();
         let est = SpeedEstimates::from_base_speeds(&c);
-        let model = ModelBuilder::new("t")
-            .processors(1)
-            .volumes(vec![100.0])
-            .build()
-            .unwrap();
+        let model = model("algorithm T() { coord I=1; node {I>=0: bench*(100);}; parent[0]; }");
         assert_eq!(eval(&model, &[0], &c, &placement, &est), 1.0);
         assert_eq!(eval(&model, &[1], &c, &placement, &est), 10.0);
     }
@@ -339,11 +337,7 @@ mod tests {
         let c = cluster();
         let placement: Vec<NodeId> = c.node_ids().collect();
         let est = SpeedEstimates::from_speeds(vec![1.0, 1000.0, 1.0]);
-        let model = ModelBuilder::new("t")
-            .processors(1)
-            .volumes(vec![100.0])
-            .build()
-            .unwrap();
+        let model = model("algorithm T() { coord I=1; node {I>=0: bench*(100);}; parent[0]; }");
         // Under (wrong) estimates the "slow" node looks fastest.
         assert_eq!(eval(&model, &[1], &c, &placement, &est), 0.1);
     }

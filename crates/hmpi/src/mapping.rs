@@ -566,7 +566,27 @@ fn anneal(
 mod tests {
     use super::*;
     use hetsim::{ClusterBuilder, Link, Protocol};
-    use perfmodel::ModelBuilder;
+    use perfmodel::{CompiledModel, ModelInstance, ParamValue};
+
+    fn model(src: &str) -> ModelInstance {
+        CompiledModel::compile(src)
+            .unwrap()
+            .instantiate(&[])
+            .unwrap()
+    }
+
+    /// `volumes.len()` tasks of the given volumes, no communication.
+    fn tasks(volumes: &[i64]) -> ModelInstance {
+        CompiledModel::compile(
+            "algorithm Tasks(int p, int v[p]) { coord I=p; node {I>=0: bench*(v[I]);}; parent[0]; }",
+        )
+        .unwrap()
+        .instantiate(&[
+            ParamValue::Int(volumes.len() as i64),
+            ParamValue::Array(volumes.to_vec()),
+        ])
+        .unwrap()
+    }
 
     fn paper_like_ctx<'a>(
         cluster: &'a Cluster,
@@ -600,11 +620,7 @@ mod tests {
         let est = SpeedEstimates::from_base_speeds(&c);
         let mut ctx = paper_like_ctx(&c, &placement, &est);
         ctx.pinned_parent = None;
-        let model = ModelBuilder::new("t")
-            .processors(3)
-            .volumes(vec![10.0, 1000.0, 100.0])
-            .build()
-            .unwrap();
+        let model = tasks(&[10, 1000, 100]);
         let m = select_mapping(MappingAlgorithm::Greedy, &model, &ctx).unwrap();
         // Volumes sorted: abs1 (1000) -> node 2 (176), abs2 (100) -> node 3
         // (106), abs0 (10) -> node 0/1 (46).
@@ -640,7 +656,33 @@ mod tests {
             SpeedEstimates::from_speeds((0..5).map(|_| rng.random_range(1.0..300.0)).collect());
         let mut ctx = paper_like_ctx(&c, &placement, &est);
         ctx.pinned_parent = None;
-        let model = ModelBuilder::random(0x901f807d0395de7a, 4);
+        // Volumes, bytes and shares are exact binary fractions of the
+        // generated model the seed was found with.
+        let model = model(
+            "algorithm R() {
+               coord I=3;
+               node {
+                 I==0: bench*(1758130729213177/17592186044416);
+                 I==1: bench*(7333820761298573/140737488355328);
+                 I==2: bench*(2657220670095599/35184372088832);
+               };
+               link {I==0: length*(6958522650688673/4398046511104) [0]->[1];};
+               parent[0];
+               scheme {
+                 int b;
+                 par (b = 0; b < 1; b++) (5433923267445577/140737488355328)%%[0];
+                 par (b = 0; b < 3; b++) {
+                   if (b == 0) (1871076838238573/35184372088832)%%[0];
+                   if (b == 1) (7894489017393363/281474976710656)%%[0];
+                   if (b == 2) (3244188251617575/1125899906842624)%%[1]->[2];
+                 }
+                 par (b = 0; b < 2; b++) {
+                   if (b == 0) (4489887991601223/70368744177664)%%[0]->[2];
+                   if (b == 1) (4029165761428711/70368744177664)%%[1];
+                 }
+               };
+             }",
+        );
 
         let pruned = select_mapping(MappingAlgorithm::Exhaustive, &model, &ctx).unwrap();
         let (plain, plain_t, _) = unpruned(&model, &ctx);
@@ -669,14 +711,9 @@ mod tests {
         let placement: Vec<NodeId> = c.node_ids().collect();
         let est = SpeedEstimates::from_base_speeds(&c);
         let ctx = paper_like_ctx(&c, &placement, &est);
-        let model = ModelBuilder::new("t")
-            .processors(3)
-            .volumes(vec![50.0, 500.0, 200.0])
-            .comm_fn(|_, _| 1e6)
-            .build()
-            .unwrap();
-        let g = select_mapping(MappingAlgorithm::Greedy, &model, &ctx).unwrap();
-        let e = select_mapping(MappingAlgorithm::Exhaustive, &model, &ctx).unwrap();
+        let model = &search_models()[0];
+        let g = select_mapping(MappingAlgorithm::Greedy, model, &ctx).unwrap();
+        let e = select_mapping(MappingAlgorithm::Exhaustive, model, &ctx).unwrap();
         assert!(e.predicted <= g.predicted + 1e-12);
     }
 
@@ -686,15 +723,10 @@ mod tests {
         let placement: Vec<NodeId> = c.node_ids().collect();
         let est = SpeedEstimates::from_base_speeds(&c);
         let ctx = paper_like_ctx(&c, &placement, &est);
-        let model = ModelBuilder::new("t")
-            .processors(4)
-            .volumes(vec![300.0, 50.0, 500.0, 200.0])
-            .comm_fn(|s, d| if s.abs_diff(d) == 1 { 5e6 } else { 0.0 })
-            .build()
-            .unwrap();
-        let g = select_mapping(MappingAlgorithm::Greedy, &model, &ctx).unwrap();
-        let r = select_mapping(MappingAlgorithm::default(), &model, &ctx).unwrap();
-        let e = select_mapping(MappingAlgorithm::Exhaustive, &model, &ctx).unwrap();
+        let model = &search_models()[1];
+        let g = select_mapping(MappingAlgorithm::Greedy, model, &ctx).unwrap();
+        let r = select_mapping(MappingAlgorithm::default(), model, &ctx).unwrap();
+        let e = select_mapping(MappingAlgorithm::Exhaustive, model, &ctx).unwrap();
         assert!(r.predicted <= g.predicted + 1e-12);
         assert!(e.predicted <= r.predicted + 1e-12);
         // On this instance local search should reach the optimum.
@@ -707,11 +739,7 @@ mod tests {
         let placement: Vec<NodeId> = c.node_ids().collect();
         let est = SpeedEstimates::from_base_speeds(&c);
         let ctx = paper_like_ctx(&c, &placement, &est); // parent pinned to world 0
-        let model = ModelBuilder::new("t")
-            .processors(3)
-            .volumes(vec![1000.0, 10.0, 10.0])
-            .build()
-            .unwrap();
+        let model = tasks(&[1000, 10, 10]);
         for algo in [
             MappingAlgorithm::Greedy,
             MappingAlgorithm::default(),
@@ -736,14 +764,14 @@ mod tests {
         let placement: Vec<NodeId> = c.node_ids().collect();
         let est = SpeedEstimates::from_base_speeds(&c);
         let mut ctx = paper_like_ctx(&c, &placement, &est);
-        let model = ModelBuilder::new("t").processors(6).build().unwrap();
+        let model = tasks(&[1, 1, 1, 1, 1, 1]);
         assert!(matches!(
             select_mapping(MappingAlgorithm::Greedy, &model, &ctx),
             Err(SelectError::NotEnoughProcesses { required: 6, .. })
         ));
         ctx.candidates = vec![1, 2];
         ctx.pinned_parent = Some(0);
-        let small = ModelBuilder::new("t").processors(2).build().unwrap();
+        let small = tasks(&[1, 1]);
         assert!(matches!(
             select_mapping(MappingAlgorithm::Greedy, &small, &ctx),
             Err(SelectError::ParentNotCandidate { world_rank: 0 })
@@ -756,12 +784,10 @@ mod tests {
         let placement: Vec<NodeId> = c.node_ids().collect();
         let est = SpeedEstimates::from_base_speeds(&c);
         let ctx = paper_like_ctx(&c, &placement, &est);
-        let model = ModelBuilder::new("t")
-            .processors(4)
-            .volumes(vec![100.0, 200.0, 300.0, 400.0])
-            .comm_fn(|_, _| 1e5)
-            .build()
-            .unwrap();
+        let model = model(
+            "algorithm T() { coord I=4; node {I>=0: bench*(100*(I+1));};
+               link (L=4) {I!=L: length*(100000) [I]->[L];}; parent[0]; }",
+        );
         let algo = MappingAlgorithm::Annealing {
             seed: 7,
             iters: 300,
@@ -786,11 +812,7 @@ mod tests {
         let est = SpeedEstimates::from_base_speeds(&c);
         let mut ctx = paper_like_ctx(&c, &placement, &est);
         ctx.pinned_parent = None;
-        let model = ModelBuilder::new("t")
-            .processors(1)
-            .volumes(vec![176.0])
-            .build()
-            .unwrap();
+        let model = tasks(&[176]);
         let m = select_mapping(MappingAlgorithm::Exhaustive, &model, &ctx).unwrap();
         assert_eq!(m.assignment, vec![2]);
         assert!((m.predicted - 1.0).abs() < 1e-9);
@@ -874,20 +896,18 @@ mod tests {
         );
     }
 
-    fn search_models() -> [perfmodel::BuiltModel; 2] {
+    fn search_models() -> [ModelInstance; 2] {
         [
-            ModelBuilder::new("compute")
-                .processors(3)
-                .volumes(vec![50.0, 500.0, 200.0])
-                .comm_fn(|_, _| 1e6)
-                .build()
-                .unwrap(),
-            ModelBuilder::new("chain")
-                .processors(4)
-                .volumes(vec![300.0, 50.0, 500.0, 200.0])
-                .comm_fn(|s, d| if s.abs_diff(d) == 1 { 5e6 } else { 0.0 })
-                .build()
-                .unwrap(),
+            model(
+                "algorithm Compute() { coord I=3;
+                   node {I==0: bench*(50); I==1: bench*(500); I==2: bench*(200);};
+                   link (L=3) {I!=L: length*(1000000) [I]->[L];}; parent[0]; }",
+            ),
+            model(
+                "algorithm Chain() { coord I=4;
+                   node {I==0: bench*(300); I==1: bench*(50); I==2: bench*(500); I==3: bench*(200);};
+                   link (L=4) {I-L == 1 || L-I == 1: length*(5000000) [I]->[L];}; parent[0]; }",
+            ),
         ]
     }
 
@@ -968,11 +988,7 @@ mod tests {
         let est = SpeedEstimates::from_base_speeds(&near);
         let mut ctx = paper_like_ctx(&near, &placement, &est);
         ctx.pinned_parent = None;
-        let one = ModelBuilder::new("one")
-            .processors(1)
-            .volumes(vec![1000.0])
-            .build()
-            .unwrap();
+        let one = tasks(&[1000]);
         let pruned = select_mapping(MappingAlgorithm::Exhaustive, &one, &ctx).unwrap();
         assert_eq!(pruned.assignment, vec![1]);
         assert_eq!(pruned.assignment, unpruned(&one, &ctx).0);
@@ -985,7 +1001,7 @@ mod tests {
         let est = SpeedEstimates::from_base_speeds(&c);
         let mut ctx = paper_like_ctx(&c, &placement, &est);
         ctx.candidates = vec![0, 1, 99];
-        let model = ModelBuilder::new("t").processors(2).build().unwrap();
+        let model = tasks(&[1, 1]);
         for algo in [MappingAlgorithm::Greedy, MappingAlgorithm::Exhaustive] {
             assert_eq!(
                 select_mapping(algo, &model, &ctx),
@@ -1001,7 +1017,7 @@ mod tests {
         let est = SpeedEstimates::from_base_speeds(&c);
         let mut ctx = paper_like_ctx(&c, &placement, &est);
         ctx.candidates = vec![0, 1, 1, 2];
-        let model = ModelBuilder::new("t").processors(4).build().unwrap();
+        let model = tasks(&[1, 1, 1, 1]);
         for algo in [MappingAlgorithm::Greedy, MappingAlgorithm::Exhaustive] {
             assert_eq!(
                 select_mapping(algo, &model, &ctx),
@@ -1020,11 +1036,7 @@ mod tests {
         let placement: Vec<NodeId> = c.node_ids().collect();
         let est = SpeedEstimates::from_base_speeds(&c);
         let ctx = paper_like_ctx(&c, &placement, &est);
-        let model = ModelBuilder::new("t")
-            .processors(2)
-            .volumes(vec![400.0, 100.0])
-            .build()
-            .unwrap();
+        let model = tasks(&[400, 100]);
         for seed in 0..8 {
             let m = select_mapping(
                 MappingAlgorithm::Annealing { seed, iters: 300 },

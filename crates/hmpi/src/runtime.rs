@@ -225,7 +225,7 @@ struct HmpiShared {
 /// ```
 /// use hetsim::{ClusterBuilder, Link, Protocol};
 /// use hmpi::HmpiRuntime;
-/// use perfmodel::ModelBuilder;
+/// use perfmodel::CompiledModel;
 /// use std::sync::Arc;
 ///
 /// let cluster = Arc::new(
@@ -236,14 +236,16 @@ struct HmpiShared {
 ///         .all_to_all(Link::with_defaults(Protocol::Tcp))
 ///         .build(),
 /// );
+/// let model = CompiledModel::compile(
+///     "algorithm TwoTasks() {
+///        coord I=2; node {I==0: bench*(10); I==1: bench*(400);}; parent[0]; }",
+/// )
+/// .unwrap()
+/// .instantiate(&[])
+/// .unwrap();
 /// let runtime = HmpiRuntime::new(cluster);
 /// let report = runtime.run(|h| {
 ///     h.recon(10.0).unwrap();
-///     let model = ModelBuilder::new("two-tasks")
-///         .processors(2)
-///         .volumes(vec![10.0, 400.0])
-///         .build()
-///         .unwrap();
 ///     let group = h.group_create(&model).unwrap();
 ///     let members = group.members().to_vec();
 ///     if group.is_member() {

@@ -2,7 +2,7 @@
 
 use hetsim::{ClusterBuilder, Link, Protocol};
 use hmpi::HmpiRuntime;
-use perfmodel::{ModelBuilder, PerformanceModel};
+use perfmodel::{CompiledModel, ModelInstance, ParamValue, PerformanceModel};
 use std::sync::Arc;
 
 fn cluster(speeds: &[f64], latency: f64, bandwidth: f64) -> Arc<hetsim::Cluster> {
@@ -20,26 +20,37 @@ fn cluster(speeds: &[f64], latency: f64, bandwidth: f64) -> Arc<hetsim::Cluster>
 /// communication, or sequential on one machine with none. On a fast
 /// network the parallel variant wins; on a slow network the sequential one
 /// does — the sweep must flip with the network.
-fn variants(total_work: f64, comm_bytes: f64, p: usize) -> Vec<perfmodel::BuiltModel> {
-    let parallel = ModelBuilder::new("parallel")
-        .processors(p)
-        .volumes(vec![total_work / p as f64; p])
-        .comm_fn(move |_, _| comm_bytes)
-        .build()
-        .unwrap();
-    let sequential = ModelBuilder::new("sequential")
-        .processors(1)
-        .volumes(vec![total_work])
-        .build()
-        .unwrap();
-    vec![parallel, sequential]
+const VARIANTS: &str = r"
+    algorithm Parallel(int p, int work, int bytes) {
+        coord I=p;
+        node {I>=0: bench*(work/p);};
+        link (L=p) {I!=L: length*(bytes) [I]->[L];};
+        parent[0];
+    }
+    algorithm Sequential(int work) { coord I=1; node {I>=0: bench*(work);}; parent[0]; }
+    algorithm Uniform(int p) { coord I=p; node {I>=0: bench*(1);}; parent[0]; }
+";
+
+fn variant(name: &str, params: &[i64]) -> ModelInstance {
+    let params: Vec<ParamValue> = params.iter().map(|&v| ParamValue::Int(v)).collect();
+    CompiledModel::compile_named(VARIANTS, Some(name))
+        .unwrap()
+        .instantiate(&params)
+        .unwrap()
+}
+
+fn variants(total_work: i64, comm_bytes: i64, p: i64) -> Vec<ModelInstance> {
+    vec![
+        variant("Parallel", &[p, total_work, comm_bytes]),
+        variant("Sequential", &[total_work]),
+    ]
 }
 
 #[test]
 fn fast_network_prefers_the_parallel_variant() {
     let rt = HmpiRuntime::new(cluster(&[100.0; 4], 1e-6, 1e9));
     let report = rt.run(|h| {
-        let vs = variants(4000.0, 1e6, 4);
+        let vs = variants(4000, 1_000_000, 4);
         let refs: Vec<&dyn PerformanceModel> =
             vs.iter().map(|m| m as &dyn PerformanceModel).collect();
         h.timeof_sweep(refs).unwrap()
@@ -54,7 +65,7 @@ fn slow_network_prefers_the_sequential_variant() {
     // 1 MB per pair over a 10 kB/s link dwarfs the compute saving.
     let rt = HmpiRuntime::new(cluster(&[100.0; 4], 0.5, 1e4));
     let report = rt.run(|h| {
-        let vs = variants(4000.0, 1e6, 4);
+        let vs = variants(4000, 1_000_000, 4);
         let refs: Vec<&dyn PerformanceModel> =
             vs.iter().map(|m| m as &dyn PerformanceModel).collect();
         h.timeof_sweep(refs).unwrap()
@@ -69,8 +80,8 @@ fn infeasible_variants_are_skipped() {
     // fall through to the feasible one.
     let rt = HmpiRuntime::new(cluster(&[100.0; 3], 1e-4, 1e7));
     let report = rt.run(|h| {
-        let big = ModelBuilder::new("too-big").processors(8).build().unwrap();
-        let ok = ModelBuilder::new("fits").processors(2).build().unwrap();
+        let big = variant("Uniform", &[8]);
+        let ok = variant("Uniform", &[2]);
         let vs: Vec<&dyn PerformanceModel> = vec![&big, &ok];
         h.timeof_sweep(vs).unwrap()
     });

@@ -10,7 +10,7 @@
 
 use hetsim::{Cluster, ClusterBuilder, Link, NodeId, Protocol, SpeedEstimates};
 use hmpi::{select_mapping, Evaluator, MappingAlgorithm, SelectionCtx};
-use perfmodel::{CostModel, ModelBuilder, PerformanceModel, SchemeSink};
+use perfmodel::{CostModel, EvalError, PerformanceModel, SchemeSink};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -87,11 +87,43 @@ fn gen_events(rng: &mut StdRng, p: usize) -> Vec<Ev> {
     out
 }
 
+/// A model that replays a fixed event stream: nested `par`, loopback
+/// `i -> i` and zero-volume transfers included, which a lint-clean model
+/// program never writes.
+struct Replay {
+    volumes: Vec<f64>,
+    comm: Vec<Vec<f64>>,
+    parent: usize,
+    events: Vec<Ev>,
+}
+
+impl PerformanceModel for Replay {
+    fn name(&self) -> &str {
+        "replay"
+    }
+    fn num_processors(&self) -> usize {
+        self.volumes.len()
+    }
+    fn volumes(&self) -> &[f64] {
+        &self.volumes
+    }
+    fn comm_bytes(&self) -> &[Vec<f64>] {
+        &self.comm
+    }
+    fn parent(&self) -> usize {
+        self.parent
+    }
+    fn run_scheme(&self, sink: &mut dyn SchemeSink) -> Result<(), EvalError> {
+        replay(&self.events, sink);
+        Ok(())
+    }
+}
+
 struct Instance {
     cluster: Cluster,
     placement: Vec<NodeId>,
     estimates: SpeedEstimates,
-    model: perfmodel::BuiltModel,
+    model: Replay,
     p: usize,
 }
 
@@ -130,18 +162,29 @@ fn gen_instance(rng: &mut StdRng) -> Instance {
                 .collect()
         })
         .collect();
-    let mut mb = ModelBuilder::new("prop")
-        .processors(p)
-        .volumes(volumes)
-        .comm(comm)
-        .parent(rng.random_range(0..p));
-    if rng.random_range(0..2) == 0 {
-        // Half the models use a random custom interaction pattern instead
-        // of the builder's default par-transfers-then-par-computes scheme.
-        let events = gen_events(rng, p);
-        mb = mb.scheme(move |sink| replay(&events, sink));
-    }
-    let model = mb.build().expect("random model builds");
+    let parent = rng.random_range(0..p);
+    // Half the models use a random custom interaction pattern instead of
+    // the default scheme: all transfers in a par, then all computations.
+    let events = if rng.random_range(0..2) == 0 {
+        gen_events(rng, p)
+    } else {
+        let mut out = vec![Ev::ParBegin];
+        for (s, row) in comm.iter().enumerate() {
+            let sends = (0..p).filter(|&d| s != d && row[d] > 0.0);
+            out.extend(sends.map(|d| Ev::Transfer(s, d, 100.0)));
+            out.push(Ev::ParBranch);
+        }
+        out.extend([Ev::ParEnd, Ev::ParBegin]);
+        out.extend((0..p).flat_map(|q| [Ev::Compute(q, 100.0), Ev::ParBranch]));
+        out.push(Ev::ParEnd);
+        out
+    };
+    let model = Replay {
+        volumes,
+        comm,
+        parent,
+        events,
+    };
     Instance {
         cluster,
         placement,

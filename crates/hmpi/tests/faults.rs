@@ -5,7 +5,7 @@
 use hetsim::{ClusterBuilder, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime};
 use hmpi::{HmpiError, HmpiRuntime, SelectError};
 use mpisim::ReduceOp;
-use perfmodel::ModelBuilder;
+use perfmodel::{CompiledModel, ModelInstance, ParamValue};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -25,12 +25,13 @@ fn cluster(speeds: &[f64], faults: FaultPlan) -> Arc<hetsim::Cluster> {
     )
 }
 
-fn uniform_model(p: usize) -> perfmodel::BuiltModel {
-    ModelBuilder::new("m")
-        .processors(p)
-        .volumes(vec![100.0; p])
-        .build()
-        .unwrap()
+fn uniform_model(p: usize) -> ModelInstance {
+    CompiledModel::compile(
+        "algorithm Uniform(int p) { coord I=p; node {I>=0: bench*(100);}; parent[0]; }",
+    )
+    .unwrap()
+    .instantiate(&[ParamValue::Int(p as i64)])
+    .unwrap()
 }
 
 #[test]

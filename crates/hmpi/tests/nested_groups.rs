@@ -4,7 +4,7 @@
 
 use hetsim::{ClusterBuilder, Link, Protocol};
 use hmpi::{GroupSpec, HmpiError, HmpiRuntime};
-use perfmodel::ModelBuilder;
+use perfmodel::{CompiledModel, ModelInstance, ParamValue};
 use std::sync::Arc;
 
 fn cluster(n: usize) -> Arc<hetsim::Cluster> {
@@ -16,16 +16,25 @@ fn cluster(n: usize) -> Arc<hetsim::Cluster> {
     Arc::new(b.all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp)).build())
 }
 
+/// `volumes.len()` tasks of the given volumes, no communication.
+fn tasks(volumes: &[i64]) -> ModelInstance {
+    CompiledModel::compile(
+        "algorithm Tasks(int p, int v[p]) { coord I=p; node {I>=0: bench*(v[I]);}; parent[0]; }",
+    )
+    .unwrap()
+    .instantiate(&[
+        ParamValue::Int(volumes.len() as i64),
+        ParamValue::Array(volumes.to_vec()),
+    ])
+    .unwrap()
+}
+
 #[test]
 fn non_host_parent_creates_a_subgroup() {
     let rt = HmpiRuntime::new(cluster(6));
     let report = rt.run(|h| {
         // Phase 1: the host creates a 2-member group {host, fastest}.
-        let top = ModelBuilder::new("top")
-            .processors(2)
-            .volumes(vec![10.0, 10.0])
-            .build()
-            .unwrap();
+        let top = tasks(&[10, 10]);
         let g1 = h.group_create(&top).unwrap();
         let g1_members = g1.members().to_vec();
         let sub_parent = g1_members[1]; // the non-host member of g1
@@ -35,11 +44,7 @@ fn non_host_parent_creates_a_subgroup() {
         // g1) plus every free process.
         let mut sub_members = None;
         if h.rank() == sub_parent || h.is_free() {
-            let sub = ModelBuilder::new("sub")
-                .processors(3)
-                .volumes(vec![5.0, 50.0, 20.0])
-                .build()
-                .unwrap();
+            let sub = tasks(&[5, 50, 20]);
             let g2 = h
                 .group_create(GroupSpec::new(&sub).placement(sub_parent))
                 .unwrap();
@@ -80,12 +85,12 @@ fn non_host_parent_creates_a_subgroup() {
 fn busy_non_parent_caller_is_rejected() {
     let rt = HmpiRuntime::new(cluster(4));
     rt.run(|h| {
-        let all = ModelBuilder::new("all").processors(4).build().unwrap();
+        let all = tasks(&[1; 4]);
         let g = h.group_create(&all).unwrap();
         // Everyone is busy now; a busy rank that is not the named parent
         // cannot join a creation.
         if h.rank() == 2 {
-            let m = ModelBuilder::new("m").processors(1).build().unwrap();
+            let m = tasks(&[1]);
             let err = h
                 .group_create(GroupSpec::new(&m).placement(3))
                 .unwrap_err();
@@ -106,11 +111,7 @@ fn parent_pinning_overrides_speed_ordering() {
         let slow_parent = 5; // speed 20
         if h.rank() == slow_parent || h.is_free() || h.is_host() {
             // Host is free-by-flag at start; it is a candidate too.
-            let model = ModelBuilder::new("m")
-                .processors(2)
-                .volumes(vec![1.0, 1000.0])
-                .build()
-                .unwrap();
+            let model = tasks(&[1, 1000]);
             let g = h
                 .group_create(GroupSpec::new(&model).placement(slow_parent))
                 .unwrap();

@@ -3,7 +3,7 @@
 use hetsim::{Cluster, ClusterBuilder, Link, LoadModel, Processor, Protocol, SimTime};
 use hmpi::{GroupSpec, HmpiError, HmpiRuntime, MappingAlgorithm, Recon, RuntimeConfig};
 use mpisim::{CollectiveAlgo, CollectiveKind, MpiError};
-use perfmodel::ModelBuilder;
+use perfmodel::{CompiledModel, ModelInstance, ParamValue};
 use std::sync::Arc;
 
 fn paper_lan() -> Arc<Cluster> {
@@ -20,6 +20,19 @@ fn small_cluster() -> Arc<Cluster> {
             .all_to_all(Link::new(150e-6, 11e6, Protocol::Tcp))
             .build(),
     )
+}
+
+/// `volumes.len()` tasks of the given volumes, no communication.
+fn tasks(volumes: &[i64]) -> ModelInstance {
+    CompiledModel::compile(
+        "algorithm Tasks(int p, int v[p]) { coord I=p; node {I>=0: bench*(v[I]);}; parent[0]; }",
+    )
+    .unwrap()
+    .instantiate(&[
+        ParamValue::Int(volumes.len() as i64),
+        ParamValue::Array(volumes.to_vec()),
+    ])
+    .unwrap()
 }
 
 #[test]
@@ -39,12 +52,7 @@ fn group_create_selects_fast_nodes_and_excludes_slow() {
     // 46/176/106/9: the selection must use nodes 0 (pinned parent), 1, 2 and
     // leave the speed-9 node out.
     let report = rt.run(|h| {
-        let model = ModelBuilder::new("three")
-            .processors(3)
-            .volumes(vec![100.0, 100.0, 100.0])
-            .parent(0)
-            .build()
-            .unwrap();
+        let model = tasks(&[100, 100, 100]);
         let group = h.group_create(&model).unwrap();
         let picked = group.members().to_vec();
         let member = group.is_member();
@@ -71,11 +79,7 @@ fn group_create_selects_fast_nodes_and_excludes_slow() {
 fn group_members_communicate_over_group_comm() {
     let rt = HmpiRuntime::new(small_cluster());
     let report = rt.run(|h| {
-        let model = ModelBuilder::new("pair")
-            .processors(2)
-            .volumes(vec![50.0, 100.0])
-            .build()
-            .unwrap();
+        let model = tasks(&[50, 100]);
         let group = h.group_create(&model).unwrap();
         let out = if let Some(comm) = group.comm() {
             let sum = comm
@@ -102,11 +106,7 @@ fn group_members_communicate_over_group_comm() {
 fn freed_processes_can_join_subsequent_groups() {
     let rt = HmpiRuntime::new(small_cluster());
     let report = rt.run(|h| {
-        let model = ModelBuilder::new("m")
-            .processors(4)
-            .volumes(vec![10.0, 10.0, 10.0, 10.0])
-            .build()
-            .unwrap();
+        let model = tasks(&[10, 10, 10, 10]);
         let g1 = h.group_create(&model).unwrap();
         let first = g1.id();
         if g1.is_member() {
@@ -132,11 +132,7 @@ fn busy_processes_are_not_selected() {
     // 2-processor group from the remaining processes.
     let rt = HmpiRuntime::new(small_cluster());
     let report = rt.run(|h| {
-        let m2 = ModelBuilder::new("two")
-            .processors(2)
-            .volumes(vec![10.0, 1000.0])
-            .build()
-            .unwrap();
+        let m2 = tasks(&[10, 1000]);
         let g1 = h.group_create(&m2).unwrap();
         let g1_members = g1.members().to_vec();
         let in_g1 = g1.is_member();
@@ -167,10 +163,7 @@ fn busy_processes_are_not_selected() {
 fn group_create_from_busy_rank_is_rejected() {
     let rt = HmpiRuntime::new(small_cluster());
     rt.run(|h| {
-        let model = ModelBuilder::new("all")
-            .processors(4)
-            .build()
-            .unwrap();
+        let model = tasks(&[1; 4]);
         let g = h.group_create(&model).unwrap();
         // Everyone is now busy (members of g). A second create must fail for
         // non-host members.
@@ -238,11 +231,7 @@ fn recon_with_custom_benchmark_body() {
 fn timeof_predicts_group_create_quality() {
     let rt = HmpiRuntime::new(paper_lan());
     let report = rt.run(|h| {
-        let model = ModelBuilder::new("m")
-            .processors(3)
-            .volumes(vec![100.0, 100.0, 100.0])
-            .build()
-            .unwrap();
+        let model = tasks(&[100, 100, 100]);
         let predicted = h.timeof(&model).unwrap();
         let group = h.group_create(&model).unwrap();
         let from_group = group.predicted_time();
@@ -268,11 +257,12 @@ fn timeof_is_usable_for_parameter_sweeps() {
         }
         let mut best = (usize::MAX, f64::INFINITY);
         for p in 1..=9 {
-            let model = ModelBuilder::new("sweep")
-                .processors(p)
-                .volumes(vec![900.0 / p as f64; p])
-                .build()
-                .unwrap();
+            let model = CompiledModel::compile(
+                "algorithm Sweep(int p) { coord I=p; node {I>=0: bench*(900/p);}; parent[0]; }",
+            )
+            .unwrap()
+            .instantiate(&[ParamValue::Int(p as i64)])
+            .unwrap();
             let t = h.timeof(&model).unwrap();
             if t < best.1 {
                 best = (p, t);
@@ -301,11 +291,7 @@ fn selection_respects_recon_updates() {
     );
     let rt = HmpiRuntime::new(cluster);
     let report = rt.run(|h| {
-        let model = ModelBuilder::new("one-heavy")
-            .processors(2)
-            .volumes(vec![1.0, 1000.0])
-            .build()
-            .unwrap();
+        let model = tasks(&[1, 1000]);
         // Stale estimates (base speeds): node 2 looks fastest (200).
         let g1 = h.group_create(&model).unwrap();
         let stale_pick = g1.members()[1];
@@ -331,25 +317,9 @@ fn exhaustive_and_refined_agree_on_paper_lan() {
         RuntimeConfig::new().mapping_algorithm(MappingAlgorithm::Exhaustive),
     );
     let rt_r = HmpiRuntime::new(paper_lan());
-    let model_volumes = vec![300.0, 100.0, 50.0];
-    let volumes = model_volumes.clone();
-    let re = rt_e.run(move |h| {
-        let m = ModelBuilder::new("m")
-            .processors(3)
-            .volumes(volumes.clone())
-            .build()
-            .unwrap();
-        h.timeof(&m).unwrap()
-    });
-    let volumes = model_volumes;
-    let rr = rt_r.run(move |h| {
-        let m = ModelBuilder::new("m")
-            .processors(3)
-            .volumes(volumes.clone())
-            .build()
-            .unwrap();
-        h.timeof(&m).unwrap()
-    });
+    let m = tasks(&[300, 100, 50]);
+    let re = rt_e.run(|h| h.timeof(&m).unwrap());
+    let rr = rt_r.run(|h| h.timeof(&m).unwrap());
     let te = re.results[0];
     let tr = rr.results[0];
     assert!(te <= tr + 1e-12);
@@ -398,12 +368,13 @@ fn smp_nodes_host_multiple_ranks() {
 
         // A chatty 2-processor model: the free intra-node link should make
         // the two SMP ranks the best pair.
-        let model = perfmodel::ModelBuilder::new("chatty")
-            .processors(2)
-            .volumes(vec![10.0, 10.0])
-            .comm_fn(|_, _| 50e6)
-            .build()
-            .unwrap();
+        let model = CompiledModel::compile(
+            "algorithm Chatty() { coord I=2; node {I>=0: bench*(10);};
+               link (L=2) {I!=L: length*(50000000) [I]->[L];}; parent[0]; }",
+        )
+        .unwrap()
+        .instantiate(&[])
+        .unwrap();
         let g = h.group_create(&model).unwrap();
         let members = g.members().to_vec();
         if g.is_member() {
@@ -528,11 +499,7 @@ fn traced_run_records_recon_and_selection_events() {
     let rt = HmpiRuntime::with_config(small_cluster(), RuntimeConfig::new().tracing(true));
     let report = rt.run(|h| {
         h.recon(10.0).unwrap();
-        let model = ModelBuilder::new("pair")
-            .processors(2)
-            .volumes(vec![50.0, 100.0])
-            .build()
-            .unwrap();
+        let model = tasks(&[50, 100]);
         let group = h.group_create(&model).unwrap();
         if group.is_member() {
             h.group_free(group).unwrap();
@@ -572,11 +539,7 @@ fn one_runtime_config_sets_algorithm_policy_and_tracing() {
     let report = rt.run(|h| {
         h.recon_opts(hmpi::Recon::new(10.0).fault_tolerant(true))
             .unwrap();
-        let model = ModelBuilder::new("m")
-            .processors(2)
-            .volumes(vec![10.0, 400.0])
-            .build()
-            .unwrap();
+        let model = tasks(&[10, 400]);
         let g = h
             .group_create(hmpi::GroupSpec::new(&model).placement(0))
             .unwrap();
@@ -643,7 +606,7 @@ fn timeof_collective_bad_root_is_typed_error() {
 fn group_create_bad_placement_is_typed_error() {
     let rt = HmpiRuntime::new(small_cluster());
     let report = rt.run(|h| {
-        let model = ModelBuilder::new("t").processors(2).build().unwrap();
+        let model = tasks(&[1, 1]);
         let err = h
             .group_create(GroupSpec::new(&model).placement(h.world().size()))
             .unwrap_err();

@@ -4,22 +4,31 @@
 use hetsim::Cluster;
 use hmpi::HmpiRuntime;
 use mpisim::ReduceOp;
-use perfmodel::ModelBuilder;
+use perfmodel::{CompiledModel, ModelInstance, ParamValue};
 use std::sync::Arc;
 
 fn paper_lan() -> Arc<Cluster> {
     Arc::new(Cluster::paper_lan_em3d())
 }
 
+/// `volumes.len()` tasks of the given volumes, no communication.
+fn tasks(volumes: &[i64]) -> ModelInstance {
+    CompiledModel::compile(
+        "algorithm Tasks(int p, int v[p]) { coord I=p; node {I>=0: bench*(v[I]);}; parent[0]; }",
+    )
+    .unwrap()
+    .instantiate(&[
+        ParamValue::Int(volumes.len() as i64),
+        ParamValue::Array(volumes.to_vec()),
+    ])
+    .unwrap()
+}
+
 #[test]
 fn fifty_create_free_cycles() {
     let rt = HmpiRuntime::new(paper_lan());
     let report = rt.run(|h| {
-        let model = ModelBuilder::new("cycle")
-            .processors(5)
-            .volumes(vec![10.0, 20.0, 30.0, 40.0, 50.0])
-            .build()
-            .unwrap();
+        let model = tasks(&[10, 20, 30, 40, 50]);
         let mut memberships = 0usize;
         let mut last_id = 0;
         for _ in 0..50 {
@@ -51,8 +60,8 @@ fn alternating_group_sizes() {
     // free set flips between empty and nearly full every round.
     let rt = HmpiRuntime::new(paper_lan());
     rt.run(|h| {
-        let wide = ModelBuilder::new("wide").processors(9).build().unwrap();
-        let narrow = ModelBuilder::new("narrow").processors(2).build().unwrap();
+        let wide = tasks(&[1; 9]);
+        let narrow = tasks(&[1, 1]);
         for round in 0..20 {
             let model: &dyn perfmodel::PerformanceModel =
                 if round % 2 == 0 { &wide } else { &narrow };
@@ -75,11 +84,7 @@ fn alternating_group_sizes() {
 fn interleaved_recon_and_groups() {
     let rt = HmpiRuntime::new(paper_lan());
     rt.run(|h| {
-        let model = ModelBuilder::new("m")
-            .processors(3)
-            .volumes(vec![5.0, 10.0, 15.0])
-            .build()
-            .unwrap();
+        let model = tasks(&[5, 10, 15]);
         for i in 0..10 {
             h.recon(1.0 + i as f64).unwrap();
             let g = h.group_create(&model).unwrap();
@@ -98,7 +103,7 @@ fn heavy_p2p_traffic_under_groups() {
     // isolation must hold across group generations.
     let rt = HmpiRuntime::new(paper_lan());
     rt.run(|h| {
-        let model = ModelBuilder::new("pairs").processors(4).build().unwrap();
+        let model = tasks(&[1; 4]);
         for round in 0..10i64 {
             let g = h.group_create(&model).unwrap();
             if let Some(comm) = g.comm() {

@@ -118,11 +118,12 @@ fn smaller_models_leave_processes_free_for_second_group() {
     let cluster = Arc::new(Cluster::paper_lan_em3d());
     let runtime = HmpiRuntime::new(cluster);
     let report = runtime.run(|h| {
-        let model = perfmodel::ModelBuilder::new("four")
-            .processors(4)
-            .volumes(vec![10.0; 4])
-            .build()
-            .unwrap();
+        let model = perfmodel::CompiledModel::compile(
+            "algorithm Four() { coord I=4; node {I>=0: bench*(10);}; parent[0]; }",
+        )
+        .unwrap()
+        .instantiate(&[])
+        .unwrap();
         let g1 = h.group_create(&model).unwrap();
         let mut sums = Vec::new();
         if let Some(comm) = g1.comm() {
@@ -179,12 +180,13 @@ fn multi_protocol_links_shift_the_selection() {
         RuntimeConfig::new().mapping_algorithm(hmpi::MappingAlgorithm::Exhaustive),
     );
     let report = runtime.run(|h| {
-        let model = perfmodel::ModelBuilder::new("chatty")
-            .processors(2)
-            .volumes(vec![1.0, 1.0])
-            .comm_fn(|_, _| 50e6)
-            .build()
-            .unwrap();
+        let model = perfmodel::CompiledModel::compile(
+            "algorithm Chatty() { coord I=2; node {I>=0: bench*(1);};
+               link (L=2) {I!=L: length*(50000000) [I]->[L];}; parent[0]; }",
+        )
+        .unwrap()
+        .instantiate(&[])
+        .unwrap();
         let g = h.group_create(&model).unwrap();
         let members = g.members().to_vec();
         if g.is_member() {

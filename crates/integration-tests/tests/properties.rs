@@ -4,7 +4,7 @@ use hetsim::{Cluster, ClusterBuilder, Link, NodeId, Protocol, SpeedEstimates};
 use hmpi::{select_mapping, MappingAlgorithm, SelectionCtx};
 use hmpi_apps::matmul::dist::{proportional_partition, GeneralizedBlockDist};
 use mpisim::{datatype, Group};
-use perfmodel::{CostModel, ModelBuilder, PerformanceModel};
+use perfmodel::{CompiledModel, CostModel, ModelInstance, ParamValue, PerformanceModel};
 use proptest::prelude::*;
 
 // ---------- mpisim: datatype codec --------------------------------------
@@ -163,6 +163,24 @@ proptest! {
 
 // ---------- hmpi: mapping invariants --------------------------------------
 
+/// Instantiates `src`, whose parameters are `int p, int v[p]` and then one
+/// `int` per entry of `extra`, for `volumes.len()` processors.
+fn tasks(src: &str, volumes: &[i64], extra: &[i64]) -> ModelInstance {
+    let mut params = vec![
+        ParamValue::Int(volumes.len() as i64),
+        ParamValue::Array(volumes.to_vec()),
+    ];
+    params.extend(extra.iter().map(|&x| ParamValue::Int(x)));
+    CompiledModel::compile(src)
+        .unwrap()
+        .instantiate(&params)
+        .unwrap()
+}
+
+/// Computation only: processor `I` performs `v[I]` benchmark units.
+const VOLUMES: &str =
+    "algorithm V(int p, int v[p]) { coord I=p; node {I>=0: bench*(v[I]);}; parent[0]; }";
+
 fn hetero_cluster(speeds: &[f64]) -> Cluster {
     let mut b = ClusterBuilder::new();
     for (i, &s) in speeds.iter().enumerate() {
@@ -177,7 +195,7 @@ proptest! {
     #[test]
     fn mappings_are_injective_and_within_candidates(
         speeds in proptest::collection::vec(1.0..200.0f64, 4..8),
-        volumes in proptest::collection::vec(1.0..1000.0f64, 2..4),
+        volumes in proptest::collection::vec(1i64..1000, 2..4),
     ) {
         prop_assume!(volumes.len() <= speeds.len());
         let cluster = hetero_cluster(&speeds);
@@ -190,11 +208,7 @@ proptest! {
             candidates: (0..speeds.len()).collect(),
             pinned_parent: Some(0),
         };
-        let model = ModelBuilder::new("p")
-            .processors(volumes.len())
-            .volumes(volumes.clone())
-            .build()
-            .unwrap();
+        let model = tasks(VOLUMES, &volumes, &[]);
         for algo in [
             MappingAlgorithm::Greedy,
             MappingAlgorithm::GreedyRefined { max_rounds: 16 },
@@ -214,7 +228,7 @@ proptest! {
     #[test]
     fn refined_never_predicts_worse_than_greedy(
         speeds in proptest::collection::vec(1.0..200.0f64, 4..7),
-        volumes in proptest::collection::vec(1.0..1000.0f64, 3..5),
+        volumes in proptest::collection::vec(1i64..1000, 3..5),
     ) {
         prop_assume!(volumes.len() <= speeds.len());
         let cluster = hetero_cluster(&speeds);
@@ -227,12 +241,12 @@ proptest! {
             candidates: (0..speeds.len()).collect(),
             pinned_parent: Some(0),
         };
-        let model = ModelBuilder::new("p")
-            .processors(volumes.len())
-            .volumes(volumes.clone())
-            .comm_fn(|s, d| ((s + d) % 3) as f64 * 1e5)
-            .build()
-            .unwrap();
+        let model = tasks(
+            "algorithm P(int p, int v[p]) { coord I=p; node {I>=0: bench*(v[I]);};
+               link (L=p) {I!=L: length*((I+L)%3*100000) [I]->[L];}; parent[0]; }",
+            &volumes,
+            &[],
+        );
         let g = select_mapping(MappingAlgorithm::Greedy, &model, &ctx).unwrap();
         let r = select_mapping(
             MappingAlgorithm::GreedyRefined { max_rounds: 16 },
@@ -251,14 +265,10 @@ proptest! {
 
     #[test]
     fn predicted_time_scales_inversely_with_uniform_speed(
-        volumes in proptest::collection::vec(1.0..100.0f64, 1..6),
+        volumes in proptest::collection::vec(1i64..100, 1..6),
         speed in 1.0..100.0f64,
     ) {
-        let model = ModelBuilder::new("v")
-            .processors(volumes.len())
-            .volumes(volumes.clone())
-            .build()
-            .unwrap();
+        let model = tasks(VOLUMES, &volumes, &[]);
         let t1 = model
             .predict_time(&CostModel::homogeneous(volumes.len(), speed, 0.0, 1e12))
             .unwrap();
@@ -267,27 +277,23 @@ proptest! {
             .unwrap();
         prop_assert!((t1 - 2.0 * t2).abs() < 1e-9 * t1.max(1.0));
         // And equals the bottleneck volume / speed.
-        let bottleneck = volumes.iter().cloned().fold(0.0, f64::max);
+        let bottleneck = *volumes.iter().max().unwrap() as f64;
         prop_assert!((t1 - bottleneck / speed).abs() < 1e-9);
     }
 
     #[test]
     fn adding_communication_never_speeds_things_up(
-        volumes in proptest::collection::vec(1.0..100.0f64, 2..5),
-        bytes in 1.0..1e7f64,
+        volumes in proptest::collection::vec(1i64..100, 2..5),
+        bytes in 1i64..10_000_000,
     ) {
         let n = volumes.len();
-        let quiet = ModelBuilder::new("q")
-            .processors(n)
-            .volumes(volumes.clone())
-            .build()
-            .unwrap();
-        let chatty = ModelBuilder::new("c")
-            .processors(n)
-            .volumes(volumes.clone())
-            .comm_fn(move |_, _| bytes)
-            .build()
-            .unwrap();
+        let quiet = tasks(VOLUMES, &volumes, &[]);
+        let chatty = tasks(
+            "algorithm C(int p, int v[p], int bytes) { coord I=p; node {I>=0: bench*(v[I]);};
+               link (L=p) {I!=L: length*(bytes) [I]->[L];}; parent[0]; }",
+            &volumes,
+            &[bytes],
+        );
         let cost = CostModel::homogeneous(n, 10.0, 1e-4, 1e6);
         let tq = quiet.predict_time(&cost).unwrap();
         let tc = chatty.predict_time(&cost).unwrap();

@@ -168,16 +168,21 @@ pub fn analyze(model: &dyn PerformanceModel) -> Result<ModelReport, EvalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::ModelBuilder;
+    use crate::model::{CompiledModel, ModelInstance};
+
+    fn model(src: &str) -> ModelInstance {
+        CompiledModel::compile(src)
+            .unwrap()
+            .instantiate(&[])
+            .unwrap()
+    }
 
     #[test]
     fn default_scheme_is_clean() {
-        let model = ModelBuilder::new("ok")
-            .processors(3)
-            .volumes(vec![10.0, 20.0, 30.0])
-            .comm_fn(|s, d| if s < d { 100.0 } else { 0.0 })
-            .build()
-            .unwrap();
+        let model = model(
+            "algorithm Ok() { coord I=3; node {I>=0: bench*(10*(I+1));};
+               link (L=3) {I<L: length*(100) [I]->[L];}; parent[0]; }",
+        );
         let report = analyze(&model).unwrap();
         assert!(report.is_clean(), "findings: {:?}", report.findings);
         assert_eq!(report.coverage.compute, vec![100.0; 3]);
@@ -185,15 +190,11 @@ mod tests {
 
     #[test]
     fn undercovered_compute_is_flagged() {
-        let model = ModelBuilder::new("half")
-            .processors(2)
-            .volumes(vec![10.0, 10.0])
-            .scheme(|sink| {
-                sink.compute(0, 100.0);
-                sink.compute(1, 50.0); // only half of processor 1's volume
-            })
-            .build()
-            .unwrap();
+        // Only half of processor 1's volume.
+        let model = model(
+            "algorithm Half() { coord I=2; node {I>=0: bench*(10);}; parent[0];
+               scheme { 100%%[0]; 50%%[1]; }; }",
+        );
         let report = analyze(&model).unwrap();
         assert!(report
             .findings
@@ -203,12 +204,10 @@ mod tests {
 
     #[test]
     fn unexercised_processor_is_flagged() {
-        let model = ModelBuilder::new("skip")
-            .processors(2)
-            .volumes(vec![10.0, 10.0])
-            .scheme(|sink| sink.compute(0, 100.0))
-            .build()
-            .unwrap();
+        let model = model(
+            "algorithm Skip() { coord I=2; node {I>=0: bench*(10);}; parent[0];
+               scheme { 100%%[0]; }; }",
+        );
         let report = analyze(&model).unwrap();
         assert_eq!(
             report.findings,
@@ -218,16 +217,11 @@ mod tests {
 
     #[test]
     fn transfer_on_zero_volume_pair_is_flagged() {
-        let model = ModelBuilder::new("ghost")
-            .processors(2)
-            .volumes(vec![10.0, 10.0])
-            .scheme(|sink| {
-                sink.compute(0, 100.0);
-                sink.compute(1, 100.0);
-                sink.transfer(0, 1, 100.0); // no declared link volume
-            })
-            .build()
-            .unwrap();
+        // No declared link volume for the transfer.
+        let model = model(
+            "algorithm Ghost() { coord I=2; node {I>=0: bench*(10);}; parent[0];
+               scheme { 100%%[0]; 100%%[1]; 100%%[0]->[1]; }; }",
+        );
         let report = analyze(&model).unwrap();
         assert!(report
             .findings
@@ -237,46 +231,30 @@ mod tests {
 
     #[test]
     fn idle_processor_is_flagged_not_counted_as_unexercised() {
-        let model = ModelBuilder::new("idle")
-            .processors(2)
-            .volumes(vec![10.0, 0.0])
-            .scheme(|sink| sink.compute(0, 100.0))
-            .build()
-            .unwrap();
+        let model = model(
+            "algorithm Idle() { coord I=2; node {I==0: bench*(10);}; parent[0];
+               scheme { 100%%[0]; }; }",
+        );
         let report = analyze(&model).unwrap();
         assert_eq!(report.findings, vec![Finding::IdleProcessor { proc: 1 }]);
     }
 
     #[test]
     fn iterated_partial_steps_sum_to_full_coverage() {
-        let model = ModelBuilder::new("steps")
-            .processors(1)
-            .volumes(vec![10.0])
-            .scheme(|sink| {
-                for _ in 0..4 {
-                    sink.compute(0, 25.0);
-                }
-            })
-            .build()
-            .unwrap();
+        let model = model(
+            "algorithm Steps() { coord I=1; node {I>=0: bench*(10);}; parent[0];
+               scheme { int k; for (k = 0; k < 4; k++) 25%%[0]; }; }",
+        );
         let report = analyze(&model).unwrap();
         assert!(report.is_clean());
     }
 
     #[test]
     fn par_depth_is_tracked() {
-        let model = ModelBuilder::new("nest")
-            .processors(1)
-            .volumes(vec![1.0])
-            .scheme(|sink| {
-                sink.par_begin();
-                sink.par_begin();
-                sink.compute(0, 100.0);
-                sink.par_end();
-                sink.par_end();
-            })
-            .build()
-            .unwrap();
+        let model = model(
+            "algorithm Nest() { coord I=1; node {I>=0: bench*(1);}; parent[0];
+               scheme { int a, b; par (a = 0; a < 1; a++) par (b = 0; b < 1; b++) 100%%[0]; }; }",
+        );
         let report = analyze(&model).unwrap();
         assert_eq!(report.coverage.max_par_depth, 2);
     }

@@ -544,7 +544,6 @@ fn unit_totals(ops: &[CostOp], n: usize) -> Option<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::ModelBuilder;
     use crate::model::{CompiledModel, ParamValue};
 
     fn em3d_instance() -> crate::model::ModelInstance {
@@ -659,16 +658,13 @@ mod tests {
     fn delta_with_no_affected_segment_returns_baseline() {
         // A model where processor 3 never appears in the scheme: changing
         // it re-executes nothing.
-        let model = ModelBuilder::new("sparse")
-            .processors(4)
-            .volumes(vec![10.0, 20.0, 30.0, 40.0])
-            .scheme(|sink| {
-                sink.compute(0, 100.0);
-                sink.compute(1, 100.0);
-                sink.compute(2, 100.0);
-            })
-            .build()
-            .unwrap();
+        let model = CompiledModel::compile(
+            "algorithm Sparse() { coord I=4; node {I>=0: bench*(10*(I+1));}; parent[0];
+               scheme { 100%%[0]; 100%%[1]; 100%%[2]; }; }",
+        )
+        .unwrap()
+        .instantiate(&[])
+        .unwrap();
         let prog = CostProgram::record(&model).unwrap();
         let mut scratch = PriceScratch::new(4);
         let mut base = DeltaBaseline::default();
@@ -726,18 +722,16 @@ mod tests {
 
     #[test]
     fn prescaling_drops_noop_transfers() {
-        let model = ModelBuilder::new("noop")
-            .processors(2)
-            .volumes(vec![1.0, 1.0])
-            .comm_fn(|s, d| if s == 0 && d == 1 { 100.0 } else { 0.0 })
-            .scheme(|sink| {
-                sink.transfer(0, 0, 100.0); // self transfer: dropped
-                sink.transfer(1, 0, 100.0); // zero comm: dropped
-                sink.transfer(0, 1, 100.0); // kept
-                sink.compute(0, 100.0);
-            })
-            .build()
-            .unwrap();
+        // A self transfer and a zero-comm transfer are dropped; the
+        // declared 0 -> 1 transfer and the computation are kept.
+        let model = CompiledModel::compile(
+            "algorithm Noop() { coord I=2; node {I>=0: bench*(1);};
+               link {I==0: length*(100) [0]->[1];}; parent[0];
+               scheme { 100%%[0]->[0]; 100%%[1]->[0]; 100%%[0]->[1]; 100%%[0]; }; }",
+        )
+        .unwrap()
+        .instantiate(&[])
+        .unwrap();
         let prog = CostProgram::record(&model).unwrap();
         assert_eq!(prog.num_ops(), 2);
         assert_eq!(prog.num_segments(), 2);

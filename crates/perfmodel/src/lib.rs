@@ -20,8 +20,9 @@
 //! * the `scheme { ... }` interpreter behind `run_scheme`. Activities
 //!   (`e %% [i]` computations and `e %% [i] -> [j]` transfers) are emitted to
 //!   a [`SchemeSink`]; `par` algorithmic patterns fork virtual time;
-//! * [`ModelBuilder`] — a typed Rust front-end producing the same
-//!   [`PerformanceModel`] interface without going through source text;
+//! * [`analyze`] — the model linter: does the scheme perform every volume
+//!   the `node` and `link` sections declare? [`pretty`] prints a syntax
+//!   tree back to source; simcheck holds every model it fuzzes to both;
 //! * [`CostProgram`] — the model pricer, the engine behind `HMPI_Timeof`
 //!   and `HMPI_Group_create`: a model's (assignment-independent) event
 //!   stream recorded once into a flat program and priced per mapping
@@ -48,30 +49,27 @@
 
 mod analysis;
 pub mod ast;
-mod builder;
 pub mod collective;
 mod compile;
-pub mod env;
+mod env;
 mod error;
-pub mod eval;
+mod eval;
 mod hier;
 mod lexer;
 mod model;
 mod parser;
 pub mod pretty;
 mod scheme;
-pub mod value;
+mod value;
 
 pub use analysis::{analyze, CoverageSink, Finding, ModelReport};
 pub use collective::{
     algos_for, chunk_bounds, eligible, price, schedule, select, CollectiveAlgo, CollectiveKind,
     LinkSharing, Payload, Xfer,
 };
-pub use builder::{BuiltModel, ModelBuilder};
 pub use compile::{CostModel, CostProgram, DeltaBaseline, PairCost, PriceScratch};
 pub use hier::{plan as hier_plan, HierPlan, RankTopology};
 pub use error::{EvalError, ParseError};
 pub use model::{CompiledModel, ModelInstance, ParamValue, PerformanceModel};
 pub use parser::parse_program;
 pub use scheme::{RecordingSink, SchemeEvent, SchemeSink};
-pub use value::Value;

@@ -42,9 +42,10 @@ impl From<Vec<i64>> for ParamValue {
     }
 }
 
-/// The generated functions every performance model exposes, whatever
-/// front-end produced it (parsed source via [`CompiledModel`], or the typed
-/// [`crate::builder::ModelBuilder`]).
+/// The generated functions every performance model exposes. Model source
+/// compiled with [`CompiledModel`] and instantiated is the one front end
+/// ([`ModelInstance`]); the trait is the seam callers price through, and
+/// where tests substitute hand-written models.
 pub trait PerformanceModel: Send + Sync {
     /// Model name (for diagnostics).
     fn name(&self) -> &str;
@@ -129,7 +130,15 @@ impl CompiledModel {
     /// # Errors
     /// [`ParseError`] if the algorithm is missing.
     pub fn compile_named(src: &str, name: Option<&str>) -> Result<CompiledModel, ParseError> {
-        let program: Program = parse_program(src)?;
+        Self::from_program(parse_program(src)?, name)
+    }
+
+    /// Compiles the algorithm called `name` (the first one, with `None`)
+    /// from an already parsed program.
+    ///
+    /// # Errors
+    /// [`ParseError`] if the algorithm is missing.
+    pub fn from_program(program: Program, name: Option<&str>) -> Result<CompiledModel, ParseError> {
         let structs: HashMap<String, Vec<String>> = program
             .typedefs
             .iter()

@@ -563,24 +563,14 @@ mod tests {
         );
     }
 
-    /// The model pricer's makespan for `scheme` over processors of the
-    /// given `volumes` and pairwise byte counts `comm`, at unit speed with
-    /// `latency` and `bandwidth` between every pair.
-    fn makespan(
-        volumes: Vec<f64>,
-        comm: Vec<Vec<f64>>,
-        latency: f64,
-        bandwidth: f64,
-        scheme: impl Fn(&mut dyn SchemeSink) + Send + Sync + 'static,
-    ) -> f64 {
-        let n = volumes.len();
-        let model = crate::ModelBuilder::new("t")
-            .processors(n)
-            .volumes(volumes)
-            .comm(comm)
-            .scheme(scheme)
-            .build()
+    /// The model pricer's makespan for the parameterless model `src`, at
+    /// unit speed with `latency` and `bandwidth` between every pair.
+    fn makespan(src: &str, latency: f64, bandwidth: f64) -> f64 {
+        let model = crate::CompiledModel::compile(src)
+            .unwrap()
+            .instantiate(&[])
             .unwrap();
+        let n = crate::PerformanceModel::num_processors(&model);
         let cost = crate::CostModel::homogeneous(n, 1.0, latency, bandwidth);
         crate::CostProgram::record(&model)
             .unwrap()
@@ -590,19 +580,16 @@ mod tests {
     #[test]
     fn timeline_par_overlaps_and_seq_chains() {
         // Two computations in a par overlap; in sequence they chain.
-        let overlapped = makespan(vec![10.0, 20.0], vec![vec![0.0; 2]; 2], 0.0, 1e9, |sink| {
-            sink.par_begin();
-            sink.compute(0, 100.0);
-            sink.par_branch();
-            sink.compute(1, 100.0);
-            sink.par_branch();
-            sink.par_end();
-        });
+        let model = |scheme: &str| {
+            format!(
+                "algorithm T() {{ coord I=2; node {{I>=0: bench*(10*(I+1));}}; parent[0];
+                   scheme {{ {scheme} }}; }}"
+            )
+        };
+        let par = model("int i; par (i = 0; i < 2; i++) 100%%[i];");
+        let overlapped = makespan(&par, 0.0, 1e9);
         assert_eq!(overlapped, 20.0);
-        let chained = makespan(vec![10.0, 20.0], vec![vec![0.0; 2]; 2], 0.0, 1e9, |sink| {
-            sink.compute(0, 100.0);
-            sink.compute(0, 100.0);
-        });
+        let chained = makespan(&model("100%%[0]; 100%%[0];"), 0.0, 1e9);
         assert_eq!(chained, 20.0); // same proc twice: serial
     }
 
@@ -611,15 +598,15 @@ mod tests {
         // 100 of 200 bytes at 100 B/s and 0.5 s latency: the receiver
         // finishes at 0.5 + 1.0 = 1.5 s, the sender pays the 0.5 s latency
         // only, so its 2 s computation afterwards ends at 2.5 s.
-        let comm = vec![vec![0.0, 200.0], vec![0.0, 0.0]];
-        let received = makespan(vec![2.0, 0.0], comm.clone(), 0.5, 100.0, |sink| {
-            sink.transfer(0, 1, 50.0);
-        });
+        let model = |scheme: &str| {
+            format!(
+                "algorithm T() {{ coord I=2; node {{I==0: bench*(2);}};
+                   link {{I==0: length*(200) [0]->[1];}}; parent[0]; scheme {{ {scheme} }}; }}"
+            )
+        };
+        let received = makespan(&model("50%%[0]->[1];"), 0.5, 100.0);
         assert_eq!(received, 1.5);
-        let sender = makespan(vec![2.0, 0.0], comm, 0.5, 100.0, |sink| {
-            sink.transfer(0, 1, 50.0);
-            sink.compute(0, 100.0);
-        });
+        let sender = makespan(&model("50%%[0]->[1]; 100%%[0];"), 0.5, 100.0);
         assert_eq!(sender, 0.5 + 2.0);
     }
 
@@ -659,20 +646,13 @@ mod tests {
     fn nested_par_timeline() {
         // Outer par of two branches; each branch computes on a different
         // processor; inner activities overlap globally.
-        let volumes = vec![5.0, 7.0, 9.0];
-        let t = makespan(volumes, vec![vec![0.0; 3]; 3], 0.0, 1e9, |sink| {
-            sink.par_begin();
-            sink.par_begin();
-            sink.compute(0, 100.0);
-            sink.par_branch();
-            sink.compute(1, 100.0);
-            sink.par_branch();
-            sink.par_end();
-            sink.par_branch();
-            sink.compute(2, 100.0);
-            sink.par_branch();
-            sink.par_end();
-        });
-        assert_eq!(t, 9.0);
+        let src = "algorithm T() { coord I=3; node {I>=0: bench*(5+2*I);}; parent[0];
+            scheme { int a, b;
+                par (a = 0; a < 2; a++) {
+                    if (a == 0) par (b = 0; b < 2; b++) 100%%[b];
+                    if (a == 1) 100%%[2];
+                }
+            }; }";
+        assert_eq!(makespan(src, 0.0, 1e9), 9.0);
     }
 }

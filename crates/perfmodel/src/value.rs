@@ -37,11 +37,6 @@ impl ArrayVal {
         })
     }
 
-    /// Number of dimensions.
-    pub fn rank(&self) -> usize {
-        self.dims.len()
-    }
-
     /// Indexes with a full coordinate vector.
     ///
     /// # Errors

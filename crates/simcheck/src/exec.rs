@@ -50,8 +50,16 @@
 //!   no more than the distinct calls issued (plus re-builds of evicted
 //!   plans); a storm replayed in a fresh universe — different hit/miss
 //!   interleaving, same keys — reproduces results, makespan and the whole
-//!   trace bit for bit, so nothing host-ordered leaks out of the cache.
+//!   trace bit for bit, so nothing host-ordered leaks out of the cache;
+//! * **model-roundtrip** — every generated model program
+//!   (`gen::random_model`) parses, and printing its syntax tree
+//!   and parsing the text back gives the same tree;
+//! * **model-lint** — every model a scenario selects with (generated, or
+//!   an application kernel's) instantiates and lints clean: its `scheme`
+//!   performs each processor's declared computation and each pair's
+//!   declared transfer in full (`perfmodel::analyze`).
 
+use crate::gen::{random_model, ModelProgram};
 use crate::scenario::{AppKind, Scenario, Workload};
 use hetsim::{
     Cluster, ClusterBuilder, FaultEvent, FaultPlan, Link, NodeId, Protocol, SpeedEstimates,
@@ -63,7 +71,10 @@ use mpisim::{
     Universe, UniverseConfig,
 };
 use perfmodel::collective::algos_for;
-use perfmodel::{ModelBuilder, PerformanceModel};
+use perfmodel::pretty::print_program;
+use perfmodel::{
+    analyze, parse_program, CompiledModel, EvalError, ModelInstance, ParamValue, PerformanceModel,
+};
 use rand::{Rng, SeedableRng, StdRng};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -940,16 +951,18 @@ fn check_fault_contract(
 
 fn check_group_cycle(sc: &Scenario, model_seed: u64, cycles: usize) -> Result<(), Violation> {
     let n = sc.nodes();
+    let models = (0..cycles)
+        .map(|c| compile_model(&random_model(model_seed.wrapping_add(c as u64), n.min(5))))
+        .collect::<Result<Vec<_>, _>>()?;
     let rt = HmpiRuntime::new(build_cluster(sc));
-    let report = rt.run(move |h| -> Result<(), RankFail> {
+    let report = rt.run(|h| -> Result<(), RankFail> {
         if let Err(e) = h.recon(1.0) {
             // Typed failures are legal under faults; every rank sees the
             // same verdict, so returning keeps the run collective.
             return Err(typed(e));
         }
-        for c in 0..cycles {
-            let model = ModelBuilder::random(model_seed.wrapping_add(c as u64), n.min(5));
-            match h.group_create(&model) {
+        for (c, model) in models.iter().enumerate() {
+            match h.group_create(model) {
                 Ok(g) => {
                     let members = g.members().to_vec();
                     if !distinct_below(&members, n) {
@@ -1058,7 +1071,7 @@ fn check_selection(sc: &Scenario, model_seed: u64, est_seed: u64) -> Result<(), 
         candidates: (0..n).collect(),
         pinned_parent: est_seed.is_multiple_of(2).then_some(0),
     };
-    let model = ModelBuilder::random(model_seed, n.min(4));
+    let model = compile_model(&random_model(model_seed, n.min(4)))?;
     let mut cold = Evaluator::new(&model, &ctx);
     // Exhaustive first, so every other pick is held against the optimum.
     let exhaustive = (n <= 6).then_some(MappingAlgorithm::Exhaustive);
@@ -1104,17 +1117,27 @@ fn check_shrink(sc: &Scenario, rounds: usize, units: f64) -> Result<(), Violatio
             _ => None,
         })
         .collect();
+    // One program for every group size: `p` tasks of `units` each, with
+    // `units` passed exactly as `num / den`.
+    let tasks = CompiledModel::compile(
+        "algorithm Tasks(int p, int num, int den) {
+           coord I=p; node {I>=0: bench*(num/den);}; parent[0]; }",
+    )
+    .expect("the Tasks program compiles");
+    let [num, den] = exact_ratio(units);
+    let model_for = |p: usize| {
+        tasks
+            .instantiate(&[
+                ParamValue::Int(p as i64),
+                ParamValue::Int(num),
+                ParamValue::Int(den),
+            ])
+            .expect("any positive group size instantiates")
+    };
+    let full = model_for(n);
     let rt = HmpiRuntime::new(build_cluster(sc));
-    let crashed2 = crashed.clone();
-    let report = rt.run(move |h| -> Result<(), RankFail> {
-        let model_for = |p: usize| {
-            ModelBuilder::new("shrink")
-                .processors(p)
-                .volumes(vec![units; p])
-                .build()
-                .expect("uniform model always builds")
-        };
-        let group = match h.group_create(&model_for(n)) {
+    let report = rt.run(|h| -> Result<(), RankFail> {
+        let group = match h.group_create(&full) {
             Ok(g) => g,
             Err(e) => return Err(typed(e)), // crash may predate the create
         };
@@ -1141,7 +1164,7 @@ fn check_shrink(sc: &Scenario, rounds: usize, units: f64) -> Result<(), Violatio
         match h.rebuild_group(group, |survivors| Ok(model_for(survivors.len()))) {
             Ok(rebuilt) => {
                 let members = rebuilt.members().to_vec();
-                if let Some(&dead) = members.iter().find(|m| crashed2.contains(m)) {
+                if let Some(&dead) = members.iter().find(|m| crashed.contains(m)) {
                     return Err(value_bug(format!(
                         "rebuilt group contains crashed rank {dead}: {members:?}"
                     )));
@@ -1167,6 +1190,8 @@ fn check_app(sc: &Scenario, app: AppKind) -> Result<(), Violation> {
         AppKind::Em3d => {
             let p = n.min(3);
             let cfg = hmpi_apps::em3d::Em3dConfig::ramp(p, 6, 2.0, sc.seed);
+            let system = hmpi_apps::em3d::Em3dSystem::generate(&cfg);
+            lint(hmpi_apps::em3d::em3d_model(&system, 8))?;
             let mpi = hmpi_apps::em3d::run_mpi(cluster.clone(), &cfg, 2);
             let hmpi = hmpi_apps::em3d::run_hmpi(cluster, &cfg, 2, 8);
             check_members("em3d", &hmpi.members, n)?;
@@ -1181,6 +1206,9 @@ fn check_app(sc: &Scenario, app: AppKind) -> Result<(), Violation> {
         AppKind::Matmul => {
             let m = if n >= 4 { 2 } else { 1 };
             let (size, r) = (2 * m, 2);
+            // At `l = m` every slice is one block wide whatever the speeds.
+            let dist = hmpi_apps::matmul::GeneralizedBlockDist::homogeneous(m, m);
+            lint(hmpi_apps::matmul::matmul_model(&dist, r, size))?;
             let mpi = hmpi_apps::matmul::run_mpi(cluster.clone(), m, size, r, Some(m));
             let hmpi = hmpi_apps::matmul::run_hmpi(cluster, m, size, r, Some(m));
             check_members("matmul", &hmpi.members, n)?;
@@ -1195,6 +1223,7 @@ fn check_app(sc: &Scenario, app: AppKind) -> Result<(), Violation> {
         AppKind::Nbody => {
             let p = n.min(3);
             let cfg = hmpi_apps::nbody::NbodyConfig::ramp(p, 2, 2.0, sc.seed);
+            lint(hmpi_apps::nbody::nbody_model(&cfg, 1))?;
             let mpi = hmpi_apps::nbody::run_mpi(cluster.clone(), &cfg, 2, 1);
             let hmpi = hmpi_apps::nbody::run_hmpi(cluster, &cfg, 2, 1);
             check_members("nbody", &hmpi.members, n)?;
@@ -1207,6 +1236,41 @@ fn check_app(sc: &Scenario, app: AppKind) -> Result<(), Violation> {
             check_app_times("nbody", &[mpi.time, hmpi.time])
         }
     }
+}
+
+/// Compiles and instantiates a generated model program, holding it to
+/// `model-roundtrip` and `model-lint`.
+pub(crate) fn compile_model(prog: &ModelProgram) -> Result<ModelInstance, Violation> {
+    let tree = parse_program(&prog.src)
+        .map_err(|e| viol("model-roundtrip", format!("{e}\n{}", prog.src)))?;
+    let printed = print_program(&tree);
+    if parse_program(&printed).ok().as_ref() != Some(&tree) {
+        return Err(viol(
+            "model-roundtrip",
+            format!("{}\nprinted as\n{printed}", prog.src),
+        ));
+    }
+    let compiled = CompiledModel::from_program(tree, None).expect("the program has an algorithm");
+    lint(compiled.instantiate(&prog.params))
+}
+
+/// `model-lint`: the model instantiates, and its scheme performs every
+/// declared volume in full.
+fn lint<M: PerformanceModel>(model: Result<M, EvalError>) -> Result<M, Violation> {
+    match model.and_then(|m| analyze(&m).map(|report| (m, report.findings))) {
+        Ok((m, findings)) if findings.is_empty() => Ok(m),
+        verdict => Err(viol("model-lint", format!("{:?}", verdict.map(|(_, f)| f)))),
+    }
+}
+
+/// `x` as `[num, den]` with `den` a power of two: `num / den` evaluates
+/// back to `x` exactly whenever `x * 2^62` is an integer.
+fn exact_ratio(x: f64) -> [i64; 2] {
+    let mut den = 1i64;
+    while (x * den as f64).fract() != 0.0 && den < 1 << 62 {
+        den *= 2;
+    }
+    [(x * den as f64) as i64, den]
 }
 
 /// What every member list and assignment must be: distinct world ranks.

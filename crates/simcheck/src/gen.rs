@@ -9,6 +9,7 @@
 use crate::scenario::{AppKind, LinkOverride, Scenario, Workload};
 use hetsim::{ContentionModel, FaultEvent, NodeId, SimTime};
 use mpisim::CollectiveKind;
+use perfmodel::ParamValue;
 use rand::{Rng, SeedableRng, StdRng};
 
 fn log_uniform(rng: &mut StdRng, lo: f64, hi: f64) -> f64 {
@@ -385,10 +386,111 @@ pub fn generate_crashy_collective(seed: u64) -> Scenario {
     }
 }
 
+/// A generated performance model: an `algorithm` in the model language and
+/// the actual parameters `p`, `v[p]`, `c[p][p]` it is instantiated with.
+#[derive(Debug, PartialEq)]
+pub(crate) struct ModelProgram {
+    /// The model source.
+    pub src: String,
+    /// Actual parameters, in declaration order.
+    pub params: Vec<ParamValue>,
+}
+
+/// Draws a random model program with `1..=max_p` abstract processors:
+/// volumes `v[I]` of 1–99 benchmark units, `c[L][I]` bytes of 64–65535 at
+/// a random density, a random literal parent and — for half the seeds — a
+/// `scheme` of 1–3 serial (`for`) or `par` steps. A scheme splits every
+/// processor's computation and every nonzero pair's transfer into shares
+/// that sum to 100 % across the steps, so the model lints clean by
+/// construction; without one the model runs the default bulk-synchronous
+/// pattern. The same `(seed, max_p)` always writes the same program.
+///
+/// # Panics
+/// Panics if `max_p == 0`.
+pub(crate) fn random_model(seed: u64, max_p: usize) -> ModelProgram {
+    assert!(max_p > 0, "need room for at least one processor");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let p = rng.random_range(0..max_p) + 1;
+    let v: Vec<i64> = (0..p).map(|_| rng.random_range(1..100)).collect();
+    let density = rng.random_range(0.0..1.0);
+    let c: Vec<i64> = (0..p * p)
+        .map(|k| {
+            let drawn = k / p != k % p && rng.random_range(0.0..1.0) < density;
+            if drawn {
+                rng.random_range(64..65536)
+            } else {
+                0
+            }
+        })
+        .collect();
+    let parent = rng.random_range(0..p);
+    let scheme = if rng.random_range(0u32..2) == 0 {
+        String::new()
+    } else {
+        random_scheme(&mut rng, p, &c)
+    };
+    let src = format!(
+        "algorithm Random(int p, int v[p], int c[p][p]) {{
+  coord I=p;
+  node {{I>=0: bench*(v[I]);}};
+  link (L=p) {{c[L][I] > 0: length*(c[L][I]) [L]->[I];}};
+  parent[{parent}];
+{scheme}}}
+"
+    );
+    let params = vec![
+        ParamValue::Int(p as i64),
+        ParamValue::Array(v),
+        ParamValue::Array(c),
+    ];
+    ModelProgram { src, params }
+}
+
+/// The `scheme` section of [`random_model`]: each step is a `for` or `par`
+/// loop over branches `b`, and each activity's nonzero share for the step
+/// (a multiple of 5 %) lands in a random branch.
+fn random_scheme(rng: &mut StdRng, p: usize, c: &[i64]) -> String {
+    let steps = rng.random_range(1..4);
+    let activities: Vec<(String, Vec<u32>)> = (0..p)
+        .map(|i| format!("%%[{i}]"))
+        .chain(
+            (0..p * p)
+                .filter(|&k| c[k] > 0)
+                .map(|k| format!("%%[{}]->[{}]", k / p, k % p)),
+        )
+        .map(|a| {
+            let mut cuts: Vec<u32> = (1..steps).map(|_| rng.random_range(0..21)).collect();
+            cuts.extend([0, 20]);
+            cuts.sort_unstable();
+            (a, cuts.windows(2).map(|w| 5 * (w[1] - w[0])).collect())
+        })
+        .collect();
+    let mut out = String::from("  scheme {\n    int b;\n");
+    for step in 0..steps {
+        let branches = rng.random_range(1..4);
+        let mut body = vec![String::new(); branches];
+        for (a, shares) in activities.iter().filter(|(_, s)| s[step] > 0) {
+            body[rng.random_range(0..branches)] += &format!(" {}{a};", shares[step]);
+        }
+        let kw = if rng.random_range(0u32..2) == 0 {
+            "for"
+        } else {
+            "par"
+        };
+        out += &format!("    {kw} (b = 0; b < {branches}; b++) {{\n");
+        for (j, stmts) in body.iter().enumerate() {
+            out += &format!("      if (b == {j}) {{{stmts} }}\n");
+        }
+        out += "    }\n";
+    }
+    out + "  };\n"
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::parse;
+    use perfmodel::PerformanceModel;
     use std::collections::HashSet;
 
     #[test]
@@ -469,6 +571,45 @@ mod tests {
         assert!(any_collective, "no hierarchical collective in 300 seeds");
         assert!(any_p2p, "no hierarchical p2p in 300 seeds");
         assert!(any_faults, "no hierarchical faults in 300 seeds");
+    }
+
+    #[test]
+    fn random_models_are_deterministic_clean_and_round_trip() {
+        let (mut with_scheme, mut par, mut serial) = (0, false, false);
+        for seed in 0..1000 {
+            let prog = random_model(seed, 8);
+            assert_eq!(random_model(seed, 8), prog, "seed {seed}");
+            let model = crate::exec::compile_model(&prog)
+                .unwrap_or_else(|v| panic!("seed {seed}: {v}\n{}", prog.src));
+            assert!((1..=8).contains(&model.num_processors()), "seed {seed}");
+            with_scheme += usize::from(prog.src.contains("scheme"));
+            par |= prog.src.contains("par (");
+            serial |= prog.src.contains("for (");
+        }
+        assert!(
+            (400..600).contains(&with_scheme),
+            "{with_scheme} of 1000 have a scheme"
+        );
+        assert!(par && serial, "steps are not both serial and par");
+    }
+
+    #[test]
+    fn dropping_one_share_fails_model_lint() {
+        let mut dropped = 0;
+        for seed in 0..100 {
+            let mut prog = random_model(seed, 4);
+            let Some(at) = prog.src.find("%%") else {
+                continue;
+            };
+            // Every share is at least 5 %, beyond the linter's tolerance.
+            let start = prog.src[..at].rfind(' ').unwrap();
+            let end = at + prog.src[at..].find(';').unwrap() + 1;
+            prog.src.replace_range(start..end, "");
+            let err = crate::exec::compile_model(&prog).unwrap_err();
+            assert_eq!(err.invariant, "model-lint", "seed {seed}: {err}");
+            dropped += 1;
+        }
+        assert!(dropped > 20, "only {dropped} schemes in 100 seeds");
     }
 
     #[test]

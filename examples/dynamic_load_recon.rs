@@ -13,7 +13,7 @@
 
 use hetsim::{Link, LoadModel, Processor, Protocol, SimTime, TopologyBuilder};
 use hmpi::{HmpiRuntime, RuntimeConfig};
-use perfmodel::{ModelBuilder, PerformanceModel};
+use perfmodel::{CompiledModel, PerformanceModel};
 
 fn main() {
     // "bigiron" loses 90% of its capacity from t = 100 on (another user's
@@ -32,15 +32,17 @@ fn main() {
         .intra_switch(Link::with_defaults(Protocol::Tcp))
         .build();
 
+    // A light parent task and one heavy task, in the model language.
+    let model = CompiledModel::compile(
+        "algorithm OneHeavyTask() {
+           coord I=2; node {I==0: bench*(50); I==1: bench*(2000);}; parent[0]; }",
+    )
+    .expect("model compiles")
+    .instantiate(&[])
+    .expect("model instantiates");
+
     let runtime = HmpiRuntime::from_topology(topology, RuntimeConfig::new());
     let report = runtime.run(|h| {
-        let model = ModelBuilder::new("one-heavy-task")
-            .processors(2)
-            .volumes(vec![50.0, 2000.0])
-            .parent(0)
-            .build()
-            .expect("model");
-
         // Phase 1: before the load arrives. Recon sees bigiron at 200.
         h.recon(10.0).expect("recon");
         let g1 = h.group_create(&model).expect("create");
