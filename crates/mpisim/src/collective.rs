@@ -141,8 +141,8 @@ impl Comm {
             if src == root {
                 out.push(contrib.to_vec());
             } else {
-                let (bytes, _) = self.recv_bytes(self.coll_plane(), Some(src), Some(TAG_GATHER))?;
-                out.push(decode(&bytes)?);
+                let (msg, _) = self.recv_bytes(self.coll_plane(), Some(src), Some(TAG_GATHER))?;
+                out.push(decode(&msg.bytes())?);
             }
         }
         Ok(Some(out))
@@ -153,8 +153,8 @@ impl Comm {
     /// other ranks' `parts` are ignored); each rank returns its part.
     pub(crate) fn scatter<T: MpiType>(&self, parts: &[Vec<T>]) -> MpiResult<Vec<T>> {
         if self.rank() != 0 {
-            let (bytes, _) = self.recv_bytes(self.coll_plane(), Some(0), Some(TAG_SCATTER))?;
-            return decode(&bytes);
+            let (msg, _) = self.recv_bytes(self.coll_plane(), Some(0), Some(TAG_SCATTER))?;
+            return decode(&msg.bytes());
         }
         for (dst, part) in parts.iter().enumerate().skip(1) {
             self.post_bytes(self.coll_plane(), encode(part), dst, TAG_SCATTER)?;

@@ -623,8 +623,8 @@ impl Comm {
     /// if the awaited sender is dead and nothing from it is queued.
     pub fn recv<T: MpiType>(&self, src: usize, tag: i32) -> MpiResult<(Vec<T>, Status)> {
         self.check_rank(src)?;
-        let (bytes, status) = self.recv_bytes(self.ctx, Some(src), Some(tag))?;
-        Ok((decode(&bytes)?, status))
+        let (msg, status) = self.recv_bytes(self.ctx, Some(src), Some(tag))?;
+        Ok((decode(&msg.bytes())?, status))
     }
 
     /// Blocking receive that gives up at a virtual-time `deadline`: if no
@@ -648,9 +648,9 @@ impl Comm {
         deadline: SimTime,
     ) -> MpiResult<(Vec<T>, Status)> {
         self.check_rank(src)?;
-        let (bytes, status) =
+        let (msg, status) =
             self.recv_bytes_opts(self.ctx, Some(src), Some(tag), Some(deadline), false)?;
-        Ok((decode(&bytes)?, status))
+        Ok((decode(&msg.bytes())?, status))
     }
 
     /// [`Comm::recv_deadline`] with the deadline expressed as a duration from
@@ -680,8 +680,8 @@ impl Comm {
         if let Some(s) = src {
             self.check_rank(s)?;
         }
-        let (bytes, status) = self.recv_bytes(self.ctx, src, tag)?;
-        Ok((decode(&bytes)?, status))
+        let (msg, status) = self.recv_bytes(self.ctx, src, tag)?;
+        Ok((decode(&msg.bytes())?, status))
     }
 
     /// Blocking receive into a caller-supplied buffer, with truncation
@@ -696,8 +696,8 @@ impl Comm {
         tag: i32,
     ) -> MpiResult<(usize, Status)> {
         self.check_rank(src)?;
-        let (bytes, status) = self.recv_bytes(self.ctx, Some(src), Some(tag))?;
-        let n = decode_into(&bytes, buf)?;
+        let (msg, status) = self.recv_bytes(self.ctx, Some(src), Some(tag))?;
+        let n = decode_into(&msg.bytes(), buf)?;
         Ok((n, status))
     }
 

@@ -1,10 +1,11 @@
 //! Typed views over message payloads.
 //!
-//! Messages travel as byte vectors; [`MpiType`] converts slices of plain
-//! numeric types to and from bytes with explicit little-endian encoding (no
+//! Messages travel as bytes; [`MpiType`] converts slices of plain numeric
+//! types to and from them with explicit little-endian encoding (no
 //! `unsafe`, per the data-race-freedom discipline of the surrounding
-//! codebase — the cost is a copy, which the virtual-time model does not
-//! observe anyway).
+//! codebase). Encoding writes each element into its fixed `WIRE_SIZE` slot
+//! of a buffer sized up front, one pass that compiles to a copy on
+//! little-endian hosts; decoding is the mirror pass.
 
 use crate::error::{MpiError, MpiResult};
 use crate::p2p::{Payload, EAGER_LIMIT};
@@ -16,8 +17,9 @@ pub trait MpiType: Copy + Send + 'static {
     /// Size of one element in bytes on the wire.
     const WIRE_SIZE: usize;
 
-    /// Appends the little-endian encoding of `self` to `out`.
-    fn write_to(&self, out: &mut Vec<u8>);
+    /// Writes the little-endian encoding of `self` into `out`, which is
+    /// exactly `WIRE_SIZE` bytes.
+    fn write_le(&self, out: &mut [u8]);
 
     /// Decodes one element from exactly `WIRE_SIZE` bytes.
     fn read_from(bytes: &[u8]) -> Self;
@@ -29,8 +31,8 @@ macro_rules! impl_mpi_type {
             const WIRE_SIZE: usize = std::mem::size_of::<$t>();
 
             #[inline]
-            fn write_to(&self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
+            fn write_le(&self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
             }
 
             #[inline]
@@ -47,8 +49,8 @@ impl MpiType for usize {
     const WIRE_SIZE: usize = 8;
 
     #[inline]
-    fn write_to(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(*self as u64).to_le_bytes());
+    fn write_le(&self, out: &mut [u8]) {
+        out.copy_from_slice(&(*self as u64).to_le_bytes());
     }
 
     #[inline]
@@ -61,8 +63,8 @@ impl MpiType for bool {
     const WIRE_SIZE: usize = 1;
 
     #[inline]
-    fn write_to(&self, out: &mut Vec<u8>) {
-        out.push(u8::from(*self));
+    fn write_le(&self, out: &mut [u8]) {
+        out[0] = u8::from(*self);
     }
 
     #[inline]
@@ -71,42 +73,39 @@ impl MpiType for bool {
     }
 }
 
+/// Writes the wire encoding of `data` into `out`, which holds exactly
+/// `data.len() * T::WIRE_SIZE` bytes.
+pub(crate) fn write_all<T: MpiType>(data: &[T], out: &mut [u8]) {
+    debug_assert_eq!(out.len(), data.len() * T::WIRE_SIZE);
+    for (x, slot) in data.iter().zip(out.chunks_exact_mut(T::WIRE_SIZE)) {
+        x.write_le(slot);
+    }
+}
+
 /// Encodes a slice of elements into a fresh byte vector.
 pub fn encode<T: MpiType>(data: &[T]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * T::WIRE_SIZE);
-    for x in data {
-        x.write_to(&mut out);
-    }
+    let mut out = vec![0; data.len() * T::WIRE_SIZE];
+    write_all(data, &mut out);
     out
 }
 
-thread_local! {
-    /// Per-rank scratch buffer for eager encoding: the wire bytes of a
-    /// small message are staged here before being packed into the inline
-    /// envelope, so the eager path allocates nothing after warm-up.
-    static EAGER_SCRATCH: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
 /// Encodes a slice directly into its protocol representation: inline
-/// (eager, zero-allocation via a thread-local scratch) at or under
-/// [`EAGER_LIMIT`] wire bytes, an arena lease (rendezvous) above it.
+/// (eager, no allocation) at or under [`EAGER_LIMIT`] wire bytes, an arena
+/// lease (rendezvous) above it.
 pub(crate) fn encode_payload<T: MpiType>(data: &[T], pool: &Arc<BufferPool>) -> Payload {
     let wire = data.len() * T::WIRE_SIZE;
     if wire <= EAGER_LIMIT {
-        EAGER_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            scratch.clear();
-            for x in data {
-                x.write_to(&mut scratch);
-            }
-            Payload::inline_from(&scratch)
-        })
+        let mut buf = [0u8; EAGER_LIMIT];
+        write_all(data, &mut buf[..wire]);
+        Payload::Inline {
+            len: wire as u16,
+            buf,
+        }
     } else {
         let mut lease = pool.lease(wire);
         let buf = lease.buf_mut();
-        for x in data {
-            x.write_to(buf);
-        }
+        buf.resize(wire, 0);
+        write_all(data, buf);
         Payload::Pooled(lease)
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Every collective here executes a [`perfmodel::collective`] *schedule* —
 //! an ordered list of rounds of point-to-point transfers — through the same
-//! eager transport (`Comm::post_bytes` / `Comm::recv_bytes`) the rest of
+//! transport (`Comm::post_payload` / `Comm::recv_bytes_from`) the rest of
 //! mpisim uses, on the communicator's collective plane. Each transfer says
 //! what it carries ([`Payload`]), so one interpreter (`Comm::interpret`)
 //! runs them all — flat or hierarchical, movement or reduction — and no
@@ -50,12 +50,27 @@
 //! contribution to it is present, always in that order, so an algorithm
 //! decides where the values meet and never how they combine — switching
 //! algorithms never changes a single result bit.
+//!
+//! Payloads are built from what a rank already holds, and read in place.
+//! Finished ranges (`Slice`) and prefix folds (`Prefix`) are encoded once
+//! per send: inline at or under the eager limit, into a pooled lease above
+//! it. Raw contributions travel by reference: a rank encodes its own
+//! contribution once per call, a receiver keeps the segments a payload
+//! arrived in with a per-origin `(piece, offset)` table, and forwarding an
+//! origin re-shares its piece — a reduce's raw bytes are written once,
+//! however many hops they take, and each is decoded only by the fold that
+//! finishes its range. Origin ranges under `RENDEZVOUS_BLOCK` bytes are
+//! cheaper copied than shared: those are concatenated into one fresh
+//! buffer per send. Either way a payload's length is its schedule's
+//! `elems() × WIRE_SIZE` bytes, so virtual time never sees the difference.
 
 use crate::comm::Comm;
-use crate::datatype::{decode, decode_into, encode, MpiType};
+use crate::datatype::{decode, decode_into, encode, encode_payload, write_all, MpiType};
 use crate::error::{MpiError, MpiResult};
 use crate::op::ReduceOp;
+use crate::p2p::{self, Msg, Piece, EAGER_LIMIT, RENDEZVOUS_BLOCK};
 use crate::plan::{ineligible, Plan, PlanKey};
+use crate::pool::BufferPool;
 use hetsim::{SimTime, TraceEvent, TraceKind};
 use perfmodel::collective::{chunk_bounds, CollectiveAlgo, CollectiveKind, Payload, Xfer};
 use std::sync::Arc;
@@ -244,17 +259,17 @@ impl Comm {
     /// the world rank it carries; a terminated peer is normalised to
     /// [`MpiError::NodeFailed`] too, so the engine's fault contract exposes
     /// a single error type.
-    fn recv_sched(&self, src: usize) -> MpiResult<Vec<u8>> {
+    fn recv_sched(&self, src: usize) -> MpiResult<Msg> {
         match self.recv_bytes_from(self.coll_plane(), src, None) {
-            Ok((bytes, st)) if st.tag == TAG_POISON => {
-                let v: Vec<i64> = decode(&bytes)?;
+            Ok((msg, st)) if st.tag == TAG_POISON => {
+                let v: Vec<i64> = decode(&msg.bytes())?;
                 let world_rank = v
                     .first()
                     .map(|&w| w as usize)
                     .unwrap_or_else(|| self.world_rank_of(src));
                 Err(MpiError::NodeFailed { world_rank })
             }
-            Ok((bytes, _)) => Ok(bytes.into_vec()),
+            Ok((msg, _)) => Ok(msg),
             Err(MpiError::PeerTerminated { world_rank }) => {
                 Err(MpiError::NodeFailed { world_rank })
             }
@@ -268,11 +283,10 @@ impl Comm {
     /// `out` is the call's result buffer, holding what this rank starts with
     /// finished (a bcast root's data, an allgather contribution in its
     /// slot); `own` is its raw contribution to a reduction (empty otherwise)
-    /// and `fold(acc, x)` folds `x` onto `acc` — onto the operation's
-    /// identity when there is none. The rank walks its own transfers in
-    /// round order, each round's sends before its receives, and every
-    /// transfer says what it carries ([`Payload`]), so nothing here knows an
-    /// algorithm.
+    /// and `fold` folds an operand onto an accumulator. The rank walks its
+    /// own transfers in round order, each round's sends before its
+    /// receives, and every transfer says what it carries ([`Payload`]), so
+    /// nothing here knows an algorithm.
     ///
     /// `out` is scratch: it comes back only when the whole schedule has run,
     /// so an abort leaves no torn result. On a fail-stop error every send
@@ -288,21 +302,21 @@ impl Comm {
         fold: &Fold<T>,
     ) -> MpiResult<Vec<T>> {
         let me = self.rank();
+        let pool = &self.shared.pool;
         let mut holds = Holdings::new(self.size(), me, out, own, fold);
         let mut program = plan.program(me);
         while let Some(x) = program.next() {
             let step = if x.src == me {
-                self.post_bytes(self.coll_plane(), holds.payload(x), x.dst, TAG_COLL)
+                self.post_payload(self.coll_plane(), holds.payload(x, pool), x.dst, TAG_COLL)
             } else {
-                self.recv_sched(x.src)
-                    .and_then(|bytes| holds.accept(x, &bytes))
+                self.recv_sched(x.src).and_then(|msg| holds.accept(x, msg))
             };
             if let Err(e) = step {
                 if let Some(blame) = fault_blame(&e) {
                     let unsent = std::iter::once(x).chain(program).filter(|x| x.src == me);
                     for x in unsent {
-                        let poison = encode(&[blame as i64]);
-                        let _ = self.post_bytes(self.coll_plane(), poison, x.dst, TAG_POISON);
+                        let poison = [blame as i64];
+                        let _ = self.post_typed(self.coll_plane(), &poison, x.dst, TAG_POISON);
                     }
                 }
                 return Err(e);
@@ -544,29 +558,34 @@ impl Comm {
     }
 }
 
-/// Folds a contribution range onto an accumulator — onto the operation's
-/// identity when there is none yet.
-type Fold<T> = dyn Fn(Option<Vec<T>>, &[T]) -> Vec<T>;
+/// One operand of a fold: this rank's own elements, or another origin's as
+/// they arrived on the wire, decoded as the fold reads them.
+enum Operand<'a, T> {
+    Own(&'a [T]),
+    Wire(&'a [u8]),
+}
+
+/// Folds an operand onto an accumulator of the same length, first reset to
+/// the operation's identity when `seed` (the range's first operand).
+type Fold<T> = dyn Fn(&mut [T], Operand<'_, T>, bool);
 
 /// The movement kinds' [`Fold`]: their plans carry finished data only, so
 /// it never runs.
-fn no_fold<T: MpiType>(_acc: Option<Vec<T>>, x: &[T]) -> Vec<T> {
-    x.to_vec()
-}
+fn no_fold<T>(_acc: &mut [T], _x: Operand<'_, T>, _seed: bool) {}
 
 /// An element type the engine reduces: the wire codec of [`MpiType`] plus
-/// each [`ReduceOp`]'s identity and fold.
+/// each [`ReduceOp`]'s identity and operation.
 trait Reducible: MpiType + Default {
     fn identity(op: ReduceOp) -> Self;
-    fn fold(op: ReduceOp, acc: &mut [Self], x: &[Self]);
+    fn apply(op: ReduceOp, a: Self, b: Self) -> Self;
 }
 
 impl Reducible for f64 {
     fn identity(op: ReduceOp) -> f64 {
         op.identity_f64()
     }
-    fn fold(op: ReduceOp, acc: &mut [f64], x: &[f64]) {
-        op.fold_f64(acc, x);
+    fn apply(op: ReduceOp, a: f64, b: f64) -> f64 {
+        op.apply_f64(a, b)
     }
 }
 
@@ -574,17 +593,29 @@ impl Reducible for i64 {
     fn identity(op: ReduceOp) -> i64 {
         op.identity_i64()
     }
-    fn fold(op: ReduceOp, acc: &mut [i64], x: &[i64]) {
-        op.fold_i64(acc, x);
+    fn apply(op: ReduceOp, a: i64, b: i64) -> i64 {
+        op.apply_i64(a, b)
     }
 }
 
 /// The [`Fold`] of `op` over `T`.
-fn folding<T: Reducible>(op: ReduceOp) -> impl Fn(Option<Vec<T>>, &[T]) -> Vec<T> {
-    move |acc, x| {
-        let mut acc = acc.unwrap_or_else(|| vec![T::identity(op); x.len()]);
-        T::fold(op, &mut acc, x);
-        acc
+fn folding<T: Reducible>(op: ReduceOp) -> impl Fn(&mut [T], Operand<'_, T>, bool) {
+    move |acc, x, seed| {
+        if seed {
+            acc.fill(T::identity(op));
+        }
+        match x {
+            Operand::Own(x) => {
+                for (a, &b) in acc.iter_mut().zip(x) {
+                    *a = T::apply(op, *a, b);
+                }
+            }
+            Operand::Wire(x) => {
+                for (a, b) in acc.iter_mut().zip(x.chunks_exact(T::WIRE_SIZE)) {
+                    *a = T::apply(op, *a, T::read_from(b));
+                }
+            }
+        }
     }
 }
 
@@ -594,14 +625,17 @@ struct Holdings<'a, T> {
     me: usize,
     /// The result buffer: ranges received finished, or folded here.
     out: Vec<T>,
-    /// This rank's own raw contribution, over `[0, own.len())`.
+    /// This rank's own raw contribution, over `[0, own.len())`, …
     own: &'a [T],
-    /// The raw payloads received, each kept as it arrived, …
-    raw: Vec<Vec<T>>,
-    /// … and where each origin's contribution sits, as `(payload, offset in
-    /// it, lo, hi)`. Sized on the first arrival; a plan delivers no origin to
-    /// a rank twice.
-    at: Vec<Option<(usize, usize, usize, usize)>>,
+    /// … and its wire bytes, encoded the first time a range of it is
+    /// shared.
+    own_wire: Option<Piece>,
+    /// The raw payloads received, each kept as the pieces it arrived in, …
+    segs: Vec<Piece>,
+    /// … and where each other origin's contribution sits, as `(piece, byte
+    /// offset in it, lo)`: elements from `lo` on. Sized on the first
+    /// arrival; a plan delivers no origin to a rank twice.
+    at: Vec<Option<(usize, usize, usize)>>,
     /// Origins held, this rank's own included.
     held: usize,
     /// Ascending-prefix partial folds through this rank, by first element,
@@ -612,16 +646,16 @@ struct Holdings<'a, T> {
 
 impl<'a, T: MpiType> Holdings<'a, T> {
     fn new(p: usize, me: usize, out: Vec<T>, own: &'a [T], fold: &'a Fold<T>) -> Self {
-        let (raw, at, partial) = (Vec::new(), Vec::new(), Vec::new());
         let mut holds = Holdings {
             p,
             me,
             out,
             own,
-            raw,
-            at,
+            own_wire: None,
+            segs: Vec::new(),
+            at: Vec::new(),
             held: 0,
-            partial,
+            partial: Vec::new(),
             fold,
         };
         if !own.is_empty() {
@@ -630,15 +664,32 @@ impl<'a, T: MpiType> Holdings<'a, T> {
         holds
     }
 
+    /// Where elements `[lo, hi)` of another origin's raw contribution sit:
+    /// a held piece and a byte range of it.
+    fn held(&self, origin: usize, lo: usize, hi: usize) -> (&Piece, usize, usize) {
+        let (seg, offset, first) = self.at[origin].expect("plans move and fold held origins only");
+        let from = offset + (lo - first) * T::WIRE_SIZE;
+        (&self.segs[seg], from, from + (hi - lo) * T::WIRE_SIZE)
+    }
+
     /// Elements `[lo, hi)` of `origin`'s raw contribution.
-    fn raw_of(&self, origin: usize, lo: usize, hi: usize) -> &[T] {
+    fn operand(&self, origin: usize, lo: usize, hi: usize) -> Operand<'_, T> {
         if origin == self.me {
-            return &self.own[lo..hi];
+            return Operand::Own(&self.own[lo..hi]);
         }
-        let (payload, offset, first, last) =
-            self.at[origin].expect("plans move and fold held origins only");
-        debug_assert!(first <= lo && hi <= last);
-        &self.raw[payload][offset + lo - first..offset + hi - first]
+        let (piece, from, to) = self.held(origin, lo, hi);
+        Operand::Wire(&piece.bytes()[from..to])
+    }
+
+    /// Elements `[lo, hi)` of `origin`'s raw contribution as a shared piece.
+    fn share(&mut self, origin: usize, lo: usize, hi: usize) -> Piece {
+        if origin == self.me {
+            let (own, w) = (self.own, T::WIRE_SIZE);
+            let wire = self.own_wire.get_or_insert_with(|| Piece::new(encode(own)));
+            return wire.slice(lo * w, hi * w);
+        }
+        let (piece, from, to) = self.held(origin, lo, hi);
+        piece.slice(from, to)
     }
 
     /// Counts `origins` more raw contributions, held over `[lo, hi)`. The
@@ -647,66 +698,95 @@ impl<'a, T: MpiType> Holdings<'a, T> {
     fn now_holding(&mut self, origins: usize, lo: usize, hi: usize) {
         self.held += origins;
         if self.held == self.p {
-            let through_0 = (self.fold)(None, self.raw_of(0, lo, hi));
-            let folded = (1..self.p).fold(through_0, |acc, origin| {
-                (self.fold)(Some(acc), self.raw_of(origin, lo, hi))
-            });
-            self.out[lo..hi].copy_from_slice(&folded);
+            let mut out = std::mem::take(&mut self.out);
+            for origin in 0..self.p {
+                (self.fold)(&mut out[lo..hi], self.operand(origin, lo, hi), origin == 0);
+            }
+            self.out = out;
         }
     }
 
-    /// The wire bytes of `x`, a transfer this rank sends.
-    fn payload(&mut self, x: &Xfer) -> Vec<u8> {
+    /// The payload of `x`, a transfer this rank sends.
+    fn payload(&mut self, x: &Xfer, pool: &Arc<BufferPool>) -> p2p::Payload {
+        let (lo, hi) = (x.lo, x.hi);
         match &x.carries {
-            Payload::Slice => encode(&self.out[x.lo..x.hi]),
+            Payload::Slice => encode_payload(&self.out[lo..hi], pool),
+            Payload::Raw(origins) if (hi - lo) * T::WIRE_SIZE >= RENDEZVOUS_BLOCK => {
+                p2p::Payload::shared(origins.iter().map(|&o| self.share(o, lo, hi)))
+            }
             Payload::Raw(origins) => {
-                let mut bytes = Vec::with_capacity(x.elems() * T::WIRE_SIZE);
-                for v in origins.iter().flat_map(|&o| self.raw_of(o, x.lo, x.hi)) {
-                    v.write_to(&mut bytes);
+                // Too small to be worth sharing: one fresh buffer.
+                let width = (hi - lo) * T::WIRE_SIZE;
+                let mut bytes = vec![0; origins.len() * width];
+                for (&o, slot) in origins.iter().zip(bytes.chunks_exact_mut(width)) {
+                    match self.operand(o, lo, hi) {
+                        Operand::Own(own) => write_all(own, slot),
+                        Operand::Wire(wire) => slot.copy_from_slice(wire),
+                    }
                 }
-                bytes
+                match bytes.len() <= EAGER_LIMIT {
+                    true => p2p::Payload::inline_from(&bytes),
+                    false => p2p::Payload::Shared(vec![Piece::new(bytes)]),
+                }
             }
             // Rank 0 starts each chain; the others forward what they folded
             // their own contribution onto when it arrived.
-            Payload::Prefix if self.me == 0 => encode(&(self.fold)(None, &self.own[x.lo..x.hi])),
+            Payload::Prefix if self.me == 0 => {
+                let own = &self.own[lo..hi];
+                let mut through_0 = own.to_vec();
+                (self.fold)(&mut through_0, Operand::Own(own), true);
+                encode_payload(&through_0, pool)
+            }
             Payload::Prefix => {
-                let waiting = self.partial.iter().position(|(lo, _)| *lo == x.lo);
+                let waiting = self.partial.iter().position(|(first, _)| *first == lo);
                 let through_me = self
                     .partial
                     .swap_remove(waiting.expect("the prefix arrived"));
-                encode(&through_me.1)
+                encode_payload(&through_me.1, pool)
             }
         }
     }
 
-    /// Files `x`, a transfer this rank received as `bytes`. A payload whose
-    /// size disagrees with the schedule is [`MpiError::InvalidCounts`] — the
-    /// hallmark of ranks calling the collective with different lengths.
-    fn accept(&mut self, x: &Xfer, bytes: &[u8]) -> MpiResult<()> {
+    /// Files `x`, a transfer this rank received as `msg`, reading it in
+    /// place. A payload whose size disagrees with the schedule is
+    /// [`MpiError::InvalidCounts`] — the hallmark of ranks calling the
+    /// collective with different lengths.
+    fn accept(&mut self, x: &Xfer, msg: Msg) -> MpiResult<()> {
         let (lo, hi) = (x.lo, x.hi);
+        let want = x.elems() * T::WIRE_SIZE;
+        if msg.len() != want {
+            return Err(MpiError::InvalidCounts(format!(
+                "scheduled transfer carried {} bytes, expected {want} \
+                 (mismatched lengths across ranks?)",
+                msg.len()
+            )));
+        }
         match &x.carries {
             Payload::Slice => {
-                let want = x.elems() * T::WIRE_SIZE;
-                if bytes.len() != want {
-                    return Err(MpiError::InvalidCounts(format!(
-                        "scheduled transfer carried {} bytes, expected {want} \
-                         (mismatched buffer lengths across ranks?)",
-                        bytes.len()
-                    )));
-                }
-                decode_into(bytes, &mut self.out[lo..hi])?;
+                decode_into(&msg.bytes(), &mut self.out[lo..hi])?;
             }
             Payload::Raw(origins) => {
-                let arrived = contributions(x, bytes)?;
+                let width = (hi - lo) * T::WIRE_SIZE;
                 self.at.resize(self.p, None);
-                for (i, &origin) in origins.iter().enumerate() {
-                    self.at[origin] = Some((self.raw.len(), i * (hi - lo), lo, hi));
+                let mut next = origins.iter();
+                for piece in msg.into_pieces() {
+                    let len = piece.bytes().len();
+                    if len % width != 0 {
+                        return Err(MpiError::InvalidCounts(format!(
+                            "a {len}-byte payload piece splits {width}-byte \
+                             contributions (mismatched lengths across ranks?)"
+                        )));
+                    }
+                    for (i, &origin) in next.by_ref().take(len / width).enumerate() {
+                        self.at[origin] = Some((self.segs.len(), i * width, lo));
+                    }
+                    self.segs.push(piece);
                 }
-                self.raw.push(arrived);
                 self.now_holding(origins.len(), lo, hi);
             }
             Payload::Prefix => {
-                let through_me = (self.fold)(Some(contributions(x, bytes)?), &self.own[lo..hi]);
+                let mut through_me: Vec<T> = decode(&msg.bytes())?;
+                (self.fold)(&mut through_me, Operand::Own(&self.own[lo..hi]), false);
                 if self.me + 1 == self.p {
                     self.out[lo..hi].copy_from_slice(&through_me);
                 } else {
@@ -716,18 +796,4 @@ impl<'a, T: MpiType> Holdings<'a, T> {
         }
         Ok(())
     }
-}
-
-/// Decodes a received reduction payload and checks its element count.
-fn contributions<T: MpiType>(x: &Xfer, bytes: &[u8]) -> MpiResult<Vec<T>> {
-    let v: Vec<T> = decode(bytes)?;
-    if v.len() != x.elems() {
-        return Err(MpiError::InvalidCounts(format!(
-            "scheduled reduction transfer carried {} elements, expected {} \
-             (mismatched contribution lengths across ranks?)",
-            v.len(),
-            x.elems()
-        )));
-    }
-    Ok(v)
 }

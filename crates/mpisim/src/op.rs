@@ -49,18 +49,6 @@ impl ReduceOp {
         }
     }
 
-    /// Combines two equal-length `i64` vectors elementwise, accumulating into
-    /// `acc`.
-    ///
-    /// # Panics
-    /// Panics if lengths differ.
-    pub(crate) fn fold_i64(self, acc: &mut [i64], rhs: &[i64]) {
-        assert_eq!(acc.len(), rhs.len(), "reduction operands must match");
-        for (a, b) in acc.iter_mut().zip(rhs) {
-            *a = self.apply_i64(*a, *b);
-        }
-    }
-
     /// The identity element for `f64` (the value `x` with `op(id, x) = x`).
     pub fn identity_f64(self) -> f64 {
         match self {

@@ -13,7 +13,17 @@
 //!   from the universe's [`BufferPool`](crate::pool::BufferPool)
 //!   ([`Payload::Pooled`]); the buffer returns to its size class when the
 //!   receiver drops the [`Msg`], and copy-out happens in
-//!   `RENDEZVOUS_BLOCK`-sized slabs.
+//!   `RENDEZVOUS_BLOCK`-sized slabs;
+//! * **shared** — the schedule engine's raw reduction contributions travel
+//!   by reference ([`Payload::Shared`]): a list of [`Piece`]s, each an
+//!   immutable segment behind an `Arc` plus a byte range of it, so a
+//!   forwarded contribution is re-shared, never copied. Its trace label is
+//!   "rendezvous" (the receiver reads the sender's buffer), and only the
+//!   engine's `Holdings::accept` reads one piece by piece: every other
+//!   reader sees the concatenation ([`Msg::bytes`], [`Msg::into_vec`]).
+//!
+//! A [`Payload::Heap`] payload is a caller-owned `Vec<u8>`: only the legacy
+//! collectives (`crate::collective`) still send those, labelled "heap".
 //!
 //! Matching is indexed instead of scanned: the mailbox keeps one FIFO
 //! queue per `(context, sender)`. A specific-source receive looks at
@@ -40,8 +50,10 @@ use crate::pool::Lease;
 use crate::vtime::{quantum_of, WireXfer};
 use hetsim::SimTime;
 use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The eager/rendezvous protocol split and the capacity of an envelope's
@@ -51,11 +63,53 @@ pub const EAGER_LIMIT: usize = 256;
 /// Copy-out slab size for rendezvous payloads, bytes (the hmpi snippet's
 /// `BLOCK_SIZE`): [`Msg::into_vec`] copies pooled payloads out in blocks
 /// of this size so the lease returns to the pool as one pipelined pass
-/// completes, rather than lingering element-by-element.
-const RENDEZVOUS_BLOCK: usize = 8192;
+/// completes, rather than lingering element-by-element. The schedule
+/// engine shares raw contribution ranges of at least this size and copies
+/// smaller ones.
+pub(crate) const RENDEZVOUS_BLOCK: usize = 8192;
 
-/// A message payload in one of the two protocol representations (plus a
-/// plain heap escape hatch for callers that already own a `Vec<u8>`).
+/// An immutable run of wire bytes that several payloads can share: a
+/// segment behind an `Arc`, freed when its last holder drops it, and a byte
+/// range of it.
+#[derive(Clone)]
+pub(crate) struct Piece {
+    seg: Arc<Vec<u8>>,
+    start: usize,
+    end: usize,
+}
+
+impl Piece {
+    /// The whole of `bytes`, as a new segment.
+    pub(crate) fn new(bytes: Vec<u8>) -> Piece {
+        let end = bytes.len();
+        Piece {
+            seg: Arc::new(bytes),
+            start: 0,
+            end,
+        }
+    }
+
+    /// The piece's bytes.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.seg[self.start..self.end]
+    }
+
+    /// Bytes `[from, to)` of this piece, sharing its segment.
+    pub(crate) fn slice(&self, from: usize, to: usize) -> Piece {
+        assert!(
+            from <= to && self.start + to <= self.end,
+            "slice within the piece"
+        );
+        Piece {
+            seg: Arc::clone(&self.seg),
+            start: self.start + from,
+            end: self.start + to,
+        }
+    }
+}
+
+/// A message payload in one of the two protocol representations, shared
+/// segments, or a plain heap buffer a legacy caller already owned.
 // The size skew is the design: eager bytes live in the envelope so the
 // hot path never allocates. Boxing `Inline` would put them back on the
 // heap.
@@ -71,6 +125,9 @@ pub enum Payload {
     /// Rendezvous: a buffer leased from the universe's arena; returns to
     /// its size class on drop.
     Pooled(Lease),
+    /// Shared segments, concatenated in order: the schedule engine's raw
+    /// contributions, posted and forwarded without a copy.
+    Shared(Vec<Piece>),
     /// A caller-owned heap buffer (legacy path; collective fan-in that
     /// already materialised a `Vec<u8>`).
     Heap(Vec<u8>),
@@ -97,12 +154,32 @@ impl Payload {
         }
     }
 
-    /// The payload bytes.
-    pub(crate) fn bytes(&self) -> &[u8] {
+    /// Shares `pieces`, concatenated in order; adjacent ranges of one
+    /// segment merge into one piece.
+    pub(crate) fn shared(pieces: impl IntoIterator<Item = Piece>) -> Payload {
+        let mut joined: Vec<Piece> = Vec::new();
+        for next in pieces {
+            match joined.last_mut() {
+                Some(last) if Arc::ptr_eq(&last.seg, &next.seg) && last.end == next.start => {
+                    last.end = next.end;
+                }
+                _ => joined.push(next),
+            }
+        }
+        Payload::Shared(joined)
+    }
+
+    /// The payload bytes: borrowed, unless shared pieces must be
+    /// concatenated.
+    pub(crate) fn bytes(&self) -> Cow<'_, [u8]> {
         match self {
-            Payload::Inline { len, buf } => &buf[..*len as usize],
-            Payload::Pooled(lease) => lease.bytes(),
-            Payload::Heap(v) => v,
+            Payload::Inline { len, buf } => Cow::Borrowed(&buf[..*len as usize]),
+            Payload::Pooled(lease) => Cow::Borrowed(lease.bytes()),
+            Payload::Shared(pieces) if pieces.len() == 1 => Cow::Borrowed(pieces[0].bytes()),
+            Payload::Shared(pieces) => {
+                Cow::Owned(pieces.iter().flat_map(Piece::bytes).copied().collect())
+            }
+            Payload::Heap(v) => Cow::Borrowed(v),
         }
     }
 
@@ -111,6 +188,7 @@ impl Payload {
         match self {
             Payload::Inline { len, .. } => *len as usize,
             Payload::Pooled(lease) => lease.bytes().len(),
+            Payload::Shared(pieces) => pieces.iter().map(|p| p.end - p.start).sum(),
             Payload::Heap(v) => v.len(),
         }
     }
@@ -119,7 +197,7 @@ impl Payload {
     pub(crate) fn protocol(&self) -> &'static str {
         match self {
             Payload::Inline { .. } => "eager",
-            Payload::Pooled(_) => "rendezvous",
+            Payload::Pooled(_) | Payload::Shared(_) => "rendezvous",
             Payload::Heap(_) => "heap",
         }
     }
@@ -131,11 +209,11 @@ impl std::fmt::Debug for Payload {
     }
 }
 
-/// A received payload; dereferences to its bytes.
+/// A received payload.
 ///
 /// Dropping a `Msg` whose payload was pooled returns the buffer to the
-/// universe's arena — receivers that only borrow (`decode(&msg)`) recycle
-/// the buffer the moment the message goes out of scope.
+/// universe's arena — receivers that only borrow (`decode(&msg.bytes())`)
+/// recycle the buffer the moment the message goes out of scope.
 pub struct Msg {
     payload: Payload,
 }
@@ -151,20 +229,29 @@ impl Msg {
         self.payload.len()
     }
 
-    /// Which protocol carried the message ("eager"/"rendezvous"/"heap").
-    pub(crate) fn protocol(&self) -> &'static str {
-        self.payload.protocol()
+    /// The payload bytes, borrowed where they are contiguous.
+    pub(crate) fn bytes(&self) -> Cow<'_, [u8]> {
+        self.payload.bytes()
+    }
+
+    /// The payload's pieces, sharing the segments a [`Payload::Shared`]
+    /// arrived in; any other payload is copied into one new segment.
+    pub(crate) fn into_pieces(self) -> Vec<Piece> {
+        match self.payload {
+            Payload::Shared(pieces) => pieces,
+            other => vec![Piece::new(Msg::new(other).into_vec())],
+        }
     }
 
     /// Copies the payload out into an owned vector.
     ///
-    /// Heap payloads move without copying. Pooled payloads copy out in
-    /// [`RENDEZVOUS_BLOCK`]-sized slabs (the block-pipelined copy of the
-    /// rendezvous protocol) and the lease returns to the pool on return.
+    /// Heap payloads move without copying; shared pieces are concatenated.
+    /// Pooled payloads copy out in [`RENDEZVOUS_BLOCK`]-sized slabs (the
+    /// block-pipelined copy of the rendezvous protocol) and the lease
+    /// returns to the pool on return.
     pub(crate) fn into_vec(self) -> Vec<u8> {
         match self.payload {
             Payload::Heap(v) => v,
-            Payload::Inline { len, buf } => buf[..len as usize].to_vec(),
             Payload::Pooled(lease) => {
                 let src = lease.bytes();
                 let mut out = Vec::with_capacity(src.len());
@@ -173,26 +260,8 @@ impl Msg {
                 }
                 out
             }
+            other => other.bytes().into_owned(),
         }
-    }
-}
-
-impl std::ops::Deref for Msg {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        self.payload.bytes()
-    }
-}
-
-impl AsRef<[u8]> for Msg {
-    fn as_ref(&self) -> &[u8] {
-        self.payload.bytes()
-    }
-}
-
-impl std::fmt::Debug for Msg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Msg[{} {}B]", self.protocol(), self.len())
     }
 }
 
@@ -617,7 +686,7 @@ mod tests {
             src_world: Some(0),
             tag: Some(7),
         });
-        assert_eq!(got.payload.bytes(), b"hi");
+        assert_eq!(&*got.payload.bytes(), b"hi");
         assert_eq!(mb.store().total, 0);
     }
 
@@ -644,7 +713,7 @@ mod tests {
             src_world: Some(0),
             tag: Some(7),
         });
-        assert_eq!(got.payload.bytes(), b"ctx2");
+        assert_eq!(&*got.payload.bytes(), b"ctx2");
         assert_eq!(mb.store().total, 1);
     }
 
@@ -663,8 +732,8 @@ mod tests {
             src_world: Some(0),
             tag: Some(7),
         });
-        assert_eq!(a.payload.bytes(), b"first");
-        assert_eq!(b.payload.bytes(), b"second");
+        assert_eq!(&*a.payload.bytes(), b"first");
+        assert_eq!(&*b.payload.bytes(), b"second");
     }
 
     #[test]
@@ -677,7 +746,7 @@ mod tests {
             src_world: Some(0),
             tag: Some(2),
         });
-        assert_eq!(got.payload.bytes(), b"tag2");
+        assert_eq!(&*got.payload.bytes(), b"tag2");
         assert_eq!(mb.store().total, 1);
     }
 
@@ -753,8 +822,8 @@ mod tests {
             src_world: Some(2),
             tag: Some(7),
         };
-        assert_eq!(recv(&mb, pat).payload.bytes(), b"a");
-        assert_eq!(recv(&mb, pat).payload.bytes(), b"b");
+        assert_eq!(&*recv(&mb, pat).payload.bytes(), b"a");
+        assert_eq!(&*recv(&mb, pat).payload.bytes(), b"b");
         assert_eq!(mb.try_probe(Pattern {
             ctx: 1,
             src_world: None,
@@ -851,7 +920,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         mb.post_lane(env(1, 0, 0, b"late"));
         let got = h.join().unwrap();
-        assert_eq!(got.payload.bytes(), b"late");
+        assert_eq!(&*got.payload.bytes(), b"late");
     }
 
     #[test]
@@ -931,8 +1000,33 @@ mod tests {
         let mut lease = pool.lease(data.len());
         lease.buf_mut().extend_from_slice(&data);
         let pooled = Msg::new(Payload::Pooled(lease));
-        assert_eq!(&*pooled, &data[..]);
+        assert_eq!(&*pooled.bytes(), &data[..]);
         assert_eq!(pooled.into_vec(), data);
         assert_eq!(pool.report().outstanding, 0, "lease returned after copy-out");
+    }
+
+    #[test]
+    fn shared_payloads_merge_adjacent_ranges_of_one_segment() {
+        let a = Piece::new((0..64u8).collect());
+        let b = Piece::new((64..96u8).collect());
+        // Two adjacent ranges of `a` merge; `b` is another segment, and a
+        // gap in `a` keeps its ranges apart.
+        let payload = Payload::shared([a.slice(0, 16), a.slice(16, 32), b.slice(0, 16)]);
+        assert_eq!((payload.len(), payload.protocol()), (48, "rendezvous"));
+        let want: Vec<u8> = (0..32u8).chain(64..80).collect();
+        assert_eq!(&*payload.bytes(), &want[..]);
+        let pieces = Msg::new(payload).into_pieces();
+        assert_eq!(pieces.len(), 2);
+        assert!(Arc::ptr_eq(&pieces[1].seg, &b.seg), "pieces share the segments");
+        let gap = Payload::shared([a.slice(0, 8), a.slice(16, 24)]);
+        assert_eq!(Msg::new(gap).into_pieces().len(), 2);
+        let shared = Msg::new(Payload::shared([a.slice(0, 8), b.slice(8, 12)]));
+        assert_eq!(
+            shared.into_vec(),
+            [&a.bytes()[..8], &b.bytes()[8..12]].concat()
+        );
+        // Any other payload arrives as one new segment.
+        let inline = Msg::new(Payload::inline_from(b"abc")).into_pieces();
+        assert_eq!(inline.iter().map(Piece::bytes).collect::<Vec<_>>(), [b"abc"]);
     }
 }

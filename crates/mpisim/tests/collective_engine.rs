@@ -11,10 +11,14 @@
 //!   on every rank — no hangs;
 //! * engine calls emit per-algorithm [`TraceKind::Collective`] spans;
 //! * mismatched buffer lengths across ranks surface as
-//!   [`MpiError::InvalidCounts`], not a panic or a hang.
+//!   [`MpiError::InvalidCounts`], not a panic or a hang;
+//! * payloads on either side of the engine's share threshold — raw origin
+//!   ranges copied into one buffer below 8 KiB, shared by reference at and
+//!   above it — give the same bits and return every pooled lease.
 
 use hetsim::{
-    Cluster, ClusterBuilder, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime, TraceKind,
+    Cluster, ClusterBuilder, ContentionModel, FaultEvent, FaultPlan, Link, NodeId, Protocol,
+    SimTime, TopologyBuilder, TraceKind,
 };
 use mpisim::{
     CollectiveAlgo, CollectiveKind, CollectivePolicy, MpiError, ReduceOp, Universe,
@@ -473,6 +477,206 @@ fn mismatched_buffer_lengths_error_instead_of_hanging() {
         Err(MpiError::InvalidCounts(_))
     )));
     assert!(report.results.iter().all(|r| r.is_err()));
+}
+
+/// Large mismatched contributions — rank 1 passes 2048 elements where the
+/// others pass 1025, so both sides' raw ranges are shared, not copied —
+/// end in errors, at least one of them `InvalidCounts`: on every rank for
+/// the allreduce forms, and on the root of a binomial reduce, the only rank
+/// there that receives what rank 1 sent. No panic, no hang.
+#[test]
+fn mismatched_large_contributions_error_instead_of_hanging() {
+    let cases = [
+        (CollectiveKind::Reduce, CollectiveAlgo::Binomial),
+        (CollectiveKind::Allreduce, CollectiveAlgo::Binomial),
+        (CollectiveKind::Allreduce, CollectiveAlgo::RecursiveDoubling),
+        (CollectiveKind::Allreduce, CollectiveAlgo::ScatterAllgather),
+    ];
+    let p = 4;
+    for (kind, algo) in cases {
+        let report = Universe::new(cluster(p)).run(move |proc| {
+            let world = proc.world();
+            let contrib = vec![1.5f64; if world.rank() == 1 { 2048 } else { 1025 }];
+            match kind {
+                CollectiveKind::Reduce => world
+                    .reduce_eq_f64_with(algo, &contrib, ReduceOp::Sum, 0)
+                    .map(|out| out.is_some()),
+                _ => world
+                    .allreduce_eq_f64_with(algo, &contrib, ReduceOp::Sum)
+                    .map(|_| true),
+            }
+        });
+        let label = format!("{}/{}", kind.name(), algo.name());
+        assert!(
+            report
+                .results
+                .iter()
+                .any(|r| matches!(r, Err(MpiError::InvalidCounts(_)))),
+            "{label}: {:?}",
+            report.results
+        );
+        for (rank, r) in report.results.iter().enumerate() {
+            // Only the reduce's root receives rank 1's contribution; the
+            // others may finish, and then without output.
+            let spared = kind == CollectiveKind::Reduce && rank != 0;
+            assert!(
+                r.is_err() || (spared && r == &Ok(false)),
+                "{label}: rank {rank} {r:?}"
+            );
+        }
+        assert_eq!(report.pool.outstanding, 0, "{label}: leaked leases");
+    }
+}
+
+/// Elements of one 8 KiB `RENDEZVOUS_BLOCK` of `f64`: the engine copies raw
+/// origin ranges shorter than this into one fresh buffer per send and
+/// shares longer ones by reference.
+const BLOCK_ELEMS: usize = 8192 / 8;
+
+/// Rank `rank`'s contribution: mixed magnitudes and zeros of both signs,
+/// so a fold in any other order, or a range read from the wrong origin or
+/// offset, changes the bits.
+fn mixed(rank: usize, n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|i| match (rank * 7 + i * 13) % 5 {
+            0 => (i as f64 + 0.5) * 1e10 + rank as f64,
+            1 => -0.0,
+            2 => (rank + i) as f64 * 1e-7,
+            3 => 0.0,
+            _ => -(((rank * 31 + i) % 997) as f64) * 0.37,
+        })
+        .collect()
+}
+
+/// Runs one `kind` call of `n` elements (each rank's contribution for
+/// allgather) under `algo`, or the universe's policy when `None`, rooted at
+/// the last rank, and checks every rank's result bit for bit: the root's
+/// buffer, the reference fold, the concatenation. Returns the algorithm the
+/// policy picks.
+fn check_exact(
+    u: Universe,
+    kind: CollectiveKind,
+    algo: Option<CollectiveAlgo>,
+    n: usize,
+    op: ReduceOp,
+) -> CollectiveAlgo {
+    let p = u.size();
+    let root = p - 1;
+    let label = format!("{} {algo:?} p={p} n={n}", kind.name());
+    let report = u.run(move |proc| {
+        let world = proc.world();
+        let me = world.rank();
+        let mine = mixed(me, n);
+        let total = if kind == CollectiveKind::Allgather {
+            n * p
+        } else {
+            n
+        };
+        let picked = match algo {
+            Some(a) => a,
+            None => world.predict_collective(kind, root, total, 8).unwrap().0,
+        };
+        let out = match kind {
+            CollectiveKind::Bcast => {
+                let mut buf = if me == root { mine } else { vec![0.0; n] };
+                match algo {
+                    Some(a) => world.bcast_into_with(a, &mut buf, root),
+                    None => world.bcast_into(&mut buf, root),
+                }
+                .map(|()| Some(buf))
+            }
+            CollectiveKind::Reduce => match algo {
+                Some(a) => world.reduce_eq_f64_with(a, &mine, op, root),
+                None => world.reduce_eq_f64(&mine, op, root),
+            },
+            CollectiveKind::Allreduce => match algo {
+                Some(a) => world.allreduce_eq_f64_with(a, &mine, op),
+                None => world.allreduce_eq_f64(&mine, op),
+            }
+            .map(Some),
+            CollectiveKind::Allgather => match algo {
+                Some(a) => world.allgather_eq_with(a, &mine),
+                None => world.allgather_eq(&mine),
+            }
+            .map(Some),
+        };
+        (out.unwrap(), picked)
+    });
+    let contribs: Vec<Vec<f64>> = (0..p).map(|r| mixed(r, n)).collect();
+    let fold = reference_fold(&contribs, op);
+    for (rank, (got, _)) in report.results.iter().enumerate() {
+        let want = match kind {
+            CollectiveKind::Bcast => Some(contribs[root].clone()),
+            CollectiveKind::Reduce => (rank == root).then(|| fold.clone()),
+            CollectiveKind::Allreduce => Some(fold.clone()),
+            CollectiveKind::Allgather => Some(contribs.concat()),
+        };
+        assert_eq!(
+            got.as_deref().map(bits),
+            want.as_deref().map(bits),
+            "{label}: rank {rank}"
+        );
+    }
+    assert_eq!(report.pool.outstanding, 0, "{label}: leaked leases");
+    report.results[0].1
+}
+
+/// Raw origin ranges one element short of the share threshold, exactly at
+/// it and one past it, through every kind and every eligible algorithm
+/// (scatter-allgather's per-origin range is a `p`-th of the call), and
+/// through `Auto` on two sites, where the hierarchical plan gathers raw
+/// contributions across the levels.
+#[test]
+fn payloads_around_the_share_threshold_are_bit_exact() {
+    let kinds = [
+        CollectiveKind::Bcast,
+        CollectiveKind::Reduce,
+        CollectiveKind::Allreduce,
+        CollectiveKind::Allgather,
+    ];
+    let sizes = [BLOCK_ELEMS - 1, BLOCK_ELEMS, BLOCK_ELEMS + 1];
+    let ops = [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Sum];
+    for p in [4, 8] {
+        for kind in kinds {
+            for algo in algos_for(kind, p) {
+                for (&per_origin, &op) in sizes.iter().zip(&ops) {
+                    let chunked =
+                        algo == CollectiveAlgo::ScatterAllgather && kind != CollectiveKind::Bcast;
+                    let n = if chunked { per_origin * p } else { per_origin };
+                    check_exact(Universe::new(cluster(p)), kind, Some(algo), n, op);
+                }
+            }
+        }
+    }
+    let two_sites = || {
+        let mut b = TopologyBuilder::new()
+            .intra_switch(Link::new(1e-4, 100e6, Protocol::Tcp))
+            .inter_site(Link::new(50e-3, 1e6, Protocol::Tcp))
+            .contention(ContentionModel::SerializedNic);
+        for site in 0..2 {
+            b = b.site();
+            for i in 0..4 {
+                b = b.node(format!("s{site}n{i}"), 80.0 + 15.0 * i as f64);
+            }
+        }
+        b.build()
+    };
+    let mut hierarchical = Vec::new();
+    for kind in kinds {
+        for (&n, &op) in sizes.iter().zip(&ops) {
+            let u = Universe::from_topology(two_sites(), UniverseConfig::new());
+            if check_exact(u, kind, None, n, op) == CollectiveAlgo::Hierarchical {
+                hierarchical.push(kind);
+            }
+        }
+    }
+    for kind in [CollectiveKind::Reduce, CollectiveKind::Allreduce] {
+        assert!(
+            hierarchical.contains(&kind),
+            "Auto never ran a hierarchical {}",
+            kind.name()
+        );
+    }
 }
 
 #[test]

@@ -238,24 +238,50 @@ fn assert_contract(
 /// before the first send, inside the movement, and long after completion.
 const CRASH_TIMES: [f64; 4] = [1e-7, 5e-4, 5e-3, 10.0];
 
-#[test]
-fn every_algorithm_meets_the_contract_across_crash_timings() {
+/// Runs every `(kind, algo)` pair at `p` = 4 and 6 with `elems(kind, algo,
+/// p)` elements per contribution, crashing rank 0 or the root at every
+/// [`CRASH_TIMES`] instant, and checks the contract on each run.
+fn contract_across_crash_timings(elems: impl Fn(CollectiveKind, CollectiveAlgo, usize) -> usize) {
     for p in [4usize, 6] {
         let root = p - 2;
         for (kind, algo) in all_pairs(p) {
+            let elems = elems(kind, algo, p);
             for crash in [0, root] {
                 for at in CRASH_TIMES {
                     let label = format!(
-                        "{}/{} p={p} crash={crash}@{at}",
+                        "{}/{} p={p} elems={elems} crash={crash}@{at}",
                         kind.name(),
                         algo.name()
                     );
-                    let (outcomes, _) = run_crashy(kind, algo, p, 8, root, crash, at);
-                    assert_contract(kind, p, 8, root, crash, &outcomes, &label);
+                    let (outcomes, _) = run_crashy(kind, algo, p, elems, root, crash, at);
+                    assert_contract(kind, p, elems, root, crash, &outcomes, &label);
                 }
             }
         }
     }
+}
+
+#[test]
+fn every_algorithm_meets_the_contract_across_crash_timings() {
+    contract_across_crash_timings(|_, _, _| 8);
+}
+
+/// The same contract while payloads travel by reference: 1025 elements
+/// per raw origin range (`p` × 1025 where the schedule cuts the call into
+/// chunks) is one past the engine's 8 KiB share threshold, so receivers
+/// hold shared segments of senders that abort, and poison races them.
+#[test]
+fn every_algorithm_meets_the_contract_with_shared_payloads_in_flight() {
+    contract_across_crash_timings(|kind, algo, p| {
+        let chunked = matches!(
+            algo,
+            CollectiveAlgo::Ring | CollectiveAlgo::ScatterAllgather
+        );
+        match chunked && kind != CollectiveKind::Allgather {
+            true => p * 1025,
+            false => 1025,
+        }
+    });
 }
 
 #[test]

@@ -18,7 +18,7 @@ is_static random_mixed asymmetric inter_switch symmetric_overrides
 select_mapping_naive TimelineSink LegacyMailbox ComparisonPoint
 DEADLOCK_TIMEOUT recv_match render_table render_csv ReconRunner
 BENCH_throughput BENCH_deadlock gather_flat bcast_one
-impl_typed_reductions MPISIM_STACK_SIZE ModelBuilder BuiltModel
+impl_typed_reductions MPISIM_STACK_SIZE ModelBuilder BuiltModel write_to
 '
 paths='README.md DESIGN.md src examples tests'
 for dir in crates/*/src crates/*/tests; do
