@@ -12,6 +12,7 @@
 
 use crate::em3d::body::Em3dSystem;
 use perfmodel::{CompiledModel, EvalError, ModelInstance, ParamValue};
+use std::sync::LazyLock;
 
 /// Figure 4 of the paper, character-for-character up to whitespace.
 pub const EM3D_MODEL_SOURCE: &str = r"
@@ -34,6 +35,10 @@ algorithm Em3d(int p, int k, int d[p], int dep[p][p]) {
 }
 ";
 
+/// The Figure 4 model, compiled once per process.
+static COMPILED: LazyLock<CompiledModel> =
+    LazyLock::new(|| CompiledModel::compile(EM3D_MODEL_SOURCE).expect("Figure 4 source is valid"));
+
 /// Packs the model parameters from a generated system — the paper's
 /// `HMPI_Pack_model_parameters(p, k, d, dep, ...)`.
 pub fn em3d_params(system: &Em3dSystem, k: usize) -> Vec<ParamValue> {
@@ -52,16 +57,14 @@ pub fn em3d_params(system: &Em3dSystem, k: usize) -> Vec<ParamValue> {
     ]
 }
 
-/// Compiles and instantiates the model for a system in one call — the
+/// Instantiates the model (compiled once per process) for a system — the
 /// `HMPI_Model_Em3d` handle of Figure 5.
 ///
 /// # Errors
 /// [`EvalError`] on parameter mismatch (shapes are derived from the system,
 /// so this indicates an internal inconsistency).
 pub fn em3d_model(system: &Em3dSystem, k: usize) -> Result<ModelInstance, EvalError> {
-    CompiledModel::compile(EM3D_MODEL_SOURCE)
-        .expect("Figure 4 source is valid")
-        .instantiate(&em3d_params(system, k))
+    COMPILED.instantiate(&em3d_params(system, k))
 }
 
 #[cfg(test)]

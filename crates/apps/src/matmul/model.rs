@@ -15,6 +15,7 @@
 
 use crate::matmul::dist::GeneralizedBlockDist;
 use perfmodel::{CompiledModel, EvalError, ModelInstance, ParamValue};
+use std::sync::LazyLock;
 
 /// Figure 7 of the paper (with the `w[I]`→`w[J]` fix described in the
 /// module docs).
@@ -73,6 +74,11 @@ algorithm ParallelAxB(int m, int r, int n, int l, int w[m],
 };
 ";
 
+/// The Figure 7 model, compiled once per process.
+static COMPILED: LazyLock<CompiledModel> = LazyLock::new(|| {
+    CompiledModel::compile(MATMUL_MODEL_SOURCE).expect("Figure 7 source is valid")
+});
+
 /// Packs the model parameters for a distribution — the Figure 8 program's
 /// `model_params` with `param_count = 4 + m + m*m*m*m`.
 pub fn matmul_params(
@@ -90,8 +96,8 @@ pub fn matmul_params(
     ]
 }
 
-/// Compiles and instantiates the Figure 7 model for a distribution — the
-/// `HMPI_Model_ParallelAxB` handle.
+/// Instantiates the Figure 7 model (compiled once per process) for a
+/// distribution — the `HMPI_Model_ParallelAxB` handle.
 ///
 /// # Errors
 /// [`EvalError`] on inconsistent parameters.
@@ -100,9 +106,7 @@ pub fn matmul_model(
     r: usize,
     n: usize,
 ) -> Result<ModelInstance, EvalError> {
-    CompiledModel::compile(MATMUL_MODEL_SOURCE)
-        .expect("Figure 7 source is valid")
-        .instantiate(&matmul_params(dist, r, n))
+    COMPILED.instantiate(&matmul_params(dist, r, n))
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@
 
 use crate::nbody::body::NbodyConfig;
 use perfmodel::{CompiledModel, EvalError, ModelInstance, ParamValue};
+use std::sync::LazyLock;
 
 /// The model source.
 pub const NBODY_MODEL_SOURCE: &str = r"
@@ -31,6 +32,11 @@ algorithm Nbody(int p, int k, int d[p], int total) {
 }
 ";
 
+/// The N-body model, compiled once per process.
+static COMPILED: LazyLock<CompiledModel> = LazyLock::new(|| {
+    CompiledModel::compile(NBODY_MODEL_SOURCE).expect("N-body model source is valid")
+});
+
 /// Packs the model parameters for a configuration.
 pub fn nbody_params(cfg: &NbodyConfig, k: usize) -> Vec<ParamValue> {
     vec![
@@ -46,14 +52,12 @@ pub fn nbody_params(cfg: &NbodyConfig, k: usize) -> Vec<ParamValue> {
     ]
 }
 
-/// Compiles and instantiates in one call.
+/// Instantiates the model (compiled once per process) for a configuration.
 ///
 /// # Errors
 /// [`EvalError`] on inconsistent parameters.
 pub fn nbody_model(cfg: &NbodyConfig, k: usize) -> Result<ModelInstance, EvalError> {
-    CompiledModel::compile(NBODY_MODEL_SOURCE)
-        .expect("N-body model source is valid")
-        .instantiate(&nbody_params(cfg, k))
+    COMPILED.instantiate(&nbody_params(cfg, k))
 }
 
 #[cfg(test)]

@@ -17,9 +17,11 @@
 //!   pairwise communication volumes ([`PerformanceModel::comm_bytes`]), the
 //!   parent, and a replayable interaction pattern
 //!   ([`PerformanceModel::run_scheme`]);
-//! * the `scheme { ... }` interpreter behind `run_scheme`. Activities
-//!   (`e %% [i]` computations and `e %% [i] -> [j]` transfers) are emitted to
-//!   a [`SchemeSink`]; `par` algorithmic patterns fork virtual time;
+//! * parse, lower, run: [`CompiledModel::compile`] lowers the algorithm
+//!   once to slots of one flat frame, and `instantiate` and `run_scheme`
+//!   walk that lowered form. Replaying a scheme emits its activities
+//!   (`e %% [i]` computations and `e %% [i] -> [j]` transfers) to a
+//!   [`SchemeSink`]; `par` algorithmic patterns fork virtual time;
 //! * [`analyze`] — the model linter: does the scheme perform every volume
 //!   the `node` and `link` sections declare? [`pretty`] prints a syntax
 //!   tree back to source; simcheck holds every model it fuzzes to both;
@@ -44,6 +46,17 @@
 //!    `length*(...)` and the expression before `%%`) evaluate in `f64` with
 //!    true division: the paper writes `(100/n)%%[...]`, which under integer
 //!    division would be zero for `n > 100` and make every step free.
+//!
+//! Names resolve lexically when the model is compiled, but errors stay
+//! where evaluation meets them: a name that does not resolve, or a value of
+//! the wrong kind, raises its [`EvalError`] only if that expression runs.
+//! Two forms a static frame cannot express are rejected by `compile` as a
+//! [`ParseError`]: a declaration that is the whole body of an `if`, `for`
+//! or `par` (it would declare its name only when the branch runs), and a
+//! `GetProcessor` out-argument that is not a struct with fields `I` and
+//! `J`. A variable keeps the kind it is declared with: assigning a whole
+//! struct or array to an integer, an integer to a struct, or a field the
+//! struct does not declare raises when it runs.
 
 #![warn(missing_docs)]
 
@@ -51,7 +64,6 @@ mod analysis;
 pub mod ast;
 pub mod collective;
 mod compile;
-mod env;
 mod error;
 mod eval;
 mod hier;

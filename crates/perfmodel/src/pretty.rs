@@ -243,10 +243,9 @@ pub fn print_expr(e: &Expr) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::Env;
-    use crate::eval::{eval_int, eval_num};
+    use crate::eval::tests::{eval_int, eval_num, Bindings};
     use crate::parser::parse_program;
-    use crate::value::{ArrayVal, Value};
+    use crate::value::ArrayVal;
     use proptest::prelude::*;
 
     #[test]
@@ -363,16 +362,9 @@ mod tests {
         })
     }
 
-    fn env() -> Env {
-        let mut env = Env::new();
-        env.declare("a", Value::Int(7));
-        env.declare("b", Value::Int(3));
-        env.declare("I", Value::Int(2));
-        env.declare(
-            "d",
-            Value::Array(ArrayVal::new(vec![4], vec![10, 20, 30, 40]).unwrap()),
-        );
-        env
+    fn env() -> Bindings {
+        Bindings::new(&[("a", 7), ("b", 3), ("I", 2)])
+            .array("d", ArrayVal::new(vec![4], vec![10, 20, 30, 40]).unwrap())
     }
 
     /// Embeds an expression (as printed source) into a minimal algorithm and

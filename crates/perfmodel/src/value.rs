@@ -1,9 +1,18 @@
-//! Runtime values of the model language.
+//! Array parameters of the model language.
 
 use crate::error::EvalError;
-use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::Arc;
+
+/// The product of `extents`.
+///
+/// # Errors
+/// [`EvalError::Overflow`] if it does not fit a `usize`.
+pub(crate) fn product(extents: &[usize]) -> Result<usize, EvalError> {
+    extents
+        .iter()
+        .try_fold(1usize, |acc, &x| acc.checked_mul(x))
+        .ok_or(EvalError::Overflow)
+}
 
 /// A multi-dimensional integer array (model parameters like `int d[p]` or
 /// `int h[m][m][m][m]`), stored flat in row-major order. Shared cheaply via
@@ -22,7 +31,7 @@ impl ArrayVal {
     /// # Errors
     /// [`EvalError::BadParameters`] if `data.len()` does not match the dims.
     pub fn new(dims: Vec<usize>, data: Vec<i64>) -> Result<Self, EvalError> {
-        let expect: usize = dims.iter().product();
+        let expect = product(&dims)?;
         if data.len() != expect {
             return Err(EvalError::BadParameters(format!(
                 "array data has {} elements but dims {:?} require {}",
@@ -62,77 +71,6 @@ impl ArrayVal {
             flat = flat * extent + i as usize;
         }
         Ok(self.data[flat])
-    }
-}
-
-/// A struct value (all fields are ints), e.g. the Figure 7 `Processor`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StructVal {
-    /// Typedef name.
-    pub type_name: String,
-    /// Field values.
-    pub fields: BTreeMap<String, i64>,
-}
-
-/// Any runtime value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// A 64-bit integer.
-    Int(i64),
-    /// An integer array.
-    Array(ArrayVal),
-    /// A struct of integer fields.
-    Struct(StructVal),
-}
-
-impl Value {
-    /// Extracts an integer.
-    ///
-    /// # Errors
-    /// [`EvalError::TypeError`] otherwise.
-    pub fn as_int(&self) -> Result<i64, EvalError> {
-        match self {
-            Value::Int(n) => Ok(*n),
-            other => Err(EvalError::TypeError(format!(
-                "expected int, found {other}"
-            ))),
-        }
-    }
-
-    /// Extracts an array.
-    ///
-    /// # Errors
-    /// [`EvalError::TypeError`] otherwise.
-    pub fn as_array(&self) -> Result<&ArrayVal, EvalError> {
-        match self {
-            Value::Array(a) => Ok(a),
-            other => Err(EvalError::TypeError(format!(
-                "expected array, found {other}"
-            ))),
-        }
-    }
-
-    /// Extracts a struct.
-    ///
-    /// # Errors
-    /// [`EvalError::TypeError`] otherwise.
-    pub fn as_struct(&self) -> Result<&StructVal, EvalError> {
-        match self {
-            Value::Struct(s) => Ok(s),
-            other => Err(EvalError::TypeError(format!(
-                "expected struct, found {other}"
-            ))),
-        }
-    }
-}
-
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Int(n) => write!(f, "{n}"),
-            Value::Array(a) => write!(f, "int[{:?}]", a.dims),
-            Value::Struct(s) => write!(f, "{} {{..}}", s.type_name),
-        }
     }
 }
 
@@ -178,12 +116,23 @@ mod tests {
 
     #[test]
     fn value_extractors() {
-        assert_eq!(Value::Int(5).as_int().unwrap(), 5);
-        assert!(Value::Int(5).as_array().is_err());
-        let s = Value::Struct(StructVal {
-            type_name: "Processor".into(),
-            fields: [("I".to_string(), 1i64)].into_iter().collect(),
-        });
-        assert_eq!(s.as_struct().unwrap().fields["I"], 1);
+        // A value's kind is checked where the name is lowered: an integer
+        // reads as an integer, an array does not, and a struct's field
+        // reads by name.
+        use crate::ast::{Expr, StructDef};
+        use crate::eval::tests::{eval_int, Bindings};
+        let b = Bindings::new(&[("x", 5)]).array("a", ArrayVal::new(vec![1], vec![0]).unwrap());
+        assert_eq!(eval_int(&b, &Expr::Var("x".into())).unwrap(), 5);
+        assert!(eval_int(&b, &Expr::Var("a".into())).is_err());
+        let processor = [StructDef {
+            name: "Processor".into(),
+            fields: vec!["I".into()],
+        }];
+        let mut scope = crate::eval::Scope::new(&processor, 0);
+        let (base, _) = scope.strukt("s", "Processor").unwrap();
+        let i = Expr::Member(Box::new(Expr::Var("s".into())), "I".into());
+        let frame = crate::eval::Frame::new(vec![1], &[], &[]);
+        assert_eq!(frame.int(&scope.lower(&i)).unwrap(), 1);
+        assert_eq!(base, 0);
     }
 }
