@@ -10,6 +10,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// A body's raw dependency rows: `(body, index, weight)` references.
+type RawRows = Vec<Vec<(usize, usize, f64)>>;
+
 /// A reference from a node to one of its bipartite neighbours.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeRef {
@@ -129,105 +132,69 @@ impl Em3dSystem {
             .map(|(&d, &e)| d - e)
             .collect();
 
-        // Raw dependencies as (body, index) pairs, built globally first.
-        let mut e_deps_raw: Vec<Vec<Vec<(usize, usize, f64)>>> = Vec::with_capacity(p);
-        let mut h_deps_raw: Vec<Vec<Vec<(usize, usize, f64)>>> = Vec::with_capacity(p);
+        // Raw dependencies as (body, index, weight), built globally first:
+        // one row of `degree` references into the other field per node.
+        let mut e_deps_raw: Vec<RawRows> = Vec::with_capacity(p);
+        let mut h_deps_raw: Vec<RawRows> = Vec::with_capacity(p);
         for body in 0..p {
-            let pick_body = |rng: &mut StdRng, body: usize| -> usize {
-                if p == 1 || rng.random_range(0.0..1.0) >= cfg.cross_fraction {
-                    body
-                } else if rng.random_range(0..2) == 0 {
-                    (body + 1) % p
-                } else {
-                    (body + p - 1) % p
-                }
+            let mut rows = |nodes: usize, sources: &[usize]| -> RawRows {
+                let mut reference = || {
+                    let b = if p == 1 || rng.random_range(0.0..1.0) >= cfg.cross_fraction {
+                        body
+                    } else if rng.random_range(0..2) == 0 {
+                        (body + 1) % p
+                    } else {
+                        (body + p - 1) % p
+                    };
+                    let idx = rng.random_range(0..sources[b].max(1));
+                    (b, idx, rng.random_range(0.1..1.0))
+                };
+                (0..nodes)
+                    .map(|_| (0..cfg.degree).map(|_| reference()).collect())
+                    .collect()
             };
-            let mut e_rows = Vec::with_capacity(e_counts[body]);
-            for _ in 0..e_counts[body] {
-                let mut row = Vec::with_capacity(cfg.degree);
-                for _ in 0..cfg.degree {
-                    let b = pick_body(&mut rng, body);
-                    let idx = rng.random_range(0..h_counts[b].max(1));
-                    let w = rng.random_range(0.1..1.0);
-                    row.push((b, idx, w));
-                }
-                e_rows.push(row);
-            }
-            e_deps_raw.push(e_rows);
-            let mut h_rows = Vec::with_capacity(h_counts[body]);
-            for _ in 0..h_counts[body] {
-                let mut row = Vec::with_capacity(cfg.degree);
-                for _ in 0..cfg.degree {
-                    let b = pick_body(&mut rng, body);
-                    let idx = rng.random_range(0..e_counts[b].max(1));
-                    let w = rng.random_range(0.1..1.0);
-                    row.push((b, idx, w));
-                }
-                h_rows.push(row);
-            }
-            h_deps_raw.push(h_rows);
+            e_deps_raw.push(rows(e_counts[body], &h_counts));
+            h_deps_raw.push(rows(h_counts[body], &e_counts));
         }
 
         // Export lists: for each ordered pair (owner j -> consumer i), the
         // sorted set of j's node indices that i references.
-        let mut h_exports = vec![vec![Vec::<usize>::new(); p]; p]; // [owner][consumer]
-        let mut e_exports = vec![vec![Vec::<usize>::new(); p]; p];
-        for (i, rows) in e_deps_raw.iter().enumerate() {
-            for row in rows {
-                for &(b, idx, _) in row {
+        let exports = |deps_raw: &[RawRows]| {
+            let mut table = vec![vec![Vec::<usize>::new(); p]; p]; // [owner][consumer]
+            for (i, rows) in deps_raw.iter().enumerate() {
+                for &(b, idx, _) in rows.iter().flatten() {
                     if b != i {
-                        h_exports[b][i].push(idx);
+                        table[b][i].push(idx);
                     }
                 }
             }
-        }
-        for (i, rows) in h_deps_raw.iter().enumerate() {
-            for row in rows {
-                for &(b, idx, _) in row {
-                    if b != i {
-                        e_exports[b][i].push(idx);
-                    }
-                }
+            for list in table.iter_mut().flatten() {
+                list.sort_unstable();
+                list.dedup();
             }
-        }
-        for table in [&mut h_exports, &mut e_exports] {
-            for row in table.iter_mut() {
-                for list in row.iter_mut() {
-                    list.sort_unstable();
-                    list.dedup();
-                }
-            }
-        }
+            table
+        };
+        let h_exports = exports(&e_deps_raw);
+        let e_exports = exports(&h_deps_raw);
 
         // Assemble the bodies, rewriting raw deps into NodeRefs with ghost
         // slots, and initialising field values deterministically.
         let mut bodies = Vec::with_capacity(p);
         for i in 0..p {
-            let resolve = |raw: &[(usize, usize, f64)],
-                           exports: &Vec<Vec<Vec<usize>>>|
-             -> Vec<(NodeRef, f64)> {
+            let resolve = |raw: &RawRows, exports: &[Vec<Vec<usize>>]| {
+                let reference = |&(b, idx, w): &(usize, usize, f64)| {
+                    if b == i {
+                        return (NodeRef::Local(idx), w);
+                    }
+                    let slot = exports[b][i]
+                        .binary_search(&idx)
+                        .expect("export lists cover every remote reference");
+                    (NodeRef::Remote { body: b, slot }, w)
+                };
                 raw.iter()
-                    .map(|&(b, idx, w)| {
-                        if b == i {
-                            (NodeRef::Local(idx), w)
-                        } else {
-                            let slot = exports[b][i]
-                                .binary_search(&idx)
-                                .expect("export lists cover every remote reference");
-                            (NodeRef::Remote { body: b, slot }, w)
-                        }
-                    })
+                    .map(|row| row.iter().map(reference).collect())
                     .collect()
             };
-            let e_deps: Vec<Vec<(NodeRef, f64)>> = e_deps_raw[i]
-                .iter()
-                .map(|row| resolve(row, &h_exports))
-                .collect();
-            let h_deps: Vec<Vec<(NodeRef, f64)>> = h_deps_raw[i]
-                .iter()
-                .map(|row| resolve(row, &e_exports))
-                .collect();
-
             let e_values = (0..e_counts[i])
                 .map(|n| ((i * 131 + n * 17) % 997) as f64 / 997.0)
                 .collect();
@@ -238,8 +205,8 @@ impl Em3dSystem {
             bodies.push(SubBody {
                 e_values,
                 h_values,
-                e_deps,
-                h_deps,
+                e_deps: resolve(&e_deps_raw[i], &h_exports),
+                h_deps: resolve(&h_deps_raw[i], &e_exports),
                 h_exports: h_exports[i].clone(),
                 e_exports: e_exports[i].clone(),
                 h_imports: (0..p).map(|j| h_exports[j][i].len()).collect(),
@@ -247,19 +214,11 @@ impl Em3dSystem {
             });
         }
 
-        // dep[i][j]: nodal values of body j needed by body i (H + E ghosts).
-        let dep = (0..p)
-            .map(|i| {
-                (0..p)
-                    .map(|j| {
-                        if i == j {
-                            0
-                        } else {
-                            bodies[i].h_imports[j] + bodies[i].e_imports[j]
-                        }
-                    })
-                    .collect()
-            })
+        // dep[i][j]: nodal values of body j needed by body i (H + E ghosts;
+        // a body imports nothing from itself).
+        let dep = bodies
+            .iter()
+            .map(|b| (0..p).map(|j| b.h_imports[j] + b.e_imports[j]).collect())
             .collect();
 
         Em3dSystem { bodies, dep }

@@ -8,13 +8,16 @@
 //! MPI group of processes executes the parallel algorithm faster than any
 //! other group"); the HMPI version runs `HMPI_Recon`, describes the Figure 4
 //! performance model, and lets `HMPI_Group_create` select the processes.
+//! The programs themselves are the crate's shared runners; this module is
+//! the model and the kernel.
 
 use crate::em3d::body::{Em3dConfig, Em3dSystem};
 use crate::em3d::model::em3d_model;
 use crate::em3d::parallel::ParallelBody;
-use hetsim::{Cluster, SimTime};
-use hmpi::{HmpiError, HmpiGroup, HmpiRuntime, MappingAlgorithm, Recon, RuntimeConfig};
-use mpisim::{MpiResult, Universe};
+use crate::program::{self, Kernel, TracedRun};
+use hetsim::{Cluster, SimTime, Trace};
+use hmpi::{Hmpi, HmpiError, MappingAlgorithm, Recon, RuntimeConfig};
+use mpisim::{Comm, MpiResult};
 use std::sync::Arc;
 
 /// Outcome of one EM3D execution.
@@ -31,27 +34,37 @@ pub struct Em3dRun {
     pub predicted: Option<f64>,
 }
 
-type RankOutcome = Option<(f64, Vec<f64>, Vec<f64>)>;
+/// One member's sub-body for `niter` iterations. With a `budget`, each
+/// iteration's boundary receives give up that many virtual seconds after
+/// it starts, so even a silent failure surfaces as an error.
+struct Body {
+    pb: ParallelBody,
+    niter: usize,
+    budget: Option<f64>,
+}
 
-fn assemble(
-    outcomes: Vec<RankOutcome>,
-    members: Vec<usize>,
-    predicted: Option<f64>,
-) -> Em3dRun {
-    let mut time = 0.0f64;
-    let mut fields = vec![(Vec::new(), Vec::new()); members.len()];
-    for (body, &world) in members.iter().enumerate() {
-        let (dur, e, h) = outcomes[world]
-            .clone()
-            .expect("every member produced an outcome");
-        time = time.max(dur);
-        fields[body] = (e, h);
+impl Body {
+    fn new(system: &Em3dSystem, comm: &Comm, niter: usize, budget: Option<f64>) -> Self {
+        let pb = ParallelBody::new(system, comm.rank());
+        Body { pb, niter, budget }
     }
-    Em3dRun {
-        time,
-        members,
-        fields,
-        predicted,
+}
+
+impl Kernel for Body {
+    type Out = (Vec<f64>, Vec<f64>);
+
+    fn run(&mut self, comm: &Comm) -> MpiResult<()> {
+        let Some(budget) = self.budget else {
+            return self.pb.run(comm, self.niter);
+        };
+        (0..self.niter).try_for_each(|_| {
+            let deadline = SimTime::from_secs(comm.clock().now().as_secs() + budget);
+            self.pb.step_by(comm, deadline)
+        })
+    }
+
+    fn finish(self, _: &Comm) -> MpiResult<Self::Out> {
+        Ok((self.pb.body.e_values, self.pb.body.h_values))
     }
 }
 
@@ -61,30 +74,15 @@ fn assemble(
 /// Panics if the cluster hosts fewer processes than sub-bodies.
 pub fn run_mpi(cluster: Arc<Cluster>, cfg: &Em3dConfig, niter: usize) -> Em3dRun {
     let p = cfg.nodes_per_body.len();
-    let universe = Universe::new(cluster);
-    assert!(
-        p <= universe.size(),
-        "EM3D needs {p} processes, universe has {}",
-        universe.size()
-    );
-    let report = universe.run(|proc| -> RankOutcome {
-        let world = proc.world();
-        let me = world.rank();
-        let is_executing = me < p;
-        // MPI_Comm_split(MPI_COMM_WORLD, is_executing_algo, 1, &em3dcomm)
-        let em3dcomm = world
-            .split(is_executing.then_some(1), 1)
-            .expect("split cannot fail");
-        let em3dcomm = em3dcomm?;
-        let system = Em3dSystem::generate(cfg);
-        let mut pb = ParallelBody::new(&system, em3dcomm.rank());
-        let t0 = em3dcomm.clock().now();
-        pb.run(&em3dcomm, niter).expect("EM3D kernel");
-        em3dcomm.barrier().expect("closing barrier");
-        let dur = (em3dcomm.clock().now() - t0).as_secs();
-        Some((dur, pb.body.e_values, pb.body.h_values))
+    let (time, fields) = program::mpi(cluster, p, |comm| {
+        Body::new(&Em3dSystem::generate(cfg), comm, niter, None)
     });
-    assemble(report.results, (0..p).collect(), None)
+    Em3dRun {
+        time,
+        members: (0..p).collect(),
+        fields,
+        predicted: None,
+    }
 }
 
 /// The Figure 5 program: HMPI — recon, model, `group_create`, run.
@@ -108,25 +106,13 @@ pub fn run_hmpi_with(
     k: usize,
     algo: MappingAlgorithm,
 ) -> Em3dRun {
-    run_hmpi_inner(cluster, cfg, niter, k, algo, false).0
+    let config = RuntimeConfig::new().mapping_algorithm(algo);
+    hmpi(cluster, cfg, niter, k, config).0
 }
 
-/// A traced HMPI run: the run itself, the full virtual-time trace, and the
-/// prediction-vs-actual report comparing `HMPI_Group_create`'s predicted
-/// time (per iteration, so scaled by `niter`) against the measured kernel
-/// time, with the per-rank compute / comm / wait breakdown of the whole
-/// traced run.
-#[derive(Debug, Clone)]
-pub struct Em3dTracedRun {
-    /// The run outcome (same as [`run_hmpi`]).
-    pub run: Em3dRun,
-    /// Every recorded span: recon, selection, compute, sends, receives.
-    pub trace: hetsim::Trace,
-    /// Prediction accuracy plus phase breakdown.
-    pub report: hetsim::PredictionReport,
-}
-
-/// [`run_hmpi`] with tracing enabled (DESIGN.md §9).
+/// [`run_hmpi`] with tracing enabled (DESIGN.md §9). The Figure 4 model
+/// describes one iteration, so the report's prediction is `niter` times
+/// `HMPI_Group_create`'s.
 ///
 /// # Panics
 /// As [`run_hmpi`].
@@ -135,85 +121,39 @@ pub fn run_hmpi_traced(
     cfg: &Em3dConfig,
     niter: usize,
     k: usize,
-) -> Em3dTracedRun {
+) -> TracedRun<Em3dRun> {
     let n_ranks = cluster.len();
-    let (run, trace) =
-        run_hmpi_inner(cluster, cfg, niter, k, MappingAlgorithm::default(), true);
-    let trace = trace.expect("tracing was enabled");
-    // The Figure 4 model describes one iteration; the whole-run prediction
-    // is niter times that.
+    let (run, trace) = hmpi(cluster, cfg, niter, k, RuntimeConfig::new().tracing(true));
     let predicted = run.predicted.expect("HMPI runs carry a prediction") * niter as f64;
-    let report = hetsim::PredictionReport::new(
-        predicted,
-        SimTime::from_secs(run.time),
-        &trace,
-        n_ranks,
-    );
-    Em3dTracedRun { run, trace, report }
+    TracedRun::new(predicted, run.time, n_ranks, trace, run)
 }
 
-fn run_hmpi_inner(
+fn hmpi(
     cluster: Arc<Cluster>,
     cfg: &Em3dConfig,
     niter: usize,
     k: usize,
-    algo: MappingAlgorithm,
-    traced: bool,
-) -> (Em3dRun, Option<hetsim::Trace>) {
-    let p = cfg.nodes_per_body.len();
-    let runtime = HmpiRuntime::with_config(
-        cluster,
-        RuntimeConfig::new().mapping_algorithm(algo).tracing(traced),
-    );
-    assert!(
-        p <= runtime.universe().size(),
-        "EM3D needs {p} processes, universe has {}",
-        runtime.universe().size()
-    );
-    let report = runtime.run(|h| -> (RankOutcome, Option<(Vec<usize>, f64)>) {
+    config: RuntimeConfig,
+) -> (Em3dRun, Option<Trace>) {
+    let select = |h: &Hmpi| {
         // HMPI_Recon with a benchmark representative of the application:
         // computing the nodal values of k nodes of one sub-body (the model
         // counts in "k nodal values" units, hence the nominal/work split).
         h.recon_opts(Recon::new(1.0).work_units(k as f64))
             .expect("recon");
-
         let system = Em3dSystem::generate(cfg);
         let model = em3d_model(&system, k).expect("Figure 4 instantiation");
-        let group = h.group_create(&model).expect("group_create");
-        let meta = if h.is_host() {
-            Some((group.members().to_vec(), group.predicted_time()))
-        } else {
-            None
-        };
-
-        let outcome = if let Some(comm) = group.comm() {
-            let mut pb = ParallelBody::new(&system, comm.rank());
-            let t0 = comm.clock().now();
-            pb.run(comm, niter).expect("EM3D kernel");
-            comm.barrier().expect("closing barrier");
-            let dur = (comm.clock().now() - t0).as_secs();
-            Some((dur, pb.body.e_values, pb.body.h_values))
-        } else {
-            None
-        };
-        if group.is_member() {
-            h.group_free(group).expect("group_free");
-        }
-        h.finalize().expect("finalize");
-        (outcome, meta)
-    });
-
-    let trace = report.trace;
-    let mut outcomes = Vec::with_capacity(report.results.len());
-    let mut meta = None;
-    for (o, m) in report.results {
-        outcomes.push(o);
-        if m.is_some() {
-            meta = m;
-        }
-    }
-    let (members, predicted) = meta.expect("host reported the selection");
-    (assemble(outcomes, members, Some(predicted)), trace)
+        (model, system, ())
+    };
+    let kernel = |comm: &Comm, system| Body::new(&system, comm, niter, None);
+    let run = program::hmpi(cluster, config, cfg.nodes_per_body.len(), select, kernel);
+    let em3d = Em3dRun {
+        time: run.time,
+        members: run.members,
+        fields: run.outs,
+        predicted: Some(run.predicted),
+    };
+    (em3d, run.trace)
 }
 
 /// Outcome of one fault-tolerant EM3D execution ([`run_hmpi_ft`]).
@@ -237,14 +177,6 @@ pub struct Em3dFtRun {
     pub makespan: f64,
     /// Final `(e_values, h_values)` per body of the shrunk system.
     pub fields: Vec<(Vec<f64>, Vec<f64>)>,
-}
-
-/// What the host learned over the run; `None` on every other rank.
-#[derive(Debug, Clone)]
-struct FtMeta {
-    initial: (Vec<usize>, f64),
-    fin: Option<(Vec<usize>, f64)>,
-    rebuilds: usize,
 }
 
 /// `cfg` restricted to its first `p` sub-bodies — the work the survivors
@@ -281,112 +213,35 @@ pub fn run_hmpi_ft(
     k: usize,
 ) -> Option<Em3dFtRun> {
     let p = cfg.nodes_per_body.len();
-    let runtime = HmpiRuntime::new(cluster);
-    assert!(
-        p <= runtime.universe().size(),
-        "EM3D needs {p} processes, universe has {}",
-        runtime.universe().size()
-    );
-    let report = runtime.run(|h| -> (RankOutcome, Option<FtMeta>) {
-        // On a faulty cluster this takes the fault-tolerant path (doubling
-        // as the failure detector); fault-free it is the classic collective
-        // recon.
-        if h.recon_opts(Recon::new(1.0).work_units(k as f64)).is_err() {
-            return (None, None); // this rank's own node died during recon
-        }
-
-        // Size the problem to what survived the recon: a node that died
-        // before the application even started simply shrinks the system.
-        let p_eff = p.min(h.estimates().available_len());
-        let system = Em3dSystem::generate(&shrunk(cfg, p_eff));
-        let model = match em3d_model(&system, k) {
-            Ok(m) => m,
-            Err(_) => return (None, None),
-        };
-        let group = match h.group_create(&model) {
-            Ok(g) => g,
-            Err(_) => return (None, None), // infeasible from the start
-        };
-        let mut meta = h.is_host().then(|| FtMeta {
-            initial: (group.members().to_vec(), group.predicted_time()),
-            fin: None,
-            rebuilds: 0,
-        });
-        if !group.is_member() {
-            return (None, meta); // never selected; free processes stand by
-        }
-
-        // One attempt = the whole (shrunk) computation from scratch;
-        // `recover` answers each failure verdict with agree + backoff +
-        // rebuild + retry.
-        let attempt = |group: &HmpiGroup, _round: usize| -> MpiResult<_> {
-            let comm = group.comm().expect("member has a comm");
-            let sys = Em3dSystem::generate(&shrunk(cfg, group.size()));
-            let mut pb = ParallelBody::new(&sys, comm.rank());
-            // Per-iteration deadline: generous versus the prediction, tiny
-            // versus the deadlock timeout.
+    let model = |p: usize| em3d_model(&Em3dSystem::generate(&shrunk(cfg, p)), k);
+    let run = program::hmpi_ft(
+        cluster,
+        p,
+        |h| {
+            h.recon_opts(Recon::new(1.0).work_units(k as f64)).ok()?;
+            // Size the problem to what survived the recon: a node that
+            // died before the application even started simply shrinks
+            // the system.
+            model(p.min(h.estimates().available_len())).ok()
+        },
+        |_, survivors| model(survivors.len()).map_err(|_| HmpiError::Aborted),
+        |_, group, comm| {
+            // Per-iteration deadline: generous versus the prediction,
+            // tiny versus the deadlock timeout.
             let budget = (group.predicted_time() * 10.0).max(1.0);
-            let t0 = comm.clock().now();
-            (0..niter).try_for_each(|_| {
-                let deadline = SimTime::from_secs(comm.clock().now().as_secs() + budget);
-                pb.step_by(comm, deadline)
-            })?;
-            comm.barrier()?;
-            let dur = (comm.clock().now() - t0).as_secs();
-            Ok((dur, pb.body.e_values, pb.body.h_values))
-        };
-        let model_for = |survivors: &[usize]| {
-            let sys2 = Em3dSystem::generate(&shrunk(cfg, survivors.len()));
-            em3d_model(&sys2, k).map_err(|_| HmpiError::Aborted)
-        };
-        match h.recover(group, model_for, attempt) {
-            Ok(rec) => {
-                if let Some(m) = meta.as_mut() {
-                    m.fin = Some((rec.group.members().to_vec(), rec.group.predicted_time()));
-                    m.rebuilds = rec.rebuilds;
-                }
-                // Lenient free: a peer may die between the success verdict
-                // and the free barriers.
-                let _ = h.group_free(rec.group);
-                (Some(rec.result), meta)
-            }
-            Err(e) => {
-                // Own node fail-stopped, no feasible shrink remained, or the
-                // rebuilt selection left this process out.
-                if let Some(m) = meta.as_mut() {
-                    m.rebuilds = e.rebuilds;
-                }
-                (None, meta)
-            }
-        }
-    });
-
-    let mut outcomes = Vec::with_capacity(report.results.len());
-    let mut meta = None;
-    for (o, m) in report.results {
-        outcomes.push(o);
-        if m.is_some() {
-            meta = m;
-        }
-    }
-    let meta = meta?;
-    let (final_members, final_predicted) = meta.fin?;
-    let mut time = 0.0f64;
-    let mut fields = vec![(Vec::new(), Vec::new()); final_members.len()];
-    for (body, &world) in final_members.iter().enumerate() {
-        let (dur, e, h) = outcomes[world].clone()?;
-        time = time.max(dur);
-        fields[body] = (e, h);
-    }
+            let system = Em3dSystem::generate(&shrunk(cfg, group.size()));
+            Body::new(&system, comm, niter, Some(budget))
+        },
+    )?;
     Some(Em3dFtRun {
-        initial_members: meta.initial.0,
-        initial_predicted: meta.initial.1,
-        final_members,
-        final_predicted,
-        rebuilds: meta.rebuilds,
-        time,
-        makespan: report.makespan.as_secs(),
-        fields,
+        initial_members: run.initial.0,
+        initial_predicted: run.initial.1,
+        final_members: run.members,
+        final_predicted: run.predicted,
+        rebuilds: run.rebuilds,
+        time: run.time,
+        makespan: run.makespan,
+        fields: run.outs,
     })
 }
 
@@ -574,4 +429,3 @@ mod tests {
         );
     }
 }
-

@@ -16,7 +16,6 @@ pub mod serial;
 pub use body::{Em3dConfig, Em3dSystem, NodeRef, SubBody};
 pub use driver::{
     run_hmpi, run_hmpi_ft, run_hmpi_traced, run_hmpi_with, run_mpi, Em3dFtRun, Em3dRun,
-    Em3dTracedRun,
 };
 pub use model::{em3d_model, em3d_params, EM3D_MODEL_SOURCE};
 pub use parallel::ParallelBody;

@@ -50,31 +50,7 @@ impl ParallelBody {
     /// # Errors
     /// Propagates transport errors.
     pub fn gather_h_boundaries(&mut self, comm: &Comm) -> MpiResult<()> {
-        self.gather_h_by(comm, None)
-    }
-
-    fn gather_h_by(&mut self, comm: &Comm, deadline: Option<SimTime>) -> MpiResult<()> {
-        // Eager sends first, then receives: no deadlock by construction.
-        for j in 0..self.p {
-            if j != self.me && !self.body.h_exports[j].is_empty() {
-                let vals: Vec<f64> = self.body.h_exports[j]
-                    .iter()
-                    .map(|&idx| self.body.h_values[idx])
-                    .collect();
-                comm.send(&vals, j, TAG_H_BOUNDARY)?;
-            }
-        }
-        for j in 0..self.p {
-            if j != self.me && self.body.h_imports[j] > 0 {
-                let (vals, _) = match deadline {
-                    None => comm.recv::<f64>(j, TAG_H_BOUNDARY)?,
-                    Some(d) => comm.recv_deadline::<f64>(j, TAG_H_BOUNDARY, d)?,
-                };
-                debug_assert_eq!(vals.len(), self.body.h_imports[j]);
-                self.ghosts_h[j] = vals;
-            }
-        }
-        Ok(())
+        self.gather_by(comm, true, None)
     }
 
     /// Gathers remote E boundary values.
@@ -82,27 +58,39 @@ impl ParallelBody {
     /// # Errors
     /// Propagates transport errors.
     pub fn gather_e_boundaries(&mut self, comm: &Comm) -> MpiResult<()> {
-        self.gather_e_by(comm, None)
+        self.gather_by(comm, false, None)
     }
 
-    fn gather_e_by(&mut self, comm: &Comm, deadline: Option<SimTime>) -> MpiResult<()> {
-        for j in 0..self.p {
-            if j != self.me && !self.body.e_exports[j].is_empty() {
-                let vals: Vec<f64> = self.body.e_exports[j]
-                    .iter()
-                    .map(|&idx| self.body.e_values[idx])
-                    .collect();
-                comm.send(&vals, j, TAG_E_BOUNDARY)?;
+    /// Sends the H (`h`) or E boundary values every peer imports, then
+    /// receives the peers' into the ghost buffers. With a `deadline`, the
+    /// receives give up at that virtual time.
+    fn gather_by(&mut self, comm: &Comm, h: bool, deadline: Option<SimTime>) -> MpiResult<()> {
+        let b = &self.body;
+        let (exports, values, imports, tag) = if h {
+            (&b.h_exports, &b.h_values, &b.h_imports, TAG_H_BOUNDARY)
+        } else {
+            (&b.e_exports, &b.e_values, &b.e_imports, TAG_E_BOUNDARY)
+        };
+        let ghosts = if h {
+            &mut self.ghosts_h
+        } else {
+            &mut self.ghosts_e
+        };
+        // Eager sends first, then receives: no deadlock by construction.
+        for (j, list) in exports.iter().enumerate() {
+            if j != self.me && !list.is_empty() {
+                let vals: Vec<f64> = list.iter().map(|&idx| values[idx]).collect();
+                comm.send(&vals, j, tag)?;
             }
         }
-        for j in 0..self.p {
-            if j != self.me && self.body.e_imports[j] > 0 {
+        for (j, &count) in imports.iter().enumerate() {
+            if j != self.me && count > 0 {
                 let (vals, _) = match deadline {
-                    None => comm.recv::<f64>(j, TAG_E_BOUNDARY)?,
-                    Some(d) => comm.recv_deadline::<f64>(j, TAG_E_BOUNDARY, d)?,
+                    None => comm.recv::<f64>(j, tag)?,
+                    Some(d) => comm.recv_deadline::<f64>(j, tag, d)?,
                 };
-                debug_assert_eq!(vals.len(), self.body.e_imports[j]);
-                self.ghosts_e[j] = vals;
+                debug_assert_eq!(vals.len(), count);
+                ghosts[j] = vals;
             }
         }
         Ok(())
@@ -115,21 +103,7 @@ impl ParallelBody {
     /// [`mpisim::MpiError::NodeFailed`] (own rank) if this rank's node
     /// fail-stops during the computation.
     pub fn compute_e(&mut self, comm: &Comm) -> MpiResult<()> {
-        let new_e: Vec<f64> = self
-            .body
-            .e_deps
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|&(r, w)| {
-                        w * match r {
-                            NodeRef::Local(idx) => self.body.h_values[idx],
-                            NodeRef::Remote { body, slot } => self.ghosts_h[body][slot],
-                        }
-                    })
-                    .sum()
-            })
-            .collect();
+        let new_e = update(&self.body.e_deps, &self.body.h_values, &self.ghosts_h);
         comm.try_compute(new_e.len() as f64)?;
         self.body.e_values = new_e;
         Ok(())
@@ -140,21 +114,7 @@ impl ParallelBody {
     /// # Errors
     /// As [`ParallelBody::compute_e`].
     pub fn compute_h(&mut self, comm: &Comm) -> MpiResult<()> {
-        let new_h: Vec<f64> = self
-            .body
-            .h_deps
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|&(r, w)| {
-                        w * match r {
-                            NodeRef::Local(idx) => self.body.e_values[idx],
-                            NodeRef::Remote { body, slot } => self.ghosts_e[body][slot],
-                        }
-                    })
-                    .sum()
-            })
-            .collect();
+        let new_h = update(&self.body.h_deps, &self.body.e_values, &self.ghosts_e);
         comm.try_compute(new_h.len() as f64)?;
         self.body.h_values = new_h;
         Ok(())
@@ -182,9 +142,9 @@ impl ParallelBody {
     /// # Errors
     /// As [`Comm::recv_deadline`] plus [`ParallelBody::compute_e`].
     pub fn step_by(&mut self, comm: &Comm, deadline: SimTime) -> MpiResult<()> {
-        self.gather_h_by(comm, Some(deadline))?;
+        self.gather_by(comm, true, Some(deadline))?;
         self.compute_e(comm)?;
-        self.gather_e_by(comm, Some(deadline))?;
+        self.gather_by(comm, false, Some(deadline))?;
         self.compute_h(comm)?;
         Ok(())
     }
@@ -199,6 +159,18 @@ impl ParallelBody {
         }
         Ok(())
     }
+}
+
+/// One new value per row of `deps`: the weighted sum of the local and
+/// ghost values it references.
+fn update(deps: &[Vec<(NodeRef, f64)>], local: &[f64], ghosts: &[Vec<f64>]) -> Vec<f64> {
+    let value = |r| match r {
+        NodeRef::Local(idx) => local[idx],
+        NodeRef::Remote { body, slot } => ghosts[body][slot],
+    };
+    deps.iter()
+        .map(|row| row.iter().map(|&(r, w)| w * value(r)).sum())
+        .collect()
 }
 
 #[cfg(test)]

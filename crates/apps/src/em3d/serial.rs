@@ -7,26 +7,23 @@
 
 use crate::em3d::body::{Em3dSystem, NodeRef};
 
-/// Resolves a dependency reference against the global system state.
-fn resolve(system: &Em3dSystem, me: usize, r: NodeRef, want_h: bool, exports_of_me: bool) -> f64 {
-    let _ = exports_of_me;
-    match r {
-        NodeRef::Local(idx) => {
-            if want_h {
-                system.bodies[me].h_values[idx]
-            } else {
-                system.bodies[me].e_values[idx]
-            }
+/// Resolves a dependency reference of body `me` against the global system
+/// state: an H value when `want_h`, an E value otherwise.
+fn resolve(system: &Em3dSystem, me: usize, r: NodeRef, want_h: bool) -> f64 {
+    let field = |b: usize| {
+        let body = &system.bodies[b];
+        if want_h {
+            (&body.h_values, &body.h_exports)
+        } else {
+            (&body.e_values, &body.e_exports)
         }
+    };
+    match r {
+        NodeRef::Local(idx) => field(me).0[idx],
+        // The ghost slot indexes the owner's export list towards `me`.
         NodeRef::Remote { body, slot } => {
-            // The ghost slot indexes the owner's export list towards `me`.
-            if want_h {
-                let idx = system.bodies[body].h_exports[me][slot];
-                system.bodies[body].h_values[idx]
-            } else {
-                let idx = system.bodies[body].e_exports[me][slot];
-                system.bodies[body].e_values[idx]
-            }
+            let (values, exports) = field(body);
+            values[exports[me][slot]]
         }
     }
 }
@@ -35,32 +32,23 @@ fn resolve(system: &Em3dSystem, me: usize, r: NodeRef, want_h: bool, exports_of_
 /// from the *new* E values — the paper's algorithm order (gather H, compute
 /// E, gather E, compute H).
 pub fn serial_step(system: &mut Em3dSystem) {
-    let p = system.p();
-    // E phase.
-    for me in 0..p {
-        let new_e: Vec<f64> = system.bodies[me]
-            .e_deps
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|&(r, w)| w * resolve(system, me, r, true, false))
-                    .sum()
-            })
-            .collect();
-        system.bodies[me].e_values = new_e;
-    }
-    // H phase (uses updated E values).
-    for me in 0..p {
-        let new_h: Vec<f64> = system.bodies[me]
-            .h_deps
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|&(r, w)| w * resolve(system, me, r, false, false))
-                    .sum()
-            })
-            .collect();
-        system.bodies[me].h_values = new_h;
+    // The E phase reads H values, then the H phase reads the updated E.
+    for want_h in [true, false] {
+        for me in 0..system.p() {
+            let value = |r| resolve(system, me, r, want_h);
+            let body = &system.bodies[me];
+            let deps = if want_h { &body.e_deps } else { &body.h_deps };
+            let new: Vec<f64> = deps
+                .iter()
+                .map(|row| row.iter().map(|&(r, w)| w * value(r)).sum())
+                .collect();
+            let body = &mut system.bodies[me];
+            if want_h {
+                body.e_values = new;
+            } else {
+                body.h_values = new;
+            }
+        }
     }
 }
 

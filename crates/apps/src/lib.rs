@@ -17,11 +17,14 @@
 //!   (reference \[6\] of the paper). The performance model is Figure 7.
 //!
 //! Each application provides a serial reference implementation, a real
-//! message-passing parallel implementation over [`mpisim`], a plain-MPI
-//! driver (the paper's baseline: processes chosen "by pure chance", i.e. in
-//! world-rank order, with homogeneous data distribution), and an HMPI driver
-//! (recon → model → `group_create` → run), so the paper's comparisons can be
-//! regenerated end to end.
+//! message-passing parallel implementation over [`mpisim`], a performance
+//! model, and drivers for the paper's comparisons. The drivers are only the
+//! app's model and kernel: the programs themselves are written once, in a
+//! private module, for all three applications — the plain-MPI baseline
+//! (processes chosen "by pure chance", i.e. the first `p` world ranks), the
+//! HMPI program (recon → model → `group_create` → timed kernel →
+//! `group_free` → finalize) and its fault-tolerant variant (the kernel under
+//! `Hmpi::recover`). Traced HMPI runs return one [`TracedRun`].
 //!
 //! ## Unit conventions
 //!
@@ -37,3 +40,6 @@
 pub mod em3d;
 pub mod matmul;
 pub mod nbody;
+mod program;
+
+pub use program::TracedRun;

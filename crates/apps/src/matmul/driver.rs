@@ -6,15 +6,19 @@
 //! block size `l`, `HMPI_Group_create` with the Figure 7 model, then the
 //! block-cyclic computation over the group communicator. The MPI baseline
 //! uses the homogeneous distribution on the first `m²` processes of
-//! `MPI_COMM_WORLD` — the paper's "pure chance" group.
+//! `MPI_COMM_WORLD` — the paper's "pure chance" group. The programs
+//! themselves are the crate's shared runners; this module is the model,
+//! the kernel and the checks of the sizes.
 
 use crate::matmul::block::BlockMatrix;
 use crate::matmul::dist::GeneralizedBlockDist;
 use crate::matmul::model::matmul_model;
 use crate::matmul::parallel::DistributedMatmul;
-use hetsim::Cluster;
-use hmpi::{HmpiError, HmpiGroup, HmpiRuntime, Recon, RuntimeConfig};
-use mpisim::{MpiResult, Universe};
+use crate::program::{self, Kernel, TracedRun};
+use hetsim::{Cluster, Trace};
+use hmpi::{Hmpi, HmpiError, Recon, RuntimeConfig};
+use mpisim::{Comm, MpiResult};
+use perfmodel::PerformanceModel;
 use std::sync::Arc;
 
 /// Seeds for the deterministic input matrices (shared by every driver so
@@ -38,51 +42,60 @@ pub struct MatmulRun {
     pub l: usize,
 }
 
+impl Kernel for DistributedMatmul {
+    type Out = Option<BlockMatrix>;
+
+    fn run(&mut self, comm: &Comm) -> MpiResult<()> {
+        DistributedMatmul::run(self, comm)
+    }
+
+    fn finish(self, comm: &Comm) -> MpiResult<Self::Out> {
+        self.gather_c(comm)
+    }
+}
+
+/// This member's share of the product under `dist`.
+fn kernel(dist: GeneralizedBlockDist, n: usize, r: usize, comm: &Comm) -> DistributedMatmul {
+    DistributedMatmul::new(dist, n, r, comm.rank(), SEED_A, SEED_B)
+}
+
+/// The checks every driver makes on the caller's thread, before any rank
+/// starts: an `m × m` grid of `n × n` blocks needs `1 <= m <= n` and `m²`
+/// processes.
+fn check_grid(cluster: &Cluster, m: usize, n: usize) {
+    assert!(
+        (1..=n).contains(&m),
+        "the paper requires 1 <= m <= n, got m = {m}, n = {n}"
+    );
+    assert!(
+        m * m <= cluster.len(),
+        "an m = {m} grid needs {} processes, the cluster has {}",
+        m * m,
+        cluster.len()
+    );
+}
+
 /// The MPI baseline: homogeneous 2D block-cyclic distribution on the first
 /// `m²` world ranks. `l` must be a multiple of `m` (default the paper-style
 /// fully cyclic `l = m` when `None`).
 ///
 /// # Panics
-/// Panics if the cluster hosts fewer than `m²` processes or `m` does not
-/// divide `l`.
-pub fn run_mpi(
-    cluster: Arc<Cluster>,
-    m: usize,
-    n: usize,
-    r: usize,
-    l: Option<usize>,
-) -> MatmulRun {
+/// Panics unless `1 <= m <= n`, the cluster hosts `m²` processes, `m`
+/// divides `l` and `l <= n`.
+pub fn run_mpi(cluster: Arc<Cluster>, m: usize, n: usize, r: usize, l: Option<usize>) -> MatmulRun {
+    check_grid(&cluster, m, n);
     let l = l.unwrap_or(m);
-    let universe = Universe::new(cluster);
-    assert!(m * m <= universe.size());
-    let report = universe.run(|proc| {
-        let world = proc.world();
-        let me = world.rank();
-        let grid_comm = world
-            .split((me < m * m).then_some(1), 1)
-            .expect("split cannot fail");
-        let grid_comm = grid_comm?;
-        let dist = GeneralizedBlockDist::homogeneous(m, l);
-        let mut mm = DistributedMatmul::new(dist, n, r, grid_comm.rank(), SEED_A, SEED_B);
-        let t0 = grid_comm.clock().now();
-        mm.run(&grid_comm).expect("MM kernel");
-        grid_comm.barrier().expect("closing barrier");
-        let dur = (grid_comm.clock().now() - t0).as_secs();
-        let c = mm.gather_c(&grid_comm).expect("gather C");
-        Some((dur, c))
+    assert!(
+        l.is_multiple_of(m) && l <= n,
+        "the homogeneous distribution needs m | l and l <= n, got m = {m}, l = {l}, n = {n}"
+    );
+    let (time, cs) = program::mpi(cluster, m * m, |comm| {
+        kernel(GeneralizedBlockDist::homogeneous(m, l), n, r, comm)
     });
-    let mut time = 0.0f64;
-    let mut c = None;
-    for outcome in report.results.iter().flatten() {
-        time = time.max(outcome.0);
-        if outcome.1.is_some() {
-            c = outcome.1.clone();
-        }
-    }
     MatmulRun {
         time,
         members: (0..m * m).collect(),
-        c,
+        c: cs.into_iter().flatten().next(), // only the grid root gathers C
         predicted: None,
         l,
     }
@@ -92,7 +105,8 @@ pub fn run_mpi(
 /// generalised block size by an `HMPI_Timeof` sweep over `m..=n`.
 ///
 /// # Panics
-/// Panics if the cluster hosts fewer than `m²` processes.
+/// Panics unless `1 <= m <= n` and the cluster hosts `m²` processes, or if
+/// a fixed `l` is outside `m..=n`.
 pub fn run_hmpi(
     cluster: Arc<Cluster>,
     m: usize,
@@ -100,24 +114,12 @@ pub fn run_hmpi(
     r: usize,
     l: Option<usize>,
 ) -> MatmulRun {
-    run_hmpi_inner(cluster, m, n, r, l, false).0
+    hmpi(cluster, m, n, r, l, false).0
 }
 
-/// A traced HMPI run: the run itself, the full virtual-time trace, and the
-/// prediction-vs-actual report comparing `HMPI_Group_create`'s whole-run
-/// prediction against the measured kernel time, with the per-rank
-/// compute / comm / wait breakdown of the whole traced run.
-#[derive(Debug, Clone)]
-pub struct MatmulTracedRun {
-    /// The run outcome (same as [`run_hmpi`]).
-    pub run: MatmulRun,
-    /// Every recorded span: recon, selection, compute, sends, receives.
-    pub trace: hetsim::Trace,
-    /// Prediction accuracy plus phase breakdown.
-    pub report: hetsim::PredictionReport,
-}
-
-/// [`run_hmpi`] with tracing enabled (DESIGN.md §9).
+/// [`run_hmpi`] with tracing enabled (DESIGN.md §9). The Figure 7 model
+/// describes the whole multiplication, so the report's prediction is
+/// `HMPI_Group_create`'s.
 ///
 /// # Panics
 /// As [`run_hmpi`].
@@ -127,139 +129,95 @@ pub fn run_hmpi_traced(
     n: usize,
     r: usize,
     l: Option<usize>,
-) -> MatmulTracedRun {
+) -> TracedRun<MatmulRun> {
     let n_ranks = cluster.len();
-    let (run, trace) = run_hmpi_inner(cluster, m, n, r, l, true);
-    let trace = trace.expect("tracing was enabled");
-    // The Figure 7 model describes the whole multiplication.
+    let (run, trace) = hmpi(cluster, m, n, r, l, true);
     let predicted = run.predicted.expect("HMPI runs carry a prediction");
-    let report = hetsim::PredictionReport::new(
-        predicted,
-        hetsim::SimTime::from_secs(run.time),
-        &trace,
-        n_ranks,
-    );
-    MatmulTracedRun { run, trace, report }
+    TracedRun::new(predicted, run.time, n_ranks, trace, run)
 }
 
-fn run_hmpi_inner(
+/// The estimated speeds of the processors that host world `ranks`.
+fn speeds_of(h: &Hmpi, ranks: &[usize]) -> Vec<f64> {
+    let placement = h.process().placement();
+    ranks
+        .iter()
+        .map(|&w| h.estimates().speed(placement[w]))
+        .collect()
+}
+
+/// Speeds of an `m × m` grid over `ranks` (the host first): the host at
+/// the parent position `(0, 0)`, then the fastest of the others.
+fn grid_speeds(h: &Hmpi, ranks: &[usize], m: usize) -> Vec<f64> {
+    let mut others = speeds_of(h, &ranks[1..]);
+    others.sort_by(|a, b| b.total_cmp(a));
+    let mut speeds = speeds_of(h, &ranks[..1]);
+    speeds.extend(others.into_iter().take(m * m - 1));
+    speeds
+}
+
+fn hmpi(
     cluster: Arc<Cluster>,
     m: usize,
     n: usize,
     r: usize,
     l: Option<usize>,
-    traced: bool,
-) -> (MatmulRun, Option<hetsim::Trace>) {
-    let runtime = HmpiRuntime::with_config(cluster, RuntimeConfig::new().tracing(traced));
-    assert!(m * m <= runtime.universe().size());
-
-    type Out = (Option<(f64, Option<BlockMatrix>)>, Option<(Vec<usize>, f64, usize)>);
-    let report = runtime.run(|h| -> Out {
+    tracing: bool,
+) -> (MatmulRun, Option<Trace>) {
+    check_grid(&cluster, m, n);
+    if let Some(l) = l {
+        assert!(
+            (m..=n).contains(&l),
+            "the paper requires m <= l <= n, got m = {m}, l = {l}, n = {n}"
+        );
+    }
+    let select = |h: &Hmpi| {
         // HMPI_Recon with the rMxM benchmark: one r x r block update.
-        h.recon_opts(Recon::new(1.0).bench(|hh: &hmpi::Hmpi| hh.compute(1.0)))
+        h.recon_opts(Recon::new(1.0).bench(|hh: &Hmpi| hh.compute(1.0)))
             .expect("recon");
-
-        // The host arranges the m^2 best processors on the grid (its own
-        // speed at the parent position (0,0)) and picks l by Timeof sweep.
-        // Every rank pre-sizes the [l, grid speeds...] message so the
-        // engine's schedule-driven broadcast can ship it.
+        // The host arranges the m^2 best processors on the grid and picks
+        // l by Timeof sweep. Every rank pre-sizes the [l, grid speeds...]
+        // message so the engine's schedule-driven broadcast can ship it.
         let mut msg = vec![0.0f64; 1 + m * m];
         if h.is_host() {
-            let placement = h.process().placement();
-            let est = h.estimates();
-            let mut others: Vec<f64> = (1..h.size())
-                .map(|rank| est.speed(placement[rank]))
-                .collect();
-            others.sort_by(|a, b| b.total_cmp(a));
-            let mut grid_speeds = Vec::with_capacity(m * m);
-            grid_speeds.push(est.speed(placement[0]));
-            grid_speeds.extend(others.into_iter().take(m * m - 1));
-
-            let l = match l {
-                Some(l) => l,
-                None => {
-                    // Figure 8: sweep bsize, keep the predicted minimum.
-                    // timeof_sweep keeps the first strict minimum (same
-                    // tie-break as a manual loop) and surfaces the first
-                    // error if every candidate fails to evaluate.
-                    let models: Vec<_> = (m..=n)
-                        .map(|cand| {
-                            let dist =
-                                GeneralizedBlockDist::heterogeneous(m, cand, &grid_speeds);
-                            matmul_model(&dist, r, n).expect("Figure 7 model")
-                        })
-                        .collect();
-                    let (idx, _) = h
-                        .timeof_sweep(
-                            models
-                                .iter()
-                                .map(|mo| mo as &dyn perfmodel::PerformanceModel),
-                        )
-                        .expect("timeof sweep")
-                        .expect("bsize sweep is non-empty");
-                    m + idx
-                }
-            };
+            let speeds = grid_speeds(h, &(0..h.size()).collect::<Vec<_>>(), m);
+            // Figure 8: sweep bsize, keep the predicted minimum.
+            // timeof_sweep keeps the first strict minimum (same tie-break
+            // as a manual loop) and surfaces the first error if every
+            // candidate fails to evaluate.
+            let l = l.unwrap_or_else(|| {
+                let models: Vec<_> = (m..=n)
+                    .map(|cand| {
+                        let dist = GeneralizedBlockDist::heterogeneous(m, cand, &speeds);
+                        matmul_model(&dist, r, n).expect("Figure 7 model")
+                    })
+                    .collect();
+                let sweep = models.iter().map(|mo| mo as &dyn PerformanceModel);
+                let (idx, _) = h
+                    .timeof_sweep(sweep)
+                    .expect("timeof sweep")
+                    .expect("m <= n, so the sweep is non-empty");
+                m + idx
+            });
             msg[0] = l as f64;
-            msg[1..].copy_from_slice(&grid_speeds);
+            msg[1..].copy_from_slice(&speeds);
         }
         h.world().bcast_into(&mut msg, 0).expect("bcast l + speeds");
         let l = msg[0] as usize;
-        let grid_speeds = msg[1..].to_vec();
-
-        let dist = GeneralizedBlockDist::heterogeneous(m, l, &grid_speeds);
-        let model = matmul_model(&dist, r, n).expect("Figure 7 model");
-        let group = h.group_create(&model).expect("group_create");
-        let meta = if h.is_host() {
-            Some((group.members().to_vec(), group.predicted_time(), l))
-        } else {
-            None
-        };
-
-        let outcome = if let Some(comm) = group.comm() {
-            let mut mm = DistributedMatmul::new(dist, n, r, comm.rank(), SEED_A, SEED_B);
-            let t0 = comm.clock().now();
-            mm.run(comm).expect("MM kernel");
-            comm.barrier().expect("closing barrier");
-            let dur = (comm.clock().now() - t0).as_secs();
-            let c = mm.gather_c(comm).expect("gather C");
-            Some((dur, c))
-        } else {
-            None
-        };
-        if group.is_member() {
-            h.group_free(group).expect("group_free");
-        }
-        h.finalize().expect("finalize");
-        (outcome, meta)
+        let dist = GeneralizedBlockDist::heterogeneous(m, l, &msg[1..]);
+        (matmul_model(&dist, r, n).expect("Figure 7 model"), dist, l)
+    };
+    let config = RuntimeConfig::new().tracing(tracing);
+    let run = program::hmpi(cluster, config, m * m, select, |comm, dist| {
+        kernel(dist, n, r, comm)
     });
-
-    let trace = report.trace;
-    let mut time = 0.0f64;
-    let mut c = None;
-    let mut meta = None;
-    for (outcome, m_) in report.results {
-        if let Some((dur, cm)) = outcome {
-            time = time.max(dur);
-            if cm.is_some() {
-                c = cm;
-            }
-        }
-        if m_.is_some() {
-            meta = m_;
-        }
-    }
-    let (members, predicted, l) = meta.expect("host reported the selection");
-    (
-        MatmulRun {
-            time,
-            members,
-            c,
-            predicted: Some(predicted),
-            l,
-        },
-        trace,
-    )
+    let mm = MatmulRun {
+        time: run.time,
+        members: run.members,
+        c: run.outs.into_iter().flatten().next(),
+        predicted: Some(run.predicted),
+        l: run.extra,
+    };
+    (mm, run.trace)
 }
 
 /// Outcome of one fault-tolerant matrix multiplication ([`run_hmpi_ft`]).
@@ -289,14 +247,6 @@ pub struct MatmulFtRun {
     pub makespan: f64,
     /// The gathered result matrix (from the final grid root).
     pub c: Option<BlockMatrix>,
-}
-
-/// What the host learned over the FT run; `None` on every other rank.
-#[derive(Debug, Clone)]
-struct MmFtMeta {
-    initial: (Vec<usize>, f64),
-    fin: Option<(Vec<usize>, f64)>,
-    rebuilds: usize,
 }
 
 /// The largest grid side `m' <= m_max` with `m'²` processes available.
@@ -334,7 +284,8 @@ fn grid_side(procs: usize) -> usize {
 /// even a 1 x 1 grid.
 ///
 /// # Panics
-/// Panics if the cluster hosts fewer than `m²` processes.
+/// Panics unless `1 <= m <= n` and the cluster hosts `m²` processes. A
+/// fixed `l` is clamped into each grid's feasible range instead.
 pub fn run_hmpi_ft(
     cluster: Arc<Cluster>,
     m: usize,
@@ -342,134 +293,53 @@ pub fn run_hmpi_ft(
     r: usize,
     l: Option<usize>,
 ) -> Option<MatmulFtRun> {
-    let runtime = HmpiRuntime::new(cluster);
-    assert!(m * m <= runtime.universe().size());
-
-    type Out = (Option<(f64, Option<BlockMatrix>)>, Option<MmFtMeta>);
-    let report = runtime.run(|h| -> Out {
-        // FT recon on a faulty cluster doubles as the failure detector.
-        if h
-            .recon_opts(Recon::new(1.0).bench(|hh: &hmpi::Hmpi| hh.compute(1.0)))
-            .is_err()
-        {
-            return (None, None); // this rank's own node died during recon
+    check_grid(&cluster, m, n);
+    // The model factory runs on the host with the roll-call survivors
+    // (host first); at creation time every rank evaluates it with the same
+    // alive list, computed from the shared estimates.
+    let model_for = |h: &Hmpi, survivors: &[usize]| {
+        let m_eff = grid_for(m, survivors.len());
+        if m_eff == 0 {
+            return Err(HmpiError::Aborted);
         }
-
-        let placement = h.process().placement().to_vec();
-        let est = h.estimates();
-        // The model factory runs on the host with the roll-call survivors
-        // (host first); at creation time every rank evaluates it with the
-        // same alive list, computed from the shared estimates.
-        let mut model_for = |survivors: &[usize]| {
-            let m_eff = grid_for(m, survivors.len());
-            if m_eff == 0 {
-                return Err(HmpiError::Aborted);
+        let speeds = grid_speeds(h, survivors, m_eff);
+        let dist = GeneralizedBlockDist::heterogeneous(m_eff, block_for(l, m_eff, n), &speeds);
+        matmul_model(&dist, r, n).map_err(|_| HmpiError::Aborted)
+    };
+    let run = program::hmpi_ft(
+        cluster,
+        m * m,
+        |h| {
+            h.recon_opts(Recon::new(1.0).bench(|hh: &Hmpi| hh.compute(1.0)))
+                .ok()?;
+            let alive = h.alive_world_ranks();
+            if alive.first() != Some(&0) {
+                return None; // the host's node is gone: unrecoverable
             }
-            let l_eff = block_for(l, m_eff, n);
-            let mut others: Vec<f64> = survivors[1..]
-                .iter()
-                .map(|&w| est.speed(placement[w]))
-                .collect();
-            others.sort_by(|a, b| b.total_cmp(a));
-            let mut grid_speeds = Vec::with_capacity(m_eff * m_eff);
-            grid_speeds.push(est.speed(placement[survivors[0]]));
-            grid_speeds.extend(others.into_iter().take(m_eff * m_eff - 1));
-            let dist = GeneralizedBlockDist::heterogeneous(m_eff, l_eff, &grid_speeds);
-            matmul_model(&dist, r, n).map_err(|_| HmpiError::Aborted)
-        };
-
-        let alive = h.alive_world_ranks();
-        if alive.first() != Some(&0) {
-            return (None, None); // the host's node is gone: unrecoverable
-        }
-        let model = match model_for(&alive) {
-            Ok(mo) => mo,
-            Err(_) => return (None, None),
-        };
-        let group = match h.group_create(&model) {
-            Ok(g) => g,
-            Err(_) => return (None, None), // infeasible from the start
-        };
-        let mut meta = h.is_host().then(|| MmFtMeta {
-            initial: (group.members().to_vec(), group.predicted_time()),
-            fin: None,
-            rebuilds: 0,
-        });
-        if !group.is_member() {
-            return (None, meta); // never selected; free processes stand by
-        }
-
-        let attempt = |group: &HmpiGroup, _round: usize| -> MpiResult<_> {
-            let comm = group.comm().expect("member has a comm");
-            let m_eff = grid_side(group.size());
-            let l_eff = block_for(l, m_eff, n);
+            model_for(h, &alive).ok()
+        },
+        model_for,
+        |h, group, comm| {
             // Grid position i = group member i: the same distribution on
             // every member, derived purely from shared state.
-            let grid_speeds: Vec<f64> = group
-                .members()
-                .iter()
-                .map(|&w| est.speed(placement[w]))
-                .collect();
-            let dist = GeneralizedBlockDist::heterogeneous(m_eff, l_eff, &grid_speeds);
-            let mut mm = DistributedMatmul::new(dist, n, r, comm.rank(), SEED_A, SEED_B);
-            let t0 = comm.clock().now();
-            mm.run(comm)?;
-            comm.barrier()?;
-            let dur = (comm.clock().now() - t0).as_secs();
-            let c = mm.gather_c(comm)?;
-            Ok((dur, c))
-        };
-        match h.recover(group, &mut model_for, attempt) {
-            Ok(rec) => {
-                if let Some(meta) = meta.as_mut() {
-                    meta.fin = Some((rec.group.members().to_vec(), rec.group.predicted_time()));
-                    meta.rebuilds = rec.rebuilds;
-                }
-                // Lenient free: a peer may die between the success verdict
-                // and the free barriers.
-                let _ = h.group_free(rec.group);
-                (Some(rec.result), meta)
-            }
-            Err(e) => {
-                if let Some(meta) = meta.as_mut() {
-                    meta.rebuilds = e.rebuilds;
-                }
-                (None, meta)
-            }
-        }
-    });
-
-    let mut outcomes = Vec::with_capacity(report.results.len());
-    let mut meta = None;
-    for (o, m_) in report.results {
-        outcomes.push(o);
-        if m_.is_some() {
-            meta = m_;
-        }
-    }
-    let meta = meta?;
-    let (final_members, final_predicted) = meta.fin?;
-    let mut time = 0.0f64;
-    let mut c = None;
-    for &w in &final_members {
-        let (dur, cm) = outcomes[w].clone()?;
-        time = time.max(dur);
-        if cm.is_some() {
-            c = cm;
-        }
-    }
-    let final_m = grid_side(final_members.len());
+            let m_eff = grid_side(group.size());
+            let speeds = speeds_of(h, group.members());
+            let dist = GeneralizedBlockDist::heterogeneous(m_eff, block_for(l, m_eff, n), &speeds);
+            kernel(dist, n, r, comm)
+        },
+    )?;
+    let final_m = grid_side(run.members.len());
     Some(MatmulFtRun {
-        initial_members: meta.initial.0,
-        initial_predicted: meta.initial.1,
-        final_members,
-        final_predicted,
-        rebuilds: meta.rebuilds,
+        initial_members: run.initial.0,
+        initial_predicted: run.initial.1,
+        final_members: run.members,
+        final_predicted: run.predicted,
+        rebuilds: run.rebuilds,
         final_m,
         l: block_for(l, final_m, n),
-        time,
-        makespan: report.makespan.as_secs(),
-        c,
+        time: run.time,
+        makespan: run.makespan,
+        c: run.outs.into_iter().flatten().next(),
     })
 }
 
@@ -628,6 +498,53 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted.len(), 9);
         assert_eq!(run.members[0], 0, "grid (0,0) is the parent/host");
+    }
+
+    // Bad sizes fail on the caller's thread, before any rank starts, with
+    // one message that names the values.
+
+    #[test]
+    #[should_panic(expected = "the paper requires 1 <= m <= n, got m = 3, n = 2")]
+    fn ft_driver_rejects_a_grid_wider_than_the_matrix() {
+        run_hmpi_ft(paper_cluster(), 3, 2, 4, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "the paper requires 1 <= m <= n, got m = 3, n = 2")]
+    fn hmpi_rejects_a_grid_wider_than_the_matrix() {
+        run_hmpi(paper_cluster(), 3, 2, 4, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "the paper requires 1 <= m <= n, got m = 3, n = 2")]
+    fn mpi_rejects_a_grid_wider_than_the_matrix() {
+        run_mpi(paper_cluster(), 3, 2, 4, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "the paper requires 1 <= m <= n, got m = 0, n = 9")]
+    fn hmpi_rejects_an_empty_grid() {
+        run_hmpi(paper_cluster(), 0, 9, 4, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "an m = 4 grid needs 16 processes, the cluster has 9")]
+    fn traced_hmpi_rejects_a_grid_larger_than_the_cluster() {
+        run_hmpi_traced(paper_cluster(), 4, 9, 4, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "the paper requires m <= l <= n, got m = 3, l = 10, n = 9")]
+    fn hmpi_rejects_a_fixed_l_beyond_n() {
+        run_hmpi(paper_cluster(), 3, 9, 4, Some(10));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "the homogeneous distribution needs m | l and l <= n, got m = 3, l = 4, n = 9"
+    )]
+    fn mpi_rejects_a_fixed_l_that_m_does_not_divide() {
+        run_mpi(paper_cluster(), 3, 9, 4, Some(4));
     }
 }
 

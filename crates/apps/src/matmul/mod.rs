@@ -15,6 +15,6 @@ pub mod parallel;
 
 pub use block::BlockMatrix;
 pub use dist::GeneralizedBlockDist;
-pub use driver::{run_hmpi, run_hmpi_traced, run_mpi, MatmulRun, MatmulTracedRun};
+pub use driver::{run_hmpi, run_hmpi_traced, run_mpi, MatmulRun};
 pub use model::{matmul_model, matmul_params, MATMUL_MODEL_SOURCE};
 pub use parallel::DistributedMatmul;

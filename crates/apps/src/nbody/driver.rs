@@ -1,11 +1,13 @@
-//! N-body drivers: rank-order MPI baseline vs HMPI-selected group.
+//! N-body drivers: rank-order MPI baseline vs HMPI-selected group, both
+//! on the crate's shared runners.
 
 use crate::nbody::body::{Bodies, NbodyConfig};
 use crate::nbody::model::nbody_model;
 use crate::nbody::parallel::ParallelGroup;
+use crate::program::{self, Kernel};
 use hetsim::Cluster;
-use hmpi::HmpiRuntime;
-use mpisim::Universe;
+use hmpi::RuntimeConfig;
+use mpisim::{Comm, MpiResult};
 use std::sync::Arc;
 
 /// Outcome of one N-body execution.
@@ -21,21 +23,29 @@ pub struct NbodyRun {
     pub predicted: Option<f64>,
 }
 
-type RankOutcome = Option<(f64, Bodies)>;
+/// One member's group for `niter` steps of `k` interactions per unit.
+struct Group {
+    pg: ParallelGroup,
+    niter: usize,
+    k: usize,
+}
 
-fn assemble(outcomes: Vec<RankOutcome>, members: Vec<usize>, predicted: Option<f64>) -> NbodyRun {
-    let mut time = 0.0f64;
-    let mut groups = vec![Bodies::default(); members.len()];
-    for (g, &world) in members.iter().enumerate() {
-        let (dur, bodies) = outcomes[world].clone().expect("member produced an outcome");
-        time = time.max(dur);
-        groups[g] = bodies;
+impl Group {
+    fn new(cfg: &NbodyConfig, comm: &Comm, niter: usize, k: usize) -> Self {
+        let pg = ParallelGroup::new(cfg, comm.rank());
+        Group { pg, niter, k }
     }
-    NbodyRun {
-        time,
-        members,
-        groups,
-        predicted,
+}
+
+impl Kernel for Group {
+    type Out = Bodies;
+
+    fn run(&mut self, comm: &Comm) -> MpiResult<()> {
+        self.pg.run(comm, self.niter, self.k)
+    }
+
+    fn finish(self, _: &Comm) -> MpiResult<Bodies> {
+        Ok(self.pg.bodies)
     }
 }
 
@@ -45,19 +55,13 @@ fn assemble(outcomes: Vec<RankOutcome>, members: Vec<usize>, predicted: Option<f
 /// Panics if the cluster hosts fewer processes than groups.
 pub fn run_mpi(cluster: Arc<Cluster>, cfg: &NbodyConfig, niter: usize, k: usize) -> NbodyRun {
     let p = cfg.p();
-    let universe = Universe::new(cluster);
-    assert!(p <= universe.size());
-    let report = universe.run(|proc| -> RankOutcome {
-        let world = proc.world();
-        let comm = world.split((world.rank() < p).then_some(1), 1).unwrap()?;
-        let mut pg = ParallelGroup::new(cfg, comm.rank());
-        let t0 = comm.clock().now();
-        pg.run(&comm, niter, k).expect("nbody kernel");
-        comm.barrier().expect("closing barrier");
-        let dur = (comm.clock().now() - t0).as_secs();
-        Some((dur, pg.bodies))
-    });
-    assemble(report.results, (0..p).collect(), None)
+    let (time, groups) = program::mpi(cluster, p, |comm| Group::new(cfg, comm, niter, k));
+    NbodyRun {
+        time,
+        members: (0..p).collect(),
+        groups,
+        predicted: None,
+    }
 }
 
 /// HMPI: recon → model → `group_create` → run.
@@ -65,44 +69,23 @@ pub fn run_mpi(cluster: Arc<Cluster>, cfg: &NbodyConfig, niter: usize, k: usize)
 /// # Panics
 /// Panics if the cluster hosts fewer processes than groups.
 pub fn run_hmpi(cluster: Arc<Cluster>, cfg: &NbodyConfig, niter: usize, k: usize) -> NbodyRun {
-    let p = cfg.p();
-    let runtime = HmpiRuntime::new(cluster);
-    assert!(p <= runtime.universe().size());
-    let report = runtime.run(|h| -> (RankOutcome, Option<(Vec<usize>, f64)>) {
-        // Recon benchmark: k body-body interactions.
-        h.recon(1.0).expect("recon");
-        let model = nbody_model(cfg, k).expect("model");
-        let group = h.group_create(&model).expect("group_create");
-        let meta = h
-            .is_host()
-            .then(|| (group.members().to_vec(), group.predicted_time()));
-        let outcome = if let Some(comm) = group.comm() {
-            let mut pg = ParallelGroup::new(cfg, comm.rank());
-            let t0 = comm.clock().now();
-            pg.run(comm, niter, k).expect("nbody kernel");
-            comm.barrier().expect("closing barrier");
-            let dur = (comm.clock().now() - t0).as_secs();
-            Some((dur, pg.bodies.clone()))
-        } else {
-            None
-        };
-        if group.is_member() {
-            h.group_free(group).expect("group_free");
-        }
-        h.finalize().expect("finalize");
-        (outcome, meta)
-    });
-
-    let mut outcomes = Vec::with_capacity(report.results.len());
-    let mut meta = None;
-    for (o, m) in report.results {
-        outcomes.push(o);
-        if m.is_some() {
-            meta = m;
-        }
+    let run = program::hmpi(
+        cluster,
+        RuntimeConfig::new(),
+        cfg.p(),
+        |h| {
+            // Recon benchmark: k body-body interactions.
+            h.recon(1.0).expect("recon");
+            (nbody_model(cfg, k).expect("model"), (), ())
+        },
+        |comm, ()| Group::new(cfg, comm, niter, k),
+    );
+    NbodyRun {
+        time: run.time,
+        members: run.members,
+        groups: run.outs,
+        predicted: Some(run.predicted),
     }
-    let (members, predicted) = meta.expect("host reported");
-    assemble(outcomes, members, Some(predicted))
 }
 
 #[cfg(test)]
