@@ -844,7 +844,7 @@ mod tests {
                 &self,
                 _sink: &mut dyn perfmodel::SchemeSink,
             ) -> Result<(), perfmodel::EvalError> {
-                Err(perfmodel::EvalError::Undefined("boom".into()))
+                Err(perfmodel::EvalError::BadProcessor("boom".into()))
             }
         }
         let cluster = ClusterBuilder::new()
@@ -867,7 +867,7 @@ mod tests {
         ] {
             assert_eq!(
                 select_mapping(algo, &model, &ctx),
-                Err(SelectError::Eval("undefined name `boom`".into())),
+                Err(SelectError::Eval("bad abstract processor: boom".into())),
                 "{algo:?}"
             );
         }

@@ -714,7 +714,7 @@ mod tests {
                 0
             }
             fn run_scheme(&self, _sink: &mut dyn SchemeSink) -> Result<(), EvalError> {
-                Err(EvalError::Undefined("boom".into()))
+                Err(EvalError::BadProcessor("boom".into()))
             }
         }
         assert!(CostProgram::record(&Broken).is_err());

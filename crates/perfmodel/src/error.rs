@@ -34,14 +34,10 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// A runtime failure while evaluating model expressions or interpreting a
-/// scheme.
+/// scheme. Every variant depends on parameter values: a name or kind error
+/// is a [`ParseError`] when the model is compiled.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EvalError {
-    /// Reference to a name not in scope.
-    Undefined(String),
-    /// A value was used with the wrong shape (indexing a scalar, calling an
-    /// array, ...).
-    TypeError(String),
     /// Array subscript out of bounds.
     IndexOutOfBounds {
         /// The array or parameter name.
@@ -58,7 +54,7 @@ pub enum EvalError {
     Overflow,
     /// Wrong number or shape of model parameters at instantiation.
     BadParameters(String),
-    /// An extern function rejected its arguments.
+    /// An extern function rejected its arguments' values.
     ExternError {
         /// Function name.
         name: String,
@@ -75,8 +71,6 @@ pub enum EvalError {
 impl fmt::Display for EvalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EvalError::Undefined(n) => write!(f, "undefined name `{n}`"),
-            EvalError::TypeError(m) => write!(f, "type error: {m}"),
             EvalError::IndexOutOfBounds {
                 name,
                 index,
@@ -110,7 +104,8 @@ mod tests {
 
     #[test]
     fn eval_errors_display() {
-        assert!(EvalError::Undefined("x".into()).to_string().contains("`x`"));
+        let bad = EvalError::BadProcessor("coordinate 9 outside 0..4".into());
+        assert!(bad.to_string().contains("0..4"));
         assert!(EvalError::IndexOutOfBounds {
             name: "d".into(),
             index: 9,

@@ -2,18 +2,19 @@
 //!
 //! [`Scope`] lowers an [`Expr`] to an [`Ex`] at compile time: every name
 //! resolves lexically to a frame slot (a struct variable is one slot per
-//! field) or to an array parameter, and `sizeof` folds to its constant. A
-//! name that does not resolve, or a value of the wrong kind, lowers to an
-//! [`Ex::Fail`] node that raises the error only when it is evaluated, so an
-//! untaken branch still cannot fail.
+//! field) or to an array parameter, and `sizeof` folds to its constant. As
+//! in C, a name that does not resolve, or a value of the wrong kind, is a
+//! compile error ([`ParseError`]), so a lowered tree can only fail on
+//! values: a bad subscript, a division by zero, an overflow.
 //!
 //! Two evaluation contexts walk the same tree, per the crate-level
 //! semantics note: [`Frame::int`] (array subscripts, loop control, guards —
 //! checked `i64` with C truncating division) and [`Frame::num`] (volume and
 //! percentage expressions — `f64` with true division).
 
-use crate::ast::{BinOp, Expr, LValue, StructDef, UnOp};
-use crate::error::EvalError;
+use crate::ast::{BinOp, CallArg, Expr, LValue, StructDef, UnOp};
+use crate::error::{EvalError, ParseError};
+use crate::pretty::print_expr;
 use crate::value::ArrayVal;
 
 /// A lowered expression.
@@ -30,30 +31,18 @@ pub(crate) enum Ex {
     Unary(UnOp, Box<Ex>),
     /// A binary operation.
     Binary(BinOp, Box<Ex>, Box<Ex>),
-    /// Evaluates `.0` in order for their errors, then raises `.1`.
-    Fail(Box<[Ex]>, Box<EvalError>),
-    /// A `GetProcessor` lookup evaluated for its errors only: the call
-    /// returns no value, so this node sits inside a `Fail`.
-    Call(Box<Call>),
 }
 
 /// The lowered coordinates of an abstract processor.
 pub(crate) type Place = Box<[Ex]>;
 
-/// A node that evaluates `first` and then raises `err`.
-pub(crate) fn fail(first: Vec<Ex>, err: EvalError) -> Ex {
-    Ex::Fail(first.into(), Box::new(err))
-}
-
 /// A lowered `GetProcessor(row, col, m, h, w, &out)` lookup.
 #[derive(Debug, Clone)]
 pub(crate) struct Call {
-    /// The integer-valued arguments, in order; in a well-formed call
-    /// `row`, `col` and `m` come first.
-    args: Vec<Ex>,
-    /// The `h` and `w` array parameters, or the arity or kind error the
-    /// call raises once its arguments are evaluated.
-    arrays: Result<(usize, usize), EvalError>,
+    /// `row`, `col` and `m`.
+    args: [Ex; 3],
+    /// The `h` (rank 4) and `w` (rank 1) array parameters.
+    arrays: (usize, usize),
 }
 
 /// What a name resolves to.
@@ -71,10 +60,16 @@ pub(crate) enum Var {
 /// A lowered call argument (or assignment right-hand side): an integer
 /// expression, or a whole array or struct variable.
 pub(crate) enum Operand {
-    /// Evaluates to an integer (or fails).
+    /// Evaluates to an integer.
     Int(Ex),
     /// An array or struct variable, passed whole.
     Whole(Var),
+}
+
+/// A compile error found while lowering. The syntax tree carries no
+/// positions, so it points at the start of the source.
+pub(crate) fn compile_error(message: impl Into<String>) -> ParseError {
+    ParseError::new(message, 1, 1)
 }
 
 /// The lexical scopes of the lowering pass, innermost last. Every
@@ -145,14 +140,14 @@ impl<'a> Scope<'a> {
     /// Resolves a name, innermost binding first.
     ///
     /// # Errors
-    /// [`EvalError::Undefined`] if nothing of that name is in scope.
-    pub(crate) fn get(&self, name: &str) -> Result<Var, EvalError> {
+    /// [`ParseError`] if nothing of that name is in scope.
+    pub(crate) fn get(&self, name: &str) -> Result<Var, ParseError> {
         self.vars
             .iter()
             .rev()
             .find(|(n, _)| *n == name)
             .map(|&(_, v)| v)
-            .ok_or_else(|| EvalError::Undefined(name.to_string()))
+            .ok_or_else(|| compile_error(format!("undefined name `{name}`")))
     }
 
     /// The fields of struct typedef `ty`.
@@ -163,176 +158,184 @@ impl<'a> Scope<'a> {
     /// The slot of `var.field`.
     ///
     /// # Errors
-    /// [`EvalError::TypeError`] if `var` is not a struct,
-    /// [`EvalError::Undefined`] if it has no such field.
-    pub(crate) fn field(&self, var: Var, field: &str) -> Result<usize, EvalError> {
+    /// [`ParseError`] if `var` is not a struct or has no such field.
+    pub(crate) fn field(&self, var: Var, field: &str) -> Result<usize, ParseError> {
         let Var::Struct(ty, base) = var else {
             return Err(self.kind_error("struct", Some(var)));
         };
         let k = self.fields(ty).iter().position(|f| f == field);
-        k.map(|k| base + k)
-            .ok_or_else(|| EvalError::Undefined(format!("field {field}")))
-    }
-
-    /// The `I` and `J` slots of a `GetProcessor` out-argument: a struct
-    /// variable whose fields are exactly `I` and `J`.
-    pub(crate) fn processor(&self, lv: &LValue) -> Option<(Var, (usize, usize))> {
-        let LValue::Var(name) = lv else { return None };
-        let var = self.get(name).ok()?;
-        let Var::Struct(ty, _) = var else { return None };
-        let slots = (self.field(var, "I").ok()?, self.field(var, "J").ok()?);
-        (self.fields(ty).len() == 2).then_some((var, slots))
+        k.map(|k| base + k).ok_or_else(|| {
+            let ty = &self.structs[ty].name;
+            compile_error(format!("struct `{ty}` has no field `{field}`"))
+        })
     }
 
     /// `expected {want}, found ...` for a value of the wrong kind (`None`
     /// is an integer).
-    pub(crate) fn kind_error(&self, want: &str, found: Option<Var>) -> EvalError {
+    pub(crate) fn kind_error(&self, want: &str, found: Option<Var>) -> ParseError {
         let found = match found {
             None | Some(Var::Int(_)) => "int".to_string(),
             Some(Var::Array(_, rank)) => format!("int array of rank {rank}"),
             Some(Var::Struct(ty, _)) => format!("{} {{..}}", self.structs[ty].name),
         };
-        EvalError::TypeError(format!("expected {want}, found {found}"))
+        compile_error(format!("type error: expected {want}, found {found}"))
     }
 
     /// Lowers an expression for either evaluation context.
-    pub(crate) fn lower(&self, e: &Expr) -> Ex {
-        match e {
+    ///
+    /// # Errors
+    /// [`ParseError`] for an unresolved name or field, a value of the wrong
+    /// kind, an unknown `sizeof` type, and any call: `GetProcessor`, the
+    /// one extern function, is a statement.
+    pub(crate) fn lower(&self, e: &Expr) -> Result<Ex, ParseError> {
+        Ok(match e {
             Expr::Int(n) => Ex::Int(*n),
-            Expr::Var(name) => match self.get(name) {
-                Ok(Var::Int(s)) => Ex::Slot(s),
-                Ok(v) => fail(vec![], self.kind_error("int", Some(v))),
-                Err(u) => fail(vec![], u),
+            Expr::Var(name) => match self.get(name)? {
+                Var::Int(s) => Ex::Slot(s),
+                v => return Err(self.kind_error("int", Some(v))),
             },
-            Expr::SizeOf(ty) => sizeof(ty).map_or_else(|e| fail(vec![], e), Ex::Int),
-            Expr::Member(base, field) => match self.operand(base) {
-                Operand::Whole(v) => self
-                    .field(v, field)
-                    .map_or_else(|e| fail(vec![], e), Ex::Slot),
-                Operand::Int(x) => fail(vec![x], self.kind_error("struct", None)),
+            Expr::SizeOf(ty) => Ex::Int(sizeof(ty)?),
+            Expr::Member(base, field) => match self.operand(base)? {
+                Operand::Whole(v) => Ex::Slot(self.field(v, field)?),
+                Operand::Int(_) => return Err(self.kind_error("struct", None)),
             },
-            Expr::Index(..) => self.index(e),
-            Expr::Unary(op, x) => Ex::Unary(*op, Box::new(self.lower(x))),
+            Expr::Index(..) => self.index(e)?,
+            Expr::Unary(op, x) => Ex::Unary(*op, Box::new(self.lower(x)?)),
             Expr::Binary(op, a, b) => {
-                Ex::Binary(*op, Box::new(self.lower(a)), Box::new(self.lower(b)))
+                Ex::Binary(*op, Box::new(self.lower(a)?), Box::new(self.lower(b)?))
             }
-            Expr::Call(name, args) if name == "GetProcessor" => {
-                let call = self.call(args.iter().map(|a| self.operand(a)).collect());
-                fail(
-                    vec![Ex::Call(Box::new(call))],
-                    extern_error("used in expression position but returned no value".into()),
-                )
+            Expr::Call(name, _) if name == "GetProcessor" => {
+                let msg = "used in expression position but returns no value";
+                return Err(extern_error(msg));
             }
-            Expr::Call(name, _) => fail(vec![], unknown_extern(name)),
-        }
+            Expr::Call(name, _) => {
+                return Err(compile_error(format!("undefined extern function `{name}`")))
+            }
+        })
     }
 
-    /// Lowers a call argument: a whole array or struct variable, or an
-    /// integer expression.
-    pub(crate) fn operand(&self, e: &Expr) -> Operand {
-        match e {
-            Expr::Var(name) => match self.get(name) {
-                Ok(v @ (Var::Array(..) | Var::Struct(..))) => Operand::Whole(v),
-                _ => Operand::Int(self.lower(e)),
-            },
-            _ => Operand::Int(self.lower(e)),
+    /// Lowers a call argument or assignment right-hand side: a whole array
+    /// or struct variable, or an integer expression.
+    pub(crate) fn operand(&self, e: &Expr) -> Result<Operand, ParseError> {
+        if let Expr::Var(name) = e {
+            if let v @ (Var::Array(..) | Var::Struct(..)) = self.get(name)? {
+                return Ok(Operand::Whole(v));
+            }
         }
+        self.lower(e).map(Operand::Int)
     }
 
-    /// Lowers a subscript chain `a[i][j]...`. Every subscript is evaluated
-    /// before the array is looked up and any bound is checked.
-    fn index(&self, e: &Expr) -> Ex {
-        let mut subs = Vec::new();
+    /// Lowers a subscript chain `a[i][j]...`: the array, then its
+    /// subscripts left to right.
+    fn index(&self, e: &Expr) -> Result<Ex, ParseError> {
+        let mut idx = Vec::new();
         let mut cur = e;
-        while let Expr::Index(base, idx) = cur {
-            subs.push(self.lower(idx));
+        while let Expr::Index(base, i) = cur {
+            idx.push(i);
             cur = base;
         }
-        let err = match cur {
-            Expr::Var(name) => match self.get(name) {
-                Ok(Var::Array(a, rank)) if rank == subs.len() => {
-                    subs.reverse();
-                    return Ex::Elem(a, subs.into());
-                }
-                Ok(Var::Array(_, rank)) => EvalError::TypeError(format!(
-                    "`{name}` has rank {rank} but was indexed with {} subscripts",
-                    subs.len()
-                )),
-                Ok(v) => self.kind_error("array", Some(v)),
-                Err(u) => u,
-            },
-            other => EvalError::TypeError(format!("cannot index into {other:?}")),
+        let Expr::Var(name) = cur else {
+            return Err(compile_error(format!(
+                "type error: cannot index into `{}`",
+                print_expr(cur)
+            )));
         };
-        fail(subs, err)
+        match self.get(name)? {
+            Var::Array(a, rank) if rank == idx.len() => {
+                let subs = idx.iter().rev().map(|i| self.lower(i));
+                Ok(Ex::Elem(a, subs.collect::<Result<_, _>>()?))
+            }
+            Var::Array(_, rank) => Err(compile_error(format!(
+                "type error: `{name}` has rank {rank} but was indexed with {} subscripts",
+                idx.len()
+            ))),
+            v => Err(self.kind_error("array", Some(v))),
+        }
     }
 
-    /// Lowers a `GetProcessor` call over its lowered arguments.
-    pub(crate) fn call(&self, operands: Vec<Operand>) -> Call {
-        let arity = operands.len();
-        let (mut args, mut kinds) = (Vec::new(), Vec::new());
-        for a in operands {
-            kinds.push(match a {
-                Operand::Int(x) => {
-                    args.push(x);
-                    None
-                }
-                Operand::Whole(v) => Some(v),
-            });
-        }
-        let arrays = if arity != 6 {
-            Err(extern_error(format!("expected 6 arguments, got {arity}")))
-        } else if let Some(&found) = kinds[..3].iter().find(|k| k.is_some()) {
-            Err(self.kind_error("int", found))
-        } else {
-            match (kinds[3], kinds[4]) {
-                (Some(Var::Array(h, _)), Some(Var::Array(w, _))) => Ok((h, w)),
-                (Some(Var::Array(..)), found) | (found, _) => Err(self.kind_error("array", found)),
-            }
+    /// Lowers a `GetProcessor(row, col, m, h, w, &out)` statement: the
+    /// lookup, and the `I` and `J` slots of `out`.
+    ///
+    /// # Errors
+    /// [`ParseError`] unless `row`, `col` and `m` are integers, `h` and `w`
+    /// array parameters of rank 4 and 1, and `out` a struct variable whose
+    /// fields are exactly `I` and `J`.
+    pub(crate) fn call(&self, args: &[CallArg]) -> Result<(Call, (usize, usize)), ParseError> {
+        let [row, col, m, h, w, out] = args else {
+            return Err(extern_error(&format!(
+                "expected 6 arguments, got {}",
+                args.len()
+            )));
         };
-        Call { args, arrays }
+        let value = |a: &CallArg| match a {
+            CallArg::Value(e) => self.operand(e),
+            CallArg::OutRef(_) => Err(extern_error("only the last argument is passed by `&`")),
+        };
+        let int = |a: &CallArg| match value(a)? {
+            Operand::Int(x) => Ok(x),
+            Operand::Whole(v) => Err(self.kind_error("int", Some(v))),
+        };
+        let array = |a: &CallArg, rank: usize| match value(a)? {
+            Operand::Whole(Var::Array(k, r)) if r == rank => Ok(k),
+            Operand::Whole(v) => {
+                Err(self.kind_error(&format!("int array of rank {rank}"), Some(v)))
+            }
+            Operand::Int(_) => Err(self.kind_error(&format!("int array of rank {rank}"), None)),
+        };
+        let args = [int(row)?, int(col)?, int(m)?];
+        let arrays = (array(h, 4)?, array(w, 1)?);
+        // `out` is a struct variable whose fields are exactly `I` and `J`.
+        let out = match out {
+            CallArg::OutRef(LValue::Var(name)) => match self.get(name) {
+                Ok(v @ Var::Struct(ty, _)) if self.fields(ty).len() == 2 => {
+                    self.field(v, "I").ok().zip(self.field(v, "J").ok())
+                }
+                _ => None,
+            },
+            _ => None,
+        };
+        let out = out.ok_or_else(|| {
+            extern_error(
+                "the last argument must be `&` a struct variable with exactly the fields I and J",
+            )
+        })?;
+        Ok((Call { args, arrays }, out))
     }
 
     /// Lowers the coordinates of an abstract processor: a scheme
-    /// `activity`, or a `link` end or the `parent`. A wrong count raises
-    /// `BadProcessor` when evaluated.
-    pub(crate) fn place(&self, coords: &[Expr], activity: bool) -> Place {
+    /// activity, a `link` end or the `parent`.
+    ///
+    /// # Errors
+    /// [`ParseError`] for a wrong coordinate count, and as [`Scope::lower`].
+    pub(crate) fn place(&self, coords: &[Expr]) -> Result<Place, ParseError> {
         let (n, rank) = (coords.len(), self.rank);
-        if n == rank {
-            return coords.iter().map(|c| self.lower(c)).collect();
+        if n != rank {
+            let named: Vec<_> = coords.iter().map(print_expr).collect();
+            return Err(compile_error(format!(
+                "bad abstract processor: [{}] names {n} coordinates but the coordinate space has {rank}",
+                named.join(", ")
+            )));
         }
-        let msg = if activity {
-            format!("activity names {n} coordinates but the coordinate space has {rank}")
-        } else {
-            format!("{n} coordinates given, {rank} expected")
-        };
-        Box::new([fail(vec![], EvalError::BadProcessor(msg))])
+        coords.iter().map(|c| self.lower(c)).collect()
     }
 }
 
-fn extern_error(message: String) -> EvalError {
-    EvalError::ExternError {
-        name: "GetProcessor".into(),
-        message,
-    }
-}
-
-/// The error for a call to any extern function but `GetProcessor`.
-pub(crate) fn unknown_extern(name: &str) -> EvalError {
-    EvalError::Undefined(format!("extern function {name}"))
+fn extern_error(message: &str) -> ParseError {
+    compile_error(format!("extern function `GetProcessor`: {message}"))
 }
 
 /// C byte size of a named type (`sizeof(double)` in Figure 4/7).
 ///
 /// # Errors
-/// [`EvalError::TypeError`] for unknown type names.
-pub fn sizeof(ty: &str) -> Result<i64, EvalError> {
+/// [`ParseError`] for unknown type names.
+pub(crate) fn sizeof(ty: &str) -> Result<i64, ParseError> {
     match ty {
         "char" => Ok(1),
         "short" => Ok(2),
         "int" | "float" => Ok(4),
         "long" | "double" => Ok(8),
-        other => Err(EvalError::TypeError(format!(
-            "sizeof unknown type `{other}`"
+        other => Err(compile_error(format!(
+            "type error: sizeof unknown type `{other}`"
         ))),
     }
 }
@@ -349,13 +352,19 @@ pub fn sizeof(ty: &str) -> Result<i64, EvalError> {
 /// # Errors
 /// [`EvalError::ExternError`] for coordinates outside the generalised
 /// block, [`EvalError::Overflow`] if the running sum of `w` or `h` leaves
-/// `i64`, and the array lookups' errors.
+/// `i64`, and [`EvalError::IndexOutOfBounds`] if `m` exceeds an extent.
+///
+/// # Panics
+/// Panics unless `h` has rank 4 and `w` rank 1, which lowering checks.
 pub fn get_processor(at: [i64; 3], h: &ArrayVal, w: &ArrayVal) -> Result<(i64, i64), EvalError> {
     let [row, col, m] = at;
-    let j = first_slice(m, col, |j| w.get("w", &[j]))?
-        .ok_or_else(|| extern_error(format!("column {col} beyond the generalised block")))?;
-    let i = first_slice(m, row, |i| h.get("h", &[i, j, i, j]))?
-        .ok_or_else(|| extern_error(format!("row {row} beyond the generalised block")))?;
+    let beyond = |what: &str, at: i64| EvalError::ExternError {
+        name: "GetProcessor".into(),
+        message: format!("{what} {at} beyond the generalised block"),
+    };
+    let j = first_slice(m, col, |j| w.get("w", &[j]))?.ok_or_else(|| beyond("column", col))?;
+    let i =
+        first_slice(m, row, |i| h.get("h", &[i, j, i, j]))?.ok_or_else(|| beyond("row", row))?;
     Ok((i, j))
 }
 
@@ -423,8 +432,8 @@ impl<'a> Frame<'a> {
     /// short-circuit over zero/nonzero.
     ///
     /// # Errors
-    /// [`EvalError::DivisionByZero`], [`EvalError::Overflow`],
-    /// [`EvalError::IndexOutOfBounds`] and whatever a `Fail` node raises.
+    /// [`EvalError::DivisionByZero`], [`EvalError::Overflow`] and
+    /// [`EvalError::IndexOutOfBounds`].
     pub(crate) fn int(&self, e: &Ex) -> Result<i64, EvalError> {
         match e {
             Ex::Int(n) => Ok(*n),
@@ -457,13 +466,6 @@ impl<'a> Frame<'a> {
                 }
                 .ok_or(EvalError::Overflow)
             }
-            Ex::Fail(first, err) => {
-                for x in first.iter() {
-                    self.int(x)?;
-                }
-                Err((**err).clone())
-            }
-            Ex::Call(c) => self.lookup(c).map(|_| 0),
         }
     }
 
@@ -531,15 +533,12 @@ impl<'a> Frame<'a> {
 
     /// Runs a `GetProcessor` lookup, returning `(I, J)`.
     pub(crate) fn lookup(&self, c: &Call) -> Result<(i64, i64), EvalError> {
-        let mut v = [0; 3];
-        for (k, x) in c.args.iter().enumerate() {
-            let n = self.int(x)?;
-            if k < 3 {
-                v[k] = n;
-            }
+        let mut at = [0; 3];
+        for (v, x) in at.iter_mut().zip(&c.args) {
+            *v = self.int(x)?;
         }
-        let (h, w) = c.arrays.clone()?;
-        get_processor(v, &self.arrays[h].1, &self.arrays[w].1)
+        let (h, w) = c.arrays;
+        get_processor(at, &self.arrays[h].1, &self.arrays[w].1)
     }
 
     /// The linear (row-major) index of the processor at `coords`.
@@ -587,8 +586,8 @@ pub(crate) mod tests {
             self
         }
 
-        /// Lowers `e` with these bindings in scope and evaluates it.
-        fn eval<T>(&self, e: &Expr, f: impl Fn(&Frame, &Ex) -> T) -> T {
+        /// Lowers `e` with these bindings in scope.
+        pub(crate) fn lower(&self, e: &Expr) -> Result<Ex, ParseError> {
             let mut scope = Scope::default();
             for (name, _) in &self.ints {
                 scope.int(name);
@@ -596,7 +595,12 @@ pub(crate) mod tests {
             for (name, a) in &self.arrays {
                 scope.array(name, a.dims.len());
             }
-            let ex = scope.lower(e);
+            scope.lower(e)
+        }
+
+        /// Lowers `e` with these bindings in scope and evaluates it.
+        fn eval<T>(&self, e: &Expr, f: impl Fn(&Frame, &Ex) -> T) -> T {
+            let ex = self.lower(e).expect("the expression lowers");
             let arrays: Vec<_> = self
                 .arrays
                 .iter()
@@ -639,7 +643,8 @@ pub(crate) mod tests {
     fn declare_and_get() {
         let env = env_with(&[("x", 3)]);
         assert_eq!(eval_int(&env, &expr("x")).unwrap(), 3);
-        assert!(eval_int(&env, &expr("y")).is_err());
+        let err = env.lower(&expr("y")).unwrap_err();
+        assert_eq!(err.message, "undefined name `y`");
     }
 
     #[test]
@@ -673,14 +678,12 @@ pub(crate) mod tests {
 
     #[test]
     fn assign_to_undeclared_fails() {
-        let model = crate::CompiledModel::compile(
+        let err = crate::CompiledModel::compile(
             "algorithm T() { coord I=1; node {I>=0: bench*(1);}; parent[0];
                scheme { nope = 0; }; }",
         )
-        .unwrap();
-        let inst = model.instantiate(&[]).unwrap();
-        let mut sink = crate::RecordingSink::default();
-        assert!(crate::PerformanceModel::run_scheme(&inst, &mut sink).is_err());
+        .unwrap_err();
+        assert_eq!(err.message, "undefined name `nope`");
     }
 
     #[test]

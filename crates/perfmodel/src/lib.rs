@@ -47,16 +47,15 @@
 //!    true division: the paper writes `(100/n)%%[...]`, which under integer
 //!    division would be zero for `n > 100` and make every step free.
 //!
-//! Names resolve lexically when the model is compiled, but errors stay
-//! where evaluation meets them: a name that does not resolve, or a value of
-//! the wrong kind, raises its [`EvalError`] only if that expression runs.
-//! Two forms a static frame cannot express are rejected by `compile` as a
-//! [`ParseError`]: a declaration that is the whole body of an `if`, `for`
-//! or `par` (it would declare its name only when the branch runs), and a
-//! `GetProcessor` out-argument that is not a struct with fields `I` and
-//! `J`. A variable keeps the kind it is declared with: assigning a whole
-//! struct or array to an integer, an integer to a struct, or a field the
-//! struct does not declare raises when it runs.
+//! As in C, names resolve and kinds check when the model is compiled: an
+//! undefined name or field, an array or struct used as an integer, an
+//! assignment that changes a variable's kind, a call to any extern function
+//! but `GetProcessor`, or an activity with the wrong number of coordinates
+//! is a [`ParseError`] from `compile`, in taken and untaken branches alike.
+//! So is a declaration that is the whole body of an `if`, `for` or `par`
+//! (it would declare its name only when the branch runs), and so is source
+//! nested deeper than 128 levels. What is left for run time is what
+//! depends on parameter values: each [`EvalError`].
 
 #![warn(missing_docs)]
 

@@ -144,7 +144,8 @@ impl CompiledModel {
     /// Figure 7's `GetProcessor`.
     ///
     /// # Errors
-    /// [`ParseError`] on syntax errors or if no algorithm is present.
+    /// [`ParseError`] on syntax errors, if no algorithm is present, or as
+    /// [`CompiledModel::from_program`].
     pub fn compile(src: &str) -> Result<CompiledModel, ParseError> {
         Self::compile_named(src, None)
     }
@@ -153,7 +154,8 @@ impl CompiledModel {
     /// several).
     ///
     /// # Errors
-    /// [`ParseError`] if the algorithm is missing.
+    /// [`ParseError`] on syntax errors, if the algorithm is missing, or as
+    /// [`CompiledModel::from_program`].
     pub fn compile_named(src: &str, name: Option<&str>) -> Result<CompiledModel, ParseError> {
         Self::from_program(parse_program(src)?, name)
     }
@@ -162,10 +164,18 @@ impl CompiledModel {
     /// from an already parsed program, lowering it to frame slots.
     ///
     /// # Errors
-    /// [`ParseError`] if the algorithm is missing, or if its scheme uses one
-    /// of the two forms static slots cannot express: a declaration that is
-    /// the whole body of an `if`, `for` or `par`, or a `GetProcessor`
-    /// out-argument that is not a struct with fields `I` and `J`.
+    /// [`ParseError`] if the algorithm is missing, and for every error C
+    /// would report at compile time: an unresolved name or struct field; an
+    /// array or struct used as an integer, an index into a non-array or
+    /// with the wrong subscript count, or a field of an integer; an
+    /// assignment that changes a variable's kind; an unknown `sizeof` or
+    /// struct type, or a struct declaration with an initialiser; a `for` or
+    /// `par` without a condition; a call to any extern function but
+    /// `GetProcessor`, or a `GetProcessor` call in an expression, with the
+    /// wrong arguments, or with `h` not of rank 4 or `w` not of rank 1; an
+    /// activity, `link` end or `parent` with the wrong coordinate count;
+    /// and a declaration that is the whole body of an `if`, `for` or `par`.
+    /// The error's position is 1:1: the syntax tree carries no positions.
     pub fn from_program(program: Program, name: Option<&str>) -> Result<CompiledModel, ParseError> {
         let alg = match name {
             None => program.algorithms.first(),
@@ -193,9 +203,11 @@ impl CompiledModel {
     /// `parent` sections, and returns the instance.
     ///
     /// # Errors
-    /// [`EvalError::BadParameters`] on arity/shape mismatches,
-    /// [`EvalError::Overflow`] if the processor or binder count does not
-    /// fit a `usize`; other [`EvalError`]s from section evaluation.
+    /// [`EvalError::BadParameters`] on arity/shape mismatches or a
+    /// non-positive extent, [`EvalError::Overflow`] if the processor or
+    /// binder count does not fit a `usize`, [`EvalError::BadProcessor`] for a
+    /// `link` end or `parent` outside the coordinate space; other
+    /// [`EvalError`]s from section evaluation.
     pub fn instantiate(&self, params: &[ParamValue]) -> Result<ModelInstance, EvalError> {
         let lw = &*self.lowered;
         if params.len() != lw.params.len() {
@@ -319,7 +331,11 @@ fn lower(alg: &AlgorithmDef, structs: &[StructDef]) -> Result<Lowered, ParseErro
         let bound = if p.dims.is_empty() {
             Param::Int(scope.int(&p.name))
         } else {
-            let dims = p.dims.iter().map(|d| scope.lower(d)).collect();
+            let dims = p
+                .dims
+                .iter()
+                .map(|d| scope.lower(d))
+                .collect::<Result<_, _>>()?;
             scope.array(&p.name, p.dims.len());
             Param::Array(dims)
         };
@@ -328,16 +344,16 @@ fn lower(alg: &AlgorithmDef, structs: &[StructDef]) -> Result<Lowered, ParseErro
     let parent = if alg.parent.is_empty() {
         Box::default()
     } else {
-        scope.place(&alg.parent, false)
+        scope.place(&alg.parent)?
     };
     // Coordinate and binder extents see the parameters only.
-    let extents = |named: &[(String, Expr)]| -> Vec<(String, usize, Ex)> {
+    let extents = |named: &[(String, Expr)]| -> Result<Vec<(String, usize, Ex)>, ParseError> {
         named
             .iter()
-            .map(|(n, e)| (n.clone(), 0, scope.lower(e)))
+            .map(|(n, e)| Ok((n.clone(), 0, scope.lower(e)?)))
             .collect()
     };
-    let (mut coords, mut binders) = (extents(&alg.coords), extents(&alg.link_binders));
+    let (mut coords, mut binders) = (extents(&alg.coords)?, extents(&alg.link_binders)?);
 
     scope.push();
     for (c, (name, _)) in coords.iter_mut().zip(&alg.coords) {
@@ -346,8 +362,8 @@ fn lower(alg: &AlgorithmDef, structs: &[StructDef]) -> Result<Lowered, ParseErro
     let nodes = alg
         .node_rules
         .iter()
-        .map(|r| (scope.lower(&r.guard), scope.lower(&r.volume)))
-        .collect();
+        .map(|r| Ok((scope.lower(&r.guard)?, scope.lower(&r.volume)?)))
+        .collect::<Result<_, ParseError>>()?;
     scope.push();
     // Declared last to first: of two binders with one name, the first
     // wins, as it did when they were bound in that order.
@@ -358,15 +374,14 @@ fn lower(alg: &AlgorithmDef, structs: &[StructDef]) -> Result<Lowered, ParseErro
         .link_rules
         .iter()
         .map(|r| {
-            let (guard, volume) = (scope.lower(&r.guard), scope.lower(&r.volume));
-            (
-                guard,
-                volume,
-                scope.place(&r.src, false),
-                scope.place(&r.dst, false),
-            )
+            Ok((
+                scope.lower(&r.guard)?,
+                scope.lower(&r.volume)?,
+                scope.place(&r.src)?,
+                scope.place(&r.dst)?,
+            ))
         })
-        .collect();
+        .collect::<Result<_, ParseError>>()?;
     scope.pop();
     let scheme = if alg.scheme.is_empty() {
         None
@@ -641,6 +656,27 @@ mod tests {
         )
         .unwrap();
         assert_eq!(binders.instantiate(&[p]).unwrap_err(), EvalError::Overflow);
+    }
+
+    #[test]
+    fn coordinate_counts_are_checked_at_compile_time() {
+        // The `parent` and each `link` end name every coordinate: in a 1-D
+        // model, `parent[0, 0]` fails to compile, not to instantiate.
+        for (sections, named) in [
+            ("parent[0, 0];", "[0, 0]"),
+            ("link {I>=0: length*(1) [0]->[0, 1];}; parent[0];", "[0, 1]"),
+            ("link {I>=0: length*(1) [0, 1]->[0];};", "[0, 1]"),
+        ] {
+            let err = CompiledModel::compile(&format!(
+                "algorithm C(int p) {{ coord I=p; node {{I>=0: bench*(1);}}; {sections} }}"
+            ))
+            .unwrap_err();
+            let msg = format!(
+                "bad abstract processor: {named} names 2 coordinates but the coordinate space \
+                 has 1"
+            );
+            assert_eq!(err.message, msg, "{sections}");
+        }
     }
 
     #[test]

@@ -11,6 +11,14 @@ use crate::error::ParseError;
 use crate::lexer::{lex, Spanned, Tok};
 use std::collections::HashSet;
 
+/// The deepest nesting the parser accepts (C guarantees 127 nested
+/// blocks). Parentheses, unary operators, calls, subscripts, member
+/// accesses, each operator of a binary chain and each nested statement
+/// count one level, so every later walk of the tree (lowering, evaluation,
+/// printing, `Drop`) recurses at most this deep and fits a 2 MiB rank
+/// worker's stack, even in a debug build.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete model source file.
 ///
 /// # Errors
@@ -21,6 +29,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
         toks,
         pos: 0,
         struct_names: HashSet::new(),
+        depth: 0,
     };
     p.program()
 }
@@ -29,6 +38,8 @@ struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
     struct_names: HashSet<String>,
+    /// The nesting level at the current token, against `MAX_DEPTH`.
+    depth: usize,
 }
 
 impl Parser {
@@ -48,6 +59,15 @@ impl Parser {
     fn err(&self, msg: impl Into<String>) -> ParseError {
         let (line, col) = self.here();
         ParseError::new(msg, line, col)
+    }
+
+    /// Enters one more level of nesting at the current token.
+    fn nest(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(())
     }
 
     fn bump(&mut self) -> Tok {
@@ -314,7 +334,7 @@ impl Parser {
                 self.bump();
                 let mut body = Vec::new();
                 while self.peek() != &Tok::RBrace {
-                    body.push(self.stmt()?);
+                    body.push(self.nested_stmt()?);
                 }
                 self.eat(&Tok::RBrace)?;
                 Ok(Stmt::Block(body))
@@ -340,7 +360,7 @@ impl Parser {
                     Some(Box::new(self.simple_stmt()?))
                 };
                 self.eat(&Tok::RParen)?;
-                let body = Box::new(self.stmt()?);
+                let body = Box::new(self.nested_stmt()?);
                 Ok(if kw == "for" {
                     Stmt::For {
                         init,
@@ -362,10 +382,10 @@ impl Parser {
                 self.eat(&Tok::LParen)?;
                 let cond = self.expr()?;
                 self.eat(&Tok::RParen)?;
-                let then = Box::new(self.stmt()?);
+                let then = Box::new(self.nested_stmt()?);
                 let els = if self.is_kw("else") {
                     self.bump();
-                    Some(Box::new(self.stmt()?))
+                    Some(Box::new(self.nested_stmt()?))
                 } else {
                     None
                 };
@@ -451,6 +471,15 @@ impl Parser {
         }
     }
 
+    /// A statement one level inside another.
+    fn nested_stmt(&mut self) -> Result<Stmt, ParseError> {
+        let depth = self.depth;
+        self.nest()?;
+        let s = self.stmt()?;
+        self.depth = depth;
+        Ok(s)
+    }
+
     /// An assignment without the trailing semicolon (for `for`/`par` headers)
     /// or a full assignment statement when called from `stmt`.
     fn simple_stmt(&mut self) -> Result<Stmt, ParseError> {
@@ -526,12 +555,16 @@ impl Parser {
     // ----- expressions ------------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.or_expr()
+        let depth = self.depth;
+        let e = self.or_expr()?;
+        self.depth = depth;
+        Ok(e)
     }
 
     fn or_expr(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.and_expr()?;
         while self.peek() == &Tok::OrOr {
+            self.nest()?;
             self.bump();
             let rhs = self.and_expr()?;
             lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
@@ -542,6 +575,7 @@ impl Parser {
     fn and_expr(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.cmp_expr()?;
         while self.peek() == &Tok::AndAnd {
+            self.nest()?;
             self.bump();
             let rhs = self.cmp_expr()?;
             lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
@@ -561,6 +595,7 @@ impl Parser {
                 Tok::Ge => BinOp::Ge,
                 _ => break,
             };
+            self.nest()?;
             self.bump();
             let rhs = self.add_expr()?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
@@ -576,6 +611,7 @@ impl Parser {
                 Tok::Minus => BinOp::Sub,
                 _ => break,
             };
+            self.nest()?;
             self.bump();
             let rhs = self.mul_expr()?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
@@ -592,6 +628,7 @@ impl Parser {
                 Tok::Percent => BinOp::Rem,
                 _ => break,
             };
+            self.nest()?;
             self.bump();
             let rhs = self.unary_expr()?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
@@ -602,10 +639,12 @@ impl Parser {
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
         match self.peek() {
             Tok::Minus => {
+                self.nest()?;
                 self.bump();
                 Ok(Expr::Unary(UnOp::Neg, Box::new(self.unary_expr()?)))
             }
             Tok::Not => {
+                self.nest()?;
                 self.bump();
                 Ok(Expr::Unary(UnOp::Not, Box::new(self.unary_expr()?)))
             }
@@ -618,12 +657,14 @@ impl Parser {
         loop {
             match self.peek() {
                 Tok::LBracket => {
+                    self.nest()?;
                     self.bump();
                     let idx = self.expr()?;
                     self.eat(&Tok::RBracket)?;
                     e = Expr::Index(Box::new(e), Box::new(idx));
                 }
                 Tok::Dot => {
+                    self.nest()?;
                     self.bump();
                     let field = self.ident()?;
                     e = Expr::Member(Box::new(e), field);
@@ -641,6 +682,7 @@ impl Parser {
                 Ok(Expr::Int(n))
             }
             Tok::LParen => {
+                self.nest()?;
                 self.bump();
                 let e = self.expr()?;
                 self.eat(&Tok::RParen)?;
@@ -656,6 +698,7 @@ impl Parser {
             Tok::Ident(name) => {
                 self.bump();
                 if self.peek() == &Tok::LParen {
+                    self.nest()?;
                     self.bump();
                     let args = self.expr_list(&Tok::RParen)?;
                     self.eat(&Tok::RParen)?;
@@ -823,6 +866,47 @@ mod tests {
     fn missing_coord_is_rejected() {
         let err = parse_program("algorithm X(int p) { parent[0]; }").unwrap_err();
         assert!(err.to_string().contains("no coord"));
+    }
+
+    #[test]
+    fn nesting_beyond_the_bound_is_a_parse_error_not_a_stack_overflow() {
+        use crate::{CompiledModel, PerformanceModel, RecordingSink};
+        // Each shape nests `depth` levels: parentheses and a binary chain as
+        // a volume and a share, and blocks around an activity.
+        type Shape = fn(usize) -> (String, String);
+        let shapes: [Shape; 3] = [
+            |d| {
+                let e = format!("{}1{}", "(".repeat(d), ")".repeat(d));
+                (e.clone(), format!("{e}%%[0];"))
+            },
+            |d| {
+                let e = format!("1{}", "+1".repeat(d));
+                (e.clone(), format!("{e}%%[0];"))
+            },
+            |d| {
+                let blocks = format!("{}100%%[0];{}", "{".repeat(d), "}".repeat(d));
+                ("1".into(), blocks)
+            },
+        ];
+        let compile = |(volume, scheme): (String, String)| {
+            CompiledModel::compile(&format!(
+                "algorithm Deep() {{ coord I=1; node {{I>=0: bench*({volume});}}; parent[0];
+                   scheme {{ {scheme} }}; }}"
+            ))
+        };
+        // A rank worker's stack.
+        let worker = std::thread::Builder::new().stack_size(2 << 20);
+        let run = move || {
+            for shape in shapes {
+                for deep in [MAX_DEPTH + 1, 10_000, 20_000] {
+                    let err = compile(shape(deep)).unwrap_err();
+                    assert!(err.message.contains("nesting deeper"), "{err}");
+                }
+                let inst = compile(shape(MAX_DEPTH)).unwrap().instantiate(&[]).unwrap();
+                inst.run_scheme(&mut RecordingSink::default()).unwrap();
+            }
+        };
+        worker.spawn(run).unwrap().join().unwrap();
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! over iterations — "data transfer between different pairs of processors
 //! is carried out in parallel".
 
-use crate::ast::{AssignOp, CallArg, Expr, LValue, Stmt};
+use crate::ast::{AssignOp, Expr, LValue, Stmt};
 use crate::error::{EvalError, ParseError};
-use crate::eval::{fail, unknown_extern, Call, Ex, Frame, Operand, Place, Scope, Var};
+use crate::eval::{compile_error, Call, Ex, Frame, Operand, Place, Scope, Var};
 
 /// Safety cap on total loop iterations while replaying one scheme.
 pub const ITERATION_LIMIT: u64 = 200_000_000;
@@ -93,15 +93,14 @@ impl SchemeSink for RecordingSink {
     }
 }
 
-/// A lowered scheme statement.
+/// A lowered scheme statement. Lowering has resolved every name and
+/// checked every kind, so a statement can fail only on values.
 #[derive(Debug, Clone)]
 pub(crate) enum Op {
     /// `slot = e`: declarations and plain assignments.
     Set(usize, Ex),
     /// `slot += e`, `-=` or `*=`, checked.
     Update(usize, AssignOp, Ex),
-    /// A statement that raises when it runs: evaluates a `Fail` node.
-    Check(Ex),
     /// `if (cond) then else`.
     If(Ex, Box<[Op]>, Box<[Op]>),
     /// A `for` (`false`) or `par` (`true`) loop: its condition, then its
@@ -114,19 +113,22 @@ pub(crate) enum Op {
     /// `to.. = from..`: a whole-struct assignment of `.2` fields.
     Copy(usize, usize, usize),
     /// `GetProcessor(..., &out)`: the lookup, then the `I` and `J` slots
-    /// it writes, or the error it raises instead.
-    Call(Box<Call>, Result<(usize, usize), EvalError>),
+    /// it writes.
+    Call(Box<Call>, (usize, usize)),
 }
 
 impl<'a> Scope<'a> {
     /// Lowers a scheme body in a scope of its own.
     ///
     /// # Errors
-    /// [`ParseError`] for the two forms static slots cannot express: a
-    /// declaration that is the whole body of an `if`, `for` or `par` (it
-    /// would declare a name only when the branch runs), and a
-    /// `GetProcessor` out-argument that is not a struct with fields `I` and
-    /// `J`.
+    /// [`ParseError`] for every error [`Scope::lower`] reports, and for a
+    /// statement C would not compile either: an assignment that changes a
+    /// variable's kind, a struct declaration of an unknown type or with an
+    /// initialiser, a `for` or `par` without a condition, a call to an
+    /// extern function other than `GetProcessor` or with the wrong
+    /// arguments, and an activity with the wrong number of coordinates.
+    /// Also for a declaration that is the whole body of an `if`, `for` or
+    /// `par`, which would declare a name only when the branch runs.
     pub(crate) fn scheme(&mut self, stmts: &'a [Stmt]) -> Result<Box<[Op]>, ParseError> {
         let mut ops = Vec::new();
         self.push();
@@ -140,7 +142,7 @@ impl<'a> Scope<'a> {
     fn body(&mut self, s: &'a Stmt, ops: &mut Vec<Op>) -> Result<(), ParseError> {
         if matches!(s, Stmt::Decl { .. }) {
             let msg = "a declaration cannot be the whole body of an `if`, `for` or `par`";
-            return Err(ParseError::new(msg, 1, 1));
+            return Err(compile_error(msg));
         }
         self.stmt(s, ops)
     }
@@ -154,10 +156,10 @@ impl<'a> Scope<'a> {
                 self.pop();
                 done?;
             }
-            Stmt::Decl { ty, vars } => self.decl(ty, vars, ops),
-            Stmt::Assign { lv, op, rhs } => ops.push(self.assign(lv, *op, rhs)),
+            Stmt::Decl { ty, vars } => self.decl(ty, vars, ops)?,
+            Stmt::Assign { lv, op, rhs } => ops.push(self.assign(lv, *op, rhs)?),
             Stmt::If { cond, then, els } => {
-                let (cond, mut t, mut e) = (self.lower(cond), Vec::new(), Vec::new());
+                let (cond, mut t, mut e) = (self.lower(cond)?, Vec::new(), Vec::new());
                 self.body(then, &mut t)?;
                 if let Some(els) = els {
                     self.body(els, &mut e)?;
@@ -180,13 +182,12 @@ impl<'a> Scope<'a> {
                 if let Some(i) = init {
                     self.stmt(i, ops)?;
                 }
-                let kw = if par { "par" } else { "for" };
-                let endless =
-                    EvalError::TypeError(format!("{kw} loop without a condition never terminates"));
-                let cond = cond
-                    .as_ref()
-                    .map_or_else(|| fail(vec![], endless), |c| self.lower(c));
-                let mut looped = Vec::new();
+                let Some(cond) = cond else {
+                    let kw = if par { "par" } else { "for" };
+                    let msg = format!("{kw} loop without a condition never terminates");
+                    return Err(compile_error(msg));
+                };
+                let (cond, mut looped) = (self.lower(cond)?, Vec::new());
                 self.body(body, &mut looped)?;
                 if let Some(s) = step {
                     self.body(s, &mut looped)?;
@@ -194,105 +195,74 @@ impl<'a> Scope<'a> {
                 ops.push(Op::Loop(par, cond, looped.into()));
             }
             Stmt::Compute { percent, proc } => {
-                ops.push(Op::Compute(self.lower(percent), self.place(proc, true)));
+                ops.push(Op::Compute(self.lower(percent)?, self.place(proc)?));
             }
             Stmt::Transfer { percent, src, dst } => {
-                let pct = self.lower(percent);
-                ops.push(Op::Transfer(
-                    pct,
-                    self.place(src, true),
-                    self.place(dst, true),
-                ));
+                let pct = self.lower(percent)?;
+                ops.push(Op::Transfer(pct, self.place(src)?, self.place(dst)?));
             }
             Stmt::CallStmt { name, args } if name == "GetProcessor" => {
-                let mut outs = Vec::new();
-                let mut operands = Vec::new();
-                for a in args {
-                    operands.push(match a {
-                        CallArg::Value(e) => self.operand(e),
-                        CallArg::OutRef(lv) => {
-                            let (var, slots) = self.processor(lv).ok_or_else(|| {
-                                let msg = "a GetProcessor `&` argument must be a struct \
-                                           variable with exactly the fields I and J";
-                                ParseError::new(msg, 1, 1)
-                            })?;
-                            outs.push(slots);
-                            Operand::Whole(var)
-                        }
-                    });
-                }
-                let out = match outs[..] {
-                    [slots] => Ok(slots),
-                    _ => Err(EvalError::ExternError {
-                        name: name.clone(),
-                        message: format!("returned 1 out-values for {} &-arguments", outs.len()),
-                    }),
-                };
-                ops.push(Op::Call(Box::new(self.call(operands)), out));
+                let (call, out) = self.call(args)?;
+                ops.push(Op::Call(Box::new(call), out));
             }
-            Stmt::CallStmt { name, .. } => ops.push(Op::Check(fail(vec![], unknown_extern(name)))),
+            Stmt::CallStmt { name, .. } => {
+                return Err(compile_error(format!("undefined extern function `{name}`")))
+            }
         }
         Ok(())
     }
 
-    fn decl(&mut self, ty: &str, vars: &'a [(String, Option<Expr>)], ops: &mut Vec<Op>) {
+    fn decl(
+        &mut self,
+        ty: &str,
+        vars: &'a [(String, Option<Expr>)],
+        ops: &mut Vec<Op>,
+    ) -> Result<(), ParseError> {
         for (name, init) in vars {
             if ty == "int" {
-                let e = init.as_ref().map_or(Ex::Int(0), |e| self.lower(e));
+                let e = init.as_ref().map_or(Ok(Ex::Int(0)), |e| self.lower(e))?;
                 ops.push(Op::Set(self.int(name), e));
-                continue;
+            } else if init.is_some() {
+                return Err(compile_error(
+                    "struct declarations cannot take initialisers",
+                ));
+            } else {
+                let (base, len) = self
+                    .strukt(name, ty)
+                    .ok_or_else(|| compile_error(format!("unknown struct type `{ty}`")))?;
+                ops.extend((base..base + len).map(|s| Op::Set(s, Ex::Int(0))));
             }
-            let err = match (init, self.strukt(name, ty)) {
-                (None, Some((base, len))) => {
-                    ops.extend((base..base + len).map(|s| Op::Set(s, Ex::Int(0))));
-                    continue;
-                }
-                (_, None) => format!("unknown struct type `{ty}`"),
-                (Some(_), _) => "struct declarations cannot take initialisers".into(),
-            };
-            // The statement raises here, so nothing after it runs.
-            ops.push(Op::Check(fail(vec![], EvalError::TypeError(err))));
-            break;
         }
+        Ok(())
     }
 
     /// Lowers `lv op= rhs`. A variable keeps the kind it was declared with:
-    /// assigning a whole array or struct to anything but a struct variable
-    /// with the same fields, or anything to a field its struct does not
-    /// declare, raises when it runs.
-    fn assign(&self, lv: &LValue, op: AssignOp, rhs: &Expr) -> Op {
+    /// only a struct variable with the same fields may be assigned a whole
+    /// struct, and only an integer variable or a declared field an integer.
+    fn assign(&self, lv: &LValue, op: AssignOp, rhs: &Expr) -> Result<Op, ParseError> {
         let (LValue::Var(name) | LValue::Member(name, _)) = lv;
-        let target = self.get(name);
-        // The integer slot written, or the error raised once the right-hand
-        // side is evaluated.
-        let slot = target.clone().and_then(|v| match (lv, v) {
+        let target = self.get(name)?;
+        // The integer slot written, if the target is one.
+        let slot = match (lv, target) {
             (LValue::Var(_), Var::Int(s)) => Ok(s),
             (LValue::Var(_), v) => Err(self.kind_error("int", Some(v))),
             (LValue::Member(_, field), v) => self.field(v, field),
-        });
+        };
         if op != AssignOp::Set {
-            // A compound assignment reads its target before its right-hand
-            // side.
-            return match slot {
-                Ok(s) => Op::Update(s, op, self.lower(rhs)),
-                Err(e) => Op::Check(fail(vec![], e)),
-            };
+            return Ok(Op::Update(slot?, op, self.lower(rhs)?));
         }
-        let err = match (self.operand(rhs), slot, lv, target) {
-            (Operand::Int(x), Ok(s), ..) => return Op::Set(s, x),
-            (Operand::Int(x), Err(e), ..) => return Op::Check(fail(vec![x], e)),
-            (Operand::Whole(Var::Struct(b, from)), _, LValue::Var(_), Ok(Var::Struct(a, to)))
+        match (self.operand(rhs)?, lv, target) {
+            (Operand::Int(x), ..) => Ok(Op::Set(slot?, x)),
+            (Operand::Whole(Var::Struct(b, from)), LValue::Var(_), Var::Struct(a, to))
                 if self.fields(a) == self.fields(b) =>
             {
-                return Op::Copy(to, from, self.fields(a).len());
+                Ok(Op::Copy(to, from, self.fields(a).len()))
             }
-            (Operand::Whole(_), _, _, Err(u)) => u,
-            (Operand::Whole(whole), _, LValue::Var(_), Ok(_)) => {
-                self.kind_error("a value of the variable's declared kind", Some(whole))
+            (Operand::Whole(whole), LValue::Var(_), _) => {
+                Err(self.kind_error("a value of the variable's declared kind", Some(whole)))
             }
-            (Operand::Whole(whole), ..) => self.kind_error("int", Some(whole)),
-        };
-        Op::Check(fail(vec![], err))
+            (Operand::Whole(whole), ..) => Err(self.kind_error("int", Some(whole))),
+        }
     }
 }
 
@@ -300,9 +270,9 @@ impl Frame<'_> {
     /// Replays lowered statements, feeding activities to `sink`.
     ///
     /// # Errors
-    /// Any [`EvalError`] from expression evaluation, plus
+    /// Any [`EvalError`] from expression evaluation or `GetProcessor`, plus
     /// [`EvalError::IterationLimit`] if loops run away and
-    /// [`EvalError::BadProcessor`] for activities outside the coordinate
+    /// [`EvalError::BadProcessor`] for a coordinate outside the coordinate
     /// space.
     pub(crate) fn exec(&mut self, ops: &[Op], sink: &mut dyn SchemeSink) -> Result<(), EvalError> {
         for op in ops {
@@ -319,9 +289,6 @@ impl Frame<'_> {
                     self.slots[*s] = new.ok_or(EvalError::Overflow)?;
                 }
                 Op::Copy(to, from, len) => self.slots.copy_within(*from..from + len, *to),
-                Op::Check(e) => {
-                    self.int(e)?;
-                }
                 Op::If(cond, then, els) => {
                     let taken = if self.int(cond)? != 0 { then } else { els };
                     self.exec(taken, sink)?;
@@ -343,10 +310,8 @@ impl Frame<'_> {
                     let s = self.linear(src)?;
                     sink.transfer(s, self.linear(dst)?, pct);
                 }
-                Op::Call(call, out) => {
-                    let (i, j) = self.lookup(call)?;
-                    let (si, sj) = out.clone()?;
-                    (self.slots[si], self.slots[sj]) = (i, j);
+                Op::Call(call, (si, sj)) => {
+                    (self.slots[*si], self.slots[*sj]) = self.lookup(call)?;
                 }
             }
         }
@@ -620,8 +585,8 @@ mod tests {
 
     #[test]
     fn for_loop_without_condition_is_rejected() {
-        // `for (;;)` would never terminate; the interpreter refuses it
-        // instead of hitting the iteration cap.
+        // `for (;;)` would never terminate; the compiler refuses it instead
+        // of letting the interpreter hit the iteration cap.
         let src = r"
             algorithm T(int p) {
                 coord I=1;
@@ -633,8 +598,8 @@ mod tests {
                 };
             }
         ";
-        let err = run(src, &[("p", 1)]).unwrap_err();
-        assert!(matches!(err, EvalError::TypeError(_)));
+        let err = CompiledModel::compile(src).unwrap_err();
+        assert_eq!(err.message, "for loop without a condition never terminates");
     }
 
     /// Runs `scheme` in a one-parameter model over four processors, with
@@ -679,24 +644,10 @@ mod tests {
         let limit = ITERATION_LIMIT;
         // Two loops of 2 and 2 × 3 iterations tick the cap eight times.
         let eight = "int i, j; for (i = 0; i < 2; i++) par (j = 0; j < 3; j++) ;";
-        let table: [(&str, i64, u64, &str); 12] = [
-            // Names resolve only when evaluated: an untaken branch may
-            // name anything.
-            ("if (p < 0) mystery%%[0]; 100%%[0];", 1, 0, "[100.0]"),
-            ("if (p > 0) ; else mystery%%[0];", 1, 0, "[]"),
-            ("if (p > 0) mystery%%[0];", 1, 0, r#"Undefined("mystery")"#),
-            (
-                "Processor R; if (R) 100%%[0];",
-                1,
-                0,
-                r#"TypeError("expected int, found Processor {..}")"#,
-            ),
-            (
-                "Processor R; R.I %%[0]; R.K %%[0];",
-                1,
-                0,
-                r#"Undefined("field K")"#,
-            ),
+        // Name and kind errors are compile errors, even in an untaken
+        // branch: they sit in the compile-error table of
+        // `forms_static_slots_cannot_express_are_rejected_at_compile_time`.
+        let table: [(&str, i64, u64, &str); 6] = [
             // A block-local declaration is fresh on every iteration.
             (
                 "int i; for (i = 0; i < 3; i++) { int c; c += 1; c%%[0]; }",
@@ -718,12 +669,6 @@ mod tests {
                 "[3.0, 9.0]",
             ),
             ("int x = p; x *= 2;", i64::MAX, 0, "Overflow"),
-            (
-                "int i; for (i = 0; ; i++) ;",
-                1,
-                0,
-                r#"TypeError("for loop without a condition never terminates")"#,
-            ),
             (eight, 1, limit - 8, "[]"),
             (eight, 1, limit - 7, "IterationLimit(200000000)"),
         ];
@@ -738,42 +683,134 @@ mod tests {
             CompiledModel::compile(&format!(
                 "typedef struct {{int I; int J;}} Processor;
                  typedef struct {{int I; int J; int K;}} Triple;
-                 algorithm T(int m, int w[m], int h[m][m][m][m]) {{ coord I=m, J=m;
-                   node {{I>=0: bench*(1);}}; parent[0,0]; scheme {{ {scheme} }}; }}"
+                 algorithm T(int m, int w[m], int h[m][m][m][m], int d[m]) {{ coord I=m, J=m;
+                   node {{I>=0: bench*(1);}}; parent[0,0];
+                   scheme {{ Processor A, B; int x; {scheme} }}; }}"
             ))
         };
         // A declaration as the whole body of an `if`, `for` or `par` would
         // declare its name only when the branch runs.
         for (head, decl) in [
-            ("if (m > 0)", "int x;"),
-            ("if (m > 0) ; else", "int x;"),
-            ("int i; for (i = 0; i < m; i++)", "int x = i;"),
+            ("if (m > 0)", "int y;"),
+            ("if (m > 0) ; else", "int y;"),
+            ("int i; for (i = 0; i < m; i++)", "int y = i;"),
             ("int i; par (i = 0; i < m; i++)", "Processor R;"),
         ] {
-            assert!(model(&format!("{head} {decl}")).is_err(), "{head} {decl}");
+            let err = model(&format!("{head} {decl}")).unwrap_err();
+            let msg = "a declaration cannot be the whole body of an `if`, `for` or `par`";
+            assert_eq!(err.message, msg, "{head} {decl}");
             // Braced, the declaration is block-local and fine.
             assert!(
                 model(&format!("{head} {{ {decl} }}")).is_ok(),
                 "{head} {{ {decl} }}"
             );
         }
-        // GetProcessor writes I and J into a struct with exactly those fields.
-        for out in [
-            "int x; GetProcessor(0, 0, m, h, w, &x);",
-            "Triple R; GetProcessor(0, 0, m, h, w, &R);",
-            "Processor R; GetProcessor(0, 0, m, h, w, &R.I);",
-            "GetProcessor(0, 0, m, h, w, &nowhere);",
+        // As in C, every name and kind is checked at compile time, in
+        // taken and untaken branches alike.
+        let out = "extern function `GetProcessor`: the last argument must be `&` a struct \
+                   variable with exactly the fields I and J";
+        let activity = "bad abstract processor: [0] names 1 coordinates but the \
+                        coordinate space has 2";
+        for (scheme, want) in [
+            ("if (m > 0) mystery%%[0, 0];", "undefined name `mystery`"),
+            ("if (m < 0) mystery%%[0, 0];", "undefined name `mystery`"),
+            ("if (m > 0) ; else mystery%%[0, 0];", "undefined name `mystery`"),
+            ("if (m > 3) 100%%[Ii, 0]; else 100%%[0, 0];", "undefined name `Ii`"),
+            ("if (m < 0) nope += 1;", "undefined name `nope`"),
+            ("if (A) 100%%[0, 0];", "type error: expected int, found Processor {..}"),
+            ("A.I %%[0, 0]; A.K %%[0, 0];", "struct `Processor` has no field `K`"),
+            ("m.I %%[0, 0];", "type error: expected struct, found int"),
+            ("w.I %%[0, 0];", "type error: expected struct, found int array of rank 1"),
+            ("m[0] %%[0, 0];", "type error: expected array, found int"),
+            ("(m + 1)[0] %%[0, 0];", "type error: cannot index into `(m + 1)`"),
+            (
+                "h[0][0] %%[0, 0];",
+                "type error: `h` has rank 4 but was indexed with 2 subscripts",
+            ),
+            ("x = sizeof(quux);", "type error: sizeof unknown type `quux`"),
+            ("Triple R = 1;", "struct declarations cannot take initialisers"),
+            // A variable keeps its declared kind, in an untaken branch too.
+            (
+                "if (m < 0) { x = A; }",
+                "type error: expected a value of the variable's declared kind, found Processor {..}",
+            ),
+            (
+                "if (m < 0) { x = d; }",
+                "type error: expected a value of the variable's declared kind, found int array of rank 1",
+            ),
+            ("if (m < 0) { A = x; }", "type error: expected int, found Processor {..}"),
+            (
+                "if (m < 0) { A = d; }",
+                "type error: expected a value of the variable's declared kind, found int array of rank 1",
+            ),
+            ("if (m < 0) { A.I = B; }", "type error: expected int, found Processor {..}"),
+            ("if (m < 0) { x.I = 1; }", "type error: expected struct, found int"),
+            ("if (m < 0) { A.K = 1; }", "struct `Processor` has no field `K`"),
+            (
+                "Triple R; if (m < 0) { A = R; }",
+                "type error: expected a value of the variable's declared kind, found Triple {..}",
+            ),
+            (
+                "int i; for (i = 0; ; i++) ;",
+                "for loop without a condition never terminates",
+            ),
+            (
+                "int i; par (i = 0; ; i++) ;",
+                "par loop without a condition never terminates",
+            ),
+            // `GetProcessor` is the one extern function, and a statement.
+            ("if (m < 0) Frobnicate(m);", "undefined extern function `Frobnicate`"),
+            ("x = sqrt(m);", "undefined extern function `sqrt`"),
+            (
+                "x = GetProcessor(0, 0, m, h, w);",
+                "extern function `GetProcessor`: used in expression position but returns no value",
+            ),
+            (
+                "GetProcessor(0, 0, m, h, &A);",
+                "extern function `GetProcessor`: expected 6 arguments, got 5",
+            ),
+            (
+                "GetProcessor(0, A, m, h, w, &A);",
+                "type error: expected int, found Processor {..}",
+            ),
+            (
+                "GetProcessor(0, 0, m, h, &A, &A);",
+                "extern function `GetProcessor`: only the last argument is passed by `&`",
+            ),
+            (
+                "GetProcessor(0, 0, m, m, w, &A);",
+                "type error: expected int array of rank 4, found int",
+            ),
+            (
+                "GetProcessor(0, 0, m, d, w, &A);",
+                "type error: expected int array of rank 4, found int array of rank 1",
+            ),
+            (
+                "GetProcessor(0, 0, m, h, h, &A);",
+                "type error: expected int array of rank 1, found int array of rank 4",
+            ),
+            // It writes I and J into a struct with exactly those fields.
+            ("GetProcessor(0, 0, m, h, w, &x);", out),
+            ("Triple R; GetProcessor(0, 0, m, h, w, &R);", out),
+            ("GetProcessor(0, 0, m, h, w, &A.I);", out),
+            ("GetProcessor(0, 0, m, h, w, &nowhere);", out),
+            ("GetProcessor(0, 0, m, h, w, A);", out),
+            // An activity names every coordinate.
+            ("if (m < 0) 100%%[0];", activity),
+            ("100%%[0, 0]->[0];", activity),
         ] {
-            assert!(model(out).is_err(), "{out}");
+            let err = model(scheme).unwrap_err();
+            assert_eq!((err.message.as_str(), err.line, err.col), (want, 1, 1), "{scheme}");
         }
-        assert!(model("Processor R; GetProcessor(0, 0, m, h, w, &R);").is_ok());
+        assert!(model("GetProcessor(0, 0, m, h, w, &A);").is_ok());
     }
 
     #[test]
     fn a_variable_keeps_its_declared_kind() {
         // Assigning a whole struct or array to an integer, or an integer to
-        // a struct, raises when (and only when) it runs; a struct copies
-        // into a struct with the same fields.
+        // a struct, is a compile error (the untaken forms sit in the
+        // compile-error table above); a struct copies into a struct with
+        // the same fields.
         let src = |scheme: &str| {
             format!(
                 "typedef struct {{int I; int J;}} Processor;
@@ -781,30 +818,27 @@ mod tests {
                    scheme {{ Processor A, B; int x; {scheme} }}; }}"
             )
         };
-        let run = |scheme: &str| {
-            let model = CompiledModel::compile(&src(scheme)).unwrap();
-            let inst = model
-                .instantiate(&[ParamValue::Int(2), ParamValue::Array(vec![5, 6])])
-                .unwrap();
-            let mut sink = RecordingSink::default();
-            inst.run_scheme(&mut sink).map(|()| sink.events)
-        };
-        for scheme in [
-            "x = A;", "x = d;", "A = x;", "A = d;", "A.I = B;", "x.I = 1;",
+        for (scheme, want) in [
+            ("x = A;", "found Processor {..}"),
+            ("x = d;", "found int array of rank 1"),
+            ("A = x;", "found Processor {..}"),
+            ("A = d;", "found int array of rank 1"),
+            ("A.I = B;", "found Processor {..}"),
+            ("x.I = 1;", "found int"),
+            ("A.K = 1;", "no field `K`"),
         ] {
-            assert!(
-                matches!(run(scheme), Err(EvalError::TypeError(_))),
-                "{scheme}"
-            );
-            assert!(
-                run(&format!("if (p < 0) {{ {scheme} }}")).is_ok(),
-                "untaken {scheme}"
-            );
+            let err = CompiledModel::compile(&src(scheme)).unwrap_err();
+            assert!(err.message.ends_with(want), "{scheme}: {err}");
         }
-        assert_eq!(run("A.K = 1;"), Err(EvalError::Undefined("field K".into())));
-        let copied = run("B.I = 1; B.J = 1; A = B; (A.I + A.J)%%[A.J];").unwrap();
+        let model =
+            CompiledModel::compile(&src("B.I = 1; B.J = 1; A = B; (A.I + A.J)%%[A.J];")).unwrap();
+        let inst = model
+            .instantiate(&[ParamValue::Int(2), ParamValue::Array(vec![5, 6])])
+            .unwrap();
+        let mut sink = RecordingSink::default();
+        inst.run_scheme(&mut sink).unwrap();
         assert_eq!(
-            copied,
+            sink.events,
             vec![SchemeEvent::Compute {
                 proc: 1,
                 percent: 2.0

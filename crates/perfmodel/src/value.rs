@@ -49,16 +49,12 @@ impl ArrayVal {
     /// Indexes with a full coordinate vector.
     ///
     /// # Errors
-    /// [`EvalError::IndexOutOfBounds`] on any out-of-range coordinate,
-    /// [`EvalError::TypeError`] on wrong arity.
-    pub fn get(&self, name: &str, idx: &[i64]) -> Result<i64, EvalError> {
-        if idx.len() != self.dims.len() {
-            return Err(EvalError::TypeError(format!(
-                "`{name}` has rank {} but was indexed with {} subscripts",
-                self.dims.len(),
-                idx.len()
-            )));
-        }
+    /// [`EvalError::IndexOutOfBounds`] on any out-of-range coordinate.
+    ///
+    /// # Panics
+    /// Panics on a wrong arity: lowering checks every rank (a lowering bug).
+    pub(crate) fn get(&self, name: &str, idx: &[i64]) -> Result<i64, EvalError> {
+        assert_eq!(idx.len(), self.dims.len(), "rank of `{name}`");
         let mut flat = 0usize;
         for (&i, &extent) in idx.iter().zip(&self.dims) {
             if i < 0 || i as usize >= extent {
@@ -111,19 +107,24 @@ mod tests {
             a.get("a", &[-1, 0]),
             Err(EvalError::IndexOutOfBounds { .. })
         ));
-        assert!(matches!(a.get("a", &[0]), Err(EvalError::TypeError(_))));
+        let arity = std::panic::catch_unwind(|| a.get("a", &[0]));
+        assert!(arity.is_err(), "a wrong arity is a lowering bug");
     }
 
     #[test]
     fn value_extractors() {
         // A value's kind is checked where the name is lowered: an integer
-        // reads as an integer, an array does not, and a struct's field
-        // reads by name.
+        // reads as an integer, an array is a compile error, and a struct's
+        // field reads by name, an undeclared one a compile error.
         use crate::ast::{Expr, StructDef};
         use crate::eval::tests::{eval_int, Bindings};
         let b = Bindings::new(&[("x", 5)]).array("a", ArrayVal::new(vec![1], vec![0]).unwrap());
         assert_eq!(eval_int(&b, &Expr::Var("x".into())).unwrap(), 5);
-        assert!(eval_int(&b, &Expr::Var("a".into())).is_err());
+        let err = b.lower(&Expr::Var("a".into())).unwrap_err();
+        assert_eq!(
+            err.message,
+            "type error: expected int, found int array of rank 1"
+        );
         let processor = [StructDef {
             name: "Processor".into(),
             fields: vec!["I".into()],
@@ -132,7 +133,10 @@ mod tests {
         let (base, _) = scope.strukt("s", "Processor").unwrap();
         let i = Expr::Member(Box::new(Expr::Var("s".into())), "I".into());
         let frame = crate::eval::Frame::new(vec![1], &[], &[]);
-        assert_eq!(frame.int(&scope.lower(&i)).unwrap(), 1);
+        assert_eq!(frame.int(&scope.lower(&i).unwrap()).unwrap(), 1);
+        let j = Expr::Member(Box::new(Expr::Var("s".into())), "J".into());
+        let err = scope.lower(&j).unwrap_err();
+        assert_eq!(err.message, "struct `Processor` has no field `J`");
         assert_eq!(base, 0);
     }
 }

@@ -225,8 +225,8 @@ fn undefined_variable_is_reported() {
             scheme {;};
         }
     ";
-    let err = compile(src).instantiate(&[ParamValue::Int(1)]).unwrap_err();
-    assert!(matches!(err, EvalError::Undefined(ref n) if n == "mystery"));
+    let err = CompiledModel::compile(src).unwrap_err();
+    assert_eq!(err.message, "undefined name `mystery`");
 }
 
 #[test]
@@ -253,11 +253,8 @@ fn unknown_extern_function_is_reported() {
             scheme { Frobnicate(p); };
         }
     ";
-    let m = compile(src);
-    let inst = m.instantiate(&[ParamValue::Int(1)]).unwrap();
-    let mut sink = RecordingSink::default();
-    let err = inst.run_scheme(&mut sink).unwrap_err();
-    assert!(matches!(err, EvalError::Undefined(ref n) if n.contains("Frobnicate")));
+    let err = CompiledModel::compile(src).unwrap_err();
+    assert_eq!(err.message, "undefined extern function `Frobnicate`");
 }
 
 #[test]

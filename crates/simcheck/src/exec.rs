@@ -55,9 +55,9 @@
 //!   (`gen::random_model`) parses, and printing its syntax tree
 //!   and parsing the text back gives the same tree;
 //! * **model-lint** — every model a scenario selects with (generated, or
-//!   an application kernel's) instantiates and lints clean: its `scheme`
-//!   performs each processor's declared computation and each pair's
-//!   declared transfer in full (`perfmodel::analyze`).
+//!   an application kernel's) compiles, instantiates and lints clean: its
+//!   `scheme` performs each processor's declared computation and each
+//!   pair's declared transfer in full (`perfmodel::analyze`).
 
 use crate::gen::{random_model, ModelProgram};
 use crate::scenario::{AppKind, Scenario, Workload};
@@ -1250,7 +1250,8 @@ pub(crate) fn compile_model(prog: &ModelProgram) -> Result<ModelInstance, Violat
             format!("{}\nprinted as\n{printed}", prog.src),
         ));
     }
-    let compiled = CompiledModel::from_program(tree, None).expect("the program has an algorithm");
+    let compiled = CompiledModel::from_program(tree, None)
+        .map_err(|e| viol("model-lint", format!("{e}\n{}", prog.src)))?;
     lint(compiled.instantiate(&prog.params))
 }
 

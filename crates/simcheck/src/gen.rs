@@ -613,6 +613,45 @@ mod tests {
     }
 
     #[test]
+    fn mutated_models_fail_to_compile() {
+        // A misspelt parameter, or an undefined name in a branch no
+        // parameters take, is a compile error, as in C: `from_program`
+        // itself fails, before `instantiate` or `analyze` run.
+        let renames = [
+            ("coord I=p", "coord I=q"),
+            ("bench*(v[I])", "bench*(w[I])"),
+            ("link (L=p)", "link (L=q)"),
+            ("length*(c[L][I])", "length*(d[L][I])"),
+        ];
+        for seed in 0..100u64 {
+            let prog = random_model(seed, 4);
+            let (from, to) = renames[seed as usize % renames.len()];
+            let renamed = prog.src.replacen(from, to, 1);
+            let untaken = "if (p < 0) nosuch%%[0];";
+            let guarded = match prog.src.find("int b;") {
+                Some(at) => format!("{}{untaken}{}", &prog.src[..at], &prog.src[at..]),
+                None => {
+                    let scheme = format!("scheme {{ {untaken} }};\n  parent[");
+                    prog.src.replacen("parent[", &scheme, 1)
+                }
+            };
+            for src in [renamed, guarded] {
+                assert_ne!(src, prog.src, "seed {seed}: nothing mutated");
+                let tree = perfmodel::parse_program(&src).unwrap();
+                let err = perfmodel::CompiledModel::from_program(tree, None).unwrap_err();
+                let undefined = err.message.starts_with("undefined name");
+                assert!(undefined, "seed {seed}: {err}");
+                let mutated = ModelProgram {
+                    src,
+                    params: prog.params.clone(),
+                };
+                let err = crate::exec::compile_model(&mutated).unwrap_err();
+                assert_eq!(err.invariant, "model-lint", "seed {seed}: {err}");
+            }
+        }
+    }
+
+    #[test]
     fn crashy_collectives_always_crash_a_collective() {
         for seed in 0..300 {
             let sc = generate_crashy_collective(seed);

@@ -3,8 +3,9 @@
 # files, for mpisim's legacy collective plane (which the engine port drives to
 # zero), for the five files of mpisim's transport (wait loop, mailbox,
 # quiescence, runtime, lanes), for perfmodel's model pricer and scheme
-# interpreter (which the one pricing kernel merges with collective.rs) and
-# for hmpi's selection search, compiled objective and runtime, for the
+# interpreter (which the one pricing kernel merges with collective.rs), its
+# expression lowering (eval.rs) and compiled model (model.rs), for hmpi's
+# selection search, compiled objective and runtime, for the
 # bench runner (one loop over the benches), and for the apps' three drivers
 # and the one HMPI program they share:
 # lines that are neither blank nor `//` comments, up to each file's
@@ -25,6 +26,7 @@ for path in crates/*/src crates/compat/*/src crates/mpisim/src/engine.rs crates/
             crates/mpisim/src/quiesce.rs crates/mpisim/src/runtime.rs \
             crates/mpisim/src/lane.rs \
             crates/perfmodel/src/compile.rs crates/perfmodel/src/scheme.rs \
+            crates/perfmodel/src/eval.rs crates/perfmodel/src/model.rs \
             crates/hmpi/src/mapping.rs crates/hmpi/src/engine.rs \
             crates/hmpi/src/runtime.rs crates/bench/src/bin/figures.rs \
             crates/apps/src/em3d/driver.rs crates/apps/src/matmul/driver.rs \

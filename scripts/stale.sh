@@ -20,7 +20,7 @@ DEADLOCK_TIMEOUT recv_match render_table render_csv ReconRunner
 BENCH_throughput BENCH_deadlock gather_flat bcast_one
 impl_typed_reductions MPISIM_STACK_SIZE ModelBuilder BuiltModel write_to
 StructVal ExternResult eval_value collect_index_chain extern_fn bind_coords
-Em3dTracedRun MatmulTracedRun
+Em3dTracedRun MatmulTracedRun Undefined TypeError unknown_extern
 '
 paths='README.md DESIGN.md src examples tests'
 for dir in crates/*/src crates/*/tests; do
