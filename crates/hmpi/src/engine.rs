@@ -15,17 +15,14 @@
 //! refreshed (`proc → node`, `proc → speed`); the pricing itself reuses a
 //! [`PriceScratch`]. Nothing is allocated on the hot path.
 //!
-//! For local-search and annealing moves the evaluator also supports
-//! *incremental* pricing: [`Evaluator::rebase`] records a baseline
-//! assignment with per-segment clock checkpoints, and [`Evaluator::probe`]
-//! prices an assignment differing on a few processors by re-executing only
-//! the affected segments ([`CostProgram::price_delta`]). Delta pricing is
-//! exact by construction — the same floating-point operations on the same
-//! values as a full evaluation — so a probe is never re-priced in full:
+//! For local-search and annealing moves the evaluator offers a baseline
+//! and probes: [`Evaluator::rebase`] prices a baseline assignment, and
+//! [`Evaluator::probe`] prices an assignment differing on a few processors
+//! ([`CostProgram::price_delta`]) and then restores the baseline's
+//! placement. A probe runs the whole lowered program, so it is exact:
 //! `tests/engine_equiv.rs` holds every probe of a random walk to the bits
-//! of a reference [`perfmodel::PerformanceModel::predict_time`] over a p×p
-//! cost model built from the cluster, and a periodic full re-price could
-//! only hide a wrong delta rule on the probes between two of them.
+//! of a clock-vector reference interpreter over a p×p cost model built
+//! from the cluster.
 //!
 //! A model whose scheme fails to evaluate at record time yields an
 //! evaluator pricing every assignment at `+inf`. The scheme never sees
@@ -178,9 +175,8 @@ impl Evaluator {
     }
 
     /// Prices `assignment`, which differs from the current baseline exactly
-    /// at the abstract processors in `changed`. Exact: the delta path
-    /// performs the same floating-point operations on the same values as a
-    /// full evaluation. Leaves the baseline untouched.
+    /// at the abstract processors in `changed`, exactly as
+    /// [`Evaluator::eval`] would. Leaves the baseline untouched.
     ///
     /// # Panics
     /// Panics if no baseline was set with [`Evaluator::rebase`].
@@ -230,7 +226,7 @@ impl Evaluator {
         self.speed_of_world[world]
     }
 
-    /// Number of flat cost ops in the recorded program (0 if recording
+    /// Number of recorded scheme events in the program (0 if recording
     /// failed) — diagnostics for the bench harness.
     pub fn num_ops(&self) -> usize {
         self.program.as_ref().map_or(0, CostProgram::num_ops)

@@ -1,7 +1,7 @@
 //! Property tests: the selection engine (compiled program, table-backed
 //! pair costs, incremental delta probes) agrees with a reference price
-//! (`predict_time` over a p×p `CostModel` built straight from the cluster)
-//! on random models, clusters, and assignments — including pinned-parent
+//! (the clock-vector interpreter shared with `perfmodel`'s pricer tests,
+//! over a p×p `CostModel` built straight from the cluster) on random models, clusters, and assignments — including pinned-parent
 //! instances and placements with several world ranks per node (loopback
 //! pairs) — and every search is held to that reference: each algorithm
 //! reports its bits, the branch-and-bound exhaustive search returns the
@@ -10,114 +10,15 @@
 
 use hetsim::{Cluster, ClusterBuilder, Link, NodeId, Protocol, SpeedEstimates};
 use hmpi::{select_mapping, Evaluator, MappingAlgorithm, SelectionCtx};
-use perfmodel::{CostModel, EvalError, PerformanceModel, SchemeSink};
+use perfmodel::{CostModel, EvalError, PairCost, PerformanceModel, SchemeSink};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One recorded scheme event of a randomly generated interaction pattern.
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    Compute(usize, f64),
-    Transfer(usize, usize, f64),
-    ParBegin,
-    ParBranch,
-    ParEnd,
-}
+#[path = "../../perfmodel/tests/support/clock_reference.rs"]
+mod clock_reference;
 
-fn replay(events: &[Ev], sink: &mut dyn SchemeSink) {
-    for &e in events {
-        match e {
-            Ev::Compute(p, pct) => sink.compute(p, pct),
-            Ev::Transfer(s, d, pct) => sink.transfer(s, d, pct),
-            Ev::ParBegin => sink.par_begin(),
-            Ev::ParBranch => sink.par_branch(),
-            Ev::ParEnd => sink.par_end(),
-        }
-    }
-}
-
-/// Emits 1-4 plain activities on random processors (transfers may be
-/// loops `i -> i`, which the timeline skips).
-fn gen_activities(rng: &mut StdRng, p: usize, out: &mut Vec<Ev>) {
-    for _ in 0..rng.random_range(1..5) {
-        if rng.random_range(0..3) == 0 {
-            out.push(Ev::Compute(
-                rng.random_range(0..p),
-                rng.random_range(0.0..60.0),
-            ));
-        } else {
-            out.push(Ev::Transfer(
-                rng.random_range(0..p),
-                rng.random_range(0..p),
-                rng.random_range(0.0..60.0),
-            ));
-        }
-    }
-}
-
-/// A random well-formed event stream: plain activities mixed with par
-/// blocks (the interpreter's emission discipline: each branch is followed
-/// by `par_branch`, the block closed by `par_end`), nested up to depth 2.
-fn gen_events(rng: &mut StdRng, p: usize) -> Vec<Ev> {
-    let mut out = Vec::new();
-    for _ in 0..rng.random_range(1..5) {
-        match rng.random_range(0..3) {
-            0 => gen_activities(rng, p, &mut out),
-            _ => {
-                out.push(Ev::ParBegin);
-                for _ in 0..rng.random_range(1..4) {
-                    if rng.random_range(0..4) == 0 {
-                        // Nested par inside this branch.
-                        out.push(Ev::ParBegin);
-                        for _ in 0..rng.random_range(1..3) {
-                            gen_activities(rng, p, &mut out);
-                            out.push(Ev::ParBranch);
-                        }
-                        out.push(Ev::ParEnd);
-                    } else {
-                        gen_activities(rng, p, &mut out);
-                    }
-                    out.push(Ev::ParBranch);
-                }
-                out.push(Ev::ParEnd);
-            }
-        }
-    }
-    out
-}
-
-/// A model that replays a fixed event stream: nested `par`, loopback
-/// `i -> i` and zero-volume transfers included, which a lint-clean model
-/// program never writes.
-struct Replay {
-    volumes: Vec<f64>,
-    comm: Vec<Vec<f64>>,
-    parent: usize,
-    events: Vec<Ev>,
-}
-
-impl PerformanceModel for Replay {
-    fn name(&self) -> &str {
-        "replay"
-    }
-    fn num_processors(&self) -> usize {
-        self.volumes.len()
-    }
-    fn volumes(&self) -> &[f64] {
-        &self.volumes
-    }
-    fn comm_bytes(&self) -> &[Vec<f64>] {
-        &self.comm
-    }
-    fn parent(&self) -> usize {
-        self.parent
-    }
-    fn run_scheme(&self, sink: &mut dyn SchemeSink) -> Result<(), EvalError> {
-        replay(&self.events, sink);
-        Ok(())
-    }
-}
+use clock_reference::{clocks, gen_events, makespan, Ev, Replay};
 
 struct Instance {
     cluster: Cluster,
@@ -166,7 +67,8 @@ fn gen_instance(rng: &mut StdRng) -> Instance {
     // Half the models use a random custom interaction pattern instead of
     // the default scheme: all transfers in a par, then all computations.
     let events = if rng.random_range(0..2) == 0 {
-        gen_events(rng, p)
+        let seed = rng.random_range(0..u64::MAX);
+        gen_events(&mut clock_reference::Rng::new(seed), p)
     } else {
         let mut out = vec![Ev::ParBegin];
         for (s, row) in comm.iter().enumerate() {
@@ -194,10 +96,11 @@ fn gen_instance(rng: &mut StdRng) -> Instance {
     }
 }
 
-/// The reference objective: `predict_time` over a p×p cost model built
-/// from the cluster's links and the speed estimates of the assigned nodes —
-/// independent of the evaluator's node tables, its loopback pairs and its
-/// delta rule. Failures price as infeasible.
+/// The reference objective: the clock-vector interpreter over a p×p cost
+/// model built from the cluster's links and the speed estimates of the
+/// assigned nodes — independent of `CostProgram`, the evaluator's node
+/// tables, its loopback pairs and its delta rule. Failures price as
+/// infeasible.
 fn reference(model: &dyn PerformanceModel, a: &[usize], ctx: &SelectionCtx<'_>) -> f64 {
     let nodes: Vec<NodeId> = a.iter().map(|&w| ctx.placement[w]).collect();
     let pairs = |f: fn(&Link) -> f64| -> Vec<Vec<f64>> {
@@ -209,7 +112,7 @@ fn reference(model: &dyn PerformanceModel, a: &[usize], ctx: &SelectionCtx<'_>) 
         latency: pairs(|l| l.latency),
         bandwidth: pairs(|l| l.bandwidth),
     };
-    model.predict_time(&cost).unwrap_or(f64::INFINITY)
+    clocks(model, Some(&cost)).map_or(f64::INFINITY, |c| makespan(&c))
 }
 
 /// Brute force over the reference: every injective mapping (parent

@@ -1,5 +1,5 @@
-//! The model pricer: a model's event stream lowered once to a flat cost
-//! program, then priced per assignment.
+//! The model pricer: a model's event stream lowered once to
+//! single-assignment max/plus code, then priced per assignment.
 //!
 //! The event stream a model emits is *assignment-independent*: the scheme
 //! sees only the model's own parameters (volumes, communication volumes,
@@ -11,35 +11,37 @@
 //!
 //! * [`CostProgram::record`] replays the scheme into a recording sink that
 //!   prescales each activity by the model's volumes (`units = vol·pct/100`,
-//!   `bytes = comm·pct/100`) and drops the transfers that cost nothing
-//!   (`src == dst` or non-positive bytes), producing a flat op list;
-//! * [`CostProgram::price`] replays the op list against a [`PairCost`]
-//!   (per-processor speeds, pairwise latency/bandwidth). A computation
-//!   advances its processor's clock by `units / speed`. A transfer charges
-//!   the sender its latency and makes the receiver wait for arrival at
-//!   `start + latency + bytes / bandwidth` (mpisim's eager-send timing).
-//!   Every branch of a `par` block starts from the clocks at the block's
-//!   entry, and the block ends at their elementwise maximum. The makespan
-//!   is the largest clock;
-//! * [`CostProgram::price_baseline`] + [`CostProgram::price_delta`] support
-//!   incremental re-pricing: the program is split into top-level *segments*
-//!   (a single activity, or one complete top-level `par` block), each with
-//!   the set of processors it touches. A baseline evaluation checkpoints
-//!   the clock vector at every segment boundary; re-pricing a mapping that
-//!   differs on a few processors then re-executes only the segments whose
-//!   touched set intersects the (growing) dirty set, reading every clean
-//!   processor's clock from the checkpoint. Because an activity reads and
-//!   writes only its own processors' clocks, and `par` merges are
-//!   elementwise, the skipped work is bit-identical to the checkpointed
-//!   values — delta pricing returns exactly what a full [`CostProgram::price`]
-//!   would.
+//!   `bytes = comm·pct/100`), drops the transfers that cost nothing
+//!   (`src == dst` or non-positive bytes) and lowers the rest to
+//!   single-assignment (SSA) instructions over a flat value array. Slots
+//!   `0..n` hold the processors' starting clocks (zero); every instruction
+//!   writes fresh slots, and the recorder tracks each processor's current
+//!   slot. A computation is `out = in + units / speed`. A transfer charges
+//!   the sender its latency, `s_out = start + latency`, and makes the
+//!   receiver wait for arrival, `d_out = max(d_in, start + latency +
+//!   bytes / bandwidth)` (mpisim's eager-send timing). Every branch of a
+//!   `par` block starts from the slots at the block's entry; at each
+//!   branch's end the recorder emits one `max` into the block's merge per
+//!   processor whose slot the branch changed, and the block ends at the
+//!   merge. A processor a branch did not change is skipped, which is exact:
+//!   its merge started at the entry value, so the `max` would return the
+//!   merge; a processor changed by a single branch still gets its
+//!   `max(entry, branch)`, so non-monotone costs stay exact;
+//! * [`CostProgram::price`] runs the instructions once, in order, against a
+//!   [`PairCost`] (per-processor speeds, pairwise latency/bandwidth). The
+//!   makespan is the largest final clock;
+//! * [`CostProgram::price_baseline`] + [`CostProgram::price_delta`] are the
+//!   local-search interface (a baseline, then probes that change a few
+//!   processors). A probe runs the whole program: on the shipped models the
+//!   first instruction involving any processor lies within the first few
+//!   percent of it, so re-running only a suffix saves nothing measurable.
 //!
 //! [`CostProgram::compute_units`] additionally exposes the per-processor
-//! computation totals `U_p` (obtained by replaying computes at unit speed
-//! with transfers as no-ops). Since every op only advances clocks (given
-//! non-negative latencies), `max_p U_p / speed_p` is an admissible lower
-//! bound on the makespan — the bound behind the branch-and-bound
-//! exhaustive search in `hmpi`.
+//! computation totals `U_p` (obtained by running the instructions at unit
+//! speed with transfers as no-ops). Since every instruction only advances
+//! clocks (given non-negative latencies), `max_p U_p / speed_p` is an
+//! admissible lower bound on the makespan — the bound behind the
+//! branch-and-bound exhaustive search in `hmpi`.
 
 use crate::error::EvalError;
 use crate::model::PerformanceModel;
@@ -108,68 +110,94 @@ impl PairCost for CostModel {
     }
 }
 
-/// One op of the flat program. Activity costs are prescaled at record time
+/// One single-assignment instruction. Each writes the next free value
+/// slot(s) in program order; activity costs are prescaled at record time,
 /// so pricing performs no percentage arithmetic.
 #[derive(Debug, Clone, Copy)]
-enum CostOp {
-    Compute { proc: u32, units: f64 },
-    Transfer { src: u32, dst: u32, bytes: f64 },
-    ParBegin,
-    ParBranch,
-    ParEnd,
+enum Ins {
+    /// `v[input] + units / speed(proc)`.
+    Compute { proc: u32, input: u32, units: f64 },
+    /// Two slots: the sender's `v[s_in] + lat`, then the receiver's
+    /// `max(v[d_in], v[s_in] + (lat + bytes / bw))`.
+    Transfer {
+        src: u32,
+        dst: u32,
+        s_in: u32,
+        d_in: u32,
+        bytes: f64,
+    },
+    /// `max(v[merge], v[branch])`: one processor's join of one `par` branch.
+    Max { merge: u32, branch: u32 },
 }
 
-/// A top-level span of ops (one activity or one complete top-level `par`
-/// block) plus the bitset of processors whose clocks it reads or writes.
-#[derive(Debug, Clone)]
-struct Segment {
-    start: usize,
-    end: usize,
-    touched: Vec<u64>,
-}
-
-#[inline]
-fn bit_set(bits: &mut [u64], p: usize) {
-    bits[p / 64] |= 1u64 << (p % 64);
-}
-
-#[inline]
-fn bit_get(bits: &[u64], p: usize) -> bool {
-    bits[p / 64] & (1u64 << (p % 64)) != 0
-}
-
-fn bits_intersect(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b).any(|(x, y)| x & y != 0)
-}
-
-/// A model's scheme lowered to a flat, assignment-independent cost program.
+/// A model's scheme lowered to single-assignment, assignment-independent
+/// max/plus code.
 #[derive(Debug, Clone)]
 pub struct CostProgram {
     n: usize,
-    ops: Vec<CostOp>,
-    segments: Vec<Segment>,
+    ins: Vec<Ins>,
+    /// Each processor's final slot.
+    last: Vec<u32>,
+    /// Recorded events, `par` markers included.
+    events: usize,
     /// `U_p`: per-processor computation totals for the admissible bound;
-    /// `None` when unusable (negative units or an unbalanced par structure).
+    /// `None` when unusable (negative units).
     units: Option<Vec<f64>>,
 }
 
-/// Recording sink: prescales activities and drops the transfers that cost
-/// nothing.
+/// Recording sink: prescales activities, drops the transfers that cost
+/// nothing and lowers the rest to SSA form.
 struct Recorder<'a> {
     volumes: &'a [f64],
     comm: &'a [Vec<f64>],
-    ops: Vec<CostOp>,
+    ins: Vec<Ins>,
+    slots: u32,
+    /// Each processor's current slot.
+    cur: Vec<u32>,
+    events: usize,
+    /// The open `par` blocks, innermost at `depth - 1`; frames from `depth`
+    /// on are kept for reuse by later blocks.
+    frames: Vec<Frame>,
     depth: usize,
-    balanced: bool,
+}
+
+/// One open `par` block.
+#[derive(Default)]
+struct Frame {
+    /// Each processor's slot at the block's entry.
+    snap: Vec<u32>,
+    /// The join of the finished branches.
+    merge: Vec<u32>,
+}
+
+impl Recorder<'_> {
+    /// Appends `ins` and returns the first of the `outs` slots it writes.
+    fn emit(&mut self, ins: Ins, outs: u32) -> u32 {
+        let out = self.slots;
+        self.ins.push(ins);
+        self.slots += outs;
+        out
+    }
+
+    /// The index of the innermost open frame.
+    fn open(&self, event: &str) -> usize {
+        assert!(
+            self.depth > 0,
+            "PerformanceModel::run_scheme contract broken: {event} outside a par block"
+        );
+        self.depth - 1
+    }
 }
 
 impl SchemeSink for Recorder<'_> {
     fn compute(&mut self, proc: usize, percent: f64) {
-        let units = self.volumes[proc] * percent / 100.0;
-        self.ops.push(CostOp::Compute {
+        self.events += 1;
+        let ins = Ins::Compute {
             proc: proc as u32,
-            units,
-        });
+            input: self.cur[proc],
+            units: self.volumes[proc] * percent / 100.0,
+        };
+        self.cur[proc] = self.emit(ins, 1);
     }
 
     fn transfer(&mut self, src: usize, dst: usize, percent: f64) {
@@ -180,65 +208,75 @@ impl SchemeSink for Recorder<'_> {
         if bytes <= 0.0 {
             return;
         }
-        self.ops.push(CostOp::Transfer {
+        self.events += 1;
+        let ins = Ins::Transfer {
             src: src as u32,
             dst: dst as u32,
+            s_in: self.cur[src],
+            d_in: self.cur[dst],
             bytes,
-        });
+        };
+        let out = self.emit(ins, 2);
+        self.cur[src] = out;
+        self.cur[dst] = out + 1;
     }
 
     fn par_begin(&mut self) {
+        self.events += 1;
+        if self.depth == self.frames.len() {
+            self.frames.push(Frame::default());
+        }
+        let f = &mut self.frames[self.depth];
+        f.snap.clone_from(&self.cur);
+        f.merge.clone_from(&self.cur);
         self.depth += 1;
-        self.ops.push(CostOp::ParBegin);
     }
 
     fn par_branch(&mut self) {
-        if self.depth == 0 {
-            self.balanced = false;
+        self.events += 1;
+        let d = self.open("par_branch");
+        let f = &mut self.frames[d];
+        for (p, &branch) in self.cur.iter().enumerate() {
+            if branch != f.snap[p] {
+                let merge = f.merge[p];
+                self.ins.push(Ins::Max { merge, branch });
+                f.merge[p] = self.slots;
+                self.slots += 1;
+            }
         }
-        self.ops.push(CostOp::ParBranch);
+        self.cur.clone_from(&f.snap);
     }
 
     fn par_end(&mut self) {
-        if self.depth == 0 {
-            self.balanced = false;
-        } else {
-            self.depth -= 1;
-        }
-        self.ops.push(CostOp::ParEnd);
+        self.events += 1;
+        // Activities after the last `par_branch` join nothing.
+        self.depth = self.open("par_end");
+        self.cur.clone_from(&self.frames[self.depth].merge);
     }
 }
 
-/// Reusable pricing scratch: the clock vector, a pool of `par` frames and
-/// the dirty bitset for delta pricing. After the first evaluation at a
-/// given size, pricing allocates nothing.
+/// Reusable pricing scratch: the value array. After the first evaluation
+/// of a program, pricing allocates nothing.
 #[derive(Debug, Clone)]
 pub struct PriceScratch {
-    clocks: Vec<f64>,
-    snaps: Vec<Vec<f64>>,
-    merges: Vec<Vec<f64>>,
-    dirty: Vec<u64>,
+    n: usize,
+    vals: Vec<f64>,
 }
 
 impl PriceScratch {
     /// Scratch for programs over `n` abstract processors.
     pub fn new(n: usize) -> Self {
         PriceScratch {
-            clocks: vec![0.0; n],
-            snaps: Vec::new(),
-            merges: Vec::new(),
-            dirty: vec![0; n.div_ceil(64).max(1)],
+            n,
+            vals: Vec::new(),
         }
     }
 }
 
-/// Segment-boundary clock checkpoints from a baseline evaluation, consumed
-/// by [`CostProgram::price_delta`].
+/// A baseline evaluation ([`CostProgram::price_baseline`]), the assignment
+/// a probe's [`CostProgram::price_delta`] is a move away from.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaBaseline {
-    /// `(segments + 1) × n` clock checkpoints, row-major; row `s` holds the
-    /// clocks *before* segment `s`, the final row the finished clocks.
-    boundaries: Vec<f64>,
     time: f64,
 }
 
@@ -250,44 +288,45 @@ impl DeltaBaseline {
 }
 
 impl CostProgram {
-    /// Records `model`'s event stream once, prescaled by its volumes.
+    /// Records `model`'s event stream once, prescaled by its volumes, and
+    /// lowers it to SSA form.
     ///
     /// # Errors
     /// Propagates scheme evaluation errors from
     /// [`PerformanceModel::run_scheme`]; a program cannot be recorded for a
     /// model whose scheme does not evaluate.
+    ///
+    /// # Panics
+    /// Panics at the offending event if the model breaks the
+    /// [`PerformanceModel::run_scheme`] contract on `par` structure: a
+    /// `par_branch` or `par_end` outside a block, or a block still open
+    /// when the scheme returns.
     pub fn record<M: PerformanceModel + ?Sized>(model: &M) -> Result<CostProgram, EvalError> {
         let n = model.num_processors();
         let mut rec = Recorder {
             volumes: model.volumes(),
             comm: model.comm_bytes(),
-            ops: Vec::new(),
+            ins: Vec::new(),
+            slots: n as u32,
+            cur: (0..n as u32).collect(),
+            events: 0,
+            frames: Vec::new(),
             depth: 0,
-            balanced: true,
         };
         model.run_scheme(&mut rec)?;
-        let balanced = rec.balanced && rec.depth == 0;
-        let ops = rec.ops;
-        let blocks = n.div_ceil(64).max(1);
-        let segments = if balanced {
-            segment_ops(&ops, blocks)
-        } else {
-            // Degenerate structure: a single segment touching everyone, so
-            // delta pricing falls back to full re-execution (and panics
-            // where a full price does).
-            vec![Segment {
-                start: 0,
-                end: ops.len(),
-                touched: vec![u64::MAX; blocks],
-            }]
-        };
-        let units = if balanced { unit_totals(&ops, n) } else { None };
-        Ok(CostProgram {
+        assert_eq!(
+            rec.depth, 0,
+            "PerformanceModel::run_scheme contract broken: par blocks still open at the end"
+        );
+        let mut program = CostProgram {
             n,
-            ops,
-            segments,
-            units,
-        })
+            ins: rec.ins,
+            last: rec.cur,
+            events: rec.events,
+            units: None,
+        };
+        program.units = program.unit_totals();
+        Ok(program)
     }
 
     /// Number of abstract processors the program spans.
@@ -295,20 +334,16 @@ impl CostProgram {
         self.n
     }
 
-    /// Number of flat ops (for diagnostics and benchmarks).
+    /// Number of recorded events, `par` markers included and dropped
+    /// transfers not (for diagnostics and benchmarks).
     pub fn num_ops(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Number of top-level segments.
-    pub fn num_segments(&self) -> usize {
-        self.segments.len()
+        self.events
     }
 
     /// Per-processor computation totals `U_p` at unit speed, if usable as
-    /// an admissible bound (all units non-negative, balanced par
-    /// structure). `max_p U_p / speed_p` never exceeds the true makespan
-    /// for any cost with non-negative latencies and positive bandwidths.
+    /// an admissible bound (all units non-negative). `max_p U_p / speed_p`
+    /// never exceeds the true makespan for any cost with non-negative
+    /// latencies and positive bandwidths.
     pub fn compute_units(&self) -> Option<&[f64]> {
         self.units.as_deref()
     }
@@ -316,235 +351,96 @@ impl CostProgram {
     /// Full evaluation: the makespan of the program under `cost`.
     ///
     /// # Panics
-    /// Panics if `scratch` was sized for another processor count, or if the
-    /// recorded `par` structure is unbalanced.
+    /// Panics if `scratch` was sized for another processor count.
     pub fn price<C: PairCost + ?Sized>(&self, cost: &C, scratch: &mut PriceScratch) -> f64 {
-        assert_eq!(scratch.clocks.len(), self.n, "scratch sized for this program");
-        let PriceScratch {
-            clocks,
-            snaps,
-            merges,
-            ..
-        } = scratch;
-        clocks.fill(0.0);
-        run_ops(&self.ops, cost, clocks, snaps, merges);
-        clocks.iter().copied().fold(0.0, f64::max)
+        assert_eq!(scratch.n, self.n, "scratch sized for this program");
+        let vals = &mut scratch.vals;
+        vals.clear();
+        vals.resize(self.n, 0.0);
+        for ins in &self.ins {
+            match *ins {
+                Ins::Compute { proc, input, units } => {
+                    vals.push(vals[input as usize] + units / cost.speed(proc as usize));
+                }
+                Ins::Transfer {
+                    src,
+                    dst,
+                    s_in,
+                    d_in,
+                    bytes,
+                } => {
+                    let (s, d) = (src as usize, dst as usize);
+                    let lat = cost.latency(s, d);
+                    let total = lat + bytes / cost.bandwidth(s, d);
+                    let start = vals[s_in as usize];
+                    let arrival = vals[d_in as usize].max(start + total);
+                    vals.push(start + lat);
+                    vals.push(arrival);
+                }
+                Ins::Max { merge, branch } => {
+                    vals.push(vals[merge as usize].max(vals[branch as usize]));
+                }
+            }
+        }
+        // The largest final clock, folded in processor order.
+        self.last.iter().fold(0.0, |t, &s| t.max(vals[s as usize]))
     }
 
-    /// Full evaluation that also checkpoints the clock vector at every
-    /// segment boundary into `base`, enabling [`CostProgram::price_delta`].
+    /// Full evaluation that also records the baseline for
+    /// [`CostProgram::price_delta`].
     pub fn price_baseline<C: PairCost + ?Sized>(
         &self,
         cost: &C,
         scratch: &mut PriceScratch,
         base: &mut DeltaBaseline,
     ) -> f64 {
-        assert_eq!(scratch.clocks.len(), self.n, "scratch sized for this program");
-        let n = self.n;
-        base.boundaries.resize((self.segments.len() + 1) * n, 0.0);
-        let PriceScratch {
-            clocks,
-            snaps,
-            merges,
-            ..
-        } = scratch;
-        clocks.fill(0.0);
-        for (s, seg) in self.segments.iter().enumerate() {
-            base.boundaries[s * n..(s + 1) * n].copy_from_slice(clocks);
-            run_ops(&self.ops[seg.start..seg.end], cost, clocks, snaps, merges);
-        }
-        let last = self.segments.len();
-        base.boundaries[last * n..(last + 1) * n].copy_from_slice(clocks);
-        base.time = clocks.iter().copied().fold(0.0, f64::max);
+        base.time = self.price(cost, scratch);
         base.time
     }
 
-    /// Incremental evaluation of a cost differing from the baseline's only
-    /// on the processors in `changed`: re-executes only the segments whose
-    /// touched set intersects the dirty set (which grows as re-executed
-    /// segments couple further processors in), reading clean processors'
-    /// clocks from the baseline checkpoints. Returns exactly the value a
-    /// full [`CostProgram::price`] of the changed cost would.
+    /// Evaluation of a cost differing from the baseline's only on the
+    /// processors in `changed`. It runs the whole program, so it returns
+    /// exactly what [`CostProgram::price`] of the changed cost does.
     pub fn price_delta<C: PairCost + ?Sized>(
         &self,
         cost: &C,
-        base: &DeltaBaseline,
-        changed: &[usize],
+        _base: &DeltaBaseline,
+        _changed: &[usize],
         scratch: &mut PriceScratch,
     ) -> f64 {
-        let n = self.n;
-        assert_eq!(
-            base.boundaries.len(),
-            (self.segments.len() + 1) * n,
-            "baseline built by price_baseline on this program"
-        );
-        let PriceScratch {
-            clocks,
-            snaps,
-            merges,
-            dirty,
-        } = scratch;
-        dirty.fill(0);
-        for &p in changed {
-            bit_set(dirty, p);
-        }
-        let mut ran_any = false;
-        for (s, seg) in self.segments.iter().enumerate() {
-            if !bits_intersect(&seg.touched, dirty) {
-                continue;
-            }
-            let boundary = &base.boundaries[s * n..(s + 1) * n];
-            if ran_any {
-                // Refresh clean processors; dirty clocks carry over.
-                for (p, b) in boundary.iter().enumerate() {
-                    if !bit_get(dirty, p) {
-                        clocks[p] = *b;
-                    }
-                }
-            } else {
-                // Before the first affected segment the changed run is
-                // indistinguishable from the baseline.
-                clocks.copy_from_slice(boundary);
-                ran_any = true;
-            }
-            run_ops(&self.ops[seg.start..seg.end], cost, clocks, snaps, merges);
-            for (d, t) in dirty.iter_mut().zip(&seg.touched) {
-                *d |= *t;
-            }
-        }
-        if !ran_any {
-            return base.time;
-        }
-        let last = &base.boundaries[self.segments.len() * n..];
-        let mut t = 0.0f64;
-        for (p, b) in last.iter().enumerate() {
-            let c = if bit_get(dirty, p) { clocks[p] } else { *b };
-            t = t.max(c);
-        }
-        t
+        self.price(cost, scratch)
     }
-}
 
-/// The core replay loop: the module's clock rules over prescaled ops, with
-/// the frame pool reused across calls.
-fn run_ops<C: PairCost + ?Sized>(
-    ops: &[CostOp],
-    cost: &C,
-    clocks: &mut [f64],
-    snaps: &mut Vec<Vec<f64>>,
-    merges: &mut Vec<Vec<f64>>,
-) {
-    let mut depth = 0usize;
-    for op in ops {
-        match *op {
-            CostOp::Compute { proc, units } => {
-                let p = proc as usize;
-                clocks[p] += units / cost.speed(p);
-            }
-            CostOp::Transfer { src, dst, bytes } => {
-                let (s, d) = (src as usize, dst as usize);
-                let lat = cost.latency(s, d);
-                let total = lat + bytes / cost.bandwidth(s, d);
-                let start = clocks[s];
-                clocks[s] = start + lat;
-                clocks[d] = clocks[d].max(start + total);
-            }
-            CostOp::ParBegin => {
-                if depth == snaps.len() {
-                    snaps.push(clocks.to_vec());
-                    merges.push(clocks.to_vec());
-                } else {
-                    snaps[depth].copy_from_slice(clocks);
-                    merges[depth].copy_from_slice(clocks);
+    /// `U_p`: computes at unit speed, transfers passing their inputs
+    /// through. `None` if any unit count is negative (the monotonicity
+    /// argument behind the bound needs non-negative advances).
+    fn unit_totals(&self) -> Option<Vec<f64>> {
+        let mut v = vec![0.0f64; self.n];
+        for ins in &self.ins {
+            match *ins {
+                Ins::Compute { units, .. } if units < 0.0 => return None,
+                Ins::Compute { input, units, .. } => v.push(v[input as usize] + units),
+                Ins::Transfer { s_in, d_in, .. } => {
+                    v.push(v[s_in as usize]);
+                    v.push(v[d_in as usize]);
                 }
-                depth += 1;
-            }
-            CostOp::ParBranch => {
-                assert!(depth > 0, "par_branch inside par_begin");
-                let frame = depth - 1;
-                for (m, c) in merges[frame].iter_mut().zip(clocks.iter()) {
-                    *m = m.max(*c);
-                }
-                clocks.copy_from_slice(&snaps[frame]);
-            }
-            CostOp::ParEnd => {
-                assert!(depth > 0, "par_end matches par_begin");
-                depth -= 1;
-                clocks.copy_from_slice(&merges[depth]);
+                Ins::Max { merge, branch } => v.push(v[merge as usize].max(v[branch as usize])),
             }
         }
+        Some(self.last.iter().map(|&s| v[s as usize]).collect())
     }
-}
-
-/// Splits a balanced op list into top-level segments with touched bitsets.
-fn segment_ops(ops: &[CostOp], blocks: usize) -> Vec<Segment> {
-    let mut segments = Vec::new();
-    let mut i = 0;
-    while i < ops.len() {
-        let start = i;
-        let mut touched = vec![0u64; blocks];
-        let mut depth = 0usize;
-        loop {
-            match ops[i] {
-                CostOp::Compute { proc, .. } => bit_set(&mut touched, proc as usize),
-                CostOp::Transfer { src, dst, .. } => {
-                    bit_set(&mut touched, src as usize);
-                    bit_set(&mut touched, dst as usize);
-                }
-                CostOp::ParBegin => depth += 1,
-                CostOp::ParEnd => depth -= 1,
-                CostOp::ParBranch => {}
-            }
-            i += 1;
-            if depth == 0 {
-                break;
-            }
-        }
-        segments.push(Segment {
-            start,
-            end: i,
-            touched,
-        });
-    }
-    segments
-}
-
-/// `U_p`: computes replayed at unit speed through the par structure,
-/// transfers as no-ops. `None` if any unit count is negative (the
-/// monotonicity argument behind the bound needs non-negative advances).
-fn unit_totals(ops: &[CostOp], n: usize) -> Option<Vec<f64>> {
-    let mut clocks = vec![0.0f64; n];
-    let mut stack: Vec<(Vec<f64>, Vec<f64>)> = Vec::new();
-    for op in ops {
-        match *op {
-            CostOp::Compute { proc, units } => {
-                if units < 0.0 {
-                    return None;
-                }
-                clocks[proc as usize] += units;
-            }
-            CostOp::Transfer { .. } => {}
-            CostOp::ParBegin => stack.push((clocks.clone(), clocks.clone())),
-            CostOp::ParBranch => {
-                let (snap, merged) = stack.last_mut().expect("balanced");
-                for (m, c) in merged.iter_mut().zip(&clocks) {
-                    *m = m.max(*c);
-                }
-                clocks.clone_from(snap);
-            }
-            CostOp::ParEnd => {
-                let (_, merged) = stack.pop().expect("balanced");
-                clocks = merged;
-            }
-        }
-    }
-    Some(clocks)
 }
 
 #[cfg(test)]
+#[path = "../tests/support/clock_reference.rs"]
+mod clock_reference;
+
+#[cfg(test)]
 mod tests {
+    use super::clock_reference::{clocks, gen_events, makespan, Ev, Replay, Rng};
     use super::*;
     use crate::model::{CompiledModel, ParamValue};
+    use proptest::prelude::*;
 
     fn em3d_instance() -> crate::model::ModelInstance {
         let src = r"
@@ -577,27 +473,15 @@ mod tests {
             .unwrap()
     }
 
+    /// Reproducible heterogeneous costs: speeds in `[1, 200)`, latencies
+    /// in `[0, 1e-4)`, bandwidths in `[1e5, 1e7)`.
     fn hetero_cost(n: usize, seed: u64) -> CostModel {
-        // Deterministic pseudo-random but fully reproducible costs.
-        let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            (x >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let speeds = (0..n).map(|_| 1.0 + 200.0 * next()).collect();
-        let latency = (0..n)
-            .map(|_| (0..n).map(|_| 1e-4 * next()).collect())
-            .collect();
-        let bandwidth = (0..n)
-            .map(|_| (0..n).map(|_| 1e5 + 1e7 * next()).collect())
-            .collect();
-        CostModel {
-            speeds,
-            latency,
-            bandwidth,
+        let mut cost = CostModel::homogeneous(n, 1.0, 0.0, 1.0);
+        let mut rng = Rng::new(seed);
+        for p in 0..n {
+            reroll(&mut cost, p, 0.0, &mut rng);
         }
+        cost
     }
 
     #[test]
@@ -630,7 +514,6 @@ mod tests {
     fn delta_is_bit_identical_to_full_price() {
         let inst = em3d_instance();
         let prog = CostProgram::record(&inst).unwrap();
-        assert!(prog.num_segments() >= 2);
         let mut scratch = PriceScratch::new(4);
         let mut base = DeltaBaseline::default();
         let cost = hetero_cost(4, 1);
@@ -657,7 +540,7 @@ mod tests {
     #[test]
     fn delta_with_no_affected_segment_returns_baseline() {
         // A model where processor 3 never appears in the scheme: changing
-        // it re-executes nothing.
+        // it leaves the makespan's bits as they were.
         let model = CompiledModel::compile(
             "algorithm Sparse() { coord I=4; node {I>=0: bench*(10*(I+1));}; parent[0];
                scheme { 100%%[0]; 100%%[1]; 100%%[2]; }; }",
@@ -734,6 +617,112 @@ mod tests {
         .unwrap();
         let prog = CostProgram::record(&model).unwrap();
         assert_eq!(prog.num_ops(), 2);
-        assert_eq!(prog.num_segments(), 2);
+        // One transfer and one computation.
+        assert!(matches!(
+            prog.ins[..],
+            [
+                Ins::Transfer { src: 0, dst: 1, .. },
+                Ins::Compute { proc: 0, .. }
+            ]
+        ));
+    }
+
+    fn stream(events: Vec<Ev>) -> Replay {
+        Replay {
+            volumes: vec![1.0; 2],
+            comm: vec![vec![1.0; 2]; 2],
+            parent: 0,
+            events,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "contract broken: par_branch outside a par block")]
+    fn a_stray_par_branch_panics_at_record() {
+        let _ = CostProgram::record(&stream(vec![Ev::Compute(0, 100.0), Ev::ParBranch]));
+    }
+
+    #[test]
+    #[should_panic(expected = "contract broken: par_end outside a par block")]
+    fn a_stray_par_end_panics_at_record() {
+        let events = vec![Ev::ParBegin, Ev::ParBranch, Ev::ParEnd, Ev::ParEnd];
+        let _ = CostProgram::record(&stream(events));
+    }
+
+    #[test]
+    #[should_panic(expected = "contract broken: par blocks still open")]
+    fn a_par_block_left_open_panics_at_record() {
+        let events = vec![Ev::ParBegin, Ev::Transfer(0, 1, 100.0), Ev::ParBranch];
+        let _ = CostProgram::record(&stream(events));
+    }
+
+    /// Redraws every cost that involves processor `p`: its speed and the
+    /// latency and bandwidth of each pair it is in. Latencies are drawn
+    /// from `[lat_lo, 1e-4)`.
+    fn reroll(cost: &mut CostModel, p: usize, lat_lo: f64, rng: &mut Rng) {
+        cost.speeds[p] = rng.range(1.0, 200.0);
+        for q in 0..cost.speeds.len() {
+            cost.latency[p][q] = rng.range(lat_lo, 1e-4);
+            cost.latency[q][p] = rng.range(lat_lo, 1e-4);
+            cost.bandwidth[p][q] = rng.range(1e5, 1e7);
+            cost.bandwidth[q][p] = rng.range(1e5, 1e7);
+        }
+    }
+
+    fn bits(v: Option<&[f64]>) -> Option<Vec<u64>> {
+        v.map(|v| v.iter().map(|x| x.to_bits()).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On random streams (nesting depth 3, zero-iteration blocks,
+        /// empty branches, self and zero-byte transfers, negative units,
+        /// negative latencies one case in three) `price`, `price_delta` for
+        /// every single and pair `changed` set, and `compute_units` hold
+        /// the clock-vector reference's bits.
+        #[test]
+        fn pricing_matches_the_clock_vector_reference(seed in any::<u64>()) {
+            let mut rng = Rng::new(seed);
+            let n = 1 + rng.below(5);
+            let model = Replay {
+                volumes: (0..n).map(|_| rng.range(0.0, 1000.0)).collect(),
+                comm: (0..n)
+                    .map(|_| {
+                        let mut cell = || if rng.below(3) == 0 { 0.0 } else { rng.range(0.0, 1e6) };
+                        (0..n).map(|_| cell()).collect()
+                    })
+                    .collect(),
+                parent: 0,
+                events: gen_events(&mut rng, n),
+            };
+            let lat_lo = if rng.below(3) == 0 { -1e-4 } else { 0.0 };
+            let mut cost = CostModel::homogeneous(n, 1.0, 0.0, 1.0);
+            for p in 0..n {
+                reroll(&mut cost, p, lat_lo, &mut rng);
+            }
+            let reference = |c: &CostModel| makespan(&clocks(&model, Some(c)).unwrap());
+            let prog = CostProgram::record(&model).unwrap();
+            let mut scratch = PriceScratch::new(n);
+            let mut base = DeltaBaseline::default();
+            let t0 = prog.price_baseline(&cost, &mut scratch, &mut base);
+            prop_assert_eq!(t0.to_bits(), reference(&cost).to_bits());
+            prop_assert_eq!(prog.price(&cost, &mut scratch).to_bits(), t0.to_bits());
+
+            let units = (!model.has_negative_units()).then(|| clocks(&model, None).unwrap());
+            prop_assert_eq!(bits(prog.compute_units()), bits(units.as_deref()));
+
+            for i in 0..n {
+                for j in i..n {
+                    let changed = if i == j { vec![i] } else { vec![i, j] };
+                    let mut moved = cost.clone();
+                    for &p in &changed {
+                        reroll(&mut moved, p, lat_lo, &mut rng);
+                    }
+                    let t = prog.price_delta(&moved, &base, &changed, &mut scratch);
+                    prop_assert_eq!(t.to_bits(), reference(&moved).to_bits(), "changed {:?}", changed);
+                }
+            }
+        }
     }
 }

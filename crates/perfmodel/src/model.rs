@@ -53,7 +53,10 @@ pub trait PerformanceModel: Send + Sync {
     fn comm_bytes(&self) -> &[Vec<f64>];
     /// Linear index of the parent processor.
     fn parent(&self) -> usize;
-    /// Replays the interaction pattern into `sink`.
+    /// Replays the interaction pattern into `sink`. The `par` structure
+    /// must balance: every `par_branch` and `par_end` falls inside a block
+    /// opened by `par_begin`, and every block is closed before returning
+    /// ([`CostProgram::record`] panics otherwise).
     ///
     /// # Errors
     /// Propagates evaluation errors from the scheme body.
@@ -67,7 +70,8 @@ pub trait PerformanceModel: Send + Sync {
     /// As [`PerformanceModel::run_scheme`].
     ///
     /// # Panics
-    /// Panics if `cost` does not give a speed for every processor.
+    /// Panics if `cost` does not give a speed for every processor, or if
+    /// the scheme's `par` structure does not balance.
     fn predict_time(&self, cost: &CostModel) -> Result<f64, EvalError> {
         let n = self.num_processors();
         assert_eq!(cost.speeds.len(), n, "cost model covers every processor");
