@@ -18,7 +18,7 @@ use crate::program::{self, Kernel, TracedRun};
 use hetsim::{Cluster, SimTime, Trace};
 use hmpi::{Hmpi, HmpiError, MappingAlgorithm, Recon, RuntimeConfig};
 use mpisim::{Comm, MpiResult};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Outcome of one EM3D execution.
 #[derive(Debug, Clone)]
@@ -74,9 +74,8 @@ impl Kernel for Body {
 /// Panics if the cluster hosts fewer processes than sub-bodies.
 pub fn run_mpi(cluster: Arc<Cluster>, cfg: &Em3dConfig, niter: usize) -> Em3dRun {
     let p = cfg.nodes_per_body.len();
-    let (time, fields) = program::mpi(cluster, p, |comm| {
-        Body::new(&Em3dSystem::generate(cfg), comm, niter, None)
-    });
+    let system = Em3dSystem::generate(cfg);
+    let (time, fields) = program::mpi(cluster, p, |comm| Body::new(&system, comm, niter, None));
     Em3dRun {
         time,
         members: (0..p).collect(),
@@ -135,17 +134,17 @@ fn hmpi(
     k: usize,
     config: RuntimeConfig,
 ) -> (Em3dRun, Option<Trace>) {
+    let system = Em3dSystem::generate(cfg);
     let select = |h: &Hmpi| {
         // HMPI_Recon with a benchmark representative of the application:
         // computing the nodal values of k nodes of one sub-body (the model
         // counts in "k nodal values" units, hence the nominal/work split).
         h.recon_opts(Recon::new(1.0).work_units(k as f64))
             .expect("recon");
-        let system = Em3dSystem::generate(cfg);
         let model = em3d_model(&system, k).expect("Figure 4 instantiation");
-        (model, system, ())
+        (model, (), ())
     };
-    let kernel = |comm: &Comm, system| Body::new(&system, comm, niter, None);
+    let kernel = |comm: &Comm, ()| Body::new(&system, comm, niter, None);
     let run = program::hmpi(cluster, config, cfg.nodes_per_body.len(), select, kernel);
     let em3d = Em3dRun {
         time: run.time,
@@ -193,8 +192,10 @@ fn shrunk(cfg: &Em3dConfig, p: usize) -> Em3dConfig {
 /// over the survivors and a restart of the (shrunk) computation from
 /// scratch.
 ///
-/// Each attempt regenerates the system for the current group size, so the
-/// result after a mid-run crash equals a clean run of the shrunk problem.
+/// Each attempt runs the system for the current group size, so the result
+/// after a mid-run crash equals a clean run of the shrunk problem. Each
+/// size's system is generated once per run, by the first rank that needs
+/// it, and shared.
 /// Boundary receives carry a per-iteration deadline derived from the
 /// group's own predicted time, so even a silent failure surfaces as an
 /// error instead of a hang.
@@ -213,7 +214,9 @@ pub fn run_hmpi_ft(
     k: usize,
 ) -> Option<Em3dFtRun> {
     let p = cfg.nodes_per_body.len();
-    let model = |p: usize| em3d_model(&Em3dSystem::generate(&shrunk(cfg, p)), k);
+    let systems: Vec<OnceLock<Em3dSystem>> = (0..=p).map(|_| OnceLock::new()).collect();
+    let system = |p: usize| systems[p].get_or_init(|| Em3dSystem::generate(&shrunk(cfg, p)));
+    let model = |p: usize| em3d_model(system(p), k);
     let run = program::hmpi_ft(
         cluster,
         p,
@@ -229,8 +232,7 @@ pub fn run_hmpi_ft(
             // Per-iteration deadline: generous versus the prediction,
             // tiny versus the deadlock timeout.
             let budget = (group.predicted_time() * 10.0).max(1.0);
-            let system = Em3dSystem::generate(&shrunk(cfg, group.size()));
-            Body::new(&system, comm, niter, Some(budget))
+            Body::new(system(group.size()), comm, niter, Some(budget))
         },
     )?;
     Some(Em3dFtRun {
@@ -267,11 +269,8 @@ mod tests {
         for (body, (se, sh)) in serial.iter().enumerate() {
             for run in [&mpi, &hmpi] {
                 let (e, h) = &run.fields[body];
-                for (a, b) in e.iter().zip(se) {
-                    assert!((a - b).abs() < 1e-10);
-                }
-                for (a, b) in h.iter().zip(sh) {
-                    assert!((a - b).abs() < 1e-10);
+                for (a, b) in e.iter().zip(se).chain(h.iter().zip(sh)) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "body {body}: {a} vs {b}");
                 }
             }
         }

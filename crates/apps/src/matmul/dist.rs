@@ -93,8 +93,9 @@ impl GeneralizedBlockDist {
     /// equal rectangles.
     ///
     /// # Panics
-    /// Panics unless `m` divides `l`.
+    /// Panics if `l < m` or `m` does not divide `l`.
     pub fn homogeneous(m: usize, l: usize) -> Self {
+        assert!(m >= 1 && l >= m, "the paper requires m <= l");
         assert!(l.is_multiple_of(m), "homogeneous distribution needs m | l");
         GeneralizedBlockDist {
             m,

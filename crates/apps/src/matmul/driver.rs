@@ -54,9 +54,10 @@ impl Kernel for DistributedMatmul {
     }
 }
 
-/// This member's share of the product under `dist`.
-fn kernel(dist: GeneralizedBlockDist, n: usize, r: usize, comm: &Comm) -> DistributedMatmul {
-    DistributedMatmul::new(dist, n, r, comm.rank(), SEED_A, SEED_B)
+/// The run's input matrices `A` and `B`, built once on the caller's thread
+/// and lent to every rank.
+fn inputs(n: usize, r: usize) -> [Arc<BlockMatrix>; 2] {
+    [SEED_A, SEED_B].map(|seed| Arc::new(BlockMatrix::deterministic(n, r, seed)))
 }
 
 /// The checks every driver makes on the caller's thread, before any rank
@@ -75,22 +76,33 @@ fn check_grid(cluster: &Cluster, m: usize, n: usize) {
     );
 }
 
+/// A fixed generalised block size must satisfy `m <= l <= n`.
+fn check_l(m: usize, l: usize, n: usize) {
+    assert!(
+        (m..=n).contains(&l),
+        "the paper requires m <= l <= n, got m = {m}, l = {l}, n = {n}"
+    );
+}
+
 /// The MPI baseline: homogeneous 2D block-cyclic distribution on the first
 /// `m²` world ranks. `l` must be a multiple of `m` (default the paper-style
 /// fully cyclic `l = m` when `None`).
 ///
 /// # Panics
-/// Panics unless `1 <= m <= n`, the cluster hosts `m²` processes, `m`
-/// divides `l` and `l <= n`.
+/// Panics unless `1 <= m <= n`, the cluster hosts `m²` processes,
+/// `m <= l <= n` and `m` divides `l`.
 pub fn run_mpi(cluster: Arc<Cluster>, m: usize, n: usize, r: usize, l: Option<usize>) -> MatmulRun {
     check_grid(&cluster, m, n);
     let l = l.unwrap_or(m);
+    check_l(m, l, n);
     assert!(
-        l.is_multiple_of(m) && l <= n,
+        l.is_multiple_of(m),
         "the homogeneous distribution needs m | l and l <= n, got m = {m}, l = {l}, n = {n}"
     );
+    let [a, b] = inputs(n, r);
     let (time, cs) = program::mpi(cluster, m * m, |comm| {
-        kernel(GeneralizedBlockDist::homogeneous(m, l), n, r, comm)
+        let dist = GeneralizedBlockDist::homogeneous(m, l);
+        DistributedMatmul::with_inputs(dist, a.clone(), b.clone(), comm.rank())
     });
     MatmulRun {
         time,
@@ -165,11 +177,9 @@ fn hmpi(
 ) -> (MatmulRun, Option<Trace>) {
     check_grid(&cluster, m, n);
     if let Some(l) = l {
-        assert!(
-            (m..=n).contains(&l),
-            "the paper requires m <= l <= n, got m = {m}, l = {l}, n = {n}"
-        );
+        check_l(m, l, n);
     }
+    let [a, b] = inputs(n, r);
     let select = |h: &Hmpi| {
         // HMPI_Recon with the rMxM benchmark: one r x r block update.
         h.recon_opts(Recon::new(1.0).bench(|hh: &Hmpi| hh.compute(1.0)))
@@ -208,7 +218,7 @@ fn hmpi(
     };
     let config = RuntimeConfig::new().tracing(tracing);
     let run = program::hmpi(cluster, config, m * m, select, |comm, dist| {
-        kernel(dist, n, r, comm)
+        DistributedMatmul::with_inputs(dist, a.clone(), b.clone(), comm.rank())
     });
     let mm = MatmulRun {
         time: run.time,
@@ -261,9 +271,12 @@ fn block_for(l: Option<usize>, m_eff: usize, n: usize) -> usize {
 }
 
 /// Exact integer square root of a perfect square (group sizes are `m'²`).
+///
+/// # Panics
+/// Panics if `procs` is not a perfect square.
 fn grid_side(procs: usize) -> usize {
     let s = (procs as f64).sqrt().round() as usize;
-    debug_assert_eq!(s * s, procs, "FT grids are always square");
+    assert_eq!(s * s, procs, "FT grids are square, got a group of {procs}");
     s
 }
 
@@ -275,8 +288,8 @@ fn grid_side(procs: usize) -> usize {
 /// Each attempt rebuilds the distribution for the current grid from the
 /// shared speed estimates (grid position `i` holds group member `i`), so
 /// every member derives the identical partitioning without a broadcast on
-/// a possibly-dirty communicator. The matrices are regenerated from their
-/// seeds, so the result after any number of mid-run crashes equals the
+/// a possibly-dirty communicator. Every attempt reads the same input
+/// matrices, so the result after any number of mid-run crashes equals the
 /// full serial product.
 ///
 /// Returns `None` when the run could not complete at all: the host's node
@@ -294,6 +307,7 @@ pub fn run_hmpi_ft(
     l: Option<usize>,
 ) -> Option<MatmulFtRun> {
     check_grid(&cluster, m, n);
+    let [a, b] = inputs(n, r);
     // The model factory runs on the host with the roll-call survivors
     // (host first); at creation time every rank evaluates it with the same
     // alive list, computed from the shared estimates.
@@ -325,7 +339,7 @@ pub fn run_hmpi_ft(
             let m_eff = grid_side(group.size());
             let speeds = speeds_of(h, group.members());
             let dist = GeneralizedBlockDist::heterogeneous(m_eff, block_for(l, m_eff, n), &speeds);
-            kernel(dist, n, r, comm)
+            DistributedMatmul::with_inputs(dist, a.clone(), b.clone(), comm.rank())
         },
     )?;
     let final_m = grid_side(run.members.len());
@@ -545,6 +559,18 @@ mod tests {
     )]
     fn mpi_rejects_a_fixed_l_that_m_does_not_divide() {
         run_mpi(paper_cluster(), 3, 9, 4, Some(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "the paper requires m <= l <= n, got m = 3, l = 0, n = 9")]
+    fn mpi_rejects_a_fixed_l_below_m() {
+        run_mpi(paper_cluster(), 3, 9, 4, Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "FT grids are square, got a group of 8")]
+    fn grid_side_rejects_a_non_square_group() {
+        grid_side(8);
     }
 }
 

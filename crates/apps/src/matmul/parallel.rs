@@ -11,12 +11,14 @@
 use crate::matmul::block::{block_multiply_add, BlockMatrix};
 use crate::matmul::dist::GeneralizedBlockDist;
 use mpisim::{Comm, MpiResult};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 const TAG_A_BASE: i32 = 10_000;
 const TAG_B_BASE: i32 = 2_000_000;
 
-/// One grid processor's share of the computation.
+/// One grid processor's share of the computation. The input matrices are
+/// shared by every rank of a run and only read; each rank owns its `C`
+/// blocks and two pivot buffers.
 #[derive(Debug, Clone)]
 pub struct DistributedMatmul {
     /// Matrix size in blocks.
@@ -31,9 +33,16 @@ pub struct DistributedMatmul {
     pub my_i: usize,
     /// My grid column.
     pub my_j: usize,
-    a: HashMap<(usize, usize), Vec<f64>>,
-    b: HashMap<(usize, usize), Vec<f64>>,
-    c: HashMap<(usize, usize), Vec<f64>>,
+    a: Arc<BlockMatrix>,
+    b: Arc<BlockMatrix>,
+    /// The `(i, j)` of every owned `C` block, in `(i, j)` order.
+    owned: Vec<(usize, usize)>,
+    /// The owned `C` blocks, `r * r` elements each, in `owned`'s order.
+    c: Vec<f64>,
+    /// This step's pivot `a(i, k)` in slot `i`, for `i` in `my_rows`.
+    a_pivot: Vec<f64>,
+    /// This step's pivot `b(k, j)` in slot `j`, for `j` in `my_cols`.
+    b_pivot: Vec<f64>,
     /// Block rows `i` with at least one owned `C` block.
     my_rows: Vec<usize>,
     /// Block columns `j` with at least one owned `C` block.
@@ -42,7 +51,7 @@ pub struct DistributedMatmul {
 
 impl DistributedMatmul {
     /// Builds rank `rank`'s share (grid position `(rank / m, rank % m)`)
-    /// from deterministic input matrices.
+    /// from deterministic input matrices generated from the two seeds.
     pub fn new(
         dist: GeneralizedBlockDist,
         n: usize,
@@ -51,25 +60,30 @@ impl DistributedMatmul {
         seed_a: u64,
         seed_b: u64,
     ) -> Self {
-        let m = dist.m;
+        let [a, b] = [seed_a, seed_b].map(|seed| Arc::new(BlockMatrix::deterministic(n, r, seed)));
+        Self::with_inputs(dist, a, b, rank)
+    }
+
+    /// Builds rank `rank`'s share of `a × b`, reading the inputs in place.
+    ///
+    /// # Panics
+    /// Panics if `a` and `b` differ in shape, `rank` is off the grid or
+    /// `l > n`.
+    pub fn with_inputs(
+        dist: GeneralizedBlockDist,
+        a: Arc<BlockMatrix>,
+        b: Arc<BlockMatrix>,
+        rank: usize,
+    ) -> Self {
+        let (n, r, m) = (a.n, a.r, dist.m);
+        assert_eq!((b.n, b.r), (n, r), "A and B must have the same shape");
         assert!(rank < m * m);
         assert!(n >= dist.l, "the paper requires l <= n");
         let (my_i, my_j) = (rank / m, rank % m);
-        let a_full = BlockMatrix::deterministic(n, r, seed_a);
-        let b_full = BlockMatrix::deterministic(n, r, seed_b);
-
-        let mut a = HashMap::new();
-        let mut b = HashMap::new();
-        let mut c = HashMap::new();
-        for i in 0..n {
-            for j in 0..n {
-                if dist.owner_of_block(i, j) == (my_i, my_j) {
-                    a.insert((i, j), a_full.block(i, j).to_vec());
-                    b.insert((i, j), b_full.block(i, j).to_vec());
-                    c.insert((i, j), vec![0.0; r * r]);
-                }
-            }
-        }
+        let owned: Vec<_> = (0..n)
+            .flat_map(|i| (0..n).map(move |j| (i, j)))
+            .filter(|&(i, j)| dist.owner_of_block(i, j) == (my_i, my_j))
+            .collect();
         let my_rows: Vec<usize> = (0..n)
             .filter(|&i| dist.row_slice(i % dist.l, my_j) == my_i)
             .collect();
@@ -85,21 +99,24 @@ impl DistributedMatmul {
             my_j,
             a,
             b,
-            c,
+            c: vec![0.0; owned.len() * r * r],
+            owned,
+            a_pivot: vec![0.0; n * r * r],
+            b_pivot: vec![0.0; n * r * r],
             my_rows,
             my_cols,
         }
     }
 
     /// Grid position to communicator rank.
-    fn rank_of(&self, gi: usize, gj: usize) -> usize {
+    fn rank_of(&self, (gi, gj): (usize, usize)) -> usize {
         gi * self.m + gj
     }
 
     /// Number of owned `C` blocks — the per-step computation volume in
     /// block updates.
     pub fn owned_blocks(&self) -> usize {
-        self.c.len()
+        self.owned.len()
     }
 
     /// One step `k` of the algorithm: pivot-column broadcast of `A`,
@@ -109,66 +126,58 @@ impl DistributedMatmul {
     /// Propagates transport errors.
     pub fn step(&mut self, k: usize, comm: &Comm) -> MpiResult<()> {
         let me = (self.my_i, self.my_j);
+        let (dist, rr) = (&self.dist, self.r * self.r);
 
         // Send my pivot-column A blocks horizontally: a(i, k) goes to the
         // owner of c(i, ·) in every grid column.
-        for i in 0..self.n {
-            if let Some(block) = self.a.get(&(i, k)) {
-                for gj in 0..self.m {
-                    let gi = self.dist.row_slice(i % self.dist.l, gj);
-                    if (gi, gj) != me {
-                        comm.send(block, self.rank_of(gi, gj), TAG_A_BASE + i as i32)?;
-                    }
+        for i in (0..self.n).filter(|&i| dist.owner_of_block(i, k) == me) {
+            for gj in 0..self.m {
+                let to = (dist.row_slice(i % dist.l, gj), gj);
+                if to != me {
+                    comm.send(self.a.block(i, k), self.rank_of(to), TAG_A_BASE + i as i32)?;
                 }
             }
         }
         // Send my pivot-row B blocks vertically: b(k, j) goes to every grid
         // row of my column slice.
-        for j in 0..self.n {
-            if let Some(block) = self.b.get(&(k, j)) {
-                let gj = self.dist.col_slice(j % self.dist.l);
-                debug_assert_eq!(gj, self.my_j);
-                for gi in 0..self.m {
-                    if (gi, gj) != me {
-                        comm.send(block, self.rank_of(gi, gj), TAG_B_BASE + j as i32)?;
-                    }
-                }
+        for j in (0..self.n).filter(|&j| dist.owner_of_block(k, j) == me) {
+            for gi in (0..self.m).filter(|&gi| gi != self.my_i) {
+                let to = self.rank_of((gi, self.my_j));
+                comm.send(self.b.block(k, j), to, TAG_B_BASE + j as i32)?;
             }
         }
 
-        // Receive the pivot blocks I need.
-        let mut a_pivot: HashMap<usize, Vec<f64>> = HashMap::new();
+        // Fill the pivot slots I need: my own blocks from the inputs, the
+        // others from their owners.
         for &i in &self.my_rows {
-            if let Some(own) = self.a.get(&(i, k)) {
-                a_pivot.insert(i, own.clone());
+            let owner = dist.owner_of_block(i, k);
+            let from = self.rank_of(owner);
+            let slot = &mut self.a_pivot[i * rr..(i + 1) * rr];
+            if owner == me {
+                slot.copy_from_slice(self.a.block(i, k));
             } else {
-                let (gi, gj) = self.dist.owner_of_block(i, k);
-                let (block, _) =
-                    comm.recv::<f64>(self.rank_of(gi, gj), TAG_A_BASE + i as i32)?;
-                a_pivot.insert(i, block);
+                comm.recv_into(slot, from, TAG_A_BASE + i as i32)?;
             }
         }
-        let mut b_pivot: HashMap<usize, Vec<f64>> = HashMap::new();
         for &j in &self.my_cols {
-            if let Some(own) = self.b.get(&(k, j)) {
-                b_pivot.insert(j, own.clone());
+            let owner = dist.owner_of_block(k, j);
+            let from = self.rank_of(owner);
+            let slot = &mut self.b_pivot[j * rr..(j + 1) * rr];
+            if owner == me {
+                slot.copy_from_slice(self.b.block(k, j));
             } else {
-                let (gi, gj) = self.dist.owner_of_block(k, j);
-                let (block, _) =
-                    comm.recv::<f64>(self.rank_of(gi, gj), TAG_B_BASE + j as i32)?;
-                b_pivot.insert(j, block);
+                comm.recv_into(slot, from, TAG_B_BASE + j as i32)?;
             }
         }
 
         // Update every owned C block: c(i,j) += a(i,k) * b(k,j).
-        let r = self.r;
-        for (&(i, j), cblock) in &mut self.c {
-            let ab = &a_pivot[&i];
-            let bb = &b_pivot[&j];
-            block_multiply_add(cblock, ab, bb, r);
+        for (&(i, j), cblock) in self.owned.iter().zip(self.c.chunks_exact_mut(rr)) {
+            let ab = &self.a_pivot[i * rr..(i + 1) * rr];
+            let bb = &self.b_pivot[j * rr..(j + 1) * rr];
+            block_multiply_add(cblock, ab, bb, self.r);
         }
         // Virtual cost: one block update per owned block.
-        comm.compute(self.c.len() as f64);
+        comm.compute(self.owned.len() as f64);
         Ok(())
     }
 
@@ -184,29 +193,25 @@ impl DistributedMatmul {
     }
 
     /// Gathers the distributed `C` to communicator rank 0 for verification.
-    /// Encodes each block as `[i, j, elements...]`.
+    /// Encodes each block as `[i, j, elements...]`, in `(i, j)` order.
     ///
     /// # Errors
     /// Propagates transport errors.
     pub fn gather_c(&self, comm: &Comm) -> MpiResult<Option<BlockMatrix>> {
         let r = self.r;
-        let mut payload: Vec<f64> = Vec::with_capacity(self.c.len() * (2 + r * r));
-        let mut keys: Vec<&(usize, usize)> = self.c.keys().collect();
-        keys.sort();
-        for &(i, j) in keys {
-            payload.push(i as f64);
-            payload.push(j as f64);
-            payload.extend_from_slice(&self.c[&(i, j)]);
+        let stride = 2 + r * r;
+        let mut payload: Vec<f64> = Vec::with_capacity(self.owned.len() * stride);
+        for (&(i, j), block) in self.owned.iter().zip(self.c.chunks_exact(r * r)) {
+            payload.extend([i as f64, j as f64]);
+            payload.extend_from_slice(block);
         }
         let gathered = comm.gather(&payload, 0)?;
         Ok(gathered.map(|parts| {
             let mut full = BlockMatrix::zeros(self.n, r);
             for part in parts {
-                let stride = 2 + r * r;
                 assert_eq!(part.len() % stride, 0);
                 for chunk in part.chunks_exact(stride) {
-                    let i = chunk[0] as usize;
-                    let j = chunk[1] as usize;
+                    let (i, j) = (chunk[0] as usize, chunk[1] as usize);
                     full.block_mut(i, j).copy_from_slice(&chunk[2..]);
                 }
             }
@@ -245,7 +250,7 @@ mod tests {
         let want = serial_matmul(&a, &b);
         let got = report.results[0].as_ref().unwrap();
         for (x, y) in got.data().iter().zip(want.data()) {
-            assert!((x - y).abs() < 1e-9);
+            assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
         }
     }
 
@@ -272,6 +277,17 @@ mod tests {
         // edges must still multiply correctly.
         let speeds = vec![100.0, 50.0, 25.0, 10.0];
         check_against_serial(GeneralizedBlockDist::heterogeneous(2, 5, &speeds), 8, 2);
+    }
+
+    #[test]
+    fn every_generalised_block_size_is_bit_exact() {
+        // The paper's MM speeds, every l in m..=n, ragged tails included.
+        let speeds = [46.0, 46.0, 46.0, 46.0, 46.0, 46.0, 176.0, 106.0, 9.0];
+        for (n, r) in [(9, 3), (18, 2)] {
+            for l in 3..=n {
+                check_against_serial(GeneralizedBlockDist::heterogeneous(3, l, &speeds), n, r);
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! [`hmpi::Hmpi::recover`], which answers a failure verdict with
 //! `rebuild_group` and a retry. Every runner times the kernel the same
 //! way: from the member's clock at the start through a closing barrier.
+//!
+//! A runner's closures run on every rank, and all ranks of a run share one
+//! address space. So a driver builds the inputs that do not depend on the
+//! rank (EM3D's system, MM's `A` and `B`) once, before the run, and the
+//! closures borrow them read-only.
 
 use hetsim::{Cluster, PredictionReport, SimTime, Trace};
 use hmpi::{Hmpi, HmpiGroup, HmpiResult, HmpiRuntime, RuntimeConfig};
