@@ -19,7 +19,7 @@ use crate::{faults, paper_lan_with};
 use hetsim::{
     Cluster, ClusterBuilder, ContentionModel, Link, LoadModel, Processor, Protocol, SimTime,
 };
-use hmpi::MappingAlgorithm::{Annealing, Exhaustive, Greedy, GreedyRefined};
+use hmpi::MappingAlgorithm::{Annealing, Exhaustive, GreedyRefined};
 use hmpi_apps::em3d::{run_hmpi, run_hmpi_with, run_mpi, Em3dConfig};
 use hmpi_apps::matmul;
 use std::sync::Arc;
@@ -41,7 +41,7 @@ fn mapping_algorithms(base: usize) -> [(&'static str, f64, f64); 4] {
         iters: 400,
     };
     let algos = [
-        ("greedy", Greedy),
+        ("greedy", GreedyRefined { max_rounds: 0 }),
         ("greedy+ls", GreedyRefined { max_rounds: 64 }),
         ("exhaustive", Exhaustive),
         ("annealing", annealing),

@@ -7,22 +7,19 @@
 //!   stream is assignment-independent, so one recording prices every
 //!   candidate mapping);
 //! * snapshots the per-world-rank node index and estimated speed, and the
-//!   full node-pair latency/bandwidth tables from the [`Cluster`](hetsim::Cluster) —
+//!   full node-pair latency/bandwidth tables from the [`Cluster`](hetsim::Cluster)'s
+//!   `rank_link`, the link the transport sends between distinct ranks over
+//!   (two ranks on one node pay the memory bus when one is modelled) —
 //!   pricing an assignment then resolves pair costs by two table lookups
 //!   instead of materialising p×p matrices.
 //!
 //! Per evaluation, only two small per-processor scratch arrays are
 //! refreshed (`proc → node`, `proc → speed`); the pricing itself reuses a
-//! [`PriceScratch`]. Nothing is allocated on the hot path.
-//!
-//! For local-search and annealing moves the evaluator offers a baseline
-//! and probes: [`Evaluator::rebase`] prices a baseline assignment, and
-//! [`Evaluator::probe`] prices an assignment differing on a few processors
-//! ([`CostProgram::price_delta`]) and then restores the baseline's
-//! placement. A probe runs the whole lowered program, so it is exact:
-//! `tests/engine_equiv.rs` holds every probe of a random walk to the bits
-//! of a clock-vector reference interpreter over a p×p cost model built
-//! from the cluster.
+//! [`PriceScratch`]. Nothing is allocated on the hot path. Every search
+//! prices each candidate it visits once, with [`Evaluator::eval`];
+//! `tests/engine_equiv.rs` holds every evaluation to the bits of a
+//! clock-vector reference interpreter over a p×p cost model built from the
+//! cluster.
 //!
 //! A model whose scheme fails to evaluate at record time yields an
 //! evaluator pricing every assignment at `+inf`. The scheme never sees
@@ -32,7 +29,7 @@
 
 use crate::mapping::SelectionCtx;
 use hetsim::NodeId;
-use perfmodel::{CostProgram, DeltaBaseline, EvalError, PairCost, PerformanceModel, PriceScratch};
+use perfmodel::{CostProgram, EvalError, PairCost, PerformanceModel, PriceScratch};
 
 /// A reusable objective evaluator for one (model, selection context) pair:
 /// the recorded program and cost tables, plus the scratch one search
@@ -52,10 +49,7 @@ pub struct Evaluator {
     proc_node: Vec<u32>,
     proc_speed: Vec<f64>,
     scratch: PriceScratch,
-    baseline: DeltaBaseline,
-    base_assignment: Vec<usize>,
     evals: u64,
-    probes: u64,
 }
 
 /// Table-backed [`PairCost`] view over the evaluator's scratch arrays.
@@ -82,18 +76,6 @@ impl PairCost for AssignCost<'_> {
     }
 }
 
-macro_rules! assign_cost {
-    ($self:ident) => {
-        AssignCost {
-            proc_node: &$self.proc_node,
-            proc_speed: &$self.proc_speed,
-            lat: &$self.lat,
-            bw: &$self.bw,
-            n_nodes: $self.n_nodes,
-        }
-    };
-}
-
 impl Evaluator {
     /// Builds the evaluator: records the scheme once and snapshots the
     /// cluster's node-pair cost tables and the current speed estimates.
@@ -105,7 +87,7 @@ impl Evaluator {
         let mut bw = vec![f64::INFINITY; n_nodes * n_nodes];
         for i in 0..n_nodes {
             for j in 0..n_nodes {
-                let link = ctx.cluster.link(NodeId(i), NodeId(j));
+                let link = ctx.cluster.rank_link(NodeId(i), NodeId(j));
                 lat[i * n_nodes + j] = link.latency;
                 bw[i * n_nodes + j] = link.bandwidth;
             }
@@ -130,79 +112,42 @@ impl Evaluator {
             proc_node: vec![0; p],
             proc_speed: vec![0.0; p],
             scratch: PriceScratch::new(p),
-            baseline: DeltaBaseline::default(),
-            base_assignment: Vec::new(),
             evals: 0,
-            probes: 0,
         }
     }
 
-    /// Points abstract processor `i` at world rank `w`'s node and speed.
-    fn place(&mut self, i: usize, w: usize) {
-        self.proc_node[i] = self.node_of_world[w];
-        self.proc_speed[i] = self.speed_of_world[w];
-    }
-
-    fn load(&mut self, assignment: &[usize]) {
-        debug_assert_eq!(assignment.len(), self.p);
-        for (i, &w) in assignment.iter().enumerate() {
-            self.place(i, w);
-        }
-    }
-
-    /// Full evaluation of `assignment[abstract] = world rank` under the
-    /// snapshotted estimates: the predicted execution time in seconds.
+    /// Prices `assignment[abstract] = world rank` under the snapshotted
+    /// estimates: the predicted execution time in seconds.
     pub fn eval(&mut self, assignment: &[usize]) -> f64 {
+        debug_assert_eq!(assignment.len(), self.p);
         self.evals += 1;
-        self.load(assignment);
+        for (i, &w) in assignment.iter().enumerate() {
+            self.proc_node[i] = self.node_of_world[w];
+            self.proc_speed[i] = self.speed_of_world[w];
+        }
         let Ok(program) = &self.program else {
             return f64::INFINITY;
         };
-        program.price(&assign_cost!(self), &mut self.scratch)
+        let cost = AssignCost {
+            proc_node: &self.proc_node,
+            proc_speed: &self.proc_speed,
+            lat: &self.lat,
+            bw: &self.bw,
+            n_nodes: self.n_nodes,
+        };
+        program.price(&cost, &mut self.scratch)
     }
 
-    /// Full evaluation that also makes `assignment` the baseline for
-    /// subsequent [`Evaluator::probe`] calls.
+    /// [`Evaluator::eval`] under its former baseline name, kept for the
+    /// host-time ledger's probe micro-bench.
     pub fn rebase(&mut self, assignment: &[usize]) -> f64 {
-        self.evals += 1;
-        self.load(assignment);
-        self.base_assignment.clear();
-        self.base_assignment.extend_from_slice(assignment);
-        let Ok(program) = &self.program else {
-            return f64::INFINITY;
-        };
-        program.price_baseline(&assign_cost!(self), &mut self.scratch, &mut self.baseline)
+        self.eval(assignment)
     }
 
-    /// Prices `assignment`, which differs from the current baseline exactly
-    /// at the abstract processors in `changed`, exactly as
-    /// [`Evaluator::eval`] would. Leaves the baseline untouched.
-    ///
-    /// # Panics
-    /// Panics if no baseline was set with [`Evaluator::rebase`].
-    pub fn probe(&mut self, assignment: &[usize], changed: &[usize]) -> f64 {
-        self.probes += 1;
-        assert_eq!(
-            self.base_assignment.len(),
-            assignment.len(),
-            "probe needs a baseline of the same shape (call rebase first)"
-        );
-        for &i in changed {
-            self.place(i, assignment[i]);
-        }
-        let t = match &self.program {
-            Ok(program) => program.price_delta(
-                &assign_cost!(self),
-                &self.baseline,
-                changed,
-                &mut self.scratch,
-            ),
-            Err(_) => f64::INFINITY,
-        };
-        for &i in changed {
-            self.place(i, self.base_assignment[i]);
-        }
-        t
+    /// [`Evaluator::eval`] under its former probe name, kept for the
+    /// host-time ledger's probe micro-bench; `changed` is ignored.
+    pub fn probe(&mut self, assignment: &[usize], _changed: &[usize]) -> f64 {
+        self.eval(assignment)
     }
 
     /// Per-processor computation totals `U_p` for the admissible
@@ -232,15 +177,10 @@ impl Evaluator {
         self.program.as_ref().map_or(0, CostProgram::num_ops)
     }
 
-    /// Full objective evaluations performed so far ([`Evaluator::eval`]
-    /// plus [`Evaluator::rebase`]) — selection-search observability.
+    /// Objective evaluations performed so far — selection-search
+    /// observability.
     pub(crate) fn eval_count(&self) -> u64 {
         self.evals
-    }
-
-    /// Incremental delta probes performed so far.
-    pub(crate) fn probe_count(&self) -> u64 {
-        self.probes
     }
 }
 

@@ -41,9 +41,8 @@
 //! path and one pricer: every search prices assignments through one
 //! [`Evaluator`], which records the model's scheme once as a
 //! [`perfmodel::CostProgram`] and prices it against the current speed
-//! estimates (refreshed by `HMPI_Recon`) and the cluster's link
-//! parameters — allocation-free, with exact incremental re-pricing for
-//! local-search moves.
+//! estimates (refreshed by `HMPI_Recon`) and the links the cluster's ranks
+//! send over — allocation-free, each candidate mapping priced once.
 
 #![warn(missing_docs)]
 

@@ -11,12 +11,12 @@
 //!   computation-only lower bound (branch and bound). Exact: the first
 //!   strict improver in lexicographic candidate order wins, with or
 //!   without the bound. Falls back to the refined greedy beyond a work cap;
-//! * [`MappingAlgorithm::Greedy`] — sort abstract processors by volume and
-//!   candidates by estimated speed and pair them off (the optimal pairing
-//!   for pure computation by the rearrangement inequality), no search;
-//! * [`MappingAlgorithm::GreedyRefined`] — greedy start, then
-//!   first-improvement local search over pairwise swaps and replacements
-//!   with unused candidates (the default);
+//! * [`MappingAlgorithm::GreedyRefined`] — greedy start (abstract
+//!   processors sorted by volume paired off with candidates sorted by
+//!   estimated speed, the optimal pairing for pure computation by the
+//!   rearrangement inequality), then first-improvement local search over
+//!   pairwise swaps and replacements with unused candidates (the default).
+//!   `GreedyRefined { max_rounds: 0 }` is the bare greedy pairing;
 //! * [`MappingAlgorithm::Annealing`] — seeded simulated annealing for
 //!   rugged objective landscapes (heavy communication terms).
 //!
@@ -27,11 +27,11 @@
 //!
 //! There is one selection path. Every search prices assignments through one
 //! [`Evaluator`] built once per call: the model's scheme recorded as a flat
-//! cost program, full evaluations for leaves and baselines, exact
-//! incremental probes for swap / replace moves. Every evaluation and every
-//! [`Mapping::predicted`] reproduce the bits of a reference price — the
-//! model pricer over a freshly built p×p cost model
-//! (`tests/engine_equiv.rs`). The search is sequential, so a [`Mapping`],
+//! cost program, and each candidate a search visits priced once with
+//! [`Evaluator::eval`]; a search keeps the price of a move it accepts.
+//! Every evaluation and every [`Mapping::predicted`] reproduce the bits of
+//! a reference price — the model pricer over a freshly built p×p cost
+//! model (`tests/engine_equiv.rs`). The search is sequential, so a [`Mapping`],
 //! its [`SearchStats`] included, is a pure function of `select_mapping`'s
 //! arguments.
 
@@ -63,9 +63,10 @@ pub struct SelectionCtx<'a> {
 /// observability layer's view of how hard the search worked.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Full objective evaluations (including delta-baseline rebases).
+    /// Objective evaluations: each candidate mapping the search priced.
     pub evals: u64,
-    /// Incremental delta probes of baseline perturbations.
+    /// Always 0: every pricing is counted in `evals`. Kept because the
+    /// host-time ledger still reads it.
     pub probes: u64,
 }
 
@@ -76,7 +77,7 @@ pub struct Mapping {
     pub assignment: Vec<usize>,
     /// Predicted execution time in seconds under the current estimates.
     pub predicted: f64,
-    /// How many objective evaluations/probes the search performed.
+    /// How many objective evaluations the search performed.
     pub stats: SearchStats,
 }
 
@@ -86,9 +87,8 @@ pub enum MappingAlgorithm {
     /// Exact enumeration with branch-and-bound pruning (small instances;
     /// falls back to `GreedyRefined` above 5×10⁷ candidate mappings).
     Exhaustive,
-    /// Volume/speed sorted pairing only.
-    Greedy,
-    /// Greedy start plus swap/replace local search. The default.
+    /// Greedy start plus swap/replace local search. The default;
+    /// `max_rounds: 0` is the volume/speed sorted pairing alone.
     GreedyRefined {
         /// Maximum improvement rounds.
         max_rounds: usize,
@@ -195,11 +195,6 @@ pub fn select_mapping(
         return Err(SelectError::Eval(e.to_string()));
     }
     let (assignment, predicted) = match algo {
-        MappingAlgorithm::Greedy => {
-            let a = greedy(model, ctx);
-            let t = ev.eval(&a);
-            (a, t)
-        }
         MappingAlgorithm::GreedyRefined { max_rounds } => {
             local_search(greedy(model, ctx), model, ctx, &mut ev, max_rounds)
         }
@@ -216,7 +211,7 @@ pub fn select_mapping(
         predicted,
         stats: SearchStats {
             evals: ev.eval_count(),
-            probes: ev.probe_count(),
+            probes: 0,
         },
     })
 }
@@ -295,7 +290,7 @@ fn greedy(model: &dyn PerformanceModel, ctx: &SelectionCtx<'_>) -> Vec<usize> {
 }
 
 /// First-improvement local search over swaps and replace-with-unused moves.
-/// Returns the refined assignment and its (full-evaluation) predicted time.
+/// Returns the refined assignment and its predicted time.
 fn local_search(
     mut assignment: Vec<usize>,
     model: &dyn PerformanceModel,
@@ -305,7 +300,7 @@ fn local_search(
 ) -> (Vec<usize>, f64) {
     let p = model.num_processors();
     let parent_abs = model.parent();
-    let mut best = ev.rebase(&assignment);
+    let mut best = ev.eval(&assignment);
     for _ in 0..max_rounds {
         let mut improved = false;
 
@@ -317,9 +312,9 @@ fn local_search(
                     .pinned_parent
                     .is_none_or(|w| assignment[parent_abs] == w);
                 if pin_ok {
-                    let t = ev.probe(&assignment, &[i, j]);
+                    let t = ev.eval(&assignment);
                     if t < best {
-                        best = ev.rebase(&assignment);
+                        best = t;
                         improved = true;
                         continue 'swap;
                     }
@@ -342,9 +337,9 @@ fn local_search(
                 }
                 let old = assignment[i];
                 assignment[i] = w;
-                let t = ev.probe(&assignment, &[i]);
+                let t = ev.eval(&assignment);
                 if t < best {
-                    best = ev.rebase(&assignment);
+                    best = t;
                     improved = true;
                 } else {
                     assignment[i] = old;
@@ -494,7 +489,7 @@ fn anneal(
     let parent_abs = model.parent();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut current = start;
-    let mut current_t = ev.rebase(&current);
+    let mut current_t = ev.eval(&current);
     let mut best = (current.clone(), current_t);
 
     let t0 = (current_t * 0.25).max(1e-9);
@@ -509,8 +504,7 @@ fn anneal(
             .filter(|w| !proposal.contains(w))
             .collect();
         let do_replace = !unused.is_empty() && rng.random_range(0..2) == 0;
-        let mut changed = [0usize; 2];
-        let changed: &[usize] = if do_replace {
+        if do_replace {
             // Resample until the index is not the pinned parent: shifting
             // deterministically (the old `i + 1` trick) over-sampled the
             // parent's neighbour.
@@ -524,8 +518,6 @@ fn anneal(
                 }
             };
             proposal[i] = unused[rng.random_range(0..unused.len())];
-            changed[0] = i;
-            &changed[..1]
         } else {
             if p < 2 {
                 continue;
@@ -541,19 +533,16 @@ fn anneal(
                     continue;
                 }
             }
-            changed[0] = i;
-            changed[1] = j;
-            &changed[..2]
-        };
+        }
 
-        let t = ev.probe(&proposal, changed);
+        let t = ev.eval(&proposal);
         let accept = t < current_t || {
             let delta = t - current_t;
             rng.random_range(0.0..1.0) < (-delta / temp).exp()
         };
         if accept {
             current = proposal;
-            current_t = ev.rebase(&current);
+            current_t = t;
             if current_t < best.1 {
                 best = (current.clone(), current_t);
             }
@@ -567,6 +556,9 @@ mod tests {
     use super::*;
     use hetsim::{ClusterBuilder, Link, Protocol};
     use perfmodel::{CompiledModel, ModelInstance, ParamValue};
+
+    /// The bare greedy pairing: no local-search round.
+    const GREEDY: MappingAlgorithm = MappingAlgorithm::GreedyRefined { max_rounds: 0 };
 
     fn model(src: &str) -> ModelInstance {
         CompiledModel::compile(src)
@@ -621,7 +613,7 @@ mod tests {
         let mut ctx = paper_like_ctx(&c, &placement, &est);
         ctx.pinned_parent = None;
         let model = tasks(&[10, 1000, 100]);
-        let m = select_mapping(MappingAlgorithm::Greedy, &model, &ctx).unwrap();
+        let m = select_mapping(GREEDY, &model, &ctx).unwrap();
         // Volumes sorted: abs1 (1000) -> node 2 (176), abs2 (100) -> node 3
         // (106), abs0 (10) -> node 0/1 (46).
         assert_eq!(m.assignment[1], 2);
@@ -712,7 +704,7 @@ mod tests {
         let est = SpeedEstimates::from_base_speeds(&c);
         let ctx = paper_like_ctx(&c, &placement, &est);
         let model = &search_models()[0];
-        let g = select_mapping(MappingAlgorithm::Greedy, model, &ctx).unwrap();
+        let g = select_mapping(GREEDY, model, &ctx).unwrap();
         let e = select_mapping(MappingAlgorithm::Exhaustive, model, &ctx).unwrap();
         assert!(e.predicted <= g.predicted + 1e-12);
     }
@@ -724,7 +716,7 @@ mod tests {
         let est = SpeedEstimates::from_base_speeds(&c);
         let ctx = paper_like_ctx(&c, &placement, &est);
         let model = &search_models()[1];
-        let g = select_mapping(MappingAlgorithm::Greedy, model, &ctx).unwrap();
+        let g = select_mapping(GREEDY, model, &ctx).unwrap();
         let r = select_mapping(MappingAlgorithm::default(), model, &ctx).unwrap();
         let e = select_mapping(MappingAlgorithm::Exhaustive, model, &ctx).unwrap();
         assert!(r.predicted <= g.predicted + 1e-12);
@@ -741,7 +733,7 @@ mod tests {
         let ctx = paper_like_ctx(&c, &placement, &est); // parent pinned to world 0
         let model = tasks(&[1000, 10, 10]);
         for algo in [
-            MappingAlgorithm::Greedy,
+            GREEDY,
             MappingAlgorithm::default(),
             MappingAlgorithm::Exhaustive,
             MappingAlgorithm::Annealing {
@@ -766,14 +758,14 @@ mod tests {
         let mut ctx = paper_like_ctx(&c, &placement, &est);
         let model = tasks(&[1, 1, 1, 1, 1, 1]);
         assert!(matches!(
-            select_mapping(MappingAlgorithm::Greedy, &model, &ctx),
+            select_mapping(GREEDY, &model, &ctx),
             Err(SelectError::NotEnoughProcesses { required: 6, .. })
         ));
         ctx.candidates = vec![1, 2];
         ctx.pinned_parent = Some(0);
         let small = tasks(&[1, 1]);
         assert!(matches!(
-            select_mapping(MappingAlgorithm::Greedy, &small, &ctx),
+            select_mapping(GREEDY, &small, &ctx),
             Err(SelectError::ParentNotCandidate { world_rank: 0 })
         ));
     }
@@ -860,7 +852,7 @@ mod tests {
             comm: vec![vec![0.0; 2]; 2],
         };
         for algo in [
-            MappingAlgorithm::Greedy,
+            GREEDY,
             MappingAlgorithm::Exhaustive,
             MappingAlgorithm::default(),
             MappingAlgorithm::Annealing { seed: 1, iters: 10 },
@@ -911,8 +903,8 @@ mod tests {
         ]
     }
 
-    /// Every search reports the bits a cold evaluator's full price gives
-    /// its assignment, whatever mix of probes and rebases found it.
+    /// Every search reports the bits a cold evaluator's price gives its
+    /// assignment, whatever sequence of moves found it.
     #[test]
     fn every_algorithm_reports_the_references_bits() {
         let c = hetero_cluster();
@@ -924,7 +916,7 @@ mod tests {
                 ctx.pinned_parent = pinned;
                 let exact = select_mapping(MappingAlgorithm::Exhaustive, model, &ctx).unwrap();
                 for algo in [
-                    MappingAlgorithm::Greedy,
+                    GREEDY,
                     MappingAlgorithm::default(),
                     MappingAlgorithm::Exhaustive,
                     MappingAlgorithm::Annealing {
@@ -1002,7 +994,7 @@ mod tests {
         let mut ctx = paper_like_ctx(&c, &placement, &est);
         ctx.candidates = vec![0, 1, 99];
         let model = tasks(&[1, 1]);
-        for algo in [MappingAlgorithm::Greedy, MappingAlgorithm::Exhaustive] {
+        for algo in [GREEDY, MappingAlgorithm::Exhaustive] {
             assert_eq!(
                 select_mapping(algo, &model, &ctx),
                 Err(SelectError::InvalidCandidate { world_rank: 99 })
@@ -1018,7 +1010,7 @@ mod tests {
         let mut ctx = paper_like_ctx(&c, &placement, &est);
         ctx.candidates = vec![0, 1, 1, 2];
         let model = tasks(&[1, 1, 1, 1]);
-        for algo in [MappingAlgorithm::Greedy, MappingAlgorithm::Exhaustive] {
+        for algo in [GREEDY, MappingAlgorithm::Exhaustive] {
             assert_eq!(
                 select_mapping(algo, &model, &ctx),
                 Err(SelectError::InvalidCandidate { world_rank: 1 })

@@ -838,8 +838,8 @@ impl Hmpi<'_> {
             span,
             start,
             Some(format!(
-                "{scope} evals={} probes={} predicted={:.6e}",
-                mapping.stats.evals, mapping.stats.probes, mapping.predicted
+                "{scope} evals={} predicted={:.6e}",
+                mapping.stats.evals, mapping.predicted
             )),
         );
         // The parent marks the selected members busy immediately, so a

@@ -386,6 +386,44 @@ fn smp_nodes_host_multiple_ranks() {
 }
 
 #[test]
+fn timeof_prices_colocated_ranks_over_the_memory_bus() {
+    // Two ranks on one node with a 1 ms, 1 MB/s memory bus: a 1 MB transfer
+    // between them rides the bus, and `timeof` must charge what the
+    // transport does (it used to price a same-node pair as free loopback).
+    let bus = Link::new(1e-3, 1e6, Protocol::SharedMemory);
+    let topology = hetsim::TopologyBuilder::new()
+        .node("smp", 100.0)
+        .ranks(2)
+        .mem_bus(bus)
+        .build();
+    let rt = HmpiRuntime::from_topology(topology, RuntimeConfig::new());
+    let report = rt.run(|h| {
+        let model = CompiledModel::compile(
+            "algorithm Pair() { coord I=2; node {I>=0: bench*(0);};
+               link {I==0: length*(1000000) [0]->[1];}; parent[0]; }",
+        )
+        .unwrap()
+        .instantiate(&[])
+        .unwrap();
+        let predicted = h.timeof(&model).unwrap();
+        let start = h.now();
+        if h.rank() == 0 {
+            h.world().send(&vec![0u8; 1_000_000], 1, 0).unwrap();
+        } else {
+            h.world().recv::<u8>(0, 0).unwrap();
+        }
+        (predicted, (h.now() - start).as_secs())
+    });
+    let (predicted, _) = report.results[0];
+    let (_, measured) = report.results[1];
+    assert!((measured - 1.001).abs() < 1e-9, "measured {measured}");
+    assert!(
+        (predicted - measured).abs() < 1e-9,
+        "{predicted} vs {measured}"
+    );
+}
+
+#[test]
 fn recon_rejects_invalid_benchmark_volumes() {
     let rt = HmpiRuntime::new(small_cluster());
     let report = rt.run(|h| {

@@ -210,7 +210,7 @@ proptest! {
         };
         let model = tasks(VOLUMES, &volumes, &[]);
         for algo in [
-            MappingAlgorithm::Greedy,
+            MappingAlgorithm::GreedyRefined { max_rounds: 0 },
             MappingAlgorithm::GreedyRefined { max_rounds: 16 },
             MappingAlgorithm::Annealing { seed: 3, iters: 100 },
         ] {
@@ -247,7 +247,8 @@ proptest! {
             &volumes,
             &[],
         );
-        let g = select_mapping(MappingAlgorithm::Greedy, &model, &ctx).unwrap();
+        let g = select_mapping(MappingAlgorithm::GreedyRefined { max_rounds: 0 }, &model, &ctx)
+            .unwrap();
         let r = select_mapping(
             MappingAlgorithm::GreedyRefined { max_rounds: 16 },
             &model,

@@ -29,12 +29,8 @@
 //!   `max(entry, branch)`, so non-monotone costs stay exact;
 //! * [`CostProgram::price`] runs the instructions once, in order, against a
 //!   [`PairCost`] (per-processor speeds, pairwise latency/bandwidth). The
-//!   makespan is the largest final clock;
-//! * [`CostProgram::price_baseline`] + [`CostProgram::price_delta`] are the
-//!   local-search interface (a baseline, then probes that change a few
-//!   processors). A probe runs the whole program: on the shipped models the
-//!   first instruction involving any processor lies within the first few
-//!   percent of it, so re-running only a suffix saves nothing measurable.
+//!   makespan is the largest final clock. It is the only pricing entry: a
+//!   search prices every candidate with it.
 //!
 //! [`CostProgram::compute_units`] additionally exposes the per-processor
 //! computation totals `U_p` (obtained by running the instructions at unit
@@ -273,20 +269,6 @@ impl PriceScratch {
     }
 }
 
-/// A baseline evaluation ([`CostProgram::price_baseline`]), the assignment
-/// a probe's [`CostProgram::price_delta`] is a move away from.
-#[derive(Debug, Clone, Default)]
-pub struct DeltaBaseline {
-    time: f64,
-}
-
-impl DeltaBaseline {
-    /// The baseline's full-evaluation makespan.
-    pub fn time(&self) -> f64 {
-        self.time
-    }
-}
-
 impl CostProgram {
     /// Records `model`'s event stream once, prescaled by its volumes, and
     /// lowers it to SSA form.
@@ -386,31 +368,6 @@ impl CostProgram {
         self.last.iter().fold(0.0, |t, &s| t.max(vals[s as usize]))
     }
 
-    /// Full evaluation that also records the baseline for
-    /// [`CostProgram::price_delta`].
-    pub fn price_baseline<C: PairCost + ?Sized>(
-        &self,
-        cost: &C,
-        scratch: &mut PriceScratch,
-        base: &mut DeltaBaseline,
-    ) -> f64 {
-        base.time = self.price(cost, scratch);
-        base.time
-    }
-
-    /// Evaluation of a cost differing from the baseline's only on the
-    /// processors in `changed`. It runs the whole program, so it returns
-    /// exactly what [`CostProgram::price`] of the changed cost does.
-    pub fn price_delta<C: PairCost + ?Sized>(
-        &self,
-        cost: &C,
-        _base: &DeltaBaseline,
-        _changed: &[usize],
-        scratch: &mut PriceScratch,
-    ) -> f64 {
-        self.price(cost, scratch)
-    }
-
     /// `U_p`: computes at unit speed, transfers passing their inputs
     /// through. `None` if any unit count is negative (the monotonicity
     /// argument behind the bound needs non-negative advances).
@@ -508,55 +465,6 @@ mod tests {
         let latency = CostModel::homogeneous(4, 10.0, 100.0, f64::INFINITY);
         assert_eq!(price(&latency), 103.0);
         assert_eq!(inst.predict_time(&uniform).unwrap(), 10.5);
-    }
-
-    #[test]
-    fn delta_is_bit_identical_to_full_price() {
-        let inst = em3d_instance();
-        let prog = CostProgram::record(&inst).unwrap();
-        let mut scratch = PriceScratch::new(4);
-        let mut base = DeltaBaseline::default();
-        let cost = hetero_cost(4, 1);
-        let t0 = prog.price_baseline(&cost, &mut scratch, &mut base);
-        assert_eq!(t0.to_bits(), prog.price(&cost, &mut scratch).to_bits());
-
-        for changed in [vec![0usize], vec![2], vec![1, 3], vec![0, 1, 2, 3]] {
-            let mut mutated = cost.clone();
-            for &p in &changed {
-                mutated.speeds[p] *= 0.5;
-                for q in 0..4 {
-                    mutated.latency[p][q] += 1e-5;
-                    mutated.latency[q][p] += 1e-5;
-                    mutated.bandwidth[p][q] *= 2.0;
-                    mutated.bandwidth[q][p] *= 2.0;
-                }
-            }
-            let delta = prog.price_delta(&mutated, &base, &changed, &mut scratch);
-            let full = prog.price(&mutated, &mut scratch);
-            assert_eq!(delta.to_bits(), full.to_bits(), "changed = {changed:?}");
-        }
-    }
-
-    #[test]
-    fn delta_with_no_affected_segment_returns_baseline() {
-        // A model where processor 3 never appears in the scheme: changing
-        // it leaves the makespan's bits as they were.
-        let model = CompiledModel::compile(
-            "algorithm Sparse() { coord I=4; node {I>=0: bench*(10*(I+1));}; parent[0];
-               scheme { 100%%[0]; 100%%[1]; 100%%[2]; }; }",
-        )
-        .unwrap()
-        .instantiate(&[])
-        .unwrap();
-        let prog = CostProgram::record(&model).unwrap();
-        let mut scratch = PriceScratch::new(4);
-        let mut base = DeltaBaseline::default();
-        let cost = hetero_cost(4, 3);
-        let t0 = prog.price_baseline(&cost, &mut scratch, &mut base);
-        let mut mutated = cost.clone();
-        mutated.speeds[3] = 0.25;
-        let t = prog.price_delta(&mutated, &base, &[3], &mut scratch);
-        assert_eq!(t.to_bits(), t0.to_bits());
     }
 
     #[test]
@@ -678,9 +586,10 @@ mod tests {
 
         /// On random streams (nesting depth 3, zero-iteration blocks,
         /// empty branches, self and zero-byte transfers, negative units,
-        /// negative latencies one case in three) `price`, `price_delta` for
-        /// every single and pair `changed` set, and `compute_units` hold
-        /// the clock-vector reference's bits.
+        /// negative latencies one case in three) `price`, once and again
+        /// on the same scratch after every single and pair of processors
+        /// has its costs redrawn, and `compute_units` hold the clock-vector
+        /// reference's bits.
         #[test]
         fn pricing_matches_the_clock_vector_reference(seed in any::<u64>()) {
             let mut rng = Rng::new(seed);
@@ -704,10 +613,8 @@ mod tests {
             let reference = |c: &CostModel| makespan(&clocks(&model, Some(c)).unwrap());
             let prog = CostProgram::record(&model).unwrap();
             let mut scratch = PriceScratch::new(n);
-            let mut base = DeltaBaseline::default();
-            let t0 = prog.price_baseline(&cost, &mut scratch, &mut base);
+            let t0 = prog.price(&cost, &mut scratch);
             prop_assert_eq!(t0.to_bits(), reference(&cost).to_bits());
-            prop_assert_eq!(prog.price(&cost, &mut scratch).to_bits(), t0.to_bits());
 
             let units = (!model.has_negative_units()).then(|| clocks(&model, None).unwrap());
             prop_assert_eq!(bits(prog.compute_units()), bits(units.as_deref()));
@@ -719,7 +626,7 @@ mod tests {
                     for &p in &changed {
                         reroll(&mut moved, p, lat_lo, &mut rng);
                     }
-                    let t = prog.price_delta(&moved, &base, &changed, &mut scratch);
+                    let t = prog.price(&moved, &mut scratch);
                     prop_assert_eq!(t.to_bits(), reference(&moved).to_bits(), "changed {:?}", changed);
                 }
             }

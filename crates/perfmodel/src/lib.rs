@@ -28,8 +28,8 @@
 //! * [`CostProgram`] — the model pricer, the engine behind `HMPI_Timeof`
 //!   and `HMPI_Group_create`: a model's (assignment-independent) event
 //!   stream recorded once into a flat program and priced per mapping
-//!   against per-processor speeds and link costs ([`PairCost`]), with
-//!   incremental delta re-pricing for local-search moves.
+//!   against per-processor speeds and link costs ([`PairCost`]); a
+//!   selection search prices each candidate mapping with one full run.
 //!   [`PerformanceModel::predict_time`] is its one-shot form;
 //! * [`collective`] — collective schedules and their contention-aware
 //!   pricer.
@@ -78,7 +78,7 @@ pub use collective::{
     algos_for, chunk_bounds, eligible, price, schedule, select, CollectiveAlgo, CollectiveKind,
     LinkSharing, Payload, Xfer,
 };
-pub use compile::{CostModel, CostProgram, DeltaBaseline, PairCost, PriceScratch};
+pub use compile::{CostModel, CostProgram, PairCost, PriceScratch};
 pub use hier::{plan as hier_plan, HierPlan, RankTopology};
 pub use error::{EvalError, ParseError};
 pub use model::{CompiledModel, ModelInstance, ParamValue, PerformanceModel};

@@ -27,10 +27,9 @@
 //!   endpoint-causal order, never host-schedule order;
 //! * **selection consistency** — every algorithm's mapping is injective,
 //!   inside the candidates and keeps the parent pinned; a fresh
-//!   `hmpi::Evaluator`'s full price of it equals the bits the search
-//!   reported, so every probe, delta and rebase is held to a cold full
-//!   price; no algorithm beats `Exhaustive`; typed errors match across
-//!   algorithms;
+//!   `hmpi::Evaluator`'s price of it equals the bits the search reported,
+//!   so the price a search kept from its walk is held to a cold one; no
+//!   algorithm beats `Exhaustive`; typed errors match across algorithms;
 //! * **trace well-formedness** — every run's trace, checked in memory, is
 //!   sorted by (start, rank), names only its ranks, has finite
 //!   non-negative times, and its spans nest per rank (container-first at
@@ -1076,7 +1075,7 @@ fn check_selection(sc: &Scenario, model_seed: u64, est_seed: u64) -> Result<(), 
     // Exhaustive first, so every other pick is held against the optimum.
     let exhaustive = (n <= 6).then_some(MappingAlgorithm::Exhaustive);
     let heuristics = [
-        MappingAlgorithm::Greedy,
+        MappingAlgorithm::GreedyRefined { max_rounds: 0 },
         MappingAlgorithm::GreedyRefined { max_rounds: 2 },
         MappingAlgorithm::Annealing {
             seed: model_seed,

@@ -21,7 +21,7 @@ BENCH_throughput BENCH_deadlock gather_flat bcast_one
 impl_typed_reductions MPISIM_STACK_SIZE ModelBuilder BuiltModel write_to
 StructVal ExternResult eval_value collect_index_chain extern_fn bind_coords
 Em3dTracedRun MatmulTracedRun Undefined TypeError unknown_extern
-num_segments
+num_segments DeltaBaseline price_baseline price_delta MappingAlgorithm::Greedy
 '
 paths='README.md DESIGN.md src examples tests'
 for dir in crates/*/src crates/*/tests; do
