@@ -36,6 +36,12 @@
 //! pricer (one frontier per simulated rank, replayed in schedule order).
 //! Parity between measured and predicted virtual time under contention
 //! holds by construction, not by keeping two copies in step.
+//!
+//! A frontier grows on use: its per-node tables reach only as far as the
+//! highest node it has seen occupied, and a node beyond them reads as free
+//! since time zero. Both consumers keep one frontier per rank, and p
+//! frontiers sized to the whole cluster cost O(p × nodes) memory whether
+//! or not they ever arbitrate anything.
 
 use crate::clock::SimTime;
 use crate::node::NodeId;
@@ -81,22 +87,42 @@ pub struct WireXfer {
 #[derive(Clone, Debug)]
 pub struct NetFrontier {
     contention: ContentionModel,
-    /// Per-node NIC busy-until times, as observed by this rank.
+    /// Per-node NIC busy-until times, as observed by this rank; a node past
+    /// the end has never been occupied (free since time zero).
     nic: Vec<SimTime>,
     /// Shared-medium busy-until time, as observed by this rank.
     bus: SimTime,
-    /// Per-node memory-bus busy-until times, as observed by this rank.
+    /// Per-node memory-bus busy-until times, as observed by this rank;
+    /// grows like `nic`.
     mem: Vec<SimTime>,
 }
 
+/// Node `node`'s busy-until time in a per-node table that grows on use.
+#[inline]
+fn busy(table: &[SimTime], node: NodeId) -> SimTime {
+    table.get(node.index()).copied().unwrap_or(SimTime::ZERO)
+}
+
+/// Marks node `node` busy until `until`, growing the table to reach it.
+fn set_busy(table: &mut Vec<SimTime>, node: NodeId, until: SimTime) {
+    let i = node.index();
+    if i >= table.len() {
+        table.resize(i + 1, SimTime::ZERO);
+    }
+    table[i] = until;
+}
+
 impl NetFrontier {
-    /// A fresh frontier for a cluster of `n_nodes` computers.
-    pub fn new(contention: ContentionModel, n_nodes: usize) -> Self {
+    /// A fresh frontier: every resource free since time zero. It allocates
+    /// nothing until a contended transfer first occupies a per-node
+    /// resource, so a frontier that only ever sees `ParallelLinks` traffic
+    /// without a memory bus never allocates.
+    pub fn new(contention: ContentionModel) -> Self {
         NetFrontier {
             contention,
-            nic: vec![SimTime::ZERO; n_nodes],
+            nic: Vec::new(),
             bus: SimTime::ZERO,
-            mem: vec![SimTime::ZERO; n_nodes],
+            mem: Vec::new(),
         }
     }
 
@@ -121,15 +147,13 @@ impl NetFrontier {
             return (ready, None);
         }
         let (start, res) = if src == dst {
-            let start = ready.max(self.mem[src.index()]);
+            let start = ready.max(busy(&self.mem, src));
             (start, WireRes::Mem { node: src })
         } else {
             match self.contention {
                 ContentionModel::ParallelLinks => return (ready + cost, None),
                 ContentionModel::SerializedNic => {
-                    let start = ready
-                        .max(self.nic[src.index()])
-                        .max(self.nic[dst.index()]);
+                    let start = ready.max(busy(&self.nic, src)).max(busy(&self.nic, dst));
                     (start, WireRes::Nic { src, dst })
                 }
                 ContentionModel::SharedBus => (ready.max(self.bus), WireRes::Bus),
@@ -149,11 +173,9 @@ impl NetFrontier {
     #[inline]
     pub fn settle(&mut self, x: WireXfer) -> SimTime {
         let floor = match x.res {
-            WireRes::Nic { src, dst } => {
-                self.nic[src.index()].max(self.nic[dst.index()])
-            }
+            WireRes::Nic { src, dst } => busy(&self.nic, src).max(busy(&self.nic, dst)),
             WireRes::Bus => self.bus,
-            WireRes::Mem { node } => self.mem[node.index()],
+            WireRes::Mem { node } => busy(&self.mem, node),
         };
         let arrival = x.start.max(floor) + x.cost;
         self.occupy(x.res, arrival);
@@ -163,11 +185,11 @@ impl NetFrontier {
     fn occupy(&mut self, res: WireRes, until: SimTime) {
         match res {
             WireRes::Nic { src, dst } => {
-                self.nic[src.index()] = until;
-                self.nic[dst.index()] = until;
+                set_busy(&mut self.nic, src, until);
+                set_busy(&mut self.nic, dst, until);
             }
             WireRes::Bus => self.bus = until,
-            WireRes::Mem { node } => self.mem[node.index()] = until,
+            WireRes::Mem { node } => set_busy(&mut self.mem, node, until),
         }
     }
 }
@@ -182,7 +204,7 @@ mod tests {
 
     #[test]
     fn parallel_links_do_not_contend() {
-        let mut f = NetFrontier::new(ContentionModel::ParallelLinks, 4);
+        let mut f = NetFrontier::new(ContentionModel::ParallelLinks);
         let (a1, x1) = f.grant(NodeId(0), NodeId(1), t(0.0), t(1.0));
         let (a2, x2) = f.grant(NodeId(2), NodeId(3), t(0.0), t(1.0));
         let (a3, x3) = f.grant(NodeId(0), NodeId(1), t(0.0), t(1.0));
@@ -193,8 +215,25 @@ mod tests {
     }
 
     #[test]
+    fn a_frontier_grows_only_to_the_nodes_it_occupies() {
+        // Uncontended traffic never touches a per-node table.
+        let mut f = NetFrontier::new(ContentionModel::ParallelLinks);
+        f.grant(NodeId(0), NodeId(900), t(0.0), t(1.0));
+        assert_eq!((f.nic.capacity(), f.mem.capacity()), (0, 0));
+        // A contended one reaches as far as its highest endpoint, and a
+        // node beyond the table is free.
+        let mut f = NetFrontier::new(ContentionModel::SerializedNic);
+        let (a1, _) = f.grant(NodeId(5), NodeId(2), t(0.0), t(1.0));
+        assert_eq!((a1, f.nic.len(), f.mem.len()), (t(1.0), 6, 0));
+        let (a2, _) = f.grant(NodeId(7), NodeId(6), t(0.0), t(1.0));
+        assert_eq!((a2, f.nic.len()), (t(1.0), 8));
+        let (a3, _) = f.grant(NodeId(3), NodeId(0), t(0.0), t(1.0));
+        assert_eq!((a3, f.nic.len()), (t(1.0), 8));
+    }
+
+    #[test]
     fn serialized_nic_queues_transfers_sharing_an_endpoint() {
-        let mut f = NetFrontier::new(ContentionModel::SerializedNic, 4);
+        let mut f = NetFrontier::new(ContentionModel::SerializedNic);
         let (a1, x1) = f.grant(NodeId(0), NodeId(1), t(0.0), t(1.0));
         assert_eq!(a1, t(1.0));
         assert!(x1.is_some());
@@ -208,7 +247,7 @@ mod tests {
 
     #[test]
     fn shared_bus_serialises_everything() {
-        let mut f = NetFrontier::new(ContentionModel::SharedBus, 4);
+        let mut f = NetFrontier::new(ContentionModel::SharedBus);
         let (a1, _) = f.grant(NodeId(0), NodeId(1), t(0.0), t(1.0));
         let (a2, _) = f.grant(NodeId(2), NodeId(3), t(0.0), t(1.0));
         assert_eq!(a1, t(1.0));
@@ -217,7 +256,7 @@ mod tests {
 
     #[test]
     fn zero_cost_transfers_never_contend() {
-        let mut f = NetFrontier::new(ContentionModel::SharedBus, 2);
+        let mut f = NetFrontier::new(ContentionModel::SharedBus);
         let (a1, x1) = f.grant(NodeId(0), NodeId(0), t(3.0), SimTime::ZERO);
         let (a2, x2) = f.grant(NodeId(0), NodeId(0), t(3.0), SimTime::ZERO);
         assert_eq!(a1, t(3.0));
@@ -234,7 +273,7 @@ mod tests {
             ContentionModel::SerializedNic,
             ContentionModel::SharedBus,
         ] {
-            let mut f = NetFrontier::new(model, 2);
+            let mut f = NetFrontier::new(model);
             let (a1, x1) = f.grant(NodeId(0), NodeId(0), t(0.0), t(1.0));
             let (a2, _) = f.grant(NodeId(0), NodeId(0), t(0.0), t(1.0));
             assert_eq!(a1, t(1.0), "{model:?}");
@@ -255,21 +294,21 @@ mod tests {
         // Two senders each grant against their own (empty) frontier: both
         // windows start at 0. The receiver settles them in match order and
         // its frontier serialises the bus deterministically.
-        let mut s0 = NetFrontier::new(ContentionModel::SharedBus, 3);
-        let mut s1 = NetFrontier::new(ContentionModel::SharedBus, 3);
+        let mut s0 = NetFrontier::new(ContentionModel::SharedBus);
+        let mut s1 = NetFrontier::new(ContentionModel::SharedBus);
         let (_, x0) = s0.grant(NodeId(0), NodeId(2), t(0.0), t(1.0));
         let (_, x1) = s1.grant(NodeId(1), NodeId(2), t(0.0), t(1.0));
-        let mut recv = NetFrontier::new(ContentionModel::SharedBus, 3);
+        let mut recv = NetFrontier::new(ContentionModel::SharedBus);
         let a0 = recv.settle(x0.unwrap());
         let a1 = recv.settle(x1.unwrap());
         assert_eq!(a0, t(1.0));
         assert_eq!(a1, t(2.0)); // queued behind the first settled window
         // The reverse match order yields the mirror serialisation: the
         // outcome depends only on match order, not on OS-thread arrival.
-        let mut recv2 = NetFrontier::new(ContentionModel::SharedBus, 3);
-        let (_, y0) = NetFrontier::new(ContentionModel::SharedBus, 3)
+        let mut recv2 = NetFrontier::new(ContentionModel::SharedBus);
+        let (_, y0) = NetFrontier::new(ContentionModel::SharedBus)
             .grant(NodeId(0), NodeId(2), t(0.0), t(1.0));
-        let (_, y1) = NetFrontier::new(ContentionModel::SharedBus, 3)
+        let (_, y1) = NetFrontier::new(ContentionModel::SharedBus)
             .grant(NodeId(1), NodeId(2), t(0.0), t(1.0));
         let b1 = recv2.settle(y1.unwrap());
         let b0 = recv2.settle(y0.unwrap());
@@ -283,8 +322,8 @@ mod tests {
         // for its own previous transfers; settlement takes the max, not the
         // sum, so sequential traffic costs exactly what the old global
         // arbiter charged.
-        let mut a = NetFrontier::new(ContentionModel::SerializedNic, 2);
-        let mut b = NetFrontier::new(ContentionModel::SerializedNic, 2);
+        let mut a = NetFrontier::new(ContentionModel::SerializedNic);
+        let mut b = NetFrontier::new(ContentionModel::SerializedNic);
         let (_, x) = a.grant(NodeId(0), NodeId(1), t(0.0), t(1.0));
         let arr = b.settle(x.unwrap());
         assert_eq!(arr, t(1.0));
@@ -301,17 +340,17 @@ mod tests {
     #[test]
     fn grant_ties_resolve_in_call_order() {
         // Shared bus.
-        let mut f = NetFrontier::new(ContentionModel::SharedBus, 3);
+        let mut f = NetFrontier::new(ContentionModel::SharedBus);
         let (a1, _) = f.grant(NodeId(0), NodeId(1), t(1.0), t(0.5));
         let (a2, _) = f.grant(NodeId(0), NodeId(2), t(1.0), t(0.5));
         assert_eq!((a1, a2), (t(1.5), t(2.0)));
         // Serialized NIC, same endpoint pair.
-        let mut f = NetFrontier::new(ContentionModel::SerializedNic, 3);
+        let mut f = NetFrontier::new(ContentionModel::SerializedNic);
         let (a1, _) = f.grant(NodeId(0), NodeId(1), t(1.0), t(0.5));
         let (a2, _) = f.grant(NodeId(0), NodeId(1), t(1.0), t(0.5));
         assert_eq!((a1, a2), (t(1.5), t(2.0)));
         // Memory bus: co-located ranks contend per node, call order again.
-        let mut f = NetFrontier::new(ContentionModel::ParallelLinks, 3);
+        let mut f = NetFrontier::new(ContentionModel::ParallelLinks);
         let (a1, _) = f.grant(NodeId(2), NodeId(2), t(1.0), t(0.5));
         let (a2, _) = f.grant(NodeId(2), NodeId(2), t(1.0), t(0.5));
         assert_eq!((a1, a2), (t(1.5), t(2.0)));
@@ -329,7 +368,7 @@ mod tests {
             res: WireRes::Bus,
         };
         let run = || {
-            let mut f = NetFrontier::new(ContentionModel::SharedBus, 2);
+            let mut f = NetFrontier::new(ContentionModel::SharedBus);
             [f.settle(stamp(1.0)), f.settle(stamp(1.0)), f.settle(stamp(1.0))]
         };
         let first = run();

@@ -697,6 +697,32 @@ mod tests {
         assert!(lb <= t * (1.0 + BOUND_SLACK), "{lb} vs {t}");
     }
 
+    /// Local search moves only on a strict gain: where every move ties —
+    /// equal tasks on equal processors, more processors than tasks — the
+    /// refined search keeps the greedy pairing as it is.
+    #[test]
+    fn local_search_keeps_its_incumbent_on_a_tie() {
+        let mut b = ClusterBuilder::new();
+        for i in 0..5 {
+            b = b.node(format!("n{i}"), 100.0);
+        }
+        let c = b.all_to_all(Link::new(150e-6, 11e6, Protocol::Tcp)).build();
+        let placement: Vec<NodeId> = c.node_ids().collect();
+        let est = SpeedEstimates::from_base_speeds(&c);
+        let mut ctx = paper_like_ctx(&c, &placement, &est);
+        ctx.pinned_parent = None;
+        let model = tasks(&[50, 50, 50]);
+        let greedy = select_mapping(GREEDY, &model, &ctx).unwrap();
+        let refined = select_mapping(
+            MappingAlgorithm::GreedyRefined { max_rounds: 4 },
+            &model,
+            &ctx,
+        )
+        .unwrap();
+        assert_eq!(refined.assignment, greedy.assignment);
+        assert_eq!(refined.predicted.to_bits(), greedy.predicted.to_bits());
+    }
+
     #[test]
     fn exhaustive_matches_or_beats_greedy() {
         let c = hetero_cluster();

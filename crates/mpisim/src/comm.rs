@@ -11,9 +11,10 @@ use crate::datatype::{decode, decode_into, encode_payload, MpiType};
 use crate::error::{MpiError, MpiResult, WaitGraph};
 use crate::group::Group;
 use crate::p2p::{Claim, Envelope, Msg, Pattern, Payload, Status};
+use crate::plan::NodeVec;
 use crate::quiesce::{WaitKind, WaitRecord};
 use crate::runtime::{RankState, SharedState};
-use crate::vtime::{LocalClock, NetFrontier, RankNet};
+use crate::vtime::{LocalClock, RankNet};
 use hetsim::{NodeId, SimTime, TraceEvent, TraceKind};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -44,32 +45,63 @@ pub struct Comm {
     ctx: u64,
     /// Calling process's rank within this communicator.
     rank: usize,
+    /// `nodes[r]` = the cluster node hosting communicator rank `r`: the
+    /// plan key's node vector, built once per communicator.
+    pub(crate) nodes: NodeVec,
     pub(crate) clock: LocalClock,
     /// This rank's deterministic view of the shared network resources
     /// ([`NetFrontier`]) and its send sequence: sender-side grants and
     /// receiver-side settlements both run against it, in the rank's own
     /// program order. Like the clock, shared by every communicator handle
-    /// of one rank.
+    /// of one rank ([`crate::Process`] owns it).
     pub(crate) frontier: Rc<RefCell<RankNet>>,
     /// Rank-local count of [`Comm::agree`] rounds issued on this
     /// communicator; every member counts its own calls, so the `n`-th call
     /// on each member lands in the same shared agreement slot. Shared
     /// between clones of one handle (cloning a communicator does not fork
-    /// its round numbering).
+    /// its round numbering), and between a rank's world handles.
     agree_seq: Rc<Cell<u64>>,
 }
 
 impl Comm {
-    pub(crate) fn world(world_rank: usize, shared: Arc<SharedState>, clock: LocalClock) -> Comm {
-        let frontier = NetFrontier::new(shared.cluster.contention(), shared.cluster.len());
+    pub(crate) fn world(
+        world_rank: usize,
+        shared: Arc<SharedState>,
+        clock: LocalClock,
+        frontier: Rc<RefCell<RankNet>>,
+        agree_seq: Rc<Cell<u64>>,
+    ) -> Comm {
         Comm {
             group: shared.world.clone(),
+            nodes: shared.placement.clone(),
             shared,
             ctx: 0,
             rank: world_rank,
             clock,
-            frontier: Rc::new(RefCell::new(RankNet::new(frontier))),
+            frontier,
+            agree_seq,
+        }
+    }
+
+    /// This rank's handle on the same members under context `ctx`, with
+    /// agreement rounds of its own.
+    fn with_ctx(&self, ctx: u64) -> Comm {
+        Comm {
+            ctx,
             agree_seq: Rc::new(Cell::new(0)),
+            ..self.clone()
+        }
+    }
+
+    /// This rank's handle, as rank `rank`, over `group` under context `ctx`.
+    fn over(&self, group: Group, ctx: u64, rank: usize) -> Comm {
+        let placement = &self.shared.placement;
+        let nodes = NodeVec::new(group.world_ranks().iter().map(|&w| placement[w]).collect());
+        Comm {
+            group: Arc::new(group),
+            nodes,
+            rank,
+            ..self.with_ctx(ctx)
         }
     }
 
@@ -109,7 +141,7 @@ impl Comm {
     /// The cluster node hosting a communicator rank.
     #[inline]
     pub fn node_of(&self, rank: usize) -> NodeId {
-        self.shared.placement[self.world_rank_of(rank)]
+        self.nodes[rank]
     }
 
     /// This rank's virtual clock.
@@ -773,15 +805,7 @@ impl Comm {
     /// Propagates transport errors from the internal broadcast.
     pub fn dup(&self) -> MpiResult<Comm> {
         let ctx = self.agree_ctx()?;
-        Ok(Comm {
-            shared: self.shared.clone(),
-            group: self.group.clone(),
-            ctx,
-            rank: self.rank,
-            clock: self.clock.clone(),
-            frontier: self.frontier.clone(),
-            agree_seq: Rc::new(Cell::new(0)),
-        })
+        Ok(self.with_ctx(ctx))
     }
 
     /// Duplicates the communicator **without communicating**: context
@@ -798,15 +822,7 @@ impl Comm {
     /// deferred agreement.)
     pub fn dup_local(&self, seq: u64) -> Comm {
         let ctx = self.shared.ctx_for_local_dup(self.ctx, seq);
-        Comm {
-            shared: self.shared.clone(),
-            group: self.group.clone(),
-            ctx,
-            rank: self.rank,
-            clock: self.clock.clone(),
-            frontier: self.frontier.clone(),
-            agree_seq: Rc::new(Cell::new(0)),
-        }
+        self.with_ctx(ctx)
     }
 
     /// Rank 0 allocates a context-id pair and broadcasts it.
@@ -836,15 +852,9 @@ impl Comm {
             }
         }
         let ctx = self.agree_ctx()?;
-        Ok(group.rank_of_world(self.my_world_rank()).map(|rank| Comm {
-            shared: self.shared.clone(),
-            group: Arc::new(group.clone()),
-            ctx,
-            rank,
-            clock: self.clock.clone(),
-            frontier: self.frontier.clone(),
-            agree_seq: Rc::new(Cell::new(0)),
-        }))
+        Ok(group
+            .rank_of_world(self.my_world_rank())
+            .map(|rank| self.over(group.clone(), ctx, rank)))
     }
 
     /// Allocates a fresh context-id pair from the universe's allocator
@@ -872,15 +882,9 @@ impl Comm {
                 )));
             }
         }
-        Ok(group.rank_of_world(self.my_world_rank()).map(|rank| Comm {
-            shared: self.shared.clone(),
-            group: Arc::new(group.clone()),
-            ctx,
-            rank,
-            clock: self.clock.clone(),
-            frontier: self.frontier.clone(),
-            agree_seq: Rc::new(Cell::new(0)),
-        }))
+        Ok(group
+            .rank_of_world(self.my_world_rank())
+            .map(|rank| self.over(group.clone(), ctx, rank)))
     }
 
     /// Partitions the communicator by color (`MPI_Comm_split`). `None` color
@@ -939,15 +943,7 @@ impl Comm {
         let rank = group
             .rank_of_world(self.my_world_rank())
             .expect("split member lists include the contributing rank");
-        Ok(Some(Comm {
-            shared: self.shared.clone(),
-            group: Arc::new(group),
-            ctx,
-            rank,
-            clock: self.clock.clone(),
-            frontier: self.frontier.clone(),
-            agree_seq: Rc::new(Cell::new(0)),
-        }))
+        Ok(Some(self.over(group, ctx, rank)))
     }
 
     // ----- fault-tolerant agreement -----------------------------------------

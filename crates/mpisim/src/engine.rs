@@ -131,8 +131,7 @@ impl Comm {
         elems: usize,
         elem_bytes: usize,
     ) -> MpiResult<PlanKey> {
-        let nodes = (0..self.size()).map(|r| self.node_of(r)).collect();
-        PlanKey::new(kind, request, nodes, root, elems, elem_bytes)
+        PlanKey::on(kind, request, &self.nodes, root, elems, elem_bytes)
     }
 
     /// The [`Plan`] for one collective call on this communicator, from the
@@ -665,11 +664,17 @@ impl<'a, T: MpiType> Holdings<'a, T> {
     }
 
     /// Where elements `[lo, hi)` of another origin's raw contribution sit:
-    /// a held piece and a byte range of it.
-    fn held(&self, origin: usize, lo: usize, hi: usize) -> (&Piece, usize, usize) {
+    /// the index of a held piece and a byte range of it.
+    fn held_at(&self, origin: usize, lo: usize, hi: usize) -> (usize, usize, usize) {
         let (seg, offset, first) = self.at[origin].expect("plans move and fold held origins only");
         let from = offset + (lo - first) * T::WIRE_SIZE;
-        (&self.segs[seg], from, from + (hi - lo) * T::WIRE_SIZE)
+        (seg, from, from + (hi - lo) * T::WIRE_SIZE)
+    }
+
+    /// [`Holdings::held_at`], with the piece.
+    fn held(&self, origin: usize, lo: usize, hi: usize) -> (&Piece, usize, usize) {
+        let (seg, from, to) = self.held_at(origin, lo, hi);
+        (&self.segs[seg], from, to)
     }
 
     /// Elements `[lo, hi)` of `origin`'s raw contribution.
@@ -715,14 +720,30 @@ impl<'a, T: MpiType> Holdings<'a, T> {
                 p2p::Payload::shared(origins.iter().map(|&o| self.share(o, lo, hi)))
             }
             Payload::Raw(origins) => {
-                // Too small to be worth sharing: one fresh buffer.
+                // Too small to be worth sharing: one fresh buffer. Origins
+                // that sit back to back in one held piece — as they arrived
+                // together — go in one copy.
                 let width = (hi - lo) * T::WIRE_SIZE;
                 let mut bytes = vec![0; origins.len() * width];
-                for (&o, slot) in origins.iter().zip(bytes.chunks_exact_mut(width)) {
-                    match self.operand(o, lo, hi) {
-                        Operand::Own(own) => write_all(own, slot),
-                        Operand::Wire(wire) => slot.copy_from_slice(wire),
+                let mut i = 0;
+                while i < origins.len() {
+                    let slot = &mut bytes[i * width..];
+                    if origins[i] == self.me {
+                        write_all(&self.own[lo..hi], &mut slot[..width]);
+                        i += 1;
+                        continue;
                     }
+                    let (seg, from, mut to) = self.held_at(origins[i], lo, hi);
+                    let mut run = 1;
+                    for &next in origins[i + 1..].iter().take_while(|&&o| o != self.me) {
+                        let (s, f, t) = self.held_at(next, lo, hi);
+                        if s != seg || f != to {
+                            break;
+                        }
+                        (to, run) = (t, run + 1);
+                    }
+                    slot[..run * width].copy_from_slice(&self.segs[seg].bytes()[from..to]);
+                    i += run;
                 }
                 match bytes.len() <= EAGER_LIMIT {
                     true => p2p::Payload::inline_from(&bytes),
@@ -795,5 +816,58 @@ impl<'a, T: MpiType> Holdings<'a, T> {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The small-raw path copies the origins that sit back to back in one
+    /// held piece at once. Origins of one piece sent as a subset, out of
+    /// order, around this rank's own, or over part of their range are not
+    /// back to back: every payload must equal the per-origin concatenation.
+    #[test]
+    fn small_raw_payloads_hold_exactly_the_origins_asked_for() {
+        let (p, n) = (5, 4);
+        let contrib = |o: usize| -> Vec<f64> { (0..n).map(|i| (10 * o + i) as f64).collect() };
+        let fold = folding::<f64>(ReduceOp::Sum);
+        let own = contrib(0);
+        let mut holds = Holdings::new(p, 0, vec![0.0; n], &own, &fold);
+        // Origins 1–3 arrive in one piece, origin 4 in another.
+        for (origins, src) in [(vec![1, 2, 3], 1), (vec![4], 4)] {
+            let bytes: Vec<u8> = origins.iter().flat_map(|&o| encode(&contrib(o))).collect();
+            let x = Xfer {
+                src,
+                dst: 0,
+                lo: 0,
+                hi: n,
+                carries: Payload::Raw(origins),
+            };
+            let msg = Msg::new(p2p::Payload::Shared(vec![Piece::new(bytes)]));
+            holds.accept(&x, msg).unwrap();
+        }
+        let pool = BufferPool::new();
+        for (origins, lo, hi) in [
+            (vec![1, 2, 3], 0, n),
+            (vec![1, 3], 0, n),
+            (vec![3, 2, 1], 0, n),
+            (vec![2, 0, 3, 4], 0, n),
+            (vec![1, 2, 3, 4], 1, 3),
+        ] {
+            let want: Vec<u8> = origins
+                .iter()
+                .flat_map(|&o| encode(&contrib(o)[lo..hi]))
+                .collect();
+            let x = Xfer {
+                src: 0,
+                dst: 1,
+                lo,
+                hi,
+                carries: Payload::Raw(origins.clone()),
+            };
+            let got = holds.payload(&x, &pool);
+            assert_eq!(*got.bytes(), *want, "{origins:?} over [{lo}, {hi})");
+        }
     }
 }

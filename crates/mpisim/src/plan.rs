@@ -5,16 +5,25 @@
 //! time, and the transfer rounds that are executed, poisoned on abort and
 //! priced by `timeof`. Plans are a *pure function* of their [`PlanKey`]
 //! ([`build`]), so instead of every rank re-deriving the same plan on every
-//! call, the universe keeps them in a `PlanCache`: the first rank to
+//! call, the universe keeps them in a `PlanStore`: the first rank to
 //! arrive at a call plans it, the other `p − 1` ranks — and every later
-//! call with the same key — take an [`Arc`] clone.
+//! call with the same key, in this run or a later run of the universe or
+//! of one of its clones — take an [`Arc`] clone. Each run counts its own
+//! lookups in a `PlanCache` over the shared store, so the counters in a
+//! [`RunReport`](crate::RunReport) are that run's alone.
 //!
 //! The key is exactly what the pricer reads and nothing else: kind,
 //! requested algorithm, the communicator's rank → node vector, root,
 //! element count and element size. The cluster, its contention model and
 //! the collective policy are constants of a universe, and pricing reads
 //! the *healthy* base links ([`Cluster::pair_table`]), never fault state,
-//! so a key needs no epoch: a plan can not go stale within a run.
+//! so a key needs no epoch: a plan can not go stale within a run, nor
+//! between the runs of one universe.
+//!
+//! A communicator's node vector is built and hashed once, when the
+//! communicator is (`NodeVec`), so making a key allocates nothing and
+//! hashes one word for it; the world's is the universe's placement, shared
+//! by every rank and every run, and compares by pointer.
 //!
 //! Because a plan depends on its key alone, hit, miss and eviction order —
 //! which follow host thread scheduling — can never change an algorithm
@@ -31,8 +40,10 @@ use perfmodel::collective::{
     algos_for, eligible, price, schedule, CollectiveAlgo, CollectiveKind, LinkSharing, Xfer,
 };
 use perfmodel::{hier_plan, PairCost, RankTopology};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -54,17 +65,88 @@ pub(crate) fn ineligible(kind: CollectiveKind, algo: CollectiveAlgo, p: usize) -
     ))
 }
 
+/// A rank → node vector, hashed once when it is made. Equal vectors are
+/// equal whether or not they share storage; shared storage — the same
+/// communicator, or the world's placement — is recognised by pointer.
+#[derive(Clone, Debug)]
+pub(crate) struct NodeVec {
+    nodes: Arc<[NodeId]>,
+    hash: u64,
+}
+
+impl NodeVec {
+    pub(crate) fn new(nodes: Arc<[NodeId]>) -> Self {
+        let mut h = DefaultHasher::new();
+        nodes.hash(&mut h);
+        NodeVec {
+            hash: h.finish(),
+            nodes,
+        }
+    }
+}
+
+impl Deref for NodeVec {
+    type Target = [NodeId];
+    fn deref(&self) -> &[NodeId] {
+        &self.nodes
+    }
+}
+
+impl PartialEq for NodeVec {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.nodes, &other.nodes)
+            || (self.hash == other.hash && self.nodes == other.nodes)
+    }
+}
+
+impl Eq for NodeVec {}
+
+impl Hash for NodeVec {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
 /// What identifies a collective call to the planner. Only
 /// [`PlanKey::new`] builds one, so a key in hand has a root inside the
 /// communicator and a request some plan can exist for.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug)]
 pub struct PlanKey {
     kind: CollectiveKind,
     request: CollectivePolicy,
-    nodes: Vec<NodeId>,
+    nodes: NodeVec,
     root: usize,
     elems: usize,
     elem_bytes: usize,
+}
+
+impl PlanKey {
+    /// Everything but the node vector, read by both `Eq` and `Hash` so the
+    /// two can not disagree about what identifies a call.
+    fn call(&self) -> (CollectiveKind, CollectivePolicy, usize, usize, usize) {
+        (
+            self.kind,
+            self.request,
+            self.root,
+            self.elems,
+            self.elem_bytes,
+        )
+    }
+}
+
+impl PartialEq for PlanKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.call() == other.call() && self.nodes == other.nodes
+    }
+}
+
+impl Eq for PlanKey {}
+
+impl Hash for PlanKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.call().hash(state);
+        self.nodes.hash(state);
+    }
 }
 
 impl PlanKey {
@@ -93,6 +175,19 @@ impl PlanKey {
         elems: usize,
         elem_bytes: usize,
     ) -> MpiResult<PlanKey> {
+        let nodes = NodeVec::new(nodes.into());
+        PlanKey::on(kind, request, &nodes, root, elems, elem_bytes)
+    }
+
+    /// [`PlanKey::new`] on a communicator's stored node vector.
+    pub(crate) fn on(
+        kind: CollectiveKind,
+        request: CollectivePolicy,
+        nodes: &NodeVec,
+        root: usize,
+        elems: usize,
+        elem_bytes: usize,
+    ) -> MpiResult<PlanKey> {
         let p = nodes.len();
         if root >= p {
             return Err(MpiError::InvalidRank {
@@ -113,7 +208,7 @@ impl PlanKey {
         Ok(PlanKey {
             kind,
             request,
-            nodes,
+            nodes: nodes.clone(),
             root,
             elems,
             elem_bytes,
@@ -179,7 +274,7 @@ struct CostView {
     table: PairTable,
     /// `nodes[comm_rank]` = hosting cluster node, so the pricer's per-node
     /// contention resources (NIC, memory bus) group co-located ranks.
-    nodes: Vec<NodeId>,
+    nodes: NodeVec,
 }
 
 impl PairCost for CostView {
@@ -214,11 +309,11 @@ struct View {
 }
 
 impl View {
-    fn new(cluster: &Cluster, nodes: &[NodeId]) -> View {
+    fn new(cluster: &Cluster, nodes: &NodeVec) -> View {
         View {
             cost: CostView {
                 table: cluster.pair_table(nodes),
-                nodes: nodes.to_vec(),
+                nodes: nodes.clone(),
             },
             topo: OnceLock::new(),
         }
@@ -416,12 +511,34 @@ impl<K: Clone + Eq + Hash, T> OnceMap<K, T> {
     }
 }
 
-/// The universe-shared plan store (see the module docs).
-pub(crate) struct PlanCache {
+/// A universe's plans and cost views, shared by its clones and kept
+/// across its runs (see the module docs).
+pub(crate) struct PlanStore {
     plans: OnceMap<PlanKey, Plan>,
     /// Cost views by rank → node vector, so a miss on a new size or root
     /// does not rebuild the p² pair table.
-    views: OnceMap<Vec<NodeId>, View>,
+    views: OnceMap<NodeVec, View>,
+}
+
+impl Default for PlanStore {
+    fn default() -> Self {
+        PlanStore {
+            plans: OnceMap::new(MAX_RESIDENT_XFERS),
+            views: OnceMap::new(MAX_VIEW_CELLS),
+        }
+    }
+}
+
+impl std::fmt::Debug for PlanStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let plans = self.plans.entries.read();
+        write!(f, "PlanStore {{ {} plans resident }}", plans.order.len())
+    }
+}
+
+/// One run's window on its universe's [`PlanStore`]: the lookups it made.
+pub(crate) struct PlanCache {
+    store: Arc<PlanStore>,
     lookups: AtomicU64,
     hits: AtomicU64,
     built: AtomicU64,
@@ -435,10 +552,9 @@ impl std::fmt::Debug for PlanCache {
 }
 
 impl PlanCache {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(store: Arc<PlanStore>) -> Self {
         PlanCache {
-            plans: OnceMap::new(MAX_RESIDENT_XFERS),
-            views: OnceMap::new(MAX_VIEW_CELLS),
+            store,
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             built: AtomicU64::new(0),
@@ -451,9 +567,10 @@ impl PlanCache {
     /// are returned to each caller and leave no entry behind.
     pub(crate) fn get(&self, key: &PlanKey, cluster: &Cluster) -> MpiResult<Arc<Plan>> {
         let p = key.nodes.len();
-        let (plan, built) = self.plans.get_or_build(key, Plan::xfers, || {
+        let store = &*self.store;
+        let (plan, built) = store.plans.get_or_build(key, Plan::xfers, || {
             let new_view = || Ok::<_, MpiError>(View::new(cluster, &key.nodes));
-            let (view, _) = self.views.get_or_build(&key.nodes, |_| p * p, new_view)?;
+            let (view, _) = store.views.get_or_build(&key.nodes, |_| p * p, new_view)?;
             build_on(key, &view, cluster)
         })?;
         self.lookups.fetch_add(1, Ordering::Relaxed);
@@ -467,8 +584,9 @@ impl PlanCache {
         Ok(plan)
     }
 
+    /// This run's counters, and what the shared store holds right now.
     pub(crate) fn report(&self) -> PlanCacheReport {
-        let plans = self.plans.entries.read();
+        let plans = self.store.plans.entries.read();
         PlanCacheReport {
             lookups: self.lookups.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
@@ -480,28 +598,34 @@ impl PlanCache {
     }
 }
 
-/// Counter snapshot of a universe's plan cache, carried in
-/// [`RunReport`](crate::RunReport). Host-side only: which rank hit and
-/// which built follows thread scheduling, so none of this reaches the
-/// virtual-time trace. `hits + built == lookups` always; `built` exceeds
-/// the number of distinct calls issued only by re-builds after eviction.
+/// One run's plan-cache counters, carried in
+/// [`RunReport`](crate::RunReport), and a snapshot of the universe's
+/// shared plan store. Host-side only: which rank hit and which built
+/// follows thread scheduling, so none of this reaches the virtual-time
+/// trace. `hits + built == lookups` always; `built` exceeds the number of
+/// distinct calls the run issued only by re-builds after eviction, and is
+/// 0 for calls an earlier run of the universe already planned.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheReport {
-    /// Plans handed out (calls that ended in a typed error are not counted).
+    /// Plans this run handed out (calls that ended in a typed error are
+    /// not counted).
     pub lookups: u64,
     /// … of which shared: resident, or built by another rank meanwhile.
     pub hits: u64,
     /// … of which planned by the asking rank ([`build`] ran).
     pub built: u64,
-    /// Plans dropped to stay under the resident bound.
+    /// Plans this run's builds dropped to stay under the resident bound.
     pub evicted: u64,
-    /// Plans resident at snapshot time.
+    /// Plans resident in the universe's store at snapshot time, whichever
+    /// run built them.
     pub resident_plans: usize,
     /// Their scheduled transfers — what the bound counts.
     pub resident_xfers: usize,
 }
 
-/// Totals over several runs (each run owns a fresh cache).
+/// Totals over several runs. The counters add up exactly; the resident
+/// snapshots add up too, which totals them only over runs of distinct
+/// universes (runs of one universe share its store).
 impl std::ops::AddAssign for PlanCacheReport {
     fn add_assign(&mut self, r: Self) {
         self.lookups += r.lookups;
@@ -596,7 +720,7 @@ mod tests {
             two_sites.build().cluster().clone(),
         ] {
             let nodes: Vec<NodeId> = (0..c.len()).map(NodeId).collect();
-            let view = View::new(&c, &nodes);
+            let view = View::new(&c, &NodeVec::new(nodes.clone().into()));
             let sharing = sharing_of(c.contention());
             for kind in [
                 CollectiveKind::Bcast,
@@ -639,7 +763,7 @@ mod tests {
 
     #[test]
     fn a_panicking_build_leaves_the_slot_for_the_next_arrival() {
-        let cache = PlanCache::new();
+        let cache = PlanCache::new(Arc::default());
         let c = cluster(4);
         let k = key(4, 64);
         let others = 7;
@@ -648,6 +772,7 @@ mod tests {
         std::thread::scope(|s| {
             let doomed = s.spawn(|| {
                 cache
+                    .store
                     .plans
                     .get_or_build(&k, Plan::xfers, || -> MpiResult<Plan> {
                         building.wait();
@@ -676,7 +801,7 @@ mod tests {
 
     #[test]
     fn errors_are_returned_and_leave_no_entry() {
-        let cache = PlanCache::new();
+        let cache = PlanCache::new(Arc::default());
         let c = cluster(4); // flat: no hierarchical plan exists
         let k = PlanKey::new(
             CollectiveKind::Bcast,
@@ -696,7 +821,7 @@ mod tests {
 
     #[test]
     fn the_resident_bound_holds_and_evicted_plans_rebuild_identically() {
-        let cache = PlanCache::new();
+        let cache = PlanCache::new(Arc::default());
         let c = cluster(16);
         let pinned = |elems| {
             PlanKey::new(

@@ -7,15 +7,17 @@ use crate::engine::CollectivePolicy;
 use crate::error::{MpiError, MpiResult};
 use crate::group::Group;
 use crate::p2p::Mailbox;
-use crate::plan::{PlanCache, PlanCacheReport};
+use crate::plan::{NodeVec, PlanCache, PlanCacheReport, PlanStore};
 use crate::pool::{BufferPool, PoolReport};
 use crate::quiesce::Registry;
-use crate::vtime::LocalClock;
+use crate::vtime::{LocalClock, NetFrontier, RankNet};
 use hetsim::{Cluster, NodeId, SimTime, Topology, Trace, TraceEvent, TraceKind, Tracer};
 use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::panic::AssertUnwindSafe;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
@@ -83,8 +85,9 @@ impl Liveness {
 #[derive(Debug)]
 pub(crate) struct SharedState {
     pub(crate) cluster: Arc<Cluster>,
-    /// `placement[world_rank]` = the cluster node hosting that rank.
-    pub(crate) placement: Vec<NodeId>,
+    /// `placement[world_rank]` = the cluster node hosting that rank: the
+    /// universe's own vector, which is also the world communicator's.
+    pub(crate) placement: NodeVec,
     pub(crate) mailboxes: Vec<Arc<Mailbox>>,
     /// The world group, built once and shared by every [`Process::world`].
     pub(crate) world: Arc<Group>,
@@ -99,15 +102,17 @@ pub(crate) struct SharedState {
     /// the allocated context. The first member to ask allocates; the rest
     /// read the same id, so agreement needs no communication.
     local_dups: Mutex<std::collections::HashMap<(u64, u64), u64>>,
-    /// Virtual-time event collector, present only when the universe was
-    /// built with [`UniverseConfig::tracing`]. Every instrumentation site
-    /// costs exactly one `Option` discriminant check when absent.
+    /// This run's virtual-time event collector, present only when the
+    /// universe was built with [`UniverseConfig::tracing`]. Every
+    /// instrumentation site costs exactly one `Option` discriminant check
+    /// when absent.
     pub(crate) tracer: Option<Arc<Tracer>>,
     /// How the collective engine picks an algorithm per call (see
     /// [`UniverseConfig::collective_policy`]).
     pub(crate) coll_policy: CollectivePolicy,
-    /// One plan per distinct collective call, shared by all ranks (see
-    /// [`crate::plan`]).
+    /// One plan per distinct collective call, shared by all ranks and kept
+    /// in the universe's store across runs; the counters are this run's
+    /// (see [`crate::plan`]).
     pub(crate) plans: PlanCache,
     /// The virtual-time quiescence detector (see [`crate::quiesce`]).
     pub(crate) quiesce: Arc<Registry>,
@@ -287,9 +292,10 @@ impl UniverseConfig {
         self
     }
 
-    /// Virtual-time tracing: when enabled, runs record compute spans,
+    /// Virtual-time tracing: when enabled, each run records compute spans,
     /// sends, receives (with their idle-wait split) and higher-level
-    /// events into a shared [`Tracer`] returned in [`RunReport::trace`].
+    /// events into a [`Tracer`] of its own, returned in
+    /// [`RunReport::trace`].
     pub fn tracing(mut self, enabled: bool) -> Self {
         self.tracing = enabled;
         self
@@ -319,13 +325,18 @@ impl UniverseConfig {
 /// assert_eq!(report.results, vec![1, 1]);
 /// assert!(report.makespan.as_secs() >= 2.0);
 /// ```
+///
+/// A universe keeps its collective plans and the pair tables they were
+/// priced on across runs, and shares them with its clones: a later run that
+/// issues the same calls plans nothing.
 #[derive(Clone, Debug)]
 pub struct Universe {
     cluster: Arc<Cluster>,
-    placement: Vec<NodeId>,
-    tracer: Option<Arc<Tracer>>,
+    placement: NodeVec,
+    tracing: bool,
     coll_policy: CollectivePolicy,
     stack_size: Option<usize>,
+    plans: Arc<PlanStore>,
 }
 
 impl Universe {
@@ -365,10 +376,11 @@ impl Universe {
         }
         Universe {
             cluster,
-            placement,
-            tracer: config.tracing.then(|| Arc::new(Tracer::new())),
+            placement: NodeVec::new(placement.into()),
+            tracing: config.tracing,
             coll_policy: config.collective_policy,
             stack_size: config.stack_size,
+            plans: Arc::default(),
         }
     }
 
@@ -432,9 +444,11 @@ impl Universe {
             liveness,
             next_ctx: AtomicU64::new(2),
             local_dups: Mutex::new(std::collections::HashMap::new()),
-            tracer: self.tracer.clone(),
+            // Each run traces into its own collector, so concurrent runs
+            // of clones never see each other's events.
+            tracer: self.tracing.then(|| Arc::new(Tracer::new())),
             coll_policy: self.coll_policy,
-            plans: PlanCache::new(),
+            plans: PlanCache::new(self.plans.clone()),
             agreements,
             pool: BufferPool::new(),
         });
@@ -505,7 +519,7 @@ impl Universe {
             results,
             rank_times: clocks,
             makespan,
-            trace: self.tracer.as_ref().map(|t| t.drain()),
+            trace: shared.tracer.as_ref().map(|t| t.drain()),
             pool: shared.pool.report(),
             plans: shared.plans.report(),
             wakeups: WakeupReport::sum(&shared.mailboxes),
@@ -575,14 +589,23 @@ pub struct Process {
     world_rank: usize,
     shared: Arc<SharedState>,
     clock: LocalClock,
+    /// The rank's contention frontier and send sequence, shared by every
+    /// communicator handle it makes.
+    net: Rc<RefCell<RankNet>>,
+    /// The world communicator's agreement round count, shared by every
+    /// [`Process::world`] handle.
+    world_agree: Rc<Cell<u64>>,
 }
 
 impl Process {
     pub(crate) fn new(world_rank: usize, shared: Arc<SharedState>) -> Self {
+        let net = RankNet::new(NetFrontier::new(shared.cluster.contention()));
         Process {
             world_rank,
             shared,
             clock: LocalClock::new(),
+            net: Rc::new(RefCell::new(net)),
+            world_agree: Rc::new(Cell::new(0)),
         }
     }
 
@@ -610,7 +633,7 @@ impl Process {
         &self.shared.placement
     }
 
-    /// The universe's tracer, when tracing was enabled with
+    /// The run's tracer, when tracing was enabled with
     /// [`UniverseConfig::tracing`] — lets layers above mpisim (e.g. the HMPI
     /// runtime) record their own spans into the same event stream.
     #[inline]
@@ -694,9 +717,18 @@ impl Process {
         self.shared.liveness.of(world_rank) == RankState::Failed
     }
 
-    /// The world communicator (`MPI_COMM_WORLD`). Context ids 0/1.
+    /// The world communicator (`MPI_COMM_WORLD`). Context ids 0/1. Every
+    /// handle this returns is the same communicator: they share the rank's
+    /// clock, contention frontier, send sequence and agreement rounds, so
+    /// asking twice is the same as cloning the first handle.
     pub fn world(&self) -> Comm {
-        Comm::world(self.world_rank, self.shared.clone(), self.clock.clone())
+        Comm::world(
+            self.world_rank,
+            self.shared.clone(),
+            self.clock.clone(),
+            self.net.clone(),
+            self.world_agree.clone(),
+        )
     }
 }
 
@@ -887,6 +919,47 @@ mod tests {
         let b = std::thread::spawn(run_fifty(5));
         a.join().unwrap();
         b.join().unwrap();
+    }
+
+    /// Each run collects its own trace: two traced runs of clones of one
+    /// universe at the same time get two events each, not all four in one
+    /// report and none in the other.
+    #[test]
+    fn concurrent_traced_runs_of_clones_keep_their_own_events() {
+        let u = smp(2, UniverseConfig::new().tracing(true));
+        let computed = std::sync::Barrier::new(4);
+        let lens: Vec<usize> = std::thread::scope(|s| {
+            let runs: Vec<_> = (0..2)
+                .map(|_| {
+                    let (u, computed) = (u.clone(), &computed);
+                    s.spawn(move || {
+                        let report = u.run(|p| {
+                            p.compute(10.0);
+                            computed.wait();
+                        });
+                        report.trace.expect("tracing was enabled").len()
+                    })
+                })
+                .collect();
+            runs.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(lens, vec![2, 2]);
+    }
+
+    /// A run that panics before draining its trace leaves no events behind
+    /// for the universe's next run.
+    #[test]
+    fn a_panicked_run_leaves_no_trace_events_behind() {
+        let u = smp(2, UniverseConfig::new().tracing(true));
+        let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            u.run(|p| {
+                p.compute(10.0);
+                assert_ne!(p.world_rank(), 1, "boom");
+            })
+        }));
+        assert!(panicked.is_err());
+        let report = u.run(|p| p.compute(10.0));
+        assert_eq!(report.trace.expect("tracing was enabled").len(), 2);
     }
 
     #[test]

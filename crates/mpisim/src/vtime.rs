@@ -159,7 +159,7 @@ mod tests {
 
     #[test]
     fn take_seq_is_monotone() {
-        let mut f = RankNet::new(NetFrontier::new(hetsim::ContentionModel::ParallelLinks, 1));
+        let mut f = RankNet::new(NetFrontier::new(hetsim::ContentionModel::ParallelLinks));
         assert_eq!(f.take_seq(), 0);
         assert_eq!(f.take_seq(), 1);
         assert_eq!(f.take_seq(), 2);

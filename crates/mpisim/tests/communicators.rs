@@ -305,3 +305,59 @@ fn dup_local_works_while_a_node_is_dead() {
     assert_eq!(*report.results[0].as_ref().unwrap(), 7);
     assert_eq!(*report.results[1].as_ref().unwrap(), 7);
 }
+
+/// Every `world()` handle of a rank is one communicator: the `n`-th
+/// agreement on any of them is the rank's `n`-th world round. Rank 0 casts
+/// its two votes on two handles, the others on one; every rank must see
+/// rank 0's `false` in the second round.
+#[test]
+fn world_handles_of_one_rank_share_agreement_rounds() {
+    let report = Universe::new(cluster(3)).run(|p| {
+        let (first, second) = (p.world(), p.world());
+        let a = first.agree(true).unwrap();
+        let b = match p.world_rank() {
+            0 => second.agree(false),
+            _ => first.agree(true),
+        }
+        .unwrap();
+        (a.flag, b.flag)
+    });
+    assert_eq!(report.results, vec![(true, false); 3]);
+}
+
+/// Every `world()` handle of a rank arbitrates against the rank's one
+/// contention frontier: under `SerializedNic`, rank 0's two sends queue on
+/// its NIC whether they leave on one handle or on two.
+#[test]
+fn world_handles_of_one_rank_share_the_contention_frontier() {
+    let cluster = Arc::new(
+        ClusterBuilder::new()
+            .node("h0", 100.0)
+            .node("h1", 100.0)
+            .node("h2", 100.0)
+            .all_to_all(Link::new(1e-4, 1e6, Protocol::Tcp))
+            .contention(hetsim::ContentionModel::SerializedNic)
+            .build(),
+    );
+    let clocks = |two_handles: bool| {
+        let report = Universe::new(cluster.clone()).run(|p| {
+            let (first, second) = (p.world(), p.world());
+            let again = if two_handles { &second } else { &first };
+            let data = vec![1.5f64; 4096];
+            match p.world_rank() {
+                0 => {
+                    first.send(&data, 1, 0).unwrap();
+                    again.send(&data, 2, 0).unwrap();
+                }
+                r => {
+                    first.recv::<f64>(0, 0).unwrap();
+                    assert_eq!(first.clock().now(), p.clock().now(), "rank {r}");
+                }
+            }
+        });
+        report.rank_times
+    };
+    let one = clocks(false);
+    assert!(one[2] > one[1], "the second send must queue: {one:?}");
+    assert_eq!(clocks(true), one);
+}

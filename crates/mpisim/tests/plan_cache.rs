@@ -6,8 +6,8 @@
 //! oracle on random topologies and sub-communicators, one build per
 //! distinct call however many ranks ask, keys that differ only in the
 //! rank → node map kept apart, and results, makespans and predictions
-//! bit-identical whether a plan was shared, rebuilt after eviction or
-//! built cold.
+//! bit-identical whether a plan was shared, rebuilt after eviction, built
+//! cold or kept from an earlier run of the same universe.
 
 use hetsim::{ContentionModel, Link, NodeId, Protocol, SimTime, Topology, TopologyBuilder};
 use mpisim::plan::build;
@@ -315,4 +315,131 @@ fn eviction_changes_nothing_but_the_counters() {
             assert_eq!(*got, warm.results[rank][j], "call {j}, rank {rank}");
         }
     }
+}
+
+/// The root and the size are part of the key: calls on one communicator
+/// that differ in either alone never share a plan.
+#[test]
+fn plans_are_keyed_by_root_and_size() {
+    let u = Universe::from_topology(
+        topology(1, 4, 1, false, ContentionModel::SerializedNic),
+        UniverseConfig::new(),
+    );
+    let report = u.run(|proc| {
+        let world = proc.world();
+        let plan = |root, elems| {
+            world
+                .collective_plan(
+                    CollectiveKind::Bcast,
+                    CollectivePolicy::Auto,
+                    root,
+                    elems,
+                    8,
+                )
+                .unwrap()
+        };
+        [plan(0, 256), plan(1, 256), plan(0, 257), plan(0, 256)]
+    });
+    let [base, rooted, bigger, again] = &report.results[0];
+    assert!(!Arc::ptr_eq(base, rooted), "another root, one entry");
+    assert!(!Arc::ptr_eq(base, bigger), "another size, one entry");
+    assert!(Arc::ptr_eq(base, again));
+    assert_eq!(report.plans.built, 3);
+}
+
+/// A mixed program: world collectives under the universe's policy and a
+/// pinned algorithm, then the same on a split half.
+fn mixed_program(world: &Comm) -> Vec<Vec<u64>> {
+    let me = world.rank();
+    let mut out = Vec::new();
+    let mut buf = contrib(me, 300);
+    world.bcast_into(&mut buf, 1).unwrap();
+    out.push(bits(&buf));
+    let sum = world
+        .allreduce_eq_f64(&contrib(me, 700), ReduceOp::Sum)
+        .unwrap();
+    out.push(bits(&sum));
+    let sum = world
+        .allreduce_eq_f64_with(
+            CollectiveAlgo::RecursiveDoubling,
+            &contrib(me, 16),
+            ReduceOp::Max,
+        )
+        .unwrap();
+    out.push(bits(&sum));
+    let half = world
+        .split(Some((me % 2) as i32), me as i32)
+        .unwrap()
+        .unwrap();
+    out.push(bits(&half.allgather_eq(&contrib(me, 5)).unwrap()));
+    if let Some(r) = half
+        .reduce_eq_f64(&contrib(me, 90), ReduceOp::Sum, 0)
+        .unwrap()
+    {
+        out.push(bits(&r));
+    }
+    out
+}
+
+/// A universe keeps its plans across runs: the second run of one universe
+/// plans nothing — every lookup hits — and its results, clocks and trace
+/// are those of a universe that never ran before, bit for bit.
+#[test]
+fn a_second_run_plans_nothing_and_moves_no_bit() {
+    let topo = topology(2, 2, 2, true, ContentionModel::SerializedNic);
+    let config = || UniverseConfig::new().tracing(true);
+    let warm = Universe::from_topology(topo.clone(), config());
+    let first = warm.run(|proc| mixed_program(&proc.world()));
+    let second = warm.run(|proc| mixed_program(&proc.world()));
+    let cold = Universe::from_topology(topo, config()).run(|proc| mixed_program(&proc.world()));
+    assert!(first.plans.built > 0, "{:?}", first.plans);
+    assert_eq!(second.plans.built, 0, "{:?}", second.plans);
+    assert_eq!(second.plans.hits, second.plans.lookups);
+    assert_eq!(second.plans.lookups, first.plans.lookups);
+    assert_eq!(second.plans.resident_plans, first.plans.resident_plans);
+    for run in [&first, &second] {
+        assert_eq!(run.results, cold.results);
+        assert_eq!(run.rank_times, cold.rank_times);
+        assert_eq!(run.trace, cold.trace);
+    }
+}
+
+/// Clones of one universe share its store, also while they run at the
+/// same time: each run's counters are its own and add up, and between
+/// them the runs build every distinct plan exactly once.
+#[test]
+fn concurrent_runs_of_clones_count_their_own_lookups() {
+    let topo = topology(2, 4, 1, false, ContentionModel::ParallelLinks);
+    let cold = Universe::from_topology(topo.clone(), UniverseConfig::new())
+        .run(|proc| mixed_program(&proc.world()));
+    let u = Universe::from_topology(topo, UniverseConfig::new());
+    let reports: Vec<_> = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..2)
+            .map(|_| {
+                let u = u.clone();
+                s.spawn(move || {
+                    (0..3)
+                        .map(|_| u.run(|proc| mixed_program(&proc.world())))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .flat_map(|t| t.join().unwrap())
+            .collect()
+    });
+    for r in &reports {
+        assert_eq!(
+            r.plans.hits + r.plans.built,
+            r.plans.lookups,
+            "{:?}",
+            r.plans
+        );
+        assert_eq!(r.plans.lookups, cold.plans.lookups);
+        assert_eq!(r.results, cold.results);
+        assert_eq!(r.rank_times, cold.rank_times);
+    }
+    let built: u64 = reports.iter().map(|r| r.plans.built).sum();
+    assert_eq!(built, cold.plans.built);
 }

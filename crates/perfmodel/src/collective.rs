@@ -550,9 +550,8 @@ pub fn price(
     sharing: LinkSharing,
 ) -> f64 {
     let nodes: Vec<NodeId> = (0..p).map(|r| NodeId(cost.node_of(r))).collect();
-    let n_nodes = nodes.iter().max().map_or(0, |m| m.index() + 1);
     let mut clocks = vec![SimTime::ZERO; p];
-    let mut frontiers = vec![NetFrontier::new(sharing.into(), n_nodes); p];
+    let mut frontiers = vec![NetFrontier::new(sharing.into()); p];
     let mut pending: Vec<(usize, SimTime, Option<WireXfer>)> = Vec::new();
     for round in rounds {
         pending.clear();
