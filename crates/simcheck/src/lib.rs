@@ -6,7 +6,19 @@
 //! them *together*, the way a randomised integration suite would: draw a
 //! random heterogeneous cluster, a random fault schedule and a random
 //! workload from a seed, execute the whole stack, and check global
-//! invariants that must hold for **every** scenario (see [`exec::check`]).
+//! invariants that must hold for **every** scenario (see [`check`]).
+//!
+//! Two halves. [`exec`] runs a scenario's workload and returns one run
+//! record per universe run: per-rank outcomes, the run report (pool,
+//! wake-ups, plans, trace), the fault plan and the workload's oracle
+//! values. [`invariants`] holds the one table of invariants — a label, a
+//! one-line doc, a predicate saying which runs a row applies to, and a
+//! check — and the judge that walks it over every run. [`batch`] counts,
+//! per row, the scenarios it applied to and those on which it reached a
+//! verdict; a batch fails on a violation, and also when a row applied but
+//! never reached a verdict, so a check that silently stopped firing shows
+//! up. The CLI's seed ranges and corpus replay, and `tests/corpus.rs`, go
+//! through [`batch`], and its summary line prints every row's counts.
 //!
 //! Everything is reproducible from the seed:
 //!
@@ -39,10 +51,12 @@
 
 pub mod exec;
 pub mod gen;
+pub mod invariants;
 pub mod scenario;
 pub mod shrink;
 
-pub use exec::{build_cluster, check, placement, Violation, TIMEOF_REL_BOUND};
+pub use exec::{build_cluster, placement};
 pub use gen::{generate, generate_crashy_collective, generate_hierarchical};
+pub use invariants::{batch, check, Batch, Violation, TIMEOF_REL_BOUND};
 pub use scenario::{parse, AppKind, LinkOverride, ParseError, Scenario, Workload};
 pub use shrink::{shrink, shrink_classified};

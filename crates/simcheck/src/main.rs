@@ -2,14 +2,14 @@
 //! committed corpus. See the crate docs for the invariants checked.
 
 use simcheck::{
-    check, generate, generate_crashy_collective, generate_hierarchical, parse, shrink_classified,
-    Scenario,
+    batch, check, generate, generate_crashy_collective, generate_hierarchical, parse,
+    shrink_classified, Scenario, Violation,
 };
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
+#[derive(Default)]
 struct Opts {
     seed: Option<u64>,
     seeds: Option<u64>,
@@ -54,16 +54,10 @@ fn parse_seed_arg(s: &str) -> u64 {
 }
 
 fn parse_opts() -> Opts {
+    let out = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/corpus"));
     let mut opts = Opts {
-        seed: None,
-        seeds: None,
-        base: 0,
-        replay: None,
-        out: PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/corpus")),
-        no_shrink: false,
-        print_only: false,
-        crashy: false,
-        hierarchy: false,
+        out,
+        ..Opts::default()
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -84,12 +78,8 @@ fn parse_opts() -> Opts {
     opts
 }
 
-/// Runs one scenario; on violation, optionally shrinks and writes the
-/// repro. Returns false on failure.
-fn run_scenario(sc: &Scenario, opts: &Opts) -> bool {
-    let Err(v) = check(sc) else { return true };
-    eprintln!("FAIL seed {:#x}: {v}", sc.seed);
-    eprintln!("  scenario: {sc}");
+/// Optionally shrinks a failing scenario, and writes its repro.
+fn write_repro(sc: &Scenario, v: &Violation, opts: &Opts) {
     let minimal = if opts.no_shrink {
         sc.clone()
     } else {
@@ -102,85 +92,46 @@ fn run_scenario(sc: &Scenario, opts: &Opts) -> bool {
         eprintln!("  shrunk:   {m}");
         m
     };
-    let final_v = check(&minimal).err().unwrap_or(v);
+    let v = check(&minimal).err().unwrap_or_else(|| v.clone());
     let _ = std::fs::create_dir_all(&opts.out);
     let path = opts.out.join(format!("repro-{:016x}.scn", sc.seed));
     let body = format!(
-        "# auto-minimised repro for seed {:#x}\n# violation: {final_v}\n{minimal}\n",
+        "# auto-minimised repro for seed {:#x}\n# violation: {v}\n{minimal}\n",
         sc.seed
     );
     match std::fs::write(&path, body) {
         Ok(()) => eprintln!("  repro written to {}", path.display()),
         Err(e) => eprintln!("  could not write repro: {e}"),
     }
-    false
 }
 
-fn replay_file(path: &Path) -> Result<usize, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut ran = 0;
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let sc = parse(line)
-            .map_err(|e| format!("{}:{}: {e}", path.display(), lineno + 1))?;
-        if let Err(v) = check(&sc) {
-            return Err(format!("{}:{}: {v}\n  {sc}", path.display(), lineno + 1));
-        }
-        ran += 1;
+/// Every scenario line of a `.scn` file, or of every `.scn` file in a
+/// directory, with its `file:line`.
+fn corpus(path: &Path) -> Result<Vec<(String, Scenario)>, String> {
+    let mut files = vec![path.to_path_buf()];
+    if path.is_dir() {
+        let entries = std::fs::read_dir(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        files = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
+        files.retain(|p| p.extension().is_some_and(|x| x == "scn"));
+        files.sort();
     }
-    Ok(ran)
-}
-
-fn replay(path: &Path) -> ExitCode {
-    let files: Vec<PathBuf> = if path.is_dir() {
-        let mut v: Vec<PathBuf> = std::fs::read_dir(path)
-            .unwrap_or_else(|e| {
-                eprintln!("{}: {e}", path.display());
-                std::process::exit(2)
-            })
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "scn"))
-            .collect();
-        v.sort();
-        v
-    } else {
-        vec![path.to_path_buf()]
-    };
-    let mut total = 0;
-    for f in &files {
-        match replay_file(f) {
-            Ok(n) => total += n,
-            Err(msg) => {
-                eprintln!("FAIL {msg}");
-                return ExitCode::FAILURE;
+    let mut scenarios = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).map_err(|e| format!("{}: {e}", file.display()))?;
+        for (lineno, line) in text.lines().enumerate() {
+            let place = format!("{}:{}", file.display(), lineno + 1);
+            let line = line.trim();
+            if !line.is_empty() && !line.starts_with('#') {
+                let sc = parse(line).map_err(|e| format!("{place}: {e}"))?;
+                scenarios.push((place, sc));
             }
         }
     }
-    println!(
-        "replayed {total} scenario(s) from {} file(s): all invariants hold",
-        files.len()
-    );
-    ExitCode::SUCCESS
+    Ok(scenarios)
 }
 
 fn main() -> ExitCode {
     let opts = parse_opts();
-
-    if let Some(path) = &opts.replay {
-        return replay(path);
-    }
-
-    let seeds: Vec<u64> = match (opts.seed, opts.seeds) {
-        (Some(s), _) => vec![s],
-        (None, n) => {
-            let n = n.unwrap_or(500);
-            (0..n).map(|i| opts.base.wrapping_add(i)).collect()
-        }
-    };
     let gen_fn: fn(u64) -> Scenario = if opts.crashy {
         generate_crashy_collective
     } else if opts.hierarchy {
@@ -188,7 +139,10 @@ fn main() -> ExitCode {
     } else {
         generate
     };
-
+    let (base, n) = opts
+        .seed
+        .map_or((opts.base, opts.seeds.unwrap_or(500)), |s| (s, 1));
+    let seeds: Vec<u64> = (0..n).map(|i| base.wrapping_add(i)).collect();
     if opts.print_only {
         for &seed in &seeds {
             println!("{}", gen_fn(seed));
@@ -200,30 +154,32 @@ fn main() -> ExitCode {
     // crash-injection paths; the harness reports those as violations, so
     // silence the per-thread panic spew.
     std::panic::set_hook(Box::new(|_| {}));
-
     let started = Instant::now();
-    let mut by_workload: BTreeMap<&'static str, usize> = BTreeMap::new();
-    let mut failures = 0usize;
-    for &seed in &seeds {
-        let sc = gen_fn(seed);
-        *by_workload.entry(sc.workload.label()).or_default() += 1;
-        if !run_scenario(&sc, &opts) {
-            failures += 1;
-            break; // first failure wins; its seed reproduces it
-        }
+    let (b, places) = match &opts.replay {
+        None => (batch(seeds.iter().map(|&seed| gen_fn(seed))), Vec::new()),
+        Some(path) => match corpus(path) {
+            Ok(lines) => {
+                let (places, scenarios): (Vec<String>, Vec<Scenario>) = lines.into_iter().unzip();
+                (batch(scenarios), places)
+            }
+            Err(msg) => {
+                eprintln!("FAIL {msg}");
+                return ExitCode::FAILURE;
+            }
+        },
+    };
+    let verdict = b.verdict();
+    if let Err(e) = &verdict {
+        eprintln!("FAIL {e}");
     }
-    let elapsed = started.elapsed();
-    let mix: Vec<String> = by_workload
-        .iter()
-        .map(|(k, v)| format!("{k}:{v}"))
-        .collect();
-    println!(
-        "simcheck: {} scenario(s) in {:.1}s  [{}]",
-        seeds.len().min(by_workload.values().sum::<usize>()),
-        elapsed.as_secs_f64(),
-        mix.join(" ")
-    );
-    if failures == 0 {
+    match (&b.failure, places.is_empty()) {
+        (Some((i, ..)), false) => eprintln!("  at {}", places[*i]),
+        (Some((_, sc, v)), true) => write_repro(sc, v, &opts),
+        (None, _) => {}
+    }
+    let secs = started.elapsed().as_secs_f64();
+    println!("simcheck: {secs:.1}s  {b}");
+    if verdict.is_ok() {
         println!("all invariants hold");
         ExitCode::SUCCESS
     } else {

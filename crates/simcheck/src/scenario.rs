@@ -68,10 +68,10 @@ pub enum Workload {
         /// Upper bound on payload elements per message.
         max_elems: usize,
     },
-    /// One collective of `elems` f64 elements, run once per eligible
+    /// One collective of `elems` f64 elements (the total payload for
+    /// allgather), run as a one-colour, one-call storm once per eligible
     /// algorithm plus once through the `Auto` selector, checking bit-exact
-    /// reduction neutrality and (fault-free, parallel links) `timeof`
-    /// parity.
+    /// reduction neutrality and (fault-free) `timeof` parity.
     Collective {
         /// Which collective.
         kind: CollectiveKind,
@@ -81,7 +81,8 @@ pub enum Workload {
         root: usize,
     },
     /// A storm of `calls` engine collectives issued inside *one* universe,
-    /// on the sub-communicators `split(rank % colors)`: call `i` moves
+    /// on the sub-communicators `split(rank % colors)` (the world itself
+    /// for one colour): call `i` moves
     /// `elems + i` elements (every call its own plan keys) from root
     /// `i % p'`; it is first priced under `Auto` and under each eligible
     /// algorithm pinned, then run under one of them in turn. Checks values

@@ -1,9 +1,11 @@
 //! Replays the committed corpus as an ordinary test, so every curated
 //! scenario (and every minimised repro of a past failure) is re-checked
 //! by `cargo test`. Lines starting with `#` are comments; each other
-//! line is one scenario in the `v1 seed=...` encoding.
+//! line is one scenario in the `v1 seed=...` encoding. Every check here
+//! goes through `batch`, so a row of the invariant table that applies but
+//! never reaches a verdict fails the test like a violation does.
 
-use simcheck::{check, generate, generate_hierarchical, parse};
+use simcheck::{batch, generate, generate_hierarchical, parse, Scenario, Workload};
 use std::path::Path;
 
 #[test]
@@ -17,7 +19,7 @@ fn the_committed_corpus_holds_every_invariant() {
     files.sort();
     assert!(!files.is_empty(), "corpus has no .scn files");
 
-    let mut scenarios = 0;
+    let (mut places, mut scenarios): (Vec<String>, Vec<Scenario>) = (Vec::new(), Vec::new());
     for file in &files {
         let text = std::fs::read_to_string(file).unwrap();
         for (lineno, line) in text.lines().enumerate() {
@@ -25,29 +27,43 @@ fn the_committed_corpus_holds_every_invariant() {
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let sc = parse(line).unwrap_or_else(|e| {
-                panic!("{}:{}: parse error: {e}", file.display(), lineno + 1)
-            });
+            let place = format!("{}:{}", file.display(), lineno + 1);
+            let sc = parse(line).unwrap_or_else(|e| panic!("{place}: parse error: {e}"));
             // The committed encoding is canonical: every line must
             // re-encode byte-for-byte, so new scenario fields (placement,
             // topology, ...) can never silently change the corpus format.
             assert_eq!(
                 sc.to_string(),
                 line,
-                "{}:{}: line does not re-encode byte-identically",
-                file.display(),
-                lineno + 1
+                "{place}: line does not re-encode byte-identically"
             );
-            if let Err(v) = check(&sc) {
-                panic!("{}:{}: {v}\n  scenario: {sc}", file.display(), lineno + 1);
-            }
-            scenarios += 1;
+            places.push(place);
+            scenarios.push(sc);
         }
     }
     assert!(
-        scenarios >= 10,
-        "corpus has only {scenarios} scenarios; keep at least 10 curated cases"
+        scenarios.len() >= 10,
+        "corpus has only {} scenarios; keep at least 10 curated cases",
+        scenarios.len()
     );
+    let storms = scenarios
+        .iter()
+        .filter(|sc| matches!(sc.workload, Workload::CollStorm { .. }))
+        .count() as u64;
+    let b = batch(scenarios);
+    if let Err(e) = b.verdict() {
+        match &b.failure {
+            Some((i, ..)) => panic!("{}: {e}", places[*i]),
+            None => panic!("{e}"),
+        }
+    }
+    // No generator draws a storm, so the corpus's storm lines are the only
+    // runs whose traces are replayed and compared.
+    let traces = b
+        .rows
+        .iter()
+        .find(|(label, ..)| *label == "trace-determinism");
+    assert_eq!(traces, Some(&("trace-determinism", storms, storms)));
 }
 
 /// A fixed-seed smoke slice of the fuzzer itself, so `cargo test` alone
@@ -55,11 +71,8 @@ fn the_committed_corpus_holds_every_invariant() {
 /// ever pruned.
 #[test]
 fn a_fixed_seed_slice_of_the_fuzzer_passes() {
-    for seed in 0..25 {
-        let sc = generate(seed);
-        if let Err(v) = check(&sc) {
-            panic!("seed {seed}: {v}\n  scenario: {sc}");
-        }
+    if let Err(e) = batch((0..25).map(generate)).verdict() {
+        panic!("{e}");
     }
 }
 
@@ -67,10 +80,7 @@ fn a_fixed_seed_slice_of_the_fuzzer_passes() {
 /// through the hierarchy-aware auto-selection, parity and value checks.
 #[test]
 fn a_fixed_seed_slice_of_the_hierarchical_fuzzer_passes() {
-    for seed in 0..15 {
-        let sc = generate_hierarchical(seed);
-        if let Err(v) = check(&sc) {
-            panic!("seed {seed}: {v}\n  scenario: {sc}");
-        }
+    if let Err(e) = batch((0..15).map(generate_hierarchical)).verdict() {
+        panic!("{e}");
     }
 }
