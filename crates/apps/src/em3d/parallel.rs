@@ -178,16 +178,21 @@ mod tests {
     use super::*;
     use crate::em3d::body::Em3dConfig;
     use crate::em3d::serial::serial_run;
-    use hetsim::{ClusterBuilder, Link, Protocol};
+    use hetsim::{Link, Protocol, TopologyBuilder};
     use mpisim::Universe;
     use std::sync::Arc;
 
     fn uniform_cluster(n: usize) -> Arc<hetsim::Cluster> {
-        let mut b = ClusterBuilder::new();
+        let mut b = TopologyBuilder::new();
         for i in 0..n {
             b = b.node(format!("h{i}"), 100.0);
         }
-        Arc::new(b.all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp)).build())
+        Arc::new(
+            b.intra_switch(Link::new(1e-4, 1e7, Protocol::Tcp))
+                .build()
+                .into_parts()
+                .0,
+        )
     }
 
     #[test]

@@ -224,16 +224,21 @@ impl DistributedMatmul {
 mod tests {
     use super::*;
     use crate::matmul::block::serial_matmul;
-    use hetsim::{ClusterBuilder, Link, Protocol};
+    use hetsim::{Link, Protocol, TopologyBuilder};
     use mpisim::Universe;
     use std::sync::Arc;
 
     fn uniform_cluster(n: usize) -> Arc<hetsim::Cluster> {
-        let mut b = ClusterBuilder::new();
+        let mut b = TopologyBuilder::new();
         for i in 0..n {
             b = b.node(format!("h{i}"), 100.0);
         }
-        Arc::new(b.all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp)).build())
+        Arc::new(
+            b.intra_switch(Link::new(1e-4, 1e7, Protocol::Tcp))
+                .build()
+                .into_parts()
+                .0,
+        )
     }
 
     fn check_against_serial(dist: GeneralizedBlockDist, n: usize, r: usize) {
@@ -307,13 +312,15 @@ mod tests {
         // should be nearly equal across ranks; with homogeneous it is not.
         let speeds = vec![100.0, 100.0, 100.0, 10.0];
         let cluster = Arc::new(
-            ClusterBuilder::new()
+            TopologyBuilder::new()
                 .node("a", 100.0)
                 .node("b", 100.0)
                 .node("c", 100.0)
                 .node("d", 10.0)
-                .all_to_all(Link::new(1e-5, 1e9, Protocol::Tcp))
-                .build(),
+                .intra_switch(Link::new(1e-5, 1e9, Protocol::Tcp))
+                .build()
+                .into_parts()
+                .0,
         );
         let n = 8;
         let run = |dist: GeneralizedBlockDist| {

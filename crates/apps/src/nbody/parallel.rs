@@ -74,7 +74,7 @@ impl ParallelGroup {
 mod tests {
     use super::*;
     use crate::nbody::serial::serial_run;
-    use hetsim::{ClusterBuilder, Link, Protocol};
+    use hetsim::{Link, Protocol, TopologyBuilder};
     use mpisim::Universe;
     use std::sync::Arc;
 
@@ -84,11 +84,16 @@ mod tests {
         let niter = 4;
         let want = serial_run(&cfg, niter);
 
-        let mut b = ClusterBuilder::new();
+        let mut b = TopologyBuilder::new();
         for i in 0..4 {
             b = b.node(format!("h{i}"), 100.0);
         }
-        let cluster = Arc::new(b.all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp)).build());
+        let cluster = Arc::new(
+            b.intra_switch(Link::new(1e-4, 1e7, Protocol::Tcp))
+                .build()
+                .into_parts()
+                .0,
+        );
         let u = Universe::new(cluster);
         let report = u.run(move |proc| {
             let world = proc.world();

@@ -17,7 +17,7 @@
 use crate::report::{Report, Value};
 use crate::{faults, paper_lan_with};
 use hetsim::{
-    Cluster, ClusterBuilder, ContentionModel, Link, LoadModel, Processor, Protocol, SimTime,
+    Cluster, ContentionModel, LoadModel, Processor, SimTime, TopologyBuilder, PAPER_EM3D_SPEEDS,
 };
 use hmpi::MappingAlgorithm::{Annealing, Exhaustive, GreedyRefined};
 use hmpi_apps::em3d::{run_hmpi, run_hmpi_with, run_mpi, Em3dConfig};
@@ -84,7 +84,8 @@ fn selection(r: &mut Report) {
 /// Runs MM (n blocks, r = 8, l = 9) under each network contention model:
 /// `(model, HMPI s)`.
 fn contention_models(n: usize) -> [(&'static str, f64); 3] {
-    let hmpi_s = |c| matmul::run_hmpi(paper_lan_with(c), 3, n, 8, Some(9)).time;
+    let lan = |c| Arc::new(paper_lan_with(&PAPER_EM3D_SPEEDS, c).into_parts().0);
+    let hmpi_s = |c| matmul::run_hmpi(lan(c), 3, n, 8, Some(9)).time;
     [
         ("parallel-links", ContentionModel::ParallelLinks),
         ("serialized-nic", ContentionModel::SerializedNic),
@@ -107,7 +108,7 @@ fn contention(r: &mut Report) {
 /// base-speed estimates (what a runtime that never recons believes) are
 /// badly wrong.
 fn loaded_cluster() -> Arc<Cluster> {
-    let mut b = ClusterBuilder::new();
+    let mut b = TopologyBuilder::new();
     b = b.node("host", 46.0);
     for i in 1..6 {
         b = b.node(format!("ws{i:02}"), 46.0);
@@ -118,7 +119,7 @@ fn loaded_cluster() -> Arc<Cluster> {
         fraction: 0.9,
     }));
     b = b.node("ws106", 106.0).node("ws9", 9.0);
-    Arc::new(b.all_to_all(Link::with_defaults(Protocol::Tcp)).build())
+    Arc::new(b.build().into_parts().0)
 }
 
 /// Runs EM3D (smallest body `base` nodes) on the loaded cluster with a

@@ -50,7 +50,7 @@ pub mod report;
 pub mod selection;
 pub mod trace;
 
-use hetsim::{Cluster, ClusterBuilder, ContentionModel, Link, Protocol, PAPER_EM3D_SPEEDS};
+use hetsim::{Cluster, ContentionModel, Link, Protocol, Topology, TopologyBuilder};
 pub use report::Report;
 use std::sync::Arc;
 
@@ -78,18 +78,16 @@ pub fn matmul_cluster() -> Arc<Cluster> {
     Arc::new(Cluster::paper_lan_matmul())
 }
 
-/// The paper's 9-workstation speeds over 100 Mbit Ethernet, with the
-/// link-sharing mode under test.
-pub fn paper_lan_with(contention: ContentionModel) -> Arc<Cluster> {
-    let mut b = ClusterBuilder::new();
-    for (i, &s) in PAPER_EM3D_SPEEDS.iter().enumerate() {
+/// The paper's LAN (`Cluster::paper_lan`) with the link-sharing mode
+/// under test, one rank per workstation.
+pub fn paper_lan_with(speeds: &[f64], contention: ContentionModel) -> Topology {
+    let mut b = TopologyBuilder::new()
+        .intra_switch(Link::with_defaults(Protocol::Tcp))
+        .contention(contention);
+    for (i, &s) in speeds.iter().enumerate() {
         b = b.node(format!("ws{i:02}"), s);
     }
-    Arc::new(
-        b.all_to_all(Link::with_defaults(Protocol::Tcp))
-            .contention(contention)
-            .build(),
-    )
+    b.build()
 }
 
 #[cfg(test)]

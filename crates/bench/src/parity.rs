@@ -23,16 +23,13 @@
 
 use crate::paper_lan_with;
 use crate::report::{Fields, Report, Value};
-use hetsim::{
-    Cluster, ClusterBuilder, ContentionModel, Link, NodeId, Processor, Protocol, TopologyBuilder,
-    PAPER_EM3D_SPEEDS,
-};
+use hetsim::ContentionModel::{ParallelLinks, SerializedNic, SharedBus};
+use hetsim::{Link, Protocol, Topology, TopologyBuilder, PAPER_EM3D_SPEEDS};
 use mpisim::{
     CollectiveAlgo, CollectiveKind, CollectivePolicy, PlanCacheReport, ReduceOp, Universe,
     UniverseConfig,
 };
 use perfmodel::collective::algos_for;
-use std::sync::Arc;
 
 /// Minimum speedup of the hierarchy-aware selector over the flat-only
 /// selector, required on at least one collective kind at ≥64 KiB.
@@ -40,27 +37,9 @@ pub const HIER_SPEEDUP_GATE: f64 = 1.5;
 
 const LARGE: usize = 64 * 1024;
 
-/// A network and where the ranks sit on it.
-pub struct Testbed {
-    /// Row label (`BENCH_contention.json`'s `model` column).
-    pub label: &'static str,
-    /// The network.
-    pub cluster: Arc<Cluster>,
-    /// `placement[rank]` is the hosting node.
-    pub placement: Vec<NodeId>,
-}
-
-impl Testbed {
-    /// One rank per node, in node order.
-    fn flat(label: &'static str, cluster: Arc<Cluster>) -> Self {
-        let placement = cluster.node_ids().collect();
-        Testbed {
-            label,
-            cluster,
-            placement,
-        }
-    }
-}
+/// A network and where the ranks sit on it, under a row label
+/// (`BENCH_contention.json`'s `model` column).
+pub struct Testbed(pub &'static str, pub Topology);
 
 /// Runs one collective of `elems` f64 elements on its own universe under
 /// `request` and returns the algorithm the request resolved to, its
@@ -74,10 +53,8 @@ pub fn measure(
     request: CollectivePolicy,
     elems: usize,
 ) -> (CollectiveAlgo, f64, f64, PlanCacheReport) {
-    let config = UniverseConfig::new()
-        .placement(testbed.placement.clone())
-        .collective_policy(request);
-    let report = Universe::with_config(testbed.cluster.clone(), config).run(move |proc| {
+    let config = UniverseConfig::new().collective_policy(request);
+    let report = Universe::from_topology(testbed.1.clone(), config).run(move |proc| {
         let world = proc.world();
         // An allgather plan prices the total gathered payload, which is a
         // whole number of equal per-rank contributions.
@@ -169,7 +146,7 @@ impl Sweep {
         sizes: &[usize],
         requests: impl Fn(CollectiveKind, usize) -> Vec<CollectivePolicy>,
     ) {
-        let p = testbed.placement.len();
+        let p = testbed.1.ranks();
         for &kind in kinds {
             for &bytes in sizes {
                 for request in requests(kind, p) {
@@ -177,7 +154,7 @@ impl Sweep {
                         measure(testbed, kind, request, (bytes / 8).max(1));
                     self.plans += plans;
                     self.points.push(Point {
-                        testbed: testbed.label,
+                        testbed: testbed.0,
                         kind,
                         p,
                         bytes,
@@ -243,12 +220,12 @@ fn lan_sweep(sizes: &[usize]) -> Sweep {
         requests
     };
     let mut sweep = Sweep::default();
-    let nine = Testbed::flat("lan9", Arc::new(Cluster::paper_lan_em3d()));
+    let nine = Testbed("lan9", paper_lan_with(&PAPER_EM3D_SPEEDS, ParallelLinks));
     sweep.run(&nine, &HEADLINE_KINDS, sizes, auto_then_every_algo);
     // Power-of-two communicator: recursive doubling joins the pool.
-    let eight = Testbed::flat(
+    let eight = Testbed(
         "lan8",
-        Arc::new(Cluster::paper_lan(&PAPER_EM3D_SPEEDS[..8])),
+        paper_lan_with(&PAPER_EM3D_SPEEDS[..8], ParallelLinks),
     );
     sweep.run(&eight, &HEADLINE_KINDS, sizes, auto_then_every_algo);
     sweep
@@ -296,27 +273,18 @@ fn collectives_report(sweep: &Sweep) -> Report {
 /// block-placed two per node, so half of every collective's traffic
 /// crosses the intra-node memory bus instead of the wire.
 fn mem_bus_testbed() -> Testbed {
-    let mut b = ClusterBuilder::new();
+    let mut b = TopologyBuilder::new().mem_bus(Link::new(1e-6, 1e9, Protocol::SharedMemory));
     for (i, &s) in PAPER_EM3D_SPEEDS[..4].iter().enumerate() {
-        b = b.processor(Processor::new(format!("smp{i:02}"), s).with_slots(2));
+        b = b.node(format!("smp{i:02}"), s).ranks(2);
     }
-    let cluster = b
-        .all_to_all(Link::with_defaults(Protocol::Tcp))
-        .contention(ContentionModel::ParallelLinks)
-        .mem_bus(Link::new(1e-6, 1e9, Protocol::SharedMemory))
-        .build();
-    Testbed {
-        label: "mem",
-        cluster: Arc::new(cluster),
-        placement: (0..8).map(|r| NodeId(r / 2)).collect(),
-    }
+    Testbed("mem", b.build())
 }
 
 fn contended_sweep(sizes: &[usize]) -> Sweep {
     let mut sweep = Sweep::default();
     for testbed in [
-        Testbed::flat("nic", paper_lan_with(ContentionModel::SerializedNic)),
-        Testbed::flat("bus", paper_lan_with(ContentionModel::SharedBus)),
+        Testbed("nic", paper_lan_with(&PAPER_EM3D_SPEEDS, SerializedNic)),
+        Testbed("bus", paper_lan_with(&PAPER_EM3D_SPEEDS, SharedBus)),
         mem_bus_testbed(),
     ] {
         sweep.run(&testbed, &HEADLINE_KINDS, sizes, every_algo);
@@ -353,19 +321,14 @@ fn multi_site_testbed() -> Testbed {
     let mut b = TopologyBuilder::new()
         .intra_switch(lan)
         .inter_site(wan)
-        .contention(ContentionModel::SerializedNic);
+        .contention(SerializedNic);
     for site in 0..3 {
         b = b.site();
         for i in 0..5 {
             b = b.node(format!("s{site}w{i}"), 80.0 + 15.0 * i as f64);
         }
     }
-    let (cluster, placement) = b.build().into_parts();
-    Testbed {
-        label: "wan",
-        cluster: Arc::new(cluster),
-        placement,
-    }
+    Testbed("wan", b.build())
 }
 
 fn wan_sweep(sizes: &[usize]) -> Sweep {

@@ -178,19 +178,19 @@ mod tests {
     use crate::load::LoadModel;
     use crate::clock::SimTime;
     use crate::node::Processor;
-    use crate::topology::ClusterBuilder;
+    use crate::topology::TopologyBuilder;
 
     fn loaded_cluster() -> Arc<Cluster> {
-        Arc::new(
-            ClusterBuilder::new()
-                .node("steady", 100.0)
-                .processor(Processor::new("busy", 100.0).with_load(LoadModel::Step {
-                    start: SimTime::from_secs(10.0),
-                    end: SimTime::from_secs(20.0),
-                    fraction: 0.5,
-                }))
-                .build(),
-        )
+        let busy = Processor::new("busy", 100.0).with_load(LoadModel::Step {
+            start: SimTime::from_secs(10.0),
+            end: SimTime::from_secs(20.0),
+            fraction: 0.5,
+        });
+        let topology = TopologyBuilder::new()
+            .node("steady", 100.0)
+            .processor(busy)
+            .build();
+        Arc::new(topology.into_parts().0)
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!   and a [`Protocol`] (the paper's "ad hoc communication network" with
 //!   multiple protocols between different pairs of processors);
 //! * [`Cluster`] — the full network: processors plus a pairwise link matrix,
-//!   with builders and presets that encode the paper's testbed;
+//!   with presets that encode the paper's testbed;
+//! * [`TopologyBuilder`] — the one way to describe a testbed: sites,
+//!   switches, nodes and the ranks on each node, built into a [`Topology`]
+//!   (a [`Cluster`] plus its rank placement);
 //! * [`SimTime`] — virtual time, the unit in which every reproduced
 //!   experiment reports results;
 //! * [`SpeedEstimates`] — the *estimated* speeds an `HMPI_Recon`-style

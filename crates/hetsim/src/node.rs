@@ -46,14 +46,10 @@ pub struct Processor {
     pub base_speed: f64,
     /// External load stealing a time-varying fraction of the processor.
     pub load: LoadModel,
-    /// How many application processes this computer can usefully host
-    /// (the paper runs one process per processor; SMP nodes may host more).
-    pub slots: usize,
 }
 
 impl Processor {
-    /// A processor with the given name and base speed, no external load and
-    /// one process slot.
+    /// A processor with the given name and base speed and no external load.
     pub fn new(name: impl Into<String>, base_speed: f64) -> Self {
         assert!(
             base_speed > 0.0,
@@ -63,20 +59,12 @@ impl Processor {
             name: name.into(),
             base_speed,
             load: LoadModel::None,
-            slots: 1,
         }
     }
 
     /// Attaches an external-load model (builder style).
     pub fn with_load(mut self, load: LoadModel) -> Self {
         self.load = load;
-        self
-    }
-
-    /// Sets the number of process slots (builder style).
-    pub fn with_slots(mut self, slots: usize) -> Self {
-        assert!(slots >= 1, "a processor must have at least one slot");
-        self.slots = slots;
         self
     }
 
@@ -150,11 +138,5 @@ mod tests {
     #[should_panic]
     fn zero_speed_rejected() {
         let _ = Processor::new("bad", 0.0);
-    }
-
-    #[test]
-    fn builder_slots() {
-        let p = Processor::new("smp", 50.0).with_slots(4);
-        assert_eq!(p.slots, 4);
     }
 }

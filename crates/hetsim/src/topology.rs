@@ -84,7 +84,7 @@ impl TopologyInfo {
     /// # Panics
     /// Panics if the two vectors differ in length or a node's switch is
     /// shared across two sites (switches are strictly nested inside sites).
-    pub fn new(site_of: Vec<usize>, switch_of: Vec<usize>) -> Self {
+    pub(crate) fn new(site_of: Vec<usize>, switch_of: Vec<usize>) -> Self {
         assert_eq!(
             site_of.len(),
             switch_of.len(),
@@ -131,7 +131,6 @@ impl TopologyInfo {
         s.dedup();
         s.len()
     }
-
 }
 
 /// The model of a heterogeneous network of computers.
@@ -154,50 +153,6 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Builds a cluster from explicit parts. Prefer [`ClusterBuilder`].
-    ///
-    /// # Panics
-    /// Panics if the link matrix is not `n × n` for `n` nodes.
-    pub(crate) fn from_parts(
-        nodes: Vec<Processor>,
-        links: Vec<Vec<Link>>,
-        contention: ContentionModel,
-    ) -> Self {
-        let n = nodes.len();
-        assert!(n > 0, "a cluster needs at least one processor");
-        assert_eq!(links.len(), n, "link matrix must have one row per node");
-        for (i, row) in links.iter().enumerate() {
-            assert_eq!(
-                row.len(),
-                n,
-                "link matrix row {i} must have one entry per node"
-            );
-        }
-        Cluster {
-            nodes,
-            links,
-            contention,
-            faults: FaultPlan::none(),
-            mem_bus: None,
-            topology: None,
-        }
-    }
-
-    /// Attaches a declared switch/site structure (builder style). Prefer
-    /// [`TopologyBuilder`], which derives the declaration from construction.
-    ///
-    /// # Panics
-    /// Panics if the declaration does not cover exactly this cluster's nodes.
-    pub fn with_topology(mut self, info: TopologyInfo) -> Self {
-        assert_eq!(
-            info.site_of.len(),
-            self.nodes.len(),
-            "topology declaration must cover every node"
-        );
-        self.topology = Some(info);
-        self
-    }
-
     /// The declared switch/site structure, when one was attached.
     #[inline]
     pub fn topology(&self) -> Option<&TopologyInfo> {
@@ -220,13 +175,6 @@ impl Cluster {
     #[inline]
     pub fn mem_bus(&self) -> Option<&Link> {
         self.mem_bus.as_ref()
-    }
-
-    /// Attaches a fault-injection plan (builder style). Replaces any
-    /// previously attached plan.
-    pub(crate) fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
     }
 
     /// The fault plan in force (empty for a fault-free cluster).
@@ -412,13 +360,11 @@ impl Cluster {
     /// `[46, 46, 46, 46, 46, 46, 106, 9]`-family (use
     /// [`Cluster::paper_lan_matmul`]).
     pub fn paper_lan(speeds: &[f64]) -> Self {
-        let mut b = ClusterBuilder::new();
+        let mut b = TopologyBuilder::new().intra_switch(Link::with_defaults(Protocol::Tcp));
         for (i, &s) in speeds.iter().enumerate() {
             b = b.node(format!("ws{i:02}"), s);
         }
-        b.all_to_all(Link::with_defaults(Protocol::Tcp))
-            .contention(ContentionModel::ParallelLinks)
-            .build()
+        b.build().into_parts().0
     }
 
     /// The EM3D testbed of Section 5 (speeds 46×6, 176, 106, 9).
@@ -431,14 +377,10 @@ impl Cluster {
     /// [`Cluster::paper_lan`] with a [`FaultPlan`] attached — the testbed of
     /// the fault-tolerance experiments.
     pub fn paper_lan_with_faults(speeds: &[f64], faults: FaultPlan) -> Self {
-        let mut b = ClusterBuilder::new();
-        for (i, &s) in speeds.iter().enumerate() {
-            b = b.node(format!("ws{i:02}"), s);
+        Cluster {
+            faults,
+            ..Cluster::paper_lan(speeds)
         }
-        b.all_to_all(Link::with_defaults(Protocol::Tcp))
-            .contention(ContentionModel::ParallelLinks)
-            .faults(faults)
-            .build()
     }
 
     /// Draws an arbitrary heterogeneous cluster: `1..=max_nodes` processors
@@ -456,7 +398,7 @@ impl Cluster {
         assert!(max_nodes > 0, "need room for at least one node");
         let mut rng = StdRng::seed_from_u64(seed);
         let n = rng.random_range(1..max_nodes + 1);
-        let mut b = ClusterBuilder::new();
+        let mut b = TopologyBuilder::new();
         for i in 0..n {
             // Speeds in [5, 500): the paper's testbed spans 9..176, the
             // fuzzer goes a little wider.
@@ -468,7 +410,7 @@ impl Cluster {
             let bw = 1e6 * 10f64.powf(rng.random_range(0.0..3.0));
             Link::new(lat, bw, Protocol::Tcp)
         };
-        b = b.all_to_all(rnd_link(&mut rng));
+        b = b.intra_switch(rnd_link(&mut rng));
         if n >= 2 {
             for _ in 0..rng.random_range(0..n) {
                 let a = rng.random_range(0..n);
@@ -485,7 +427,7 @@ impl Cluster {
             1 => ContentionModel::SerializedNic,
             _ => ContentionModel::SharedBus,
         };
-        b.contention(contention).build()
+        b.contention(contention).build().into_parts().0
     }
 
     /// The matrix-multiplication testbed of Section 5. The paper lists the
@@ -498,16 +440,12 @@ impl Cluster {
     }
 }
 
-/// Incremental construction of a [`Cluster`].
+/// The flat, one-level case of [`TopologyBuilder`], kept only for
+/// callers that still name it: each method forwards to the builder
+/// (`all_to_all` is [`TopologyBuilder::intra_switch`]) and
+/// [`ClusterBuilder::build`] keeps the cluster of the built [`Topology`].
 #[derive(Clone, Debug, Default)]
-pub struct ClusterBuilder {
-    nodes: Vec<Processor>,
-    default_link: Option<Link>,
-    overrides: Vec<(usize, usize, Link)>,
-    contention: ContentionModel,
-    faults: FaultPlan,
-    mem_bus: Option<Link>,
-}
+pub struct ClusterBuilder(TopologyBuilder);
 
 impl ClusterBuilder {
     /// An empty builder.
@@ -515,73 +453,24 @@ impl ClusterBuilder {
         ClusterBuilder::default()
     }
 
-    /// Adds a processor with the given name and base speed.
-    pub fn node(mut self, name: impl Into<String>, base_speed: f64) -> Self {
-        self.nodes.push(Processor::new(name, base_speed));
-        self
+    /// [`TopologyBuilder::node`].
+    pub fn node(self, name: impl Into<String>, base_speed: f64) -> Self {
+        ClusterBuilder(self.0.node(name, base_speed))
     }
 
-    /// Adds an already-configured processor (e.g. with a load model).
-    pub fn processor(mut self, p: Processor) -> Self {
-        self.nodes.push(p);
-        self
+    /// [`TopologyBuilder::intra_switch`]: `link` between every distinct pair.
+    pub fn all_to_all(self, link: Link) -> Self {
+        ClusterBuilder(self.0.intra_switch(link))
     }
 
-    /// Uses `link` between every distinct pair of processors.
-    pub fn all_to_all(mut self, link: Link) -> Self {
-        self.default_link = Some(link);
-        self
+    /// [`TopologyBuilder::faults`].
+    pub fn faults(self, plan: FaultPlan) -> Self {
+        ClusterBuilder(self.0.faults(plan))
     }
 
-    /// Overrides the link between a specific pair, in both directions.
-    pub fn link_between(mut self, a: usize, b: usize, link: Link) -> Self {
-        self.overrides.push((a, b, link));
-        self
-    }
-
-    /// Sets the contention model.
-    pub fn contention(mut self, c: ContentionModel) -> Self {
-        self.contention = c;
-        self
-    }
-
-    /// Attaches a fault-injection plan.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
-    /// Models an intra-node memory bus: transfers between distinct ranks on
-    /// the same node travel `link` and serialise per node.
-    pub fn mem_bus(mut self, link: Link) -> Self {
-        self.mem_bus = Some(link);
-        self
-    }
-
-    /// Finishes construction.
-    ///
-    /// # Panics
-    /// Panics if no processors were added, if an override references an
-    /// unknown node, or if no default link was given and some pair is left
-    /// without a link.
+    /// [`TopologyBuilder::build`], keeping the cluster.
     pub fn build(self) -> Cluster {
-        let n = self.nodes.len();
-        assert!(n > 0, "a cluster needs at least one processor");
-        let default = self
-            .default_link
-            .unwrap_or_else(|| Link::with_defaults(Protocol::Tcp));
-        let mut links = vec![vec![default; n]; n];
-        for (i, row) in links.iter_mut().enumerate() {
-            row[i] = Link::loopback();
-        }
-        for (a, b, link) in self.overrides {
-            assert!(a < n && b < n, "link override ({a},{b}) out of range 0..{n}");
-            links[a][b] = link.clone();
-            links[b][a] = link;
-        }
-        let mut c = Cluster::from_parts(self.nodes, links, self.contention).with_faults(self.faults);
-        c.mem_bus = self.mem_bus;
-        c
+        self.0.build().into_parts().0
     }
 }
 
@@ -620,13 +509,10 @@ impl Topology {
     }
 }
 
-/// Single-entry construction of a hierarchical testbed: sites contain
-/// switches contain nodes contain ranks, with per-level default link
-/// classes. This subsumes the flat [`ClusterBuilder`] +
-/// [`Processor::with_slots`] + explicit-placement idiom: a one-site,
-/// one-switch topology with one rank per node builds a [`Cluster`]
-/// structurally identical to the equivalent `ClusterBuilder` output (no
-/// declaration attached, same links, same placement) — flat stays flat.
+/// The one way to describe a testbed: sites contain switches contain
+/// nodes contain ranks, with per-level default link classes. A build with
+/// no `site()` / `switch()` call is flat (no declaration attached), and
+/// [`TopologyBuilder::ranks`] co-locates ranks on a node.
 ///
 /// ```
 /// use hetsim::{Link, Protocol, TopologyBuilder};
@@ -699,9 +585,8 @@ impl TopologyBuilder {
         self
     }
 
-    /// Sets how many ranks the most recently added node hosts (its slot
-    /// count is raised to match) — the SMP / co-located-ranks idiom that
-    /// used to need `Processor::with_slots` plus an explicit placement.
+    /// Sets how many ranks the most recently added node hosts (an SMP
+    /// node, or ranks sharing a memory bus).
     ///
     /// # Panics
     /// Panics if no node has been added yet or `ranks == 0`.
@@ -712,10 +597,6 @@ impl TopologyBuilder {
             .last_mut()
             .expect("ranks() applies to the most recent node(); add one first");
         *last = ranks;
-        let p = self.nodes.last_mut().expect("nodes and ranks move together");
-        if p.slots < ranks {
-            p.slots = ranks;
-        }
         self
     }
 
@@ -746,7 +627,14 @@ impl TopologyBuilder {
 
     /// Overrides the link between a specific node pair, in both
     /// directions, on top of the level defaults.
+    ///
+    /// # Panics
+    /// Panics if `a == b`: a node's loopback is not a link.
     pub fn link_between(mut self, a: usize, b: usize, link: Link) -> Self {
+        assert_ne!(
+            a, b,
+            "link_between({a}, {b}): a node's loopback cannot be overridden"
+        );
         self.overrides.push((a, b, link));
         self
     }
@@ -805,15 +693,17 @@ impl TopologyBuilder {
             .enumerate()
             .flat_map(|(i, &r)| std::iter::repeat_n(NodeId(i), r))
             .collect();
-        let mut cluster =
-            Cluster::from_parts(self.nodes, links, self.contention).with_faults(self.faults);
-        cluster.mem_bus = self.mem_bus;
-        // A flat build must stay structurally identical to the equivalent
-        // ClusterBuilder output, so the declaration is attached only when
-        // it actually says something.
-        if self.sites > 1 || self.switches > 1 {
-            cluster.topology = Some(TopologyInfo::new(self.node_site, self.node_switch));
-        }
+        // A flat build attaches no declaration: one site and one switch say
+        // nothing the flat cluster does not.
+        let declared = self.sites > 1 || self.switches > 1;
+        let cluster = Cluster {
+            nodes: self.nodes,
+            links,
+            contention: self.contention,
+            faults: self.faults,
+            mem_bus: self.mem_bus,
+            topology: declared.then(|| TopologyInfo::new(self.node_site, self.node_switch)),
+        };
         Topology { cluster, placement }
     }
 }
@@ -856,13 +746,13 @@ mod tests {
     #[test]
     fn builder_overrides_are_symmetric_by_default() {
         let fast = Link::new(1e-6, 1e9, Protocol::Custom("myrinet".into()));
-        let c = ClusterBuilder::new()
+        let topo = TopologyBuilder::new()
             .node("a", 10.0)
             .node("b", 20.0)
             .node("c", 30.0)
-            .all_to_all(Link::with_defaults(Protocol::Tcp))
             .link_between(0, 1, fast.clone())
             .build();
+        let c = topo.cluster();
         assert_eq!(c.link(NodeId(0), NodeId(1)), &fast);
         assert_eq!(c.link(NodeId(1), NodeId(0)), &fast);
         assert_eq!(c.link(NodeId(0), NodeId(2)).protocol, Protocol::Tcp);
@@ -871,16 +761,25 @@ mod tests {
     #[test]
     #[should_panic]
     fn builder_rejects_empty_cluster() {
-        let _ = ClusterBuilder::new().build();
+        let _ = TopologyBuilder::new().build();
     }
 
     #[test]
     #[should_panic]
     fn builder_rejects_out_of_range_override() {
-        let _ = ClusterBuilder::new()
+        let _ = TopologyBuilder::new()
             .node("a", 1.0)
             .link_between(0, 5, Link::default())
             .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "loopback cannot be overridden")]
+    fn builder_rejects_a_self_link_override() {
+        let _ = TopologyBuilder::new()
+            .node("a", 1.0)
+            .node("b", 1.0)
+            .link_between(1, 1, Link::default());
     }
 
     #[test]
@@ -922,12 +821,12 @@ mod tests {
     #[test]
     fn mem_bus_prices_same_node_rank_pairs() {
         let mem = Link::new(1e-7, 1e10, Protocol::Custom("membus".into()));
-        let c = ClusterBuilder::new()
+        let topo = TopologyBuilder::new()
             .node("a", 10.0)
             .node("b", 20.0)
-            .all_to_all(Link::with_defaults(Protocol::Tcp))
             .mem_bus(mem.clone())
             .build();
+        let c = topo.cluster();
         // Two ranks on node 0, one on node 1.
         assert_eq!(c.rank_link(NodeId(0), NodeId(0)), &mem);
         assert_eq!(c.rank_link(NodeId(0), NodeId(1)).protocol, Protocol::Tcp);
@@ -962,41 +861,6 @@ mod tests {
         // Node 8 has speed 9: 18 units take 2 virtual seconds.
         let t = c.compute_time(NodeId(8), 18.0, SimTime::ZERO);
         assert!((t.as_secs() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn flat_topology_build_matches_cluster_builder_exactly() {
-        let fast = Link::new(1e-6, 1e9, Protocol::Custom("myrinet".into()));
-        let mem = Link::new(1e-7, 1e10, Protocol::SharedMemory);
-        let flat = ClusterBuilder::new()
-            .node("a", 10.0)
-            .node("b", 20.0)
-            .node("c", 30.0)
-            .all_to_all(Link::with_defaults(Protocol::Tcp))
-            .link_between(0, 2, fast.clone())
-            .contention(ContentionModel::SerializedNic)
-            .mem_bus(mem.clone())
-            .build();
-        let topo = TopologyBuilder::new()
-            .node("a", 10.0)
-            .node("b", 20.0)
-            .node("c", 30.0)
-            .intra_switch(Link::with_defaults(Protocol::Tcp))
-            .link_between(0, 2, fast)
-            .contention(ContentionModel::SerializedNic)
-            .mem_bus(mem)
-            .build();
-        let c = topo.cluster();
-        assert!(c.topology().is_none(), "flat build must not declare structure");
-        assert_eq!(topo.placement(), &[NodeId(0), NodeId(1), NodeId(2)]);
-        assert_eq!(c.nodes(), flat.nodes());
-        assert_eq!(c.contention(), flat.contention());
-        assert_eq!(c.mem_bus(), flat.mem_bus());
-        for i in c.node_ids() {
-            for j in c.node_ids() {
-                assert_eq!(c.link(i, j), flat.link(i, j), "link {i:?}->{j:?}");
-            }
-        }
     }
 
     #[test]
@@ -1038,8 +902,6 @@ mod tests {
             topo.placement(),
             &[NodeId(0), NodeId(0), NodeId(0), NodeId(1)]
         );
-        assert_eq!(topo.cluster().node(NodeId(0)).slots, 3);
-        assert_eq!(topo.cluster().node(NodeId(1)).slots, 1);
     }
 
     #[test]

@@ -187,7 +187,7 @@ impl Evaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetsim::{Cluster, ClusterBuilder, Link, Protocol, SpeedEstimates};
+    use hetsim::{Cluster, Link, Protocol, SpeedEstimates, TopologyBuilder};
 
     fn model(src: &str) -> perfmodel::ModelInstance {
         perfmodel::CompiledModel::compile(src)
@@ -197,12 +197,14 @@ mod tests {
     }
 
     fn cluster() -> Cluster {
-        ClusterBuilder::new()
+        TopologyBuilder::new()
             .node("fast", 100.0)
             .node("slow", 10.0)
             .node("mid", 50.0)
-            .all_to_all(Link::new(1e-3, 1e6, Protocol::Tcp))
+            .intra_switch(Link::new(1e-3, 1e6, Protocol::Tcp))
             .build()
+            .into_parts()
+            .0
     }
 
     /// Prices `assignment` with a fresh evaluator over every world rank.
@@ -246,10 +248,11 @@ mod tests {
     #[test]
     fn same_node_pairs_price_as_loopback() {
         // Two ranks on one node: a gigabyte between them costs nothing.
-        let c = ClusterBuilder::new()
-            .processor(hetsim::Processor::new("smp", 50.0).with_slots(2))
-            .build();
-        let placement = vec![NodeId(0), NodeId(0)];
+        let (c, placement) = TopologyBuilder::new()
+            .node("smp", 50.0)
+            .ranks(2)
+            .build()
+            .into_parts();
         let est = SpeedEstimates::from_base_speeds(&c);
         let model = model(
             "algorithm T() { coord I=2; node {I>=0: bench*(50);};

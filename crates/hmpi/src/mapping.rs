@@ -554,7 +554,7 @@ fn anneal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetsim::{ClusterBuilder, Link, Protocol};
+    use hetsim::{Link, Protocol, TopologyBuilder};
     use perfmodel::{CompiledModel, ModelInstance, ParamValue};
 
     /// The bare greedy pairing: no local-search round.
@@ -595,14 +595,16 @@ mod tests {
     }
 
     fn hetero_cluster() -> Cluster {
-        ClusterBuilder::new()
+        TopologyBuilder::new()
             .node("a", 46.0)
             .node("b", 46.0)
             .node("c", 176.0)
             .node("d", 106.0)
             .node("e", 9.0)
-            .all_to_all(Link::new(150e-6, 11e6, Protocol::Tcp))
+            .intra_switch(Link::new(150e-6, 11e6, Protocol::Tcp))
             .build()
+            .into_parts()
+            .0
     }
 
     #[test]
@@ -636,12 +638,12 @@ mod tests {
             125.27652761611463,
             201.5308272201636,
         ];
-        let mut b = ClusterBuilder::new().contention(hetsim::ContentionModel::SerializedNic);
+        let mut b = TopologyBuilder::new().contention(hetsim::ContentionModel::SerializedNic);
         for (i, s) in speeds.iter().enumerate() {
             b = b.node(format!("n{i}"), *s);
         }
         let link = Link::new(0.00006586649752459147, 11538322.81903161, Protocol::Tcp);
-        let c = b.all_to_all(link).build();
+        let c = b.intra_switch(link).build().into_parts().0;
         let placement: Vec<NodeId> = c.node_ids().collect();
         let mut rng = StdRng::seed_from_u64(0x99b11669cdcf97b5);
         let est =
@@ -702,11 +704,15 @@ mod tests {
     /// refined search keeps the greedy pairing as it is.
     #[test]
     fn local_search_keeps_its_incumbent_on_a_tie() {
-        let mut b = ClusterBuilder::new();
+        let mut b = TopologyBuilder::new();
         for i in 0..5 {
             b = b.node(format!("n{i}"), 100.0);
         }
-        let c = b.all_to_all(Link::new(150e-6, 11e6, Protocol::Tcp)).build();
+        let c = b
+            .intra_switch(Link::new(150e-6, 11e6, Protocol::Tcp))
+            .build()
+            .into_parts()
+            .0;
         let placement: Vec<NodeId> = c.node_ids().collect();
         let est = SpeedEstimates::from_base_speeds(&c);
         let mut ctx = paper_like_ctx(&c, &placement, &est);
@@ -865,11 +871,13 @@ mod tests {
                 Err(perfmodel::EvalError::BadProcessor("boom".into()))
             }
         }
-        let cluster = ClusterBuilder::new()
+        let cluster = TopologyBuilder::new()
             .node("a", 10.0)
             .node("b", 20.0)
-            .all_to_all(Link::new(1e-3, 1e6, Protocol::Tcp))
-            .build();
+            .intra_switch(Link::new(1e-3, 1e6, Protocol::Tcp))
+            .build()
+            .into_parts()
+            .0;
         let placement: Vec<NodeId> = cluster.node_ids().collect();
         let est = SpeedEstimates::from_base_speeds(&cluster);
         let ctx = paper_like_ctx(&cluster, &placement, &est);
@@ -997,11 +1005,13 @@ mod tests {
         // A later leaf half a percent better than the incumbent, priced by
         // computation alone so the bound equals the leaf: a bound inflated
         // by as little as that cuts the optimum.
-        let near = ClusterBuilder::new()
+        let near = TopologyBuilder::new()
             .node("slower", 100.0)
             .node("faster", 100.5)
-            .all_to_all(Link::new(150e-6, 11e6, Protocol::Tcp))
-            .build();
+            .intra_switch(Link::new(150e-6, 11e6, Protocol::Tcp))
+            .build()
+            .into_parts()
+            .0;
         let placement: Vec<NodeId> = near.node_ids().collect();
         let est = SpeedEstimates::from_base_speeds(&near);
         let mut ctx = paper_like_ctx(&near, &placement, &est);

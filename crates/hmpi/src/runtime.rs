@@ -149,8 +149,8 @@ enum Formation {
 
 /// Typed configuration for an [`HmpiRuntime`]: the wrapped
 /// [`UniverseConfig`] plus the group-selection algorithm, in one value that
-/// is handed to [`HmpiRuntime::with_config`] or
-/// [`HmpiRuntime::from_topology`].
+/// is handed to [`HmpiRuntime::with_config`] (one rank per node) or
+/// [`HmpiRuntime::from_topology`] (the topology's placement).
 ///
 /// ```
 /// use hmpi::{HmpiRuntime, MappingAlgorithm, RuntimeConfig};
@@ -172,16 +172,10 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// All defaults: one rank per node, automatic collective selection,
-    /// the default group-selection algorithm, no tracing.
+    /// All defaults: automatic collective selection, the default
+    /// group-selection algorithm, no tracing.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Explicit rank placement (see [`UniverseConfig::placement`]).
-    pub fn placement(mut self, placement: Vec<NodeId>) -> Self {
-        self.universe = self.universe.placement(placement);
-        self
     }
 
     /// Collective-algorithm policy of the underlying universe (see
@@ -223,19 +217,15 @@ struct HmpiShared {
 /// `HMPI_Recon`-refreshable speed estimates.
 ///
 /// ```
-/// use hetsim::{ClusterBuilder, Link, Protocol};
-/// use hmpi::HmpiRuntime;
+/// use hetsim::TopologyBuilder;
+/// use hmpi::{HmpiRuntime, RuntimeConfig};
 /// use perfmodel::CompiledModel;
-/// use std::sync::Arc;
 ///
-/// let cluster = Arc::new(
-///     ClusterBuilder::new()
-///         .node("host", 50.0)
-///         .node("fast", 200.0)
-///         .node("slow", 10.0)
-///         .all_to_all(Link::with_defaults(Protocol::Tcp))
-///         .build(),
-/// );
+/// let topology = TopologyBuilder::new()
+///     .node("host", 50.0)
+///     .node("fast", 200.0)
+///     .node("slow", 10.0)
+///     .build();
 /// let model = CompiledModel::compile(
 ///     "algorithm TwoTasks() {
 ///        coord I=2; node {I==0: bench*(10); I==1: bench*(400);}; parent[0]; }",
@@ -243,7 +233,7 @@ struct HmpiShared {
 /// .unwrap()
 /// .instantiate(&[])
 /// .unwrap();
-/// let runtime = HmpiRuntime::new(cluster);
+/// let runtime = HmpiRuntime::from_topology(topology, RuntimeConfig::new());
 /// let report = runtime.run(|h| {
 ///     h.recon(10.0).unwrap();
 ///     let group = h.group_create(&model).unwrap();
@@ -282,9 +272,8 @@ impl HmpiRuntime {
         }
     }
 
-    /// A runtime over a [`hetsim::Topology`] (cluster plus rank placement,
-    /// as produced by [`hetsim::TopologyBuilder::build`]). An explicit
-    /// [`RuntimeConfig::placement`] overrides the topology's own.
+    /// A runtime over a [`hetsim::Topology`]: its cluster and rank
+    /// placement, as produced by [`hetsim::TopologyBuilder::build`].
     pub fn from_topology(topology: Topology, config: RuntimeConfig) -> Self {
         let universe = Universe::from_topology(topology, config.universe);
         let estimates = SpeedEstimates::from_base_speeds(universe.cluster());

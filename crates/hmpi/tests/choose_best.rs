@@ -1,18 +1,20 @@
 //! `Hmpi::timeof_sweep` — runtime algorithm selection via `HMPI_Timeof`.
 
-use hetsim::{ClusterBuilder, Link, Protocol};
+use hetsim::{Link, Protocol, TopologyBuilder};
 use hmpi::HmpiRuntime;
 use perfmodel::{CompiledModel, ModelInstance, ParamValue, PerformanceModel};
 use std::sync::Arc;
 
 fn cluster(speeds: &[f64], latency: f64, bandwidth: f64) -> Arc<hetsim::Cluster> {
-    let mut b = ClusterBuilder::new();
+    let mut b = TopologyBuilder::new();
     for (i, &s) in speeds.iter().enumerate() {
         b = b.node(format!("h{i}"), s);
     }
     Arc::new(
-        b.all_to_all(Link::new(latency, bandwidth, Protocol::Tcp))
-            .build(),
+        b.intra_switch(Link::new(latency, bandwidth, Protocol::Tcp))
+            .build()
+            .into_parts()
+            .0,
     )
 }
 

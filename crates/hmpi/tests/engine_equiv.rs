@@ -9,7 +9,7 @@
 //! exact mapping of a brute-force enumeration over it, a converged local
 //! search sits in a local optimum of it.
 
-use hetsim::{Cluster, ClusterBuilder, Link, NodeId, Protocol, SpeedEstimates};
+use hetsim::{Cluster, Link, NodeId, Protocol, SpeedEstimates, TopologyBuilder};
 use hmpi::{select_mapping, Evaluator, MappingAlgorithm, SelectionCtx};
 use perfmodel::{CostModel, EvalError, PairCost, PerformanceModel, SchemeSink};
 use proptest::prelude::*;
@@ -31,11 +31,11 @@ struct Instance {
 
 fn gen_instance(rng: &mut StdRng) -> Instance {
     let n_nodes = rng.random_range(1..5);
-    let mut b = ClusterBuilder::new();
+    let mut b = TopologyBuilder::new();
     for i in 0..n_nodes {
         b = b.node(format!("n{i}"), rng.random_range(1.0..200.0));
     }
-    b = b.all_to_all(Link::new(
+    b = b.intra_switch(Link::new(
         rng.random_range(0.0..1e-3),
         rng.random_range(1e5..1e8),
         Protocol::Tcp,
@@ -48,7 +48,7 @@ fn gen_instance(rng: &mut StdRng) -> Instance {
             Protocol::SharedMemory,
         ));
     }
-    let cluster = b.build();
+    let cluster = b.build().into_parts().0;
     // Several world ranks per node => same-node pairs (loopback, or the
     // memory bus when there is one).
     let ranks_per_node = rng.random_range(1..4);
@@ -338,12 +338,14 @@ fn parsed_model_exhaustive_bb_matches_sequential() {
         ])
         .unwrap();
 
-    let cluster = ClusterBuilder::new()
+    let cluster = TopologyBuilder::new()
         .node("a", 46.0)
         .node("b", 176.0)
         .node("c", 106.0)
-        .all_to_all(Link::new(150e-6, 11e6, Protocol::Tcp))
-        .build();
+        .intra_switch(Link::new(150e-6, 11e6, Protocol::Tcp))
+        .build()
+        .into_parts()
+        .0;
     // Two ranks per node: exercises loopback pairs inside the search.
     let placement: Vec<NodeId> = (0..6).map(|r| NodeId(r % 3)).collect();
     let estimates = SpeedEstimates::from_base_speeds(&cluster);

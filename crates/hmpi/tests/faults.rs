@@ -2,7 +2,7 @@
 //! selection that routes around dead nodes, and `rebuild_group` shrink
 //! recovery.
 
-use hetsim::{ClusterBuilder, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime};
+use hetsim::{FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime, TopologyBuilder};
 use hmpi::{HmpiError, HmpiRuntime, SelectError};
 use mpisim::ReduceOp;
 use perfmodel::{CompiledModel, ModelInstance, ParamValue};
@@ -14,14 +14,16 @@ fn t(s: f64) -> SimTime {
 }
 
 fn cluster(speeds: &[f64], faults: FaultPlan) -> Arc<hetsim::Cluster> {
-    let mut b = ClusterBuilder::new();
+    let mut b = TopologyBuilder::new();
     for (i, &s) in speeds.iter().enumerate() {
         b = b.node(format!("h{i}"), s);
     }
     Arc::new(
-        b.all_to_all(Link::new(1e-3, 1e6, Protocol::Tcp))
+        b.intra_switch(Link::new(1e-3, 1e6, Protocol::Tcp))
             .faults(faults)
-            .build(),
+            .build()
+            .into_parts()
+            .0,
     )
 }
 

@@ -2,18 +2,23 @@
 //! paper's general rule that "every newly created group has exactly one
 //! process shared with already existing groups".
 
-use hetsim::{ClusterBuilder, Link, Protocol};
+use hetsim::{Link, Protocol, TopologyBuilder};
 use hmpi::{GroupSpec, HmpiError, HmpiRuntime};
 use perfmodel::{CompiledModel, ModelInstance, ParamValue};
 use std::sync::Arc;
 
 fn cluster(n: usize) -> Arc<hetsim::Cluster> {
-    let mut b = ClusterBuilder::new();
+    let mut b = TopologyBuilder::new();
     let speeds = [50.0, 100.0, 80.0, 60.0, 40.0, 20.0];
     for i in 0..n {
         b = b.node(format!("h{i}"), speeds[i % speeds.len()]);
     }
-    Arc::new(b.all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp)).build())
+    Arc::new(
+        b.intra_switch(Link::new(1e-4, 1e7, Protocol::Tcp))
+            .build()
+            .into_parts()
+            .0,
+    )
 }
 
 /// `volumes.len()` tasks of the given volumes, no communication.

@@ -1,6 +1,6 @@
 //! End-to-end HMPI runtime behaviour across real rank threads.
 
-use hetsim::{Cluster, ClusterBuilder, Link, LoadModel, Processor, Protocol, SimTime};
+use hetsim::{Cluster, Link, LoadModel, Processor, Protocol, SimTime, TopologyBuilder};
 use hmpi::{GroupSpec, HmpiError, HmpiRuntime, MappingAlgorithm, Recon, RuntimeConfig};
 use mpisim::{CollectiveAlgo, CollectiveKind, MpiError};
 use perfmodel::{CompiledModel, ModelInstance, ParamValue};
@@ -12,13 +12,15 @@ fn paper_lan() -> Arc<Cluster> {
 
 fn small_cluster() -> Arc<Cluster> {
     Arc::new(
-        ClusterBuilder::new()
+        TopologyBuilder::new()
             .node("host", 46.0)
             .node("fast", 176.0)
             .node("mid", 106.0)
             .node("slow", 9.0)
-            .all_to_all(Link::new(150e-6, 11e6, Protocol::Tcp))
-            .build(),
+            .intra_switch(Link::new(150e-6, 11e6, Protocol::Tcp))
+            .build()
+            .into_parts()
+            .0,
     )
 }
 
@@ -181,15 +183,17 @@ fn group_create_from_busy_rank_is_rejected() {
 fn recon_tracks_dynamic_load() {
     // Node 1 loses half its speed from t=10 on; recon before and after.
     let cluster = Arc::new(
-        ClusterBuilder::new()
+        TopologyBuilder::new()
             .node("host", 100.0)
             .processor(Processor::new("busy", 100.0).with_load(LoadModel::Step {
                 start: SimTime::from_secs(10.0),
                 end: SimTime::from_secs(1e9),
                 fraction: 0.5,
             }))
-            .all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp))
-            .build(),
+            .intra_switch(Link::new(1e-4, 1e7, Protocol::Tcp))
+            .build()
+            .into_parts()
+            .0,
     );
     let rt = HmpiRuntime::new(cluster);
     let estimates = rt.estimates().clone();
@@ -280,14 +284,16 @@ fn selection_respects_recon_updates() {
     // Before recon the runtime believes base speeds; a load change flips the
     // best node, and group_create follows only after recon.
     let cluster = Arc::new(
-        ClusterBuilder::new()
+        TopologyBuilder::new()
             .node("host", 50.0)
             .node("a", 100.0)
             .processor(Processor::new("b", 200.0).with_load(LoadModel::Constant {
                 fraction: 0.9, // truly delivers 20
             }))
-            .all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp))
-            .build(),
+            .intra_switch(Link::new(1e-4, 1e7, Protocol::Tcp))
+            .build()
+            .into_parts()
+            .0,
     );
     let rt = HmpiRuntime::new(cluster);
     let report = rt.run(|h| {
@@ -346,19 +352,15 @@ fn smp_nodes_host_multiple_ranks() {
     // Two ranks share one SMP node; recon must give both the same speed and
     // the selection must be able to use both slots (loopback link between
     // them is free).
-    use hetsim::NodeId;
-    let cluster = Arc::new(
-        ClusterBuilder::new()
-            .processor(Processor::new("smp", 120.0).with_slots(2))
-            .node("ws", 40.0)
-            .all_to_all(Link::new(150e-6, 11e6, Protocol::Tcp))
-            .build(),
-    );
-    let rt = HmpiRuntime::with_config(
-        cluster,
-        RuntimeConfig::new()
-            .placement(vec![NodeId(0), NodeId(0), NodeId(1)])
-            .mapping_algorithm(MappingAlgorithm::Exhaustive),
+    let topology = TopologyBuilder::new()
+        .node("smp", 120.0)
+        .ranks(2)
+        .node("ws", 40.0)
+        .intra_switch(Link::new(150e-6, 11e6, Protocol::Tcp))
+        .build();
+    let rt = HmpiRuntime::from_topology(
+        topology,
+        RuntimeConfig::new().mapping_algorithm(MappingAlgorithm::Exhaustive),
     );
     let report = rt.run(|h| {
         h.recon(12.0).unwrap();
@@ -391,7 +393,7 @@ fn timeof_prices_colocated_ranks_over_the_memory_bus() {
     // between them rides the bus, and `timeof` must charge what the
     // transport does (it used to price a same-node pair as free loopback).
     let bus = Link::new(1e-3, 1e6, Protocol::SharedMemory);
-    let topology = hetsim::TopologyBuilder::new()
+    let topology = TopologyBuilder::new()
         .node("smp", 100.0)
         .ranks(2)
         .mem_bus(bus)

@@ -2,7 +2,7 @@
 //! model source → compiled model → HMPI runtime → message-passing execution
 //! on the simulated heterogeneous LAN.
 
-use hetsim::{Cluster, ClusterBuilder, Link, Protocol};
+use hetsim::{Cluster, Link, Protocol, TopologyBuilder};
 use hmpi::{HmpiRuntime, RuntimeConfig};
 use hmpi_apps::em3d::{self, Em3dConfig, Em3dSystem};
 use hmpi_apps::matmul::{self, GeneralizedBlockDist};
@@ -167,13 +167,15 @@ fn multi_protocol_links_shift_the_selection() {
     // well-connected pair.
     let fast_link = Link::new(2e-6, 1e9, Protocol::Custom("myrinet".into()));
     let cluster = Arc::new(
-        ClusterBuilder::new()
+        TopologyBuilder::new()
             .node("host", 50.0)
             .node("a", 50.0)
             .node("b", 50.0)
-            .all_to_all(Link::new(10e-3, 1e6, Protocol::Tcp))
+            .intra_switch(Link::new(10e-3, 1e6, Protocol::Tcp))
             .link_between(0, 2, fast_link)
-            .build(),
+            .build()
+            .into_parts()
+            .0,
     );
     let runtime = HmpiRuntime::with_config(
         cluster,

@@ -1,6 +1,6 @@
 //! Property-based tests over the core data structures and invariants.
 
-use hetsim::{Cluster, ClusterBuilder, Link, NodeId, Protocol, SpeedEstimates};
+use hetsim::{Cluster, Link, NodeId, Protocol, SpeedEstimates, TopologyBuilder};
 use hmpi::{select_mapping, MappingAlgorithm, SelectionCtx};
 use hmpi_apps::matmul::dist::{proportional_partition, GeneralizedBlockDist};
 use mpisim::{datatype, Group};
@@ -182,11 +182,14 @@ const VOLUMES: &str =
     "algorithm V(int p, int v[p]) { coord I=p; node {I>=0: bench*(v[I]);}; parent[0]; }";
 
 fn hetero_cluster(speeds: &[f64]) -> Cluster {
-    let mut b = ClusterBuilder::new();
+    let mut b = TopologyBuilder::new();
     for (i, &s) in speeds.iter().enumerate() {
         b = b.node(format!("n{i}"), s);
     }
-    b.all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp)).build()
+    b.intra_switch(Link::new(1e-4, 1e7, Protocol::Tcp))
+        .build()
+        .into_parts()
+        .0
 }
 
 proptest! {

@@ -2,22 +2,22 @@
 //! arena-backed payload lifecycle, doorbell wakeups, and large worlds on
 //! small thread stacks.
 
-use hetsim::{Cluster, ClusterBuilder, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime};
+use hetsim::{Cluster, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime, TopologyBuilder};
 use mpisim::{CollectiveAlgo, MpiError, Universe, UniverseConfig, EAGER_LIMIT};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn uniform_builder(n: usize) -> ClusterBuilder {
-    let mut b = ClusterBuilder::new();
+fn uniform_builder(n: usize) -> TopologyBuilder {
+    let mut b = TopologyBuilder::new();
     for i in 0..n {
         b = b.node(format!("n{i}"), 100.0);
     }
-    b.all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp))
+    b.intra_switch(Link::new(1e-4, 1e7, Protocol::Tcp))
 }
 
 fn uniform_cluster(n: usize) -> Arc<Cluster> {
-    Arc::new(uniform_builder(n).build())
+    Arc::new(uniform_builder(n).build().into_parts().0)
 }
 
 /// Deterministic fill for a message: sender/sequence-tagged bytes, so a
@@ -102,15 +102,17 @@ fn guarded_receive_notices_terminated_peer_before_backstop() {
 #[test]
 fn guarded_receive_notices_crashed_peer_before_backstop() {
     let cluster = Arc::new(
-        ClusterBuilder::new()
+        TopologyBuilder::new()
             .node("a", 100.0)
             .node("b", 100.0)
-            .all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp))
+            .intra_switch(Link::new(1e-4, 1e7, Protocol::Tcp))
             .faults(FaultPlan::new(vec![FaultEvent::NodeCrash {
                 node: NodeId(1),
                 at: SimTime::from_secs(0.5),
             }]))
-            .build(),
+            .build()
+            .into_parts()
+            .0,
     );
     let start = Instant::now();
     let report = Universe::new(cluster).run(|proc| {
@@ -153,7 +155,7 @@ fn death_window(crash: bool) {
         .map(|victim| {
             let crashes = vec![FaultEvent::NodeCrash { node: NodeId(victim), at: SimTime::from_secs(0.5) }];
             let plan = FaultPlan::new(if crash { crashes } else { Vec::new() });
-            Arc::new(uniform_builder(P).faults(plan).build())
+            Arc::new(uniform_builder(P).faults(plan).build().into_parts().0)
         })
         .collect();
     let start = Instant::now();

@@ -656,15 +656,15 @@ impl std::fmt::Display for PlanCacheReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetsim::ClusterBuilder;
+    use hetsim::TopologyBuilder;
     use std::sync::Barrier;
 
     fn cluster(n: usize) -> Cluster {
-        let mut b = ClusterBuilder::new();
+        let mut b = TopologyBuilder::new();
         for i in 0..n {
             b = b.node(format!("n{i}"), 100.0);
         }
-        b.build()
+        b.build().into_parts().0
     }
 
     fn key(n: usize, elems: usize) -> PlanKey {

@@ -228,12 +228,12 @@ impl Drop for AllJobsEnded {
     }
 }
 
-/// Typed, consolidated configuration for a [`Universe`]: one value covering
-/// what used to be separately-chained `with_*` builders (placement,
-/// collective policy, stack size, tracing).
-/// Build one with the fluent setters and hand it to
-/// [`Universe::with_config`] or [`Universe::from_topology`]; the default
-/// value reproduces `Universe::new` exactly.
+/// Typed, consolidated configuration for a [`Universe`]: collective
+/// policy, stack size and tracing. Where the ranks run is the testbed's
+/// business, not the config's: one rank per node under
+/// [`Universe::with_config`], the topology's placement under
+/// [`Universe::from_topology`]. The default value reproduces
+/// `Universe::new` exactly.
 ///
 /// ```
 /// use hetsim::Cluster;
@@ -250,25 +250,16 @@ impl Drop for AllJobsEnded {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct UniverseConfig {
-    placement: Option<Vec<NodeId>>,
     collective_policy: CollectivePolicy,
     stack_size: Option<usize>,
     tracing: bool,
 }
 
 impl UniverseConfig {
-    /// The default configuration: one rank per cluster node, default
-    /// stack size, [`CollectivePolicy::Auto`], no tracing.
+    /// The default configuration: default stack size,
+    /// [`CollectivePolicy::Auto`], no tracing.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Explicit placement: `placement[world_rank]` is the hosting node.
-    /// Unset, the universe runs one rank per cluster node, rank `i` on
-    /// node `i` — the paper's "one process per processor" configuration.
-    pub fn placement(mut self, placement: Vec<NodeId>) -> Self {
-        self.placement = Some(placement);
-        self
     }
 
     /// The collective engine's algorithm policy:
@@ -306,18 +297,12 @@ impl UniverseConfig {
 /// cluster; [`Universe::run`] executes an SPMD closure across them.
 ///
 /// ```
-/// use hetsim::{ClusterBuilder, Link, Protocol};
-/// use mpisim::{ReduceOp, Universe};
-/// use std::sync::Arc;
+/// use hetsim::TopologyBuilder;
+/// use mpisim::{ReduceOp, Universe, UniverseConfig};
 ///
-/// let cluster = Arc::new(
-///     ClusterBuilder::new()
-///         .node("a", 100.0)
-///         .node("b", 50.0)
-///         .all_to_all(Link::with_defaults(Protocol::Tcp))
-///         .build(),
-/// );
-/// let report = Universe::new(cluster).run(|proc| {
+/// let topology = TopologyBuilder::new().node("a", 100.0).node("b", 50.0).build();
+/// let universe = Universe::from_topology(topology, UniverseConfig::new());
+/// let report = universe.run(|proc| {
 ///     let world = proc.world();
 ///     proc.compute(100.0); // 1 s on "a", 2 s on "b" (virtual time)
 ///     world.allreduce_eq_i64(&[world.rank() as i64], ReduceOp::Sum).unwrap()[0]
@@ -347,33 +332,21 @@ impl Universe {
         Universe::with_config(cluster, UniverseConfig::new())
     }
 
-    /// A universe from a consolidated [`UniverseConfig`] — the one
-    /// constructor every knob flows through.
-    ///
-    /// # Panics
-    /// Panics if the configured placement is empty, references a node
-    /// outside the cluster, or exceeds a node's slot count.
+    /// A universe from a consolidated [`UniverseConfig`], one rank per
+    /// cluster node, rank `i` on node `i`.
     pub fn with_config(cluster: Arc<Cluster>, config: UniverseConfig) -> Self {
-        let placement = config
-            .placement
-            .unwrap_or_else(|| cluster.node_ids().collect());
-        assert!(!placement.is_empty(), "universe needs at least one rank");
-        let mut used = vec![0usize; cluster.len()];
-        for &n in &placement {
-            assert!(
-                n.index() < cluster.len(),
-                "placement references node {n:?} outside cluster of {} nodes",
-                cluster.len()
-            );
-            used[n.index()] += 1;
-        }
-        for (i, &u) in used.iter().enumerate() {
-            let slots = cluster.node(NodeId(i)).slots;
-            assert!(
-                u <= slots,
-                "node {i} hosts {u} ranks but has only {slots} slot(s)"
-            );
-        }
+        let placement = cluster.node_ids().collect();
+        Universe::placed(cluster, placement, config)
+    }
+
+    /// A universe from a built [`hetsim::Topology`]: the topology's cluster
+    /// and rank placement, plus everything else from `config`.
+    pub fn from_topology(topology: Topology, config: UniverseConfig) -> Self {
+        let (cluster, placement) = topology.into_parts();
+        Universe::placed(Arc::new(cluster), placement, config)
+    }
+
+    fn placed(cluster: Arc<Cluster>, placement: Vec<NodeId>, config: UniverseConfig) -> Self {
         Universe {
             cluster,
             placement: NodeVec::new(placement.into()),
@@ -382,22 +355,6 @@ impl Universe {
             stack_size: config.stack_size,
             plans: Arc::default(),
         }
-    }
-
-    /// A universe from a built [`hetsim::Topology`]: the topology's cluster
-    /// and placement, plus everything else from `config`. An explicit
-    /// [`UniverseConfig::placement`] overrides the topology's own placement
-    /// (it must still fit the cluster).
-    ///
-    /// # Panics
-    /// As [`Universe::with_config`].
-    pub fn from_topology(topology: Topology, config: UniverseConfig) -> Self {
-        let (cluster, placement) = topology.into_parts();
-        let config = match config.placement {
-            Some(_) => config,
-            None => config.placement(placement),
-        };
-        Universe::with_config(Arc::new(cluster), config)
     }
 
     /// Number of ranks.
@@ -736,16 +693,15 @@ impl Process {
 mod tests {
     use super::*;
     use crate::ReduceOp;
-    use hetsim::ClusterBuilder;
+    use hetsim::TopologyBuilder;
 
     fn tiny_cluster() -> Arc<Cluster> {
-        Arc::new(
-            ClusterBuilder::new()
-                .node("a", 100.0)
-                .node("b", 50.0)
-                .node("c", 25.0)
-                .build(),
-        )
+        let topology = TopologyBuilder::new()
+            .node("a", 100.0)
+            .node("b", 50.0)
+            .node("c", 25.0)
+            .build();
+        Arc::new(topology.into_parts().0)
     }
 
     #[test]
@@ -770,28 +726,14 @@ mod tests {
 
     #[test]
     fn custom_placement_reuses_nodes() {
-        let cluster = Arc::new(
-            ClusterBuilder::new()
-                .processor(hetsim::Processor::new("smp", 100.0).with_slots(2))
-                .node("b", 50.0)
-                .build(),
-        );
-        let u = Universe::with_config(
-            cluster,
-            UniverseConfig::new().placement(vec![NodeId(0), NodeId(0), NodeId(1)]),
-        );
+        let topology = TopologyBuilder::new()
+            .node("smp", 100.0)
+            .ranks(2)
+            .node("b", 50.0)
+            .build();
+        let u = Universe::from_topology(topology, UniverseConfig::new());
         let report = u.run(|p| p.node().index());
         assert_eq!(report.results, vec![0, 0, 1]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn placement_overflowing_slots_rejected() {
-        let cluster = tiny_cluster();
-        let _ = Universe::with_config(
-            cluster,
-            UniverseConfig::new().placement(vec![NodeId(0), NodeId(0)]),
-        );
     }
 
     #[test]
@@ -831,14 +773,10 @@ mod tests {
         assert!(json.contains("\"cat\":\"recv\""));
     }
 
-    /// A universe of `n` ranks on one node with `n` slots.
+    /// A universe of `n` ranks on one node.
     fn smp(n: usize, config: UniverseConfig) -> Universe {
-        let cluster = Arc::new(
-            ClusterBuilder::new()
-                .processor(hetsim::Processor::new("smp", 100.0).with_slots(n))
-                .build(),
-        );
-        Universe::with_config(cluster, config.placement(vec![NodeId(0); n]))
+        let topology = TopologyBuilder::new().node("smp", 100.0).ranks(n).build();
+        Universe::from_topology(topology, config)
     }
 
     /// The set of worker threads one run of `u` was lent.

@@ -17,8 +17,8 @@
 //!   above it — give the same bits and return every pooled lease.
 
 use hetsim::{
-    Cluster, ClusterBuilder, ContentionModel, FaultEvent, FaultPlan, Link, NodeId, Protocol,
-    SimTime, TopologyBuilder, TraceKind,
+    Cluster, ContentionModel, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime,
+    TopologyBuilder, TraceKind,
 };
 use mpisim::{
     CollectiveAlgo, CollectiveKind, CollectivePolicy, MpiError, ReduceOp, Universe,
@@ -29,11 +29,16 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 fn cluster(n: usize) -> Arc<Cluster> {
-    let mut b = ClusterBuilder::new();
+    let mut b = TopologyBuilder::new();
     for i in 0..n {
         b = b.node(format!("h{i}"), 50.0 + 10.0 * i as f64);
     }
-    Arc::new(b.all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp)).build())
+    Arc::new(
+        b.intra_switch(Link::new(1e-4, 1e7, Protocol::Tcp))
+            .build()
+            .into_parts()
+            .0,
+    )
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -412,14 +417,16 @@ fn node_failure_propagates_through_every_algorithm() {
             node: NodeId(2),
             at: SimTime::from_secs(2.5),
         });
-        let mut b = ClusterBuilder::new();
+        let mut b = TopologyBuilder::new();
         for i in 0..4 {
             b = b.node(format!("h{i}"), 100.0);
         }
         let cluster = Arc::new(
-            b.all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp))
+            b.intra_switch(Link::new(1e-4, 1e7, Protocol::Tcp))
                 .faults(plan)
-                .build(),
+                .build()
+                .into_parts()
+                .0,
         );
         let report = Universe::new(cluster).run(move |proc| {
             let world = proc.world();

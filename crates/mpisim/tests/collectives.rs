@@ -1,15 +1,20 @@
 //! Collective semantics across real rank threads.
 
-use hetsim::{Cluster, ClusterBuilder, Link, Protocol};
+use hetsim::{Cluster, Link, Protocol, TopologyBuilder};
 use mpisim::{ReduceOp, Universe};
 use std::sync::Arc;
 
 fn cluster(n: usize) -> Arc<Cluster> {
-    let mut b = ClusterBuilder::new();
+    let mut b = TopologyBuilder::new();
     for i in 0..n {
         b = b.node(format!("h{i}"), 100.0);
     }
-    Arc::new(b.all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp)).build())
+    Arc::new(
+        b.intra_switch(Link::new(1e-4, 1e7, Protocol::Tcp))
+            .build()
+            .into_parts()
+            .0,
+    )
 }
 
 #[test]
@@ -85,11 +90,13 @@ fn allreduce_min_prod() {
 #[test]
 fn barrier_synchronises_clocks() {
     let cluster = Arc::new(
-        ClusterBuilder::new()
+        TopologyBuilder::new()
             .node("fast", 100.0)
             .node("slow", 10.0)
-            .all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp))
-            .build(),
+            .intra_switch(Link::new(1e-4, 1e7, Protocol::Tcp))
+            .build()
+            .into_parts()
+            .0,
     );
     let u = Universe::new(cluster);
     let report = u.run(|p| {

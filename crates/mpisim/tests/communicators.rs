@@ -1,16 +1,21 @@
 //! Communicator constructors: dup, split, create — the machinery the paper's
 //! Figure 3 MPI program (`MPI_Comm_split` on `is_executing_algo`) relies on.
 
-use hetsim::{Cluster, ClusterBuilder, Link, Protocol};
+use hetsim::{Cluster, Link, Protocol, TopologyBuilder};
 use mpisim::{Group, ReduceOp, Universe};
 use std::sync::Arc;
 
 fn cluster(n: usize) -> Arc<Cluster> {
-    let mut b = ClusterBuilder::new();
+    let mut b = TopologyBuilder::new();
     for i in 0..n {
         b = b.node(format!("h{i}"), 100.0);
     }
-    Arc::new(b.all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp)).build())
+    Arc::new(
+        b.intra_switch(Link::new(1e-4, 1e7, Protocol::Tcp))
+            .build()
+            .into_parts()
+            .0,
+    )
 }
 
 #[test]
@@ -277,17 +282,19 @@ fn dup_local_agrees_without_communicating() {
 #[test]
 fn dup_local_works_while_a_node_is_dead() {
     use hetsim::{FaultEvent, FaultPlan, NodeId, SimTime};
-    let mut b = ClusterBuilder::new();
+    let mut b = TopologyBuilder::new();
     for i in 0..3 {
         b = b.node(format!("h{i}"), 100.0);
     }
     let cluster = Arc::new(
-        b.all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp))
+        b.intra_switch(Link::new(1e-4, 1e7, Protocol::Tcp))
             .faults(FaultPlan::new(vec![FaultEvent::NodeCrash {
                 node: NodeId(2),
                 at: SimTime::from_secs(0.0),
             }]))
-            .build(),
+            .build()
+            .into_parts()
+            .0,
     );
     let report = Universe::new(cluster).run(|p| {
         let world = p.world();
@@ -331,13 +338,15 @@ fn world_handles_of_one_rank_share_agreement_rounds() {
 #[test]
 fn world_handles_of_one_rank_share_the_contention_frontier() {
     let cluster = Arc::new(
-        ClusterBuilder::new()
+        TopologyBuilder::new()
             .node("h0", 100.0)
             .node("h1", 100.0)
             .node("h2", 100.0)
-            .all_to_all(Link::new(1e-4, 1e6, Protocol::Tcp))
+            .intra_switch(Link::new(1e-4, 1e6, Protocol::Tcp))
             .contention(hetsim::ContentionModel::SerializedNic)
-            .build(),
+            .build()
+            .into_parts()
+            .0,
     );
     let clocks = |two_handles: bool| {
         let report = Universe::new(cluster.clone()).run(|p| {

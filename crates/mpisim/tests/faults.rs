@@ -5,7 +5,7 @@
 //! involving a crashed peer *returns an error or times out* — it never hangs
 //! and it never silently succeeds.
 
-use hetsim::{ClusterBuilder, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime};
+use hetsim::{FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime, TopologyBuilder};
 use mpisim::{CollectiveKind, CollectivePolicy, MpiError, ReduceOp, Universe};
 use perfmodel::collective::fault_impact;
 use std::sync::Arc;
@@ -17,14 +17,16 @@ fn t(s: f64) -> SimTime {
 /// A homogeneous cluster of `n` nodes (speed 100, 1 ms / 1 MB/s links) with
 /// the given fault plan.
 fn cluster_with(n: usize, faults: FaultPlan) -> Arc<hetsim::Cluster> {
-    let mut b = ClusterBuilder::new();
+    let mut b = TopologyBuilder::new();
     for i in 0..n {
         b = b.node(format!("h{i}"), 100.0);
     }
     Arc::new(
-        b.all_to_all(Link::new(1e-3, 1e6, Protocol::Tcp))
+        b.intra_switch(Link::new(1e-3, 1e6, Protocol::Tcp))
             .faults(faults)
-            .build(),
+            .build()
+            .into_parts()
+            .0,
     )
 }
 

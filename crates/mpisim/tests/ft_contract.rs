@@ -18,7 +18,7 @@
 //!
 //! [`Comm::agree`]: mpisim::Comm::agree
 
-use hetsim::{ClusterBuilder, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime};
+use hetsim::{FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime, TopologyBuilder};
 use mpisim::{Agreement, CollectiveAlgo, CollectiveKind, MpiError, ReduceOp, Universe};
 use perfmodel::collective::algos_for;
 use proptest::prelude::*;
@@ -47,17 +47,19 @@ fn fault_shaped(e: &MpiError) -> bool {
 
 /// Heterogeneous `n`-node cluster on parallel links with one crash.
 fn crashy_cluster(n: usize, crash: usize, at: f64) -> Arc<hetsim::Cluster> {
-    let mut b = ClusterBuilder::new();
+    let mut b = TopologyBuilder::new();
     for i in 0..n {
         b = b.node(format!("h{i}"), 40.0 + 15.0 * i as f64);
     }
     Arc::new(
-        b.all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp))
+        b.intra_switch(Link::new(1e-4, 1e7, Protocol::Tcp))
             .faults(FaultPlan::none().with(FaultEvent::NodeCrash {
                 node: NodeId(crash),
                 at: SimTime::from_secs(at),
             }))
-            .build(),
+            .build()
+            .into_parts()
+            .0,
     )
 }
 

@@ -11,8 +11,7 @@
 //! to their pre-topology behaviour under the hierarchy-aware selector.
 
 use hetsim::{
-    ClusterBuilder, ContentionModel, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime,
-    TopologyBuilder,
+    ContentionModel, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime, TopologyBuilder,
 };
 use mpisim::{
     CollectiveAlgo, CollectiveKind, CollectivePolicy, MpiError, ReduceOp, Universe,
@@ -216,11 +215,16 @@ fn hierarchical_values_bitwise_match_flat_selector() {
 #[test]
 fn flat_cluster_auto_is_bit_identical_to_flat_auto() {
     let cluster = || {
-        let mut b = ClusterBuilder::new();
+        let mut b = TopologyBuilder::new();
         for i in 0..6 {
             b = b.node(format!("h{i}"), 50.0 + 10.0 * i as f64);
         }
-        Arc::new(b.all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp)).build())
+        Arc::new(
+            b.intra_switch(Link::new(1e-4, 1e7, Protocol::Tcp))
+                .build()
+                .into_parts()
+                .0,
+        )
     };
     let run = |policy: CollectivePolicy| {
         let u = Universe::with_config(
@@ -245,20 +249,18 @@ fn flat_cluster_auto_is_bit_identical_to_flat_auto() {
     );
 }
 
-/// A one-level `TopologyBuilder` build is the same universe as the
-/// equivalent `ClusterBuilder` + placement: same links, same virtual
-/// times to the bit.
+/// A one-level `TopologyBuilder` build run through its own placement is
+/// the same universe as its bare cluster at one rank per node: same
+/// links, same virtual times to the bit.
 #[test]
 fn one_level_topology_matches_flat_cluster_bitwise() {
-    let link = Link::new(2e-4, 5e6, Protocol::Tcp);
     let speeds = [46.0, 176.0, 106.0, 9.0];
-    let mut tb = TopologyBuilder::new().intra_switch(link.clone());
-    let mut cb = ClusterBuilder::new();
+    let mut tb = TopologyBuilder::new().intra_switch(Link::new(2e-4, 5e6, Protocol::Tcp));
     for (i, &s) in speeds.iter().enumerate() {
         tb = tb.node(format!("ws{i}"), s);
-        cb = cb.node(format!("ws{i}"), s);
     }
     let topo = tb.build();
+    let flat = Arc::new(topo.cluster().clone());
     assert!(topo.cluster().topology().is_none(), "flat stays undeclared");
     let workload = |proc: &mpisim::Process| {
         let world = proc.world();
@@ -276,11 +278,7 @@ fn one_level_topology_matches_flat_cluster_bitwise() {
         (bits(&sum), bits(&rx))
     };
     let from_topo = Universe::from_topology(topo, UniverseConfig::new()).run(workload);
-    let from_flat = Universe::with_config(
-        Arc::new(cb.all_to_all(link).build()),
-        UniverseConfig::new(),
-    )
-    .run(workload);
+    let from_flat = Universe::new(flat).run(workload);
     assert_eq!(from_topo.results, from_flat.results);
     assert_eq!(
         from_topo.makespan.as_secs().to_bits(),

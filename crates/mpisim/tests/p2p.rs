@@ -1,15 +1,20 @@
 //! Point-to-point semantics across real rank threads.
 
-use hetsim::{Cluster, ClusterBuilder, Link, Protocol, SimTime};
+use hetsim::{Cluster, Link, Protocol, SimTime, TopologyBuilder};
 use mpisim::{MpiError, Universe};
 use std::sync::Arc;
 
 fn cluster(n: usize) -> Arc<Cluster> {
-    let mut b = ClusterBuilder::new();
+    let mut b = TopologyBuilder::new();
     for i in 0..n {
         b = b.node(format!("h{i}"), 100.0);
     }
-    Arc::new(b.all_to_all(Link::new(1e-3, 1e6, Protocol::Tcp)).build())
+    Arc::new(
+        b.intra_switch(Link::new(1e-3, 1e6, Protocol::Tcp))
+            .build()
+            .into_parts()
+            .0,
+    )
 }
 
 #[test]
@@ -206,11 +211,13 @@ fn virtual_time_message_costs_propagate() {
 #[test]
 fn virtual_time_compute_heterogeneity() {
     let cluster = Arc::new(
-        ClusterBuilder::new()
+        TopologyBuilder::new()
             .node("fast", 176.0)
             .node("slow", 9.0)
-            .all_to_all(Link::with_defaults(Protocol::Tcp))
-            .build(),
+            .intra_switch(Link::with_defaults(Protocol::Tcp))
+            .build()
+            .into_parts()
+            .0,
     );
     let u = Universe::new(cluster);
     let report = u.run(|p| {

@@ -7,16 +7,21 @@
 //! a real traced run mixing compute, p2p and engine collectives.
 
 use hetsim::json::{parse, JsonValue};
-use hetsim::{ClusterBuilder, Link, Protocol, SimTime, Trace, TraceEvent, TraceKind};
+use hetsim::{Link, Protocol, SimTime, TopologyBuilder, Trace, TraceEvent, TraceKind};
 use mpisim::{ReduceOp, Universe, UniverseConfig};
 use std::sync::Arc;
 
 fn cluster(n: usize) -> Arc<hetsim::Cluster> {
-    let mut b = ClusterBuilder::new();
+    let mut b = TopologyBuilder::new();
     for i in 0..n {
         b = b.node(format!("h{i}"), 80.0 + 15.0 * i as f64);
     }
-    Arc::new(b.all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp)).build())
+    Arc::new(
+        b.intra_switch(Link::new(1e-4, 1e7, Protocol::Tcp))
+            .build()
+            .into_parts()
+            .0,
+    )
 }
 
 /// A traced run with a bit of everything in it.

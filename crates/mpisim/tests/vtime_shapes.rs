@@ -2,21 +2,23 @@
 //! the link model with the expected asymptotics (binomial trees are
 //! logarithmic, contention serialises).
 
-use hetsim::{Cluster, ClusterBuilder, ContentionModel, Link, Protocol};
+use hetsim::{Cluster, ContentionModel, Link, Protocol, TopologyBuilder};
 use mpisim::{CollectiveAlgo, ReduceOp, Universe};
 use std::sync::Arc;
 
 const LAT: f64 = 1e-3;
 
 fn cluster(n: usize, contention: ContentionModel) -> Arc<Cluster> {
-    let mut b = ClusterBuilder::new();
+    let mut b = TopologyBuilder::new();
     for i in 0..n {
         b = b.node(format!("h{i}"), 1e9); // compute is free
     }
     Arc::new(
-        b.all_to_all(Link::new(LAT, 1e12, Protocol::Tcp))
+        b.intra_switch(Link::new(LAT, 1e12, Protocol::Tcp))
             .contention(contention)
-            .build(),
+            .build()
+            .into_parts()
+            .0,
     )
 }
 
@@ -52,11 +54,13 @@ fn binomial_bcast_is_logarithmic() {
 fn bandwidth_term_dominates_large_payloads() {
     // 1 MB over a 1 MB/s link: ~1 s per hop regardless of latency.
     let cluster = Arc::new(
-        ClusterBuilder::new()
+        TopologyBuilder::new()
             .node("a", 1e9)
             .node("b", 1e9)
-            .all_to_all(Link::new(LAT, 1e6, Protocol::Tcp))
-            .build(),
+            .intra_switch(Link::new(LAT, 1e6, Protocol::Tcp))
+            .build()
+            .into_parts()
+            .0,
     );
     let u = Universe::new(cluster);
     let report = u.run(|p| {
@@ -80,14 +84,16 @@ fn shared_bus_serialises_a_fan_in() {
     let n = 6;
     let payload = 100_000usize; // 0.1 s per transfer at 1 MB/s
     let run = |contention| {
-        let mut b = ClusterBuilder::new();
+        let mut b = TopologyBuilder::new();
         for i in 0..n {
             b = b.node(format!("h{i}"), 1e9);
         }
         let cluster = Arc::new(
-            b.all_to_all(Link::new(1e-5, 1e6, Protocol::Tcp))
+            b.intra_switch(Link::new(1e-5, 1e6, Protocol::Tcp))
                 .contention(contention)
-                .build(),
+                .build()
+                .into_parts()
+                .0,
         );
         let u = Universe::new(cluster);
         let report = u.run(move |p| {
@@ -140,13 +146,15 @@ fn reduce_and_bcast_have_symmetric_cost() {
 fn loaded_processor_slows_only_its_own_rank() {
     use hetsim::{LoadModel, Processor, SimTime};
     let cluster = Arc::new(
-        ClusterBuilder::new()
+        TopologyBuilder::new()
             .node("fast", 100.0)
             .processor(Processor::new("busy", 100.0).with_load(LoadModel::Constant {
                 fraction: 0.75,
             }))
-            .all_to_all(Link::new(1e-6, 1e12, Protocol::Tcp))
-            .build(),
+            .intra_switch(Link::new(1e-6, 1e12, Protocol::Tcp))
+            .build()
+            .into_parts()
+            .0,
     );
     let u = Universe::new(cluster);
     let report = u.run(|p| {

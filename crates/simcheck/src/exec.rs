@@ -6,8 +6,8 @@ use crate::invariants::{distinct_below, fault_free, faulty_calls, replayed, type
 use crate::invariants::{Fail, Rec, Run, Shape, Violation};
 use crate::scenario::{AppKind, Scenario, Workload};
 use hetsim::{
-    Cluster, ClusterBuilder, FaultEvent, FaultPlan, Link, NodeId, Protocol, SpeedEstimates,
-    TopologyInfo,
+    Cluster, FaultEvent, FaultPlan, Link, NodeId, Protocol, SpeedEstimates, Topology,
+    TopologyBuilder,
 };
 use hmpi::{select_mapping, Evaluator, HmpiRuntime, MappingAlgorithm, SelectionCtx};
 use mpisim::CollectiveAlgo::{self, Hierarchical};
@@ -36,70 +36,62 @@ pub(crate) fn execute(sc: &Scenario) -> Vec<Run<'_>> {
     })
 }
 
-/// Materialises the scenario's cluster: speeds, links, overrides, the
+/// Materialises the scenario's testbed: speeds, `rpn` ranks on each node
+/// (block placement: ranks `r*k..(r+1)*k` on node `r`, so ring neighbours
+/// and collective round partners share nodes and exercise the memory-bus
+/// domain), the declared sites and switches, links, overrides, the
 /// optional memory bus, contention model and fault plan. Public so the
 /// integration tests and benches can run scenarios against the exact
-/// cluster the checker uses.
-pub fn build_cluster(sc: &Scenario) -> Arc<Cluster> {
-    let mut b = ClusterBuilder::new();
-    for (i, &s) in sc.speeds.iter().enumerate() {
-        b = b.processor(
-            hetsim::Processor::new(format!("f{i:02}"), s).with_slots(sc.ranks_per_node.max(1)),
-        );
-    }
-    b = b.all_to_all(Link::new(sc.base_lat, sc.base_bw, Protocol::Tcp));
-    // The declared hierarchy resolves pair links exactly like
-    // `TopologyBuilder::build`: intra-switch pairs ride the base LAN,
-    // inter-switch pairs the backbone, inter-site pairs the WAN — with
-    // explicit `ov=` overrides (applied after) still winning.
+/// testbed the checker uses.
+pub fn build_cluster(sc: &Scenario) -> Topology {
+    let tcp = |(lat, bw)| Link::new(lat, bw, Protocol::Tcp);
+    let mut b = TopologyBuilder::new().intra_switch(tcp((sc.base_lat, sc.base_bw)));
     let switch = sc.effective_switch();
+    for (i, &s) in sc.speeds.iter().enumerate() {
+        if sc.is_hierarchical() && (i == 0 || sc.site[i] != sc.site[i - 1]) {
+            b = b.site();
+        } else if sc.is_hierarchical() && switch[i] != switch[i - 1] {
+            b = b.switch();
+        }
+        b = b
+            .node(format!("f{i:02}"), s)
+            .ranks(sc.ranks_per_node.max(1));
+    }
     if sc.is_hierarchical() {
-        let wan = sc.wan.map(|(lat, bw)| Link::new(lat, bw, Protocol::Tcp));
-        let bb = sc
-            .backbone
-            .map(|(lat, bw)| Link::new(lat, bw, Protocol::Tcp));
-        for i in 0..sc.nodes() {
-            for j in (i + 1)..sc.nodes() {
-                let link = if sc.site[i] != sc.site[j] {
-                    wan.clone()
-                } else if switch[i] != switch[j] {
-                    bb.clone().or_else(|| wan.clone())
-                } else {
-                    None
-                };
-                if let Some(link) = link {
-                    b = b.link_between(i, j, link);
+        // Inter-site pairs ride the WAN; pairs on two switches of one site
+        // the backbone, or else the WAN; explicit `ov=` overrides still win.
+        if let Some(wan) = sc.wan {
+            b = b.inter_site(tcp(wan));
+        }
+        if let Some(bb) = sc.backbone.or(sc.wan) {
+            for i in 0..sc.nodes() {
+                for j in (i + 1)..sc.nodes() {
+                    if sc.site[i] == sc.site[j] && switch[i] != switch[j] {
+                        b = b.link_between(i, j, tcp(bb));
+                    }
                 }
             }
         }
     }
     for o in &sc.overrides {
-        b = b.link_between(o.a, o.b, Link::new(o.lat, o.bw, Protocol::Tcp));
+        b = b.link_between(o.a, o.b, tcp((o.lat, o.bw)));
     }
     if let Some((lat, bw)) = sc.mem {
         b = b.mem_bus(Link::new(lat, bw, Protocol::SharedMemory));
     }
-    let mut cluster = b
-        .contention(sc.contention)
+    b.contention(sc.contention)
         .faults(FaultPlan::new(sc.faults.clone()))
-        .build();
-    if sc.is_hierarchical() {
-        cluster = cluster.with_topology(TopologyInfo::new(sc.site.clone(), switch));
-    }
-    Arc::new(cluster)
+        .build()
 }
 
-/// Block placement: ranks `r*k..(r+1)*k` live on node `r`, so ring
-/// neighbours and collective round partners land on shared nodes and
-/// exercise the memory-bus domain.
-pub fn placement(sc: &Scenario) -> Vec<NodeId> {
-    let k = sc.ranks_per_node.max(1);
-    (0..sc.nodes() * k).map(|r| NodeId(r / k)).collect()
+/// The scenario's cluster at one rank per node: the HMPI and application
+/// workloads' testbed.
+fn one_rank_per_node(sc: &Scenario) -> Arc<Cluster> {
+    Arc::new(build_cluster(sc).into_parts().0)
 }
 
-fn universe(cluster: &Arc<Cluster>, sc: &Scenario, traced: bool) -> Universe {
-    let config = UniverseConfig::new().placement(placement(sc));
-    Universe::with_config(cluster.clone(), config.tracing(traced))
+fn universe(topology: Topology, traced: bool) -> Universe {
+    Universe::from_topology(topology, UniverseConfig::new().tracing(traced))
 }
 
 fn run_workload(sc: &Scenario) -> Vec<Run<'_>> {
@@ -152,7 +144,7 @@ fn bits(v: &[f64]) -> Vec<u64> {
 
 fn ring(sc: &Scenario, elems: usize, rounds: usize) -> Run<'_> {
     let n = sc.ranks();
-    let report = universe(&build_cluster(sc), sc, true).run(|proc| {
+    let report = universe(build_cluster(sc), true).run(|proc| {
         let world = proc.world();
         let me = world.rank();
         let (right, left) = ((me + 1) % n, (me + n - 1) % n);
@@ -184,7 +176,7 @@ fn random(sc: &Scenario, pattern_seed: u64, msgs: usize, max_elems: usize) -> Ru
             (src, dst, rng.random_range(1..max_elems + 1))
         })
         .collect();
-    let report = universe(&build_cluster(sc), sc, true).run(|proc| {
+    let report = universe(build_cluster(sc), true).run(|proc| {
         let world = proc.world();
         let me = world.rank();
         for (i, &(src, dst, elems)) in pattern.iter().enumerate() {
@@ -266,7 +258,7 @@ struct Storm {
     root: usize,
     calls: usize,
     colors: usize,
-    cluster: Arc<Cluster>,
+    topology: Topology,
     /// Every colour's expected output of every call.
     oracle: Vec<Vec<Vec<f64>>>,
 }
@@ -286,14 +278,13 @@ impl Storm {
             .map(|c| (c..n).step_by(colors).collect::<Vec<_>>())
             .map(|m| (0..calls).map(|i| call(&m, i)).collect())
             .collect();
-        let cluster = build_cluster(sc);
         Storm {
             kind,
             len,
             root,
             calls,
             colors,
-            cluster,
+            topology: build_cluster(sc),
             oracle,
         }
     }
@@ -346,7 +337,7 @@ fn storm<'s>(sc: &'s Scenario, st: &Storm, shape: Shape) -> Run<'s> {
     run.keys = colors * st.calls * (1 + usize::from(is_storm) * CollectiveAlgo::ALL.len());
     let (agree, clean) = (faulty_calls(&run), fault_free(&run));
     let once = || {
-        universe(&st.cluster, sc, !auto).run(|proc| -> Result<Rec, Fail> {
+        universe(st.topology.clone(), !auto).run(|proc| -> Result<Rec, Fail> {
             let world = proc.world();
             let color = world.rank() % colors;
             let split;
@@ -426,7 +417,7 @@ fn group_cycle(sc: &Scenario, model_seed: u64, cycles: usize) -> Run<'_> {
             }
         }
     };
-    let report = HmpiRuntime::new(build_cluster(sc)).run(|h| {
+    let report = HmpiRuntime::new(one_rank_per_node(sc)).run(|h| {
         // Typed failures are legal under faults; every rank sees the same
         // verdict, so returning keeps the run collective.
         h.recon(1.0).map_err(typed)?;
@@ -448,7 +439,7 @@ fn group_cycle(sc: &Scenario, model_seed: u64, cycles: usize) -> Run<'_> {
 }
 
 fn recon(sc: &Scenario, units: f64, rounds: usize) -> Run<'_> {
-    let report = HmpiRuntime::new(build_cluster(sc)).run(|h| {
+    let report = HmpiRuntime::new(one_rank_per_node(sc)).run(|h| {
         let est = h.estimates();
         let mut rec = Rec {
             rounds: vec![(est.generation(), Vec::new())],
@@ -470,7 +461,10 @@ fn recon(sc: &Scenario, units: f64, rounds: usize) -> Run<'_> {
 
 fn select(sc: &Scenario, model_seed: u64, est_seed: u64) -> Run<'_> {
     let n = sc.nodes();
-    let (cluster, placement) = (build_cluster(sc), (0..n).map(NodeId).collect::<Vec<_>>());
+    let (cluster, placement) = (
+        one_rank_per_node(sc),
+        (0..n).map(NodeId).collect::<Vec<_>>(),
+    );
     let mut erng = StdRng::seed_from_u64(est_seed);
     let speeds = (0..n).map(|_| erng.random_range(1.0..300.0)).collect();
     let estimates = SpeedEstimates::from_speeds(speeds);
@@ -542,7 +536,7 @@ fn shrink(sc: &Scenario, rounds: usize, units: f64) -> Run<'_> {
             .expect("any positive group size instantiates")
     };
     let full = model_for(n);
-    let report = HmpiRuntime::new(build_cluster(sc)).run(|h| {
+    let report = HmpiRuntime::new(one_rank_per_node(sc)).run(|h| {
         // The crash may predate the create.
         let group = h.group_create(&full).map_err(typed)?;
         // A p == n model places every live rank; with everyone alive at
@@ -585,7 +579,7 @@ fn shrink(sc: &Scenario, rounds: usize, units: f64) -> Run<'_> {
 /// the HMPI run selects with.
 fn app_run(sc: &Scenario, app: AppKind) -> Run<'_> {
     use hmpi_apps::{em3d, matmul, nbody};
-    let (n, cluster) = (sc.nodes(), build_cluster(sc));
+    let (n, cluster) = (sc.nodes(), one_rank_per_node(sc));
     let p = n.min(3);
     let (model, members, times, same) = match app {
         AppKind::Em3d => {

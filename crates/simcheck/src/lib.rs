@@ -55,7 +55,7 @@ pub mod invariants;
 pub mod scenario;
 pub mod shrink;
 
-pub use exec::{build_cluster, placement};
+pub use exec::build_cluster;
 pub use gen::{generate, generate_crashy_collective, generate_hierarchical};
 pub use invariants::{batch, check, Batch, Violation, TIMEOF_REL_BOUND};
 pub use scenario::{parse, AppKind, LinkOverride, ParseError, Scenario, Workload};

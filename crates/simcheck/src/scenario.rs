@@ -591,17 +591,11 @@ pub fn parse(line: &str) -> Result<Scenario, ParseError> {
             "wan" => wan = Some(parse_link_params("wan", val)?),
             "bb" => backbone = Some(parse_link_params("bb", val)?),
             "ov" => {
-                let parts: Vec<&str> = val.split(':').collect();
-                let [pair, lat, bw] = parts.as_slice() else {
-                    return Err(bad(format!("bad override {val:?}")));
-                };
-                let (a, b) = parse_pair(pair)?;
-                overrides.push(LinkOverride {
-                    a,
-                    b,
-                    lat: parse_f64(lat)?,
-                    bw: parse_f64(bw)?,
-                });
+                let (pair, link) = val
+                    .split_once(':')
+                    .ok_or_else(|| bad(format!("bad override {val:?}")))?;
+                let ((a, b), (lat, bw)) = (parse_pair(pair)?, parse_link_params("ov", link)?);
+                overrides.push(LinkOverride { a, b, lat, bw });
             }
             "f" => faults.push(parse_fault(val)?),
             "w" => workload = Some(parse_workload(val)?),
@@ -609,9 +603,15 @@ pub fn parse(line: &str) -> Result<Scenario, ParseError> {
         }
     }
     let speeds = speeds.ok_or_else(|| bad("missing sp="))?;
+    let n = speeds.len();
+    if let Some(o) = overrides.iter().find(|o| o.a == o.b || o.a.max(o.b) >= n) {
+        let (a, b) = (o.a, o.b);
+        return Err(bad(format!("ov={a}-{b}: not two nodes of 0..{n}")));
+    }
     // The hierarchy declaration, when present, must cover exactly the
-    // nodes and keep switches nested inside sites — the same contract
-    // `hetsim::TopologyInfo::new` enforces with a panic.
+    // nodes, keep switches nested inside sites and say what
+    // `hetsim::TopologyBuilder` can build: sites and switches opened in
+    // node order, numbered from 0, and more than one of either.
     if site.is_empty() && (!switch.is_empty() || wan.is_some() || backbone.is_some()) {
         return Err(bad("switch=/wan=/bb= require a site= declaration"));
     }
@@ -630,11 +630,18 @@ pub fn parse(line: &str) -> Result<Scenario, ParseError> {
                 speeds.len()
             )));
         }
-        let mut owner = std::collections::HashMap::new();
-        for (&s, &sw) in site.iter().zip(if switch.is_empty() { &site } else { &switch }) {
-            if *owner.entry(sw).or_insert(s) != s {
-                return Err(bad(format!("switch {sw} spans two sites")));
+        let switches = if switch.is_empty() { &site } else { &switch };
+        for levels in [&site, switches] {
+            if levels[0] != 0 || levels.windows(2).any(|w| w[1] != w[0] && w[1] != w[0] + 1) {
+                return Err(bad(format!("{levels:?} is out of node order")));
             }
+        }
+        let spans = (1..n).find(|&i| site[i] != site[i - 1] && switches[i] == switches[i - 1]);
+        if let Some(i) = spans {
+            return Err(bad(format!("switch {} spans two sites", switches[i])));
+        }
+        if switches[n - 1] == 0 {
+            return Err(bad("one site, one switch: a flat cluster"));
         }
     }
     Ok(Scenario {
@@ -748,6 +755,19 @@ mod tests {
             "v1 seed=1 sp=1,2 lat=1 bw=1 cont=par site=0,1 switch=0,0 w=ring:1:1",
             "v1 seed=1 sp=1,2 lat=1 bw=1 cont=par wan=0.1:1000 w=ring:1:1",
             "v1 seed=1 sp=1,2 lat=1 bw=1 cont=par site=0,1 wan=0.1:0 w=ring:1:1",
+            // ... and be what `TopologyBuilder` builds: numbered in node
+            // order from 0, and more than one site or switch.
+            "v1 seed=1 sp=1,2,3 lat=1 bw=1 cont=par site=0,1,0 w=ring:1:1",
+            "v1 seed=1 sp=1,2 lat=1 bw=1 cont=par site=1,2 w=ring:1:1",
+            "v1 seed=1 sp=1,2 lat=1 bw=1 cont=par site=0,2 w=ring:1:1",
+            "v1 seed=1 sp=1,2,3,4 lat=1 bw=1 cont=par site=0,0,1,1 switch=0,2,3,3 w=ring:1:1",
+            "v1 seed=1 sp=1,2 lat=1 bw=1 cont=par site=0,0 w=ring:1:1",
+            // Link overrides join two distinct nodes over a valid link.
+            "v1 seed=1 sp=1,2,3 lat=1 bw=1 cont=par ov=0-7:0.001:1000 w=ring:1:1",
+            "v1 seed=1 sp=1,2,3 lat=1 bw=1 cont=par ov=0-1:-5:1000 w=ring:1:1",
+            "v1 seed=1 sp=1,2,3 lat=1 bw=1 cont=par rpn=2 ov=1-1:0.5:1000 w=ring:1:1",
+            "v1 seed=1 sp=1,2,3 lat=1 bw=1 cont=par ov=0-1:0.001:0 w=ring:1:1",
+            "v1 seed=1 sp=1,2,3 lat=1 bw=1 cont=par ov=0-1:0.001 w=ring:1:1",
         ] {
             assert!(parse(bad_line).is_err(), "accepted {bad_line:?}");
         }

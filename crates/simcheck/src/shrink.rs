@@ -20,20 +20,34 @@ fn remap(id: NodeId, dropped: usize) -> NodeId {
     NodeId(if id.0 > dropped { id.0 - 1 } else { id.0 })
 }
 
+/// Keeps a shrunk hierarchy one the parser accepts: a site or switch
+/// emptied by a dropped node leaves a gap, so runs are numbered 0, 1, ...
+/// again, and one site with one switch is a flat cluster.
+fn settle_levels(sc: &mut Scenario) {
+    for levels in [&mut sc.site, &mut sc.switch] {
+        let mut next = 0;
+        for k in 0..levels.len() {
+            let stays = k + 1 < levels.len() && levels[k + 1] == levels[k];
+            levels[k] = next;
+            next += usize::from(!stays);
+        }
+    }
+    if sc.site.iter().chain(&sc.switch).all(|&l| l == 0) {
+        (sc.site, sc.switch, sc.wan, sc.backbone) = (Vec::new(), Vec::new(), None, None);
+    }
+}
+
 /// The scenario with node `i` removed: links, faults and workload
 /// references are remapped; anything touching the node is dropped.
 fn drop_node(sc: &Scenario, i: usize) -> Scenario {
     let mut out = sc.clone();
     out.speeds.remove(i);
-    if !out.site.is_empty() {
-        out.site.remove(i);
+    for levels in [&mut out.site, &mut out.switch] {
+        if !levels.is_empty() {
+            levels.remove(i);
+        }
     }
-    if !out.switch.is_empty() {
-        out.switch.remove(i);
-    }
-    // A site emptied by the drop may leave a single-site "hierarchy";
-    // that is fine — it behaves identically to a flat cluster, and the
-    // dedicated flatten candidate removes the declaration entirely.
+    settle_levels(&mut out);
     let n = out.speeds.len();
     out.overrides.retain(|o| o.a != i && o.b != i);
     for o in &mut out.overrides {
@@ -182,6 +196,7 @@ fn candidates(sc: &Scenario) -> Vec<Scenario> {
             let mut cand = sc.clone();
             cand.switch.clear();
             cand.backbone = None;
+            settle_levels(&mut cand);
             out.push(cand);
         }
     }
@@ -334,5 +349,21 @@ mod tests {
                 assert!(ok, "seed {seed}: fault out of range in {smaller}");
             }
         }
+    }
+
+    #[test]
+    fn every_shrink_candidate_of_a_hierarchy_re_parses() {
+        for seed in 0..40 {
+            let sc = crate::gen::generate_hierarchical(seed);
+            let drops = (0..sc.nodes()).map(|i| drop_node(&sc, i));
+            for cand in drops.chain(candidates(&sc)) {
+                let line = cand.to_string();
+                let back = crate::scenario::parse(&line);
+                assert!(back.is_ok_and(|b| b == cand), "seed {seed}: {line}");
+            }
+        }
+        let line = "v1 seed=1 sp=1,2,3 lat=1 bw=1 cont=par site=0,0,1 wan=0.1:1000 w=ring:1:1";
+        let flat = drop_node(&crate::scenario::parse(line).unwrap(), 2);
+        assert!(!flat.is_hierarchical() && flat.wan.is_none(), "{flat}");
     }
 }

@@ -12,17 +12,14 @@
 use hetsim::ContentionModel;
 use mpisim::{ReduceOp, Universe, UniverseConfig};
 use proptest::prelude::*;
-use simcheck::{build_cluster, generate, placement, Scenario};
+use simcheck::{build_cluster, generate, Scenario};
 
 /// Runs a fixed mixed workload (neighbour sendrecv, then an allreduce) on
-/// the scenario's cluster and placement, and digests everything the run
+/// the scenario's testbed, and digests everything the run
 /// observed: the makespan bits, each rank's result (values as exact bit
 /// patterns, errors as their typed rendering) and the full Chrome trace.
 fn run_digest(sc: &Scenario) -> (u64, Vec<String>, String) {
-    let u = Universe::with_config(
-        build_cluster(sc),
-        UniverseConfig::new().placement(placement(sc)).tracing(true),
-    );
+    let u = Universe::from_topology(build_cluster(sc), UniverseConfig::new().tracing(true));
     let n = sc.ranks();
     let report = u.run(move |proc| -> Result<Vec<u64>, String> {
         let world = proc.world();
