@@ -14,8 +14,8 @@
 //! Every number is virtual time, so the file has one size and is its own
 //! baseline.
 
+use crate::faults;
 use crate::report::{Report, Value};
-use crate::{faults, paper_lan_with};
 use hetsim::{
     Cluster, ContentionModel, LoadModel, Processor, SimTime, TopologyBuilder, PAPER_EM3D_SPEEDS,
 };
@@ -84,7 +84,10 @@ fn selection(r: &mut Report) {
 /// Runs MM (n blocks, r = 8, l = 9) under each network contention model:
 /// `(model, HMPI s)`.
 fn contention_models(n: usize) -> [(&'static str, f64); 3] {
-    let lan = |c| Arc::new(paper_lan_with(&PAPER_EM3D_SPEEDS, c).into_parts().0);
+    let lan = |c| {
+        let b = TopologyBuilder::paper_lan(&PAPER_EM3D_SPEEDS).contention(c);
+        Arc::new(b.build().into_parts().0)
+    };
     let hmpi_s = |c| matmul::run_hmpi(lan(c), 3, n, 8, Some(9)).time;
     [
         ("parallel-links", ContentionModel::ParallelLinks),

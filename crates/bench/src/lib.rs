@@ -50,7 +50,7 @@ pub mod report;
 pub mod selection;
 pub mod trace;
 
-use hetsim::{Cluster, ContentionModel, Link, Protocol, Topology, TopologyBuilder};
+use hetsim::Cluster;
 pub use report::Report;
 use std::sync::Arc;
 
@@ -76,18 +76,6 @@ pub fn em3d_cluster() -> Arc<Cluster> {
 /// The paper's 9-workstation LAN for MM experiments.
 pub fn matmul_cluster() -> Arc<Cluster> {
     Arc::new(Cluster::paper_lan_matmul())
-}
-
-/// The paper's LAN (`Cluster::paper_lan`) with the link-sharing mode
-/// under test, one rank per workstation.
-pub fn paper_lan_with(speeds: &[f64], contention: ContentionModel) -> Topology {
-    let mut b = TopologyBuilder::new()
-        .intra_switch(Link::with_defaults(Protocol::Tcp))
-        .contention(contention);
-    for (i, &s) in speeds.iter().enumerate() {
-        b = b.node(format!("ws{i:02}"), s);
-    }
-    b.build()
 }
 
 #[cfg(test)]

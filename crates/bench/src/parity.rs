@@ -21,9 +21,8 @@
 //! linear at ≥ 64 KiB, and hierarchy awareness worth at least
 //! [`HIER_SPEEDUP_GATE`]× somewhere at ≥ 64 KiB while losing nowhere.
 
-use crate::paper_lan_with;
 use crate::report::{Fields, Report, Value};
-use hetsim::ContentionModel::{ParallelLinks, SerializedNic, SharedBus};
+use hetsim::ContentionModel::{SerializedNic, SharedBus};
 use hetsim::{Link, Protocol, Topology, TopologyBuilder, PAPER_EM3D_SPEEDS};
 use mpisim::{
     CollectiveAlgo, CollectiveKind, CollectivePolicy, PlanCacheReport, ReduceOp, Universe,
@@ -220,12 +219,15 @@ fn lan_sweep(sizes: &[usize]) -> Sweep {
         requests
     };
     let mut sweep = Sweep::default();
-    let nine = Testbed("lan9", paper_lan_with(&PAPER_EM3D_SPEEDS, ParallelLinks));
+    let nine = Testbed(
+        "lan9",
+        TopologyBuilder::paper_lan(&PAPER_EM3D_SPEEDS).build(),
+    );
     sweep.run(&nine, &HEADLINE_KINDS, sizes, auto_then_every_algo);
     // Power-of-two communicator: recursive doubling joins the pool.
     let eight = Testbed(
         "lan8",
-        paper_lan_with(&PAPER_EM3D_SPEEDS[..8], ParallelLinks),
+        TopologyBuilder::paper_lan(&PAPER_EM3D_SPEEDS[..8]).build(),
     );
     sweep.run(&eight, &HEADLINE_KINDS, sizes, auto_then_every_algo);
     sweep
@@ -281,10 +283,15 @@ fn mem_bus_testbed() -> Testbed {
 }
 
 fn contended_sweep(sizes: &[usize]) -> Sweep {
+    let lan = |c| {
+        TopologyBuilder::paper_lan(&PAPER_EM3D_SPEEDS)
+            .contention(c)
+            .build()
+    };
     let mut sweep = Sweep::default();
     for testbed in [
-        Testbed("nic", paper_lan_with(&PAPER_EM3D_SPEEDS, SerializedNic)),
-        Testbed("bus", paper_lan_with(&PAPER_EM3D_SPEEDS, SharedBus)),
+        Testbed("nic", lan(SerializedNic)),
+        Testbed("bus", lan(SharedBus)),
         mem_bus_testbed(),
     ] {
         sweep.run(&testbed, &HEADLINE_KINDS, sizes, every_algo);

@@ -35,11 +35,15 @@ pub const PAPER_EM3D_SPEEDS: [f64; 9] =
 
 /// A dense pairwise link-cost table over a node subset, produced by
 /// [`Cluster::pair_table`]. Indices are positions in the subset, not
-/// [`NodeId`]s, so the table maps directly onto communicator ranks.
+/// [`NodeId`]s, so the table maps directly onto ranks (a communicator's, or
+/// the world's when built over the whole placement).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PairTable {
     /// Number of endpoints in the subset.
     pub n: usize,
+    /// `nodes[i]` = the node hosting position `i`: positions sharing a
+    /// node share its contention resources (NIC, memory bus).
+    pub nodes: Vec<NodeId>,
     /// Row-major `n × n` link latencies in seconds (zero on the diagonal).
     pub latency: Vec<f64>,
     /// Row-major `n × n` link bandwidths in bytes/second (zero on the
@@ -79,31 +83,6 @@ pub struct TopologyInfo {
 }
 
 impl TopologyInfo {
-    /// Builds the declaration from explicit per-node coordinates.
-    ///
-    /// # Panics
-    /// Panics if the two vectors differ in length or a node's switch is
-    /// shared across two sites (switches are strictly nested inside sites).
-    pub(crate) fn new(site_of: Vec<usize>, switch_of: Vec<usize>) -> Self {
-        assert_eq!(
-            site_of.len(),
-            switch_of.len(),
-            "site and switch vectors must cover the same nodes"
-        );
-        let mut owner: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-        for (node, (&site, &sw)) in site_of.iter().zip(&switch_of).enumerate() {
-            if let Some(&prev) = owner.get(&sw) {
-                assert_eq!(
-                    prev, site,
-                    "switch {sw} (node {node}) appears in both site {prev} and site {site}"
-                );
-            } else {
-                owner.insert(sw, site);
-            }
-        }
-        TopologyInfo { site_of, switch_of }
-    }
-
     /// The site hosting `node`.
     #[inline]
     pub fn site_of(&self, node: NodeId) -> usize {
@@ -259,11 +238,13 @@ impl Cluster {
 
     /// A dense latency/bandwidth table for the given node subset, indexed
     /// by *position* in `nodes` (so row `i`, column `j` prices a message
-    /// from `nodes[i]` to `nodes[j]`). This is the link-cost view the
-    /// collective engine selects algorithms against; it reports the
-    /// healthy base link parameters, ignoring transient faults. Distinct
-    /// positions sharing a node price over the memory bus when one is
-    /// modelled ([`Cluster::rank_link`]).
+    /// from `nodes[i]` to `nodes[j]`). This is the one link-cost view of
+    /// the stack: the collective planner selects algorithms against it
+    /// (over a communicator's nodes) and HMPI's selection search prices
+    /// candidate mappings against it (over the world placement). It
+    /// reports the healthy base link parameters, ignoring transient
+    /// faults. Distinct positions sharing a node price over the memory bus
+    /// when one is modelled ([`Cluster::rank_link`]).
     pub fn pair_table(&self, nodes: &[NodeId]) -> PairTable {
         let n = nodes.len();
         let mut latency = vec![0.0; n * n];
@@ -280,6 +261,7 @@ impl Cluster {
         }
         PairTable {
             n,
+            nodes: nodes.to_vec(),
             latency,
             bandwidth,
         }
@@ -360,11 +342,7 @@ impl Cluster {
     /// `[46, 46, 46, 46, 46, 46, 106, 9]`-family (use
     /// [`Cluster::paper_lan_matmul`]).
     pub fn paper_lan(speeds: &[f64]) -> Self {
-        let mut b = TopologyBuilder::new().intra_switch(Link::with_defaults(Protocol::Tcp));
-        for (i, &s) in speeds.iter().enumerate() {
-            b = b.node(format!("ws{i:02}"), s);
-        }
-        b.build().into_parts().0
+        TopologyBuilder::paper_lan(speeds).build().into_parts().0
     }
 
     /// The EM3D testbed of Section 5 (speeds 46×6, 176, 106, 9).
@@ -377,10 +355,11 @@ impl Cluster {
     /// [`Cluster::paper_lan`] with a [`FaultPlan`] attached — the testbed of
     /// the fault-tolerance experiments.
     pub fn paper_lan_with_faults(speeds: &[f64], faults: FaultPlan) -> Self {
-        Cluster {
-            faults,
-            ..Cluster::paper_lan(speeds)
-        }
+        TopologyBuilder::paper_lan(speeds)
+            .faults(faults)
+            .build()
+            .into_parts()
+            .0
     }
 
     /// Draws an arbitrary heterogeneous cluster: `1..=max_nodes` processors
@@ -556,6 +535,18 @@ impl TopologyBuilder {
         TopologyBuilder::default()
     }
 
+    /// The paper's LAN ([`Cluster::paper_lan`]) as a builder: workstations
+    /// `ws00`, `ws01`, … with the given speeds on one switch of default
+    /// TCP links, one rank each. Chain further settings (contention,
+    /// faults) before [`TopologyBuilder::build`].
+    pub fn paper_lan(speeds: &[f64]) -> Self {
+        let b = TopologyBuilder::new().intra_switch(Link::with_defaults(Protocol::Tcp));
+        speeds
+            .iter()
+            .enumerate()
+            .fold(b, |b, (i, &s)| b.node(format!("ws{i:02}"), s))
+    }
+
     /// Opens a new site (and its first switch); subsequent nodes land here.
     pub fn site(mut self) -> Self {
         self.sites += 1;
@@ -702,7 +693,10 @@ impl TopologyBuilder {
             contention: self.contention,
             faults: self.faults,
             mem_bus: self.mem_bus,
-            topology: declared.then(|| TopologyInfo::new(self.node_site, self.node_switch)),
+            topology: declared.then_some(TopologyInfo {
+                site_of: self.node_site,
+                switch_of: self.node_switch,
+            }),
         };
         Topology { cluster, placement }
     }
@@ -831,6 +825,7 @@ mod tests {
         assert_eq!(c.rank_link(NodeId(0), NodeId(0)), &mem);
         assert_eq!(c.rank_link(NodeId(0), NodeId(1)).protocol, Protocol::Tcp);
         let t = c.pair_table(&[NodeId(0), NodeId(0), NodeId(1)]);
+        assert_eq!(t.nodes, [NodeId(0), NodeId(0), NodeId(1)]);
         assert_eq!(t.latency(0, 1), 1e-7);
         assert_eq!(t.bandwidth(0, 1), 1e10);
         assert_eq!(t.latency(0, 0), 0.0); // diagonal stays free
@@ -912,11 +907,5 @@ mod tests {
             assert_eq!(c.site_of(id), 0);
             assert_eq!(c.switch_of(id), 0);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "switch 0")]
-    fn topology_info_rejects_switch_spanning_sites() {
-        let _ = TopologyInfo::new(vec![0, 1], vec![0, 0]);
     }
 }

@@ -6,20 +6,21 @@
 //! * records the model's scheme into a flat [`CostProgram`] (the event
 //!   stream is assignment-independent, so one recording prices every
 //!   candidate mapping);
-//! * snapshots the per-world-rank node index and estimated speed, and the
-//!   full node-pair latency/bandwidth tables from the [`Cluster`](hetsim::Cluster)'s
-//!   `rank_link`, the link the transport sends between distinct ranks over
-//!   (two ranks on one node pay the memory bus when one is modelled) —
-//!   pricing an assignment then resolves pair costs by two table lookups
-//!   instead of materialising p×p matrices.
+//! * snapshots the estimated speed of every world rank, and the
+//!   world-rank pair table of the [`Cluster`](hetsim::Cluster)
+//!   (`pair_table` over the placement: the link the transport sends
+//!   between distinct ranks over, so two ranks on one node pay the memory
+//!   bus when one is modelled) — the same table the collective planner
+//!   prices against, so pricing an assignment resolves pair costs by one
+//!   table lookup instead of materialising p×p matrices.
 //!
-//! Per evaluation, only two small per-processor scratch arrays are
-//! refreshed (`proc → node`, `proc → speed`); the pricing itself reuses a
-//! [`PriceScratch`]. Nothing is allocated on the hot path. Every search
-//! prices each candidate it visits once, with [`Evaluator::eval`];
-//! `tests/engine_equiv.rs` holds every evaluation to the bits of a
-//! clock-vector reference interpreter over a p×p cost model built from the
-//! cluster.
+//! An evaluation borrows the assignment itself as the cost view
+//! (abstract processor → world rank → table row); the pricing reuses a
+//! [`PriceScratch`]. Nothing is allocated or refilled on the hot path.
+//! Every search prices each candidate it visits once, with
+//! [`Evaluator::eval`]; `tests/engine_equiv.rs` holds every evaluation to
+//! the bits of a clock-vector reference interpreter over a p×p cost model
+//! built from the cluster.
 //!
 //! A model whose scheme fails to evaluate at record time yields an
 //! evaluator pricing every assignment at `+inf`. The scheme never sees
@@ -28,89 +29,76 @@
 //! [`crate::SelectError::Eval`] before searching.
 
 use crate::mapping::SelectionCtx;
-use hetsim::NodeId;
+use hetsim::PairTable;
 use perfmodel::{CostProgram, EvalError, PairCost, PerformanceModel, PriceScratch};
 
 /// A reusable objective evaluator for one (model, selection context) pair:
-/// the recorded program and cost tables, plus the scratch one search
-/// prices with.
+/// the recorded program, the world-rank pair table and speeds, plus the
+/// scratch one search prices with.
 #[derive(Debug)]
 pub struct Evaluator {
     /// The one recording of the model's scheme; when it failed, every
     /// evaluation prices at `+inf`.
     program: Result<CostProgram, EvalError>,
     p: usize,
-    n_nodes: usize,
-    lat: Vec<f64>,
-    bw: Vec<f64>,
-    node_of_world: Vec<u32>,
+    /// Link costs by world-rank pair.
+    table: PairTable,
     speed_of_world: Vec<f64>,
     links_monotone: bool,
-    proc_node: Vec<u32>,
-    proc_speed: Vec<f64>,
     scratch: PriceScratch,
     evals: u64,
 }
 
-/// Table-backed [`PairCost`] view over the evaluator's scratch arrays.
+/// The [`PairCost`] of one assignment: abstract processor `i` runs as
+/// world rank `assignment[i]`, with that rank's speed and links.
 struct AssignCost<'a> {
-    proc_node: &'a [u32],
-    proc_speed: &'a [f64],
-    lat: &'a [f64],
-    bw: &'a [f64],
-    n_nodes: usize,
+    assignment: &'a [usize],
+    speed_of_world: &'a [f64],
+    table: &'a PairTable,
 }
 
 impl PairCost for AssignCost<'_> {
     #[inline]
     fn speed(&self, proc: usize) -> f64 {
-        self.proc_speed[proc]
+        self.speed_of_world[self.assignment[proc]]
     }
     #[inline]
     fn latency(&self, src: usize, dst: usize) -> f64 {
-        self.lat[self.proc_node[src] as usize * self.n_nodes + self.proc_node[dst] as usize]
+        self.table
+            .latency(self.assignment[src], self.assignment[dst])
     }
     #[inline]
     fn bandwidth(&self, src: usize, dst: usize) -> f64 {
-        self.bw[self.proc_node[src] as usize * self.n_nodes + self.proc_node[dst] as usize]
+        self.table
+            .bandwidth(self.assignment[src], self.assignment[dst])
     }
 }
 
 impl Evaluator {
     /// Builds the evaluator: records the scheme once and snapshots the
-    /// cluster's node-pair cost tables and the current speed estimates.
+    /// cluster's world-rank pair table and the current speed estimates.
     pub fn new(model: &dyn PerformanceModel, ctx: &SelectionCtx<'_>) -> Self {
         let p = model.num_processors();
         let program = CostProgram::record(model);
-        let n_nodes = ctx.cluster.len();
-        let mut lat = vec![0.0f64; n_nodes * n_nodes];
-        let mut bw = vec![f64::INFINITY; n_nodes * n_nodes];
-        for i in 0..n_nodes {
-            for j in 0..n_nodes {
-                let link = ctx.cluster.rank_link(NodeId(i), NodeId(j));
-                lat[i * n_nodes + j] = link.latency;
-                bw[i * n_nodes + j] = link.bandwidth;
-            }
-        }
-        // The admissible bound needs every op to only *advance* clocks.
-        let links_monotone = lat.iter().all(|&l| l >= 0.0) && bw.iter().all(|&b| b > 0.0);
-        let node_of_world: Vec<u32> = ctx.placement.iter().map(|n| n.index() as u32).collect();
+        let table = ctx.cluster.pair_table(ctx.placement);
+        // The admissible bound needs every op to only *advance* clocks. An
+        // assignment never pairs a rank with itself, so the diagonal is
+        // never priced.
+        let n = table.n;
+        let links_monotone = (0..n).all(|i| {
+            (0..n).all(|j| i == j || (table.latency(i, j) >= 0.0 && table.bandwidth(i, j) > 0.0))
+        });
         let speed_of_world: Vec<f64> = ctx
             .placement
             .iter()
-            .map(|&n| ctx.estimates.speed(n))
+            .map(|&node| ctx.estimates.speed(node))
             .collect();
         Evaluator {
             program,
             p,
-            n_nodes,
-            lat,
-            bw,
-            node_of_world,
+            table,
             speed_of_world,
             links_monotone,
-            proc_node: vec![0; p],
-            proc_speed: vec![0.0; p],
             scratch: PriceScratch::new(p),
             evals: 0,
         }
@@ -121,19 +109,13 @@ impl Evaluator {
     pub fn eval(&mut self, assignment: &[usize]) -> f64 {
         debug_assert_eq!(assignment.len(), self.p);
         self.evals += 1;
-        for (i, &w) in assignment.iter().enumerate() {
-            self.proc_node[i] = self.node_of_world[w];
-            self.proc_speed[i] = self.speed_of_world[w];
-        }
         let Ok(program) = &self.program else {
             return f64::INFINITY;
         };
         let cost = AssignCost {
-            proc_node: &self.proc_node,
-            proc_speed: &self.proc_speed,
-            lat: &self.lat,
-            bw: &self.bw,
-            n_nodes: self.n_nodes,
+            assignment,
+            speed_of_world: &self.speed_of_world,
+            table: &self.table,
         };
         program.price(&cost, &mut self.scratch)
     }
@@ -187,7 +169,7 @@ impl Evaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetsim::{Cluster, Link, Protocol, SpeedEstimates, TopologyBuilder};
+    use hetsim::{Cluster, Link, NodeId, Protocol, SpeedEstimates, TopologyBuilder};
 
     fn model(src: &str) -> perfmodel::ModelInstance {
         perfmodel::CompiledModel::compile(src)

@@ -108,8 +108,8 @@ fn gen_instance(rng: &mut StdRng) -> Instance {
 /// The reference objective: the clock-vector interpreter over a p×p cost
 /// model built from the cluster's rank links (the links distinct ranks
 /// send over) and the speed estimates of the assigned nodes — independent
-/// of `CostProgram` and the evaluator's node tables. Failures price as
-/// infeasible.
+/// of `CostProgram` and of the `Cluster::pair_table` the evaluator reads.
+/// Failures price as infeasible.
 fn reference(model: &dyn PerformanceModel, a: &[usize], ctx: &SelectionCtx<'_>) -> f64 {
     let nodes: Vec<NodeId> = a.iter().map(|&w| ctx.placement[w]).collect();
     let pairs = |f: fn(&Link) -> f64| -> Vec<Vec<f64>> {

@@ -157,22 +157,10 @@ impl Comm {
     /// Panics if this rank's node has fail-stopped. Fault-aware programs use
     /// [`Comm::try_compute`].
     pub fn compute(&self, units: f64) {
-        let node = self.node_of(self.rank);
-        let start = self.clock.now();
-        let dt = self.shared.cluster.compute_time(node, units, start);
-        self.clock.advance(dt);
-        self.trace_compute(start, dt);
-    }
-
-    /// Records a compute span when tracing is enabled (one `Option` check
-    /// otherwise).
-    fn trace_compute(&self, start: SimTime, dur: SimTime) {
-        if let Some(tracer) = &self.shared.tracer {
-            let mut ev =
-                TraceEvent::new(self.my_world_rank(), TraceKind::Compute, "compute", start);
-            ev.dur = dur;
-            tracer.record(ev);
-        }
+        // Without fail-stop the step cannot fail.
+        let _ = self
+            .shared
+            .compute(self.my_world_rank(), &self.clock, units, false);
     }
 
     /// Failure-aware computation: if this rank's node fail-stops before the
@@ -180,26 +168,8 @@ impl Comm {
     /// published, and [`MpiError::NodeFailed`] (with the caller's own world
     /// rank) is returned.
     pub fn try_compute(&self, units: f64) -> MpiResult<()> {
-        let me = self.my_world_rank();
-        let node = self.shared.placement[me];
-        let now = self.clock.now();
-        if let Some(tc) = self.shared.cluster.crash_time(node) {
-            if now >= tc {
-                self.shared.mark_failed(me);
-                return Err(MpiError::NodeFailed { world_rank: me });
-            }
-            let dt = self.shared.cluster.compute_time(node, units, now);
-            if now + dt >= tc {
-                self.clock.set(tc);
-                self.shared.mark_failed(me);
-                return Err(MpiError::NodeFailed { world_rank: me });
-            }
-            self.clock.advance(dt);
-            self.trace_compute(now, dt);
-            return Ok(());
-        }
-        self.compute(units);
-        Ok(())
+        self.shared
+            .compute(self.my_world_rank(), &self.clock, units, true)
     }
 
     /// Errors with [`MpiError::NodeFailed`] (own world rank) if the calling

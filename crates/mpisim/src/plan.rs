@@ -39,7 +39,7 @@ use parking_lot::{Mutex, RwLock};
 use perfmodel::collective::{
     algos_for, eligible, price, schedule, CollectiveAlgo, CollectiveKind, LinkSharing, Xfer,
 };
-use perfmodel::{hier_plan, PairCost, RankTopology};
+use perfmodel::{hier_plan, RankTopology};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -267,31 +267,6 @@ impl Plan {
     }
 }
 
-/// The pricer's view of a communicator: pairwise link costs by
-/// communicator rank, uniform unit speeds (collective pricing involves no
-/// computation).
-struct CostView {
-    table: PairTable,
-    /// `nodes[comm_rank]` = hosting cluster node, so the pricer's per-node
-    /// contention resources (NIC, memory bus) group co-located ranks.
-    nodes: NodeVec,
-}
-
-impl PairCost for CostView {
-    fn speed(&self, _proc: usize) -> f64 {
-        1.0
-    }
-    fn latency(&self, src: usize, dst: usize) -> f64 {
-        self.table.latency(src, dst)
-    }
-    fn bandwidth(&self, src: usize, dst: usize) -> f64 {
-        self.table.bandwidth(src, dst)
-    }
-    fn node_of(&self, proc: usize) -> usize {
-        self.nodes[proc].index()
-    }
-}
-
 fn sharing_of(c: ContentionModel) -> LinkSharing {
     match c {
         ContentionModel::ParallelLinks => LinkSharing::Parallel,
@@ -301,20 +276,18 @@ fn sharing_of(c: ContentionModel) -> LinkSharing {
 }
 
 /// Everything about a rank → node vector that planning reads: the p × p
-/// pair table, and — only once a hierarchical plan is wanted — the
+/// pair table, which the pricers read by communicator rank through its
+/// `PairCost` impl, and, only once a hierarchical plan is wanted, the
 /// per-rank hierarchy coordinates.
 struct View {
-    cost: CostView,
+    table: PairTable,
     topo: OnceLock<RankTopology>,
 }
 
 impl View {
     fn new(cluster: &Cluster, nodes: &NodeVec) -> View {
         View {
-            cost: CostView {
-                table: cluster.pair_table(nodes),
-                nodes: nodes.clone(),
-            },
+            table: cluster.pair_table(nodes),
             topo: OnceLock::new(),
         }
     }
@@ -326,14 +299,14 @@ impl View {
     /// declines to plan.
     fn topo(&self, cluster: &Cluster) -> &RankTopology {
         self.topo.get_or_init(|| {
-            let nodes = &self.cost.nodes;
+            let nodes = &self.table.nodes;
             match cluster.topology() {
                 Some(info) => RankTopology::new(
                     nodes.iter().map(|&n| info.site_of(n)).collect(),
                     nodes.iter().map(|&n| info.switch_of(n)).collect(),
                     nodes.iter().map(|n| n.index()).collect(),
                 ),
-                None => RankTopology::infer(nodes.len(), &self.cost),
+                None => RankTopology::infer(nodes.len(), &self.table),
             }
         })
     }
@@ -366,12 +339,12 @@ fn build_on(key: &PlanKey, view: &View, cluster: &Cluster) -> MpiResult<Plan> {
     let flat = |algo: CollectiveAlgo| {
         let rounds =
             schedule(kind, algo, p, root, elems).expect("PlanKey::new checked eligibility");
-        (algo, price(p, &rounds, bytes, &view.cost, sharing), rounds)
+        (algo, price(p, &rounds, bytes, &view.table, sharing), rounds)
     };
     let hier = || {
         let topo = view.topo(cluster);
-        let rounds = hier_plan(kind, p, root, elems, bytes, topo, &view.cost, sharing)?.rounds;
-        let seconds = price(p, &rounds, bytes, &view.cost, sharing);
+        let rounds = hier_plan(kind, p, root, elems, bytes, topo, &view.table, sharing)?.rounds;
+        let seconds = price(p, &rounds, bytes, &view.table, sharing);
         Some((CollectiveAlgo::Hierarchical, seconds, rounds))
     };
     let (algo, seconds, rounds) = match key.request {
@@ -742,7 +715,7 @@ mod tests {
                         root,
                         elems,
                         8.0,
-                        &view.cost,
+                        &view.table,
                         sharing,
                     );
                     assert_eq!((flat.algo, flat.seconds.to_bits()), (algo, t.to_bits()));

@@ -139,6 +139,44 @@ impl SharedState {
         *m.entry((parent_ctx, seq)).or_insert_with(|| self.alloc_ctx_pair())
     }
 
+    /// The one computation step behind [`Process::compute`] /
+    /// [`Process::try_compute`] and their [`Comm`] twins: advances world
+    /// rank `me`'s `clock` by `units` of work on its node and records the
+    /// span. With `fail_stop`, a rank whose node crashes before the work
+    /// completes has its clock clamped to the crash time, the failure
+    /// published, and gets [`MpiError::NodeFailed`]; without it the step
+    /// always succeeds, and a node that has already crashed panics
+    /// ([`Cluster::compute_time`]).
+    pub(crate) fn compute(
+        &self,
+        me: usize,
+        clock: &LocalClock,
+        units: f64,
+        fail_stop: bool,
+    ) -> MpiResult<()> {
+        let doom = self.doom[me].filter(|_| fail_stop);
+        let now = clock.now();
+        let fail = || {
+            self.mark_failed(me);
+            Err(MpiError::NodeFailed { world_rank: me })
+        };
+        if doom.is_some_and(|tc| now >= tc) {
+            return fail();
+        }
+        let dt = self.cluster.compute_time(self.placement[me], units, now);
+        if let Some(tc) = doom.filter(|&tc| now + dt >= tc) {
+            clock.set(tc);
+            return fail();
+        }
+        clock.advance(dt);
+        if let Some(tracer) = &self.tracer {
+            let mut ev = TraceEvent::new(me, TraceKind::Compute, "compute", now);
+            ev.dur = dt;
+            tracer.record(ev);
+        }
+        Ok(())
+    }
+
     /// Records that `world_rank`'s node fail-stopped (idempotent).
     pub(crate) fn mark_failed(&self, world_rank: usize) {
         self.mark_dead(world_rank, RankState::Failed);
@@ -617,14 +655,10 @@ impl Process {
     /// Panics if this rank's node has fail-stopped (its delivered speed is
     /// zero). Fault-aware programs use [`Process::try_compute`].
     pub fn compute(&self, units: f64) {
-        let start = self.clock.now();
-        let dt = self.shared.cluster.compute_time(self.node(), units, start);
-        self.clock.advance(dt);
-        if let Some(tracer) = &self.shared.tracer {
-            let mut ev = TraceEvent::new(self.world_rank, TraceKind::Compute, "compute", start);
-            ev.dur = dt;
-            tracer.record(ev);
-        }
+        // Without fail-stop the step cannot fail.
+        let _ = self
+            .shared
+            .compute(self.world_rank, &self.clock, units, false);
     }
 
     /// Failure-aware computation: like [`Process::compute`] but if this
@@ -633,33 +667,8 @@ impl Process {
     /// [`MpiError::NodeFailed`] (with this rank's own world rank) is
     /// returned. The caller should unwind — this process is dead.
     pub fn try_compute(&self, units: f64) -> MpiResult<()> {
-        let node = self.node();
-        let now = self.clock.now();
-        if let Some(tc) = self.shared.cluster.crash_time(node) {
-            if now >= tc {
-                self.shared.mark_failed(self.world_rank);
-                return Err(MpiError::NodeFailed {
-                    world_rank: self.world_rank,
-                });
-            }
-            let dt = self.shared.cluster.compute_time(node, units, now);
-            if now + dt >= tc {
-                self.clock.set(tc);
-                self.shared.mark_failed(self.world_rank);
-                return Err(MpiError::NodeFailed {
-                    world_rank: self.world_rank,
-                });
-            }
-            self.clock.advance(dt);
-            if let Some(tracer) = &self.shared.tracer {
-                let mut ev = TraceEvent::new(self.world_rank, TraceKind::Compute, "compute", now);
-                ev.dur = dt;
-                tracer.record(ev);
-            }
-            return Ok(());
-        }
-        self.compute(units);
-        Ok(())
+        self.shared
+            .compute(self.world_rank, &self.clock, units, true)
     }
 
     /// True if the failure detector still considers `world_rank` alive —

@@ -58,6 +58,27 @@ fn crashed_rank_discovers_its_own_death_in_compute() {
 }
 
 #[test]
+fn work_ending_exactly_at_the_crash_dies_with_it() {
+    // Node 1 crashes at t=2; its rank's second 1 s unit ends exactly then,
+    // through the world communicator's handle this time. A dead rank that
+    // computes again fails at once rather than panicking.
+    let plan = FaultPlan::none().with(FaultEvent::NodeCrash {
+        node: NodeId(1),
+        at: t(2.0),
+    });
+    let report = cluster_with(2, plan).pipe(Universe::new).run(|p| {
+        let first = p.try_compute(100.0);
+        let second = p.world().try_compute(100.0);
+        (first, second, p.try_compute(1.0))
+    });
+    let dead = Err(MpiError::NodeFailed { world_rank: 1 });
+    assert_eq!(report.results[1], (Ok(()), dead.clone(), dead));
+    assert_eq!(report.rank_times[1], t(2.0));
+    assert_eq!(report.results[0], (Ok(()), Ok(()), Ok(())));
+    assert_eq!(report.rank_times[0], t(2.01));
+}
+
+#[test]
 fn recv_from_crashed_peer_returns_node_failed() {
     let plan = FaultPlan::none().with(FaultEvent::NodeCrash {
         node: NodeId(1),

@@ -46,9 +46,11 @@ use crate::scheme::SchemeSink;
 /// Per-assignment costs a [`CostProgram`] is priced against: estimated
 /// speed of each abstract processor's host plus pairwise link costs.
 ///
-/// Implemented by [`CostModel`] and by the selection engine's table-backed
-/// evaluator in `hmpi` (which resolves pairs through a precomputed
-/// node-pair matrix instead of materialising p×p matrices per assignment).
+/// Implemented by [`CostModel`], by [`hetsim::PairTable`] (the cluster's
+/// one pair-cost table, priced by rank position) and by the selection
+/// engine's assignment view in `hmpi` (which looks an abstract processor's
+/// pairs up in a world-rank [`hetsim::PairTable`] instead of materialising
+/// p×p matrices per assignment).
 pub trait PairCost {
     /// Estimated speed of abstract processor `proc`'s host (benchmark
     /// units per second).
@@ -103,6 +105,28 @@ impl PairCost for CostModel {
     }
     fn bandwidth(&self, src: usize, dst: usize) -> f64 {
         self.bandwidth[src][dst]
+    }
+}
+
+/// A [`hetsim::PairTable`] priced by rank position: the table's latencies,
+/// bandwidths and hosting nodes, with unit speeds (collective pricing
+/// involves no computation).
+impl PairCost for hetsim::PairTable {
+    #[inline]
+    fn speed(&self, _proc: usize) -> f64 {
+        1.0
+    }
+    #[inline]
+    fn latency(&self, src: usize, dst: usize) -> f64 {
+        hetsim::PairTable::latency(self, src, dst)
+    }
+    #[inline]
+    fn bandwidth(&self, src: usize, dst: usize) -> f64 {
+        hetsim::PairTable::bandwidth(self, src, dst)
+    }
+    #[inline]
+    fn node_of(&self, proc: usize) -> usize {
+        self.nodes[proc].index()
     }
 }
 

@@ -22,7 +22,7 @@ impl_typed_reductions MPISIM_STACK_SIZE ModelBuilder BuiltModel write_to
 StructVal ExternResult eval_value collect_index_chain extern_fn bind_coords
 Em3dTracedRun MatmulTracedRun Undefined TypeError unknown_extern
 num_segments DeltaBaseline price_baseline price_delta MappingAlgorithm::Greedy
-with_slots with_topology
+with_slots with_topology paper_lan_with CostView
 '
 paths='README.md DESIGN.md src examples tests'
 for dir in crates/*/src crates/*/tests; do
