@@ -8,7 +8,7 @@
 //! routes around the loaded machine.
 //!
 //! ```text
-//! cargo run --release --example dynamic_load_recon
+//! cargo run --release -p hmpi-apps --example dynamic_load_recon
 //! ```
 
 use hetsim::{Link, LoadModel, Processor, Protocol, SimTime, TopologyBuilder};

@@ -7,7 +7,7 @@
 //! reference.
 //!
 //! ```text
-//! cargo run --release --example em3d_simulation
+//! cargo run --release -p hmpi-apps --example em3d_simulation
 //! ```
 
 use hetsim::Cluster;

@@ -6,7 +6,7 @@
 //! win over the homogeneous MPI baseline the paper reports in Figure 11.
 //!
 //! ```text
-//! cargo run --release --example heterogeneous_matmul
+//! cargo run --release -p hmpi-apps --example heterogeneous_matmul
 //! ```
 
 use hetsim::Cluster;

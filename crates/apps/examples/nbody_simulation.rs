@@ -6,11 +6,11 @@
 //! purely from pairing the big groups with the fast machines.
 //!
 //! ```text
-//! cargo run --release --example nbody_simulation
+//! cargo run --release -p hmpi-apps --example nbody_simulation
 //! ```
 
 use hetsim::Cluster;
-use hmpi_repro::apps::nbody::{run_hmpi, run_mpi, serial_run, Bodies, NbodyConfig};
+use hmpi_apps::nbody::{run_hmpi, run_mpi, serial_run, Bodies, NbodyConfig};
 use std::sync::Arc;
 
 fn main() {

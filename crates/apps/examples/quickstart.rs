@@ -6,7 +6,7 @@
 //! over the group's MPI communicator.
 //!
 //! ```text
-//! cargo run --example quickstart
+//! cargo run -p hmpi-apps --example quickstart
 //! ```
 
 use hetsim::{Link, Protocol, TopologyBuilder};

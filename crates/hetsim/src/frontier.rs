@@ -243,6 +243,9 @@ mod tests {
         // Disjoint pair: proceeds immediately.
         let (a3, _) = f.grant(NodeId(3), NodeId(2), t(2.0), t(1.0));
         assert_eq!(a3, t(3.0));
+        // Free NICs: the transfer still starts once its sender is ready.
+        let (a4, _) = f.grant(NodeId(4), NodeId(5), t(5.0), t(1.0));
+        assert_eq!(a4, t(6.0));
     }
 
     #[test]

@@ -49,9 +49,6 @@ impl Link {
     /// Time to move `bytes` bytes across this link.
     #[inline]
     pub fn transfer_time(&self, bytes: usize) -> SimTime {
-        if self.bandwidth.is_infinite() {
-            return SimTime::from_secs(self.latency);
-        }
         SimTime::from_secs(self.latency + bytes as f64 / self.bandwidth)
     }
 
@@ -65,9 +62,6 @@ impl Link {
             bandwidth_factor > 0.0 && bandwidth_factor <= 1.0,
             "bandwidth factor must be in (0, 1], got {bandwidth_factor}"
         );
-        if self.bandwidth.is_infinite() {
-            return SimTime::from_secs(self.latency);
-        }
         SimTime::from_secs(self.latency + bytes as f64 / (self.bandwidth * bandwidth_factor))
     }
 }

@@ -244,11 +244,12 @@ impl Cluster {
     /// candidate mappings against it (over the world placement). It
     /// reports the healthy base link parameters, ignoring transient
     /// faults. Distinct positions sharing a node price over the memory bus
-    /// when one is modelled ([`Cluster::rank_link`]).
+    /// when one is modelled ([`Cluster::rank_link`]); the diagonal is the
+    /// free loopback a self-send rides (0 s, infinite bandwidth).
     pub fn pair_table(&self, nodes: &[NodeId]) -> PairTable {
         let n = nodes.len();
         let mut latency = vec![0.0; n * n];
-        let mut bandwidth = vec![0.0; n * n];
+        let mut bandwidth = vec![f64::INFINITY; n * n];
         for (i, &a) in nodes.iter().enumerate() {
             for (j, &b) in nodes.iter().enumerate() {
                 if i == j {
@@ -828,7 +829,8 @@ mod tests {
         assert_eq!(t.nodes, [NodeId(0), NodeId(0), NodeId(1)]);
         assert_eq!(t.latency(0, 1), 1e-7);
         assert_eq!(t.bandwidth(0, 1), 1e10);
-        assert_eq!(t.latency(0, 0), 0.0); // diagonal stays free
+        // The diagonal is the free loopback, memory bus or not.
+        assert_eq!((t.latency(0, 0), t.bandwidth(0, 0)), (0.0, f64::INFINITY));
         assert!(t.latency(0, 2) > 1e-7); // cross-node stays on the network
         // Fault-honouring path: the bus is immune to network link faults.
         let at = c

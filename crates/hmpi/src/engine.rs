@@ -81,13 +81,10 @@ impl Evaluator {
         let p = model.num_processors();
         let program = CostProgram::record(model);
         let table = ctx.cluster.pair_table(ctx.placement);
-        // The admissible bound needs every op to only *advance* clocks. An
-        // assignment never pairs a rank with itself, so the diagonal is
-        // never priced.
+        // The admissible bound needs every op to only *advance* clocks.
         let n = table.n;
-        let links_monotone = (0..n).all(|i| {
-            (0..n).all(|j| i == j || (table.latency(i, j) >= 0.0 && table.bandwidth(i, j) > 0.0))
-        });
+        let links_monotone = (0..n)
+            .all(|i| (0..n).all(|j| table.latency(i, j) >= 0.0 && table.bandwidth(i, j) > 0.0));
         let speed_of_world: Vec<f64> = ctx
             .placement
             .iter()

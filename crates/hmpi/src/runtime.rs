@@ -314,12 +314,10 @@ impl HmpiRuntime {
             let world = proc.world();
             // The control communicator carries the group-creation protocol,
             // so it can never collide with application traffic on
-            // HMPI_COMM_WORLD. It is created with the non-collective dup:
-            // a collective dup's broadcast would abort init with
-            // `NodeFailed` if any node crashed before every rank got
-            // through it, and init must succeed on live ranks — failures
-            // surface later as typed errors from actual operations.
-            let control = world.dup_local(0);
+            // HMPI_COMM_WORLD. `dup` sends nothing, so init succeeds on live
+            // ranks even if a node has already crashed: failures surface
+            // later as typed errors from actual operations.
+            let control = world.dup();
             let hmpi = Hmpi {
                 proc,
                 world,

@@ -1,9 +1,9 @@
-//! Workspace-level end-to-end test: the whole reproduction through the
-//! umbrella crate, asserting the paper's headline claims hold.
+//! Whole-stack end-to-end test: the paper's two applications on its LANs,
+//! asserting the paper's headline claims hold.
 
-use hmpi_repro::apps::em3d::{self, Em3dConfig};
-use hmpi_repro::apps::matmul;
-use hmpi_repro::hetsim::Cluster;
+use hetsim::Cluster;
+use hmpi_apps::em3d::{self, Em3dConfig};
+use hmpi_apps::matmul;
 use std::sync::Arc;
 
 #[test]

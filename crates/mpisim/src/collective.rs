@@ -2,8 +2,10 @@
 //! `gather` and `allgather` the applications and HMPI's runtime call, plus
 //! the `scatter` half of [`Comm::split`].
 //!
-//! Every collective here is implemented in terms of [`Comm`]'s transport
-//! primitives on the communicator's *collective context plane*, so (a)
+//! Every collective here is a plain client of [`Comm`]'s transport on the
+//! communicator's *collective context plane*: it posts with
+//! `Comm::post_payload` and receives with `Comm::recv_msg`, naming the
+//! "any failed member" abort rule. So (a)
 //! collectives can never intercept application point-to-point traffic, and
 //! (b) their virtual-time cost emerges from the link model rather than being
 //! postulated: a binomial-tree broadcast over 9 hosts takes ⌈log₂ 9⌉ = 4
@@ -14,6 +16,7 @@
 use crate::comm::Comm;
 use crate::datatype::{decode, encode, MpiType};
 use crate::error::{MpiError, MpiResult};
+use crate::p2p::Payload;
 
 // Collective opcodes, used as tags on the collective plane. Two successive
 // collectives of the same kind pair up correctly thanks to the per-(source,
@@ -49,13 +52,14 @@ impl Comm {
             return Ok(bytes);
         }
         let rel = (rank + size - root) % size;
+        let plane = self.coll_plane();
 
         // Receive phase: wait for the subtree parent.
         let mut mask = 1usize;
         while mask < size {
             if rel & mask != 0 {
                 let src = (rel - mask + root) % size;
-                let (data, _) = self.recv_bytes(self.coll_plane(), Some(src), Some(tag))?;
+                let (data, _) = self.recv_msg(plane, Some(src), Some(tag), None, true)?;
                 bytes = data.into_vec();
                 break;
             }
@@ -66,7 +70,7 @@ impl Comm {
         while mask > 0 {
             if rel + mask < size {
                 let dst = (rel + mask + root) % size;
-                self.post_bytes(self.coll_plane(), bytes.clone(), dst, tag)?;
+                self.post_payload(plane, Payload::from_vec(bytes.clone()), dst, tag)?;
             }
             mask >>= 1;
         }
@@ -104,17 +108,18 @@ impl Comm {
         if size == 1 {
             return Ok(());
         }
+        let plane = self.coll_plane();
         // Up phase: binomial reduce of nothing.
         let mut mask = 1usize;
         while mask < size {
             if rank & mask == 0 {
                 let src = rank | mask;
                 if src < size {
-                    self.recv_bytes(self.coll_plane(), Some(src), Some(TAG_BARRIER_UP))?;
+                    self.recv_msg(plane, Some(src), Some(TAG_BARRIER_UP), None, true)?;
                 }
             } else {
                 let dst = rank & !mask;
-                self.post_bytes(self.coll_plane(), Vec::new(), dst, TAG_BARRIER_UP)?;
+                self.post_payload(plane, Payload::from_vec(Vec::new()), dst, TAG_BARRIER_UP)?;
                 break;
             }
             mask <<= 1;
@@ -132,8 +137,9 @@ impl Comm {
     /// [`MpiError::InvalidRank`] for a bad root.
     pub fn gather<T: MpiType>(&self, contrib: &[T], root: usize) -> MpiResult<Option<Vec<Vec<T>>>> {
         self.check_root(root)?;
+        let plane = self.coll_plane();
         if self.rank() != root {
-            self.post_bytes(self.coll_plane(), encode(contrib), root, TAG_GATHER)?;
+            self.post_payload(plane, Payload::from_vec(encode(contrib)), root, TAG_GATHER)?;
             return Ok(None);
         }
         let mut out = Vec::with_capacity(self.size());
@@ -141,7 +147,7 @@ impl Comm {
             if src == root {
                 out.push(contrib.to_vec());
             } else {
-                let (msg, _) = self.recv_bytes(self.coll_plane(), Some(src), Some(TAG_GATHER))?;
+                let (msg, _) = self.recv_msg(plane, Some(src), Some(TAG_GATHER), None, true)?;
                 out.push(decode(&msg.bytes())?);
             }
         }
@@ -152,12 +158,13 @@ impl Comm {
     /// [`Comm::split`]: rank 0 sends `parts[r]` to every rank `r` (the
     /// other ranks' `parts` are ignored); each rank returns its part.
     pub(crate) fn scatter<T: MpiType>(&self, parts: &[Vec<T>]) -> MpiResult<Vec<T>> {
+        let plane = self.coll_plane();
         if self.rank() != 0 {
-            let (msg, _) = self.recv_bytes(self.coll_plane(), Some(0), Some(TAG_SCATTER))?;
+            let (msg, _) = self.recv_msg(plane, Some(0), Some(TAG_SCATTER), None, true)?;
             return decode(&msg.bytes());
         }
         for (dst, part) in parts.iter().enumerate().skip(1) {
-            self.post_bytes(self.coll_plane(), encode(part), dst, TAG_SCATTER)?;
+            self.post_payload(plane, Payload::from_vec(encode(part)), dst, TAG_SCATTER)?;
         }
         Ok(parts[0].clone())
     }

@@ -55,12 +55,27 @@ pub struct Comm {
     /// program order. Like the clock, shared by every communicator handle
     /// of one rank ([`crate::Process`] owns it).
     pub(crate) frontier: Rc<RefCell<RankNet>>,
-    /// Rank-local count of [`Comm::agree`] rounds issued on this
-    /// communicator; every member counts its own calls, so the `n`-th call
-    /// on each member lands in the same shared agreement slot. Shared
-    /// between clones of one handle (cloning a communicator does not fork
-    /// its round numbering), and between a rank's world handles.
-    agree_seq: Rc<Cell<u64>>,
+    /// Rank-local counts of the calls that pair up across members by
+    /// ordinal. Shared between clones of one handle (cloning a
+    /// communicator does not fork its numbering), and between a rank's
+    /// world handles.
+    ordinals: Rc<Ordinals>,
+}
+
+/// Every member counts its own calls of each kind, so the `n`-th call on
+/// each member lands in the same shared slot.
+#[derive(Debug, Default)]
+pub(crate) struct Ordinals {
+    /// [`Comm::agree`] rounds: the key of the shared agreement slot.
+    agree: Cell<u64>,
+    /// [`Comm::dup`] / [`Comm::create`] calls: the key of the context
+    /// registry entry.
+    ctor: Cell<u64>,
+}
+
+/// Returns the count and bumps it.
+fn take(count: &Cell<u64>) -> u64 {
+    count.replace(count.get() + 1)
 }
 
 impl Comm {
@@ -69,7 +84,7 @@ impl Comm {
         shared: Arc<SharedState>,
         clock: LocalClock,
         frontier: Rc<RefCell<RankNet>>,
-        agree_seq: Rc<Cell<u64>>,
+        ordinals: Rc<Ordinals>,
     ) -> Comm {
         Comm {
             group: shared.world.clone(),
@@ -79,16 +94,16 @@ impl Comm {
             rank: world_rank,
             clock,
             frontier,
-            agree_seq,
+            ordinals,
         }
     }
 
     /// This rank's handle on the same members under context `ctx`, with
-    /// agreement rounds of its own.
+    /// ordinals of its own.
     fn with_ctx(&self, ctx: u64) -> Comm {
         Comm {
             ctx,
-            agree_seq: Rc::new(Cell::new(0)),
+            ordinals: Rc::default(),
             ..self.clone()
         }
     }
@@ -207,20 +222,6 @@ impl Comm {
 
     // ----- point-to-point ---------------------------------------------------
 
-    /// Internal transport: posts `bytes` to `dest` (a comm rank) on the given
-    /// context plane. Legacy `Vec<u8>` entry point — small payloads are
-    /// repacked inline (eager); larger ones ride as heap payloads.
-    pub(crate) fn post_bytes(
-        &self,
-        plane: u64,
-        bytes: Vec<u8>,
-        dest: usize,
-        tag: i32,
-    ) -> MpiResult<()> {
-        let payload = Payload::from_vec(bytes);
-        self.post_payload(plane, payload, dest, tag)
-    }
-
     /// Internal transport: encodes `data` straight into its protocol
     /// representation — inline (no allocation) under the eager limit, an
     /// arena lease above it — and posts it. The preferred send path.
@@ -259,12 +260,10 @@ impl Comm {
         let src_node = self.shared.placement[src_world];
         let dst_node = self.shared.placement[dst_world];
         let now = self.clock.now();
-        if let Some(tc) = self.shared.cluster.crash_time(dst_node) {
-            if now >= tc {
-                return Err(MpiError::NodeFailed {
-                    world_rank: dst_world,
-                });
-            }
+        if self.shared.doom[dst_world].is_some_and(|tc| now >= tc) {
+            return Err(MpiError::NodeFailed {
+                world_rank: dst_world,
+            });
         }
         let (overhead, cost) = if src_world == dst_world {
             // Self-sends stay on the free loopback even when a memory bus
@@ -346,33 +345,6 @@ impl Comm {
         }
         let status = self.status(env.src_world, env.tag, env.len());
         Ok((env.into_msg(), status))
-    }
-
-    /// Internal transport: blocking matched receive on a context plane.
-    pub(crate) fn recv_bytes(
-        &self,
-        plane: u64,
-        src: Option<usize>,
-        tag: Option<i32>,
-    ) -> MpiResult<(Msg, Status)> {
-        let collective = plane == self.coll_plane();
-        self.recv_bytes_opts(plane, src, tag, None, collective)
-    }
-
-    /// [`Comm::recv_bytes`] with *point-to-point* abort semantics even on
-    /// the collective plane: the wait aborts only when the awaited sender
-    /// itself is dead, not when any group member has failed. The schedule
-    /// engine uses this so a fault propagates along schedule edges — a rank
-    /// whose data path does not touch the dead rank finishes its receives
-    /// and learns of the failure deterministically, at its next dependence
-    /// on the failure, rather than via a real-time race.
-    pub(crate) fn recv_bytes_from(
-        &self,
-        plane: u64,
-        src: usize,
-        tag: Option<i32>,
-    ) -> MpiResult<(Msg, Status)> {
-        self.recv_bytes_opts(plane, Some(src), tag, None, false)
     }
 
     /// Resolution of a provably-missed receive deadline: a doomed rank dies
@@ -528,16 +500,19 @@ impl Comm {
         done.map_err(resolve)
     }
 
-    /// Internal transport: matched receive with failure detection and an
-    /// optional virtual-time deadline, on top of [`Comm::wait`].
+    /// Internal transport: the one matched receive, with failure detection
+    /// and an optional virtual-time deadline, on top of [`Comm::wait`].
     ///
     /// * A message already queued from a now-dead sender is still delivered
     ///   (it was sent before the sender died).
-    /// * Blocked with the awaited peer dead → [`MpiError::NodeFailed`] /
-    ///   [`MpiError::PeerTerminated`]; with `collective_abort` any *failed*
-    ///   group member aborts the wait (see [`WaitRecord::abort`]), and a
-    ///   member whose node has crashed by the caller's clock fails the
-    ///   call before it looks at the mailbox at all.
+    /// * The caller names the abort rule. Without `collective_abort` (user
+    ///   point-to-point, and the schedule engine, so a fault propagates
+    ///   along schedule edges deterministically) the wait aborts only when
+    ///   the awaited sender is dead → [`MpiError::NodeFailed`] /
+    ///   [`MpiError::PeerTerminated`]. With it (the legacy collectives) any
+    ///   *failed* group member aborts the wait (see [`WaitRecord::abort`]),
+    ///   and a member whose node has crashed by the caller's clock fails
+    ///   the call before it looks at the mailbox at all.
     /// * `deadline` exceeded → [`MpiError::Timeout`], with the clock advanced
     ///   to the deadline and any late message left queued. The deadline
     ///   bounds the *wire* arrival stamped by the sender; a message on the
@@ -546,7 +521,7 @@ impl Comm {
     /// * If the matched message would arrive after this rank's own node
     ///   crashes, the rank dies first: clock clamps to the crash time and
     ///   [`MpiError::NodeFailed`] (own rank) is returned.
-    pub(crate) fn recv_bytes_opts(
+    pub(crate) fn recv_msg(
         &self,
         plane: u64,
         src: Option<usize>,
@@ -625,7 +600,7 @@ impl Comm {
     /// if the awaited sender is dead and nothing from it is queued.
     pub fn recv<T: MpiType>(&self, src: usize, tag: i32) -> MpiResult<(Vec<T>, Status)> {
         self.check_rank(src)?;
-        let (msg, status) = self.recv_bytes(self.ctx, Some(src), Some(tag))?;
+        let (msg, status) = self.recv_msg(self.ctx, Some(src), Some(tag), None, false)?;
         Ok((decode(&msg.bytes())?, status))
     }
 
@@ -650,8 +625,7 @@ impl Comm {
         deadline: SimTime,
     ) -> MpiResult<(Vec<T>, Status)> {
         self.check_rank(src)?;
-        let (msg, status) =
-            self.recv_bytes_opts(self.ctx, Some(src), Some(tag), Some(deadline), false)?;
+        let (msg, status) = self.recv_msg(self.ctx, Some(src), Some(tag), Some(deadline), false)?;
         Ok((decode(&msg.bytes())?, status))
     }
 
@@ -682,7 +656,7 @@ impl Comm {
         if let Some(s) = src {
             self.check_rank(s)?;
         }
-        let (msg, status) = self.recv_bytes(self.ctx, src, tag)?;
+        let (msg, status) = self.recv_msg(self.ctx, src, tag, None, false)?;
         Ok((decode(&msg.bytes())?, status))
     }
 
@@ -698,7 +672,7 @@ impl Comm {
         tag: i32,
     ) -> MpiResult<(usize, Status)> {
         self.check_rank(src)?;
-        let (msg, status) = self.recv_bytes(self.ctx, Some(src), Some(tag))?;
+        let (msg, status) = self.recv_msg(self.ctx, Some(src), Some(tag), None, false)?;
         let n = decode_into(&msg.bytes(), buf)?;
         Ok((n, status))
     }
@@ -769,62 +743,34 @@ impl Comm {
     }
 
     /// Duplicates the communicator with a fresh context (`MPI_Comm_dup`).
-    /// Collective over all members.
-    ///
-    /// # Errors
-    /// Propagates transport errors from the internal broadcast.
-    pub fn dup(&self) -> MpiResult<Comm> {
-        let ctx = self.agree_ctx()?;
-        Ok(self.with_ctx(ctx))
+    /// Collective over all members, yet it sends nothing, so it cannot
+    /// block or fail, even while nodes are crashing: the `n`-th `dup` or
+    /// [`Comm::create`] each member issues on this communicator reads entry
+    /// `n` of the run's context registry, which the first member to ask
+    /// allocates. (Real MPI agrees by communicating; this leans on the
+    /// simulator's shared memory the way `MPI_Comm_idup` leans on deferred
+    /// agreement.)
+    pub fn dup(&self) -> Comm {
+        self.with_ctx(self.registry_ctx())
     }
 
-    /// Duplicates the communicator **without communicating**: context
-    /// agreement goes through the universe's shared context registry, so
-    /// the call cannot block or fail even while nodes are crashing — a
-    /// collective [`Comm::dup`] would abort on the first dead relay in
-    /// its broadcast tree. Intended for control planes set up at init
-    /// time, before any failure can be tolerated.
-    ///
-    /// Every member must call it with the same `seq`; calls with equal
-    /// `(parent, seq)` yield the *same* communicator, distinct `seq`s
-    /// yield distinct ones. (Real MPI has no equivalent; this leans on
-    /// the simulator's shared memory the way `MPI_Comm_idup` leans on
-    /// deferred agreement.)
-    pub fn dup_local(&self, seq: u64) -> Comm {
-        let ctx = self.shared.ctx_for_local_dup(self.ctx, seq);
-        self.with_ctx(ctx)
-    }
-
-    /// Rank 0 allocates a context-id pair and broadcasts it.
-    fn agree_ctx(&self) -> MpiResult<u64> {
-        let mut v = if self.rank == 0 {
-            vec![self.shared.alloc_ctx_pair() as i64]
-        } else {
-            Vec::new()
-        };
-        self.bcast(&mut v, 0)?;
-        Ok(v[0] as u64)
+    /// The context of this rank's next `dup` / `create` on this
+    /// communicator (see [`Comm::dup`]).
+    fn registry_ctx(&self) -> u64 {
+        let ordinal = take(&self.ordinals.ctor);
+        self.shared.registry_ctx(self.ctx, ordinal)
     }
 
     /// Creates a communicator over a subgroup (`MPI_Comm_create`).
-    /// Collective over **all** members of `self`; members of `group` receive
-    /// `Some(comm)`, others `None`.
+    /// Collective over **all** members of `self`, and like [`Comm::dup`]
+    /// it sends nothing; members of `group` receive `Some(comm)`, others
+    /// `None`.
     ///
     /// # Errors
     /// [`MpiError::InvalidGroup`] if `group` is not a subset of this
     /// communicator's group.
     pub fn create(&self, group: &Group) -> MpiResult<Option<Comm>> {
-        for &w in group.world_ranks() {
-            if !self.group.contains_world(w) {
-                return Err(MpiError::InvalidGroup(format!(
-                    "world rank {w} is not in the parent communicator"
-                )));
-            }
-        }
-        let ctx = self.agree_ctx()?;
-        Ok(group
-            .rank_of_world(self.my_world_rank())
-            .map(|rank| self.over(group.clone(), ctx, rank)))
+        self.subset(group, || self.registry_ctx())
     }
 
     /// Allocates a fresh context-id pair from the universe's allocator
@@ -845,13 +791,23 @@ impl Comm {
     /// [`MpiError::InvalidGroup`] if `group` is not a subset of this
     /// communicator's group.
     pub fn subset_with_ctx(&self, group: &Group, ctx: u64) -> MpiResult<Option<Comm>> {
-        for &w in group.world_ranks() {
-            if !self.group.contains_world(w) {
-                return Err(MpiError::InvalidGroup(format!(
-                    "world rank {w} is not in the parent communicator"
-                )));
-            }
+        self.subset(group, || ctx)
+    }
+
+    /// The subset constructor behind [`Comm::create`] and
+    /// [`Comm::subset_with_ctx`]: checks that `group` lies within this
+    /// communicator, then gives its members a handle under context `ctx()`.
+    fn subset(&self, group: &Group, ctx: impl FnOnce() -> u64) -> MpiResult<Option<Comm>> {
+        let outside = group
+            .world_ranks()
+            .iter()
+            .find(|&&w| !self.group.contains_world(w));
+        if let Some(w) = outside {
+            return Err(MpiError::InvalidGroup(format!(
+                "world rank {w} is not in the parent communicator"
+            )));
         }
+        let ctx = ctx();
         Ok(group
             .rank_of_world(self.my_world_rank())
             .map(|rank| self.over(group.clone(), ctx, rank)))
@@ -947,9 +903,7 @@ impl Comm {
     pub fn agree(&self, flag: bool) -> MpiResult<Agreement> {
         self.check_self_alive()?;
         let my_world = self.my_world_rank();
-        let seq = self.agree_seq.get();
-        self.agree_seq.set(seq + 1);
-        let key = (self.coll_plane(), seq);
+        let key = (self.coll_plane(), take(&self.ordinals.agree));
         let members = self.group.world_ranks();
         let table = &self.shared.agreements;
         table.deposit(key, members, my_world, flag, self.clock.now());

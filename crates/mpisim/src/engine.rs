@@ -3,7 +3,7 @@
 //!
 //! Every collective here executes a [`perfmodel::collective`] *schedule* —
 //! an ordered list of rounds of point-to-point transfers — through the same
-//! transport (`Comm::post_payload` / `Comm::recv_bytes_from`) the rest of
+//! transport (`Comm::post_payload` / `Comm::recv_msg`) the rest of
 //! mpisim uses, on the communicator's collective plane. Each transfer says
 //! what it carries ([`Payload`]), so one interpreter (`Comm::interpret`)
 //! runs them all — flat or hierarchical, movement or reduction — and no
@@ -14,11 +14,12 @@
 //!   returns either the *complete, correct* result or a typed
 //!   [`MpiError::NodeFailed`]; never a torn buffer and never a hang.
 //!   Faults propagate *along schedule edges*: a receive aborts when its
-//!   specific scheduled sender is dead (`Comm::recv_bytes_from`), and a
-//!   rank that aborts mid-schedule first *poisons* every scheduled transfer
-//!   it has not yet sent (a `TAG_POISON` message naming the failed world
-//!   rank), so downstream ranks fail fast with the same root cause instead
-//!   of blocking on a live-but-aborted peer. The whole error surface is a
+//!   specific scheduled sender is dead (`Comm::recv_msg` with the
+//!   awaited-sender abort rule), and a rank that aborts mid-schedule first
+//!   *poisons* every scheduled transfer it has not yet sent (a `TAG_POISON`
+//!   message naming the failed world rank), so downstream ranks fail fast
+//!   with the same root cause instead of blocking on a live-but-aborted
+//!   peer. The whole error surface is a
 //!   deterministic function of the fault plan — same seed, same survivor
 //!   set — and is predicted offline by [`perfmodel::collective::fault_impact`];
 //! * **tracing** — the inner sends/receives appear in the virtual-time
@@ -68,7 +69,7 @@ use crate::comm::Comm;
 use crate::datatype::{decode, decode_into, encode, encode_payload, write_all, MpiType};
 use crate::error::{MpiError, MpiResult};
 use crate::op::ReduceOp;
-use crate::p2p::{self, Msg, Piece, EAGER_LIMIT, RENDEZVOUS_BLOCK};
+use crate::p2p::{self, Msg, Piece, RENDEZVOUS_BLOCK};
 use crate::plan::{ineligible, Plan, PlanKey};
 use crate::pool::BufferPool;
 use hetsim::{SimTime, TraceEvent, TraceKind};
@@ -259,7 +260,7 @@ impl Comm {
     /// [`MpiError::NodeFailed`] too, so the engine's fault contract exposes
     /// a single error type.
     fn recv_sched(&self, src: usize) -> MpiResult<Msg> {
-        match self.recv_bytes_from(self.coll_plane(), src, None) {
+        match self.recv_msg(self.coll_plane(), Some(src), None, None, false) {
             Ok((msg, st)) if st.tag == TAG_POISON => {
                 let v: Vec<i64> = decode(&msg.bytes())?;
                 let world_rank = v
@@ -745,10 +746,7 @@ impl<'a, T: MpiType> Holdings<'a, T> {
                     slot[..run * width].copy_from_slice(&self.segs[seg].bytes()[from..to]);
                     i += run;
                 }
-                match bytes.len() <= EAGER_LIMIT {
-                    true => p2p::Payload::inline_from(&bytes),
-                    false => p2p::Payload::Shared(vec![Piece::new(bytes)]),
-                }
+                p2p::Payload::from_vec(bytes)
             }
             // Rank 0 starts each chain; the others forward what they folded
             // their own contribution onto when it arrived.

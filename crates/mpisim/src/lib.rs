@@ -11,7 +11,9 @@
 //! * **groups** ([`Group`]): ordered world-rank lists with membership, rank
 //!   translation and `union` / `intersection` / `difference`;
 //! * **communicators** ([`Comm`]) with `dup`, `split` and `create`, each with
-//!   its own context id so messages never cross communicators;
+//!   its own context id so messages never cross communicators; `dup` and
+//!   `create` agree on it through the run's context registry and send
+//!   nothing, `split`'s root allocates one per colour;
 //! * **point-to-point** typed blocking `send` / `recv` / `sendrecv` / `probe`
 //!   (plus `iprobe`) with `None` as the `MPI_ANY_SOURCE` / `MPI_ANY_TAG`
 //!   wildcard and MPI's per-pair non-overtaking guarantee;

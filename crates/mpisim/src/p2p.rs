@@ -17,13 +17,12 @@
 //! * **shared** — the schedule engine's raw reduction contributions travel
 //!   by reference ([`Payload::Shared`]): a list of [`Piece`]s, each an
 //!   immutable segment behind an `Arc` plus a byte range of it, so a
-//!   forwarded contribution is re-shared, never copied. Its trace label is
-//!   "rendezvous" (the receiver reads the sender's buffer), and only the
-//!   engine's `Holdings::accept` reads one piece by piece: every other
-//!   reader sees the concatenation ([`Msg::bytes`], [`Msg::into_vec`]).
-//!
-//! A [`Payload::Heap`] payload is a caller-owned `Vec<u8>`: only the legacy
-//! collectives (`crate::collective`) still send those, labelled "heap".
+//!   forwarded contribution is re-shared, never copied. An owned buffer
+//!   over the limit travels as one whole piece ([`Payload::from_vec`]).
+//!   Its trace label is "rendezvous" (the receiver reads the sender's
+//!   buffer), and only the engine's `Holdings::accept` reads one piece by
+//!   piece: every other reader sees the concatenation ([`Msg::bytes`],
+//!   [`Msg::into_vec`]).
 //!
 //! Matching is indexed instead of scanned: the mailbox keeps one FIFO
 //! queue per `(context, sender)`. A specific-source receive looks at
@@ -94,6 +93,16 @@ impl Piece {
         &self.seg[self.start..self.end]
     }
 
+    /// The piece's bytes as an owned vector: moved out without a copy when
+    /// the piece is the whole of a segment nobody else holds.
+    fn into_vec(self) -> Vec<u8> {
+        if self.start == 0 && self.end == self.seg.len() {
+            Arc::try_unwrap(self.seg).unwrap_or_else(|seg| seg.to_vec())
+        } else {
+            self.bytes().to_vec()
+        }
+    }
+
     /// Bytes `[from, to)` of this piece, sharing its segment.
     pub(crate) fn slice(&self, from: usize, to: usize) -> Piece {
         assert!(
@@ -108,8 +117,8 @@ impl Piece {
     }
 }
 
-/// A message payload in one of the two protocol representations, shared
-/// segments, or a plain heap buffer a legacy caller already owned.
+/// A message payload in one of the two protocol representations, or
+/// shared segments.
 // The size skew is the design: eager bytes live in the envelope so the
 // hot path never allocates. Boxing `Inline` would put them back on the
 // heap.
@@ -128,9 +137,6 @@ pub enum Payload {
     /// Shared segments, concatenated in order: the schedule engine's raw
     /// contributions, posted and forwarded without a copy.
     Shared(Vec<Piece>),
-    /// A caller-owned heap buffer (legacy path; collective fan-in that
-    /// already materialised a `Vec<u8>`).
-    Heap(Vec<u8>),
 }
 
 impl Payload {
@@ -145,12 +151,13 @@ impl Payload {
         }
     }
 
-    /// Wraps an owned vector, inlining it when it fits under [`EAGER_LIMIT`].
+    /// Wraps an owned vector: inline when it fits under [`EAGER_LIMIT`],
+    /// else as one whole shared piece (no copy, no pool lease).
     pub(crate) fn from_vec(v: Vec<u8>) -> Payload {
         if v.len() <= EAGER_LIMIT {
             Payload::inline_from(&v)
         } else {
-            Payload::Heap(v)
+            Payload::Shared(vec![Piece::new(v)])
         }
     }
 
@@ -179,7 +186,6 @@ impl Payload {
             Payload::Shared(pieces) => {
                 Cow::Owned(pieces.iter().flat_map(Piece::bytes).copied().collect())
             }
-            Payload::Heap(v) => Cow::Borrowed(v),
         }
     }
 
@@ -189,7 +195,6 @@ impl Payload {
             Payload::Inline { len, .. } => *len as usize,
             Payload::Pooled(lease) => lease.bytes().len(),
             Payload::Shared(pieces) => pieces.iter().map(|p| p.end - p.start).sum(),
-            Payload::Heap(v) => v.len(),
         }
     }
 
@@ -198,7 +203,6 @@ impl Payload {
         match self {
             Payload::Inline { .. } => "eager",
             Payload::Pooled(_) | Payload::Shared(_) => "rendezvous",
-            Payload::Heap(_) => "heap",
         }
     }
 }
@@ -245,13 +249,14 @@ impl Msg {
 
     /// Copies the payload out into an owned vector.
     ///
-    /// Heap payloads move without copying; shared pieces are concatenated.
-    /// Pooled payloads copy out in [`RENDEZVOUS_BLOCK`]-sized slabs (the
+    /// A sole piece moves out without copying when it is a whole segment
+    /// nobody else holds; several shared pieces are concatenated. Pooled
+    /// payloads copy out in [`RENDEZVOUS_BLOCK`]-sized slabs (the
     /// block-pipelined copy of the rendezvous protocol) and the lease
     /// returns to the pool on return.
     pub(crate) fn into_vec(self) -> Vec<u8> {
         match self.payload {
-            Payload::Heap(v) => v,
+            Payload::Shared(mut pieces) if pieces.len() == 1 => pieces.pop().unwrap().into_vec(),
             Payload::Pooled(lease) => {
                 let src = lease.bytes();
                 let mut out = Vec::with_capacity(src.len());
@@ -928,7 +933,7 @@ mod tests {
         let small = Payload::from_vec(vec![7u8; EAGER_LIMIT]);
         let big = Payload::from_vec(vec![7u8; EAGER_LIMIT + 1]);
         assert_eq!(small.protocol(), "eager");
-        assert_eq!(big.protocol(), "heap");
+        assert_eq!(big.protocol(), "rendezvous");
         assert_eq!(small.len(), EAGER_LIMIT);
         assert_eq!(big.len(), EAGER_LIMIT + 1);
     }
@@ -992,8 +997,11 @@ mod tests {
     #[test]
     fn msg_into_vec_round_trips_all_protocols() {
         let data: Vec<u8> = (0..=255u8).cycle().take(3 * RENDEZVOUS_BLOCK + 17).collect();
-        let heap = Msg::new(Payload::Heap(data.clone()));
-        assert_eq!(heap.into_vec(), data);
+        let whole = Msg::new(Payload::from_vec(data.clone()));
+        let at = whole.bytes().as_ptr();
+        let out = whole.into_vec();
+        assert_eq!(out, data);
+        assert_eq!(out.as_ptr(), at, "a sole whole piece moves out uncopied");
         let inline = Msg::new(Payload::inline_from(&data[..100]));
         assert_eq!(inline.into_vec(), &data[..100]);
         let pool = crate::pool::BufferPool::new();

@@ -2,7 +2,7 @@
 //! cluster.
 
 use crate::agree::AgreeTable;
-use crate::comm::Comm;
+use crate::comm::{Comm, Ordinals};
 use crate::engine::CollectivePolicy;
 use crate::error::{MpiError, MpiResult};
 use crate::group::Group;
@@ -13,7 +13,7 @@ use crate::quiesce::Registry;
 use crate::vtime::{LocalClock, NetFrontier, RankNet};
 use hetsim::{Cluster, NodeId, SimTime, Topology, Trace, TraceEvent, TraceKind, Tracer};
 use parking_lot::Mutex;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::panic::AssertUnwindSafe;
@@ -98,10 +98,11 @@ pub(crate) struct SharedState {
     /// consecutive ids (point-to-point plane and collective plane); the world
     /// communicator owns ids 0 and 1.
     next_ctx: AtomicU64,
-    /// Context agreement for [`Comm::dup_local`]: `(parent ctx, seq)` →
-    /// the allocated context. The first member to ask allocates; the rest
-    /// read the same id, so agreement needs no communication.
-    local_dups: Mutex<std::collections::HashMap<(u64, u64), u64>>,
+    /// The context registry: `(parent ctx, ordinal)` → the context of the
+    /// `ordinal`-th [`Comm::dup`] / [`Comm::create`] on that parent. The
+    /// first member to ask allocates; the rest read the same id, so the
+    /// constructors agree without communicating.
+    contexts: Mutex<std::collections::HashMap<(u64, u64), u64>>,
     /// This run's virtual-time event collector, present only when the
     /// universe was built with [`UniverseConfig::tracing`]. Every
     /// instrumentation site costs exactly one `Option` discriminant check
@@ -116,7 +117,7 @@ pub(crate) struct SharedState {
     pub(crate) plans: PlanCache,
     /// The virtual-time quiescence detector (see [`crate::quiesce`]).
     pub(crate) quiesce: Arc<Registry>,
-    /// Agreement rounds ([`Comm::agree`] / [`Comm::shrink`]).
+    /// Agreement rounds ([`Comm::agree`]).
     pub(crate) agreements: Arc<AgreeTable>,
     /// `doom[world_rank]` = that rank's node's crash time under the fault
     /// plan, if it is doomed. Resolved once at launch so receive paths do
@@ -132,11 +133,12 @@ impl SharedState {
         self.next_ctx.fetch_add(2, Ordering::Relaxed)
     }
 
-    /// The agreed context for the `seq`-th local dup of the communicator
-    /// with context `parent_ctx` (see [`Comm::dup_local`]).
-    pub(crate) fn ctx_for_local_dup(&self, parent_ctx: u64, seq: u64) -> u64 {
-        let mut m = self.local_dups.lock();
-        *m.entry((parent_ctx, seq)).or_insert_with(|| self.alloc_ctx_pair())
+    /// The registry's context for the `ordinal`-th constructor call on the
+    /// communicator with context `parent_ctx` (see [`Comm::dup`]).
+    pub(crate) fn registry_ctx(&self, parent_ctx: u64, ordinal: u64) -> u64 {
+        let mut m = self.contexts.lock();
+        *m.entry((parent_ctx, ordinal))
+            .or_insert_with(|| self.alloc_ctx_pair())
     }
 
     /// The one computation step behind [`Process::compute`] /
@@ -438,7 +440,7 @@ impl Universe {
             world: Arc::new(Group::world(n)),
             liveness,
             next_ctx: AtomicU64::new(2),
-            local_dups: Mutex::new(std::collections::HashMap::new()),
+            contexts: Mutex::new(std::collections::HashMap::new()),
             // Each run traces into its own collector, so concurrent runs
             // of clones never see each other's events.
             tracer: self.tracing.then(|| Arc::new(Tracer::new())),
@@ -587,9 +589,9 @@ pub struct Process {
     /// The rank's contention frontier and send sequence, shared by every
     /// communicator handle it makes.
     net: Rc<RefCell<RankNet>>,
-    /// The world communicator's agreement round count, shared by every
-    /// [`Process::world`] handle.
-    world_agree: Rc<Cell<u64>>,
+    /// The world communicator's ordinals (agreement rounds, constructor
+    /// calls), shared by every [`Process::world`] handle.
+    world_ordinals: Rc<Ordinals>,
 }
 
 impl Process {
@@ -600,7 +602,7 @@ impl Process {
             shared,
             clock: LocalClock::new(),
             net: Rc::new(RefCell::new(net)),
-            world_agree: Rc::new(Cell::new(0)),
+            world_ordinals: Rc::default(),
         }
     }
 
@@ -685,7 +687,7 @@ impl Process {
 
     /// The world communicator (`MPI_COMM_WORLD`). Context ids 0/1. Every
     /// handle this returns is the same communicator: they share the rank's
-    /// clock, contention frontier, send sequence and agreement rounds, so
+    /// clock, contention frontier, send sequence and ordinals, so
     /// asking twice is the same as cloning the first handle.
     pub fn world(&self) -> Comm {
         Comm::world(
@@ -693,7 +695,7 @@ impl Process {
             self.shared.clone(),
             self.clock.clone(),
             self.net.clone(),
-            self.world_agree.clone(),
+            self.world_ordinals.clone(),
         )
     }
 }

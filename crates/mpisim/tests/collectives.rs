@@ -1,7 +1,7 @@
 //! Collective semantics across real rank threads.
 
 use hetsim::{Cluster, Link, Protocol, TopologyBuilder};
-use mpisim::{ReduceOp, Universe};
+use mpisim::{ReduceOp, Universe, UniverseConfig, EAGER_LIMIT};
 use std::sync::Arc;
 
 fn cluster(n: usize) -> Arc<Cluster> {
@@ -142,4 +142,26 @@ fn single_rank_collectives_are_identity() {
         (v[0], g.len(), ar)
     });
     assert_eq!(report.results[0], (1.5, 1, 2.0));
+}
+
+/// A legacy collective is a plain client of the transport: every message it
+/// sends is eager or rendezvous, whatever its size. Ranks 2 and 3 gather
+/// more than `EAGER_LIMIT` bytes each.
+#[test]
+fn legacy_gather_sends_only_eager_or_rendezvous() {
+    let n = 4;
+    let u = Universe::with_config(cluster(n), UniverseConfig::new().tracing(true));
+    let report = u.run(|p| {
+        let world = p.world();
+        let contrib = vec![world.rank() as f64; 20 * world.rank()];
+        let gathered = world.gather(&contrib, 0).unwrap();
+        gathered.map(|parts| parts[3].len())
+    });
+    assert_eq!(report.results[0], Some(60));
+    let stats = report.trace.expect("tracing was enabled").message_stats(n);
+    assert!(stats[3].bytes_sent > EAGER_LIMIT as u64, "{stats:?}");
+    for (rank, s) in stats.iter().enumerate() {
+        let labelled = s.eager_sent + s.rendezvous_sent;
+        assert_eq!(labelled, s.sent, "rank {rank}: {s:?}");
+    }
 }

@@ -1,8 +1,8 @@
 //! Communicator constructors: dup, split, create — the machinery the paper's
 //! Figure 3 MPI program (`MPI_Comm_split` on `is_executing_algo`) relies on.
 
-use hetsim::{Cluster, Link, Protocol, TopologyBuilder};
-use mpisim::{Group, ReduceOp, Universe};
+use hetsim::{Cluster, Link, Protocol, TopologyBuilder, TraceKind};
+use mpisim::{Group, ReduceOp, Universe, UniverseConfig};
 use std::sync::Arc;
 
 fn cluster(n: usize) -> Arc<Cluster> {
@@ -23,7 +23,7 @@ fn dup_isolates_contexts() {
     let u = Universe::new(cluster(2));
     u.run(|p| {
         let world = p.world();
-        let dup = world.dup().unwrap();
+        let dup = world.dup();
         if world.rank() == 0 {
             world.send(&[1i64], 1, 0).unwrap();
             dup.send(&[2i64], 1, 0).unwrap();
@@ -227,8 +227,8 @@ fn dup_of_dup_is_isolated_from_both_ancestors() {
     let u = Universe::new(cluster(2));
     u.run(|p| {
         let world = p.world();
-        let d1 = world.dup().unwrap();
-        let d2 = d1.dup().unwrap();
+        let d1 = world.dup();
+        let d2 = d1.dup();
         if world.rank() == 0 {
             world.send(&[1i64], 1, 0).unwrap();
             d1.send(&[2i64], 1, 0).unwrap();
@@ -263,10 +263,10 @@ fn dup_local_agrees_without_communicating() {
     let u = Universe::new(cluster(3));
     u.run(|p| {
         let world = p.world();
-        let a = world.dup_local(0);
-        let b = world.dup_local(1);
-        // Same (parent, seq) on every rank lands on the same context;
-        // distinct seqs are isolated from each other and from the parent.
+        let a = world.dup();
+        let b = world.dup();
+        // The n-th dup on every rank lands on the same context; the first
+        // and second are isolated from each other and from the parent.
         if world.rank() == 0 {
             world.send(&[1i64], 1, 0).unwrap();
             a.send(&[2i64], 1, 0).unwrap();
@@ -298,9 +298,9 @@ fn dup_local_works_while_a_node_is_dead() {
     );
     let report = Universe::new(cluster).run(|p| {
         let world = p.world();
-        // A collective dup would need rank 2's cooperation; the local dup
-        // must succeed on the survivors regardless.
-        let control = world.dup_local(0);
+        // `dup` sends nothing, so it needs no cooperation from rank 2 and
+        // succeeds on the survivors.
+        let control = world.dup();
         if world.rank() == 0 {
             control.send(&[7i64], 1, 0).map(|_| 7)
         } else if world.rank() == 1 {
@@ -330,6 +330,50 @@ fn world_handles_of_one_rank_share_agreement_rounds() {
         (a.flag, b.flag)
     });
     assert_eq!(report.results, vec![(true, false); 3]);
+}
+
+/// Every `world()` handle of a rank shares the world's constructor
+/// ordinal: the `n`-th `dup` on any of them is the rank's `n`-th. Rank 0
+/// dups on two handles, the others on one; messages on the second dups
+/// must still match.
+#[test]
+fn world_handles_of_one_rank_share_constructor_ordinals() {
+    let report = Universe::new(cluster(3)).run(|p| {
+        let (first, second) = (p.world(), p.world());
+        let a = first.dup();
+        let b = match p.world_rank() {
+            0 => second.dup(),
+            _ => first.dup(),
+        };
+        if p.world_rank() == 0 {
+            for dst in [1, 2] {
+                a.send(&[1i64], dst, 0).unwrap();
+                b.send(&[2i64], dst, 0).unwrap();
+            }
+            (0, 0)
+        } else {
+            let got = |c: &mpisim::Comm| c.recv::<i64>(0, 0).unwrap().0[0];
+            (got(&b), got(&a))
+        }
+    });
+    assert_eq!(report.results, vec![(0, 0), (2, 1), (2, 1)]);
+}
+
+/// `dup` and `create` agree through the run's context registry: a run that
+/// only constructs communicators sends nothing.
+#[test]
+fn dup_and_create_send_nothing() {
+    let u = Universe::with_config(cluster(4), UniverseConfig::new().tracing(true));
+    let report = u.run(|p| {
+        let dup = p.world().dup();
+        let again = dup.dup();
+        let group = Group::from_world_ranks(vec![0, 2]).unwrap();
+        let sub = again.create(&group).unwrap();
+        sub.map(|c| (c.rank(), c.size()))
+    });
+    assert_eq!(report.results, vec![Some((0, 2)), None, Some((1, 2)), None]);
+    let events = report.trace.expect("tracing was enabled").events;
+    assert!(events.iter().all(|e| e.kind != TraceKind::Send));
 }
 
 /// Every `world()` handle of a rank arbitrates against the rank's one

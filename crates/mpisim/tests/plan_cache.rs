@@ -203,7 +203,7 @@ fn plans_are_keyed_by_the_rank_to_node_map() {
         };
         let half = world.split(Some(me / 2), me).unwrap().unwrap();
         let reversed = world.split(Some(me / 2), -me).unwrap().unwrap();
-        let dup = half.dup().unwrap();
+        let dup = half.dup();
         (plan_on(&half), plan_on(&reversed), plan_on(&dup))
     });
     let r = &report.results;

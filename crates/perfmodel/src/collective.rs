@@ -6,7 +6,7 @@
 //! consumers that must never disagree:
 //!
 //! * the **executor** in `mpisim`, which turns each transfer into an eager
-//!   `post_bytes` / blocking `recv_bytes` pair on the collective plane, and
+//!   `post_payload` / blocking `recv_msg` pair on the collective plane, and
 //! * the **pricer** here, which replays the rounds against a [`PairCost`]
 //!   table to predict the collective's virtual time.
 //!
@@ -559,13 +559,7 @@ pub fn price(
             let lat = cost.latency(x.src, x.dst);
             let bw = cost.bandwidth(x.src, x.dst);
             let bytes = x.elems() as f64 * elem_bytes;
-            // Mirrors `Link::transfer_time`: an infinite-bandwidth link
-            // costs its latency alone.
-            let total = if bw > 0.0 && bw.is_finite() {
-                lat + bytes / bw
-            } else {
-                lat
-            };
+            let total = lat + bytes / bw;
             let now = clocks[x.src];
             let (arrival, stamp) = frontiers[x.src].grant(
                 nodes[x.src],

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Fails if a retired identifier is still named in README.md, DESIGN.md or
-# the program's sources and tests (src/, examples/, tests/, crates/*/src,
-# crates/*/tests). A PR that deletes a public item appends its name here.
+# the program's sources, tests and examples (crates/*/src, crates/*/tests,
+# crates/*/examples). A PR that deletes a public item appends its name here.
 # Matches are whole words, so a test named after a retired call
 # (`timeof_collective_selects_and_prices`) does not count.
 # Not searched: crates/ledger (the benchmark, changed only by
@@ -22,18 +22,26 @@ impl_typed_reductions MPISIM_STACK_SIZE ModelBuilder BuiltModel write_to
 StructVal ExternResult eval_value collect_index_chain extern_fn bind_coords
 Em3dTracedRun MatmulTracedRun Undefined TypeError unknown_extern
 num_segments DeltaBaseline price_baseline price_delta MappingAlgorithm::Greedy
-with_slots with_topology paper_lan_with CostView
+with_slots with_topology paper_lan_with CostView hmpi_repro dup_local
 '
-paths='README.md DESIGN.md src examples tests'
-for dir in crates/*/src crates/*/tests; do
+paths='README.md DESIGN.md'
+for dir in crates/*/src crates/*/tests crates/*/examples; do
     case "$dir" in
         crates/ledger/*) ;;
         *) paths="$paths $dir" ;;
     esac
 done
 # shellcheck disable=SC2086 # word splitting of both lists is intended
-if printf '%s\n' $retired | grep -rnwF -f - $paths; then
+printf '%s\n' $retired | grep -rnwF -f - $paths
+case $? in
+0)
     echo "stale.sh: the lines above name retired identifiers" >&2
     exit 1
-fi
-echo "stale.sh: no retired identifier named"
+    ;;
+1) echo "stale.sh: no retired identifier named" ;;
+*)
+    # A missing path is an error, not a pass.
+    echo "stale.sh: grep failed" >&2
+    exit 2
+    ;;
+esac
