@@ -148,7 +148,7 @@ impl Comm {
                 out.push(contrib.to_vec());
             } else {
                 let (msg, _) = self.recv_msg(plane, Some(src), Some(TAG_GATHER), None, true)?;
-                out.push(decode(&msg.bytes())?);
+                out.push(decode(msg.bytes())?);
             }
         }
         Ok(Some(out))
@@ -161,7 +161,7 @@ impl Comm {
         let plane = self.coll_plane();
         if self.rank() != 0 {
             let (msg, _) = self.recv_msg(plane, Some(0), Some(TAG_SCATTER), None, true)?;
-            return decode(&msg.bytes());
+            return decode(msg.bytes());
         }
         for (dst, part) in parts.iter().enumerate().skip(1) {
             self.post_payload(plane, Payload::from_vec(encode(part)), dst, TAG_SCATTER)?;

@@ -10,11 +10,12 @@ use crate::agree::Agreement;
 use crate::datatype::{decode, decode_into, encode_payload, MpiType};
 use crate::error::{MpiError, MpiResult, WaitGraph};
 use crate::group::Group;
-use crate::p2p::{Claim, Envelope, Msg, Pattern, Payload, Status};
-use crate::plan::NodeVec;
+use crate::p2p::{Claim, Envelope, Msg, Pattern, Payload, Status, Wire};
+use crate::plan::{NodeVec, Plan};
 use crate::quiesce::{WaitKind, WaitRecord};
 use crate::runtime::{RankState, SharedState};
-use crate::vtime::{LocalClock, RankNet};
+use crate::slot::{Arrival, Data, Slot};
+use crate::vtime::{LocalClock, NetFrontier, RankNet};
 use hetsim::{NodeId, SimTime, TraceEvent, TraceKind};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -71,11 +72,153 @@ pub(crate) struct Ordinals {
     /// [`Comm::dup`] / [`Comm::create`] calls: the key of the context
     /// registry entry.
     ctor: Cell<u64>,
+    /// Engine collective calls: the key of the call's collective slot.
+    coll: Cell<u64>,
 }
 
 /// Returns the count and bumps it.
 fn take(count: &Cell<u64>) -> u64 {
     count.replace(count.get() + 1)
+}
+
+/// One rank's transport state, wherever it is held at the moment: its clock
+/// value and its [`RankNet`]. A [`Comm`] lends its rank's own for one call;
+/// a collective slot holds each member's for the length of the collective.
+/// Both sides of every transfer run here, so a send or receive does the
+/// same thing whoever's thread runs it.
+pub(crate) struct Endpoint<'a> {
+    pub(crate) shared: &'a SharedState,
+    /// The rank's world rank.
+    pub(crate) world: usize,
+    pub(crate) clock: &'a mut SimTime,
+    pub(crate) net: &'a mut RankNet,
+}
+
+impl Endpoint<'_> {
+    /// A doomed rank does not live to see virtual time `at` if its node
+    /// crashes at or before it: the rank dies first — clock clamped to the
+    /// crash time, failure published, [`MpiError::NodeFailed`] (own world
+    /// rank).
+    pub(crate) fn outlive(&mut self, at: SimTime) -> MpiResult<()> {
+        match self.shared.doom[self.world] {
+            Some(tc) if at >= tc => Err(self.die(tc)),
+            _ => Ok(()),
+        }
+    }
+
+    /// Errors with [`MpiError::NodeFailed`] (own world rank) if the rank's
+    /// node has fail-stopped by its current virtual time.
+    pub(crate) fn check_alive(&mut self) -> MpiResult<()> {
+        self.outlive(*self.clock)
+    }
+
+    /// The rank's death at its node's crash time `tc`.
+    pub(crate) fn die(&mut self, tc: SimTime) -> MpiError {
+        *self.clock = (*self.clock).max(tc);
+        self.shared.mark_failed(self.world);
+        MpiError::NodeFailed {
+            world_rank: self.world,
+        }
+    }
+
+    /// The sender's half of a `bytes`-byte transfer to world rank `dst`:
+    /// the liveness checks, the link's cost at the sender's clock, the
+    /// grant against the sender's frontier, the injection overhead and the
+    /// `send` span. `collective` marks the span as collective-plane traffic.
+    ///
+    /// # Errors
+    /// [`MpiError::NodeFailed`] if the sender's own node has crashed (own
+    /// world rank) or the destination's node has crashed by the sender's
+    /// clock (destination world rank); [`MpiError::LinkDown`] if the fault
+    /// plan has dropped the link.
+    pub(crate) fn send(
+        &mut self,
+        dst: usize,
+        bytes: usize,
+        protocol: &'static str,
+        collective: bool,
+    ) -> MpiResult<Wire> {
+        self.check_alive()?;
+        let shared = self.shared;
+        let (src_node, dst_node) = (shared.placement[self.world], shared.placement[dst]);
+        let now = *self.clock;
+        if shared.doom[dst].is_some_and(|tc| now >= tc) {
+            return Err(MpiError::NodeFailed { world_rank: dst });
+        }
+        let (overhead, cost) = if self.world == dst {
+            // Self-sends stay on the free loopback even when a memory bus
+            // is modelled; only distinct co-located ranks fight for it.
+            (SimTime::ZERO, SimTime::ZERO)
+        } else {
+            let link = shared.cluster.rank_link(src_node, dst_node);
+            let cost = shared
+                .cluster
+                .rank_transfer_time_at(src_node, dst_node, bytes, now)
+                .ok_or(MpiError::LinkDown {
+                    from: src_node.index(),
+                    to: dst_node.index(),
+                })?;
+            (SimTime::from_secs(link.latency), cost)
+        };
+        // Sender-side arbitration against this rank's own frontier; the
+        // receiver settles the stamped window when it takes the transfer
+        // (see `crate::vtime` — the two steps make contention
+        // deterministic).
+        let (arrival, xfer) = self.net.net.grant(src_node, dst_node, now, cost);
+        let seq = self.net.take_seq();
+        *self.clock = now + overhead;
+        if let Some(tracer) = &shared.tracer {
+            let mut ev = TraceEvent::new(self.world, TraceKind::Send, "send", now);
+            ev.dur = overhead;
+            ev.bytes = bytes as u64;
+            ev.protocol = Some(protocol);
+            ev.peer = Some(dst);
+            ev.collective = collective;
+            tracer.record(ev);
+        }
+        Ok(Wire {
+            sent_at: now,
+            arrival,
+            seq,
+            xfer,
+        })
+    }
+
+    /// The receiver's half of a `bytes`-byte transfer from world rank
+    /// `src`: settles the wire's contended reservation against this rank's
+    /// frontier (uncontended transfers pass their stamped arrival through),
+    /// lets the rank die first if its node crashes before the transfer is
+    /// in, merges the clock and records the `recv` span.
+    pub(crate) fn recv(
+        &mut self,
+        src: usize,
+        wire: &Wire,
+        bytes: usize,
+        protocol: &'static str,
+        collective: bool,
+    ) -> MpiResult<()> {
+        let arrival = match wire.xfer {
+            Some(x) => self.net.net.settle(x),
+            None => wire.arrival,
+        };
+        self.outlive(arrival)?;
+        let before = *self.clock;
+        *self.clock = before.max(arrival);
+        if let Some(tracer) = &self.shared.tracer {
+            let dur = arrival.max(before) - before;
+            let mut ev = TraceEvent::new(self.world, TraceKind::Recv, "recv", before);
+            ev.dur = dur;
+            // The idle part of the span: time spent blocked before the
+            // sender had even reached its send.
+            ev.wait = (wire.sent_at.max(before) - before).min(dur);
+            ev.bytes = bytes as u64;
+            ev.protocol = Some(protocol);
+            ev.peer = Some(src);
+            ev.collective = collective;
+            tracer.record(ev);
+        }
+        Ok(())
+    }
 }
 
 impl Comm {
@@ -191,23 +334,25 @@ impl Comm {
     /// rank's node has fail-stopped by its current virtual time, publishing
     /// the failure as a side effect.
     fn check_self_alive(&self) -> MpiResult<()> {
-        self.outlive(self.clock.now())
+        self.endpoint(|e| e.check_alive())
     }
 
-    /// A doomed rank does not live to see virtual time `at` if its node
-    /// crashes at or before it: the rank dies first — clock clamped to the
-    /// crash time, failure published, [`MpiError::NodeFailed`] (own world
-    /// rank).
+    /// [`Endpoint::outlive`] on this rank's clock.
     fn outlive(&self, at: SimTime) -> MpiResult<()> {
-        let world_rank = self.my_world_rank();
-        match self.shared.doom[world_rank] {
-            Some(tc) if at >= tc => {
-                self.clock.merge(tc);
-                self.shared.mark_failed(world_rank);
-                Err(MpiError::NodeFailed { world_rank })
-            }
-            _ => Ok(()),
-        }
+        self.endpoint(|e| e.outlive(at))
+    }
+
+    /// Runs `f` on this rank's transport state, lent for the call.
+    fn endpoint<R>(&self, f: impl FnOnce(&mut Endpoint<'_>) -> R) -> R {
+        let mut now = self.clock.now();
+        let out = f(&mut Endpoint {
+            shared: &self.shared,
+            world: self.my_world_rank(),
+            clock: &mut now,
+            net: &mut self.frontier.borrow_mut(),
+        });
+        self.clock.set(now);
+        out
     }
 
     fn check_rank(&self, rank: usize) -> MpiResult<()> {
@@ -254,95 +399,29 @@ impl Comm {
         dest: usize,
         tag: i32,
     ) -> MpiResult<()> {
-        self.check_self_alive()?;
-        let src_world = self.my_world_rank();
         let dst_world = self.world_rank_of(dest);
-        let src_node = self.shared.placement[src_world];
-        let dst_node = self.shared.placement[dst_world];
-        let now = self.clock.now();
-        if self.shared.doom[dst_world].is_some_and(|tc| now >= tc) {
-            return Err(MpiError::NodeFailed {
-                world_rank: dst_world,
-            });
-        }
-        let (overhead, cost) = if src_world == dst_world {
-            // Self-sends stay on the free loopback even when a memory bus
-            // is modelled; only distinct co-located ranks fight for it.
-            (SimTime::ZERO, SimTime::ZERO)
-        } else {
-            let link = self.shared.cluster.rank_link(src_node, dst_node);
-            let cost = self
-                .shared
-                .cluster
-                .rank_transfer_time_at(src_node, dst_node, payload.len(), now)
-                .ok_or(MpiError::LinkDown {
-                    from: src_node.index(),
-                    to: dst_node.index(),
-                })?;
-            (SimTime::from_secs(link.latency), cost)
-        };
-        // Sender-side arbitration against this rank's own frontier; the
-        // receiver settles the stamped window at match time (see
-        // `crate::vtime` — the two steps make contention deterministic).
-        let (arrival, xfer, seq) = {
-            let mut f = self.frontier.borrow_mut();
-            let (arrival, xfer) = f.net.grant(src_node, dst_node, now, cost);
-            (arrival, xfer, f.take_seq())
-        };
-        self.clock.advance(overhead);
-        if let Some(tracer) = &self.shared.tracer {
-            let mut ev = TraceEvent::new(src_world, TraceKind::Send, "send", now);
-            ev.dur = overhead;
-            ev.bytes = payload.len() as u64;
-            ev.protocol = Some(payload.protocol());
-            ev.peer = Some(dst_world);
-            // Context-id pairs have an even p2p plane and an odd collective
-            // plane (the allocator hands out even bases).
-            ev.collective = plane & 1 == 1;
-            tracer.record(ev);
-        }
+        // Context-id pairs have an even p2p plane and an odd collective
+        // plane (the allocator hands out even bases).
+        let collective = plane & 1 == 1;
+        let (len, protocol) = (payload.len(), payload.protocol());
+        let wire = self.endpoint(|e| e.send(dst_world, len, protocol, collective))?;
         self.shared.mailboxes[dst_world].post_lane(Envelope {
             ctx: plane,
-            src_world,
+            src_world: self.my_world_rank(),
             tag,
             payload,
-            sent_at: now,
-            arrival,
-            seq,
-            xfer,
+            wire,
         });
         Ok(())
     }
 
-    /// The delivery epilogue of every receive: settles the matched
-    /// envelope's contended-wire reservation against this rank's frontier
-    /// (the receiver-side arbitration step — uncontended envelopes pass
-    /// their stamped arrival through), lets the rank die first if its node
-    /// crashes before the message is in, merges the clock, and records the
-    /// `recv` span. Runs on the receiving rank's own thread at the moment
+    /// The delivery epilogue of every receive: [`Endpoint::recv`] on the
+    /// matched envelope, on the receiving rank's own thread at the moment
     /// the envelope is consumed.
     fn deliver(&self, env: Envelope) -> MpiResult<(Msg, Status)> {
-        let my_world = self.my_world_rank();
-        let arrival = match env.xfer {
-            Some(x) => self.frontier.borrow_mut().net.settle(x),
-            None => env.arrival,
-        };
-        self.outlive(arrival)?;
-        let before = self.clock.now();
-        self.clock.merge(arrival);
-        if let Some(tracer) = &self.shared.tracer {
-            let dur = arrival.max(before) - before;
-            let mut ev = TraceEvent::new(my_world, TraceKind::Recv, "recv", before);
-            ev.dur = dur;
-            // The idle part of the span: time spent blocked before the
-            // sender had even reached its send.
-            ev.wait = (env.sent_at.max(before) - before).min(dur);
-            ev.bytes = env.len() as u64;
-            ev.protocol = Some(env.payload.protocol());
-            ev.peer = Some(env.src_world);
-            ev.collective = env.ctx & 1 == 1;
-            tracer.record(ev);
-        }
+        let (len, protocol) = (env.len(), env.payload.protocol());
+        let collective = env.ctx & 1 == 1;
+        self.endpoint(|e| e.recv(env.src_world, &env.wire, len, protocol, collective))?;
         let status = self.status(env.src_world, env.tag, env.len());
         Ok((env.into_msg(), status))
     }
@@ -413,9 +492,22 @@ impl Comm {
         &self,
         deadline: Option<SimTime>,
         collective: bool,
-        mut attempt: impl FnMut(Option<SimTime>) -> Claim<T>,
+        attempt: impl FnMut(Option<SimTime>) -> Claim<T>,
         kind: impl FnOnce() -> WaitKind,
     ) -> MpiResult<T> {
+        self.wait_until(deadline, collective, attempt, kind)
+            .map_err(|(_, e)| e)
+    }
+
+    /// [`Comm::wait`], telling an end by the dead-peer rule (`true`) from
+    /// every other error: a verdict, a missed deadline, the watchdog.
+    fn wait_until<T>(
+        &self,
+        deadline: Option<SimTime>,
+        collective: bool,
+        mut attempt: impl FnMut(Option<SimTime>) -> Claim<T>,
+        kind: impl FnOnce() -> WaitKind,
+    ) -> Result<T, (bool, MpiError)> {
         let my_world = self.my_world_rank();
         let own_tc = self.shared.doom[my_world];
         let death_binding = own_tc.is_some_and(|tc| deadline.is_none_or(|d| tc <= d));
@@ -437,7 +529,7 @@ impl Comm {
         let mut seen = reg.deaths();
         let mut ticket = mb.ticket();
         if let Some(done) = outcome(attempt(deadline_eff)) {
-            return done.map_err(resolve);
+            return done.map_err(|e| (false, resolve(e)));
         }
         let rec = WaitRecord {
             group: self.group.clone(),
@@ -451,10 +543,11 @@ impl Comm {
         let done = loop {
             if let Some(err) = rec.abort(my_world, &self.shared.liveness) {
                 let late = outcome(reg.attempt(my_world, || attempt(deadline_eff)));
-                break late.unwrap_or_else(|| {
+                let Some(done) = late else {
                     reg.unblock(my_world);
-                    Err(err)
-                });
+                    return Err((true, err));
+                };
+                break done;
             }
             if start.elapsed() >= WATCHDOG {
                 // Belt and braces: the detector should have classified
@@ -497,7 +590,7 @@ impl Comm {
             // rung the doorbell, and the ring was lost.
             mb.wakes.missed.fetch_add(1, Ordering::Relaxed);
         }
-        done.map_err(resolve)
+        done.map_err(|e| (false, resolve(e)))
     }
 
     /// Internal transport: the one matched receive, with failure detection
@@ -506,9 +599,8 @@ impl Comm {
     /// * A message already queued from a now-dead sender is still delivered
     ///   (it was sent before the sender died).
     /// * The caller names the abort rule. Without `collective_abort` (user
-    ///   point-to-point, and the schedule engine, so a fault propagates
-    ///   along schedule edges deterministically) the wait aborts only when
-    ///   the awaited sender is dead → [`MpiError::NodeFailed`] /
+    ///   point-to-point) the wait aborts only when the awaited sender is
+    ///   dead → [`MpiError::NodeFailed`] /
     ///   [`MpiError::PeerTerminated`]. With it (the legacy collectives) any
     ///   *failed* group member aborts the wait (see [`WaitRecord::abort`]),
     ///   and a member whose node has crashed by the caller's clock fails
@@ -601,7 +693,7 @@ impl Comm {
     pub fn recv<T: MpiType>(&self, src: usize, tag: i32) -> MpiResult<(Vec<T>, Status)> {
         self.check_rank(src)?;
         let (msg, status) = self.recv_msg(self.ctx, Some(src), Some(tag), None, false)?;
-        Ok((decode(&msg.bytes())?, status))
+        Ok((decode(msg.bytes())?, status))
     }
 
     /// Blocking receive that gives up at a virtual-time `deadline`: if no
@@ -626,7 +718,7 @@ impl Comm {
     ) -> MpiResult<(Vec<T>, Status)> {
         self.check_rank(src)?;
         let (msg, status) = self.recv_msg(self.ctx, Some(src), Some(tag), Some(deadline), false)?;
-        Ok((decode(&msg.bytes())?, status))
+        Ok((decode(msg.bytes())?, status))
     }
 
     /// [`Comm::recv_deadline`] with the deadline expressed as a duration from
@@ -657,7 +749,7 @@ impl Comm {
             self.check_rank(s)?;
         }
         let (msg, status) = self.recv_msg(self.ctx, src, tag, None, false)?;
-        Ok((decode(&msg.bytes())?, status))
+        Ok((decode(msg.bytes())?, status))
     }
 
     /// Blocking receive into a caller-supplied buffer, with truncation
@@ -673,7 +765,7 @@ impl Comm {
     ) -> MpiResult<(usize, Status)> {
         self.check_rank(src)?;
         let (msg, status) = self.recv_msg(self.ctx, Some(src), Some(tag), None, false)?;
-        let n = decode_into(&msg.bytes(), buf)?;
+        let n = decode_into(msg.bytes(), buf)?;
         Ok((n, status))
     }
 
@@ -870,6 +962,62 @@ impl Comm {
             .rank_of_world(self.my_world_rank())
             .expect("split member lists include the contributing rank");
         Ok(Some(self.over(group, ctx, rank)))
+    }
+
+    // ----- engine collectives ----------------------------------------------
+
+    /// Runs `plan`, one engine call, in the call's collective slot: the
+    /// `n`-th such call on this communicator joins slot `(collective plane,
+    /// n)`. This rank deposits `input` and lends the slot its clock and
+    /// sending state, runs every member's program as far as it can, and
+    /// then sleeps — at most once, unless a death or a verdict ends the
+    /// wait — until its own program has finished or failed; it takes its
+    /// state back with the outcome. The slot comes back for the result to
+    /// be copied out of.
+    ///
+    /// While blocked, the rank's wait is a receive from the one sender its
+    /// program awaits (`WaitKind::Collective`): that sender's death aborts
+    /// it, and a doomed rank's crash time bounds it, exactly as the
+    /// scheduled receive it stands for.
+    pub(crate) fn run_slot(
+        &self,
+        plan: Arc<Plan>,
+        elem_bytes: usize,
+        input: Option<Data>,
+    ) -> MpiResult<Arc<Slot>> {
+        let key = (self.coll_plane(), take(&self.ordinals.coll));
+        let slot = self.shared.slots.open(key, &self.group);
+        let me = self.rank();
+        let fresh = RankNet::new(NetFrontier::new(self.shared.cluster.contention()));
+        let arrival = Arrival {
+            plan,
+            elem_bytes,
+            clock: self.clock.now(),
+            net: std::mem::replace(&mut *self.frontier.borrow_mut(), fresh),
+            input,
+        };
+        slot.arrive(&self.shared, me, arrival);
+        while !slot.finished(me) {
+            let waited = self.wait_until(
+                None,
+                false,
+                |_| match slot.finished(me) {
+                    true => Claim::Matched(()),
+                    false => Claim::Nothing,
+                },
+                || WaitKind::Collective {
+                    slot: Arc::clone(&slot),
+                    member: me,
+                },
+            );
+            if let Err((dead_peer, e)) = waited {
+                slot.abandon(&self.shared, me, (!dead_peer).then_some(e));
+            }
+        }
+        let (outcome, clock, net) = slot.take(&self.shared, me);
+        self.clock.set(clock);
+        *self.frontier.borrow_mut() = net;
+        outcome.map(|()| slot)
     }
 
     // ----- fault-tolerant agreement -----------------------------------------

@@ -13,7 +13,7 @@ use crate::pool::BufferPool;
 use std::sync::Arc;
 
 /// A plain datatype that can cross the message-passing layer.
-pub trait MpiType: Copy + Send + 'static {
+pub trait MpiType: Copy + Send + Sync + 'static {
     /// Size of one element in bytes on the wire.
     const WIRE_SIZE: usize;
 

@@ -2,26 +2,30 @@
 //! cost-model selection.
 //!
 //! Every collective here executes a [`perfmodel::collective`] *schedule* —
-//! an ordered list of rounds of point-to-point transfers — through the same
-//! transport (`Comm::post_payload` / `Comm::recv_msg`) the rest of
-//! mpisim uses, on the communicator's collective plane. Each transfer says
-//! what it carries ([`Payload`]), so one interpreter (`Comm::interpret`)
-//! runs them all — flat or hierarchical, movement or reduction — and no
-//! algorithm is written down a second time here. That buys three properties
-//! for free:
+//! an ordered list of rounds of point-to-point transfers — as one
+//! rendezvous: the call's collective slot (`crate::slot`), where every
+//! member deposits its plan and input and lends its clock and contention
+//! frontier, and whichever member's thread holds the slot runs every
+//! member's program as far as the transfers already sent allow. Each step
+//! is the transport's own send or receive half, run in the member's
+//! program order on its own state, so the slot executes exactly the
+//! message passing the schedule describes — one executor for every
+//! algorithm, flat or hierarchical, movement or reduction, and no
+//! algorithm is written down a second time here. A member sleeps at most
+//! once per call, until its own program has finished or failed. That buys
+//! three properties for free:
 //!
 //! * **a fault contract** — under fail-stop faults every surviving member
 //!   returns either the *complete, correct* result or a typed
 //!   [`MpiError::NodeFailed`]; never a torn buffer and never a hang.
 //!   Faults propagate *along schedule edges*: a receive aborts when its
-//!   specific scheduled sender is dead (`Comm::recv_msg` with the
-//!   awaited-sender abort rule), and a rank that aborts mid-schedule first
-//!   *poisons* every scheduled transfer it has not yet sent (a `TAG_POISON`
-//!   message naming the failed world rank), so downstream ranks fail fast
-//!   with the same root cause instead of blocking on a live-but-aborted
-//!   peer. The whole error surface is a
-//!   deterministic function of the fault plan — same seed, same survivor
-//!   set — and is predicted offline by [`perfmodel::collective::fault_impact`];
+//!   specific scheduled sender is dead, and a member that aborts
+//!   mid-schedule first *poisons* every scheduled transfer it has not yet
+//!   sent (a transfer naming the failed world rank), so downstream members
+//!   fail fast with the same root cause instead of blocking on a
+//!   live-but-aborted peer. The whole error surface is a deterministic
+//!   function of the fault plan — same seed, same survivor set — and is
+//!   predicted offline by [`perfmodel::collective::fault_impact`];
 //! * **tracing** — the inner sends/receives appear in the virtual-time
 //!   trace, and the engine wraps each call in a [`TraceKind::Collective`]
 //!   span named after the algorithm that ran;
@@ -45,63 +49,27 @@
 //! Reduction collectives preserve a **fixed deterministic fold order**
 //! regardless of algorithm: the result element `i` is always the
 //! identity-seeded left fold of contribution element `i` over ranks in
-//! ascending communicator-rank order. Schedules therefore move raw
-//! contributions (or ascending-prefix partial folds), never tree-shaped
-//! partials; the interpreter folds a range only once every rank's
-//! contribution to it is present, always in that order, so an algorithm
-//! decides where the values meet and never how they combine — switching
+//! ascending communicator-rank order — which is what every schedule
+//! computes, since schedules move raw contributions (or ascending-prefix
+//! partial folds), never tree-shaped partials. So an algorithm decides
+//! where the values meet and never how they combine, and switching
 //! algorithms never changes a single result bit.
 //!
-//! Payloads are built from what a rank already holds, and read in place.
-//! Finished ranges (`Slice`) and prefix folds (`Prefix`) are encoded once
-//! per send: inline at or under the eager limit, into a pooled lease above
-//! it. Raw contributions travel by reference: a rank encodes its own
-//! contribution once per call, a receiver keeps the segments a payload
-//! arrived in with a per-origin `(piece, offset)` table, and forwarding an
-//! origin re-shares its piece — a reduce's raw bytes are written once,
-//! however many hops they take, and each is decoded only by the fold that
-//! finishes its range. Origin ranges under `RENDEZVOUS_BLOCK` bytes are
-//! cheaper copied than shared: those are concatenated into one fresh
-//! buffer per send. Either way a payload's length is its schedule's
-//! `elems() × WIRE_SIZE` bytes, so virtual time never sees the difference.
+//! No payload bytes travel through a schedule: a transfer in the slot is
+//! its size and wire stamps. A member that finishes copies its result out
+//! of the deposits — the root's buffer for bcast, the concatenated
+//! contributions for allgather, the fold (built once per call) for reduce
+//! and allreduce — the bits every schedule delivers.
 
 use crate::comm::Comm;
-use crate::datatype::{decode, decode_into, encode, encode_payload, write_all, MpiType};
+use crate::datatype::MpiType;
 use crate::error::{MpiError, MpiResult};
 use crate::op::ReduceOp;
-use crate::p2p::{self, Msg, Piece, RENDEZVOUS_BLOCK};
 use crate::plan::{ineligible, Plan, PlanKey};
-use crate::pool::BufferPool;
+use crate::slot::{Data, Slot};
 use hetsim::{SimTime, TraceEvent, TraceKind};
-use perfmodel::collective::{chunk_bounds, CollectiveAlgo, CollectiveKind, Payload, Xfer};
+use perfmodel::collective::{CollectiveAlgo, CollectiveKind};
 use std::sync::Arc;
-
-/// Tag used by every engine-scheduled transfer. A single tag suffices:
-/// transfers ride the communicator's collective plane, where the per-pair
-/// FIFO (non-overtaking) guarantee plus the schedules' fixed per-pair send
-/// order make matching unambiguous.
-pub(crate) const TAG_COLL: i32 = 9;
-
-/// Tag of a *poison* message: a rank aborting out of a schedule posts one of
-/// these in place of every scheduled transfer it will no longer send. The
-/// payload is the world rank of the failed node being blamed (one `i64`).
-/// Because each scheduled edge carries exactly one message — data or poison
-/// — the collective plane stays balanced and per-pair FIFO keeps matching
-/// unambiguous.
-pub(crate) const TAG_POISON: i32 = 10;
-
-/// The world rank an engine collective should propagate blame for, if the
-/// error is a fail-stop fault. Non-fault errors (count mismatches, link
-/// drops) are not poisoned: their stuck peers are resolved by the
-/// quiescence detector instead.
-fn fault_blame(e: &MpiError) -> Option<usize> {
-    match *e {
-        MpiError::NodeFailed { world_rank } | MpiError::PeerTerminated { world_rank } => {
-            Some(world_rank)
-        }
-        _ => None,
-    }
-}
 
 /// How the engine picks an algorithm for each collective call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -249,99 +217,24 @@ impl Comm {
         }
     }
 
-    /// Completes one scheduled receive from comm rank `src`: the data
-    /// payload, or the failure the sender propagated in its place.
-    ///
-    /// The wait uses point-to-point abort semantics (only `src`'s own death
-    /// aborts it), so the failure surface follows schedule edges
-    /// deterministically instead of racing a real-time failure detector. A
-    /// [`TAG_POISON`] message decodes to [`MpiError::NodeFailed`] blaming
-    /// the world rank it carries; a terminated peer is normalised to
-    /// [`MpiError::NodeFailed`] too, so the engine's fault contract exposes
-    /// a single error type.
-    fn recv_sched(&self, src: usize) -> MpiResult<Msg> {
-        match self.recv_msg(self.coll_plane(), Some(src), None, None, false) {
-            Ok((msg, st)) if st.tag == TAG_POISON => {
-                let v: Vec<i64> = decode(&msg.bytes())?;
-                let world_rank = v
-                    .first()
-                    .map(|&w| w as usize)
-                    .unwrap_or_else(|| self.world_rank_of(src));
-                Err(MpiError::NodeFailed { world_rank })
-            }
-            Ok((msg, _)) => Ok(msg),
-            Err(MpiError::PeerTerminated { world_rank }) => {
-                Err(MpiError::NodeFailed { world_rank })
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Runs `plan` on this rank: the one schedule interpreter behind every
-    /// engine collective, flat or hierarchical, movement or reduction.
-    ///
-    /// `out` is the call's result buffer, holding what this rank starts with
-    /// finished (a bcast root's data, an allgather contribution in its
-    /// slot); `own` is its raw contribution to a reduction (empty otherwise)
-    /// and `fold` folds an operand onto an accumulator. The rank walks its
-    /// own transfers in round order, each round's sends before its
-    /// receives, and every transfer says what it carries ([`Payload`]), so
-    /// nothing here knows an algorithm.
-    ///
-    /// `out` is scratch: it comes back only when the whole schedule has run,
-    /// so an abort leaves no torn result. On a fail-stop error every send
-    /// this rank has not issued is replaced by a [`TAG_POISON`] message
-    /// naming the blamed world rank (posts to dead destinations fail and are
-    /// dropped — they need no notification), so downstream ranks abort with
-    /// the same root cause.
-    fn interpret<T: MpiType>(
-        &self,
-        plan: &Plan,
-        out: Vec<T>,
-        own: &[T],
-        fold: &Fold<T>,
-    ) -> MpiResult<Vec<T>> {
-        let me = self.rank();
-        let pool = &self.shared.pool;
-        let mut holds = Holdings::new(self.size(), me, out, own, fold);
-        let mut program = plan.program(me);
-        while let Some(x) = program.next() {
-            let step = if x.src == me {
-                self.post_payload(self.coll_plane(), holds.payload(x, pool), x.dst, TAG_COLL)
-            } else {
-                self.recv_sched(x.src).and_then(|msg| holds.accept(x, msg))
-            };
-            if let Err(e) = step {
-                if let Some(blame) = fault_blame(&e) {
-                    let unsent = std::iter::once(x).chain(program).filter(|x| x.src == me);
-                    for x in unsent {
-                        let poison = [blame as i64];
-                        let _ = self.post_typed(self.coll_plane(), &poison, x.dst, TAG_POISON);
-                    }
-                }
-                return Err(e);
-            }
-        }
-        Ok(holds.out)
-    }
-
-    /// One engine call: plan (from the cache), interpret, trace.
-    #[allow(clippy::too_many_arguments)]
+    /// One engine call: plan (from the cache), run in the call's slot with
+    /// `input` as this member's deposit, trace. The slot comes back once
+    /// this member's program has run to its end, for the result to be
+    /// copied out of.
     fn run_planned<T: MpiType>(
         &self,
         kind: CollectiveKind,
         explicit: Option<CollectiveAlgo>,
         root: usize,
         elems: usize,
-        out: Vec<T>,
-        own: &[T],
-        fold: &Fold<T>,
-    ) -> MpiResult<Vec<T>> {
+        input: Option<Vec<T>>,
+    ) -> MpiResult<Arc<Slot>> {
         let plan = self.exec_plan(kind, explicit, root, elems, T::WIRE_SIZE)?;
-        let start = self.clock.now();
-        let out = self.interpret(&plan, out, own, fold)?;
-        self.trace_collective(kind, plan.algo, elems, T::WIRE_SIZE, start);
-        Ok(out)
+        let (start, algo) = (self.clock.now(), plan.algo);
+        let input = input.map(|v| Arc::new(v) as Data);
+        let slot = self.run_slot(plan, T::WIRE_SIZE, input)?;
+        self.trace_collective(kind, algo, elems, T::WIRE_SIZE, start);
+        Ok(slot)
     }
 
     /// Engine broadcast: replaces every rank's `buf` with the root's. All
@@ -374,16 +267,19 @@ impl Comm {
         self.bcast_planned(Some(algo), buf, root)
     }
 
-    /// The plan runs on a copy: `buf` is written only once all of it has.
+    /// `buf` is written only once this rank's whole program has run.
     fn bcast_planned<T: MpiType>(
         &self,
         explicit: Option<CollectiveAlgo>,
         buf: &mut [T],
         root: usize,
     ) -> MpiResult<()> {
-        let (kind, n) = (CollectiveKind::Bcast, buf.len());
-        let done = self.run_planned(kind, explicit, root, n, buf.to_vec(), &[], &no_fold)?;
-        buf.copy_from_slice(&done);
+        let (kind, n, is_root) = (CollectiveKind::Bcast, buf.len(), self.rank() == root);
+        let input = is_root.then(|| buf.to_vec());
+        let slot = self.run_planned(kind, explicit, root, n, input)?;
+        if !is_root && n > 0 {
+            buf.copy_from_slice(deposit::<T>(slot.input(root).as_ref(), n)?);
+        }
         Ok(())
     }
 
@@ -414,30 +310,30 @@ impl Comm {
         self.allgather_planned(Some(algo), contrib)
     }
 
-    /// The output buffer starts with this rank's chunk in its slot.
+    /// The concatenation is built once per call, in rank order.
     fn allgather_planned<T: MpiType + Copy + Default>(
         &self,
         explicit: Option<CollectiveAlgo>,
         contrib: &[T],
     ) -> MpiResult<Vec<T>> {
-        let p = self.size();
-        let total = contrib.len() * p;
-        let mut buf = vec![T::default(); total];
-        let (lo, hi) = chunk_bounds(total, p, self.rank());
-        buf[lo..hi].copy_from_slice(contrib);
-        self.run_planned(
-            CollectiveKind::Allgather,
-            explicit,
-            0,
-            total,
-            buf,
-            &[],
-            &no_fold,
-        )
+        let (m, total) = (contrib.len(), contrib.len() * self.size());
+        let kind = CollectiveKind::Allgather;
+        let slot = self.run_planned(kind, explicit, 0, total, Some(contrib.to_vec()))?;
+        if m == 0 {
+            return Ok(Vec::new());
+        }
+        let concat = |inputs: &[Option<Data>]| {
+            let mut out = Vec::with_capacity(total);
+            for input in inputs {
+                out.extend_from_slice(deposit::<T>(input.as_ref(), m)?);
+            }
+            Ok(Arc::new(out) as Data)
+        };
+        let all = slot.built((None, m), concat)?;
+        Ok(deposit::<T>(Some(&all), total)?.clone())
     }
 
-    /// A reduce plan finishes ranges on the root alone, so only the root
-    /// brings a result buffer.
+    /// A reduce's result is the root's alone.
     fn reduce_planned<T: Reducible>(
         &self,
         explicit: Option<CollectiveAlgo>,
@@ -445,11 +341,12 @@ impl Comm {
         op: ReduceOp,
         root: usize,
     ) -> MpiResult<Option<Vec<T>>> {
-        let (kind, n) = (CollectiveKind::Reduce, contrib.len());
-        let is_root = self.rank() == root;
-        let out = vec![T::default(); if is_root { n } else { 0 }];
-        let out = self.run_planned(kind, explicit, root, n, out, contrib, &folding(op))?;
-        Ok(is_root.then_some(out))
+        let kind = CollectiveKind::Reduce;
+        let slot = self.run_planned(kind, explicit, root, contrib.len(), Some(contrib.to_vec()))?;
+        if self.rank() != root {
+            return Ok(None);
+        }
+        folded(&slot, op, contrib.len()).map(Some)
     }
 
     fn allreduce_planned<T: Reducible>(
@@ -458,9 +355,9 @@ impl Comm {
         contrib: &[T],
         op: ReduceOp,
     ) -> MpiResult<Vec<T>> {
-        let (kind, n) = (CollectiveKind::Allreduce, contrib.len());
-        let out = vec![T::default(); n];
-        self.run_planned(kind, explicit, 0, n, out, contrib, &folding(op))
+        let kind = CollectiveKind::Allreduce;
+        let slot = self.run_planned(kind, explicit, 0, contrib.len(), Some(contrib.to_vec()))?;
+        folded(&slot, op, contrib.len())
     }
 
     /// Engine reduce over equal-length `f64` contributions; the root
@@ -558,24 +455,42 @@ impl Comm {
     }
 }
 
-/// One operand of a fold: this rank's own elements, or another origin's as
-/// they arrived on the wire, decoded as the fold reads them.
-enum Operand<'a, T> {
-    Own(&'a [T]),
-    Wire(&'a [u8]),
+/// A deposit of `n` elements of `T`: what a finished member copies its
+/// result from. A deposit that is missing, of another type or of another
+/// length is [`MpiError::InvalidCounts`] — ranks that called the
+/// collective with different arguments.
+fn deposit<T: MpiType>(d: Option<&Data>, n: usize) -> MpiResult<&Vec<T>> {
+    match d.and_then(|d| d.downcast_ref::<Vec<T>>()) {
+        Some(v) if v.len() == n => Ok(v),
+        _ => Err(MpiError::InvalidCounts(format!(
+            "no {n}-element deposit of this type to copy from \
+             (mismatched arguments across ranks?)"
+        ))),
+    }
 }
 
-/// Folds an operand onto an accumulator of the same length, first reset to
-/// the operation's identity when `seed` (the range's first operand).
-type Fold<T> = dyn Fn(&mut [T], Operand<'_, T>, bool);
-
-/// The movement kinds' [`Fold`]: their plans carry finished data only, so
-/// it never runs.
-fn no_fold<T>(_acc: &mut [T], _x: Operand<'_, T>, _seed: bool) {}
+/// The identity-seeded fold of `op` over every member's `n`-element
+/// contribution in ascending rank order, built once per call.
+fn folded<T: Reducible>(slot: &Slot, op: ReduceOp, n: usize) -> MpiResult<Vec<T>> {
+    if n == 0 {
+        return Ok(Vec::new());
+    }
+    let fold = |inputs: &[Option<Data>]| {
+        let mut acc = vec![T::identity(op); n];
+        for input in inputs {
+            for (a, &b) in acc.iter_mut().zip(deposit::<T>(input.as_ref(), n)?) {
+                *a = T::apply(op, *a, b);
+            }
+        }
+        Ok(Arc::new(acc) as Data)
+    };
+    let acc = slot.built((Some(op), n), fold)?;
+    Ok(deposit::<T>(Some(&acc), n)?.clone())
+}
 
 /// An element type the engine reduces: the wire codec of [`MpiType`] plus
 /// each [`ReduceOp`]'s identity and operation.
-trait Reducible: MpiType + Default {
+trait Reducible: MpiType {
     fn identity(op: ReduceOp) -> Self;
     fn apply(op: ReduceOp, a: Self, b: Self) -> Self;
 }
@@ -595,277 +510,5 @@ impl Reducible for i64 {
     }
     fn apply(op: ReduceOp, a: i64, b: i64) -> i64 {
         op.apply_i64(a, b)
-    }
-}
-
-/// The [`Fold`] of `op` over `T`.
-fn folding<T: Reducible>(op: ReduceOp) -> impl Fn(&mut [T], Operand<'_, T>, bool) {
-    move |acc, x, seed| {
-        if seed {
-            acc.fill(T::identity(op));
-        }
-        match x {
-            Operand::Own(x) => {
-                for (a, &b) in acc.iter_mut().zip(x) {
-                    *a = T::apply(op, *a, b);
-                }
-            }
-            Operand::Wire(x) => {
-                for (a, b) in acc.iter_mut().zip(x.chunks_exact(T::WIRE_SIZE)) {
-                    *a = T::apply(op, *a, T::read_from(b));
-                }
-            }
-        }
-    }
-}
-
-/// What one rank holds while it interprets a plan.
-struct Holdings<'a, T> {
-    p: usize,
-    me: usize,
-    /// The result buffer: ranges received finished, or folded here.
-    out: Vec<T>,
-    /// This rank's own raw contribution, over `[0, own.len())`, …
-    own: &'a [T],
-    /// … and its wire bytes, encoded the first time a range of it is
-    /// shared.
-    own_wire: Option<Piece>,
-    /// The raw payloads received, each kept as the pieces it arrived in, …
-    segs: Vec<Piece>,
-    /// … and where each other origin's contribution sits, as `(piece, byte
-    /// offset in it, lo)`: elements from `lo` on. Sized on the first
-    /// arrival; a plan delivers no origin to a rank twice.
-    at: Vec<Option<(usize, usize, usize)>>,
-    /// Origins held, this rank's own included.
-    held: usize,
-    /// Ascending-prefix partial folds through this rank, by first element,
-    /// each waiting for the round that forwards it.
-    partial: Vec<(usize, Vec<T>)>,
-    fold: &'a Fold<T>,
-}
-
-impl<'a, T: MpiType> Holdings<'a, T> {
-    fn new(p: usize, me: usize, out: Vec<T>, own: &'a [T], fold: &'a Fold<T>) -> Self {
-        let mut holds = Holdings {
-            p,
-            me,
-            out,
-            own,
-            own_wire: None,
-            segs: Vec::new(),
-            at: Vec::new(),
-            held: 0,
-            partial: Vec::new(),
-            fold,
-        };
-        if !own.is_empty() {
-            holds.now_holding(1, 0, own.len());
-        }
-        holds
-    }
-
-    /// Where elements `[lo, hi)` of another origin's raw contribution sit:
-    /// the index of a held piece and a byte range of it.
-    fn held_at(&self, origin: usize, lo: usize, hi: usize) -> (usize, usize, usize) {
-        let (seg, offset, first) = self.at[origin].expect("plans move and fold held origins only");
-        let from = offset + (lo - first) * T::WIRE_SIZE;
-        (seg, from, from + (hi - lo) * T::WIRE_SIZE)
-    }
-
-    /// [`Holdings::held_at`], with the piece.
-    fn held(&self, origin: usize, lo: usize, hi: usize) -> (&Piece, usize, usize) {
-        let (seg, from, to) = self.held_at(origin, lo, hi);
-        (&self.segs[seg], from, to)
-    }
-
-    /// Elements `[lo, hi)` of `origin`'s raw contribution.
-    fn operand(&self, origin: usize, lo: usize, hi: usize) -> Operand<'_, T> {
-        if origin == self.me {
-            return Operand::Own(&self.own[lo..hi]);
-        }
-        let (piece, from, to) = self.held(origin, lo, hi);
-        Operand::Wire(&piece.bytes()[from..to])
-    }
-
-    /// Elements `[lo, hi)` of `origin`'s raw contribution as a shared piece.
-    fn share(&mut self, origin: usize, lo: usize, hi: usize) -> Piece {
-        if origin == self.me {
-            let (own, w) = (self.own, T::WIRE_SIZE);
-            let wire = self.own_wire.get_or_insert_with(|| Piece::new(encode(own)));
-            return wire.slice(lo * w, hi * w);
-        }
-        let (piece, from, to) = self.held(origin, lo, hi);
-        piece.slice(from, to)
-    }
-
-    /// Counts `origins` more raw contributions, held over `[lo, hi)`. The
-    /// moment all `p` are present that range is finished: folded onto the
-    /// identity in ascending rank order, whatever order they arrived in.
-    fn now_holding(&mut self, origins: usize, lo: usize, hi: usize) {
-        self.held += origins;
-        if self.held == self.p {
-            let mut out = std::mem::take(&mut self.out);
-            for origin in 0..self.p {
-                (self.fold)(&mut out[lo..hi], self.operand(origin, lo, hi), origin == 0);
-            }
-            self.out = out;
-        }
-    }
-
-    /// The payload of `x`, a transfer this rank sends.
-    fn payload(&mut self, x: &Xfer, pool: &Arc<BufferPool>) -> p2p::Payload {
-        let (lo, hi) = (x.lo, x.hi);
-        match &x.carries {
-            Payload::Slice => encode_payload(&self.out[lo..hi], pool),
-            Payload::Raw(origins) if (hi - lo) * T::WIRE_SIZE >= RENDEZVOUS_BLOCK => {
-                p2p::Payload::shared(origins.iter().map(|&o| self.share(o, lo, hi)))
-            }
-            Payload::Raw(origins) => {
-                // Too small to be worth sharing: one fresh buffer. Origins
-                // that sit back to back in one held piece — as they arrived
-                // together — go in one copy.
-                let width = (hi - lo) * T::WIRE_SIZE;
-                let mut bytes = vec![0; origins.len() * width];
-                let mut i = 0;
-                while i < origins.len() {
-                    let slot = &mut bytes[i * width..];
-                    if origins[i] == self.me {
-                        write_all(&self.own[lo..hi], &mut slot[..width]);
-                        i += 1;
-                        continue;
-                    }
-                    let (seg, from, mut to) = self.held_at(origins[i], lo, hi);
-                    let mut run = 1;
-                    for &next in origins[i + 1..].iter().take_while(|&&o| o != self.me) {
-                        let (s, f, t) = self.held_at(next, lo, hi);
-                        if s != seg || f != to {
-                            break;
-                        }
-                        (to, run) = (t, run + 1);
-                    }
-                    slot[..run * width].copy_from_slice(&self.segs[seg].bytes()[from..to]);
-                    i += run;
-                }
-                p2p::Payload::from_vec(bytes)
-            }
-            // Rank 0 starts each chain; the others forward what they folded
-            // their own contribution onto when it arrived.
-            Payload::Prefix if self.me == 0 => {
-                let own = &self.own[lo..hi];
-                let mut through_0 = own.to_vec();
-                (self.fold)(&mut through_0, Operand::Own(own), true);
-                encode_payload(&through_0, pool)
-            }
-            Payload::Prefix => {
-                let waiting = self.partial.iter().position(|(first, _)| *first == lo);
-                let through_me = self
-                    .partial
-                    .swap_remove(waiting.expect("the prefix arrived"));
-                encode_payload(&through_me.1, pool)
-            }
-        }
-    }
-
-    /// Files `x`, a transfer this rank received as `msg`, reading it in
-    /// place. A payload whose size disagrees with the schedule is
-    /// [`MpiError::InvalidCounts`] — the hallmark of ranks calling the
-    /// collective with different lengths.
-    fn accept(&mut self, x: &Xfer, msg: Msg) -> MpiResult<()> {
-        let (lo, hi) = (x.lo, x.hi);
-        let want = x.elems() * T::WIRE_SIZE;
-        if msg.len() != want {
-            return Err(MpiError::InvalidCounts(format!(
-                "scheduled transfer carried {} bytes, expected {want} \
-                 (mismatched lengths across ranks?)",
-                msg.len()
-            )));
-        }
-        match &x.carries {
-            Payload::Slice => {
-                decode_into(&msg.bytes(), &mut self.out[lo..hi])?;
-            }
-            Payload::Raw(origins) => {
-                let width = (hi - lo) * T::WIRE_SIZE;
-                self.at.resize(self.p, None);
-                let mut next = origins.iter();
-                for piece in msg.into_pieces() {
-                    let len = piece.bytes().len();
-                    if len % width != 0 {
-                        return Err(MpiError::InvalidCounts(format!(
-                            "a {len}-byte payload piece splits {width}-byte \
-                             contributions (mismatched lengths across ranks?)"
-                        )));
-                    }
-                    for (i, &origin) in next.by_ref().take(len / width).enumerate() {
-                        self.at[origin] = Some((self.segs.len(), i * width, lo));
-                    }
-                    self.segs.push(piece);
-                }
-                self.now_holding(origins.len(), lo, hi);
-            }
-            Payload::Prefix => {
-                let mut through_me: Vec<T> = decode(&msg.bytes())?;
-                (self.fold)(&mut through_me, Operand::Own(&self.own[lo..hi]), false);
-                if self.me + 1 == self.p {
-                    self.out[lo..hi].copy_from_slice(&through_me);
-                } else {
-                    self.partial.push((lo, through_me));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The small-raw path copies the origins that sit back to back in one
-    /// held piece at once. Origins of one piece sent as a subset, out of
-    /// order, around this rank's own, or over part of their range are not
-    /// back to back: every payload must equal the per-origin concatenation.
-    #[test]
-    fn small_raw_payloads_hold_exactly_the_origins_asked_for() {
-        let (p, n) = (5, 4);
-        let contrib = |o: usize| -> Vec<f64> { (0..n).map(|i| (10 * o + i) as f64).collect() };
-        let fold = folding::<f64>(ReduceOp::Sum);
-        let own = contrib(0);
-        let mut holds = Holdings::new(p, 0, vec![0.0; n], &own, &fold);
-        // Origins 1–3 arrive in one piece, origin 4 in another.
-        for (origins, src) in [(vec![1, 2, 3], 1), (vec![4], 4)] {
-            let bytes: Vec<u8> = origins.iter().flat_map(|&o| encode(&contrib(o))).collect();
-            let x = Xfer {
-                src,
-                dst: 0,
-                lo: 0,
-                hi: n,
-                carries: Payload::Raw(origins),
-            };
-            let msg = Msg::new(p2p::Payload::Shared(vec![Piece::new(bytes)]));
-            holds.accept(&x, msg).unwrap();
-        }
-        let pool = BufferPool::new();
-        for (origins, lo, hi) in [
-            (vec![1, 2, 3], 0, n),
-            (vec![1, 3], 0, n),
-            (vec![3, 2, 1], 0, n),
-            (vec![2, 0, 3, 4], 0, n),
-            (vec![1, 2, 3, 4], 1, 3),
-        ] {
-            let want: Vec<u8> = origins
-                .iter()
-                .flat_map(|&o| encode(&contrib(o)[lo..hi]))
-                .collect();
-            let x = Xfer {
-                src: 0,
-                dst: 1,
-                lo,
-                hi,
-                carries: Payload::Raw(origins.clone()),
-            };
-            let got = holds.payload(&x, &pool);
-            assert_eq!(*got.bytes(), *want, "{origins:?} over [{lo}, {hi})");
-        }
     }
 }

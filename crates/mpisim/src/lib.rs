@@ -57,6 +57,7 @@ pub mod plan;
 mod pool;
 mod quiesce;
 mod runtime;
+mod slot;
 mod vtime;
 
 pub use agree::Agreement;

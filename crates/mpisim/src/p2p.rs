@@ -14,15 +14,12 @@
 //!   ([`Payload::Pooled`]); the buffer returns to its size class when the
 //!   receiver drops the [`Msg`], and copy-out happens in
 //!   `RENDEZVOUS_BLOCK`-sized slabs;
-//! * **shared** — the schedule engine's raw reduction contributions travel
-//!   by reference ([`Payload::Shared`]): a list of [`Piece`]s, each an
-//!   immutable segment behind an `Arc` plus a byte range of it, so a
-//!   forwarded contribution is re-shared, never copied. An owned buffer
-//!   over the limit travels as one whole piece ([`Payload::from_vec`]).
-//!   Its trace label is "rendezvous" (the receiver reads the sender's
-//!   buffer), and only the engine's `Holdings::accept` reads one piece by
-//!   piece: every other reader sees the concatenation ([`Msg::bytes`],
-//!   [`Msg::into_vec`]).
+//! * **owned** — a buffer the sender already built (the legacy
+//!   collectives' encoded contributions) travels as it is when it is over
+//!   the limit ([`Payload::from_vec`]), labelled "rendezvous" in traces.
+//!
+//! The schedule engine's collectives post nothing here: each call runs in
+//! one collective slot (`crate::slot`).
 //!
 //! Matching is indexed instead of scanned: the mailbox keeps one FIFO
 //! queue per `(context, sender)`. A specific-source receive looks at
@@ -49,10 +46,8 @@ use crate::pool::Lease;
 use crate::vtime::{quantum_of, WireXfer};
 use hetsim::SimTime;
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// The eager/rendezvous protocol split and the capacity of an envelope's
@@ -62,63 +57,11 @@ pub const EAGER_LIMIT: usize = 256;
 /// Copy-out slab size for rendezvous payloads, bytes (the hmpi snippet's
 /// `BLOCK_SIZE`): [`Msg::into_vec`] copies pooled payloads out in blocks
 /// of this size so the lease returns to the pool as one pipelined pass
-/// completes, rather than lingering element-by-element. The schedule
-/// engine shares raw contribution ranges of at least this size and copies
-/// smaller ones.
+/// completes, rather than lingering element-by-element.
 pub(crate) const RENDEZVOUS_BLOCK: usize = 8192;
 
-/// An immutable run of wire bytes that several payloads can share: a
-/// segment behind an `Arc`, freed when its last holder drops it, and a byte
-/// range of it.
-#[derive(Clone)]
-pub(crate) struct Piece {
-    seg: Arc<Vec<u8>>,
-    start: usize,
-    end: usize,
-}
-
-impl Piece {
-    /// The whole of `bytes`, as a new segment.
-    pub(crate) fn new(bytes: Vec<u8>) -> Piece {
-        let end = bytes.len();
-        Piece {
-            seg: Arc::new(bytes),
-            start: 0,
-            end,
-        }
-    }
-
-    /// The piece's bytes.
-    pub(crate) fn bytes(&self) -> &[u8] {
-        &self.seg[self.start..self.end]
-    }
-
-    /// The piece's bytes as an owned vector: moved out without a copy when
-    /// the piece is the whole of a segment nobody else holds.
-    fn into_vec(self) -> Vec<u8> {
-        if self.start == 0 && self.end == self.seg.len() {
-            Arc::try_unwrap(self.seg).unwrap_or_else(|seg| seg.to_vec())
-        } else {
-            self.bytes().to_vec()
-        }
-    }
-
-    /// Bytes `[from, to)` of this piece, sharing its segment.
-    pub(crate) fn slice(&self, from: usize, to: usize) -> Piece {
-        assert!(
-            from <= to && self.start + to <= self.end,
-            "slice within the piece"
-        );
-        Piece {
-            seg: Arc::clone(&self.seg),
-            start: self.start + from,
-            end: self.start + to,
-        }
-    }
-}
-
-/// A message payload in one of the two protocol representations, or
-/// shared segments.
+/// A message payload in one of the two protocol representations, or an
+/// owned buffer.
 // The size skew is the design: eager bytes live in the envelope so the
 // hot path never allocates. Boxing `Inline` would put them back on the
 // heap.
@@ -134,9 +77,8 @@ pub enum Payload {
     /// Rendezvous: a buffer leased from the universe's arena; returns to
     /// its size class on drop.
     Pooled(Lease),
-    /// Shared segments, concatenated in order: the schedule engine's raw
-    /// contributions, posted and forwarded without a copy.
-    Shared(Vec<Piece>),
+    /// A buffer the sender built, moved to the receiver as it is.
+    Owned(Vec<u8>),
 }
 
 impl Payload {
@@ -152,57 +94,34 @@ impl Payload {
     }
 
     /// Wraps an owned vector: inline when it fits under [`EAGER_LIMIT`],
-    /// else as one whole shared piece (no copy, no pool lease).
+    /// else as it is (no copy, no pool lease).
     pub(crate) fn from_vec(v: Vec<u8>) -> Payload {
         if v.len() <= EAGER_LIMIT {
             Payload::inline_from(&v)
         } else {
-            Payload::Shared(vec![Piece::new(v)])
+            Payload::Owned(v)
         }
     }
 
-    /// Shares `pieces`, concatenated in order; adjacent ranges of one
-    /// segment merge into one piece.
-    pub(crate) fn shared(pieces: impl IntoIterator<Item = Piece>) -> Payload {
-        let mut joined: Vec<Piece> = Vec::new();
-        for next in pieces {
-            match joined.last_mut() {
-                Some(last) if Arc::ptr_eq(&last.seg, &next.seg) && last.end == next.start => {
-                    last.end = next.end;
-                }
-                _ => joined.push(next),
-            }
-        }
-        Payload::Shared(joined)
-    }
-
-    /// The payload bytes: borrowed, unless shared pieces must be
-    /// concatenated.
-    pub(crate) fn bytes(&self) -> Cow<'_, [u8]> {
+    /// The payload bytes.
+    pub(crate) fn bytes(&self) -> &[u8] {
         match self {
-            Payload::Inline { len, buf } => Cow::Borrowed(&buf[..*len as usize]),
-            Payload::Pooled(lease) => Cow::Borrowed(lease.bytes()),
-            Payload::Shared(pieces) if pieces.len() == 1 => Cow::Borrowed(pieces[0].bytes()),
-            Payload::Shared(pieces) => {
-                Cow::Owned(pieces.iter().flat_map(Piece::bytes).copied().collect())
-            }
+            Payload::Inline { len, buf } => &buf[..*len as usize],
+            Payload::Pooled(lease) => lease.bytes(),
+            Payload::Owned(v) => v,
         }
     }
 
     /// Payload size in bytes.
     pub(crate) fn len(&self) -> usize {
-        match self {
-            Payload::Inline { len, .. } => *len as usize,
-            Payload::Pooled(lease) => lease.bytes().len(),
-            Payload::Shared(pieces) => pieces.iter().map(|p| p.end - p.start).sum(),
-        }
+        self.bytes().len()
     }
 
     /// Protocol label for traces/diagnostics.
     pub(crate) fn protocol(&self) -> &'static str {
         match self {
             Payload::Inline { .. } => "eager",
-            Payload::Pooled(_) | Payload::Shared(_) => "rendezvous",
+            Payload::Pooled(_) | Payload::Owned(_) => "rendezvous",
         }
     }
 }
@@ -228,35 +147,19 @@ impl Msg {
         Msg { payload }
     }
 
-    /// Payload size in bytes.
-    pub(crate) fn len(&self) -> usize {
-        self.payload.len()
-    }
-
-    /// The payload bytes, borrowed where they are contiguous.
-    pub(crate) fn bytes(&self) -> Cow<'_, [u8]> {
+    /// The payload bytes.
+    pub(crate) fn bytes(&self) -> &[u8] {
         self.payload.bytes()
-    }
-
-    /// The payload's pieces, sharing the segments a [`Payload::Shared`]
-    /// arrived in; any other payload is copied into one new segment.
-    pub(crate) fn into_pieces(self) -> Vec<Piece> {
-        match self.payload {
-            Payload::Shared(pieces) => pieces,
-            other => vec![Piece::new(Msg::new(other).into_vec())],
-        }
     }
 
     /// Copies the payload out into an owned vector.
     ///
-    /// A sole piece moves out without copying when it is a whole segment
-    /// nobody else holds; several shared pieces are concatenated. Pooled
-    /// payloads copy out in [`RENDEZVOUS_BLOCK`]-sized slabs (the
-    /// block-pipelined copy of the rendezvous protocol) and the lease
-    /// returns to the pool on return.
+    /// An owned buffer moves out without copying. Pooled payloads copy out
+    /// in [`RENDEZVOUS_BLOCK`]-sized slabs (the block-pipelined copy of the
+    /// rendezvous protocol) and the lease returns to the pool on return.
     pub(crate) fn into_vec(self) -> Vec<u8> {
         match self.payload {
-            Payload::Shared(mut pieces) if pieces.len() == 1 => pieces.pop().unwrap().into_vec(),
+            Payload::Owned(v) => v,
             Payload::Pooled(lease) => {
                 let src = lease.bytes();
                 let mut out = Vec::with_capacity(src.len());
@@ -265,9 +168,29 @@ impl Msg {
                 }
                 out
             }
-            other => other.bytes().into_owned(),
+            other => other.bytes().to_vec(),
         }
     }
+}
+
+/// What one transfer put on the wire, as the sender stamped it: all a
+/// receiver reads besides the payload. A message carries it in its
+/// envelope; an engine collective's transfer is nothing else.
+#[derive(Clone, Copy, Debug)]
+pub struct Wire {
+    /// Virtual time the sender posted the transfer.
+    pub sent_at: SimTime,
+    /// Virtual time the transfer reaches the receiver (tentative when a
+    /// contended reservation is stamped in `xfer`: the receiver settles
+    /// the final arrival against its own frontier when it takes it).
+    pub arrival: SimTime,
+    /// Sender's per-rank send sequence number — with the arrival quantum
+    /// and the sender rank, the deterministic wildcard tie-break key.
+    pub seq: u64,
+    /// Contended-wire reservation granted by the sender, settled by the
+    /// receiver ([`crate::vtime::NetFrontier::settle`]). `None` for
+    /// uncontended transfers.
+    pub xfer: Option<WireXfer>,
 }
 
 /// A message in flight or queued at the receiver.
@@ -281,19 +204,8 @@ pub struct Envelope {
     pub tag: i32,
     /// Payload in its protocol representation.
     pub payload: Payload,
-    /// Virtual time the sender posted the message.
-    pub sent_at: SimTime,
-    /// Virtual time the message reaches the receiver (tentative when a
-    /// contended reservation is stamped in `xfer`: the receiver settles
-    /// the final arrival against its own frontier at match time).
-    pub arrival: SimTime,
-    /// Sender's per-rank send sequence number — with the arrival quantum
-    /// and the sender rank, the deterministic wildcard tie-break key.
-    pub seq: u64,
-    /// Contended-wire reservation granted by the sender, settled by the
-    /// receiver ([`crate::vtime::NetFrontier::settle`]). `None` for
-    /// uncontended transfers.
-    pub xfer: Option<WireXfer>,
+    /// The sender's stamps.
+    pub wire: Wire,
 }
 
 impl Envelope {
@@ -388,7 +300,7 @@ impl Store {
     /// stamp. Returns its position.
     fn hit_in(q: &VecDeque<Envelope>, pat: &Pattern, deadline: Option<SimTime>) -> Option<usize> {
         let i = q.iter().position(|env| pat.tag_matches(env.tag))?;
-        deadline.is_none_or(|d| q[i].arrival <= d).then_some(i)
+        deadline.is_none_or(|d| q[i].wire.arrival <= d).then_some(i)
     }
 
     /// Whether any entry in `q` matches `pat` ignoring arrival times.
@@ -430,7 +342,7 @@ impl Store {
                     }
                     if let Some(pos) = Self::hit_in(q, &pat, deadline) {
                         let env = &q[pos];
-                        let k = (quantum_of(env.arrival), env.src_world, env.seq);
+                        let k = (quantum_of(env.wire.arrival), env.src_world, env.wire.seq);
                         if best.as_ref().is_none_or(|&(_, _, b)| k < b) {
                             best = Some((*key, pos, k));
                         }
@@ -465,7 +377,7 @@ impl Store {
         match self.locate(pat, None) {
             Locate::Hit { key, pos } => {
                 let env = &self.queues[&key][pos];
-                Some((env.src_world, env.tag, env.len(), env.arrival))
+                Some((env.src_world, env.tag, env.len(), env.wire.arrival))
             }
             _ => None,
         }
@@ -655,10 +567,12 @@ mod tests {
             src_world: src,
             tag,
             payload: Payload::from_vec(data.to_vec()),
-            sent_at: SimTime::ZERO,
-            arrival: SimTime::from_secs(1.0),
-            seq: 0,
-            xfer: None,
+            wire: Wire {
+                sent_at: SimTime::ZERO,
+                arrival: SimTime::from_secs(1.0),
+                seq: 0,
+                xfer: None,
+            },
         }
     }
 
@@ -676,10 +590,9 @@ mod tests {
     }
 
     fn env_at(ctx: u64, src: usize, tag: i32, arrival: f64) -> Envelope {
-        Envelope {
-            arrival: SimTime::from_secs(arrival),
-            ..env(ctx, src, tag, b"x")
-        }
+        let mut e = env(ctx, src, tag, b"x");
+        e.wire.arrival = SimTime::from_secs(arrival);
+        e
     }
 
     #[test]
@@ -691,7 +604,7 @@ mod tests {
             src_world: Some(0),
             tag: Some(7),
         });
-        assert_eq!(&*got.payload.bytes(), b"hi");
+        assert_eq!(got.payload.bytes(), b"hi");
         assert_eq!(mb.store().total, 0);
     }
 
@@ -718,7 +631,7 @@ mod tests {
             src_world: Some(0),
             tag: Some(7),
         });
-        assert_eq!(&*got.payload.bytes(), b"ctx2");
+        assert_eq!(got.payload.bytes(), b"ctx2");
         assert_eq!(mb.store().total, 1);
     }
 
@@ -737,8 +650,8 @@ mod tests {
             src_world: Some(0),
             tag: Some(7),
         });
-        assert_eq!(&*a.payload.bytes(), b"first");
-        assert_eq!(&*b.payload.bytes(), b"second");
+        assert_eq!(a.payload.bytes(), b"first");
+        assert_eq!(b.payload.bytes(), b"second");
     }
 
     #[test]
@@ -751,7 +664,7 @@ mod tests {
             src_world: Some(0),
             tag: Some(2),
         });
-        assert_eq!(&*got.payload.bytes(), b"tag2");
+        assert_eq!(got.payload.bytes(), b"tag2");
         assert_eq!(mb.store().total, 1);
     }
 
@@ -801,9 +714,9 @@ mod tests {
         // within the sender's queue) orders the matches.
         let mb = Mailbox::for_world(0);
         let mut first = env_at(1, 2, 4, 1.0);
-        first.seq = 10;
+        first.wire.seq = 10;
         let mut second = env_at(1, 2, 4, 1.0);
-        second.seq = 11;
+        second.wire.seq = 11;
         mb.post(first);
         mb.post(second);
         let pat = Pattern {
@@ -811,8 +724,8 @@ mod tests {
             src_world: None,
             tag: Some(4),
         };
-        assert_eq!(recv(&mb, pat).seq, 10);
-        assert_eq!(recv(&mb, pat).seq, 11);
+        assert_eq!(recv(&mb, pat).wire.seq, 10);
+        assert_eq!(recv(&mb, pat).wire.seq, 11);
     }
 
     #[test]
@@ -827,8 +740,8 @@ mod tests {
             src_world: Some(2),
             tag: Some(7),
         };
-        assert_eq!(&*recv(&mb, pat).payload.bytes(), b"a");
-        assert_eq!(&*recv(&mb, pat).payload.bytes(), b"b");
+        assert_eq!(recv(&mb, pat).payload.bytes(), b"a");
+        assert_eq!(recv(&mb, pat).payload.bytes(), b"b");
         assert_eq!(mb.try_probe(Pattern {
             ctx: 1,
             src_world: None,
@@ -875,11 +788,11 @@ mod tests {
         assert!(matches!(mb.claim(pat(Some(0)), d), Claim::DeadlineMissed));
         assert!(matches!(mb.claim(pat(None), d), Claim::Nothing));
         match mb.claim(pat(Some(0)), None) {
-            Claim::Matched(env) => assert_eq!(env.arrival, SimTime::from_secs(10.0)),
+            Claim::Matched(env) => assert_eq!(env.wire.arrival, SimTime::from_secs(10.0)),
             other => panic!("expected the first tag-7 match, got {other:?}"),
         }
         match mb.claim(pat(Some(0)), d) {
-            Claim::Matched(env) => assert_eq!(env.arrival, SimTime::from_secs(2.0)),
+            Claim::Matched(env) => assert_eq!(env.wire.arrival, SimTime::from_secs(2.0)),
             other => panic!("expected the on-time match, got {other:?}"),
         }
     }
@@ -925,7 +838,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         mb.post_lane(env(1, 0, 0, b"late"));
         let got = h.join().unwrap();
-        assert_eq!(&*got.payload.bytes(), b"late");
+        assert_eq!(got.payload.bytes(), b"late");
     }
 
     #[test]
@@ -1001,40 +914,15 @@ mod tests {
         let at = whole.bytes().as_ptr();
         let out = whole.into_vec();
         assert_eq!(out, data);
-        assert_eq!(out.as_ptr(), at, "a sole whole piece moves out uncopied");
+        assert_eq!(out.as_ptr(), at, "an owned buffer moves out uncopied");
         let inline = Msg::new(Payload::inline_from(&data[..100]));
         assert_eq!(inline.into_vec(), &data[..100]);
         let pool = crate::pool::BufferPool::new();
         let mut lease = pool.lease(data.len());
         lease.buf_mut().extend_from_slice(&data);
         let pooled = Msg::new(Payload::Pooled(lease));
-        assert_eq!(&*pooled.bytes(), &data[..]);
+        assert_eq!(pooled.bytes(), &data[..]);
         assert_eq!(pooled.into_vec(), data);
         assert_eq!(pool.report().outstanding, 0, "lease returned after copy-out");
-    }
-
-    #[test]
-    fn shared_payloads_merge_adjacent_ranges_of_one_segment() {
-        let a = Piece::new((0..64u8).collect());
-        let b = Piece::new((64..96u8).collect());
-        // Two adjacent ranges of `a` merge; `b` is another segment, and a
-        // gap in `a` keeps its ranges apart.
-        let payload = Payload::shared([a.slice(0, 16), a.slice(16, 32), b.slice(0, 16)]);
-        assert_eq!((payload.len(), payload.protocol()), (48, "rendezvous"));
-        let want: Vec<u8> = (0..32u8).chain(64..80).collect();
-        assert_eq!(&*payload.bytes(), &want[..]);
-        let pieces = Msg::new(payload).into_pieces();
-        assert_eq!(pieces.len(), 2);
-        assert!(Arc::ptr_eq(&pieces[1].seg, &b.seg), "pieces share the segments");
-        let gap = Payload::shared([a.slice(0, 8), a.slice(16, 24)]);
-        assert_eq!(Msg::new(gap).into_pieces().len(), 2);
-        let shared = Msg::new(Payload::shared([a.slice(0, 8), b.slice(8, 12)]));
-        assert_eq!(
-            shared.into_vec(),
-            [&a.bytes()[..8], &b.bytes()[8..12]].concat()
-        );
-        // Any other payload arrives as one new segment.
-        let inline = Msg::new(Payload::inline_from(b"abc")).into_pieces();
-        assert_eq!(inline.iter().map(Piece::bytes).collect::<Vec<_>>(), [b"abc"]);
     }
 }

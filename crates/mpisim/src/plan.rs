@@ -47,8 +47,8 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Resident-plan bound, in scheduled transfers (72 bytes each with their
-/// two [`Plan::program`] slots, plus 8 per raw origin carried): past it the
+/// Resident-plan bound, in scheduled transfers (80 bytes each with their
+/// two program steps, plus 8 per raw origin carried): past it the
 /// longest-resident plans are dropped. Ranks mid-collective keep the
 /// [`Arc`] they hold, and a dropped plan is rebuilt — identically — the next
 /// time its key is asked for.
@@ -225,25 +225,50 @@ pub struct Plan {
     /// Predicted virtual seconds from a synchronised start:
     /// [`price`] over [`Plan::rounds`].
     pub seconds: f64,
-    /// The transfer rounds: interpreted by the engine, poisoned from on an
-    /// abort, replayed by the pricer.
+    /// The transfer rounds: run by the engine, poisoned from on an abort,
+    /// replayed by the pricer.
     pub rounds: Vec<Vec<Xfer>>,
-    /// `own[r]`: where rank `r`'s transfers sit in `rounds`, as
-    /// `(round, index)` in the order `r` runs them — each round's sends,
-    /// then its receives — so no rank scans the other ranks' transfers.
-    own: Vec<Vec<(u32, u32)>>,
+    /// `own[r]`: rank `r`'s steps in the order it runs them — each round's
+    /// sends, then its receives — so no rank scans the other ranks'
+    /// transfers.
+    own: Vec<Vec<Step>>,
+}
+
+/// One step of a rank's program: where its transfer sits in
+/// [`Plan::rounds`], and how many earlier transfers of the same
+/// sender–receiver pair the rounds hold. Transfers of one pair are taken in
+/// the order they are sent, so the `nth` send of a pair is its `nth`
+/// receive.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Step {
+    round: u32,
+    index: u32,
+    nth: u32,
 }
 
 impl Plan {
     fn new(algo: CollectiveAlgo, seconds: f64, rounds: Vec<Vec<Xfer>>, p: usize) -> Plan {
         let mut own = vec![Vec::new(); p];
+        let mut sent: HashMap<(usize, usize), u32> = HashMap::new();
         for (r, round) in rounds.iter().enumerate() {
-            let at = |i: usize| (r as u32, i as u32);
-            for (i, x) in round.iter().enumerate() {
-                own[x.src].push(at(i));
+            let steps: Vec<Step> = round
+                .iter()
+                .enumerate()
+                .map(|(i, x)| {
+                    let count = sent.entry((x.src, x.dst)).or_insert(0);
+                    *count += 1;
+                    Step {
+                        round: r as u32,
+                        index: i as u32,
+                        nth: *count - 1,
+                    }
+                })
+                .collect();
+            for (x, &step) in round.iter().zip(&steps) {
+                own[x.src].push(step);
             }
-            for (i, x) in round.iter().enumerate() {
-                own[x.dst].push(at(i));
+            for (x, &step) in round.iter().zip(&steps) {
+                own[x.dst].push(step);
             }
         }
         Plan {
@@ -259,11 +284,12 @@ impl Plan {
         self.rounds.iter().map(Vec::len).sum()
     }
 
-    /// The transfers `rank` sends or receives, in the order it runs them.
-    pub(crate) fn program(&self, rank: usize) -> impl Iterator<Item = &Xfer> {
-        self.own[rank]
-            .iter()
-            .map(|&(r, i)| &self.rounds[r as usize][i as usize])
+    /// Step `pc` of `rank`'s program: the transfer it sends or receives
+    /// there, and how many earlier transfers of the same sender–receiver
+    /// pair it follows. `None` past the program's end.
+    pub(crate) fn step(&self, rank: usize, pc: usize) -> Option<(&Xfer, u32)> {
+        let s = self.own[rank].get(pc)?;
+        Some((&self.rounds[s.round as usize][s.index as usize], s.nth))
     }
 }
 

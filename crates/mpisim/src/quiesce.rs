@@ -61,6 +61,7 @@ use crate::error::{MpiError, WaitGraph};
 use crate::group::Group;
 use crate::p2p::{Claim, Mailbox, Pattern};
 use crate::runtime::{Liveness, RankState};
+use crate::slot::Slot;
 use hetsim::SimTime;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,6 +81,16 @@ pub(crate) enum WaitKind {
         /// The round being waited on.
         key: AgreeKey,
     },
+    /// Blocked in an engine collective: unblocked once the call's slot
+    /// holds the member's outcome. Until then it is a receive from the one
+    /// sender the member's program awaits ([`Slot::awaiting`]), which the
+    /// slot keeps current as it runs the program.
+    Collective {
+        /// The call's slot.
+        slot: Arc<Slot>,
+        /// The member's communicator rank.
+        member: usize,
+    },
 }
 
 /// A blocked rank's registration: exactly what could unblock it, and what
@@ -92,8 +103,8 @@ pub(crate) struct WaitRecord {
     /// A legacy collective-plane wait: one *failed* member makes the
     /// collective impossible to complete and aborts the wait everywhere,
     /// which is what propagates the failure to ranks not blocked on the
-    /// dead rank itself. (The schedule engine waits point-to-point and
-    /// propagates along schedule edges with poison instead.)
+    /// dead rank itself. (The schedule engine's waits are point-to-point
+    /// and propagate along schedule edges with poison instead.)
     pub collective: bool,
     /// Virtual-time deadline bounding the wait, if any. A doomed rank's own
     /// crash time is registered here, making death an implicit deadline.
@@ -107,11 +118,17 @@ impl WaitRecord {
         self.group.world_ranks().iter().copied().filter(move |&w| w != me)
     }
 
-    /// Who could send `me` a match for `pat`: the named source, or for
-    /// `ANY_SOURCE` every other member.
-    fn senders(&self, me: usize, pat: &Pattern) -> impl Iterator<Item = usize> + '_ {
-        let others = if pat.src_world.is_none() { usize::MAX } else { 0 };
-        pat.src_world.into_iter().chain(self.peers(me).take(others))
+    /// Who could send `me` what it waits for: a mailbox pattern's named
+    /// source, or for `ANY_SOURCE` every other member; the sender a
+    /// collective member's program awaits. Nobody for an agreement.
+    fn senders(&self, me: usize) -> impl Iterator<Item = usize> + '_ {
+        let (named, others) = match &self.kind {
+            WaitKind::Mailbox { pat } => (pat.src_world, pat.src_world.is_none()),
+            WaitKind::Collective { slot, member } => (slot.awaiting(*member), false),
+            WaitKind::Agreement { .. } => (None, false),
+        };
+        let others = if others { usize::MAX } else { 0 };
+        named.into_iter().chain(self.peers(me).take(others))
     }
 
     /// The dead-peer rule: the error that ends `me`'s wait because nobody
@@ -128,9 +145,9 @@ impl WaitRecord {
     /// look resolvable. Agreement waits never abort: dead members are
     /// excluded from the round instead.
     pub(crate) fn abort(&self, me: usize, live: &Liveness) -> Option<MpiError> {
-        let WaitKind::Mailbox { pat } = &self.kind else {
+        if let WaitKind::Agreement { .. } = self.kind {
             return None;
-        };
+        }
         if self.collective && live.any_failed() {
             let failed = |w: &usize| live.of(*w) == RankState::Failed;
             if let Some(world_rank) = self.peers(me).find(failed) {
@@ -138,7 +155,7 @@ impl WaitRecord {
             }
         }
         let mut verdict = None;
-        for w in self.senders(me, pat) {
+        for w in self.senders(me) {
             match live.of(w) {
                 RankState::Alive => return None,
                 RankState::Failed => verdict = Some(MpiError::NodeFailed { world_rank: w }),
@@ -152,9 +169,10 @@ impl WaitRecord {
 
     /// True if the death of world rank `dead` (now in `state`) can end this
     /// wait — change what [`Self::abort`] or an agreement's outcome says:
-    /// the pattern names it, or it is one of the members an `ANY_SOURCE`
-    /// pattern, a collective wait (failures only) or an agreement round
-    /// looks at. The pattern first: membership is a linear scan.
+    /// the pattern names it, a collective member's program awaits it, or it
+    /// is one of the members an `ANY_SOURCE` pattern, a legacy collective
+    /// wait (failures only) or an agreement round looks at. The named
+    /// sender first: membership is a linear scan.
     fn concerns(&self, dead: usize, state: RankState) -> bool {
         let any_member = match &self.kind {
             WaitKind::Mailbox { pat } => {
@@ -163,6 +181,7 @@ impl WaitRecord {
                 }
                 (self.collective && state == RankState::Failed) || pat.src_world.is_none()
             }
+            WaitKind::Collective { slot, member } => return slot.awaiting(*member) == Some(dead),
             WaitKind::Agreement { .. } => true,
         };
         any_member && self.group.contains_world(dead)
@@ -393,6 +412,9 @@ impl Registry {
             WaitKind::Agreement { key } => {
                 self.agreements.try_outcome(*key, |w| self.dead(w)).is_some()
             }
+            // The slot ran the member's program to its end: the
+            // classifier must not judge a member it already finished.
+            WaitKind::Collective { slot, member } => slot.finished(*member),
         }
     }
 
@@ -400,14 +422,14 @@ impl Registry {
         self.live.of(w) != RankState::Alive
     }
 
-    /// `r`'s edge in the wait graph: the senders a mailbox wait awaits
-    /// (every other member for `ANY_SOURCE`); for an agreement wait,
-    /// re-derived fresh, the live members that have not deposited — only
-    /// they actually block the round.
+    /// `r`'s edge in the wait graph: the senders a mailbox or collective
+    /// wait awaits (every other member for `ANY_SOURCE`); for an agreement
+    /// wait, re-derived fresh, the live members that have not deposited —
+    /// only they actually block the round.
     fn edge(&self, r: usize, rec: &WaitRecord) -> Vec<usize> {
         match &rec.kind {
-            WaitKind::Mailbox { pat } => rec.senders(r, pat).collect(),
             WaitKind::Agreement { key } => self.agreements.pending_live(*key, |w| self.dead(w)),
+            _ => rec.senders(r).collect(),
         }
     }
 
@@ -507,16 +529,16 @@ impl Registry {
         // waiter sees the completed round or its verdict first is host
         // scheduling — so they keep waiting, for the round or for the next
         // quiescence.
-        let on_mailbox = |r: usize| match &inner.phase[r] {
-            Phase::Blocked(rec) => matches!(rec.kind, WaitKind::Mailbox { .. }),
+        let on_sender = |r: usize| match &inner.phase[r] {
+            Phase::Blocked(rec) => !matches!(rec.kind, WaitKind::Agreement { .. }),
             _ => false,
         };
         let mut spared = vec![false; n];
         loop {
             let mut changed = false;
             for (r, on) in &edges {
-                let pending_on_judged = on.iter().any(|&w| on_mailbox(w) || spared[w]);
-                if !on_mailbox(*r) && !spared[*r] && pending_on_judged {
+                let pending_on_judged = on.iter().any(|&w| on_sender(w) || spared[w]);
+                if !on_sender(*r) && !spared[*r] && pending_on_judged {
                     spared[*r] = true;
                     changed = true;
                 }

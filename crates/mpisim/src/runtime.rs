@@ -10,6 +10,7 @@ use crate::p2p::Mailbox;
 use crate::plan::{NodeVec, PlanCache, PlanCacheReport, PlanStore};
 use crate::pool::{BufferPool, PoolReport};
 use crate::quiesce::Registry;
+use crate::slot::SlotTable;
 use crate::vtime::{LocalClock, NetFrontier, RankNet};
 use hetsim::{Cluster, NodeId, SimTime, Topology, Trace, TraceEvent, TraceKind, Tracer};
 use parking_lot::Mutex;
@@ -119,6 +120,8 @@ pub(crate) struct SharedState {
     pub(crate) quiesce: Arc<Registry>,
     /// Agreement rounds ([`Comm::agree`]).
     pub(crate) agreements: Arc<AgreeTable>,
+    /// The engine collectives' open slots (see `crate::slot`).
+    pub(crate) slots: SlotTable,
     /// `doom[world_rank]` = that rank's node's crash time under the fault
     /// plan, if it is doomed. Resolved once at launch so receive paths do
     /// not hit the cluster model on every call.
@@ -447,6 +450,7 @@ impl Universe {
             coll_policy: self.coll_policy,
             plans: PlanCache::new(self.plans.clone()),
             agreements,
+            slots: SlotTable::default(),
             pool: BufferPool::new(),
         });
 

@@ -12,9 +12,10 @@
 //! * engine calls emit per-algorithm [`TraceKind::Collective`] spans;
 //! * mismatched buffer lengths across ranks surface as
 //!   [`MpiError::InvalidCounts`], not a panic or a hang;
-//! * payloads on either side of the engine's share threshold — raw origin
-//!   ranges copied into one buffer below 8 KiB, shared by reference at and
-//!   above it — give the same bits and return every pooled lease.
+//! * raw origin ranges on either side of 8 KiB (the rendezvous copy-out
+//!   block) give the same bits and leave no pooled lease behind;
+//! * a call puts each member to sleep at most once, and a member the slot
+//!   has finished is never judged stuck while it sleeps.
 
 use hetsim::{
     Cluster, ContentionModel, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime,
@@ -487,8 +488,7 @@ fn mismatched_buffer_lengths_error_instead_of_hanging() {
 }
 
 /// Large mismatched contributions — rank 1 passes 2048 elements where the
-/// others pass 1025, so both sides' raw ranges are shared, not copied —
-/// end in errors, at least one of them `InvalidCounts`: on every rank for
+/// others pass 1025, both over 8 KiB — end in errors, at least one of them `InvalidCounts`: on every rank for
 /// the allreduce forms, and on the root of a binomial reduce, the only rank
 /// there that receives what rank 1 sent. No panic, no hang.
 #[test]
@@ -535,9 +535,7 @@ fn mismatched_large_contributions_error_instead_of_hanging() {
     }
 }
 
-/// Elements of one 8 KiB `RENDEZVOUS_BLOCK` of `f64`: the engine copies raw
-/// origin ranges shorter than this into one fresh buffer per send and
-/// shares longer ones by reference.
+/// Elements of one 8 KiB `RENDEZVOUS_BLOCK` of `f64`.
 const BLOCK_ELEMS: usize = 8192 / 8;
 
 /// Rank `rank`'s contribution: mixed magnitudes and zeros of both signs,
@@ -628,8 +626,8 @@ fn check_exact(
     report.results[0].1
 }
 
-/// Raw origin ranges one element short of the share threshold, exactly at
-/// it and one past it, through every kind and every eligible algorithm
+/// Raw origin ranges one element short of 8 KiB, exactly at it and one
+/// past it, through every kind and every eligible algorithm
 /// (scatter-allgather's per-origin range is a `p`-th of the call), and
 /// through `Auto` on two sites, where the hierarchical plan gathers raw
 /// contributions across the levels.
@@ -763,4 +761,98 @@ fn bad_root_is_invalid_rank_not_a_panic() {
             assert_eq!((rank, comm_size), (3, 3));
         }
     }
+}
+
+/// An engine call puts each member to sleep at most once: a member is
+/// woken when its whole schedule has finished, not once per scheduled
+/// receive. Four sites of sixteen ranks, every kind × eligible algorithm
+/// and the `Auto` choice, three calls per run: at most one sleep per rank
+/// per call.
+#[test]
+fn engine_calls_sleep_at_most_once_per_rank() {
+    let (sites, per_site, calls) = (4, 16, 3);
+    let topology = || {
+        let mut b = TopologyBuilder::new()
+            .intra_switch(Link::new(1e-4, 1e8, Protocol::Tcp))
+            .inter_site(Link::new(5e-3, 1e7, Protocol::Tcp));
+        for s in 0..sites {
+            b = b.site();
+            for i in 0..per_site {
+                b = b.node(format!("s{s}n{i}"), 50.0 + 10.0 * i as f64);
+            }
+        }
+        b.build()
+    };
+    let p = sites * per_site;
+    let kinds = [
+        CollectiveKind::Bcast,
+        CollectiveKind::Reduce,
+        CollectiveKind::Allreduce,
+        CollectiveKind::Allgather,
+    ];
+    for kind in kinds {
+        for algo in algos_for(kind, p).into_iter().map(Some).chain([None]) {
+            let policy = algo.map_or(CollectivePolicy::Auto, CollectivePolicy::Fixed);
+            let u = Universe::from_topology(topology(), UniverseConfig::new().collective_policy(policy));
+            let report = u.run(move |proc| {
+                let world = proc.world();
+                let mine = vec![world.rank() as f64; 8];
+                for _ in 0..calls {
+                    match kind {
+                        CollectiveKind::Bcast => {
+                            let mut buf = mine.clone();
+                            world.bcast_into(&mut buf, 3).unwrap();
+                        }
+                        CollectiveKind::Reduce => {
+                            world.reduce_eq_f64(&mine, ReduceOp::Sum, 3).unwrap();
+                        }
+                        CollectiveKind::Allreduce => {
+                            world.allreduce_eq_f64(&mine, ReduceOp::Sum).unwrap();
+                        }
+                        CollectiveKind::Allgather => {
+                            world.allgather_eq(&mine).unwrap();
+                        }
+                    }
+                }
+            });
+            let label = format!("{}/{}", kind.name(), algo.map_or("auto", CollectiveAlgo::name));
+            assert!(
+                report.wakeups.slept <= (calls * p) as u64,
+                "{label}: {:?} over {calls} calls of {p} ranks",
+                report.wakeups
+            );
+        }
+    }
+}
+
+/// A member the slot has finished may still be asleep when the last
+/// running rank blocks: the quiescence detector must count it as able to
+/// go on, never as stuck. Rank 1 arrives last (rank 0 is asleep in the
+/// call by then), finishes both programs, and blocks on a message rank 0
+/// sends only once it has woken; judging rank 0 stuck there would hand
+/// both ranks a false `Deadlock`.
+#[test]
+fn a_finished_member_asleep_is_never_judged_stuck() {
+    let report = Universe::new(cluster(2)).run(|proc| {
+        let world = proc.world();
+        let me = world.rank();
+        for round in 0..200i64 {
+            if me == 1 {
+                let spin = std::time::Instant::now();
+                while spin.elapsed() < std::time::Duration::from_micros(50) {
+                    std::hint::spin_loop();
+                }
+            }
+            let sum = world.allreduce_eq_i64(&[round], ReduceOp::Sum)?;
+            assert_eq!(sum, vec![2 * round]);
+            if me == 0 {
+                world.send(&[round], 1, 4)?;
+            } else {
+                let (got, _) = world.recv::<i64>(0, 4)?;
+                assert_eq!(got, vec![round]);
+            }
+        }
+        Ok::<(), MpiError>(())
+    });
+    assert_eq!(report.results, vec![Ok(()), Ok(())]);
 }

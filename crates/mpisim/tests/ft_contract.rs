@@ -268,10 +268,10 @@ fn every_algorithm_meets_the_contract_across_crash_timings() {
     contract_across_crash_timings(|_, _, _| 8);
 }
 
-/// The same contract while payloads travel by reference: 1025 elements
-/// per raw origin range (`p` × 1025 where the schedule cuts the call into
-/// chunks) is one past the engine's 8 KiB share threshold, so receivers
-/// hold shared segments of senders that abort, and poison races them.
+/// The same contract with large transfers in flight: 1025 elements per raw
+/// origin range (`p` × 1025 where the schedule cuts the call into chunks),
+/// one past the 8 KiB rendezvous block, from senders that abort while
+/// poison races their data.
 #[test]
 fn every_algorithm_meets_the_contract_with_shared_payloads_in_flight() {
     contract_across_crash_timings(|kind, algo, p| {

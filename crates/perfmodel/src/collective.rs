@@ -5,8 +5,9 @@
 //! ordered list of point-to-point transfers. The same schedule drives two
 //! consumers that must never disagree:
 //!
-//! * the **executor** in `mpisim`, which turns each transfer into an eager
-//!   `post_payload` / blocking `recv_msg` pair on the collective plane, and
+//! * the **executor** in `mpisim`, which runs each transfer as the
+//!   transport's eager send half on the sender and its receive half on the
+//!   receiver, every rank in its own program order, and
 //! * the **pricer** here, which replays the rounds against a [`PairCost`]
 //!   table to predict the collective's virtual time.
 //!
@@ -24,8 +25,8 @@
 //! bit-exact under every contention model, not just parallel links.
 //!
 //! A transfer says what it carries ([`Payload`]), so the schedule is the
-//! whole algorithm: the executor interprets it, and has no per-algorithm
-//! code to keep in step. Reduction schedules move **raw contributions** (or
+//! whole algorithm: the executor runs it, and has no per-algorithm code to
+//! keep in step. Reduction schedules move **raw contributions** (or
 //! ascending-prefix partial folds), never tree-shaped partial sums, so that
 //! every algorithm yields the identical identity-seeded rank-ascending left
 //! fold — selection can switch algorithms per call without perturbing

@@ -11,7 +11,7 @@
 //! The output is a [`HierPlan`]: rounds of the same annotated [`Xfer`]s the
 //! flat generators emit — raw contributions flowing leaders-up, finished
 //! ranges flowing leaders-down or chunks-up — priced by the same grant/settle
-//! replay ([`price`]) and run by the same interpreter, so the contended
+//! replay ([`price`]) and run by the same executor, so the contended
 //! `timeof` prediction stays bit-exact against the executor.
 //!
 //! Rank coordinates come from a declared cluster topology when one exists;

@@ -6,11 +6,13 @@
 //!   `(src, dst, first element, size)` sequence — recorded before transfers
 //!   learned to say what they carry — proves that no predicted second and no
 //!   poison edge can have moved since.
-//! * **Meaning is replayed.** The executor interprets the [`Payload`]
-//!   annotations and nothing else, so a symbolic replay of the same rules
-//!   checks every schedule end to end: no transfer carries something its
-//!   sender does not hold, and every output rank ends with every element
-//!   folded over each origin exactly once, in ascending rank order.
+//! * **Meaning is replayed.** The executor moves only a transfer's size
+//!   and hands every output rank the finished result once its program has
+//!   run, which is sound only if the schedule really brings that rank
+//!   everything: a symbolic replay of the [`Payload`] annotations checks
+//!   every schedule end to end — no transfer carries something its sender
+//!   does not hold, and every output rank ends with every element folded
+//!   over each origin exactly once, in ascending rank order.
 
 use perfmodel::collective::{
     algos_for, chunk_bounds, schedule, CollectiveAlgo, CollectiveKind, LinkSharing, Payload, Xfer,
@@ -190,8 +192,8 @@ fn hierarchical_plans_put_the_recorded_transfers_on_the_wire() {
 /// A symbolic value: the origins folded into it, in fold order.
 type Folded = Vec<usize>;
 
-/// What one rank holds, by the executor's rules.
-struct Holdings {
+/// What one rank holds, by the annotations' rules.
+struct Held {
     /// Raw contributions: `raw[origin]` = the range held of it.
     raw: Vec<Option<(usize, usize)>>,
     /// Per element, the ascending-prefix partial fold passing through.
@@ -200,7 +202,7 @@ struct Holdings {
     done: Vec<Option<Folded>>,
 }
 
-impl Holdings {
+impl Held {
     /// Files raw contributions of `origins` over `[lo, hi)`; the moment all
     /// `p` origins are present the range is folded in ascending rank order.
     fn hold(&mut self, origins: &[usize], lo: usize, hi: usize, who: &str) {
@@ -230,7 +232,7 @@ enum Carried {
     Partial(Vec<Folded>),
 }
 
-/// Replays `rounds` by the executor's rules — per round every send reads its
+/// Replays `rounds` by the annotations' rules — per round every send reads its
 /// sender's holdings as the round begins, then the receives land in schedule
 /// order — and checks that every output rank (the root of a reduce, everyone
 /// otherwise) ends with each of the `n` elements finished: folded over all
@@ -239,9 +241,9 @@ enum Carried {
 fn replay(kind: CollectiveKind, p: usize, root: usize, n: usize, rounds: &[Vec<Xfer>], tag: &str) {
     let reduces = matches!(kind, CollectiveKind::Reduce | CollectiveKind::Allreduce);
     let everything: Folded = (0..p).collect();
-    let mut ranks: Vec<Holdings> = (0..p)
+    let mut ranks: Vec<Held> = (0..p)
         .map(|r| {
-            let mut h = Holdings {
+            let mut h = Held {
                 raw: vec![None; p],
                 prefix: vec![None; n],
                 done: vec![None; n],
