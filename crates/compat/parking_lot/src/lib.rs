@@ -2,11 +2,56 @@
 //! workspace uses: [`Mutex`], [`RwLock`] and [`Condvar`], implemented over
 //! `std::sync`. Lock poisoning is ignored (parking_lot semantics): a
 //! panicked holder does not poison the lock for everyone else.
+//!
+//! Built with `RUSTFLAGS="--cfg chaos"`, every lock, unlock and condvar
+//! wait may yield the thread first or after, as a per-thread xorshift
+//! seeded from a fixed constant and the thread's creation order decides:
+//! lock hand-offs then interleave unlike a plain run, with no environment
+//! variable to set. Without the cfg the hooks compile to nothing.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{self, PoisonError};
 use std::time::Duration;
+
+/// Schedule perturbation for `--cfg chaos` builds.
+#[cfg(chaos)]
+mod chaos {
+    use std::cell::Cell;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Threads seen so far: a thread's ordinal seeds its xorshift.
+    static THREADS: AtomicU64 = AtomicU64::new(0);
+
+    thread_local! {
+        // Never zero, the one state a xorshift cannot leave.
+        static STATE: Cell<u64> = {
+            let ordinal = THREADS.fetch_add(1, Ordering::Relaxed);
+            Cell::new((0x9E37_79B9_7F4A_7C15 ^ ordinal.wrapping_mul(0xBF58_476D_1CE4_E5B9)) | 1)
+        };
+    }
+
+    /// Yields the thread on about one call in four.
+    pub(crate) fn point() {
+        let x = STATE.with(|s| {
+            let mut x = s.get();
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            s.set(x);
+            x
+        });
+        if x & 3 == 0 {
+            std::thread::yield_now();
+        }
+    }
+}
+
+#[cfg(not(chaos))]
+mod chaos {
+    #[inline(always)]
+    pub(crate) fn point() {}
+}
 
 /// A mutual-exclusion lock whose `lock()` returns the guard directly.
 #[derive(Default)]
@@ -31,6 +76,7 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        chaos::point();
         MutexGuard(Some(
             self.0.lock().unwrap_or_else(PoisonError::into_inner),
         ))
@@ -38,6 +84,7 @@ impl<T: ?Sized> Mutex<T> {
 
     /// Attempts to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        chaos::point();
         match self.0.try_lock() {
             Ok(g) => Some(MutexGuard(Some(g))),
             Err(sync::TryLockError::Poisoned(p)) => Some(MutexGuard(Some(p.into_inner()))),
@@ -57,6 +104,14 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
             Some(g) => f.debug_tuple("Mutex").field(&&*g).finish(),
             None => f.write_str("Mutex(<locked>)"),
         }
+    }
+}
+
+#[cfg(chaos)]
+impl<T: ?Sized> Drop for MutexGuard<'_, T> {
+    fn drop(&mut self) {
+        drop(self.0.take());
+        chaos::point();
     }
 }
 
@@ -96,9 +151,11 @@ impl Condvar {
 
     /// Blocks until notified.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        chaos::point();
         let inner = guard.0.take().expect("guard holds the lock");
         let inner = self.0.wait(inner).unwrap_or_else(PoisonError::into_inner);
         guard.0 = Some(inner);
+        chaos::point();
     }
 
     /// Blocks until notified or `timeout` elapses.
@@ -107,12 +164,14 @@ impl Condvar {
         guard: &mut MutexGuard<'_, T>,
         timeout: Duration,
     ) -> WaitTimeoutResult {
+        chaos::point();
         let inner = guard.0.take().expect("guard holds the lock");
         let (inner, res) = self
             .0
             .wait_timeout(inner, timeout)
             .unwrap_or_else(PoisonError::into_inner);
         guard.0 = Some(inner);
+        chaos::point();
         WaitTimeoutResult(res.timed_out())
     }
 
@@ -157,11 +216,13 @@ impl<T> RwLock<T> {
 impl<T: ?Sized> RwLock<T> {
     /// Acquires shared access.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        chaos::point();
         RwLockReadGuard(self.0.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Acquires exclusive access.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        chaos::point();
         RwLockWriteGuard(self.0.write().unwrap_or_else(PoisonError::into_inner))
     }
 
@@ -174,6 +235,22 @@ impl<T: ?Sized> RwLock<T> {
 impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_tuple("RwLock").field(&&*self.read()).finish()
+    }
+}
+
+// A guard's field is dropped after its `drop`: these yield just before
+// the unlock.
+#[cfg(chaos)]
+impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
+    fn drop(&mut self) {
+        chaos::point();
+    }
+}
+
+#[cfg(chaos)]
+impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
+    fn drop(&mut self) {
+        chaos::point();
     }
 }
 

@@ -25,7 +25,10 @@
 //! Lanes are allocated lazily (`OnceLock`) so a `p`-rank world costs
 //! `O(p)` pointers per mailbox, not `O(p)` queues — at 1024 ranks the
 //! per-universe overhead is a few tens of MB of indices rather than
-//! gigabytes of preallocated rings.
+//! gigabytes of preallocated rings. A universe keeps its mailboxes, and
+//! with them these indices and every lane allocated so far, across its
+//! runs (`crate::p2p::KeptMailboxes`): a drained set has every lane empty
+//! and unflagged, and the dirty stack empty.
 //!
 //! Memory-ordering note: all flag/stack operations are `SeqCst`. The
 //! quiescence detector's soundness argument (DESIGN.md §13) needs

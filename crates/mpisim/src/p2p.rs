@@ -48,6 +48,7 @@ use hetsim::SimTime;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The eager/rendezvous protocol split and the capacity of an envelope's
@@ -556,10 +557,38 @@ impl Mailbox {
     }
 }
 
+/// A universe's mailboxes, kept across its runs and shared by its clones:
+/// the first run builds the set, a run that ends without a panic hands it
+/// back drained (its wake counts taken into the run's report), and the
+/// next run takes it with its lanes and their allocations. A run that finds
+/// the set taken — a clone's run is using it — builds one of its own.
+#[derive(Default)]
+pub(crate) struct KeptMailboxes(Mutex<Option<Arc<[Mailbox]>>>);
+
+impl KeptMailboxes {
+    /// A drained set for an `n`-rank run: the kept one, unless a concurrent
+    /// run holds it.
+    pub(crate) fn take(&self, n: usize) -> Arc<[Mailbox]> {
+        let kept = self.0.lock().take();
+        kept.unwrap_or_else(|| (0..n).map(|_| Mailbox::for_world(n)).collect())
+    }
+
+    /// Keeps `set`, drained by the run that used it, for the next run.
+    pub(crate) fn give_back(&self, set: Arc<[Mailbox]>) {
+        *self.0.lock() = Some(set);
+    }
+}
+
+impl std::fmt::Debug for KeptMailboxes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let kept = self.0.lock().as_ref().map(|set| set.len());
+        write!(f, "KeptMailboxes({kept:?})")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn env(ctx: u64, src: usize, tag: i32, data: &[u8]) -> Envelope {
         Envelope {

@@ -195,12 +195,89 @@ enum Phase {
     Done,
 }
 
+/// The blocked waits filed by the deaths that may end them, so a death
+/// visits the waits it can concern rather than every rank. `lists[w]`
+/// (for `w < n`) holds the waits whose pattern names sender `w`;
+/// `lists[n]` the waits any member's death may end (`ANY_SOURCE`,
+/// agreement, and collective slot, whose awaited sender moves as the slot
+/// runs); `lists[n + 1]` the legacy-collective waits, which any *failed*
+/// member ends. A wait sits in one of the first two kinds of list, and a
+/// legacy-collective one in the last too.
+#[derive(Debug)]
+struct Watch {
+    lists: Vec<Vec<usize>>,
+    /// `at[r]`: rank `r`'s position in its first list and in the legacy
+    /// list, while it is filed there.
+    at: Vec<[usize; 2]>,
+}
+
+impl Watch {
+    fn new(n: usize) -> Self {
+        Watch {
+            lists: vec![Vec::new(); n + 2],
+            at: vec![[0; 2]; n],
+        }
+    }
+
+    /// The lists `rec` is filed in, by slot of [`Watch::at`].
+    fn lists_of(&self, rec: &WaitRecord) -> [Option<usize>; 2] {
+        let n = self.at.len();
+        let first = match rec.kind {
+            WaitKind::Mailbox { pat } => pat.src_world.unwrap_or(n),
+            WaitKind::Agreement { .. } | WaitKind::Collective { .. } => n,
+        };
+        [Some(first), rec.collective.then_some(n + 1)]
+    }
+
+    fn file(&mut self, r: usize, rec: &WaitRecord) {
+        for (i, list) in self.lists_of(rec).into_iter().enumerate() {
+            if let Some(l) = list {
+                self.at[r][i] = self.lists[l].len();
+                self.lists[l].push(r);
+            }
+        }
+    }
+
+    fn unfile(&mut self, r: usize, rec: &WaitRecord) {
+        for (i, list) in self.lists_of(rec).into_iter().enumerate() {
+            if let Some(l) = list {
+                let pos = self.at[r][i];
+                self.lists[l].swap_remove(pos);
+                // The entry moved into the hole sits in the same slot of
+                // its own `at`: each list is one slot's.
+                if let Some(&moved) = self.lists[l].get(pos) {
+                    self.at[moved][i] = pos;
+                }
+            }
+        }
+    }
+
+    /// The blocked ranks whose wait the death of `dead` (now in `state`)
+    /// may concern: those naming it, those any member's death may end, and
+    /// on a failure the legacy-collective ones. A rank can come twice.
+    fn candidates(&self, dead: usize, state: RankState) -> impl Iterator<Item = usize> + '_ {
+        let n = self.at.len();
+        let legacy = match state {
+            RankState::Failed => &self.lists[n + 1][..],
+            _ => &[],
+        };
+        self.lists[dead]
+            .iter()
+            .chain(&self.lists[n])
+            .chain(legacy)
+            .copied()
+    }
+}
+
 #[derive(Debug)]
 struct Inner {
     phase: Vec<Phase>,
     /// How many ranks are `Active`, so the classifier need not scan for
     /// one. Kept by [`Inner::set_phase`], the only writer of `phase`.
     active: usize,
+    /// The `Blocked` ranks filed by who may end their wait, kept by
+    /// [`Inner::set_phase`] too.
+    watch: Watch,
     /// Per-rank wait epoch, bumped on every transition to `Blocked`. A
     /// verdict is stamped with the epoch it was issued for and is never
     /// delivered across epochs: a verdict that outlives the wait it judged
@@ -216,6 +293,12 @@ impl Inner {
     fn set_phase(&mut self, r: usize, phase: Phase) {
         self.active -= matches!(self.phase[r], Phase::Active) as usize;
         self.active += matches!(phase, Phase::Active) as usize;
+        if let Phase::Blocked(old) = &self.phase[r] {
+            self.watch.unfile(r, old);
+        }
+        if let Phase::Blocked(rec) = &phase {
+            self.watch.file(r, rec);
+        }
         self.phase[r] = phase;
     }
 }
@@ -223,7 +306,7 @@ impl Inner {
 /// The universe-wide quiescence registry.
 #[derive(Debug)]
 pub(crate) struct Registry {
-    mailboxes: Vec<Arc<Mailbox>>,
+    mailboxes: Arc<[Mailbox]>,
     agreements: Arc<AgreeTable>,
     /// Each world rank's liveness as last published by its own thread. A
     /// rank that is not `Alive` — fail-stopped *or* terminated — will never
@@ -239,7 +322,7 @@ pub(crate) struct Registry {
 
 impl Registry {
     pub(crate) fn new(
-        mailboxes: Vec<Arc<Mailbox>>,
+        mailboxes: Arc<[Mailbox]>,
         agreements: Arc<AgreeTable>,
         live: Arc<Liveness>,
     ) -> Self {
@@ -252,6 +335,7 @@ impl Registry {
             inner: Mutex::new(Inner {
                 phase: (0..n).map(|_| Phase::Active).collect(),
                 active: n,
+                watch: Watch::new(n),
                 epoch: vec![0; n],
                 verdicts: vec![None; n],
             }),
@@ -265,18 +349,29 @@ impl Registry {
 
     /// Records that `world_rank` is dead (`state`: fail-stopped or
     /// terminated, already published to the failure detector): it will
-    /// never send again. Moves the death epoch and returns the blocked
-    /// ranks whose wait this death can end, for the caller to ring.
+    /// never send again. Moves the death epoch and returns, in ascending
+    /// order, the blocked ranks whose wait this death can end
+    /// ([`WaitRecord::concerns`]), for the caller to ring. It looks only at
+    /// the waits filed under the dead rank, the waits any death may end,
+    /// and on a failure the legacy-collective ones — not at every rank —
+    /// so its cost under the lock is the waits it may concern.
     /// Classification is *not* triggered here — the rank's own thread is
     /// still unwinding (it counts as active until [`Registry::done`]).
     pub(crate) fn mark_dead(&self, world_rank: usize, state: RankState) -> Vec<usize> {
         let inner = self.inner.lock();
         self.deaths.fetch_add(1, Ordering::SeqCst);
-        let concerned = |(r, p): (usize, &Phase)| match p {
-            Phase::Blocked(rec) if r != world_rank && rec.concerns(world_rank, state) => Some(r),
-            _ => None,
+        let concerned = |&r: &usize| match &inner.phase[r] {
+            Phase::Blocked(rec) => r != world_rank && rec.concerns(world_rank, state),
+            _ => false,
         };
-        inner.phase.iter().enumerate().filter_map(concerned).collect()
+        let mut rung: Vec<usize> = inner
+            .watch
+            .candidates(world_rank, state)
+            .filter(concerned)
+            .collect();
+        rung.sort_unstable();
+        rung.dedup();
+        rung
     }
 
     /// Registers `me` as blocked — unless a death was published since `me`
@@ -572,7 +667,7 @@ mod tests {
 
     fn registry(n: usize) -> (Registry, Arc<Liveness>) {
         let live = Arc::new(Liveness::new(n));
-        let mailboxes = (0..n).map(|_| Arc::new(Mailbox::for_world(n))).collect();
+        let mailboxes = (0..n).map(|_| Mailbox::for_world(n)).collect();
         (Registry::new(mailboxes, Arc::new(AgreeTable::new()), live.clone()), live)
     }
 
@@ -636,6 +731,151 @@ mod tests {
         assert_eq!(reg.inner.lock().active, 3, "a refused rank stays Active");
         assert_eq!(reg.block(0, &rec, reg.deaths()), Ok(true));
         assert_eq!(reg.inner.lock().active, 2);
+    }
+
+    /// The definition `mark_dead` answers to: every blocked rank but the
+    /// dead one whose wait the death concerns, found by scanning all phases.
+    fn concerned_by_scan(reg: &Registry, dead: usize, state: RankState) -> Vec<usize> {
+        let inner = reg.inner.lock();
+        let concerned = |(r, p): (usize, &Phase)| match p {
+            Phase::Blocked(rec) if r != dead && rec.concerns(dead, state) => Some(r),
+            _ => None,
+        };
+        inner
+            .phase
+            .iter()
+            .enumerate()
+            .filter_map(concerned)
+            .collect()
+    }
+
+    /// Over seeded random registry states — named-source, `ANY_SOURCE`,
+    /// agreement, collective-slot and legacy-collective waits, registered,
+    /// re-registered while blocked, resolved and ended in any order, with
+    /// slots moving on to other senders — the index returns exactly the
+    /// ascending set the all-phases scan does, for every rank's
+    /// termination and failure.
+    #[test]
+    fn mark_dead_index_returns_what_the_phase_scan_does() {
+        use crate::slot::SlotTable;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let n = 6;
+        let groups = [vec![0, 1, 2, 3, 4, 5], vec![0, 1, 2, 3, 4], vec![5, 3, 1]];
+        let groups: Vec<Arc<Group>> = groups
+            .into_iter()
+            .map(|g| Arc::new(Group::from_world_ranks(g).unwrap()))
+            .collect();
+        let slots = SlotTable::default();
+        let mut reblocked = 0;
+        for seed in 0..64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (reg, _) = registry(n);
+            let mut open: Vec<(Arc<Slot>, usize)> = Vec::new();
+            for _ in 0..40 {
+                let me = rng.random_range(0..n);
+                match rng.random_range(0..8) {
+                    0..=2 => {
+                        let group = &groups[rng.random_range(0..groups.len())];
+                        let kind = match rng.random_range(0..5) {
+                            0 | 1 => WaitKind::Mailbox {
+                                pat: Pattern {
+                                    ctx: 0,
+                                    src_world: Some(rng.random_range(0..n)),
+                                    tag: None,
+                                },
+                            },
+                            2 => WaitKind::Mailbox {
+                                pat: Pattern {
+                                    ctx: 0,
+                                    src_world: None,
+                                    tag: None,
+                                },
+                            },
+                            3 => WaitKind::Agreement { key: (1, 0) },
+                            _ => {
+                                let slot = slots.open((seed, open.len() as u64), group);
+                                open.push((slot.clone(), group.size()));
+                                WaitKind::Collective {
+                                    slot,
+                                    member: rng.random_range(0..group.size()),
+                                }
+                            }
+                        };
+                        let rec = WaitRecord {
+                            group: group.clone(),
+                            collective: rng.random_range(0..3) == 0,
+                            deadline: None,
+                            kind,
+                        };
+                        reblocked +=
+                            matches!(reg.inner.lock().phase[me], Phase::Blocked(_)) as usize;
+                        drop(reg.block(me, &rec, reg.deaths()));
+                    }
+                    3 => reg.unblock(me),
+                    4 => drop(reg.attempt(me, || Claim::Matched(()))),
+                    5 => reg.done(me),
+                    6 => drop(reg.give_up(me)),
+                    _ => {
+                        // A slot moves its member on to another sender.
+                        if let Some((slot, p)) = open.last() {
+                            let w = rng.random_range(0..n + 1);
+                            slot.set_awaiting(rng.random_range(0..*p), (w < n).then_some(w));
+                        }
+                    }
+                }
+                for dead in 0..n {
+                    for state in [RankState::Terminated, RankState::Failed] {
+                        let want = concerned_by_scan(&reg, dead, state);
+                        assert_eq!(
+                            reg.mark_dead(dead, state),
+                            want,
+                            "seed {seed}: {dead} {state:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            reblocked > 0,
+            "no Blocked → Blocked re-registration was drawn"
+        );
+    }
+
+    /// A death looks only at the waits filed under it, at the waits any
+    /// death may end, and on a failure at the legacy-collective ones.
+    #[test]
+    fn a_death_visits_only_the_waits_it_may_concern() {
+        let (reg, _) = registry(64);
+        let group = Arc::new(Group::world(64));
+        for r in 1..60 {
+            assert_eq!(
+                reg.block(r, &mailbox_wait(&group, Some(0), false), reg.deaths()),
+                Ok(true)
+            );
+        }
+        assert_eq!(
+            reg.block(60, &mailbox_wait(&group, None, false), reg.deaths()),
+            Ok(true)
+        );
+        assert_eq!(
+            reg.block(61, &mailbox_wait(&group, Some(1), true), reg.deaths()),
+            Ok(true)
+        );
+        let visits = |dead, state| reg.inner.lock().watch.candidates(dead, state).count();
+        assert_eq!(
+            visits(5, RankState::Terminated),
+            1,
+            "the ANY_SOURCE wait only"
+        );
+        assert_eq!(
+            visits(5, RankState::Failed),
+            2,
+            "and the legacy-collective one"
+        );
+        assert_eq!(visits(0, RankState::Terminated), 60);
+        reg.unblock(7);
+        assert_eq!(visits(0, RankState::Terminated), 59);
+        assert_eq!(reg.mark_dead(0, RankState::Terminated).len(), 59);
     }
 
     proptest! {

@@ -6,7 +6,7 @@ use crate::comm::{Comm, Ordinals};
 use crate::engine::CollectivePolicy;
 use crate::error::{MpiError, MpiResult};
 use crate::group::Group;
-use crate::p2p::Mailbox;
+use crate::p2p::{KeptMailboxes, Mailbox};
 use crate::plan::{NodeVec, PlanCache, PlanCacheReport, PlanStore};
 use crate::pool::{BufferPool, PoolReport};
 use crate::quiesce::Registry;
@@ -89,7 +89,9 @@ pub(crate) struct SharedState {
     /// `placement[world_rank]` = the cluster node hosting that rank: the
     /// universe's own vector, which is also the world communicator's.
     pub(crate) placement: NodeVec,
-    pub(crate) mailboxes: Vec<Arc<Mailbox>>,
+    /// One mailbox per world rank: the universe's kept set, lent to this
+    /// run (see `KeptMailboxes`).
+    pub(crate) mailboxes: Arc<[Mailbox]>,
     /// The world group, built once and shared by every [`Process::world`].
     pub(crate) world: Arc<Group>,
     /// Per-world-rank liveness, the substrate of failure detection: blocked
@@ -356,7 +358,14 @@ impl UniverseConfig {
 ///
 /// A universe keeps its collective plans and the pair tables they were
 /// priced on across runs, and shares them with its clones: a later run that
-/// issues the same calls plans nothing.
+/// issues the same calls plans nothing. It keeps its ranks' mailboxes too —
+/// their per-sender lanes and stores — so only its first run builds them:
+/// every run that ends without a panic hands them back drained, and the
+/// next takes them with its wake-up counts at zero. Two runs of clones at
+/// once never share a set (the second builds its own). Everything else —
+/// liveness, the quiescence registry, agreement and collective slots,
+/// contexts, the rendezvous arena, the tracer, ranks' clocks — is the
+/// run's own.
 #[derive(Clone, Debug)]
 pub struct Universe {
     cluster: Arc<Cluster>,
@@ -365,6 +374,7 @@ pub struct Universe {
     coll_policy: CollectivePolicy,
     stack_size: Option<usize>,
     plans: Arc<PlanStore>,
+    mailboxes: Arc<KeptMailboxes>,
 }
 
 impl Universe {
@@ -397,6 +407,7 @@ impl Universe {
             coll_policy: config.collective_policy,
             stack_size: config.stack_size,
             plans: Arc::default(),
+            mailboxes: Arc::default(),
         }
     }
 
@@ -425,7 +436,7 @@ impl Universe {
         F: Fn(&Process) -> R + Sync,
     {
         let n = self.size();
-        let mailboxes: Vec<Arc<Mailbox>> = (0..n).map(|_| Arc::new(Mailbox::for_world(n))).collect();
+        let mailboxes = self.mailboxes.take(n);
         let agreements = Arc::new(AgreeTable::new());
         let liveness = Arc::new(Liveness::new(n));
         let shared = Arc::new(SharedState {
@@ -439,7 +450,7 @@ impl Universe {
                     .map(|&node| times[node.index()])
                     .collect()
             },
-            mailboxes,
+            mailboxes: mailboxes.clone(),
             world: Arc::new(Group::world(n)),
             liveness,
             next_ctx: AtomicU64::new(2),
@@ -513,18 +524,21 @@ impl Universe {
         // Drain undelivered messages (fault scenarios leave some behind) so
         // their pooled payloads return to the arena; after this, a nonzero
         // `outstanding` in the pool report is a genuine leak.
-        for mb in &shared.mailboxes {
+        for mb in mailboxes.iter() {
             mb.drain_all();
         }
-        RunReport {
+        let report = RunReport {
             results,
             rank_times: clocks,
             makespan,
             trace: shared.tracer.as_ref().map(|t| t.drain()),
             pool: shared.pool.report(),
             plans: shared.plans.report(),
-            wakeups: WakeupReport::sum(&shared.mailboxes),
-        }
+            wakeups: WakeupReport::take(&mailboxes),
+        };
+        drop(shared);
+        self.mailboxes.give_back(mailboxes);
+        report
     }
 }
 
@@ -571,12 +585,14 @@ pub struct WakeupReport {
 }
 
 impl WakeupReport {
-    fn sum(mailboxes: &[Arc<Mailbox>]) -> Self {
+    /// Sums a run's counts over its mailboxes and zeroes them, so the
+    /// universe's next run counts from zero.
+    fn take(mailboxes: &[Mailbox]) -> Self {
         let mut sum = WakeupReport::default();
         for mb in mailboxes {
-            sum.rung += mb.wakes.rung.load(Ordering::Relaxed);
-            sum.backstop += mb.wakes.expired.load(Ordering::Relaxed);
-            sum.missed += mb.wakes.missed.load(Ordering::Relaxed);
+            sum.rung += mb.wakes.rung.swap(0, Ordering::Relaxed);
+            sum.backstop += mb.wakes.expired.swap(0, Ordering::Relaxed);
+            sum.missed += mb.wakes.missed.swap(0, Ordering::Relaxed);
         }
         sum.slept = sum.rung + sum.backstop;
         sum
@@ -913,6 +929,153 @@ mod tests {
         assert!(panicked.is_err());
         let report = u.run(|p| p.compute(10.0));
         assert_eq!(report.trace.expect("tracing was enabled").len(), 2);
+    }
+
+    /// The mailbox set a run of `u` used, held so that no later set can be
+    /// built at its address.
+    fn mailboxes_of(u: &Universe) -> Arc<[Mailbox]> {
+        u.run(|p| p.shared.mailboxes.clone()).results.swap_remove(0)
+    }
+
+    #[test]
+    fn kept_transport_second_run_builds_no_mailbox() {
+        let u = smp(3, UniverseConfig::new());
+        let first = mailboxes_of(&u);
+        assert!(Arc::ptr_eq(&first, &mailboxes_of(&u)));
+        assert!(
+            Arc::ptr_eq(&first, &mailboxes_of(&u.clone())),
+            "clones keep one set"
+        );
+    }
+
+    /// A run that sleeps — rank 1 waits on a rendezvous-sized message rank 0
+    /// sends only after a host pause — then one that neither sleeps nor
+    /// leases: the second reports zeros, though it ran on the same mailboxes.
+    #[test]
+    fn kept_transport_reports_each_runs_counts_alone() {
+        let u = smp(2, UniverseConfig::new());
+        let sleeping = || {
+            u.run(|p| {
+                let world = p.world();
+                match p.world_rank() {
+                    0 => {
+                        std::thread::sleep(std::time::Duration::from_millis(30));
+                        world.send(&[1.0f64; 64], 1, 7).unwrap();
+                    }
+                    _ => drop(world.recv::<f64>(0, 7).unwrap()),
+                }
+            })
+        };
+        // A receive that waits 30 ms for its message sleeps; the retries
+        // only cover a host too loaded to get rank 1 there in time.
+        let slept = (0..20).map(|_| sleeping()).find(|r| r.wakeups.slept > 0);
+        let slept = slept.expect("rank 1 slept in one of twenty runs");
+        assert!(slept.pool.leased > 0);
+        let quiet = u.run(|p| p.compute(1.0));
+        assert_eq!(quiet.wakeups, WakeupReport::default());
+        assert_eq!((quiet.pool.leased, quiet.pool.outstanding), (0, 0));
+    }
+
+    #[test]
+    fn kept_transport_concurrent_runs_of_clones_get_distinct_sets() {
+        let u = smp(2, UniverseConfig::new());
+        let both_running = std::sync::Barrier::new(4);
+        let sets: Vec<Arc<[Mailbox]>> = std::thread::scope(|s| {
+            let runs: Vec<_> = (0..2)
+                .map(|_| {
+                    let (u, both_running) = (u.clone(), &both_running);
+                    s.spawn(move || {
+                        let report = u.run(|p| {
+                            both_running.wait();
+                            p.shared.mailboxes.clone()
+                        });
+                        report.results.into_iter().next().unwrap()
+                    })
+                })
+                .collect();
+            runs.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(!Arc::ptr_eq(&sets[0], &sets[1]));
+        let next = mailboxes_of(&u);
+        assert!(
+            sets.iter().any(|set| Arc::ptr_eq(set, &next)),
+            "one of them is kept"
+        );
+    }
+
+    /// A run whose rank panics keeps its set: the next run builds a clean one
+    /// instead of inheriting the message left queued in it.
+    #[test]
+    fn kept_transport_a_panicked_run_hands_back_nothing() {
+        let u = smp(2, UniverseConfig::new());
+        let first = mailboxes_of(&u);
+        let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            u.run(|p| match p.world_rank() {
+                0 => p.world().send(&[5u8], 1, 7).unwrap(),
+                _ => {
+                    // Panic only once the message is queued.
+                    while p.world().iprobe(Some(0), Some(7)).unwrap().is_none() {
+                        std::thread::yield_now();
+                    }
+                    panic!("boom");
+                }
+            })
+        }));
+        assert!(panicked.is_err());
+        let report = u.run(|p| {
+            (
+                p.shared.mailboxes.clone(),
+                p.world().iprobe(None, None).unwrap(),
+            )
+        });
+        let (next, probes): (Vec<_>, Vec<_>) = report.results.into_iter().unzip();
+        assert!(
+            !Arc::ptr_eq(&first, &next[0]),
+            "the panicked run's set is not kept"
+        );
+        assert_eq!(probes, vec![None; 2]);
+        assert_eq!(report.wakeups, WakeupReport::default());
+    }
+
+    /// A fault run that leaves messages undelivered — eager and rendezvous,
+    /// to a rank whose node crashes first — returns their leases and hands
+    /// the next run its set with nothing queued.
+    #[test]
+    fn kept_transport_a_fault_run_hands_the_next_run_an_empty_store() {
+        use hetsim::{FaultEvent, FaultPlan};
+        let crash = FaultEvent::NodeCrash {
+            node: NodeId(1),
+            at: SimTime::from_secs(1.0),
+        };
+        let topology = TopologyBuilder::new()
+            .node("a", 100.0)
+            .node("b", 100.0)
+            .faults(FaultPlan::none().with(crash))
+            .build();
+        let u = Universe::from_topology(topology, UniverseConfig::new());
+        let faulty = u.run(|p| {
+            let world = p.world();
+            match p.world_rank() {
+                0 => {
+                    world.send(&[1u8; 8], 1, 7).unwrap();
+                    world.send(&[2.0f64; 512], 1, 7).unwrap();
+                }
+                _ => assert!(p.try_compute(1e6).is_err(), "node 1 crashes at 1 s"),
+            }
+            p.shared.mailboxes.clone()
+        });
+        assert!(faulty.pool.leased > 0);
+        assert_eq!(faulty.pool.outstanding, 0);
+        let set = faulty.results.into_iter().next().unwrap();
+        let next = u.run(|p| {
+            (
+                p.shared.mailboxes.clone(),
+                p.world().iprobe(None, None).unwrap(),
+            )
+        });
+        let (sets, probes): (Vec<_>, Vec<_>) = next.results.into_iter().unzip();
+        assert!(Arc::ptr_eq(&set, &sets[0]), "the fault run's set is kept");
+        assert_eq!(probes, vec![None; 2]);
     }
 
     #[test]

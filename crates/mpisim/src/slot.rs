@@ -477,3 +477,11 @@ fn receive(ep: &mut Endpoint<'_>, src: usize, rec: &Record, expect: usize) -> Mp
     }
     Ok(())
 }
+
+#[cfg(test)]
+impl Slot {
+    /// Points member `m`'s wait at sender `w`, as the executor does.
+    pub(crate) fn set_awaiting(&self, m: usize, w: Option<usize>) {
+        self.awaiting[m].store(w.unwrap_or(NONE), Ordering::SeqCst);
+    }
+}
