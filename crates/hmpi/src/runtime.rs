@@ -1018,8 +1018,9 @@ impl Hmpi<'_> {
         // Both hold because the parent (host) is a member of every group:
         // no member passes the first barrier before the host itself enters
         // group_free, so flags cannot flip while the host is elsewhere; and
-        // every member flips its flag before its second-barrier message, so
-        // when anyone exits the second barrier all flags are set.
+        // every member flips its flag before it arrives at the second
+        // barrier, whose program completes for nobody until every member
+        // has arrived, so when anyone exits it all flags are set.
         comm.barrier()?;
         self.memberships.set(self.memberships.get() - 1);
         self.set_free(&[self.rank()], true);

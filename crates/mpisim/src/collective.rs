@@ -1,28 +1,32 @@
-//! The legacy collectives, built on point-to-point: the `barrier`, `bcast`,
-//! `gather` and `allgather` the applications and HMPI's runtime call, plus
-//! the `scatter` half of [`Comm::split`].
+//! The legacy collectives: the `barrier`, `bcast`, `gather` and
+//! `allgather` the applications and HMPI's runtime call, plus the
+//! `scatter` half of [`Comm::split`].
 //!
-//! Every collective here is a plain client of [`Comm`]'s transport on the
-//! communicator's *collective context plane*: it posts with
-//! `Comm::post_payload` and receives with `Comm::recv_msg`, naming the
-//! "any failed member" abort rule. So (a)
-//! collectives can never intercept application point-to-point traffic, and
-//! (b) their virtual-time cost emerges from the link model rather than being
+//! `bcast`, `gather`, `allgather` and `scatter` are plain clients of
+//! [`Comm`]'s transport on the communicator's *collective context plane*:
+//! they post with `Comm::post_payload` and receive with `Comm::recv_msg`,
+//! naming the "any failed member" abort rule. So (a) collectives can never
+//! intercept application point-to-point traffic, and (b) their
+//! virtual-time cost emerges from the link model rather than being
 //! postulated: a binomial-tree broadcast over 9 hosts takes ⌈log₂ 9⌉ = 4
 //! link traversals of critical path, a linear gather takes `p − 1` messages
-//! into the root's NIC, and so on. Reductions run on the schedule engine
-//! ([`crate::engine`]).
+//! into the root's NIC, and so on.
+//!
+//! The barrier sends the same messages — MPICH's binomial reduce of nothing
+//! to rank 0, then its binomial broadcast of nothing — but runs them as one
+//! collective-slot call (`crate::slot`) under the same fault rule, so each
+//! rank sleeps at most once per barrier instead of once per receive it
+//! waits for. Reductions run on the schedule engine ([`crate::engine`]).
 
 use crate::comm::Comm;
 use crate::datatype::{decode, encode, MpiType};
 use crate::error::{MpiError, MpiResult};
 use crate::p2p::Payload;
+use crate::slot::Rule;
 
 // Collective opcodes, used as tags on the collective plane. Two successive
 // collectives of the same kind pair up correctly thanks to the per-(source,
 // context) non-overtaking guarantee.
-const TAG_BARRIER_UP: i32 = 1;
-const TAG_BARRIER_DOWN: i32 = 2;
 const TAG_BCAST: i32 = 3;
 const TAG_GATHER: i32 = 4;
 const TAG_SCATTER: i32 = 5;
@@ -45,7 +49,7 @@ impl Comm {
     /// every participant instead of deadlocking: ranks blocked on the dead
     /// member abort directly, and the collective-plane abort rule (see
     /// `WaitRecord::abort`) aborts everyone else.
-    fn bcast_bytes(&self, mut bytes: Vec<u8>, root: usize, tag: i32) -> MpiResult<Vec<u8>> {
+    fn bcast_bytes(&self, mut bytes: Vec<u8>, root: usize) -> MpiResult<Vec<u8>> {
         let size = self.size();
         let rank = self.rank();
         if size == 1 {
@@ -59,7 +63,7 @@ impl Comm {
         while mask < size {
             if rel & mask != 0 {
                 let src = (rel - mask + root) % size;
-                let (data, _) = self.recv_msg(plane, Some(src), Some(tag), None, true)?;
+                let (data, _) = self.recv_msg(plane, Some(src), Some(TAG_BCAST), None, true)?;
                 bytes = data.into_vec();
                 break;
             }
@@ -70,7 +74,7 @@ impl Comm {
         while mask > 0 {
             if rel + mask < size {
                 let dst = (rel + mask + root) % size;
-                self.post_payload(plane, Payload::from_vec(bytes.clone()), dst, tag)?;
+                self.post_payload(plane, Payload::from_vec(bytes.clone()), dst, TAG_BCAST)?;
             }
             mask >>= 1;
         }
@@ -90,43 +94,33 @@ impl Comm {
         } else {
             Vec::new()
         };
-        let out = self.bcast_bytes(bytes, root, TAG_BCAST)?;
+        let out = self.bcast_bytes(bytes, root)?;
         *data = decode(&out)?;
         Ok(())
     }
 
     /// Barrier (`MPI_Barrier`): an empty-payload binomial reduce to rank 0
-    /// followed by an empty broadcast. On return, every rank's clock is at
-    /// least the time at which the last rank entered the barrier plus the
-    /// tree traversal cost.
+    /// followed by an empty broadcast from it. On return, every rank's clock
+    /// is at least the time at which the last rank entered the barrier plus
+    /// the tree traversal cost.
+    ///
+    /// It runs in a collective slot (`crate::slot`) under the legacy
+    /// collectives' fault rule, sleeping this rank at most once; the
+    /// messages, clocks and trace are the tree's, and it records no
+    /// collective span.
     ///
     /// # Errors
-    /// Propagates transport errors (none under normal operation).
+    /// [`MpiError::NodeFailed`] naming a member whose node has crashed by
+    /// this rank's clock at one of its receives, or any member that has
+    /// failed while this rank waits; [`MpiError::PeerTerminated`] if a
+    /// member this rank waits for returned without entering; the errors of
+    /// a send.
     pub fn barrier(&self) -> MpiResult<()> {
-        let size = self.size();
-        let rank = self.rank();
-        if size == 1 {
+        if self.size() == 1 {
             return Ok(());
         }
-        let plane = self.coll_plane();
-        // Up phase: binomial reduce of nothing.
-        let mut mask = 1usize;
-        while mask < size {
-            if rank & mask == 0 {
-                let src = rank | mask;
-                if src < size {
-                    self.recv_msg(plane, Some(src), Some(TAG_BARRIER_UP), None, true)?;
-                }
-            } else {
-                let dst = rank & !mask;
-                self.post_payload(plane, Payload::from_vec(Vec::new()), dst, TAG_BARRIER_UP)?;
-                break;
-            }
-            mask <<= 1;
-        }
-        // Down phase: empty bcast from 0.
-        self.bcast_bytes(Vec::new(), 0, TAG_BARRIER_DOWN)?;
-        Ok(())
+        let plan = self.shared.plans.barrier(self.size());
+        self.run_slot(Rule::Legacy, plan, 0, None).map(drop)
     }
 
     /// Gather (`MPI_Gatherv`-style): every rank contributes a slice (lengths

@@ -14,7 +14,7 @@ use crate::p2p::{Claim, Envelope, Msg, Pattern, Payload, Status, Wire};
 use crate::plan::{NodeVec, Plan};
 use crate::quiesce::{WaitKind, WaitRecord};
 use crate::runtime::{RankState, SharedState};
-use crate::slot::{Arrival, Data, Slot};
+use crate::slot::{Arrival, Data, Rule, Slot};
 use crate::vtime::{LocalClock, NetFrontier, RankNet};
 use hetsim::{NodeId, SimTime, TraceEvent, TraceKind};
 use std::cell::{Cell, RefCell};
@@ -56,6 +56,9 @@ pub struct Comm {
     /// program order. Like the clock, shared by every communicator handle
     /// of one rank ([`crate::Process`] owns it).
     pub(crate) frontier: Rc<RefCell<RankNet>>,
+    /// The members doomed under the fault plan, built once per
+    /// communicator.
+    doomed: Doomed,
     /// Rank-local counts of the calls that pair up across members by
     /// ordinal. Shared between clones of one handle (cloning a
     /// communicator does not fork its numbering), and between a rank's
@@ -74,11 +77,39 @@ pub(crate) struct Ordinals {
     ctor: Cell<u64>,
     /// Engine collective calls: the key of the call's collective slot.
     coll: Cell<u64>,
+    /// [`Comm::barrier`] calls: the key of the barrier's slot.
+    barrier: Cell<u64>,
 }
 
 /// Returns the count and bumps it.
 fn take(count: &Cell<u64>) -> u64 {
     count.replace(count.get() + 1)
+}
+
+/// A communicator's members doomed under the fault plan, in group order,
+/// with their nodes' crash times: empty in a fault-free run.
+#[derive(Clone, Debug)]
+pub(crate) struct Doomed(Arc<[(usize, SimTime)]>);
+
+impl Doomed {
+    /// The members of `group` that `doom` (by world rank) dooms.
+    pub(crate) fn of(group: &Group, doom: &[Option<SimTime>]) -> Doomed {
+        let members = group.world_ranks().iter();
+        Doomed(members.filter_map(|&w| Some((w, doom[w]?))).collect())
+    }
+
+    /// The legacy collectives' receive rule: a member whose node has
+    /// crashed by the receiver's clock `now` is dead in its virtual
+    /// present, so the collective can not complete — whatever is queued
+    /// already. Judged from the fault plan, like a send to a crashed
+    /// destination, so the outcome never follows host order: the first
+    /// such member other than world rank `me` fails the receive.
+    pub(crate) fn check(&self, me: usize, now: SimTime) -> MpiResult<()> {
+        match self.0.iter().find(|&&(w, tc)| w != me && tc <= now) {
+            Some(&(world_rank, _)) => Err(MpiError::NodeFailed { world_rank }),
+            None => Ok(()),
+        }
+    }
 }
 
 /// One rank's transport state, wherever it is held at the moment: its clock
@@ -232,6 +263,7 @@ impl Comm {
         Comm {
             group: shared.world.clone(),
             nodes: shared.placement.clone(),
+            doomed: shared.world_doomed.clone(),
             shared,
             ctx: 0,
             rank: world_rank,
@@ -256,6 +288,7 @@ impl Comm {
         let placement = &self.shared.placement;
         let nodes = NodeVec::new(group.world_ranks().iter().map(|&w| placement[w]).collect());
         Comm {
+            doomed: Doomed::of(&group, &self.shared.doom),
             group: Arc::new(group),
             nodes,
             rank,
@@ -624,20 +657,7 @@ impl Comm {
         self.check_self_alive()?;
         let my_world = self.my_world_rank();
         if collective_abort {
-            // A member whose node has crashed by this rank's own clock is
-            // dead in its virtual present: the collective cannot complete,
-            // whether or not a message from some live member happens to be
-            // queued already. Judged from the fault plan, like a send to a
-            // crashed destination, so the outcome never follows host order
-            // (and does not depend on when the dead rank's thread got to
-            // publish its death).
-            let now = self.clock.now();
-            let crashed = |w: &&usize| {
-                **w != my_world && self.shared.doom[**w].is_some_and(|tc| tc <= now)
-            };
-            if let Some(&world_rank) = self.group.world_ranks().iter().find(crashed) {
-                return Err(MpiError::NodeFailed { world_rank });
-            }
+            self.doomed.check(my_world, self.clock.now())?;
         }
         let pat = self.pattern(plane, src, tag);
         let mb = &self.shared.mailboxes[my_world];
@@ -966,27 +986,32 @@ impl Comm {
 
     // ----- engine collectives ----------------------------------------------
 
-    /// Runs `plan`, one engine call, in the call's collective slot: the
-    /// `n`-th such call on this communicator joins slot `(collective plane,
-    /// n)`. This rank deposits `input` and lends the slot its clock and
-    /// sending state, runs every member's program as far as it can, and
-    /// then sleeps — at most once, unless a death or a verdict ends the
-    /// wait — until its own program has finished or failed; it takes its
-    /// state back with the outcome. The slot comes back for the result to
-    /// be copied out of.
+    /// Runs `plan` in the call's collective slot under `rule`: the `n`-th
+    /// engine call on this communicator joins slot `(collective plane, n)`,
+    /// the `n`-th barrier slot `(point-to-point plane, n)`. This rank
+    /// deposits `input` and lends the slot its clock and sending state,
+    /// runs every member's program as far as it can (or leaves that to the
+    /// member already running them), and then sleeps — at most once, unless
+    /// a death or a verdict ends the wait — until its own program has
+    /// finished or failed; it takes its state back with the outcome. The
+    /// slot comes back for the result to be copied out of.
     ///
     /// While blocked, the rank's wait is a receive from the one sender its
-    /// program awaits (`WaitKind::Collective`): that sender's death aborts
-    /// it, and a doomed rank's crash time bounds it, exactly as the
-    /// scheduled receive it stands for.
+    /// program awaits (`WaitKind::Collective`): the rule's dead-peer check
+    /// ([`Slot::dead_peer`]) ends it, and a doomed rank's crash time
+    /// bounds it, exactly as the scheduled receive it stands for.
     pub(crate) fn run_slot(
         &self,
+        rule: Rule,
         plan: Arc<Plan>,
         elem_bytes: usize,
         input: Option<Data>,
     ) -> MpiResult<Arc<Slot>> {
-        let key = (self.coll_plane(), take(&self.ordinals.coll));
-        let slot = self.shared.slots.open(key, &self.group);
+        let key = match rule {
+            Rule::Engine => (self.coll_plane(), take(&self.ordinals.coll)),
+            Rule::Legacy => (self.ctx, take(&self.ordinals.barrier)),
+        };
+        let slot = self.shared.slots.open(key, &self.group, &self.doomed, rule);
         let me = self.rank();
         let fresh = RankNet::new(NetFrontier::new(self.shared.cluster.contention()));
         let arrival = Arrival {

@@ -432,17 +432,25 @@ impl Mailbox {
         }
     }
 
-    /// Rings the doorbell: bumps the counter and wakes every registered
-    /// sleeper, both under the store lock (which the caller holds,
-    /// witnessed by `_st`) — so a ring either precedes a sleeper's
-    /// under-lock counter comparison and is seen by it, or follows the
-    /// start of its wait and wakes it. A sleeper registers in `waiters`
-    /// before it takes the lock, so reading 0 here, under the lock, proves
-    /// every sleeper-to-be is of the first kind and nobody is in the
-    /// condvar: the notify (a futex syscall) is skipped.
-    fn ring(&self, _st: &mut Store) {
+    /// Rings the doorbell: bumps the counter under the store lock (which
+    /// the caller holds, witnessed by `_st`) and says whether a sleeper may
+    /// be waiting, for the caller to [`Mailbox::notify`] — once it has
+    /// unlocked, so the woken sleeper does not queue for the lock it still
+    /// holds. A ring either precedes a sleeper's under-lock counter
+    /// comparison and is seen by it, or follows the start of its wait and
+    /// wakes it (the condvar wait reads its own sequence before it lets the
+    /// lock go). A sleeper registers in `waiters` before it takes the lock,
+    /// so reading 0 here, under the lock, proves every sleeper-to-be is of
+    /// the first kind and nobody is in the condvar: the notify (a futex
+    /// syscall) is skipped.
+    fn ring(&self, _st: &mut Store) -> bool {
         self.rings.fetch_add(1, Ordering::SeqCst);
-        if self.waiters.load(Ordering::SeqCst) > 0 {
+        self.waiters.load(Ordering::SeqCst) > 0
+    }
+
+    /// Wakes every sleeper, if [`Mailbox::ring`] said one may be waiting.
+    fn notify(&self, waiting: bool) {
+        if waiting {
             self.cond.notify_all();
         }
     }
@@ -457,7 +465,8 @@ impl Mailbox {
         let mut st = self.state.lock();
         if self.lanes.any_dirty() {
             self.lanes.drain_into(|_, env| st.ingest(env));
-            self.ring(&mut st);
+            let waiting = self.ring(&mut st);
+            self.notify(waiting);
         }
         st
     }
@@ -470,7 +479,9 @@ impl Mailbox {
     pub(crate) fn post(&self, env: Envelope) {
         let mut st = self.store();
         st.ingest(env);
-        self.ring(&mut st);
+        let waiting = self.ring(&mut st);
+        drop(st);
+        self.notify(waiting);
     }
 
     /// Posts a message through the sender's eager lane — the hot path.
@@ -485,7 +496,7 @@ impl Mailbox {
         debug_assert!(env.src_world < self.lanes.senders());
         self.lanes.push(env.src_world, env);
         if self.waiters.load(Ordering::SeqCst) > 0 {
-            self.ring(&mut self.state.lock());
+            self.wake_all();
         }
     }
 
@@ -493,7 +504,8 @@ impl Mailbox {
     /// its wait. Called *after* publishing what the wait may be looking
     /// at: a liveness change, a quiescence verdict, an agreement deposit.
     pub(crate) fn wake_all(&self) {
-        self.ring(&mut self.state.lock());
+        let waiting = self.ring(&mut self.state.lock());
+        self.notify(waiting);
     }
 
     /// The doorbell's current ring count. A waiter reads it *before*

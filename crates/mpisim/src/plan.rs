@@ -37,11 +37,13 @@ use crate::error::{MpiError, MpiResult};
 use hetsim::{Cluster, ContentionModel, NodeId, PairTable};
 use parking_lot::{Mutex, RwLock};
 use perfmodel::collective::{
-    algos_for, eligible, price, schedule, CollectiveAlgo, CollectiveKind, LinkSharing, Xfer,
+    algos_for, eligible, price, schedule, CollectiveAlgo, CollectiveKind, LinkSharing, Payload,
+    Xfer,
 };
 use perfmodel::{hier_plan, RankTopology};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -510,6 +512,37 @@ impl<K: Clone + Eq + Hash, T> OnceMap<K, T> {
     }
 }
 
+/// The barrier's plan at `p` ranks: MPICH's binomial barrier. First a
+/// reduce of nothing to rank 0 — rank `r` hears from `r | mask` for every
+/// mask below its lowest set bit, in increasing order, then reports to
+/// `r & !mask` — then a broadcast of nothing from rank 0, where each rank
+/// hears from its parent and sends to its children in decreasing-mask
+/// order. Every transfer carries zero elements. Unpriced: the barrier
+/// never asks what it costs.
+fn barrier(p: usize) -> Plan {
+    let masks: Vec<usize> = (0..usize::BITS)
+        .map(|k| 1 << k)
+        .take_while(|&m| m < p)
+        .collect();
+    let round = |mask: usize, up: bool| -> Vec<Xfer> {
+        let pairs = (0..p).step_by(2 * mask).filter(|&r| r + mask < p);
+        let pair = |r: usize| if up { (r + mask, r) } else { (r, r + mask) };
+        pairs
+            .map(pair)
+            .map(|(src, dst)| Xfer {
+                src,
+                dst,
+                lo: 0,
+                hi: 0,
+                carries: Payload::Slice,
+            })
+            .collect()
+    };
+    let up = masks.iter().map(|&m| round(m, true));
+    let down = masks.iter().rev().map(|&m| round(m, false));
+    Plan::new(CollectiveAlgo::Binomial, 0.0, up.chain(down).collect(), p)
+}
+
 /// A universe's plans and cost views, shared by its clones and kept
 /// across its runs (see the module docs).
 pub(crate) struct PlanStore {
@@ -517,6 +550,8 @@ pub(crate) struct PlanStore {
     /// Cost views by rank → node vector, so a miss on a new size or root
     /// does not rebuild the p² pair table.
     views: OnceMap<NodeVec, View>,
+    /// The barrier's plans, by communicator size.
+    barriers: OnceMap<usize, Plan>,
 }
 
 impl Default for PlanStore {
@@ -524,6 +559,7 @@ impl Default for PlanStore {
         PlanStore {
             plans: OnceMap::new(MAX_RESIDENT_XFERS),
             views: OnceMap::new(MAX_VIEW_CELLS),
+            barriers: OnceMap::new(MAX_RESIDENT_XFERS),
         }
     }
 }
@@ -581,6 +617,15 @@ impl PlanCache {
             }
         };
         Ok(plan)
+    }
+
+    /// The barrier's plan at `p` ranks, built once per size per universe.
+    /// It is no priced collective call, so this run's counters do not see
+    /// it.
+    pub(crate) fn barrier(&self, p: usize) -> Arc<Plan> {
+        let build = || Ok::<_, Infallible>(barrier(p));
+        let Ok((plan, _)) = self.store.barriers.get_or_build(&p, Plan::xfers, build);
+        plan
     }
 
     /// This run's counters, and what the shared store holds right now.

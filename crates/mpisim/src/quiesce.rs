@@ -61,7 +61,7 @@ use crate::error::{MpiError, WaitGraph};
 use crate::group::Group;
 use crate::p2p::{Claim, Mailbox, Pattern};
 use crate::runtime::{Liveness, RankState};
-use crate::slot::Slot;
+use crate::slot::{Rule, Slot};
 use hetsim::SimTime;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -142,26 +142,26 @@ impl WaitRecord {
     /// working during recovery. A [`Self::collective`]
     /// wait also aborts on any *failed* member; a member that merely
     /// returned has done its part and neither aborts the wait nor makes it
-    /// look resolvable. Agreement waits never abort: dead members are
+    /// look resolvable. A collective slot's wait follows its slot's rule
+    /// ([`Slot::dead_peer`]). Agreement waits never abort: dead members are
     /// excluded from the round instead.
     pub(crate) fn abort(&self, me: usize, live: &Liveness) -> Option<MpiError> {
-        if let WaitKind::Agreement { .. } = self.kind {
-            return None;
+        match &self.kind {
+            WaitKind::Agreement { .. } => return None,
+            WaitKind::Collective { slot, member } => return slot.dead_peer(*member, live),
+            WaitKind::Mailbox { .. } => {}
         }
-        if self.collective && live.any_failed() {
-            let failed = |w: &usize| live.of(*w) == RankState::Failed;
-            if let Some(world_rank) = self.peers(me).find(failed) {
-                return Some(MpiError::NodeFailed { world_rank });
+        if self.collective {
+            if let Some(e) = failed_member(&self.group, me, live) {
+                return Some(e);
             }
         }
         let mut verdict = None;
         for w in self.senders(me) {
-            match live.of(w) {
-                RankState::Alive => return None,
-                RankState::Failed => verdict = Some(MpiError::NodeFailed { world_rank: w }),
-                RankState::Terminated => {
-                    verdict = verdict.or(Some(MpiError::PeerTerminated { world_rank: w }));
-                }
+            match dead_sender(w, live) {
+                None => return None,
+                Some(e @ MpiError::NodeFailed { .. }) => verdict = Some(e),
+                Some(e) => verdict = verdict.or(Some(e)),
             }
         }
         verdict
@@ -171,20 +171,50 @@ impl WaitRecord {
     /// wait — change what [`Self::abort`] or an agreement's outcome says:
     /// the pattern names it, a collective member's program awaits it, or it
     /// is one of the members an `ANY_SOURCE` pattern, a legacy collective
-    /// wait (failures only) or an agreement round looks at. The named
-    /// sender first: membership is a linear scan.
+    /// wait or an unfinished member of a [`Rule::Legacy`] slot (failures
+    /// only), or an agreement round looks at. The named sender first:
+    /// membership is a linear scan.
     fn concerns(&self, dead: usize, state: RankState) -> bool {
+        let failed = state == RankState::Failed;
         let any_member = match &self.kind {
             WaitKind::Mailbox { pat } => {
                 if pat.src_world == Some(dead) {
                     return true;
                 }
-                (self.collective && state == RankState::Failed) || pat.src_world.is_none()
+                (self.collective && failed) || pat.src_world.is_none()
             }
-            WaitKind::Collective { slot, member } => return slot.awaiting(*member) == Some(dead),
+            WaitKind::Collective { slot, member } => {
+                if slot.awaiting(*member) == Some(dead) {
+                    return true;
+                }
+                slot.rule() == Rule::Legacy && failed && !slot.finished(*member)
+            }
             WaitKind::Agreement { .. } => true,
         };
         any_member && self.group.contains_world(dead)
+    }
+}
+
+/// The legacy collectives' rule: the first member of `group` other than
+/// world rank `me` that has failed, in group order, as the error that
+/// aborts `me`'s wait — once any rank has failed at all.
+pub(crate) fn failed_member(group: &Group, me: usize, live: &Liveness) -> Option<MpiError> {
+    if !live.any_failed() {
+        return None;
+    }
+    let failed = |&w: &usize| w != me && live.of(w) == RankState::Failed;
+    let world_rank = group.world_ranks().iter().copied().find(failed)?;
+    Some(MpiError::NodeFailed { world_rank })
+}
+
+/// What an awaited sender's death says: [`MpiError::NodeFailed`] if it
+/// fail-stopped, [`MpiError::PeerTerminated`] if it returned, nothing while
+/// it is alive.
+pub(crate) fn dead_sender(w: usize, live: &Liveness) -> Option<MpiError> {
+    match live.of(w) {
+        RankState::Alive => None,
+        RankState::Failed => Some(MpiError::NodeFailed { world_rank: w }),
+        RankState::Terminated => Some(MpiError::PeerTerminated { world_rank: w }),
     }
 }
 
@@ -202,20 +232,25 @@ enum Phase {
 /// agreement, and collective slot, whose awaited sender moves as the slot
 /// runs); `lists[n + 1]` the legacy-collective waits, which any *failed*
 /// member ends. A wait sits in one of the first two kinds of list, and a
-/// legacy-collective one in the last too.
+/// legacy-collective one in the last too. A slot wait whose member the
+/// slot has finished leaves `lists[n]` at the next death
+/// ([`Inner::prune_finished`]): no death concerns it any more.
 #[derive(Debug)]
 struct Watch {
     lists: Vec<Vec<usize>>,
     /// `at[r]`: rank `r`'s position in its first list and in the legacy
-    /// list, while it is filed there.
+    /// list, while it is filed there; [`GONE`] once it is not.
     at: Vec<[usize; 2]>,
 }
+
+/// [`Watch::at`]'s "not filed in this list".
+const GONE: usize = usize::MAX;
 
 impl Watch {
     fn new(n: usize) -> Self {
         Watch {
             lists: vec![Vec::new(); n + 2],
-            at: vec![[0; 2]; n],
+            at: vec![[GONE; 2]; n],
         }
     }
 
@@ -240,15 +275,21 @@ impl Watch {
 
     fn unfile(&mut self, r: usize, rec: &WaitRecord) {
         for (i, list) in self.lists_of(rec).into_iter().enumerate() {
-            if let Some(l) = list {
-                let pos = self.at[r][i];
-                self.lists[l].swap_remove(pos);
-                // The entry moved into the hole sits in the same slot of
-                // its own `at`: each list is one slot's.
-                if let Some(&moved) = self.lists[l].get(pos) {
-                    self.at[moved][i] = pos;
-                }
+            if let Some(l) = list.filter(|_| self.at[r][i] != GONE) {
+                self.remove(l, i, self.at[r][i]);
             }
+        }
+    }
+
+    /// Takes the entry at `pos` out of list `l`, whose ranks keep their
+    /// position in slot `i` of [`Watch::at`].
+    fn remove(&mut self, l: usize, i: usize, pos: usize) {
+        let r = self.lists[l].swap_remove(pos);
+        self.at[r][i] = GONE;
+        // The entry moved into the hole sits in the same slot of its own
+        // `at`: each list is one slot's.
+        if let Some(&moved) = self.lists[l].get(pos) {
+            self.at[moved][i] = pos;
         }
     }
 
@@ -301,6 +342,30 @@ impl Inner {
         }
         self.phase[r] = phase;
     }
+
+    /// Takes out of the any-member list the slot waits whose member the
+    /// slot has finished: they stay `Blocked` until their thread wakes, but
+    /// no death concerns them any more ([`WaitRecord::concerns`]). A run
+    /// that ends in a collective leaves nearly every member so, and each
+    /// rank's exit would scan them all.
+    fn prune_finished(&mut self) {
+        let n = self.phase.len();
+        let mut pos = 0;
+        while let Some(&r) = self.watch.lists[n].get(pos) {
+            let done = match &self.phase[r] {
+                Phase::Blocked(WaitRecord {
+                    kind: WaitKind::Collective { slot, member },
+                    ..
+                }) => slot.finished(*member),
+                _ => false,
+            };
+            if done {
+                self.watch.remove(n, 0, pos);
+            } else {
+                pos += 1;
+            }
+        }
+    }
 }
 
 /// The universe-wide quiescence registry.
@@ -352,14 +417,18 @@ impl Registry {
     /// never send again. Moves the death epoch and returns, in ascending
     /// order, the blocked ranks whose wait this death can end
     /// ([`WaitRecord::concerns`]), for the caller to ring. It looks only at
-    /// the waits filed under the dead rank, the waits any death may end,
-    /// and on a failure the legacy-collective ones — not at every rank —
-    /// so its cost under the lock is the waits it may concern.
+    /// the waits filed under the dead rank, the waits any death may end
+    /// (once each for a slot wait whose member has finished), and on a
+    /// failure the legacy-collective ones — not at every rank — so its cost
+    /// under the lock is the waits it may concern. It reads slots' atomics
+    /// only, never a slot's lock: a member's own death is published with
+    /// its slot's executor held.
     /// Classification is *not* triggered here — the rank's own thread is
     /// still unwinding (it counts as active until [`Registry::done`]).
     pub(crate) fn mark_dead(&self, world_rank: usize, state: RankState) -> Vec<usize> {
-        let inner = self.inner.lock();
+        let mut inner = self.inner.lock();
         self.deaths.fetch_add(1, Ordering::SeqCst);
+        inner.prune_finished();
         let concerned = |&r: &usize| match &inner.phase[r] {
             Phase::Blocked(rec) => r != world_rank && rec.concerns(world_rank, state),
             _ => false,
@@ -663,6 +732,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::Doomed;
     use proptest::prelude::*;
 
     fn registry(n: usize) -> (Registry, Arc<Liveness>) {
@@ -678,6 +748,12 @@ mod tests {
             deadline: None,
             kind: WaitKind::Mailbox { pat: Pattern { ctx: 0, src_world, tag: None } },
         }
+    }
+
+    /// The doomed list of a fault-free run.
+    fn no_doom(group: &Group) -> Doomed {
+        let n = group.world_ranks().iter().max().map_or(0, |&w| w + 1);
+        Doomed::of(group, &vec![None; n])
     }
 
     fn agreement_wait(group: &Arc<Group>) -> WaitRecord {
@@ -750,9 +826,10 @@ mod tests {
     }
 
     /// Over seeded random registry states — named-source, `ANY_SOURCE`,
-    /// agreement, collective-slot and legacy-collective waits, registered,
-    /// re-registered while blocked, resolved and ended in any order, with
-    /// slots moving on to other senders — the index returns exactly the
+    /// agreement, collective-slot (under either rule) and
+    /// legacy-collective waits, registered, re-registered while blocked,
+    /// resolved and ended in any order, with slots moving on to other
+    /// senders and finishing members — the index returns exactly the
     /// ascending set the all-phases scan does, for every rank's
     /// termination and failure.
     #[test]
@@ -793,7 +870,9 @@ mod tests {
                             },
                             3 => WaitKind::Agreement { key: (1, 0) },
                             _ => {
-                                let slot = slots.open((seed, open.len() as u64), group);
+                                let key = (seed, open.len() as u64);
+                                let rule = [Rule::Engine, Rule::Legacy][rng.random_range(0..2)];
+                                let slot = slots.open(key, group, &no_doom(group), rule);
                                 open.push((slot.clone(), group.size()));
                                 WaitKind::Collective {
                                     slot,
@@ -816,10 +895,14 @@ mod tests {
                     5 => reg.done(me),
                     6 => drop(reg.give_up(me)),
                     _ => {
-                        // A slot moves its member on to another sender.
+                        // A slot moves its member on to another sender, or
+                        // finishes it.
                         if let Some((slot, p)) = open.last() {
-                            let w = rng.random_range(0..n + 1);
-                            slot.set_awaiting(rng.random_range(0..*p), (w < n).then_some(w));
+                            let (m, w) = (rng.random_range(0..*p), rng.random_range(0..n + 2));
+                            match w < n + 1 {
+                                true => slot.set_awaiting(m, (w < n).then_some(w)),
+                                false => slot.set_finished(m),
+                            }
                         }
                     }
                 }
@@ -839,6 +922,55 @@ mod tests {
             reblocked > 0,
             "no Blocked → Blocked re-registration was drawn"
         );
+    }
+
+    /// A wait in a [`Rule::Legacy`] slot (the barrier's) ends on the
+    /// failure of any member, not only of the sender its program awaits:
+    /// such a failure must ring it. A member that merely returned, and any
+    /// failure once the member has finished, ring nobody.
+    #[test]
+    fn a_failure_rings_a_legacy_slot_wait_on_another_sender() {
+        let (reg, live) = registry(4);
+        let group = Arc::new(Group::world(4));
+        let slots = crate::slot::SlotTable::default();
+        let wait = |key, rule| {
+            let slot = slots.open(key, &group, &no_doom(&group), rule);
+            slot.set_awaiting(0, Some(1));
+            let rec = WaitRecord {
+                kind: WaitKind::Collective {
+                    slot: slot.clone(),
+                    member: 0,
+                },
+                ..mailbox_wait(&group, None, false)
+            };
+            assert_eq!(reg.block(0, &rec, reg.deaths()), Ok(true));
+            (slot, rec)
+        };
+        let (legacy, rec) = wait((1, 0), Rule::Legacy);
+        live.publish(2, RankState::Terminated);
+        assert!(reg.mark_dead(2, RankState::Terminated).is_empty());
+        assert_eq!(
+            rec.abort(0, &live),
+            None,
+            "a returned bystander ends nothing"
+        );
+        live.publish(3, RankState::Failed);
+        assert_eq!(reg.mark_dead(3, RankState::Failed), vec![0]);
+        let failed = MpiError::NodeFailed { world_rank: 3 };
+        assert_eq!(rec.abort(0, &live), Some(failed.clone()));
+        assert_eq!(legacy.dead_peer(0, &live), Some(failed));
+        // The engine's rule hears of its awaited sender only.
+        let (_, rec) = wait((1, 1), Rule::Engine);
+        assert!(reg.mark_dead(3, RankState::Failed).is_empty());
+        assert_eq!(rec.abort(0, &live), None);
+        // A finished member's wait is over; its filing goes at the next
+        // death.
+        let (legacy, rec) = wait((1, 2), Rule::Legacy);
+        legacy.set_finished(0);
+        assert_eq!(rec.abort(0, &live), None);
+        assert!(reg.mark_dead(3, RankState::Failed).is_empty());
+        let n = 4;
+        assert!(reg.inner.lock().watch.lists[n].is_empty());
     }
 
     /// A death looks only at the waits filed under it, at the waits any
@@ -879,6 +1011,60 @@ mod tests {
     }
 
     proptest! {
+        /// A death that ends a wait — turns its [`WaitRecord::abort`]
+        /// from `None` to `Some` — concerns it, so `mark_dead` rings it:
+        /// for mailbox waits (named or `ANY_SOURCE`, legacy-collective or
+        /// not) and for slot waits under either rule, awaiting a sender or
+        /// not, finished or not, over any liveness before the death.
+        #[test]
+        fn a_death_that_ends_a_wait_concerns_it(
+            before in proptest::collection::vec(0u8..3, 5),
+            shape in 0usize..16,
+            named in 0usize..6,
+            death in 2usize..10,
+        ) {
+            let (kind, legacy, finished) = (shape % 4, shape / 4 % 2 == 1, shape / 8 == 1);
+            let (dead, failed) = (death / 2, death % 2 == 1);
+            // World rank 0 waits on a communicator over world ranks 0..=3;
+            // world rank 4 is an outsider.
+            let live = Liveness::new(5);
+            let states = [RankState::Alive, RankState::Failed, RankState::Terminated];
+            for (w, &s) in before.iter().enumerate().skip(1) {
+                if s > 0 {
+                    live.publish(w, states[s as usize]);
+                }
+            }
+            let group = Arc::new(Group::from_world_ranks(vec![0, 1, 2, 3]).unwrap());
+            let named = (named < 5).then_some(named);
+            let rec = match kind {
+                0 | 1 => mailbox_wait(&group, named, kind == 1),
+                _ => {
+                    let rule = [Rule::Engine, Rule::Legacy][legacy as usize];
+                    let slots = crate::slot::SlotTable::default();
+                    let slot = slots.open((0, 0), &group, &no_doom(&group), rule);
+                    slot.set_awaiting(0, named);
+                    if finished {
+                        slot.set_finished(0);
+                    }
+                    WaitRecord {
+                        kind: WaitKind::Collective { slot, member: 0 },
+                        ..mailbox_wait(&group, None, false)
+                    }
+                }
+            };
+            let state = [RankState::Terminated, RankState::Failed][failed as usize];
+            let was = rec.abort(0, &live);
+            live.publish(dead, state);
+            let now = rec.abort(0, &live);
+            if was.is_none() && now.is_some() {
+                prop_assert!(
+                    rec.concerns(dead, state),
+                    "{:?} ends on {dead} {state:?} unconcerned",
+                    rec.kind
+                );
+            }
+        }
+
         /// `Inner::active` is the number of `Active` phases after any
         /// sequence of registry calls — including the verdicts the
         /// classifier hands out when the last active rank blocks or exits.

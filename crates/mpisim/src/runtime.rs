@@ -2,7 +2,7 @@
 //! cluster.
 
 use crate::agree::AgreeTable;
-use crate::comm::{Comm, Ordinals};
+use crate::comm::{Comm, Doomed, Ordinals};
 use crate::engine::CollectivePolicy;
 use crate::error::{MpiError, MpiResult};
 use crate::group::Group;
@@ -94,6 +94,8 @@ pub(crate) struct SharedState {
     pub(crate) mailboxes: Arc<[Mailbox]>,
     /// The world group, built once and shared by every [`Process::world`].
     pub(crate) world: Arc<Group>,
+    /// The world's members doomed under the fault plan, likewise.
+    pub(crate) world_doomed: Doomed,
     /// Per-world-rank liveness, the substrate of failure detection: blocked
     /// receives consult it to avoid waiting forever on a dead peer.
     pub(crate) liveness: Arc<Liveness>,
@@ -439,19 +441,21 @@ impl Universe {
         let mailboxes = self.mailboxes.take(n);
         let agreements = Arc::new(AgreeTable::new());
         let liveness = Arc::new(Liveness::new(n));
+        let times = self.cluster.crash_times();
+        let doom: Vec<_> = self
+            .placement
+            .iter()
+            .map(|&node| times[node.index()])
+            .collect();
+        let world = Arc::new(Group::world(n));
         let shared = Arc::new(SharedState {
             cluster: self.cluster.clone(),
             placement: self.placement.clone(),
             quiesce: Arc::new(Registry::new(mailboxes.clone(), agreements.clone(), liveness.clone())),
-            doom: {
-                let times = self.cluster.crash_times();
-                self.placement
-                    .iter()
-                    .map(|&node| times[node.index()])
-                    .collect()
-            },
+            world_doomed: Doomed::of(&world, &doom),
+            doom,
             mailboxes: mailboxes.clone(),
-            world: Arc::new(Group::world(n)),
+            world,
             liveness,
             next_ctx: AtomicU64::new(2),
             contexts: Mutex::new(std::collections::HashMap::new()),

@@ -1,12 +1,18 @@
-//! Collective slots: each engine collective call runs as one rendezvous.
+//! Collective slots: each engine collective call, and each barrier, runs
+//! as one rendezvous.
 //!
 //! The `n`-th engine call a member issues on a communicator lands in slot
 //! `(collective-plane context, n)` of the run's [`SlotTable`], as the
-//! agreement rounds do (`crate::agree`). Every member deposits its plan, its
-//! input, and lends the slot its clock and its `RankNet`; whichever member's
-//! thread holds the slot advances *every* arrived member's program as far
-//! as the transfers already issued allow, and a member's thread sleeps at
-//! most once: until its own program has finished or failed.
+//! agreement rounds do (`crate::agree`); its `n`-th barrier in slot
+//! `(point-to-point context, n)`, so barriers and engine calls pair up
+//! apart. Every member deposits its plan, its input, and lends the slot its
+//! clock and its `RankNet`; whichever member's thread holds the slot's
+//! executor advances *every* arrived member's program as far as the
+//! transfers already issued allow, and a member's thread sleeps at most
+//! once: until its own program has finished or failed. A member that
+//! finds the executor held leaves its arrival for the holder, which looks
+//! for new arrivals again after it unlocks — so no member queues on the
+//! lock.
 //!
 //! The steps are the transport's own halves ([`Endpoint::send`] and
 //! [`Endpoint::recv`]), run for each member in its own program order on
@@ -18,25 +24,32 @@
 //! failing member will never send, the world rank it blames (*poison*). A
 //! member that finishes copies its result out of the deposits.
 //!
-//! Quiescence sees a blocked member as a receive from the one sender its
-//! program awaits (`WaitKind::Collective`): [`Slot::awaiting`] and
-//! [`Slot::finished`] are atomics, read without the slot's lock.
+//! A slot runs under one of two fault rules ([`Rule`]): the engine's,
+//! which propagates faults along schedule edges with poison, or the
+//! barrier's, which keeps the legacy collectives' "any failed member"
+//! rule. Quiescence sees a blocked member as a receive from the one sender
+//! its program awaits (`WaitKind::Collective`), ended by the rule's
+//! [`Slot::dead_peer`]: [`Slot::awaiting`] and [`Slot::finished`] are
+//! atomics, read without the slot's lock.
 
-use crate::comm::Endpoint;
+use crate::comm::{Doomed, Endpoint};
 use crate::error::{MpiError, MpiResult};
 use crate::group::Group;
 use crate::p2p::{Wire, EAGER_LIMIT};
 use crate::plan::Plan;
-use crate::runtime::{RankState, SharedState};
-use crate::vtime::{NetFrontier, RankNet};
+use crate::quiesce::{dead_sender, failed_member};
+use crate::runtime::{Liveness, RankState, SharedState};
+use crate::vtime::RankNet;
 use hetsim::SimTime;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Key of one call's slot: `(collective-plane context id, call ordinal)`.
+/// Key of one call's slot: `(context id, call ordinal)`, on the collective
+/// plane's id for an engine call and the point-to-point plane's for a
+/// barrier.
 pub(crate) type SlotKey = (u64, u64);
 
 /// A deposited input or a result built from the deposits: a `Vec<T>` of
@@ -71,6 +84,22 @@ fn fault_blame(e: &MpiError) -> Option<usize> {
     }
 }
 
+/// The fault rule a slot's members follow.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Rule {
+    /// The engine collectives': faults travel along schedule edges. A
+    /// member's wait ends on the death of the one sender its program
+    /// awaits, a receive's dead sender is a failed node whether it crashed
+    /// or returned, and a member that fails poisons every transfer it has
+    /// not sent.
+    Engine,
+    /// The barrier's, which is the legacy collectives': a member whose node
+    /// has crashed by the receiver's clock fails the receive, any failed
+    /// member ends a waiting member's wait, a returned sender gives
+    /// [`MpiError::PeerTerminated`], and a failure sends no poison.
+    Legacy,
+}
+
 /// The run's open collective slots.
 #[derive(Debug, Default)]
 pub(crate) struct SlotTable {
@@ -78,13 +107,20 @@ pub(crate) struct SlotTable {
 }
 
 impl SlotTable {
-    /// The slot of call `key` on the communicator over `group`, opened by
-    /// its first member to arrive.
-    pub(crate) fn open(&self, key: SlotKey, group: &Arc<Group>) -> Arc<Slot> {
+    /// The slot of call `key` on the communicator over `group` (whose
+    /// doomed members are `doomed`), opened under `rule` by its first
+    /// member to arrive.
+    pub(crate) fn open(
+        &self,
+        key: SlotKey,
+        group: &Arc<Group>,
+        doomed: &Doomed,
+        rule: Rule,
+    ) -> Arc<Slot> {
         let mut open = self.open.lock();
         let slot = open
             .entry(key)
-            .or_insert_with(|| Arc::new(Slot::new(key, group)));
+            .or_insert_with(|| Arc::new(Slot::new(key, group, doomed, rule)));
         Arc::clone(slot)
     }
 }
@@ -110,16 +146,36 @@ pub(crate) type BuiltKey = (Option<crate::op::ReduceOp>, usize);
 /// A result built once per slot, with the key it was built for.
 type Built = (BuiltKey, MpiResult<Data>);
 
-/// One engine call's rendezvous.
+/// What a finished member takes back: its outcome, clock and sending state.
+pub(crate) type Exit = (MpiResult<()>, SimTime, RankNet);
+
+/// One collective call's rendezvous.
+///
+/// Only the executor — the members' programs and the issued transfers —
+/// is under the slot's lock, and no member queues for it: an arrival is
+/// left in `pending` for whichever thread holds the executor, and that
+/// thread looks at `pending` again after it unlocks. A member's deposit
+/// and its exit sit in cells of their own, so reading a deposit, building
+/// a result and taking an outcome never touch the executor.
 pub(crate) struct Slot {
     key: SlotKey,
     group: Arc<Group>,
+    doomed: Doomed,
+    rule: Rule,
     /// Per member: the world rank whose transfer its program waits for,
     /// or [`NONE`].
     awaiting: Vec<AtomicUsize>,
     /// Per member: its outcome is final.
     finished: Vec<AtomicBool>,
+    /// Per member: its deposit, set as it arrives.
+    inputs: Vec<OnceLock<Option<Data>>>,
+    /// Per member: its exit, left by whichever thread finished it.
+    exits: Vec<Mutex<Option<Exit>>>,
+    /// Arrived members the executor has not taken in yet.
+    pending: Mutex<Vec<(usize, Member)>>,
     exec: Mutex<Exec>,
+    arrived: AtomicUsize,
+    taken: AtomicUsize,
     built: OnceLock<Built>,
 }
 
@@ -131,13 +187,11 @@ impl std::fmt::Debug for Slot {
 
 /// The executor's state, under the slot's lock.
 struct Exec {
-    /// By communicator rank; `None` until the member arrives.
+    /// By communicator rank: the members running, `None` before a member
+    /// is taken in and once it has finished.
     members: Vec<Option<Member>>,
-    inputs: Vec<Option<Data>>,
     /// Issued transfers not yet taken, by `(sender, receiver, nth)`.
     records: HashMap<(u32, u32, u32), Record>,
-    arrived: usize,
-    taken: usize,
     /// Members a new record may have unblocked.
     work: Vec<usize>,
 }
@@ -152,7 +206,6 @@ struct Member {
     net: RankNet,
     /// The transfer its program waits for, as `(sender, nth)`.
     blocked_on: Option<(usize, u32)>,
-    outcome: Option<MpiResult<()>>,
 }
 
 /// One issued transfer.
@@ -164,23 +217,32 @@ struct Record {
 }
 
 impl Slot {
-    fn new(key: SlotKey, group: &Arc<Group>) -> Slot {
+    fn new(key: SlotKey, group: &Arc<Group>, doomed: &Doomed, rule: Rule) -> Slot {
         let p = group.size();
         Slot {
             key,
             group: Arc::clone(group),
+            doomed: doomed.clone(),
+            rule,
             awaiting: (0..p).map(|_| AtomicUsize::new(NONE)).collect(),
             finished: (0..p).map(|_| AtomicBool::new(false)).collect(),
+            inputs: (0..p).map(|_| OnceLock::new()).collect(),
+            exits: (0..p).map(|_| Mutex::new(None)).collect(),
+            pending: Mutex::new(Vec::new()),
             exec: Mutex::new(Exec {
                 members: (0..p).map(|_| None).collect(),
-                inputs: vec![None; p],
                 records: HashMap::new(),
-                arrived: 0,
-                taken: 0,
                 work: Vec::new(),
             }),
+            arrived: AtomicUsize::new(0),
+            taken: AtomicUsize::new(0),
             built: OnceLock::new(),
         }
+    }
+
+    /// The fault rule the slot's members follow.
+    pub(crate) fn rule(&self) -> Rule {
+        self.rule
     }
 
     /// True once member `m`'s outcome is final.
@@ -193,105 +255,130 @@ impl Slot {
         Some(self.awaiting[m].load(Ordering::SeqCst)).filter(|&w| w != NONE)
     }
 
-    /// Deposits member `m` and advances every member as far as the issued
-    /// transfers allow, ringing the members that finished or now await a
-    /// dead sender.
+    /// The dead-peer rule of member `m`'s wait: the error that ends it
+    /// because a death means its program can not go on, given each rank's
+    /// liveness. Nothing once `m` has finished; under [`Rule::Legacy`] the
+    /// first failed member other than `m`, in group order; else the death
+    /// of the sender its program awaits. Read without the slot's lock by
+    /// the member's wait and the quiescence classifier
+    /// (`WaitRecord::abort`), and again under it by [`Slot::abandon`].
+    pub(crate) fn dead_peer(&self, m: usize, live: &Liveness) -> Option<MpiError> {
+        if self.finished(m) {
+            return None;
+        }
+        if self.rule == Rule::Legacy {
+            let me = self.group.world_rank_of(m);
+            if let Some(e) = failed_member(&self.group, me, live) {
+                return Some(e);
+            }
+        }
+        dead_sender(self.awaiting(m)?, live)
+    }
+
+    /// The legacy rule's receive check: under [`Rule::Legacy`] a member
+    /// whose node has crashed by the receiver's clock `now` fails the
+    /// receive of world rank `me`, whatever is issued already.
+    fn doomed_by(&self, me: usize, now: SimTime) -> MpiResult<()> {
+        match self.rule {
+            Rule::Legacy => self.doomed.check(me, now),
+            Rule::Engine => Ok(()),
+        }
+    }
+
+    /// Deposits member `m` and, unless another thread holds the executor
+    /// (which then runs `m` too), advances every member as far as the
+    /// issued transfers allow, ringing the members that finished or now
+    /// await a dead sender.
     pub(crate) fn arrive(&self, shared: &SharedState, m: usize, a: Arrival) {
-        let mut ex = self.exec.lock();
-        ex.members[m] = Some(Member {
+        self.arrived.fetch_add(1, Ordering::SeqCst);
+        let _ = self.inputs[m].set(a.input);
+        let member = Member {
             plan: a.plan,
             elem_bytes: a.elem_bytes,
             pc: 0,
             clock: a.clock,
             net: a.net,
             blocked_on: None,
-            outcome: None,
-        });
-        ex.inputs[m] = a.input;
-        ex.arrived += 1;
-        self.advance(ex, shared, m, None);
+        };
+        self.pending.lock().push((m, member));
+        if let Some(ex) = self.exec.try_lock() {
+            self.advance(ex, shared, m, None);
+        }
     }
 
     /// Ends member `m`'s wait, which ended without its outcome: with
     /// `verdict` (a quiescence verdict, the member's own death at its crash
-    /// time, the watchdog), or, for `None`, by the dead-sender rule. That
-    /// rule is read again here, under the slot's lock: the slot may have
-    /// moved `m` on to a live sender's transfer since the wait looked, and
-    /// then `m` waits on. A finished member keeps its outcome.
+    /// time, the watchdog), or, for `None`, by the dead-peer rule. That
+    /// rule is read again here, under the slot's lock and once every
+    /// arrival has run: the slot may have moved `m` on to a live sender's
+    /// transfer since the wait looked, and then `m` waits on. A finished
+    /// member keeps its outcome.
     pub(crate) fn abandon(&self, shared: &SharedState, m: usize, verdict: Option<MpiError>) {
-        let mut ex = self.exec.lock();
-        let member = ex.members[m].as_mut().expect("a waiting member arrived");
-        if member.outcome.is_some() {
-            return;
-        }
-        let world = self.group.world_rank_of(m);
-        let e = match verdict {
-            Some(e) => e,
-            None => match self.awaiting(m) {
-                Some(s) if shared.liveness.of(s) != RankState::Alive => {
-                    MpiError::NodeFailed { world_rank: s }
-                }
-                _ => return,
-            },
-        };
-        if e == (MpiError::NodeFailed { world_rank: world }) {
-            // The wait resolved as the member's own death, which clamps its
-            // clock to the crash time.
-            if let Some(tc) = shared.doom[world] {
-                member.clock = member.clock.max(tc);
-            }
-        }
-        self.advance(ex, shared, m, Some(e));
+        let ex = self.exec.lock();
+        self.advance(ex, shared, m, Some(verdict));
     }
 
-    /// Runs the executor from member `m`, first failing it with `e` if
-    /// given, then rings who must hear of it.
-    fn advance(
-        &self,
-        mut ex: parking_lot::MutexGuard<'_, Exec>,
+    /// Runs the executor on behalf of member `me`'s thread: takes in the
+    /// pending arrivals, runs every member that can move, then judges
+    /// `me`'s abandoned wait if asked to; unlocks and rings who must hear
+    /// of it. An arrival that found the lock held while this ran is still
+    /// pending after the unlock, and is run here too unless another thread
+    /// has taken the lock meanwhile (and with it the same duty).
+    fn advance<'s>(
+        &'s self,
+        mut ex: MutexGuard<'s, Exec>,
         shared: &SharedState,
-        m: usize,
-        e: Option<MpiError>,
+        me: usize,
+        mut abandon: Option<Option<MpiError>>,
     ) {
         let mut wake = Vec::new();
-        if let Some(e) = e {
-            ex.fail(self, shared, m, e, &mut wake);
-        }
-        ex.work.push(m);
-        while let Some(r) = ex.work.pop() {
-            ex.run(self, shared, r, &mut wake);
-        }
-        drop(ex);
-        for r in wake.into_iter().filter(|&r| r != m) {
-            shared.mailboxes[self.group.world_rank_of(r)].wake_all();
+        loop {
+            let arrivals = std::mem::take(&mut *self.pending.lock());
+            for (m, member) in arrivals {
+                ex.members[m] = Some(member);
+                ex.work.push(m);
+            }
+            ex.drain(self, shared, &mut wake);
+            if let Some(verdict) = abandon.take() {
+                if let Some(e) = ex.judge(self, shared, me, verdict) {
+                    ex.fail(self, shared, me, e, &mut wake);
+                    ex.drain(self, shared, &mut wake);
+                }
+            }
+            drop(ex);
+            for r in wake.drain(..).filter(|&r| r != me) {
+                shared.mailboxes[self.group.world_rank_of(r)].wake_all();
+            }
+            if self.pending.lock().is_empty() {
+                return;
+            }
+            match self.exec.try_lock() {
+                Some(again) => ex = again,
+                None => return,
+            }
         }
     }
 
     /// Member `m` takes back its clock and sending state with its outcome;
     /// the last member to leave closes the slot.
-    pub(crate) fn take(&self, shared: &SharedState, m: usize) -> (MpiResult<()>, SimTime, RankNet) {
-        let mut ex = self.exec.lock();
-        let member = ex.members[m].as_mut().expect("a member takes what it lent");
-        let outcome = member.outcome.take().expect("taken once finished");
-        let fresh = RankNet::new(NetFrontier::new(shared.cluster.contention()));
-        let net = std::mem::replace(&mut member.net, fresh);
-        let clock = member.clock;
-        ex.taken += 1;
-        if ex.taken == ex.arrived {
+    pub(crate) fn take(&self, shared: &SharedState, m: usize) -> Exit {
+        let exit = self.exits[m].lock().take().expect("taken once finished");
+        let taken = self.taken.fetch_add(1, Ordering::SeqCst) + 1;
+        if taken == self.arrived.load(Ordering::SeqCst) {
             // Nobody still inside; close unless a live member may yet come.
+            let came = |r: usize| self.inputs[r].get().is_some();
             let dead =
                 |r: usize| shared.liveness.of(self.group.world_rank_of(r)) != RankState::Alive;
-            let all_done = (0..ex.members.len()).all(|r| ex.members[r].is_some() || dead(r));
-            if all_done {
+            if (0..self.inputs.len()).all(|r| came(r) || dead(r)) {
                 shared.slots.open.lock().remove(&self.key);
             }
         }
-        (outcome, clock, net)
+        exit
     }
 
     /// Member `r`'s deposit.
     pub(crate) fn input(&self, r: usize) -> Option<Data> {
-        self.exec.lock().inputs[r].clone()
+        self.inputs[r].get().cloned().flatten()
     }
 
     /// The result `key` names, built from every deposit by `build` once per
@@ -302,7 +389,11 @@ impl Slot {
         key: BuiltKey,
         build: impl Fn(&[Option<Data>]) -> MpiResult<Data>,
     ) -> MpiResult<Data> {
-        let inputs = || self.exec.lock().inputs.clone();
+        let inputs = || {
+            (0..self.inputs.len())
+                .map(|r| self.input(r))
+                .collect::<Vec<_>>()
+        };
         let (k, shared) = self.built.get_or_init(|| (key, build(&inputs())));
         if *k == key {
             shared.clone()
@@ -313,15 +404,40 @@ impl Slot {
 }
 
 impl Exec {
+    /// Runs every member a new record or arrival may have unblocked.
+    fn drain(&mut self, slot: &Slot, shared: &SharedState, wake: &mut Vec<usize>) {
+        while let Some(r) = self.work.pop() {
+            self.run(slot, shared, r, wake);
+        }
+    }
+
+    /// What ends member `m`'s abandoned wait: `verdict`, or else the
+    /// dead-peer rule; nothing once `m` has finished. A wait that resolved
+    /// as the member's own death clamps its clock to the crash time.
+    fn judge(
+        &mut self,
+        slot: &Slot,
+        shared: &SharedState,
+        m: usize,
+        verdict: Option<MpiError>,
+    ) -> Option<MpiError> {
+        let member = self.members[m].as_mut()?;
+        let e = verdict.or_else(|| slot.dead_peer(m, &shared.liveness))?;
+        let world = slot.group.world_rank_of(m);
+        if e == (MpiError::NodeFailed { world_rank: world }) {
+            if let Some(tc) = shared.doom[world] {
+                member.clock = member.clock.max(tc);
+            }
+        }
+        Some(e)
+    }
+
     /// Runs member `m`'s program until it blocks on a transfer not yet
     /// issued, or finishes.
     fn run(&mut self, slot: &Slot, shared: &SharedState, m: usize, wake: &mut Vec<usize>) {
         let Some(member) = self.members[m].as_mut() else {
             return;
         };
-        if member.outcome.is_some() {
-            return;
-        }
         member.blocked_on = None;
         let plan = Arc::clone(&member.plan);
         let world = slot.group.world_rank_of(m);
@@ -351,14 +467,17 @@ impl Exec {
             } else {
                 let src = slot.group.world_rank_of(x.src);
                 let key = (x.src as u32, m as u32, nth);
-                match ep.check_alive().map(|()| self.records.remove(&key)) {
+                let look = ep
+                    .check_alive()
+                    .and_then(|()| slot.doomed_by(world, *ep.clock));
+                match look.map(|()| self.records.remove(&key)) {
                     Ok(None) => {
                         member.blocked_on = Some((x.src, nth));
                         slot.awaiting[m].store(src, Ordering::SeqCst);
                         // A death published before the store rang nobody
                         // about this wait: ring the member's thread, which
-                        // reads the dead-sender rule itself.
-                        if shared.liveness.of(src) != RankState::Alive {
+                        // reads the dead-peer rule itself.
+                        if slot.dead_peer(m, &shared.liveness).is_some() {
                             wake.push(m);
                         }
                         return;
@@ -392,11 +511,13 @@ impl Exec {
         }
     }
 
-    /// Member `m`'s program fails with `e` at its current step. On a
-    /// fail-stop error every transfer it has not sent becomes poison
-    /// naming the blamed world rank (a send that fails — to a dead
-    /// destination, from a dead member — is dropped), so downstream
-    /// members fail with the same root cause.
+    /// Member `m`'s program fails with `e` at its current step. Under
+    /// [`Rule::Engine`], on a fail-stop error every transfer it has not
+    /// sent becomes poison naming the blamed world rank (a send that fails
+    /// — to a dead destination, from a dead member — is dropped), so
+    /// downstream members fail with the same root cause. Under
+    /// [`Rule::Legacy`] the failure sends nothing: the members left waiting
+    /// hear of it from the failure detector.
     fn fail(
         &mut self,
         slot: &Slot,
@@ -405,13 +526,15 @@ impl Exec {
         e: MpiError,
         wake: &mut Vec<usize>,
     ) {
-        // A receive's dead sender is a failed node to the fault contract,
-        // whether it crashed or returned.
-        let e = match e {
-            MpiError::PeerTerminated { world_rank } => MpiError::NodeFailed { world_rank },
-            e => e,
+        let e = match (slot.rule, e) {
+            // A receive's dead sender is a failed node to the engine's
+            // fault contract, whether it crashed or returned.
+            (Rule::Engine, MpiError::PeerTerminated { world_rank }) => {
+                MpiError::NodeFailed { world_rank }
+            }
+            (_, e) => e,
         };
-        if let Some(blame) = fault_blame(&e) {
+        if let Some(blame) = fault_blame(&e).filter(|_| slot.rule == Rule::Engine) {
             let member = self.members[m].as_mut().expect("failing member arrived");
             let plan = Arc::clone(&member.plan);
             let mut ep = Endpoint {
@@ -442,11 +565,11 @@ impl Exec {
         self.finish(slot, m, Err(e), wake);
     }
 
-    /// Member `m`'s outcome is final: publish it, and ring it.
+    /// Member `m`'s outcome is final: leave its exit, publish it, and ring
+    /// it.
     fn finish(&mut self, slot: &Slot, m: usize, outcome: MpiResult<()>, wake: &mut Vec<usize>) {
-        let member = self.members[m].as_mut().expect("finishing member arrived");
-        member.outcome = Some(outcome);
-        member.blocked_on = None;
+        let member = self.members[m].take().expect("finishing member arrived");
+        *slot.exits[m].lock() = Some((outcome, member.clock, member.net));
         slot.awaiting[m].store(NONE, Ordering::SeqCst);
         slot.finished[m].store(true, Ordering::SeqCst);
         wake.push(m);
@@ -483,5 +606,11 @@ impl Slot {
     /// Points member `m`'s wait at sender `w`, as the executor does.
     pub(crate) fn set_awaiting(&self, m: usize, w: Option<usize>) {
         self.awaiting[m].store(w.unwrap_or(NONE), Ordering::SeqCst);
+    }
+
+    /// Marks member `m`'s outcome final, as the executor does.
+    pub(crate) fn set_finished(&self, m: usize) {
+        self.set_awaiting(m, None);
+        self.finished[m].store(true, Ordering::SeqCst);
     }
 }

@@ -14,8 +14,9 @@
 //!   [`MpiError::InvalidCounts`], not a panic or a hang;
 //! * raw origin ranges on either side of 8 KiB (the rendezvous copy-out
 //!   block) give the same bits and leave no pooled lease behind;
-//! * a call puts each member to sleep at most once, and a member the slot
-//!   has finished is never judged stuck while it sleeps.
+//! * a call — the barrier's too — puts each member to sleep at most once,
+//!   and a member the slot has finished is never judged stuck while it
+//!   sleeps.
 
 use hetsim::{
     Cluster, ContentionModel, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime,
@@ -822,6 +823,23 @@ fn engine_calls_sleep_at_most_once_per_rank() {
                 report.wakeups
             );
         }
+    }
+}
+
+/// The barrier runs in a collective slot too: one barrier at p = 256 puts
+/// each rank to sleep at most once. (Passing the barrier's messages
+/// through the ranks' mailboxes, each rank slept once per receive it
+/// waited for: 413–448 sleeps here.)
+#[test]
+fn a_barrier_sleeps_each_rank_at_most_once() {
+    let p = 256;
+    let config = UniverseConfig::new().stack_size(256 * 1024);
+    let u = Universe::with_config(cluster(p), config);
+    for _ in 0..3 {
+        let report = u.run(|proc| proc.world().barrier());
+        assert!(report.results.iter().all(Result::is_ok));
+        let w = report.wakeups;
+        assert!(w.slept <= p as u64, "{w:?} over one barrier of {p} ranks");
     }
 }
 
