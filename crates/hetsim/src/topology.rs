@@ -1,4 +1,4 @@
-//! Cluster topology: processors plus a pairwise link matrix.
+//! Cluster topology: processors plus the link class of every node pair.
 //!
 //! A [`Cluster`] is the complete model of the executing network of computers
 //! that the HMPI runtime plans against. [`Cluster::paper_lan`] encodes the
@@ -12,6 +12,7 @@ use crate::fault::FaultPlan;
 use crate::link::Link;
 use crate::node::{NodeId, Processor};
 use crate::protocol::Protocol;
+use std::sync::Arc;
 
 /// How concurrent transfers share the network.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -33,38 +34,61 @@ pub enum ContentionModel {
 pub const PAPER_EM3D_SPEEDS: [f64; 9] =
     [46.0, 46.0, 46.0, 46.0, 46.0, 46.0, 176.0, 106.0, 9.0];
 
-/// A dense pairwise link-cost table over a node subset, produced by
+/// A pairwise link-cost table over a node subset, produced by
 /// [`Cluster::pair_table`]. Indices are positions in the subset, not
 /// [`NodeId`]s, so the table maps directly onto ranks (a communicator's, or
-/// the world's when built over the whole placement).
-#[derive(Clone, Debug, PartialEq)]
+/// the world's when built over the whole placement). Costs are stored once
+/// per link class and each position pair holds a 4-byte class number, so
+/// two tables are equal when every pair costs the same, however their
+/// classes are numbered.
+#[derive(Clone, Debug)]
 pub struct PairTable {
     /// Number of endpoints in the subset.
     pub n: usize,
     /// `nodes[i]` = the node hosting position `i`: positions sharing a
     /// node share its contention resources (NIC, memory bus).
     pub nodes: Vec<NodeId>,
-    /// Row-major `n × n` link latencies in seconds (zero on the diagonal).
-    pub latency: Vec<f64>,
-    /// Row-major `n × n` link bandwidths in bytes/second (zero on the
-    /// diagonal; a zero bandwidth means "free", matching the transport's
-    /// treatment of same-node transfers).
-    pub bandwidth: Vec<f64>,
+    /// `(latency, bandwidth)` of each class, in seconds and bytes/second.
+    /// Class `LOOPBACK` is the free diagonal (0 s, infinite bandwidth).
+    costs: Vec<(f64, f64)>,
+    /// Row-major `n × n` class of each position pair, indexing `costs`.
+    class_of: Vec<u32>,
 }
 
 impl PairTable {
     /// Latency from subset position `i` to position `j`.
     #[inline]
     pub fn latency(&self, i: usize, j: usize) -> f64 {
-        self.latency[i * self.n + j]
+        self.cost(i, j).0
     }
 
     /// Bandwidth from subset position `i` to position `j`.
     #[inline]
     pub fn bandwidth(&self, i: usize, j: usize) -> f64 {
-        self.bandwidth[i * self.n + j]
+        self.cost(i, j).1
+    }
+
+    #[inline]
+    fn cost(&self, i: usize, j: usize) -> (f64, f64) {
+        self.costs[self.class_of[i * self.n + j] as usize]
     }
 }
+
+impl PartialEq for PairTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+            && self.nodes == other.nodes
+            && (self.class_of.iter().zip(&other.class_of))
+                .all(|(&a, &b)| self.costs[a as usize] == other.costs[b as usize])
+    }
+}
+
+/// The class of a node's link to itself, in a cluster and a pair table.
+const LOOPBACK: u32 = 0;
+/// The class of a pair within one site.
+const INTRA_SWITCH: u32 = 1;
+/// The class of a pair across sites; `link_between` overrides follow.
+const INTER_SITE: u32 = 2;
 
 /// Declared multi-level structure over a cluster's nodes: which switch and
 /// which site each node hangs off. Together with a placement (ranks → nodes)
@@ -116,8 +140,12 @@ impl TopologyInfo {
 #[derive(Clone, Debug)]
 pub struct Cluster {
     nodes: Vec<Processor>,
-    /// `links[i][j]` is the link used when node `i` sends to node `j`.
-    links: Vec<Vec<Link>>,
+    /// The link classes: loopback, intra-switch and inter-site, then one
+    /// per `link_between` override.
+    classes: Arc<[Link]>,
+    /// Row-major `n × n`: `class_of[i * n + j]` indexes `classes` with the
+    /// link used when node `i` sends to node `j`. Clones share it.
+    class_of: Arc<[u32]>,
     contention: ContentionModel,
     /// Scheduled faults; empty for a fault-free run.
     faults: FaultPlan,
@@ -195,7 +223,14 @@ impl Cluster {
     /// The link used when `from` sends to `to`.
     #[inline]
     pub fn link(&self, from: NodeId, to: NodeId) -> &Link {
-        &self.links[from.0][to.0]
+        &self.classes[self.row(from)[to.0] as usize]
+    }
+
+    /// The classes of the links `from` sends over, indexed by receiver.
+    #[inline]
+    fn row(&self, from: NodeId) -> &[u32] {
+        let n = self.nodes.len();
+        &self.class_of[from.0 * n..][..n]
     }
 
     /// The link a message between *distinct ranks* placed on `from` and
@@ -206,7 +241,7 @@ impl Cluster {
     pub fn rank_link(&self, from: NodeId, to: NodeId) -> &Link {
         match &self.mem_bus {
             Some(mem) if from == to => mem,
-            _ => &self.links[from.0][to.0],
+            _ => self.link(from, to),
         }
     }
 
@@ -236,35 +271,41 @@ impl Cluster {
         self.contention
     }
 
-    /// A dense latency/bandwidth table for the given node subset, indexed
-    /// by *position* in `nodes` (so row `i`, column `j` prices a message
-    /// from `nodes[i]` to `nodes[j]`). This is the one link-cost view of
-    /// the stack: the collective planner selects algorithms against it
-    /// (over a communicator's nodes) and HMPI's selection search prices
-    /// candidate mappings against it (over the world placement). It
-    /// reports the healthy base link parameters, ignoring transient
-    /// faults. Distinct positions sharing a node price over the memory bus
-    /// when one is modelled ([`Cluster::rank_link`]); the diagonal is the
-    /// free loopback a self-send rides (0 s, infinite bandwidth).
+    /// A latency/bandwidth table for the given node subset, indexed by
+    /// *position* in `nodes` (so row `i`, column `j` prices a message from
+    /// `nodes[i]` to `nodes[j]`). This is the one link-cost view of the
+    /// stack: the collective planner selects algorithms against it (over a
+    /// communicator's nodes) and HMPI's selection search prices candidate
+    /// mappings against it (over the world placement). It reports the
+    /// healthy base link parameters, ignoring transient faults. Distinct
+    /// positions sharing a node price over the memory bus when one is
+    /// modelled ([`Cluster::rank_link`]); the diagonal is the free loopback
+    /// a self-send rides (0 s, infinite bandwidth). It holds 4 bytes per
+    /// position pair plus one cost per link class.
     pub fn pair_table(&self, nodes: &[NodeId]) -> PairTable {
         let n = nodes.len();
-        let mut latency = vec![0.0; n * n];
-        let mut bandwidth = vec![f64::INFINITY; n * n];
+        let mut costs: Vec<(f64, f64)> = self
+            .classes
+            .iter()
+            .map(|l| (l.latency, l.bandwidth))
+            .collect();
+        let mem_bus = self.mem_bus.as_ref().map(|m| {
+            costs.push((m.latency, m.bandwidth));
+            (costs.len() - 1) as u32
+        });
+        let mut class_of = Vec::with_capacity(n * n);
         for (i, &a) in nodes.iter().enumerate() {
-            for (j, &b) in nodes.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                let link = self.rank_link(a, b);
-                latency[i * n + j] = link.latency;
-                bandwidth[i * n + j] = link.bandwidth;
-            }
+            let row = self.row(a);
+            class_of.extend(nodes.iter().enumerate().map(|(j, &b)| match mem_bus {
+                Some(bus) if a == b && i != j => bus,
+                _ => row[b.0],
+            }));
         }
         PairTable {
             n,
             nodes: nodes.to_vec(),
-            latency,
-            bandwidth,
+            costs,
+            class_of,
         }
     }
 
@@ -664,20 +705,25 @@ impl TopologyBuilder {
             .intra_switch
             .unwrap_or_else(|| Link::with_defaults(Protocol::Tcp));
         let wan = self.inter_site.unwrap_or_else(|| intra.clone());
-        let mut links = vec![vec![intra.clone(); n]; n];
-        for (i, row) in links.iter_mut().enumerate() {
-            for (j, slot) in row.iter_mut().enumerate() {
-                if i == j {
-                    *slot = Link::loopback();
+        let mut classes = vec![Link::loopback(), intra, wan];
+        let mut class_of = Vec::with_capacity(n * n);
+        for i in 0..n {
+            for j in 0..n {
+                class_of.push(if i == j {
+                    LOOPBACK
                 } else if self.node_site[i] != self.node_site[j] {
-                    *slot = wan.clone();
-                }
+                    INTER_SITE
+                } else {
+                    INTRA_SWITCH
+                });
             }
         }
         for (a, b, link) in self.overrides {
             assert!(a < n && b < n, "link override ({a},{b}) out of range 0..{n}");
-            links[a][b] = link.clone();
-            links[b][a] = link;
+            let class = classes.len() as u32;
+            classes.push(link);
+            class_of[a * n + b] = class;
+            class_of[b * n + a] = class;
         }
         let placement: Vec<NodeId> = self
             .node_ranks
@@ -690,7 +736,8 @@ impl TopologyBuilder {
         let declared = self.sites > 1 || self.switches > 1;
         let cluster = Cluster {
             nodes: self.nodes,
-            links,
+            classes: classes.into(),
+            class_of: class_of.into(),
             contention: self.contention,
             faults: self.faults,
             mem_bus: self.mem_bus,
@@ -899,6 +946,60 @@ mod tests {
             topo.placement(),
             &[NodeId(0), NodeId(0), NodeId(0), NodeId(1)]
         );
+    }
+
+    #[test]
+    fn link_reads_the_sender_row() {
+        // Builders only make symmetric indices; pin the layout with one
+        // that is not: node 0 sends over class 1, node 1 over class 2.
+        let built = TopologyBuilder::new()
+            .intra_switch(Link::new(1e-4, 1e8, Protocol::Tcp))
+            .inter_site(Link::new(5e-3, 1e6, Protocol::Tcp))
+            .node("a", 1.0)
+            .node("b", 1.0)
+            .build();
+        let c = Cluster {
+            class_of: vec![LOOPBACK, INTRA_SWITCH, INTER_SITE, LOOPBACK].into(),
+            ..built.into_parts().0
+        };
+        assert_eq!(c.link(NodeId(0), NodeId(1)).latency, 1e-4);
+        assert_eq!(c.link(NodeId(1), NodeId(0)).latency, 5e-3);
+        let t = c.pair_table(&[NodeId(1), NodeId(0)]);
+        assert_eq!((t.latency(0, 1), t.latency(1, 0)), (5e-3, 1e-4));
+    }
+
+    #[test]
+    fn clones_share_the_class_index() {
+        let topo = TopologyBuilder::paper_lan(&PAPER_EM3D_SPEEDS).build();
+        let (a, b) = (topo.cluster(), topo.clone().into_parts().0);
+        assert!(Arc::ptr_eq(&a.class_of, &b.class_of));
+        assert!(Arc::ptr_eq(&a.classes, &b.classes));
+    }
+
+    #[test]
+    fn pair_tables_compare_costs_not_class_numbers() {
+        let lan = Link::new(1e-4, 1e8, Protocol::Tcp);
+        let plain = TopologyBuilder::new()
+            .intra_switch(lan.clone())
+            .node("a", 1.0)
+            .node("b", 1.0)
+            .build();
+        // The same costs, reached through an override's class.
+        let overridden = TopologyBuilder::new()
+            .node("a", 1.0)
+            .node("b", 1.0)
+            .link_between(0, 1, lan)
+            .build();
+        let nodes = [NodeId(0), NodeId(1), NodeId(1)];
+        let t = plain.cluster().pair_table(&nodes);
+        assert_eq!(t, overridden.cluster().pair_table(&nodes));
+        let slower = TopologyBuilder::new()
+            .intra_switch(Link::new(2e-4, 1e8, Protocol::Tcp))
+            .node("a", 1.0)
+            .node("b", 1.0)
+            .build();
+        assert_ne!(t, slower.cluster().pair_table(&nodes));
+        assert_ne!(t, plain.cluster().pair_table(&nodes[..2]));
     }
 
     #[test]

@@ -22,13 +22,15 @@
 //!   re-flags the lane, so its item is seen by this drain or the next —
 //!   never lost.
 //!
-//! Lanes are allocated lazily (`OnceLock`) so a `p`-rank world costs
-//! `O(p)` pointers per mailbox, not `O(p)` queues — at 1024 ranks the
-//! per-universe overhead is a few tens of MB of indices rather than
-//! gigabytes of preallocated rings. A universe keeps its mailboxes, and
-//! with them these indices and every lane allocated so far, across its
-//! runs (`crate::p2p::KeptMailboxes`): a drained set has every lane empty
-//! and unflagged, and the dirty stack empty.
+//! Lanes are allocated in chunks of [`CHUNK`] senders, each on its
+//! chunk's first push, so a fresh `p`-rank mailbox costs `p / 64` chunk
+//! pointers and a receiver that hears from a handful of neighbours holds
+//! one or two chunks: at 1024 ranks a universe's mailboxes hold about
+//! 400 KB of chunk pointers plus the chunks its traffic touched, not one
+//! slot per rank pair. A universe keeps its mailboxes, and with them
+//! every chunk allocated so far, across its runs
+//! (`crate::p2p::KeptMailboxes`): a drained set has every lane empty and
+//! unflagged, and the dirty stack empty.
 //!
 //! Memory-ordering note: all flag/stack operations are `SeqCst`. The
 //! quiescence detector's soundness argument (DESIGN.md §13) needs
@@ -45,12 +47,17 @@ use std::sync::OnceLock;
 /// Sentinel for "no entry" in the dirty stack's intrusive links.
 const NONE: usize = usize::MAX;
 
+/// Senders per chunk of lanes.
+const CHUNK: usize = 64;
+
 /// One sender's private queue into a receiver.
 #[derive(Debug)]
 struct Lane<T> {
     queue: Mutex<VecDeque<T>>,
     /// True while the lane sits on the dirty stack (or is being drained).
     queued: AtomicBool,
+    /// The dirty lane below this one on the stack ([`NONE`] = bottom).
+    next: AtomicUsize,
 }
 
 impl<T> Default for Lane<T> {
@@ -58,33 +65,58 @@ impl<T> Default for Lane<T> {
         Lane {
             queue: Mutex::new(VecDeque::new()),
             queued: AtomicBool::new(false),
+            next: AtomicUsize::new(NONE),
         }
     }
 }
 
+/// The lanes of up to [`CHUNK`] consecutive senders.
+type Chunk<T> = Box<[Lane<T>]>;
+
 /// A receiver's set of per-sender lanes plus the dirty-lane stack.
 #[derive(Debug)]
 pub(crate) struct LaneSet<T> {
-    lanes: Box<[OnceLock<Box<Lane<T>>>]>,
+    /// Chunk `k` holds the lanes of senders `64 k ..`, allocated on its
+    /// first push.
+    chunks: Box<[OnceLock<Chunk<T>>]>,
+    senders: usize,
     /// Head of the Treiber stack of dirty lane indices ([`NONE`] = empty).
     dirty_head: AtomicUsize,
-    /// Intrusive next-links, one slot per lane.
-    dirty_next: Box<[AtomicUsize]>,
 }
 
 impl<T> LaneSet<T> {
     /// Lanes for `n` senders (world ranks `0..n`).
     pub(crate) fn new(n: usize) -> Self {
         LaneSet {
-            lanes: (0..n).map(|_| OnceLock::new()).collect(),
+            chunks: (0..n.div_ceil(CHUNK)).map(|_| OnceLock::new()).collect(),
+            senders: n,
             dirty_head: AtomicUsize::new(NONE),
-            dirty_next: (0..n).map(|_| AtomicUsize::new(NONE)).collect(),
         }
+    }
+
+    /// Sender `src`'s lane, allocating its chunk on first use.
+    fn lane(&self, src: usize) -> &Lane<T> {
+        let k = src / CHUNK;
+        let chunk = self.chunks[k].get_or_init(|| {
+            let len = CHUNK.min(self.senders - k * CHUNK);
+            (0..len).map(|_| Lane::default()).collect()
+        });
+        &chunk[src % CHUNK]
+    }
+
+    /// Number of lanes allocated so far.
+    #[cfg(test)]
+    fn allocated(&self) -> usize {
+        self.chunks
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|c| c.len())
+            .sum()
     }
 
     /// Number of sender slots.
     pub(crate) fn senders(&self) -> usize {
-        self.lanes.len()
+        self.senders
     }
 
     /// Producer side: queue `item` on sender `src`'s lane.
@@ -94,7 +126,7 @@ impl<T> LaneSet<T> {
     /// an earlier un-drained push already flagged it, so the receiver is
     /// provably not asleep past its pre-sleep drain.)
     pub(crate) fn push(&self, src: usize, item: T) -> bool {
-        let lane = self.lanes[src].get_or_init(Box::default);
+        let lane = self.lane(src);
         lane.queue.lock().push_back(item);
         if lane.queued.swap(true, Ordering::SeqCst) {
             return false;
@@ -102,13 +134,11 @@ impl<T> LaneSet<T> {
         // Newly dirty: link onto the stack.
         let mut head = self.dirty_head.load(Ordering::SeqCst);
         loop {
-            self.dirty_next[src].store(head, Ordering::SeqCst);
-            match self.dirty_head.compare_exchange(
-                head,
-                src,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
+            lane.next.store(head, Ordering::SeqCst);
+            match self
+                .dirty_head
+                .compare_exchange(head, src, Ordering::SeqCst, Ordering::SeqCst)
+            {
                 Ok(_) => return true,
                 Err(h) => head = h,
             }
@@ -133,8 +163,8 @@ impl<T> LaneSet<T> {
                 return;
             }
             while cur != NONE {
-                let next = self.dirty_next[cur].swap(NONE, Ordering::SeqCst);
-                let lane = self.lanes[cur].get_or_init(Box::default);
+                let lane = self.lane(cur);
+                let next = lane.next.swap(NONE, Ordering::SeqCst);
                 // Clear-then-drain: a producer racing in after this store
                 // re-flags the lane and re-links it, so nothing is lost.
                 lane.queued.store(false, Ordering::SeqCst);
@@ -165,7 +195,11 @@ mod tests {
         assert!(set.push(2, 20));
         let mut seen = Vec::new();
         set.drain_into(|src, v| seen.push((src, v)));
-        let lane1: Vec<u32> = seen.iter().filter(|(s, _)| *s == 1).map(|(_, v)| *v).collect();
+        let lane1: Vec<u32> = seen
+            .iter()
+            .filter(|(s, _)| *s == 1)
+            .map(|(_, v)| *v)
+            .collect();
         assert_eq!(lane1, vec![10, 11]);
         assert!(seen.contains(&(2, 20)));
         assert!(!set.any_dirty());
@@ -216,5 +250,69 @@ mod tests {
                 }
             });
         });
+    }
+
+    #[test]
+    fn a_fresh_lane_set_allocates_no_lane_until_its_first_push() {
+        let set: LaneSet<u32> = LaneSet::new(1024);
+        assert_eq!((set.chunks.len(), set.allocated()), (16, 0));
+        set.drain_into(|_, _| unreachable!("nothing was pushed"));
+        assert_eq!(set.allocated(), 0, "a drain allocates nothing");
+        set.push(1023, 7);
+        assert_eq!(set.allocated(), CHUNK, "one chunk, the last");
+        set.push(960, 8);
+        assert_eq!(set.allocated(), CHUNK, "960 shares 1023's chunk");
+        // A short last chunk holds only the senders there are.
+        let short: LaneSet<u32> = LaneSet::new(1000);
+        short.push(999, 1);
+        assert_eq!(short.allocated(), 1000 - 960);
+    }
+
+    #[test]
+    fn concurrent_producers_across_chunk_boundaries_keep_lane_fifo() {
+        const SENDERS: [usize; 4] = [0, 63, 64, 1023];
+        let set: LaneSet<(usize, usize)> = LaneSet::new(1024);
+        let per = 2000;
+        std::thread::scope(|s| {
+            for src in SENDERS {
+                let set = &set;
+                s.spawn(move || {
+                    for i in 0..per {
+                        set.push(src, (src, i));
+                    }
+                });
+            }
+            let mut got = vec![Vec::new(); 1024];
+            while got.iter().map(Vec::len).sum::<usize>() < SENDERS.len() * per {
+                set.drain_into(|src, (from, i)| {
+                    assert_eq!(src, from, "an item surfaced on another sender's lane");
+                    got[src].push(i);
+                });
+                std::thread::yield_now();
+            }
+            for src in SENDERS {
+                assert_eq!(
+                    got[src],
+                    (0..per).collect::<Vec<_>>(),
+                    "lane {src} out of order"
+                );
+            }
+        });
+        // Every producer is done and everything drained: no lane is left
+        // flagged or linked, and the stack is empty.
+        assert!(!set.any_dirty());
+        for src in SENDERS {
+            let lane = set.lane(src);
+            assert!(
+                !lane.queued.load(Ordering::SeqCst),
+                "lane {src} still flagged"
+            );
+            assert_eq!(
+                lane.next.load(Ordering::SeqCst),
+                NONE,
+                "lane {src} still linked"
+            );
+        }
+        assert_eq!(set.allocated(), 3 * CHUNK, "chunks 0, 1 and 15");
     }
 }

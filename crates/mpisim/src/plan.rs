@@ -56,7 +56,7 @@ use std::sync::{Arc, OnceLock};
 /// time its key is asked for.
 const MAX_RESIDENT_XFERS: usize = 1 << 17;
 
-/// Cost-view bound, in pair-table cells (16 bytes each).
+/// Cost-view bound, in pair-table cells (4 bytes each: a class number).
 const MAX_VIEW_CELLS: usize = 1 << 22;
 
 pub(crate) fn ineligible(kind: CollectiveKind, algo: CollectiveAlgo, p: usize) -> MpiError {
