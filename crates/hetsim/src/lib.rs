@@ -14,7 +14,8 @@
 //! * [`Link`] — a point-to-point communication link with latency, bandwidth
 //!   and a [`Protocol`] (the paper's "ad hoc communication network" with
 //!   multiple protocols between different pairs of processors);
-//! * [`Cluster`] — the full network: processors plus a pairwise link matrix,
+//! * [`Cluster`] — the full network: processors plus the link class of every
+//!   node pair (each distinct link stored once),
 //!   with presets that encode the paper's testbed;
 //! * [`TopologyBuilder`] — the one way to describe a testbed: sites,
 //!   switches, nodes and the ranks on each node, built into a [`Topology`]

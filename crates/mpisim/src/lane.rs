@@ -104,16 +104,6 @@ impl<T> LaneSet<T> {
         &chunk[src % CHUNK]
     }
 
-    /// Number of lanes allocated so far.
-    #[cfg(test)]
-    fn allocated(&self) -> usize {
-        self.chunks
-            .iter()
-            .filter_map(OnceLock::get)
-            .map(|c| c.len())
-            .sum()
-    }
-
     /// Number of sender slots.
     pub(crate) fn senders(&self) -> usize {
         self.senders
@@ -185,7 +175,6 @@ impl<T> LaneSet<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn push_then_drain_preserves_per_lane_fifo() {
@@ -226,30 +215,59 @@ mod tests {
 
     #[test]
     fn concurrent_producers_never_lose_items() {
-        let set: Arc<LaneSet<usize>> = Arc::new(LaneSet::new(8));
+        let set = LaneSet::new(8);
         let per = 2000;
+        for lane in drain_while_pushing(&set, &[0, 1, 2, 3, 4, 5, 6, 7], per) {
+            assert_eq!(lane, (0..per).collect::<Vec<_>>(), "per-lane FIFO violated");
+        }
+    }
+
+    /// Pushes `(src, i)` for `i` in `0..per` from one thread per sender
+    /// while this thread drains, until every producer has finished (a
+    /// panicked producer fails the test rather than hanging it), and
+    /// returns each lane's `i`s in drain order, checking that each item
+    /// surfaced on its own sender's lane.
+    fn drain_while_pushing(
+        set: &LaneSet<(usize, usize)>,
+        senders: &[usize],
+        per: usize,
+    ) -> Vec<Vec<usize>> {
+        let mut got = vec![Vec::new(); set.senders()];
         std::thread::scope(|s| {
-            for src in 0..8 {
-                let set = Arc::clone(&set);
-                s.spawn(move || {
-                    for i in 0..per {
-                        set.push(src, i);
-                    }
+            let producers: Vec<_> = senders
+                .iter()
+                .map(|&src| {
+                    s.spawn(move || {
+                        for i in 0..per {
+                            set.push(src, (src, i));
+                        }
+                    })
+                })
+                .collect();
+            loop {
+                let done = producers.iter().all(|p| p.is_finished());
+                set.drain_into(|src, (from, i)| {
+                    assert_eq!(src, from, "an item surfaced on another sender's lane");
+                    got[src].push(i);
                 });
+                if done {
+                    break;
+                }
+                std::thread::yield_now();
             }
-            let set2 = Arc::clone(&set);
-            s.spawn(move || {
-                let mut got = vec![Vec::new(); 8];
-                while got.iter().map(Vec::len).sum::<usize>() < 8 * per {
-                    set2.drain_into(|src, v| got[src].push(v));
-                    std::thread::yield_now();
-                }
-                for lane in &got {
-                    let sorted: Vec<usize> = (0..per).collect();
-                    assert_eq!(lane, &sorted, "per-lane FIFO violated");
-                }
-            });
         });
+        got
+    }
+
+    impl<T> LaneSet<T> {
+        /// Number of lanes allocated so far.
+        fn allocated(&self) -> usize {
+            self.chunks
+                .iter()
+                .filter_map(OnceLock::get)
+                .map(|c| c.len())
+                .sum()
+        }
     }
 
     #[test]
@@ -271,33 +289,16 @@ mod tests {
     #[test]
     fn concurrent_producers_across_chunk_boundaries_keep_lane_fifo() {
         const SENDERS: [usize; 4] = [0, 63, 64, 1023];
-        let set: LaneSet<(usize, usize)> = LaneSet::new(1024);
+        let set = LaneSet::new(1024);
         let per = 2000;
-        std::thread::scope(|s| {
-            for src in SENDERS {
-                let set = &set;
-                s.spawn(move || {
-                    for i in 0..per {
-                        set.push(src, (src, i));
-                    }
-                });
-            }
-            let mut got = vec![Vec::new(); 1024];
-            while got.iter().map(Vec::len).sum::<usize>() < SENDERS.len() * per {
-                set.drain_into(|src, (from, i)| {
-                    assert_eq!(src, from, "an item surfaced on another sender's lane");
-                    got[src].push(i);
-                });
-                std::thread::yield_now();
-            }
-            for src in SENDERS {
-                assert_eq!(
-                    got[src],
-                    (0..per).collect::<Vec<_>>(),
-                    "lane {src} out of order"
-                );
-            }
-        });
+        let got = drain_while_pushing(&set, &SENDERS, per);
+        for src in SENDERS {
+            assert_eq!(
+                got[src],
+                (0..per).collect::<Vec<_>>(),
+                "lane {src} out of order"
+            );
+        }
         // Every producer is done and everything drained: no lane is left
         // flagged or linked, and the stack is empty.
         assert!(!set.any_dirty());

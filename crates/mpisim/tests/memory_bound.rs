@@ -34,6 +34,11 @@ impl Counting {
     }
 }
 
+// SAFETY: every method forwards its arguments unchanged to `System` and
+// returns what `System` returned, so `System`'s guarantees are this
+// allocator's. Counting touches only an atomic and a const-initialised
+// thread-local without a destructor (`try_with` skips it once the thread's
+// locals are gone), so it neither allocates nor panics.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
