@@ -8,7 +8,7 @@
 //! little-endian hosts; decoding is the mirror pass.
 
 use crate::error::{MpiError, MpiResult};
-use crate::p2p::{Payload, EAGER_LIMIT};
+use crate::p2p::{Payload, EAGER_LIMIT, INLINE};
 use crate::pool::BufferPool;
 use std::sync::Arc;
 
@@ -89,18 +89,20 @@ pub fn encode<T: MpiType>(data: &[T]) -> Vec<u8> {
     out
 }
 
-/// Encodes a slice directly into its protocol representation: inline
-/// (eager, no allocation) at or under [`EAGER_LIMIT`] wire bytes, an arena
-/// lease (rendezvous) above it.
+/// Encodes a slice directly into its payload representation: inline (no
+/// allocation) up to [`INLINE`] wire bytes, one owned buffer up to
+/// [`EAGER_LIMIT`], an arena lease (rendezvous) above it.
 pub(crate) fn encode_payload<T: MpiType>(data: &[T], pool: &Arc<BufferPool>) -> Payload {
     let wire = data.len() * T::WIRE_SIZE;
-    if wire <= EAGER_LIMIT {
-        let mut buf = [0u8; EAGER_LIMIT];
+    if wire <= INLINE {
+        let mut buf = [0u8; INLINE];
         write_all(data, &mut buf[..wire]);
         Payload::Inline {
-            len: wire as u16,
+            len: wire as u8,
             buf,
         }
+    } else if wire <= EAGER_LIMIT {
+        Payload::Owned(encode(data))
     } else {
         let mut lease = pool.lease(wire);
         let buf = lease.buf_mut();

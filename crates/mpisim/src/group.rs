@@ -71,8 +71,13 @@ impl Group {
     }
 
     /// This process's group rank, given its world rank (`MPI_Group_rank`);
-    /// `None` if not a member.
+    /// `None` if not a member. O(1) where the member at group rank `world`
+    /// is world rank `world` (every member of a world group or of a prefix
+    /// of one), a scan elsewhere.
     pub(crate) fn rank_of_world(&self, world: usize) -> Option<usize> {
+        if self.members.get(world) == Some(&world) {
+            return Some(world);
+        }
         self.members.iter().position(|&m| m == world)
     }
 
@@ -134,6 +139,19 @@ mod tests {
         assert_eq!(w.size(), 4);
         assert_eq!(w.world_ranks(), &[0, 1, 2, 3]);
         assert_eq!(w.rank_of_world(2), Some(2));
+    }
+
+    #[test]
+    fn rank_of_world_inverts_permuted_and_strided_groups() {
+        for members in [vec![3, 0, 2, 1], vec![1, 3, 5, 7], vec![0, 1, 5, 3]] {
+            let group = g(&members);
+            for (rank, &world) in members.iter().enumerate() {
+                assert_eq!(group.rank_of_world(world), Some(rank), "{members:?}");
+            }
+            for world in (0..9).filter(|w| !members.contains(w)) {
+                assert_eq!(group.rank_of_world(world), None, "{members:?}");
+            }
+        }
     }
 
     #[test]

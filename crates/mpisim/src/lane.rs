@@ -22,6 +22,11 @@
 //!   re-flags the lane, so its item is seen by this drain or the next —
 //!   never lost.
 //!
+//! A drain swaps the lane's queue with an empty spare the consumer keeps
+//! and empties the swapped-out one after unlocking, so a producer waits
+//! on its lane lock only for the swap, and queue buffers pass between the
+//! lanes and the consumer instead of being allocated per drain.
+//!
 //! Lanes are allocated in chunks of [`CHUNK`] senders, each on its
 //! chunk's first push, so a fresh `p`-rank mailbox costs `p / 64` chunk
 //! pointers and a receiver that hears from a handful of neighbours holds
@@ -141,11 +146,12 @@ impl<T> LaneSet<T> {
     }
 
     /// Consumer side: drain every dirty lane into `sink(src, item)`,
-    /// preserving each lane's FIFO order.
+    /// preserving each lane's FIFO order. `spare` is the consumer's empty
+    /// queue, swapped for each lane's; it is empty again on return.
     ///
     /// Only one consumer may drain at a time (the mailbox store lock
     /// serialises callers).
-    pub(crate) fn drain_into(&self, mut sink: impl FnMut(usize, T)) {
+    pub(crate) fn drain_into(&self, spare: &mut VecDeque<T>, mut sink: impl FnMut(usize, T)) {
         loop {
             // Detach the whole stack at once.
             let mut cur = self.dirty_head.swap(NONE, Ordering::SeqCst);
@@ -158,13 +164,8 @@ impl<T> LaneSet<T> {
                 // Clear-then-drain: a producer racing in after this store
                 // re-flags the lane and re-links it, so nothing is lost.
                 lane.queued.store(false, Ordering::SeqCst);
-                let drained: Vec<T> = {
-                    let mut q = lane.queue.lock();
-                    q.drain(..).collect()
-                };
-                for item in drained {
-                    sink(cur, item);
-                }
+                std::mem::swap(&mut *lane.queue.lock(), spare);
+                spare.drain(..).for_each(|item| sink(cur, item));
                 cur = next;
             }
             // Re-check: producers may have re-flagged lanes mid-drain.
@@ -183,7 +184,7 @@ mod tests {
         assert!(!set.push(1, 11), "second push finds the lane flagged");
         assert!(set.push(2, 20));
         let mut seen = Vec::new();
-        set.drain_into(|src, v| seen.push((src, v)));
+        set.drain_into(&mut VecDeque::new(), |src, v| seen.push((src, v)));
         let lane1: Vec<u32> = seen
             .iter()
             .filter(|(s, _)| *s == 1)
@@ -198,7 +199,7 @@ mod tests {
     fn drain_on_empty_is_noop() {
         let set: LaneSet<u32> = LaneSet::new(2);
         let mut n = 0;
-        set.drain_into(|_, _| n += 1);
+        set.drain_into(&mut VecDeque::new(), |_, _| n += 1);
         assert_eq!(n, 0);
     }
 
@@ -206,10 +207,10 @@ mod tests {
     fn redirty_after_drain_flags_again() {
         let set: LaneSet<u32> = LaneSet::new(1);
         assert!(set.push(0, 1));
-        set.drain_into(|_, _| {});
+        set.drain_into(&mut VecDeque::new(), |_, _| {});
         assert!(set.push(0, 2), "a drained lane flags dirty again");
         let mut seen = Vec::new();
-        set.drain_into(|_, v| seen.push(v));
+        set.drain_into(&mut VecDeque::new(), |_, v| seen.push(v));
         assert_eq!(seen, vec![2]);
     }
 
@@ -233,6 +234,7 @@ mod tests {
         per: usize,
     ) -> Vec<Vec<usize>> {
         let mut got = vec![Vec::new(); set.senders()];
+        let mut spare = VecDeque::new();
         std::thread::scope(|s| {
             let producers: Vec<_> = senders
                 .iter()
@@ -246,10 +248,11 @@ mod tests {
                 .collect();
             loop {
                 let done = producers.iter().all(|p| p.is_finished());
-                set.drain_into(|src, (from, i)| {
+                set.drain_into(&mut spare, |src, (from, i)| {
                     assert_eq!(src, from, "an item surfaced on another sender's lane");
                     got[src].push(i);
                 });
+                assert!(spare.is_empty(), "a drain hands its spare back empty");
                 if done {
                     break;
                 }
@@ -274,7 +277,9 @@ mod tests {
     fn a_fresh_lane_set_allocates_no_lane_until_its_first_push() {
         let set: LaneSet<u32> = LaneSet::new(1024);
         assert_eq!((set.chunks.len(), set.allocated()), (16, 0));
-        set.drain_into(|_, _| unreachable!("nothing was pushed"));
+        set.drain_into(&mut VecDeque::new(), |_, _| {
+            unreachable!("nothing was pushed")
+        });
         assert_eq!(set.allocated(), 0, "a drain allocates nothing");
         set.push(1023, 7);
         assert_eq!(set.allocated(), CHUNK, "one chunk, the last");

@@ -5,18 +5,21 @@
 //! protocols at [`EAGER_LIMIT`] (a compile-time constant, like
 //! jeffhammond/hmpi's `EAGER_LIMIT`):
 //!
-//! * **eager** — payloads at or under the limit are packed *inline* into
-//!   the envelope ([`Payload::Inline`]) and travel through per-(sender,
-//!   receiver) SPSC lanes (`crate::lane`); no per-message heap
-//!   allocation, no shared lock between senders;
+//! * **eager** — payloads at or under the limit travel through
+//!   per-(sender, receiver) SPSC lanes (`crate::lane`), with no shared lock
+//!   between senders. Up to [`INLINE`] bytes ride *inline* in the envelope
+//!   ([`Payload::Inline`]) and allocate nothing; the rest of the eager
+//!   range rides as one owned buffer ([`Payload::Owned`]);
 //! * **rendezvous** — larger payloads ride in zero-copy buffers leased
 //!   from the universe's [`BufferPool`](crate::pool::BufferPool)
 //!   ([`Payload::Pooled`]); the buffer returns to its size class when the
 //!   receiver drops the [`Msg`], and copy-out happens in
-//!   `RENDEZVOUS_BLOCK`-sized slabs;
-//! * **owned** — a buffer the sender already built (the legacy
-//!   collectives' encoded contributions) travels as it is when it is over
-//!   the limit ([`Payload::from_vec`]), labelled "rendezvous" in traces.
+//!   `RENDEZVOUS_BLOCK`-sized slabs.
+//!
+//! The label a message is traced and counted under follows its length
+//! alone ([`protocol`]), not its representation: an `Owned` buffer a
+//! sender built (the legacy collectives' encoded contributions) is
+//! "eager" at or under the limit and "rendezvous" above it.
 //!
 //! The schedule engine's collectives post nothing here: each call runs in
 //! one collective slot (`crate::slot`).
@@ -39,7 +42,8 @@
 //! begin after the event it waits for was published, whatever the event
 //! (a message, a peer's death, a verdict, an agreement deposit). Producers
 //! ring only when a waiter is registered, so the hot path posts without
-//! ever touching the receiver's lock.
+//! ever touching the receiver's lock; and the owner's own claim, which
+//! looks at whatever its drain ingests, does not ring its own doorbell.
 
 use crate::lane::LaneSet;
 use crate::pool::Lease;
@@ -47,13 +51,19 @@ use crate::vtime::{quantum_of, WireXfer};
 use hetsim::SimTime;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The eager/rendezvous protocol split and the capacity of an envelope's
-/// inline payload slot, bytes (the hmpi snippet's `EAGER_LIMIT`).
+/// The eager/rendezvous protocol split, bytes (the hmpi snippet's
+/// `EAGER_LIMIT`).
 pub const EAGER_LIMIT: usize = 256;
+
+/// Capacity of an envelope's inline payload slot, bytes: eight words. A
+/// larger slot would make every envelope, whatever it carries, that much
+/// bigger to queue and to move.
+pub(crate) const INLINE: usize = 64;
 
 /// Copy-out slab size for rendezvous payloads, bytes (the hmpi snippet's
 /// `BLOCK_SIZE`): [`Msg::into_vec`] copies pooled payloads out in blocks
@@ -61,43 +71,48 @@ pub const EAGER_LIMIT: usize = 256;
 /// completes, rather than lingering element-by-element.
 pub(crate) const RENDEZVOUS_BLOCK: usize = 8192;
 
-/// A message payload in one of the two protocol representations, or an
-/// owned buffer.
-// The size skew is the design: eager bytes live in the envelope so the
-// hot path never allocates. Boxing `Inline` would put them back on the
-// heap.
-#[allow(clippy::large_enum_variant)]
+/// The protocol a `bytes`-byte payload rides under, for traces and
+/// counters: "eager" at or under [`EAGER_LIMIT`], else "rendezvous".
+pub(crate) fn protocol(bytes: usize) -> &'static str {
+    if bytes <= EAGER_LIMIT {
+        "eager"
+    } else {
+        "rendezvous"
+    }
+}
+
+/// A message payload: inline, leased from the arena, or an owned buffer.
 pub enum Payload {
-    /// Eager: bytes packed into the envelope itself.
+    /// Up to [`INLINE`] bytes packed into the envelope itself.
     Inline {
         /// Number of valid bytes in `buf`.
-        len: u16,
+        len: u8,
         /// Inline storage; only `buf[..len]` is meaningful.
-        buf: [u8; EAGER_LIMIT],
+        buf: [u8; INLINE],
     },
-    /// Rendezvous: a buffer leased from the universe's arena; returns to
-    /// its size class on drop.
+    /// A buffer leased from the universe's arena; returns to its size
+    /// class on drop.
     Pooled(Lease),
     /// A buffer the sender built, moved to the receiver as it is.
     Owned(Vec<u8>),
 }
 
 impl Payload {
-    /// Packs `bytes` inline. Panics if `bytes.len() > EAGER_LIMIT`.
+    /// Packs `bytes` inline. Panics if `bytes.len() > INLINE`.
     pub fn inline_from(bytes: &[u8]) -> Payload {
-        assert!(bytes.len() <= EAGER_LIMIT, "inline payload over capacity");
-        let mut buf = [0u8; EAGER_LIMIT];
+        assert!(bytes.len() <= INLINE, "inline payload over capacity");
+        let mut buf = [0u8; INLINE];
         buf[..bytes.len()].copy_from_slice(bytes);
         Payload::Inline {
-            len: bytes.len() as u16,
+            len: bytes.len() as u8,
             buf,
         }
     }
 
-    /// Wraps an owned vector: inline when it fits under [`EAGER_LIMIT`],
-    /// else as it is (no copy, no pool lease).
+    /// Wraps an owned vector: inline when it fits in [`INLINE`] bytes, else
+    /// as it is (no copy, no pool lease).
     pub(crate) fn from_vec(v: Vec<u8>) -> Payload {
-        if v.len() <= EAGER_LIMIT {
+        if v.len() <= INLINE {
             Payload::inline_from(&v)
         } else {
             Payload::Owned(v)
@@ -118,12 +133,10 @@ impl Payload {
         self.bytes().len()
     }
 
-    /// Protocol label for traces/diagnostics.
+    /// Protocol label for traces/diagnostics: by length, whatever the
+    /// representation.
     pub(crate) fn protocol(&self) -> &'static str {
-        match self {
-            Payload::Inline { .. } => "eager",
-            Payload::Pooled(_) | Payload::Owned(_) => "rendezvous",
-        }
+        protocol(self.len())
     }
 }
 
@@ -209,6 +222,10 @@ pub struct Envelope {
     pub wire: Wire,
 }
 
+// A queued message is one envelope, moved by value from the sender's lane
+// into the receiver's store and out to the receive: it stays small.
+const _: () = assert!(std::mem::size_of::<Envelope>() <= 160);
+
 impl Envelope {
     /// Payload size in bytes.
     pub(crate) fn len(&self) -> usize {
@@ -253,10 +270,6 @@ impl Pattern {
 /// a mailbox claim, and more generally the "try to finish" step of every
 /// guarded wait.
 #[derive(Debug)]
-// `Matched` carries the envelope (and its inline payload) by value so a
-// claim stays allocation-free; the enum lives only on the stack between
-// the match and the caller.
-#[allow(clippy::large_enum_variant)]
 pub(crate) enum Claim<T = Envelope> {
     /// The wait is over: a qualifying envelope was removed from the queue
     /// (or peeked, or the awaited outcome read).
@@ -276,12 +289,39 @@ enum Locate {
     Nothing,
 }
 
-/// The indexed message store: one FIFO per `(ctx, sender)`. Wildcard
-/// matches order across senders by the deterministic `(arrival quantum,
-/// rank, seq)` key.
+/// FxHash's multiply-rotate over the words of a store key: deterministic,
+/// and one multiply per word where SipHash runs its rounds.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The indexed message store: one FIFO per `(ctx, sender)`, indexed only
+/// while it holds a message. Wildcard matches order across senders by the
+/// deterministic `(arrival quantum, rank, seq)` key.
 #[derive(Debug, Default)]
 struct Store {
-    queues: HashMap<(u64, usize), VecDeque<Envelope>>,
+    queues: HashMap<(u64, usize), VecDeque<Envelope>, BuildHasherDefault<KeyHasher>>,
+    /// The buffers of emptied queues, for [`Store::ingest`] to reuse.
+    emptied: Vec<VecDeque<Envelope>>,
+    /// The empty queue a lane drain swaps in ([`LaneSet::drain_into`]).
+    lane_spare: VecDeque<Envelope>,
     total: usize,
 }
 
@@ -290,7 +330,7 @@ impl Store {
         self.total += 1;
         self.queues
             .entry((env.ctx, env.src_world))
-            .or_default()
+            .or_insert_with(|| self.emptied.pop().unwrap_or_default())
             .push_back(env);
     }
 
@@ -363,7 +403,8 @@ impl Store {
                 let q = self.queues.get_mut(&key).expect("located queue exists");
                 let env = q.remove(pos).expect("located position exists");
                 if q.is_empty() {
-                    self.queues.remove(&key);
+                    let q = self.queues.remove(&key).expect("located queue exists");
+                    self.emptied.push(q);
                 }
                 self.total -= 1;
                 Claim::Matched(env)
@@ -456,15 +497,28 @@ impl Mailbox {
     }
 
     /// Locks the store with every message parked in the eager lanes pulled
-    /// into the index, so lane traffic is visible to whoever looks — this
-    /// rank's own attempts *and* the quiescence classifier, on another
-    /// thread. Ingesting is publishing (from here on a claim can match the
-    /// message), so it rings: a sleeper-to-be whose lane post was drained
-    /// from under it by the classifier finds the ring counted.
-    fn store(&self) -> MutexGuard<'_, Store> {
+    /// into the index, and says whether any was. Rings nothing: only the
+    /// owner's own claim, which looks at what it ingested, drains this way.
+    fn drained(&self) -> (MutexGuard<'_, Store>, bool) {
         let mut st = self.state.lock();
-        if self.lanes.any_dirty() {
-            self.lanes.drain_into(|_, env| st.ingest(env));
+        let fresh = self.lanes.any_dirty();
+        if fresh {
+            let mut spare = std::mem::take(&mut st.lane_spare);
+            self.lanes.drain_into(&mut spare, |_, env| st.ingest(env));
+            st.lane_spare = spare;
+        }
+        (st, fresh)
+    }
+
+    /// [`Mailbox::drained`], ringing when it ingested anything, so lane
+    /// traffic is visible to whoever looks — the quiescence classifier on
+    /// another thread, a probe, a sleep about to begin. Ingesting is
+    /// publishing (from here on a claim can match the message), so it
+    /// rings: a sleeper-to-be whose lane post was drained from under it by
+    /// the classifier finds the ring counted.
+    fn store(&self) -> MutexGuard<'_, Store> {
+        let (mut st, fresh) = self.drained();
+        if fresh {
             let waiting = self.ring(&mut st);
             self.notify(waiting);
         }
@@ -541,9 +595,13 @@ impl Mailbox {
     }
 
     /// One atomic match-and-remove attempt for a (possibly
-    /// deadline-bounded) receive.
+    /// deadline-bounded) receive, by the owner inside its own wait. Its
+    /// drain does not ring: the ring would tell only the owner, which reads
+    /// the ticket before it claims and looks at everything it ingested,
+    /// and it would cost a write to the line every sender's `post_lane`
+    /// reads.
     pub(crate) fn claim(&self, pat: Pattern, deadline: Option<SimTime>) -> Claim {
-        self.store().claim(pat, deadline)
+        self.drained().0.claim(pat, deadline)
     }
 
     /// True if [`Mailbox::claim`] over `pat` would resolve (match, or prove
@@ -884,12 +942,28 @@ mod tests {
 
     #[test]
     fn payload_protocol_split_at_eager_limit() {
-        let small = Payload::from_vec(vec![7u8; EAGER_LIMIT]);
-        let big = Payload::from_vec(vec![7u8; EAGER_LIMIT + 1]);
-        assert_eq!(small.protocol(), "eager");
-        assert_eq!(big.protocol(), "rendezvous");
-        assert_eq!(small.len(), EAGER_LIMIT);
-        assert_eq!(big.len(), EAGER_LIMIT + 1);
+        // The label follows the length, whatever carries the bytes: inline
+        // up to `INLINE`, an owned buffer up to `EAGER_LIMIT`, above it the
+        // sender's own buffer or, for a typed send, a lease.
+        let pool = crate::pool::BufferPool::new();
+        for (len, label) in [
+            (INLINE, "eager"),
+            (INLINE + 1, "eager"),
+            (EAGER_LIMIT, "eager"),
+            (EAGER_LIMIT + 1, "rendezvous"),
+        ] {
+            let data = vec![7u8; len];
+            let built = [
+                Payload::from_vec(data.clone()),
+                crate::datatype::encode_payload(&data, &pool),
+            ];
+            for p in &built {
+                assert_eq!((p.len(), p.protocol()), (len, label), "{p:?}");
+                assert_eq!(p.bytes(), &data[..]);
+                assert_eq!(matches!(p, Payload::Inline { .. }), len <= INLINE, "{p:?}");
+            }
+            assert_eq!(matches!(built[1], Payload::Pooled(_)), len > EAGER_LIMIT);
+        }
     }
 
     #[test]
@@ -917,6 +991,32 @@ mod tests {
         let slept =
             mb.wakes.rung.load(Ordering::Relaxed) + mb.wakes.expired.load(Ordering::Relaxed);
         assert_eq!(slept, 0, "neither call entered the condvar");
+    }
+
+    #[test]
+    fn an_unrung_lane_post_after_the_owners_claim_ends_the_sleep() {
+        // The owner's claim drains the lanes without ringing, and a post
+        // that finds no sleeper registered rings nothing: only `sleep`'s
+        // own drain, after it registers, can count the post as a ring.
+        let mb = Mailbox::for_world(2);
+        let pat = Pattern {
+            ctx: 1,
+            src_world: Some(0),
+            tag: Some(0),
+        };
+        mb.post_lane(env(1, 0, 9, b"another tag"));
+        let ticket = mb.ticket();
+        assert!(matches!(mb.claim(pat, None), Claim::Nothing));
+        assert_eq!(mb.store().total, 1, "the claim ingested the first post");
+        assert_eq!(mb.ticket(), ticket, "the owner's drain does not ring");
+        mb.post_lane(env(1, 0, 0, b"x"));
+        assert_eq!(mb.ticket(), ticket, "no sleeper registered: no ring");
+        let start = std::time::Instant::now();
+        assert!(mb.sleep(ticket, Duration::from_secs(2)));
+        assert!(start.elapsed() < Duration::from_millis(100));
+        let slept = mb.wakes.rung.load(Ordering::Relaxed);
+        assert_eq!(slept, 0, "never entered the condvar");
+        assert!(matches!(mb.claim(pat, None), Claim::Matched(_)));
     }
 
     #[test]
@@ -956,8 +1056,8 @@ mod tests {
         let out = whole.into_vec();
         assert_eq!(out, data);
         assert_eq!(out.as_ptr(), at, "an owned buffer moves out uncopied");
-        let inline = Msg::new(Payload::inline_from(&data[..100]));
-        assert_eq!(inline.into_vec(), &data[..100]);
+        let inline = Msg::new(Payload::inline_from(&data[..INLINE]));
+        assert_eq!(inline.into_vec(), &data[..INLINE]);
         let pool = crate::pool::BufferPool::new();
         let mut lease = pool.lease(data.len());
         lease.buf_mut().extend_from_slice(&data);

@@ -609,6 +609,16 @@ impl Registry {
         if inner.active > 0 || inner.verdicts.iter().any(Option::is_some) {
             return;
         }
+        // Stability: every blocked rank must be truly stuck, or the state
+        // is still evolving and any verdict could be wrong. (Checked before
+        // anything is collected: nearly every classification stops here.)
+        let mut waits = inner.phase.iter().enumerate().filter_map(|(r, p)| match p {
+            Phase::Blocked(rec) => Some((r, rec)),
+            _ => None,
+        });
+        if waits.any(|(r, rec)| self.can_resolve(r, rec)) {
+            return;
+        }
         let blocked: Vec<usize> = inner
             .phase
             .iter()
@@ -617,16 +627,6 @@ impl Registry {
             .collect();
         if blocked.is_empty() {
             return;
-        }
-        // Stability: every blocked rank must be truly stuck, or the state
-        // is still evolving and any verdict could be wrong.
-        for &r in &blocked {
-            let Phase::Blocked(rec) = &inner.phase[r] else {
-                unreachable!()
-            };
-            if self.can_resolve(r, rec) {
-                return;
-            }
         }
         // Timeout round: the minimum deadline is unreachable — nothing can
         // be sent before it, because every possible sender is stuck.

@@ -35,7 +35,7 @@
 use crate::comm::{Doomed, Endpoint};
 use crate::error::{MpiError, MpiResult};
 use crate::group::Group;
-use crate::p2p::{Wire, EAGER_LIMIT};
+use crate::p2p::{protocol, Wire};
 use crate::plan::Plan;
 use crate::quiesce::{dead_sender, failed_member};
 use crate::runtime::{Liveness, RankState, SharedState};
@@ -61,15 +61,6 @@ const NONE: usize = usize::MAX;
 
 /// Wire size of a poison transfer: the blamed world rank, as one `i64`.
 const POISON_BYTES: usize = 8;
-
-/// The protocol label a `bytes`-byte payload rides under.
-fn protocol(bytes: usize) -> &'static str {
-    if bytes <= EAGER_LIMIT {
-        "eager"
-    } else {
-        "rendezvous"
-    }
-}
 
 /// The world rank an engine collective propagates blame for, if the error
 /// is a fail-stop fault. Non-fault errors (count mismatches, link drops)

@@ -1,7 +1,7 @@
 //! Point-to-point semantics across real rank threads.
 
 use hetsim::{Cluster, Link, Protocol, SimTime, TopologyBuilder};
-use mpisim::{MpiError, Universe};
+use mpisim::{MpiError, Universe, UniverseConfig, EAGER_LIMIT};
 use std::sync::Arc;
 
 fn cluster(n: usize) -> Arc<Cluster> {
@@ -239,4 +239,26 @@ fn self_send_is_free_and_matches() {
     });
     assert_eq!(report.results[0].0, 7);
     assert_eq!(report.results[0].1, 0.0);
+}
+
+/// A message's protocol label follows its length: 200 bytes ride outside
+/// the envelope's inline slot yet within `EAGER_LIMIT`, and count as eager.
+#[test]
+fn message_stats_count_a_message_by_its_length() {
+    let u = Universe::with_config(cluster(2), UniverseConfig::new().tracing(true));
+    let report = u.run(|p| {
+        let world = p.world();
+        if world.rank() == 0 {
+            world.send(&[1u8; 200], 1, 0).unwrap();
+            world.send(&[2u8; EAGER_LIMIT + 1], 1, 0).unwrap();
+        } else {
+            assert_eq!(world.recv::<u8>(0, 0).unwrap().0, [1; 200]);
+            assert_eq!(world.recv::<u8>(0, 0).unwrap().0.len(), EAGER_LIMIT + 1);
+        }
+    });
+    let stats = report.trace.expect("tracing was enabled").message_stats(2);
+    let s = &stats[0];
+    let labelled = (s.sent, s.eager_sent, s.rendezvous_sent);
+    assert_eq!(labelled, (2, 1, 1), "{s:?}");
+    assert_eq!(s.bytes_sent, 200 + EAGER_LIMIT as u64 + 1);
 }
