@@ -13,52 +13,11 @@
 //! messages, clocks, trace and error surface are functions of the testbed
 //! and the fault plan alone.
 
-use hetsim::{
-    ContentionModel, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime, Topology,
-    TopologyBuilder, TraceEvent,
-};
+mod support;
+
+use hetsim::{FaultPlan, NodeId, SimTime};
 use mpisim::{MpiError, Process, Universe, UniverseConfig};
-use rand::{rngs::StdRng, Rng, SeedableRng};
-
-const MODELS: [ContentionModel; 3] = [
-    ContentionModel::ParallelLinks,
-    ContentionModel::SerializedNic,
-    ContentionModel::SharedBus,
-];
-
-/// Testbed `seed`: its contention model is `MODELS[seed % 3]`, its shape
-/// `seed / 3 % 4` — flat, sites, multi-rank nodes on a memory bus, or both
-/// — and its node count, speeds, links and ranks per node are drawn from
-/// the seed (the fault plan draws nothing).
-fn testbed(seed: u64, faults: FaultPlan) -> Topology {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let shape = seed / 3 % 4;
-    let (sites, shared) = (shape % 2 == 1, shape >= 2);
-    let mut link = |scale: f64| {
-        let lat = scale * 1e-5 * 10f64.powf(rng.random_range(0.0..2.0));
-        let bw = 1e7 / scale * 10f64.powf(rng.random_range(0.0..2.0));
-        Link::new(lat, bw, Protocol::Tcp)
-    };
-    let mut b = TopologyBuilder::new()
-        .intra_switch(link(1.0))
-        .inter_site(link(30.0))
-        .contention(MODELS[seed as usize % 3])
-        .faults(faults);
-    if shared {
-        b = b.mem_bus(link(0.1));
-    }
-    let nodes = rng.random_range(2..7);
-    for i in 0..nodes {
-        if sites && (i == 0 || rng.random_range(0..3) == 0) {
-            b = b.site();
-        }
-        b = b.node(format!("n{i}"), rng.random_range(20.0..200.0));
-        if shared {
-            b = b.ranks(rng.random_range(1..4));
-        }
-    }
-    b.build()
-}
+use support::{crash, diff_golden, error_label, testbed, trace_hash, Fnv, MODELS};
 
 /// The work before barrier `k` of a rank on node `node`: never zero, so
 /// every rank enters the first barrier after a crash timed before the
@@ -101,55 +60,10 @@ fn program(proc: &Process, exit: Option<usize>) -> Seen {
     seen
 }
 
-/// FNV-1a over 64-bit words.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    fn str(&mut self, s: &str) {
-        self.word(s.len() as u64);
-        for b in s.bytes() {
-            self.word(b as u64);
-        }
-    }
-}
-
-fn trace_hash(events: &[TraceEvent]) -> u64 {
-    let mut h = Fnv::new();
-    for ev in events {
-        h.word(ev.rank as u64);
-        h.str(&format!("{:?}", ev.kind));
-        h.str(ev.name);
-        h.word(ev.start.as_secs().to_bits());
-        h.word(ev.dur.as_secs().to_bits());
-        h.word(ev.wait.as_secs().to_bits());
-        h.word(ev.bytes);
-        h.str(ev.protocol.unwrap_or("-"));
-        h.word(ev.peer.map_or(u64::MAX, |w| w as u64));
-        h.word(ev.collective as u64);
-        h.str(ev.info.as_deref().unwrap_or("-"));
-    }
-    h.0
-}
-
 /// A rank's outcome: barriers passed, then the error's variant and the
 /// rank it blames.
 fn label(seen: &Seen) -> String {
-    let err = match &seen.err {
-        None => "ok".into(),
-        Some(MpiError::NodeFailed { world_rank }) => format!("N{world_rank}"),
-        Some(MpiError::PeerTerminated { world_rank }) => format!("P{world_rank}"),
-        Some(MpiError::Timeout) => "T".into(),
-        Some(MpiError::Deadlock { .. }) => "D".into(),
-        Some(e) => format!("?{e:?}"),
-    };
+    let err = seen.err.as_ref().map_or("ok".into(), error_label);
     format!("{}{err}", seen.exits.len())
 }
 
@@ -184,8 +98,28 @@ struct Run {
     seen: Vec<Seen>,
 }
 
-fn crash(node: NodeId, at: SimTime) -> FaultPlan {
-    FaultPlan::none().with(FaultEvent::NodeCrash { node, at })
+/// The "during" crash of a testbed whose ranks entered barrier `k` at
+/// `entries[r][k]`: the first node whose ranks all enter a barrier (the
+/// second, else the third, else the first) before any other rank does
+/// dies halfway between the two, so its ranks are inside the barrier and
+/// every other rank meets the crash on entry. `None` if no node does.
+fn crash_inside(entries: &[Vec<SimTime>], placement: &[NodeId]) -> Option<FaultPlan> {
+    let split = |k: usize, node: NodeId| {
+        let (mut inside, mut outside) = (0.0f64, f64::INFINITY);
+        for (r, seen) in entries.iter().enumerate() {
+            let at = seen[k].as_secs();
+            if placement[r] == node {
+                inside = inside.max(at);
+            } else {
+                outside = outside.min(at);
+            }
+        }
+        let at = SimTime::from_secs((inside + outside) / 2.0);
+        (inside < outside).then(|| crash(node, at))
+    };
+    [1, 2, 0]
+        .into_iter()
+        .find_map(|k| placement.iter().find_map(|&node| split(k, node)))
 }
 
 /// Every row's golden line, in a fixed order.
@@ -214,27 +148,11 @@ fn table() -> Vec<String> {
             placement[p - 1],
             SimTime::from_secs(first_entry.as_secs() / 2.0),
         );
-        // During: the first node whose ranks all enter a barrier (the
-        // second, else the third, else the first) before any other rank
-        // does dies halfway between the two, so its ranks are inside the
-        // barrier and every other rank meets the crash on entry. A testbed
-        // without one has no such row.
-        let split = |k: usize, node: NodeId| {
-            let (mut inside, mut outside) = (0.0f64, f64::INFINITY);
-            for (r, seen) in clean.seen.iter().enumerate() {
-                let at = seen.entries[k].as_secs();
-                if placement[r] == node {
-                    inside = inside.max(at);
-                } else {
-                    outside = outside.min(at);
-                }
-            }
-            let at = SimTime::from_secs((inside + outside) / 2.0);
-            (inside < outside).then(|| crash(node, at))
-        };
-        let during = [1, 2, 0]
-            .into_iter()
-            .find_map(|k| placement.iter().find_map(|&node| split(k, node)));
+        // During: a node's ranks are inside a barrier, every other rank
+        // meets the crash on entry. A testbed without such a node has no
+        // such row.
+        let entries: Vec<Vec<SimTime>> = clean.seen.iter().map(|s| s.entries.clone()).collect();
+        let during = crash_inside(&entries, &placement);
         let cases = [
             ("before", Some(before), None),
             ("during", during, None),
@@ -254,27 +172,9 @@ fn table() -> Vec<String> {
 
 #[test]
 fn every_barrier_row_reproduces_its_golden_outcome() {
-    let got = table();
-    let want: Vec<&str> = GOLDEN
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty())
-        .collect();
-    let differ: Vec<String> = got
-        .iter()
-        .zip(want.iter().map(|w| Some(*w)).chain(std::iter::repeat(None)))
-        .filter(|(g, w)| w.is_none_or(|w| w != g.trim()))
-        .map(|(g, w)| format!("  got  {g}\n  want {}", w.unwrap_or("<none>")))
-        .collect();
-    assert!(
-        differ.is_empty() && got.len() == want.len(),
-        "{} of {} rows differ ({} golden):\n{}\nthe whole table:\n{}",
-        differ.len(),
-        got.len(),
-        want.len(),
-        differ.join("\n"),
-        got.join("\n")
-    );
+    if let Some(differ) = diff_golden(&table(), GOLDEN) {
+        panic!("{differ}");
+    }
 }
 
 /// One line per row: `seed model p=P clean: outcomes #clocks trace#hash`,
