@@ -1,20 +1,21 @@
 //! Communicators.
 //!
-//! A [`Comm`] binds a [`Group`] to a pair of context ids (one for
-//! point-to-point traffic, one for collectives, so a collective can never
-//! intercept an application message) and carries the calling rank's virtual
-//! clock. Constructors mirror MPI: [`Comm::dup`], [`Comm::split`],
+//! A [`Comm`] binds a [`Group`] to a pair of context ids and carries the
+//! calling rank's virtual clock. Point-to-point messages travel on the
+//! first id, through the ranks' mailboxes; collectives post nothing there,
+//! but rendezvous in slots keyed by the context and their ordinal.
+//! Constructors mirror MPI: [`Comm::dup`], [`Comm::split`],
 //! [`Comm::create`].
 
 use crate::agree::Agreement;
 use crate::datatype::{decode, decode_into, encode_payload, MpiType};
 use crate::error::{MpiError, MpiResult, WaitGraph};
 use crate::group::Group;
-use crate::p2p::{Claim, Envelope, Msg, Pattern, Payload, Status, Wire};
+use crate::p2p::{Claim, Envelope, Msg, Pattern, Status, Wire};
 use crate::plan::{NodeVec, Plan};
 use crate::quiesce::{WaitKind, WaitRecord};
 use crate::runtime::{RankState, SharedState};
-use crate::slot::{Arrival, Data, Rule, Slot};
+use crate::slot::{Arrival, Deposit, Rule, Slot};
 use crate::vtime::{LocalClock, NetFrontier, RankNet};
 use hetsim::{NodeId, SimTime, TraceEvent, TraceKind};
 use std::cell::{Cell, RefCell};
@@ -42,7 +43,9 @@ const WATCHDOG: Duration = Duration::from_secs(60);
 pub struct Comm {
     pub(crate) shared: Arc<SharedState>,
     group: Arc<Group>,
-    /// Base context id; `ctx` is the p2p plane, `ctx + 1` the collective one.
+    /// Base context id: `ctx` carries point-to-point messages and keys the
+    /// legacy collectives' slots; `ctx + 1`, the collective plane, keys the
+    /// engine's slots and the agreement rounds.
     ctx: u64,
     /// Calling process's rank within this communicator.
     rank: usize,
@@ -77,8 +80,10 @@ pub(crate) struct Ordinals {
     ctor: Cell<u64>,
     /// Engine collective calls: the key of the call's collective slot.
     coll: Cell<u64>,
-    /// [`Comm::barrier`] calls: the key of the barrier's slot.
-    barrier: Cell<u64>,
+    /// Legacy collective calls (barrier, bcast, gather, scatter): the key
+    /// of the call's slot. One count for all four, as MPI has every member
+    /// issue a communicator's collectives in the same order.
+    legacy: Cell<u64>,
 }
 
 /// Returns the count and bumps it.
@@ -155,7 +160,7 @@ impl Endpoint<'_> {
     /// The sender's half of a `bytes`-byte transfer to world rank `dst`:
     /// the liveness checks, the link's cost at the sender's clock, the
     /// grant against the sender's frontier, the injection overhead and the
-    /// `send` span. `collective` marks the span as collective-plane traffic.
+    /// `send` span. `collective` marks the span as a collective's transfer.
     ///
     /// # Errors
     /// [`MpiError::NodeFailed`] if the sender's own node has crashed (own
@@ -400,61 +405,12 @@ impl Comm {
 
     // ----- point-to-point ---------------------------------------------------
 
-    /// Internal transport: encodes `data` straight into its protocol
-    /// representation — inline (no allocation) under the eager limit, an
-    /// arena lease above it — and posts it. The preferred send path.
-    pub(crate) fn post_typed<T: MpiType>(
-        &self,
-        plane: u64,
-        data: &[T],
-        dest: usize,
-        tag: i32,
-    ) -> MpiResult<()> {
-        let payload = encode_payload(data, &self.shared.pool);
-        self.post_payload(plane, payload, dest, tag)
-    }
-
-    /// Internal transport core: posts a ready payload to `dest` (a comm
-    /// rank) on the given context plane, advancing the sender clock by the
-    /// injection overhead and stamping the envelope with its arrival time.
-    /// Delivery goes through the sender's eager lane into the destination
-    /// mailbox, so concurrent senders never contend on a shared lock.
-    ///
-    /// Failure semantics (all judged in deterministic virtual time):
-    /// [`MpiError::NodeFailed`] if the sender's own node has crashed (own
-    /// world rank) or the destination's node has crashed by the sender's
-    /// current time (destination world rank); [`MpiError::LinkDown`] if the
-    /// fault plan has dropped the link.
-    pub(crate) fn post_payload(
-        &self,
-        plane: u64,
-        payload: Payload,
-        dest: usize,
-        tag: i32,
-    ) -> MpiResult<()> {
-        let dst_world = self.world_rank_of(dest);
-        // Context-id pairs have an even p2p plane and an odd collective
-        // plane (the allocator hands out even bases).
-        let collective = plane & 1 == 1;
-        let (len, protocol) = (payload.len(), payload.protocol());
-        let wire = self.endpoint(|e| e.send(dst_world, len, protocol, collective))?;
-        self.shared.mailboxes[dst_world].post_lane(Envelope {
-            ctx: plane,
-            src_world: self.my_world_rank(),
-            tag,
-            payload,
-            wire,
-        });
-        Ok(())
-    }
-
     /// The delivery epilogue of every receive: [`Endpoint::recv`] on the
     /// matched envelope, on the receiving rank's own thread at the moment
     /// the envelope is consumed.
     fn deliver(&self, env: Envelope) -> MpiResult<(Msg, Status)> {
         let (len, protocol) = (env.len(), env.payload.protocol());
-        let collective = env.ctx & 1 == 1;
-        self.endpoint(|e| e.recv(env.src_world, &env.wire, len, protocol, collective))?;
+        self.endpoint(|e| e.recv(env.src_world, &env.wire, len, protocol, false))?;
         let status = self.status(env.src_world, env.tag, env.len());
         Ok((env.into_msg(), status))
     }
@@ -492,8 +448,8 @@ impl Comm {
     ///
     /// * **Fast path.** `attempt` already resolves: no record is built, no
     ///   registry lock taken, nothing allocated.
-    /// * **Dead peer.** What is awaited — `collective` and `kind`, built
-    ///   only now — becomes one [`WaitRecord`]; if its
+    /// * **Dead peer.** What is awaited — `kind`, built only now — becomes
+    ///   one [`WaitRecord`]; if its
     ///   [`abort`](WaitRecord::abort) rule fires the wait ends with that
     ///   error, unless one more `attempt` succeeds: a sender may have
     ///   posted and *then* died, and the queued match wins.
@@ -524,12 +480,10 @@ impl Comm {
     fn wait<T>(
         &self,
         deadline: Option<SimTime>,
-        collective: bool,
         attempt: impl FnMut(Option<SimTime>) -> Claim<T>,
         kind: impl FnOnce() -> WaitKind,
     ) -> MpiResult<T> {
-        self.wait_until(deadline, collective, attempt, kind)
-            .map_err(|(_, e)| e)
+        self.wait_until(deadline, attempt, kind).map_err(|(_, e)| e)
     }
 
     /// [`Comm::wait`], telling an end by the dead-peer rule (`true`) from
@@ -537,7 +491,6 @@ impl Comm {
     fn wait_until<T>(
         &self,
         deadline: Option<SimTime>,
-        collective: bool,
         mut attempt: impl FnMut(Option<SimTime>) -> Claim<T>,
         kind: impl FnOnce() -> WaitKind,
     ) -> Result<T, (bool, MpiError)> {
@@ -566,7 +519,6 @@ impl Comm {
         }
         let rec = WaitRecord {
             group: self.group.clone(),
-            collective,
             deadline: deadline_eff,
             kind: kind(),
         };
@@ -631,13 +583,9 @@ impl Comm {
     ///
     /// * A message already queued from a now-dead sender is still delivered
     ///   (it was sent before the sender died).
-    /// * The caller names the abort rule. Without `collective_abort` (user
-    ///   point-to-point) the wait aborts only when the awaited sender is
-    ///   dead → [`MpiError::NodeFailed`] /
-    ///   [`MpiError::PeerTerminated`]. With it (the legacy collectives) any
-    ///   *failed* group member aborts the wait (see [`WaitRecord::abort`]),
-    ///   and a member whose node has crashed by the caller's clock fails
-    ///   the call before it looks at the mailbox at all.
+    /// * The wait aborts only when the awaited sender is dead (every other
+    ///   member, for `ANY_SOURCE`) → [`MpiError::NodeFailed`] /
+    ///   [`MpiError::PeerTerminated`] (see [`WaitRecord::abort`]).
     /// * `deadline` exceeded → [`MpiError::Timeout`], with the clock advanced
     ///   to the deadline and any late message left queued. The deadline
     ///   bounds the *wire* arrival stamped by the sender; a message on the
@@ -646,35 +594,28 @@ impl Comm {
     /// * If the matched message would arrive after this rank's own node
     ///   crashes, the rank dies first: clock clamps to the crash time and
     ///   [`MpiError::NodeFailed`] (own rank) is returned.
-    pub(crate) fn recv_msg(
+    fn recv_msg(
         &self,
-        plane: u64,
         src: Option<usize>,
         tag: Option<i32>,
         deadline: Option<SimTime>,
-        collective_abort: bool,
     ) -> MpiResult<(Msg, Status)> {
         self.check_self_alive()?;
-        let my_world = self.my_world_rank();
-        if collective_abort {
-            self.doomed.check(my_world, self.clock.now())?;
-        }
-        let pat = self.pattern(plane, src, tag);
-        let mb = &self.shared.mailboxes[my_world];
+        let pat = self.pattern(src, tag);
+        let mb = &self.shared.mailboxes[self.my_world_rank()];
         let env = self.wait(
             deadline,
-            collective_abort,
             |deadline| mb.claim(pat, deadline),
             || WaitKind::Mailbox { pat },
         )?;
         self.deliver(env)
     }
 
-    /// The matching pattern of a receive or probe on `plane` (`src` a
-    /// communicator rank).
-    fn pattern(&self, plane: u64, src: Option<usize>, tag: Option<i32>) -> Pattern {
+    /// The matching pattern of a receive or probe (`src` a communicator
+    /// rank).
+    fn pattern(&self, src: Option<usize>, tag: Option<i32>) -> Pattern {
         Pattern {
-            ctx: plane,
+            ctx: self.ctx,
             src_world: src.map(|r| self.world_rank_of(r)),
             tag,
         }
@@ -694,13 +635,34 @@ impl Comm {
 
     /// Standard-mode send (`MPI_Send`; eager/buffered, never blocks).
     ///
+    /// `data` is encoded straight into its protocol representation —
+    /// inline (no allocation) up to the envelope's inline slot, an arena
+    /// lease above the eager limit — and posted: the sender's clock
+    /// advances by the injection overhead, the envelope is stamped with its
+    /// arrival time and goes through the sender's eager lane into the
+    /// destination mailbox, so concurrent senders never contend on a shared
+    /// lock.
+    ///
     /// # Errors
     /// [`MpiError::InvalidRank`] if `dest` is outside the communicator;
-    /// [`MpiError::NodeFailed`] if the destination's node (or the caller's
-    /// own) has fail-stopped; [`MpiError::LinkDown`] if the link is dropped.
+    /// [`MpiError::NodeFailed`] if the caller's own node has fail-stopped
+    /// (own world rank) or the destination's has by the caller's clock
+    /// (destination world rank); [`MpiError::LinkDown`] if the fault plan
+    /// has dropped the link. All judged in deterministic virtual time.
     pub fn send<T: MpiType>(&self, data: &[T], dest: usize, tag: i32) -> MpiResult<()> {
         self.check_rank(dest)?;
-        self.post_typed(self.ctx, data, dest, tag)
+        let dst_world = self.world_rank_of(dest);
+        let payload = encode_payload(data, &self.shared.pool);
+        let (len, protocol) = (payload.len(), payload.protocol());
+        let wire = self.endpoint(|e| e.send(dst_world, len, protocol, false))?;
+        self.shared.mailboxes[dst_world].post_lane(Envelope {
+            ctx: self.ctx,
+            src_world: self.my_world_rank(),
+            tag,
+            payload,
+            wire,
+        });
+        Ok(())
     }
 
     /// Blocking receive of a whole message from a specific source and tag.
@@ -712,7 +674,7 @@ impl Comm {
     /// if the awaited sender is dead and nothing from it is queued.
     pub fn recv<T: MpiType>(&self, src: usize, tag: i32) -> MpiResult<(Vec<T>, Status)> {
         self.check_rank(src)?;
-        let (msg, status) = self.recv_msg(self.ctx, Some(src), Some(tag), None, false)?;
+        let (msg, status) = self.recv_msg(Some(src), Some(tag), None)?;
         Ok((decode(msg.bytes())?, status))
     }
 
@@ -737,7 +699,7 @@ impl Comm {
         deadline: SimTime,
     ) -> MpiResult<(Vec<T>, Status)> {
         self.check_rank(src)?;
-        let (msg, status) = self.recv_msg(self.ctx, Some(src), Some(tag), Some(deadline), false)?;
+        let (msg, status) = self.recv_msg(Some(src), Some(tag), Some(deadline))?;
         Ok((decode(msg.bytes())?, status))
     }
 
@@ -768,7 +730,7 @@ impl Comm {
         if let Some(s) = src {
             self.check_rank(s)?;
         }
-        let (msg, status) = self.recv_msg(self.ctx, src, tag, None, false)?;
+        let (msg, status) = self.recv_msg(src, tag, None)?;
         Ok((decode(msg.bytes())?, status))
     }
 
@@ -784,7 +746,7 @@ impl Comm {
         tag: i32,
     ) -> MpiResult<(usize, Status)> {
         self.check_rank(src)?;
-        let (msg, status) = self.recv_msg(self.ctx, Some(src), Some(tag), None, false)?;
+        let (msg, status) = self.recv_msg(Some(src), Some(tag), None)?;
         let n = decode_into(msg.bytes(), buf)?;
         Ok((n, status))
     }
@@ -822,11 +784,10 @@ impl Comm {
         }
         self.check_self_alive()?;
         let my_world = self.my_world_rank();
-        let pat = self.pattern(self.ctx, src, tag);
+        let pat = self.pattern(src, tag);
         let mb = &self.shared.mailboxes[my_world];
         let hit = self.wait(
             None,
-            false,
             |_| mb.try_probe(pat).map_or(Claim::Nothing, Claim::Matched),
             || WaitKind::Mailbox { pat },
         )?;
@@ -841,7 +802,7 @@ impl Comm {
         if let Some(s) = src {
             self.check_rank(s)?;
         }
-        let pat = self.pattern(self.ctx, src, tag);
+        let pat = self.pattern(src, tag);
         let hit = self.shared.mailboxes[self.my_world_rank()].try_probe(pat);
         Ok(hit.map(|(src_world, tag, bytes, _)| self.status(src_world, tag, bytes)))
     }
@@ -850,7 +811,7 @@ impl Comm {
 
     /// The collective context plane.
     #[inline]
-    pub(crate) fn coll_plane(&self) -> u64 {
+    fn coll_plane(&self) -> u64 {
         self.ctx + 1
     }
 
@@ -988,8 +949,8 @@ impl Comm {
 
     /// Runs `plan` in the call's collective slot under `rule`: the `n`-th
     /// engine call on this communicator joins slot `(collective plane, n)`,
-    /// the `n`-th barrier slot `(point-to-point plane, n)`. This rank
-    /// deposits `input` and lends the slot its clock and sending state,
+    /// the `n`-th legacy call slot `(point-to-point plane, n)`. This rank
+    /// leaves `deposit` and lends the slot its clock and sending state,
     /// runs every member's program as far as it can (or leaves that to the
     /// member already running them), and then sleeps — at most once, unless
     /// a death or a verdict ends the wait — until its own program has
@@ -1005,11 +966,11 @@ impl Comm {
         rule: Rule,
         plan: Arc<Plan>,
         elem_bytes: usize,
-        input: Option<Data>,
+        deposit: Deposit,
     ) -> MpiResult<Arc<Slot>> {
         let key = match rule {
             Rule::Engine => (self.coll_plane(), take(&self.ordinals.coll)),
-            Rule::Legacy => (self.ctx, take(&self.ordinals.barrier)),
+            Rule::Legacy => (self.ctx, take(&self.ordinals.legacy)),
         };
         let slot = self.shared.slots.open(key, &self.group, &self.doomed, rule);
         let me = self.rank();
@@ -1019,13 +980,12 @@ impl Comm {
             elem_bytes,
             clock: self.clock.now(),
             net: std::mem::replace(&mut *self.frontier.borrow_mut(), fresh),
-            input,
+            deposit,
         };
         slot.arrive(&self.shared, me, arrival);
         while !slot.finished(me) {
             let waited = self.wait_until(
                 None,
-                false,
                 |_| match slot.finished(me) {
                     true => Claim::Matched(()),
                     false => Claim::Nothing,
@@ -1089,7 +1049,7 @@ impl Comm {
             Some(agreed) => Claim::Matched(agreed),
             None => Claim::Nothing,
         };
-        let a = self.wait(None, false, outcome, || WaitKind::Agreement { key })?;
+        let a = self.wait(None, outcome, || WaitKind::Agreement { key })?;
         // The round may complete only after this rank's own death.
         self.outlive(a.at)?;
         self.clock.merge(a.at);

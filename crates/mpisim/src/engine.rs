@@ -66,7 +66,7 @@ use crate::datatype::MpiType;
 use crate::error::{MpiError, MpiResult};
 use crate::op::ReduceOp;
 use crate::plan::{ineligible, Plan, PlanKey};
-use crate::slot::{Data, Rule, Slot};
+use crate::slot::{Data, Deposit, Rule, Slot};
 use hetsim::{SimTime, TraceEvent, TraceKind};
 use perfmodel::collective::{CollectiveAlgo, CollectiveKind};
 use std::sync::Arc;
@@ -231,7 +231,10 @@ impl Comm {
     ) -> MpiResult<Arc<Slot>> {
         let plan = self.exec_plan(kind, explicit, root, elems, T::WIRE_SIZE)?;
         let (start, algo) = (self.clock.now(), plan.algo);
-        let input = input.map(|v| Arc::new(v) as Data);
+        let input = Deposit {
+            data: input.map(|v| Arc::new(v) as Data),
+            ..Deposit::default()
+        };
         let slot = self.run_slot(Rule::Engine, plan, T::WIRE_SIZE, input)?;
         self.trace_collective(kind, algo, elems, T::WIRE_SIZE, start);
         Ok(slot)

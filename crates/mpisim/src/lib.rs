@@ -23,7 +23,9 @@
 //!   `allreduce_eq_*`, priced and selected per call ([`CollectivePolicy`]),
 //!   and the legacy binomial-tree `barrier` / `bcast`, linear `gather` and
 //!   gather-then-broadcast `allgather` (ragged contributions) the
-//!   applications call;
+//!   applications call — every one a single rendezvous in a collective
+//!   slot that replays its point-to-point messages, so the mailboxes carry
+//!   application point-to-point traffic alone;
 //! * **fault tolerance**: typed errors instead of hangs, ULFM-style
 //!   `agree`, and a quiescence detector that turns a wedged program into a
 //!   typed verdict;

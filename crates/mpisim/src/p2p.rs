@@ -13,16 +13,14 @@
 //! * **rendezvous** — larger payloads ride in zero-copy buffers leased
 //!   from the universe's [`BufferPool`](crate::pool::BufferPool)
 //!   ([`Payload::Pooled`]); the buffer returns to its size class when the
-//!   receiver drops the [`Msg`], and copy-out happens in
-//!   `RENDEZVOUS_BLOCK`-sized slabs.
+//!   receiver drops the [`Msg`].
 //!
 //! The label a message is traced and counted under follows its length
-//! alone ([`protocol`]), not its representation: an `Owned` buffer a
-//! sender built (the legacy collectives' encoded contributions) is
-//! "eager" at or under the limit and "rendezvous" above it.
+//! alone ([`protocol`]), not its representation.
 //!
-//! The schedule engine's collectives post nothing here: each call runs in
-//! one collective slot (`crate::slot`).
+//! Only point-to-point traffic comes here, on a communicator's
+//! point-to-point context: every collective, engine or legacy, posts
+//! nothing and runs in one collective slot (`crate::slot`).
 //!
 //! Matching is indexed instead of scanned: the mailbox keeps one FIFO
 //! queue per `(context, sender)`. A specific-source receive looks at
@@ -65,12 +63,6 @@ pub const EAGER_LIMIT: usize = 256;
 /// bigger to queue and to move.
 pub(crate) const INLINE: usize = 64;
 
-/// Copy-out slab size for rendezvous payloads, bytes (the hmpi snippet's
-/// `BLOCK_SIZE`): [`Msg::into_vec`] copies pooled payloads out in blocks
-/// of this size so the lease returns to the pool as one pipelined pass
-/// completes, rather than lingering element-by-element.
-pub(crate) const RENDEZVOUS_BLOCK: usize = 8192;
-
 /// The protocol a `bytes`-byte payload rides under, for traces and
 /// counters: "eager" at or under [`EAGER_LIMIT`], else "rendezvous".
 pub(crate) fn protocol(bytes: usize) -> &'static str {
@@ -98,27 +90,6 @@ pub enum Payload {
 }
 
 impl Payload {
-    /// Packs `bytes` inline. Panics if `bytes.len() > INLINE`.
-    pub fn inline_from(bytes: &[u8]) -> Payload {
-        assert!(bytes.len() <= INLINE, "inline payload over capacity");
-        let mut buf = [0u8; INLINE];
-        buf[..bytes.len()].copy_from_slice(bytes);
-        Payload::Inline {
-            len: bytes.len() as u8,
-            buf,
-        }
-    }
-
-    /// Wraps an owned vector: inline when it fits in [`INLINE`] bytes, else
-    /// as it is (no copy, no pool lease).
-    pub(crate) fn from_vec(v: Vec<u8>) -> Payload {
-        if v.len() <= INLINE {
-            Payload::inline_from(&v)
-        } else {
-            Payload::Owned(v)
-        }
-    }
-
     /// The payload bytes.
     pub(crate) fn bytes(&self) -> &[u8] {
         match self {
@@ -165,26 +136,6 @@ impl Msg {
     pub(crate) fn bytes(&self) -> &[u8] {
         self.payload.bytes()
     }
-
-    /// Copies the payload out into an owned vector.
-    ///
-    /// An owned buffer moves out without copying. Pooled payloads copy out
-    /// in [`RENDEZVOUS_BLOCK`]-sized slabs (the block-pipelined copy of the
-    /// rendezvous protocol) and the lease returns to the pool on return.
-    pub(crate) fn into_vec(self) -> Vec<u8> {
-        match self.payload {
-            Payload::Owned(v) => v,
-            Payload::Pooled(lease) => {
-                let src = lease.bytes();
-                let mut out = Vec::with_capacity(src.len());
-                for block in src.chunks(RENDEZVOUS_BLOCK) {
-                    out.extend_from_slice(block);
-                }
-                out
-            }
-            other => other.bytes().to_vec(),
-        }
-    }
 }
 
 /// What one transfer put on the wire, as the sender stamped it: all a
@@ -210,7 +161,7 @@ pub struct Wire {
 /// A message in flight or queued at the receiver.
 #[derive(Debug)]
 pub struct Envelope {
-    /// Context id (communicator + p2p/collective plane).
+    /// Context id: the communicator's point-to-point plane.
     pub ctx: u64,
     /// Sender's world rank.
     pub src_world: usize,
@@ -657,6 +608,30 @@ impl std::fmt::Debug for KeptMailboxes {
 }
 
 #[cfg(test)]
+impl Payload {
+    /// Packs `bytes` inline. Panics if `bytes.len() > INLINE`.
+    pub fn inline_from(bytes: &[u8]) -> Payload {
+        assert!(bytes.len() <= INLINE, "inline payload over capacity");
+        let mut buf = [0u8; INLINE];
+        buf[..bytes.len()].copy_from_slice(bytes);
+        Payload::Inline {
+            len: bytes.len() as u8,
+            buf,
+        }
+    }
+
+    /// Wraps an owned vector: inline when it fits in [`INLINE`] bytes, else
+    /// as it is (no copy, no pool lease).
+    pub(crate) fn from_vec(v: Vec<u8>) -> Payload {
+        if v.len() <= INLINE {
+            Payload::inline_from(&v)
+        } else {
+            Payload::Owned(v)
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1048,22 +1023,22 @@ mod tests {
         assert_eq!(mb.wakes.expired.load(Ordering::Relaxed), 1);
     }
 
+    /// A received message reads back the bytes that were sent, whichever
+    /// representation carried them, and a pooled one returns its lease
+    /// when it is dropped.
     #[test]
     fn msg_into_vec_round_trips_all_protocols() {
-        let data: Vec<u8> = (0..=255u8).cycle().take(3 * RENDEZVOUS_BLOCK + 17).collect();
+        let data: Vec<u8> = (0..=255u8).cycle().take(3 * 8192 + 17).collect();
         let whole = Msg::new(Payload::from_vec(data.clone()));
-        let at = whole.bytes().as_ptr();
-        let out = whole.into_vec();
-        assert_eq!(out, data);
-        assert_eq!(out.as_ptr(), at, "an owned buffer moves out uncopied");
+        assert_eq!(whole.bytes(), &data[..]);
         let inline = Msg::new(Payload::inline_from(&data[..INLINE]));
-        assert_eq!(inline.into_vec(), &data[..INLINE]);
+        assert_eq!(inline.bytes(), &data[..INLINE]);
         let pool = crate::pool::BufferPool::new();
         let mut lease = pool.lease(data.len());
         lease.buf_mut().extend_from_slice(&data);
         let pooled = Msg::new(Payload::Pooled(lease));
         assert_eq!(pooled.bytes(), &data[..]);
-        assert_eq!(pooled.into_vec(), data);
-        assert_eq!(pool.report().outstanding, 0, "lease returned after copy-out");
+        drop(pooled);
+        assert_eq!(pool.report().outstanding, 0, "lease returned on drop");
     }
 }

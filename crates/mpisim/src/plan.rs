@@ -234,6 +234,9 @@ pub struct Plan {
     /// sends, then its receives — so no rank scans the other ranks'
     /// transfers.
     own: Vec<Vec<Step>>,
+    /// The legacy call the plan runs, with its root; `None` for an engine
+    /// call.
+    legacy: Option<(Legacy, usize)>,
 }
 
 /// One step of a rank's program: where its transfer sits in
@@ -278,12 +281,28 @@ impl Plan {
             seconds,
             rounds,
             own,
+            legacy: None,
         }
     }
 
     /// Scheduled transfers, the unit the cache's bound counts.
     pub(crate) fn xfers(&self) -> usize {
         self.rounds.iter().map(Vec::len).sum()
+    }
+
+    /// Whose deposit transfer `x` carries, and which part of it: the
+    /// sender's own contribution (gather), the root's buffer, forwarded
+    /// down the tree (bcast), the root's part for the receiver (scatter).
+    /// A legacy call's members contribute ragged buffers, so these
+    /// transfers are sized by what they carry; `None` where the scheduled
+    /// elements size it (the engine's calls, the barrier's empty ones).
+    pub(crate) fn carried(&self, x: &Xfer) -> Option<(usize, usize)> {
+        match self.legacy? {
+            (Legacy::Barrier, _) => None,
+            (Legacy::Bcast, root) => Some((root, 0)),
+            (Legacy::Gather, _) => Some((x.src, 0)),
+            (Legacy::Scatter, root) => Some((root, x.dst)),
+        }
     }
 
     /// Step `pc` of `rank`'s program: the transfer it sends or receives
@@ -512,35 +531,76 @@ impl<K: Clone + Eq + Hash, T> OnceMap<K, T> {
     }
 }
 
-/// The barrier's plan at `p` ranks: MPICH's binomial barrier. First a
-/// reduce of nothing to rank 0 — rank `r` hears from `r | mask` for every
-/// mask below its lowest set bit, in increasing order, then reports to
-/// `r & !mask` — then a broadcast of nothing from rank 0, where each rank
-/// hears from its parent and sends to its children in decreasing-mask
-/// order. Every transfer carries zero elements. Unpriced: the barrier
-/// never asks what it costs.
-fn barrier(p: usize) -> Plan {
-    let masks: Vec<usize> = (0..usize::BITS)
+/// The legacy calls, which run private plans under the legacy fault rule
+/// (`crate::slot`): priced never, keyed by shape, size and root alone.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) enum Legacy {
+    /// MPICH's binomial barrier: a reduce of nothing to rank 0, then a
+    /// broadcast of nothing from it.
+    Barrier,
+    /// MPICH's binomial broadcast of the root's buffer.
+    Bcast,
+    /// Every other rank's contribution to the root, received in ascending
+    /// rank order.
+    Gather,
+    /// The root's part for every other rank, sent in ascending rank order.
+    Scatter,
+}
+
+/// MPICH's binomial tree over `p` ranks rooted at `root`, one round per
+/// mask, every transfer empty. Down (a broadcast), masks decrease and
+/// relative rank `rel` sends to `rel + mask` for each mask below its
+/// lowest set bit, after hearing from `rel − lowbit(rel)`; up (a reduce),
+/// masks increase and every transfer is reversed.
+fn tree(p: usize, root: usize, up: bool) -> Vec<Vec<Xfer>> {
+    let mut masks: Vec<usize> = (0..usize::BITS)
         .map(|k| 1 << k)
         .take_while(|&m| m < p)
         .collect();
-    let round = |mask: usize, up: bool| -> Vec<Xfer> {
+    if !up {
+        masks.reverse();
+    }
+    let rank = |rel: usize| (rel + root) % p;
+    let round = |mask: usize| -> Vec<Xfer> {
         let pairs = (0..p).step_by(2 * mask).filter(|&r| r + mask < p);
-        let pair = |r: usize| if up { (r + mask, r) } else { (r, r + mask) };
-        pairs
-            .map(pair)
-            .map(|(src, dst)| Xfer {
-                src,
-                dst,
-                lo: 0,
-                hi: 0,
-                carries: Payload::Slice,
-            })
-            .collect()
+        let pair = |r| match up {
+            true => (rank(r + mask), rank(r)),
+            false => (rank(r), rank(r + mask)),
+        };
+        pairs.map(pair).map(|(src, dst)| empty(src, dst)).collect()
     };
-    let up = masks.iter().map(|&m| round(m, true));
-    let down = masks.iter().rev().map(|&m| round(m, false));
-    Plan::new(CollectiveAlgo::Binomial, 0.0, up.chain(down).collect(), p)
+    masks.into_iter().map(round).collect()
+}
+
+/// A transfer of no scheduled elements from `src` to `dst`.
+fn empty(src: usize, dst: usize) -> Xfer {
+    Xfer {
+        src,
+        dst,
+        lo: 0,
+        hi: 0,
+        carries: Payload::Slice,
+    }
+}
+
+/// The plan of legacy call `shape` over `p` ranks, rooted at `root`: the
+/// messages the mailbox collectives sent, transfer for transfer.
+fn legacy(shape: Legacy, p: usize, root: usize) -> Plan {
+    let others = (0..p).filter(|&r| r != root);
+    let rounds = match shape {
+        Legacy::Barrier => [tree(p, 0, true), tree(p, 0, false)].concat(),
+        Legacy::Bcast => tree(p, root, false),
+        Legacy::Gather => vec![others.map(|r| empty(r, root)).collect()],
+        Legacy::Scatter => vec![others.map(|r| empty(root, r)).collect()],
+    };
+    let algo = match shape {
+        Legacy::Barrier | Legacy::Bcast => CollectiveAlgo::Binomial,
+        Legacy::Gather | Legacy::Scatter => CollectiveAlgo::Linear,
+    };
+    Plan {
+        legacy: Some((shape, root)),
+        ..Plan::new(algo, 0.0, rounds, p)
+    }
 }
 
 /// A universe's plans and cost views, shared by its clones and kept
@@ -550,8 +610,8 @@ pub(crate) struct PlanStore {
     /// Cost views by rank → node vector, so a miss on a new size or root
     /// does not rebuild the p² pair table.
     views: OnceMap<NodeVec, View>,
-    /// The barrier's plans, by communicator size.
-    barriers: OnceMap<usize, Plan>,
+    /// The legacy calls' plans, by shape, communicator size and root.
+    legacy: OnceMap<(Legacy, usize, usize), Plan>,
 }
 
 impl Default for PlanStore {
@@ -559,7 +619,7 @@ impl Default for PlanStore {
         PlanStore {
             plans: OnceMap::new(MAX_RESIDENT_XFERS),
             views: OnceMap::new(MAX_VIEW_CELLS),
-            barriers: OnceMap::new(MAX_RESIDENT_XFERS),
+            legacy: OnceMap::new(MAX_RESIDENT_XFERS),
         }
     }
 }
@@ -619,12 +679,13 @@ impl PlanCache {
         Ok(plan)
     }
 
-    /// The barrier's plan at `p` ranks, built once per size per universe.
-    /// It is no priced collective call, so this run's counters do not see
-    /// it.
-    pub(crate) fn barrier(&self, p: usize) -> Arc<Plan> {
-        let build = || Ok::<_, Infallible>(barrier(p));
-        let Ok((plan, _)) = self.store.barriers.get_or_build(&p, Plan::xfers, build);
+    /// The plan of legacy call `shape` at `p` ranks rooted at `root`, built
+    /// once per key per universe. It is no priced collective call, so this
+    /// run's counters do not see it.
+    pub(crate) fn legacy(&self, shape: Legacy, p: usize, root: usize) -> Arc<Plan> {
+        let build = || Ok::<_, Infallible>(legacy(shape, p, root));
+        let key = (shape, p, root);
+        let Ok((plan, _)) = self.store.legacy.get_or_build(&key, Plan::xfers, build);
         plan
     }
 

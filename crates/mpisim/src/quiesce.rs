@@ -81,10 +81,10 @@ pub(crate) enum WaitKind {
         /// The round being waited on.
         key: AgreeKey,
     },
-    /// Blocked in an engine collective: unblocked once the call's slot
-    /// holds the member's outcome. Until then it is a receive from the one
-    /// sender the member's program awaits ([`Slot::awaiting`]), which the
-    /// slot keeps current as it runs the program.
+    /// Blocked in a collective: unblocked once the call's slot holds the
+    /// member's outcome. Until then it is a receive from the one sender the
+    /// member's program awaits ([`Slot::awaiting`]), which the slot keeps
+    /// current as it runs the program.
     Collective {
         /// The call's slot.
         slot: Arc<Slot>,
@@ -100,12 +100,6 @@ pub(crate) struct WaitRecord {
     /// The communicator waited on. Its other members are who an
     /// `ANY_SOURCE` pattern waits for.
     pub group: Arc<Group>,
-    /// A legacy collective-plane wait: one *failed* member makes the
-    /// collective impossible to complete and aborts the wait everywhere,
-    /// which is what propagates the failure to ranks not blocked on the
-    /// dead rank itself. (The schedule engine's waits are point-to-point
-    /// and propagate along schedule edges with poison instead.)
-    pub collective: bool,
     /// Virtual-time deadline bounding the wait, if any. A doomed rank's own
     /// crash time is registered here, making death an implicit deadline.
     pub deadline: Option<SimTime>,
@@ -139,22 +133,14 @@ impl WaitRecord {
     /// A mailbox wait dead-ends when nobody who could send its match is
     /// alive — a specific source when that sender is dead, `ANY_SOURCE`
     /// when every other member is — so p2p between live ranks keeps
-    /// working during recovery. A [`Self::collective`]
-    /// wait also aborts on any *failed* member; a member that merely
-    /// returned has done its part and neither aborts the wait nor makes it
-    /// look resolvable. A collective slot's wait follows its slot's rule
-    /// ([`Slot::dead_peer`]). Agreement waits never abort: dead members are
-    /// excluded from the round instead.
+    /// working during recovery. A collective slot's wait follows its
+    /// slot's rule ([`Slot::dead_peer`]). Agreement waits never abort: dead
+    /// members are excluded from the round instead.
     pub(crate) fn abort(&self, me: usize, live: &Liveness) -> Option<MpiError> {
         match &self.kind {
             WaitKind::Agreement { .. } => return None,
             WaitKind::Collective { slot, member } => return slot.dead_peer(*member, live),
             WaitKind::Mailbox { .. } => {}
-        }
-        if self.collective {
-            if let Some(e) = failed_member(&self.group, me, live) {
-                return Some(e);
-            }
         }
         let mut verdict = None;
         for w in self.senders(me) {
@@ -170,10 +156,9 @@ impl WaitRecord {
     /// True if the death of world rank `dead` (now in `state`) can end this
     /// wait — change what [`Self::abort`] or an agreement's outcome says:
     /// the pattern names it, a collective member's program awaits it, or it
-    /// is one of the members an `ANY_SOURCE` pattern, a legacy collective
-    /// wait or an unfinished member of a [`Rule::Legacy`] slot (failures
-    /// only), or an agreement round looks at. The named sender first:
-    /// membership is a linear scan.
+    /// is one of the members an `ANY_SOURCE` pattern, an unfinished member
+    /// of a [`Rule::Legacy`] slot (failures only), or an agreement round
+    /// looks at. The named sender first: membership is a linear scan.
     fn concerns(&self, dead: usize, state: RankState) -> bool {
         let failed = state == RankState::Failed;
         let any_member = match &self.kind {
@@ -181,7 +166,7 @@ impl WaitRecord {
                 if pat.src_world == Some(dead) {
                     return true;
                 }
-                (self.collective && failed) || pat.src_world.is_none()
+                pat.src_world.is_none()
             }
             WaitKind::Collective { slot, member } => {
                 if slot.awaiting(*member) == Some(dead) {
@@ -230,83 +215,62 @@ enum Phase {
 /// (for `w < n`) holds the waits whose pattern names sender `w`;
 /// `lists[n]` the waits any member's death may end (`ANY_SOURCE`,
 /// agreement, and collective slot, whose awaited sender moves as the slot
-/// runs); `lists[n + 1]` the legacy-collective waits, which any *failed*
-/// member ends. A wait sits in one of the first two kinds of list, and a
-/// legacy-collective one in the last too. A slot wait whose member the
-/// slot has finished leaves `lists[n]` at the next death
-/// ([`Inner::prune_finished`]): no death concerns it any more.
+/// runs). A slot wait whose member the slot has finished leaves `lists[n]`
+/// at the next death ([`Inner::prune_finished`]): no death concerns it
+/// any more.
 #[derive(Debug)]
 struct Watch {
     lists: Vec<Vec<usize>>,
-    /// `at[r]`: rank `r`'s position in its first list and in the legacy
-    /// list, while it is filed there; [`GONE`] once it is not.
-    at: Vec<[usize; 2]>,
+    /// `at[r]`: rank `r`'s position in its list while it is filed there;
+    /// [`GONE`] once it is not.
+    at: Vec<usize>,
 }
 
-/// [`Watch::at`]'s "not filed in this list".
+/// [`Watch::at`]'s "not filed".
 const GONE: usize = usize::MAX;
 
 impl Watch {
     fn new(n: usize) -> Self {
         Watch {
-            lists: vec![Vec::new(); n + 2],
-            at: vec![[GONE; 2]; n],
+            lists: vec![Vec::new(); n + 1],
+            at: vec![GONE; n],
         }
     }
 
-    /// The lists `rec` is filed in, by slot of [`Watch::at`].
-    fn lists_of(&self, rec: &WaitRecord) -> [Option<usize>; 2] {
-        let n = self.at.len();
-        let first = match rec.kind {
-            WaitKind::Mailbox { pat } => pat.src_world.unwrap_or(n),
-            WaitKind::Agreement { .. } | WaitKind::Collective { .. } => n,
-        };
-        [Some(first), rec.collective.then_some(n + 1)]
+    /// The list `rec` is filed in.
+    fn list_of(&self, rec: &WaitRecord) -> usize {
+        match rec.kind {
+            WaitKind::Mailbox { pat } => pat.src_world.unwrap_or(self.at.len()),
+            WaitKind::Agreement { .. } | WaitKind::Collective { .. } => self.at.len(),
+        }
     }
 
     fn file(&mut self, r: usize, rec: &WaitRecord) {
-        for (i, list) in self.lists_of(rec).into_iter().enumerate() {
-            if let Some(l) = list {
-                self.at[r][i] = self.lists[l].len();
-                self.lists[l].push(r);
-            }
-        }
+        let l = self.list_of(rec);
+        self.at[r] = self.lists[l].len();
+        self.lists[l].push(r);
     }
 
     fn unfile(&mut self, r: usize, rec: &WaitRecord) {
-        for (i, list) in self.lists_of(rec).into_iter().enumerate() {
-            if let Some(l) = list.filter(|_| self.at[r][i] != GONE) {
-                self.remove(l, i, self.at[r][i]);
-            }
+        if self.at[r] != GONE {
+            self.remove(self.list_of(rec), self.at[r]);
         }
     }
 
-    /// Takes the entry at `pos` out of list `l`, whose ranks keep their
-    /// position in slot `i` of [`Watch::at`].
-    fn remove(&mut self, l: usize, i: usize, pos: usize) {
+    /// Takes the entry at `pos` out of list `l`.
+    fn remove(&mut self, l: usize, pos: usize) {
         let r = self.lists[l].swap_remove(pos);
-        self.at[r][i] = GONE;
-        // The entry moved into the hole sits in the same slot of its own
-        // `at`: each list is one slot's.
+        self.at[r] = GONE;
         if let Some(&moved) = self.lists[l].get(pos) {
-            self.at[moved][i] = pos;
+            self.at[moved] = pos;
         }
     }
 
-    /// The blocked ranks whose wait the death of `dead` (now in `state`)
-    /// may concern: those naming it, those any member's death may end, and
-    /// on a failure the legacy-collective ones. A rank can come twice.
-    fn candidates(&self, dead: usize, state: RankState) -> impl Iterator<Item = usize> + '_ {
+    /// The blocked ranks whose wait the death of `dead` may concern: those
+    /// naming it, and those any member's death may end.
+    fn candidates(&self, dead: usize) -> impl Iterator<Item = usize> + '_ {
         let n = self.at.len();
-        let legacy = match state {
-            RankState::Failed => &self.lists[n + 1][..],
-            _ => &[],
-        };
-        self.lists[dead]
-            .iter()
-            .chain(&self.lists[n])
-            .chain(legacy)
-            .copied()
+        self.lists[dead].iter().chain(&self.lists[n]).copied()
     }
 }
 
@@ -360,7 +324,7 @@ impl Inner {
                 _ => false,
             };
             if done {
-                self.watch.remove(n, 0, pos);
+                self.watch.remove(n, pos);
             } else {
                 pos += 1;
             }
@@ -417,10 +381,9 @@ impl Registry {
     /// never send again. Moves the death epoch and returns, in ascending
     /// order, the blocked ranks whose wait this death can end
     /// ([`WaitRecord::concerns`]), for the caller to ring. It looks only at
-    /// the waits filed under the dead rank, the waits any death may end
-    /// (once each for a slot wait whose member has finished), and on a
-    /// failure the legacy-collective ones — not at every rank — so its cost
-    /// under the lock is the waits it may concern. It reads slots' atomics
+    /// the waits filed under the dead rank and the waits any death may end
+    /// (once each for a slot wait whose member has finished) — not at every
+    /// rank — so its cost under the lock is the waits it may concern. It reads slots' atomics
     /// only, never a slot's lock: a member's own death is published with
     /// its slot's executor held.
     /// Classification is *not* triggered here — the rank's own thread is
@@ -435,7 +398,7 @@ impl Registry {
         };
         let mut rung: Vec<usize> = inner
             .watch
-            .candidates(world_rank, state)
+            .candidates(world_rank)
             .filter(concerned)
             .collect();
         rung.sort_unstable();
@@ -733,6 +696,7 @@ impl Registry {
 mod tests {
     use super::*;
     use crate::comm::Doomed;
+    use crate::slot::{SlotKey, SlotTable};
     use proptest::prelude::*;
 
     fn registry(n: usize) -> (Registry, Arc<Liveness>) {
@@ -741,10 +705,9 @@ mod tests {
         (Registry::new(mailboxes, Arc::new(AgreeTable::new()), live.clone()), live)
     }
 
-    fn mailbox_wait(group: &Arc<Group>, src_world: Option<usize>, collective: bool) -> WaitRecord {
+    fn mailbox_wait(group: &Arc<Group>, src_world: Option<usize>) -> WaitRecord {
         WaitRecord {
             group: group.clone(),
-            collective,
             deadline: None,
             kind: WaitKind::Mailbox { pat: Pattern { ctx: 0, src_world, tag: None } },
         }
@@ -757,7 +720,18 @@ mod tests {
     }
 
     fn agreement_wait(group: &Arc<Group>) -> WaitRecord {
-        WaitRecord { kind: WaitKind::Agreement { key: (1, 0) }, ..mailbox_wait(group, None, false) }
+        WaitRecord { kind: WaitKind::Agreement { key: (1, 0) }, ..mailbox_wait(group, None) }
+    }
+
+    /// A wait in a [`Rule::Legacy`] slot over `group` (keyed `key` in
+    /// `slots`), its member 0 awaiting world rank `w`.
+    fn legacy_wait(slots: &SlotTable, key: SlotKey, group: &Arc<Group>, w: usize) -> WaitRecord {
+        let slot = slots.open(key, group, &no_doom(group), Rule::Legacy);
+        slot.set_awaiting(0, Some(w));
+        WaitRecord {
+            kind: WaitKind::Collective { slot, member: 0 },
+            ..mailbox_wait(group, None)
+        }
     }
 
     /// A death rings exactly the blocked ranks whose wait it can end.
@@ -766,11 +740,12 @@ mod tests {
         // Members 0..=4 of a 6-rank world; world rank 5 is an outsider.
         let (reg, live) = registry(6);
         let group = Arc::new(Group::from_world_ranks((0..5).collect()).unwrap());
+        let slots = SlotTable::default();
         let waits = [
-            mailbox_wait(&group, Some(4), false), // rank 0: named source 4
-            mailbox_wait(&group, None, false),    // rank 1: ANY_SOURCE
-            mailbox_wait(&group, Some(1), true),  // rank 2: collective, from 1
-            agreement_wait(&group),               // rank 3: agreement
+            mailbox_wait(&group, Some(4)),          // rank 0: named source 4
+            mailbox_wait(&group, None),             // rank 1: ANY_SOURCE
+            legacy_wait(&slots, (0, 0), &group, 1), // rank 2: collective, from 1
+            agreement_wait(&group),                 // rank 3: agreement
         ];
         for (r, rec) in waits.iter().enumerate() {
             assert_eq!(reg.block(r, rec, reg.deaths()), Ok(true));
@@ -799,7 +774,7 @@ mod tests {
     #[test]
     fn block_refuses_an_epoch_a_death_has_moved() {
         let (reg, live) = registry(3);
-        let rec = mailbox_wait(&Arc::new(Group::world(3)), Some(1), false);
+        let rec = mailbox_wait(&Arc::new(Group::world(3)), Some(1));
         let seen = reg.deaths();
         live.publish(2, RankState::Terminated);
         assert!(reg.mark_dead(2, RankState::Terminated).is_empty());
@@ -826,15 +801,14 @@ mod tests {
     }
 
     /// Over seeded random registry states — named-source, `ANY_SOURCE`,
-    /// agreement, collective-slot (under either rule) and
-    /// legacy-collective waits, registered, re-registered while blocked,
+    /// agreement and collective-slot (under either rule) waits,
+    /// registered, re-registered while blocked,
     /// resolved and ended in any order, with slots moving on to other
     /// senders and finishing members — the index returns exactly the
     /// ascending set the all-phases scan does, for every rank's
     /// termination and failure.
     #[test]
     fn mark_dead_index_returns_what_the_phase_scan_does() {
-        use crate::slot::SlotTable;
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let n = 6;
         let groups = [vec![0, 1, 2, 3, 4, 5], vec![0, 1, 2, 3, 4], vec![5, 3, 1]];
@@ -882,7 +856,6 @@ mod tests {
                         };
                         let rec = WaitRecord {
                             group: group.clone(),
-                            collective: rng.random_range(0..3) == 0,
                             deadline: None,
                             kind,
                         };
@@ -932,7 +905,7 @@ mod tests {
     fn a_failure_rings_a_legacy_slot_wait_on_another_sender() {
         let (reg, live) = registry(4);
         let group = Arc::new(Group::world(4));
-        let slots = crate::slot::SlotTable::default();
+        let slots = SlotTable::default();
         let wait = |key, rule| {
             let slot = slots.open(key, &group, &no_doom(&group), rule);
             slot.set_awaiting(0, Some(1));
@@ -941,7 +914,7 @@ mod tests {
                     slot: slot.clone(),
                     member: 0,
                 },
-                ..mailbox_wait(&group, None, false)
+                ..mailbox_wait(&group, None)
             };
             assert_eq!(reg.block(0, &rec, reg.deaths()), Ok(true));
             (slot, rec)
@@ -973,57 +946,49 @@ mod tests {
         assert!(reg.inner.lock().watch.lists[n].is_empty());
     }
 
-    /// A death looks only at the waits filed under it, at the waits any
-    /// death may end, and on a failure at the legacy-collective ones.
+    /// A death looks only at the waits filed under it and at the waits any
+    /// death may end.
     #[test]
     fn a_death_visits_only_the_waits_it_may_concern() {
         let (reg, _) = registry(64);
         let group = Arc::new(Group::world(64));
         for r in 1..60 {
             assert_eq!(
-                reg.block(r, &mailbox_wait(&group, Some(0), false), reg.deaths()),
+                reg.block(r, &mailbox_wait(&group, Some(0)), reg.deaths()),
                 Ok(true)
             );
         }
         assert_eq!(
-            reg.block(60, &mailbox_wait(&group, None, false), reg.deaths()),
+            reg.block(60, &mailbox_wait(&group, None), reg.deaths()),
             Ok(true)
         );
         assert_eq!(
-            reg.block(61, &mailbox_wait(&group, Some(1), true), reg.deaths()),
+            reg.block(61, &mailbox_wait(&group, Some(1)), reg.deaths()),
             Ok(true)
         );
-        let visits = |dead, state| reg.inner.lock().watch.candidates(dead, state).count();
-        assert_eq!(
-            visits(5, RankState::Terminated),
-            1,
-            "the ANY_SOURCE wait only"
-        );
-        assert_eq!(
-            visits(5, RankState::Failed),
-            2,
-            "and the legacy-collective one"
-        );
-        assert_eq!(visits(0, RankState::Terminated), 60);
+        let visits = |dead| reg.inner.lock().watch.candidates(dead).count();
+        assert_eq!(visits(5), 1, "the ANY_SOURCE wait only");
+        assert_eq!(visits(1), 2, "and the one naming it");
+        assert_eq!(visits(0), 60);
         reg.unblock(7);
-        assert_eq!(visits(0, RankState::Terminated), 59);
+        assert_eq!(visits(0), 59);
         assert_eq!(reg.mark_dead(0, RankState::Terminated).len(), 59);
     }
 
     proptest! {
         /// A death that ends a wait — turns its [`WaitRecord::abort`]
         /// from `None` to `Some` — concerns it, so `mark_dead` rings it:
-        /// for mailbox waits (named or `ANY_SOURCE`, legacy-collective or
-        /// not) and for slot waits under either rule, awaiting a sender or
-        /// not, finished or not, over any liveness before the death.
+        /// for mailbox waits (named or `ANY_SOURCE`) and for slot waits
+        /// under either rule, awaiting a sender or not, finished or not,
+        /// over any liveness before the death.
         #[test]
         fn a_death_that_ends_a_wait_concerns_it(
             before in proptest::collection::vec(0u8..3, 5),
-            shape in 0usize..16,
+            shape in 0usize..8,
             named in 0usize..6,
             death in 2usize..10,
         ) {
-            let (kind, legacy, finished) = (shape % 4, shape / 4 % 2 == 1, shape / 8 == 1);
+            let (slot, legacy, finished) = (shape % 2 == 1, shape / 2 % 2 == 1, shape / 4 == 1);
             let (dead, failed) = (death / 2, death % 2 == 1);
             // World rank 0 waits on a communicator over world ranks 0..=3;
             // world rank 4 is an outsider.
@@ -1036,11 +1001,11 @@ mod tests {
             }
             let group = Arc::new(Group::from_world_ranks(vec![0, 1, 2, 3]).unwrap());
             let named = (named < 5).then_some(named);
-            let rec = match kind {
-                0 | 1 => mailbox_wait(&group, named, kind == 1),
-                _ => {
+            let rec = match slot {
+                false => mailbox_wait(&group, named),
+                true => {
                     let rule = [Rule::Engine, Rule::Legacy][legacy as usize];
-                    let slots = crate::slot::SlotTable::default();
+                    let slots = SlotTable::default();
                     let slot = slots.open((0, 0), &group, &no_doom(&group), rule);
                     slot.set_awaiting(0, named);
                     if finished {
@@ -1048,7 +1013,7 @@ mod tests {
                     }
                     WaitRecord {
                         kind: WaitKind::Collective { slot, member: 0 },
-                        ..mailbox_wait(&group, None, false)
+                        ..mailbox_wait(&group, None)
                     }
                 }
             };
@@ -1076,7 +1041,7 @@ mod tests {
             let group = Arc::new(Group::world(4));
             for (op, me, other) in ops {
                 match op {
-                    0 => drop(reg.block(me, &mailbox_wait(&group, Some(other), false), reg.deaths())),
+                    0 => drop(reg.block(me, &mailbox_wait(&group, Some(other)), reg.deaths())),
                     1 => drop(reg.block(me, &agreement_wait(&group), reg.deaths())),
                     2 => drop(reg.attempt(me, || if other < 2 { Claim::Matched(()) } else { Claim::Nothing })),
                     3 => reg.unblock(me),

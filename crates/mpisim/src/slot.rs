@@ -1,10 +1,10 @@
-//! Collective slots: each engine collective call, and each barrier, runs
-//! as one rendezvous.
+//! Collective slots: every collective call — each engine call, and each
+//! legacy barrier, bcast, gather and scatter — runs as one rendezvous.
 //!
 //! The `n`-th engine call a member issues on a communicator lands in slot
 //! `(collective-plane context, n)` of the run's [`SlotTable`], as the
-//! agreement rounds do (`crate::agree`); its `n`-th barrier in slot
-//! `(point-to-point context, n)`, so barriers and engine calls pair up
+//! agreement rounds do (`crate::agree`); its `n`-th legacy call in slot
+//! `(point-to-point context, n)`, so legacy calls and engine calls pair up
 //! apart. Every member deposits its plan, its input, and lends the slot its
 //! clock and its `RankNet`; whichever member's thread holds the slot's
 //! executor advances *every* arrived member's program as far as the
@@ -20,19 +20,22 @@
 //! what per-rank message passing gives: a transfer is a record in the slot
 //! instead of a mailbox post, taken by the `nth` receive of its
 //! sender–receiver pair (per-pair FIFO). No payload travels: a transfer
-//! record carries its size, its wire stamps and, in place of a transfer a
-//! failing member will never send, the world rank it blames (*poison*). A
-//! member that finishes copies its result out of the deposits.
+//! record carries its size — the plan's, or for a legacy call's ragged
+//! contributions that of the deposit it carries (`Plan::carried`) — its
+//! wire stamps and, in place of a transfer a failing member will never
+//! send, the world rank it blames (*poison*). A member that finishes
+//! copies its result out of the deposits.
 //!
 //! A slot runs under one of two fault rules ([`Rule`]): the engine's,
 //! which propagates faults along schedule edges with poison, or the
-//! barrier's, which keeps the legacy collectives' "any failed member"
+//! legacy calls', which keeps the mailbox collectives' "any failed member"
 //! rule. Quiescence sees a blocked member as a receive from the one sender
 //! its program awaits (`WaitKind::Collective`), ended by the rule's
 //! [`Slot::dead_peer`]: [`Slot::awaiting`] and [`Slot::finished`] are
 //! atomics, read without the slot's lock.
 
 use crate::comm::{Doomed, Endpoint};
+use crate::datatype::MpiType;
 use crate::error::{MpiError, MpiResult};
 use crate::group::Group;
 use crate::p2p::{protocol, Wire};
@@ -49,11 +52,11 @@ use std::sync::{Arc, OnceLock};
 
 /// Key of one call's slot: `(context id, call ordinal)`, on the collective
 /// plane's id for an engine call and the point-to-point plane's for a
-/// barrier.
+/// legacy call.
 pub(crate) type SlotKey = (u64, u64);
 
 /// A deposited input or a result built from the deposits: a `Vec<T>` of
-/// the call's element type.
+/// the call's element type (a legacy call's: a `Vec<Vec<T>>` of parts).
 pub(crate) type Data = Arc<dyn Any + Send + Sync>;
 
 /// [`Slot::awaiting`]'s "no sender".
@@ -84,8 +87,8 @@ pub(crate) enum Rule {
     /// or returned, and a member that fails poisons every transfer it has
     /// not sent.
     Engine,
-    /// The barrier's, which is the legacy collectives': a member whose node
-    /// has crashed by the receiver's clock fails the receive, any failed
+    /// The legacy calls' (barrier, bcast, gather, scatter): a member whose
+    /// node has crashed by the receiver's clock fails the receive, any failed
     /// member ends a waiting member's wait, a returned sender gives
     /// [`MpiError::PeerTerminated`], and a failure sends no poison.
     Legacy,
@@ -125,9 +128,30 @@ pub(crate) struct Arrival {
     /// outcome.
     pub(crate) clock: SimTime,
     pub(crate) net: RankNet,
-    /// What the result is built from: a bcast root's buffer, a
-    /// contribution; `None` where the member contributes nothing.
-    pub(crate) input: Option<Data>,
+    pub(crate) deposit: Deposit,
+}
+
+/// What a member leaves in the slot for results to be copied out of.
+#[derive(Default)]
+pub(crate) struct Deposit {
+    /// A bcast root's buffer, a contribution, a scatter root's parts;
+    /// `None` where the member contributes nothing.
+    pub(crate) data: Option<Data>,
+    /// The wire size of each part of `data` a legacy call's transfer can
+    /// carry (`Plan::carried`); empty for an engine call, whose plan sizes
+    /// its transfers.
+    pub(crate) bytes: Vec<usize>,
+}
+
+impl Deposit {
+    /// A legacy call's parts, a `Vec<Vec<T>>`: one for a buffer or a
+    /// contribution, one per member for a scatter root.
+    pub(crate) fn parts<T: MpiType>(parts: Vec<Vec<T>>) -> Deposit {
+        Deposit {
+            bytes: parts.iter().map(|v| v.len() * T::WIRE_SIZE).collect(),
+            data: Some(Arc::new(parts)),
+        }
+    }
 }
 
 /// What a result built from the deposits is: the fold of one operation, or
@@ -159,7 +183,7 @@ pub(crate) struct Slot {
     /// Per member: its outcome is final.
     finished: Vec<AtomicBool>,
     /// Per member: its deposit, set as it arrives.
-    inputs: Vec<OnceLock<Option<Data>>>,
+    inputs: Vec<OnceLock<Deposit>>,
     /// Per member: its exit, left by whichever thread finished it.
     exits: Vec<Mutex<Option<Exit>>>,
     /// Arrived members the executor has not taken in yet.
@@ -282,7 +306,7 @@ impl Slot {
     /// await a dead sender.
     pub(crate) fn arrive(&self, shared: &SharedState, m: usize, a: Arrival) {
         self.arrived.fetch_add(1, Ordering::SeqCst);
-        let _ = self.inputs[m].set(a.input);
+        let _ = self.inputs[m].set(a.deposit);
         let member = Member {
             plan: a.plan,
             elem_bytes: a.elem_bytes,
@@ -369,7 +393,14 @@ impl Slot {
 
     /// Member `r`'s deposit.
     pub(crate) fn input(&self, r: usize) -> Option<Data> {
-        self.inputs[r].get().cloned().flatten()
+        self.inputs[r].get()?.data.clone()
+    }
+
+    /// The wire size of part `part` of member `r`'s deposit; 0 for a part
+    /// it did not deposit (members that disagree about the call).
+    pub(crate) fn bytes(&self, r: usize, part: usize) -> usize {
+        let bytes = self.inputs[r].get().and_then(|d| d.bytes.get(part));
+        bytes.copied().unwrap_or(0)
     }
 
     /// The result `key` names, built from every deposit by `build` once per
@@ -444,12 +475,17 @@ impl Exec {
                 clock: &mut member.clock,
                 net: &mut member.net,
             };
-            let expect = x.elems() * member.elem_bytes;
+            // A legacy transfer is sized by the deposit it carries, which
+            // the plan's order has in place by the time it is sent; its
+            // receiver takes whatever size comes.
+            let scheduled = x.elems() * member.elem_bytes;
+            let carried = plan.carried(x);
             let step = if x.src == m {
                 let dst = slot.group.world_rank_of(x.dst);
-                ep.send(dst, expect, protocol(expect), true).map(|wire| {
+                let bytes = carried.map_or(scheduled, |(r, part)| slot.bytes(r, part));
+                ep.send(dst, bytes, protocol(bytes), true).map(|wire| {
                     let rec = Record {
-                        bytes: expect,
+                        bytes,
                         wire,
                         poison: None,
                     };
@@ -473,7 +509,10 @@ impl Exec {
                         }
                         return;
                     }
-                    Ok(Some(rec)) => receive(&mut ep, src, &rec, expect).map(|()| None),
+                    Ok(Some(rec)) => {
+                        let expect = carried.map_or(scheduled, |_| rec.bytes);
+                        receive(&mut ep, src, &rec, expect).map(|()| None)
+                    }
                     Err(e) => Err(e),
                 }
             };

@@ -12,11 +12,11 @@
 //! * engine calls emit per-algorithm [`TraceKind::Collective`] spans;
 //! * mismatched buffer lengths across ranks surface as
 //!   [`MpiError::InvalidCounts`], not a panic or a hang;
-//! * raw origin ranges on either side of 8 KiB (the rendezvous copy-out
-//!   block) give the same bits and leave no pooled lease behind;
-//! * a call — the barrier's too — puts each member to sleep at most once,
-//!   and a member the slot has finished is never judged stuck while it
-//!   sleeps.
+//! * raw origin ranges on either side of 8 KiB give the same bits and
+//!   leave no pooled lease behind;
+//! * a call — the barrier's and a legacy gather's too — puts each member
+//!   to sleep at most once, and a member the slot has finished is never
+//!   judged stuck while it sleeps.
 
 use hetsim::{
     Cluster, ContentionModel, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime,
@@ -536,7 +536,7 @@ fn mismatched_large_contributions_error_instead_of_hanging() {
     }
 }
 
-/// Elements of one 8 KiB `RENDEZVOUS_BLOCK` of `f64`.
+/// Elements of 8 KiB of `f64`.
 const BLOCK_ELEMS: usize = 8192 / 8;
 
 /// Rank `rank`'s contribution: mixed magnitudes and zeros of both signs,
@@ -841,6 +841,42 @@ fn a_barrier_sleeps_each_rank_at_most_once() {
         let w = report.wakeups;
         assert!(w.slept <= p as u64, "{w:?} over one barrier of {p} ranks");
     }
+}
+
+/// The legacy gather runs in a collective slot too, so its root sleeps
+/// once per call rather than once per message it waits for. Rank `r`
+/// sleeps `r × 200 µs` before each of 20 gathers at p = 16, so the root is
+/// asleep whenever a contribution lands; the slot rings a member only when
+/// its program has finished: 20–27 sleeps. (Passing the contributions
+/// through the root's mailbox, it woke once per receive: 238–261 sleeps.)
+/// The ranks sleep rather than spin: fifteen spinning threads on two cores
+/// take the core from whichever thread holds the slot's executor each
+/// time the chaos build yields inside it, and every arrival meanwhile
+/// sleeps once too.
+#[test]
+fn a_gather_root_sleeps_once_per_call() {
+    let (p, rounds) = (16, 20);
+    let report = Universe::new(cluster(p)).run(|proc| {
+        let world = proc.world();
+        let me = world.rank();
+        for round in 0..rounds {
+            std::thread::sleep(std::time::Duration::from_micros(200 * me as u64));
+            let got = world.gather(&[round as i64, me as i64], 0)?;
+            if let Some(parts) = got {
+                assert!(parts
+                    .iter()
+                    .enumerate()
+                    .all(|(r, v)| *v == [round as i64, r as i64]));
+            }
+        }
+        Ok::<(), MpiError>(())
+    });
+    assert!(report.results.iter().all(Result::is_ok));
+    let w = report.wakeups;
+    assert!(
+        w.slept <= 4 * rounds as u64,
+        "{w:?} over {rounds} gathers of {p} ranks"
+    );
 }
 
 /// A member the slot has finished may still be asleep when the last

@@ -144,9 +144,9 @@ fn single_rank_collectives_are_identity() {
     assert_eq!(report.results[0], (1.5, 1, 2.0));
 }
 
-/// A legacy collective is a plain client of the transport: every message it
-/// sends is eager or rendezvous, whatever its size. Ranks 2 and 3 gather
-/// more than `EAGER_LIMIT` bytes each.
+/// A legacy collective's transfers are labelled like the transport's
+/// messages: every one is eager or rendezvous, by its size. Ranks 2 and 3
+/// gather more than `EAGER_LIMIT` bytes each.
 #[test]
 fn legacy_gather_sends_only_eager_or_rendezvous() {
     let n = 4;
