@@ -156,6 +156,21 @@ impl Xfer {
         };
         copies * (self.hi - self.lo)
     }
+
+    /// The origin ranks of a [`Payload::Raw`] transfer, in carried order
+    /// (none for the other payloads). `order` is the schedule's origin
+    /// order: rank order `0..p` for a flat schedule, [`HierPlan::order`]
+    /// for a hierarchical plan.
+    ///
+    /// [`HierPlan::order`]: crate::HierPlan::order
+    pub fn origins<'a>(&'a self, order: &'a [usize]) -> impl Iterator<Item = usize> + 'a {
+        let _ = order;
+        let listed: &[usize] = match &self.carries {
+            Payload::Raw(origins) => origins,
+            Payload::Slice | Payload::Prefix => &[],
+        };
+        listed.iter().copied()
+    }
 }
 
 /// How concurrent transfers share the network: the pricing API's name for

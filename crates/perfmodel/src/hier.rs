@@ -176,6 +176,11 @@ fn gap_split(
 pub struct HierPlan {
     /// The rounds, in execution order.
     pub rounds: Vec<Vec<Xfer>>,
+    /// The plan's origin order, which its raw transfers' origins are read
+    /// through ([`Xfer::origins`]): a depth-first walk of the level
+    /// partitions, outermost first, each group's leader first, so the ranks
+    /// gathered under any group member form one run of it.
+    pub order: Vec<usize>,
 }
 
 /// What every stage prices its candidates against.
@@ -264,6 +269,34 @@ fn advance(groups: &[Vec<usize>], root: usize) -> Vec<usize> {
     let mut leaders: Vec<usize> = groups.iter().map(|g| leader(g, root)).collect();
     leaders.sort_unstable();
     leaders
+}
+
+/// The depth-first walk of `parts` from the top group: each member in
+/// [`leader_first`] order, then, below the node level, the group it leads
+/// one level down (every participant of a level leads one group below it).
+fn origin_order(parts: &[Vec<Vec<usize>>], root: usize, p: usize) -> Vec<usize> {
+    // `led[k][r]`: the group of `parts[k]` that rank `r` leads.
+    let led: Vec<Vec<usize>> = parts[..parts.len() - 1]
+        .iter()
+        .map(|groups| {
+            let mut led = vec![usize::MAX; p];
+            for (i, g) in groups.iter().enumerate() {
+                led[leader(g, root)] = i;
+            }
+            led
+        })
+        .collect();
+    let mut order = Vec::with_capacity(p);
+    let mut stack = vec![(parts.len() - 1, 0)];
+    while let Some((k, i)) = stack.pop() {
+        let members = leader_first(&parts[k][i], root);
+        if k == 0 {
+            order.extend(members);
+        } else {
+            stack.extend(members.iter().rev().map(|&m| (k - 1, led[k - 1][m])));
+        }
+    }
+    order
 }
 
 /// Whose raw contributions a gather transfer carries.
@@ -547,7 +580,8 @@ pub fn plan(
     if rounds.is_empty() {
         return None;
     }
-    Some(HierPlan { rounds })
+    let order = origin_order(&parts, root, p);
+    Some(HierPlan { rounds, order })
 }
 
 #[cfg(test)]

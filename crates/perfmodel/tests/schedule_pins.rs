@@ -189,6 +189,142 @@ fn hierarchical_plans_put_the_recorded_transfers_on_the_wire() {
     assert_eq!(seen, HIER_PINS);
 }
 
+/// A flat schedule's origin order: rank order.
+fn rank_order(p: usize) -> Vec<usize> {
+    (0..p).collect()
+}
+
+/// Hashes every transfer's origin set, ascending (empty for a finished
+/// slice or a prefix), round by round.
+fn origin_sets(h: &mut Fnv, rounds: &[Vec<Xfer>], order: &[usize]) {
+    for round in rounds {
+        h.word(usize::MAX);
+        for x in round {
+            let mut set: Vec<usize> = x.origins(order).collect();
+            set.sort_unstable();
+            h.word(set.len());
+            set.into_iter().for_each(|o| h.word(o));
+        }
+    }
+}
+
+/// Origin-set digests, recorded over the origin lists before they became
+/// ranges of an origin order.
+const FLAT_ORIGIN_PINS: [(&str, &str, u64); 14] = [
+    ("bcast", "linear", 0xfd24fb33ead78c85),
+    ("bcast", "binomial", 0x333b36abe9f66e13),
+    ("bcast", "ring", 0x533ac919c118c6a3),
+    ("bcast", "scatter-allgather", 0xe92185579a3085a3),
+    ("reduce", "linear", 0xeac15f4fdd2ef605),
+    ("reduce", "binomial", 0x6fc8cf7f5952c832),
+    ("allreduce", "linear", 0x5bf48d63795fdea5),
+    ("allreduce", "binomial", 0x95d969e71f6ab4c2),
+    ("allreduce", "ring", 0x402b0f05600621c3),
+    ("allreduce", "recursive-doubling", 0x761c38be187be8e5),
+    ("allreduce", "scatter-allgather", 0x1a4528b3b6dfc1a3),
+    ("allgather", "linear", 0x5db645c8e26a3645),
+    ("allgather", "ring", 0x40005eacf8af93c3),
+    ("allgather", "recursive-doubling", 0x2d3dd2497af7af85),
+];
+
+/// See [`FLAT_ORIGIN_PINS`].
+const HIER_ORIGIN_PINS: [(usize, &str, u64); 8] = [
+    (8, "bcast", 0x57b7daccc6156625),
+    (8, "reduce", 0xe395f227d8753ba5),
+    (8, "allreduce", 0x86609219e1891565),
+    (8, "allgather", 0xe1b7acc097c53025),
+    (12, "bcast", 0x73f04bd2f147d2e5),
+    (12, "reduce", 0x315b4edf3d1275e5),
+    (12, "allreduce", 0xe7a9f35ae6807aa5),
+    (12, "allgather", 0x1888bd99fa865ea5),
+];
+
+#[test]
+fn flat_schedules_carry_the_recorded_origins() {
+    let mut seen = Vec::new();
+    for kind in KINDS {
+        for algo in CollectiveAlgo::ALL {
+            let mut h = Fnv::new();
+            let mut any = false;
+            for p in 1..=40 {
+                if !algos_for(kind, p).contains(&algo) {
+                    continue;
+                }
+                any = true;
+                let order = rank_order(p);
+                for root in 0..p {
+                    for n in sizes(p) {
+                        let rounds = schedule(kind, algo, p, root, n).expect("eligible");
+                        [p, root, n].into_iter().for_each(|w| h.word(w));
+                        origin_sets(&mut h, &rounds, &order);
+                    }
+                }
+            }
+            if any {
+                seen.push((kind.name(), algo.name(), h.0));
+            }
+        }
+    }
+    assert_eq!(seen, FLAT_ORIGIN_PINS);
+}
+
+#[test]
+fn hierarchical_plans_carry_the_recorded_origins() {
+    let mut seen = Vec::new();
+    for (p, cost) in &TESTBEDS {
+        let (p, topo) = (*p, Sites::topo(*p));
+        for kind in KINDS {
+            let mut h = Fnv::new();
+            for sharing in SHARINGS {
+                for root in 0..p {
+                    for n in sizes(p) {
+                        [root, n].into_iter().for_each(|w| h.word(w));
+                        match hier_plan(kind, p, root, n, 8.0, &topo, cost, sharing) {
+                            Some(plan) => origin_sets(&mut h, &plan.rounds, &plan.order),
+                            None => h.word(usize::MAX - 1),
+                        }
+                    }
+                }
+            }
+            seen.push((p, kind.name(), h.0));
+        }
+    }
+    assert_eq!(seen, HIER_ORIGIN_PINS);
+}
+
+#[test]
+fn every_flat_origin_list_is_one_run_of_ranks_modulo_p() {
+    for kind in KINDS {
+        for p in 1..=40 {
+            let order = rank_order(p);
+            for algo in algos_for(kind, p) {
+                for root in 0..p {
+                    for n in sizes(p) {
+                        let rounds = schedule(kind, algo, p, root, n).expect("eligible");
+                        for x in rounds.iter().flatten() {
+                            let origins: Vec<usize> = x.origins(&order).collect();
+                            let Some(&first) = origins.first() else {
+                                continue;
+                            };
+                            let run: Vec<usize> =
+                                (first..first + origins.len()).map(|o| o % p).collect();
+                            assert_eq!(
+                                origins,
+                                run,
+                                "{} {} p={p} root={root} n={n}: {}->{}",
+                                kind.name(),
+                                algo.name(),
+                                x.src,
+                                x.dst
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// A symbolic value: the origins folded into it, in fold order.
 type Folded = Vec<usize>;
 
@@ -238,7 +374,15 @@ enum Carried {
 /// otherwise) ends with each of the `n` elements finished: folded over all
 /// `p` origins ascending, or, for a movement kind, received from a rank that
 /// started with it.
-fn replay(kind: CollectiveKind, p: usize, root: usize, n: usize, rounds: &[Vec<Xfer>], tag: &str) {
+/// Raw origins are read through `order`, the schedule's origin order.
+fn replay(
+    kind: CollectiveKind,
+    p: usize,
+    root: usize,
+    n: usize,
+    (rounds, order): (&[Vec<Xfer>], &[usize]),
+    tag: &str,
+) {
     let reduces = matches!(kind, CollectiveKind::Reduce | CollectiveKind::Allreduce);
     let everything: Folded = (0..p).collect();
     let mut ranks: Vec<Held> = (0..p)
@@ -280,9 +424,10 @@ fn replay(kind: CollectiveKind, p: usize, root: usize, n: usize, rounds: &[Vec<X
                             })
                             .collect(),
                     ),
-                    Payload::Raw(origins) => {
+                    Payload::Raw(_) => {
+                        let origins: Vec<usize> = x.origins(order).collect();
                         assert!(reduces && !origins.is_empty(), "{who}: raw payload");
-                        for &o in origins {
+                        for &o in &origins {
                             let held =
                                 from.raw[o].unwrap_or_else(|| panic!("{who}: origin {o} not held"));
                             assert!(
@@ -290,7 +435,7 @@ fn replay(kind: CollectiveKind, p: usize, root: usize, n: usize, rounds: &[Vec<X
                                 "{who}: origin {o} held over {held:?}"
                             );
                         }
-                        Carried::Raw(origins.clone())
+                        Carried::Raw(origins)
                     }
                     Payload::Prefix => {
                         assert!(
@@ -353,7 +498,7 @@ fn every_flat_schedule_means_the_ascending_fold() {
                         let rounds = schedule(kind, algo, p, root, n).unwrap();
                         let tag =
                             format!("{} {} p={p} root={root} n={n}", kind.name(), algo.name());
-                        replay(kind, p, root, n, &rounds, &tag);
+                        replay(kind, p, root, n, (&rounds, &rank_order(p)), &tag);
                     }
                 }
             }
@@ -377,7 +522,7 @@ fn every_hierarchical_plan_means_the_ascending_fold() {
                         planned += 1;
                         let tag =
                             format!("hier {} p={p} root={root} n={n} {sharing:?}", kind.name());
-                        replay(kind, p, root, n, &plan.rounds, &tag);
+                        replay(kind, p, root, n, (&plan.rounds, &plan.order), &tag);
                     }
                 }
             }
