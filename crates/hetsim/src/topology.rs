@@ -37,10 +37,12 @@ pub const PAPER_EM3D_SPEEDS: [f64; 9] =
 /// A pairwise link-cost table over a node subset, produced by
 /// [`Cluster::pair_table`]. Indices are positions in the subset, not
 /// [`NodeId`]s, so the table maps directly onto ranks (a communicator's, or
-/// the world's when built over the whole placement). Costs are stored once
-/// per link class and each position pair holds a 4-byte class number, so
-/// two tables are equal when every pair costs the same, however their
-/// classes are numbered.
+/// the world's when built over the whole placement). It is a view of the
+/// cluster's class index, shared with the cluster: a position pair reads
+/// the class of its two nodes' link, or the memory-bus class for two
+/// distinct positions on one node, so it holds O(n) data, not a cell per
+/// pair. Two tables are equal when every pair costs the same, however
+/// their classes are numbered.
 #[derive(Clone, Debug)]
 pub struct PairTable {
     /// Number of endpoints in the subset.
@@ -51,8 +53,11 @@ pub struct PairTable {
     /// `(latency, bandwidth)` of each class, in seconds and bytes/second.
     /// Class `LOOPBACK` is the free diagonal (0 s, infinite bandwidth).
     costs: Vec<(f64, f64)>,
-    /// Row-major `n × n` class of each position pair, indexing `costs`.
-    class_of: Vec<u32>,
+    /// The cluster's row-major node-pair class index, `width × width`.
+    class_of: Arc<[u32]>,
+    width: usize,
+    /// The class of the intra-node memory bus, when one is modelled.
+    mem_bus: Option<u32>,
 }
 
 impl PairTable {
@@ -70,16 +75,21 @@ impl PairTable {
 
     #[inline]
     fn cost(&self, i: usize, j: usize) -> (f64, f64) {
-        self.costs[self.class_of[i * self.n + j] as usize]
+        let (a, b) = (self.nodes[i].0, self.nodes[j].0);
+        let class = match self.mem_bus {
+            Some(bus) if a == b && i != j => bus,
+            _ => self.class_of[a * self.width + b],
+        };
+        self.costs[class as usize]
     }
 }
 
 impl PartialEq for PairTable {
     fn eq(&self, other: &Self) -> bool {
+        let pairs = || (0..self.n).flat_map(|i| (0..self.n).map(move |j| (i, j)));
         self.n == other.n
             && self.nodes == other.nodes
-            && (self.class_of.iter().zip(&other.class_of))
-                .all(|(&a, &b)| self.costs[a as usize] == other.costs[b as usize])
+            && pairs().all(|(i, j)| self.cost(i, j) == other.cost(i, j))
     }
 }
 
@@ -280,10 +290,9 @@ impl Cluster {
     /// healthy base link parameters, ignoring transient faults. Distinct
     /// positions sharing a node price over the memory bus when one is
     /// modelled ([`Cluster::rank_link`]); the diagonal is the free loopback
-    /// a self-send rides (0 s, infinite bandwidth). It holds 4 bytes per
-    /// position pair plus one cost per link class.
+    /// a self-send rides (0 s, infinite bandwidth). It is a view of the
+    /// cluster's class index: it copies `nodes` and one cost per link class.
     pub fn pair_table(&self, nodes: &[NodeId]) -> PairTable {
-        let n = nodes.len();
         let mut costs: Vec<(f64, f64)> = self
             .classes
             .iter()
@@ -293,19 +302,13 @@ impl Cluster {
             costs.push((m.latency, m.bandwidth));
             (costs.len() - 1) as u32
         });
-        let mut class_of = Vec::with_capacity(n * n);
-        for (i, &a) in nodes.iter().enumerate() {
-            let row = self.row(a);
-            class_of.extend(nodes.iter().enumerate().map(|(j, &b)| match mem_bus {
-                Some(bus) if a == b && i != j => bus,
-                _ => row[b.0],
-            }));
-        }
         PairTable {
-            n,
+            n: nodes.len(),
             nodes: nodes.to_vec(),
             costs,
-            class_of,
+            class_of: Arc::clone(&self.class_of),
+            width: self.nodes.len(),
+            mem_bus,
         }
     }
 

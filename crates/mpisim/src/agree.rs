@@ -59,7 +59,8 @@ impl AgreeTable {
 
     /// Records `me`'s contribution for round `key`, creating the slot on
     /// first touch. Idempotent per member (a re-deposit keeps the first
-    /// value).
+    /// value). Returns whether the round is complete now: every member has
+    /// deposited or is dead per `is_dead`.
     pub(crate) fn deposit(
         &self,
         key: AgreeKey,
@@ -67,7 +68,8 @@ impl AgreeTable {
         me: usize,
         flag: bool,
         now: SimTime,
-    ) {
+        is_dead: impl Fn(usize) -> bool,
+    ) -> bool {
         let mut t = self.inner.lock();
         let slot = t.entry(key).or_insert_with(|| AgreeSlot {
             members: members.to_vec(),
@@ -81,6 +83,7 @@ impl AgreeTable {
         if slot.deposits[rank].is_none() {
             slot.deposits[rank] = Some((flag, now));
         }
+        (slot.members.iter().zip(&slot.deposits)).all(|(&w, d)| d.is_some() || is_dead(w))
     }
 
     /// The round's outcome, if every member has deposited or is dead per
@@ -139,10 +142,10 @@ mod tests {
         let t = AgreeTable::new();
         let members = [3usize, 5, 7];
         let key = (11, 0);
-        t.deposit(key, &members, 5, true, SimTime::from_secs(1.0));
+        assert!(!t.deposit(key, &members, 5, true, SimTime::from_secs(1.0), |_| false));
         assert!(t.try_outcome(key, |_| false).is_none());
-        t.deposit(key, &members, 3, true, SimTime::from_secs(2.0));
-        t.deposit(key, &members, 7, false, SimTime::from_secs(1.5));
+        assert!(!t.deposit(key, &members, 3, true, SimTime::from_secs(2.0), |_| false));
+        assert!(t.deposit(key, &members, 7, false, SimTime::from_secs(1.5), |_| false));
         let a = t.try_outcome(key, |_| false).unwrap();
         assert!(!a.flag, "AND-fold over contributions");
         assert!(a.failed.is_empty());
@@ -154,8 +157,9 @@ mod tests {
         let t = AgreeTable::new();
         let members = [0usize, 1, 2];
         let key = (13, 4);
-        t.deposit(key, &members, 0, true, SimTime::from_secs(1.0));
-        t.deposit(key, &members, 2, true, SimTime::from_secs(3.0));
+        assert!(!t.deposit(key, &members, 0, true, SimTime::from_secs(1.0), |_| false));
+        // A dead member's missing deposit does not hold the round open.
+        assert!(t.deposit(key, &members, 2, true, SimTime::from_secs(3.0), |w| w == 1));
         assert!(t.try_outcome(key, |_| false).is_none());
         assert_eq!(t.pending_live(key, |w| w == 1), Vec::<usize>::new());
         let a = t.try_outcome(key, |w| w == 1).unwrap();
@@ -169,8 +173,8 @@ mod tests {
         let t = AgreeTable::new();
         let members = [0usize, 1];
         let key = (2, 0);
-        t.deposit(key, &members, 0, false, SimTime::from_secs(1.0));
-        t.deposit(key, &members, 1, true, SimTime::from_secs(2.0));
+        t.deposit(key, &members, 0, false, SimTime::from_secs(1.0), |_| false);
+        t.deposit(key, &members, 1, true, SimTime::from_secs(2.0), |_| false);
         // Member 1 deposited, then died: its contribution stands.
         let a = t.try_outcome(key, |w| w == 1).unwrap();
         assert!(!a.flag);

@@ -1039,12 +1039,15 @@ impl Comm {
         let key = (self.coll_plane(), take(&self.ordinals.agree));
         let members = self.group.world_ranks();
         let table = &self.shared.agreements;
-        table.deposit(key, members, my_world, flag, self.clock.now());
-        // Members blocked on this round sleep on their own doorbells.
-        for &w in members {
-            self.shared.mailboxes[w].wake_all();
-        }
         let is_dead = |w: usize| w != my_world && self.shared.liveness.of(w) != RankState::Alive;
+        // Members blocked on this round sleep on their own doorbells. Only
+        // the deposit that completes the round can change what they find;
+        // a death that completes it rings them through `Registry::mark_dead`.
+        if table.deposit(key, members, my_world, flag, self.clock.now(), is_dead) {
+            for &w in members.iter().filter(|&&w| w != my_world) {
+                self.shared.mailboxes[w].wake_all();
+            }
+        }
         let outcome = |_| match table.try_outcome(key, is_dead) {
             Some(agreed) => Claim::Matched(agreed),
             None => Claim::Nothing,

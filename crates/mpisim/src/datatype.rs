@@ -3,9 +3,9 @@
 //! Messages travel as bytes; [`MpiType`] converts slices of plain numeric
 //! types to and from them with explicit little-endian encoding (no
 //! `unsafe`, per the data-race-freedom discipline of the surrounding
-//! codebase). Encoding writes each element into its fixed `WIRE_SIZE` slot
-//! of a buffer sized up front, one pass that compiles to a copy on
-//! little-endian hosts; decoding is the mirror pass.
+//! codebase). Encoding appends each element's `WIRE_SIZE` bytes to a
+//! buffer with room for them all, one pass that writes every byte once;
+//! decoding is the mirror pass.
 
 use crate::error::{MpiError, MpiResult};
 use crate::p2p::{Payload, EAGER_LIMIT, INLINE};
@@ -21,6 +21,10 @@ pub trait MpiType: Copy + Send + Sync + 'static {
     /// exactly `WIRE_SIZE` bytes.
     fn write_le(&self, out: &mut [u8]);
 
+    /// Appends the little-endian encoding of every element of `data` to
+    /// `out`, writing each byte once.
+    fn extend_le(data: &[Self], out: &mut Vec<u8>);
+
     /// Decodes one element from exactly `WIRE_SIZE` bytes.
     fn read_from(bytes: &[u8]) -> Self;
 }
@@ -33,6 +37,11 @@ macro_rules! impl_mpi_type {
             #[inline]
             fn write_le(&self, out: &mut [u8]) {
                 out.copy_from_slice(&self.to_le_bytes());
+            }
+
+            #[inline]
+            fn extend_le(data: &[Self], out: &mut Vec<u8>) {
+                out.extend(data.iter().flat_map(|x| x.to_le_bytes()));
             }
 
             #[inline]
@@ -54,6 +63,11 @@ impl MpiType for usize {
     }
 
     #[inline]
+    fn extend_le(data: &[Self], out: &mut Vec<u8>) {
+        out.extend(data.iter().flat_map(|&x| (x as u64).to_le_bytes()));
+    }
+
+    #[inline]
     fn read_from(bytes: &[u8]) -> Self {
         u64::from_le_bytes(bytes.try_into().expect("read_from requires 8 bytes")) as usize
     }
@@ -65,6 +79,11 @@ impl MpiType for bool {
     #[inline]
     fn write_le(&self, out: &mut [u8]) {
         out[0] = u8::from(*self);
+    }
+
+    #[inline]
+    fn extend_le(data: &[Self], out: &mut Vec<u8>) {
+        out.extend(data.iter().map(|&b| u8::from(b)));
     }
 
     #[inline]
@@ -84,8 +103,8 @@ pub(crate) fn write_all<T: MpiType>(data: &[T], out: &mut [u8]) {
 
 /// Encodes a slice of elements into a fresh byte vector.
 pub fn encode<T: MpiType>(data: &[T]) -> Vec<u8> {
-    let mut out = vec![0; data.len() * T::WIRE_SIZE];
-    write_all(data, &mut out);
+    let mut out = Vec::with_capacity(data.len() * T::WIRE_SIZE);
+    T::extend_le(data, &mut out);
     out
 }
 
@@ -104,10 +123,9 @@ pub(crate) fn encode_payload<T: MpiType>(data: &[T], pool: &Arc<BufferPool>) -> 
     } else if wire <= EAGER_LIMIT {
         Payload::Owned(encode(data))
     } else {
+        // The lease comes back cleared, with room for `wire` bytes.
         let mut lease = pool.lease(wire);
-        let buf = lease.buf_mut();
-        buf.resize(wire, 0);
-        write_all(data, buf);
+        T::extend_le(data, lease.buf_mut());
         Payload::Pooled(lease)
     }
 }

@@ -50,14 +50,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Resident-plan bound, in scheduled transfers (80 bytes each with their
-/// two program steps, plus 8 per raw origin carried): past it the
-/// longest-resident plans are dropped. Ranks mid-collective keep the
-/// [`Arc`] they hold, and a dropped plan is rebuilt — identically — the next
-/// time its key is asked for.
+/// two program steps; a raw payload names its origins by a range, so no
+/// transfer holds more): past it the longest-resident plans are dropped.
+/// Ranks mid-collective keep the [`Arc`] they hold, and a dropped plan is
+/// rebuilt — identically — the next time its key is asked for.
 const MAX_RESIDENT_XFERS: usize = 1 << 17;
 
-/// Cost-view bound, in pair-table cells (4 bytes each: a class number).
-const MAX_VIEW_CELLS: usize = 1 << 22;
+/// Cost-view bound, in views. A view is O(p): its pair table reads the
+/// cluster's class index through a copy of the node vector, and its
+/// hierarchy coordinates are three words a rank.
+const MAX_VIEWS: usize = 1 << 8;
 
 pub(crate) fn ineligible(kind: CollectiveKind, algo: CollectiveAlgo, p: usize) -> MpiError {
     MpiError::InvalidCounts(format!(
@@ -322,10 +324,10 @@ fn sharing_of(c: ContentionModel) -> LinkSharing {
     }
 }
 
-/// Everything about a rank → node vector that planning reads: the p × p
-/// pair table, which the pricers read by communicator rank through its
-/// `PairCost` impl, and, only once a hierarchical plan is wanted, the
-/// per-rank hierarchy coordinates.
+/// Everything about a rank → node vector that planning reads: the pair
+/// table, a view of the cluster's class index that the pricers read by
+/// communicator rank through its `PairCost` impl, and, only once a
+/// hierarchical plan is wanted, the per-rank hierarchy coordinates.
 struct View {
     table: PairTable,
     topo: OnceLock<RankTopology>,
@@ -608,7 +610,7 @@ fn legacy(shape: Legacy, p: usize, root: usize) -> Plan {
 pub(crate) struct PlanStore {
     plans: OnceMap<PlanKey, Plan>,
     /// Cost views by rank → node vector, so a miss on a new size or root
-    /// does not rebuild the p² pair table.
+    /// does not rebuild the pair table or re-infer the hierarchy.
     views: OnceMap<NodeVec, View>,
     /// The legacy calls' plans, by shape, communicator size and root.
     legacy: OnceMap<(Legacy, usize, usize), Plan>,
@@ -618,7 +620,7 @@ impl Default for PlanStore {
     fn default() -> Self {
         PlanStore {
             plans: OnceMap::new(MAX_RESIDENT_XFERS),
-            views: OnceMap::new(MAX_VIEW_CELLS),
+            views: OnceMap::new(MAX_VIEWS),
             legacy: OnceMap::new(MAX_RESIDENT_XFERS),
         }
     }
@@ -661,11 +663,10 @@ impl PlanCache {
     /// rank — the caller then waits for it), built here otherwise. Errors
     /// are returned to each caller and leave no entry behind.
     pub(crate) fn get(&self, key: &PlanKey, cluster: &Cluster) -> MpiResult<Arc<Plan>> {
-        let p = key.nodes.len();
         let store = &*self.store;
         let (plan, built) = store.plans.get_or_build(key, Plan::xfers, || {
             let new_view = || Ok::<_, MpiError>(View::new(cluster, &key.nodes));
-            let (view, _) = store.views.get_or_build(&key.nodes, |_| p * p, new_view)?;
+            let (view, _) = store.views.get_or_build(&key.nodes, |_| 1, new_view)?;
             build_on(key, &view, cluster)
         })?;
         self.lookups.fetch_add(1, Ordering::Relaxed);

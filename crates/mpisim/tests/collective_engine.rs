@@ -879,6 +879,33 @@ fn a_gather_root_sleeps_once_per_call() {
     );
 }
 
+/// An agreement round rings its members only when a deposit completes
+/// it: every deposit before the last leaves some live member missing, and
+/// no waiter's outcome can change, so ringing then only wakes waiters to
+/// sleep again. With rank `r` arriving `r × 200 µs` late, each rank sleeps
+/// about once per round; ringing on every deposit sleeps p(p − 1)/2 times
+/// a round.
+#[test]
+fn agreement_waiters_sleep_once_per_round() {
+    let (p, rounds) = (16, 20);
+    let report = Universe::new(cluster(p)).run(|proc| {
+        let world = proc.world();
+        let me = world.rank();
+        for round in 0..rounds {
+            std::thread::sleep(std::time::Duration::from_micros(200 * me as u64));
+            let agreed = world.agree(round % 2 == 0 || me != 3)?;
+            assert_eq!((agreed.flag, agreed.failed.len()), (round % 2 == 0, 0));
+        }
+        Ok::<(), MpiError>(())
+    });
+    assert!(report.results.iter().all(Result::is_ok));
+    let w = report.wakeups;
+    assert!(
+        w.slept <= 2 * (p * rounds) as u64,
+        "{w:?} over {rounds} agreements of {p} ranks"
+    );
+}
+
 /// A member the slot has finished may still be asleep when the last
 /// running rank blocks: the quiescence detector must count it as able to
 /// go on, never as stuck. Rank 1 arrives last (rank 0 is asleep in the

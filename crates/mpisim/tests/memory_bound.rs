@@ -6,8 +6,9 @@
 //! ring `sendrecv` rounds, barrier) must leave the universe holding less
 //! than [`UNIVERSE_BOUND`] bytes of heap, and building the topology less
 //! than [`BUILD_BOUND`]: link costs are stored by class (4 bytes a node
-//! pair), mailbox lanes are allocated on demand, and clones of a topology
-//! share its class index. Thread stacks are mapped, not allocated, and do
+//! pair), mailbox lanes are allocated on demand, clones of a topology share
+//! its class index, pair tables are views of it, and collective plans name
+//! raw origins by a range. Thread stacks are mapped, not allocated, and do
 //! not count.
 
 use hetsim::{Link, Protocol, Topology, TopologyBuilder};
@@ -82,7 +83,7 @@ const MIB: isize = 1 << 20;
 /// Live heap a built 1024-node topology may hold.
 const BUILD_BOUND: isize = 8 * MIB;
 /// Live heap the universe may hold after one episode.
-const UNIVERSE_BOUND: isize = 40 * MIB;
+const UNIVERSE_BOUND: isize = 16 * MIB;
 
 fn testbed() -> Topology {
     let mut b = TopologyBuilder::new()
@@ -128,6 +129,25 @@ fn a_cloned_topology_allocates_no_pair_data() {
             .latency,
         50e-3
     );
+}
+
+#[test]
+fn a_pair_table_over_the_placement_allocates_no_pair_data() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (cluster, placement) = testbed().into_parts();
+    let p = placement.len();
+    let mut table = None;
+    let bytes = allocated_by(|| table = Some(cluster.pair_table(&placement)));
+    eprintln!("pair table over {p} positions: {bytes} bytes allocated");
+    // The node vector and one cost per link class, against p² = 1 Mi
+    // position pairs.
+    assert!(
+        bytes < 64 * p,
+        "a pair table over {p} positions allocated {bytes} bytes"
+    );
+    let table = table.expect("built");
+    assert_eq!(table.latency(0, p - 1), 50e-3);
+    assert_eq!(table.latency(p - 1, p - 1), 0.0);
 }
 
 #[test]

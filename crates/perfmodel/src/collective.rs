@@ -35,6 +35,7 @@
 
 use crate::compile::PairCost;
 use hetsim::{ContentionModel, NetFrontier, NodeId, SimTime, WireXfer};
+use std::ops::Range;
 
 /// Which collective a schedule implements.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -119,10 +120,12 @@ pub enum Payload {
     /// Elements `[lo, hi)` of the result buffer, finished: the broadcast
     /// data, an allgather chunk, or a completed fold.
     Slice,
-    /// Elements `[lo, hi)` of the raw contribution of each listed origin
-    /// rank, concatenated in the listed order. The sender holds every one of
-    /// them (its own, or received earlier); no origin reaches a rank twice.
-    Raw(Vec<usize>),
+    /// Elements `[lo, hi)` of the raw contributions of the origins at
+    /// positions `[start, end)` of the schedule's origin order (taken
+    /// modulo p; see [`Xfer::origins`]), concatenated in that order. The
+    /// sender holds every one of them (its own, or received earlier); no
+    /// origin reaches a rank twice.
+    Raw(Range<usize>),
     /// The identity-seeded left fold of elements `[lo, hi)` of the
     /// contributions of ranks `0..=src`, in ascending rank order. Always
     /// sent to rank `src + 1`, which folds its own contribution on.
@@ -164,12 +167,11 @@ impl Xfer {
     ///
     /// [`HierPlan::order`]: crate::HierPlan::order
     pub fn origins<'a>(&'a self, order: &'a [usize]) -> impl Iterator<Item = usize> + 'a {
-        let _ = order;
-        let listed: &[usize] = match &self.carries {
-            Payload::Raw(origins) => origins,
-            Payload::Slice | Payload::Prefix => &[],
+        let positions = match &self.carries {
+            Payload::Raw(positions) => positions.clone(),
+            Payload::Slice | Payload::Prefix => 0..0,
         };
-        listed.iter().copied()
+        positions.map(|i| order[i % order.len()])
     }
 }
 
@@ -358,18 +360,20 @@ fn reduce_rounds(algo: CollectiveAlgo, p: usize, root: usize, n: usize) -> Vec<V
         CollectiveAlgo::Linear => {
             let mut r0 = Vec::new();
             for src in 0..p {
-                push_as(Payload::Raw(vec![src]), &mut r0, src, root, 0, n);
+                push_as(Payload::Raw(src..src + 1), &mut r0, src, root, 0, n);
             }
             rounds.push(r0);
         }
         CollectiveAlgo::Binomial => {
             // Raw-contribution gather up the binomial tree: the sender at
-            // distance `span` forwards every contribution its subtree holds,
-            // so the root can fold in ascending rank order.
+            // distance `span` forwards every contribution its subtree holds
+            // (relative ranks `rel..`, rotated by the root), so the root can
+            // fold in ascending rank order.
             for span in spans(p) {
                 let mut round = Vec::new();
                 for rel in (span..p).step_by(span * 2) {
-                    let subtree = (rel..p.min(rel + span)).map(abs).collect();
+                    let first = abs(rel);
+                    let subtree = first..first + p.min(rel + span) - rel;
                     push_as(
                         Payload::Raw(subtree),
                         &mut round,
@@ -460,8 +464,7 @@ fn allreduce_rounds(algo: CollectiveAlgo, p: usize, n: usize) -> Vec<Vec<Xfer>> 
                 let mut round = Vec::new();
                 for r in 0..p {
                     let base = r & !(span - 1);
-                    let block = (base..base + span).collect();
-                    push_as(Payload::Raw(block), &mut round, r, r ^ span, 0, n);
+                    push_as(Payload::Raw(base..base + span), &mut round, r, r ^ span, 0, n);
                 }
                 rounds.push(round);
             }
@@ -474,7 +477,7 @@ fn allreduce_rounds(algo: CollectiveAlgo, p: usize, n: usize) -> Vec<Vec<Xfer>> 
             for src in 0..p {
                 for dst in 0..p {
                     let (lo, hi) = chunk_bounds(n, p, dst);
-                    push_as(Payload::Raw(vec![src]), &mut r0, src, dst, lo, hi);
+                    push_as(Payload::Raw(src..src + 1), &mut r0, src, dst, lo, hi);
                 }
             }
             rounds.push(r0);
@@ -716,6 +719,12 @@ mod tests {
                 check_coverage(n, &rounds, init);
             }
         }
+    }
+
+    #[test]
+    fn payloads_hold_no_heap_data() {
+        // Origins are a range of the schedule's origin order, not a list.
+        assert!(!std::mem::needs_drop::<Payload>() && !std::mem::needs_drop::<Xfer>());
     }
 
     #[test]

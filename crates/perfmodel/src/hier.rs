@@ -26,6 +26,7 @@ use crate::collective::{
 };
 use crate::compile::PairCost;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Ratio two latency scales must differ by before the inference pass calls
 /// them separate hierarchy levels. Real site boundaries separate by orders
@@ -299,30 +300,44 @@ fn origin_order(parts: &[Vec<Vec<usize>>], root: usize, p: usize) -> Vec<usize> 
     order
 }
 
-/// Whose raw contributions a gather transfer carries.
-fn origins(x: &Xfer) -> &[usize] {
+/// The positions of the plan's origin order whose raw contributions a
+/// gather transfer carries.
+fn run_of(x: &Xfer) -> Range<usize> {
     match &x.carries {
-        Payload::Raw(origins) => origins,
-        Payload::Slice | Payload::Prefix => &[],
+        Payload::Raw(run) => run.clone(),
+        Payload::Slice | Payload::Prefix => unreachable!("a gather transfer carries raw origins"),
     }
+}
+
+/// A receiver's held run with a gathered run delivered to it. Groups list
+/// their leader first and every member's subtree follows its predecessor's
+/// in the plan's order, so what a gather delivers continues the receiver's
+/// run; anything else is a planner bug.
+fn append(held: &Range<usize>, carried: &Range<usize>) -> Range<usize> {
+    assert_eq!(
+        held.end, carried.start,
+        "gathered origins {carried:?} do not continue the receiver's run {held:?}"
+    );
+    held.start..carried.end
 }
 
 /// Gather rounds for one group under `algo` (Linear or Binomial), starting
 /// from the members' current holdings: each transfer forwards the raw
-/// `n`-element contributions its sender holds at that point, origins
-/// ascending. Linear: every member forwards to the leader in one round.
-/// Binomial: the reduce-tree pattern over [`leader_first`] positions.
+/// `n`-element contributions its sender holds at that point, one run of
+/// the plan's origin order. Linear: every member forwards to the leader in
+/// one round. Binomial: the reduce-tree pattern over [`leader_first`]
+/// positions.
 fn gather_group(
     algo: CollectiveAlgo,
     group: &[usize],
     root: usize,
-    held: &[Vec<usize>],
+    held: &[Range<usize>],
     n: usize,
 ) -> Vec<Vec<Xfer>> {
     let pos = leader_first(group, root);
     let m = pos.len();
-    let mut local: Vec<Vec<usize>> = pos.iter().map(|&r| held[r].clone()).collect();
-    let raw = |rel: usize, to: usize, origins: Vec<usize>| Xfer {
+    let mut local: Vec<Range<usize>> = pos.iter().map(|&r| held[r].clone()).collect();
+    let raw = |rel: usize, to: usize, origins: Range<usize>| Xfer {
         src: pos[rel],
         dst: pos[to],
         lo: 0,
@@ -330,16 +345,14 @@ fn gather_group(
         carries: Payload::Raw(origins),
     };
     if algo == CollectiveAlgo::Linear {
-        return vec![(1..m).map(|rel| raw(rel, 0, std::mem::take(&mut local[rel]))).collect()];
+        return vec![(1..m).map(|rel| raw(rel, 0, local[rel].clone())).collect()];
     }
     let mut rounds = Vec::new();
     for span in spans(m) {
         let mut round = Vec::new();
         for rel in (span..m).step_by(span * 2) {
-            // A sender's part in the gather is over once it has sent.
-            let carried = std::mem::take(&mut local[rel]);
-            local[rel - span].extend_from_slice(&carried);
-            local[rel - span].sort_unstable();
+            let carried = local[rel].clone();
+            local[rel - span] = append(&local[rel - span], &carried);
             round.push(raw(rel, rel - span, carried));
         }
         rounds.push(round);
@@ -350,23 +363,19 @@ fn gather_group(
 /// Gather rounds as allgather chunk movements: each transfer carries the
 /// maximal runs of consecutive origin chunks its sender holds, as finished
 /// `[lo, hi)` ranges of the `n`-element output buffer.
-fn chunk_run_xfers(rounds: &[Vec<Xfer>], n: usize, p: usize) -> Vec<Vec<Xfer>> {
+fn chunk_run_xfers(rounds: &[Vec<Xfer>], n: usize, order: &[usize]) -> Vec<Vec<Xfer>> {
     rounds
         .iter()
         .map(|round| {
             let mut out = Vec::new();
             for x in round {
-                for (first, last) in consecutive_runs(origins(x)) {
-                    let lo = chunk_bounds(n, p, first).0;
-                    let hi = chunk_bounds(n, p, last).1;
-                    if hi > lo {
-                        out.push(Xfer {
-                            lo,
-                            hi,
-                            carries: Payload::Slice,
-                            ..*x
-                        });
-                    }
+                for (lo, hi) in chunk_runs(n, order, run_of(x)) {
+                    out.push(Xfer {
+                        lo,
+                        hi,
+                        carries: Payload::Slice,
+                        ..*x
+                    });
                 }
             }
             out
@@ -374,26 +383,24 @@ fn chunk_run_xfers(rounds: &[Vec<Xfer>], n: usize, p: usize) -> Vec<Vec<Xfer>> {
         .collect()
 }
 
-/// Maximal runs of consecutive integers in an ascending slice, as
-/// `(first, last)` inclusive pairs.
-fn consecutive_runs(sorted: &[usize]) -> Vec<(usize, usize)> {
-    let mut runs = Vec::new();
-    let mut iter = sorted.iter().copied();
-    let Some(mut first) = iter.next() else {
-        return runs;
-    };
-    let mut last = first;
-    for v in iter {
-        if v == last + 1 {
-            last = v;
-        } else {
-            runs.push((first, last));
-            first = v;
-            last = v;
+/// The non-empty `[lo, hi)` buffer ranges of the chunks of the origins at
+/// `positions` of `order`: one per maximal run of consecutive ranks, in
+/// ascending rank order.
+fn chunk_runs(n: usize, order: &[usize], positions: Range<usize>) -> Vec<(usize, usize)> {
+    let p = order.len();
+    let mut ranks = order[positions].to_vec();
+    ranks.sort_unstable();
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    for r in ranks {
+        match runs.last_mut() {
+            Some((_, last)) if *last + 1 == r => *last = r,
+            _ => runs.push((r, r)),
         }
     }
-    runs.push((first, last));
-    runs
+    runs.into_iter()
+        .map(|(first, last)| (chunk_bounds(n, p, first).0, chunk_bounds(n, p, last).1))
+        .filter(|(lo, hi)| hi > lo)
+        .collect()
 }
 
 /// Appends the per-group rounds of one stage to `out`, merged positionally
@@ -414,37 +421,33 @@ fn overlap(groups: &[Vec<Vec<Xfer>>], out: &mut Vec<Vec<Xfer>>) {
 }
 
 /// Builds one gather stage across `groups`: chooses Linear vs Binomial per
-/// group by pricing the candidate in isolation — as the chunk runs it will
-/// become when `chunked` (allgather), as raw contributions otherwise —
-/// appends the chosen rounds to `out`, and files what they deliver in `held`.
+/// group by pricing the candidate in isolation — with `chunks` (allgather:
+/// the plan's origin order) as the chunk runs it will become, as raw
+/// contributions otherwise — appends the chosen rounds to `out`, and files
+/// what they deliver in `held`.
 fn gather_stage(
     groups: &[Vec<usize>],
     root: usize,
-    held: &mut [Vec<usize>],
+    held: &mut [Range<usize>],
     out: &mut Vec<Vec<Xfer>>,
     pricer: &Pricer<'_, impl PairCost>,
-    chunked: bool,
+    chunks: Option<&[usize]>,
 ) {
-    let (p, n) = (pricer.p, pricer.n);
-    let time = |rounds: &[Vec<Xfer>]| {
-        if chunked {
-            pricer.time(&chunk_run_xfers(rounds, n, p))
-        } else {
-            pricer.time(rounds)
-        }
+    let time = |rounds: &[Vec<Xfer>]| match chunks {
+        Some(order) => pricer.time(&chunk_run_xfers(rounds, pricer.n, order)),
+        None => pricer.time(rounds),
     };
     let mut best: Vec<Vec<Vec<Xfer>>> = Vec::new();
     for g in groups.iter().filter(|g| g.len() >= 2) {
         let candidates = [CollectiveAlgo::Linear, CollectiveAlgo::Binomial]
             .into_iter()
-            .map(|algo| gather_group(algo, g, root, held, n));
+            .map(|algo| gather_group(algo, g, root, held, pricer.n));
         best.push(cheapest(candidates, time));
     }
     let from = out.len();
     overlap(&best, out);
     for x in out[from..].iter().flatten() {
-        held[x.dst].extend_from_slice(origins(x));
-        held[x.dst].sort_unstable();
+        held[x.dst] = append(&held[x.dst], &run_of(x));
     }
 }
 
@@ -539,7 +542,13 @@ pub fn plan(
         cost,
         sharing,
     };
-    let mut held: Vec<Vec<usize>> = (0..p).map(|r| vec![r]).collect();
+    // Every rank starts holding its own contribution: one position of the
+    // plan's order.
+    let order = origin_order(&parts, root, p);
+    let mut held: Vec<Range<usize>> = vec![0..0; p];
+    for (i, &r) in order.iter().enumerate() {
+        held[r] = i..i + 1;
+    }
     let mut rounds: Vec<Vec<Xfer>> = Vec::new();
     // Up: everything but a bcast gathers; allgather's site leaders exchange
     // directly instead of funnelling through one of them.
@@ -549,17 +558,16 @@ pub fn plan(
         CollectiveKind::Allgather => &parts[..parts.len() - 1],
     };
     let chunked = kind == CollectiveKind::Allgather;
+    let chunks = chunked.then_some(&order[..]);
     for groups in up {
-        gather_stage(groups, root, &mut held, &mut rounds, &pricer, chunked);
+        gather_stage(groups, root, &mut held, &mut rounds, &pricer, chunks);
     }
     if chunked {
-        rounds = chunk_run_xfers(&rounds, n, p);
+        rounds = chunk_run_xfers(&rounds, n, &order);
         let leaders = &parts[parts.len() - 1][0];
         let mut round = Vec::new();
         for &src in leaders {
-            for (first, last) in consecutive_runs(&held[src]) {
-                let lo = chunk_bounds(n, p, first).0;
-                let hi = chunk_bounds(n, p, last).1;
+            for (lo, hi) in chunk_runs(n, &order, held[src].clone()) {
                 for &dst in leaders {
                     push(&mut round, src, dst, lo, hi);
                 }
@@ -580,7 +588,6 @@ pub fn plan(
     if rounds.is_empty() {
         return None;
     }
-    let order = origin_order(&parts, root, p);
     Some(HierPlan { rounds, order })
 }
 
@@ -776,12 +783,13 @@ mod tests {
             for round in &hp.rounds {
                 for g in round {
                     assert_eq!((g.lo, g.hi), (0, n), "raw contributions travel whole");
+                    let mut carried: Vec<usize> = g.origins(&hp.order).collect();
+                    carried.sort_unstable();
                     assert_eq!(
-                        origins(g),
-                        held[g.src],
+                        carried, held[g.src],
                         "transfer must carry exactly the sender's holdings"
                     );
-                    held[g.dst].extend_from_slice(origins(g));
+                    held[g.dst].extend(carried);
                     held[g.dst].sort_unstable();
                 }
             }
@@ -929,7 +937,7 @@ mod tests {
         assert!(0 < gathers && gathers < hp.rounds.len());
         let mut held: Vec<Vec<usize>> = (0..p).map(|r| vec![r]).collect();
         for g in hp.rounds[..gathers].iter().flatten() {
-            held[g.dst].extend_from_slice(origins(g));
+            held[g.dst].extend(g.origins(&hp.order));
             held[g.dst].sort_unstable();
         }
         assert_eq!(held[0], (0..p).collect::<Vec<_>>());

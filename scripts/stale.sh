@@ -25,6 +25,7 @@ num_segments DeltaBaseline price_baseline price_delta MappingAlgorithm::Greedy
 with_slots with_topology paper_lan_with CostView hmpi_repro dup_local
 Holdings recv_sched into_pieces Operand::Wire TAG_COLL TAG_POISON no_fold
 collective_abort bcast_bytes TAG_BCAST TAG_GATHER TAG_SCATTER RENDEZVOUS_BLOCK
+MAX_VIEW_CELLS consecutive_runs
 '
 paths='README.md DESIGN.md'
 for dir in crates/*/src crates/*/tests crates/*/examples; do
